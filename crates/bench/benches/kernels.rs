@@ -4,7 +4,7 @@
 //! performed) mirrors the operator-count reductions of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel, Preset};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, FusionLevel, GemmKernel, Preset};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
@@ -152,10 +152,10 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Reference node-by-node execution vs the tiled fused interpreter on
-/// the same compiled GAT plan: the wall-clock side of the realized fusion
-/// (the memory side is `RunStats::peak_value_bytes`, asserted in
-/// `tests/fused_exec.rs`). Results are bit-identical on both sides.
+/// The same GAT model compiled with fusion off and with unified fusion,
+/// both run by the one executor: the wall-clock side of what fusion
+/// saves (the memory side is `RunStats::peak_value_bytes`, asserted in
+/// `tests/fused_exec.rs`) — the paper's Figure 9 comparison.
 fn bench_fused_exec(c: &mut Criterion) {
     let graph = Graph::from_edge_list(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5));
     let spec = gat(&GatConfig {
@@ -166,15 +166,21 @@ fn bench_fused_exec(c: &mut Criterion) {
     })
     .expect("gat builds");
     let bindings = bindings_for(&spec, &graph, 7);
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
 
     let mut group = c.benchmark_group("gat_fused_exec");
-    for (label, fused) in [("reference", false), ("fused", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &fused, |b, &fused| {
+    for (label, fusion) in [
+        ("none", FusionLevel::None),
+        ("unified", FusionLevel::Unified),
+    ] {
+        let opts = CompileOptions {
+            fusion,
+            ..CompileOptions::ours()
+        };
+        let compiled = compile(&spec.ir, true, &opts).expect("compiles");
+        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
             b.iter(|| {
                 let mut sess = Session::builder(&compiled.plan, &graph)
                     .policy(ExecPolicy::auto())
-                    .fused(fused)
                     .env(EnvOverrides::Off)
                     .build()
                     .expect("session");
@@ -213,7 +219,6 @@ fn bench_reordered_exec(c: &mut Criterion) {
     ] {
         let mut sess = Session::builder(&compiled.plan, &graph)
             .policy(ExecPolicy::auto().reordered(reorder))
-            .fused(true)
             .env(EnvOverrides::Off)
             .build()
             .expect("session");
@@ -287,7 +292,6 @@ fn bench_gat_step_blocked(c: &mut Criterion) {
         let policy = ExecPolicy::auto().with_gemm(kernel);
         let mut sess = Session::builder(&compiled.plan, &graph)
             .policy(policy)
-            .fused(true)
             .env(EnvOverrides::Off)
             .build()
             .expect("session");

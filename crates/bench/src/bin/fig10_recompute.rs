@@ -18,7 +18,7 @@ fn variants() -> Vec<(&'static str, CompileOptions)> {
         mapping: Default::default(),
         recompute: RecomputeScope::None,
         recompute_threshold: 16.0,
-        exec: ExecPolicy::auto().with_fused(true),
+        exec: ExecPolicy::auto(),
     };
     vec![
         // "w/o fusion" retains the standard built-in fused kernels

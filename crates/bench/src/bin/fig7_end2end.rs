@@ -177,9 +177,8 @@ fn compute_engine_section() {
         );
     }
 
-    // End-to-end: one real training step per engine — the shared PR 5
-    // compute-engine workload (same definition as perf_snapshot), auto
-    // threads, fused executor.
+    // End-to-end: one real training step per engine on the compute-engine
+    // workload, auto threads.
     let (scale, graph, models) = compute_engine_workloads();
     println!(
         "\n# Training step on RMAT-{scale} ({} vertices, {} edges), auto threads",

@@ -31,7 +31,7 @@ fn variant(reorg: bool) -> CompileOptions {
         mapping: Default::default(),
         recompute: RecomputeScope::None,
         recompute_threshold: 16.0,
-        exec: ExecPolicy::auto().with_fused(true),
+        exec: ExecPolicy::auto(),
     }
 }
 
@@ -176,14 +176,13 @@ fn measured_reorder_section() {
     for (name, spec) in workloads {
         let opts = CompileOptions::ours();
         // Warmup pays one-time allocation/page-in outside the timings.
-        run_real_reordered(&spec, &graph, &opts, 1, true, 11, true, ReorderPolicy::None)
-            .expect("warmup");
+        run_real_reordered(&spec, &graph, &opts, 1, true, 11, ReorderPolicy::None).expect("warmup");
         // Min-of-5 per side: locality effects are small relative to OS
         // scheduling noise on shared CI hosts.
         let best = |reorder: ReorderPolicy| {
             (0..5)
                 .map(|_| {
-                    let s = run_real_reordered(&spec, &graph, &opts, 1, true, 11, true, reorder)
+                    let s = run_real_reordered(&spec, &graph, &opts, 1, true, 11, reorder)
                         .expect("step runs");
                     (s.forward_seconds + s.backward_seconds, s)
                 })

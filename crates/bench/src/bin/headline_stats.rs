@@ -29,7 +29,7 @@ fn main() {
         mapping: Default::default(),
         recompute: RecomputeScope::None,
         recompute_threshold: 16.0,
-        exec: ExecPolicy::auto().with_fused(true),
+        exec: ExecPolicy::auto(),
     };
     let naive = compile(&wl.ir, false, &base).expect("naive");
     let reorg = compile(

@@ -23,7 +23,7 @@ fn options(policy: MappingPolicy) -> CompileOptions {
         mapping: policy,
         recompute: RecomputeScope::All,
         recompute_threshold: 16.0,
-        exec: ExecPolicy::auto().with_fused(true),
+        exec: ExecPolicy::auto(),
     }
 }
 

@@ -105,7 +105,8 @@ pub fn run_variant(
 /// Compiles `spec` under `opts` pinned to an explicit executor thread
 /// count and runs one real CPU step on `graph` (forward + backward when
 /// `training`), returning the measured session statistics. This is the
-/// serial-vs-parallel scaling probe behind the headline figures.
+/// serial-vs-parallel scaling probe behind the headline figures. The
+/// session is a default one, so ambient `GNNOPT_*` overrides apply.
 ///
 /// # Errors
 ///
@@ -123,12 +124,37 @@ pub fn run_real(
     training: bool,
     seed: u64,
 ) -> IrResult<RunStats> {
-    run_real_impl(spec, graph, opts, threads, training, seed, None)
+    // The explicit thread count is compiled into the plan, so the session
+    // adopts it as-is (no auto-detection, no GNNOPT_THREADS interference);
+    // the policy's other knobs (tiling, grouping, reordering) ride along.
+    let opts = CompileOptions {
+        exec: ExecPolicy {
+            threads,
+            ..opts.exec
+        },
+        ..*opts
+    };
+    let compiled = compile(&spec.ir, training, &opts)?;
+    let mut bindings = Bindings::new();
+    for (k, v) in spec.init_values(graph, seed) {
+        bindings.insert(&k, v);
+    }
+    let mut sess = Session::builder(&compiled.plan, graph)
+        .build()
+        .expect("session builds");
+    let out = sess.forward(&bindings).expect("forward runs");
+    if training {
+        sess.backward(gnnopt_tensor::Tensor::ones(out[0].shape()))
+            .expect("backward runs");
+    }
+    Ok(sess.stats())
 }
 
-/// Like [`run_real`], but with the fused-execution choice pinned
-/// explicitly (independent of the plan default and of `GNNOPT_FUSED`):
-/// the reference-vs-fused measurement probe behind the fusion figure.
+/// Like [`run_real`], with the session's vertex-reordering strategy
+/// compiled into the plan: the identity-vs-reordered measurement probe
+/// behind the reorganization figure's measured section. The returned
+/// stats carry the resolved strategy and its one-time preprocessing cost
+/// (`RunStats::{reorder, reorder_seconds}`).
 ///
 /// # Errors
 ///
@@ -136,35 +162,7 @@ pub fn run_real(
 ///
 /// # Panics
 ///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-pub fn run_real_fused(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: bool,
-) -> IrResult<RunStats> {
-    run_real_impl(spec, graph, opts, threads, training, seed, Some(fused))
-}
-
-/// Like [`run_real_fused`], but additionally pinning the session's
-/// vertex-reordering strategy: the reference-vs-reordered measurement
-/// probe behind the reorganization figure's measured section. The
-/// returned stats carry the resolved strategy and its one-time
-/// preprocessing cost (`RunStats::{reorder, reorder_seconds}`).
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-#[allow(clippy::too_many_arguments)]
+/// As [`run_real`].
 pub fn run_real_reordered(
     spec: &ModelSpec,
     graph: &Graph,
@@ -172,18 +170,17 @@ pub fn run_real_reordered(
     threads: usize,
     training: bool,
     seed: u64,
-    fused: bool,
     reorder: ReorderPolicy,
 ) -> IrResult<RunStats> {
     let opts = CompileOptions {
         exec: opts.exec.reordered(reorder),
         ..*opts
     };
-    run_real_impl(spec, graph, &opts, threads, training, seed, Some(fused))
+    run_real(spec, graph, &opts, threads, training, seed)
 }
 
-/// Like [`run_real_fused`], but additionally pinning the session's dense
-/// GEMM engine: the naive-vs-blocked measurement probe behind the
+/// Like [`run_real`], with the session's dense GEMM engine compiled into
+/// the plan: the naive-vs-blocked measurement probe behind the
 /// compute-engine figure. Results are bit-identical across engines, so
 /// the comparison measures time only.
 ///
@@ -193,9 +190,7 @@ pub fn run_real_reordered(
 ///
 /// # Panics
 ///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-#[allow(clippy::too_many_arguments)]
+/// As [`run_real`].
 pub fn run_real_gemm(
     spec: &ModelSpec,
     graph: &Graph,
@@ -203,52 +198,13 @@ pub fn run_real_gemm(
     threads: usize,
     training: bool,
     seed: u64,
-    fused: bool,
     gemm: GemmKernel,
-) -> IrResult<RunStats> {
-    run_real_gemm_arena(
-        spec, graph, opts, threads, training, seed, fused, gemm, None,
-    )
-}
-
-/// Like [`run_real_gemm`], but additionally pinning the session's static
-/// arena allocator (`None` keeps the default: on): the arena-on vs
-/// arena-off measurement probe behind the memory-planner snapshot.
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-#[allow(clippy::too_many_arguments)]
-pub fn run_real_gemm_arena(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: bool,
-    gemm: GemmKernel,
-    arena: Option<bool>,
 ) -> IrResult<RunStats> {
     let opts = CompileOptions {
         exec: opts.exec.with_gemm(gemm),
         ..*opts
     };
-    run_real_impl2(
-        spec,
-        graph,
-        &opts,
-        threads,
-        training,
-        seed,
-        Some(fused),
-        arena,
-    )
+    run_real(spec, graph, &opts, threads, training, seed)
 }
 
 /// The `[Naive, Blocked]` measurement order every compute-engine harness
@@ -258,10 +214,8 @@ pub fn run_real_gemm_arena(
 /// invert every reported speedup).
 pub const GEMM_KERNELS: [GemmKernel; 2] = [GemmKernel::Naive, GemmKernel::Blocked];
 
-/// The compute-engine measurement workload shared by `fig7_end2end`'s
-/// measured section and `perf_snapshot` — one definition, so the printed
-/// figure and the committed `BENCH_PR5.json` artifact can never drift
-/// onto different configurations. Returns the RMAT scale (16, or 8 in
+/// The compute-engine measurement workload of `fig7_end2end`'s measured
+/// section. Returns the RMAT scale (16, or 8 in
 /// smoke), the graph, and the GAT/GCN specs at feature widths where the
 /// combination phase carries real arithmetic (64 in, 2×32 heads /
 /// 64→64→32): the configuration the paper's compute-bound
@@ -317,76 +271,24 @@ pub fn measure_gemm_single_thread(d: usize, reps: u32) -> [f64; 2] {
     best.map(|secs| 2.0 * (d * d * d) as f64 / secs / 1e9)
 }
 
-/// Measured real training steps for `[Naive, Blocked]` on the fused
-/// executor with auto threads: warm both engines, then interleave
-/// repetitions (naive, blocked, naive, …) and keep each engine's fastest
-/// run (same one-sided-noise argument as
-/// [`measure_gemm_single_thread`]).
+/// Measured real training steps for `[Naive, Blocked]` with auto
+/// threads: warm both engines, then interleave repetitions (naive,
+/// blocked, naive, …) and keep each engine's fastest run (same
+/// one-sided-noise argument as [`measure_gemm_single_thread`]).
 ///
 /// # Panics
 ///
 /// Panics if the model fails to compile or execute (a harness bug, not a
 /// measurement outcome).
 pub fn measure_steps_interleaved(spec: &ModelSpec, graph: &Graph, reps: usize) -> [RunStats; 2] {
-    measure_steps_interleaved_threads(spec, graph, reps, 0)
-}
-
-/// [`measure_steps_interleaved`] with the worker-pool size pinned
-/// (`threads = 0` auto-detects, like the plain variant).
-pub fn measure_steps_interleaved_threads(
-    spec: &ModelSpec,
-    graph: &Graph,
-    reps: usize,
-    threads: usize,
-) -> [RunStats; 2] {
-    measure_steps_interleaved_arena(spec, graph, reps, threads, None)
-}
-
-/// [`measure_steps_interleaved_threads`] with the session's static arena
-/// additionally pinned (`None` = session default: on) — the probe behind
-/// the memory-planner snapshot's arena-on vs arena-off step rows.
-///
-/// # Panics
-///
-/// Panics if the model fails to compile or execute (a harness bug, not a
-/// measurement outcome).
-pub fn measure_steps_interleaved_arena(
-    spec: &ModelSpec,
-    graph: &Graph,
-    reps: usize,
-    threads: usize,
-    arena: Option<bool>,
-) -> [RunStats; 2] {
-    let kernels = GEMM_KERNELS;
-    for kernel in kernels {
-        run_real_gemm_arena(
-            spec,
-            graph,
-            &CompileOptions::ours(),
-            threads,
-            true,
-            11,
-            true,
-            kernel,
-            arena,
-        )
-        .expect("warmup runs");
+    let step = |kernel| run_real_gemm(spec, graph, &CompileOptions::ours(), 0, true, 11, kernel);
+    for kernel in GEMM_KERNELS {
+        step(kernel).expect("warmup runs");
     }
     let mut best: [Option<RunStats>; 2] = [None, None];
     for _ in 0..reps {
-        for (slot, kernel) in kernels.into_iter().enumerate() {
-            let run = run_real_gemm_arena(
-                spec,
-                graph,
-                &CompileOptions::ours(),
-                threads,
-                true,
-                11,
-                true,
-                kernel,
-                arena,
-            )
-            .expect("measured run");
+        for (slot, kernel) in GEMM_KERNELS.into_iter().enumerate() {
+            let run = step(kernel).expect("measured run");
             let wall = run.forward_seconds + run.backward_seconds;
             if best[slot].is_none_or(|b| wall < b.forward_seconds + b.backward_seconds) {
                 best[slot] = Some(run);
@@ -394,65 +296,6 @@ pub fn measure_steps_interleaved_arena(
         }
     }
     best.map(|run| run.expect("at least one rep per engine"))
-}
-
-/// Shared body of [`run_real`] / [`run_real_fused`]. `fused: None` keeps
-/// the plan's own fused-execution default (and the `GNNOPT_FUSED`
-/// override); `Some(f)` pins it.
-fn run_real_impl(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: Option<bool>,
-) -> IrResult<RunStats> {
-    run_real_impl2(spec, graph, opts, threads, training, seed, fused, None)
-}
-
-/// [`run_real_impl`] plus an optional arena pin (`None` = session
-/// default: arena on).
-#[allow(clippy::too_many_arguments)]
-fn run_real_impl2(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    fused: Option<bool>,
-    arena: Option<bool>,
-) -> IrResult<RunStats> {
-    // The explicit thread count is compiled into the plan, so the session
-    // adopts it as-is (no auto-detection, no GNNOPT_THREADS interference);
-    // the policy's other knobs (tiling, grouping, reordering) ride along.
-    let opts = CompileOptions {
-        exec: ExecPolicy {
-            threads,
-            ..opts.exec
-        },
-        ..*opts
-    };
-    let compiled = compile(&spec.ir, training, &opts)?;
-    let mut bindings = Bindings::new();
-    for (k, v) in spec.init_values(graph, seed) {
-        bindings.insert(&k, v);
-    }
-    let mut builder = Session::builder(&compiled.plan, graph);
-    if let Some(f) = fused {
-        builder = builder.fused(f).env(gnnopt_exec::EnvOverrides::Off);
-    }
-    if let Some(a) = arena {
-        builder = builder.arena(a);
-    }
-    let mut sess = builder.build().expect("session builds");
-    let out = sess.forward(&bindings).expect("forward runs");
-    if training {
-        sess.backward(gnnopt_tensor::Tensor::ones(out[0].shape()))
-            .expect("backward runs");
-    }
-    Ok(sess.stats())
 }
 
 /// Folds a real CPU run into the analytic record so scaling reports keep

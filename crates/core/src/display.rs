@@ -234,8 +234,7 @@ pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> St
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "memory plan ({}): arena {} B across {} regions, {} positions, aux {} B",
-        if mem.fused { "fused" } else { "reference" },
+        "memory plan: arena {} B across {} regions, {} positions, aux {} B",
         mem.arena_bytes,
         mem.buffers().len(),
         mem.positions,

@@ -101,12 +101,12 @@ pub struct ExecPolicy {
     /// gather-style kernels) below which the kernel stays serial; thread
     /// spawning would otherwise dominate.
     pub parallel_threshold: usize,
-    /// Edge budget per tile of the fused tiled interpreter: destination
+    /// Edge budget per tile of the program interpreter: destination
     /// vertex ranges are cut so each tile covers at most this many edges
     /// (a single vertex whose in-degree exceeds the budget still gets one
     /// intact tile — reduction groups never split). Smaller tiles bound
     /// scratch tighter; the value never affects results, which are
-    /// bit-identical to the reference path for any tiling.
+    /// bit-identical to `refexec::evaluate` for any tiling.
     pub tile_edges: usize,
     /// Bind fused-interpreter workers to bounded-size **edge groups**
     /// (the destination tiles, each holding at most [`Self::tile_edges`]
@@ -124,11 +124,8 @@ pub struct ExecPolicy {
     /// default; results are bit-identical either way). Overridable per
     /// process with `GNNOPT_GEMM=naive|blocked`.
     pub gemm: GemmKernel,
-    /// Run the fused tiled interpreter instead of the node-by-node
-    /// reference executor. Compiled into the plan by the presets (`Ours`
-    /// enables it) and overridable per process with `GNNOPT_FUSED` or per
-    /// session through the `SessionBuilder` in `gnnopt-exec`. Results are
-    /// bit-identical either way.
+    /// Inert: read only by the frozen `src/bin/gnnbench`; goes when a
+    /// `benchmark` PR drops that read.
     pub fused: bool,
     /// In-degree above which a destination row's reduction is split into
     /// fixed [`Self::HEAVY_ROW_CHUNK_EDGES`]-edge chunks whose partial
@@ -219,11 +216,6 @@ impl ExecPolicy {
         Self { gemm, ..self }
     }
 
-    /// The same policy with the fused tiled interpreter toggled.
-    pub fn with_fused(self, fused: bool) -> Self {
-        Self { fused, ..self }
-    }
-
     /// The same policy with an explicit heavy-row degree threshold
     /// (tests lower it to exercise the chunked hub-row path on small
     /// graphs).
@@ -301,7 +293,6 @@ mod tests {
             .reordered(ReorderPolicy::Rcm)
             .grouped()
             .with_gemm(GemmKernel::Naive)
-            .with_fused(true)
             .with_heavy_row_degree(64)
             .with_guard(true);
         assert_eq!(p.threads, 2);
@@ -310,21 +301,18 @@ mod tests {
         assert_eq!(p.reorder, ReorderPolicy::Rcm);
         assert!(p.group_workers);
         assert_eq!(p.gemm, GemmKernel::Naive);
-        assert!(p.fused);
         assert_eq!(p.heavy_row_degree, 64);
         // `resolved` preserves the new knobs.
         let r = p.resolved(|| 8);
         assert_eq!(r.reorder, ReorderPolicy::Rcm);
         assert!(r.group_workers);
         assert_eq!(r.gemm, GemmKernel::Naive);
-        assert!(r.fused);
         assert_eq!(r.heavy_row_degree, 64);
     }
 
     #[test]
-    fn fused_defaults_off_with_sane_heavy_threshold() {
+    fn heavy_row_defaults_are_sane() {
         let p = ExecPolicy::auto();
-        assert!(!p.fused);
         assert_eq!(p.heavy_row_degree, ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE);
         assert!(ExecPolicy::HEAVY_ROW_CHUNK_EDGES.is_power_of_two());
     }

@@ -28,11 +28,8 @@
 //!   and [`Storage::Prelude`] tensors are launch-transient statistics;
 //!   neither enters the store, so neither is offset-planned.
 //!
-//! The unfused reference executor materializes *every* kernel member
-//! into the store, so `fused = false` plans one region per member node
-//! instead of consulting storage classes. Recomputed values
-//! re-materialize at each backward kernel that rebuilds them —
-//! single-position regions at those kernels.
+//! Recomputed values re-materialize at each backward kernel that
+//! rebuilds them — single-position regions at those kernels.
 //!
 //! Softmax max/denominator stashes and argmax tables are accounted in
 //! [`MemoryPlan::aux_bytes`] but not offset-planned: they are a
@@ -171,9 +168,6 @@ pub struct MemoryPlan {
     pub aux_bytes: u64,
     /// Number of execution positions the intervals index into.
     pub positions: usize,
-    /// Whether the plan modeled the fused interpreter's storage classes
-    /// or the reference executor's materialize-everything store.
-    pub fused: bool,
 }
 
 impl MemoryPlan {
@@ -226,16 +220,19 @@ fn node_bytes(plan: &ExecutionPlan, nid: NodeId, nv: usize, ne: usize) -> u64 {
 }
 
 /// Plans the arena for `plan` executed on a graph of `nv` vertices and
-/// `ne` edges, under the fused or reference storage discipline.
+/// `ne` edges, under the program interpreter's storage classes.
 ///
 /// The result is advisory for correctness (the runtime pool degrades to
 /// plain allocation on any miss) but exact for capacity: the planned
 /// regions are precisely the buffers a steady-state step cycles
 /// through, so `arena_bytes` bounds the store's working set and
 /// [`MemoryPlan::buffers`] pre-seeds the pool.
+///
+/// `_fused` is ignored: it survives only because the frozen
+/// `src/bin/gnnbench` passes it, and goes when a `benchmark` PR drops it.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, fused: bool) -> MemoryPlan {
+pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> MemoryPlan {
     let lv = liveness(plan);
 
     // Execution order: forward kernels in plan order, then backward.
@@ -290,44 +287,36 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, fused: bool) -> M
     };
 
     for (p, &kid) in order.iter().enumerate() {
-        let k = &plan.kernels[kid];
-        if fused {
-            for s in &plan.programs[kid].steps {
-                match s.storage {
-                    // Launch-transient statistics never enter the store;
-                    // neither do tiled scratch steps (per-worker slabs).
-                    // A *full-exec* scratch step does materialize for
-                    // the duration of its launch: the interpreter runs
-                    // it whole-graph and hands the result back to the
-                    // store until the kernel's eviction pass.
-                    Storage::Prelude => {}
-                    Storage::Scratch if s.exec == StepExec::Tiled => {}
-                    Storage::Scratch => {
-                        let d = death_pos(s.node, kid, p);
-                        intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
-                    }
-                    _ if s.recompute => {
-                        if !lv.persistent.contains(&s.node) {
-                            intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, p));
-                        }
-                    }
-                    Storage::Materialized => {
-                        let d = death_pos(s.node, kid, p);
-                        intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
-                    }
-                    Storage::Interior => {
+        // A plan without programs (hand-assembled before lowering) gets
+        // no regions; the session refuses it at the first kernel.
+        let Some(program) = plan.programs.get(kid) else {
+            continue;
+        };
+        for s in &program.steps {
+            match s.storage {
+                // Launch-transient statistics never enter the store;
+                // neither do tiled scratch steps (per-worker slabs).
+                // A *full-exec* scratch step does materialize for
+                // the duration of its launch: the interpreter runs
+                // it whole-graph and hands the result back to the
+                // store until the kernel's eviction pass.
+                Storage::Prelude => {}
+                Storage::Scratch if s.exec == StepExec::Tiled => {}
+                Storage::Scratch => {
+                    let d = death_pos(s.node, kid, p);
+                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
+                }
+                _ if s.recompute => {
+                    if !lv.persistent.contains(&s.node) {
                         intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, p));
                     }
                 }
-            }
-        } else {
-            for &nid in &k.nodes {
-                let d = death_pos(nid, kid, p);
-                intervals.push((nid, node_bytes(plan, nid, nv, ne), p, d));
-            }
-            for &r in &k.recompute {
-                if !lv.persistent.contains(&r) {
-                    intervals.push((r, node_bytes(plan, r, nv, ne), p, p));
+                Storage::Materialized => {
+                    let d = death_pos(s.node, kid, p);
+                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
+                }
+                Storage::Interior => {
+                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, p));
                 }
             }
         }
@@ -423,7 +412,6 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, fused: bool) -> M
         regions,
         aux_bytes,
         positions,
-        fused,
     }
 }
 
@@ -469,18 +457,16 @@ mod tests {
     #[test]
     fn regions_never_alias_while_both_live() {
         for training in [false, true] {
-            for fused in [false, true] {
-                let plan = toy_plan(training);
-                let mp = plan_memory(&plan, 16, 48, fused);
-                assert!(mp.arena_bytes > 0);
-                assert!(mp.arena_bytes >= mp.peak_live_bytes());
-                for (i, a) in mp.regions.iter().enumerate() {
-                    for b in &mp.regions[i + 1..] {
-                        assert!(
-                            !overlap(a, b),
-                            "alias: {a:?} vs {b:?} (training={training} fused={fused})"
-                        );
-                    }
+            let plan = toy_plan(training);
+            let mp = plan_memory(&plan, 16, 48, true);
+            assert!(mp.arena_bytes > 0);
+            assert!(mp.arena_bytes >= mp.peak_live_bytes());
+            for (i, a) in mp.regions.iter().enumerate() {
+                for b in &mp.regions[i + 1..] {
+                    assert!(
+                        !overlap(a, b),
+                        "alias: {a:?} vs {b:?} (training={training})"
+                    );
                 }
             }
         }
@@ -506,7 +492,7 @@ mod tests {
     #[test]
     fn buffers_cover_every_offset() {
         let plan = toy_plan(true);
-        let mp = plan_memory(&plan, 16, 48, false);
+        let mp = plan_memory(&plan, 16, 48, true);
         let bufs = mp.buffers();
         let distinct: std::collections::HashSet<u64> =
             mp.regions.iter().map(|r| r.offset).collect();

@@ -45,10 +45,8 @@ pub struct CompileOptions {
     pub recompute: RecomputeScope,
     /// Recompute threshold (FLOPs per rebuilt element).
     pub recompute_threshold: f64,
-    /// CPU execution policy for the compiled plan: thread width, fused
-    /// tiled interpretation (`ExecPolicy::fused` — on for
-    /// [`Preset::Ours`], overridable per run with `GNNOPT_FUSED=0|1`),
-    /// reordering, GEMM engine and the CSR dispatch thresholds.
+    /// CPU execution policy for the compiled plan: thread width, tile
+    /// budget, reordering, GEMM engine and the CSR dispatch thresholds.
     pub exec: ExecPolicy,
 }
 
@@ -78,7 +76,7 @@ impl CompileOptions {
                 mapping: MappingPolicy::Auto,
                 recompute: RecomputeScope::All,
                 recompute_threshold: 16.0,
-                exec: ExecPolicy::auto().with_fused(true),
+                exec: ExecPolicy::auto(),
             },
         }
     }
@@ -197,9 +195,8 @@ pub fn compile(ir: &IrGraph, training: bool, opts: &CompileOptions) -> Result<Co
         exec: opts.exec,
         programs: Vec::new(),
     };
-    // Lower every fusible kernel to a tiled program. Always computed —
-    // even for plans whose policy keeps `fused` off — so `GNNOPT_FUSED=1`
-    // can force the tiled interpreter onto any plan for A/B comparison.
+    // Lower every kernel to a program: the session's interpreter runs
+    // nothing else, whatever the fusion level of the preset.
     plan.programs = crate::lower::lower_plan(&plan);
     Ok(CompiledModel {
         plan,

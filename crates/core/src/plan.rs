@@ -60,15 +60,12 @@ pub struct ExecutionPlan {
     /// Whether the plan includes a backward pass.
     pub training: bool,
     /// CPU execution policy the executor should run this plan under
-    /// (from [`crate::pipeline::CompileOptions::exec`]). Its `fused`
-    /// flag selects the lowered [`KernelProgram`] interpreter by default;
-    /// the session-level `GNNOPT_FUSED` override wins either way.
+    /// (from [`crate::pipeline::CompileOptions::exec`]).
     pub exec: ExecPolicy,
     /// Tiled lowering of each kernel, indexed by kernel id. Lowering is
-    /// total (see [`crate::lower`]): every kernel has a program, so fused
-    /// execution never falls back per kernel. Always populated so a
-    /// session can force fused execution on plans whose policy keeps
-    /// `fused` off.
+    /// total (see [`crate::lower`]): every kernel has a program, and the
+    /// session runs a kernel by interpreting it — a kernel without one is
+    /// refused with a typed error, not run some other way.
     pub programs: Vec<KernelProgram>,
 }
 
@@ -90,19 +87,6 @@ impl ExecutionPlan {
     pub fn materialized_nodes(&self, kernel: &Kernel) -> Vec<NodeId> {
         let members: HashSet<NodeId> = kernel.nodes.iter().copied().collect();
         let consumers = self.ir.consumers();
-        // A consumer kernel satisfies its read internally when the node is
-        // among its members or its recompute closure.
-        let mut satisfied: HashMap<NodeId, Vec<&Kernel>> = HashMap::new();
-        for n in &kernel.nodes {
-            satisfied.insert(*n, Vec::new());
-        }
-        for k in &self.kernels {
-            for &n in k.nodes.iter().chain(&k.recompute) {
-                if let Some(v) = satisfied.get_mut(&n) {
-                    v.push(k);
-                }
-            }
-        }
         kernel
             .nodes
             .iter()
@@ -112,10 +96,14 @@ impl ExecutionPlan {
                     if members.contains(&c) {
                         return false;
                     }
-                    // Is the consumer inside a kernel that recomputes n?
-                    !self.kernels.iter().any(|k| {
+                    // Does any kernel that computes the consumer — the
+                    // one that owns it *or* one that recomputes it —
+                    // read n from the store instead of recomputing it?
+                    // (An unfused forward consumer does, even when a
+                    // backward kernel recomputes both.)
+                    self.kernels.iter().any(|k| {
                         (k.nodes.contains(&c) || k.recompute.contains(&c))
-                            && k.recompute.contains(&n)
+                            && !k.recompute.contains(&n)
                     })
                 });
                 let is_output = self.ir.outputs().contains(&n);

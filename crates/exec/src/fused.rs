@@ -1,15 +1,16 @@
 //! Tiled execution of lowered [`KernelProgram`]s: fusion realized on the
 //! host, not just in the analytical model.
 //!
-//! The reference path in `session.rs` materializes every node of a fused
-//! kernel as a full tensor, so fusion only changes the *accounting*. This
-//! interpreter executes a program over CSR **destination-vertex ranges**
-//! (tiles): scratch-class members live only as per-tile rows inside a
-//! worker-local arena, so the `O(|E|·d)` intermediates of a
-//! gather→edge-op→scatter chain never exist in memory — the measured
-//! `peak_value_bytes` drops toward what `gnnopt-sim` predicts for the
-//! fused plan (interior spills, see `gnnopt_core::lower`, are the
-//! remaining gap).
+//! This is the session's only way to run a kernel. Evaluating a fused
+//! kernel node by node (as the test oracle, [`crate::refexec::evaluate`],
+//! does) materializes every member as a full tensor, so fusion would only
+//! change the *accounting*. This interpreter executes a program over CSR
+//! **destination-vertex ranges** (tiles): scratch-class members live
+//! only as per-tile rows inside a worker-local arena, so the `O(|E|·d)`
+//! intermediates of a gather→edge-op→scatter chain never exist in memory
+//! — the measured `peak_value_bytes` drops toward what `gnnopt-sim`
+//! predicts for the fused plan (interior spills, see
+//! `gnnopt_core::lower`, are the remaining gap).
 //!
 //! # Streamed full steps
 //!
@@ -36,8 +37,8 @@
 //! *same expressions in the same order* as the reference kernels in
 //! [`crate::kernels`] — since PR 5 both literally call the shared
 //! feature-axis loops of [`gnnopt_tensor::rowops`] — so fused results are
-//! **bit-identical** to the node-by-node path for any tile budget and any
-//! thread count.
+//! **bit-identical** to the node-by-node oracle for any tile budget and
+//! any thread count.
 //!
 //! # Parallelism and scratch
 //!
@@ -764,8 +765,7 @@ enum StepAux<'a> {
 /// # Errors
 ///
 /// Returns [`ExecError::ValueNotLive`] when an out-of-kernel operand is
-/// not in the value store (a plan inconsistency, same contract as the
-/// reference path).
+/// not in the value store (a plan inconsistency).
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 pub(crate) fn run_program(
     policy: &ExecPolicy,
@@ -875,11 +875,6 @@ pub(crate) fn run_program(
     // elided from the tiled segments below and recomputed per edge
     // inside the gather's own scan (see `plan_streams`).
     let streams = plan_streams(&steps, program, ir, aux_softmax);
-    if std::env::var_os("GNNOPT_PROFILE").is_some() {
-        for (si, c) in &streams {
-            eprintln!("  STREAM gather step {si}: chain {:?}", c.order);
-        }
-    }
     let elided: HashSet<usize> = streams
         .values()
         .flat_map(|c| c.order.iter().copied())
@@ -1133,8 +1128,8 @@ pub(crate) fn run_program(
                     // Every other full step — whole-graph backward
                     // reductions, GEMMs, parameter reductions, row
                     // views — runs through the shared reference dispatch.
-                    // This is what makes lowering total: no op needs a
-                    // per-kernel fallback to the node-by-node path.
+                    // This is what makes lowering total: any op the IR
+                    // expresses either tiles or lands here.
                     kind => {
                         let inputs: Vec<&Tensor> = sp.srcs.iter().map(|&s| full(s)).collect();
                         let aux_in = match kind {
@@ -1409,7 +1404,7 @@ pub(crate) fn run_program(
 ///
 /// Every arm reproduces the corresponding kernel in [`crate::kernels`]
 /// expression-for-expression and in the same iteration order, which is
-/// what makes fused execution bit-identical to the reference path.
+/// what makes fused execution bit-identical to the node-by-node oracle.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn exec_step(
     node: &Node,

@@ -944,25 +944,6 @@ pub fn unary(policy: &ExecPolicy, f: UnaryFn, x: &Tensor) -> Tensor {
     out
 }
 
-/// In-place `Unary`: identical partitioning and elementwise application
-/// to [`unary`], minus the output clone. The arena's in-place fast path
-/// (a node whose single input dies at that node) reuses the input buffer
-/// through this entry point; because the map is position-independent, the
-/// bits match [`unary`] exactly.
-pub fn unary_inplace(policy: &ExecPolicy, f: UnaryFn, x: &mut Tensor) {
-    let numel = x.numel();
-    par_rows(
-        policy,
-        numel,
-        1,
-        numel,
-        x.as_mut_slice(),
-        |_range, chunk| {
-            rowops::map_assign(chunk, |v| f.apply(v));
-        },
-    );
-}
-
 /// `UnaryBwd`: `grad · f'(x)` (partitioned over the flat buffer).
 pub fn unary_bwd(policy: &ExecPolicy, f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
     let mut out = grad.clone();

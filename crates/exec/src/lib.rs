@@ -15,13 +15,9 @@
 //!
 //! # Constructing sessions
 //!
-//! [`Session::builder`] is the documented construction path: it makes
-//! the execution policy, the fused-execution choice and the treatment of
-//! the `GNNOPT_*` environment overrides ([`EnvOverrides`]) explicit. The
-//! pre-builder constructors ([`Session::new`], [`Session::with_policy`],
-//! [`Session::with_policy_fused`]) are **deprecated** thin shims kept
-//! with their historical semantics; see the [`session`](Session) module
-//! docs for the migration table.
+//! [`Session::builder`] is the one construction path: it makes the
+//! execution policy, the arena pin and the treatment of the `GNNOPT_*`
+//! environment overrides ([`EnvOverrides`]) explicit.
 //!
 //! # Thread-parallel backend and the sparse kernel engine
 //!
@@ -46,30 +42,31 @@
 //! the degree-binned heavy-row dispatch, and the tensor layout
 //! convention the chunks slice along.
 //!
-//! # Fused tiled execution
+//! # One executor: the program interpreter
 //!
-//! When the plan's policy enables fused execution
-//! (`ExecPolicy::fused`, on in the `Ours` preset; override per process
-//! with `GNNOPT_FUSED=0|1`, or pin per session via
-//! `Session::builder(..).fused(..)`), kernels lowered to
-//! `gnnopt_core::KernelProgram`s execute through the tiled interpreter
-//! in `fused.rs` instead of node-by-node: kernel-internal values live in
-//! per-worker scratch arenas covering one destination-vertex tile at a
-//! time, so fused `O(|E|·d)` edge intermediates never materialize —
-//! [`RunStats::peak_value_bytes`] genuinely drops, and
-//! [`RunStats::scratch_bytes`] / [`RunStats::fused_kernels`] report the
-//! realized substitution. Fused results remain bit-identical to the
-//! reference path for any tile budget and thread count. Lowering is
-//! **total** (see `gnnopt_core::lower`): every kernel of every plan has a
-//! program, ops that cannot tile run as whole-graph *full steps* through
-//! the same reference dispatch (`refexec`) the node-by-node path uses,
-//! and there is no per-kernel fallback.
+//! A session runs every kernel by interpreting its lowered
+//! `gnnopt_core::KernelProgram` (`fused.rs`); there is no switch and no
+//! second path. Kernel-internal values live in per-worker scratch arenas
+//! covering one destination-vertex tile at a time, so fused `O(|E|·d)`
+//! edge intermediates never materialize — [`RunStats::peak_value_bytes`]
+//! genuinely drops, and [`RunStats::scratch_bytes`] /
+//! [`RunStats::fused_kernels`] report the realized substitution. A plan
+//! compiled without fusion (`FusionLevel::None`, or the `dgl()` preset's
+//! built-in kernels) is the materializing baseline on the same executor.
+//! Lowering is **total** (see `gnnopt_core::lower`): every kernel of
+//! every plan has a program, ops that cannot tile run as whole-graph
+//! *full steps* through the op library's dispatch ([`refexec`]), and a
+//! kernel without a program is a typed [`ExecError::Protocol`].
+//!
+//! Results are bit-identical, for any tile budget and thread count, to
+//! [`refexec::evaluate`] — the small node-by-node oracle the test suites
+//! compare against, which no session code path calls.
 //!
 //! # Runtime reordering
 //!
 //! When the policy carries a [`gnnopt_core::ReorderPolicy`] other than
-//! `None` (or `GNNOPT_REORDER=<strategy|0>` overrides it in
-//! [`Session::new`]), the session applies a `gnnopt-reorder` vertex
+//! `None` (or `GNNOPT_REORDER=<strategy|0>` overrides it at session
+//! build), the session applies a `gnnopt-reorder` vertex
 //! relabeling to the CSR graph **once at build time** and runs every
 //! kernel on the relabeled graph: vertex/edge-space bindings are
 //! permuted in, user-facing outputs and gradients are inverse-permuted
@@ -79,7 +76,7 @@
 //! ordering; backward `BySrc` reductions re-associate, so parameter
 //! gradients agree up to floating-point rounding. The one-time cost is
 //! reported as [`RunStats::reorder_seconds`] alongside the resolved
-//! strategy ([`RunStats::reorder`]). The fused interpreter can
+//! strategy ([`RunStats::reorder`]). The interpreter can
 //! additionally bind its workers to bounded edge groups
 //! (`ExecPolicy::group_workers`), flattening degree skew without
 //! changing results.
@@ -102,7 +99,7 @@ mod contain;
 mod error;
 mod fused;
 pub mod kernels;
-mod refexec;
+pub mod refexec;
 mod session;
 mod sharded;
 

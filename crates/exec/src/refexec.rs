@@ -1,25 +1,133 @@
-//! The reference op dispatch: one IR node → one full tensor.
+//! The op library's dispatch — one IR node → one full tensor — and the
+//! node-by-node test oracle built on it.
 //!
-//! This is the single place that maps an [`OpKind`] onto the kernels in
-//! [`crate::kernels`]. Both execution paths consume it:
+//! `exec_op` is the single place that maps an [`OpKind`] onto the
+//! kernels in [`crate::kernels`]. The program interpreter
+//! (`fused.rs`) calls it for every **full step** of a lowered
+//! [`gnnopt_core::KernelProgram`] — whole-graph reductions, GEMMs,
+//! parameter reductions — so lowering totality never needs a per-kernel
+//! fallback: any op the IR expresses either tiles or lands here. The
+//! sharded driver's Split lockstep reaches it through
+//! `Session::exec_node`.
 //!
-//! * the node-by-node reference path ([`crate::session`]) calls it for
-//!   every node of an unfused kernel, and
-//! * the fused interpreter ([`crate::fused`]) calls it for every **full
-//!   step** of a lowered [`gnnopt_core::KernelProgram`] — whole-graph
-//!   reductions, GEMMs, parameter reductions — so lowering totality never
-//!   needs a per-kernel fallback: any op the IR expresses either tiles or
-//!   lands here.
+//! [`evaluate`] is the reference the bit-identity suites compare a
+//! session against. No session code path calls it.
 //!
 //! Auxiliary tables (softmax max/denominator stashes, gather-max argmax
-//! tables) flow through [`AuxIn`]/[`AuxOut`] instead of session state, so
+//! tables) flow through `AuxIn`/`AuxOut` instead of session state, so
 //! the dispatch itself stays a pure function of its operands.
 
 use crate::kernels;
+use crate::session::Bindings;
 use crate::{ExecError, Result};
-use gnnopt_core::{ExecPolicy, IrGraph, Node, OpKind, ReduceFn, Space};
+use gnnopt_core::memplan::kernel_phase;
+use gnnopt_core::{
+    ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn, Space,
+};
 use gnnopt_graph::Graph;
 use gnnopt_tensor::Tensor;
+use std::collections::HashMap;
+
+/// What [`evaluate`] computed.
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// Model outputs in declaration order.
+    pub outputs: Vec<Tensor>,
+    /// Parameter gradients by parameter name (empty without a seed).
+    pub grads: HashMap<String, Tensor>,
+    /// Bytes of every tensor the walk held at its end — bound leaves and
+    /// each node's result: what a step costs when nothing is fused,
+    /// evicted or recomputed (an upper bound on a session's measured peak).
+    pub materialized_bytes: u64,
+}
+
+/// The test oracle: evaluates `plan` node by node, keeping every value.
+///
+/// Walks the plan's kernels in execution order (forward, then — given
+/// the `∂L/∂output` `seed` — backward), runs every member node through
+/// `exec_op` on one thread, and stores each result for good. It knows
+/// nothing of programs, tiling, eviction, the arena, recomputation,
+/// reordering, the numeric guard or shards, which is what makes it
+/// independent of the executor it checks.
+///
+/// # Errors
+///
+/// [`ExecError::MissingBinding`] for an unbound leaf,
+/// [`ExecError::ValueNotLive`] when the kernel order is not topological
+/// (a plan bug), and whatever `exec_op` returns.
+pub fn evaluate(
+    plan: &ExecutionPlan,
+    graph: &Graph,
+    bindings: &Bindings,
+    seed: Option<&Tensor>,
+) -> Result<Evaluation> {
+    let pol = ExecPolicy::serial();
+    let ir = &plan.ir;
+    let mut values: HashMap<NodeId, Tensor> = HashMap::new();
+    for n in ir.nodes() {
+        match n.kind {
+            OpKind::InputVertex | OpKind::InputEdge | OpKind::Param => {
+                let t = bindings.get(&n.name);
+                let t = t.ok_or_else(|| ExecError::MissingBinding(n.name.clone()))?;
+                values.insert(n.id, t.clone());
+            }
+            OpKind::GradSeed => values.extend(seed.map(|t| (n.id, t.clone()))),
+            _ => {}
+        }
+    }
+    let not_live = |id: NodeId| ExecError::ValueNotLive {
+        node: ir.node(id).name.clone(),
+    };
+    let mut argmax: HashMap<NodeId, Vec<u32>> = HashMap::new();
+    // The session's order: every forward kernel, then every backward one.
+    let in_phase = |p: Phase| {
+        plan.kernels
+            .iter()
+            .filter(move |k| kernel_phase(plan, k.id) == p)
+    };
+    let mut order: Vec<&Kernel> = in_phase(Phase::Forward).collect();
+    if seed.is_some() {
+        order.extend(in_phase(Phase::Backward));
+    }
+    for k in order {
+        for &id in &k.nodes {
+            let node = ir.node(id);
+            let mut inputs = Vec::with_capacity(node.inputs.len());
+            for &i in &node.inputs {
+                inputs.push(values.get(&i).ok_or_else(|| not_live(i))?);
+            }
+            let aux = match &node.kind {
+                OpKind::GatherMaxBwd { fwd } => {
+                    argmax.get(fwd).map_or(AuxIn::None, |t| AuxIn::Argmax(t))
+                }
+                _ => AuxIn::None,
+            };
+            let (t, aux_out) = exec_op(&pol, graph, ir, node, &inputs, aux)?;
+            if let AuxOut::Argmax(table) = aux_out {
+                argmax.insert(id, table);
+            }
+            values.insert(id, t);
+        }
+    }
+    let materialized_bytes = values.values().map(|t| t.byte_size() as u64).sum();
+    let take = |id: NodeId| values.get(&id).cloned().ok_or_else(|| not_live(id));
+    let outputs = ir
+        .outputs()
+        .iter()
+        .map(|&o| take(o))
+        .collect::<Result<_>>()?;
+    let mut grads = HashMap::new();
+    if seed.is_some() {
+        for &(p, g) in &plan.param_grads {
+            grads.insert(ir.node(p).name.clone(), take(g)?);
+        }
+    }
+    Ok(Evaluation {
+        outputs,
+        grads,
+        materialized_bytes,
+    })
+}
 
 /// Auxiliary state an op consumes (borrowed from the caller's stores).
 pub(crate) enum AuxIn<'a> {

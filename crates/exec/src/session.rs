@@ -2,40 +2,33 @@
 //!
 //! # Constructing sessions
 //!
-//! [`SessionBuilder`] (via [`Session::builder`]) is the one documented
-//! construction path. It makes every choice the old constructors took
-//! implicitly an explicit knob:
+//! [`SessionBuilder`] (via [`Session::builder`]) is the one construction
+//! path:
 //!
 //! ```ignore
 //! let mut sess = Session::builder(&plan, &graph)
 //!     .policy(policy)            // default: the plan's own ExecPolicy
-//!     .fused(true)               // default: policy.fused, or the env
+//!     .arena(true)               // default: on, or GNNOPT_ARENA
 //!     .env(EnvOverrides::Ignore) // default: Loud
 //!     .build()?;
 //! ```
 //!
-//! The `GNNOPT_*` environment overrides (`THREADS`, `FUSED`, `REORDER`,
-//! `GEMM`) are consulted according to the builder's [`EnvOverrides`]
-//! mode: `Loud` errors on an invalid value, `Ignore` skips invalid
-//! values silently, `Off` consults none of them.
+//! The `GNNOPT_*` environment overrides (`THREADS`, `ARENA`, `REORDER`,
+//! `GEMM`, `GUARD`, `FAILPOINTS`) are consulted once, at build,
+//! according to the builder's [`EnvOverrides`] mode: `Loud` errors on an
+//! invalid value, `Ignore` skips invalid values silently, `Off` consults
+//! none of them.
 //!
-//! ## Migrating from the old constructors
+//! # One executor
 //!
-//! The pre-builder constructors are **deprecated** thin shims that
-//! delegate to the builder; new code must call the builder directly:
-//!
-//! | old call | builder equivalent |
-//! |---|---|
-//! | `Session::new(p, g)` | `Session::builder(p, g).build()` |
-//! | `Session::with_policy(p, g, pol)` | `.policy(pol).fused(env or plan).env(Off).build()` |
-//! | `Session::with_policy_fused(p, g, pol, f)` | `.policy(pol).fused(f).env(Off).build()` |
-//!
-//! (`with_policy` historically consulted *only* the `GNNOPT_FUSED`
-//! override, leniently — its shim reproduces exactly that, nothing
-//! more.) The free-floating `fused: bool` of the old API now lives in
-//! [`ExecPolicy::fused`]; `CompileOptions::fused_exec` is gone.
+//! A session runs a kernel exactly one way: by interpreting its lowered
+//! [`gnnopt_core::KernelProgram`] (`fused.rs`). A plan compiled with
+//! `FusionLevel::None`/`DglBuiltin` *is* the materializing baseline when
+//! the interpreter runs it. The node-by-node evaluation the bit-identity
+//! suites compare against lives outside the session, in
+//! [`crate::refexec::evaluate`].
 
-use crate::{contain, fused, kernels, refexec};
+use crate::{contain, fused, refexec};
 use crate::{ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, MemoryPlan};
@@ -89,12 +82,11 @@ pub struct RunStats {
     pub boundary_bytes: u64,
     /// Worker threads the kernels ran under (resolved [`ExecPolicy`]).
     pub threads: usize,
-    /// High-water mark of the fused interpreter's per-worker scratch
-    /// arenas (total across workers, max over kernels); `0` when every
-    /// kernel ran on the reference path.
+    /// High-water mark of the interpreter's per-worker scratch arenas
+    /// (total across workers, max over kernels).
     pub scratch_bytes: u64,
-    /// Kernels executed as tiled [`gnnopt_core::KernelProgram`]s instead
-    /// of node-by-node.
+    /// Kernel programs launched during the step — every kernel of the
+    /// plan, since the interpreter is the only executor.
     pub fused_kernels: u64,
     /// Vertex-reordering strategy the session's graph runs under — the
     /// *resolved* choice ([`ReorderPolicy::Auto`] reports what it picked;
@@ -147,30 +139,16 @@ enum State {
     ForwardDone,
 }
 
-/// Parses the `GNNOPT_FUSED` override: `Ok(None)` when unset,
-/// `Ok(Some(_))` on `0`/`1` (and the usual boolean spellings), `Err` on
-/// anything else.
-pub(crate) fn fused_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_FUSED") {
+/// Parses a boolean `GNNOPT_*` override (`GNNOPT_ARENA`,
+/// `GNNOPT_GUARD`): `Ok(None)` when unset, `Ok(Some(_))` on `0`/`1` (and
+/// the usual boolean spellings), `Err` on anything else.
+fn bool_env(name: &str) -> std::result::Result<Option<bool>, String> {
+    match std::env::var(name) {
         Err(_) => Ok(None),
         Ok(s) => match s.trim() {
             "0" | "false" | "off" => Ok(Some(false)),
             "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_FUSED must be 0 or 1, got '{other}'")),
-        },
-    }
-}
-
-/// Parses the `GNNOPT_ARENA` override: `Ok(None)` when unset,
-/// `Ok(Some(_))` on `0`/`1` (and the usual boolean spellings), `Err` on
-/// anything else.
-pub(crate) fn arena_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_ARENA") {
-        Err(_) => Ok(None),
-        Ok(s) => match s.trim() {
-            "0" | "false" | "off" => Ok(Some(false)),
-            "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_ARENA must be 0 or 1, got '{other}'")),
+            other => Err(format!("{name} must be 0 or 1, got '{other}'")),
         },
     }
 }
@@ -178,32 +156,12 @@ pub(crate) fn arena_env() -> std::result::Result<Option<bool>, String> {
 /// Parses the `GNNOPT_REORDER` override: `Ok(None)` when unset,
 /// `Ok(Some(_))` on a valid strategy spelling (`0`/`none`, `degree`,
 /// `bfs`, `rcm`, `cluster`, `auto`), `Err` on anything else.
-pub(crate) fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
+fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
     match std::env::var("GNNOPT_REORDER") {
         Err(_) => Ok(None),
         Ok(s) => ReorderPolicy::parse(&s)
             .map(Some)
             .map_err(|e| format!("GNNOPT_REORDER: {e}")),
-    }
-}
-
-/// Reads the `GNNOPT_GEMM` override (`naive`/`blocked`): `Ok(None)` when
-/// unset, `Err` on an unknown kernel name.
-pub(crate) fn gemm_env() -> std::result::Result<Option<gnnopt_core::GemmKernel>, String> {
-    gnnopt_core::GemmKernel::env()
-}
-
-/// Parses the `GNNOPT_GUARD` override (per-kernel non-finite output
-/// scanning): `Ok(None)` when unset, `Ok(Some(_))` on `0`/`1` (and the
-/// usual boolean spellings), `Err` on anything else.
-pub(crate) fn guard_env() -> std::result::Result<Option<bool>, String> {
-    match std::env::var("GNNOPT_GUARD") {
-        Err(_) => Ok(None),
-        Ok(s) => match s.trim() {
-            "0" | "false" | "off" => Ok(Some(false)),
-            "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("GNNOPT_GUARD must be 0 or 1, got '{other}'")),
-        },
     }
 }
 
@@ -355,7 +313,7 @@ impl GraphSource<'_> {
 /// # Runtime reordering
 ///
 /// When the policy carries a [`ReorderPolicy`] other than `None` (or
-/// `GNNOPT_REORDER` overrides it in [`Session::new`]), the session
+/// `GNNOPT_REORDER` overrides it at build), the session
 /// permutes the CSR graph **once at build time** and runs every kernel on
 /// the relabeled graph; vertex- and edge-space bindings are permuted on
 /// the way in and user-facing outputs inverse-permuted on the way out, so
@@ -392,8 +350,8 @@ pub struct Session<'a> {
     kernel_deaths: Vec<Vec<NodeId>>,
     /// Serve tensor storage from the planned arena: buffers recycle
     /// through `gnnopt_tensor::pool` instead of the global heap, and the
-    /// session evicts at node granularity rather than kernel
-    /// granularity. Results are bit-identical either way.
+    /// interpreter frees dying inputs mid-launch rather than at the
+    /// kernel boundary. Results are bit-identical either way.
     arena: bool,
     /// The static memory plan backing the arena (empty when it is off).
     memplan: MemoryPlan,
@@ -406,18 +364,10 @@ pub struct Session<'a> {
     leaf_ids: Vec<NodeId>,
     /// The training plan's gradient-seed node.
     seed_node: Option<NodeId>,
-    /// Node-granular eviction (arena mode, reference path): values keyed
-    /// by their last reading node *within* their death kernel, dropped
-    /// right after that node executes instead of at the kernel boundary
-    /// — the store's high-water mark shrinks, results don't change.
-    early_drops: HashMap<NodeId, Vec<NodeId>>,
     /// Forward-owned transients whose death kernel is backward: exactly
     /// the values the forward→backward boundary drops, precomputed so
     /// the boundary needs no store sweep.
     boundary_dead: Vec<NodeId>,
-    /// Run fused kernels through the tiled interpreter (plan default or
-    /// `GNNOPT_FUSED` override).
-    fused: bool,
     /// This session's own buffer free list, seeded with the planner's
     /// regions at build; installed on the thread for the duration of
     /// each run via [`gnnopt_tensor::pool::ScopeGuard`]. Dropping the
@@ -439,32 +389,71 @@ pub struct Session<'a> {
 }
 
 /// How a [`SessionBuilder`] treats the `GNNOPT_*` environment overrides
-/// (`GNNOPT_THREADS`, `GNNOPT_FUSED`, `GNNOPT_REORDER`, `GNNOPT_GEMM`).
+/// (`GNNOPT_THREADS`, `GNNOPT_ARENA`, `GNNOPT_REORDER`, `GNNOPT_GEMM`,
+/// `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`; `GNNOPT_SHARDS` for the sharded
+/// builder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvOverrides {
     /// Apply the overrides; an invalid value is a build error
-    /// ([`ExecError::Policy`]). The [`Session::new`] behaviour.
+    /// ([`ExecError::Policy`]).
     #[default]
     Loud,
     /// Apply the overrides; an invalid value is skipped silently and the
     /// builder's own setting stands.
     Ignore,
-    /// Consult no overrides: the builder's policy and fused choice run
-    /// verbatim. (Thread *auto-detection* still honours `GNNOPT_THREADS`
-    /// leniently, as it always has — pin `threads` to escape that too.)
+    /// Consult no overrides: the builder's policy runs verbatim. (Thread
+    /// *auto-detection* still honours `GNNOPT_THREADS` leniently, as it
+    /// always has — pin `threads` to escape that too.)
     Off,
 }
 
-/// Builds a [`Session`] with every implicit choice of the old
-/// constructors made explicit: the [`ExecPolicy`], the fused-execution
-/// flag, and how the `GNNOPT_*` environment overrides apply. See the
-/// [module docs](self) for the migration table.
+impl EnvOverrides {
+    /// Reads one override under this mode: `Off` never calls `parse`,
+    /// `Loud` turns an invalid value into [`ExecError::Policy`], `Ignore`
+    /// treats it as unset.
+    pub(crate) fn read<T>(
+        self,
+        parse: impl FnOnce() -> std::result::Result<Option<T>, String>,
+    ) -> Result<Option<T>> {
+        match self {
+            EnvOverrides::Off => Ok(None),
+            EnvOverrides::Loud => parse().map_err(ExecError::Policy),
+            EnvOverrides::Ignore => Ok(parse().unwrap_or(None)),
+        }
+    }
+
+    /// The one override resolution both builders share: folds
+    /// `GNNOPT_REORDER`/`GNNOPT_GEMM`/`GNNOPT_GUARD` into `policy`, arms
+    /// `GNNOPT_FAILPOINTS`, and returns the `GNNOPT_ARENA` override for
+    /// the builder to rank below its own pin. The builders are the only
+    /// readers of the environment (the sharded one adds `GNNOPT_SHARDS`):
+    /// nothing on the kernel-dispatch path is.
+    pub(crate) fn resolve(self, policy: &mut ExecPolicy) -> Result<Option<bool>> {
+        if self == EnvOverrides::Loud && policy.is_auto() {
+            // Surface a bad env override loudly instead of silently
+            // falling back like the infallible tensor-side detection.
+            gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
+        }
+        let arena = self.read(|| bool_env("GNNOPT_ARENA"))?;
+        policy.reorder = self.read(reorder_env)?.unwrap_or(policy.reorder);
+        policy.gemm = self
+            .read(gnnopt_core::GemmKernel::env)?
+            .unwrap_or(policy.gemm);
+        policy.guard = self
+            .read(|| bool_env("GNNOPT_GUARD"))?
+            .unwrap_or(policy.guard);
+        self.read(|| fault::install_from_env().map(Some))?;
+        Ok(arena)
+    }
+}
+
+/// Builds a [`Session`]: the [`ExecPolicy`], the arena pin, and how the
+/// `GNNOPT_*` environment overrides apply.
 #[derive(Debug)]
 pub struct SessionBuilder<'a> {
     plan: &'a ExecutionPlan,
     graph: &'a Graph,
     policy: Option<ExecPolicy>,
-    fused: Option<bool>,
     arena: Option<bool>,
     env: EnvOverrides,
 }
@@ -477,18 +466,10 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Pins fused execution on or off. An explicit pin outranks both the
-    /// `GNNOPT_FUSED` override and the policy's [`ExecPolicy::fused`].
-    #[must_use]
-    pub fn fused(mut self, fused: bool) -> Self {
-        self.fused = Some(fused);
-        self
-    }
-
     /// Pins the static-arena allocator on or off (default: **on**). An
     /// explicit pin outranks the `GNNOPT_ARENA` override. Off reproduces
-    /// the plain-heap executor byte for byte — same results, same peak
-    /// accounting — at the cost of steady-state allocations.
+    /// the plain-heap executor byte for byte — same results — at the
+    /// cost of more steady-state allocations.
     #[must_use]
     pub fn arena(mut self, arena: bool) -> Self {
         self.arena = Some(arena);
@@ -506,11 +487,6 @@ impl<'a> SessionBuilder<'a> {
     /// Resolves the environment overrides per the chosen mode and builds
     /// the session.
     ///
-    /// Fused execution resolves by precedence: an explicit
-    /// [`SessionBuilder::fused`] pin, then a valid `GNNOPT_FUSED`
-    /// override (unless [`EnvOverrides::Off`]), then the policy's
-    /// [`ExecPolicy::fused`].
-    ///
     /// # Errors
     ///
     /// Returns [`ExecError::Protocol`] on duplicate leaf names,
@@ -518,170 +494,34 @@ impl<'a> SessionBuilder<'a> {
     /// validation ([`Graph::validate`]), and — under
     /// [`EnvOverrides::Loud`] only — [`ExecError::Policy`] when
     /// `GNNOPT_THREADS` is set to something other than a positive
-    /// integer, `GNNOPT_FUSED`, `GNNOPT_ARENA` or `GNNOPT_GUARD` to
-    /// something other than `0`/`1`, `GNNOPT_REORDER` to something
-    /// other than a known strategy (`0`/`none`, `degree`, `bfs`, `rcm`,
-    /// `cluster`, `auto`), `GNNOPT_GEMM` to something other than
-    /// `naive`/`blocked`, or `GNNOPT_FAILPOINTS` to an unparseable
-    /// failpoint spec.
+    /// integer, `GNNOPT_ARENA` or `GNNOPT_GUARD` to something other
+    /// than `0`/`1`, `GNNOPT_REORDER` to something other than a known
+    /// strategy (`0`/`none`, `degree`, `bfs`, `rcm`, `cluster`, `auto`),
+    /// `GNNOPT_GEMM` to something other than `naive`/`blocked`, or
+    /// `GNNOPT_FAILPOINTS` to an unparseable failpoint spec.
     pub fn build(self) -> Result<Session<'a>> {
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let mut env_fused = None;
-        let mut env_arena = None;
-        if self.env != EnvOverrides::Off {
-            // One resolution path for both modes: `Loud` surfaces an
-            // invalid override as a build error, `Ignore` lets the
-            // builder's own setting stand.
-            let loud = self.env == EnvOverrides::Loud;
-            fn apply<T>(
-                r: std::result::Result<Option<T>, String>,
-                loud: bool,
-            ) -> Result<Option<T>> {
-                match r {
-                    Ok(v) => Ok(v),
-                    Err(e) if loud => Err(ExecError::Policy(e)),
-                    Err(_) => Ok(None),
-                }
-            }
-            if loud && policy.is_auto() {
-                // Surface a bad env override loudly instead of silently
-                // falling back like the infallible tensor-side detection.
-                gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
-            }
-            env_fused = apply(fused_env(), loud)?;
-            env_arena = apply(arena_env(), loud)?;
-            policy.reorder = apply(reorder_env(), loud)?.unwrap_or(policy.reorder);
-            policy.gemm = apply(gemm_env(), loud)?.unwrap_or(policy.gemm);
-            policy.guard = apply(guard_env(), loud)?.unwrap_or(policy.guard);
-            match fault::install_from_env() {
-                Ok(_) => {}
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => {}
-            }
-        }
+        let env_arena = self.env.resolve(&mut policy)?;
         self.graph.validate().map_err(ExecError::Graph)?;
-        let fused = self.fused.or(env_fused).unwrap_or(policy.fused);
-        policy.fused = fused;
         let arena = self.arena.or(env_arena).unwrap_or(true);
-        Session::assemble(
-            self.plan,
-            GraphSource::Borrowed(self.graph),
-            policy,
-            fused,
-            arena,
-        )
+        Session::assemble(self.plan, GraphSource::Borrowed(self.graph), policy, arena)
     }
 }
 
 impl<'a> Session<'a> {
-    /// Starts a [`SessionBuilder`] — the documented construction path.
-    /// Defaults: the plan's own policy, fused per `GNNOPT_FUSED` else
-    /// [`ExecPolicy::fused`], and [`EnvOverrides::Loud`].
+    /// Starts a [`SessionBuilder`] — the one construction path.
+    /// Defaults: the plan's own policy, the arena on, and
+    /// [`EnvOverrides::Loud`].
     pub fn builder(plan: &'a ExecutionPlan, graph: &'a Graph) -> SessionBuilder<'a> {
         SessionBuilder {
             plan,
             graph,
             policy: None,
-            fused: None,
             arena: None,
             env: EnvOverrides::default(),
         }
     }
 
-    /// Prepares a session running under the plan's own [`ExecPolicy`]
-    /// (from `CompileOptions::exec`), validating that leaf names are
-    /// unique. An `auto` policy resolves against the shared pool-size
-    /// detection in `gnnopt_tensor::parallel`, which honours the
-    /// `GNNOPT_THREADS` environment override.
-    ///
-    /// Shim for `Session::builder(plan, graph).build()` — prefer the
-    /// builder in new code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names, or
-    /// [`ExecError::Policy`] when `GNNOPT_THREADS` is set to something
-    /// other than a positive integer, `GNNOPT_FUSED` to something other
-    /// than `0`/`1`, `GNNOPT_REORDER` to something other than a known
-    /// strategy (`0`/`none`, `degree`, `bfs`, `rcm`, `cluster`, `auto`),
-    /// or `GNNOPT_GEMM` to something other than `naive`/`blocked`.
-    #[deprecated(note = "use `Session::builder(plan, graph).build()`")]
-    pub fn new(plan: &'a ExecutionPlan, graph: &'a Graph) -> Result<Self> {
-        Self::builder(plan, graph).build()
-    }
-
-    /// Prepares a session under an explicit policy instead of the plan's
-    /// own. A nonzero `threads` is used verbatim — independent of any
-    /// `GNNOPT_THREADS` override — which is how serial-vs-parallel
-    /// comparisons pin the backend. `threads = 0` still auto-detects
-    /// (and auto-detection honours `GNNOPT_THREADS`, falling back to
-    /// hardware parallelism on an invalid value; use [`Session::new`]
-    /// for the loud-error behaviour).
-    ///
-    /// Shim preserved for compatibility — prefer the builder in new
-    /// code. Historically this consulted *only* the `GNNOPT_FUSED`
-    /// override (leniently, defaulting to the plan's fused choice), so
-    /// the shim pins exactly that:
-    /// `.policy(policy).fused(env or plan).env(Off)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names.
-    #[deprecated(
-        note = "use `Session::builder(..).policy(..).env(EnvOverrides::Off).build()`; \
-                pin `.fused(..)` explicitly if the lenient GNNOPT_FUSED read matters"
-    )]
-    pub fn with_policy(
-        plan: &'a ExecutionPlan,
-        graph: &'a Graph,
-        policy: ExecPolicy,
-    ) -> Result<Self> {
-        // Lenient env handling (mirrors the thread auto-detection):
-        // an invalid GNNOPT_FUSED falls back to the plan's default.
-        let fused = fused_env().ok().flatten().unwrap_or(plan.exec.fused);
-        Self::builder(plan, graph)
-            .policy(policy)
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
-    }
-
-    /// Prepares a session with both the policy *and* the fused-execution
-    /// choice pinned explicitly — independent of the plan's defaults and
-    /// of any `GNNOPT_FUSED`/`GNNOPT_THREADS`/`GNNOPT_REORDER`/
-    /// `GNNOPT_GEMM` override (the policy's own [`ExecPolicy::reorder`]
-    /// and [`ExecPolicy::gemm`] fields are honoured verbatim). This is
-    /// how fused-vs-reference, reordered-vs-identity and
-    /// naive-vs-blocked-GEMM comparisons pin both sides.
-    ///
-    /// Shim for
-    /// `Session::builder(..).policy(policy).fused(fused).env(Off).build()`
-    /// — prefer the builder in new code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Protocol`] on duplicate leaf names.
-    #[deprecated(
-        note = "use `Session::builder(..).policy(..).fused(..).env(EnvOverrides::Off).build()`"
-    )]
-    pub fn with_policy_fused(
-        plan: &'a ExecutionPlan,
-        graph: &'a Graph,
-        policy: ExecPolicy,
-        fused: bool,
-    ) -> Result<Self> {
-        Self::builder(plan, graph)
-            .policy(policy)
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
-    }
-
-    /// The shared construction tail: leaf-name validation, liveness
-    /// precomputation (shared with the memory planner via
-    /// [`gnnopt_core::memplan::liveness`] — one source of truth), memory
-    /// planning and pool pre-seeding, reorder preprocessing. `policy`
-    /// arrives with the env overrides already folded in by the builder.
     /// Builds a per-shard session over an *owned* local subgraph: the
     /// sharded executor constructs each shard's graph itself, so there
     /// is no caller-owned graph to borrow. Reordering is pinned off —
@@ -692,18 +532,21 @@ impl<'a> Session<'a> {
         plan: &'a ExecutionPlan,
         graph: Graph,
         mut policy: ExecPolicy,
-        fused: bool,
         arena: bool,
     ) -> Result<Self> {
         policy.reorder = ReorderPolicy::None;
-        Self::assemble(plan, GraphSource::Owned(graph), policy, fused, arena)
+        Self::assemble(plan, GraphSource::Owned(graph), policy, arena)
     }
 
+    /// The shared construction tail: leaf-name validation, liveness
+    /// precomputation (shared with the memory planner via
+    /// [`gnnopt_core::memplan::liveness`] — one source of truth), memory
+    /// planning and pool pre-seeding, reorder preprocessing. `policy`
+    /// arrives with the env overrides already folded in by the builder.
     fn assemble(
         plan: &'a ExecutionPlan,
         graph: GraphSource<'a>,
         policy: ExecPolicy,
-        fused: bool,
         arena: bool,
     ) -> Result<Self> {
         let policy = policy.resolved(gnnopt_tensor::parallel::available_threads);
@@ -756,50 +599,18 @@ impl<'a> Session<'a> {
             }
         }
 
-        // Node-granular eviction for the arena's reference path: a dying
-        // external input frees right after its last reading node inside
-        // its death kernel, so its buffer recycles into the kernel's own
-        // outputs. (Recompute rebuilds run *before* the member nodes, so
-        // dropping after any member read is safe; recompute spills have
-        // their own drop.)
-        let mut early_drops: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        if arena && !fused {
-            for k in &plan.kernels {
-                let members: HashSet<NodeId> =
-                    k.nodes.iter().chain(&k.recompute).copied().collect();
-                let mut last_in_kernel: HashMap<NodeId, NodeId> = HashMap::new();
-                for &nid in &k.nodes {
-                    for &i in &plan.ir.node(nid).inputs {
-                        if !members.contains(&i)
-                            && !lv.persistent.contains(&i)
-                            && lv.last_reader.get(&i) == Some(&k.id)
-                        {
-                            last_in_kernel.insert(i, nid);
-                        }
-                    }
-                }
-                for (i, reader) in last_in_kernel {
-                    early_drops.entry(reader).or_default().push(i);
-                }
-            }
-            for drops in early_drops.values_mut() {
-                drops.sort_unstable();
-            }
-        }
-
         let memplan = if arena {
             memplan::plan_memory(
                 plan,
                 graph.get().num_vertices(),
                 graph.get().num_edges(),
-                fused,
+                true,
             )
         } else {
             MemoryPlan::default()
         };
         // Pre-seed this session's own pool with the planned buffers so
-        // the very first step already finds every store buffer recycled
-        // (steady state from step one on the serial reference path).
+        // the very first step already finds every store buffer recycled.
         let pool = pool::Pool::new();
         for elems in memplan.buffers() {
             pool.seed_f32(elems);
@@ -832,9 +643,7 @@ impl<'a> Session<'a> {
             bwd_kernels,
             leaf_ids,
             seed_node,
-            early_drops,
             boundary_dead,
-            fused,
             pool,
             state: State::Fresh,
             poisoned: None,
@@ -853,11 +662,6 @@ impl<'a> Session<'a> {
     /// The resolved execution policy this session runs kernels under.
     pub fn policy(&self) -> ExecPolicy {
         self.policy
-    }
-
-    /// True when fused kernels run through the tiled interpreter.
-    pub fn fused(&self) -> bool {
-        self.fused
     }
 
     /// True when the session serves tensor storage from the planned
@@ -949,8 +753,13 @@ impl<'a> Session<'a> {
     /// Returns binding errors, or [`ExecError::ValueNotLive`] if the plan's
     /// memory discipline is inconsistent.
     pub fn forward(&mut self, bindings: &Bindings) -> Result<Vec<Tensor>> {
-        let _scope = self.scope();
-        self.run_forward(bindings)?;
+        {
+            let _scope = self.scope();
+            self.run_forward(bindings)?;
+        }
+        // The scope has ended: the caller-owned clones below come from
+        // the heap, not out of the planned pool (which would make the
+        // next step miss).
         self.plan
             .ir
             .outputs()
@@ -1049,8 +858,11 @@ impl<'a> Session<'a> {
     /// Returns [`ExecError::Protocol`] unless called right after
     /// [`Session::forward`] on a training plan.
     pub fn backward(&mut self, seed: Tensor) -> Result<HashMap<String, Tensor>> {
-        let _scope = self.scope();
-        self.run_backward(seed)?;
+        {
+            let _scope = self.scope();
+            self.run_backward(seed)?;
+        }
+        // Scope ended before cloning, as in `forward`.
         let mut grads = HashMap::new();
         for &(p, g) in &self.plan.param_grads {
             let name = self.plan.ir.node(p).name.clone();
@@ -1130,10 +942,13 @@ impl<'a> Session<'a> {
     /// borrowing via [`Session::output_ref`] / [`Session::grad_ref`].
     ///
     /// This is the steady-state entry point of the static memory
-    /// planner: with the arena on, a warmed session performs zero heap
-    /// allocations per call on the serial reference path — every tensor
-    /// the step creates comes out of the planner-seeded pool (enforced
-    /// by the counting-allocator suite).
+    /// planner: with the arena on, every tensor a warmed step creates
+    /// comes out of the planner-seeded pool
+    /// ([`RunStats::fallback_allocs`] reads 0). The interpreter's
+    /// per-launch planning still allocates — a few hundred small
+    /// allocations per step on the test models, the same number every
+    /// step, fewer than with the arena off (`tests/steady_state_alloc.rs`;
+    /// gnnbench reports it as `exec.allocs_per_step`).
     ///
     /// # Errors
     ///
@@ -1284,13 +1099,12 @@ impl<'a> Session<'a> {
     }
 
     pub(crate) fn exec_kernel(&mut self, kid: usize, backward: bool) -> Result<()> {
-        let t = Instant::now();
         // Containment boundary: a panicking worker (or a panic on this
         // thread inside a kernel body) surfaces as a typed error instead
         // of aborting the step, and poisons the session — the store may
         // hold partial results, but the pool stays consistent because
         // every scoped worker joined before the panic re-raised.
-        let r = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.exec_kernel_inner(kid, backward)
         })) {
             Ok(r) => r,
@@ -1300,155 +1114,74 @@ impl<'a> Session<'a> {
                 self.poisoned = Some(format!("kernel '{kernel}' panicked: {payload}"));
                 Err(ExecError::KernelPanic { kernel, payload })
             }
-        };
-        if std::env::var_os("GNNOPT_PROFILE").is_some() {
-            let names: Vec<&str> = self.plan.kernels[kid]
-                .nodes
-                .iter()
-                .map(|&n| self.plan.ir.node(n).name.as_str())
-                .collect();
-            eprintln!(
-                "PROF {} kid={kid} {:.1}ms [{}]",
-                if backward { "bwd" } else { "fwd" },
-                t.elapsed().as_secs_f64() * 1e3,
-                names.join("+")
-            );
         }
-        r
     }
 
+    /// Runs kernel `kid` the one way a session can: by interpreting its
+    /// lowered program. Kernel-internal values stay in per-worker scratch
+    /// and never enter the value store (incl. recomputed values, which
+    /// rebuild per tile instead of per kernel).
     fn exec_kernel_inner(&mut self, kid: usize, backward: bool) -> Result<()> {
         let plan = self.plan;
-        // Fused tiled path: kernel-internal values stay in per-worker
-        // scratch and never enter the value store (incl. recomputed
-        // values, which rebuild per tile instead of per kernel).
-        if self.fused {
-            if let Some(program) = plan.programs.get(kid) {
-                let graph: &Graph = match &self.reorder {
-                    Some(r) => &r.graph,
-                    None => self.graph.get(),
-                };
-                // Arena mode: the interpreter frees each dying input as
-                // soon as its last reading segment completes, so its
-                // buffer recycles into the launch's own materializations
-                // — the measured peak drops below the heap path's.
-                let evict: Option<&[NodeId]> = if self.arena {
-                    Some(&self.kernel_deaths[kid])
-                } else {
-                    None
-                };
-                let res = fused::run_program(
-                    &self.policy,
-                    graph,
-                    &plan.ir,
-                    program,
-                    &mut self.values,
-                    &self.aux_softmax,
-                    &self.aux_argmax,
-                    evict,
-                )?;
-                self.live_bytes -= res.evicted_bytes;
-                for (n, aux) in res.new_aux_softmax {
-                    self.aux_softmax.insert(n, aux);
-                }
-                for (n, a) in res.new_aux_argmax {
-                    self.aux_argmax.insert(n, a);
-                }
-                for (n, t) in res.outputs {
-                    self.guard_output(kid, backward, n, &t)?;
-                    self.insert_value(n, t);
-                }
-                // A recomputed value spilled to an interior tensor must
-                // drop here, like the reference path's explicit recompute
-                // drop: its death list belongs to its *forward* kernel,
-                // which already ran.
-                for &r in &plan.kernels[kid].recompute {
-                    if !self.persistent.contains(&r) {
-                        self.drop_value(r);
-                    }
-                }
-                self.stats.scratch_bytes = self.stats.scratch_bytes.max(res.scratch_bytes);
-                self.stats.fused_kernels += 1;
-                self.evict_after(kid);
-                return Ok(());
-            }
+        let Some(program) = plan.programs.get(kid) else {
+            return Err(ExecError::Protocol(format!(
+                "kernel '{}' has no lowered program (the plan was assembled \
+                 without `lower_plan`)",
+                self.kernel_label(kid, backward)
+            )));
+        };
+        let graph: &Graph = match &self.reorder {
+            Some(r) => &r.graph,
+            None => self.graph.get(),
+        };
+        // Arena mode: the interpreter frees each dying input as soon as
+        // its last reading segment completes, so its buffer recycles
+        // into the launch's own materializations — the measured peak
+        // drops below the heap path's.
+        let evict: Option<&[NodeId]> = if self.arena {
+            Some(&self.kernel_deaths[kid])
+        } else {
+            None
+        };
+        let res = fused::run_program(
+            &self.policy,
+            graph,
+            &plan.ir,
+            program,
+            &mut self.values,
+            &self.aux_softmax,
+            &self.aux_argmax,
+            evict,
+        )?;
+        self.live_bytes -= res.evicted_bytes;
+        for (n, aux) in res.new_aux_softmax {
+            self.aux_softmax.insert(n, aux);
         }
-        let kernel = &plan.kernels[kid];
-        // Rebuild recomputed forward values first (backward kernels only).
-        if backward {
-            for &r in &kernel.recompute {
-                if !self.values.contains_key(&r) {
-                    let t = self.exec_node(r)?;
-                    self.insert_value(r, t);
-                }
-            }
+        for (n, a) in res.new_aux_argmax {
+            self.aux_argmax.insert(n, a);
         }
-        for &n in &kernel.nodes {
-            let t = match self.take_inplace_input(n)? {
-                Some(t) => t,
-                None => self.exec_node(n)?,
-            };
+        for (n, t) in res.outputs {
             self.guard_output(kid, backward, n, &t)?;
             self.insert_value(n, t);
-            // Arena mode: inputs whose last read was this node free now,
-            // not at the kernel boundary — later members of this kernel
-            // reuse their buffers (empty map when the arena is off).
-            let nd = self.early_drops.get(&n).map_or(0, Vec::len);
-            for j in 0..nd {
-                let d = self.early_drops[&n][j];
-                self.drop_value(d);
+        }
+        // A recomputed value spilled to an interior tensor must drop
+        // here: its death list belongs to its *forward* kernel, which
+        // already ran.
+        for &r in &plan.kernels[kid].recompute {
+            if !self.persistent.contains(&r) {
+                self.drop_value(r);
             }
         }
-        // Recomputed values are kernel-local: drop them again.
-        if backward {
-            for &r in &kernel.recompute {
-                if !self.persistent.contains(&r) {
-                    self.drop_value(r);
-                }
-            }
-        }
+        self.stats.scratch_bytes = self.stats.scratch_bytes.max(res.scratch_bytes);
+        self.stats.fused_kernels += 1;
         self.evict_after(kid);
         Ok(())
     }
 
-    /// The arena's in-place fast path: a `Unary` / `SetHeads` node whose
-    /// single input dies at this very node reuses the input's buffer
-    /// instead of allocating an output and freeing the input a moment
-    /// later. Elementwise application keeps results bit-identical to the
-    /// out-of-place kernel.
-    fn take_inplace_input(&mut self, id: NodeId) -> Result<Option<Tensor>> {
-        if !self.arena || self.fused {
-            return Ok(None);
-        }
-        let plan = self.plan;
-        let node = plan.ir.node(id);
-        let f = match node.kind {
-            OpKind::Unary(f) => Some(f),
-            OpKind::SetHeads { .. } => None,
-            _ => return Ok(None),
-        };
-        let input = node.inputs[0];
-        if !self
-            .early_drops
-            .get(&id)
-            .is_some_and(|d| d.contains(&input))
-        {
-            return Ok(None);
-        }
-        let Some(mut x) = self.values.remove(&input) else {
-            return Ok(None);
-        };
-        self.live_bytes -= x.byte_size() as u64;
-        if let Some(f) = f {
-            kernels::unary_inplace(&self.policy, f, &mut x);
-        }
-        Ok(Some(x))
-    }
-
     /// Plan-driven eviction of dead transients, from the per-kernel death
     /// lists precomputed at session build time. Tolerates entries the
-    /// arena already dropped early (node-granular eviction, in-place
-    /// reuse, mid-launch frees): `drop_value` no-ops on a missing node.
+    /// interpreter already freed mid-launch: `drop_value` no-ops on a
+    /// missing node.
     pub(crate) fn evict_after(&mut self, kid: usize) {
         for i in 0..self.kernel_deaths[kid].len() {
             let n = self.kernel_deaths[kid][i];
@@ -1456,9 +1189,8 @@ impl<'a> Session<'a> {
         }
         // The lists must reproduce the old O(live-values) sweep exactly:
         // after applying them, no live transient may be past its last
-        // external reader. (Written allocation-free: the counting
-        // allocator enforces zero steady-state allocations in debug
-        // builds too.)
+        // external reader. (Written allocation-free, so debug builds
+        // count the same allocations per step as release builds.)
         debug_assert!(
             self.values.keys().all(|n| {
                 self.persistent.contains(n) || self.last_reader.get(n).is_some_and(|&k| k > kid)
@@ -1508,15 +1240,16 @@ impl<'a> Session<'a> {
         &self.bwd_kernels
     }
 
-    /// Executes one node on the reference path: operands come out of the
-    /// value store, auxiliaries out of the session stashes, and the op
-    /// itself runs through the shared dispatch in [`crate::refexec`] —
-    /// the same dispatch the fused interpreter uses for full steps.
+    /// Executes one node whole-graph, for the sharded driver's Split
+    /// lockstep (a plain session never calls this): operands come out of
+    /// the value store, auxiliaries out of the session stashes, and the
+    /// op itself runs through the shared dispatch in [`crate::refexec`] —
+    /// the same dispatch the interpreter uses for full steps.
     pub(crate) fn exec_node(&mut self, id: NodeId) -> Result<Tensor> {
         let node = self.plan.ir.node(id);
         let (t, aux_out) = {
             // Operand lookup without a per-node Vec (no op reads more
-            // than 8 inputs): part of the zero-allocation steady state.
+            // than 8 inputs).
             debug_assert!(node.inputs.len() <= 8, "op with >8 inputs");
             let inputs_buf: [&Tensor; 8];
             let inputs: &[&Tensor] = if node.inputs.is_empty() {
@@ -1594,7 +1327,6 @@ mod tests {
         let plan = tiny_plan();
         let mut sess = Session::builder(&plan, &graph)
             .policy(ExecPolicy::serial())
-            .fused(false)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();
@@ -1625,7 +1357,6 @@ mod tests {
         let policy = ExecPolicy::serial().reordered(gnnopt_core::ReorderPolicy::Rcm);
         let mut sess = Session::builder(&plan, &graph)
             .policy(policy)
-            .fused(false)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();
@@ -1650,7 +1381,6 @@ mod tests {
         // An identity session reports no preprocessing at all.
         let mut sess = Session::builder(&plan, &graph)
             .policy(ExecPolicy::serial())
-            .fused(false)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();
@@ -1668,7 +1398,6 @@ mod tests {
         let plan = tiny_plan();
         let sess = Session::builder(&plan, &graph)
             .policy(ExecPolicy::serial())
-            .fused(false)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();

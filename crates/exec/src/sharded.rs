@@ -35,8 +35,8 @@
 //!
 //! Every kernel of the plan is classified once at build time:
 //!
-//! * **Sharded** — runs whole (fused or reference path) on every shard
-//!   after zero or more pre-exchanges. The common case: a GCN layer
+//! * **Sharded** — runs whole, through each shard session's program
+//!   interpreter, after zero or more pre-exchanges. The common case: a GCN layer
 //!   costs one vertex-halo exchange and then runs entirely locally.
 //! * **Split** — a kernel mixing incompatibly-anchored group ops (e.g.
 //!   GAT's backward, where a `ByDst` softmax gradient feeds a `BySrc`
@@ -61,10 +61,7 @@
 //! [`EnvOverrides`] mode), then `1`. A count of `1` builds a plain
 //! [`Session`] — no partitioning, no maps, no overhead.
 
-use crate::session::{
-    arena_env, fused_env, gemm_env, guard_env, reorder_env, scan_nonfinite, Bindings, EnvOverrides,
-    RunStats, Session,
-};
+use crate::session::{scan_nonfinite, Bindings, EnvOverrides, RunStats, Session};
 use crate::{contain, refexec, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, Liveness};
@@ -252,7 +249,7 @@ struct GlobalPlan {
 /// How one kernel of the plan executes under sharding.
 #[derive(Clone)]
 enum KernelClass {
-    /// Whole kernel per shard (fused path included) after `pre`.
+    /// Whole kernel per shard after `pre`.
     Sharded { pre: Vec<ExOp> },
     /// Node-by-node lockstep with mid-kernel exchanges.
     Split { steps: Vec<SplitStep> },
@@ -1631,7 +1628,6 @@ pub struct ShardedSessionBuilder<'a> {
     shards: Option<usize>,
     strategy: ShardStrategy,
     policy: Option<ExecPolicy>,
-    fused: Option<bool>,
     arena: Option<bool>,
     env: EnvOverrides,
 }
@@ -1661,13 +1657,6 @@ impl<'a> ShardedSessionBuilder<'a> {
         self
     }
 
-    /// Pins fused execution on or off for the per-shard sessions.
-    #[must_use]
-    pub fn fused(mut self, fused: bool) -> Self {
-        self.fused = Some(fused);
-        self
-    }
-
     /// Pins the per-shard static arenas on or off (default: on).
     #[must_use]
     pub fn arena(mut self, arena: bool) -> Self {
@@ -1692,28 +1681,15 @@ impl<'a> ShardedSessionBuilder<'a> {
     /// [`EnvOverrides::Loud`] — [`ExecError::Policy`] when
     /// `GNNOPT_SHARDS` is not a positive integer.
     pub fn build(self) -> Result<ShardedSession<'a>> {
-        let loud = self.env == EnvOverrides::Loud;
-        let env_shards = if self.env == EnvOverrides::Off {
-            None
-        } else {
-            match shards_env() {
-                Ok(v) => v,
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => None,
-            }
-        };
         let k = self
             .shards
-            .or(env_shards)
+            .or(self.env.read(shards_env)?)
             .unwrap_or(1)
             .clamp(1, self.graph.num_vertices().max(1));
         if k == 1 {
             let mut b = Session::builder(self.plan, self.graph).env(self.env);
             if let Some(p) = self.policy {
                 b = b.policy(p);
-            }
-            if let Some(f) = self.fused {
-                b = b.fused(f);
             }
             if let Some(a) = self.arena {
                 b = b.arena(a);
@@ -1723,38 +1699,10 @@ impl<'a> ShardedSessionBuilder<'a> {
             });
         }
 
-        // Resolve policy / fused / arena exactly like SessionBuilder.
+        // Resolve policy / arena exactly like SessionBuilder.
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let mut env_fused = None;
-        let mut env_arena = None;
-        if self.env != EnvOverrides::Off {
-            fn apply<T>(
-                r: std::result::Result<Option<T>, String>,
-                loud: bool,
-            ) -> Result<Option<T>> {
-                match r {
-                    Ok(v) => Ok(v),
-                    Err(e) if loud => Err(ExecError::Policy(e)),
-                    Err(_) => Ok(None),
-                }
-            }
-            if loud && policy.is_auto() {
-                gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
-            }
-            env_fused = apply(fused_env(), loud)?;
-            env_arena = apply(arena_env(), loud)?;
-            policy.reorder = apply(reorder_env(), loud)?.unwrap_or(policy.reorder);
-            policy.gemm = apply(gemm_env(), loud)?.unwrap_or(policy.gemm);
-            policy.guard = apply(guard_env(), loud)?.unwrap_or(policy.guard);
-            match fault::install_from_env() {
-                Ok(_) => {}
-                Err(e) if loud => return Err(ExecError::Policy(e)),
-                Err(_) => {}
-            }
-        }
+        let env_arena = self.env.resolve(&mut policy)?;
         self.graph.validate().map_err(ExecError::Graph)?;
-        let fused = self.fused.or(env_fused).unwrap_or(policy.fused);
-        policy.fused = fused;
         let arena = self.arena.or(env_arena).unwrap_or(true);
         // Shard-local ids must stay aligned with the exchange maps, so
         // runtime reordering is pinned off under sharding.
@@ -1767,7 +1715,7 @@ impl<'a> ShardedSessionBuilder<'a> {
         let (maps, graphs) = ShardMaps::build(&self.plan.ir, self.graph, part);
         let shards: Vec<Session<'a>> = graphs
             .into_iter()
-            .map(|g| Session::assemble_owned(self.plan, g, policy, fused, arena))
+            .map(|g| Session::assemble_owned(self.plan, g, policy, arena))
             .collect::<Result<_>>()?;
         let fwd_kernels = shards[0].fwd_kernel_ids().to_vec();
         let bwd_kernels = shards[0].bwd_kernel_ids().to_vec();
@@ -1819,7 +1767,6 @@ impl<'a> ShardedSession<'a> {
             shards: None,
             strategy: ShardStrategy::default(),
             policy: None,
-            fused: None,
             arena: None,
             env: EnvOverrides::default(),
         }
@@ -1986,7 +1933,7 @@ mod tests {
         ir
     }
 
-    fn run_pair(ir: &IrGraph, g: &Graph, k: usize, fused: bool) {
+    fn run_pair(ir: &IrGraph, g: &Graph, k: usize) {
         let plan = compile(ir, true, &CompileOptions::ours()).unwrap().plan;
         let mut bindings = Bindings::new();
         let mut col = 0.1f32;
@@ -2014,19 +1961,12 @@ mod tests {
             |i| ((i % 5) as f32 - 2.0) * 0.41,
         );
 
-        let mut plain = Session::builder(&plan, g)
-            .policy(ExecPolicy::serial())
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
-            .unwrap();
-        let ref_out = plain.forward(&bindings).unwrap();
-        let ref_grads = plain.backward(seed.clone()).unwrap();
+        let oracle = refexec::evaluate(&plan, g, &bindings, Some(&seed)).unwrap();
+        let (ref_out, ref_grads) = (oracle.outputs, oracle.grads);
 
         let mut sharded = ShardedSession::builder(&plan, g)
             .shards(k)
             .policy(ExecPolicy::serial())
-            .fused(fused)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();
@@ -2051,25 +1991,23 @@ mod tests {
     fn gcn_matches_unsharded_bit_for_bit() {
         let g = Graph::from_edge_list(&generators::rmat(5, 6, 0.55, 0.2, 0.2, 11));
         for k in [2, 3, 4] {
-            run_pair(&gcn_ir(4), &g, k, false);
+            run_pair(&gcn_ir(4), &g, k);
         }
-        run_pair(&gcn_ir(4), &g, 2, true);
     }
 
     #[test]
     fn softmax_model_matches_unsharded_bit_for_bit() {
         let g = Graph::from_edge_list(&generators::rmat(5, 5, 0.5, 0.25, 0.15, 3));
-        for k in [2, 4] {
-            run_pair(&gat_like_ir(3), &g, k, false);
+        for k in [2, 3, 4] {
+            run_pair(&gat_like_ir(3), &g, k);
         }
-        run_pair(&gat_like_ir(3), &g, 3, true);
     }
 
     #[test]
     fn gather_max_matches_unsharded_bit_for_bit() {
         let g = Graph::from_edge_list(&generators::rmat(5, 4, 0.45, 0.3, 0.15, 7));
         for k in [2, 3] {
-            run_pair(&max_ir(3), &g, k, false);
+            run_pair(&max_ir(3), &g, k);
         }
     }
 
@@ -2078,9 +2016,9 @@ mod tests {
         // Extreme hub: every spoke's edge is cut unless it shares the
         // hub's shard.
         let star = Graph::from_edge_list(&generators::star(17));
-        run_pair(&gcn_ir(3), &star, 3, false);
+        run_pair(&gcn_ir(3), &star, 3);
         let ring = Graph::from_edge_list(&generators::ring(12));
-        run_pair(&gat_like_ir(2), &ring, 4, false);
+        run_pair(&gat_like_ir(2), &ring, 4);
     }
 
     #[test]

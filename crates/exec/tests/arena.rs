@@ -1,13 +1,13 @@
 //! Arena ↔ heap equivalence properties: serving the value store from
 //! the planner-seeded buffer pool must be a pure allocation-policy
 //! change. Outputs and gradients are **bit-identical** to the plain
-//! heap path across the model zoo, thread counts, and both executor
-//! paths, on adversarial topologies (isolated vertices, extreme hubs),
-//! and the measured live-set peak never exceeds what the planner
-//! promised at build.
+//! heap path — and to the node-by-node oracle (`refexec::evaluate`) —
+//! across the model zoo and thread counts, on adversarial topologies
+//! (isolated vertices, extreme hubs), and the measured live-set peak
+//! never exceeds what the planner promised at build.
 
 use gnnopt_core::{compile, CompileOptions, ExecPolicy};
-use gnnopt_exec::{Bindings, EnvOverrides, Session};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, EdgeList, Graph};
 use gnnopt_models::{
     edgeconv, gat, gcn, sage, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec, SageConfig,
@@ -80,7 +80,6 @@ fn run(
     g: &Graph,
     b: &Bindings,
     threads: usize,
-    fused: bool,
     arena: bool,
 ) -> (Vec<Tensor>, Vec<(String, Tensor)>, u64, u64) {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
@@ -91,7 +90,6 @@ fn run(
     };
     let mut sess = Session::builder(&compiled.plan, g)
         .policy(policy)
-        .fused(fused)
         .arena(arena)
         .env(EnvOverrides::Off)
         .build()
@@ -116,8 +114,8 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arena on vs off: same bits out, for every model × thread count ×
-    /// executor path, on hub/isolated-vertex topologies.
+    /// Arena on vs off vs the oracle: same bits out, for every model ×
+    /// thread count, on hub/isolated-vertex topologies.
     #[test]
     fn arena_is_bit_identical_to_heap(
         g in arb_graph(),
@@ -126,78 +124,107 @@ proptest! {
     ) {
         let (name, spec) = zoo().swap_remove(model);
         let b = bindings(&spec, &g, seed);
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+        let shape = [g.num_vertices(), compiled.plan.ir.node(compiled.plan.ir.outputs()[0]).dim.total()];
+        let oracle = refexec::evaluate(&compiled.plan, &g, &b, Some(&Tensor::ones(&shape))).unwrap();
+        let mut gr_o: Vec<(String, Tensor)> = oracle.grads.into_iter().collect();
+        gr_o.sort_by(|a, b| a.0.cmp(&b.0));
         for threads in [1usize, 4] {
-            for fused in [false, true] {
-                let (out_a, gr_a, peak_a, planned) =
-                    run(&spec, &g, &b, threads, fused, true);
-                let (out_h, gr_h, peak_h, _) =
-                    run(&spec, &g, &b, threads, fused, false);
-                prop_assert_eq!(out_a.len(), out_h.len());
-                for (i, (a, h)) in out_a.iter().zip(&out_h).enumerate() {
-                    prop_assert!(
-                        bits_equal(a, h),
-                        "{}: output {} diverges (threads={}, fused={})",
-                        name, i, threads, fused
-                    );
-                }
-                prop_assert_eq!(gr_a.len(), gr_h.len());
-                for ((ka, a), (kh, h)) in gr_a.iter().zip(&gr_h) {
-                    prop_assert_eq!(ka, kh);
-                    prop_assert!(
-                        bits_equal(a, h),
-                        "{}: grad '{}' diverges (threads={}, fused={})",
-                        name, ka, threads, fused
-                    );
-                }
-                // The arena evicts at node granularity (and reuses
-                // buffers in place), so its measured peak may only ever
-                // *improve* on the heap path's kernel-granular figure —
-                // and must stay within the planner's promise.
+            let (out_a, gr_a, peak_a, planned) = run(&spec, &g, &b, threads, true);
+            let (out_h, gr_h, peak_h, _) = run(&spec, &g, &b, threads, false);
+            prop_assert_eq!(out_a.len(), out_h.len());
+            for (i, ((a, h), o)) in out_a.iter().zip(&out_h).zip(&oracle.outputs).enumerate() {
                 prop_assert!(
-                    peak_a <= peak_h,
-                    "{}: arena peak {} worse than heap peak {}",
-                    name, peak_a, peak_h
-                );
-                prop_assert!(
-                    peak_a <= planned,
-                    "{}: measured peak {} exceeds planned {} (threads={}, fused={})",
-                    name, peak_a, planned, threads, fused
+                    bits_equal(a, h) && bits_equal(a, o),
+                    "{}: output {} diverges (threads={})",
+                    name, i, threads
                 );
             }
+            prop_assert_eq!(gr_a.len(), gr_h.len());
+            for (((ka, a), (kh, h)), (ko, o)) in gr_a.iter().zip(&gr_h).zip(&gr_o) {
+                prop_assert_eq!(ka, kh);
+                prop_assert_eq!(ka, ko);
+                prop_assert!(
+                    bits_equal(a, h) && bits_equal(a, o),
+                    "{}: grad '{}' diverges (threads={})",
+                    name, ka, threads
+                );
+            }
+            // The arena frees dying inputs mid-launch, so its measured
+            // peak may only ever *improve* on the heap path's
+            // kernel-granular figure — and must stay within the
+            // planner's promise.
+            prop_assert!(
+                peak_a <= peak_h,
+                "{}: arena peak {} worse than heap peak {}",
+                name, peak_a, peak_h
+            );
+            prop_assert!(
+                peak_a <= planned,
+                "{}: measured peak {} exceeds planned {} (threads={})",
+                name, peak_a, planned, threads
+            );
         }
     }
 }
 
 /// Deterministic peak check on a denser fixed graph: the planner's
 /// `planned_peak_bytes` is an upper bound on the executor's measured
-/// `peak_value_bytes`, on both executor paths, warm and cold.
+/// `peak_value_bytes`, warm and cold.
 #[test]
 fn measured_peak_never_exceeds_planned() {
     let g = Graph::from_edge_list(&generators::erdos_renyi(128, 1280, 9));
     for (name, spec) in zoo() {
         let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
         let b = bindings(&spec, &g, 13);
-        for fused in [false, true] {
-            let mut sess = Session::builder(&compiled.plan, &g)
-                .policy(ExecPolicy::serial())
-                .fused(fused)
-                .arena(true)
-                .env(EnvOverrides::Off)
-                .build()
-                .unwrap();
+        let mut sess = Session::builder(&compiled.plan, &g)
+            .policy(ExecPolicy::serial())
+            .arena(true)
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        let out = sess.forward(&b).unwrap();
+        let seed = Tensor::ones(out[0].shape());
+        for _ in 0..3 {
+            sess.step(&b, &seed).unwrap();
+            let stats = sess.stats();
+            assert!(stats.arena);
+            assert!(
+                stats.peak_value_bytes <= stats.planned_peak_bytes,
+                "{name}: measured {} > planned {}",
+                stats.peak_value_bytes,
+                stats.planned_peak_bytes,
+            );
+        }
+    }
+}
+
+/// `forward()`/`backward()` return caller-owned clones; building them
+/// must not take planned buffers out of the session's pool, or the next
+/// step misses. A warmed loop reports no fallback allocation and a
+/// constant miss counter.
+#[test]
+fn warmed_forward_backward_loop_never_misses_the_pool() {
+    let g = Graph::from_edge_list(&generators::erdos_renyi(128, 1280, 9));
+    for (name, spec) in zoo() {
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+        let b = bindings(&spec, &g, 13);
+        let mut sess = Session::builder(&compiled.plan, &g)
+            .policy(ExecPolicy::serial())
+            .arena(true)
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        let out = sess.forward(&b).unwrap();
+        let seed = Tensor::ones(out[0].shape());
+        sess.backward(seed.clone()).unwrap();
+        let warmed = sess.pool().misses();
+        for step in 0..5 {
             let out = sess.forward(&b).unwrap();
-            let seed = Tensor::ones(out[0].shape());
-            for _ in 0..3 {
-                sess.step(&b, &seed).unwrap();
-                let stats = sess.stats();
-                assert!(stats.arena);
-                assert!(
-                    stats.peak_value_bytes <= stats.planned_peak_bytes,
-                    "{name}: measured {} > planned {} (fused={fused})",
-                    stats.peak_value_bytes,
-                    stats.planned_peak_bytes,
-                );
-            }
+            let grads = sess.backward(seed.clone()).unwrap();
+            assert_eq!(sess.stats().fallback_allocs, 0, "{name}: step {step}");
+            assert_eq!(sess.pool().misses(), warmed, "{name}: step {step}");
+            drop((out, grads));
         }
     }
 }

@@ -29,7 +29,7 @@
 
 use gnnopt_core::fault::{self, FaultGuard};
 use gnnopt_core::{compile, CompileOptions, ExecPolicy, ExecutionPlan};
-use gnnopt_exec::{Bindings, EnvOverrides, ExecError, Session, ShardedSession};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, ExecError, Session, ShardedSession};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{gcn, GcnConfig, ModelSpec};
 use gnnopt_tensor::Tensor;
@@ -57,15 +57,9 @@ fn bindings(spec: &ModelSpec, g: &Graph) -> Bindings {
     b
 }
 
-fn session<'a>(
-    plan: &'a ExecutionPlan,
-    g: &'a Graph,
-    policy: ExecPolicy,
-    fused: bool,
-) -> Session<'a> {
+fn session<'a>(plan: &'a ExecutionPlan, g: &'a Graph, policy: ExecPolicy) -> Session<'a> {
     Session::builder(plan, g)
         .policy(policy)
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("session builds")
@@ -79,6 +73,14 @@ fn run_bits(sess: &mut Session<'_>, b: &Bindings) -> RunBits {
     let seed = Tensor::ones(out[0].shape());
     let grads = sess.backward(seed).expect("clean backward");
     bits_of(&out, &grads)
+}
+
+/// The clean run every containment check compares against: the
+/// node-by-node oracle. Call it with no failpoint armed.
+fn oracle_bits(plan: &ExecutionPlan, g: &Graph, b: &Bindings) -> RunBits {
+    let seed = Tensor::ones(&[g.num_vertices(), 3]);
+    let e = refexec::evaluate(plan, g, b, Some(&seed)).expect("oracle");
+    bits_of(&e.outputs, &e.grads)
 }
 
 fn bits_of(out: &[Tensor], grads: &HashMap<String, Tensor>) -> RunBits {
@@ -106,13 +108,10 @@ fn refexec_panic_is_contained_poisons_and_rebuild_matches() {
     let (g, spec) = fixture();
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
-    let baseline = run_bits(
-        &mut session(&compiled.plan, &g, ExecPolicy::serial(), false),
-        &b,
-    );
+    let baseline = oracle_bits(&compiled.plan, &g, &b);
 
     let _guard = FaultGuard::install("refexec:panic@2").unwrap();
-    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial(), false);
+    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial());
     let err = sess.forward(&b).expect_err("injected panic must surface");
     match &err {
         ExecError::KernelPanic { kernel, payload } => {
@@ -132,10 +131,7 @@ fn refexec_panic_is_contained_poisons_and_rebuild_matches() {
     drop(sess);
     drop(_guard);
 
-    let rebuilt = run_bits(
-        &mut session(&compiled.plan, &g, ExecPolicy::serial(), false),
-        &b,
-    );
+    let rebuilt = run_bits(&mut session(&compiled.plan, &g, ExecPolicy::serial()), &b);
     assert_eq!(rebuilt, baseline, "rebuilt session must be bit-identical");
 }
 
@@ -148,7 +144,7 @@ fn fused_launch_panic_is_contained() {
     let b = bindings(&spec, &g);
 
     let _guard = FaultGuard::install("fused.launch:panic@1").unwrap();
-    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial(), true);
+    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial());
     let err = sess.forward(&b).expect_err("fused launch panic surfaces");
     match &err {
         ExecError::KernelPanic { payload, .. } => {
@@ -171,14 +167,17 @@ fn worker_panic_is_contained() {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
 
-    // Force real worker spawns: two threads, no serial-work threshold.
+    // Force real worker spawns: two threads, no serial-work threshold,
+    // and a tile budget small enough that the 64 edges make several
+    // tiles (the interpreter runs one worker per tile run).
     let policy = ExecPolicy {
         threads: 2,
         parallel_threshold: 0,
+        tile_edges: 8,
         ..ExecPolicy::serial()
     };
     let _guard = FaultGuard::install("worker:panic@1").unwrap();
-    let mut sess = session(&compiled.plan, &g, policy, false);
+    let mut sess = session(&compiled.plan, &g, policy);
     let err = sess.forward(&b).expect_err("worker panic surfaces");
     match &err {
         ExecError::KernelPanic { payload, .. } => {
@@ -196,13 +195,10 @@ fn injected_error_is_typed_and_does_not_poison() {
     let (g, spec) = fixture();
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
-    let baseline = run_bits(
-        &mut session(&compiled.plan, &g, ExecPolicy::serial(), false),
-        &b,
-    );
+    let baseline = oracle_bits(&compiled.plan, &g, &b);
 
     let guard = FaultGuard::install("refexec:error@1").unwrap();
-    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial(), false);
+    let mut sess = session(&compiled.plan, &g, ExecPolicy::serial());
     assert!(matches!(
         sess.forward(&b),
         Err(ExecError::Injected { ref site }) if site == "refexec"
@@ -222,14 +218,11 @@ fn guard_localizes_injected_nan_and_is_bit_transparent() {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
     let guarded = ExecPolicy::serial().with_guard(true);
-    let baseline = run_bits(
-        &mut session(&compiled.plan, &g, ExecPolicy::serial(), false),
-        &b,
-    );
+    let baseline = oracle_bits(&compiled.plan, &g, &b);
 
     // No fault installed: the guard is bit-transparent.
     assert_eq!(
-        run_bits(&mut session(&compiled.plan, &g, guarded, false), &b),
+        run_bits(&mut session(&compiled.plan, &g, guarded), &b),
         baseline,
         "guard on must not change a single output bit"
     );
@@ -237,7 +230,7 @@ fn guard_localizes_injected_nan_and_is_bit_transparent() {
     // Guard on: the injected NaN is localized to its first element.
     {
         let _guard = FaultGuard::install("refexec:nan@1").unwrap();
-        let mut sess = session(&compiled.plan, &g, guarded, false);
+        let mut sess = session(&compiled.plan, &g, guarded);
         match sess.forward(&b).expect_err("guard must reject the NaN") {
             ExecError::NonFinite {
                 kernel,
@@ -256,7 +249,7 @@ fn guard_localizes_injected_nan_and_is_bit_transparent() {
     // Control: guard off, the same fault sails through as data.
     {
         let _guard = FaultGuard::install("refexec:nan@1").unwrap();
-        let mut sess = session(&compiled.plan, &g, ExecPolicy::serial(), false);
+        let mut sess = session(&compiled.plan, &g, ExecPolicy::serial());
         sess.forward(&b)
             .expect("without the guard the NaN is ordinary data");
     }
@@ -303,18 +296,17 @@ fn exchange_guards_reject_corruption_nan_and_injected_errors() {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
 
-    let sharded = |fused: bool| {
+    let sharded = || {
         ShardedSession::builder(&compiled.plan, &g)
             .shards(2)
             .policy(ExecPolicy::serial())
-            .fused(fused)
             .env(EnvOverrides::Off)
             .build()
             .expect("sharded session builds")
     };
 
     // The fixture must actually exercise halo exchanges.
-    let mut clean = sharded(false);
+    let mut clean = sharded();
     clean.forward(&b).unwrap();
     assert!(
         clean.stats().halo_exchanges > 0,
@@ -335,7 +327,7 @@ fn exchange_guards_reject_corruption_nan_and_injected_errors() {
         ),
     ] {
         let _guard = FaultGuard::install(spec_str).unwrap();
-        let err = sharded(false)
+        let err = sharded()
             .forward(&b)
             .expect_err("corrupted exchange must be rejected");
         assert!(check(&err), "spec '{spec_str}' produced {err}");
@@ -408,7 +400,7 @@ fn backward_protocol_violations_are_typed_errors() {
 
     // Backward on an inference plan.
     let inference = compile(&spec.ir, false, &CompileOptions::ours()).unwrap();
-    let mut sess = session(&inference.plan, &g, ExecPolicy::serial(), false);
+    let mut sess = session(&inference.plan, &g, ExecPolicy::serial());
     sess.forward(&b).unwrap();
     assert!(matches!(
         sess.backward(Tensor::ones(&[g.num_vertices(), 3])),
@@ -417,7 +409,7 @@ fn backward_protocol_violations_are_typed_errors() {
 
     // Backward before forward on a training plan.
     let training = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
-    let mut sess = session(&training.plan, &g, ExecPolicy::serial(), false);
+    let mut sess = session(&training.plan, &g, ExecPolicy::serial());
     assert!(matches!(
         sess.backward(Tensor::ones(&[g.num_vertices(), 3])),
         Err(ExecError::Protocol(_))
@@ -457,27 +449,22 @@ fn ambient_failpoint_plan_is_contained() {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
     let b = bindings(&spec, &g);
     let guarded = ExecPolicy::serial().with_guard(true);
-    let baseline = run_bits(&mut session(&compiled.plan, &g, guarded, false), &b);
+    let baseline = oracle_bits(&compiled.plan, &g, &b);
 
     if !fault::install_from_env().expect("ambient GNNOPT_FAILPOINTS must parse") {
         return;
     }
-    for fused in [false, true] {
-        let mut sess = session(&compiled.plan, &g, guarded, fused);
-        let out = sess.forward(&b);
-        let res = out.and_then(|o| {
-            let seed = Tensor::ones(o[0].shape());
-            sess.backward(seed).map(|gr| bits_of(&o, &gr))
-        });
-        match res {
-            Ok(bits) => assert_eq!(
-                bits, baseline,
-                "ambient plan let wrong bits through (fused={fused})"
-            ),
-            Err(e) => {
-                // Any typed error is acceptable containment.
-                let _ = e.to_string();
-            }
+    let mut sess = session(&compiled.plan, &g, guarded);
+    let out = sess.forward(&b);
+    let res = out.and_then(|o| {
+        let seed = Tensor::ones(o[0].shape());
+        sess.backward(seed).map(|gr| bits_of(&o, &gr))
+    });
+    match res {
+        Ok(bits) => assert_eq!(bits, baseline, "ambient plan let wrong bits through"),
+        Err(e) => {
+            // Any typed error is acceptable containment.
+            let _ = e.to_string();
         }
     }
     fault::clear();

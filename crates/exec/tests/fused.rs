@@ -1,12 +1,12 @@
-//! Determinism contract of the fused tiled interpreter: for any graph
+//! Determinism contract of the program interpreter: for any graph
 //! (isolated vertices included), any tile budget, and any thread count,
-//! fused execution of ByDst kernels is **bit-identical** to the reference
-//! node-by-node path — tiling changes where intermediates live, never
+//! a session's results are **bit-identical** to the node-by-node oracle
+//! (`refexec::evaluate`) — tiling changes where intermediates live, never
 //! what arithmetic is performed — while the measured peak of the value
-//! store can only shrink.
+//! store stays below what the oracle materializes.
 
 use gnnopt_core::{compile, CompileOptions, ExecPolicy};
-use gnnopt_exec::{Bindings, EnvOverrides, Session};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{edgeconv, gat, gcn, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec};
 use gnnopt_tensor::Tensor;
@@ -31,59 +31,41 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// One training step, returning `(output, grads, stats)`.
-fn step(
-    spec: &ModelSpec,
-    graph: &Graph,
-    vals: &HashMap<String, Tensor>,
-    policy: ExecPolicy,
-    fused: bool,
-) -> (Vec<Tensor>, HashMap<String, Tensor>, gnnopt_exec::RunStats) {
+fn compare_session_vs_oracle(spec: &ModelSpec, graph: &Graph, threads: usize, tile_edges: usize) {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
-    let mut sess = Session::builder(&compiled.plan, graph)
-        .policy(policy)
-        .fused(fused)
-        .env(EnvOverrides::Off)
-        .build()
-        .expect("session");
     let mut b = Bindings::new();
-    for (k, v) in vals {
-        b.insert(k, v.clone());
+    for (k, v) in spec.init_values(graph, 23) {
+        b.insert(&k, v);
     }
-    let out = sess.forward(&b).expect("forward");
-    let grads = sess
-        .backward(Tensor::ones(out[0].shape()))
-        .expect("backward");
-    (out, grads, sess.stats())
-}
-
-fn compare_fused_vs_reference(spec: &ModelSpec, graph: &Graph, threads: usize, tile_edges: usize) {
-    let vals = spec.init_values(graph, 23);
-    let reference = step(spec, graph, &vals, ExecPolicy::serial(), false);
     let policy = ExecPolicy {
         threads,
         parallel_threshold: 0,
         tile_edges,
         ..ExecPolicy::serial()
     };
-    let fused = step(spec, graph, &vals, policy, true);
-    assert_eq!(reference.0.len(), fused.0.len());
-    for (a, b) in reference.0.iter().zip(&fused.0) {
+    let mut sess = Session::builder(&compiled.plan, graph)
+        .policy(policy)
+        .env(EnvOverrides::Off)
+        .build()
+        .expect("session");
+    let out = sess.forward(&b).expect("forward");
+    let seed = Tensor::ones(out[0].shape());
+    let grads: HashMap<String, Tensor> = sess.backward(seed.clone()).expect("backward");
+    let oracle = refexec::evaluate(&compiled.plan, graph, &b, Some(&seed)).expect("oracle");
+
+    assert_eq!(oracle.outputs.len(), out.len());
+    for (a, b) in oracle.outputs.iter().zip(&out) {
         assert_bit_identical("output", a, b);
     }
-    assert_eq!(reference.1.len(), fused.1.len());
-    for (k, g) in &reference.1 {
-        assert_bit_identical(&format!("grad '{k}'"), g, &fused.1[k]);
+    assert_eq!(oracle.grads.len(), grads.len());
+    for (k, g) in &oracle.grads {
+        assert_bit_identical(&format!("grad '{k}'"), g, &grads[k]);
     }
+    let peak = sess.stats().peak_value_bytes;
     assert!(
-        fused.2.peak_value_bytes <= reference.2.peak_value_bytes,
-        "fused peak {} exceeds reference peak {}",
-        fused.2.peak_value_bytes,
-        reference.2.peak_value_bytes
-    );
-    assert_eq!(
-        reference.2.boundary_bytes, fused.2.boundary_bytes,
-        "the forward→backward boundary is identical by construction"
+        peak <= oracle.materialized_bytes,
+        "session peak {peak} exceeds the {} bytes the oracle materializes",
+        oracle.materialized_bytes
     );
 }
 
@@ -91,8 +73,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// GAT training (softmax + ByDst/BySrc gathers, multi-head) over
-    /// random graphs with isolated vertices: bit-identical fused vs
-    /// reference for every thread count and tile budget, including
+    /// random graphs with isolated vertices: bit-identical session vs
+    /// oracle for every thread count and tile budget, including
     /// single-edge tiles.
     #[test]
     fn gat_step_fused_is_bit_identical(
@@ -107,12 +89,12 @@ proptest! {
             negative_slope: 0.2,
             reorganized: false,
         }).expect("gat builds");
-        compare_fused_vs_reference(&spec, &g, threads, tile_edges);
+        compare_session_vs_oracle(&spec, &g, threads, tile_edges);
     }
 
-    /// EdgeConv training (max-gather: its backward kernel must fall back
-    /// because of the scattered-write `gather_max_bwd`) stays correct and
-    /// bit-identical under the mixed fused/fallback schedule.
+    /// EdgeConv training (max-gather: the scattered-write
+    /// `gather_max_bwd` runs as a full step or an argmax-routed tiled
+    /// one) stays bit-identical under the mixed tiled/full schedule.
     #[test]
     fn edgeconv_step_fused_is_bit_identical(
         g in arb_graph(),
@@ -121,7 +103,7 @@ proptest! {
     ) {
         let spec = edgeconv(&EdgeConvConfig { in_dim: 4, layer_dims: vec![3] })
             .expect("edgeconv builds");
-        compare_fused_vs_reference(&spec, &g, threads, tile_edges);
+        compare_session_vs_oracle(&spec, &g, threads, tile_edges);
     }
 
     /// GCN training (gSpMM pattern with edge weights).
@@ -132,32 +114,6 @@ proptest! {
         tile_edges in prop_oneof![Just(1usize), Just(32)],
     ) {
         let spec = gcn(&GcnConfig { in_dim: 4, layer_dims: vec![4, 2] }).expect("gcn builds");
-        compare_fused_vs_reference(&spec, &g, threads, tile_edges);
+        compare_session_vs_oracle(&spec, &g, threads, tile_edges);
     }
-}
-
-/// `GNNOPT_FUSED` must reject garbage loudly in `Session::new` (the same
-/// contract as `GNNOPT_THREADS`). Uses a throwaway process-global env var
-/// write, restored immediately — the suite's other tests never read it
-/// mid-flight because this test is the only one touching it.
-#[test]
-fn invalid_gnnopt_fused_is_a_policy_error() {
-    let spec = gcn(&GcnConfig {
-        in_dim: 2,
-        layer_dims: vec![2],
-    })
-    .expect("gcn builds");
-    let graph = Graph::from_edge_list(&EdgeList::from_pairs(3, &[(0, 1), (1, 2)]));
-    let compiled = compile(&spec.ir, false, &CompileOptions::ours()).expect("compiles");
-    let saved = std::env::var("GNNOPT_FUSED").ok();
-    std::env::set_var("GNNOPT_FUSED", "banana");
-    let res = Session::builder(&compiled.plan, &graph).build();
-    match saved {
-        Some(v) => std::env::set_var("GNNOPT_FUSED", v),
-        None => std::env::remove_var("GNNOPT_FUSED"),
-    }
-    assert!(
-        matches!(res, Err(gnnopt_exec::ExecError::Policy(_))),
-        "expected a policy error, got {res:?}"
-    );
 }

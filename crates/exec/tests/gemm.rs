@@ -3,12 +3,11 @@
 //! parameter gradients whether the `Linear`-family kernels run on the
 //! naive reference loops or the register-tiled blocked engine — blocking
 //! changes where operands live, never what arithmetic is performed. The
-//! fused tiled interpreter stays bit-identical to the reference path with
-//! the blocked engine pinned (the `GNNOPT_GEMM=blocked` rerun of the
-//! fused equivalence contract).
+//! session stays bit-identical to the node-by-node oracle
+//! (`refexec::evaluate`) under either engine.
 
 use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel};
-use gnnopt_exec::{Bindings, EnvOverrides, Session};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{gat, gcn, GatConfig, GcnConfig, ModelSpec};
 use gnnopt_tensor::Tensor;
@@ -32,18 +31,16 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// One training step under a pinned policy and fused choice.
+/// One training step under a pinned policy.
 fn step(
     spec: &ModelSpec,
     graph: &Graph,
     vals: &HashMap<String, Tensor>,
     policy: ExecPolicy,
-    fused: bool,
 ) -> (Vec<Tensor>, HashMap<String, Tensor>) {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
     let mut sess = Session::builder(&compiled.plan, graph)
         .policy(policy)
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("session");
@@ -58,30 +55,45 @@ fn step(
     (out, grads)
 }
 
-/// Runs a step under both GEMM kernels (same threads, same fused choice)
-/// and demands bitwise-equal outputs and gradients.
-fn compare_kernels(spec: &ModelSpec, graph: &Graph, threads: usize, fused: bool) {
+/// The oracle's step on the same values (it runs the default, blocked,
+/// engine on one thread).
+fn oracle(
+    spec: &ModelSpec,
+    graph: &Graph,
+    vals: &HashMap<String, Tensor>,
+) -> (Vec<Tensor>, HashMap<String, Tensor>) {
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
+    let mut b = Bindings::new();
+    for (k, v) in vals {
+        b.insert(k, v.clone());
+    }
+    let out = &compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+    let seed = Tensor::ones(&[graph.num_vertices(), out.dim.total()]);
+    let e = refexec::evaluate(&compiled.plan, graph, &b, Some(&seed)).expect("oracle");
+    (e.outputs, e.grads)
+}
+
+/// Runs a step under both GEMM kernels (same threads) and demands
+/// bitwise-equal outputs and gradients — equal to the oracle's too.
+fn compare_kernels(spec: &ModelSpec, graph: &Graph, threads: usize) {
     let vals = spec.init_values(graph, 31);
     let base = ExecPolicy {
         threads,
         parallel_threshold: 0,
         ..ExecPolicy::serial()
     };
-    let naive = step(spec, graph, &vals, base.with_gemm(GemmKernel::Naive), fused);
-    let blocked = step(
-        spec,
-        graph,
-        &vals,
-        base.with_gemm(GemmKernel::Blocked),
-        fused,
-    );
+    let naive = step(spec, graph, &vals, base.with_gemm(GemmKernel::Naive));
+    let blocked = step(spec, graph, &vals, base.with_gemm(GemmKernel::Blocked));
+    let reference = oracle(spec, graph, &vals);
     assert_eq!(naive.0.len(), blocked.0.len());
-    for (a, b) in naive.0.iter().zip(&blocked.0) {
+    for ((a, b), r) in naive.0.iter().zip(&blocked.0).zip(&reference.0) {
         assert_bit_identical("output", a, b);
+        assert_bit_identical("output vs oracle", a, r);
     }
     assert_eq!(naive.1.len(), blocked.1.len());
     for (k, g) in &naive.1 {
         assert_bit_identical(&format!("grad '{k}'"), g, &blocked.1[k]);
+        assert_bit_identical(&format!("grad '{k}' vs oracle"), g, &reference.1[k]);
     }
 }
 
@@ -90,13 +102,11 @@ proptest! {
 
     /// GAT training (attention softmax, multi-head linear projections,
     /// `matmul_tn` weight grads) over random graphs: bit-identical
-    /// naive-vs-blocked for every thread count, on both the reference
-    /// and the fused executor.
+    /// naive-vs-blocked-vs-oracle for every thread count.
     #[test]
     fn gat_step_is_bit_identical_across_gemm_kernels(
         g in arb_graph(),
         threads in 1usize..5,
-        fused in 0usize..2,
         heads in 1usize..3,
     ) {
         let spec = gat(&GatConfig {
@@ -105,7 +115,7 @@ proptest! {
             negative_slope: 0.2,
             reorganized: false,
         }).expect("gat builds");
-        compare_kernels(&spec, &g, threads, fused == 1);
+        compare_kernels(&spec, &g, threads);
     }
 
     /// GCN training (the plainest Linear → gather pipeline, ReLU zeros
@@ -114,18 +124,17 @@ proptest! {
     fn gcn_step_is_bit_identical_across_gemm_kernels(
         g in arb_graph(),
         threads in 1usize..5,
-        fused in 0usize..2,
     ) {
         let spec = gcn(&GcnConfig {
             in_dim: 6,
             layer_dims: vec![5, 3],
         }).expect("gcn builds");
-        compare_kernels(&spec, &g, threads, fused == 1);
+        compare_kernels(&spec, &g, threads);
     }
 
-    /// The fused-vs-reference bit-identity contract of PR 3, rerun with
-    /// the blocked engine pinned on both sides: the compute-engine swap
-    /// must not open any gap between the two execution paths.
+    /// The session-vs-oracle bit-identity contract, rerun with the
+    /// blocked engine pinned explicitly and the tile budget varied: the
+    /// compute engine must not open any gap between the two.
     #[test]
     fn fused_matches_reference_under_blocked_gemm(
         g in arb_graph(),
@@ -145,8 +154,8 @@ proptest! {
             tile_edges,
             ..ExecPolicy::serial()
         }.with_gemm(GemmKernel::Blocked);
-        let reference = step(&spec, &g, &vals, policy, false);
-        let fused = step(&spec, &g, &vals, policy, true);
+        let reference = oracle(&spec, &g, &vals);
+        let fused = step(&spec, &g, &vals, policy);
         for (a, b) in reference.0.iter().zip(&fused.0) {
             assert_bit_identical("output", a, b);
         }

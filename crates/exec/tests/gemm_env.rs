@@ -1,4 +1,4 @@
-//! The `GNNOPT_GEMM` contract of `Session::new`, isolated in its own
+//! The `GNNOPT_GEMM` contract of the session builder, isolated in its own
 //! test binary: `std::env::set_var` races `getenv` from *any* concurrent
 //! thread (glibc UB), and the executor reads the environment on every
 //! auto-threaded kernel — so the one test that writes the variable runs

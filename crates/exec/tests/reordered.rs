@@ -1,21 +1,21 @@
 //! Permutation-transparency contract of reordered sessions: for any
-//! graph (isolated vertices included), any strategy, any thread count,
-//! and either executor path, a session that relabels the graph at build
-//! time returns the *same* user-facing results as the identity-ordering
-//! reference — vertex/edge-space outputs bit-identical (the stable CSR
+//! graph (isolated vertices included), any strategy and any thread
+//! count, a session that relabels the graph at build time returns the
+//! *same* user-facing results as the identity-ordering oracle
+//! (`refexec::evaluate`) — vertex/edge-space outputs bit-identical (the stable CSR
 //! permutation preserves every per-destination reduction order), and
 //! parameter gradients equal up to floating-point reassociation (their
 //! cross-row sums run in the relabeled row order).
 
 use gnnopt_core::{compile, CompileOptions, ExecPolicy, ReorderPolicy};
-use gnnopt_exec::{Bindings, EnvOverrides, RunStats, Session};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, RunStats, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{edgeconv, gat, gcn, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec};
 use gnnopt_tensor::Tensor;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// The full strategy × threads × fused matrix every case runs through.
+/// The full strategy × threads matrix every case runs through.
 const STRATEGIES: [ReorderPolicy; 5] = [
     ReorderPolicy::DegreeSort,
     ReorderPolicy::Bfs,
@@ -24,7 +24,6 @@ const STRATEGIES: [ReorderPolicy; 5] = [
     ReorderPolicy::Auto,
 ];
 const THREADS: [usize; 2] = [1, 4];
-const FUSED: [bool; 2] = [false, true];
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -47,12 +46,10 @@ fn step(
     graph: &Graph,
     vals: &HashMap<String, Tensor>,
     policy: ExecPolicy,
-    fused: bool,
 ) -> (Vec<Tensor>, HashMap<String, Tensor>, RunStats) {
     let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
     let mut sess = Session::builder(&compiled.plan, graph)
         .policy(policy)
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("session");
@@ -67,53 +64,68 @@ fn step(
     (out, grads, sess.stats())
 }
 
-/// Runs the reference (identity order, serial, node-by-node) against the
-/// whole strategy × threads × fused matrix.
+/// The oracle's step (identity order, serial, node-by-node) on the same
+/// values.
+fn oracle(
+    spec: &ModelSpec,
+    graph: &Graph,
+    vals: &HashMap<String, Tensor>,
+) -> (Vec<Tensor>, HashMap<String, Tensor>) {
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
+    let mut b = Bindings::new();
+    for (k, v) in vals {
+        b.insert(k, v.clone());
+    }
+    let out = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+    let seed = Tensor::ones(&[graph.num_vertices(), out.dim.total()]);
+    let e = refexec::evaluate(&compiled.plan, graph, &b, Some(&seed)).expect("oracle");
+    (e.outputs, e.grads)
+}
+
+/// Runs the oracle against the whole strategy × threads matrix.
 fn compare_matrix(spec: &ModelSpec, graph: &Graph) {
     let vals = spec.init_values(graph, 29);
-    let (ref_out, ref_grads, _) = step(spec, graph, &vals, ExecPolicy::serial(), false);
+    let (ref_out, ref_grads) = oracle(spec, graph, &vals);
     for strategy in STRATEGIES {
         for threads in THREADS {
-            for fused in FUSED {
-                let policy = ExecPolicy {
-                    threads,
-                    parallel_threshold: 0,
-                    ..ExecPolicy::serial()
-                }
-                .reordered(strategy);
-                let (out, grads, stats) = step(spec, graph, &vals, policy, fused);
-                let label = format!("{strategy:?}/t{threads}/fused={fused}");
+            let policy = ExecPolicy {
+                threads,
+                parallel_threshold: 0,
+                ..ExecPolicy::serial()
+            }
+            .reordered(strategy);
+            let (out, grads, stats) = step(spec, graph, &vals, policy);
+            let label = format!("{strategy:?}/t{threads}");
 
-                assert_eq!(ref_out.len(), out.len());
-                for (a, b) in ref_out.iter().zip(&out) {
-                    assert_eq!(a.shape(), b.shape(), "{label}: output shapes differ");
-                    assert_eq!(
-                        bits(a),
-                        bits(b),
-                        "{label}: vertex-space output must be bit-identical \
-                         after the session's inverse permutation"
-                    );
-                }
-                assert_eq!(ref_grads.len(), grads.len());
-                for (k, g) in &ref_grads {
-                    let r = &grads[k];
-                    assert_eq!(g.shape(), r.shape(), "{label}: grad '{k}' shape");
-                    assert!(
-                        g.allclose_with(r, 1e-5, 1e-4),
-                        "{label}: grad '{k}' diverged beyond FP reassociation: \
-                         max |Δ| = {}",
-                        g.max_abs_diff(r)
-                    );
-                }
-                // Auto may legitimately resolve to identity; a concrete
-                // strategy must be reported as itself.
-                if strategy != ReorderPolicy::Auto {
-                    assert_eq!(
-                        stats.reorder, strategy,
-                        "{label}: stats record the strategy"
-                    );
-                    assert!(stats.reorder_seconds >= 0.0);
-                }
+            assert_eq!(ref_out.len(), out.len());
+            for (a, b) in ref_out.iter().zip(&out) {
+                assert_eq!(a.shape(), b.shape(), "{label}: output shapes differ");
+                assert_eq!(
+                    bits(a),
+                    bits(b),
+                    "{label}: vertex-space output must be bit-identical \
+                     after the session's inverse permutation"
+                );
+            }
+            assert_eq!(ref_grads.len(), grads.len());
+            for (k, g) in &ref_grads {
+                let r = &grads[k];
+                assert_eq!(g.shape(), r.shape(), "{label}: grad '{k}' shape");
+                assert!(
+                    g.allclose_with(r, 1e-5, 1e-4),
+                    "{label}: grad '{k}' diverged beyond FP reassociation: \
+                     max |Δ| = {}",
+                    g.max_abs_diff(r)
+                );
+            }
+            // Auto may legitimately resolve to identity; a concrete
+            // strategy must be reported as itself.
+            if strategy != ReorderPolicy::Auto {
+                assert_eq!(
+                    stats.reorder, strategy,
+                    "{label}: stats record the strategy"
+                );
+                assert!(stats.reorder_seconds >= 0.0);
             }
         }
     }
@@ -151,9 +163,9 @@ proptest! {
         compare_matrix(&spec, &g);
     }
 
-    /// Grouped worker binding is a pure scheduling choice: fused
-    /// execution with `group_workers` is bit-identical to the reference,
-    /// gradients included, for any thread count and tile budget.
+    /// Grouped worker binding is a pure scheduling choice: a session
+    /// with `group_workers` is bit-identical to the oracle, gradients
+    /// included, for any thread count and tile budget.
     #[test]
     fn grouped_workers_are_bit_identical(
         g in arb_graph(),
@@ -167,7 +179,7 @@ proptest! {
             reorganized: false,
         }).expect("gat builds");
         let vals = spec.init_values(&g, 31);
-        let (ref_out, ref_grads, _) = step(&spec, &g, &vals, ExecPolicy::serial(), false);
+        let (ref_out, ref_grads) = oracle(&spec, &g, &vals);
         let policy = ExecPolicy {
             threads,
             parallel_threshold: 0,
@@ -175,7 +187,7 @@ proptest! {
             ..ExecPolicy::serial()
         }
         .grouped();
-        let (out, grads, _) = step(&spec, &g, &vals, policy, true);
+        let (out, grads, _) = step(&spec, &g, &vals, policy);
         for (a, b) in ref_out.iter().zip(&out) {
             prop_assert_eq!(bits(a), bits(b), "grouped fused output differs");
         }

@@ -35,9 +35,9 @@
 //!
 //! [`GemmKernel::from_env`] reads the `GNNOPT_GEMM` environment variable
 //! (`naive` | `blocked`, default blocked); `gnnopt-exec` threads the
-//! choice through `ExecPolicy` so sessions pin it explicitly, and
-//! `Session::new` surfaces an invalid value as a loud policy error (same
-//! contract as `GNNOPT_FUSED`).
+//! choice through `ExecPolicy` so sessions pin it explicitly, and the
+//! session builder surfaces an invalid value as a loud policy error (same
+//! contract as `GNNOPT_THREADS`).
 
 use crate::parallel::{available_threads, chunk_bounds as split_bounds};
 

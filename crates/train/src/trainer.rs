@@ -47,8 +47,7 @@ impl<'a, O: Optimizer> Trainer<'a, O> {
     /// # Errors
     ///
     /// Propagates session-construction errors (duplicate leaf names, or
-    /// an invalid `GNNOPT_THREADS`/`GNNOPT_FUSED`/`GNNOPT_REORDER`
-    /// override).
+    /// an invalid `GNNOPT_*` override).
     pub fn new(
         plan: &'a ExecutionPlan,
         graph: &'a Graph,
@@ -273,6 +272,22 @@ mod tests {
         (g, spec, values, labels)
     }
 
+    /// The caller-owned logits and gradients `forward()`/`backward()`
+    /// hand the trainer must not come out of the session's planned pool:
+    /// a warmed `Trainer::step` loop never misses it.
+    #[test]
+    fn warmed_steps_never_miss_the_planned_pool() {
+        let (g, spec, values, labels) = gcn_fixture();
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+        let params: Vec<String> = spec.params.iter().map(|(n, _, _)| n.clone()).collect();
+        let mut trainer = Trainer::new(&compiled.plan, &g, values, params, Sgd::new(0.5)).unwrap();
+        trainer.step(&labels).unwrap(); // warmup
+        for step in 0..5 {
+            let report = trainer.step(&labels).unwrap();
+            assert_eq!(report.run.fallback_allocs, 0, "step {step}");
+        }
+    }
+
     /// Masked training only fits the train split; evaluate() reports the
     /// held-out split without touching parameters.
     #[test]
@@ -323,7 +338,7 @@ mod tests {
         let first = &reports[0].run;
         // The plan asked for Cluster; a GNNOPT_REORDER env leg may pin a
         // different strategy or switch reordering off entirely (both are
-        // the tested contract of Session::new), so only assert the
+        // the tested contract of the session builder), so only assert the
         // session reordered when nothing disabled it.
         let env_off = matches!(
             std::env::var("GNNOPT_REORDER")

@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let compiled = compile(&spec.ir, true, &CompileOptions::ours())?;
         let mut sess = Session::builder(&compiled.plan, &graph)
             .policy(ExecPolicy::auto().reordered(ReorderPolicy::Auto))
-            .fused(true)
             .env(EnvOverrides::Off)
             .build()?;
         let (strategy, seconds) = sess.reorder();

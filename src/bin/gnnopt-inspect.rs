@@ -168,13 +168,11 @@ fn main() -> ExitCode {
         }
         "programs" => print!("{}", display::dump_programs(&compiled.plan)),
         "memory" => {
-            // The planner is graph-size-parametric; render both executor
-            // paths at the dataset's scale so offsets are the real ones.
+            // The planner is graph-size-parametric; render at the
+            // dataset's scale so offsets are the real ones.
             let (nv, ne) = (stats.num_vertices(), stats.num_edges());
-            for fused in [false, true] {
-                let mem = gnnopt::core::plan_memory(&compiled.plan, nv, ne, fused);
-                print!("{}", display::dump_memory(&compiled.plan, &mem));
-            }
+            let mem = gnnopt::core::plan_memory(&compiled.plan, nv, ne, true);
+            print!("{}", display::dump_memory(&compiled.plan, &mem));
         }
         "dot" => print!(
             "{}",

@@ -1,9 +1,10 @@
 //! Chaos property suite: random failpoint plans against the whole
-//! session surface (reference/fused × plain/sharded × serial/threaded)
-//! must **contain** every injected fault — a step either returns the
-//! clean result bit-for-bit or a typed error, never wrong data, never
-//! an abort, never a deadlock (the test completing is the proof), and
-//! a session rebuilt after the chaos reproduces the clean bits.
+//! session surface (plain/sharded × serial/threaded) must **contain**
+//! every injected fault — a step either returns the clean result (the
+//! node-by-node oracle's) bit-for-bit or a typed error, never wrong
+//! data, never an abort, never a deadlock (the test completing is the
+//! proof), and a session rebuilt after the chaos reproduces the clean
+//! bits.
 //!
 //! The suite runs with the numeric guard on, so an injected NaN is a
 //! typed [`ExecError::NonFinite`] instead of silently poisoned data;
@@ -17,7 +18,7 @@
 
 use gnnopt::core::fault::{self, FaultGuard};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan};
-use gnnopt::exec::{Bindings, EnvOverrides, ExecError, Session, ShardedSession};
+use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session, ShardedSession};
 use gnnopt::graph::{generators, Graph};
 use gnnopt::models::{gcn, sage, GcnConfig, ModelSpec, SageConfig};
 use gnnopt::tensor::Tensor;
@@ -49,12 +50,32 @@ fn bindings(spec: &ModelSpec, g: &Graph) -> Bindings {
 /// Output and gradient bit patterns of one forward+backward.
 type RunBits = (Vec<Vec<u32>>, Vec<(String, Vec<u32>)>);
 
+fn bits(out: Vec<Tensor>, grads: std::collections::HashMap<String, Tensor>) -> RunBits {
+    let o = out
+        .iter()
+        .map(|t| t.as_slice().iter().map(|x| x.to_bits()).collect())
+        .collect();
+    let mut gr: Vec<(String, Vec<u32>)> = grads
+        .into_iter()
+        .map(|(k, t)| (k, t.as_slice().iter().map(|x| x.to_bits()).collect()))
+        .collect();
+    gr.sort_by(|a, b| a.0.cmp(&b.0));
+    (o, gr)
+}
+
+/// The clean result: the node-by-node oracle, run with no plan armed.
+fn oracle(plan: &ExecutionPlan, g: &Graph, b: &Bindings) -> RunBits {
+    let out = plan.ir.node(plan.ir.outputs()[0]);
+    let seed = Tensor::ones(&[g.num_vertices(), out.dim.total()]);
+    let e = refexec::evaluate(plan, g, b, Some(&seed)).expect("clean oracle run");
+    bits(e.outputs, e.grads)
+}
+
 /// One guarded forward+backward under the given configuration.
 fn run_once(
     plan: &ExecutionPlan,
     g: &Graph,
     b: &Bindings,
-    fused: bool,
     threads: usize,
     shards: usize,
 ) -> Result<RunBits, ExecError> {
@@ -64,22 +85,9 @@ fn run_once(
         ..ExecPolicy::serial()
     }
     .with_guard(true);
-    let bits = |out: Vec<Tensor>, grads: std::collections::HashMap<String, Tensor>| {
-        let o = out
-            .iter()
-            .map(|t| t.as_slice().iter().map(|x| x.to_bits()).collect())
-            .collect();
-        let mut gr: Vec<(String, Vec<u32>)> = grads
-            .into_iter()
-            .map(|(k, t)| (k, t.as_slice().iter().map(|x| x.to_bits()).collect()))
-            .collect();
-        gr.sort_by(|a, b| a.0.cmp(&b.0));
-        (o, gr)
-    };
     if shards == 1 {
         let mut sess = Session::builder(plan, g)
             .policy(policy)
-            .fused(fused)
             .env(EnvOverrides::Off)
             .build()?;
         let out = sess.forward(b)?;
@@ -95,7 +103,6 @@ fn run_once(
         let mut sess = ShardedSession::builder(plan, g)
             .shards(shards)
             .policy(policy)
-            .fused(fused)
             .env(EnvOverrides::Off)
             .build()?;
         let out = sess.forward(b)?;
@@ -139,7 +146,6 @@ proptest! {
     fn injected_faults_never_produce_wrong_data(
         plan_spec in arb_plan(),
         model in 0usize..2,
-        fused in prop_oneof![Just(false), Just(true)],
         threads in 1usize..3,
         shards in 1usize..3,
     ) {
@@ -150,16 +156,15 @@ proptest! {
         let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
         let b = bindings(&spec, &g);
         let repro = format!(
-            "GNNOPT_FAILPOINTS='{plan_spec}' model={name} fused={fused} \
+            "GNNOPT_FAILPOINTS='{plan_spec}' model={name} \
              threads={threads} shards={shards}"
         );
 
-        let baseline = run_once(&compiled.plan, &g, &b, false, 1, 1)
-            .expect("clean serial run");
+        let baseline = oracle(&compiled.plan, &g, &b);
 
         let chaotic = {
             let _guard = FaultGuard::install(&plan_spec).unwrap();
-            run_once(&compiled.plan, &g, &b, fused, threads, shards)
+            run_once(&compiled.plan, &g, &b, threads, shards)
         };
         // A fault that never fired (or degraded gracefully) must leave
         // the result untouched; any typed error is correct containment.
@@ -168,7 +173,7 @@ proptest! {
         }
 
         // Plan cleared: a rebuilt session reproduces the clean bits.
-        let rebuilt = run_once(&compiled.plan, &g, &b, fused, threads, shards)
+        let rebuilt = run_once(&compiled.plan, &g, &b, threads, shards)
             .expect("rebuilt session after chaos");
         prop_assert_eq!(rebuilt, baseline, "rebuild diverged: {}", repro);
     }

@@ -1,8 +1,35 @@
 //! Shared helpers for integration tests: a random-model-IR generator used
-//! by the fusion-invariant and gradient property suites.
+//! by the fusion-invariant and gradient property suites, and the
+//! node-by-node oracle step the executor suites compare sessions against.
 
-use gnnopt::core::{BinaryFn, Dim, EdgeGroup, IrGraph, ReduceFn, ScatterFn, Space, UnaryFn};
+use gnnopt::core::{
+    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, IrGraph, ReduceFn, ScatterFn, Space, UnaryFn,
+};
+use gnnopt::exec::{refexec, Bindings};
+use gnnopt::graph::Graph;
+use gnnopt::tensor::Tensor;
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// One training step of `ir` (compiled with `ours()`) on the
+/// identity-order, node-by-node oracle, seeded with ones: the first
+/// output and the parameter gradients.
+#[allow(dead_code)] // not every suite that shares this module runs sessions
+pub fn oracle(
+    ir: &IrGraph,
+    vals: &HashMap<String, Tensor>,
+    g: &Graph,
+) -> (Tensor, HashMap<String, Tensor>) {
+    let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
+    let mut b = Bindings::new();
+    for (k, v) in vals {
+        b.insert(k, v.clone());
+    }
+    let out = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+    let seed = Tensor::ones(&[g.num_vertices(), out.dim.total()]);
+    let mut e = refexec::evaluate(&compiled.plan, g, &b, Some(&seed)).expect("oracle");
+    (e.outputs.swap_remove(0), e.grads)
+}
 
 /// One randomly chosen IR-building step. The builder tracks the current
 /// tensor and its space and applies only steps legal in that space.

@@ -1,15 +1,15 @@
 //! Lowering totality: every kernel of every plan lowers to a
-//! [`gnnopt_core::KernelProgram`] — no per-kernel fallback exists, so a
-//! fused session executes *all* kernels through the tiled interpreter —
-//! and cluster-scheduled execution is bit-identical to node-by-node
-//! reference execution on adversarial graphs (isolated vertices, extreme
-//! hubs) across the threads × fused matrix.
+//! [`gnnopt_core::KernelProgram`] — a session has no other way to run a
+//! kernel, launches exactly one program per kernel, and refuses a plan
+//! without programs with a typed error — and cluster-scheduled execution
+//! is bit-identical to the node-by-node oracle on adversarial graphs
+//! (isolated vertices, extreme hubs) at one and four threads.
 
 mod common;
 
-use common::{arb_steps, build_ir};
+use common::{arb_steps, build_ir, oracle};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, Preset};
-use gnnopt::exec::{Bindings, EnvOverrides, Session};
+use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::*;
 use gnnopt::tensor::{Tensor, XavierInit};
@@ -111,31 +111,125 @@ fn every_zoo_kernel_lowers() {
     }
 }
 
-/// With total lowering, a fused session runs *every* kernel through the
-/// tiled interpreter — `fused_kernels` equals the plan's kernel count,
-/// with no silent reference-path drop-through.
+/// Every zoo model × preset × phase launches exactly
+/// `plan.kernels.len()` programs: the interpreter is the only executor,
+/// for the baseline presets as much as for `Ours`.
 #[test]
-fn fused_sessions_run_every_kernel_fused() {
+fn sessions_launch_one_program_per_kernel() {
     let g = Graph::from_edge_list(&generators::erdos_renyi(32, 160, 9));
     for (name, spec) in zoo() {
-        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
-        let plan = &compiled.plan;
+        for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
+            for training in [false, true] {
+                let compiled =
+                    compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
+                let plan = &compiled.plan;
+                let mut b = Bindings::new();
+                for (k, v) in spec.init_values(&g, 4) {
+                    b.insert(&k, v);
+                }
+                let mut sess = Session::builder(plan, &g)
+                    .env(EnvOverrides::Off)
+                    .build()
+                    .unwrap();
+                let out = sess.forward(&b).unwrap();
+                if training {
+                    sess.backward(Tensor::ones(out[0].shape())).unwrap();
+                }
+                assert_eq!(
+                    sess.stats().fused_kernels,
+                    plan.kernels.len() as u64,
+                    "{name}/{preset:?}/training={training}: one launch per kernel"
+                );
+            }
+        }
+    }
+}
+
+/// The materializing baselines are plans, not executor modes: every
+/// fusion level × recompute scope × reorg choice must run on the one
+/// executor and agree with the oracle bit for bit. (Unfused plans with
+/// `RecomputeScope::All` used to lose a forward intermediate that a
+/// backward kernel also recomputes.)
+#[test]
+fn every_fusion_and_recompute_level_matches_the_oracle() {
+    use gnnopt::core::{FusionLevel, RecomputeScope};
+    let g = Graph::from_edge_list(&generators::erdos_renyi(24, 96, 5));
+    for (name, spec) in zoo() {
         let mut b = Bindings::new();
         for (k, v) in spec.init_values(&g, 4) {
             b.insert(&k, v);
         }
-        let mut sess = Session::builder(plan, &g)
-            .fused(true)
+        for fusion in [
+            FusionLevel::None,
+            FusionLevel::DglBuiltin,
+            FusionLevel::EdgeOnly,
+            FusionLevel::Unified,
+        ] {
+            for recompute in [
+                RecomputeScope::None,
+                RecomputeScope::FusedInternalsOnly,
+                RecomputeScope::All,
+            ] {
+                for reorg in [false, true] {
+                    let tag = format!("{name}/{fusion:?}/{recompute:?}/reorg={reorg}");
+                    let opts = CompileOptions {
+                        fusion,
+                        recompute,
+                        reorg,
+                        ..CompileOptions::ours()
+                    };
+                    let plan = compile(&spec.ir, true, &opts).unwrap().plan;
+                    let mut sess = Session::builder(&plan, &g)
+                        .policy(ExecPolicy::serial())
+                        .env(EnvOverrides::Off)
+                        .build()
+                        .unwrap();
+                    let out = sess.forward(&b).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    let seed = Tensor::ones(out[0].shape());
+                    let grads = sess.backward(seed.clone()).unwrap();
+                    let oracle = refexec::evaluate(&plan, &g, &b, Some(&seed)).unwrap();
+                    assert_eq!(bits(&oracle.outputs[0]), bits(&out[0]), "{tag}: output");
+                    for (k, gr) in &oracle.grads {
+                        assert_eq!(bits(gr), bits(&grads[k]), "{tag}: grad '{k}'");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A plan assembled without lowering (empty `programs`, as a pass-by-pass
+/// harness builds it before calling `lower_plan`) is refused with a typed
+/// error at the first kernel — with the arena on or off — instead of
+/// being run some other way.
+#[test]
+fn plan_without_programs_is_refused_at_the_first_kernel() {
+    let g = Graph::from_edge_list(&generators::erdos_renyi(16, 48, 3));
+    let spec = gcn(&GcnConfig::two_layer(4, 6, 3)).unwrap();
+    let mut plan = compile(&spec.ir, true, &CompileOptions::ours())
+        .unwrap()
+        .plan;
+    plan.programs.clear();
+    let mut b = Bindings::new();
+    for (k, v) in spec.init_values(&g, 4) {
+        b.insert(&k, v);
+    }
+    for arena in [true, false] {
+        let mut sess = Session::builder(&plan, &g)
+            .arena(arena)
             .env(EnvOverrides::Off)
             .build()
-            .unwrap();
-        let out = sess.forward(&b).unwrap();
-        sess.backward(Tensor::ones(out[0].shape())).unwrap();
-        assert_eq!(
-            sess.stats().fused_kernels,
-            plan.kernels.len() as u64,
-            "{name}: every kernel must execute through the fused path"
-        );
+            .expect("building needs no programs");
+        match sess.forward(&b) {
+            Err(ExecError::Protocol(msg)) => {
+                assert!(
+                    msg.contains("K0") && msg.contains("no lowered program"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+        assert!(!sess.poisoned(), "a refusal is not a contained panic");
     }
 }
 
@@ -170,7 +264,6 @@ fn run(
     vals: &HashMap<String, Tensor>,
     g: &Graph,
     threads: usize,
-    fused: bool,
 ) -> (Tensor, HashMap<String, Tensor>) {
     let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
     let mut b = Bindings::new();
@@ -183,7 +276,6 @@ fn run(
             parallel_threshold: 0,
             ..ExecPolicy::serial()
         })
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("session");
@@ -211,10 +303,9 @@ fn hub_graph(n: usize, extra: &[(u32, u32)], iso: usize) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cluster-scheduled fused execution of *random* model IRs is
-    /// bit-identical to node-by-node reference execution — outputs and
-    /// every gradient — on hub-heavy graphs with isolated vertices, at
-    /// one and four threads.
+    /// Cluster-scheduled execution of *random* model IRs is bit-identical
+    /// to the node-by-node oracle — outputs and every gradient — on
+    /// hub-heavy graphs with isolated vertices, at one and four threads.
     #[test]
     fn cluster_programs_match_reference_bit_for_bit(
         steps in arb_steps(),
@@ -225,24 +316,22 @@ proptest! {
         let ir = build_ir(&steps, 3);
         let g = hub_graph(12, &extra, iso);
         let vals = leaf_values(&ir, &g, seed);
-        let (ref_out, ref_grads) = run(&ir, &vals, &g, 1, false);
+        let (ref_out, ref_grads) = oracle(&ir, &vals, &g);
         for threads in [1usize, 4] {
-            for fused in [false, true] {
-                let (out, grads) = run(&ir, &vals, &g, threads, fused);
+            let (out, grads) = run(&ir, &vals, &g, threads);
+            prop_assert_eq!(
+                bits(&ref_out),
+                bits(&out),
+                "t{}: output must be bit-identical",
+                threads
+            );
+            for (k, gr) in &ref_grads {
                 prop_assert_eq!(
-                    bits(&ref_out),
-                    bits(&out),
-                    "t{}/fused={}: output must be bit-identical",
-                    threads, fused
+                    bits(gr),
+                    bits(&grads[k]),
+                    "t{}: grad '{}' must be bit-identical",
+                    threads, k
                 );
-                for (k, gr) in &ref_grads {
-                    prop_assert_eq!(
-                        bits(gr),
-                        bits(&grads[k]),
-                        "t{}/fused={}: grad '{}' must be bit-identical",
-                        threads, fused, k
-                    );
-                }
             }
         }
     }

@@ -176,37 +176,35 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
     for (name, spec) in all_specs() {
         for preset in [Preset::Dgl, Preset::Ours] {
             for training in [false, true] {
-                for fused in [false, true] {
-                    let compiled =
-                        compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
-                    let mp = plan_memory(&compiled.plan, 96, 960, fused);
+                let compiled =
+                    compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
+                let mp = plan_memory(&compiled.plan, 96, 960, true);
+                assert!(
+                    mp.arena_bytes >= mp.peak_live_bytes(),
+                    "{name}/{preset:?}: arena {} below live-set peak {}",
+                    mp.arena_bytes,
+                    mp.peak_live_bytes()
+                );
+                for r in &mp.regions {
                     assert!(
-                        mp.arena_bytes >= mp.peak_live_bytes(),
-                        "{name}/{preset:?}: arena {} below live-set peak {}",
-                        mp.arena_bytes,
-                        mp.peak_live_bytes()
+                        r.offset + r.bytes <= mp.arena_bytes,
+                        "{name}/{preset:?}: region {r:?} spills past the arena"
                     );
-                    for r in &mp.regions {
+                    assert!(
+                        r.bytes >= r.request,
+                        "{name}/{preset:?}: region {r:?} smaller than its request"
+                    );
+                }
+                for (i, a) in mp.regions.iter().enumerate() {
+                    for b in &mp.regions[i + 1..] {
+                        let share_bytes =
+                            a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes;
+                        let share_life = (0..mp.positions).any(|p| live(a, p) && live(b, p));
                         assert!(
-                            r.offset + r.bytes <= mp.arena_bytes,
-                            "{name}/{preset:?}: region {r:?} spills past the arena"
+                            !(share_bytes && share_life),
+                            "{name}/{preset:?}: aliasing regions (training={training}): \
+                             {a:?} vs {b:?}"
                         );
-                        assert!(
-                            r.bytes >= r.request,
-                            "{name}/{preset:?}: region {r:?} smaller than its request"
-                        );
-                    }
-                    for (i, a) in mp.regions.iter().enumerate() {
-                        for b in &mp.regions[i + 1..] {
-                            let share_bytes =
-                                a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes;
-                            let share_life = (0..mp.positions).any(|p| live(a, p) && live(b, p));
-                            assert!(
-                                !(share_bytes && share_life),
-                                "{name}/{preset:?}: aliasing regions (training={training} \
-                                 fused={fused}): {a:?} vs {b:?}"
-                            );
-                        }
                     }
                 }
             }

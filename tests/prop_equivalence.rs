@@ -1,12 +1,16 @@
 //! Property-based cross-preset equivalence: on *arbitrary* graphs and
 //! dimensions, the optimized plan must agree with the baseline plan to
-//! floating-point tolerance — outputs and gradients alike.
+//! floating-point tolerance — outputs and gradients alike — and the
+//! node-by-node oracle must agree with a default session bit for bit.
 
-use gnnopt::core::{compile, CompileOptions, Preset};
-use gnnopt::exec::{Bindings, Session};
+mod common;
+
+use common::{arb_steps, build_ir};
+use gnnopt::core::{compile, CompileOptions, OpKind, Preset, ReorderPolicy};
+use gnnopt::exec::{refexec, Bindings, Session};
 use gnnopt::graph::{EdgeList, Graph};
 use gnnopt::models::{gat, gcn, GatConfig, GcnConfig};
-use gnnopt::tensor::Tensor;
+use gnnopt::tensor::{Tensor, XavierInit};
 use proptest::prelude::*;
 
 /// Arbitrary multigraphs with `iso` guaranteed isolated trailing vertices
@@ -73,6 +77,46 @@ proptest! {
         prop_assert!(o1.allclose_with(&o2, 1e-3, 1e-3));
         for (k, v) in &g1 {
             prop_assert!(v.allclose_with(&g2[k], 1e-2, 1e-2), "grad {k}");
+        }
+    }
+
+    /// `refexec::evaluate` and a default session agree bit for bit on
+    /// random model IRs (parameter gradients up to reassociation when an
+    /// ambient `GNNOPT_REORDER` makes the session relabel its graph).
+    #[test]
+    fn oracle_matches_default_session_on_random_irs(
+        steps in arb_steps(), g in arb_graph(), seed in 0u64..1000,
+    ) {
+        let ir = build_ir(&steps, 3);
+        let compiled = compile(&ir, true, &CompileOptions::ours()).expect("compiles");
+        let mut init = XavierInit::new(seed);
+        let mut b = Bindings::new();
+        for n in compiled.plan.ir.nodes() {
+            let rows = match n.kind {
+                OpKind::InputVertex => g.num_vertices(),
+                OpKind::InputEdge => g.num_edges(),
+                OpKind::Param => n.dim.heads,
+                _ => continue,
+            };
+            let cols = if n.kind == OpKind::Param { n.dim.feat } else { n.dim.total() };
+            b.insert(&n.name, init.uniform(&[rows, cols], -1.0, 1.0));
+        }
+        let mut sess = Session::builder(&compiled.plan, &g).build().expect("session");
+        let out = sess.forward(&b).expect("forward");
+        let seed = Tensor::ones(out[0].shape());
+        let grads = sess.backward(seed.clone()).expect("backward");
+        let oracle = refexec::evaluate(&compiled.plan, &g, &b, Some(&seed)).expect("oracle");
+
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&oracle.outputs[0]), bits(&out[0]), "output bits");
+        prop_assert_eq!(oracle.grads.len(), grads.len());
+        let reordered = sess.reorder().0 != ReorderPolicy::None;
+        for (k, v) in &oracle.grads {
+            if reordered {
+                prop_assert!(v.allclose_with(&grads[k], 1e-5, 1e-4), "grad {}", k);
+            } else {
+                prop_assert_eq!(bits(v), bits(&grads[k]), "grad {} bits", k);
+            }
         }
     }
 }

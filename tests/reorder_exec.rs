@@ -1,14 +1,14 @@
 //! End-to-end permutation transparency on *randomly generated* model
 //! IRs: a session that relabels the graph at build time (any strategy,
-//! any thread count, either executor path) must return the same
-//! user-facing results as the identity ordering — bit-identical
+//! any thread count) must return the same user-facing results as the
+//! identity-ordering oracle (`refexec::evaluate`) — bit-identical
 //! vertex-space outputs, parameter gradients equal up to floating-point
 //! reassociation — and the `Trainer` must amortize the one-time
 //! preprocessing across epochs.
 
 mod common;
 
-use common::{arb_steps, build_ir};
+use common::{arb_steps, build_ir, oracle};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, ReorderPolicy};
 use gnnopt::exec::{Bindings, EnvOverrides, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
@@ -47,7 +47,6 @@ fn run(
     vals: &HashMap<String, Tensor>,
     g: &Graph,
     policy: ExecPolicy,
-    fused: bool,
 ) -> (Tensor, HashMap<String, Tensor>) {
     let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
     let mut b = Bindings::new();
@@ -56,7 +55,6 @@ fn run(
     }
     let mut sess = Session::builder(&compiled.plan, g)
         .policy(policy)
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("session");
@@ -75,8 +73,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random scatter/softmax/gather/linear chains over random graphs
-    /// with isolated vertices, across the full strategy × threads ×
-    /// fused matrix.
+    /// with isolated vertices, across the full strategy × threads
+    /// matrix, against the oracle.
     #[test]
     fn random_models_are_reorder_transparent(
         steps in arb_steps(),
@@ -87,7 +85,7 @@ proptest! {
         let base = generators::erdos_renyi(12, 40, seed);
         let g = Graph::from_edge_list(&EdgeList::from_pairs(12 + iso, base.edges()));
         let vals = leaf_values(&ir, &g, seed);
-        let (ref_out, ref_grads) = run(&ir, &vals, &g, ExecPolicy::serial(), false);
+        let (ref_out, ref_grads) = oracle(&ir, &vals, &g);
         for strategy in [
             ReorderPolicy::DegreeSort,
             ReorderPolicy::Bfs,
@@ -96,27 +94,25 @@ proptest! {
             ReorderPolicy::Auto,
         ] {
             for threads in [1usize, 4] {
-                for fused in [false, true] {
-                    let policy = ExecPolicy {
-                        threads,
-                        parallel_threshold: 0,
-                        ..ExecPolicy::serial()
-                    }
-                    .reordered(strategy);
-                    let (out, grads) = run(&ir, &vals, &g, policy, fused);
-                    prop_assert_eq!(
-                        bits(&ref_out),
-                        bits(&out),
-                        "{:?}/t{}/fused={}: output must be bit-identical",
-                        strategy, threads, fused
+                let policy = ExecPolicy {
+                    threads,
+                    parallel_threshold: 0,
+                    ..ExecPolicy::serial()
+                }
+                .reordered(strategy);
+                let (out, grads) = run(&ir, &vals, &g, policy);
+                prop_assert_eq!(
+                    bits(&ref_out),
+                    bits(&out),
+                    "{:?}/t{}: output must be bit-identical",
+                    strategy, threads
+                );
+                for (k, gr) in &ref_grads {
+                    prop_assert!(
+                        gr.allclose_with(&grads[k], 1e-5, 1e-4),
+                        "{:?}/t{}: grad '{}' off by {}",
+                        strategy, threads, k, gr.max_abs_diff(&grads[k])
                     );
-                    for (k, gr) in &ref_grads {
-                        prop_assert!(
-                            gr.allclose_with(&grads[k], 1e-5, 1e-4),
-                            "{:?}/t{}/fused={}: grad '{}' off by {}",
-                            strategy, threads, fused, k, gr.max_abs_diff(&grads[k])
-                        );
-                    }
                 }
             }
         }
@@ -152,7 +148,6 @@ fn auto_never_hurts_and_reorders_a_scrambled_grid() {
     let compiled = compile(&spec.ir, false, &CompileOptions::ours()).unwrap();
     let sess = Session::builder(&compiled.plan, &g)
         .policy(ExecPolicy::serial().reordered(ReorderPolicy::Auto))
-        .fused(false)
         .env(EnvOverrides::Off)
         .build()
         .unwrap();

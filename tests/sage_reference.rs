@@ -3,11 +3,11 @@
 //! forward values and parameter gradients must match a hand-written
 //! implementation of the Hamilton et al. equations — no reliance on any
 //! compiler pass, executor path, or autodiff rule being "obviously"
-//! right. Runs the full preset × fused matrix against the one manual
-//! answer.
+//! right. Runs every preset — on a session and on the node-by-node
+//! oracle — against the one manual answer.
 
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, Preset};
-use gnnopt::exec::{Bindings, EnvOverrides, Session};
+use gnnopt::exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::{sage, SageConfig};
 use gnnopt::tensor::Tensor;
@@ -192,22 +192,27 @@ fn check(cfg: &SageConfig) {
     );
 
     for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
-        for fused in [false, true] {
-            let tag = format!("{preset:?}/fused={fused}");
-            let compiled = compile(&spec.ir, true, &CompileOptions::preset(preset)).unwrap();
-            let mut b = Bindings::new();
-            for (k, v) in &vals {
-                b.insert(k, v.clone());
-            }
-            let mut sess = Session::builder(&compiled.plan, &g)
-                .policy(ExecPolicy::serial())
-                .fused(fused)
-                .env(EnvOverrides::Off)
-                .build()
-                .unwrap();
-            let outs = sess.forward(&b).unwrap();
+        let compiled = compile(&spec.ir, true, &CompileOptions::preset(preset)).unwrap();
+        let mut b = Bindings::new();
+        for (k, v) in &vals {
+            b.insert(k, v.clone());
+        }
+        let mut sess = Session::builder(&compiled.plan, &g)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        let outs = sess.forward(&b).unwrap();
+        let seed = Tensor::ones(outs[0].shape());
+        let grads = sess.backward(seed.clone()).unwrap();
+        // The oracle is held to the same manual reference as the session.
+        let oracle = refexec::evaluate(&compiled.plan, &g, &b, Some(&seed)).unwrap();
+        for (who, outs, grads) in [
+            ("session", &outs, &grads),
+            ("oracle", &oracle.outputs, &oracle.grads),
+        ] {
+            let tag = format!("{preset:?}/{who}");
             assert_close("output", &tag, &outs[0], &out);
-            let grads = sess.backward(Tensor::ones(outs[0].shape())).unwrap();
             assert_close("w0_self", &tag, &grads["w0_self"], &dw_self);
             assert_close("w0_neigh", &tag, &grads["w0_neigh"], &dw_neigh);
             if let Some(ref dwp) = dw_pool {

@@ -1,10 +1,11 @@
 //! Sharded-execution equivalence and partitioner invariants.
 //!
 //! The sharding contract is **bit-identity**: for any shard count, any
-//! partition strategy, any thread count and either execution path
-//! (fused or reference), a [`ShardedSession`] must produce exactly the
-//! same output bits and exactly the same parameter-gradient bits as the
-//! plain unsharded [`Session`] — not merely close, *identical*. The
+//! partition strategy and any thread count, a [`ShardedSession`] must
+//! produce exactly the same output bits and exactly the same
+//! parameter-gradient bits as the plain unsharded [`Session`] and as the
+//! node-by-node oracle (`refexec::evaluate`) — not merely close,
+//! *identical*. The
 //! suite enforces that across the model zoo, on adversarial topologies
 //! (an extreme hub, isolated vertices), and on property-generated
 //! random model IRs; plus the structural invariants of the edge-cut
@@ -14,7 +15,7 @@ mod common;
 
 use common::{arb_steps, build_ir};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy};
-use gnnopt::exec::{Bindings, EnvOverrides, Session, ShardStrategy, ShardedSession};
+use gnnopt::exec::{refexec, Bindings, EnvOverrides, Session, ShardStrategy, ShardedSession};
 use gnnopt::graph::{generators, EdgeList, Graph, Partition};
 use gnnopt::models::*;
 use gnnopt::tensor::Tensor;
@@ -29,9 +30,9 @@ fn bindings_from(vals: &HashMap<String, Tensor>) -> Bindings {
     b
 }
 
-/// Runs training on the plain session and on a k-shard session and
-/// asserts exact bitwise agreement of outputs and gradients.
-#[allow(clippy::too_many_arguments)]
+/// Runs training on the oracle and on a k-shard session (`k = 1` is a
+/// plain session) and asserts exact bitwise agreement of outputs and
+/// gradients.
 fn assert_bit_identical(
     name: &str,
     ir: &gnnopt::core::IrGraph,
@@ -39,7 +40,6 @@ fn assert_bit_identical(
     g: &Graph,
     k: usize,
     threads: usize,
-    fused: bool,
     strategy: ShardStrategy,
 ) {
     let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
@@ -49,21 +49,15 @@ fn assert_bit_identical(
         ..ExecPolicy::serial()
     };
 
-    let mut plain = Session::builder(&compiled.plan, g)
-        .policy(policy)
-        .fused(fused)
-        .env(EnvOverrides::Off)
-        .build()
-        .expect("plain session");
-    let ref_out = plain.forward(&b).expect("plain forward");
-    let seed = Tensor::ones(ref_out[0].shape());
-    let ref_grads = plain.backward(seed.clone()).expect("plain backward");
+    let out_node = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+    let seed = Tensor::ones(&[g.num_vertices(), out_node.dim.total()]);
+    let oracle = refexec::evaluate(&compiled.plan, g, &b, Some(&seed)).expect("oracle");
+    let (ref_out, ref_grads) = (oracle.outputs, oracle.grads);
 
     let mut sharded = ShardedSession::builder(&compiled.plan, g)
         .shards(k)
         .strategy(strategy)
         .policy(policy)
-        .fused(fused)
         .env(EnvOverrides::Off)
         .build()
         .expect("sharded session");
@@ -75,7 +69,7 @@ fn assert_bit_identical(
         assert_eq!(
             a.as_slice(),
             s.as_slice(),
-            "{name}: output {i} diverges at k={k} threads={threads} fused={fused}"
+            "{name}: output {i} diverges at k={k} threads={threads}"
         );
     }
     assert_eq!(ref_grads.len(), grads.len(), "{name}: grad key sets differ");
@@ -83,7 +77,7 @@ fn assert_bit_identical(
         assert_eq!(
             grad.as_slice(),
             grads[key].as_slice(),
-            "{name}: grad '{key}' diverges at k={k} threads={threads} fused={fused}"
+            "{name}: grad '{key}' diverges at k={k} threads={threads}"
         );
     }
 }
@@ -121,11 +115,10 @@ fn zoo_bit_identical_across_shard_counts() {
     for (name, spec) in zoo() {
         let vals = spec.init_values(&g, 23);
         for k in [1, 2, 4] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, false, ShardStrategy::Bfs);
+            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
         }
-        // One fused and one multi-threaded leg per model at k=2.
-        assert_bit_identical(name, &spec.ir, &vals, &g, 2, 1, true, ShardStrategy::Bfs);
-        assert_bit_identical(name, &spec.ir, &vals, &g, 2, 4, false, ShardStrategy::Bfs);
+        // One multi-threaded leg per model at k=2.
+        assert_bit_identical(name, &spec.ir, &vals, &g, 2, 4, ShardStrategy::Bfs);
     }
 }
 
@@ -139,7 +132,7 @@ fn zoo_bit_identical_across_strategies() {
             ShardStrategy::Contiguous,
             ShardStrategy::Locality,
         ] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, 3, 1, false, strategy);
+            assert_bit_identical(name, &spec.ir, &vals, &g, 3, 1, strategy);
         }
     }
 }
@@ -168,7 +161,7 @@ fn extreme_hub_and_isolated_vertices_bit_identical() {
     ] {
         let vals = spec.init_values(&g, 41);
         for k in [2, 4] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, false, ShardStrategy::Bfs);
+            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
         }
     }
 }
@@ -197,9 +190,7 @@ fn env_shard_count_is_honored() {
     // fast path honors the ambient env (so resolve it Loud here too),
     // while the multi-shard driver pins reordering off (so pin it off
     // with `EnvOverrides::Off` — every other env knob is bit-exact).
-    let mut plain_builder = Session::builder(&compiled.plan, &g)
-        .policy(ExecPolicy::serial())
-        .fused(false);
+    let mut plain_builder = Session::builder(&compiled.plan, &g).policy(ExecPolicy::serial());
     if expected > 1 {
         plain_builder = plain_builder.env(EnvOverrides::Off);
     }
@@ -211,7 +202,6 @@ fn env_shard_count_is_honored() {
     // No .shards() pin: the count comes from the environment (Loud).
     let mut sharded = ShardedSession::builder(&compiled.plan, &g)
         .policy(ExecPolicy::serial())
-        .fused(false)
         .build()
         .unwrap();
     assert_eq!(sharded.num_shards(), expected, "GNNOPT_SHARDS not honored");
@@ -308,9 +298,7 @@ proptest! {
         g in arb_graph(),
         seed in 0u64..500,
         k in 2usize..5,
-        fused_bit in 0u8..2,
     ) {
-        let fused = fused_bit == 1;
         let ir = build_ir(&steps, 3);
         let compiled = compile(&ir, true, &CompileOptions::ours()).expect("compiles");
         let mut vals = HashMap::new();
@@ -338,20 +326,13 @@ proptest! {
         }
         let b = bindings_from(&vals);
 
-        let mut plain = Session::builder(&compiled.plan, &g)
-            .policy(ExecPolicy::serial())
-            .fused(fused)
-            .env(EnvOverrides::Off)
-            .build()
-            .unwrap();
-        let ref_out = plain.forward(&b).unwrap();
-        let seed_t = Tensor::ones(ref_out[0].shape());
-        let ref_grads = plain.backward(seed_t.clone()).unwrap();
+        let seed_t = Tensor::ones(&[g.num_vertices(), 3]);
+        let oracle = refexec::evaluate(&compiled.plan, &g, &b, Some(&seed_t)).unwrap();
+        let (ref_out, ref_grads) = (oracle.outputs, oracle.grads);
 
         let mut sharded = ShardedSession::builder(&compiled.plan, &g)
             .shards(k)
             .policy(ExecPolicy::serial())
-            .fused(fused)
             .env(EnvOverrides::Off)
             .build()
             .unwrap();
