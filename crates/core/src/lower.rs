@@ -151,11 +151,16 @@ impl KernelProgram {
         self.steps.iter().filter(|s| s.storage == Storage::Scratch)
     }
 
-    /// Scratch bytes one tile of `tile_vertices` × `tile_edges` needs in
-    /// segment `segment`: what a worker arena must hold so kernel-internal
-    /// values never become full tensors. Materialized/interior tiled
-    /// steps also stage their tile rows in scratch before the boundary
-    /// write, so they count too.
+    /// Upper bound on the scratch bytes one tile of `tile_vertices` ×
+    /// `tile_edges` needs in segment `segment`: one slot of tile rows per
+    /// tiled step, so kernel-internal values never become full tensors
+    /// (materialized/interior tiled steps also stage their tile rows in
+    /// a slot before the boundary write, so they count too). The
+    /// interpreter holds *fewer*: scratch-class pure copies
+    /// (`Scatter(CopyU|CopyV)`, `SetHeads`) are aliased to reads of their
+    /// source and steps streamed into a later gather are elided, and
+    /// neither gets a slot. What it actually held is
+    /// `RunStats::scratch_bytes`; it asserts that never exceeds this.
     pub fn scratch_tile_bytes(
         &self,
         segment: usize,

@@ -23,10 +23,12 @@
 //!   gradients are *persistent*: their regions never free).
 //! * [`Storage::Interior`] values exist only inside one fused launch —
 //!   single-position regions.
-//! * [`Storage::Scratch`] stays in the per-worker tile slabs the fused
-//!   interpreter already sizes ([`KernelProgram::scratch_tile_bytes`])
-//!   and [`Storage::Prelude`] tensors are launch-transient statistics;
-//!   neither enters the store, so neither is offset-planned.
+//! * [`Storage::Scratch`] stays in the per-worker tile slots the
+//!   interpreter sizes at launch (at most
+//!   [`KernelProgram::scratch_tile_bytes`]; aliased copies and streamed
+//!   chains hold none) and [`Storage::Prelude`] tensors are
+//!   launch-transient statistics; neither enters the store, so neither
+//!   is offset-planned.
 //!
 //! Recomputed values re-materialize at each backward kernel that
 //! rebuilds them — single-position regions at those kernels.

@@ -64,6 +64,7 @@ pub enum BinaryFn {
 
 impl BinaryFn {
     /// Applies the function to scalars.
+    #[inline]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryFn::Add => a + b,
@@ -97,6 +98,7 @@ pub enum UnaryFn {
 
 impl UnaryFn {
     /// Applies the function to a scalar.
+    #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryFn::Exp => x.exp(),
@@ -117,6 +119,7 @@ impl UnaryFn {
     }
 
     /// Derivative `f'(x)` evaluated at the forward *input*.
+    #[inline]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
             UnaryFn::Exp => x.exp(),

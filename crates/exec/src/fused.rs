@@ -6,11 +6,38 @@
 //! does) materializes every member as a full tensor, so fusion would only
 //! change the *accounting*. This interpreter executes a program over CSR
 //! **destination-vertex ranges** (tiles): scratch-class members live
-//! only as per-tile rows inside a worker-local arena, so the `O(|E|·d)`
+//! only as per-tile rows in worker-local slots, so the `O(|E|·d)`
 //! intermediates of a gather→edge-op→scatter chain never exist in memory
 //! — the measured `peak_value_bytes` drops toward what `gnnopt-sim`
 //! predicts for the fused plan (interior spills, see
 //! `gnnopt_core::lower`, are the remaining gap).
+//!
+//! # One compiler, two drivers
+//!
+//! Nothing on the per-row path looks at the IR, the step table or a hash
+//! map. Once per launch [`compile`] turns a run of steps — a tiled
+//! segment, or the producer chain of a streamed gather — into
+//! [`TileOp`]s whose operands are already resolved ([`Operand`]): the
+//! rows of a full tensor (value store, prelude view, earlier segment) or
+//! of an earlier op's slot, read at the consumer's own row or at an edge
+//! endpoint ([`RowAt`]). Three things fall out of that representation:
+//!
+//! * **Pure copies hold no slot.** A scratch-class `Scatter(CopyU)`,
+//!   `Scatter(CopyV)` or `SetHeads` compiles to no op at all: its readers
+//!   get the copy's source operand with the endpoint pinned
+//!   (`h[src(e)]`, `h[dst(e)]`), so a `Binary`, a `Gather` reduction or
+//!   an `EdgeSoftmax` over the copy reads the vertex rows directly. A
+//!   copy that is a kernel boundary or an interior spill still runs (as
+//!   a plain row copy of the same pinned operand).
+//! * **Elementwise ops run tile-wide.** When every operand of a `Unary`,
+//!   `UnaryBwd` or equal-shape `Binary` is addressed at the op's own row,
+//!   the tile's rows are contiguous in all of them and the op is *one*
+//!   [`rowops`] call over `rows × cols` ([`Rows::zip_rows`]); with a
+//!   pinned operand the same closure runs once per row.
+//! * **One set of row expressions.** [`exec_op`] is the only place an
+//!   op's arithmetic is spelled. The tile driver ([`run_program`]) calls
+//!   it per destination tile; the edge-scan driver ([`StreamEval`])
+//!   calls the same function on one-row tiles.
 //!
 //! # Streamed full steps
 //!
@@ -19,11 +46,10 @@
 //! rows the full step immediately re-reads. When that gather is the
 //! spill's only consumer and the producer chain is per-edge computable
 //! ([`plan_streams`]), the chain is elided from the tiled segments and
-//! compiled to per-edge micro-ops ([`StreamEval`]) evaluated inside the
-//! gather's own ascending edge scan: pure copies are aliased away,
-//! vertex-space steps are memoized per edge group, and the spill never
-//! exists. This is the dominant backward-phase cost of GAT/GCN on
-//! power-law graphs; eliding it is worth >3× on a GCN backward pass.
+//! evaluated by [`StreamEval`] inside the gather's own ascending edge
+//! scan: vertex-space ops are memoized per edge group and the spill
+//! never exists. This is the dominant backward-phase cost of GAT/GCN on
+//! power-law graphs.
 //!
 //! # Tiling and determinism
 //!
@@ -33,34 +59,36 @@
 //! reduction groups never split). Because the canonical edge numbering is
 //! destination-major, a tile `[v0, v1)` owns the contiguous edge rows
 //! `[indptr[v0], indptr[v1])`, every `ByDst` group is wholly inside one
-//! tile, and per-vertex edge order is preserved. Each step executes the
+//! tile, and per-vertex edge order is preserved. Each op evaluates the
 //! *same expressions in the same order* as the reference kernels in
-//! [`crate::kernels`] — since PR 5 both literally call the shared
-//! feature-axis loops of [`gnnopt_tensor::rowops`] — so fused results are
-//! **bit-identical** to the node-by-node oracle for any tile budget and
-//! any thread count.
+//! [`crate::kernels`] — both call the shared feature-axis loops of
+//! [`gnnopt_tensor::rowops`], and aliasing or tile-wide execution only
+//! changes *where* an elementwise expression reads and how many rows one
+//! call covers — so results are **bit-identical** to the node-by-node
+//! oracle for any tile budget and any thread count.
 //!
 //! # Parallelism and scratch
 //!
 //! Tiles are distributed over `std::thread::scope` workers in contiguous
-//! runs (reusing the `ExecPolicy` partitioning of PR 2), so each worker
-//! writes disjoint contiguous row ranges of the materialized outputs and
-//! auxiliaries — no atomics. Every worker owns one scratch arena sized
-//! for its largest tile and reuses it across its tiles; the total arena
-//! footprint is reported as `RunStats::scratch_bytes`.
+//! runs, so each worker writes disjoint contiguous row ranges of the
+//! materialized outputs and auxiliaries — no atomics. Every worker owns
+//! one slot per compiled op, sized for its largest tile and reused
+//! across its tiles; the slots actually held (aliased copies and elided
+//! chains hold none) are reported as `RunStats::scratch_bytes`.
 
 use crate::kernels::{
-    chunk_bounds, plan_threads, reduce_row_mean, reduce_row_sum, split_rows, vertex_bounds,
-    NO_ARGMAX,
+    binary_broadcast_row, chunk_bounds, plan_threads, reduce_row_mean, reduce_row_sum, split_rows,
+    vertex_bounds, NO_ARGMAX,
 };
 use crate::{contain, ExecError, Result};
 use gnnopt_core::lower::{KernelProgram, StepExec, Storage};
 use gnnopt_core::{
-    Dim, EdgeGroup, ExecPolicy, IrGraph, Node, NodeId, OpKind, ReduceFn, ScatterFn, Space,
+    Dim, EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space,
 };
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, rowops, Tensor};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Everything a fused kernel launch produced for the session's stores.
 pub(crate) struct ProgramResult {
@@ -83,18 +111,14 @@ pub(crate) struct ProgramResult {
     pub evicted_bytes: u64,
 }
 
-/// Where a step operand's rows come from at tile-execution time.
+/// Where a step operand's rows come from, before [`compile`] resolves it.
 #[derive(Debug, Clone, Copy)]
 enum Src {
     /// A live full tensor in the session's value store.
     Global(NodeId),
-    /// A same-segment step's scratch slot (tile-relative rows).
-    Slot {
-        /// Index into `KernelProgram::steps`.
-        step: usize,
-        cols: usize,
-        space: Space,
-    },
+    /// A same-segment step (index into `KernelProgram::steps`): its
+    /// scratch slot, or whatever the step aliases.
+    Slot(usize),
     /// An earlier segment's materialized/interior tensor (full rows,
     /// complete before this segment runs).
     Mat(usize),
@@ -205,7 +229,7 @@ fn plan_streams(
                 // Full tensors (value store, prelude views, earlier
                 // segments) are readable row-by-row during the scan.
                 Src::Global(_) | Src::Prelude(_) | Src::Mat(_) => true,
-                Src::Slot { step, .. } => visit(
+                Src::Slot(step) => visit(
                     step,
                     a,
                     steps,
@@ -296,7 +320,7 @@ fn plan_streams(
             ti == si
                 || chain.contains(&ti)
                 || tp.srcs.iter().all(|s| match *s {
-                    Src::Slot { step, .. } => !chain.contains(&step),
+                    Src::Slot(step) => !chain.contains(&step),
                     Src::Mat(mi) => !chain.contains(&mi),
                     _ => true,
                 })
@@ -309,270 +333,346 @@ fn plan_streams(
     streams
 }
 
-/// Which row of a full tensor a pre-resolved operand reads.
-#[derive(Clone, Copy)]
+/// Which row of its data a resolved operand reads when the consuming op
+/// is at row `r` of its own space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RowAt {
-    /// The consumer step's own row (anchor vertex or edge id).
+    /// Row `r` itself.
     Own,
-    /// Fixed at `src(e)` / `dst(e)` / `e` — used when a pure copy step
-    /// (`CopyU`/`CopyV`/`SetHeads`) is aliased away and its read
-    /// location must survive into the consumer.
+    /// Row `src(r)` / `dst(r)` of an edge-space consumer: the endpoint
+    /// read of a `Scatter`, which survives into whoever reads an aliased
+    /// `CopyU` / `CopyV`.
     SrcV,
     DstV,
-    Edge,
 }
 
-/// A pre-resolved operand of a compiled chain step: an earlier chain
-/// position's row buffer, or a full tensor read at some row.
+/// A resolved operand: where the rows are and which one to read.
 #[derive(Clone, Copy)]
-enum MSrc<'a> {
-    Buf(usize),
-    Base(&'a Tensor, RowAt),
+struct Operand<'a> {
+    data: Data<'a>,
+    at: RowAt,
 }
 
-/// One chain step compiled for the per-edge loop: op kind borrowed from
-/// the IR, operands resolved to buffers/tensors, anchor inlined — the
-/// hot loop never touches a hash map or the step table.
-struct MicroOp<'a> {
+#[derive(Clone, Copy)]
+enum Data<'a> {
+    /// The row buffer of an earlier op of the same compile unit.
+    Slot { idx: usize, cols: usize },
+    /// The rows of a complete full tensor.
+    Full { data: &'a [f32], cols: usize },
+}
+
+impl<'a> Operand<'a> {
+    fn full(t: &'a Tensor) -> Self {
+        let data = Data::Full {
+            data: t.as_slice(),
+            cols: t.numel().checked_div(t.rows()).unwrap_or(0),
+        };
+        Operand {
+            data,
+            at: RowAt::Own,
+        }
+    }
+
+    /// Pins the operand of an endpoint read. Scatter inputs are
+    /// vertex-space values, which are only ever addressed at `Own`.
+    fn pinned(self, at: RowAt) -> Self {
+        debug_assert_eq!(self.at, RowAt::Own, "vertex operands are unpinned");
+        Operand { at, ..self }
+    }
+}
+
+/// One step compiled for the per-row path: op kind borrowed from the IR,
+/// operands resolved — neither driver touches a hash map, the step table
+/// or the IR while it runs.
+struct TileOp<'a> {
+    /// Index into the launch's step table (sinks are keyed by it).
+    si: usize,
+    /// Position in the compile unit: the slot this op's rows go to.
+    slot: usize,
     kind: &'a OpKind,
-    /// `Some` for vertex-space steps (memoized on their last row),
-    /// `None` for edge-space ones.
-    anchor: Option<Anchor>,
-    srcs: Vec<MSrc<'a>>,
+    space: Space,
+    cols: usize,
+    /// Output head count (`node.dim.heads`).
+    heads: usize,
+    /// `Scatter`: `[x@SrcV, y@DstV]` (a copy keeps only the side it
+    /// reads). `EdgeSoftmax` with stashed statistics: `[x, max@DstV,
+    /// denom@DstV]`. Otherwise the node's inputs in order.
+    srcs: Vec<Operand<'a>>,
     dins: &'a [Dim],
-    /// Stashed (max, denominator) tables for `EdgeSoftmax` members.
-    aux: Option<(&'a Tensor, &'a Tensor)>,
+    /// Edge-scan driver: the endpoint a vertex-space op runs at.
+    anchor: Option<Anchor>,
+    /// `GatherMaxBwd`: the forward gather's complete argmax table.
+    argmax: &'a [u32],
 }
 
-/// Per-worker chain evaluator for a streamed gather: one single-row
-/// buffer per chain position, refilled per edge. Vertex-space steps
-/// cache the row they were last instantiated at — under the
-/// destination-major canonical edge order a `Dst`-anchored step
-/// therefore evaluates once per destination group, not once per edge.
-/// Pure copy steps (`CopyU`/`CopyV`/`SetHeads`) are aliased away at
-/// compile time: their consumers read the copy's source directly, with
-/// the read location pinned via [`RowAt`], so no per-edge copy runs.
-struct StreamEval<'a> {
+/// The full tensors the operands of one launch stage resolve against.
+struct Env<'a> {
+    ir: &'a IrGraph,
+    steps: &'a [StepPlan],
+    mat: &'a [Option<Tensor>],
+    values: &'a HashMap<NodeId, Tensor>,
+    preludes: &'a [Tensor],
+    aux_softmax: &'a HashMap<NodeId, (Tensor, Tensor)>,
+    aux_argmax: &'a HashMap<NodeId, Vec<u32>>,
+}
+
+impl<'a> Env<'a> {
+    fn tensor(&self, s: Src) -> &'a Tensor {
+        match s {
+            Src::Global(id) => &self.values[&id],
+            Src::Prelude(i) => &self.preludes[i],
+            Src::Mat(mi) => self.mat[mi].as_ref().expect("earlier segment is complete"),
+            Src::Slot(_) => unreachable!("same-segment operands resolve to slots"),
+        }
+    }
+}
+
+/// Compiles the steps `order` (a tiled segment's live steps, or a
+/// streamed chain, in dependency order) into tile ops. Returns the ops
+/// and, per position of `order`, the operand its readers see: the op's
+/// slot, or — for a pure copy that holds none — the copy's source with
+/// the endpoint pinned. Copies are aliased when they are scratch-class;
+/// inside a streamed chain (`chain` given) nothing is materialized, so
+/// every copy is.
+///
+/// # Errors
+///
+/// [`ExecError::ValueNotLive`] when a `GatherMaxBwd`'s forward argmax
+/// table is not stashed — before any worker spawns.
+fn compile<'a>(
+    env: &Env<'a>,
+    order: &[usize],
+    chain: Option<&StreamChain>,
+) -> Result<(Vec<TileOp<'a>>, Vec<Operand<'a>>)> {
+    let mut ops = Vec::with_capacity(order.len());
+    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len());
+    for (slot, &si) in order.iter().enumerate() {
+        let sp = &env.steps[si];
+        let node = env.ir.node(sp.node);
+        let mut srcs: Vec<Operand<'a>> = Vec::with_capacity(sp.srcs.len() + 2);
+        for &s in &sp.srcs {
+            srcs.push(match s {
+                Src::Slot(step) => {
+                    let at = order.iter().position(|&o| o == step);
+                    reads[at.expect("operand precedes its reader in the unit")]
+                }
+                full => Operand::full(env.tensor(full)),
+            });
+        }
+        let mut argmax: &[u32] = &[];
+        match &node.kind {
+            OpKind::Scatter(f) => {
+                let x = srcs[0].pinned(RowAt::SrcV);
+                let y = srcs[srcs.len() - 1].pinned(RowAt::DstV);
+                srcs.clear();
+                match f {
+                    ScatterFn::CopyU => srcs.push(x),
+                    ScatterFn::CopyV => srcs.push(y),
+                    ScatterFn::Bin(_) | ScatterFn::ConcatUV => srcs.extend([x, y]),
+                }
+            }
+            OpKind::EdgeSoftmax => {
+                if let Some((mx, dn)) = env.aux_softmax.get(&sp.node) {
+                    srcs.push(Operand::full(mx).pinned(RowAt::DstV));
+                    srcs.push(Operand::full(dn).pinned(RowAt::DstV));
+                }
+            }
+            OpKind::GatherMaxBwd { fwd } => {
+                argmax = env
+                    .aux_argmax
+                    .get(fwd)
+                    .ok_or_else(|| ExecError::ValueNotLive {
+                        node: format!("argmax aux of node {fwd}"),
+                    })?;
+            }
+            _ => {}
+        }
+        let copy = matches!(
+            node.kind,
+            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. }
+        );
+        if copy && (chain.is_some() || sp.storage == Storage::Scratch) {
+            reads.push(srcs[0]);
+            continue;
+        }
+        reads.push(Operand {
+            data: Data::Slot {
+                idx: slot,
+                cols: sp.cols,
+            },
+            at: RowAt::Own,
+        });
+        ops.push(TileOp {
+            si,
+            slot,
+            kind: &node.kind,
+            space: sp.space,
+            cols: sp.cols,
+            heads: node.dim.heads,
+            srcs,
+            dins: &sp.dins,
+            anchor: chain.and_then(|c| c.anchors.get(&si).copied()),
+            argmax,
+        });
+    }
+    Ok((ops, reads))
+}
+
+/// Row access for one op execution: the graph's endpoint arrays plus the
+/// slots of the unit's earlier positions.
+struct Rows<'a> {
     g: &'a Graph,
-    /// Non-aliased steps as (chain position, compiled op).
-    ops: Vec<(usize, MicroOp<'a>)>,
+    src: &'a [u32],
+    dst: &'a [u32],
+    bufs: &'a [Vec<f32>],
+    /// First row each slot currently holds (tile base, or the single
+    /// row of an edge-scan buffer).
+    base: &'a [usize],
+    /// [`ExecPolicy::heavy_row_degree`].
+    heavy: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn new(g: &'a Graph, bufs: &'a [Vec<f32>], base: &'a [usize], heavy: usize) -> Self {
+        Rows {
+            g,
+            src: g.src_slice(),
+            dst: g.dst_slice(),
+            bufs,
+            base,
+            heavy,
+        }
+    }
+
+    /// The operand's row for a consumer at row `r`.
+    #[inline(always)]
+    fn row(&self, o: Operand<'a>, r: usize) -> &'a [f32] {
+        self.rows(o, r, 1)
+    }
+
+    /// The operand's `n` rows for a consumer at rows `r..r + n` (more
+    /// than one only when the operand is read at the consumer's own row).
+    #[inline(always)]
+    fn rows(&self, o: Operand<'a>, r: usize, n: usize) -> &'a [f32] {
+        let r = match o.at {
+            RowAt::Own => r,
+            RowAt::SrcV => self.src[r] as usize,
+            RowAt::DstV => self.dst[r] as usize,
+        };
+        match o.data {
+            Data::Slot { idx, cols } => {
+                let off = (r - self.base[idx]) * cols;
+                &self.bufs[idx][off..off + n * cols]
+            }
+            Data::Full { data, cols } => &data[r * cols..(r + n) * cols],
+        }
+    }
+
+    /// Runs `body(out_row, x_row)` for every row of `rows`, `width`
+    /// output columns each (the ops that are per-row but not elementwise).
+    #[inline(always)]
+    fn map_rows(
+        &self,
+        x: Operand<'a>,
+        rows: Range<usize>,
+        width: usize,
+        out: &mut [f32],
+        body: impl Fn(&mut [f32], &[f32]),
+    ) {
+        for (i, r) in rows.enumerate() {
+            body(&mut out[i * width..(i + 1) * width], self.row(x, r));
+        }
+    }
+
+    /// Runs an elementwise `body(out, operands)` over `rows`: **once**
+    /// over all `rows × cols` elements when every operand is read at the
+    /// op's own row (the rows are then contiguous in every operand),
+    /// else once per row. Elementwise, so both forms write the same bits.
+    #[inline(always)]
+    fn zip_rows<const N: usize>(
+        &self,
+        srcs: [Operand<'a>; N],
+        rows: Range<usize>,
+        cols: usize,
+        out: &mut [f32],
+        body: impl Fn(&mut [f32], [&[f32]; N]),
+    ) {
+        let flat = srcs.iter().all(|s| s.at == RowAt::Own);
+        // `calls` spans of `n` rows each: one tile-wide, or row by row.
+        let (n, calls) = if flat {
+            (rows.len(), 1)
+        } else {
+            (1, rows.len())
+        };
+        for i in 0..calls {
+            let mut xs: [&[f32]; N] = [&[]; N];
+            for (x, &s) in xs.iter_mut().zip(&srcs) {
+                *x = self.rows(s, rows.start + i * n, n);
+            }
+            body(&mut out[i * n * cols..(i + 1) * n * cols], xs);
+        }
+    }
+}
+
+/// The edge-scan driver: evaluates a streamed gather's producer chain at
+/// one edge at a time. Every chain op owns a single-row buffer;
+/// `base[slot]` is the row it holds, so a vertex-space op — run at its
+/// [`Anchor`] endpoint — is skipped while the scan stays on that vertex:
+/// under the destination-major edge order a `Dst`-anchored op evaluates
+/// once per destination group, not once per edge.
+struct StreamEval<'a> {
+    ops: &'a [TileOp<'a>],
     /// Where the gather reads the chain's result.
-    root: MSrc<'a>,
-    /// One row buffer per chain position (empty for aliased positions).
+    root: Operand<'a>,
     bufs: Vec<Vec<f32>>,
-    /// Last vertex each position was evaluated at (vertex steps only).
-    cache: Vec<usize>,
+    /// [`Rows`] over no buffers: `eval` lends each op the earlier ones.
+    cx: Rows<'a>,
+    base: Vec<usize>,
 }
 
 impl<'a> StreamEval<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        chain: &'a StreamChain,
-        steps: &'a [StepPlan],
-        g: &'a Graph,
-        ir: &'a IrGraph,
-        mat: &'a [Option<Tensor>],
-        values: &'a HashMap<NodeId, Tensor>,
-        preludes: &'a [Tensor],
-        aux_softmax: &'a HashMap<NodeId, (Tensor, Tensor)>,
-    ) -> Self {
-        let mut pos: HashMap<usize, usize> = HashMap::new();
-        for (i, &si) in chain.order.iter().enumerate() {
-            pos.insert(si, i);
+    fn new(g: &'a Graph, ops: &'a [TileOp<'a>], reads: &[Operand<'a>]) -> Self {
+        let mut bufs = vec![Vec::new(); reads.len()];
+        for op in ops {
+            bufs[op.slot] = vec![0.0; op.cols];
         }
-        // `alias[i]` replaces reads of position `i` when the step is a
-        // pure copy; built in chain order so aliases of aliases resolve.
-        let mut alias: Vec<Option<MSrc<'a>>> = vec![None; chain.order.len()];
-        let resolve = |s: Src, alias: &[Option<MSrc<'a>>]| -> MSrc<'a> {
-            match s {
-                Src::Slot { step, .. } => {
-                    let j = pos[&step];
-                    alias[j].unwrap_or(MSrc::Buf(j))
-                }
-                Src::Global(id) => MSrc::Base(&values[&id], RowAt::Own),
-                Src::Prelude(i) => MSrc::Base(&preludes[i], RowAt::Own),
-                Src::Mat(mi) => MSrc::Base(
-                    mat[mi].as_ref().expect("earlier segment is complete"),
-                    RowAt::Own,
-                ),
-            }
-        };
-        // Pin a copy's read location into the aliased operand: buffers
-        // already hold the right row; `Own`-addressed tensors take the
-        // copy step's own location.
-        let pin = |s: MSrc<'a>, at: RowAt| -> MSrc<'a> {
-            match s {
-                MSrc::Base(t, RowAt::Own) => MSrc::Base(t, at),
-                other => other,
-            }
-        };
-        let mut ops: Vec<(usize, MicroOp<'a>)> = Vec::new();
-        let mut bufs: Vec<Vec<f32>> = vec![Vec::new(); chain.order.len()];
-        for (i, &si) in chain.order.iter().enumerate() {
-            let sp = &steps[si];
-            let kind = &ir.node(sp.node).kind;
-            let anchor = chain.anchors.get(&si).copied();
-            // Copies alias to their source instead of compiling to an op.
-            match kind {
-                OpKind::Scatter(ScatterFn::CopyU) => {
-                    alias[i] = Some(pin(resolve(sp.srcs[0], &alias), RowAt::SrcV));
-                    continue;
-                }
-                OpKind::Scatter(ScatterFn::CopyV) => {
-                    let y = *sp.srcs.last().expect("scatter has inputs");
-                    alias[i] = Some(pin(resolve(y, &alias), RowAt::DstV));
-                    continue;
-                }
-                OpKind::SetHeads { .. } => {
-                    let at = match anchor {
-                        Some(Anchor::Src) => RowAt::SrcV,
-                        Some(Anchor::Dst) => RowAt::DstV,
-                        None => RowAt::Edge,
-                    };
-                    alias[i] = Some(pin(resolve(sp.srcs[0], &alias), at));
-                    continue;
-                }
-                _ => {}
-            }
-            bufs[i] = vec![0.0; sp.cols];
-            ops.push((
-                i,
-                MicroOp {
-                    kind,
-                    anchor,
-                    srcs: sp.srcs.iter().map(|&s| resolve(s, &alias)).collect(),
-                    dins: &sp.dins,
-                    aux: matches!(kind, OpKind::EdgeSoftmax).then(|| {
-                        let (mx, dn) = &aux_softmax[&sp.node];
-                        (mx, dn)
-                    }),
-                },
-            ));
-        }
-        let last = chain.order.len() - 1;
         StreamEval {
-            g,
-            root: alias[last].unwrap_or(MSrc::Buf(last)),
-            cache: vec![usize::MAX; chain.order.len()],
             ops,
+            root: *reads.last().expect("a chain has a root"),
+            cx: Rows::new(g, &[], &[], usize::MAX),
+            base: vec![usize::MAX; reads.len()],
             bufs,
         }
     }
 
     /// Evaluates the whole chain at edge `e` and returns the root row.
-    /// Every arm reproduces the matching [`exec_step`] arm on one row —
-    /// same `rowops` calls, same broadcast layout — so streamed values
-    /// are bit-identical to the tiled segment's.
     fn eval(&mut self, e: usize) -> &[f32] {
-        let (u, v) = (self.g.src(e), self.g.dst(e));
-        for &(i, ref op) in &self.ops {
-            // Vertex-space steps run at their anchor endpoint and skip
-            // when the buffer already holds that row; edge-space steps
-            // run at `e` unconditionally.
+        let (u, v) = (self.cx.src[e] as usize, self.cx.dst[e] as usize);
+        for op in self.ops {
             let r = match op.anchor {
-                Some(Anchor::Src) => {
-                    if self.cache[i] == u {
-                        continue;
-                    }
-                    self.cache[i] = u;
-                    u
-                }
-                Some(Anchor::Dst) => {
-                    if self.cache[i] == v {
-                        continue;
-                    }
-                    self.cache[i] = v;
-                    v
-                }
+                Some(Anchor::Src) => u,
+                Some(Anchor::Dst) => v,
                 None => e,
             };
-            // Topological order: position `i` reads only positions < i.
-            let (prev, rest) = self.bufs.split_at_mut(i);
-            let buf = &mut rest[0][..];
-            let row = |s: &MSrc<'a>, r: usize| -> &[f32] {
-                match *s {
-                    MSrc::Buf(j) => &prev[j],
-                    MSrc::Base(t, at) => t.row(match at {
-                        RowAt::Own => r,
-                        RowAt::SrcV => u,
-                        RowAt::DstV => v,
-                        RowAt::Edge => e,
-                    }),
-                }
-            };
-            match op.kind {
-                OpKind::Scatter(f) => {
-                    let x = &op.srcs[0];
-                    let y = op.srcs.last().expect("scatter has inputs");
-                    match f {
-                        ScatterFn::Bin(bf) => {
-                            rowops::zip2_into(buf, row(x, u), row(y, v), |a, b| bf.apply(a, b));
-                        }
-                        _ => unreachable!("copies are aliased, ConcatUV rejected"),
-                    }
-                }
-                OpKind::EdgeSoftmax => {
-                    let (mx, dn) = op.aux.expect("streamed softmax has stashed aux");
-                    rowops::softmax_from_stats(buf, row(&op.srcs[0], e), mx.row(v), dn.row(v));
-                }
-                OpKind::Unary(f) => {
-                    rowops::map_into(buf, row(&op.srcs[0], r), |x| f.apply(x));
-                }
-                OpKind::UnaryBwd(f) => {
-                    rowops::zip2_into(buf, row(&op.srcs[0], r), row(&op.srcs[1], r), |gv, xv| {
-                        gv * f.derivative(xv)
-                    });
-                }
-                OpKind::Binary(f) => {
-                    let (da, db) = (op.dins[0], op.dins[1]);
-                    let heads = da.heads;
-                    let (ar, br) = (row(&op.srcs[0], r), row(&op.srcs[1], r));
-                    if da.feat == db.feat {
-                        rowops::zip2_into(buf, ar, br, |a, b| f.apply(a, b));
-                    } else if db.feat == 1 {
-                        // Per-head scalar broadcast, hoisted out of the
-                        // element loop (same `f.apply(a[..], b[h])` per
-                        // element as the generic tiled arm).
-                        let feat = da.feat;
-                        for h in 0..heads {
-                            let s = br[h];
-                            rowops::map_into(
-                                &mut buf[h * feat..(h + 1) * feat],
-                                &ar[h * feat..(h + 1) * feat],
-                                |a| f.apply(a, s),
-                            );
-                        }
-                    } else {
-                        let feat = db.feat;
-                        for h in 0..heads {
-                            let s = ar[h];
-                            rowops::map_into(
-                                &mut buf[h * feat..(h + 1) * feat],
-                                &br[h * feat..(h + 1) * feat],
-                                |b| f.apply(s, b),
-                            );
-                        }
-                    }
-                }
-                OpKind::FeatSum => {
-                    let din = op.dins[0];
-                    let (heads, feat) = (din.heads, din.feat);
-                    let xr = row(&op.srcs[0], r);
-                    for h in 0..heads {
-                        buf[h] = xr[h * feat..(h + 1) * feat].iter().sum();
-                    }
-                }
-                other => unreachable!("op {other:?} rejected by plan_streams"),
+            if self.base[op.slot] == r {
+                continue;
             }
+            self.base[op.slot] = r;
+            // Topological order: an op reads only earlier positions.
+            let (earlier, rest) = self.bufs.split_at_mut(op.slot);
+            let cx = Rows {
+                bufs: earlier,
+                base: &self.base,
+                ..self.cx
+            };
+            exec_rows(op, &cx, r..r + 1, &mut rest[0]);
         }
-        match self.root {
-            MSrc::Buf(j) => &self.bufs[j],
-            MSrc::Base(t, at) => t.row(match at {
-                RowAt::Own | RowAt::Edge => e,
-                RowAt::SrcV => u,
-                RowAt::DstV => v,
-            }),
-        }
+        let cx = Rows {
+            bufs: &self.bufs,
+            base: &self.base,
+            ..self.cx
+        };
+        cx.row(self.root, e)
     }
 }
 
@@ -582,28 +682,23 @@ impl<'a> StreamEval<'a> {
 /// partitioning, accumulation order, and row expressions of
 /// [`crate::kernels::gather`]'s `BySrc` scan, with the interior tensor
 /// replaced by per-edge recomputation.
-#[allow(clippy::too_many_arguments)]
 fn run_streamed_gather(
     policy: &ExecPolicy,
     g: &Graph,
-    ir: &IrGraph,
     reduce: ReduceFn,
+    env: &Env<'_>,
     chain: &StreamChain,
-    steps: &[StepPlan],
-    mat: &[Option<Tensor>],
-    values: &HashMap<NodeId, Tensor>,
-    preludes: &[Tensor],
-    aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
     total: usize,
-) -> Tensor {
+) -> Result<Tensor> {
     let n = g.num_vertices();
     let m = g.num_edges();
     let adj = g.out_adj();
     let src = g.src_slice();
+    let (ops, reads) = compile(env, &chain.order, Some(chain))?;
     let mut out = Tensor::zeros(&[n, total]);
     let threads = plan_threads(policy, n, m * total);
-    let run = |vs: std::ops::Range<usize>, chunk: &mut [f32]| {
-        let mut ev = StreamEval::new(chain, steps, g, ir, mat, values, preludes, aux_softmax);
+    let run = |vs: Range<usize>, chunk: &mut [f32]| {
+        let mut ev = StreamEval::new(g, &ops, &reads);
         let v0 = vs.start;
         for (e, &s) in src.iter().enumerate() {
             let v = s as usize;
@@ -634,7 +729,7 @@ fn run_streamed_gather(
         });
         wg.rethrow();
     }
-    out
+    Ok(out)
 }
 
 /// Cuts worker boundaries over the tile sequence so every worker owns
@@ -681,7 +776,12 @@ pub(crate) fn edge_balanced_bounds(
 /// `tile_edges` edges (always at least one vertex per tile).
 pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
     let n = indptr.len() - 1;
-    let mut bounds = vec![0];
+    // Two consecutive tiles always hold more than `tile_edges` edges
+    // between them (else the cut would not have happened), which bounds
+    // the tile count: one allocation, whatever the graph's size.
+    let most = n.min(2 * indptr[n].div_ceil(tile_edges.max(1)) + 1);
+    let mut bounds = Vec::with_capacity(most + 1);
+    bounds.push(0);
     let mut v = 0;
     while v < n {
         let e0 = indptr[v];
@@ -694,39 +794,7 @@ pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
     bounds
 }
 
-/// Read access to step operands inside one tile.
-struct TileView<'a> {
-    v0: usize,
-    e0: usize,
-    slots: &'a [Vec<f32>],
-    mat: &'a [Option<Tensor>],
-    values: &'a HashMap<NodeId, Tensor>,
-    preludes: &'a [Tensor],
-}
-
-impl TileView<'_> {
-    fn row(&self, src: Src, r: usize) -> &[f32] {
-        match src {
-            Src::Global(id) => self.values[&id].row(r),
-            Src::Prelude(i) => self.preludes[i].row(r),
-            Src::Mat(si) => self.mat[si]
-                .as_ref()
-                .expect("earlier-segment tensor is complete")
-                .row(r),
-            Src::Slot { step, cols, space } => {
-                let base = match space {
-                    Space::Edge => self.e0,
-                    Space::Vertex => self.v0,
-                    Space::Param => 0,
-                };
-                let off = (r - base) * cols;
-                &self.slots[step][off..off + cols]
-            }
-        }
-    }
-}
-
-/// Mutable auxiliary sinks for one step in one tile (rows are relative to
+/// Mutable auxiliary sinks for one op in one tile (rows are relative to
 /// the worker's first vertex).
 enum StepAux<'a> {
     None,
@@ -736,20 +804,10 @@ enum StepAux<'a> {
         denom: &'a mut [f32],
         chunk_v0: usize,
     },
-    /// Recompute softmax from the session's stashed auxiliaries.
-    SoftmaxFromAux {
-        maxes: &'a Tensor,
-        denom: &'a Tensor,
-    },
     /// Gather(Max): worker-chunk rows of the global argmax table.
     ArgMax {
         table: &'a mut [u32],
         chunk_v0: usize,
-    },
-    /// Gather(Max) backward: the forward gather's complete argmax table
-    /// (global rows), routing each vertex gradient to its winning edge.
-    ArgMaxRead {
-        table: &'a [u32],
     },
 }
 
@@ -834,8 +892,9 @@ pub(crate) fn run_program(
         preludes.push(t);
     }
 
-    // Operand sources per step: same-segment members resolve to scratch
-    // slots, earlier-segment members to their (complete) full tensors.
+    // Operand sources per step: same-segment members resolve through
+    // their producer's slot, earlier-segment members to their (complete)
+    // full tensors.
     let mut steps: Vec<StepPlan> = Vec::with_capacity(program.steps.len());
     for s in &program.steps {
         let node = ir.node(s.node);
@@ -846,11 +905,7 @@ pub(crate) fn run_program(
             } else if let Some(&si) = step_index.get(&i) {
                 let inp = &program.steps[si];
                 if s.exec == StepExec::Tiled && inp.segment == s.segment {
-                    Src::Slot {
-                        step: si,
-                        cols: inp.cols,
-                        space: inp.space,
-                    }
+                    Src::Slot(si)
                 } else {
                     Src::Mat(si)
                 }
@@ -957,21 +1012,17 @@ pub(crate) fn run_program(
 
     // Auxiliaries: tiled softmax / gather-max fill global tables in
     // disjoint chunks; a full BySrc gather-max returns its table whole.
+    // (A softmax whose statistics are stashed reads them as operands.)
     let mut fresh_softmax: Vec<(usize, Tensor, Tensor)> = Vec::new();
-    let mut from_aux: HashMap<usize, (&Tensor, &Tensor)> = HashMap::new();
     let mut argmax_tables: Vec<(usize, Vec<u32>)> = Vec::new();
     for (si, sp) in steps.iter().enumerate() {
         match &ir.node(sp.node).kind {
-            OpKind::EdgeSoftmax => {
-                if let Some((mx, dn)) = aux_softmax.get(&sp.node) {
-                    from_aux.insert(si, (mx, dn));
-                } else {
-                    fresh_softmax.push((
-                        si,
-                        Tensor::full(&[n, sp.cols], f32::NEG_INFINITY),
-                        Tensor::zeros(&[n, sp.cols]),
-                    ));
-                }
+            OpKind::EdgeSoftmax if !aux_softmax.contains_key(&sp.node) => {
+                fresh_softmax.push((
+                    si,
+                    Tensor::full(&[n, sp.cols], f32::NEG_INFINITY),
+                    Tensor::zeros(&[n, sp.cols]),
+                ));
             }
             OpKind::Gather {
                 reduce: ReduceFn::Max,
@@ -983,22 +1034,6 @@ pub(crate) fn run_program(
                 argmax_tables.push((si, table));
             }
             _ => {}
-        }
-    }
-
-    // Tiled gather-max backward steps read the forward gather's stashed
-    // argmax table; resolve them before the workers spawn so a missing
-    // stash surfaces as a session error, not a worker panic.
-    let mut argmax_read: HashMap<usize, &[u32]> = HashMap::new();
-    for (si, sp) in steps.iter().enumerate() {
-        if program.steps[si].exec != StepExec::Tiled {
-            continue;
-        }
-        if let OpKind::GatherMaxBwd { fwd } = &ir.node(sp.node).kind {
-            let table = aux_argmax.get(fwd).ok_or_else(|| ExecError::ValueNotLive {
-                node: format!("argmax aux of node {fwd}"),
-            })?;
-            argmax_read.insert(si, table.as_slice());
         }
     }
 
@@ -1029,348 +1064,275 @@ pub(crate) fn run_program(
     let wv: Vec<usize> = wt.iter().map(|&t| tiles[t]).collect();
     let we: Vec<usize> = wv.iter().map(|&v| indptr[v]).collect();
     let workers = wt.len() - 1;
-
-    // Worker arena sizes are a pure function of the partition, so the
-    // scratch high-water mark (max over segments, sum over workers) is
-    // known before running.
-    let mut scratch_bytes = 0u64;
-    let worker_max_tile = |w: usize| -> (usize, usize) {
-        let (mut tv, mut te) = (0usize, 0usize);
-        for t in wt[w]..wt[w + 1] {
-            tv = tv.max(tiles[t + 1] - tiles[t]);
-            te = te.max(indptr[tiles[t + 1]] - indptr[tiles[t]]);
-        }
-        (tv, te)
+    // A worker's slots are sized for its largest tile: (vertices, edges).
+    let max_tile: Vec<(usize, usize)> = (0..workers)
+        .map(|w| {
+            (wt[w]..wt[w + 1]).fold((0, 0), |(tv, te), t| {
+                let (v0, v1) = (tiles[t], tiles[t + 1]);
+                (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
+            })
+        })
+        .collect();
+    let slot_len = |op: &TileOp<'_>, (tv, te): (usize, usize)| match op.space {
+        Space::Edge => te * op.cols,
+        Space::Vertex => tv * op.cols,
+        Space::Param => 0,
     };
-    let seg_live = |seg| -> Vec<usize> {
-        (0..steps.len())
+
+    // Execute segments in order: full steps once over the whole graph via
+    // the (deterministic, thread-parallel) reference kernels; tiled
+    // segments over destination ranges with per-worker slots.
+    let mut scratch_bytes = 0u64;
+    let mut new_argmax_full: Vec<(usize, Vec<u32>)> = Vec::new();
+    for (ord, seg) in program.segments().into_iter().enumerate() {
+        let seg_steps: Vec<usize> = (0..steps.len())
             .filter(|&si| {
                 program.steps[si].segment == seg
                     && program.steps[si].storage != Storage::Prelude
                     && !elided.contains(&si)
             })
-            .collect()
-    };
-    for seg in program.segments() {
-        if seg_live(seg).is_empty() {
-            continue;
+            .collect();
+        // A tiled segment's full tensors come out of `mat` for chunked
+        // writing (same-segment reads go through slots, never `mat`);
+        // a full step's tensor does not exist yet.
+        let mut seg_out: Vec<(usize, Tensor)> = Vec::new();
+        for &si in &seg_steps {
+            if let Some(t) = mat[si].take() {
+                seg_out.push((si, t));
+            }
         }
-        let mut total = 0u64;
-        for w in 0..workers {
-            let (tv, te) = worker_max_tile(w);
-            total += program.scratch_tile_bytes(seg, tv, te);
-        }
-        scratch_bytes = scratch_bytes.max(total);
-    }
-
-    // Execute segments in order: full steps once over the whole graph via
-    // the (deterministic, thread-parallel) reference kernels; tiled
-    // segments over destination ranges with per-worker scratch.
-    let mut new_argmax_full: Vec<(usize, Vec<u32>)> = Vec::new();
-    for (ord, seg) in program.segments().into_iter().enumerate() {
-        let seg_steps: Vec<usize> = seg_live(seg);
-        if seg_steps.is_empty() {
-            // Every member streamed into a later gather: nothing to run.
-            release(ord + 1, values, &mut evicted_bytes);
-            continue;
-        }
-        if seg_steps
-            .iter()
-            .any(|&si| program.steps[si].exec == StepExec::Full)
+        // (The block scopes the shared reborrow of `values` so the stage
+        // release below can take it mutably.)
         {
-            // A full segment holds exactly one step. (The block scopes
-            // the shared reborrow of `values` so the stage release below
-            // can take it mutably.)
-            let si = seg_steps[0];
-            let t = {
-                let values = &*values;
-                let sp = &steps[si];
-                let full = |src: Src| -> &Tensor {
-                    match src {
-                        Src::Global(id) => &values[&id],
-                        Src::Prelude(i) => &preludes[i],
-                        Src::Mat(mi) => mat[mi].as_ref().expect("earlier segment is complete"),
-                        Src::Slot { .. } => unreachable!("full steps never read scratch"),
-                    }
-                };
-                match &ir.node(sp.node).kind {
-                    OpKind::Gather { reduce, group } => {
-                        if let Some(chain) = streams.get(&si) {
-                            // Streamed path: the input chain was elided from
-                            // the tiled segments; evaluate it per edge here.
-                            run_streamed_gather(
-                                policy,
-                                g,
-                                ir,
-                                *reduce,
-                                chain,
-                                &steps,
-                                &mat,
-                                values,
-                                &preludes,
-                                aux_softmax,
-                                sp.cols,
-                            )
-                        } else {
-                            let (t, am) = crate::kernels::gather(
-                                policy,
-                                g,
-                                *reduce,
-                                *group,
-                                full(sp.srcs[0]),
-                            );
+            let env = Env {
+                ir,
+                steps: &steps,
+                mat: &mat,
+                values: &*values,
+                preludes: &preludes,
+                aux_softmax,
+                aux_argmax,
+            };
+            match seg_steps[..] {
+                // Every member streamed into a later gather.
+                [] => {}
+                // A full segment holds exactly one step.
+                [si] if program.steps[si].exec == StepExec::Full => {
+                    let sp = &steps[si];
+                    let t = match (&ir.node(sp.node).kind, streams.get(&si)) {
+                        // Streamed: the input chain was elided from the
+                        // tiled segments; evaluate it per edge here.
+                        (OpKind::Gather { reduce, .. }, Some(chain)) => {
+                            run_streamed_gather(policy, g, *reduce, &env, chain, sp.cols)?
+                        }
+                        (OpKind::Gather { reduce, group }, None) => {
+                            let x = env.tensor(sp.srcs[0]);
+                            let (t, am) = crate::kernels::gather(policy, g, *reduce, *group, x);
                             if let Some(am) = am {
                                 new_argmax_full.push((si, am));
                             }
                             t
                         }
-                    }
-                    // Every other full step — whole-graph backward
-                    // reductions, GEMMs, parameter reductions, row
-                    // views — runs through the shared reference dispatch.
-                    // This is what makes lowering total: any op the IR
-                    // expresses either tiles or lands here.
-                    kind => {
-                        let inputs: Vec<&Tensor> = sp.srcs.iter().map(|&s| full(s)).collect();
-                        let aux_in = match kind {
-                            OpKind::GatherMaxBwd { fwd } => {
-                                let table =
-                                    aux_argmax.get(fwd).ok_or_else(|| ExecError::ValueNotLive {
-                                        node: format!("argmax aux of node {fwd}"),
-                                    })?;
-                                crate::refexec::AuxIn::Argmax(table)
-                            }
-                            _ => crate::refexec::AuxIn::None,
-                        };
-                        let (t, aux_out) = crate::refexec::exec_op(
-                            policy,
-                            g,
-                            ir,
-                            ir.node(sp.node),
-                            &inputs,
-                            aux_in,
-                        )?;
-                        match aux_out {
-                            crate::refexec::AuxOut::Argmax(a) => new_argmax_full.push((si, a)),
-                            crate::refexec::AuxOut::None => {}
-                            crate::refexec::AuxOut::Softmax(..) => {
-                                unreachable!("EdgeSoftmax is never a full step")
-                            }
-                        }
-                        t
-                    }
-                }
-            };
-            mat[si] = Some(t);
-            release(ord + 1, values, &mut evicted_bytes);
-            continue;
-        }
-
-        // Tiled segment: take the segment's full tensors out for chunked
-        // writing (same-segment reads go through scratch, never `mat`).
-        // The block scopes the workers' shared reborrow of `values`.
-        {
-            let values = &*values;
-            struct SegOut {
-                si: usize,
-                tensor: Tensor,
-            }
-            let mut seg_out: Vec<SegOut> = Vec::new();
-            for &si in &seg_steps {
-                if matches!(steps[si].storage, Storage::Materialized | Storage::Interior) {
-                    seg_out.push(SegOut {
-                        si,
-                        tensor: mat[si].take().expect("tiled output pre-allocated"),
-                    });
-                }
-            }
-
-            struct WorkerSinks<'w> {
-                out: Vec<(usize, &'w mut [f32])>,
-                sm: Vec<(usize, &'w mut [f32], &'w mut [f32])>,
-                am: Vec<(usize, &'w mut [u32])>,
-            }
-            let mut sinks: Vec<WorkerSinks<'_>> = (0..workers)
-                .map(|_| WorkerSinks {
-                    out: Vec::new(),
-                    sm: Vec::new(),
-                    am: Vec::new(),
-                })
-                .collect();
-            for so in &mut seg_out {
-                let sp = &steps[so.si];
-                let bounds = if sp.space == Space::Edge { &we } else { &wv };
-                for (w, chunk) in split_rows(so.tensor.as_mut_slice(), sp.cols, bounds)
-                    .into_iter()
-                    .enumerate()
-                {
-                    sinks[w].out.push((so.si, chunk));
-                }
-            }
-            for (si, mx, dn) in &mut fresh_softmax {
-                if !seg_steps.contains(si) {
-                    continue;
-                }
-                let cols = steps[*si].cols;
-                let mx_chunks = split_rows(mx.as_mut_slice(), cols, &wv);
-                let dn_chunks = split_rows(dn.as_mut_slice(), cols, &wv);
-                for (w, (mc, dc)) in mx_chunks.into_iter().zip(dn_chunks).enumerate() {
-                    sinks[w].sm.push((*si, mc, dc));
-                }
-            }
-            for (si, table) in &mut argmax_tables {
-                if !seg_steps.contains(si) {
-                    continue;
-                }
-                let cols = steps[*si].cols;
-                for (w, chunk) in split_rows(table, cols, &wv).into_iter().enumerate() {
-                    sinks[w].am.push((*si, chunk));
-                }
-            }
-
-            // Run the segment. Each worker walks its tiles sequentially,
-            // reusing one arena.
-            let mat_ref = &mat;
-            let run_worker = |tile_range: std::ops::Range<usize>, mut sinks: WorkerSinks<'_>| {
-                let (wv0, we0) = (tiles[tile_range.start], indptr[tiles[tile_range.start]]);
-                let (mut max_tv, mut max_te) = (0usize, 0usize);
-                for t in tile_range.clone() {
-                    max_tv = max_tv.max(tiles[t + 1] - tiles[t]);
-                    max_te = max_te.max(indptr[tiles[t + 1]] - indptr[tiles[t]]);
-                }
-                // Slots come off the pool when it is active on this thread
-                // (serial segments run on the session thread); workers see
-                // an inactive pool and allocate as before.
-                let zeroed = |len: usize| {
-                    let mut v = pool::take_f32(len);
-                    v.resize(len, 0.0);
-                    v
-                };
-                let mut slots: Vec<Vec<f32>> = (0..steps.len())
-                    .map(|si| {
-                        if !seg_steps.contains(&si) {
-                            return Vec::new();
-                        }
-                        match steps[si].space {
-                            Space::Edge => zeroed(max_te * steps[si].cols),
-                            Space::Vertex => zeroed(max_tv * steps[si].cols),
-                            Space::Param => Vec::new(),
-                        }
-                    })
-                    .collect();
-                // Heavy-row chunk partial, shared across steps/tiles.
-                let mut scratch: Vec<f32> = Vec::new();
-                for t in tile_range {
-                    let (v0, v1) = (tiles[t], tiles[t + 1]);
-                    let (e0, e1) = (indptr[v0], indptr[v1]);
-                    for &si in &seg_steps {
-                        let sp = &steps[si];
-                        let mut buf = std::mem::take(&mut slots[si]);
-                        {
-                            let view = TileView {
-                                v0,
-                                e0,
-                                slots: &slots,
-                                mat: mat_ref,
-                                values,
-                                preludes: &preludes,
-                            };
-                            let aux = match &ir.node(sp.node).kind {
-                                OpKind::EdgeSoftmax => {
-                                    if let Some(&(mx, dn)) = from_aux.get(&si) {
-                                        StepAux::SoftmaxFromAux {
-                                            maxes: mx,
-                                            denom: dn,
+                        // Every other full step — whole-graph backward
+                        // reductions, GEMMs, parameter reductions, row
+                        // views — runs through the shared reference
+                        // dispatch. This is what makes lowering total:
+                        // any op the IR expresses either tiles or lands
+                        // here.
+                        (kind, _) => {
+                            let inputs: Vec<&Tensor> =
+                                sp.srcs.iter().map(|&s| env.tensor(s)).collect();
+                            let aux_in = match kind {
+                                OpKind::GatherMaxBwd { fwd } => {
+                                    let table = aux_argmax.get(fwd).ok_or_else(|| {
+                                        ExecError::ValueNotLive {
+                                            node: format!("argmax aux of node {fwd}"),
                                         }
-                                    } else {
-                                        let (_, mc, dc) = sinks
-                                            .sm
+                                    })?;
+                                    crate::refexec::AuxIn::Argmax(table)
+                                }
+                                _ => crate::refexec::AuxIn::None,
+                            };
+                            let (t, aux_out) = crate::refexec::exec_op(
+                                policy,
+                                g,
+                                ir,
+                                ir.node(sp.node),
+                                &inputs,
+                                aux_in,
+                            )?;
+                            match aux_out {
+                                crate::refexec::AuxOut::Argmax(a) => new_argmax_full.push((si, a)),
+                                crate::refexec::AuxOut::None => {}
+                                crate::refexec::AuxOut::Softmax(..) => {
+                                    unreachable!("EdgeSoftmax is never a full step")
+                                }
+                            }
+                            t
+                        }
+                    };
+                    seg_out.push((si, t));
+                }
+                _ => {
+                    let (ops, _) = compile(&env, &seg_steps, None)?;
+                    // Slot sizes are a pure function of the partition, so the
+                    // scratch high-water mark (max over segments, sum over
+                    // workers) is known before running — and never exceeds
+                    // what lowering budgets for the segment.
+                    let held: u64 = max_tile
+                        .iter()
+                        .flat_map(|&mt| ops.iter().map(move |op| 4 * slot_len(op, mt) as u64))
+                        .sum();
+                    debug_assert!(
+                        held <= max_tile
+                            .iter()
+                            .map(|&(tv, te)| program.scratch_tile_bytes(seg, tv, te))
+                            .sum::<u64>()
+                    );
+                    scratch_bytes = scratch_bytes.max(held);
+
+                    struct WorkerSinks<'w> {
+                        out: Vec<(usize, &'w mut [f32])>,
+                        sm: Vec<(usize, &'w mut [f32], &'w mut [f32])>,
+                        am: Vec<(usize, &'w mut [u32])>,
+                    }
+                    let mut sinks: Vec<WorkerSinks<'_>> = (0..workers)
+                        .map(|_| WorkerSinks {
+                            out: Vec::new(),
+                            sm: Vec::new(),
+                            am: Vec::new(),
+                        })
+                        .collect();
+                    for (si, tensor) in &mut seg_out {
+                        let sp = &steps[*si];
+                        let bounds = if sp.space == Space::Edge { &we } else { &wv };
+                        for (w, chunk) in split_rows(tensor.as_mut_slice(), sp.cols, bounds)
+                            .into_iter()
+                            .enumerate()
+                        {
+                            sinks[w].out.push((*si, chunk));
+                        }
+                    }
+                    for (si, mx, dn) in &mut fresh_softmax {
+                        if !seg_steps.contains(si) {
+                            continue;
+                        }
+                        let cols = steps[*si].cols;
+                        let mx_chunks = split_rows(mx.as_mut_slice(), cols, &wv);
+                        let dn_chunks = split_rows(dn.as_mut_slice(), cols, &wv);
+                        for (w, (mc, dc)) in mx_chunks.into_iter().zip(dn_chunks).enumerate() {
+                            sinks[w].sm.push((*si, mc, dc));
+                        }
+                    }
+                    for (si, table) in &mut argmax_tables {
+                        if !seg_steps.contains(si) {
+                            continue;
+                        }
+                        let cols = steps[*si].cols;
+                        for (w, chunk) in split_rows(table, cols, &wv).into_iter().enumerate() {
+                            sinks[w].am.push((*si, chunk));
+                        }
+                    }
+
+                    // Run the segment. Each worker walks its tiles
+                    // sequentially, reusing one slot per op.
+                    let run_worker = |w: usize, mut sinks: WorkerSinks<'_>| {
+                        let (wv0, we0) = (wv[w], we[w]);
+                        // Slots come off the pool when it is active on this
+                        // thread (serial segments run on the session thread);
+                        // workers see an inactive pool and allocate as before.
+                        let mut bufs: Vec<Vec<f32>> = vec![Vec::new(); seg_steps.len()];
+                        for op in &ops {
+                            let len = slot_len(op, max_tile[w]);
+                            bufs[op.slot] = pool::take_f32(len);
+                            bufs[op.slot].resize(len, 0.0);
+                        }
+                        let mut base = vec![0usize; seg_steps.len()];
+                        // One row of the widest op: heavy-row chunk partials
+                        // and softmax-backward group sums, shared across
+                        // ops and tiles.
+                        let mut scratch =
+                            pool::take_f32(ops.iter().map(|op| op.cols).max().unwrap_or(0));
+                        for t in wt[w]..wt[w + 1] {
+                            let (v0, v1) = (tiles[t], tiles[t + 1]);
+                            let (e0, e1) = (indptr[v0], indptr[v1]);
+                            for op in &ops {
+                                let (rows, r0, wbase) = match op.space {
+                                    Space::Edge => (e1 - e0, e0, we0),
+                                    _ => (v1 - v0, v0, wv0),
+                                };
+                                base[op.slot] = r0;
+                                // Topological order: an op reads only the
+                                // slots of earlier positions.
+                                let (earlier, rest) = bufs.split_at_mut(op.slot);
+                                let buf = &mut rest[0][..rows * op.cols];
+                                let cx = Rows::new(g, earlier, &base, policy.heavy_row_degree);
+                                let aux = match op.kind {
+                                    OpKind::EdgeSoftmax => {
+                                        sinks.sm.iter_mut().find(|(i, _, _)| *i == op.si).map_or(
+                                            StepAux::None,
+                                            |(_, mc, dc)| StepAux::SoftmaxFresh {
+                                                maxes: mc,
+                                                denom: dc,
+                                                chunk_v0: wv0,
+                                            },
+                                        )
+                                    }
+                                    OpKind::Gather {
+                                        reduce: ReduceFn::Max,
+                                        ..
+                                    } => {
+                                        let (_, table) = sinks
+                                            .am
                                             .iter_mut()
-                                            .find(|(i, _, _)| *i == si)
-                                            .expect("fresh softmax has an aux sink");
-                                        StepAux::SoftmaxFresh {
-                                            maxes: mc,
-                                            denom: dc,
+                                            .find(|(i, _)| *i == op.si)
+                                            .expect("gather-max has an argmax sink");
+                                        StepAux::ArgMax {
+                                            table,
                                             chunk_v0: wv0,
                                         }
                                     }
+                                    _ => StepAux::None,
+                                };
+                                exec_op(op, &cx, (v0, v1, e0, e1), buf, aux, &mut scratch);
+                                // Boundary values and spills also land in
+                                // their full tensor.
+                                if let Some((_, chunk)) =
+                                    sinks.out.iter_mut().find(|(i, _)| *i == op.si)
+                                {
+                                    let dst = (r0 - wbase) * op.cols;
+                                    chunk[dst..dst + buf.len()].copy_from_slice(buf);
                                 }
-                                OpKind::Gather {
-                                    reduce: ReduceFn::Max,
-                                    ..
-                                } => {
-                                    let (_, table) = sinks
-                                        .am
-                                        .iter_mut()
-                                        .find(|(i, _)| *i == si)
-                                        .expect("gather-max has an argmax sink");
-                                    StepAux::ArgMax {
-                                        table,
-                                        chunk_v0: wv0,
-                                    }
-                                }
-                                OpKind::GatherMaxBwd { .. } => StepAux::ArgMaxRead {
-                                    table: argmax_read[&si],
-                                },
-                                _ => StepAux::None,
-                            };
-                            exec_step(
-                                ir.node(sp.node),
-                                sp,
-                                g,
-                                &view,
-                                (v0, v1, e0, e1),
-                                &mut buf,
-                                aux,
-                                policy.heavy_row_degree,
-                                &mut scratch,
-                            );
+                            }
                         }
-                        if matches!(sp.storage, Storage::Materialized | Storage::Interior) {
-                            let (rows, r0, wbase) = match sp.space {
-                                Space::Edge => (e1 - e0, e0, we0),
-                                _ => (v1 - v0, v0, wv0),
-                            };
-                            let (_, chunk) = sinks
-                                .out
-                                .iter_mut()
-                                .find(|(i, _)| *i == si)
-                                .expect("materialized step has an output sink");
-                            let dst = (r0 - wbase) * sp.cols;
-                            chunk[dst..dst + rows * sp.cols]
-                                .copy_from_slice(&buf[..rows * sp.cols]);
+                        // Recycle the per-worker buffers (no-op off the pool thread).
+                        for s in bufs {
+                            pool::put_f32(s);
                         }
-                        slots[si] = buf;
+                        pool::put_f32(scratch);
+                    };
+
+                    if workers < 2 {
+                        if let Some(s) = sinks.pop() {
+                            run_worker(0, s);
+                        }
+                    } else {
+                        let wg = contain::WorkerGuard::new();
+                        std::thread::scope(|scope| {
+                            for (w, s) in sinks.into_iter().enumerate() {
+                                let run_worker = &run_worker;
+                                let wg = &wg;
+                                scope.spawn(move || wg.run(|| run_worker(w, s)));
+                            }
+                        });
+                        wg.rethrow();
                     }
                 }
-                // Recycle the per-worker buffers (no-op off the pool thread).
-                for s in slots {
-                    pool::put_f32(s);
-                }
-                pool::put_f32(scratch);
-            };
-
-            if workers < 2 {
-                if let Some(s) = sinks.pop() {
-                    run_worker(0..num_tiles, s);
-                }
-            } else {
-                let wg = contain::WorkerGuard::new();
-                std::thread::scope(|scope| {
-                    for (w, s) in sinks.into_iter().enumerate() {
-                        let run_worker = &run_worker;
-                        let wg = &wg;
-                        let range = wt[w]..wt[w + 1];
-                        scope.spawn(move || wg.run(|| run_worker(range, s)));
-                    }
-                });
-                wg.rethrow();
             }
-
-            // Restore the segment's tensors for later segments to read.
-            for so in seg_out {
-                mat[so.si] = Some(so.tensor);
-            }
+        }
+        // Restore the segment's tensors for later segments to read.
+        for (si, t) in seg_out {
+            mat[si] = Some(t);
         }
         release(ord + 1, values, &mut evicted_bytes);
     }
@@ -1400,201 +1362,202 @@ pub(crate) fn run_program(
     })
 }
 
-/// Executes one step over one tile into `buf` (tile-relative rows).
+/// Executes one compiled op over one tile into `buf` (tile-relative
+/// rows). The ops that reduce over whole destination groups — `Gather`,
+/// the fresh `EdgeSoftmax`, `EdgeSoftmaxBwd` — live here, because only a
+/// tile owns whole groups; everything else is per-row ([`exec_rows`]).
 ///
 /// Every arm reproduces the corresponding kernel in [`crate::kernels`]
 /// expression-for-expression and in the same iteration order, which is
 /// what makes fused execution bit-identical to the node-by-node oracle.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn exec_step(
-    node: &Node,
-    sp: &StepPlan,
-    g: &Graph,
-    tv: &TileView<'_>,
+fn exec_op(
+    op: &TileOp<'_>,
+    cx: &Rows<'_>,
     (v0, v1, e0, e1): (usize, usize, usize, usize),
     buf: &mut [f32],
     aux: StepAux<'_>,
-    heavy: usize,
     scratch: &mut Vec<f32>,
 ) {
-    let total = sp.cols;
-    let adj = g.in_adj();
-    match &node.kind {
-        OpKind::Scatter(f) => {
-            let x = sp.srcs[0];
-            let y = *sp.srcs.last().expect("scatter has inputs");
-            match f {
-                ScatterFn::CopyU => {
-                    for e in e0..e1 {
-                        buf[(e - e0) * total..(e - e0 + 1) * total]
-                            .copy_from_slice(tv.row(x, g.src(e)));
-                    }
+    let total = op.cols;
+    let adj = cx.g.in_adj();
+    let heavy = cx.heavy;
+    let x = op.srcs[0];
+    let row = |e| cx.row(x, e);
+    match (op.kind, aux) {
+        // Shared with the reference kernels so the heavy-row chunk
+        // association is identical on both paths.
+        (
+            OpKind::Gather {
+                reduce: ReduceFn::Sum,
+                ..
+            },
+            _,
+        ) => {
+            for v in v0..v1 {
+                let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
+                o.fill(0.0);
+                reduce_row_sum(o, adj.edge_ids(v), row, heavy, scratch);
+            }
+        }
+        (
+            OpKind::Gather {
+                reduce: ReduceFn::Mean,
+                ..
+            },
+            _,
+        ) => {
+            for v in v0..v1 {
+                let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
+                o.fill(0.0);
+                let deg = adj.degree(v);
+                if deg == 0 {
+                    continue;
                 }
-                ScatterFn::CopyV => {
-                    for e in e0..e1 {
-                        buf[(e - e0) * total..(e - e0 + 1) * total]
-                            .copy_from_slice(tv.row(y, g.dst(e)));
-                    }
-                }
-                ScatterFn::Bin(bf) => {
-                    for e in e0..e1 {
-                        let (xu, yv) = (tv.row(x, g.src(e)), tv.row(y, g.dst(e)));
-                        let o = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                        rowops::zip2_into(o, xu, yv, |a, b| bf.apply(a, b));
-                    }
-                }
-                ScatterFn::ConcatUV => {
-                    let heads = node.dim.heads;
-                    for e in e0..e1 {
-                        let (xu, yv) = (tv.row(x, g.src(e)), tv.row(y, g.dst(e)));
-                        let (fx, fy) = (xu.len() / heads, yv.len() / heads);
-                        let o = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                        for h in 0..heads {
-                            let base = h * (fx + fy);
-                            o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
-                            o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
+                let inv = 1.0 / deg as f32;
+                reduce_row_mean(o, adj.edge_ids(v), inv, row, heavy, scratch);
+            }
+        }
+        (OpKind::Gather { .. }, StepAux::ArgMax { table, chunk_v0 }) => {
+            for v in v0..v1 {
+                let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
+                o.fill(0.0);
+                let ar = &mut table[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
+                ar.fill(NO_ARGMAX);
+                let mut first = true;
+                for &e in adj.edge_ids(v) {
+                    let xr = row(e as usize);
+                    for c in 0..total {
+                        if first || xr[c] > o[c] {
+                            o[c] = xr[c];
+                            ar[c] = e;
                         }
                     }
+                    first = false;
                 }
             }
         }
 
-        OpKind::Gather { reduce, .. } => {
-            let x = sp.srcs[0];
-            match reduce {
-                // Shared with the reference kernels so the heavy-row
-                // chunk association is identical on both paths.
-                ReduceFn::Sum => {
-                    for v in v0..v1 {
-                        let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                        o.fill(0.0);
-                        reduce_row_sum(o, adj.edge_ids(v), |e| tv.row(x, e), heavy, scratch);
-                    }
-                }
-                ReduceFn::Mean => {
-                    for v in v0..v1 {
-                        let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                        o.fill(0.0);
-                        let deg = adj.degree(v);
-                        if deg == 0 {
-                            continue;
-                        }
-                        let inv = 1.0 / deg as f32;
-                        reduce_row_mean(o, adj.edge_ids(v), inv, |e| tv.row(x, e), heavy, scratch);
-                    }
-                }
-                ReduceFn::Max => {
-                    let StepAux::ArgMax { table, chunk_v0 } = aux else {
-                        unreachable!("gather-max executes with an argmax sink")
-                    };
-                    for v in v0..v1 {
-                        let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                        o.fill(0.0);
-                        let ar = &mut table[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                        ar.fill(NO_ARGMAX);
-                        let mut first = true;
-                        for &e in adj.edge_ids(v) {
-                            let xr = tv.row(x, e as usize);
-                            for c in 0..total {
-                                if first || xr[c] > o[c] {
-                                    o[c] = xr[c];
-                                    ar[c] = e;
-                                }
-                            }
-                            first = false;
-                        }
-                    }
-                }
-            }
-        }
-
-        OpKind::EdgeSoftmax => {
-            let x = sp.srcs[0];
-            match aux {
-                StepAux::SoftmaxFresh {
-                    maxes,
-                    denom,
-                    chunk_v0,
-                } => {
-                    for v in v0..v1 {
-                        let ids = adj.edge_ids(v);
-                        if ids.is_empty() {
-                            continue;
-                        }
-                        let mr = &mut maxes[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                        for &e in ids {
-                            rowops::max_assign(mr, tv.row(x, e as usize));
-                        }
-                        let dr = &mut denom[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                        for &e in ids {
-                            rowops::exp_sub_accum(dr, tv.row(x, e as usize), mr);
-                        }
-                        for &e in ids {
-                            let yr =
-                                &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                            rowops::softmax_from_stats(yr, tv.row(x, e as usize), mr, dr);
-                        }
-                    }
-                }
-                StepAux::SoftmaxFromAux { maxes, denom } => {
-                    for e in e0..e1 {
-                        let v = g.dst(e);
-                        let yr = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                        rowops::softmax_from_stats(yr, tv.row(x, e), maxes.row(v), denom.row(v));
-                    }
-                }
-                _ => unreachable!("softmax executes with a softmax aux"),
-            }
-        }
-
-        OpKind::EdgeSoftmaxBwd => {
-            let (gr_src, y_src) = (sp.srcs[0], sp.srcs[1]);
+        (
+            OpKind::EdgeSoftmax,
+            StepAux::SoftmaxFresh {
+                maxes,
+                denom,
+                chunk_v0,
+            },
+        ) => {
             for v in v0..v1 {
                 let ids = adj.edge_ids(v);
-                let mut s = vec![0.0f32; total];
+                if ids.is_empty() {
+                    continue;
+                }
+                let mr = &mut maxes[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
                 for &e in ids {
-                    rowops::mul_add_accum(
-                        &mut s,
-                        tv.row(gr_src, e as usize),
-                        tv.row(y_src, e as usize),
-                    );
+                    rowops::max_assign(mr, row(e as usize));
+                }
+                let dr = &mut denom[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
+                for &e in ids {
+                    rowops::exp_sub_accum(dr, row(e as usize), mr);
                 }
                 for &e in ids {
-                    let or = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                    rowops::softmax_bwd_row(
-                        or,
-                        tv.row(gr_src, e as usize),
-                        tv.row(y_src, e as usize),
-                        &s,
-                    );
+                    let yr = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
+                    rowops::softmax_from_stats(yr, row(e as usize), mr, dr);
                 }
             }
+        }
+
+        (OpKind::EdgeSoftmaxBwd, _) => {
+            let y = op.srcs[1];
+            scratch.resize(total, 0.0);
+            for v in v0..v1 {
+                let ids = adj.edge_ids(v);
+                scratch.fill(0.0);
+                for &e in ids {
+                    rowops::mul_add_accum(scratch, row(e as usize), cx.row(y, e as usize));
+                }
+                for &e in ids {
+                    let e = e as usize;
+                    let or = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
+                    rowops::softmax_bwd_row(or, row(e), cx.row(y, e), scratch);
+                }
+            }
+        }
+
+        _ => {
+            let rows = if op.space == Space::Edge {
+                e0..e1
+            } else {
+                v0..v1
+            };
+            exec_rows(op, cx, rows, buf);
+        }
+    }
+}
+
+/// Executes a per-row op over `rows` of its own space into `buf` — the
+/// single definition of these ops' row expressions: the tile driver
+/// reaches it through [`exec_op`] with a tile's rows, the edge-scan
+/// driver calls it with one row.
+///
+/// Inlined into both drivers: called per op *per edge* by the scan, the
+/// out-of-line call (frame set-up for every arm's locals) cost ~10 ns a
+/// call — 40 ms of a `gat_train` step's streamed gather.
+#[allow(clippy::too_many_lines)]
+#[inline(always)]
+fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]) {
+    let total = op.cols;
+    let s = |i: usize| op.srcs[i];
+    match op.kind {
+        // A copy that could not be aliased away (a kernel boundary or an
+        // interior spill): its operand already carries the endpoint.
+        OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. } => {
+            cx.zip_rows([s(0)], rows, total, buf, |o, [x]| o.copy_from_slice(x));
+        }
+        OpKind::Scatter(ScatterFn::Bin(bf)) => {
+            cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [xu, yv]| {
+                rowops::zip2_into(o, xu, yv, |a, b| bf.apply(a, b));
+            });
+        }
+        OpKind::Scatter(ScatterFn::ConcatUV) => {
+            let heads = op.heads;
+            for (i, e) in rows.enumerate() {
+                let (xu, yv) = (cx.row(s(0), e), cx.row(s(1), e));
+                let (fx, fy) = (xu.len() / heads, yv.len() / heads);
+                let o = &mut buf[i * total..(i + 1) * total];
+                for h in 0..heads {
+                    let base = h * (fx + fy);
+                    o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
+                    o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
+                }
+            }
+        }
+
+        // Recompute from the session's stashed max/denominator, which
+        // `compile` appended as `dst(e)`-pinned operands.
+        OpKind::EdgeSoftmax => {
+            cx.zip_rows([s(0), s(1), s(2)], rows, total, buf, |y, [x, m, d]| {
+                rowops::softmax_from_stats(y, x, m, d);
+            });
         }
 
         OpKind::GatherMeanBwd { .. } => {
-            let gr_src = sp.srcs[0];
-            for e in e0..e1 {
-                let v = g.dst(e);
+            let adj = cx.g.in_adj();
+            for (i, e) in rows.enumerate() {
+                let v = cx.dst[e] as usize;
                 let inv = 1.0 / adj.degree(v) as f32;
-                let o = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                rowops::scale_into(o, inv, tv.row(gr_src, v));
+                rowops::scale_into(&mut buf[i * total..(i + 1) * total], inv, cx.row(s(0), v));
             }
         }
 
         // Tiled only when the forward gather grouped ByDst (the tile owns
         // its destination groups whole); same expressions as
         // `kernels::gather_max_bwd`, with an explicit zero write because
-        // scratch buffers are reused across tiles, not pre-zeroed.
+        // slots are reused across tiles, not pre-zeroed.
         OpKind::GatherMaxBwd { .. } => {
-            let gr_src = sp.srcs[0];
-            let StepAux::ArgMaxRead { table } = aux else {
-                unreachable!("gather-max backward executes with its forward argmax table")
-            };
-            for e in e0..e1 {
-                let v = g.dst(e);
-                let ar = &table[v * total..(v + 1) * total];
-                let grv = tv.row(gr_src, v);
-                let o = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
+            for (i, e) in rows.enumerate() {
+                let v = cx.dst[e] as usize;
+                let ar = &op.argmax[v * total..(v + 1) * total];
+                let grv = cx.row(s(0), v);
+                let o = &mut buf[i * total..(i + 1) * total];
                 for c in 0..total {
                     o[c] = if ar[c] == e as u32 { grv[c] } else { 0.0 };
                 }
@@ -1602,68 +1565,38 @@ fn exec_step(
         }
 
         OpKind::Unary(f) => {
-            let x = sp.srcs[0];
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let o = &mut buf[i * total..(i + 1) * total];
-                rowops::map_into(o, tv.row(x, r), |v| f.apply(v));
+            cx.zip_rows([s(0)], rows, total, buf, |o, [x]| {
+                rowops::map_into(o, x, |v| f.apply(v));
             });
         }
         OpKind::UnaryBwd(f) => {
-            let (gr_src, x_src) = (sp.srcs[0], sp.srcs[1]);
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let o = &mut buf[i * total..(i + 1) * total];
-                rowops::zip2_into(o, tv.row(gr_src, r), tv.row(x_src, r), |gv, xv| {
-                    gv * f.derivative(xv)
-                });
+            cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [gr, x]| {
+                rowops::zip2_into(o, gr, x, |gv, xv| gv * f.derivative(xv));
             });
         }
-
         OpKind::Binary(f) => {
-            let (a_src, b_src) = (sp.srcs[0], sp.srcs[1]);
-            let (da, db) = (node_input_dim(sp, 0), node_input_dim(sp, 1));
-            let heads = da.heads;
+            let (da, db) = (op.dins[0], op.dins[1]);
             if da.feat == db.feat {
-                for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                    let o = &mut buf[i * total..(i + 1) * total];
-                    rowops::zip2_into(o, tv.row(a_src, r), tv.row(b_src, r), |av, bv| {
-                        f.apply(av, bv)
-                    });
+                cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [a, b]| {
+                    rowops::zip2_into(o, a, b, |av, bv| f.apply(av, bv));
                 });
             } else {
-                let feat = da.feat.max(db.feat);
-                for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                    let (ar, br) = (tv.row(a_src, r), tv.row(b_src, r));
-                    let or = &mut buf[i * total..(i + 1) * total];
-                    for h in 0..heads {
-                        for c in 0..feat {
-                            let av = if da.feat == 1 {
-                                ar[h]
-                            } else {
-                                ar[h * feat + c]
-                            };
-                            let bv = if db.feat == 1 {
-                                br[h]
-                            } else {
-                                br[h * feat + c]
-                            };
-                            or[h * feat + c] = f.apply(av, bv);
-                        }
-                    }
-                });
+                for (i, r) in rows.enumerate() {
+                    let o = &mut buf[i * total..(i + 1) * total];
+                    binary_broadcast_row(o, *f, cx.row(s(0), r), da, cx.row(s(1), r), db);
+                }
             }
         }
 
         OpKind::GaussianWeight => {
-            let (p_src, mu_src, sg_src) = (sp.srcs[0], sp.srcs[1], sp.srcs[2]);
-            let k = total;
-            for e in e0..e1 {
-                let pr = tv.row(p_src, e);
-                let r = pr.len();
-                let or = &mut buf[(e - e0) * k..(e - e0 + 1) * k];
-                for (ki, ov) in or.iter_mut().enumerate().take(k) {
-                    let (mr, sr) = (tv.row(mu_src, ki), tv.row(sg_src, ki));
+            let (p, mu, sg) = (s(0), s(1), s(2));
+            for (i, e) in rows.enumerate() {
+                let pr = cx.row(p, e);
+                let or = &mut buf[i * total..(i + 1) * total];
+                for (ki, ov) in or.iter_mut().enumerate() {
+                    let (mr, sr) = (cx.row(mu, ki), cx.row(sg, ki));
                     let mut acc = 0.0;
-                    for j in 0..r {
+                    for j in 0..pr.len() {
                         let d = (pr[j] - mr[j]) * sr[j];
                         acc += d * d;
                     }
@@ -1673,13 +1606,9 @@ fn exec_step(
         }
 
         OpKind::SliceCols { start, end } => {
-            let x = sp.srcs[0];
-            let din = node_input_dim(sp, 0);
-            let (heads, feat) = (din.heads, din.feat);
+            let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
             let w = end - start;
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let xr = tv.row(x, r);
-                let or = &mut buf[i * total..(i + 1) * total];
+            cx.map_rows(s(0), rows, total, buf, |or, xr| {
                 for h in 0..heads {
                     or[h * w..(h + 1) * w].copy_from_slice(&xr[h * feat + start..h * feat + end]);
                 }
@@ -1690,37 +1619,22 @@ fn exec_step(
             end,
             total: tf,
         } => {
-            let x = sp.srcs[0];
-            let heads = node.dim.heads;
             let w = end - start;
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let gr = tv.row(x, r);
-                let or = &mut buf[i * total..(i + 1) * total];
+            cx.map_rows(s(0), rows, total, buf, |or, gr| {
                 or.fill(0.0);
-                for h in 0..heads {
+                for h in 0..op.heads {
                     or[h * tf + start..h * tf + end].copy_from_slice(&gr[h * w..(h + 1) * w]);
                 }
             });
         }
-
-        OpKind::SetHeads { .. } => {
-            let x = sp.srcs[0];
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                buf[i * total..(i + 1) * total].copy_from_slice(tv.row(x, r));
-            });
-        }
         OpKind::HeadReduce(f) => {
-            let x = sp.srcs[0];
-            let din = node_input_dim(sp, 0);
-            let (heads, feat) = (din.heads, din.feat);
+            let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
             let scale = if *f == ReduceFn::Mean {
                 1.0 / heads as f32
             } else {
                 1.0
             };
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let xr = tv.row(x, r);
-                let or = &mut buf[i * feat..(i + 1) * feat];
+            cx.map_rows(s(0), rows, feat, buf, |or, xr| {
                 or.fill(0.0);
                 for h in 0..heads {
                     for c in 0..feat {
@@ -1730,35 +1644,24 @@ fn exec_step(
             });
         }
         OpKind::HeadBroadcast { heads } => {
-            let x = sp.srcs[0];
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let xr = tv.row(x, r);
+            cx.map_rows(s(0), rows, total, buf, |or, xr| {
                 let feat = xr.len();
-                let or = &mut buf[i * total..(i + 1) * total];
                 for h in 0..*heads {
                     or[h * feat..(h + 1) * feat].copy_from_slice(xr);
                 }
             });
         }
         OpKind::FeatSum => {
-            let x = sp.srcs[0];
-            let din = node_input_dim(sp, 0);
-            let (heads, feat) = (din.heads, din.feat);
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let xr = tv.row(x, r);
-                let or = &mut buf[i * heads..(i + 1) * heads];
+            let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
+            cx.map_rows(s(0), rows, heads, buf, |or, xr| {
                 for h in 0..heads {
                     or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
                 }
             });
         }
         OpKind::FeatBroadcast { feat } => {
-            let x = sp.srcs[0];
-            let heads = node.dim.heads;
-            for_rows(sp.space, (v0, v1, e0, e1), |r, i| {
-                let xr = tv.row(x, r);
-                let or = &mut buf[i * total..(i + 1) * total];
-                for h in 0..heads {
+            cx.map_rows(s(0), rows, total, buf, |or, xr| {
+                for h in 0..op.heads {
                     for c in 0..*feat {
                         or[h * feat + c] = xr[h];
                     }
@@ -1770,32 +1673,68 @@ fn exec_step(
     }
 }
 
-/// Iterates the tile's rows of a step's own space: `(global row, tile-local
-/// index)`.
-fn for_rows(
-    space: Space,
-    (v0, v1, e0, e1): (usize, usize, usize, usize),
-    mut body: impl FnMut(usize, usize),
-) {
-    let range = match space {
-        Space::Edge => e0..e1,
-        Space::Vertex => v0..v1,
-        Space::Param => 0..0,
-    };
-    let base = range.start;
-    for r in range {
-        body(r, r - base);
-    }
-}
-
-/// Input dim lookup stored on the step plan at build time.
-fn node_input_dim(sp: &StepPlan, idx: usize) -> Dim {
-    sp.dins[idx]
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{edge_balanced_bounds, tile_bounds};
+    use super::*;
+    use gnnopt_core::{BinaryFn, UnaryFn};
+    use gnnopt_graph::EdgeList;
+
+    /// A tile-wide elementwise step (every operand at `Own`, so one
+    /// `rowops` call over `rows × cols`) writes the bits of its row-by-row
+    /// form. The row-by-row form is the same op with its operands pinned
+    /// at `dst(e)` on a path graph whose edge `e` is `e + 1 → e` — so
+    /// `dst(e) == e` and the per-row path reads the same rows. Slot
+    /// operands are covered too.
+    #[test]
+    fn tile_wide_elementwise_steps_equal_their_row_by_row_form() {
+        let n = 37usize;
+        let path: Vec<(u32, u32)> = (0..n as u32).map(|v| (v + 1, v)).collect();
+        let g = Graph::from_edge_list(&EdgeList::from_pairs(n + 1, &path));
+        assert!((0..n).all(|e| g.dst(e) == e));
+        let kinds = [
+            OpKind::Unary(UnaryFn::LeakyRelu(0.2)),
+            OpKind::UnaryBwd(UnaryFn::Tanh),
+            OpKind::Binary(BinaryFn::Mul),
+        ];
+        for cols in [1usize, 2, 64] {
+            let fill = |k: f32| Tensor::from_fn(&[n, cols], |i| (i as f32 * k - 3.0).sin() * 4.0);
+            let (a, b) = (fill(0.37), fill(1.13));
+            let (r0, r1) = (5usize, n - 4);
+            // Slot 0 holds `b`'s rows of the tile, as a same-segment
+            // producer would have left them.
+            let bufs = [b.as_slice()[r0 * cols..r1 * cols].to_vec()];
+            let base = [r0];
+            let cx = Rows::new(&g, &bufs, &base, usize::MAX);
+            let slot = Operand {
+                data: Data::Slot { idx: 0, cols },
+                at: RowAt::Own,
+            };
+            let dins = [Dim::flat(cols); 2];
+            for kind in &kinds {
+                let run = |srcs: Vec<Operand<'_>>| {
+                    let op = TileOp {
+                        si: 0,
+                        slot: 1,
+                        kind,
+                        space: Space::Edge,
+                        cols,
+                        heads: 1,
+                        srcs,
+                        dins: &dins,
+                        anchor: None,
+                        argmax: &[],
+                    };
+                    let mut out = vec![f32::NAN; (r1 - r0) * cols];
+                    exec_rows(&op, &cx, r0..r1, &mut out);
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                };
+                let (fa, fb) = (Operand::full(&a), Operand::full(&b));
+                let by_row = run(vec![fa.pinned(RowAt::DstV), fb.pinned(RowAt::DstV)]);
+                assert_eq!(run(vec![fa, fb]), by_row, "{kind:?} cols {cols}: full");
+                assert_eq!(run(vec![fa, slot]), by_row, "{kind:?} cols {cols}: slot");
+            }
+        }
+    }
 
     #[test]
     fn tile_bounds_respect_edge_budget_and_cover_all_vertices() {

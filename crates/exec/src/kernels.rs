@@ -219,6 +219,35 @@ pub(crate) fn reduce_row_mean<'a>(
     }
 }
 
+/// One row of a head-broadcast `Binary`: the side whose `feat == 1`
+/// holds one scalar per head, combined with each of the other side's
+/// `feat` features of that head. The scalar is hoisted out of the element
+/// loop, which then runs as a vectorized [`rowops::map_into`] per head —
+/// every element still evaluates `f.apply(a, b)` on the same two values,
+/// so the bits equal the per-element form's. The one spelling of the
+/// broadcast: [`binary_broadcast`] and both fused-interpreter drivers
+/// call it.
+pub(crate) fn binary_broadcast_row(
+    o: &mut [f32],
+    f: BinaryFn,
+    ar: &[f32],
+    da: Dim,
+    br: &[f32],
+    db: Dim,
+) {
+    let feat = da.feat.max(db.feat);
+    for h in 0..da.heads {
+        let span = h * feat..(h + 1) * feat;
+        if db.feat == 1 {
+            let s = br[h];
+            rowops::map_into(&mut o[span.clone()], &ar[span], |a| f.apply(a, s));
+        } else {
+            let s = ar[h];
+            rowops::map_into(&mut o[span.clone()], &br[span], |b| f.apply(s, b));
+        }
+    }
+}
+
 /// Shared combine tree of the cross-row parameter reductions: rows are
 /// cut into the fixed [`PARAM_REDUCE_CHUNK_ROWS`] grid, `body(range,
 /// partial)` fills each chunk's partial (a zeroed `out.len()` buffer),
@@ -904,23 +933,8 @@ pub fn binary_broadcast(
         out.as_mut_slice(),
         |range, chunk| {
             for (i, r) in range.enumerate() {
-                let (ar, br) = (a.row(r), b.row(r));
                 let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    for c in 0..feat {
-                        let av = if da.feat == 1 {
-                            ar[h]
-                        } else {
-                            ar[h * feat + c]
-                        };
-                        let bv = if db.feat == 1 {
-                            br[h]
-                        } else {
-                            br[h * feat + c]
-                        };
-                        or[h * feat + c] = f.apply(av, bv);
-                    }
-                }
+                binary_broadcast_row(or, f, a.row(r), da, b.row(r), db);
             }
         },
     );
@@ -1516,6 +1530,48 @@ mod tests {
             Dim::multi(2, 1),
         );
         assert_eq!(out.as_slice(), &[10.0, 20.0, 300.0, 400.0]);
+    }
+
+    /// The hoisted per-head form (vectorized `map_into` under AVX2) must
+    /// write the bits of the per-element scalar form it replaced, in both
+    /// orientations, at every head count and every SIMD remainder.
+    #[test]
+    fn binary_broadcast_row_matches_the_per_element_form() {
+        for f in [BinaryFn::Add, BinaryFn::Sub, BinaryFn::Mul, BinaryFn::Div] {
+            for heads in 1..=3usize {
+                // Widths 0 and 1 are not a broadcast.
+                for feat in 2..40usize {
+                    let wide: Vec<f32> = (0..heads * feat)
+                        .map(|i| (i as f32 * 1.37 - 3.0).sin() * 8.0)
+                        .collect();
+                    let narrow: Vec<f32> = (0..heads).map(|h| 0.811 * h as f32 - 1.7).collect();
+                    let (dw, dn) = (Dim::multi(heads, feat), Dim::multi(heads, 1));
+                    for wide_is_a in [true, false] {
+                        let (ar, da, br, db) = if wide_is_a {
+                            (&wide, dw, &narrow, dn)
+                        } else {
+                            (&narrow, dn, &wide, dw)
+                        };
+                        let mut got = vec![f32::NAN; heads * feat];
+                        binary_broadcast_row(&mut got, f, ar, da, br, db);
+                        let want: Vec<f32> = (0..heads * feat)
+                            .map(|i| {
+                                let h = i / feat;
+                                let av = if da.feat == 1 { ar[h] } else { ar[i] };
+                                let bv = if db.feat == 1 { br[h] } else { br[i] };
+                                f.apply(av, bv)
+                            })
+                            .collect();
+                        assert!(
+                            got.iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "{f:?} heads {heads} feat {feat} wide_is_a {wide_is_a}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //!
 //! A session runs every kernel by interpreting its lowered
 //! `gnnopt_core::KernelProgram` (`fused.rs`); there is no switch and no
-//! second path. Kernel-internal values live in per-worker scratch arenas
-//! covering one destination-vertex tile at a time, so fused `O(|E|·d)`
+//! second path. Kernel-internal values live in per-worker scratch slots
+//! covering one destination-vertex tile at a time (pure copies hold
+//! none: their readers index the copy's source), so fused `O(|E|·d)`
 //! edge intermediates never materialize — [`RunStats::peak_value_bytes`]
 //! genuinely drops, and [`RunStats::scratch_bytes`] /
 //! [`RunStats::fused_kernels`] report the realized substitution. A plan

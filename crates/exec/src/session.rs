@@ -82,8 +82,9 @@ pub struct RunStats {
     pub boundary_bytes: u64,
     /// Worker threads the kernels ran under (resolved [`ExecPolicy`]).
     pub threads: usize,
-    /// High-water mark of the interpreter's per-worker scratch arenas
-    /// (total across workers, max over kernels).
+    /// High-water mark of the interpreter's per-worker scratch slots
+    /// (total across workers, max over kernels): the slots actually
+    /// held — aliased copies and streamed chains hold none.
     pub scratch_bytes: u64,
     /// Kernel programs launched during the step — every kernel of the
     /// plan, since the interpreter is the only executor.

@@ -109,8 +109,10 @@ fn gat_training_fused_realizes_the_predicted_memory_savings() {
         edge_tensor
     );
 
-    // Scratch is bounded by the tiling, far below the internals it
-    // replaces.
+    // Scratch — the slots the workers actually held (aliased copies
+    // hold none; `crates/exec/tests/fused.rs` pins the exact slot bytes
+    // on one-tile programs) — is bounded by the tiling, far below the
+    // internals it replaces.
     let internal_total: u64 = plan
         .programs
         .iter()

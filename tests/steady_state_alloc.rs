@@ -4,8 +4,11 @@
 //! allocates is the interpreter's per-launch planning (step tables,
 //! operand lists) — a few hundred small allocations per step. This gate
 //! pins what is true of that count: it repeats exactly from step to
-//! step, the numeric guard adds nothing to it, concurrent sessions do
-//! not perturb each other's, and the arena lowers it. A
+//! step, it is the same on a larger graph that spans several tiles
+//! (nothing allocates per vertex, per edge or per tile — the property the
+//! repeat-only gate missed when the tiled `EdgeSoftmaxBwd` allocated per
+//! destination vertex), the numeric guard adds nothing to it, concurrent
+//! sessions do not perturb each other's, and the arena lowers it. A
 //! `#[global_allocator]` shim counts every `alloc`/`realloc`/
 //! `alloc_zeroed` so the properties are enforced, not eyeballed.
 //! (Hoisting the per-launch planning to session build, so the count can
@@ -105,10 +108,17 @@ fn inputs(spec: &ModelSpec, plan: &ExecutionPlan, g: &Graph) -> (Bindings, Tenso
 #[test]
 fn warm_step_allocations_repeat_and_the_arena_lowers_them() {
     let g = Graph::from_edge_list(&generators::erdos_renyi(96, 960, 7));
+    // Four times the vertices, sixteen times the edges, four tiles
+    // instead of one.
+    let g4 = Graph::from_edge_list(&generators::erdos_renyi(384, 15_360, 7));
     let mut solo = Vec::new();
     for (name, spec) in specs() {
         let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
         let (b, seed) = inputs(&spec, &compiled.plan, &g);
+
+        let (b4, seed4) = inputs(&spec, &compiled.plan, &g4);
+        let mut big_sess = session(&compiled.plan, &g4, ExecPolicy::serial(), true);
+        let on_big_graph = steady_allocs(&mut big_sess, &b4, &seed4);
 
         let mut arena_sess = session(&compiled.plan, &g, ExecPolicy::serial(), true);
         let with_arena = steady_allocs(&mut arena_sess, &b, &seed);
@@ -123,8 +133,12 @@ fn warm_step_allocations_repeat_and_the_arena_lowers_them() {
         let without = steady_allocs(&mut heap_sess, &b, &seed);
 
         eprintln!(
-            "{name}: steady-state allocations/step: \
-             arena={with_arena:?} guarded={with_guard:?} heap={without:?}"
+            "{name}: steady-state allocations/step: arena={with_arena:?} \
+             larger-graph={on_big_graph:?} guarded={with_guard:?} heap={without:?}"
+        );
+        assert_eq!(
+            on_big_graph, with_arena,
+            "{name}: a warmed step's allocation count must not depend on |V| or |E|"
         );
         assert_eq!(
             with_arena[0], with_arena[1],
