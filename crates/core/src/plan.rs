@@ -81,6 +81,64 @@ impl ExecutionPlan {
         m
     }
 
+    /// The plan with kernel `kid` cut in two before member `at`: the
+    /// members up to `at` and the members from `at` on become consecutive
+    /// kernels (later ids shift up by one) that inherit the parent's
+    /// mapping, each recomputing only the part of the parent's closure
+    /// its own members read, and every program is lowered afresh — so a
+    /// value read across the cut is an ordinary materialized output of
+    /// the first piece. `None` when a piece would have no member (`at`
+    /// is the kernel's first member, or not a member at all).
+    #[must_use]
+    pub fn cut_kernel(&self, kid: usize, at: NodeId) -> Option<ExecutionPlan> {
+        let parent = &self.kernels[kid];
+        let pos = parent.nodes.iter().position(|&n| n == at)?;
+        if pos == 0 {
+            return None;
+        }
+        let piece = |nodes: &[NodeId]| {
+            let mut read: HashSet<NodeId> = HashSet::new();
+            let mut work = nodes.to_vec();
+            while let Some(n) = work.pop() {
+                for &i in &self.ir.node(n).inputs {
+                    if parent.recompute.contains(&i) && read.insert(i) {
+                        work.push(i);
+                    }
+                }
+            }
+            Kernel {
+                id: 0,
+                nodes: nodes.to_vec(),
+                mapping: parent.mapping,
+                atomic_reduction: parent.atomic_reduction,
+                recompute: parent
+                    .recompute
+                    .iter()
+                    .copied()
+                    .filter(|r| read.contains(r))
+                    .collect(),
+            }
+        };
+        let (head, tail) = parent.nodes.split_at(pos);
+        let mut kernels = self.kernels.clone();
+        kernels.splice(kid..=kid, [piece(head), piece(tail)]);
+        for (id, k) in kernels.iter_mut().enumerate() {
+            k.id = id;
+        }
+        let mut cut = ExecutionPlan {
+            ir: self.ir.clone(),
+            kernels,
+            stash: self.stash.clone(),
+            aux_stash: self.aux_stash.clone(),
+            param_grads: self.param_grads.clone(),
+            training: self.training,
+            exec: self.exec,
+            programs: Vec::new(),
+        };
+        cut.programs = crate::lower::lower_plan(&cut);
+        Some(cut)
+    }
+
     /// Nodes of a kernel whose outputs leave the kernel: consumed by
     /// another kernel (that does not itself recompute the value), model
     /// outputs, or stashed values.
@@ -349,5 +407,108 @@ impl ExecutionPlan {
     pub fn check_fits(&self, device: &Device, stats: &GraphStats) -> Result<u64, MemoryError> {
         self.memory_replay(stats, device.usable_memory())
             .map(|p| p.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::op::{BinaryFn, Dim, EdgeGroup, ReduceFn, ScatterFn, UnaryFn};
+    use crate::pipeline::{compile, CompileOptions};
+
+    /// A GAT layer for training: its fused backward kernel has several
+    /// members and a recompute closure to divide between the pieces.
+    fn gat_training_plan() -> ExecutionPlan {
+        let mut g = IrGraph::new();
+        let h = g.input_vertex("h", Dim::flat(8));
+        let w = g.param("w", 8, 8);
+        let hw = g.linear(h, w).unwrap();
+        let a = g.param("a", 8, 1);
+        let score = g.linear(hw, a).unwrap();
+        let e = g
+            .scatter(ScatterFn::Bin(BinaryFn::Add), score, score)
+            .unwrap();
+        let lr = g.unary(UnaryFn::LeakyRelu(0.2), e).unwrap();
+        let sm = g.edge_softmax(lr).unwrap();
+        let hu = g.scatter(ScatterFn::CopyU, hw, hw).unwrap();
+        let me = g.binary(BinaryFn::Mul, hu, sm).unwrap();
+        let out = g.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+        g.mark_output(out);
+        compile(&g, true, &CompileOptions::ours()).unwrap().plan
+    }
+
+    #[test]
+    fn cut_kernel_yields_two_consistent_pieces() {
+        let plan = gat_training_plan();
+        let parent = plan
+            .kernels
+            .iter()
+            .filter(|k| k.nodes.len() >= 2)
+            .max_by_key(|k| k.recompute.len())
+            .expect("a fused kernel");
+        assert!(!parent.recompute.is_empty(), "fixture recomputes");
+        let mut read_across = 0;
+        for &at in &parent.nodes[1..] {
+            let cut = plan.cut_kernel(parent.id, at).expect("a cut inside");
+            // Kernel ids stay dense and every other kernel is untouched.
+            assert_eq!(cut.kernels.len(), plan.kernels.len() + 1);
+            for (i, k) in cut.kernels.iter().enumerate() {
+                assert_eq!(k.id, i);
+            }
+            for k in &plan.kernels {
+                if k.id != parent.id {
+                    let moved = &cut.kernels[k.id + usize::from(k.id > parent.id)];
+                    assert_eq!((&moved.nodes, &moved.recompute), (&k.nodes, &k.recompute));
+                }
+            }
+            // Every member lands in exactly one piece, order kept.
+            let (head, tail) = (&cut.kernels[parent.id], &cut.kernels[parent.id + 1]);
+            assert_eq!(tail.nodes[0], at);
+            assert_eq!(
+                [head.nodes.clone(), tail.nodes.clone()].concat(),
+                parent.nodes
+            );
+            for piece in [head, tail] {
+                assert_eq!(piece.mapping, parent.mapping);
+                let computed: Vec<NodeId> = piece
+                    .nodes
+                    .iter()
+                    .chain(&piece.recompute)
+                    .copied()
+                    .collect();
+                let reads =
+                    |r: NodeId| computed.iter().any(|&n| cut.ir.node(n).inputs.contains(&r));
+                // Minimal: every recomputed value is read inside the piece …
+                assert!(piece.recompute.iter().all(|&r| reads(r)));
+                // … and complete: nothing of the parent's closure that
+                // the piece reads is left out.
+                for &r in &parent.recompute {
+                    assert!(!reads(r) || piece.recompute.contains(&r));
+                }
+            }
+            // Lowering is total on the result.
+            assert_eq!(cut.programs.len(), cut.kernels.len());
+            for (k, p) in cut.kernels.iter().zip(&cut.programs) {
+                assert_eq!(p.kernel, k.id);
+                assert_eq!(p.steps.len(), k.nodes.len() + k.recompute.len());
+            }
+            // What the second piece reads of the first is materialized.
+            let materialized = cut.materialized_nodes(head);
+            let across: Vec<NodeId> = tail
+                .nodes
+                .iter()
+                .flat_map(|&n| cut.ir.node(n).inputs.iter().copied())
+                .filter(|i| head.nodes.contains(i))
+                .collect();
+            assert!(across.iter().all(|n| materialized.contains(n)));
+            read_across += across.len();
+        }
+        assert!(
+            read_across > 0,
+            "fixture: some cut has a value read across it"
+        );
+        // No piece may be left without a member.
+        assert!(plan.cut_kernel(parent.id, parent.nodes[0]).is_none());
+        assert!(plan.cut_kernel(parent.id, parent.recompute[0]).is_none());
     }
 }

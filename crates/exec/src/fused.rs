@@ -876,7 +876,7 @@ pub(crate) fn run_program(
             .ok_or_else(|| not_live(input))?;
         let din = ir.node(input).dim;
         let t = match &node.kind {
-            // Mirrors the reference `exec_node` exactly: parameters store
+            // Mirrors the op dispatch (`refexec::exec_op`) exactly: parameters store
             // heads as rows, so the per-head slice degenerates to heads=1.
             OpKind::SliceCols { start, end } => {
                 crate::kernels::slice_cols(&ExecPolicy::serial(), x, 1, din.feat, *start, *end)
@@ -1161,12 +1161,8 @@ pub(crate) fn run_program(
                                 &inputs,
                                 aux_in,
                             )?;
-                            match aux_out {
-                                crate::refexec::AuxOut::Argmax(a) => new_argmax_full.push((si, a)),
-                                crate::refexec::AuxOut::None => {}
-                                crate::refexec::AuxOut::Softmax(..) => {
-                                    unreachable!("EdgeSoftmax is never a full step")
-                                }
+                            if let crate::refexec::AuxOut::Argmax(a) = aux_out {
+                                new_argmax_full.push((si, a));
                             }
                             t
                         }

@@ -6,16 +6,17 @@
 //! (`fused.rs`) calls it for every **full step** of a lowered
 //! [`gnnopt_core::KernelProgram`] — whole-graph reductions, GEMMs,
 //! parameter reductions — so lowering totality never needs a per-kernel
-//! fallback: any op the IR expresses either tiles or lands here. The
-//! sharded driver's Split lockstep reaches it through
-//! `Session::exec_node`.
+//! fallback: any op the IR expresses either tiles or lands here. It has
+//! exactly two callers: those full steps — whichever session, shard or
+//! sharded driver launched the program — and [`evaluate`].
 //!
 //! [`evaluate`] is the reference the bit-identity suites compare a
 //! session against. No session code path calls it.
 //!
-//! Auxiliary tables (softmax max/denominator stashes, gather-max argmax
-//! tables) flow through `AuxIn`/`AuxOut` instead of session state, so
-//! the dispatch itself stays a pure function of its operands.
+//! Gather-max argmax tables flow through `AuxIn`/`AuxOut` instead of
+//! session state, so the dispatch itself stays a pure function of its
+//! operands. (A softmax rebuilt from its stashed max/denominator is a
+//! tiled step of the interpreter and never passes through here.)
 
 use crate::kernels;
 use crate::session::Bindings;
@@ -133,9 +134,6 @@ pub fn evaluate(
 pub(crate) enum AuxIn<'a> {
     /// No auxiliary input.
     None,
-    /// Stashed `(max, denominator)` of a forward [`OpKind::EdgeSoftmax`]:
-    /// the op recomputes from the stash instead of re-reducing.
-    Softmax(&'a Tensor, &'a Tensor),
     /// The argmax table of the forward `Gather(Max)` a
     /// [`OpKind::GatherMaxBwd`] inverts.
     Argmax(&'a [u32]),
@@ -145,9 +143,6 @@ pub(crate) enum AuxIn<'a> {
 pub(crate) enum AuxOut {
     /// No auxiliary output.
     None,
-    /// Fresh `(max, denominator)` from an [`OpKind::EdgeSoftmax`] that ran
-    /// without a stash.
-    Softmax(Tensor, Tensor),
     /// Fresh argmax table from a `Gather(Max)`.
     Argmax(Vec<u32>),
 }
@@ -221,15 +216,9 @@ fn exec_op_inner(
             return Ok((t, aux));
         }
 
-        OpKind::EdgeSoftmax => {
-            if let AuxIn::Softmax(m, d) = aux {
-                // Recompute path: O(1) per edge from stashed stats.
-                kernels::edge_softmax_from_aux(pol, g, inputs[0], m, d)
-            } else {
-                let (y, m, d) = kernels::edge_softmax(pol, g, inputs[0]);
-                return Ok((y, AuxOut::Softmax(m, d)));
-            }
-        }
+        // Always fresh: a softmax rebuilt from its stashed statistics
+        // is a tiled step of the interpreter, never a full one.
+        OpKind::EdgeSoftmax => kernels::edge_softmax(pol, g, inputs[0]).0,
 
         // GEMMs run under the caller's resolved policy: its engine choice
         // *and* its worker cap (a session pinned serial keeps its

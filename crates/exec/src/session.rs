@@ -25,11 +25,9 @@
 //! [`gnnopt_core::KernelProgram`] (`fused.rs`). A plan compiled with
 //! `FusionLevel::None`/`DglBuiltin` *is* the materializing baseline when
 //! the interpreter runs it. The node-by-node evaluation the bit-identity
-//! suites compare against lives outside the session, in
-//! [`crate::refexec::evaluate`].
+//! suites compare against is no part of the session (see the crate docs).
 
-use crate::{contain, fused, refexec};
-use crate::{ExecError, Result};
+use crate::{contain, fused, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, MemoryPlan};
 use gnnopt_core::{ExecPolicy, ExecutionPlan, Node, NodeId, OpKind, Phase, ReorderPolicy, Space};
@@ -37,6 +35,7 @@ use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_reorder::{locality, strategies, Permutation};
 use gnnopt_tensor::{pool, Tensor};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Named tensors bound to the IR's leaves (inputs and parameters).
@@ -170,7 +169,7 @@ fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
 /// non-finite element of `t` (one streaming pass, no allocation unless
 /// it fails) and localizes it as [`ExecError::NonFinite`]. `kernel` is
 /// built lazily so the all-finite path never formats a label. Shared by
-/// the plain session and the sharded driver's split/global node paths.
+/// the plain session and the sharded driver's global kernels.
 pub(crate) fn scan_nonfinite(
     t: &Tensor,
     node: &str,
@@ -188,6 +187,44 @@ pub(crate) fn scan_nonfinite(
             })
         }
     }
+}
+
+/// Human-readable label of a kernel launch, for fault diagnostics:
+/// schedule id, phase, and member node names. Free-standing so the
+/// sharded driver can label a kernel while its shard sessions are
+/// mutably borrowed.
+pub(crate) fn kernel_label(plan: &ExecutionPlan, kid: usize, backward: bool) -> String {
+    let names: Vec<&str> = plan.kernels[kid]
+        .nodes
+        .iter()
+        .map(|&n| plan.ir.node(n).name.as_str())
+        .collect();
+    format!(
+        "K{kid} {} [{}]",
+        if backward { "bwd" } else { "fwd" },
+        names.join("+")
+    )
+}
+
+/// Checks a caller-provided tensor (a leaf binding or the gradient
+/// seed) against the shape `node` has on `graph`. Row counts are
+/// permutation-invariant, so the caller's graph and a reordered one
+/// check alike; the sharded driver checks against the caller's full
+/// graph before any row selection, which would drop surplus rows.
+pub(crate) fn check_shape(graph: &Graph, node: &Node, t: &Tensor) -> Result<()> {
+    let expected = match node.space {
+        Space::Vertex => (graph.num_vertices(), node.dim.total()),
+        Space::Edge => (graph.num_edges(), node.dim.total()),
+        Space::Param => (node.dim.heads, node.dim.feat),
+    };
+    if (t.rows(), t.cols()) != expected {
+        return Err(ExecError::BindingShape {
+            name: node.name.clone(),
+            expected,
+            got: t.shape().to_vec(),
+        });
+    }
+    Ok(())
 }
 
 /// The session's one-time reordering preprocessing: the permuted graph
@@ -287,20 +324,32 @@ impl ReorderState {
     }
 }
 
-/// The session's input graph: callers borrow theirs through the
-/// builder; sharded execution hands each per-shard session an owned
-/// local subgraph it built itself (there is no caller to borrow from).
+/// A session input, lent or made: callers lend their plan and graph
+/// through the builder; sharded execution makes each shard's local
+/// subgraph — and, when it had to cut a kernel, the derived plan all
+/// shards share — itself, so there is no caller to borrow those from.
+/// Cloning copies a reference or bumps a count, never the value.
 #[derive(Debug)]
-enum GraphSource<'a> {
-    Borrowed(&'a Graph),
-    Owned(Graph),
+pub(crate) enum Held<'a, T> {
+    Borrowed(&'a T),
+    Owned(Arc<T>),
 }
 
-impl GraphSource<'_> {
-    fn get(&self) -> &Graph {
+impl<T> Clone for Held<'_, T> {
+    fn clone(&self) -> Self {
         match self {
-            GraphSource::Borrowed(g) => g,
-            GraphSource::Owned(g) => g,
+            Held::Borrowed(t) => Held::Borrowed(t),
+            Held::Owned(t) => Held::Owned(Arc::clone(t)),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Owned(t) => t,
         }
     }
 }
@@ -326,8 +375,8 @@ impl GraphSource<'_> {
 /// [`RunStats::reorder_seconds`].
 #[derive(Debug)]
 pub struct Session<'a> {
-    plan: &'a ExecutionPlan,
-    graph: GraphSource<'a>,
+    plan: Held<'a, ExecutionPlan>,
+    graph: Held<'a, Graph>,
     /// Build-time reordering preprocessing; `None` runs on the caller's
     /// graph as-is.
     reorder: Option<ReorderState>,
@@ -505,7 +554,12 @@ impl<'a> SessionBuilder<'a> {
         let env_arena = self.env.resolve(&mut policy)?;
         self.graph.validate().map_err(ExecError::Graph)?;
         let arena = self.arena.or(env_arena).unwrap_or(true);
-        Session::assemble(self.plan, GraphSource::Borrowed(self.graph), policy, arena)
+        Session::assemble(
+            Held::Borrowed(self.plan),
+            Held::Borrowed(self.graph),
+            policy,
+            arena,
+        )
     }
 }
 
@@ -525,18 +579,20 @@ impl<'a> Session<'a> {
 
     /// Builds a per-shard session over an *owned* local subgraph: the
     /// sharded executor constructs each shard's graph itself, so there
-    /// is no caller-owned graph to borrow. Reordering is pinned off —
-    /// shard-local ids must stay aligned with the driver's exchange
-    /// maps — and env overrides are already folded into `policy` by the
-    /// sharded builder.
+    /// is no caller-owned graph to borrow, and hands every shard the
+    /// plan it classified (the caller's, or the one it derived by
+    /// cutting kernels). Reordering is pinned off — shard-local ids
+    /// must stay aligned with the driver's exchange maps — and env
+    /// overrides are already folded into `policy` by the sharded
+    /// builder.
     pub(crate) fn assemble_owned(
-        plan: &'a ExecutionPlan,
+        plan: Held<'a, ExecutionPlan>,
         graph: Graph,
         mut policy: ExecPolicy,
         arena: bool,
     ) -> Result<Self> {
         policy.reorder = ReorderPolicy::None;
-        Self::assemble(plan, GraphSource::Owned(graph), policy, arena)
+        Self::assemble(plan, Held::Owned(Arc::new(graph)), policy, arena)
     }
 
     /// The shared construction tail: leaf-name validation, liveness
@@ -545,8 +601,8 @@ impl<'a> Session<'a> {
     /// planning and pool pre-seeding, reorder preprocessing. `policy`
     /// arrives with the env overrides already folded in by the builder.
     fn assemble(
-        plan: &'a ExecutionPlan,
-        graph: GraphSource<'a>,
+        plan: Held<'a, ExecutionPlan>,
+        graph: Held<'a, Graph>,
         policy: ExecPolicy,
         arena: bool,
     ) -> Result<Self> {
@@ -576,13 +632,13 @@ impl<'a> Session<'a> {
         // The executor's eviction discipline and the memory planner's
         // interval analysis are the same computation — sharing it is what
         // lets the planned arena provably cover the store.
-        let lv = memplan::liveness(plan);
+        let lv = memplan::liveness(&plan);
 
         let fwd_kernels: Vec<usize> = (0..plan.kernels.len())
-            .filter(|&k| memplan::kernel_phase(plan, k) == Phase::Forward)
+            .filter(|&k| memplan::kernel_phase(&plan, k) == Phase::Forward)
             .collect();
         let bwd_kernels: Vec<usize> = (0..plan.kernels.len())
-            .filter(|&k| memplan::kernel_phase(plan, k) == Phase::Backward)
+            .filter(|&k| memplan::kernel_phase(&plan, k) == Phase::Backward)
             .collect();
 
         // The forward→backward boundary drops every live transient. At
@@ -601,12 +657,7 @@ impl<'a> Session<'a> {
         }
 
         let memplan = if arena {
-            memplan::plan_memory(
-                plan,
-                graph.get().num_vertices(),
-                graph.get().num_edges(),
-                true,
-            )
+            memplan::plan_memory(&plan, graph.num_vertices(), graph.num_edges(), true)
         } else {
             MemoryPlan::default()
         };
@@ -625,7 +676,7 @@ impl<'a> Session<'a> {
             }
         }
 
-        let (reorder_seconds, reorder) = ReorderState::build(graph.get(), policy.reorder)?;
+        let (reorder_seconds, reorder) = ReorderState::build(&graph, policy.reorder)?;
         Ok(Self {
             plan,
             graph,
@@ -706,12 +757,6 @@ impl<'a> Session<'a> {
                 .map_or(ReorderPolicy::None, |r| r.strategy),
             self.reorder_seconds,
         )
-    }
-
-    /// The graph the kernels actually iterate: the relabeled CSR when the
-    /// session reorders, the caller's graph otherwise.
-    fn active_graph(&self) -> &Graph {
-        self.reorder.as_ref().map_or(self.graph.get(), |r| &r.graph)
     }
 
     /// Moves a user-order binding into the session's (possibly reordered)
@@ -908,14 +953,14 @@ impl<'a> Session<'a> {
                 "call forward() before backward()".into(),
             ));
         }
-        let plan = self.plan;
+        let plan = self.plan.clone();
         let Some(seed_id) = self.seed_node else {
             return Err(ExecError::Protocol(
                 "training plan has no gradient-seed node (plan inconsistency)".into(),
             ));
         };
         let seed_node = plan.ir.node(seed_id);
-        self.check_shape(seed_node, &seed)?;
+        check_shape(&self.graph, seed_node, &seed)?;
         // The caller seeds ∂L/∂output in their own vertex order.
         let seed = self.permute_input(seed_node.space, seed);
         self.insert_value(seed_id, seed);
@@ -1021,34 +1066,16 @@ impl<'a> Session<'a> {
     }
 
     fn bind_leaves(&mut self, bindings: &Bindings) -> Result<()> {
-        let plan = self.plan;
+        let plan = self.plan.clone();
         for i in 0..self.leaf_ids.len() {
             let id = self.leaf_ids[i];
             let node = plan.ir.node(id);
             let t = bindings
                 .get(&node.name)
                 .ok_or_else(|| ExecError::MissingBinding(node.name.clone()))?;
-            self.check_shape(node, t)?;
+            check_shape(&self.graph, node, t)?;
             let t = self.permute_input_ref(node.space, t);
             self.insert_value(id, t);
-        }
-        Ok(())
-    }
-
-    fn check_shape(&self, node: &Node, t: &Tensor) -> Result<()> {
-        // Row counts are permutation-invariant, so checking against the
-        // caller's graph or the reordered one is equivalent.
-        let expected = match node.space {
-            Space::Vertex => (self.graph.get().num_vertices(), node.dim.total()),
-            Space::Edge => (self.graph.get().num_edges(), node.dim.total()),
-            Space::Param => (node.dim.heads, node.dim.feat),
-        };
-        if t.rows() != expected.0 || t.cols() != expected.1 {
-            return Err(ExecError::BindingShape {
-                name: node.name.clone(),
-                expected,
-                got: t.shape().to_vec(),
-            });
         }
         Ok(())
     }
@@ -1071,21 +1098,6 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Human-readable label of a kernel launch, for fault diagnostics:
-    /// schedule id, phase, and member node names.
-    pub(crate) fn kernel_label(&self, kid: usize, backward: bool) -> String {
-        let names: Vec<&str> = self.plan.kernels[kid]
-            .nodes
-            .iter()
-            .map(|&n| self.plan.ir.node(n).name.as_str())
-            .collect();
-        format!(
-            "K{kid} {} [{}]",
-            if backward { "bwd" } else { "fwd" },
-            names.join("+")
-        )
-    }
-
     /// The numeric guard's per-output scan (active when
     /// [`ExecPolicy::guard`] is set): localizes the first non-finite
     /// element of `t` to `(kernel, node, row, col)`. One streaming pass
@@ -1095,7 +1107,7 @@ impl<'a> Session<'a> {
             return Ok(());
         }
         scan_nonfinite(t, &self.plan.ir.node(node).name, || {
-            self.kernel_label(kid, backward)
+            kernel_label(&self.plan, kid, backward)
         })
     }
 
@@ -1110,7 +1122,7 @@ impl<'a> Session<'a> {
         })) {
             Ok(r) => r,
             Err(p) => {
-                let kernel = self.kernel_label(kid, backward);
+                let kernel = kernel_label(&self.plan, kid, backward);
                 let payload = contain::payload_str(p.as_ref());
                 self.poisoned = Some(format!("kernel '{kernel}' panicked: {payload}"));
                 Err(ExecError::KernelPanic { kernel, payload })
@@ -1123,17 +1135,17 @@ impl<'a> Session<'a> {
     /// and never enter the value store (incl. recomputed values, which
     /// rebuild per tile instead of per kernel).
     fn exec_kernel_inner(&mut self, kid: usize, backward: bool) -> Result<()> {
-        let plan = self.plan;
+        let plan = self.plan.clone();
         let Some(program) = plan.programs.get(kid) else {
             return Err(ExecError::Protocol(format!(
                 "kernel '{}' has no lowered program (the plan was assembled \
                  without `lower_plan`)",
-                self.kernel_label(kid, backward)
+                kernel_label(&plan, kid, backward)
             )));
         };
         let graph: &Graph = match &self.reorder {
             Some(r) => &r.graph,
-            None => self.graph.get(),
+            None => &self.graph,
         };
         // Arena mode: the interpreter frees each dying input as soon as
         // its last reading segment completes, so its buffer recycles
@@ -1215,20 +1227,9 @@ impl<'a> Session<'a> {
             .ok_or_else(|| ExecError::ValueNotLive { node: name.clone() })
     }
 
-    /// Whether `id` is live in the store.
-    pub(crate) fn has_value(&self, id: NodeId) -> bool {
-        self.values.contains_key(&id)
-    }
-
-    /// Whether `id` persists to the end of the step (outputs, gradients,
-    /// stash-planned values).
-    pub(crate) fn is_persistent(&self, id: NodeId) -> bool {
-        self.persistent.contains(&id)
-    }
-
     /// The caller-facing graph (shard-local for per-shard sessions).
     pub(crate) fn graph(&self) -> &Graph {
-        self.graph.get()
+        &self.graph
     }
 
     /// Forward kernel ids in execution order.
@@ -1239,66 +1240,6 @@ impl<'a> Session<'a> {
     /// Backward kernel ids in execution order.
     pub(crate) fn bwd_kernel_ids(&self) -> &[usize] {
         &self.bwd_kernels
-    }
-
-    /// Executes one node whole-graph, for the sharded driver's Split
-    /// lockstep (a plain session never calls this): operands come out of
-    /// the value store, auxiliaries out of the session stashes, and the
-    /// op itself runs through the shared dispatch in [`crate::refexec`] —
-    /// the same dispatch the interpreter uses for full steps.
-    pub(crate) fn exec_node(&mut self, id: NodeId) -> Result<Tensor> {
-        let node = self.plan.ir.node(id);
-        let (t, aux_out) = {
-            // Operand lookup without a per-node Vec (no op reads more
-            // than 8 inputs).
-            debug_assert!(node.inputs.len() <= 8, "op with >8 inputs");
-            let inputs_buf: [&Tensor; 8];
-            let inputs: &[&Tensor] = if node.inputs.is_empty() {
-                &[]
-            } else {
-                let first = self.value(node.inputs[0])?;
-                let mut buf = [first; 8];
-                for (j, &i) in node.inputs.iter().enumerate().skip(1) {
-                    buf[j] = self.value(i)?;
-                }
-                inputs_buf = buf;
-                &inputs_buf[..node.inputs.len()]
-            };
-            let aux_in = match &node.kind {
-                OpKind::EdgeSoftmax => self
-                    .aux_softmax
-                    .get(&id)
-                    .map_or(refexec::AuxIn::None, |(m, d)| refexec::AuxIn::Softmax(m, d)),
-                OpKind::GatherMaxBwd { fwd } => {
-                    let table =
-                        self.aux_argmax
-                            .get(fwd)
-                            .ok_or_else(|| ExecError::ValueNotLive {
-                                node: format!("argmax aux of node {fwd}"),
-                            })?;
-                    refexec::AuxIn::Argmax(table)
-                }
-                _ => refexec::AuxIn::None,
-            };
-            refexec::exec_op(
-                &self.policy,
-                self.active_graph(),
-                &self.plan.ir,
-                node,
-                inputs,
-                aux_in,
-            )?
-        };
-        match aux_out {
-            refexec::AuxOut::Softmax(m, d) => {
-                self.aux_softmax.insert(id, (m, d));
-            }
-            refexec::AuxOut::Argmax(a) => {
-                self.aux_argmax.insert(id, a);
-            }
-            refexec::AuxOut::None => {}
-        }
-        Ok(t)
     }
 }
 

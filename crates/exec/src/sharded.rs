@@ -33,20 +33,42 @@
 //!
 //! # Kernel classification
 //!
-//! Every kernel of the plan is classified once at build time:
+//! Every kernel of the plan is classified once at build time, into one
+//! of two classes — and either way it runs through the program
+//! interpreter (`fused.rs`), the only executor there is:
 //!
-//! * **Sharded** — runs whole, through each shard session's program
-//!   interpreter, after zero or more pre-exchanges. The common case: a GCN layer
-//!   costs one vertex-halo exchange and then runs entirely locally.
-//! * **Split** — a kernel mixing incompatibly-anchored group ops (e.g.
-//!   GAT's backward, where a `ByDst` softmax gradient feeds a `BySrc`
-//!   reduction) runs node-by-node in lockstep across shards, with
-//!   replica-row patches mid-kernel.
+//! * **Sharded** — runs whole on every shard, through that shard
+//!   session's interpreter, after zero or more pre-exchanges. The common
+//!   case: a GCN layer costs one vertex-halo exchange and then runs
+//!   entirely locally.
 //! * **Global** — parameter-gradient reductions (`Xᵀ·G` and friends)
 //!   reduce over *all* rows; re-associating them per shard would break
-//!   bit-identity, so the driver gathers the operands' authoritative
-//!   rows, executes the kernel once on the full graph, and scatters the
-//!   results back.
+//!   bit-identity, so the driver gathers the external operands of the
+//!   kernel's program from their authoritative rows, interprets the
+//!   program once on the full graph, and scatters back what the program
+//!   materializes — nothing kernel-internal becomes a tensor or crosses
+//!   shards.
+//!
+//! # Cutting a kernel
+//!
+//! A whole kernel can only exchange values that exist before it starts.
+//! A kernel mixing incompatibly-anchored group ops — GAT's fused
+//! backward, where a `ByDst`-anchored softmax gradient feeds a `BySrc`
+//! reduction — needs replica rows of a value it produces itself: when
+//! the validity simulation of kernel `k` finds that member `n` needs
+//! such rows, the builder **cuts** `k` before `n`
+//! ([`ExecutionPlan::cut_kernel`]: two kernels, each recomputing what
+//! its own members read, programs lowered afresh) and classifies the
+//! derived plan again, until every kernel fits. The value `n` needed is
+//! then an ordinary materialized output of the first piece, patched by
+//! an ordinary pre-exchange of the second; the shards plan their arenas
+//! from the same derived plan, so the planned arena covers it. This
+//! happens once, at build; a plan with nothing to cut (every GCN, GIN
+//! or SAGE-mean plan) is used as the caller lent it. A cut that would
+//! leave a piece without a member is a typed [`ExecError::Protocol`]
+//! (no plan `compile` produces asks for one: recomputable ops carry no
+//! `BySrc` anchor and no reduction). Exchange records keep naming the
+//! kernels of the caller's plan.
 //!
 //! Every exchange is recorded ([`ExchangeRecord`]) and aggregated into
 //! [`RunStats`]: `comm_bytes`, `halo_vertices`, `cut_edges`,
@@ -61,8 +83,10 @@
 //! [`EnvOverrides`] mode), then `1`. A count of `1` builds a plain
 //! [`Session`] — no partitioning, no maps, no overhead.
 
-use crate::session::{scan_nonfinite, Bindings, EnvOverrides, RunStats, Session};
-use crate::{contain, refexec, ExecError, Result};
+use crate::session::{
+    check_shape, kernel_label, scan_nonfinite, Bindings, EnvOverrides, Held, RunStats, Session,
+};
+use crate::{contain, fused, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, Liveness};
 use gnnopt_core::view::{self, View};
@@ -72,6 +96,7 @@ use gnnopt_core::{
 use gnnopt_graph::{EdgeList, Graph, Partition};
 use gnnopt_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Parses the `GNNOPT_SHARDS` override: `Ok(None)` when unset,
@@ -225,36 +250,14 @@ enum Source {
     Param,
 }
 
-/// One lockstep step of a split kernel.
-#[derive(Debug, Clone)]
-struct SplitStep {
-    /// Exchanges to run before the node executes on any shard.
-    pre: Vec<ExOp>,
-    /// The node every shard then executes.
-    node: NodeId,
-    /// Whether it is a recompute rebuild (skipped on shards that still
-    /// hold the stashed value).
-    recompute: bool,
-}
-
-/// The driver-side plan of one global kernel.
-#[derive(Debug, Clone)]
-struct GlobalPlan {
-    /// External operands to assemble into full tensors, in input order.
-    gather: Vec<(NodeId, Source)>,
-    /// Recompute nodes to rebuild globally before the members run.
-    rebuild: Vec<NodeId>,
-}
-
 /// How one kernel of the plan executes under sharding.
 #[derive(Clone)]
 enum KernelClass {
     /// Whole kernel per shard after `pre`.
     Sharded { pre: Vec<ExOp> },
-    /// Node-by-node lockstep with mid-kernel exchanges.
-    Split { steps: Vec<SplitStep> },
-    /// Executed once by the driver over the full graph.
-    Global(GlobalPlan),
+    /// Executed once by the driver over the full graph, on the external
+    /// operands of the kernel's program assembled into full tensors.
+    Global { gather: Vec<(NodeId, Source)> },
 }
 
 /// The classifier's product: per-kernel classes plus where each model
@@ -264,20 +267,31 @@ struct Classified {
     output_sources: Vec<(NodeId, Source)>,
 }
 
+/// What one classification pass over a plan found.
+enum Classify {
+    Done(Classified),
+    /// Kernel `kid` cannot run whole: its member `at` needs rows of a
+    /// kernel-internal value that no shard can produce locally. The
+    /// builder cuts the kernel before `at` and classifies again.
+    Cut {
+        kid: usize,
+        at: NodeId,
+    },
+}
+
 enum SimErr {
-    /// Whole-kernel simulation hit an intra-kernel anchor conflict.
-    MustSplit,
-    /// The plan's liveness discipline was violated (a bug, not a split).
+    /// A kernel-internal value would need an exchange: the kernel must
+    /// be cut so the value materializes first.
+    MustCut,
+    /// The plan's liveness discipline was violated (a bug, not a cut).
     Fatal(String),
 }
 
 fn fatal(e: SimErr) -> ExecError {
-    match e {
-        SimErr::MustSplit => {
-            ExecError::Protocol("sharding classifier: split simulation cannot itself split".into())
-        }
-        SimErr::Fatal(m) => ExecError::Protocol(format!("sharding classifier: {m}")),
-    }
+    ExecError::Protocol(match e {
+        SimErr::MustCut => "sharding classifier: a cut was asked for outside a kernel".into(),
+        SimErr::Fatal(m) => format!("sharding classifier: {m}"),
+    })
 }
 
 fn full_bits(space: Space) -> Bits {
@@ -303,13 +317,26 @@ fn satisfied(b: Bits, need: Need) -> bool {
     }
 }
 
-fn grant(b: &mut Bits, need: Need) {
-    match (b, need) {
+fn dead(ir: &IrGraph, id: NodeId) -> SimErr {
+    SimErr::Fatal(format!(
+        "value '{}' read while dead in the bit simulation",
+        ir.node(id).name
+    ))
+}
+
+fn grant(
+    ir: &IrGraph,
+    local: &mut HashMap<NodeId, Bits>,
+    id: NodeId,
+    need: Need,
+) -> std::result::Result<(), SimErr> {
+    match (local.get_mut(&id).ok_or_else(|| dead(ir, id))?, need) {
         (Bits::Vertex { halo }, Need::Halo) => *halo = true,
         (Bits::Edge { dst, .. }, Need::Anchor(EdgeGroup::ByDst)) => *dst = true,
         (Bits::Edge { src, .. }, Need::Anchor(EdgeGroup::BySrc)) => *src = true,
         _ => {}
     }
+    Ok(())
 }
 
 /// The validity requirement the `pos`-th input read of `id` places on
@@ -318,12 +345,9 @@ fn grant(b: &mut Bits, need: Need) {
 /// unclaimed rows make the halo read irrelevant — and group-complete
 /// edge reads need the group's anchor side valid.
 fn need_of(ir: &IrGraph, id: NodeId, pos: usize) -> Option<Need> {
-    match view::edge_view(ir, id, pos) {
-        v @ (View::BySrc | View::ByDst) => {
-            let g = v.endpoint_group().expect("endpoint view has a group");
-            (view::output_anchor(ir, id) != Some(g)).then_some(Need::Halo)
-        }
-        _ => view::required_anchor(ir, id, pos).map(Need::Anchor),
+    match view::edge_view(ir, id, pos).endpoint_group() {
+        Some(g) => (view::output_anchor(ir, id) != Some(g)).then_some(Need::Halo),
+        None => view::required_anchor(ir, id, pos).map(Need::Anchor),
     }
 }
 
@@ -332,12 +356,7 @@ fn bits_of(
     local: &HashMap<NodeId, Bits>,
     id: NodeId,
 ) -> std::result::Result<Bits, SimErr> {
-    local.get(&id).copied().ok_or_else(|| {
-        SimErr::Fatal(format!(
-            "value '{}' read while dead in the bit simulation",
-            ir.node(id).name
-        ))
-    })
+    local.get(&id).copied().ok_or_else(|| dead(ir, id))
 }
 
 /// The output validity of `id` given its operands' bits: anchored edge
@@ -396,36 +415,24 @@ fn out_bits(
     }
 }
 
-enum Mode<'k> {
-    /// Whole-kernel simulation: intra-kernel values cannot be exchanged
-    /// (they do not exist before the kernel runs) — their requirements
-    /// strengthen their own inputs, or force a split.
-    Whole { intra: &'k HashSet<NodeId> },
-    /// Per-node lockstep: every value is materialized before the next
-    /// step, so everything is exchangeable.
-    Split,
-}
-
 /// Makes `need` hold for value `id`, planning an exchange for external
 /// (materialized) values and recursively strengthening the inputs of
-/// intra-kernel producers.
+/// the kernel's own (`intra`) producers: those cannot be exchanged —
+/// they do not exist before the kernel runs — so their requirements
+/// strengthen their own inputs, or force a cut.
 fn satisfy(
     plan: &ExecutionPlan,
     id: NodeId,
     need: Need,
     local: &mut HashMap<NodeId, Bits>,
     pre: &mut Vec<ExOp>,
-    mode: &Mode<'_>,
+    intra: &HashSet<NodeId>,
 ) -> std::result::Result<(), SimErr> {
     let b = bits_of(&plan.ir, local, id)?;
     if satisfied(b, need) {
         return Ok(());
     }
-    let external = match mode {
-        Mode::Whole { intra } => !intra.contains(&id),
-        Mode::Split => true,
-    };
-    if external {
+    if !intra.contains(&id) {
         let ex = match need {
             Need::Halo => ExOp::VertexHalo(id),
             Need::Anchor(EdgeGroup::ByDst) => ExOp::EdgePatch(id, PatchSide::Dst),
@@ -434,8 +441,7 @@ fn satisfy(
         if !pre.contains(&ex) {
             pre.push(ex);
         }
-        grant(local.get_mut(&id).expect("bits_of checked presence"), need);
-        return Ok(());
+        return grant(&plan.ir, local, id, need);
     }
     // Intra-kernel producer: can its production be strengthened to cover
     // the needed rows?
@@ -443,14 +449,11 @@ fn satisfy(
         match view::output_anchor(&plan.ir, id) {
             // Anchored at the needed group: production already grants it
             // (unreachable — satisfied() above would have returned).
-            Some(a) if a == g => {
-                grant(local.get_mut(&id).expect("checked"), need);
-                return Ok(());
-            }
+            Some(a) if a == g => return grant(&plan.ir, local, id, need),
             // Anchored at the other group: the opposite side's rows are
-            // inherently wrong locally — the kernel must split so the
+            // inherently wrong locally — the kernel must be cut so the
             // value can be patched after materializing.
-            Some(_) => return Err(SimErr::MustSplit),
+            Some(_) => return Err(SimErr::MustCut),
             None => {}
         }
     }
@@ -460,22 +463,21 @@ fn satisfy(
         match view::edge_view(&plan.ir, id, pos) {
             // Endpoint reads of the strengthened rows touch arbitrary
             // endpoints: the operand needs full halo validity.
-            View::BySrc | View::ByDst => satisfy(plan, iv, Need::Halo, local, pre, mode)?,
+            View::BySrc | View::ByDst => satisfy(plan, iv, Need::Halo, local, pre, intra)?,
             View::Aligned => match (plan.ir.node(iv).space, need) {
-                (Space::Vertex, Need::Halo) => satisfy(plan, iv, Need::Halo, local, pre, mode)?,
+                (Space::Vertex, Need::Halo) => satisfy(plan, iv, Need::Halo, local, pre, intra)?,
                 (Space::Edge, Need::Anchor(g)) => {
-                    satisfy(plan, iv, Need::Anchor(g), local, pre, mode)?;
+                    satisfy(plan, iv, Need::Anchor(g), local, pre, intra)?;
                 }
                 _ => {}
             },
             // A reduction consumer's extra rows need complete non-local
             // groups — not strengthenable.
-            View::Reduce(_) => return Err(SimErr::MustSplit),
+            View::Reduce(_) => return Err(SimErr::MustCut),
             _ => {}
         }
     }
-    grant(local.get_mut(&id).expect("checked"), need);
-    Ok(())
+    grant(&plan.ir, local, id, need)
 }
 
 /// Simulates one node: satisfies its input requirements, prevents the
@@ -485,12 +487,12 @@ fn process_node(
     id: NodeId,
     local: &mut HashMap<NodeId, Bits>,
     pre: &mut Vec<ExOp>,
-    mode: &Mode<'_>,
+    intra: &HashSet<NodeId>,
 ) -> std::result::Result<(), SimErr> {
     let node = plan.ir.node(id);
     for pos in 0..node.inputs.len() {
         if let Some(need) = need_of(&plan.ir, id, pos) {
-            satisfy(plan, node.inputs[pos], need, local, pre, mode)?;
+            satisfy(plan, node.inputs[pos], need, local, pre, intra)?;
         }
     }
     let mut b = out_bits(&plan.ir, local, id)?;
@@ -507,7 +509,7 @@ fn process_node(
             if view::edge_view(&plan.ir, id, pos) == View::Aligned
                 && plan.ir.node(iv).space == Space::Edge
             {
-                satisfy(plan, iv, Need::Anchor(EdgeGroup::ByDst), local, pre, mode)?;
+                satisfy(plan, iv, Need::Anchor(EdgeGroup::ByDst), local, pre, intra)?;
             }
         }
         b = out_bits(&plan.ir, local, id)?;
@@ -524,60 +526,47 @@ fn kernel_order(
     kid: usize,
     backward: bool,
     bits: &HashMap<NodeId, Bits>,
-) -> Vec<(NodeId, bool)> {
+) -> Vec<NodeId> {
     let kernel = &plan.kernels[kid];
     let mut order = Vec::with_capacity(kernel.recompute.len() + kernel.nodes.len());
     if backward {
         for &r in &kernel.recompute {
             if !(lv.persistent.contains(&r) && bits.contains_key(&r)) {
-                order.push((r, true));
+                order.push(r);
             }
         }
     }
-    order.extend(kernel.nodes.iter().map(|&n| (n, false)));
+    order.extend(&kernel.nodes);
     order
 }
 
-#[allow(clippy::type_complexity)]
+/// How one kernel fared when simulated whole.
+enum Whole {
+    /// It runs whole after these exchanges, leaving these bits.
+    Fits(Vec<ExOp>, HashMap<NodeId, Bits>),
+    /// This node needs rows of a kernel-internal value no shard holds.
+    CutBefore(NodeId),
+}
+
 fn simulate_whole(
     plan: &ExecutionPlan,
     lv: &Liveness,
     kid: usize,
     backward: bool,
     bits: &HashMap<NodeId, Bits>,
-) -> std::result::Result<(Vec<ExOp>, HashMap<NodeId, Bits>), SimErr> {
+) -> Result<Whole> {
     let order = kernel_order(plan, lv, kid, backward, bits);
-    let intra: HashSet<NodeId> = order.iter().map(|&(n, _)| n).collect();
+    let intra: HashSet<NodeId> = order.iter().copied().collect();
     let mut local = bits.clone();
     let mut pre = Vec::new();
-    let mode = Mode::Whole { intra: &intra };
-    for &(id, _) in &order {
-        process_node(plan, id, &mut local, &mut pre, &mode)?;
+    for &id in &order {
+        match process_node(plan, id, &mut local, &mut pre, &intra) {
+            Ok(()) => {}
+            Err(SimErr::MustCut) => return Ok(Whole::CutBefore(id)),
+            Err(e) => return Err(fatal(e)),
+        }
     }
-    Ok((pre, local))
-}
-
-#[allow(clippy::type_complexity)]
-fn simulate_split(
-    plan: &ExecutionPlan,
-    lv: &Liveness,
-    kid: usize,
-    backward: bool,
-    bits: &HashMap<NodeId, Bits>,
-) -> std::result::Result<(Vec<SplitStep>, HashMap<NodeId, Bits>), SimErr> {
-    let order = kernel_order(plan, lv, kid, backward, bits);
-    let mut local = bits.clone();
-    let mut steps = Vec::with_capacity(order.len());
-    for &(id, recompute) in &order {
-        let mut pre = Vec::new();
-        process_node(plan, id, &mut local, &mut pre, &Mode::Split)?;
-        steps.push(SplitStep {
-            pre,
-            node: id,
-            recompute,
-        });
-    }
-    Ok((steps, local))
+    Ok(Whole::Fits(pre, local))
 }
 
 fn source_of(b: Bits) -> Source {
@@ -589,39 +578,32 @@ fn source_of(b: Bits) -> Source {
     }
 }
 
+/// Plans one global kernel: the external operands of its program, each
+/// with the side its authoritative rows live on.
 fn simulate_global(
     plan: &ExecutionPlan,
-    lv: &Liveness,
     kid: usize,
-    backward: bool,
     bits: &mut HashMap<NodeId, Bits>,
-) -> std::result::Result<GlobalPlan, SimErr> {
-    let kernel = &plan.kernels[kid];
-    let mut rebuild = Vec::new();
-    let mut have: HashSet<NodeId> = kernel.nodes.iter().copied().collect();
-    if backward {
-        for &r in &kernel.recompute {
-            if !(lv.persistent.contains(&r) && bits.contains_key(&r)) {
-                rebuild.push(r);
-                have.insert(r);
+) -> std::result::Result<Vec<(NodeId, Source)>, SimErr> {
+    let program = plan
+        .programs
+        .get(kid)
+        .ok_or_else(|| SimErr::Fatal(format!("kernel {kid} has no lowered program")))?;
+    let members: HashSet<NodeId> = program.steps.iter().map(|s| s.node).collect();
+    let mut gather: Vec<(NodeId, Source)> = Vec::new();
+    for s in &program.steps {
+        for &iv in &plan.ir.node(s.node).inputs {
+            if !members.contains(&iv) && gather.iter().all(|&(g, _)| g != iv) {
+                gather.push((iv, source_of(bits_of(&plan.ir, bits, iv)?)));
             }
         }
     }
-    let mut gather = Vec::new();
-    let mut seen = HashSet::new();
-    for &id in rebuild.iter().chain(&kernel.nodes) {
-        for &iv in &plan.ir.node(id).inputs {
-            if have.contains(&iv) || !seen.insert(iv) {
-                continue;
-            }
-            gather.push((iv, source_of(bits_of(&plan.ir, bits, iv)?)));
-        }
-    }
-    // Results are scattered to every shard as fully valid rows.
-    for &id in &kernel.nodes {
+    // What the program materializes is scattered to every shard as
+    // fully valid rows; nothing else of the kernel leaves the driver.
+    for id in program.materialized() {
         bits.insert(id, full_bits(plan.ir.node(id).space));
     }
-    Ok(GlobalPlan { gather, rebuild })
+    Ok(gather)
 }
 
 /// Kernels that must execute once, globally: any kernel producing a
@@ -668,7 +650,8 @@ fn global_kernels(plan: &ExecutionPlan) -> Vec<bool> {
     global
 }
 
-fn classify(plan: &ExecutionPlan, lv: &Liveness) -> Result<Classified> {
+fn classify(plan: &ExecutionPlan) -> Result<Classify> {
+    let lv = &memplan::liveness(plan);
     let global = global_kernels(plan);
     let mut classes: Vec<KernelClass> = (0..plan.kernels.len())
         .map(|_| KernelClass::Sharded { pre: Vec::new() })
@@ -683,43 +666,41 @@ fn classify(plan: &ExecutionPlan, lv: &Liveness) -> Result<Classified> {
         }
     }
 
-    let mut step = |kid: usize, backward: bool, bits: &mut HashMap<NodeId, Bits>| -> Result<()> {
-        if global[kid] {
-            classes[kid] =
-                KernelClass::Global(simulate_global(plan, lv, kid, backward, bits).map_err(fatal)?);
-        } else {
-            match simulate_whole(plan, lv, kid, backward, bits) {
-                Ok((pre, local)) => {
-                    *bits = local;
-                    classes[kid] = KernelClass::Sharded { pre };
-                }
-                Err(SimErr::MustSplit) => {
-                    let (steps, local) =
-                        simulate_split(plan, lv, kid, backward, bits).map_err(fatal)?;
-                    *bits = local;
-                    classes[kid] = KernelClass::Split { steps };
-                }
-                Err(e @ SimErr::Fatal(_)) => return Err(fatal(e)),
-            }
-        }
-        // Mirror the runtime's memory discipline so later kernels see
-        // exactly the values (and bits) that are still live.
-        if backward {
-            for &r in &plan.kernels[kid].recompute {
-                if !lv.persistent.contains(&r) {
-                    bits.remove(&r);
+    // Classifies kernel `kid`; `Some(at)` asks for a cut before `at`.
+    let mut step =
+        |kid: usize, backward: bool, bits: &mut HashMap<NodeId, Bits>| -> Result<Option<NodeId>> {
+            if global[kid] {
+                let gather = simulate_global(plan, kid, bits).map_err(fatal)?;
+                classes[kid] = KernelClass::Global { gather };
+            } else {
+                match simulate_whole(plan, lv, kid, backward, bits)? {
+                    Whole::Fits(pre, local) => {
+                        *bits = local;
+                        classes[kid] = KernelClass::Sharded { pre };
+                    }
+                    Whole::CutBefore(at) => return Ok(Some(at)),
                 }
             }
-        }
-        for &d in &lv.kernel_deaths[kid] {
-            bits.remove(&d);
-        }
-        Ok(())
-    };
+            // Mirror the runtime's memory discipline so later kernels see
+            // exactly the values (and bits) that are still live.
+            if backward {
+                for &r in &plan.kernels[kid].recompute {
+                    if !lv.persistent.contains(&r) {
+                        bits.remove(&r);
+                    }
+                }
+            }
+            for &d in &lv.kernel_deaths[kid] {
+                bits.remove(&d);
+            }
+            Ok(None)
+        };
 
     for kid in 0..plan.kernels.len() {
         if memplan::kernel_phase(plan, kid) == Phase::Forward {
-            step(kid, false, &mut bits)?;
+            if let Some(at) = step(kid, false, &mut bits)? {
+                return Ok(Classify::Cut { kid, at });
+            }
         }
     }
     let output_sources = plan
@@ -740,14 +721,16 @@ fn classify(plan: &ExecutionPlan, lv: &Liveness) -> Result<Classified> {
         }
         for kid in 0..plan.kernels.len() {
             if memplan::kernel_phase(plan, kid) == Phase::Backward {
-                step(kid, true, &mut bits)?;
+                if let Some(at) = step(kid, true, &mut bits)? {
+                    return Ok(Classify::Cut { kid, at });
+                }
             }
         }
     }
-    Ok(Classified {
+    Ok(Classify::Done(Classified {
         classes,
         output_sources,
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -976,6 +959,18 @@ impl ShardMaps {
     }
 }
 
+impl ShardMaps {
+    /// Shard `s`'s copy of a global-row tensor: its local vertex or edge
+    /// rows, or the whole of a (replicated) parameter-space value.
+    fn local_rows(&self, s: usize, space: Space, t: &Tensor) -> Tensor {
+        match space {
+            Space::Vertex => select_rows_u32(t, &self.l2g_vertex[s]),
+            Space::Edge => select_rows_u32(t, &self.l2g_edge[s]),
+            Space::Param => t.clone(),
+        }
+    }
+}
+
 /// Row-select `t` by `idx` (u32 global rows), preserving trailing shape.
 fn select_rows_u32(t: &Tensor, idx: &[u32]) -> Tensor {
     let mut shape = t.shape().to_vec();
@@ -996,7 +991,12 @@ fn select_rows_u32(t: &Tensor, idx: &[u32]) -> Tensor {
 /// kernels across shards with explicit exchanges.
 #[derive(Debug)]
 struct Multi<'a> {
-    plan: &'a ExecutionPlan,
+    /// The plan every shard executes: the caller's, or the one the
+    /// builder derived from it by cutting kernels.
+    plan: Held<'a, ExecutionPlan>,
+    /// Per kernel of `plan`, the kernel of the caller's plan it is (a
+    /// piece of): what [`ExchangeRecord::kernel`] names.
+    origin: Vec<usize>,
     graph: &'a Graph,
     policy: ExecPolicy,
     shards: Vec<Session<'a>>,
@@ -1014,28 +1014,12 @@ struct Multi<'a> {
     records: Vec<ExchangeRecord>,
     stats: RunStats,
     /// Set when a panic unwound out of a driver-side execution path
-    /// (split steps, global kernels, exchanges) and was contained at the
+    /// (global kernels, exchanges) and was contained at the
     /// kernel boundary: the step's results are unreliable, so every
     /// subsequent step refuses with [`ExecError::Poisoned`]. Panics
     /// inside a shard's own kernels poison that shard's [`Session`]
     /// instead.
     poisoned: Option<String>,
-}
-
-/// Human-readable label of a kernel launch for fault diagnostics —
-/// the driver-side twin of `Session::kernel_label`, usable while shard
-/// sessions are mutably borrowed.
-fn kernel_label(plan: &ExecutionPlan, kid: usize, backward: bool) -> String {
-    let names: Vec<&str> = plan.kernels[kid]
-        .nodes
-        .iter()
-        .map(|&n| plan.ir.node(n).name.as_str())
-        .collect();
-    format!(
-        "K{kid} {} [{}]",
-        if backward { "bwd" } else { "fwd" },
-        names.join("+")
-    )
 }
 
 /// Order-sensitive checksum of the staged exchange buffers (FNV-style
@@ -1066,8 +1050,7 @@ impl std::fmt::Debug for KernelClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KernelClass::Sharded { pre } => write!(f, "Sharded({} pre)", pre.len()),
-            KernelClass::Split { steps } => write!(f, "Split({} steps)", steps.len()),
-            KernelClass::Global(g) => write!(f, "Global({} gathered)", g.gather.len()),
+            KernelClass::Global { gather } => write!(f, "Global({} gathered)", gather.len()),
         }
     }
 }
@@ -1089,7 +1072,7 @@ impl<'a> Multi<'a> {
         self.stats.comm_bytes += bytes;
         self.stats.halo_exchanges += 1;
         self.records.push(ExchangeRecord {
-            kernel: kid,
+            kernel: self.origin[kid],
             backward,
             value: self.plan.ir.node(nid).name.clone(),
             rows,
@@ -1104,33 +1087,18 @@ impl<'a> Multi<'a> {
         let k = self.num_shards();
         let mut out = vec![Bindings::new(); k];
         for n in self.plan.ir.nodes() {
-            let rows = match n.kind {
-                OpKind::InputVertex => self.graph.num_vertices(),
-                OpKind::InputEdge => self.graph.num_edges(),
-                OpKind::Param => n.dim.heads,
-                _ => continue,
-            };
+            if !matches!(
+                n.kind,
+                OpKind::InputVertex | OpKind::InputEdge | OpKind::Param
+            ) {
+                continue;
+            }
             let t = bindings
                 .get(&n.name)
                 .ok_or_else(|| ExecError::MissingBinding(n.name.clone()))?;
-            let cols = match n.kind {
-                OpKind::Param => n.dim.feat,
-                _ => n.dim.total(),
-            };
-            if t.rows() != rows || t.cols() != cols {
-                return Err(ExecError::BindingShape {
-                    name: n.name.clone(),
-                    expected: (rows, cols),
-                    got: t.shape().to_vec(),
-                });
-            }
+            check_shape(self.graph, n, t)?;
             for (s, shard_bindings) in out.iter_mut().enumerate() {
-                let local = match n.kind {
-                    OpKind::InputVertex => select_rows_u32(t, &self.maps.l2g_vertex[s]),
-                    OpKind::InputEdge => select_rows_u32(t, &self.maps.l2g_edge[s]),
-                    _ => t.clone(),
-                };
-                shard_bindings.insert(&n.name, local);
+                shard_bindings.insert(&n.name, self.maps.local_rows(s, n.space, t));
             }
         }
         Ok(out)
@@ -1213,18 +1181,15 @@ impl<'a> Multi<'a> {
             .iter()
             .find(|n| n.kind == OpKind::GradSeed)
             .ok_or_else(|| ExecError::Protocol("plan was compiled for inference".into()))?;
-        let (rows, id, space) = (seed.rows(), seed_node.id, seed_node.space);
-        let _ = rows;
-        let _ = id;
+        // Before any row selection, which would drop surplus rows.
+        check_shape(self.graph, seed_node, &seed)?;
+        let space = seed_node.space;
         for s in 0..self.num_shards() {
-            let local = match space {
-                Space::Vertex => select_rows_u32(&seed, &self.maps.l2g_vertex[s]),
-                Space::Edge => select_rows_u32(&seed, &self.maps.l2g_edge[s]),
-                Space::Param => seed.clone(),
-            };
+            // Inside the shard's scope, so the rows come out of its pool
+            // (the seed's planned region), not off the heap into it.
             let sess = &mut self.shards[s];
             let _scope = sess.scope();
-            sess.begin_backward(local)?;
+            sess.begin_backward(self.maps.local_rows(s, space, &seed))?;
         }
         let t0 = Instant::now();
         for i in 0..self.bwd_kernels.len() {
@@ -1248,10 +1213,10 @@ impl<'a> Multi<'a> {
             KernelClass::Sharded { pre: Vec::new() },
         );
         // Containment boundary for the driver's own execution paths
-        // (split lockstep steps, global kernels, exchanges): a panic
-        // surfaces as a typed error and poisons the driver. Panics
-        // inside a shard's `exec_kernel` are already contained there and
-        // arrive here as `Err(KernelPanic)`, poisoning that shard.
+        // (global kernels, exchanges): a panic surfaces as a typed error
+        // and poisons the driver. Panics inside a shard's `exec_kernel`
+        // are already contained there and arrive here as
+        // `Err(KernelPanic)`, poisoning that shard.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.run_class(kid, backward, &class)
         }));
@@ -1259,7 +1224,7 @@ impl<'a> Multi<'a> {
         match r {
             Ok(r) => r,
             Err(p) => {
-                let kernel = kernel_label(self.plan, kid, backward);
+                let kernel = kernel_label(&self.plan, kid, backward);
                 let payload = contain::payload_str(p.as_ref());
                 self.poisoned = Some(format!("kernel '{kernel}' panicked: {payload}"));
                 Err(ExecError::KernelPanic { kernel, payload })
@@ -1278,43 +1243,7 @@ impl<'a> Multi<'a> {
                     sess.exec_kernel(kid, backward)?;
                 }
             }
-            KernelClass::Split { steps } => {
-                let (plan, guard) = (self.plan, self.policy.guard);
-                for step in steps {
-                    for &ex in &step.pre {
-                        self.exchange(ex, kid, backward)?;
-                    }
-                    for sess in &mut self.shards {
-                        let _scope = sess.scope();
-                        if step.recompute && sess.has_value(step.node) {
-                            continue; // stash-persistent value still live
-                        }
-                        let t = sess.exec_node(step.node)?;
-                        if guard {
-                            scan_nonfinite(&t, &plan.ir.node(step.node).name, || {
-                                kernel_label(plan, kid, backward)
-                            })?;
-                        }
-                        sess.insert_value(step.node, t);
-                    }
-                }
-                if backward {
-                    for i in 0..self.plan.kernels[kid].recompute.len() {
-                        let r = self.plan.kernels[kid].recompute[i];
-                        if !self.shards[0].is_persistent(r) {
-                            for sess in &mut self.shards {
-                                let _scope = sess.scope();
-                                sess.drop_value(r);
-                            }
-                        }
-                    }
-                }
-                for sess in &mut self.shards {
-                    let _scope = sess.scope();
-                    sess.evict_after(kid);
-                }
-            }
-            KernelClass::Global(gp) => self.run_global(kid, backward, gp)?,
+            KernelClass::Global { gather } => self.run_global(kid, backward, gather)?,
         }
         Ok(())
     }
@@ -1381,7 +1310,7 @@ impl<'a> Multi<'a> {
             format!(
                 "value '{}' into shard {s} at kernel '{}'",
                 self.plan.ir.node(nid).name,
-                kernel_label(self.plan, kid, backward)
+                kernel_label(&self.plan, kid, backward)
             )
         };
         for (s, buf) in staged.iter().enumerate() {
@@ -1476,110 +1405,62 @@ impl<'a> Multi<'a> {
         }
     }
 
-    /// Executes one node over the full graph with driver-held operands
-    /// — the global path for parameter reductions.
-    fn exec_global_node(&mut self, id: NodeId) -> Result<Tensor> {
-        let plan = self.plan;
-        let node = plan.ir.node(id);
-        let (t, aux_out) = {
-            let mut inputs: Vec<&Tensor> = Vec::with_capacity(node.inputs.len());
-            for &iv in &node.inputs {
-                inputs.push(
-                    self.gvalues
-                        .get(&iv)
-                        .ok_or_else(|| ExecError::ValueNotLive {
-                            node: plan.ir.node(iv).name.clone(),
-                        })?,
-                );
-            }
-            let aux_in = match &node.kind {
-                OpKind::EdgeSoftmax => self
-                    .gaux_softmax
-                    .get(&id)
-                    .map_or(refexec::AuxIn::None, |(m, d)| refexec::AuxIn::Softmax(m, d)),
-                OpKind::GatherMaxBwd { fwd } => {
-                    refexec::AuxIn::Argmax(self.gaux_argmax.get(fwd).ok_or_else(|| {
-                        ExecError::ValueNotLive {
-                            node: format!("global argmax aux of node {fwd}"),
-                        }
-                    })?)
-                }
-                _ => refexec::AuxIn::None,
-            };
-            refexec::exec_op(&self.policy, self.graph, &plan.ir, node, &inputs, aux_in)?
-        };
-        match aux_out {
-            refexec::AuxOut::Softmax(m, d) => {
-                self.gaux_softmax.insert(id, (m, d));
-            }
-            refexec::AuxOut::Argmax(a) => {
-                self.gaux_argmax.insert(id, a);
-            }
-            refexec::AuxOut::None => {}
-        }
-        Ok(t)
-    }
-
-    fn run_global(&mut self, kid: usize, backward: bool, gp: &GlobalPlan) -> Result<()> {
-        let plan = self.plan;
-        // Assemble external operands from their authoritative rows.
-        for &(nid, src) in &gp.gather {
+    /// Runs one global kernel: assembles the external operands of its
+    /// program from the shards' authoritative rows, interprets the
+    /// program once over the full graph — the same executor every shard
+    /// runs, so nothing kernel-internal becomes a tensor here either —
+    /// and scatters what the program materializes back into the shard
+    /// stores.
+    fn run_global(
+        &mut self,
+        kid: usize,
+        backward: bool,
+        gather: &[(NodeId, Source)],
+    ) -> Result<()> {
+        let plan = self.plan.clone();
+        let program = &plan.programs[kid];
+        for &(nid, src) in gather {
             let t = self.assemble_value(nid, src)?;
             let rows = t.rows() as u64;
             let bytes = t.byte_size() as u64;
             self.record(kid, backward, nid, rows, bytes, ExchangeKind::GlobalGather);
             self.gvalues.insert(nid, t);
         }
-        // Rebuild recomputed values globally (their shard copies died).
-        for &r in &gp.rebuild {
-            let t = self.exec_global_node(r)?;
-            self.gvalues.insert(r, t);
-        }
-        for i in 0..plan.kernels[kid].nodes.len() {
-            let id = plan.kernels[kid].nodes[i];
-            let t = self.exec_global_node(id)?;
-            if self.policy.guard {
-                scan_nonfinite(&t, &plan.ir.node(id).name, || {
-                    kernel_label(plan, kid, backward)
-                })?;
-            }
-            self.gvalues.insert(id, t);
-        }
-        // Scatter the members' results back into the shard stores.
-        for i in 0..plan.kernels[kid].nodes.len() {
-            let id = plan.kernels[kid].nodes[i];
-            let t = self.gvalues.remove(&id).expect("just inserted");
-            let node = plan.ir.node(id);
-            match node.space {
-                Space::Param => {
-                    for sess in &mut self.shards {
-                        let _scope = sess.scope();
-                        sess.insert_value(id, t.clone());
-                    }
-                    let rows = self.num_shards() as u64 * t.rows() as u64;
-                    let bytes = self.num_shards() as u64 * t.byte_size() as u64;
-                    self.record(kid, backward, id, rows, bytes, ExchangeKind::GlobalScatter);
-                }
-                Space::Vertex | Space::Edge => {
-                    let mut rows = 0u64;
-                    let mut bytes = 0u64;
-                    for s in 0..self.num_shards() {
-                        let idx = match node.space {
-                            Space::Vertex => &self.maps.l2g_vertex[s],
-                            _ => &self.maps.l2g_edge[s],
-                        };
-                        let local = select_rows_u32(&t, idx);
-                        rows += local.rows() as u64;
-                        bytes += local.byte_size() as u64;
-                        let sess = &mut self.shards[s];
-                        let _scope = sess.scope();
-                        sess.insert_value(id, local);
-                    }
-                    self.record(kid, backward, id, rows, bytes, ExchangeKind::GlobalScatter);
-                }
-            }
-        }
+        let res = fused::run_program(
+            &self.policy,
+            self.graph,
+            &plan.ir,
+            program,
+            &mut self.gvalues,
+            &self.gaux_softmax,
+            &self.gaux_argmax,
+            None,
+        )?;
         self.gvalues.clear();
+        self.gaux_softmax.extend(res.new_aux_softmax);
+        self.gaux_argmax.extend(res.new_aux_argmax);
+        for (id, t) in res.outputs {
+            // The program's interior tensors end with the launch.
+            if !program.materialized().any(|m| m == id) {
+                continue;
+            }
+            let node = plan.ir.node(id);
+            if self.policy.guard {
+                scan_nonfinite(&t, &node.name, || kernel_label(&plan, kid, backward))?;
+            }
+            let (mut rows, mut bytes) = (0u64, 0u64);
+            for s in 0..self.num_shards() {
+                // Inside the shard's scope: the rows fill the region
+                // its planner laid out for this value.
+                let sess = &mut self.shards[s];
+                let _scope = sess.scope();
+                let local = self.maps.local_rows(s, node.space, &t);
+                rows += local.rows() as u64;
+                bytes += local.byte_size() as u64;
+                sess.insert_value(id, local);
+            }
+            self.record(kid, backward, id, rows, bytes, ExchangeKind::GlobalScatter);
+        }
         for sess in &mut self.shards {
             let _scope = sess.scope();
             sess.evict_after(kid);
@@ -1709,19 +1590,39 @@ impl<'a> ShardedSessionBuilder<'a> {
         policy.reorder = ReorderPolicy::None;
         let policy = policy.resolved(gnnopt_tensor::parallel::available_threads);
 
+        // Classify, cutting every kernel that cannot run whole until
+        // none is left: a plan with nothing to cut stays the caller's.
+        let mut plan = Held::Borrowed(self.plan);
+        let mut origin: Vec<usize> = (0..plan.kernels.len()).collect();
+        let classified = loop {
+            match classify(&plan)? {
+                Classify::Done(c) => break c,
+                Classify::Cut { kid, at } => {
+                    let cut = plan.cut_kernel(kid, at).ok_or_else(|| {
+                        ExecError::Protocol(format!(
+                            "sharding classifier: kernel '{}' needs an exchange before \
+                             '{}', which leaves no member to run first",
+                            kernel_label(&plan, kid, false),
+                            plan.ir.node(at).name
+                        ))
+                    })?;
+                    plan = Held::Owned(Arc::new(cut));
+                    origin.insert(kid + 1, origin[kid]);
+                }
+            }
+        };
         let part = self.strategy.partition(self.graph, k);
-        let lv = memplan::liveness(self.plan);
-        let classified = classify(self.plan, &lv)?;
-        let (maps, graphs) = ShardMaps::build(&self.plan.ir, self.graph, part);
+        let (maps, graphs) = ShardMaps::build(&plan.ir, self.graph, part);
         let shards: Vec<Session<'a>> = graphs
             .into_iter()
-            .map(|g| Session::assemble_owned(self.plan, g, policy, arena))
+            .map(|g| Session::assemble_owned(plan.clone(), g, policy, arena))
             .collect::<Result<_>>()?;
         let fwd_kernels = shards[0].fwd_kernel_ids().to_vec();
         let bwd_kernels = shards[0].bwd_kernel_ids().to_vec();
         Ok(ShardedSession {
             inner: Inner::Multi(Box::new(Multi {
-                plan: self.plan,
+                plan,
+                origin,
                 graph: self.graph,
                 policy,
                 shards,
@@ -1961,8 +1862,17 @@ mod tests {
             |i| ((i % 5) as f32 - 2.0) * 0.41,
         );
 
-        let oracle = refexec::evaluate(&plan, g, &bindings, Some(&seed)).unwrap();
-        let (ref_out, ref_grads) = (oracle.outputs, oracle.grads);
+        // The reference is the unsharded session (one shard builds a
+        // plain `Session`), itself held to the node-by-node oracle by
+        // the session suites and `tests/sharded_exec.rs`.
+        let mut plain = ShardedSession::builder(&plan, g)
+            .shards(1)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        let ref_out = plain.forward(&bindings).unwrap();
+        let ref_grads = plain.backward(seed.clone()).unwrap();
 
         let mut sharded = ShardedSession::builder(&plan, g)
             .shards(k)
@@ -2089,6 +1999,69 @@ mod tests {
             g.num_vertices()
         );
         assert!(sums.iter().all(|x| x.arena_bytes > 0));
+    }
+
+    /// GAT's fused backward needs a mid-kernel exchange, so the builder
+    /// cuts it — and the exchanges of its pieces still name the kernel
+    /// of the caller's plan, which is what inspection tools print.
+    #[test]
+    fn exchange_records_name_the_callers_kernels_across_a_cut() {
+        use gnnopt_models::{gat, GatConfig};
+        let g = Graph::from_edge_list(&generators::rmat(5, 5, 0.5, 0.25, 0.15, 3));
+        let spec = gat(&GatConfig {
+            in_dim: 4,
+            layers: vec![(2, 3)],
+            negative_slope: 0.2,
+            reorganized: false,
+        })
+        .unwrap();
+        let plan = compile(&spec.ir, true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let mut bindings = Bindings::new();
+        for (name, t) in spec.init_values(&g, 5) {
+            bindings.insert(&name, t);
+        }
+        let seed = Tensor::ones(&[g.num_vertices(), spec.output_dim()]);
+        let mut s = ShardedSession::builder(&plan, &g)
+            .shards(2)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        s.step(&bindings, &seed).unwrap();
+
+        let Inner::Multi(m) = &s.inner else {
+            panic!("two shards build the driver");
+        };
+        assert!(
+            m.plan.kernels.len() > plan.kernels.len(),
+            "fixture: some kernel of GAT is cut"
+        );
+        assert_eq!(m.origin.len(), m.plan.kernels.len());
+        assert!(m
+            .origin
+            .windows(2)
+            .all(|w| w[1] == w[0] || w[1] == w[0] + 1));
+        assert_eq!(m.origin.last(), Some(&(plan.kernels.len() - 1)));
+        for (derived, &orig) in m.plan.kernels.iter().zip(&m.origin) {
+            assert!(derived
+                .nodes
+                .iter()
+                .all(|n| plan.kernels[orig].nodes.contains(n)));
+        }
+        // The patch between two pieces moves a member of the very kernel
+        // it is recorded for — only a cut produces that.
+        let names = |k: usize| -> Vec<&str> {
+            let nodes = plan.kernels[k].nodes.iter();
+            nodes.map(|&n| plan.ir.node(n).name.as_str()).collect()
+        };
+        assert!(s.exchanges().iter().all(|r| r.kernel < plan.kernels.len()));
+        assert!(s
+            .exchanges()
+            .iter()
+            .any(|r| r.kind == ExchangeKind::EdgeReplica
+                && names(r.kernel).contains(&r.value.as_str())));
     }
 
     #[test]

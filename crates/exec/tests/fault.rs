@@ -355,6 +355,41 @@ fn sharded_panic_is_contained_and_poisons_the_driver() {
     ));
     assert!(sess.poisoned());
     assert!(matches!(sess.forward(&b), Err(ExecError::Poisoned(_))));
+    drop(sess);
+    drop(_guard);
+
+    // A panic inside a *global* kernel — the backward weight-gradient
+    // reduction only the driver runs, through the same interpreter as
+    // the shards — is contained at the driver's own boundary. Walk the
+    // hit ordinal forward until the panic lands in that kernel.
+    let seed = Tensor::ones(&[g.num_vertices(), 3]);
+    let mut landed = false;
+    for hit in 1..64 {
+        let _guard = FaultGuard::install(&format!("refexec:panic@{hit}")).unwrap();
+        let mut sess = ShardedSession::builder(&compiled.plan, &g)
+            .shards(2)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        match sess.step(&b, &seed) {
+            Err(ExecError::KernelPanic { kernel, payload }) => {
+                assert_eq!(payload, fault::injected_panic_message("refexec"));
+                assert!(sess.poisoned(), "hit {hit} in '{kernel}' must poison");
+                assert!(matches!(sess.step(&b, &seed), Err(ExecError::Poisoned(_))));
+                if kernel.contains("bwd") && kernel.contains("linear_bwd_weight") {
+                    landed = true;
+                    break;
+                }
+            }
+            Ok(()) => break, // past the step's last hit
+            Err(other) => panic!("hit {hit}: expected KernelPanic, got {other}"),
+        }
+    }
+    assert!(
+        landed,
+        "some refexec hit must land in the global linear_bwd_weight kernel"
+    );
 }
 
 #[test]
@@ -438,9 +473,11 @@ fn garbage_failpoint_env_is_a_loud_build_error() {
 }
 
 /// CI chaos-leg hook: when the ambient `GNNOPT_FAILPOINTS` is set (the
-/// chaos workflow leg pins a plan), honor it against a guarded session
-/// and require containment — the step either errors or reproduces the
-/// clean bits exactly. A no-op when the variable is unset.
+/// chaos workflow leg pins a plan), honor it against a guarded plain
+/// session and a guarded 2-shard session (so the plan's `exchange` rule
+/// has a site to fire at) and require containment — the step either
+/// errors or reproduces the clean bits exactly. A no-op when the
+/// variable is unset.
 #[test]
 fn ambient_failpoint_plan_is_contained() {
     let _l = lock();
@@ -451,20 +488,31 @@ fn ambient_failpoint_plan_is_contained() {
     let guarded = ExecPolicy::serial().with_guard(true);
     let baseline = oracle_bits(&compiled.plan, &g, &b);
 
-    if !fault::install_from_env().expect("ambient GNNOPT_FAILPOINTS must parse") {
-        return;
-    }
-    let mut sess = session(&compiled.plan, &g, guarded);
-    let out = sess.forward(&b);
-    let res = out.and_then(|o| {
-        let seed = Tensor::ones(o[0].shape());
-        sess.backward(seed).map(|gr| bits_of(&o, &gr))
-    });
-    match res {
-        Ok(bits) => assert_eq!(bits, baseline, "ambient plan let wrong bits through"),
-        Err(e) => {
-            // Any typed error is acceptable containment.
-            let _ = e.to_string();
+    for shards in [1, 2] {
+        // Re-installing restarts every rule's hit counter.
+        if !fault::install_from_env().expect("ambient GNNOPT_FAILPOINTS must parse") {
+            return;
+        }
+        let mut sess = ShardedSession::builder(&compiled.plan, &g)
+            .shards(shards)
+            .policy(guarded)
+            .env(EnvOverrides::Off)
+            .build()
+            .expect("session builds");
+        let out = sess.forward(&b);
+        let res = out.and_then(|o| {
+            let seed = Tensor::ones(o[0].shape());
+            sess.backward(seed).map(|gr| bits_of(&o, &gr))
+        });
+        match res {
+            Ok(bits) => assert_eq!(
+                bits, baseline,
+                "ambient plan let wrong bits through at {shards} shard(s)"
+            ),
+            Err(e) => {
+                // Any typed error is acceptable containment.
+                let _ = e.to_string();
+            }
         }
     }
     fault::clear();

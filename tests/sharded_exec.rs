@@ -15,7 +15,10 @@ mod common;
 
 use common::{arb_steps, build_ir};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy};
-use gnnopt::exec::{refexec, Bindings, EnvOverrides, Session, ShardStrategy, ShardedSession};
+use gnnopt::exec::{
+    refexec, Bindings, EnvOverrides, ExchangeKind, ExecError, Session, ShardStrategy,
+    ShardedSession,
+};
 use gnnopt::graph::{generators, EdgeList, Graph, Partition};
 use gnnopt::models::*;
 use gnnopt::tensor::Tensor;
@@ -95,6 +98,16 @@ fn zoo() -> Vec<(&'static str, ModelSpec)> {
             })
             .unwrap(),
         ),
+        (
+            "gat-2",
+            gat(&GatConfig {
+                in_dim: 5,
+                layers: vec![(2, 4), (1, 3)],
+                negative_slope: 0.2,
+                reorganized: true,
+            })
+            .unwrap(),
+        ),
         ("sage-max", sage(&SageConfig::max_pool(5, vec![6])).unwrap()),
         (
             "gin",
@@ -162,6 +175,148 @@ fn extreme_hub_and_isolated_vertices_bit_identical() {
         let vals = spec.init_values(&g, 41);
         for k in [2, 4] {
             assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
+        }
+    }
+}
+
+/// A sharded session runs every kernel through the program interpreter
+/// of a plan its shards also planned their arenas from, so a warmed
+/// step's store never outgrows the planned arena and every tensor comes
+/// out of the pool. (While kernels that needed a mid-kernel exchange ran
+/// node by node, GAT's and SAGE-max's backward materialized every
+/// kernel-internal tensor into the shard stores, past the plan.)
+#[test]
+fn warmed_sharded_step_stays_inside_the_planned_arena() {
+    let g = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 17));
+    for (name, spec) in zoo() {
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
+        let b = bindings_from(&spec.init_values(&g, 23));
+        let out_node = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+        let seed = Tensor::ones(&[g.num_vertices(), out_node.dim.total()]);
+        for k in [2, 3, 4] {
+            for threads in [1, 4] {
+                let policy = ExecPolicy {
+                    threads,
+                    ..ExecPolicy::serial()
+                };
+                let mut sess = ShardedSession::builder(&compiled.plan, &g)
+                    .shards(k)
+                    .policy(policy)
+                    .arena(true)
+                    .env(EnvOverrides::Off)
+                    .build()
+                    .expect("sharded session");
+                sess.step(&b, &seed).expect("warmup step");
+                sess.step(&b, &seed).expect("warmed step");
+                let st = sess.stats();
+                assert!(
+                    st.peak_value_bytes <= st.planned_peak_bytes,
+                    "{name} k={k} threads={threads}: peak {} exceeds the planned arena {}",
+                    st.peak_value_bytes,
+                    st.planned_peak_bytes
+                );
+                assert_eq!(
+                    st.fallback_allocs, 0,
+                    "{name} k={k} threads={threads}: a warmed step must not miss the pool"
+                );
+            }
+        }
+    }
+}
+
+/// A global kernel scatters only what its program materializes: every
+/// `GlobalScatter` of a MoNet step — whose whole fused backward runs in
+/// the driver — names a model output, a parameter gradient, or a value
+/// a later kernel reads from the store.
+#[test]
+fn global_kernels_scatter_only_what_leaves_the_kernel() {
+    let g = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 17));
+    let spec = monet(&MonetConfig::figure7(4, 3, 2, 2)).unwrap();
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+    let plan = &compiled.plan;
+    let b = bindings_from(&spec.init_values(&g, 23));
+    let seed = Tensor::ones(&[g.num_vertices(), spec.output_dim()]);
+    let mut sess = ShardedSession::builder(plan, &g)
+        .shards(2)
+        .policy(ExecPolicy::serial())
+        .env(EnvOverrides::Off)
+        .build()
+        .unwrap();
+    sess.step(&b, &seed).unwrap();
+
+    let leaves_the_kernel = |kernel: usize, value: &str| {
+        let owner = &plan.kernels[kernel];
+        owner
+            .nodes
+            .iter()
+            .filter(|&&n| plan.ir.node(n).name == value)
+            .any(|&n| {
+                plan.ir.outputs().contains(&n)
+                    || plan.param_grads.iter().any(|&(_, grad)| grad == n)
+                    || plan.kernels.iter().any(|later| {
+                        later.id > kernel
+                            && !later.recompute.contains(&n)
+                            && later
+                                .nodes
+                                .iter()
+                                .chain(&later.recompute)
+                                .any(|&m| plan.ir.node(m).inputs.contains(&n))
+                    })
+            })
+    };
+    let scatters: Vec<_> = sess
+        .exchanges()
+        .iter()
+        .filter(|r| r.kind == ExchangeKind::GlobalScatter)
+        .collect();
+    assert!(
+        scatters
+            .iter()
+            .any(|r| plan.kernels[r.kernel].nodes.len() > 1),
+        "fixture: a fused kernel runs globally"
+    );
+    for r in scatters {
+        assert!(
+            leaves_the_kernel(r.kernel, &r.value),
+            "kernel {} scattered '{}' ({} bytes), which nothing outside it reads",
+            r.kernel,
+            r.value,
+            r.bytes
+        );
+    }
+}
+
+/// The gradient seed is checked against the seed node before any row
+/// selection, at every shard count: surplus rows were silently dropped
+/// and missing rows panicked outside every containment boundary.
+#[test]
+fn seed_shape_is_checked_at_every_shard_count() {
+    let g = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 17));
+    let spec = gcn(&GcnConfig::two_layer(6, 8, 3)).unwrap();
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+    let b = bindings_from(&spec.init_values(&g, 23));
+    let n = g.num_vertices();
+    let good = Tensor::ones(&[n, 3]);
+    for k in [1, 2] {
+        let mut sess = ShardedSession::builder(&compiled.plan, &g)
+            .shards(k)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        for rows in [n + 5, n - 5] {
+            let bad = Tensor::ones(&[rows, 3]);
+            assert!(
+                matches!(sess.step(&b, &bad), Err(ExecError::BindingShape { .. })),
+                "k={k}: step with a {rows}-row seed"
+            );
+            sess.forward(&b).unwrap();
+            assert!(
+                matches!(sess.backward(bad), Err(ExecError::BindingShape { .. })),
+                "k={k}: backward with a {rows}-row seed"
+            );
+            assert!(!sess.poisoned());
+            sess.step(&b, &good).expect("the session still steps");
         }
     }
 }

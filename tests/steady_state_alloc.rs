@@ -8,7 +8,9 @@
 //! (nothing allocates per vertex, per edge or per tile — the property the
 //! repeat-only gate missed when the tiled `EdgeSoftmaxBwd` allocated per
 //! destination vertex), the numeric guard adds nothing to it, concurrent
-//! sessions do not perturb each other's, and the arena lowers it. A
+//! sessions do not perturb each other's, the arena lowers it, and a
+//! two-shard session — cut kernels and global kernels included — repeats
+//! its own count too. A
 //! `#[global_allocator]` shim counts every `alloc`/`realloc`/
 //! `alloc_zeroed` so the properties are enforced, not eyeballed.
 //! (Hoisting the per-launch planning to session build, so the count can
@@ -20,7 +22,7 @@
 //! test thread can attribute its allocations to the measured window.
 
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan};
-use gnnopt::exec::{Bindings, EnvOverrides, Session};
+use gnnopt::exec::{Bindings, EnvOverrides, Session, ShardedSession};
 use gnnopt::graph::{generators, Graph};
 use gnnopt::models::*;
 use gnnopt::tensor::Tensor;
@@ -163,6 +165,43 @@ fn warm_step_allocations_repeat_and_the_arena_lowers_them() {
     }
 
     two_concurrent_sessions_allocate_their_solo_counts(&g, solo[0] + solo[1]);
+    sharded_steps_allocate_a_fixed_count(&g);
+}
+
+/// Two shards of GAT — the model whose fused backward the sharded
+/// builder cuts: every kernel, cut pieces and the driver's global
+/// kernels included, runs through the program interpreter out of the
+/// shards' planned pools, so from the second warmed step on the
+/// allocation count (driver staging and assembly included) repeats
+/// exactly and no tensor misses the pool.
+fn sharded_steps_allocate_a_fixed_count(g: &Graph) {
+    let (_, spec) = specs().swap_remove(0);
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+    let (b, seed) = inputs(&spec, &compiled.plan, g);
+    let mut sess = ShardedSession::builder(&compiled.plan, g)
+        .shards(2)
+        .policy(ExecPolicy::serial())
+        .arena(true)
+        .env(EnvOverrides::Off)
+        .build()
+        .unwrap();
+    sess.step(&b, &seed).unwrap(); // cold
+    sess.step(&b, &seed).unwrap(); // first warmed step: pools settle
+    let counts = [0, 1, 2].map(|_| {
+        let before = ALLOCS.load(Ordering::SeqCst);
+        sess.step(&b, &seed).unwrap();
+        ALLOCS.load(Ordering::SeqCst) - before
+    });
+    eprintln!("gat, 2 shards: steady-state allocations/step: {counts:?}");
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "a warmed sharded step's allocation count must repeat exactly: {counts:?}"
+    );
+    assert_eq!(
+        sess.stats().fallback_allocs,
+        0,
+        "every shard tensor of a warmed sharded step comes out of its pool"
+    );
 }
 
 /// Buffer pools are per-session (owned by the [`Session`]), not a
