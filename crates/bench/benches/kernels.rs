@@ -155,7 +155,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
 /// The same GAT model compiled with fusion off and with unified fusion,
 /// both run by the one executor: the wall-clock side of what fusion
 /// saves (the memory side is `RunStats::peak_value_bytes`, asserted in
-/// `tests/fused_exec.rs`) — the paper's Figure 9 comparison.
+/// `tests/fused_exec.rs`) — the paper's Figure 9 comparison — plus the
+/// fused plan's backward phase on its own at two thread counts.
 fn bench_fused_exec(c: &mut Criterion) {
     let graph = Graph::from_edge_list(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5));
     let spec = gat(&GatConfig {
@@ -188,6 +189,24 @@ fn bench_fused_exec(c: &mut Criterion) {
                 sess.backward(Tensor::ones(out[0].shape()))
                     .expect("backward")
             });
+        });
+    }
+    // The backward phase alone (forward runs untimed before each
+    // sample), serial and on four workers: the fused backward kernels —
+    // the streamed `BySrc` gather's segment among them — are where the
+    // interpreter's thread scaling shows outside gnnbench.
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
+    for threads in [1usize, 4] {
+        let mut sess = Session::builder(&compiled.plan, &graph)
+            .policy(ExecPolicy::with_threads(threads))
+            .env(EnvOverrides::Off)
+            .build()
+            .expect("session");
+        let id = BenchmarkId::new("backward", format!("threads={threads}"));
+        group.bench_with_input(id, &(), |b, ()| {
+            let out = sess.forward(&bindings).expect("forward");
+            let seed = Tensor::ones(out[0].shape());
+            b.iter(|| sess.backward(seed.clone()).expect("backward"));
         });
     }
     group.finish();

@@ -153,14 +153,17 @@ impl KernelProgram {
 
     /// Upper bound on the scratch bytes one tile of `tile_vertices` ×
     /// `tile_edges` needs in segment `segment`: one slot of tile rows per
-    /// tiled step, so kernel-internal values never become full tensors
-    /// (materialized/interior tiled steps also stage their tile rows in
-    /// a slot before the boundary write, so they count too). The
-    /// interpreter holds *fewer*: scratch-class pure copies
+    /// tiled step, so kernel-internal values never become full tensors.
+    /// The interpreter holds *less*: scratch-class pure copies
     /// (`Scatter(CopyU|CopyV)`, `SetHeads`) are aliased to reads of their
-    /// source and steps streamed into a later gather are elided, and
-    /// neither gets a slot. What it actually held is
-    /// `RunStats::scratch_bytes`; it asserts that never exceeds this.
+    /// source, materialized/interior steps are written into their
+    /// tensors in place, and neither gets a slot; a step whose single
+    /// reader takes each row once holds a strip of a few rows instead of
+    /// the tile's; and the steps streamed into a later gather are counted
+    /// here, in the segment they were lowered into, though they run — in
+    /// slots no larger — in the gather's. What the interpreter actually
+    /// held is `RunStats::scratch_bytes`; it asserts that never exceeds
+    /// this.
     pub fn scratch_tile_bytes(
         &self,
         segment: usize,

@@ -25,8 +25,8 @@
 //!   single-position regions.
 //! * [`Storage::Scratch`] stays in the per-worker tile slots the
 //!   interpreter sizes at launch (at most
-//!   [`KernelProgram::scratch_tile_bytes`]; aliased copies and streamed
-//!   chains hold none) and [`Storage::Prelude`] tensors are
+//!   [`KernelProgram::scratch_tile_bytes`]; aliased copies hold none,
+//!   single-reader rows a strip) and [`Storage::Prelude`] tensors are
 //!   launch-transient statistics; neither enters the store, so neither
 //!   is offset-planned.
 //!

@@ -11,6 +11,8 @@
 //! Backward-only operators (suffix `Bwd`) implement the Appendix B rules;
 //! the autodiff module emits them.
 
+use gnnopt_tensor::rowops;
+
 /// Which index space a node's output lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Space {
@@ -49,6 +51,77 @@ impl Dim {
     }
 }
 
+/// Runs `$call` with `$f()` yielding the function `$sel` names, each arm
+/// rebuilding its own variant *inside* `$f`: a row-loop closure that
+/// calls `$f().apply(..)` captures at most the variant's `f32` payload,
+/// never the discriminant, so the scalar `apply`'s `match` folds away and
+/// the loop body is one expression [`rowops`] can vectorize — resolved
+/// once per row call, not once per element, and still the same scalar
+/// function. (Capturing the enum itself would carry the discriminant
+/// into the out-of-line AVX2 loop as data, and the `match` with it.)
+macro_rules! each_binary {
+    ($sel:expr, $f:ident => $call:expr) => {
+        match $sel {
+            BinaryFn::Add => {
+                let $f = || BinaryFn::Add;
+                $call
+            }
+            BinaryFn::Sub => {
+                let $f = || BinaryFn::Sub;
+                $call
+            }
+            BinaryFn::Mul => {
+                let $f = || BinaryFn::Mul;
+                $call
+            }
+            BinaryFn::Div => {
+                let $f = || BinaryFn::Div;
+                $call
+            }
+        }
+    };
+}
+
+/// [`each_binary!`] for [`UnaryFn`].
+macro_rules! each_unary {
+    ($sel:expr, $f:ident => $call:expr) => {
+        match $sel {
+            UnaryFn::Exp => {
+                let $f = || UnaryFn::Exp;
+                $call
+            }
+            UnaryFn::Ln => {
+                let $f = || UnaryFn::Ln;
+                $call
+            }
+            UnaryFn::Neg => {
+                let $f = || UnaryFn::Neg;
+                $call
+            }
+            UnaryFn::Relu => {
+                let $f = || UnaryFn::Relu;
+                $call
+            }
+            UnaryFn::LeakyRelu(s) => {
+                let $f = move || UnaryFn::LeakyRelu(s);
+                $call
+            }
+            UnaryFn::Sigmoid => {
+                let $f = || UnaryFn::Sigmoid;
+                $call
+            }
+            UnaryFn::Tanh => {
+                let $f = || UnaryFn::Tanh;
+                $call
+            }
+            UnaryFn::Scale(c) => {
+                let $f = move || UnaryFn::Scale(c);
+                $call
+            }
+        }
+    };
+}
+
 /// Binary elementwise functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryFn {
@@ -64,13 +137,38 @@ pub enum BinaryFn {
 
 impl BinaryFn {
     /// Applies the function to scalars.
-    #[inline]
+    #[inline(always)]
     pub fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinaryFn::Add => a + b,
             BinaryFn::Sub => a - b,
             BinaryFn::Mul => a * b,
             BinaryFn::Div => a / b,
+        }
+    }
+
+    /// `o[i] = f(a[i], b[i])`.
+    #[inline]
+    pub fn zip_into(self, o: &mut [f32], a: &[f32], b: &[f32]) {
+        each_binary!(self, f => rowops::zip2_into(o, a, b, |x, y| f().apply(x, y)));
+    }
+
+    /// `o[i] = f(o[i], b[i])`.
+    #[inline]
+    pub fn assign(self, o: &mut [f32], b: &[f32]) {
+        each_binary!(self, f => rowops::binary_assign(o, b, |x, y| f().apply(x, y)));
+    }
+
+    /// One row of a head-broadcast `Binary`: `s` holds one scalar per
+    /// head, `x` that many heads of `feat` features;
+    /// `o[h·feat + c] = f(s[h], x[h·feat + c])` when `scalar_first`, else
+    /// `f(x[h·feat + c], s[h])`.
+    #[inline]
+    pub fn map_heads(self, o: &mut [f32], x: &[f32], s: &[f32], feat: usize, scalar_first: bool) {
+        if scalar_first {
+            each_binary!(self, f => rowops::map_heads_into(o, x, s, feat, |v, sv| f().apply(sv, v)));
+        } else {
+            each_binary!(self, f => rowops::map_heads_into(o, x, s, feat, |v, sv| f().apply(v, sv)));
         }
     }
 }
@@ -98,7 +196,7 @@ pub enum UnaryFn {
 
 impl UnaryFn {
     /// Applies the function to a scalar.
-    #[inline]
+    #[inline(always)]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryFn::Exp => x.exp(),
@@ -119,7 +217,7 @@ impl UnaryFn {
     }
 
     /// Derivative `f'(x)` evaluated at the forward *input*.
-    #[inline]
+    #[inline(always)]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
             UnaryFn::Exp => x.exp(),
@@ -146,6 +244,24 @@ impl UnaryFn {
             UnaryFn::Tanh => 1.0 - x.tanh() * x.tanh(),
             UnaryFn::Scale(c) => c,
         }
+    }
+
+    /// `o[i] = f(x[i])`.
+    #[inline]
+    pub fn map_into(self, o: &mut [f32], x: &[f32]) {
+        each_unary!(self, f => rowops::map_into(o, x, |v| f().apply(v)));
+    }
+
+    /// `o[i] = f(o[i])`.
+    #[inline]
+    pub fn map_assign(self, o: &mut [f32]) {
+        each_unary!(self, f => rowops::map_assign(o, |v| f().apply(v)));
+    }
+
+    /// `o[i] = g[i] · f'(x[i])` (the `UnaryBwd` expression).
+    #[inline]
+    pub fn bwd_into(self, o: &mut [f32], g: &[f32], x: &[f32]) {
+        each_unary!(self, f => rowops::zip2_into(o, g, x, |gv, xv| gv * f().derivative(xv)));
     }
 }
 
@@ -413,6 +529,83 @@ mod tests {
                     (num - ana).abs() < 1e-2,
                     "{f:?} at {x}: numeric {num} vs analytic {ana}"
                 );
+            }
+        }
+    }
+
+    /// The once-per-call dispatch writes the bits of the per-element
+    /// form, through the dispatched row loops and the scalar ones alike,
+    /// for every variant and every remainder class of the SIMD width.
+    #[test]
+    fn row_forms_equal_the_per_element_form() {
+        let unary = [
+            UnaryFn::Exp,
+            UnaryFn::Ln,
+            UnaryFn::Neg,
+            UnaryFn::Relu,
+            UnaryFn::LeakyRelu(0.2),
+            UnaryFn::Sigmoid,
+            UnaryFn::Tanh,
+            UnaryFn::Scale(-1.7),
+        ];
+        let binary = [BinaryFn::Add, BinaryFn::Sub, BinaryFn::Mul, BinaryFn::Div];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for len in 0..40usize {
+            let x: Vec<f32> = (0..len).map(|i| (i as f32 - 7.5) * 0.811).collect();
+            let y: Vec<f32> = (0..len)
+                .map(|i| (i as f32 * 1.37 - 3.0).sin() * 8.0)
+                .collect();
+            let mut o = vec![f32::NAN; len];
+            let mut r = vec![f32::NAN; len];
+            for f in unary {
+                let want: Vec<f32> = x.iter().map(|&v| f.apply(v)).collect();
+                f.map_into(&mut o, &x);
+                rowops::scalar::map_into(&mut r, &x, |v| f.apply(v));
+                assert_eq!(bits(&o), bits(&want), "{f:?} map_into len {len}");
+                assert_eq!(bits(&r), bits(&want), "{f:?} scalar map_into len {len}");
+                o.copy_from_slice(&x);
+                f.map_assign(&mut o);
+                assert_eq!(bits(&o), bits(&want), "{f:?} map_assign len {len}");
+
+                let want: Vec<f32> = y
+                    .iter()
+                    .zip(&x)
+                    .map(|(&g, &v)| g * f.derivative(v))
+                    .collect();
+                f.bwd_into(&mut o, &y, &x);
+                rowops::scalar::zip2_into(&mut r, &y, &x, |g, v| g * f.derivative(v));
+                assert_eq!(bits(&o), bits(&want), "{f:?} bwd_into len {len}");
+                assert_eq!(bits(&r), bits(&want), "{f:?} scalar bwd len {len}");
+            }
+            for f in binary {
+                let want: Vec<f32> = x.iter().zip(&y).map(|(&a, &b)| f.apply(a, b)).collect();
+                f.zip_into(&mut o, &x, &y);
+                rowops::scalar::zip2_into(&mut r, &x, &y, |a, b| f.apply(a, b));
+                assert_eq!(bits(&o), bits(&want), "{f:?} zip_into len {len}");
+                assert_eq!(bits(&r), bits(&want), "{f:?} scalar zip len {len}");
+                o.copy_from_slice(&x);
+                f.assign(&mut o, &y);
+                assert_eq!(bits(&o), bits(&want), "{f:?} assign len {len}");
+
+                // Every split of the row into equal heads, the scalar
+                // on either side.
+                for heads in (1..=len).filter(|h| len % h == 0) {
+                    let (s, feat) = (&y[..heads], len / heads);
+                    for first in [false, true] {
+                        let want: Vec<f32> = (0..len)
+                            .map(|i| {
+                                let (v, sv) = (x[i], s[i / feat]);
+                                if first {
+                                    f.apply(sv, v)
+                                } else {
+                                    f.apply(v, sv)
+                                }
+                            })
+                            .collect();
+                        f.map_heads(&mut o, &x, s, feat, first);
+                        assert_eq!(bits(&o), bits(&want), "{f:?} map_heads({first}) len {len}");
+                    }
+                }
             }
         }
     }

@@ -12,15 +12,17 @@
 //! predicts for the fused plan (interior spills, see
 //! `gnnopt_core::lower`, are the remaining gap).
 //!
-//! # One compiler, two drivers
+//! # One compiler, one driver
 //!
 //! Nothing on the per-row path looks at the IR, the step table or a hash
 //! map. Once per launch [`compile`] turns a run of steps — a tiled
-//! segment, or the producer chain of a streamed gather — into
+//! segment, or a streamed gather with its producer chain — into
 //! [`TileOp`]s whose operands are already resolved ([`Operand`]): the
 //! rows of a full tensor (value store, prelude view, earlier segment) or
 //! of an earlier op's slot, read at the consumer's own row or at an edge
-//! endpoint ([`RowAt`]). Three things fall out of that representation:
+//! endpoint ([`RowAt`]). One loop in [`run_program`] then walks the
+//! tiles and runs the ops in order. What falls out of that
+//! representation:
 //!
 //! * **Pure copies hold no slot.** A scratch-class `Scatter(CopyU)`,
 //!   `Scatter(CopyV)` or `SetHeads` compiles to no op at all: its readers
@@ -29,27 +31,71 @@
 //!   an `EdgeSoftmax` over the copy reads the vertex rows directly. A
 //!   copy that is a kernel boundary or an interior spill still runs (as
 //!   a plain row copy of the same pinned operand).
-//! * **Elementwise ops run tile-wide.** When every operand of a `Unary`,
-//!   `UnaryBwd` or equal-shape `Binary` is addressed at the op's own row,
-//!   the tile's rows are contiguous in all of them and the op is *one*
-//!   [`rowops`] call over `rows × cols` ([`Rows::zip_rows`]); with a
-//!   pinned operand the same closure runs once per row.
-//! * **One set of row expressions.** [`exec_op`] is the only place an
-//!   op's arithmetic is spelled. The tile driver ([`run_program`]) calls
-//!   it per destination tile; the edge-scan driver ([`StreamEval`])
-//!   calls the same function on one-row tiles.
+//! * **Elementwise ops run many rows a call.** When every operand of a
+//!   `Unary`, `UnaryBwd` or equal-shape `Binary` is addressed at the op's
+//!   own row, the rows are contiguous in all of them and the op is *one*
+//!   [`rowops`] call over `rows × cols` ([`Rows::zip_rows`]) — the tile's
+//!   rows, or a row-sized op's strip; with a pinned operand the same
+//!   closure runs once per row.
+//! * **One set of row expressions.** [`exec_rows`] is the only place a
+//!   per-row op's arithmetic is spelled and [`exec_op`] the only place a
+//!   group reduction's is, whatever the slot sizes around them.
 //!
-//! # Streamed full steps
+//! # Slot sizes
+//!
+//! Every op has a slot, of one of three sizes ([`SlotSize`]):
+//!
+//! * **Tile-sized** — the tile's rows of the op's space, evaluated when
+//!   the tile loop reaches the op, before its readers run: the inputs of
+//!   a reduction that sweeps each group more than once (`EdgeSoftmax`,
+//!   `EdgeSoftmaxBwd`), the input of an elementwise op that covers the
+//!   tile in one call, an elementwise op read through an edge endpoint
+//!   (its reader would be held to one row a pull), every value with two
+//!   readers.
+//! * **Row-sized** — a scratch-class per-row op whose single reader in
+//!   the unit takes each row once: a `Gather`, the streamed accumulate,
+//!   a per-row op that runs row by row (a pinned or head-broadcast
+//!   operand, `FeatSum`) or is itself row-sized. It is not evaluated over
+//!   the tile at all: its reader *pulls* it ([`Unit::pull`]) over the run
+//!   of rows it is about to read, the op runs through [`exec_rows`]
+//!   there, and `base[slot]` remembers where the run starts. The slot
+//!   holds a short *strip* of consecutive rows (at most `STRIP_ROWS`,
+//!   4 KB) — one row where the read goes through an edge endpoint — so
+//!   the `E_tile × d` rows of `binary_Mul → gather_Sum` (GAT and GCN
+//!   forward) or `binary_Mul → feat_sum` (GAT backward) are never
+//!   written to a ~1 MB slot and read back: the wide row stays in L1
+//!   between its producer and its consumer, the paper's "edge-centric
+//!   producer runs inside the vertex-centric reduction". This
+//!   generalizes "pure copies hold no slot" to "single-reader rows hold
+//!   no tile slot".
+//! * **No slot (sink)** — a `Materialized`/`Interior` op computes into
+//!   its rows of the full tensor: the worker's chunk of the tensor is its
+//!   slot, read back by same-segment readers, so nothing is staged and
+//!   copied.
+//!
+//! # Streamed segments
 //!
 //! A whole-graph `BySrc` gather (a full step) normally forces its input
 //! to spill as an interior tensor: the tiled segment writes `O(|E|·d)`
 //! rows the full step immediately re-reads. When that gather is the
 //! spill's only consumer and the producer chain is per-edge computable
 //! ([`plan_streams`]), the chain is elided from the tiled segments and
-//! evaluated by [`StreamEval`] inside the gather's own ascending edge
-//! scan: vertex-space ops are memoized per edge group and the spill
-//! never exists. This is the dominant backward-phase cost of GAT/GCN on
-//! power-law graphs.
+//! compiled together with the gather into one more unit for the same
+//! tile loop: the chain's ops get slots by the rule above (a linear
+//! edge-space chain is row-sized throughout, an elementwise
+//! vertex-space member — read at `dst(e)` — or a member with two
+//! readers is a tile op), and the gather, last, accumulates
+//! `out[src(e)] += row(e)` over the tile's edges in ascending order.
+//! Workers own source-vertex ranges there, each walks every tile and
+//! skips the edges it does not own — the partition (of about as many
+//! out-edges each) and the accumulation order of
+//! [`crate::kernels::gather`]'s `BySrc` scan. A pull covers the run of
+//! consecutive edges the worker owns (sources ascend within a
+//! destination group, so each group is one run per worker), which is
+//! what divides the row-sized members' work by the worker count;
+//! tile-sized members (a vertex-space one over the tile's destinations)
+//! are evaluated by every worker. The spill never exists; this is the
+//! dominant backward-phase cost of GAT/GCN on power-law graphs.
 //!
 //! # Tiling and determinism
 //!
@@ -62,23 +108,24 @@
 //! tile, and per-vertex edge order is preserved. Each op evaluates the
 //! *same expressions in the same order* as the reference kernels in
 //! [`crate::kernels`] — both call the shared feature-axis loops of
-//! [`gnnopt_tensor::rowops`], and aliasing or tile-wide execution only
-//! changes *where* an elementwise expression reads and how many rows one
-//! call covers — so results are **bit-identical** to the node-by-node
-//! oracle for any tile budget and any thread count.
+//! [`gnnopt_tensor::rowops`], and aliasing, tile-wide execution or a
+//! row-sized slot only change *where* an expression reads and writes and
+//! how many rows one call covers — so results are **bit-identical** to
+//! the node-by-node oracle for any tile budget and any thread count.
 //!
 //! # Parallelism and scratch
 //!
 //! Tiles are distributed over `std::thread::scope` workers in contiguous
 //! runs, so each worker writes disjoint contiguous row ranges of the
-//! materialized outputs and auxiliaries — no atomics. Every worker owns
-//! one slot per compiled op, sized for its largest tile and reused
-//! across its tiles; the slots actually held (aliased copies and elided
-//! chains hold none) are reported as `RunStats::scratch_bytes`.
+//! materialized outputs and auxiliaries — no atomics. Every worker
+//! carves its tile- and row-sized slots out of one pooled buffer, the
+//! tile-sized ones fitting its largest tile, and reuses them across its
+//! tiles; what is held (aliased copies, elided chains and sinks hold
+//! nothing) is reported as `RunStats::scratch_bytes`.
 
 use crate::kernels::{
-    binary_broadcast_row, chunk_bounds, plan_threads, reduce_row_mean, reduce_row_sum, split_rows,
-    vertex_bounds, NO_ARGMAX,
+    binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, plan_threads, reduce_row_mean,
+    reduce_row_sum, split_rows, RowSource, NO_ARGMAX,
 };
 use crate::{contain, ExecError, Result};
 use gnnopt_core::lower::{KernelProgram, StepExec, Storage};
@@ -137,30 +184,11 @@ struct StepPlan {
     dins: Vec<Dim>,
 }
 
-/// Which edge endpoint a vertex-space chain step is instantiated at
-/// during a streamed scan, inherited from the scatter that consumes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Anchor {
-    /// Evaluated at `src(e)` (feeds a `CopyU` / `Bin` u-operand).
-    Src,
-    /// Evaluated at `dst(e)` (feeds a `CopyV` / `Bin` v-operand).
-    Dst,
-}
-
-/// A full-step `BySrc` gather whose interior input chain is evaluated
-/// inside the ascending edge scan instead of being materialized by the
-/// tiled segment (see [`plan_streams`]).
-struct StreamChain {
-    /// Chain steps in dependency order (every `Src::Slot` operand of a
-    /// step appears before the step itself); the last entry is the
-    /// interior root the gather reads.
-    order: Vec<usize>,
-    /// Anchors for the vertex-space chain steps.
-    anchors: HashMap<usize, Anchor>,
-}
-
 /// Finds full-step `Gather(Sum|Mean, BySrc)` reductions whose whole
-/// producer chain can be evaluated per edge inside the gather's scan.
+/// producer chain can be evaluated inside the gather's own tile loop, and
+/// returns, per such gather step, the chain in dependency order (every
+/// `Src::Slot` operand of a step precedes the step; the last entry is the
+/// interior root the gather reads).
 ///
 /// A source-grouped reduction cannot tile by destination, so lowering
 /// runs it as a whole-graph full step and spills its input — an
@@ -170,11 +198,16 @@ struct StreamChain {
 /// that interior is consumed by nothing else and every step of its
 /// producer chain is per-edge computable from full tensors — scatter
 /// broadcasts, elementwise ops, stash-backed softmax recomputes — the
-/// chain is *elided from the tiled segment entirely* and re-evaluated
-/// inside the gather's ascending edge scan, so the edge-space
-/// intermediate never exists in memory.
+/// chain is *elided from the tiled segment entirely* and compiled,
+/// together with the gather, into one streamed segment (module docs), so
+/// the edge-space intermediate never exists in memory.
 ///
-/// **Determinism**: the streamed scan evaluates the *same expressions*
+/// A vertex-space chain step is always read at `dst(e)` — lowering ends
+/// the segment before a source-endpoint read of a member, so a `CopyU`
+/// only ever sees full tensors — which makes it an ordinary vertex-space
+/// tile op over the tile's destinations.
+///
+/// **Determinism**: the streamed segment evaluates the *same expressions*
 /// as the tiled steps (the same [`rowops`] calls on the same rows) and
 /// accumulates each output row in ascending canonical edge order —
 /// exactly the `BySrc` order of [`crate::kernels::gather`] — so results
@@ -184,34 +217,26 @@ fn plan_streams(
     program: &KernelProgram,
     ir: &IrGraph,
     aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
-) -> HashMap<usize, StreamChain> {
-    // Recursive chain walk: `anchor` is the vertex endpoint this operand
-    // must be instantiated at (vertex-space operands only). Returns false
+) -> HashMap<usize, Vec<usize>> {
+    // Recursive chain walk: `at_dst` says the operand is read at
+    // `dst(e)` (the only way to reach a vertex-space step). Returns false
     // as soon as anything in the chain is not per-edge evaluable.
     #[allow(clippy::too_many_arguments)]
     fn visit(
         si: usize,
-        anchor: Option<Anchor>,
+        at_dst: bool,
         steps: &[StepPlan],
         program: &KernelProgram,
         ir: &IrGraph,
         aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
         order: &mut Vec<usize>,
-        anchors: &mut HashMap<usize, Anchor>,
         visited: &mut HashSet<usize>,
     ) -> bool {
         let sp = &steps[si];
-        if sp.space == Space::Vertex {
-            // A vertex-space step needs a consistent endpoint to be
-            // instantiated at; two consumers disagreeing (or a direct
-            // edge-space read) make the chain ineligible.
-            let Some(a) = anchor else { return false };
-            match anchors.get(&si) {
-                Some(&prev) if prev != a => return false,
-                _ => {
-                    anchors.insert(si, a);
-                }
-            }
+        // Source rows belong to no destination tile (and an edge-space
+        // step never reads a vertex-space one but through a scatter).
+        if (sp.space == Space::Vertex) != at_dst {
+            return false;
         }
         if !visited.insert(si) {
             return true;
@@ -224,20 +249,19 @@ fn plan_streams(
         {
             return false;
         }
-        let mut rec = |src: Src, a: Option<Anchor>| -> bool {
+        let mut rec = |src: Src, at_dst: bool| -> bool {
             match src {
                 // Full tensors (value store, prelude views, earlier
-                // segments) are readable row-by-row during the scan.
+                // segments) are readable at any row.
                 Src::Global(_) | Src::Prelude(_) | Src::Mat(_) => true,
                 Src::Slot(step) => visit(
                     step,
-                    a,
+                    at_dst,
                     steps,
                     program,
                     ir,
                     aux_softmax,
                     order,
-                    anchors,
                     visited,
                 ),
             }
@@ -247,29 +271,21 @@ fn plan_streams(
                 let x = sp.srcs[0];
                 let y = *sp.srcs.last().expect("scatter has inputs");
                 match f {
-                    ScatterFn::CopyU => rec(x, Some(Anchor::Src)),
-                    ScatterFn::CopyV => rec(y, Some(Anchor::Dst)),
-                    ScatterFn::Bin(_) => rec(x, Some(Anchor::Src)) && rec(y, Some(Anchor::Dst)),
+                    ScatterFn::CopyU => rec(x, false),
+                    ScatterFn::CopyV => rec(y, true),
+                    ScatterFn::Bin(_) => rec(x, false) && rec(y, true),
                     ScatterFn::ConcatUV => false,
                 }
             }
             // Softmax is per-edge only when the forward max/denominator
             // are stashed (the recomputation plan's O(|V|) auxiliaries).
-            OpKind::EdgeSoftmax => aux_softmax.contains_key(&sp.node) && rec(sp.srcs[0], None),
+            OpKind::EdgeSoftmax => aux_softmax.contains_key(&sp.node) && rec(sp.srcs[0], false),
+            // Elementwise steps read their operands at their own row.
             OpKind::Unary(_)
             | OpKind::UnaryBwd(_)
             | OpKind::Binary(_)
             | OpKind::SetHeads { .. }
-            | OpKind::FeatSum => {
-                // A vertex-space elementwise step propagates its own
-                // anchor (validated above) down to its operands.
-                let a = if sp.space == Space::Vertex {
-                    anchor
-                } else {
-                    None
-                };
-                sp.srcs.iter().all(|&s| rec(s, a))
-            }
+            | OpKind::FeatSum => sp.srcs.iter().all(|&s| rec(s, at_dst)),
             _ => false,
         };
         if ok {
@@ -297,17 +313,15 @@ fn plan_streams(
             continue;
         }
         let mut order = Vec::new();
-        let mut anchors = HashMap::new();
         let mut visited = HashSet::new();
         if !visit(
             root,
-            None,
+            false,
             steps,
             program,
             ir,
             aux_softmax,
             &mut order,
-            &mut anchors,
             &mut visited,
         ) {
             continue;
@@ -328,7 +342,7 @@ fn plan_streams(
         if !sole {
             continue;
         }
-        streams.insert(si, StreamChain { order, anchors });
+        streams.insert(si, order);
     }
     streams
 }
@@ -355,7 +369,8 @@ struct Operand<'a> {
 
 #[derive(Clone, Copy)]
 enum Data<'a> {
-    /// The row buffer of an earlier op of the same compile unit.
+    /// The slot of an earlier op of the same compile unit (its index in
+    /// the unit's op list).
     Slot { idx: usize, cols: usize },
     /// The rows of a complete full tensor.
     Full { data: &'a [f32], cols: usize },
@@ -379,16 +394,37 @@ impl<'a> Operand<'a> {
         debug_assert_eq!(self.at, RowAt::Own, "vertex operands are unpinned");
         Operand { at, ..self }
     }
+
+    /// The slot this operand reads, if it reads one.
+    fn slot(self) -> Option<usize> {
+        match self.data {
+            Data::Slot { idx, .. } => Some(idx),
+            Data::Full { .. } => None,
+        }
+    }
+}
+
+/// How many rows an op's slot holds (module docs, "Slot sizes").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotSize {
+    /// The tile's rows of the op's space, evaluated before its readers run.
+    Tile,
+    /// A strip of at most [`TileOp::strip`] rows — one, for a row read
+    /// at an edge endpoint — evaluated over the run of rows its reader
+    /// takes next ([`Unit::pull`]).
+    Row,
+    /// None: the op writes its rows of a full tensor in place — a
+    /// boundary value or spill of a tiled segment, or a streamed
+    /// segment's gather.
+    Sink,
 }
 
 /// One step compiled for the per-row path: op kind borrowed from the IR,
-/// operands resolved — neither driver touches a hash map, the step table
-/// or the IR while it runs.
+/// operands resolved — the driver touches neither a hash map, the step
+/// table nor the IR while it runs.
 struct TileOp<'a> {
     /// Index into the launch's step table (sinks are keyed by it).
     si: usize,
-    /// Position in the compile unit: the slot this op's rows go to.
-    slot: usize,
     kind: &'a OpKind,
     space: Space,
     cols: usize,
@@ -396,14 +432,79 @@ struct TileOp<'a> {
     heads: usize,
     /// `Scatter`: `[x@SrcV, y@DstV]` (a copy keeps only the side it
     /// reads). `EdgeSoftmax` with stashed statistics: `[x, max@DstV,
-    /// denom@DstV]`. Otherwise the node's inputs in order.
+    /// denom@DstV]`. `GatherMeanBwd` / `GatherMaxBwd`: `[grad@DstV]`.
+    /// Otherwise the node's inputs in order.
     srcs: Vec<Operand<'a>>,
     dins: &'a [Dim],
-    /// Edge-scan driver: the endpoint a vertex-space op runs at.
-    anchor: Option<Anchor>,
+    size: SlotSize,
+    /// Some operand is a row-sized slot: [`Unit::pull`] before reading.
+    pulls: bool,
+    /// Row-sized: rows the slot holds. An op that pulls: rows it may run
+    /// between two pulls (every row-sized operand then holds them all).
+    strip: usize,
     /// `GatherMaxBwd`: the forward gather's complete argmax table.
     argmax: &'a [u32],
 }
+
+impl TileOp<'_> {
+    /// Elements this op's slot holds on a worker whose largest tile is
+    /// `(vertices, edges)`.
+    fn slot_len(&self, (tv, te): (usize, usize)) -> usize {
+        let tile = self.cols
+            * match self.space {
+                Space::Edge => te,
+                Space::Vertex => tv,
+                Space::Param => 0,
+            };
+        match self.size {
+            SlotSize::Tile => tile,
+            SlotSize::Row => tile.min(self.strip * self.cols),
+            SlotSize::Sink => 0,
+        }
+    }
+
+    /// Reduces over whole edge groups ([`exec_op`]'s own arms); every
+    /// other op is a per-row expression ([`exec_rows`]).
+    fn reduces_groups(&self) -> bool {
+        match self.kind {
+            OpKind::Gather { .. } | OpKind::EdgeSoftmaxBwd => true,
+            // Fresh: three sweeps per group. With stashed statistics
+            // (two more operands) it is a row expression.
+            OpKind::EdgeSoftmax => self.srcs.len() == 1,
+            _ => false,
+        }
+    }
+
+    /// An elementwise op whose operands all sit at its own row: one
+    /// [`rowops`] call covers all the rows it is run over
+    /// ([`Rows::zip_rows`]).
+    fn flat(&self) -> bool {
+        let zips = match self.kind {
+            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV | ScatterFn::Bin(_))
+            | OpKind::SetHeads { .. }
+            | OpKind::Unary(_)
+            | OpKind::UnaryBwd(_) => true,
+            OpKind::EdgeSoftmax => !self.reduces_groups(),
+            OpKind::Binary(_) => self.dins[0].feat == self.dins[1].feat,
+            _ => false,
+        };
+        zips && self.srcs.iter().all(|s| s.at == RowAt::Own)
+    }
+
+    /// Reads each row of its operands once, in runs a strip can hold —
+    /// what a reader must do for its producer to be row-sized. (A flat op
+    /// with a tile-sized slot covers the tile in one call instead.)
+    fn takes_rows_once(&self) -> bool {
+        match self.kind {
+            OpKind::Gather { .. } => true,
+            _ => !self.reduces_groups() && (!self.flat() || self.size == SlotSize::Row),
+        }
+    }
+}
+
+/// Elements (4 KB) and rows a row-sized slot's strip holds at most.
+const STRIP_ELEMS: usize = 1024;
+const STRIP_ROWS: usize = 32;
 
 /// The full tensors the operands of one launch stage resolve against.
 struct Env<'a> {
@@ -427,38 +528,57 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Compiles the steps `order` (a tiled segment's live steps, or a
-/// streamed chain, in dependency order) into tile ops. Returns the ops
-/// and, per position of `order`, the operand its readers see: the op's
-/// slot, or — for a pure copy that holds none — the copy's source with
-/// the endpoint pinned. Copies are aliased when they are scratch-class;
-/// inside a streamed chain (`chain` given) nothing is materialized, so
-/// every copy is.
+/// Compiles the steps `order` — a tiled segment's live steps, or a
+/// streamed `gather`'s chain, in dependency order, the gather itself
+/// coming last — into tile ops, and gives each its slot size.
+///
+/// Pure copies compile to no op when they are scratch-class (inside a
+/// streamed chain nothing is materialized, so every copy is): readers get
+/// the copy's source with the endpoint pinned.
 ///
 /// # Errors
 ///
 /// [`ExecError::ValueNotLive`] when a `GatherMaxBwd`'s forward argmax
 /// table is not stashed — before any worker spawns.
-fn compile<'a>(
-    env: &Env<'a>,
-    order: &[usize],
-    chain: Option<&StreamChain>,
-) -> Result<(Vec<TileOp<'a>>, Vec<Operand<'a>>)> {
-    let mut ops = Vec::with_capacity(order.len());
-    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len());
-    for (slot, &si) in order.iter().enumerate() {
+fn compile<'a>(env: &Env<'a>, order: &[usize], gather: Option<usize>) -> Result<Vec<TileOp<'a>>> {
+    let streamed = gather.is_some();
+    let mut ops: Vec<TileOp<'a>> = Vec::with_capacity(order.len() + 1);
+    // Per position of `order`, the operand its readers see: the op's
+    // slot, or the source a copy was aliased to.
+    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len() + 1);
+    for (pos, si) in order.iter().copied().chain(gather).enumerate() {
         let sp = &env.steps[si];
         let node = env.ir.node(sp.node);
-        let mut srcs: Vec<Operand<'a>> = Vec::with_capacity(sp.srcs.len() + 2);
-        for &s in &sp.srcs {
-            srcs.push(match s {
-                Src::Slot(step) => {
-                    let at = order.iter().position(|&o| o == step);
-                    reads[at.expect("operand precedes its reader in the unit")]
-                }
-                full => Operand::full(env.tensor(full)),
-            });
+        let is_sink = if streamed {
+            pos == order.len()
+        } else {
+            sp.storage != Storage::Scratch
+        };
+        // (The streamed gather reads its chain's root — a `Mat` of the
+        // segment the chain was elided from — as a slot.)
+        let resolve = |s: Src, reads: &[Operand<'a>]| {
+            let in_unit = match s {
+                Src::Slot(step) | Src::Mat(step) => order[..pos.min(order.len())]
+                    .iter()
+                    .position(|&o| o == step),
+                _ => None,
+            };
+            in_unit.map_or_else(|| Operand::full(env.tensor(s)), |at| reads[at])
+        };
+        // A scratch-class pure copy is an alias of the one row it reads.
+        let copied = match node.kind {
+            OpKind::Scatter(ScatterFn::CopyU) => Some((0, RowAt::SrcV)),
+            OpKind::Scatter(ScatterFn::CopyV) => Some((sp.srcs.len() - 1, RowAt::DstV)),
+            OpKind::SetHeads { .. } => Some((0, RowAt::Own)),
+            _ => None,
+        };
+        if let (Some((i, at)), false) = (copied, is_sink) {
+            let x = resolve(sp.srcs[i], &reads);
+            reads.push(if at == RowAt::Own { x } else { x.pinned(at) });
+            continue;
         }
+        let mut srcs: Vec<Operand<'a>> = Vec::with_capacity(sp.srcs.len() + 2);
+        srcs.extend(sp.srcs.iter().map(|&s| resolve(s, &reads)));
         let mut argmax: &[u32] = &[];
         match &node.kind {
             OpKind::Scatter(f) => {
@@ -477,7 +597,11 @@ fn compile<'a>(
                     srcs.push(Operand::full(dn).pinned(RowAt::DstV));
                 }
             }
+            // The vertex gradient is read at `dst(e)`: pinned, so a
+            // row-sized producer is pulled at the vertex, not the edge.
+            OpKind::GatherMeanBwd { .. } => srcs[0] = srcs[0].pinned(RowAt::DstV),
             OpKind::GatherMaxBwd { fwd } => {
+                srcs[0] = srcs[0].pinned(RowAt::DstV);
                 argmax = env
                     .aux_argmax
                     .get(fwd)
@@ -487,78 +611,119 @@ fn compile<'a>(
             }
             _ => {}
         }
-        let copy = matches!(
-            node.kind,
-            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. }
-        );
-        if copy && (chain.is_some() || sp.storage == Storage::Scratch) {
-            reads.push(srcs[0]);
-            continue;
-        }
         reads.push(Operand {
             data: Data::Slot {
-                idx: slot,
+                idx: ops.len(),
                 cols: sp.cols,
             },
             at: RowAt::Own,
         });
         ops.push(TileOp {
             si,
-            slot,
             kind: &node.kind,
             space: sp.space,
             cols: sp.cols,
             heads: node.dim.heads,
             srcs,
             dins: &sp.dins,
-            anchor: chain.and_then(|c| c.anchors.get(&si).copied()),
+            size: if is_sink {
+                SlotSize::Sink
+            } else {
+                SlotSize::Tile
+            },
+            pulls: false,
+            strip: 1,
             argmax,
         });
     }
-    Ok((ops, reads))
+
+    // Slot sizes, readers before producers: a scratch-class per-row op
+    // is row-sized when its one reader takes each row once.
+    for j in (0..ops.len()).rev() {
+        let reads_j = |op: &TileOp<'_>| op.srcs.iter().any(|s| s.slot() == Some(j));
+        let mut readers = (j + 1..ops.len()).filter(|&k| reads_j(&ops[k]));
+        let (Some(k), None) = (readers.next(), readers.next()) else {
+            continue;
+        };
+        let op = &ops[j];
+        // A read through an edge endpoint holds its reader to one row a
+        // pull: worth it only for an op that runs row by row anyway.
+        let own = |s: &Operand<'_>| s.slot() != Some(j) || s.at == RowAt::Own;
+        if op.size == SlotSize::Tile
+            && !op.reduces_groups()
+            && ops[k].takes_rows_once()
+            && (!op.flat() || ops[k].srcs.iter().all(own))
+        {
+            ops[j].size = SlotSize::Row;
+            ops[k].pulls = true;
+        }
+    }
+    // Strip lengths, producers before readers. A row-sized op holds
+    // consecutive rows — a few KB, so the strip stays in L1 while its
+    // reader walks it and the per-call cost of evaluating it is shared;
+    // a row read at an endpoint stands alone. An op never runs more rows
+    // at once than each row-sized operand can hold.
+    for k in 0..ops.len() {
+        let op = &ops[k];
+        let mut strip = match op.size {
+            SlotSize::Row => (STRIP_ELEMS / op.cols.max(1)).clamp(1, STRIP_ROWS),
+            _ => STRIP_ROWS,
+        };
+        for s in &op.srcs {
+            if let Some(j) = s.slot().filter(|&j| ops[j].size == SlotSize::Row) {
+                let held = if s.at == RowAt::Own { ops[j].strip } else { 1 };
+                strip = strip.min(held);
+            }
+        }
+        ops[k].strip = strip;
+    }
+    Ok(ops)
 }
 
-/// Row access for one op execution: the graph's endpoint arrays plus the
-/// slots of the unit's earlier positions.
-struct Rows<'a> {
-    g: &'a Graph,
-    src: &'a [u32],
-    dst: &'a [u32],
-    bufs: &'a [Vec<f32>],
-    /// First row each slot currently holds (tile base, or the single
-    /// row of an edge-scan buffer).
-    base: &'a [usize],
-    /// [`ExecPolicy::heavy_row_degree`].
-    heavy: usize,
+/// Read access to the rows one op execution sees: the graph's endpoint
+/// arrays plus the slots of the unit's earlier ops.
+struct Rows<'r> {
+    g: &'r Graph,
+    src: &'r [u32],
+    dst: &'r [u32],
+    bufs: &'r [&'r mut [f32]],
+    /// First row each slot currently holds: the tile's first row, the
+    /// one row of a row-sized slot, the first row of a sink's chunk.
+    base: &'r [usize],
 }
 
-impl<'a> Rows<'a> {
-    fn new(g: &'a Graph, bufs: &'a [Vec<f32>], base: &'a [usize], heavy: usize) -> Self {
+impl<'r> Rows<'r> {
+    fn new(g: &'r Graph, bufs: &'r [&'r mut [f32]], base: &'r [usize]) -> Self {
         Rows {
             g,
             src: g.src_slice(),
             dst: g.dst_slice(),
             bufs,
             base,
-            heavy,
+        }
+    }
+
+    /// The row a consumer at row `r` reads of an operand addressed `at`.
+    #[inline(always)]
+    fn at(&self, at: RowAt, r: usize) -> usize {
+        match at {
+            RowAt::Own => r,
+            RowAt::SrcV => self.src[r] as usize,
+            RowAt::DstV => self.dst[r] as usize,
         }
     }
 
     /// The operand's row for a consumer at row `r`.
     #[inline(always)]
-    fn row(&self, o: Operand<'a>, r: usize) -> &'a [f32] {
+    fn row(&self, o: Operand<'r>, r: usize) -> &'r [f32] {
         self.rows(o, r, 1)
     }
 
     /// The operand's `n` rows for a consumer at rows `r..r + n` (more
     /// than one only when the operand is read at the consumer's own row).
     #[inline(always)]
-    fn rows(&self, o: Operand<'a>, r: usize, n: usize) -> &'a [f32] {
-        let r = match o.at {
-            RowAt::Own => r,
-            RowAt::SrcV => self.src[r] as usize,
-            RowAt::DstV => self.dst[r] as usize,
-        };
+    fn rows(&self, o: Operand<'r>, r: usize, n: usize) -> &'r [f32] {
+        let r = self.at(o.at, r);
         match o.data {
             Data::Slot { idx, cols } => {
                 let off = (r - self.base[idx]) * cols;
@@ -573,7 +738,7 @@ impl<'a> Rows<'a> {
     #[inline(always)]
     fn map_rows(
         &self,
-        x: Operand<'a>,
+        x: Operand<'r>,
         rows: Range<usize>,
         width: usize,
         out: &mut [f32],
@@ -591,145 +756,147 @@ impl<'a> Rows<'a> {
     #[inline(always)]
     fn zip_rows<const N: usize>(
         &self,
-        srcs: [Operand<'a>; N],
+        srcs: [Operand<'r>; N],
         rows: Range<usize>,
         cols: usize,
         out: &mut [f32],
         body: impl Fn(&mut [f32], [&[f32]; N]),
     ) {
-        let flat = srcs.iter().all(|s| s.at == RowAt::Own);
-        // `calls` spans of `n` rows each: one tile-wide, or row by row.
-        let (n, calls) = if flat {
-            (rows.len(), 1)
-        } else {
-            (1, rows.len())
-        };
-        for i in 0..calls {
-            let mut xs: [&[f32]; N] = [&[]; N];
-            for (x, &s) in xs.iter_mut().zip(&srcs) {
-                *x = self.rows(s, rows.start + i * n, n);
-            }
-            body(&mut out[i * n * cols..(i + 1) * n * cols], xs);
+        if srcs.iter().all(|s| s.at == RowAt::Own) {
+            let xs = srcs.map(|s| self.rows(s, rows.start, rows.len()));
+            return body(&mut out[..rows.len() * cols], xs);
         }
-    }
-}
-
-/// The edge-scan driver: evaluates a streamed gather's producer chain at
-/// one edge at a time. Every chain op owns a single-row buffer;
-/// `base[slot]` is the row it holds, so a vertex-space op — run at its
-/// [`Anchor`] endpoint — is skipped while the scan stays on that vertex:
-/// under the destination-major edge order a `Dst`-anchored op evaluates
-/// once per destination group, not once per edge.
-struct StreamEval<'a> {
-    ops: &'a [TileOp<'a>],
-    /// Where the gather reads the chain's result.
-    root: Operand<'a>,
-    bufs: Vec<Vec<f32>>,
-    /// [`Rows`] over no buffers: `eval` lends each op the earlier ones.
-    cx: Rows<'a>,
-    base: Vec<usize>,
-}
-
-impl<'a> StreamEval<'a> {
-    fn new(g: &'a Graph, ops: &'a [TileOp<'a>], reads: &[Operand<'a>]) -> Self {
-        let mut bufs = vec![Vec::new(); reads.len()];
-        for op in ops {
-            bufs[op.slot] = vec![0.0; op.cols];
-        }
-        StreamEval {
-            ops,
-            root: *reads.last().expect("a chain has a root"),
-            cx: Rows::new(g, &[], &[], usize::MAX),
-            base: vec![usize::MAX; reads.len()],
-            bufs,
-        }
-    }
-
-    /// Evaluates the whole chain at edge `e` and returns the root row.
-    fn eval(&mut self, e: usize) -> &[f32] {
-        let (u, v) = (self.cx.src[e] as usize, self.cx.dst[e] as usize);
-        for op in self.ops {
-            let r = match op.anchor {
-                Some(Anchor::Src) => u,
-                Some(Anchor::Dst) => v,
-                None => e,
+        // Row by row, each operand resolved once before the loop: its
+        // rows, their width, the first row held and the endpoint array
+        // that indexes it (2-wide attention rows pay for every branch).
+        let res = srcs.map(|s| {
+            let (data, cols, first): (&[f32], _, _) = match s.data {
+                Data::Slot { idx, cols } => (&*self.bufs[idx], cols, self.base[idx]),
+                Data::Full { data, cols } => (data, cols, 0),
             };
-            if self.base[op.slot] == r {
-                continue;
-            }
-            self.base[op.slot] = r;
-            // Topological order: an op reads only earlier positions.
-            let (earlier, rest) = self.bufs.split_at_mut(op.slot);
-            let cx = Rows {
-                bufs: earlier,
-                base: &self.base,
-                ..self.cx
+            let via = match s.at {
+                RowAt::Own => None,
+                RowAt::SrcV => Some(self.src),
+                RowAt::DstV => Some(self.dst),
             };
-            exec_rows(op, &cx, r..r + 1, &mut rest[0]);
-        }
-        let cx = Rows {
-            bufs: &self.bufs,
-            base: &self.base,
-            ..self.cx
-        };
-        cx.row(self.root, e)
-    }
-}
-
-/// Runs one streamed `BySrc` gather: a single ascending pass over the
-/// canonical edge array per worker, evaluating the elided chain at each
-/// owned edge and accumulating into the owner's source rows — the exact
-/// partitioning, accumulation order, and row expressions of
-/// [`crate::kernels::gather`]'s `BySrc` scan, with the interior tensor
-/// replaced by per-edge recomputation.
-fn run_streamed_gather(
-    policy: &ExecPolicy,
-    g: &Graph,
-    reduce: ReduceFn,
-    env: &Env<'_>,
-    chain: &StreamChain,
-    total: usize,
-) -> Result<Tensor> {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let adj = g.out_adj();
-    let src = g.src_slice();
-    let (ops, reads) = compile(env, &chain.order, Some(chain))?;
-    let mut out = Tensor::zeros(&[n, total]);
-    let threads = plan_threads(policy, n, m * total);
-    let run = |vs: Range<usize>, chunk: &mut [f32]| {
-        let mut ev = StreamEval::new(g, &ops, &reads);
-        let v0 = vs.start;
-        for (e, &s) in src.iter().enumerate() {
-            let v = s as usize;
-            if !vs.contains(&v) {
-                continue;
-            }
-            let row = ev.eval(e);
-            let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
-            match reduce {
-                ReduceFn::Sum => rowops::add_assign(o, row),
-                ReduceFn::Mean => rowops::axpy(o, 1.0 / adj.degree(v) as f32, row),
-                ReduceFn::Max => unreachable!("streamed gathers are Sum/Mean"),
-            }
-        }
-    };
-    if threads < 2 || total == 0 {
-        run(0..n, out.as_mut_slice());
-    } else {
-        let bounds = vertex_bounds(policy, adj.indptr(), threads);
-        let chunks = split_rows(out.as_mut_slice(), total, &bounds);
-        let wg = contain::WorkerGuard::new();
-        std::thread::scope(|s| {
-            for (w, chunk) in bounds.windows(2).zip(chunks) {
-                let run = &run;
-                let wg = &wg;
-                s.spawn(move || wg.run(|| run(w[0]..w[1], chunk)));
-            }
+            (data, cols, first, via)
         });
-        wg.rethrow();
+        for (i, r) in rows.enumerate() {
+            let xs = res.map(|(data, cols, first, via)| {
+                let r = via.map_or(r, |v| v[r] as usize) - first;
+                &data[r * cols..(r + 1) * cols]
+            });
+            body(&mut out[i * cols..(i + 1) * cols], xs);
+        }
     }
-    Ok(out)
+}
+
+/// A worker's slots while one op runs: read through [`Unit::rows`],
+/// written only by [`Unit::pull`], which brings row-sized slots to the
+/// row a reader is about to read.
+struct Unit<'r, 'w, 'a> {
+    ops: &'r [TileOp<'a>],
+    g: &'a Graph,
+    /// The slots of the ops before the one running (an op reads only
+    /// earlier ops: the unit is in dependency order).
+    bufs: &'r mut [&'w mut [f32]],
+    base: &'r mut [usize],
+    /// [`ExecPolicy::heavy_row_degree`].
+    heavy: usize,
+}
+
+impl Unit<'_, '_, '_> {
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(self.g, self.bufs, self.base)
+    }
+
+    /// Makes every row-sized operand of `ops[k]` hold the rows a consumer
+    /// at `rows` reads — the run its reader takes next, at most
+    /// `ops[k].strip` long: evaluates the producer over exactly those rows
+    /// ([`exec_rows`]) unless the slot already starts there (consecutive
+    /// edges of one destination group share `dst(e)`, and two operands of
+    /// one reader share the rows).
+    fn pull(&mut self, k: usize, rows: Range<usize>) {
+        let ops = self.ops;
+        for s in &ops[k].srcs {
+            let Some(j) = s.slot() else { continue };
+            let op = &ops[j];
+            if op.size != SlotSize::Row {
+                continue;
+            }
+            // Only own-row reads come in runs ([`compile`]'s strips).
+            debug_assert!(s.at == RowAt::Own || rows.len() == 1);
+            debug_assert!(rows.len() <= op.strip);
+            let first = self.rows().at(s.at, rows.start);
+            if self.base[j] == first {
+                continue;
+            }
+            let need = first..first + rows.len();
+            if op.pulls {
+                self.pull(j, need.clone());
+            }
+            let (earlier, rest) = self.bufs.split_at_mut(j);
+            let cx = Rows::new(self.g, earlier, self.base);
+            exec_rows(op, &cx, need.clone(), &mut rest[0][..need.len() * op.cols]);
+            self.base[j] = first;
+        }
+    }
+}
+
+/// The rows of `ops[k]`'s first operand, pulled on demand: what a
+/// reduction ([`RowSource`]) reads edge by edge, in ascending order.
+struct Pulled<'u, 'r, 'w, 'a> {
+    unit: &'u mut Unit<'r, 'w, 'a>,
+    k: usize,
+    /// One past the tile's last edge.
+    end: usize,
+    /// The source vertices whose edges the reduction reads — a streamed
+    /// gather's worker skips the others; `None`: every edge of the tile.
+    owned: Option<Range<usize>>,
+    /// The run of edges pulled last.
+    held: Range<usize>,
+}
+
+impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
+    fn new(
+        unit: &'u mut Unit<'r, 'w, 'a>,
+        k: usize,
+        end: usize,
+        owned: Option<Range<usize>>,
+    ) -> Self {
+        Pulled {
+            unit,
+            k,
+            end,
+            owned,
+            held: 0..0,
+        }
+    }
+}
+
+impl RowSource for Pulled<'_, '_, '_, '_> {
+    #[inline(always)]
+    fn row(&mut self, e: usize) -> &[f32] {
+        let ops = self.unit.ops;
+        let op = &ops[self.k];
+        if op.pulls && !self.held.contains(&e) {
+            // The edges after `e` the reduction reads next without a gap:
+            // one pull evaluates the producer for all of them.
+            let most = (e + op.strip).min(self.end);
+            let run = match &self.owned {
+                None => most,
+                Some(owned) => {
+                    let src = self.unit.g.src_slice();
+                    (e + 1..most)
+                        .find(|&r| !owned.contains(&(src[r] as usize)))
+                        .unwrap_or(most)
+                }
+            };
+            self.held = e..run;
+            self.unit.pull(self.k, e..run);
+        }
+        self.unit.rows().row(op.srcs[0], e)
+    }
 }
 
 /// Cuts worker boundaries over the tile sequence so every worker owns
@@ -809,6 +976,23 @@ enum StepAux<'a> {
         table: &'a mut [u32],
         chunk_v0: usize,
     },
+}
+
+/// The tiles one worker walks and the largest of them, `(vertices,
+/// edges)`.
+struct Part {
+    tiles: Range<usize>,
+    max_tile: (usize, usize),
+}
+
+/// One worker's rows of the tensors a unit writes, each keyed by the slot
+/// (op index) that writes it.
+#[derive(Default)]
+struct WorkerSinks<'w> {
+    /// `(slot, first row, rows)` of each boundary output, in op order.
+    out: Vec<(usize, usize, &'w mut [f32])>,
+    sm: Vec<(usize, &'w mut [f32], &'w mut [f32])>,
+    am: Vec<(usize, &'w mut [u32])>,
 }
 
 /// Executes one lowered kernel over the graph, tile by tile.
@@ -927,13 +1111,10 @@ pub(crate) fn run_program(
     }
 
     // Streamed full-step gathers: their interior producer chains are
-    // elided from the tiled segments below and recomputed per edge
-    // inside the gather's own scan (see `plan_streams`).
+    // elided from the tiled segments below and compiled into the
+    // gather's own segment (see `plan_streams`).
     let streams = plan_streams(&steps, program, ir, aux_softmax);
-    let elided: HashSet<usize> = streams
-        .values()
-        .flat_map(|c| c.order.iter().copied())
-        .collect();
+    let elided: HashSet<usize> = streams.values().flatten().copied().collect();
 
     // Mid-launch eviction schedule (arena mode): each dying global's
     // last reading stage — stage 0 is the prelude pass above, stage
@@ -969,10 +1150,8 @@ pub(crate) fn run_program(
                     continue;
                 }
                 track(si, ord + 1);
-                if let Some(chain) = streams.get(&si) {
-                    for &mi in &chain.order {
-                        track(mi, ord + 1);
-                    }
+                for &mi in streams.get(&si).into_iter().flatten() {
+                    track(mi, ord + 1);
                 }
             }
         }
@@ -1063,25 +1242,19 @@ pub(crate) fn run_program(
     };
     let wv: Vec<usize> = wt.iter().map(|&t| tiles[t]).collect();
     let we: Vec<usize> = wv.iter().map(|&v| indptr[v]).collect();
-    let workers = wt.len() - 1;
-    // A worker's slots are sized for its largest tile: (vertices, edges).
-    let max_tile: Vec<(usize, usize)> = (0..workers)
-        .map(|w| {
-            (wt[w]..wt[w + 1]).fold((0, 0), |(tv, te), t| {
-                let (v0, v1) = (tiles[t], tiles[t + 1]);
-                (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
-            })
-        })
-        .collect();
-    let slot_len = |op: &TileOp<'_>, (tv, te): (usize, usize)| match op.space {
-        Space::Edge => te * op.cols,
-        Space::Vertex => tv * op.cols,
-        Space::Param => 0,
+    // Tile-sized slots fit the largest tile a worker walks.
+    let part = |ts: Range<usize>| Part {
+        max_tile: ts.clone().fold((0, 0), |(tv, te), t| {
+            let (v0, v1) = (tiles[t], tiles[t + 1]);
+            (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
+        }),
+        tiles: ts,
     };
+    let tile_parts: Vec<Part> = wt.windows(2).map(|w| part(w[0]..w[1])).collect();
 
     // Execute segments in order: full steps once over the whole graph via
     // the (deterministic, thread-parallel) reference kernels; tiled
-    // segments over destination ranges with per-worker slots.
+    // segments and streamed gathers tile by tile with per-worker slots.
     let mut scratch_bytes = 0u64;
     let mut new_argmax_full: Vec<(usize, Vec<u32>)> = Vec::new();
     for (ord, seg) in program.segments().into_iter().enumerate() {
@@ -1113,19 +1286,20 @@ pub(crate) fn run_program(
                 aux_softmax,
                 aux_argmax,
             };
-            match seg_steps[..] {
+            // A full segment holds exactly one step; a streamed gather
+            // comes with the chain elided for it.
+            let full = match seg_steps[..] {
+                [si] if program.steps[si].exec == StepExec::Full => Some(si),
+                _ => None,
+            };
+            let chain = full.and_then(|si| streams.get(&si));
+            match (full, chain) {
                 // Every member streamed into a later gather.
-                [] => {}
-                // A full segment holds exactly one step.
-                [si] if program.steps[si].exec == StepExec::Full => {
+                _ if seg_steps.is_empty() => {}
+                (Some(si), None) => {
                     let sp = &steps[si];
-                    let t = match (&ir.node(sp.node).kind, streams.get(&si)) {
-                        // Streamed: the input chain was elided from the
-                        // tiled segments; evaluate it per edge here.
-                        (OpKind::Gather { reduce, .. }, Some(chain)) => {
-                            run_streamed_gather(policy, g, *reduce, &env, chain, sp.cols)?
-                        }
-                        (OpKind::Gather { reduce, group }, None) => {
+                    let t = match &ir.node(sp.node).kind {
+                        OpKind::Gather { reduce, group } => {
                             let x = env.tensor(sp.srcs[0]);
                             let (t, am) = crate::kernels::gather(policy, g, *reduce, *group, x);
                             if let Some(am) = am {
@@ -1139,7 +1313,7 @@ pub(crate) fn run_program(
                         // dispatch. This is what makes lowering total:
                         // any op the IR expresses either tiles or lands
                         // here.
-                        (kind, _) => {
+                        kind => {
                             let inputs: Vec<&Tensor> =
                                 sp.srcs.iter().map(|&s| env.tensor(s)).collect();
                             let aux_in = match kind {
@@ -1169,108 +1343,175 @@ pub(crate) fn run_program(
                     };
                     seg_out.push((si, t));
                 }
-                _ => {
-                    let (ops, _) = compile(&env, &seg_steps, None)?;
+                // A tiled segment over the workers' own tile runs — or a
+                // streamed gather: its chain, then the gather as the
+                // unit's last op, every worker walking *all* tiles and
+                // accumulating the source rows it owns (the partition of
+                // `kernels::gather`'s `BySrc` scan).
+                (gather, chain) => {
+                    let order: &[usize] = chain.map_or(&seg_steps, |c| c);
+                    // A streamed gather's workers own source-vertex ranges
+                    // of about as many out-edges each — the split of
+                    // `kernels::gather`'s `BySrc` scan — and each walk
+                    // every tile.
+                    let (mut owned, mut every_tile) = (Vec::new(), Vec::new());
+                    if let Some(si) = gather {
+                        let total = steps[si].cols;
+                        seg_out.push((si, Tensor::zeros(&[n, total])));
+                        let workers = plan_threads(policy, n, m * total);
+                        owned = if workers < 2 || total == 0 {
+                            vec![0, n]
+                        } else {
+                            edge_balanced_vertex_bounds(g.out_adj().indptr(), workers)
+                        };
+                        every_tile.extend(owned.windows(2).map(|_| part(0..num_tiles)));
+                    }
+                    let parts = if gather.is_some() {
+                        &every_tile
+                    } else {
+                        &tile_parts
+                    };
+                    let ops = compile(&env, order, gather)?;
                     // Slot sizes are a pure function of the partition, so the
                     // scratch high-water mark (max over segments, sum over
                     // workers) is known before running — and never exceeds
-                    // what lowering budgets for the segment.
-                    let held: u64 = max_tile
+                    // what lowering budgets for the unit's segment.
+                    let held: u64 = parts
                         .iter()
-                        .flat_map(|&mt| ops.iter().map(move |op| 4 * slot_len(op, mt) as u64))
+                        .flat_map(|p| ops.iter().map(|op| 4 * op.slot_len(p.max_tile) as u64))
                         .sum();
                     debug_assert!(
-                        held <= max_tile
+                        held <= parts
                             .iter()
-                            .map(|&(tv, te)| program.scratch_tile_bytes(seg, tv, te))
+                            .map(|p| {
+                                let (tv, te) = p.max_tile;
+                                program.scratch_tile_bytes(program.steps[order[0]].segment, tv, te)
+                            })
                             .sum::<u64>()
                     );
                     scratch_bytes = scratch_bytes.max(held);
 
-                    struct WorkerSinks<'w> {
-                        out: Vec<(usize, &'w mut [f32])>,
-                        sm: Vec<(usize, &'w mut [f32], &'w mut [f32])>,
-                        am: Vec<(usize, &'w mut [u32])>,
-                    }
-                    let mut sinks: Vec<WorkerSinks<'_>> = (0..workers)
-                        .map(|_| WorkerSinks {
-                            out: Vec::new(),
-                            sm: Vec::new(),
-                            am: Vec::new(),
-                        })
-                        .collect();
+                    let slot_of = |si: usize| {
+                        ops.iter()
+                            .position(|op| op.si == si)
+                            .expect("a step with a sink compiles to an op")
+                    };
+                    let mut sinks: Vec<WorkerSinks<'_>> =
+                        parts.iter().map(|_| WorkerSinks::default()).collect();
                     for (si, tensor) in &mut seg_out {
                         let sp = &steps[*si];
-                        let bounds = if sp.space == Space::Edge { &we } else { &wv };
-                        for (w, chunk) in split_rows(tensor.as_mut_slice(), sp.cols, bounds)
-                            .into_iter()
-                            .enumerate()
+                        let bounds = match sp.space {
+                            _ if gather.is_some() => &owned,
+                            Space::Edge => &we,
+                            _ => &wv,
+                        };
+                        for (w, chunk) in
+                            split_rows(tensor.as_mut_slice(), sp.cols, bounds).enumerate()
                         {
-                            sinks[w].out.push((*si, chunk));
+                            sinks[w].out.push((slot_of(*si), bounds[w], chunk));
                         }
                     }
                     for (si, mx, dn) in &mut fresh_softmax {
-                        if !seg_steps.contains(si) {
+                        if !order.contains(si) {
                             continue;
                         }
                         let cols = steps[*si].cols;
                         let mx_chunks = split_rows(mx.as_mut_slice(), cols, &wv);
                         let dn_chunks = split_rows(dn.as_mut_slice(), cols, &wv);
-                        for (w, (mc, dc)) in mx_chunks.into_iter().zip(dn_chunks).enumerate() {
-                            sinks[w].sm.push((*si, mc, dc));
+                        for (w, (mc, dc)) in mx_chunks.zip(dn_chunks).enumerate() {
+                            sinks[w].sm.push((slot_of(*si), mc, dc));
                         }
                     }
                     for (si, table) in &mut argmax_tables {
-                        if !seg_steps.contains(si) {
+                        if !order.contains(si) {
                             continue;
                         }
                         let cols = steps[*si].cols;
-                        for (w, chunk) in split_rows(table, cols, &wv).into_iter().enumerate() {
-                            sinks[w].am.push((*si, chunk));
+                        for (w, chunk) in split_rows(table, cols, &wv).enumerate() {
+                            sinks[w].am.push((slot_of(*si), chunk));
                         }
                     }
 
-                    // Run the segment. Each worker walks its tiles
-                    // sequentially, reusing one slot per op.
-                    let run_worker = |w: usize, mut sinks: WorkerSinks<'_>| {
-                        let (wv0, we0) = (wv[w], we[w]);
-                        // Slots come off the pool when it is active on this
-                        // thread (serial segments run on the session thread);
-                        // workers see an inactive pool and allocate as before.
-                        let mut bufs: Vec<Vec<f32>> = vec![Vec::new(); seg_steps.len()];
-                        for op in &ops {
-                            let len = slot_len(op, max_tile[w]);
-                            bufs[op.slot] = pool::take_f32(len);
-                            bufs[op.slot].resize(len, 0.0);
+                    // Run the unit. Each worker walks its tiles in order,
+                    // reusing one slot per op.
+                    let run_worker = |part: &Part, sinks: WorkerSinks<'_>| {
+                        let WorkerSinks {
+                            out,
+                            mut sm,
+                            mut am,
+                        } = sinks;
+                        // All slots are carved out of one buffer, off the
+                        // pool when it is active on this thread (serial
+                        // units run on the session thread); workers see an
+                        // inactive pool and allocate.
+                        let lens: usize = ops.iter().map(|op| op.slot_len(part.max_tile)).sum();
+                        let mut arena = pool::take_f32(lens);
+                        arena.resize(lens, 0.0);
+                        let mut rest = &mut arena[..];
+                        let mut out = out.into_iter();
+                        let mut bufs: Vec<&mut [f32]> = Vec::with_capacity(ops.len());
+                        // First row each slot holds.
+                        let mut base = vec![usize::MAX; ops.len()];
+                        for (k, op) in ops.iter().enumerate() {
+                            if op.size == SlotSize::Sink {
+                                // The worker's chunk of the full tensor is
+                                // the slot: nothing is staged and copied.
+                                let (slot, first, chunk) =
+                                    out.next().expect("a sink per boundary op, in op order");
+                                debug_assert_eq!(slot, k);
+                                base[k] = first;
+                                bufs.push(chunk);
+                            } else {
+                                let (slot, tail) = std::mem::take(&mut rest)
+                                    .split_at_mut(op.slot_len(part.max_tile));
+                                bufs.push(slot);
+                                rest = tail;
+                            }
                         }
-                        let mut base = vec![0usize; seg_steps.len()];
+                        let chunk_v0 = tiles[part.tiles.start];
                         // One row of the widest op: heavy-row chunk partials
                         // and softmax-backward group sums, shared across
                         // ops and tiles.
                         let mut scratch =
                             pool::take_f32(ops.iter().map(|op| op.cols).max().unwrap_or(0));
-                        for t in wt[w]..wt[w + 1] {
+                        for t in part.tiles.clone() {
                             let (v0, v1) = (tiles[t], tiles[t + 1]);
                             let (e0, e1) = (indptr[v0], indptr[v1]);
-                            for op in &ops {
-                                let (rows, r0, wbase) = match op.space {
-                                    Space::Edge => (e1 - e0, e0, we0),
-                                    _ => (v1 - v0, v0, wv0),
+                            for (k, op) in ops.iter().enumerate() {
+                                let (rows, r0) = match op.space {
+                                    Space::Edge => (e1 - e0, e0),
+                                    _ => (v1 - v0, v0),
                                 };
-                                base[op.slot] = r0;
-                                // Topological order: an op reads only the
-                                // slots of earlier positions.
-                                let (earlier, rest) = bufs.split_at_mut(op.slot);
-                                let buf = &mut rest[0][..rows * op.cols];
-                                let cx = Rows::new(g, earlier, &base, policy.heavy_row_degree);
+                                let (earlier, own) = bufs.split_at_mut(k);
+                                let own = &mut *own[0];
+                                let buf = match op.size {
+                                    // Evaluated when a reader pulls it; a
+                                    // row held over from the last tile
+                                    // must not look current.
+                                    SlotSize::Row => {
+                                        base[k] = usize::MAX;
+                                        continue;
+                                    }
+                                    SlotSize::Tile => {
+                                        base[k] = r0;
+                                        &mut own[..rows * op.cols]
+                                    }
+                                    // A streamed gather accumulates into
+                                    // any source row the worker owns.
+                                    SlotSize::Sink if gather.is_some() => own,
+                                    SlotSize::Sink => {
+                                        let at = (r0 - base[k]) * op.cols;
+                                        &mut own[at..at + rows * op.cols]
+                                    }
+                                };
                                 let aux = match op.kind {
                                     OpKind::EdgeSoftmax => {
-                                        sinks.sm.iter_mut().find(|(i, _, _)| *i == op.si).map_or(
+                                        sm.iter_mut().find(|(i, _, _)| *i == k).map_or(
                                             StepAux::None,
                                             |(_, mc, dc)| StepAux::SoftmaxFresh {
                                                 maxes: mc,
                                                 denom: dc,
-                                                chunk_v0: wv0,
+                                                chunk_v0,
                                             },
                                         )
                                     }
@@ -1278,47 +1519,39 @@ pub(crate) fn run_program(
                                         reduce: ReduceFn::Max,
                                         ..
                                     } => {
-                                        let (_, table) = sinks
-                                            .am
+                                        let (_, table) = am
                                             .iter_mut()
-                                            .find(|(i, _)| *i == op.si)
+                                            .find(|(i, _)| *i == k)
                                             .expect("gather-max has an argmax sink");
-                                        StepAux::ArgMax {
-                                            table,
-                                            chunk_v0: wv0,
-                                        }
+                                        StepAux::ArgMax { table, chunk_v0 }
                                     }
                                     _ => StepAux::None,
                                 };
-                                exec_op(op, &cx, (v0, v1, e0, e1), buf, aux, &mut scratch);
-                                // Boundary values and spills also land in
-                                // their full tensor.
-                                if let Some((_, chunk)) =
-                                    sinks.out.iter_mut().find(|(i, _)| *i == op.si)
-                                {
-                                    let dst = (r0 - wbase) * op.cols;
-                                    chunk[dst..dst + buf.len()].copy_from_slice(buf);
-                                }
+                                let mut unit = Unit {
+                                    ops: &ops,
+                                    g,
+                                    bufs: earlier,
+                                    base: &mut base,
+                                    heavy: policy.heavy_row_degree,
+                                };
+                                exec_op(&mut unit, k, (v0, v1, e0, e1), buf, aux, &mut scratch);
                             }
                         }
                         // Recycle the per-worker buffers (no-op off the pool thread).
-                        for s in bufs {
-                            pool::put_f32(s);
-                        }
+                        drop(bufs);
+                        pool::put_f32(arena);
                         pool::put_f32(scratch);
                     };
 
-                    if workers < 2 {
-                        if let Some(s) = sinks.pop() {
-                            run_worker(0, s);
-                        }
+                    if let [p] = &parts[..] {
+                        run_worker(p, sinks.pop().expect("one sink set per worker"));
                     } else {
                         let wg = contain::WorkerGuard::new();
                         std::thread::scope(|scope| {
-                            for (w, s) in sinks.into_iter().enumerate() {
+                            for (p, s) in parts.iter().zip(sinks) {
                                 let run_worker = &run_worker;
                                 let wg = &wg;
-                                scope.spawn(move || wg.run(|| run_worker(w, s)));
+                                scope.spawn(move || wg.run(|| run_worker(p, s)));
                             }
                         });
                         wg.rethrow();
@@ -1358,28 +1591,59 @@ pub(crate) fn run_program(
     })
 }
 
-/// Executes one compiled op over one tile into `buf` (tile-relative
-/// rows). The ops that reduce over whole destination groups — `Gather`,
-/// the fresh `EdgeSoftmax`, `EdgeSoftmaxBwd` — live here, because only a
-/// tile owns whole groups; everything else is per-row ([`exec_rows`]).
+/// Executes `unit.ops[k]` over one tile into `buf`: its rows of the tile,
+/// or — for a streamed gather — the source rows the worker owns. The ops
+/// that reduce over whole edge groups (`Gather`, the fresh `EdgeSoftmax`,
+/// `EdgeSoftmaxBwd`) live here, because only a tile owns whole
+/// destination groups; everything else is per-row ([`exec_rows`]).
 ///
 /// Every arm reproduces the corresponding kernel in [`crate::kernels`]
 /// expression-for-expression and in the same iteration order, which is
 /// what makes fused execution bit-identical to the node-by-node oracle.
 fn exec_op(
-    op: &TileOp<'_>,
-    cx: &Rows<'_>,
+    unit: &mut Unit<'_, '_, '_>,
+    k: usize,
     (v0, v1, e0, e1): (usize, usize, usize, usize),
     buf: &mut [f32],
     aux: StepAux<'_>,
     scratch: &mut Vec<f32>,
 ) {
+    let ops = unit.ops;
+    let op = &ops[k];
     let total = op.cols;
-    let adj = cx.g.in_adj();
-    let heavy = cx.heavy;
-    let x = op.srcs[0];
-    let row = |e| cx.row(x, e);
+    let adj = unit.g.in_adj();
+    let heavy = unit.heavy;
+    // A reduction starts from zero rows: a sink's tensor was allocated
+    // zeroed and nothing else writes it, a tile slot holds the last tile.
+    let zeroed = op.size == SlotSize::Sink;
     match (op.kind, aux) {
+        // The streamed accumulate: `out[src(e)] += row(e)` over the
+        // tile's edges in ascending order — `kernels::gather`'s `BySrc`
+        // scan, one tile of it.
+        (
+            OpKind::Gather {
+                reduce,
+                group: EdgeGroup::BySrc,
+            },
+            _,
+        ) => {
+            let own0 = unit.base[k];
+            let owned = own0..own0 + buf.len().checked_div(total).unwrap_or(0);
+            let (src, out_adj) = (unit.g.src_slice(), unit.g.out_adj());
+            let mut x = Pulled::new(unit, k, e1, Some(owned.clone()));
+            for (e, &u) in (e0..).zip(&src[e0..e1]) {
+                let u = u as usize;
+                if !owned.contains(&u) {
+                    continue;
+                }
+                let o = &mut buf[(u - own0) * total..(u - own0 + 1) * total];
+                match reduce {
+                    ReduceFn::Sum => rowops::add_assign(o, x.row(e)),
+                    ReduceFn::Mean => rowops::axpy(o, 1.0 / out_adj.degree(u) as f32, x.row(e)),
+                    ReduceFn::Max => unreachable!("streamed gathers are Sum/Mean"),
+                }
+            }
+        }
         // Shared with the reference kernels so the heavy-row chunk
         // association is identical on both paths.
         (
@@ -1389,10 +1653,13 @@ fn exec_op(
             },
             _,
         ) => {
+            let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                o.fill(0.0);
-                reduce_row_sum(o, adj.edge_ids(v), row, heavy, scratch);
+                if !zeroed {
+                    o.fill(0.0);
+                }
+                reduce_row_sum(o, adj.edge_ids(v), &mut x, heavy, scratch);
             }
         }
         (
@@ -1402,26 +1669,32 @@ fn exec_op(
             },
             _,
         ) => {
+            let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                o.fill(0.0);
+                if !zeroed {
+                    o.fill(0.0);
+                }
                 let deg = adj.degree(v);
                 if deg == 0 {
                     continue;
                 }
                 let inv = 1.0 / deg as f32;
-                reduce_row_mean(o, adj.edge_ids(v), inv, row, heavy, scratch);
+                reduce_row_mean(o, adj.edge_ids(v), inv, &mut x, heavy, scratch);
             }
         }
         (OpKind::Gather { .. }, StepAux::ArgMax { table, chunk_v0 }) => {
+            let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                o.fill(0.0);
+                if !zeroed {
+                    o.fill(0.0);
+                }
                 let ar = &mut table[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
                 ar.fill(NO_ARGMAX);
                 let mut first = true;
                 for &e in adj.edge_ids(v) {
-                    let xr = row(e as usize);
+                    let xr = x.row(e as usize);
                     for c in 0..total {
                         if first || xr[c] > o[c] {
                             o[c] = xr[c];
@@ -1433,6 +1706,8 @@ fn exec_op(
             }
         }
 
+        // The two ops that sweep a group more than once read tile-sized
+        // operands only ([`compile`]): nothing to pull.
         (
             OpKind::EdgeSoftmax,
             StepAux::SoftmaxFresh {
@@ -1441,6 +1716,9 @@ fn exec_op(
                 chunk_v0,
             },
         ) => {
+            debug_assert!(!op.pulls);
+            let cx = unit.rows();
+            let row = |e| cx.row(op.srcs[0], e);
             for v in v0..v1 {
                 let ids = adj.edge_ids(v);
                 if ids.is_empty() {
@@ -1450,30 +1728,36 @@ fn exec_op(
                 for &e in ids {
                     rowops::max_assign(mr, row(e as usize));
                 }
+                // One `exp` per element: the denominator sweep leaves
+                // `exp(x − max)` in the output row, the last sweep
+                // divides it.
                 let dr = &mut denom[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
                 for &e in ids {
-                    rowops::exp_sub_accum(dr, row(e as usize), mr);
+                    let yr = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
+                    rowops::exp_sub_store_accum(dr, yr, row(e as usize), mr);
                 }
                 for &e in ids {
                     let yr = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                    rowops::softmax_from_stats(yr, row(e as usize), mr, dr);
+                    rowops::div_assign(yr, dr);
                 }
             }
         }
 
         (OpKind::EdgeSoftmaxBwd, _) => {
-            let y = op.srcs[1];
+            debug_assert!(!op.pulls);
+            let cx = unit.rows();
+            let (x, y) = (op.srcs[0], op.srcs[1]);
             scratch.resize(total, 0.0);
             for v in v0..v1 {
                 let ids = adj.edge_ids(v);
                 scratch.fill(0.0);
                 for &e in ids {
-                    rowops::mul_add_accum(scratch, row(e as usize), cx.row(y, e as usize));
+                    rowops::mul_add_accum(scratch, cx.row(x, e as usize), cx.row(y, e as usize));
                 }
                 for &e in ids {
                     let e = e as usize;
                     let or = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                    rowops::softmax_bwd_row(or, row(e), cx.row(y, e), scratch);
+                    rowops::softmax_bwd_row(or, cx.row(x, e), cx.row(y, e), scratch);
                 }
             }
         }
@@ -1484,22 +1768,33 @@ fn exec_op(
             } else {
                 v0..v1
             };
-            exec_rows(op, cx, rows, buf);
+            if op.pulls {
+                let mut r = rows.start;
+                while r < rows.end {
+                    let run = r..(r + op.strip).min(rows.end);
+                    unit.pull(k, run.clone());
+                    let out = (r - rows.start) * total..(run.end - rows.start) * total;
+                    exec_rows(op, &unit.rows(), run.clone(), &mut buf[out]);
+                    r = run.end;
+                }
+            } else {
+                exec_rows(op, &unit.rows(), rows, buf);
+            }
         }
     }
 }
 
 /// Executes a per-row op over `rows` of its own space into `buf` — the
-/// single definition of these ops' row expressions: the tile driver
-/// reaches it through [`exec_op`] with a tile's rows, the edge-scan
-/// driver calls it with one row.
+/// single definition of these ops' row expressions: [`exec_op`] calls it
+/// with a tile's rows (one at a time when an operand has to be pulled
+/// first), [`Unit::pull`] with the one row a reader asks for.
 ///
-/// Inlined into both drivers: called per op *per edge* by the scan, the
-/// out-of-line call (frame set-up for every arm's locals) cost ~10 ns a
-/// call — 40 ms of a `gat_train` step's streamed gather.
+/// Inlined into its callers: called per op *per edge* for row-sized
+/// ops, the out-of-line call (frame set-up for every arm's locals) cost
+/// ~10 ns a call — 40 ms of a `gat_train` step's streamed gather.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
-fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]) {
+fn exec_rows<'r>(op: &TileOp<'r>, cx: &Rows<'r>, rows: Range<usize>, buf: &mut [f32]) {
     let total = op.cols;
     let s = |i: usize| op.srcs[i];
     match op.kind {
@@ -1510,7 +1805,7 @@ fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]
         }
         OpKind::Scatter(ScatterFn::Bin(bf)) => {
             cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [xu, yv]| {
-                rowops::zip2_into(o, xu, yv, |a, b| bf.apply(a, b));
+                bf.zip_into(o, xu, yv)
             });
         }
         OpKind::Scatter(ScatterFn::ConcatUV) => {
@@ -1538,9 +1833,8 @@ fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]
         OpKind::GatherMeanBwd { .. } => {
             let adj = cx.g.in_adj();
             for (i, e) in rows.enumerate() {
-                let v = cx.dst[e] as usize;
-                let inv = 1.0 / adj.degree(v) as f32;
-                rowops::scale_into(&mut buf[i * total..(i + 1) * total], inv, cx.row(s(0), v));
+                let inv = 1.0 / adj.degree(cx.dst[e] as usize) as f32;
+                rowops::scale_into(&mut buf[i * total..(i + 1) * total], inv, cx.row(s(0), e));
             }
         }
 
@@ -1552,7 +1846,7 @@ fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]
             for (i, e) in rows.enumerate() {
                 let v = cx.dst[e] as usize;
                 let ar = &op.argmax[v * total..(v + 1) * total];
-                let grv = cx.row(s(0), v);
+                let grv = cx.row(s(0), e);
                 let o = &mut buf[i * total..(i + 1) * total];
                 for c in 0..total {
                     o[c] = if ar[c] == e as u32 { grv[c] } else { 0.0 };
@@ -1561,20 +1855,18 @@ fn exec_rows(op: &TileOp<'_>, cx: &Rows<'_>, rows: Range<usize>, buf: &mut [f32]
         }
 
         OpKind::Unary(f) => {
-            cx.zip_rows([s(0)], rows, total, buf, |o, [x]| {
-                rowops::map_into(o, x, |v| f.apply(v));
-            });
+            cx.zip_rows([s(0)], rows, total, buf, |o, [x]| f.map_into(o, x));
         }
         OpKind::UnaryBwd(f) => {
             cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [gr, x]| {
-                rowops::zip2_into(o, gr, x, |gv, xv| gv * f.derivative(xv));
+                f.bwd_into(o, gr, x)
             });
         }
         OpKind::Binary(f) => {
             let (da, db) = (op.dins[0], op.dins[1]);
             if da.feat == db.feat {
                 cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [a, b]| {
-                    rowops::zip2_into(o, a, b, |av, bv| f.apply(av, bv));
+                    f.zip_into(o, a, b)
                 });
             } else {
                 for (i, r) in rows.enumerate() {
@@ -1698,9 +1990,10 @@ mod tests {
             let (r0, r1) = (5usize, n - 4);
             // Slot 0 holds `b`'s rows of the tile, as a same-segment
             // producer would have left them.
-            let bufs = [b.as_slice()[r0 * cols..r1 * cols].to_vec()];
+            let mut held = b.as_slice()[r0 * cols..r1 * cols].to_vec();
+            let bufs = [&mut held[..]];
             let base = [r0];
-            let cx = Rows::new(&g, &bufs, &base, usize::MAX);
+            let cx = Rows::new(&g, &bufs, &base);
             let slot = Operand {
                 data: Data::Slot { idx: 0, cols },
                 at: RowAt::Own,
@@ -1710,14 +2003,15 @@ mod tests {
                 let run = |srcs: Vec<Operand<'_>>| {
                     let op = TileOp {
                         si: 0,
-                        slot: 1,
                         kind,
                         space: Space::Edge,
                         cols,
                         heads: 1,
                         srcs,
                         dins: &dins,
-                        anchor: None,
+                        size: SlotSize::Tile,
+                        pulls: false,
+                        strip: 1,
                         argmax: &[],
                     };
                     let mut out = vec![f32::NAN; (r1 - r0) * cols];

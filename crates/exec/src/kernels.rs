@@ -36,7 +36,12 @@
 //!   visits every source's edges in exactly the per-row order. Each
 //!   worker owns a source-vertex range and scans the full edge array,
 //!   keeping the reads sequential (prefetch-friendly) while every output
-//!   element retains the serial accumulation order.
+//!   element retains the serial accumulation order. The ranges are always
+//!   cut edge-balanced (`edge_balanced_vertex_bounds` over `out_adj`),
+//!   whatever [`ExecPolicy::group_workers`] says: every worker pays for
+//!   the whole scan, so only the rows it owns divide, and a vertex-count
+//!   split of a power-law graph leaves one worker most of them. The
+//!   program interpreter's streamed gathers cut theirs the same way.
 //!
 //! # Determinism contract, per kernel
 //!
@@ -164,22 +169,37 @@ pub(crate) fn vertex_bounds(policy: &ExecPolicy, indptr: &[usize], threads: usiz
     }
 }
 
+/// Where a reduction reads edge `e`'s row: a full tensor here, the
+/// interpreter's slots in [`crate::fused`] — which may compute the row
+/// on demand into a buffer the next call overwrites, hence the
+/// `&mut self` borrow on the returned row.
+pub(crate) trait RowSource {
+    fn row(&mut self, e: usize) -> &[f32];
+}
+
+impl RowSource for &Tensor {
+    #[inline(always)]
+    fn row(&mut self, e: usize) -> &[f32] {
+        Tensor::row(self, e)
+    }
+}
+
 /// Reduces one destination row over its edge id list with `Sum`
 /// semantics: `o[c] += Σ_e row(e)[c]`, accumulated in list order. Rows
 /// longer than `heavy` edges are reduced as fixed
 /// [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk partials (built in
 /// `scratch`) combined in ascending chunk order — the same association
 /// at every thread count, shared verbatim with the fused interpreter.
-pub(crate) fn reduce_row_sum<'a>(
+pub(crate) fn reduce_row_sum(
     o: &mut [f32],
     ids: &[u32],
-    row: impl Fn(usize) -> &'a [f32],
+    row: &mut impl RowSource,
     heavy: usize,
     scratch: &mut Vec<f32>,
 ) {
     if ids.len() <= heavy {
         for &e in ids {
-            rowops::add_assign(o, row(e as usize));
+            rowops::add_assign(o, row.row(e as usize));
         }
         return;
     }
@@ -187,7 +207,7 @@ pub(crate) fn reduce_row_sum<'a>(
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
-            rowops::add_assign(scratch, row(e as usize));
+            rowops::add_assign(scratch, row.row(e as usize));
         }
         rowops::add_assign(o, scratch);
     }
@@ -195,17 +215,17 @@ pub(crate) fn reduce_row_sum<'a>(
 
 /// [`reduce_row_sum`]'s `Mean` sibling: `o[c] += Σ_e inv · row(e)[c]`
 /// with the same heavy-row chunking rule.
-pub(crate) fn reduce_row_mean<'a>(
+pub(crate) fn reduce_row_mean(
     o: &mut [f32],
     ids: &[u32],
     inv: f32,
-    row: impl Fn(usize) -> &'a [f32],
+    row: &mut impl RowSource,
     heavy: usize,
     scratch: &mut Vec<f32>,
 ) {
     if ids.len() <= heavy {
         for &e in ids {
-            rowops::axpy(o, inv, row(e as usize));
+            rowops::axpy(o, inv, row.row(e as usize));
         }
         return;
     }
@@ -213,7 +233,7 @@ pub(crate) fn reduce_row_mean<'a>(
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
-            rowops::axpy(scratch, inv, row(e as usize));
+            rowops::axpy(scratch, inv, row.row(e as usize));
         }
         rowops::add_assign(o, scratch);
     }
@@ -221,12 +241,12 @@ pub(crate) fn reduce_row_mean<'a>(
 
 /// One row of a head-broadcast `Binary`: the side whose `feat == 1`
 /// holds one scalar per head, combined with each of the other side's
-/// `feat` features of that head. The scalar is hoisted out of the element
-/// loop, which then runs as a vectorized [`rowops::map_into`] per head —
-/// every element still evaluates `f.apply(a, b)` on the same two values,
-/// so the bits equal the per-element form's. The one spelling of the
-/// broadcast: [`binary_broadcast`] and both fused-interpreter drivers
-/// call it.
+/// `feat` features of that head. The scalars are hoisted out of the
+/// element loop, which runs as one vectorized [`BinaryFn::map_heads`]
+/// call per row — every element still evaluates `f.apply(a, b)` on the
+/// same two values, so the bits equal the per-element form's. The one
+/// spelling of the broadcast: [`binary_broadcast`] and the program
+/// interpreter call it.
 pub(crate) fn binary_broadcast_row(
     o: &mut [f32],
     f: BinaryFn,
@@ -236,15 +256,10 @@ pub(crate) fn binary_broadcast_row(
     db: Dim,
 ) {
     let feat = da.feat.max(db.feat);
-    for h in 0..da.heads {
-        let span = h * feat..(h + 1) * feat;
-        if db.feat == 1 {
-            let s = br[h];
-            rowops::map_into(&mut o[span.clone()], &ar[span], |a| f.apply(a, s));
-        } else {
-            let s = ar[h];
-            rowops::map_into(&mut o[span.clone()], &br[span], |b| f.apply(s, b));
-        }
+    if db.feat == 1 {
+        f.map_heads(o, ar, &br[..da.heads], feat, false);
+    } else {
+        f.map_heads(o, br, &ar[..da.heads], feat, true);
     }
 }
 
@@ -296,19 +311,17 @@ where
 }
 
 /// Splits a row-major buffer of `cols`-wide rows into the consecutive
-/// chunks delimited by `bounds`.
+/// chunks delimited by `bounds`, in order.
 pub(crate) fn split_rows<'a, T>(
     mut buf: &'a mut [T],
     cols: usize,
-    bounds: &[usize],
-) -> Vec<&'a mut [T]> {
-    let mut chunks = Vec::with_capacity(bounds.len().saturating_sub(1));
-    for w in bounds.windows(2) {
-        let (head, rest) = buf.split_at_mut((w[1] - w[0]) * cols);
-        chunks.push(head);
+    bounds: &'a [usize],
+) -> impl Iterator<Item = &'a mut [T]> {
+    bounds.windows(2).map(move |w| {
+        let (head, rest) = std::mem::take(&mut buf).split_at_mut((w[1] - w[0]) * cols);
         buf = rest;
-    }
-    chunks
+        head
+    })
 }
 
 /// Runs `body(row_range, chunk)` over disjoint contiguous row ranges of
@@ -420,7 +433,7 @@ pub fn scatter(
                     for (i, e) in range.enumerate() {
                         let (xu, yv) = (x.row(g.src(e)), y.row(g.dst(e)));
                         let o = &mut chunk[i * total..(i + 1) * total];
-                        rowops::zip2_into(o, xu, yv, |a, b| bf.apply(a, b));
+                        bf.zip_into(o, xu, yv);
                     }
                 },
             );
@@ -539,11 +552,11 @@ pub fn gather(
             let o = &mut chunk[i * total..(i + 1) * total];
             match reduce {
                 ReduceFn::Sum => {
-                    reduce_row_sum(o, adj.edge_ids(v), |e| x.row(e), heavy, &mut scratch);
+                    reduce_row_sum(o, adj.edge_ids(v), &mut &*x, heavy, &mut scratch);
                 }
                 ReduceFn::Mean => {
                     let inv = 1.0 / deg as f32;
-                    reduce_row_mean(o, adj.edge_ids(v), inv, |e| x.row(e), heavy, &mut scratch);
+                    reduce_row_mean(o, adj.edge_ids(v), inv, &mut &*x, heavy, &mut scratch);
                 }
                 ReduceFn::Max => unreachable!("handled above"),
             }
@@ -553,7 +566,11 @@ pub fn gather(
     if threads < 2 || total == 0 {
         run(0..n, out.as_mut_slice());
     } else {
-        let bounds = vertex_bounds(policy, adj.indptr(), threads);
+        let bounds = if by_src_scan {
+            edge_balanced_vertex_bounds(adj.indptr(), threads)
+        } else {
+            vertex_bounds(policy, adj.indptr(), threads)
+        };
         let chunks = split_rows(out.as_mut_slice(), total, &bounds);
         let wg = contain::WorkerGuard::new();
         std::thread::scope(|s| {
@@ -795,12 +812,15 @@ pub fn edge_softmax(policy: &ExecPolicy, g: &Graph, x: &Tensor) -> (Tensor, Tens
                 rowops::max_assign(mr, x.row(e as usize));
             }
             let dr = &mut dc[i * total..(i + 1) * total];
+            // One `exp` per element: the denominator sweep leaves
+            // `exp(x − max)` in the output row, the last sweep divides it.
             for &e in ids {
-                rowops::exp_sub_accum(dr, x.row(e as usize), mr);
+                let yr = &mut yc[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
+                rowops::exp_sub_store_accum(dr, yr, x.row(e as usize), mr);
             }
             for &e in ids {
                 let yr = &mut yc[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                rowops::softmax_from_stats(yr, x.row(e as usize), mr, dr);
+                rowops::div_assign(yr, dr);
             }
         }
     };
@@ -916,7 +936,7 @@ pub fn binary_broadcast(
             |range, chunk| {
                 for (i, r) in range.enumerate() {
                     let o = &mut chunk[i * cols..(i + 1) * cols];
-                    rowops::binary_assign(o, b.row(r), |a, b| f.apply(a, b));
+                    f.assign(o, b.row(r));
                 }
             },
         );
@@ -951,16 +971,14 @@ pub fn unary(policy: &ExecPolicy, f: UnaryFn, x: &Tensor) -> Tensor {
         1,
         numel,
         out.as_mut_slice(),
-        |_range, chunk| {
-            rowops::map_assign(chunk, |v| f.apply(v));
-        },
+        |_range, chunk| f.map_assign(chunk),
     );
     out
 }
 
 /// `UnaryBwd`: `grad · f'(x)` (partitioned over the flat buffer).
 pub fn unary_bwd(policy: &ExecPolicy, f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
-    let mut out = grad.clone();
+    let mut out = Tensor::zeros(grad.shape());
     let numel = out.numel();
     par_rows(
         policy,
@@ -969,7 +987,7 @@ pub fn unary_bwd(policy: &ExecPolicy, f: UnaryFn, grad: &Tensor, x: &Tensor) -> 
         numel,
         out.as_mut_slice(),
         |range, chunk| {
-            rowops::binary_assign(chunk, &x.as_slice()[range], |g, xv| g * f.derivative(xv));
+            f.bwd_into(chunk, &grad.as_slice()[range.clone()], &x.as_slice()[range]);
         },
     );
     out

@@ -25,7 +25,8 @@
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
 //! builder. Gather-style kernels partition the CSR vertex range
 //! (edge-balanced under `ExecPolicy::group_workers`, plain vertex counts
-//! otherwise) and scatter/elementwise/head kernels partition output
+//! otherwise; source-grouped scans always edge-balanced, see `kernels`)
+//! and scatter/elementwise/head kernels partition output
 //! rows across `std::thread::scope` workers — the same pattern (and the
 //! same pool size, via `gnnopt_tensor::parallel`) as `Tensor::matmul`.
 //! Row-wise inner loops dispatch to AVX2-widened bodies at runtime when

@@ -145,13 +145,22 @@ proptest! {
     }
 }
 
-// ---- Aliased copies and tile-wide steps --------------------------------
+// ---- Aliased copies, slot sizes and streamed segments -------------------
 //
 // The compiler aliases scratch-class pure copies (`Scatter(CopyU|CopyV)`,
-// `SetHeads`) to indexed reads of their source and runs contiguous
-// elementwise steps as one call per tile. The hand-built programs below
-// pin each shape of that — who reads the alias, when a copy must still be
-// written — against the oracle, bit for bit.
+// `SetHeads`) to indexed reads of their source, runs contiguous
+// elementwise steps as one call per tile, gives a step whose single
+// reader takes each row once a row-sized slot (a strip of at most
+// `STRIP_ROWS` rows) instead of a tile-sized one, writes boundary values
+// in place, and compiles a streamed `BySrc` gather into the same tile
+// loop. The hand-built programs below pin each shape of that — who reads
+// the alias, when a copy must still be written, which slot size a step
+// gets — against the oracle, bit for bit, and, on the one-tile graph, by
+// the exact scratch bytes held.
+
+/// Rows a row-sized slot holds at most (`fused::STRIP_ROWS`; the 4 KB
+/// element cap does not bind at these widths).
+const STRIP_ROWS: usize = 32;
 
 /// 12 connected vertices of uneven degree plus three trailing isolated
 /// ones (empty reduction groups).
@@ -168,6 +177,19 @@ fn star_graph() -> Graph {
     let leaves = ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE as u32 + 900;
     let pairs: Vec<(u32, u32)> = (1..=leaves).map(|u| (u, 0)).collect();
     Graph::from_edge_list(&EdgeList::from_pairs(leaves as usize + 2, &pairs))
+}
+
+/// The star's hub inside an ordinary graph: vertex 3 takes
+/// `DEFAULT_HEAVY_ROW_DEGREE + 900` in-edges (several heavy-row chunks,
+/// one tile of its own at every budget), the other vertices of
+/// [`small_graph`]'s pattern keep theirs, sources repeat out of
+/// destination order, and six trailing vertices are isolated.
+fn hub_graph() -> Graph {
+    let n = 40u32;
+    let hub_edges = ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE as u32 + 900;
+    let mut pairs: Vec<(u32, u32)> = (0..hub_edges).map(|i| ((i * 11 + 5) % n, 3)).collect();
+    pairs.extend((0..160u32).map(|i| ((i * 7 + 3) % n, (i * 5 + i / 12) % n)));
+    Graph::from_edge_list(&EdgeList::from_pairs(n as usize + 6, &pairs))
 }
 
 fn fill(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -238,15 +260,17 @@ fn chained_alias_feeds_a_broadcast_binary() {
     let stats = check_against_oracle(&plan, &g, &b);
     assert_eq!(
         stats.scratch_bytes,
-        4 * 6 * (g.num_edges() + g.num_vertices()) as u64,
-        "slots: the product and the gather — neither copy"
+        4 * 6 * STRIP_ROWS as u64,
+        "one strip of the product: neither copy holds a slot, and the \
+         gather writes the output's rows in place"
     );
 }
 
 /// Weight-free GCN: the copy's only reader is the reduction itself, for
 /// every reduce function (argmax tables included) — on the small graph
 /// and on a star whose hub takes the chunked heavy-row path. The aliased
-/// copy holds no slot: one tile's scratch is the gather's rows alone.
+/// copy holds no slot and the gather reduces straight into the output
+/// tensor: the launch holds no scratch at all.
 #[test]
 fn gather_reduces_an_aliased_copy_directly() {
     for (g, reduces) in [
@@ -266,19 +290,16 @@ fn gather_reduces_an_aliased_copy_directly() {
             assert_eq!(steps_of(&plan, is_copy), vec![Storage::Scratch]);
             let b = Bindings::new().with("h", fill(g.num_vertices(), 5, 3));
             let stats = check_against_oracle(&plan, &g, &b);
-            if g.num_edges() <= 4096 {
-                assert_eq!(
-                    stats.scratch_bytes,
-                    4 * 5 * g.num_vertices() as u64,
-                    "{reduce:?}: scratch is the slots held — the gather's, not the copy's"
-                );
-            }
+            assert_eq!(
+                stats.scratch_bytes, 0,
+                "{reduce:?}: neither the copy nor the boundary gather holds a slot"
+            );
         }
     }
 }
 
 /// A copy that is a model output is a kernel boundary: it must still be
-/// written, and its in-segment reader takes the slot.
+/// written — into its tensor, which its in-segment reader then reads.
 #[test]
 fn materialized_copy_is_still_written() {
     let g = small_graph();
@@ -320,7 +341,7 @@ fn copy_read_in_segment_and_by_a_later_segment_spills() {
 }
 
 /// `ConcatUV` interleaves two endpoint rows — not a copy of either, so it
-/// keeps its slot.
+/// keeps a slot: row-sized, since the gather is its only reader.
 #[test]
 fn concat_uv_is_never_aliased() {
     let g = small_graph();
@@ -335,8 +356,8 @@ fn concat_uv_is_never_aliased() {
     assert_eq!(plan.programs.len(), 1, "one fused kernel");
     assert_eq!(
         stats.scratch_bytes,
-        4 * 8 * (g.num_edges() + g.num_vertices()) as u64,
-        "the concat holds an edge slot beside the gather's"
+        4 * 8 * STRIP_ROWS as u64,
+        "the concat holds one strip; the boundary gather no slot"
     );
 }
 
@@ -385,5 +406,288 @@ fn streamed_chain_of_one_aliased_copy() {
             .with("h", fill(g.num_vertices(), 3, 11))
             .with("w", fill(3, 4, 12));
         check_against_oracle(&plan, &g, &b);
+    }
+}
+
+// ---- Slot sizes --------------------------------------------------------
+
+/// `h[src(e)] ⊙ w(e)` with one weight per head: a head-broadcast
+/// `Binary`, so it runs row by row whatever reads it. `E[2×3]`.
+fn edge_product(ir: &mut IrGraph) -> usize {
+    let h = ir.input_vertex("h", Dim::multi(2, 3));
+    let ew = ir.input_edge("ew", Dim::multi(2, 1));
+    let hu = ir.scatter(ScatterFn::CopyU, h, h).unwrap();
+    ir.binary(BinaryFn::Mul, hu, ew).unwrap()
+}
+
+fn edge_product_bindings(g: &Graph) -> Bindings {
+    Bindings::new()
+        .with("h", fill(g.num_vertices(), 6, 21))
+        .with("ew", fill(g.num_edges(), 2, 22))
+}
+
+/// Checks `plan` on the one-tile graph and on the hub graph (isolated
+/// vertices, a hub over the heavy-row threshold); returns the one-tile
+/// serial run's scratch bytes.
+fn scratch_on_both_graphs(plan: &ExecutionPlan, bind: impl Fn(&Graph) -> Bindings) -> u64 {
+    let hub = hub_graph();
+    check_against_oracle(plan, &hub, &bind(&hub));
+    let g = small_graph();
+    check_against_oracle(plan, &g, &bind(&g)).scratch_bytes
+}
+
+/// A producer that runs row by row into a single `Gather` holds a strip,
+/// not the tile's edge rows, for every reduce function.
+#[test]
+fn row_sized_producer_feeds_each_reduction() {
+    for reduce in [ReduceFn::Sum, ReduceFn::Mean, ReduceFn::Max] {
+        let mut ir = IrGraph::new();
+        let me = edge_product(&mut ir);
+        let out = ir.gather(reduce, EdgeGroup::ByDst, me).unwrap();
+        ir.mark_output(out);
+        let plan = plan_of(&ir, false);
+        assert_eq!(plan.programs.len(), 1, "one fused kernel");
+        assert_eq!(
+            scratch_on_both_graphs(&plan, edge_product_bindings),
+            4 * 6 * STRIP_ROWS as u64,
+            "{reduce:?}: the product holds one strip"
+        );
+    }
+}
+
+/// … and into a `FeatSum`, itself row-sized under the gather that reads
+/// it: two strips, no edge-tile slot.
+#[test]
+fn row_sized_producer_feeds_feat_sum() {
+    let mut ir = IrGraph::new();
+    let me = edge_product(&mut ir);
+    let fs = ir.feat_sum(me).unwrap();
+    let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, fs).unwrap();
+    ir.mark_output(out);
+    let plan = plan_of(&ir, false);
+    assert_eq!(plan.programs.len(), 1, "one fused kernel");
+    assert_eq!(
+        scratch_on_both_graphs(&plan, edge_product_bindings),
+        4 * (6 + 2) * STRIP_ROWS as u64,
+        "the product's strip and the feat-sum's"
+    );
+}
+
+/// Two readers: whichever runs second would find the strip moved on, so
+/// the producer keeps the tile's rows.
+#[test]
+fn producer_with_two_readers_stays_tile_sized() {
+    let mut ir = IrGraph::new();
+    let me = edge_product(&mut ir);
+    let a = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+    let b = ir.gather(ReduceFn::Max, EdgeGroup::ByDst, me).unwrap();
+    ir.mark_output(a);
+    ir.mark_output(b);
+    let plan = plan_of(&ir, false);
+    assert_eq!(plan.programs.len(), 1, "one fused kernel");
+    assert_eq!(
+        scratch_on_both_graphs(&plan, edge_product_bindings),
+        4 * 6 * small_graph().num_edges() as u64,
+        "the product holds the tile's edge rows"
+    );
+}
+
+/// An elementwise reader between the product and the gather: row-sized
+/// itself (one call per strip), it takes the product's rows once, so both
+/// hold a strip. As a model output it covers the tile in one call into
+/// its tensor, and the product keeps the tile's rows for it.
+#[test]
+fn elementwise_reader_takes_rows_once_only_when_row_sized() {
+    for (boundary, held) in [
+        (false, 4 * (6 + 6) * STRIP_ROWS as u64),
+        (true, 4 * 6 * small_graph().num_edges() as u64),
+    ] {
+        let mut ir = IrGraph::new();
+        let me = edge_product(&mut ir);
+        let act = ir.unary(UnaryFn::LeakyRelu(0.2), me).unwrap();
+        let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, act).unwrap();
+        ir.mark_output(out);
+        if boundary {
+            ir.mark_output(act);
+        }
+        let plan = plan_of(&ir, false);
+        assert_eq!(plan.programs.len(), 1, "one fused kernel");
+        assert_eq!(
+            scratch_on_both_graphs(&plan, edge_product_bindings),
+            held,
+            "activation is a boundary: {boundary}"
+        );
+    }
+}
+
+/// A producer that is itself a model output is written to its tensor,
+/// which its reader reads back: no slot of either size.
+#[test]
+fn materialized_producer_is_written_in_place() {
+    let mut ir = IrGraph::new();
+    let me = edge_product(&mut ir);
+    let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+    ir.mark_output(out);
+    ir.mark_output(me);
+    let plan = plan_of(&ir, false);
+    assert_eq!(
+        steps_of(&plan, |k| matches!(k, OpKind::Binary(_))),
+        vec![Storage::Materialized]
+    );
+    assert_eq!(scratch_on_both_graphs(&plan, edge_product_bindings), 0);
+}
+
+/// GAT training, one layer of two heads: the backward kernel's
+/// `FeatSum` runs row by row but feeds `EdgeSoftmaxBwd`, which sweeps each
+/// group twice — it keeps a tile-sized slot, while the `E[2×4]` product in
+/// front of it is row-sized. The backward `BySrc` gather streams a chain
+/// through the stash-backed softmax. One tile, so the high-water mark is
+/// that backward segment's: four `E[2]` tile slots (score, softmax,
+/// feat-sum, softmax-backward), one strip of the leaky-relu — its only
+/// reader, the stash-backed softmax, runs row by row — and one of the
+/// product.
+#[test]
+fn producer_read_by_softmax_backward_stays_tile_sized() {
+    let spec = gat(&GatConfig {
+        in_dim: 5,
+        layers: vec![(2, 4)],
+        negative_slope: 0.2,
+        reorganized: false,
+    })
+    .expect("gat builds");
+    let plan = plan_of(&spec.ir, true);
+    let bind = |g: &Graph| {
+        let mut b = Bindings::new();
+        for (k, v) in spec.init_values(g, 23) {
+            b.insert(&k, v);
+        }
+        b
+    };
+    let edges = small_graph().num_edges();
+    assert_eq!(
+        scratch_on_both_graphs(&plan, bind),
+        4 * (4 * 2 * edges + (2 + 8) * STRIP_ROWS) as u64,
+    );
+}
+
+/// Training `feat_sum(gather(Mean|Max, ByDst, copy_u(linear(h))))` over
+/// two heads: the backward kernel broadcasts the incoming gradient per
+/// head in vertex space (row by row) and `GatherMeanBwd` / `GatherMaxBwd`
+/// is its only reader — at `dst(e)`, not at its own edge row, so the
+/// row-sized broadcast is pulled at the destination vertex.
+#[test]
+fn row_sized_vertex_producer_is_read_at_dst_by_a_gather_backward() {
+    for reduce in [ReduceFn::Mean, ReduceFn::Max] {
+        let mut ir = IrGraph::new();
+        let h = ir.input_vertex("h", Dim::flat(3));
+        let w = ir.param("w", 3, 6);
+        let hw = ir.linear(h, w).unwrap();
+        let hh = ir.set_heads(hw, 2).unwrap();
+        let hu = ir.scatter(ScatterFn::CopyU, hh, hh).unwrap();
+        let agg = ir.gather(reduce, EdgeGroup::ByDst, hu).unwrap();
+        let out = ir.feat_sum(agg).unwrap();
+        ir.mark_output(out);
+        let plan = plan_of(&ir, true);
+        let bind = |g: &Graph| {
+            Bindings::new()
+                .with("h", fill(g.num_vertices(), 3, 41))
+                .with("w", fill(3, 6, 42))
+        };
+        scratch_on_both_graphs(&plan, bind);
+    }
+}
+
+// ---- Boundary outputs written in place ---------------------------------
+
+/// Vertex-space boundary outputs are computed straight into their
+/// tensors; the rows of isolated vertices — which no edge ever touches —
+/// must still read as the reductions' identities, and a same-segment
+/// reader must see them.
+#[test]
+fn in_place_boundary_outputs_keep_isolated_rows() {
+    for g in [small_graph(), hub_graph()] {
+        for reduce in [ReduceFn::Sum, ReduceFn::Mean, ReduceFn::Max] {
+            let mut ir = IrGraph::new();
+            let me = edge_product(&mut ir);
+            let agg = ir.gather(reduce, EdgeGroup::ByDst, me).unwrap();
+            let act = ir.unary(UnaryFn::Sigmoid, agg).unwrap();
+            ir.mark_output(agg);
+            ir.mark_output(act);
+            let plan = plan_of(&ir, false);
+            let b = edge_product_bindings(&g);
+            check_against_oracle(&plan, &g, &b);
+            for threads in [1usize, 4] {
+                let mut sess = Session::builder(&plan, &g)
+                    .policy(ExecPolicy {
+                        threads,
+                        parallel_threshold: 0,
+                        tile_edges: 7,
+                        ..ExecPolicy::serial()
+                    })
+                    .env(EnvOverrides::Off)
+                    .build()
+                    .expect("session");
+                let out = sess.forward(&b).expect("forward");
+                let isolated = (0..g.num_vertices()).filter(|&v| g.in_adj().degree(v) == 0);
+                for v in isolated {
+                    assert!(
+                        out[0].row(v).iter().all(|&x| x == 0.0),
+                        "{reduce:?} row {v}"
+                    );
+                    assert!(
+                        out[1].row(v).iter().all(|&x| x == 0.5),
+                        "sigmoid(0) row {v}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---- Streamed segments -------------------------------------------------
+
+/// GCN training: the backward `BySrc` gather streams a chain whose
+/// `UnaryBwd` is vertex-space, read at `dst(e)` — a vertex-space tile op
+/// of the streamed segment.
+#[test]
+fn streamed_segment_with_a_vertex_op_read_at_dst() {
+    let spec = gcn(&GcnConfig {
+        in_dim: 4,
+        layer_dims: vec![5, 3],
+    })
+    .expect("gcn builds");
+    let plan = plan_of(&spec.ir, true);
+    for g in [small_graph(), hub_graph()] {
+        let mut b = Bindings::new();
+        for (k, v) in spec.init_values(&g, 29) {
+            b.insert(&k, v);
+        }
+        check_against_oracle(&plan, &g, &b);
+    }
+}
+
+/// `BySrc` Sum and Mean over a product whose vertex operand is an
+/// activation read at `src(e)` (lowering ends the segment there, so the
+/// chain sees a full tensor) or at `dst(e)` (a chain member).
+#[test]
+fn streamed_segments_sum_and_mean_over_either_endpoint() {
+    for g in [small_graph(), hub_graph()] {
+        for reduce in [ReduceFn::Sum, ReduceFn::Mean] {
+            for copy in [ScatterFn::CopyU, ScatterFn::CopyV] {
+                let mut ir = IrGraph::new();
+                let x = ir.input_vertex("x", Dim::flat(4));
+                let ew = ir.input_edge("ew", Dim::flat(4));
+                let xr = ir.unary(UnaryFn::LeakyRelu(0.3), x).unwrap();
+                let xe = ir.scatter(copy, xr, xr).unwrap();
+                let me = ir.binary(BinaryFn::Mul, xe, ew).unwrap();
+                let out = ir.gather(reduce, EdgeGroup::BySrc, me).unwrap();
+                ir.mark_output(out);
+                let plan = plan_of(&ir, false);
+                let b = Bindings::new()
+                    .with("x", fill(g.num_vertices(), 4, 31))
+                    .with("ew", fill(g.num_edges(), 4, 32));
+                check_against_oracle(&plan, &g, &b);
+            }
+        }
     }
 }

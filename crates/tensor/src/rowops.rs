@@ -29,7 +29,8 @@
 //! each output element keeps the exact rounding chain of the scalar
 //! loop. The `exp`-based softmax rows call `libm` per element and do not
 //! vectorize on either path; they are dispatched anyway so the module
-//! has one uniform rule.
+//! has one uniform rule. Rows shorter than one AVX2 vector
+//! (`AVX2_MIN_LEN`) run the portable body inline on both paths.
 
 /// Environment variable selecting the rowops build: set to `scalar` to
 /// force the portable path even when AVX2 is available (the CI
@@ -51,6 +52,15 @@ fn use_avx2() -> bool {
         !forced_scalar && std::arch::is_x86_feature_detected!("avx2")
     })
 }
+
+/// Rows shorter than one AVX2 vector take the portable body inline: the
+/// wide build cannot use its lanes on them, and the out-of-line call into
+/// it (the `target_feature` boundary is never inlined) costs more than
+/// the two- or four-element loop itself — the attention-score rows
+/// (`E[heads]`) of a GAT step make millions of such calls. Same body, so
+/// the same bits.
+#[cfg(target_arch = "x86_64")]
+const AVX2_MIN_LEN: usize = 8;
 
 /// The portable loop bodies — the *definition* of every primitive. The
 /// AVX2 path re-monomorphizes these exact functions with wider codegen;
@@ -131,16 +141,58 @@ pub mod scalar {
         }
     }
 
-    /// `d[i] += exp(x[i] − m[i])` (the edge-softmax denominator sweep).
+    /// `o[h·feat + c] = f(x[h·feat + c], s[h])`: one scalar per head
+    /// against that head's `feat` features (a head-broadcast `Binary`
+    /// row), all heads in one call.
     #[inline(always)]
+    pub fn map_heads_into(
+        o: &mut [f32],
+        x: &[f32],
+        s: &[f32],
+        feat: usize,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        for (h, &sv) in s.iter().enumerate() {
+            let span = h * feat..(h + 1) * feat;
+            for (ov, &xv) in o[span.clone()].iter_mut().zip(&x[span]) {
+                *ov = f(xv, sv);
+            }
+        }
+    }
+
+    /// `d[i] += exp(x[i] − m[i])`: the denominator sweep before
+    /// [`exp_sub_store_accum`] replaced it, kept as the reference the
+    /// tests hold the pair to.
+    #[cfg(test)]
     pub fn exp_sub_accum(d: &mut [f32], x: &[f32], m: &[f32]) {
         for ((dv, &xv), &mv) in d.iter_mut().zip(x).zip(m) {
             *dv += (xv - mv).exp();
         }
     }
 
-    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row,
-    /// both the fresh and the recompute-from-aux paths).
+    /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` — the edge-softmax
+    /// denominator sweep, which also keeps the exponential, so the fresh
+    /// edge softmax calls `exp` once per element: its last sweep is
+    /// [`div_assign`] over `t`.
+    #[inline(always)]
+    pub fn exp_sub_store_accum(d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f32]) {
+        for (((dv, tv), &xv), &mv) in d.iter_mut().zip(t).zip(x).zip(m) {
+            *tv = (xv - mv).exp();
+            *dv += *tv;
+        }
+    }
+
+    /// `y[i] = y[i] / d[i]`: over a row [`exp_sub_store_accum`] left, the
+    /// value [`softmax_from_stats`] computes.
+    #[inline(always)]
+    pub fn div_assign(y: &mut [f32], d: &[f32]) {
+        for (yv, &dv) in y.iter_mut().zip(d) {
+            *yv /= dv;
+        }
+    }
+
+    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row
+    /// rebuilt from stashed statistics).
     #[inline(always)]
     pub fn softmax_from_stats(y: &mut [f32], x: &[f32], m: &[f32], d: &[f32]) {
         for (((yv, &xv), &mv), &dv) in y.iter_mut().zip(x).zip(m).zip(d) {
@@ -186,6 +238,13 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
 /// [`scalar`] body plus the public runtime-dispatched entry point. The
 /// macro forwards arguments verbatim, so the two paths can never diverge
 /// in semantics — only in codegen width.
+/// The output row of a primitive's argument list (always the first).
+macro_rules! first_arg {
+    ($out:ident $(, $rest:ident)*) => {
+        $out
+    };
+}
+
 macro_rules! avx2_dispatched {
     ($(#[$doc:meta])* $name:ident, $avx2:ident,
      ($($arg:ident: $ty:ty),*)) => {
@@ -199,7 +258,7 @@ macro_rules! avx2_dispatched {
         #[inline]
         pub fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
-            if use_avx2() {
+            if first_arg!($($arg),*).len() >= AVX2_MIN_LEN && use_avx2() {
                 // SAFETY: `use_avx2()` verified AVX2 support at runtime.
                 return unsafe { $avx2($($arg),*) };
             }
@@ -229,12 +288,18 @@ avx2_dispatched!(
     mul_add_accum, mul_add_accum_avx2, (o: &mut [f32], a: &[f32], b: &[f32])
 );
 avx2_dispatched!(
-    /// `d[i] += exp(x[i] − m[i])` (the edge-softmax denominator sweep).
-    exp_sub_accum, exp_sub_accum_avx2, (d: &mut [f32], x: &[f32], m: &[f32])
+    /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` (the fresh edge softmax's
+    /// denominator sweep, keeping the exponential for [`div_assign`]).
+    exp_sub_store_accum, exp_sub_store_accum_avx2,
+    (d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f32])
 );
 avx2_dispatched!(
-    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row,
-    /// both the fresh and the recompute-from-aux paths).
+    /// `y[i] = y[i] / d[i]` (the fresh edge softmax's last sweep).
+    div_assign, div_assign_avx2, (y: &mut [f32], d: &[f32])
+);
+avx2_dispatched!(
+    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row
+    /// rebuilt from stashed statistics).
     softmax_from_stats, softmax_from_stats_avx2,
     (y: &mut [f32], x: &[f32], m: &[f32], d: &[f32])
 );
@@ -261,7 +326,7 @@ unsafe fn binary_assign_avx2<F: Fn(f32, f32) -> f32>(o: &mut [f32], b: &[f32], f
 #[inline]
 pub fn binary_assign(o: &mut [f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
+    if o.len() >= AVX2_MIN_LEN && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { binary_assign_avx2(o, b, f) };
     }
@@ -278,7 +343,7 @@ unsafe fn zip2_into_avx2<F: Fn(f32, f32) -> f32>(o: &mut [f32], a: &[f32], b: &[
 #[inline]
 pub fn zip2_into(o: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
+    if o.len() >= AVX2_MIN_LEN && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { zip2_into_avx2(o, a, b, f) };
     }
@@ -295,7 +360,7 @@ unsafe fn map_assign_avx2<F: Fn(f32) -> f32>(o: &mut [f32], f: F) {
 #[inline]
 pub fn map_assign(o: &mut [f32], f: impl Fn(f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
+    if o.len() >= AVX2_MIN_LEN && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { map_assign_avx2(o, f) };
     }
@@ -313,11 +378,42 @@ unsafe fn map_into_avx2<F: Fn(f32) -> f32>(o: &mut [f32], x: &[f32], f: F) {
 #[inline]
 pub fn map_into(o: &mut [f32], x: &[f32], f: impl Fn(f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
+    if o.len() >= AVX2_MIN_LEN && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { map_into_avx2(o, x, f) };
     }
     scalar::map_into(o, x, f)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn map_heads_into_avx2<F: Fn(f32, f32) -> f32>(
+    o: &mut [f32],
+    x: &[f32],
+    s: &[f32],
+    feat: usize,
+    f: F,
+) {
+    scalar::map_heads_into(o, x, s, feat, f)
+}
+
+/// `o[h·feat + c] = f(x[h·feat + c], s[h])` (a head-broadcast `Binary`
+/// row: one call for all heads — at two heads of 32 features the call
+/// into the wide build costs as much as a head's loop).
+#[inline]
+pub fn map_heads_into(
+    o: &mut [f32],
+    x: &[f32],
+    s: &[f32],
+    feat: usize,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+        // SAFETY: `use_avx2()` verified AVX2 support at runtime.
+        return unsafe { map_heads_into_avx2(o, x, s, feat, f) };
+    }
+    scalar::map_heads_into(o, x, s, feat, f)
 }
 
 #[cfg(test)]
@@ -351,6 +447,11 @@ mod tests {
         assert_eq!(o, [-4.0, -10.0, -18.0]);
         map_into(&mut o, &[1.0, 2.0, 3.0], |v| v * 2.0);
         assert_eq!(o, [2.0, 4.0, 6.0]);
+        let mut o = [0.0f32; 4];
+        map_heads_into(&mut o, &[1.0, 2.0, 3.0, 4.0], &[10.0, 100.0], 2, |a, b| {
+            a * b
+        });
+        assert_eq!(o, [10.0, 20.0, 300.0, 400.0]);
     }
 
     #[test]
@@ -358,14 +459,50 @@ mod tests {
         let x = [0.0f32, 1.0];
         let m = [1.0f32, 1.0];
         let mut d = [0.0f32, 0.0];
-        exp_sub_accum(&mut d, &x, &m);
+        let mut t = [0.0f32, 0.0];
+        exp_sub_store_accum(&mut d, &mut t, &x, &m);
         assert_eq!(d, [(-1.0f32).exp(), 1.0]);
+        assert_eq!(t, d);
         let mut y = [0.0f32; 2];
         softmax_from_stats(&mut y, &x, &m, &d);
         assert_eq!(y, [1.0, 1.0]);
         let mut o = [0.0f32; 2];
         softmax_bwd_row(&mut o, &[2.0, 3.0], &y, &[0.5, 0.5]);
         assert_eq!(o, [1.5, 2.5]);
+    }
+
+    /// One `exp` per element or two, the fresh softmax writes the same
+    /// bits: storing `t = exp(x − m)` and dividing it equals accumulating
+    /// the denominator and recomputing the row from the statistics.
+    #[test]
+    fn stored_exponentials_equal_the_recomputed_softmax_row() {
+        for len in 0..40usize {
+            let m: Vec<f32> = (0..len)
+                .map(|i| (i as f32 * 0.7).cos() * 3.0 + 3.0)
+                .collect();
+            let rows: Vec<Vec<f32>> = (0..5)
+                .map(|r| {
+                    (0..len)
+                        .map(|i| m[i] - ((i * 7 + r * 13) % 11) as f32 * 0.37)
+                        .collect()
+                })
+                .collect();
+            let mut d2 = vec![0.0f32; len];
+            let mut d1 = vec![0.0f32; len];
+            let mut t: Vec<Vec<f32>> = vec![vec![f32::NAN; len]; rows.len()];
+            for (x, t) in rows.iter().zip(&mut t) {
+                scalar::exp_sub_accum(&mut d2, x, &m);
+                exp_sub_store_accum(&mut d1, t, x, &m);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&d1), bits(&d2), "denominator, len {len}");
+            for (x, t) in rows.iter().zip(&mut t) {
+                let mut y = vec![f32::NAN; len];
+                softmax_from_stats(&mut y, x, &m, &d2);
+                div_assign(t, &d1);
+                assert_eq!(bits(t), bits(&y), "row, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -419,9 +556,26 @@ mod tests {
             run(&|o| mul_add_accum(o, &x, &y), &|o| {
                 scalar::mul_add_accum(o, &x, &y)
             });
-            run(&|o| exp_sub_accum(o, &x, &y), &|o| {
-                scalar::exp_sub_accum(o, &x, &y)
-            });
+            // Denominator and stored row of the pair, one after the other.
+            for keep_t in [false, true] {
+                run(
+                    &|o| {
+                        let mut t = vec![0.0; len];
+                        exp_sub_store_accum(o, &mut t, &x, &y);
+                        if keep_t {
+                            o.copy_from_slice(&t);
+                        }
+                    },
+                    &|o| {
+                        let mut t = vec![0.0; len];
+                        scalar::exp_sub_store_accum(o, &mut t, &x, &y);
+                        if keep_t {
+                            o.copy_from_slice(&t);
+                        }
+                    },
+                );
+            }
+            run(&|o| div_assign(o, &y), &|o| scalar::div_assign(o, &y));
             run(&|o| softmax_from_stats(o, &x, &y, &base), &|o| {
                 scalar::softmax_from_stats(o, &x, &y, &base)
             });
@@ -440,6 +594,13 @@ mod tests {
             run(&|o| map_into(o, &x, |v| v + 1.0), &|o| {
                 scalar::map_into(o, &x, |v| v + 1.0)
             });
+            // Every split of the row into equal heads.
+            for heads in (1..=len).filter(|h| len % h == 0) {
+                let (s, feat) = (&y[..heads], len / heads);
+                run(&|o| map_heads_into(o, &x, s, feat, |a, b| a * b), &|o| {
+                    scalar::map_heads_into(o, &x, s, feat, |a, b| a * b)
+                });
+            }
         }
     }
 }
