@@ -4,7 +4,7 @@
 //! performed) mirrors the operator-count reductions of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, FusionLevel, GemmKernel, Preset};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, FusionLevel, Preset};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
@@ -139,7 +139,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sess = Session::builder(&compiled.plan, &graph)
                         .policy(ExecPolicy::with_threads(threads))
-                        .env(EnvOverrides::Ignore)
+                        .env(EnvOverrides::Off)
                         .build()
                         .expect("session");
                     let out = sess.forward(&bindings).expect("forward");
@@ -212,127 +212,9 @@ fn bench_fused_exec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Identity vs reordered session execution of the same compiled GAT plan
-/// on a scrambled RMAT graph: the wall-clock side of runtime vertex
-/// reordering (the locality side is the LRU proxy in `fig8_reorg`).
-/// Sessions are prebuilt so the one-time permutation cost stays out of
-/// the loop — that is precisely the amortization claim.
-fn bench_reordered_exec(c: &mut Criterion) {
-    let el = gnnopt_bench::scramble_ids(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5), 0x5eed);
-    let graph = Graph::from_edge_list(&el);
-    let spec = gat(&GatConfig {
-        in_dim: 32,
-        layers: vec![(2, 16)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let bindings = bindings_for(&spec, &graph, 7);
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
-
-    let mut group = c.benchmark_group("gat_reordered_exec");
-    for (label, reorder) in [
-        ("identity", gnnopt_core::ReorderPolicy::None),
-        ("rcm", gnnopt_core::ReorderPolicy::Rcm),
-        ("cluster", gnnopt_core::ReorderPolicy::Cluster),
-    ] {
-        let mut sess = Session::builder(&compiled.plan, &graph)
-            .policy(ExecPolicy::auto().reordered(reorder))
-            .env(EnvOverrides::Off)
-            .build()
-            .expect("session");
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
-            b.iter(|| {
-                let out = sess.forward(&bindings).expect("forward");
-                sess.backward(Tensor::ones(out[0].shape()))
-                    .expect("backward")
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Naive ikj loop vs the register-tiled blocked engine on the dense
-/// products a GNN step actually issues: the forward projection (`Nn`),
-/// the weight gradient (`Tn`, tall-k) and the input gradient (`Nt`).
-/// The worker count is pinned to 1 through the low-level engine entry
-/// (`Tensor::matmul` would auto-parallelize above its work threshold),
-/// so the ratio is the microkernel's, not the pool's; results are
-/// bit-identical, only time differs.
-fn bench_gemm_blocked(c: &mut Criterion) {
-    use gnnopt_tensor::gemm::{gemm, Layout};
-    let mut group = c.benchmark_group("gemm_blocked");
-    for (label, layout, m, k, n) in [
-        ("nn_256x256x256", Layout::Nn, 256usize, 256usize, 256usize),
-        ("tn_16384x64x64", Layout::Tn, 64, 16384, 64),
-        ("nt_16384x64x64", Layout::Nt, 16384, 64, 64),
-    ] {
-        // Zero-free operands: the dense path, not the zero-skip one.
-        let fill_a = |i: usize| ((i % 17) as f32 - 8.25) / 4.0;
-        let fill_b = |i: usize| ((i % 13) as f32 - 6.25) / 4.0;
-        let a: Vec<f32> = (0..m * k).map(fill_a).collect();
-        let b: Vec<f32> = (0..k * n).map(fill_b).collect();
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{kernel:?}")),
-                &kernel,
-                |bench, &kernel| {
-                    let mut out = vec![0.0f32; m * n];
-                    bench.iter(|| {
-                        out.iter_mut().for_each(|v| *v = 0.0);
-                        gemm(kernel, layout, &a, &b, &mut out, m, k, n, 1, false);
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// A full GAT training step under each GEMM engine (same compiled plan,
-/// same threads): the end-to-end wall-clock side of the compute-engine
-/// swap. Outputs and gradients are bit-identical across the two rows.
-fn bench_gat_step_blocked(c: &mut Criterion) {
-    let graph = Graph::from_edge_list(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5));
-    let spec = gat(&GatConfig {
-        in_dim: 32,
-        layers: vec![(2, 16)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let bindings = bindings_for(&spec, &graph, 7);
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
-
-    let mut group = c.benchmark_group("gat_step_blocked");
-    for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-        // Session prebuilt outside the timed loop (the build cost is
-        // engine-independent and would only compress the ratio).
-        let policy = ExecPolicy::auto().with_gemm(kernel);
-        let mut sess = Session::builder(&compiled.plan, &graph)
-            .policy(policy)
-            .env(EnvOverrides::Off)
-            .build()
-            .expect("session");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kernel:?}")),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    let out = sess.forward(&bindings).expect("forward");
-                    sess.backward(Tensor::ones(out[0].shape()))
-                        .expect("backward")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec,
-        bench_reordered_exec, bench_gemm_blocked, bench_gat_step_blocked
+    targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec
 }
 criterion_main!(benches);

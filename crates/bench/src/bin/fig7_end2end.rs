@@ -8,11 +8,10 @@
 //! Run with `cargo run --release -p gnnopt-bench --bin fig7_end2end`.
 
 use gnnopt_bench::{
-    compute_engine_workloads, edgeconv_workload, figure7_systems, gat_figure7,
-    measure_gemm_single_thread, measure_steps_interleaved, monet_figure7, print_normalized,
-    run_real, run_variant, smoke, smoke_scale, with_real_run, GEMM_KERNELS,
+    edgeconv_workload, figure7_systems, gat_figure7, monet_figure7, print_normalized, run_real,
+    run_variant, smoke, smoke_scale, with_real_run,
 };
-use gnnopt_core::{CompileOptions, GemmKernel};
+use gnnopt_core::CompileOptions;
 use gnnopt_graph::{datasets, generators, Graph};
 use gnnopt_models::{gat, EdgeConvConfig, GatConfig};
 use gnnopt_sim::Device;
@@ -78,7 +77,6 @@ fn main() {
     }
 
     real_scaling_section();
-    compute_engine_section();
 }
 
 /// Real CPU execution of a GAT training step on a ≥1M-edge RMAT graph,
@@ -141,74 +139,5 @@ fn real_scaling_section() {
             stats.wall_seconds,
             serial_total / stats.wall_seconds,
         );
-    }
-}
-
-/// Measured single-thread GEMM throughput (naive ikj vs the register-tiled
-/// blocked engine) plus real GAT/GCN training steps on a million-edge RMAT
-/// graph under each engine. Both engines are bit-identical; the section
-/// reports the time the blocked microkernel buys on the paper's
-/// compute-bound combination phase.
-fn compute_engine_section() {
-    println!(
-        "\n# Compute engine — naive vs blocked GEMM (single-thread microkernel, then end-to-end)"
-    );
-    let d = smoke_scale(256usize, 64);
-    let reps = smoke_scale(10u32, 2);
-    println!(
-        "{:>10} {:>10} {:>12} {:>10}",
-        "kernel", "size", "GFLOP/s", "speedup"
-    );
-    // Shared harness: worker count pinned to 1, zero-free operands,
-    // interleaved minima (see `gnnopt_bench::measure_gemm_single_thread`).
-    let gemm_kernels = GEMM_KERNELS;
-    let by_kernel = measure_gemm_single_thread(d, reps);
-    let mut naive_gflops = 0.0f64;
-    for (kernel, gflops) in gemm_kernels.into_iter().zip(by_kernel) {
-        if kernel == GemmKernel::Naive {
-            naive_gflops = gflops;
-        }
-        println!(
-            "{:>10} {:>10} {:>12.2} {:>9.2}x",
-            format!("{kernel:?}"),
-            format!("{d}^3"),
-            gflops,
-            gflops / naive_gflops,
-        );
-    }
-
-    // End-to-end: one real training step per engine on the compute-engine
-    // workload, auto threads.
-    let (scale, graph, models) = compute_engine_workloads();
-    println!(
-        "\n# Training step on RMAT-{scale} ({} vertices, {} edges), auto threads",
-        graph.num_vertices(),
-        graph.num_edges()
-    );
-    println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "model", "kernel", "fwd (ms)", "bwd (ms)", "step (ms)", "speedup"
-    );
-    let kernels = GEMM_KERNELS;
-    for (name, spec) in &models {
-        // Shared interleaved-minimum harness (one warmup per engine, then
-        // alternating reps, fastest run kept per engine).
-        let best = measure_steps_interleaved(spec, &graph, smoke_scale(4, 1));
-        let mut naive_ms = 0.0f64;
-        for (kernel, run) in kernels.into_iter().zip(best) {
-            let step_ms = (run.forward_seconds + run.backward_seconds) * 1e3;
-            if kernel == GemmKernel::Naive {
-                naive_ms = step_ms;
-            }
-            println!(
-                "{:>8} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>9.2}x",
-                name,
-                format!("{kernel:?}"),
-                run.forward_seconds * 1e3,
-                run.backward_seconds * 1e3,
-                step_ms,
-                naive_ms / step_ms,
-            );
-        }
     }
 }

@@ -5,13 +5,11 @@
 //! recorded results).
 
 use gnnopt_core::ir::Result as IrResult;
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, GemmKernel, IrGraph, ReorderPolicy};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, IrGraph};
 use gnnopt_exec::{Bindings, RunStats, Session};
 use gnnopt_graph::datasets::DatasetSpec;
-use gnnopt_graph::{generators, EdgeList, Graph, GraphStats};
-use gnnopt_models::{
-    edgeconv, gat, gcn, monet, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec, MonetConfig,
-};
+use gnnopt_graph::{EdgeList, Graph, GraphStats};
+use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, ModelSpec, MonetConfig};
 use gnnopt_sim::{Device, ExecStats};
 use serde::Serialize;
 
@@ -126,7 +124,7 @@ pub fn run_real(
 ) -> IrResult<RunStats> {
     // The explicit thread count is compiled into the plan, so the session
     // adopts it as-is (no auto-detection, no GNNOPT_THREADS interference);
-    // the policy's other knobs (tiling, grouping, reordering) ride along.
+    // the policy's other knobs (tiling, heavy-row threshold) ride along.
     let opts = CompileOptions {
         exec: ExecPolicy {
             threads,
@@ -148,154 +146,6 @@ pub fn run_real(
             .expect("backward runs");
     }
     Ok(sess.stats())
-}
-
-/// Like [`run_real`], with the session's vertex-reordering strategy
-/// compiled into the plan: the identity-vs-reordered measurement probe
-/// behind the reorganization figure's measured section. The returned
-/// stats carry the resolved strategy and its one-time preprocessing cost
-/// (`RunStats::{reorder, reorder_seconds}`).
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// As [`run_real`].
-pub fn run_real_reordered(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    reorder: ReorderPolicy,
-) -> IrResult<RunStats> {
-    let opts = CompileOptions {
-        exec: opts.exec.reordered(reorder),
-        ..*opts
-    };
-    run_real(spec, graph, &opts, threads, training, seed)
-}
-
-/// Like [`run_real`], with the session's dense GEMM engine compiled into
-/// the plan: the naive-vs-blocked measurement probe behind the
-/// compute-engine figure. Results are bit-identical across engines, so
-/// the comparison measures time only.
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// As [`run_real`].
-pub fn run_real_gemm(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-    gemm: GemmKernel,
-) -> IrResult<RunStats> {
-    let opts = CompileOptions {
-        exec: opts.exec.with_gemm(gemm),
-        ..*opts
-    };
-    run_real(spec, graph, &opts, threads, training, seed)
-}
-
-/// The `[Naive, Blocked]` measurement order every compute-engine harness
-/// and caller shares: the `measure_*` helpers return arrays positionally
-/// aligned with this constant, so labeling loops iterate it instead of
-/// re-declaring the order locally (a locally swapped order would silently
-/// invert every reported speedup).
-pub const GEMM_KERNELS: [GemmKernel; 2] = [GemmKernel::Naive, GemmKernel::Blocked];
-
-/// The compute-engine measurement workload of `fig7_end2end`'s measured
-/// section. Returns the RMAT scale (16, or 8 in
-/// smoke), the graph, and the GAT/GCN specs at feature widths where the
-/// combination phase carries real arithmetic (64 in, 2×32 heads /
-/// 64→64→32): the configuration the paper's compute-bound
-/// characterization of GEMM-heavy layers speaks to.
-///
-/// # Panics
-///
-/// Panics if a model spec fails to build (a harness bug).
-pub fn compute_engine_workloads() -> (u32, Graph, Vec<(&'static str, ModelSpec)>) {
-    let scale = smoke_scale(16u32, 8);
-    let graph = Graph::from_edge_list(&generators::rmat(scale, 16, 0.57, 0.19, 0.19, 7));
-    let gat_spec = gat(&GatConfig {
-        in_dim: 64,
-        layers: vec![(2, 32)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let gcn_spec = gcn(&GcnConfig {
-        in_dim: 64,
-        layer_dims: vec![64, 32],
-    })
-    .expect("gcn builds");
-    (scale, graph, vec![("GAT", gat_spec), ("GCN", gcn_spec)])
-}
-
-/// Measured single-thread dense GFLOP/s for `[Naive, Blocked]` at `d³`,
-/// through the low-level engine entry with the worker count pinned to 1
-/// (`Tensor::matmul` would auto-parallelize above its work threshold and
-/// turn the row into a pool measurement). Operands are zero-free so the
-/// dense branch-free path is what is measured. Engines are interleaved
-/// and each keeps its fastest repetition: wall-clock noise is one-sided
-/// (interference only adds time) and drift hits both engines equally
-/// when they alternate.
-pub fn measure_gemm_single_thread(d: usize, reps: u32) -> [f64; 2] {
-    use gnnopt_tensor::gemm::{gemm, Layout};
-    let a: Vec<f32> = (0..d * d).map(|i| ((i % 17) as f32 - 8.25) / 4.0).collect();
-    let b: Vec<f32> = (0..d * d).map(|i| ((i % 13) as f32 - 6.25) / 4.0).collect();
-    let kernels = GEMM_KERNELS;
-    let mut out = vec![0.0f32; d * d];
-    let mut best = [f64::MAX; 2];
-    for kernel in kernels {
-        gemm(kernel, Layout::Nn, &a, &b, &mut out, d, d, d, 1, false);
-    }
-    for _ in 0..reps {
-        for (slot, kernel) in kernels.into_iter().enumerate() {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            let t0 = std::time::Instant::now();
-            gemm(kernel, Layout::Nn, &a, &b, &mut out, d, d, d, 1, false);
-            best[slot] = best[slot].min(t0.elapsed().as_secs_f64());
-        }
-    }
-    best.map(|secs| 2.0 * (d * d * d) as f64 / secs / 1e9)
-}
-
-/// Measured real training steps for `[Naive, Blocked]` with auto
-/// threads: warm both engines, then interleave repetitions (naive,
-/// blocked, naive, …) and keep each engine's fastest run (same
-/// one-sided-noise argument as [`measure_gemm_single_thread`]).
-///
-/// # Panics
-///
-/// Panics if the model fails to compile or execute (a harness bug, not a
-/// measurement outcome).
-pub fn measure_steps_interleaved(spec: &ModelSpec, graph: &Graph, reps: usize) -> [RunStats; 2] {
-    let step = |kernel| run_real_gemm(spec, graph, &CompileOptions::ours(), 0, true, 11, kernel);
-    for kernel in GEMM_KERNELS {
-        step(kernel).expect("warmup runs");
-    }
-    let mut best: [Option<RunStats>; 2] = [None, None];
-    for _ in 0..reps {
-        for (slot, kernel) in GEMM_KERNELS.into_iter().enumerate() {
-            let run = step(kernel).expect("measured run");
-            let wall = run.forward_seconds + run.backward_seconds;
-            if best[slot].is_none_or(|b| wall < b.forward_seconds + b.backward_seconds) {
-                best[slot] = Some(run);
-            }
-        }
-    }
-    best.map(|run| run.expect("at least one rep per engine"))
 }
 
 /// Folds a real CPU run into the analytic record so scaling reports keep

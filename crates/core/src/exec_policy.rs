@@ -9,81 +9,16 @@
 //! `gnnopt_tensor::parallel` (which honours the `GNNOPT_THREADS`
 //! environment override).
 //!
-//! The policy also carries the *runtime preprocessing* choice of §8: a
-//! [`ReorderPolicy`] naming the vertex-reordering strategy the executor
-//! applies to the CSR graph once at session build (GNNAdvisor-style
-//! locality preprocessing, implemented in `gnnopt-reorder`). The session
-//! permutes the graph and every vertex/edge-space binding on the way in
-//! and inverse-permutes user-facing outputs on the way out, so reordering
-//! is invisible to callers except through its locality effect (and the
-//! `GNNOPT_REORDER` environment override, see `gnnopt-exec`).
-//!
-//! Since PR 5 the policy also selects the dense compute engine: a
-//! [`GemmKernel`] (re-exported from `gnnopt_tensor::gemm`) choosing
-//! between the register-tiled blocked GEMM and the naive reference loops
-//! for every `Linear`-family kernel the session runs. Both produce
-//! bit-identical results; the `GNNOPT_GEMM` environment variable
-//! overrides the choice per process (see `gnnopt-exec`).
+//! The policy selects no engine and no preprocessing: every
+//! `Linear`-family kernel runs the blocked GEMM, every row loop the
+//! dispatched `rowops`, and a caller who wants GNNAdvisor-style vertex
+//! locality (§8) relabels the graph once with `gnnopt-reorder` before
+//! building a session.
 
+/// The dense engine enum of `gnnopt_tensor::gemm`, re-exported for
+/// callers that time the engines against each other; sessions always run
+/// the blocked one.
 pub use gnnopt_tensor::gemm::GemmKernel;
-
-/// Vertex-reordering strategy the executor applies to the graph at
-/// session build time (runtime preprocessing, §8 related work).
-///
-/// Every strategy is a bijective relabeling computed by `gnnopt-reorder`;
-/// the session runs all kernels on the relabeled graph and restores the
-/// caller's vertex order on every output, so the choice never changes
-/// *what* is computed. Per-destination reduction order is preserved by
-/// the stable CSR permutation, so forward results are bit-identical to
-/// the identity ordering; backward `BySrc` reductions re-associate, so
-/// parameter gradients agree only up to floating-point reassociation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReorderPolicy {
-    /// Keep the caller's vertex ids (the default everywhere).
-    #[default]
-    None,
-    /// Descending-degree order: hub rows share cache lines.
-    DegreeSort,
-    /// Breadth-first order from vertex 0 (unreached components appended).
-    Bfs,
-    /// Reverse Cuthill–McKee: the classic bandwidth minimizer.
-    Rcm,
-    /// Label-propagation clustered order (Rabbit-inspired).
-    Cluster,
-    /// Pick the candidate (including identity) with the smallest mean
-    /// gather index gap (`gnnopt_reorder::locality::report`).
-    Auto,
-}
-
-impl ReorderPolicy {
-    /// Label-propagation sweeps the `Cluster` strategy runs — the single
-    /// source of truth shared by the executor, the figure binaries, and
-    /// the tests that reproduce a session's resolved permutation.
-    pub const CLUSTER_SWEEPS: usize = 4;
-
-    /// Parses the `GNNOPT_REORDER` spelling of a policy.
-    ///
-    /// Accepted values: `0`/`none`/`off` (identity), `degree`/
-    /// `degree-sort`, `bfs`, `rcm`, `cluster`, and `1`/`auto`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the valid spellings on
-    /// anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "0" | "none" | "off" => Ok(Self::None),
-            "degree" | "degree-sort" | "degree_sort" => Ok(Self::DegreeSort),
-            "bfs" => Ok(Self::Bfs),
-            "rcm" => Ok(Self::Rcm),
-            "cluster" => Ok(Self::Cluster),
-            "1" | "auto" => Ok(Self::Auto),
-            other => Err(format!(
-                "unknown reorder strategy '{other}' (expected 0|none|degree|bfs|rcm|cluster|auto)"
-            )),
-        }
-    }
-}
 
 /// Thread-parallelism policy for the CPU reference executor.
 ///
@@ -108,22 +43,6 @@ pub struct ExecPolicy {
     /// scratch tighter; the value never affects results, which are
     /// bit-identical to `refexec::evaluate` for any tiling.
     pub tile_edges: usize,
-    /// Bind fused-interpreter workers to bounded-size **edge groups**
-    /// (the destination tiles, each holding at most [`Self::tile_edges`]
-    /// edges) instead of raw tile counts: worker boundaries are cut so
-    /// every worker owns roughly the same number of *edges*, the
-    /// GNNAdvisor neighbor-grouping discipline that flattens degree skew
-    /// on power-law graphs. Purely a scheduling choice — workers still
-    /// write disjoint contiguous row chunks, so results are bit-identical
-    /// either way.
-    pub group_workers: bool,
-    /// Vertex-reordering preprocessing applied at session build (see
-    /// [`ReorderPolicy`]); overridable per process with `GNNOPT_REORDER`.
-    pub reorder: ReorderPolicy,
-    /// Dense GEMM engine for the `Linear`-family kernels (blocked by
-    /// default; results are bit-identical either way). Overridable per
-    /// process with `GNNOPT_GEMM=naive|blocked`.
-    pub gemm: GemmKernel,
     /// Inert: read only by the frozen `src/bin/gnnbench`; goes when a
     /// `benchmark` PR drops that read.
     pub fused: bool,
@@ -172,9 +91,6 @@ impl ExecPolicy {
             threads: 0,
             parallel_threshold: Self::DEFAULT_PARALLEL_THRESHOLD,
             tile_edges: Self::DEFAULT_TILE_EDGES,
-            group_workers: false,
-            reorder: ReorderPolicy::None,
-            gemm: GemmKernel::default(),
             fused: false,
             heavy_row_degree: Self::DEFAULT_HEAVY_ROW_DEGREE,
             guard: false,
@@ -195,25 +111,6 @@ impl ExecPolicy {
             threads,
             ..Self::auto()
         }
-    }
-
-    /// The same policy with a vertex-reordering strategy.
-    pub fn reordered(self, reorder: ReorderPolicy) -> Self {
-        Self { reorder, ..self }
-    }
-
-    /// The same policy with grouped worker binding in the fused
-    /// interpreter (edge-balanced worker boundaries over the tiles).
-    pub fn grouped(self) -> Self {
-        Self {
-            group_workers: true,
-            ..self
-        }
-    }
-
-    /// The same policy with an explicit dense GEMM engine.
-    pub fn with_gemm(self, gemm: GemmKernel) -> Self {
-        Self { gemm, ..self }
     }
 
     /// The same policy with an explicit heavy-row degree threshold
@@ -283,31 +180,19 @@ mod tests {
         assert_eq!(ExecPolicy::serial().threads, 1);
         assert!(!ExecPolicy::serial().is_auto());
         assert!(ExecPolicy::default().is_auto());
-        assert_eq!(ExecPolicy::default().reorder, ReorderPolicy::None);
-        assert!(!ExecPolicy::default().group_workers);
     }
 
     #[test]
     fn builders_compose() {
         let p = ExecPolicy::with_threads(2)
-            .reordered(ReorderPolicy::Rcm)
-            .grouped()
-            .with_gemm(GemmKernel::Naive)
             .with_heavy_row_degree(64)
             .with_guard(true);
         assert_eq!(p.threads, 2);
         assert!(p.guard);
         assert!(!ExecPolicy::auto().guard, "guard defaults off");
-        assert_eq!(p.reorder, ReorderPolicy::Rcm);
-        assert!(p.group_workers);
-        assert_eq!(p.gemm, GemmKernel::Naive);
         assert_eq!(p.heavy_row_degree, 64);
-        // `resolved` preserves the new knobs.
-        let r = p.resolved(|| 8);
-        assert_eq!(r.reorder, ReorderPolicy::Rcm);
-        assert!(r.group_workers);
-        assert_eq!(r.gemm, GemmKernel::Naive);
-        assert_eq!(r.heavy_row_degree, 64);
+        // `resolved` touches nothing but the thread count.
+        assert_eq!(p.resolved(|| 8), p);
     }
 
     #[test]
@@ -317,31 +202,10 @@ mod tests {
         assert!(ExecPolicy::HEAVY_ROW_CHUNK_EDGES.is_power_of_two());
     }
 
+    /// gnnbench times `matmul_with_threads(.., GemmKernel::default(), ..)`
+    /// through this re-export and reports it as the engine sessions run.
     #[test]
     fn default_gemm_engine_is_blocked() {
-        assert_eq!(ExecPolicy::auto().gemm, GemmKernel::Blocked);
-        assert_eq!(ExecPolicy::serial().gemm, GemmKernel::Blocked);
-    }
-
-    #[test]
-    fn reorder_policy_parses_every_spelling() {
-        use ReorderPolicy as R;
-        for (s, want) in [
-            ("0", R::None),
-            ("none", R::None),
-            ("off", R::None),
-            ("degree", R::DegreeSort),
-            ("degree-sort", R::DegreeSort),
-            ("bfs", R::Bfs),
-            ("RCM", R::Rcm),
-            ("cluster", R::Cluster),
-            ("auto", R::Auto),
-            ("1", R::Auto),
-            (" rcm ", R::Rcm),
-        ] {
-            assert_eq!(R::parse(s), Ok(want), "spelling '{s}'");
-        }
-        let err = R::parse("banana").unwrap_err();
-        assert!(err.contains("banana") && err.contains("rcm"));
+        assert_eq!(GemmKernel::default(), GemmKernel::Blocked);
     }
 }

@@ -59,7 +59,7 @@ pub mod view;
 /// the spec grammar, the wired sites, and the determinism contract.
 pub use gnnopt_tensor::fault;
 
-pub use exec_policy::{ExecPolicy, GemmKernel, ReorderPolicy};
+pub use exec_policy::{ExecPolicy, GemmKernel};
 pub use ir::{IrError, IrGraph, Node, Phase};
 pub use lower::{KernelProgram, ProgramStep, Storage};
 pub use memplan::{kernel_phase, liveness, plan_memory, Liveness, MemRegion, MemoryPlan};

@@ -46,7 +46,7 @@ pub struct CompileOptions {
     /// Recompute threshold (FLOPs per rebuilt element).
     pub recompute_threshold: f64,
     /// CPU execution policy for the compiled plan: thread width, tile
-    /// budget, reordering, GEMM engine and the CSR dispatch thresholds.
+    /// budget, the CSR dispatch thresholds and the numeric guard.
     pub exec: ExecPolicy,
 }
 

@@ -24,7 +24,9 @@ pub enum ExecError {
     },
     /// The session is not in the right state for the call.
     Protocol(String),
-    /// The execution policy (or its `GNNOPT_THREADS` override) is invalid.
+    /// One of the four environment overrides the builders read
+    /// (`GNNOPT_THREADS`, `GNNOPT_SHARDS`, `GNNOPT_GUARD`,
+    /// `GNNOPT_FAILPOINTS`) holds an invalid value.
     Policy(String),
     /// Underlying tensor error.
     Tensor(TensorError),

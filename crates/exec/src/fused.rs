@@ -152,8 +152,7 @@ pub(crate) struct ProgramResult {
     /// High-water mark of scratch-arena bytes across workers (max over
     /// the program's tiled segments).
     pub scratch_bytes: u64,
-    /// Bytes of dying inputs the launch freed mid-flight (arena mode):
-    /// already removed from the store the caller lent us, so the session
+    /// Bytes of dying inputs the launch freed mid-flight: already removed from the store the caller lent us, so the session
     /// subtracts them from its live accounting.
     pub evicted_bytes: u64,
 }
@@ -899,46 +898,6 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
     }
 }
 
-/// Cuts worker boundaries over the tile sequence so every worker owns
-/// roughly the same number of **edges** (each tile being a bounded edge
-/// group of at most `tile_edges` edges, GNNAdvisor's neighbor-grouping
-/// discipline). This is the `ExecPolicy::group_workers` alternative to
-/// the tile-count split of [`chunk_bounds`]: on skewed graphs the worker
-/// that owns a hub's tile gets correspondingly fewer other tiles, so the
-/// per-worker edge load flattens. Returns `workers + 1` strictly
-/// increasing boundaries covering every tile; the binding never changes
-/// results (workers still write disjoint contiguous row chunks).
-pub(crate) fn edge_balanced_bounds(
-    tiles: &[usize],
-    indptr: &[usize],
-    threads: usize,
-) -> Vec<usize> {
-    let num_tiles = tiles.len().saturating_sub(1);
-    let workers = threads.clamp(1, num_tiles.max(1));
-    let total = if num_tiles == 0 {
-        0
-    } else {
-        indptr[tiles[num_tiles]]
-    };
-    if total == 0 {
-        return chunk_bounds(num_tiles, workers);
-    }
-    let mut bounds = vec![0usize];
-    for w in 1..workers {
-        let target = (total as u64 * w as u64).div_ceil(workers as u64) as usize;
-        let prev = *bounds.last().expect("bounds is non-empty");
-        let mut t = prev + 1;
-        while t < num_tiles && indptr[tiles[t]] < target {
-            t += 1;
-        }
-        // Leave at least one tile for each remaining worker (workers ≤
-        // num_tiles makes the clamp range non-empty).
-        bounds.push(t.clamp(prev + 1, num_tiles - (workers - w)));
-    }
-    bounds.push(num_tiles);
-    bounds
-}
-
 /// Cuts destination-vertex tile boundaries so each tile covers at most
 /// `tile_edges` edges (always at least one vertex per tile).
 pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
@@ -997,8 +956,10 @@ struct WorkerSinks<'w> {
 
 /// Executes one lowered kernel over the graph, tile by tile.
 ///
-/// `evict` (arena mode) names the values whose last external reader is
-/// this kernel: the interpreter removes each from `values` as soon as
+/// `evict` (every session launch; `None` for the sharded driver's
+/// global kernels, whose operands are staged copies it drops itself)
+/// names the values whose last external reader is this kernel: the
+/// interpreter removes each from `values` as soon as
 /// its last reading segment completes, so the pool can recycle its
 /// buffer into the launch's own materializations. Results are
 /// unaffected — only already-dead inputs are freed, and the session's
@@ -1116,7 +1077,7 @@ pub(crate) fn run_program(
     let streams = plan_streams(&steps, program, ir, aux_softmax);
     let elided: HashSet<usize> = streams.values().flatten().copied().collect();
 
-    // Mid-launch eviction schedule (arena mode): each dying global's
+    // Mid-launch eviction schedule: each dying global's
     // last reading stage — stage 0 is the prelude pass above, stage
     // 1 + ordinal each segment. Elided chain members read their operands
     // inside their gather's segment, so their reads attribute there.
@@ -1232,14 +1193,9 @@ pub(crate) fn run_program(
     } else {
         policy.threads.clamp(1, num_tiles.max(1))
     };
-    // Worker → tile boundaries: split by tile count, or — under
-    // `group_workers` — by edge count, binding workers to bounded edge
-    // groups so degree skew flattens (never affects results).
-    let wt = if policy.group_workers {
-        edge_balanced_bounds(&tiles, indptr, threads)
-    } else {
-        chunk_bounds(num_tiles, threads)
-    };
+    // Worker → tile boundaries: split by tile count (tiles are already
+    // edge-budgeted, so the split is edge-balanced to within a tile).
+    let wt = chunk_bounds(num_tiles, threads);
     let wv: Vec<usize> = wt.iter().map(|&t| tiles[t]).collect();
     let we: Vec<usize> = wv.iter().map(|&v| indptr[v]).collect();
     // Tile-sized slots fit the largest tile a worker walks.
@@ -2063,21 +2019,19 @@ mod tests {
         assert_eq!(b, vec![0, 1, 2, 3]);
     }
 
+    // The streamed `BySrc` gathers' worker split (`kernels::gather`'s
+    // scan cuts its source ranges with the same function).
+
     #[test]
     fn edge_balanced_bounds_flatten_a_hub() {
-        // 8 single-vertex tiles; vertex 0 holds 70 of the 77 edges. A
-        // tile-count split over 2 workers gives worker 0 the hub *and*
-        // three more tiles; the edge-balanced split hands everything but
-        // the hub to worker 1.
+        // Vertex 0 holds 70 of the 77 edges. A vertex-count split over 2
+        // workers gives worker 0 the hub *and* three more vertices; the
+        // edge-balanced split hands everything but the hub to worker 1.
         let indptr = [0usize, 70, 71, 72, 73, 74, 75, 76, 77];
-        let tiles: Vec<usize> = (0..=8).collect();
-        let b = edge_balanced_bounds(&tiles, &indptr, 2);
-        assert_eq!(b, vec![0, 1, 8]);
-        // Per-worker edge loads are within one tile of balance for any
-        // worker count, and the bounds always cover every tile strictly
-        // monotonically.
+        assert_eq!(edge_balanced_vertex_bounds(&indptr, 2), vec![0, 1, 8]);
+        // The bounds always cover every vertex strictly monotonically.
         for threads in 1..=8 {
-            let b = edge_balanced_bounds(&tiles, &indptr, threads);
+            let b = edge_balanced_vertex_bounds(&indptr, threads);
             assert_eq!(*b.first().unwrap(), 0);
             assert_eq!(*b.last().unwrap(), 8);
             assert!(b.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
@@ -2086,16 +2040,11 @@ mod tests {
 
     #[test]
     fn edge_balanced_bounds_degenerate_inputs() {
-        // No tiles at all.
-        assert_eq!(edge_balanced_bounds(&[0], &[0], 4), vec![0]);
-        // Tiles but zero edges: falls back to the tile-count split.
-        let tiles = [0usize, 1, 2, 3];
-        let b = edge_balanced_bounds(&tiles, &[0, 0, 0, 0], 2);
+        // Vertices but zero edges: falls back to the vertex-count split.
+        let b = edge_balanced_vertex_bounds(&[0, 0, 0, 0], 2);
         assert_eq!(*b.first().unwrap(), 0);
         assert_eq!(*b.last().unwrap(), 3);
-        // More workers than tiles clamps to one tile per worker.
-        let indptr = [0usize, 2, 4];
-        let b = edge_balanced_bounds(&[0, 1, 2], &indptr, 16);
-        assert_eq!(b, vec![0, 1, 2]);
+        // More workers than vertices clamps to one vertex per worker.
+        assert_eq!(edge_balanced_vertex_bounds(&[0, 2, 4], 16), vec![0, 1, 2]);
     }
 }

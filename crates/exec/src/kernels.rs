@@ -25,23 +25,18 @@
 //!   backward) split the CSR vertex range; because canonical edge ids are
 //!   destination-major, each vertex range also owns a *contiguous* block
 //!   of edge rows, so `ByDst` edge-space outputs split without atomics.
-//!   When [`ExecPolicy::group_workers`] is set, the vertex boundaries are
-//!   cut **edge-balanced** (each worker owns roughly the same number of
-//!   edges — the fused interpreter's GNNAdvisor-style discipline,
-//!   promoted here in PR 6) instead of vertex-count-balanced; either
-//!   split is data-disjoint, so the choice never affects results.
 //! * **`BySrc` gathers** stream: a source row's edges are scattered
 //!   through the destination-major edge tensor, but `out_adj` lists them
 //!   in ascending canonical id, so one ascending scan of *all* edges
 //!   visits every source's edges in exactly the per-row order. Each
 //!   worker owns a source-vertex range and scans the full edge array,
 //!   keeping the reads sequential (prefetch-friendly) while every output
-//!   element retains the serial accumulation order. The ranges are always
-//!   cut edge-balanced (`edge_balanced_vertex_bounds` over `out_adj`),
-//!   whatever [`ExecPolicy::group_workers`] says: every worker pays for
-//!   the whole scan, so only the rows it owns divide, and a vertex-count
-//!   split of a power-law graph leaves one worker most of them. The
-//!   program interpreter's streamed gathers cut theirs the same way.
+//!   element retains the serial accumulation order. The ranges are cut
+//!   edge-balanced (`edge_balanced_vertex_bounds` over `out_adj`), not
+//!   by vertex count: every worker pays for the whole scan, so only the
+//!   rows it owns divide, and a vertex-count split of a power-law graph
+//!   leaves one worker most of them. The program interpreter's streamed
+//!   gathers cut theirs the same way.
 //!
 //! # Determinism contract, per kernel
 //!
@@ -131,10 +126,9 @@ pub const PARAM_REDUCE_CHUNK_ROWS: usize = 1 << 14;
 
 /// Deterministic *edge-balanced* vertex boundaries: each of up to
 /// `threads` parts owns roughly the same number of edges (`indptr` is the
-/// CSR row pointer of the grouping adjacency). The reference-kernel
-/// promotion of the fused interpreter's `group_workers` split — a pure
-/// function of `(indptr, threads)`, and purely a scheduling choice since
-/// parts stay data-disjoint.
+/// CSR row pointer of the grouping adjacency). A pure function of
+/// `(indptr, threads)`, and purely a scheduling choice since parts stay
+/// data-disjoint.
 pub(crate) fn edge_balanced_vertex_bounds(indptr: &[usize], threads: usize) -> Vec<usize> {
     let n = indptr.len() - 1;
     let workers = threads.clamp(1, n.max(1));
@@ -155,18 +149,6 @@ pub(crate) fn edge_balanced_vertex_bounds(indptr: &[usize], threads: usize) -> V
     }
     bounds.push(n);
     bounds
-}
-
-/// Vertex-partition boundaries for a grouped kernel under `policy`:
-/// edge-balanced when [`ExecPolicy::group_workers`] is set, vertex-count
-/// `div_ceil` otherwise. Both are pure functions of their inputs and
-/// never affect results.
-pub(crate) fn vertex_bounds(policy: &ExecPolicy, indptr: &[usize], threads: usize) -> Vec<usize> {
-    if policy.group_workers {
-        edge_balanced_vertex_bounds(indptr, threads)
-    } else {
-        chunk_bounds(indptr.len() - 1, threads)
-    }
 }
 
 /// Where a reduction reads edge `e`'s row: a full tensor here, the
@@ -366,7 +348,7 @@ where
         return;
     }
     let indptr = g.in_adj().indptr();
-    let bounds = vertex_bounds(policy, indptr, threads);
+    let bounds = chunk_bounds(n, threads);
     let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
     let chunks = split_rows(out, cols, &ebounds);
     let wg = contain::WorkerGuard::new();
@@ -569,7 +551,7 @@ pub fn gather(
         let bounds = if by_src_scan {
             edge_balanced_vertex_bounds(adj.indptr(), threads)
         } else {
-            vertex_bounds(policy, adj.indptr(), threads)
+            chunk_bounds(n, threads)
         };
         let chunks = split_rows(out.as_mut_slice(), total, &bounds);
         let wg = contain::WorkerGuard::new();
@@ -833,7 +815,7 @@ pub fn edge_softmax(policy: &ExecPolicy, g: &Graph, x: &Tensor) -> (Tensor, Tens
             y.as_mut_slice(),
         );
     } else {
-        let bounds = vertex_bounds(policy, indptr, threads);
+        let bounds = chunk_bounds(n, threads);
         let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
         let m_chunks = split_rows(maxes.as_mut_slice(), total, &bounds);
         let d_chunks = split_rows(denom.as_mut_slice(), total, &bounds);

@@ -16,22 +16,21 @@
 //! # Constructing sessions
 //!
 //! [`Session::builder`] is the one construction path: it makes the
-//! execution policy, the arena pin and the treatment of the `GNNOPT_*`
-//! environment overrides ([`EnvOverrides`]) explicit.
+//! execution policy and the treatment of the `GNNOPT_*` environment
+//! overrides ([`EnvOverrides`]) explicit.
 //!
 //! # Thread-parallel backend and the sparse kernel engine
 //!
 //! Kernels run under an [`gnnopt_core::ExecPolicy`] carried by the
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
-//! builder. Gather-style kernels partition the CSR vertex range
-//! (edge-balanced under `ExecPolicy::group_workers`, plain vertex counts
-//! otherwise; source-grouped scans always edge-balanced, see `kernels`)
-//! and scatter/elementwise/head kernels partition output
+//! builder. Gather-style kernels partition the CSR vertex range (by
+//! vertex count; source-grouped scans edge-balanced, see `kernels`) and
+//! scatter/elementwise/head kernels partition output
 //! rows across `std::thread::scope` workers — the same pattern (and the
 //! same pool size, via `gnnopt_tensor::parallel`) as `Tensor::matmul`.
 //! Row-wise inner loops dispatch to AVX2-widened bodies at runtime when
-//! the host supports them (`GNNOPT_ROWOPS=scalar` pins the scalar path;
-//! both produce the same bits — see `gnnopt_tensor::rowops`).
+//! the host supports them (the scalar bodies produce the same bits — see
+//! `gnnopt_tensor::rowops`).
 //!
 //! **Determinism contract:** reductions either keep their serial
 //! accumulation order exactly (bit-identical at any thread count) or
@@ -60,28 +59,12 @@
 //! *full steps* through the op library's dispatch ([`refexec`]), and a
 //! kernel without a program is a typed [`ExecError::Protocol`].
 //!
-//! Results are bit-identical, for any tile budget and thread count, to
-//! [`refexec::evaluate`] — the small node-by-node oracle the test suites
-//! compare against, which no session code path calls.
-//!
-//! # Runtime reordering
-//!
-//! When the policy carries a [`gnnopt_core::ReorderPolicy`] other than
-//! `None` (or `GNNOPT_REORDER=<strategy|0>` overrides it at session
-//! build), the session applies a `gnnopt-reorder` vertex
-//! relabeling to the CSR graph **once at build time** and runs every
-//! kernel on the relabeled graph: vertex/edge-space bindings are
-//! permuted in, user-facing outputs and gradients are inverse-permuted
-//! out, so reordering is invisible except through its locality effect.
-//! The stable permutation preserves every per-destination reduction
-//! order, making forward results *bit-identical* to the identity
-//! ordering; backward `BySrc` reductions re-associate, so parameter
-//! gradients agree up to floating-point rounding. The one-time cost is
-//! reported as [`RunStats::reorder_seconds`] alongside the resolved
-//! strategy ([`RunStats::reorder`]). The interpreter can
-//! additionally bind its workers to bounded edge groups
-//! (`ExecPolicy::group_workers`), flattening degree skew without
-//! changing results.
+//! Results — outputs and every parameter gradient — are bit-identical,
+//! for any tile budget and thread count, to [`refexec::evaluate`]: the
+//! small node-by-node oracle the test suites compare against, which no
+//! session code path calls. Vertex locality is the caller's to prepare:
+//! relabel the graph and the bindings once with `gnnopt-reorder` and
+//! build an ordinary session on the result (`tests/reorder_exec.rs`).
 //!
 //! ```no_run
 //! use gnnopt_core::{compile, CompileOptions};

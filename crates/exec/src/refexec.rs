@@ -26,7 +26,7 @@ use gnnopt_core::{
     ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn, Space,
 };
 use gnnopt_graph::Graph;
-use gnnopt_tensor::Tensor;
+use gnnopt_tensor::{GemmKernel, Tensor};
 use std::collections::HashMap;
 
 /// What [`evaluate`] computed.
@@ -48,7 +48,7 @@ pub struct Evaluation {
 /// the `∂L/∂output` `seed` — backward), runs every member node through
 /// `exec_op` on one thread, and stores each result for good. It knows
 /// nothing of programs, tiling, eviction, the arena, recomputation,
-/// reordering, the numeric guard or shards, which is what makes it
+/// the numeric guard or shards, which is what makes it
 /// independent of the executor it checks.
 ///
 /// # Errors
@@ -220,16 +220,17 @@ fn exec_op_inner(
         // is a tiled step of the interpreter, never a full one.
         OpKind::EdgeSoftmax => kernels::edge_softmax(pol, g, inputs[0]).0,
 
-        // GEMMs run under the caller's resolved policy: its engine choice
-        // *and* its worker cap (a session pinned serial keeps its
-        // weight-gradient GEMMs serial, whatever GNNOPT_THREADS or the
-        // hardware says).
-        OpKind::Linear => inputs[0].matmul_with_threads(inputs[1], pol.gemm, pol.threads)?,
+        // GEMMs run on the blocked engine under the caller's resolved
+        // worker cap (a session pinned serial keeps its weight-gradient
+        // GEMMs serial, whatever GNNOPT_THREADS or the hardware says).
+        OpKind::Linear => {
+            inputs[0].matmul_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
+        }
         OpKind::LinearBwdInput => {
-            inputs[0].matmul_nt_with_threads(inputs[1], pol.gemm, pol.threads)?
+            inputs[0].matmul_nt_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
         }
         OpKind::LinearBwdWeight => {
-            inputs[0].matmul_tn_with_threads(inputs[1], pol.gemm, pol.threads)?
+            inputs[0].matmul_tn_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
         }
 
         OpKind::Unary(f) => kernels::unary(pol, *f, inputs[0]),

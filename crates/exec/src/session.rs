@@ -7,17 +7,15 @@
 //!
 //! ```ignore
 //! let mut sess = Session::builder(&plan, &graph)
-//!     .policy(policy)            // default: the plan's own ExecPolicy
-//!     .arena(true)               // default: on, or GNNOPT_ARENA
-//!     .env(EnvOverrides::Ignore) // default: Loud
+//!     .policy(policy)         // default: the plan's own ExecPolicy
+//!     .env(EnvOverrides::Off) // default: Loud
 //!     .build()?;
 //! ```
 //!
-//! The `GNNOPT_*` environment overrides (`THREADS`, `ARENA`, `REORDER`,
-//! `GEMM`, `GUARD`, `FAILPOINTS`) are consulted once, at build,
-//! according to the builder's [`EnvOverrides`] mode: `Loud` errors on an
-//! invalid value, `Ignore` skips invalid values silently, `Off` consults
-//! none of them.
+//! The `GNNOPT_*` environment overrides (`THREADS`, `GUARD`,
+//! `FAILPOINTS`) are consulted once, at build, according to the
+//! builder's [`EnvOverrides`] mode: `Loud` errors on an invalid value,
+//! `Off` consults none of them.
 //!
 //! # One executor
 //!
@@ -30,9 +28,8 @@
 use crate::{contain, fused, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, MemoryPlan};
-use gnnopt_core::{ExecPolicy, ExecutionPlan, Node, NodeId, OpKind, Phase, ReorderPolicy, Space};
-use gnnopt_graph::{EdgeList, Graph};
-use gnnopt_reorder::{locality, strategies, Permutation};
+use gnnopt_core::{ExecPolicy, ExecutionPlan, Node, NodeId, OpKind, Phase, Space};
+use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -88,26 +85,12 @@ pub struct RunStats {
     /// Kernel programs launched during the step — every kernel of the
     /// plan, since the interpreter is the only executor.
     pub fused_kernels: u64,
-    /// Vertex-reordering strategy the session's graph runs under — the
-    /// *resolved* choice ([`ReorderPolicy::Auto`] reports what it picked;
-    /// [`ReorderPolicy::None`] when the session keeps the caller's ids).
-    pub reorder: ReorderPolicy,
-    /// One-time preprocessing cost of the reordering (strategy selection,
-    /// permutation, CSR rebuild), measured at session build. Repeated the
-    /// same on every run's stats — the cost amortizes over steps instead
-    /// of recurring. Nonzero even when `Auto` scored the candidates and
-    /// kept the caller's order (`reorder == None`): selection work is
-    /// real and is reported either way.
-    pub reorder_seconds: f64,
     /// Arena bytes the static memory planner laid out for the value
-    /// store at session build (`0` when the arena is off). The measured
+    /// store at session build. The measured
     /// [`RunStats::peak_value_bytes`] never exceeds it: the planner
     /// models every store-resident tensor (checked by the arena
     /// invariant suite).
     pub planned_peak_bytes: u64,
-    /// Whether the session served tensor storage from the planned arena
-    /// (pool-recycled buffers) instead of the global heap.
-    pub arena: bool,
     /// Vertex shards the step executed over (`1` for a plain session).
     pub shards: usize,
     /// Bytes moved between shards by halo/replica exchanges and global
@@ -139,29 +122,17 @@ enum State {
     ForwardDone,
 }
 
-/// Parses a boolean `GNNOPT_*` override (`GNNOPT_ARENA`,
-/// `GNNOPT_GUARD`): `Ok(None)` when unset, `Ok(Some(_))` on `0`/`1` (and
-/// the usual boolean spellings), `Err` on anything else.
-fn bool_env(name: &str) -> std::result::Result<Option<bool>, String> {
-    match std::env::var(name) {
+/// Parses the `GNNOPT_GUARD` override: `Ok(None)` when unset,
+/// `Ok(Some(_))` on `0`/`1` (and the usual boolean spellings), `Err` on
+/// anything else.
+fn guard_env() -> std::result::Result<Option<bool>, String> {
+    match std::env::var("GNNOPT_GUARD") {
         Err(_) => Ok(None),
         Ok(s) => match s.trim() {
             "0" | "false" | "off" => Ok(Some(false)),
             "1" | "true" | "on" => Ok(Some(true)),
-            other => Err(format!("{name} must be 0 or 1, got '{other}'")),
+            other => Err(format!("GNNOPT_GUARD must be 0 or 1, got '{other}'")),
         },
-    }
-}
-
-/// Parses the `GNNOPT_REORDER` override: `Ok(None)` when unset,
-/// `Ok(Some(_))` on a valid strategy spelling (`0`/`none`, `degree`,
-/// `bfs`, `rcm`, `cluster`, `auto`), `Err` on anything else.
-fn reorder_env() -> std::result::Result<Option<ReorderPolicy>, String> {
-    match std::env::var("GNNOPT_REORDER") {
-        Err(_) => Ok(None),
-        Ok(s) => ReorderPolicy::parse(&s)
-            .map(Some)
-            .map_err(|e| format!("GNNOPT_REORDER: {e}")),
     }
 }
 
@@ -207,10 +178,9 @@ pub(crate) fn kernel_label(plan: &ExecutionPlan, kid: usize, backward: bool) -> 
 }
 
 /// Checks a caller-provided tensor (a leaf binding or the gradient
-/// seed) against the shape `node` has on `graph`. Row counts are
-/// permutation-invariant, so the caller's graph and a reordered one
-/// check alike; the sharded driver checks against the caller's full
-/// graph before any row selection, which would drop surplus rows.
+/// seed) against the shape `node` has on `graph`. The sharded driver
+/// checks against the caller's full graph before any row selection,
+/// which would drop surplus rows.
 pub(crate) fn check_shape(graph: &Graph, node: &Node, t: &Tensor) -> Result<()> {
     let expected = match node.space {
         Space::Vertex => (graph.num_vertices(), node.dim.total()),
@@ -225,103 +195,6 @@ pub(crate) fn check_shape(graph: &Graph, node: &Node, t: &Tensor) -> Result<()> 
         });
     }
     Ok(())
-}
-
-/// The session's one-time reordering preprocessing: the permuted graph
-/// plus the vertex/edge bijections that keep the relabeling invisible to
-/// callers.
-#[derive(Debug)]
-struct ReorderState {
-    /// The relabeled CSR graph every kernel iterates.
-    graph: Graph,
-    /// Vertex relabeling (`new_of_old`); bindings move in with
-    /// [`Permutation::permute_tensor_rows`], outputs move back with
-    /// [`Permutation::unpermute_tensor_rows`].
-    vertex: Permutation,
-    /// The induced canonical-edge-id relabeling, same conventions.
-    edge: Permutation,
-    /// The resolved strategy (never `None`/`Auto`).
-    strategy: ReorderPolicy,
-}
-
-impl ReorderState {
-    /// Runs the requested strategy (resolving `Auto` by the smallest mean
-    /// gather index gap, identity included) and builds the permuted graph
-    /// and bijections. Returns the measured preprocessing seconds — spent
-    /// even when the state is `None` because `Auto` scored every
-    /// candidate and kept the caller's order — alongside the state
-    /// (`None` when the request is `None`, the graph is empty, or the
-    /// caller's order won).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Graph`] when a strategy produces a broken
-    /// canonical-edge-id map (a reorder-crate bug, reported instead of
-    /// panicking so a session build can never abort the process).
-    fn build(graph: &Graph, request: ReorderPolicy) -> Result<(f64, Option<Self>)> {
-        if request == ReorderPolicy::None || graph.num_vertices() == 0 {
-            return Ok((0.0, None));
-        }
-        let t0 = Instant::now();
-        let el = graph.edge_list();
-        let Some((strategy, perm)) = Self::resolve(request, &el) else {
-            return Ok((t0.elapsed().as_secs_f64(), None));
-        };
-        let (permuted, edge_map) = perm.apply_to_graph(graph);
-        let edge = Permutation::from_new_of_old(edge_map).map_err(|e| {
-            ExecError::Graph(format!(
-                "reorder strategy {strategy:?} produced a broken canonical-edge-id map: {e}"
-            ))
-        })?;
-        let state = Self {
-            graph: permuted,
-            vertex: perm,
-            edge,
-            strategy,
-        };
-        Ok((t0.elapsed().as_secs_f64(), Some(state)))
-    }
-
-    /// Maps a policy to its permutation; `Auto` scores every candidate by
-    /// `locality::report(..).mean_gap` (cheap `O(|E|)` per candidate) and
-    /// keeps the caller's order when no strategy strictly improves on it.
-    ///
-    /// Scoring happens on the canonically sorted `apply_to_edges` layout
-    /// while the session executes the *stable* `apply_to_graph` CSR, but
-    /// `mean_gap` is a per-edge quantity over the relabeled edge multiset
-    /// — identical in both layouts — so the score is exact for the graph
-    /// actually run (an LRU-based criterion would not be: hit rates
-    /// depend on scan order).
-    fn resolve(request: ReorderPolicy, el: &EdgeList) -> Option<(ReorderPolicy, Permutation)> {
-        use ReorderPolicy as R;
-        match request {
-            R::None => None,
-            R::DegreeSort => Some((R::DegreeSort, strategies::degree_sort(el))),
-            R::Bfs => Some((R::Bfs, strategies::bfs(el, 0))),
-            R::Rcm => Some((R::Rcm, strategies::rcm(el))),
-            R::Cluster => Some((
-                R::Cluster,
-                strategies::cluster(el, ReorderPolicy::CLUSTER_SWEEPS),
-            )),
-            R::Auto => {
-                let mut best: Option<(R, Permutation)> = None;
-                let mut best_gap = locality::report(el).mean_gap; // identity
-                for s in [R::DegreeSort, R::Bfs, R::Rcm, R::Cluster] {
-                    // Concrete strategies always resolve; skip defensively
-                    // rather than panic if that ever changes.
-                    let Some((_, p)) = Self::resolve(s, el) else {
-                        continue;
-                    };
-                    let gap = locality::report(&p.apply_to_edges(el)).mean_gap;
-                    if gap < best_gap {
-                        best_gap = gap;
-                        best = Some((s, p));
-                    }
-                }
-                best
-            }
-        }
-    }
 }
 
 /// A session input, lent or made: callers lend their plan and graph
@@ -359,30 +232,10 @@ impl<T> std::ops::Deref for Held<'_, T> {
 /// The session enforces the plan's memory discipline (drop / stash /
 /// recompute), so a plan bug surfaces as [`ExecError::ValueNotLive`]
 /// rather than silently reading stale data.
-///
-/// # Runtime reordering
-///
-/// When the policy carries a [`ReorderPolicy`] other than `None` (or
-/// `GNNOPT_REORDER` overrides it at build), the session
-/// permutes the CSR graph **once at build time** and runs every kernel on
-/// the relabeled graph; vertex- and edge-space bindings are permuted on
-/// the way in and user-facing outputs inverse-permuted on the way out, so
-/// callers never see renamed vertices. Per-destination reduction order is
-/// preserved by the stable permutation, so forward results are
-/// bit-identical to the identity ordering; backward `BySrc` reductions
-/// (the dual of copy-scatters) re-associate, so parameter gradients agree
-/// up to floating-point reassociation. The one-time cost is reported as
-/// [`RunStats::reorder_seconds`].
 #[derive(Debug)]
 pub struct Session<'a> {
     plan: Held<'a, ExecutionPlan>,
     graph: Held<'a, Graph>,
-    /// Build-time reordering preprocessing; `None` runs on the caller's
-    /// graph as-is.
-    reorder: Option<ReorderState>,
-    /// One-time preprocessing cost; nonzero even when `Auto` scored the
-    /// candidates and kept the caller's order.
-    reorder_seconds: f64,
     policy: ExecPolicy,
     values: HashMap<NodeId, Tensor>,
     aux_softmax: HashMap<NodeId, (Tensor, Tensor)>,
@@ -398,12 +251,10 @@ pub struct Session<'a> {
     /// non-persistent nodes whose last external reader is that kernel
     /// (replacing an `O(live values)` sweep after every kernel).
     kernel_deaths: Vec<Vec<NodeId>>,
-    /// Serve tensor storage from the planned arena: buffers recycle
-    /// through `gnnopt_tensor::pool` instead of the global heap, and the
-    /// interpreter frees dying inputs mid-launch rather than at the
-    /// kernel boundary. Results are bit-identical either way.
-    arena: bool,
-    /// The static memory plan backing the arena (empty when it is off).
+    /// The static memory plan: the arena this session's tensor storage
+    /// is served from (buffers recycle through `gnnopt_tensor::pool`,
+    /// and the interpreter frees dying inputs mid-launch rather than at
+    /// the kernel boundary).
     memplan: MemoryPlan,
     /// Forward / backward kernel ids in execution order, precomputed so
     /// a steady-state step builds no per-run worklists.
@@ -439,18 +290,14 @@ pub struct Session<'a> {
 }
 
 /// How a [`SessionBuilder`] treats the `GNNOPT_*` environment overrides
-/// (`GNNOPT_THREADS`, `GNNOPT_ARENA`, `GNNOPT_REORDER`, `GNNOPT_GEMM`,
-/// `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`; `GNNOPT_SHARDS` for the sharded
-/// builder).
+/// (`GNNOPT_THREADS`, `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`;
+/// `GNNOPT_SHARDS` for the sharded builder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvOverrides {
     /// Apply the overrides; an invalid value is a build error
     /// ([`ExecError::Policy`]).
     #[default]
     Loud,
-    /// Apply the overrides; an invalid value is skipped silently and the
-    /// builder's own setting stands.
-    Ignore,
     /// Consult no overrides: the builder's policy runs verbatim. (Thread
     /// *auto-detection* still honours `GNNOPT_THREADS` leniently, as it
     /// always has — pin `threads` to escape that too.)
@@ -459,8 +306,7 @@ pub enum EnvOverrides {
 
 impl EnvOverrides {
     /// Reads one override under this mode: `Off` never calls `parse`,
-    /// `Loud` turns an invalid value into [`ExecError::Policy`], `Ignore`
-    /// treats it as unset.
+    /// `Loud` turns an invalid value into [`ExecError::Policy`].
     pub(crate) fn read<T>(
         self,
         parse: impl FnOnce() -> std::result::Result<Option<T>, String>,
@@ -468,43 +314,33 @@ impl EnvOverrides {
         match self {
             EnvOverrides::Off => Ok(None),
             EnvOverrides::Loud => parse().map_err(ExecError::Policy),
-            EnvOverrides::Ignore => Ok(parse().unwrap_or(None)),
         }
     }
 
-    /// The one override resolution both builders share: folds
-    /// `GNNOPT_REORDER`/`GNNOPT_GEMM`/`GNNOPT_GUARD` into `policy`, arms
-    /// `GNNOPT_FAILPOINTS`, and returns the `GNNOPT_ARENA` override for
-    /// the builder to rank below its own pin. The builders are the only
-    /// readers of the environment (the sharded one adds `GNNOPT_SHARDS`):
-    /// nothing on the kernel-dispatch path is.
-    pub(crate) fn resolve(self, policy: &mut ExecPolicy) -> Result<Option<bool>> {
+    /// The one override resolution both builders share: checks
+    /// `GNNOPT_THREADS`, folds `GNNOPT_GUARD` into `policy` and arms
+    /// `GNNOPT_FAILPOINTS`. The builders are the only readers of the
+    /// environment (the sharded one adds `GNNOPT_SHARDS`): nothing on
+    /// the kernel-dispatch path is.
+    pub(crate) fn resolve(self, policy: &mut ExecPolicy) -> Result<()> {
         if self == EnvOverrides::Loud && policy.is_auto() {
             // Surface a bad env override loudly instead of silently
             // falling back like the infallible tensor-side detection.
             gnnopt_tensor::parallel::env_threads().map_err(ExecError::Policy)?;
         }
-        let arena = self.read(|| bool_env("GNNOPT_ARENA"))?;
-        policy.reorder = self.read(reorder_env)?.unwrap_or(policy.reorder);
-        policy.gemm = self
-            .read(gnnopt_core::GemmKernel::env)?
-            .unwrap_or(policy.gemm);
-        policy.guard = self
-            .read(|| bool_env("GNNOPT_GUARD"))?
-            .unwrap_or(policy.guard);
+        policy.guard = self.read(guard_env)?.unwrap_or(policy.guard);
         self.read(|| fault::install_from_env().map(Some))?;
-        Ok(arena)
+        Ok(())
     }
 }
 
-/// Builds a [`Session`]: the [`ExecPolicy`], the arena pin, and how the
-/// `GNNOPT_*` environment overrides apply.
+/// Builds a [`Session`]: the [`ExecPolicy`] and how the `GNNOPT_*`
+/// environment overrides apply.
 #[derive(Debug)]
 pub struct SessionBuilder<'a> {
     plan: &'a ExecutionPlan,
     graph: &'a Graph,
     policy: Option<ExecPolicy>,
-    arena: Option<bool>,
     env: EnvOverrides,
 }
 
@@ -513,16 +349,6 @@ impl<'a> SessionBuilder<'a> {
     #[must_use]
     pub fn policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Pins the static-arena allocator on or off (default: **on**). An
-    /// explicit pin outranks the `GNNOPT_ARENA` override. Off reproduces
-    /// the plain-heap executor byte for byte — same results — at the
-    /// cost of more steady-state allocations.
-    #[must_use]
-    pub fn arena(mut self, arena: bool) -> Self {
-        self.arena = Some(arena);
         self
     }
 
@@ -544,67 +370,43 @@ impl<'a> SessionBuilder<'a> {
     /// validation ([`Graph::validate`]), and — under
     /// [`EnvOverrides::Loud`] only — [`ExecError::Policy`] when
     /// `GNNOPT_THREADS` is set to something other than a positive
-    /// integer, `GNNOPT_ARENA` or `GNNOPT_GUARD` to something other
-    /// than `0`/`1`, `GNNOPT_REORDER` to something other than a known
-    /// strategy (`0`/`none`, `degree`, `bfs`, `rcm`, `cluster`, `auto`),
-    /// `GNNOPT_GEMM` to something other than `naive`/`blocked`, or
+    /// integer, `GNNOPT_GUARD` to something other than `0`/`1`, or
     /// `GNNOPT_FAILPOINTS` to an unparseable failpoint spec.
     pub fn build(self) -> Result<Session<'a>> {
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let env_arena = self.env.resolve(&mut policy)?;
+        self.env.resolve(&mut policy)?;
         self.graph.validate().map_err(ExecError::Graph)?;
-        let arena = self.arena.or(env_arena).unwrap_or(true);
         Session::assemble(
             Held::Borrowed(self.plan),
             Held::Borrowed(self.graph),
             policy,
-            arena,
         )
     }
 }
 
 impl<'a> Session<'a> {
     /// Starts a [`SessionBuilder`] — the one construction path.
-    /// Defaults: the plan's own policy, the arena on, and
-    /// [`EnvOverrides::Loud`].
+    /// Defaults: the plan's own policy and [`EnvOverrides::Loud`].
     pub fn builder(plan: &'a ExecutionPlan, graph: &'a Graph) -> SessionBuilder<'a> {
         SessionBuilder {
             plan,
             graph,
             policy: None,
-            arena: None,
             env: EnvOverrides::default(),
         }
-    }
-
-    /// Builds a per-shard session over an *owned* local subgraph: the
-    /// sharded executor constructs each shard's graph itself, so there
-    /// is no caller-owned graph to borrow, and hands every shard the
-    /// plan it classified (the caller's, or the one it derived by
-    /// cutting kernels). Reordering is pinned off — shard-local ids
-    /// must stay aligned with the driver's exchange maps — and env
-    /// overrides are already folded into `policy` by the sharded
-    /// builder.
-    pub(crate) fn assemble_owned(
-        plan: Held<'a, ExecutionPlan>,
-        graph: Graph,
-        mut policy: ExecPolicy,
-        arena: bool,
-    ) -> Result<Self> {
-        policy.reorder = ReorderPolicy::None;
-        Self::assemble(plan, Held::Owned(Arc::new(graph)), policy, arena)
     }
 
     /// The shared construction tail: leaf-name validation, liveness
     /// precomputation (shared with the memory planner via
     /// [`gnnopt_core::memplan::liveness`] — one source of truth), memory
-    /// planning and pool pre-seeding, reorder preprocessing. `policy`
-    /// arrives with the env overrides already folded in by the builder.
-    fn assemble(
+    /// planning and pool pre-seeding. `policy` arrives with the env
+    /// overrides already folded in by the builder. The sharded builder
+    /// calls this once per shard with the local subgraph it made (owned:
+    /// there is no caller to borrow it from) and the plan it classified.
+    pub(crate) fn assemble(
         plan: Held<'a, ExecutionPlan>,
         graph: Held<'a, Graph>,
         policy: ExecPolicy,
-        arena: bool,
     ) -> Result<Self> {
         let policy = policy.resolved(gnnopt_tensor::parallel::available_threads);
         let mut leaf_names = HashMap::new();
@@ -656,11 +458,7 @@ impl<'a> Session<'a> {
             }
         }
 
-        let memplan = if arena {
-            memplan::plan_memory(&plan, graph.num_vertices(), graph.num_edges(), true)
-        } else {
-            MemoryPlan::default()
-        };
+        let memplan = memplan::plan_memory(&plan, graph.num_vertices(), graph.num_edges(), true);
         // Pre-seed this session's own pool with the planned buffers so
         // the very first step already finds every store buffer recycled.
         let pool = pool::Pool::new();
@@ -670,18 +468,13 @@ impl<'a> Session<'a> {
         // Shape vectors recycle too; seed enough that the shape bucket
         // never misses (one per region upper-bounds the concurrent live
         // tensors; aux stats tensors and in-flight transients get slack).
-        if arena {
-            for _ in 0..memplan.regions.len() + 2 * plan.aux_stash.len() + 4 {
-                pool.seed_shape(4);
-            }
+        for _ in 0..memplan.regions.len() + 2 * plan.aux_stash.len() + 4 {
+            pool.seed_shape(4);
         }
 
-        let (reorder_seconds, reorder) = ReorderState::build(&graph, policy.reorder)?;
         Ok(Self {
             plan,
             graph,
-            reorder,
-            reorder_seconds,
             policy,
             values: HashMap::new(),
             aux_softmax: HashMap::new(),
@@ -689,7 +482,6 @@ impl<'a> Session<'a> {
             last_reader: lv.last_reader,
             persistent: lv.persistent,
             kernel_deaths: lv.kernel_deaths,
-            arena,
             memplan,
             fwd_kernels,
             bwd_kernels,
@@ -716,12 +508,6 @@ impl<'a> Session<'a> {
         self.policy
     }
 
-    /// True when the session serves tensor storage from the planned
-    /// arena.
-    pub fn arena(&self) -> bool {
-        self.arena
-    }
-
     /// True when a contained kernel panic poisoned the session: the
     /// step's results were discarded and every subsequent `begin_*`
     /// returns [`ExecError::Poisoned`]. The session's pool stays
@@ -738,57 +524,10 @@ impl<'a> Session<'a> {
         &self.pool
     }
 
-    /// The static memory plan this session's storage follows (empty when
-    /// the arena is off): planned offsets, lifetimes and the arena's
-    /// total size.
+    /// The static memory plan this session's storage follows: planned
+    /// offsets, lifetimes and the arena's total size.
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.memplan
-    }
-
-    /// The resolved reordering strategy and the one-time preprocessing
-    /// cost in seconds. `ReorderPolicy::None` when the session keeps the
-    /// caller's vertex order — with a *nonzero* cost when `Auto` scored
-    /// every candidate and decided the caller's order was already best
-    /// (the selection work is real and is reported either way).
-    pub fn reorder(&self) -> (ReorderPolicy, f64) {
-        (
-            self.reorder
-                .as_ref()
-                .map_or(ReorderPolicy::None, |r| r.strategy),
-            self.reorder_seconds,
-        )
-    }
-
-    /// Moves a user-order binding into the session's (possibly reordered)
-    /// row order. Parameter-space tensors carry no graph rows and pass
-    /// through untouched.
-    fn permute_input(&self, space: Space, t: Tensor) -> Tensor {
-        match (&self.reorder, space) {
-            (Some(st), Space::Vertex) => st.vertex.permute_tensor_rows(&t),
-            (Some(st), Space::Edge) => st.edge.permute_tensor_rows(&t),
-            _ => t,
-        }
-    }
-
-    /// Borrowing variant for callers that would otherwise clone just to
-    /// call [`Session::permute_input`]: clones only when the tensor
-    /// passes through unpermuted.
-    fn permute_input_ref(&self, space: Space, t: &Tensor) -> Tensor {
-        match (&self.reorder, space) {
-            (Some(st), Space::Vertex) => st.vertex.permute_tensor_rows(t),
-            (Some(st), Space::Edge) => st.edge.permute_tensor_rows(t),
-            _ => t.clone(),
-        }
-    }
-
-    /// Restores a session-order result to the caller's row order.
-    fn unpermute_output(&self, space: Space, t: Tensor) -> Tensor {
-        let Some(st) = &self.reorder else { return t };
-        match space {
-            Space::Vertex => st.vertex.unpermute_tensor_rows(&t),
-            Space::Edge => st.edge.unpermute_tensor_rows(&t),
-            Space::Param => t,
-        }
     }
 
     /// Runs the forward kernels, returning the model outputs in
@@ -810,17 +549,7 @@ impl<'a> Session<'a> {
             .ir
             .outputs()
             .iter()
-            .map(|&o| {
-                let t = self
-                    .values
-                    .get(&o)
-                    .cloned()
-                    .ok_or_else(|| ExecError::ValueNotLive {
-                        node: self.plan.ir.node(o).name.clone(),
-                    })?;
-                // Callers never see renamed vertices/edges.
-                Ok(self.unpermute_output(self.plan.ir.node(o).space, t))
-            })
+            .map(|&o| self.value(o).cloned())
             .collect()
     }
 
@@ -849,14 +578,8 @@ impl<'a> Session<'a> {
         self.fallback_base = self.pool.misses();
         self.bind_leaves(bindings)?;
         self.stats.threads = self.policy.threads;
-        self.stats.arena = self.arena;
         self.stats.shards = 1;
         self.stats.planned_peak_bytes = self.memplan.arena_bytes;
-        // The preprocessing happened once at session build; every run
-        // reports the same one-time figure (amortized, not recurring).
-        let (reorder, reorder_seconds) = self.reorder();
-        self.stats.reorder = reorder;
-        self.stats.reorder_seconds = reorder_seconds;
         Ok(())
     }
 
@@ -961,8 +684,6 @@ impl<'a> Session<'a> {
         };
         let seed_node = plan.ir.node(seed_id);
         check_shape(&self.graph, seed_node, &seed)?;
-        // The caller seeds ∂L/∂output in their own vertex order.
-        let seed = self.permute_input(seed_node.space, seed);
         self.insert_value(seed_id, seed);
         Ok(())
     }
@@ -988,13 +709,12 @@ impl<'a> Session<'a> {
     /// borrowing via [`Session::output_ref`] / [`Session::grad_ref`].
     ///
     /// This is the steady-state entry point of the static memory
-    /// planner: with the arena on, every tensor a warmed step creates
-    /// comes out of the planner-seeded pool
-    /// ([`RunStats::fallback_allocs`] reads 0). The interpreter's
-    /// per-launch planning still allocates — a few hundred small
-    /// allocations per step on the test models, the same number every
-    /// step, fewer than with the arena off (`tests/steady_state_alloc.rs`;
-    /// gnnbench reports it as `exec.allocs_per_step`).
+    /// planner: every tensor a warmed step creates comes out of the
+    /// planner-seeded pool ([`RunStats::fallback_allocs`] reads 0). The
+    /// interpreter's per-launch planning still allocates — a few hundred
+    /// small allocations per step on the test models, the same number
+    /// every step (`tests/steady_state_alloc.rs`; gnnbench reports it as
+    /// `exec.allocs_per_step`).
     ///
     /// # Errors
     ///
@@ -1006,10 +726,10 @@ impl<'a> Session<'a> {
     }
 
     /// Installs this session's pool on the current thread for the
-    /// guard's lifetime (a no-op guard when the arena is off). The
-    /// sharded driver brackets each shard's work the same way.
+    /// guard's lifetime. The sharded driver brackets each shard's work
+    /// the same way.
     pub(crate) fn scope(&self) -> pool::ScopeGuard {
-        pool::ScopeGuard::new(self.arena.then_some(&self.pool))
+        pool::ScopeGuard::new(&self.pool)
     }
 
     /// Borrows model output `i` from the store after [`Session::step`]
@@ -1017,17 +737,9 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Protocol`] under vertex reordering — the
-    /// stored rows are in session order and only [`Session::forward`]'s
-    /// owned tail unpermutes them — or for an out-of-range index;
+    /// Returns [`ExecError::Protocol`] for an out-of-range index,
     /// [`ExecError::ValueNotLive`] before the first run.
     pub fn output_ref(&self, i: usize) -> Result<&Tensor> {
-        if self.reorder.is_some() {
-            return Err(ExecError::Protocol(
-                "outputs are stored in reordered row order; use forward()'s returned tensors"
-                    .into(),
-            ));
-        }
         let Some(&o) = self.plan.ir.outputs().get(i) else {
             return Err(ExecError::Protocol(format!("no model output #{i}")));
         };
@@ -1035,8 +747,7 @@ impl<'a> Session<'a> {
     }
 
     /// Borrows the gradient of parameter `name` from the store after
-    /// [`Session::step`]. Parameter tensors carry no graph rows, so this
-    /// works under vertex reordering too.
+    /// [`Session::step`].
     ///
     /// # Errors
     ///
@@ -1074,8 +785,7 @@ impl<'a> Session<'a> {
                 .get(&node.name)
                 .ok_or_else(|| ExecError::MissingBinding(node.name.clone()))?;
             check_shape(&self.graph, node, t)?;
-            let t = self.permute_input_ref(node.space, t);
-            self.insert_value(id, t);
+            self.insert_value(id, t.clone());
         }
         Ok(())
     }
@@ -1143,28 +853,18 @@ impl<'a> Session<'a> {
                 kernel_label(&plan, kid, backward)
             )));
         };
-        let graph: &Graph = match &self.reorder {
-            Some(r) => &r.graph,
-            None => &self.graph,
-        };
-        // Arena mode: the interpreter frees each dying input as soon as
-        // its last reading segment completes, so its buffer recycles
-        // into the launch's own materializations — the measured peak
-        // drops below the heap path's.
-        let evict: Option<&[NodeId]> = if self.arena {
-            Some(&self.kernel_deaths[kid])
-        } else {
-            None
-        };
+        // The interpreter frees each dying input as soon as its last
+        // reading segment completes, so its buffer recycles into the
+        // launch's own materializations.
         let res = fused::run_program(
             &self.policy,
-            graph,
+            &self.graph,
             &plan.ir,
             program,
             &mut self.values,
             &self.aux_softmax,
             &self.aux_argmax,
-            evict,
+            Some(&self.kernel_deaths[kid]),
         )?;
         self.live_bytes -= res.evicted_bytes;
         for (n, aux) in res.new_aux_softmax {
@@ -1285,50 +985,6 @@ mod tests {
         sess.insert_value(1, Tensor::zeros(&[4, 4]));
         assert_eq!(sess.live_bytes, 64);
         assert_eq!(sess.peak_bytes, 128);
-    }
-
-    /// Reordering is one-time work: the session pays it at build, and
-    /// every subsequent run reports the *same* preprocessing figure
-    /// instead of accumulating or re-measuring it — the amortization
-    /// contract the paper's runtime-preprocessing argument relies on.
-    #[test]
-    fn reorder_cost_is_reported_and_amortizes() {
-        let pairs: Vec<(u32, u32)> = (0..15u32).map(|v| (v, v + 1)).collect();
-        let graph = Graph::from_edge_list(&EdgeList::from_pairs(16, &pairs));
-        let plan = tiny_plan();
-        let policy = ExecPolicy::serial().reordered(gnnopt_core::ReorderPolicy::Rcm);
-        let mut sess = Session::builder(&plan, &graph)
-            .policy(policy)
-            .env(EnvOverrides::Off)
-            .build()
-            .unwrap();
-        let (strategy, seconds) = sess.reorder();
-        assert_eq!(strategy, gnnopt_core::ReorderPolicy::Rcm);
-        assert!(seconds > 0.0, "preprocessing cost must be measured");
-
-        let bindings = Bindings::new().with("h", Tensor::ones(&[16, 2]));
-        let mut reported = Vec::new();
-        for _ in 0..3 {
-            sess.forward(&bindings).unwrap();
-            let s = sess.stats();
-            assert_eq!(s.reorder, gnnopt_core::ReorderPolicy::Rcm);
-            reported.push(s.reorder_seconds);
-        }
-        assert_eq!(reported[0], seconds, "stats repeat the build-time figure");
-        assert!(
-            reported.windows(2).all(|w| w[0] == w[1]),
-            "the cost is one-time, not per-step: {reported:?}"
-        );
-
-        // An identity session reports no preprocessing at all.
-        let mut sess = Session::builder(&plan, &graph)
-            .policy(ExecPolicy::serial())
-            .env(EnvOverrides::Off)
-            .build()
-            .unwrap();
-        sess.forward(&bindings).unwrap();
-        assert_eq!(sess.stats().reorder, gnnopt_core::ReorderPolicy::None);
-        assert_eq!(sess.stats().reorder_seconds, 0.0);
     }
 
     /// The precomputed death lists must cover every kernel-owned node

@@ -90,9 +90,7 @@ use crate::{contain, fused, ExecError, Result};
 use gnnopt_core::fault;
 use gnnopt_core::memplan::{self, Liveness};
 use gnnopt_core::view::{self, View};
-use gnnopt_core::{
-    EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, NodeId, OpKind, Phase, ReorderPolicy, Space,
-};
+use gnnopt_core::{EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, NodeId, OpKind, Phase, Space};
 use gnnopt_graph::{EdgeList, Graph, Partition};
 use gnnopt_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
@@ -1127,8 +1125,6 @@ impl<'a> Multi<'a> {
         }
         self.stats.shards = self.num_shards();
         self.stats.threads = self.policy.threads;
-        self.stats.arena = self.shards[0].arena();
-        self.stats.reorder = ReorderPolicy::None;
         self.stats.cut_edges = self.maps.cut_edges;
         self.stats.halo_vertices = self.maps.halo_rows.iter().map(|h| h.len() as u64).sum();
         self.stats.planned_peak_bytes = self
@@ -1509,7 +1505,6 @@ pub struct ShardedSessionBuilder<'a> {
     shards: Option<usize>,
     strategy: ShardStrategy,
     policy: Option<ExecPolicy>,
-    arena: Option<bool>,
     env: EnvOverrides,
 }
 
@@ -1535,13 +1530,6 @@ impl<'a> ShardedSessionBuilder<'a> {
     #[must_use]
     pub fn policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Pins the per-shard static arenas on or off (default: on).
-    #[must_use]
-    pub fn arena(mut self, arena: bool) -> Self {
-        self.arena = Some(arena);
         self
     }
 
@@ -1572,22 +1560,15 @@ impl<'a> ShardedSessionBuilder<'a> {
             if let Some(p) = self.policy {
                 b = b.policy(p);
             }
-            if let Some(a) = self.arena {
-                b = b.arena(a);
-            }
             return Ok(ShardedSession {
                 inner: Inner::Single(Box::new(b.build()?)),
             });
         }
 
-        // Resolve policy / arena exactly like SessionBuilder.
+        // Resolve the policy exactly like SessionBuilder.
         let mut policy = self.policy.unwrap_or(self.plan.exec);
-        let env_arena = self.env.resolve(&mut policy)?;
+        self.env.resolve(&mut policy)?;
         self.graph.validate().map_err(ExecError::Graph)?;
-        let arena = self.arena.or(env_arena).unwrap_or(true);
-        // Shard-local ids must stay aligned with the exchange maps, so
-        // runtime reordering is pinned off under sharding.
-        policy.reorder = ReorderPolicy::None;
         let policy = policy.resolved(gnnopt_tensor::parallel::available_threads);
 
         // Classify, cutting every kernel that cannot run whole until
@@ -1615,7 +1596,7 @@ impl<'a> ShardedSessionBuilder<'a> {
         let (maps, graphs) = ShardMaps::build(&plan.ir, self.graph, part);
         let shards: Vec<Session<'a>> = graphs
             .into_iter()
-            .map(|g| Session::assemble_owned(plan.clone(), g, policy, arena))
+            .map(|g| Session::assemble(plan.clone(), Held::Owned(Arc::new(g)), policy))
             .collect::<Result<_>>()?;
         let fwd_kernels = shards[0].fwd_kernel_ids().to_vec();
         let bwd_kernels = shards[0].bwd_kernel_ids().to_vec();
@@ -1668,7 +1649,6 @@ impl<'a> ShardedSession<'a> {
             shards: None,
             strategy: ShardStrategy::default(),
             policy: None,
-            arena: None,
             env: EnvOverrides::default(),
         }
     }

@@ -264,7 +264,6 @@ fn pool_exhaustion_degrades_to_counted_heap_fallbacks() {
     let b = bindings(&spec, &g);
 
     let mut clean = Session::builder(&compiled.plan, &g)
-        .arena(true)
         .env(EnvOverrides::Off)
         .build()
         .unwrap();
@@ -273,7 +272,6 @@ fn pool_exhaustion_degrades_to_counted_heap_fallbacks() {
 
     let _guard = FaultGuard::install("pool.take:exhaust").unwrap();
     let mut sess = Session::builder(&compiled.plan, &g)
-        .arena(true)
         .env(EnvOverrides::Off)
         .build()
         .unwrap();

@@ -219,7 +219,7 @@ fn session_parallel_matches_serial_bitwise_including_peak_memory() {
     let run = |policy: ExecPolicy| {
         let mut sess = Session::builder(&compiled.plan, &g)
             .policy(policy)
-            .env(EnvOverrides::Ignore)
+            .env(EnvOverrides::Off)
             .build()
             .expect("session");
         let mut b = Bindings::new();

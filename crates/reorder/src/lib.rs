@@ -25,14 +25,15 @@
 //! `reorder_ablation` bench binary reports the trade-off on the paper's
 //! datasets.
 //!
-//! Both techniques run **on real hardware** through `gnnopt-exec`: a
-//! session whose `ExecPolicy` names a `ReorderPolicy` (or the
-//! `GNNOPT_REORDER` override) relabels its CSR graph once at build via
-//! [`Permutation::apply_to_graph`] — a *stable* permutation that keeps
-//! per-destination reduction order, so results match the identity
-//! ordering — and the fused interpreter can bind workers to bounded
-//! edge groups (`ExecPolicy::group_workers`), realizing the
-//! neighbor-grouping load-balance on CPU workers.
+//! The executor knows neither technique. A caller who wants gather
+//! locality on real hardware relabels **once**, before building a
+//! session: [`Permutation::apply_to_graph`] — a *stable* permutation
+//! that keeps per-destination reduction order, so outputs match the
+//! identity ordering bit for bit — returns the relabeled graph and the
+//! canonical-edge map it induces, [`Permutation::permute_tensor_rows`]
+//! moves the vertex (and, through the edge map, edge) bindings, and
+//! [`Permutation::unpermute_tensor_rows`] brings outputs back
+//! (`tests/reorder_exec.rs` in the workspace root pins the round trip).
 //!
 //! ```
 //! use gnnopt_graph::{generators, Graph};

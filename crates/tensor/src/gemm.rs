@@ -33,16 +33,12 @@
 //!
 //! # Selection
 //!
-//! [`GemmKernel::from_env`] reads the `GNNOPT_GEMM` environment variable
-//! (`naive` | `blocked`, default blocked); `gnnopt-exec` threads the
-//! choice through `ExecPolicy` so sessions pin it explicitly, and the
-//! session builder surfaces an invalid value as a loud policy error (same
-//! contract as `GNNOPT_THREADS`).
+//! There is none at run time: `Tensor::matmul` and every `Linear`-family
+//! kernel of `gnnopt-exec` call the blocked engine. The naive loop is
+//! the reference the property suite holds it to, reachable only through
+//! the explicit `matmul*_with(.., GemmKernel)` entry points.
 
 use crate::parallel::{available_threads, chunk_bounds as split_bounds};
-
-/// Environment variable selecting the GEMM kernel (`naive` | `blocked`).
-pub const GEMM_ENV_VAR: &str = "GNNOPT_GEMM";
 
 /// Register-tile height of the portable microkernel: rows of `C` held in
 /// registers.
@@ -74,9 +70,8 @@ const NC: usize = 256;
 /// Which dense kernel executes `matmul` / `matmul_tn` / `matmul_nt`.
 ///
 /// Both kernels produce **bit-identical** results (see the module docs);
-/// the choice only trades speed. `Blocked` is the default everywhere;
-/// `Naive` remains as the reference the equivalence suites pin against
-/// and as the `GNNOPT_GEMM=naive` escape hatch.
+/// the choice only trades speed. `Blocked` is what everything runs;
+/// `Naive` remains as the reference the equivalence suites pin against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmKernel {
     /// The reference `ikj` loop (scalar row updates, no packing).
@@ -84,48 +79,6 @@ pub enum GemmKernel {
     /// Packed panels + `MR × NR` register-tiled microkernel.
     #[default]
     Blocked,
-}
-
-impl GemmKernel {
-    /// Parses the `GNNOPT_GEMM` spelling of a kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the valid spellings on
-    /// anything other than `naive` / `blocked`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Ok(Self::Naive),
-            "blocked" => Ok(Self::Blocked),
-            other => Err(format!(
-                "unknown GEMM kernel '{other}' (expected naive|blocked)"
-            )),
-        }
-    }
-
-    /// Reads the `GNNOPT_GEMM` override. Returns `Ok(None)` when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`GemmKernel::parse`] error when the variable is set
-    /// to an unknown spelling. Infallible callers
-    /// ([`GemmKernel::from_env`]) fall back to the default; `gnnopt-exec`
-    /// surfaces it as a session policy error.
-    pub fn env() -> Result<Option<Self>, String> {
-        match std::env::var(GEMM_ENV_VAR) {
-            Ok(raw) => Self::parse(&raw)
-                .map(Some)
-                .map_err(|e| format!("{GEMM_ENV_VAR}: {e}")),
-            Err(_) => Ok(None),
-        }
-    }
-
-    /// The kernel `Tensor::matmul` (and friends) use when no explicit
-    /// choice is plumbed in: the `GNNOPT_GEMM` override when valid, else
-    /// [`GemmKernel::Blocked`].
-    pub fn from_env() -> Self {
-        Self::env().ok().flatten().unwrap_or_default()
-    }
 }
 
 /// Operand layout of a product `C[m,n] = A' · B'`.
@@ -873,15 +826,6 @@ mod tests {
                 assert!(max < 1e-4, "Nt {kernel:?} t={threads}: {max}");
             }
         }
-    }
-
-    #[test]
-    fn kernel_parse_and_env_spellings() {
-        assert_eq!(GemmKernel::parse("naive"), Ok(GemmKernel::Naive));
-        assert_eq!(GemmKernel::parse(" Blocked "), Ok(GemmKernel::Blocked));
-        let err = GemmKernel::parse("turbo").unwrap_err();
-        assert!(err.contains("turbo") && err.contains("blocked"));
-        assert_eq!(GemmKernel::default(), GemmKernel::Blocked);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Matrix multiplication and transposition.
 //!
 //! All three dense products (`matmul`, `matmul_tn`, `matmul_nt`) route
-//! through the shared engine in [`crate::gemm`]: a [`GemmKernel`]
-//! selects the register-tiled blocked kernel (the default) or the naive
-//! reference loops, and the work is partitioned over `std::thread::scope`
-//! workers (pool size from [`crate::parallel::available_threads`], shared
-//! with the `gnnopt-exec` graph kernels) above a work threshold. Both
-//! kernels and every thread count produce **bit-identical** results; see
-//! the [`crate::gemm`] module docs for why.
+//! through the shared engine in [`crate::gemm`]: the register-tiled
+//! blocked kernel, or — through the `*_with` entry points only — the
+//! naive reference loops the tests compare it against, with the work
+//! partitioned over `std::thread::scope` workers (pool size from
+//! [`crate::parallel::available_threads`], shared with the `gnnopt-exec`
+//! graph kernels) above a work threshold. Both kernels and every thread
+//! count produce **bit-identical** results; see the [`crate::gemm`]
+//! module docs for why.
 
 use crate::gemm::{gemm, pinned_threads, GemmKernel, Layout};
 use crate::{Result, Tensor, TensorError};
@@ -35,16 +36,15 @@ fn skip_zero_rows(a: &[f32], b: &[f32]) -> bool {
 }
 
 impl Tensor {
-    /// Dense matrix product `self[m,k] × other[k,n] → [m,n]` under the
-    /// process-default kernel ([`GemmKernel::from_env`], i.e. the
-    /// `GNNOPT_GEMM` override or the blocked engine).
+    /// Dense matrix product `self[m,k] × other[k,n] → [m,n]` on the
+    /// blocked engine.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `self.cols() ==
     /// other.rows()`.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_with(other, GemmKernel::from_env())
+        self.matmul_with(other, GemmKernel::Blocked)
     }
 
     /// [`Tensor::matmul`] under an explicit [`GemmKernel`], auto worker
@@ -112,7 +112,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless row counts match.
     pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_tn_with(other, GemmKernel::from_env())
+        self.matmul_tn_with(other, GemmKernel::Blocked)
     }
 
     /// [`Tensor::matmul_tn`] under an explicit [`GemmKernel`], auto
@@ -174,7 +174,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_nt_with(other, GemmKernel::from_env())
+        self.matmul_nt_with(other, GemmKernel::Blocked)
     }
 
     /// [`Tensor::matmul_nt`] under an explicit [`GemmKernel`], auto

@@ -22,9 +22,8 @@
 //! kernels never enter a scope, so their temporaries take the ordinary
 //! heap path — the zero-allocation steady-state guarantee is a property
 //! of the *serial* executor, which is exactly the configuration the
-//! counting allocator test pins. With no active scope (for example
-//! `GNNOPT_ARENA=0`) every function here degenerates to the plain
-//! `Vec` behavior, byte for byte.
+//! counting allocator test pins. With no active scope every function
+//! here degenerates to the plain `Vec` behavior, byte for byte.
 //!
 //! # Why steady state reaches a fixed point
 //!
@@ -64,31 +63,24 @@ fn with_current<R>(f: impl FnOnce(&mut PoolInner) -> R) -> Option<R> {
 
 /// RAII bracket that installs a [`Pool`] as the current thread's
 /// allocation target for the guard's lifetime, surviving early returns
-/// and panics. `ScopeGuard::new(None)` is a no-op, so callers can
-/// bracket unconditionally.
-pub struct ScopeGuard {
-    on: bool,
-}
+/// and panics.
+pub struct ScopeGuard(());
 
 impl ScopeGuard {
-    /// Installs `pool` (when `Some`) on the current thread. Brackets
-    /// nest: the innermost installed pool wins, and re-installing the
-    /// same pool is harmless.
-    pub fn new(pool: Option<&Pool>) -> Self {
-        if let Some(p) = pool {
-            CURRENT.with(|c| c.borrow_mut().push(p.clone()));
-        }
-        Self { on: pool.is_some() }
+    /// Installs `pool` on the current thread. Brackets nest: the
+    /// innermost installed pool wins, and re-installing the same pool is
+    /// harmless.
+    pub fn new(pool: &Pool) -> Self {
+        CURRENT.with(|c| c.borrow_mut().push(pool.clone()));
+        Self(())
     }
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if self.on {
-            CURRENT.with(|c| {
-                c.borrow_mut().pop();
-            });
-        }
+        CURRENT.with(|c| {
+            c.borrow_mut().pop();
+        });
     }
 }
 
@@ -349,7 +341,7 @@ mod tests {
     #[test]
     fn scoped_take_put_roundtrip() {
         let pool = Pool::new();
-        let _g = ScopeGuard::new(Some(&pool));
+        let _g = ScopeGuard::new(&pool);
         put_f32(Vec::with_capacity(16));
         let v = take_f32(10);
         assert!(v.capacity() >= 16, "best fit grants the pooled buffer");
@@ -362,7 +354,7 @@ mod tests {
     #[test]
     fn zero_sized_requests_bypass_the_pool() {
         let pool = Pool::new();
-        let _g = ScopeGuard::new(Some(&pool));
+        let _g = ScopeGuard::new(&pool);
         put_f32(Vec::with_capacity(4));
         let v = take_f32(0);
         assert_eq!(v.capacity(), 0);
@@ -373,9 +365,7 @@ mod tests {
         assert!(!active());
         {
             let pool = Pool::new();
-            let _g = ScopeGuard::new(Some(&pool));
-            assert!(active());
-            let _h = ScopeGuard::new(None);
+            let _g = ScopeGuard::new(&pool);
             assert!(active());
         }
         assert!(!active());
@@ -386,11 +376,11 @@ mod tests {
         let a = Pool::new();
         let b = Pool::new();
         {
-            let _g = ScopeGuard::new(Some(&a));
+            let _g = ScopeGuard::new(&a);
             put_f32(Vec::with_capacity(64));
         }
         {
-            let _g = ScopeGuard::new(Some(&b));
+            let _g = ScopeGuard::new(&b);
             // b never saw a's buffer: the take is a miss.
             let v = take_f32(64);
             assert_eq!(v.capacity(), 64);
@@ -410,7 +400,7 @@ mod tests {
         let pool = Pool::new();
         assert_eq!(pool.misses(), 0);
         {
-            let _g = ScopeGuard::new(Some(&pool));
+            let _g = ScopeGuard::new(&pool);
             put_f32(Vec::with_capacity(8));
             let v = take_f32(8); // hit
             assert_eq!(pool.misses(), 0);
@@ -437,9 +427,9 @@ mod tests {
     fn inner_scope_shadows_outer() {
         let outer = Pool::new();
         let inner = Pool::new();
-        let _g = ScopeGuard::new(Some(&outer));
+        let _g = ScopeGuard::new(&outer);
         {
-            let _h = ScopeGuard::new(Some(&inner));
+            let _h = ScopeGuard::new(&inner);
             put_f32(Vec::with_capacity(8));
         }
         assert_eq!(outer.resident_bytes(), 0);

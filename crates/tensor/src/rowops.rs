@@ -20,9 +20,9 @@
 //! pattern of the [`crate::gemm`] module. Because both monomorphizations
 //! compile the *same* Rust body — IEEE element operations, no
 //! fused-multiply-add contraction (only `avx2` is enabled, and Rust never
-//! contracts) — the two paths are bit-identical by construction. The CI
-//! gate pins this by re-running the suite under
-//! [`ROWOPS_ENV_VAR`]`=scalar`, which forces the scalar build.
+//! contracts) — the two paths are bit-identical by construction, and
+//! `dispatched_paths_are_bit_identical_to_scalar` pins it for every
+//! entry point at every row length.
 //!
 //! Accumulation order within a row is element-independent (no horizontal
 //! reductions), so vectorization never reorders floating-point math:
@@ -32,25 +32,13 @@
 //! has one uniform rule. Rows shorter than one AVX2 vector
 //! (`AVX2_MIN_LEN`) run the portable body inline on both paths.
 
-/// Environment variable selecting the rowops build: set to `scalar` to
-/// force the portable path even when AVX2 is available (the CI
-/// bit-identity leg). Any other value (or unset) keeps runtime detection.
-pub const ROWOPS_ENV_VAR: &str = "GNNOPT_ROWOPS";
-
 /// True when the AVX2 monomorphizations should be used: AVX2 detected at
-/// runtime and not overridden by [`ROWOPS_ENV_VAR`]`=scalar`. Resolved
-/// once per process (the primitives run on rows as narrow as two
-/// elements, so the check must not touch the environment per call).
+/// runtime (the standard library caches the CPUID probe, so this is one
+/// atomic load per call).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn use_avx2() -> bool {
-    use std::sync::OnceLock;
-    static USE_AVX2: OnceLock<bool> = OnceLock::new();
-    *USE_AVX2.get_or_init(|| {
-        let forced_scalar =
-            std::env::var(ROWOPS_ENV_VAR).is_ok_and(|v| v.trim().eq_ignore_ascii_case("scalar"));
-        !forced_scalar && std::arch::is_x86_feature_detected!("avx2")
-    })
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Rows shorter than one AVX2 vector take the portable body inline: the
@@ -62,10 +50,10 @@ fn use_avx2() -> bool {
 #[cfg(target_arch = "x86_64")]
 const AVX2_MIN_LEN: usize = 8;
 
-/// The portable loop bodies — the *definition* of every primitive. The
-/// AVX2 path re-monomorphizes these exact functions with wider codegen;
-/// tests and the CI scalar leg call them directly to pin bit-identity
-/// against the dispatched entry points.
+/// The portable loop bodies — the *definition* of every primitive, and
+/// the only path on hosts without AVX2. The AVX2 path re-monomorphizes
+/// these exact functions with wider codegen; tests call them directly to
+/// pin bit-identity against the dispatched entry points.
 pub mod scalar {
     /// `o[i] += x[i]` (the `Gather(Sum)` inner loop).
     #[inline(always)]
@@ -525,8 +513,8 @@ mod tests {
 
     /// The dispatched entry points must be bit-identical to the scalar
     /// bodies for every row length (SIMD width 8 makes remainders of
-    /// every residue class interesting) — the same contract the CI
-    /// `GNNOPT_ROWOPS=scalar` leg pins at suite scale.
+    /// every residue class interesting). Every dispatched entry point
+    /// is listed: this test is the whole scalar↔AVX2 contract.
     #[test]
     fn dispatched_paths_are_bit_identical_to_scalar() {
         for len in 0..40usize {

@@ -200,8 +200,7 @@ fn every_fusion_and_recompute_level_matches_the_oracle() {
 
 /// A plan assembled without lowering (empty `programs`, as a pass-by-pass
 /// harness builds it before calling `lower_plan`) is refused with a typed
-/// error at the first kernel — with the arena on or off — instead of
-/// being run some other way.
+/// error at the first kernel instead of being run some other way.
 #[test]
 fn plan_without_programs_is_refused_at_the_first_kernel() {
     let g = Graph::from_edge_list(&generators::erdos_renyi(16, 48, 3));
@@ -214,23 +213,20 @@ fn plan_without_programs_is_refused_at_the_first_kernel() {
     for (k, v) in spec.init_values(&g, 4) {
         b.insert(&k, v);
     }
-    for arena in [true, false] {
-        let mut sess = Session::builder(&plan, &g)
-            .arena(arena)
-            .env(EnvOverrides::Off)
-            .build()
-            .expect("building needs no programs");
-        match sess.forward(&b) {
-            Err(ExecError::Protocol(msg)) => {
-                assert!(
-                    msg.contains("K0") && msg.contains("no lowered program"),
-                    "{msg}"
-                );
-            }
-            other => panic!("expected a Protocol error, got {other:?}"),
+    let mut sess = Session::builder(&plan, &g)
+        .env(EnvOverrides::Off)
+        .build()
+        .expect("building needs no programs");
+    match sess.forward(&b) {
+        Err(ExecError::Protocol(msg)) => {
+            assert!(
+                msg.contains("K0") && msg.contains("no lowered program"),
+                "{msg}"
+            );
         }
-        assert!(!sess.poisoned(), "a refusal is not a contained panic");
+        other => panic!("expected a Protocol error, got {other:?}"),
     }
+    assert!(!sess.poisoned(), "a refusal is not a contained panic");
 }
 
 fn leaf_values(ir: &gnnopt::core::IrGraph, g: &Graph, seed: u64) -> HashMap<String, Tensor> {

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{arb_steps, build_ir};
-use gnnopt::core::{compile, CompileOptions, OpKind, Preset, ReorderPolicy};
+use gnnopt::core::{compile, CompileOptions, OpKind, Preset};
 use gnnopt::exec::{refexec, Bindings, Session};
 use gnnopt::graph::{EdgeList, Graph};
 use gnnopt::models::{gat, gcn, GatConfig, GcnConfig};
@@ -81,8 +81,7 @@ proptest! {
     }
 
     /// `refexec::evaluate` and a default session agree bit for bit on
-    /// random model IRs (parameter gradients up to reassociation when an
-    /// ambient `GNNOPT_REORDER` makes the session relabel its graph).
+    /// random model IRs, outputs and every parameter gradient.
     #[test]
     fn oracle_matches_default_session_on_random_irs(
         steps in arb_steps(), g in arb_graph(), seed in 0u64..1000,
@@ -110,13 +109,8 @@ proptest! {
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&oracle.outputs[0]), bits(&out[0]), "output bits");
         prop_assert_eq!(oracle.grads.len(), grads.len());
-        let reordered = sess.reorder().0 != ReorderPolicy::None;
         for (k, v) in &oracle.grads {
-            if reordered {
-                prop_assert!(v.allclose_with(&grads[k], 1e-5, 1e-4), "grad {}", k);
-            } else {
-                prop_assert_eq!(bits(v), bits(&grads[k]), "grad {} bits", k);
-            }
+            prop_assert_eq!(bits(v), bits(&grads[k]), "grad {} bits", k);
         }
     }
 }

@@ -202,7 +202,6 @@ fn warmed_sharded_step_stays_inside_the_planned_arena() {
                 let mut sess = ShardedSession::builder(&compiled.plan, &g)
                     .shards(k)
                     .policy(policy)
-                    .arena(true)
                     .env(EnvOverrides::Off)
                     .build()
                     .expect("sharded session");
@@ -338,18 +337,10 @@ fn env_shard_count_is_honored() {
     let vals = spec.init_values(&g, 37);
     let b = bindings_from(&vals);
 
-    // The reference session must reorder exactly like the sharded one,
-    // or a `GNNOPT_REORDER` CI leg pushes the comparison out of the
-    // sharding contract (exact bits) into the reordering contract
-    // (param grads equal only up to FP reassociation): the single-shard
-    // fast path honors the ambient env (so resolve it Loud here too),
-    // while the multi-shard driver pins reordering off (so pin it off
-    // with `EnvOverrides::Off` — every other env knob is bit-exact).
-    let mut plain_builder = Session::builder(&compiled.plan, &g).policy(ExecPolicy::serial());
-    if expected > 1 {
-        plain_builder = plain_builder.env(EnvOverrides::Off);
-    }
-    let mut plain = plain_builder.build().unwrap();
+    let mut plain = Session::builder(&compiled.plan, &g)
+        .policy(ExecPolicy::serial())
+        .build()
+        .unwrap();
     let ref_out = plain.forward(&b).unwrap();
     let seed = Tensor::ones(ref_out[0].shape());
     let ref_grads = plain.backward(seed.clone()).unwrap();

@@ -1,6 +1,6 @@
-//! Steady-state allocation counting on the executor that ships. With
-//! the arena on, every *tensor* of a warmed [`Session::step`] comes out
-//! of the planner-seeded buffer pool (`fallback_allocs == 0`); what still
+//! Steady-state allocation counting on the executor that ships. Every
+//! *tensor* of a warmed [`Session::step`] comes out of the
+//! planner-seeded buffer pool (`fallback_allocs == 0`); what still
 //! allocates is the interpreter's per-launch planning (step tables,
 //! operand lists) — a few hundred small allocations per step. This gate
 //! pins what is true of that count: it repeats exactly from step to
@@ -8,9 +8,8 @@
 //! (nothing allocates per vertex, per edge or per tile — the property the
 //! repeat-only gate missed when the tiled `EdgeSoftmaxBwd` allocated per
 //! destination vertex), the numeric guard adds nothing to it, concurrent
-//! sessions do not perturb each other's, the arena lowers it, and a
-//! two-shard session — cut kernels and global kernels included — repeats
-//! its own count too. A
+//! sessions do not perturb each other's, and a two-shard session — cut
+//! kernels and global kernels included — repeats its own count too. A
 //! `#[global_allocator]` shim counts every `alloc`/`realloc`/
 //! `alloc_zeroed` so the properties are enforced, not eyeballed.
 //! (Hoisting the per-launch planning to session build, so the count can
@@ -84,15 +83,9 @@ fn steady_allocs(sess: &mut Session, b: &Bindings, seed: &Tensor) -> [u64; 2] {
     })
 }
 
-fn session<'a>(
-    plan: &'a ExecutionPlan,
-    g: &'a Graph,
-    policy: ExecPolicy,
-    arena: bool,
-) -> Session<'a> {
+fn session<'a>(plan: &'a ExecutionPlan, g: &'a Graph, policy: ExecPolicy) -> Session<'a> {
     Session::builder(plan, g)
         .policy(policy)
-        .arena(arena)
         .env(EnvOverrides::Off)
         .build()
         .unwrap()
@@ -108,7 +101,7 @@ fn inputs(spec: &ModelSpec, plan: &ExecutionPlan, g: &Graph) -> (Bindings, Tenso
 }
 
 #[test]
-fn warm_step_allocations_repeat_and_the_arena_lowers_them() {
+fn warm_step_allocations_repeat() {
     let g = Graph::from_edge_list(&generators::erdos_renyi(96, 960, 7));
     // Four times the vertices, sixteen times the edges, four tiles
     // instead of one.
@@ -119,49 +112,39 @@ fn warm_step_allocations_repeat_and_the_arena_lowers_them() {
         let (b, seed) = inputs(&spec, &compiled.plan, &g);
 
         let (b4, seed4) = inputs(&spec, &compiled.plan, &g4);
-        let mut big_sess = session(&compiled.plan, &g4, ExecPolicy::serial(), true);
+        let mut big_sess = session(&compiled.plan, &g4, ExecPolicy::serial());
         let on_big_graph = steady_allocs(&mut big_sess, &b4, &seed4);
 
-        let mut arena_sess = session(&compiled.plan, &g, ExecPolicy::serial(), true);
-        let with_arena = steady_allocs(&mut arena_sess, &b, &seed);
-        let fallbacks = arena_sess.stats().fallback_allocs;
+        let mut sess = session(&compiled.plan, &g, ExecPolicy::serial());
+        let plain = steady_allocs(&mut sess, &b, &seed);
+        let fallbacks = sess.stats().fallback_allocs;
 
         // The numeric guard's all-finite scan path must be free:
         // `GNNOPT_GUARD=1` may not buy per-step allocations.
         let guarded = ExecPolicy::serial().with_guard(true);
-        let with_guard = steady_allocs(&mut session(&compiled.plan, &g, guarded, true), &b, &seed);
-
-        let mut heap_sess = session(&compiled.plan, &g, ExecPolicy::serial(), false);
-        let without = steady_allocs(&mut heap_sess, &b, &seed);
+        let with_guard = steady_allocs(&mut session(&compiled.plan, &g, guarded), &b, &seed);
 
         eprintln!(
-            "{name}: steady-state allocations/step: arena={with_arena:?} \
-             larger-graph={on_big_graph:?} guarded={with_guard:?} heap={without:?}"
+            "{name}: steady-state allocations/step: {plain:?} \
+             larger-graph={on_big_graph:?} guarded={with_guard:?}"
         );
         assert_eq!(
-            on_big_graph, with_arena,
+            on_big_graph, plain,
             "{name}: a warmed step's allocation count must not depend on |V| or |E|"
         );
         assert_eq!(
-            with_arena[0], with_arena[1],
+            plain[0], plain[1],
             "{name}: a warmed step's allocation count must repeat exactly"
         );
         assert_eq!(
             fallbacks, 0,
-            "{name}: every tensor of a warmed arena step comes out of the pool"
+            "{name}: every tensor of a warmed step comes out of the pool"
         );
         assert_eq!(
-            with_guard, with_arena,
+            with_guard, plain,
             "{name}: the numeric guard must scan without allocating"
         );
-        assert!(
-            with_arena[0] < without[0],
-            "{name}: the arena must allocate fewer times than the heap path \
-             ({} vs {})",
-            with_arena[0],
-            without[0]
-        );
-        solo.push(with_arena[0]);
+        solo.push(plain[0]);
     }
 
     two_concurrent_sessions_allocate_their_solo_counts(&g, solo[0] + solo[1]);
@@ -181,7 +164,6 @@ fn sharded_steps_allocate_a_fixed_count(g: &Graph) {
     let mut sess = ShardedSession::builder(&compiled.plan, g)
         .shards(2)
         .policy(ExecPolicy::serial())
-        .arena(true)
         .env(EnvOverrides::Off)
         .build()
         .unwrap();
@@ -226,7 +208,7 @@ fn two_concurrent_sessions_allocate_their_solo_counts(g: &Graph, solo_sum: u64) 
             let barrier = &barrier;
             scope.spawn(move || {
                 let (b, seed) = inputs(spec, &compiled.plan, g);
-                let mut sess = session(&compiled.plan, g, ExecPolicy::serial(), true);
+                let mut sess = session(&compiled.plan, g, ExecPolicy::serial());
                 sess.step(&b, &seed).unwrap(); // warmup
                 barrier.wait(); // [0] warmed
                 barrier.wait(); // [1] window open
