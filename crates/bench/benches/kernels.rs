@@ -8,6 +8,7 @@ use gnnopt_core::{compile, CompileOptions, ExecPolicy, FusionLevel, Preset};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
+use gnnopt_tensor::gemm::GemmKernel;
 use gnnopt_tensor::Tensor;
 
 fn bindings_for(spec: &gnnopt_models::ModelSpec, graph: &Graph, seed: u64) -> Bindings {
@@ -212,9 +213,51 @@ fn bench_fused_exec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three `Linear`-family products at the shapes a GNN layer gives
+/// them — tall and skinny, `|V| × k` against `k × n` — on one thread,
+/// with the left operand dense and at ReLU density (half exact zeros).
+/// Density is the axis gnnbench's `tensor.gemm_gflops_linear` probe
+/// cannot see (it multiplies the workload's dense input features), and
+/// a GEMM whose speed depends on it must show here.
+fn bench_gemm_gnn_shapes(c: &mut Criterion) {
+    const V: usize = 16_384;
+    let values = |shape: [usize; 2], seed: u64, relu: bool| {
+        Tensor::from_fn(&shape, |i| {
+            let h = (i as u64 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if relu && h.is_multiple_of(2) {
+                0.0
+            } else {
+                (h % 193) as f32 / 32.0 - 3.0
+            }
+        })
+    };
+    let mut group = c.benchmark_group("gemm_gnn_shapes");
+    for (k, n) in [(256usize, 128usize), (128, 64), (64, 32)] {
+        let w = values([k, n], 1, false);
+        let wt = w.transpose();
+        let g = values([V, n], 2, false);
+        for (density, relu) in [("dense", false), ("relu50", true)] {
+            let h = values([V, k], 3, relu);
+            let id = |op: &str| BenchmarkId::new(op, format!("{k}x{n}/{density}"));
+            let blocked = GemmKernel::Blocked;
+            group.bench_function(id("matmul"), |b| {
+                b.iter(|| h.matmul_with_threads(&w, blocked, 1).expect("h·W"));
+            });
+            group.bench_function(id("matmul_tn"), |b| {
+                b.iter(|| h.matmul_tn_with_threads(&g, blocked, 1).expect("hᵀ·G"));
+            });
+            group.bench_function(id("matmul_nt"), |b| {
+                b.iter(|| h.matmul_nt_with_threads(&wt, blocked, 1).expect("h·(Wᵀ)ᵀ"));
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec
+    targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec,
+        bench_gemm_gnn_shapes
 }
 criterion_main!(benches);

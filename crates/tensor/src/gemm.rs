@@ -1,4 +1,4 @@
-//! Packed, register-tiled GEMM engine: one shared microkernel behind
+//! Blocked, register-tiled GEMM engine: one shared microkernel behind
 //! every dense matrix product in the workspace.
 //!
 //! # Why a blocked kernel
@@ -6,12 +6,23 @@
 //! The reference `ikj` loop ([`GemmKernel::Naive`]) re-streams a full
 //! output row and a full `B` row from cache for every `(i, k)` pair —
 //! three memory operations per two flops. The blocked engine
-//! ([`GemmKernel::Blocked`]) packs `A` and `B` into cache-resident panels
+//! ([`GemmKernel::Blocked`]) walks cache-resident blocks of the operands
 //! and updates an `MR × NR` register tile of `C` per inner iteration, so
-//! the hot loop performs [`NR`] independent multiply-adds per packed
+//! the hot loop performs [`NR`] independent multiply-adds per `A`
 //! element with no loads or stores of `C` at all — the classic
 //! GotoBLAS/BLIS GEBP structure, written so the fixed-width inner loop
-//! autovectorizes.
+//! autovectorizes, with one branch-free microkernel per geometry.
+//!
+//! # What is packed and why
+//!
+//! `B` always: each register-tile-wide column panel is re-read by every
+//! row tile of the block, and a k-major copy makes that one sequential
+//! L1-resident stream. `A` only when transposed (`Tn`): a register tile
+//! of row-major `A` is already `MR` contiguous k-runs, which the
+//! microkernel reads in place. GotoBLAS packs `A` regardless and
+//! amortizes the copy over a wide `n`; GNN layers are tall and skinny
+//! (`m = |V|`, `n = 32…128`), so a packed `A` element would feed only
+//! `2·n` flops and its copy cost 10–35 % of the product.
 //!
 //! # Determinism: bit-identical to the naive loop
 //!
@@ -26,10 +37,11 @@
 //! The cache loops (`jc`, `kc`, `ic`) tile space, and the `kc` loop runs
 //! in increasing order with the partial sum stored back to `C` between
 //! blocks — so each element sees one rounding chain, in the same order,
-//! with the same `mul`-then-`add` rounding (no FMA contraction). The
-//! zero-skip fast path tests the *same* `A` coefficients the naive loop
-//! tests. Results are therefore **bit-identical** across kernels, thread
-//! counts and tile boundaries (property-tested in `tests/properties.rs`).
+//! with the same `mul`-then-`add` rounding (no FMA contraction). Every
+//! term is accumulated, zero coefficients included, so `0·NaN` and
+//! `0·inf` propagate as IEEE 754 says. Results are therefore
+//! **bit-identical** across kernels, thread counts and tile boundaries
+//! (property-tested in `tests/properties.rs`).
 //!
 //! # Selection
 //!
@@ -55,12 +67,12 @@ const MR_WIDE: usize = 6;
 /// Register-tile width of the AVX2 microkernel.
 const NR_WIDE: usize = 16;
 
-/// k-depth of one packed panel pair (`A`: `KC×MR`, `B`: `KC×NR` — both
-/// L1-resident alongside the register tile).
+/// k-depth of one microkernel call (`A` tile: `KC×MR`, packed `B` panel:
+/// `KC×NR` — both L1-resident alongside the register tile).
 const KC: usize = 256;
 
-/// Row count of one packed `A` block (a multiple of both register-tile
-/// heights, so interior blocks carry no ragged panels).
+/// Row count of one `A` block (a multiple of both register-tile
+/// heights, so interior blocks carry no ragged tiles).
 const MC: usize = 96;
 
 /// Column count of one packed `B` block (a multiple of both register-tile
@@ -76,7 +88,7 @@ const NC: usize = 256;
 pub enum GemmKernel {
     /// The reference `ikj` loop (scalar row updates, no packing).
     Naive,
-    /// Packed panels + `MR × NR` register-tiled microkernel.
+    /// Cache blocks + `MR × NR` register-tiled microkernel.
     #[default]
     Blocked,
 }
@@ -105,11 +117,18 @@ impl Layout {
 }
 
 /// The `MH × NW` register-tiled microkernel body: accumulates `kc`
-/// packed steps into a local tile, loading/storing only the
-/// `rows × cols` valid region of `C`.
+/// steps into a local tile, loading/storing only the `rows × cols` valid
+/// region of `C`.
 ///
-/// `SKIP` compiles the zero-skip branch in or out so the dense path stays
-/// branch-free. The accumulation per element is `acc += a * b` in
+/// `B` arrives as a packed k-major panel. `A` is addressed through a
+/// (row stride, k stride) pair — element `(r, kk)` of the tile is
+/// `a[r * rs + kk * ks]` — so the same body reads a packed panel
+/// (`(1, MH)`) or row-major `A` in place (`(lda, 1)`). Rows past a ragged
+/// tile alias the last valid row: their accumulators are never stored,
+/// and an in-place tile never reads outside its operand. `kc`, `rows`
+/// and `cols` are at least 1 — the tile loops produce no empty tile.
+///
+/// Branch-free: the accumulation per element is `acc += a * b` in
 /// increasing `k` — the exact rounding chain of the naive loop (separate
 /// `mul` and `add` roundings; never contracted to FMA).
 ///
@@ -117,9 +136,11 @@ impl Layout {
 /// its own target features (the AVX2 wrapper widens the same code to
 /// 256-bit lanes without a second implementation).
 #[inline(always)]
-fn micro_body<const MH: usize, const NW: usize, const SKIP: bool>(
+#[allow(clippy::too_many_arguments)]
+fn micro_body<const MH: usize, const NW: usize>(
     kc: usize,
-    ap: &[f32],
+    a: &[f32],
+    (rs, ks): (usize, usize),
     bp: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -136,18 +157,13 @@ fn micro_body<const MH: usize, const NW: usize, const SKIP: bool>(
     for (r, accr) in acc.iter_mut().enumerate().take(rows) {
         accr[..cols].copy_from_slice(&c[r * ldc..r * ldc + cols]);
     }
-    let (mut oa, mut ob) = (0, 0);
-    for _ in 0..kc {
-        let av: &[f32; MH] = ap[oa..oa + MH].try_into().expect("packed A panel");
-        let bv: &[f32; NW] = bp[ob..ob + NW].try_into().expect("packed B panel");
+    let arow: [&[f32]; MH] =
+        std::array::from_fn(|r| &a[r.min(rows - 1) * rs..][..(kc - 1) * ks + 1]);
+    let (bsteps, _) = bp[..kc * NW].as_chunks::<NW>();
+    for (kk, bv) in bsteps.iter().enumerate() {
         for r in 0..MH {
-            if SKIP && av[r] == 0.0 {
-                continue;
-            }
-            fmadd(&mut acc[r], av[r], bv);
+            fmadd(&mut acc[r], arow[r][kk * ks], bv);
         }
-        oa += MH;
-        ob += NW;
     }
     for (r, accr) in acc.iter().enumerate().take(rows) {
         c[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
@@ -165,106 +181,64 @@ fn micro_body<const MH: usize, const NW: usize, const SKIP: bool>(
 /// (`is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn micro_avx2<const SKIP: bool>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_avx2(
     kc: usize,
-    ap: &[f32],
+    a: &[f32],
+    strides: (usize, usize),
     bp: &[f32],
     c: &mut [f32],
     ldc: usize,
     rows: usize,
     cols: usize,
 ) {
-    micro_body::<MR_WIDE, NR_WIDE, SKIP>(kc, ap, bp, c, ldc, rows, cols);
+    micro_body::<MR_WIDE, NR_WIDE>(kc, a, strides, bp, c, ldc, rows, cols);
 }
 
-/// Packs the `rows × kc` block of `A` starting at `(i0, k0)` into
-/// k-major `MH`-high panels (`buf[p][kk][r]`), zero-padding the tail
-/// panel. Padded rows contribute nothing: their products are never
-/// stored back.
-///
-/// When `flag_zeroes`, `zeroes[p]` records whether panel `p` holds any
-/// *valid* zero coefficient — the per-panel skip decision: a zero-free
-/// panel runs the branch-free microkernel even when the product asked
-/// for zero skipping, because there is nothing to skip (the tail panel's
-/// padding is flagged conservatively, which only costs it the branchy
-/// kernel). A non-skipping product passes `flag_zeroes = false` and the
-/// scan is elided (the flags are never consulted).
+/// Packs the `kc × cols` block starting at `(k0, c0)` of an operand
+/// indexed `X[kk, j]` into k-major `W`-wide panels (`buf[q][kk][c]`),
+/// zero-padding the tail panel; what a padded lane accumulates is never
+/// stored back to `C`. `transposed` says `x` holds `Xᵀ` row-major
+/// (`X[kk, j] = x[j*ld + kk]`: the right operand of `Nt`) rather than `X`
+/// itself (`x[kk*ld + j]`: `B` of `Nn`/`Tn` — and the left operand of
+/// `Tn`, whose `[k, m]` storage is exactly this for its `A` panels). See
+/// the module docs for which operands are packed at all.
 #[allow(clippy::too_many_arguments)]
-fn pack_a<const MH: usize>(
+fn pack_panels<const W: usize>(
     transposed: bool,
-    a: &[f32],
-    lda: usize,
-    i0: usize,
-    rows: usize,
+    x: &[f32],
+    ld: usize,
     k0: usize,
     kc: usize,
-    buf: &mut Vec<f32>,
-    flag_zeroes: bool,
-    zeroes: &mut Vec<u32>,
-) {
-    let panels = rows.div_ceil(MH);
-    buf.clear();
-    buf.resize(panels * kc * MH, 0.0);
-    zeroes.clear();
-    zeroes.resize(panels, 0);
-    for p in 0..panels {
-        let dst = &mut buf[p * kc * MH..(p + 1) * kc * MH];
-        let valid = MH.min(rows - p * MH);
-        if transposed {
-            // A[i, kk] = a[kk*lda + i]: each k-row is contiguous in i.
-            for kk in 0..kc {
-                let src = &a[(k0 + kk) * lda + i0 + p * MH..][..valid];
-                dst[kk * MH..kk * MH + valid].copy_from_slice(src);
-            }
-        } else {
-            // A[i, kk] = a[i*lda + kk]: transpose row slivers into k-major.
-            for r in 0..valid {
-                let src = &a[(i0 + p * MH + r) * lda + k0..][..kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * MH + r] = v;
-                }
-            }
-        }
-        if flag_zeroes {
-            zeroes[p] = u32::from(valid < MH || dst.contains(&0.0));
-        }
-    }
-}
-
-/// Packs the `kc × cols` block of `B` starting at `(k0, j0)` into
-/// k-major `NW`-wide panels (`buf[q][kk][c]`), zero-padding the tail
-/// panel. Padded columns produce accumulator garbage that is never
-/// stored back.
-#[allow(clippy::too_many_arguments)]
-fn pack_b<const NW: usize>(
-    transposed: bool,
-    b: &[f32],
-    ldb: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
+    c0: usize,
     cols: usize,
     buf: &mut Vec<f32>,
 ) {
-    let panels = cols.div_ceil(NW);
+    let panels = cols.div_ceil(W);
     buf.clear();
-    buf.resize(panels * kc * NW, 0.0);
+    buf.resize(panels * kc * W, 0.0);
     for q in 0..panels {
-        let dst = &mut buf[q * kc * NW..(q + 1) * kc * NW];
-        let valid = NW.min(cols - q * NW);
+        let (dst, _) = buf[q * kc * W..(q + 1) * kc * W].as_chunks_mut::<W>();
+        let valid = W.min(cols - q * W);
         if transposed {
-            // B[kk, j] = b[j*ldb + kk]: transpose column slivers.
+            // Transpose column slivers into k-major.
             for c in 0..valid {
-                let src = &b[(j0 + q * NW + c) * ldb + k0..][..kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * NW + c] = v;
+                let src = &x[(c0 + q * W + c) * ld + k0..][..kc];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    d[c] = v;
                 }
             }
         } else {
-            // B[kk, j] = b[kk*ldb + j]: each k-row is contiguous in j.
-            for kk in 0..kc {
-                let src = &b[(k0 + kk) * ldb + j0 + q * NW..][..valid];
-                dst[kk * NW..kk * NW + valid].copy_from_slice(src);
+            // Each k-row is contiguous in j. A full panel moves as
+            // fixed-size chunks: inline vector moves, where a
+            // variable-length copy is one `memcpy` call per `W` floats.
+            for (kk, d) in dst.iter_mut().enumerate() {
+                let src = &x[(k0 + kk) * ld + c0 + q * W..];
+                if valid == W {
+                    *d = *src.first_chunk().expect("a full panel row");
+                } else {
+                    d[..valid].copy_from_slice(&src[..valid]);
+                }
             }
         }
     }
@@ -288,22 +262,28 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     (i0, m): (usize, usize),
     (j0, n): (usize, usize),
     k: usize,
-    skip_zeros: bool,
-    micro: impl Fn(bool, usize, &[f32], &[f32], &mut [f32], usize, usize, usize),
+    micro: impl Fn(usize, &[f32], (usize, usize), &[f32], &mut [f32], usize, usize, usize),
 ) {
     // Pack buffers cycle through the session buffer pool so a pinned
     // serial GEMM allocates nothing in steady state (worker threads have
     // no active pool scope and fall back to plain `Vec`s). The requests
     // are the largest block each panel loop will resize to.
     let (max_kc, max_mc, max_nc) = (KC.min(k), MC.min(m), NC.min(n));
-    let mut apack = crate::pool::take_f32(max_mc.div_ceil(MH) * MH * max_kc);
     let mut bpack = crate::pool::take_f32(max_nc.div_ceil(NW) * NW * max_kc);
-    let mut azero = crate::pool::take_u32(max_mc.div_ceil(MH));
+    // Only a transposed `A` is packed (a zero-sized request bypasses the
+    // pool): `Nn`/`Nt` slabs take the one buffer for `B` and no other.
+    let a_packed = layout.a_transposed();
+    let apack_len = if a_packed {
+        max_mc.div_ceil(MH) * MH * max_kc
+    } else {
+        0
+    };
+    let mut apack = crate::pool::take_f32(apack_len);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for kc0 in (0..k).step_by(KC) {
             let kc = KC.min(k - kc0);
-            pack_b::<NW>(
+            pack_panels::<NW>(
                 layout.b_transposed(),
                 b,
                 ldb,
@@ -315,37 +295,21 @@ fn blocked_slab<const MH: usize, const NW: usize>(
             );
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a::<MH>(
-                    layout.a_transposed(),
-                    a,
-                    lda,
-                    i0 + ic,
-                    mc,
-                    kc0,
-                    kc,
-                    &mut apack,
-                    skip_zeros,
-                    &mut azero,
-                );
+                if a_packed {
+                    pack_panels::<MH>(false, a, lda, kc0, kc, i0 + ic, mc, &mut apack);
+                }
                 for (q, jr) in (0..nc).step_by(NW).enumerate() {
                     let bp = &bpack[q * kc * NW..(q + 1) * kc * NW];
                     let cols = NW.min(nc - jr);
                     for (p, ir) in (0..mc).step_by(MH).enumerate() {
-                        let ap = &apack[p * kc * MH..(p + 1) * kc * MH];
+                        let (atile, strides) = if a_packed {
+                            (&apack[p * kc * MH..(p + 1) * kc * MH], (1, MH))
+                        } else {
+                            (&a[(i0 + ic + ir) * lda + kc0..], (lda, 1))
+                        };
                         let rows = MH.min(mc - ir);
                         let ctile = &mut out[(ic + ir) * ldc + jc + jr..];
-                        // A zero-free panel has nothing to skip: run it
-                        // branch-free (identical arithmetic either way).
-                        micro(
-                            skip_zeros && azero[p] != 0,
-                            kc,
-                            ap,
-                            bp,
-                            ctile,
-                            ldc,
-                            rows,
-                            cols,
-                        );
+                        micro(kc, atile, strides, bp, ctile, ldc, rows, cols);
                     }
                 }
             }
@@ -353,7 +317,6 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     }
     crate::pool::put_f32(apack);
     crate::pool::put_f32(bpack);
-    crate::pool::put_u32(azero);
 }
 
 /// Runs one blocked slab at the best geometry the host supports: the
@@ -374,7 +337,6 @@ fn blocked_dispatch(
     rows: (usize, usize),
     cols: (usize, usize),
     k: usize,
-    skip_zeros: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -389,16 +351,9 @@ fn blocked_dispatch(
             rows,
             cols,
             k,
-            skip_zeros,
-            |skip, kc, ap, bp, c, ldc, r, cl| {
+            |kc, a, strides, bp, c, ldc, r, cl| {
                 // SAFETY: avx2 support was just detected.
-                unsafe {
-                    if skip {
-                        micro_avx2::<true>(kc, ap, bp, c, ldc, r, cl);
-                    } else {
-                        micro_avx2::<false>(kc, ap, bp, c, ldc, r, cl);
-                    }
-                }
+                unsafe { micro_avx2(kc, a, strides, bp, c, ldc, r, cl) }
             },
         );
         return;
@@ -414,14 +369,7 @@ fn blocked_dispatch(
         rows,
         cols,
         k,
-        skip_zeros,
-        |skip, kc, ap, bp, c, ldc, r, cl| {
-            if skip {
-                micro_body::<MR, NR, true>(kc, ap, bp, c, ldc, r, cl);
-            } else {
-                micro_body::<MR, NR, false>(kc, ap, bp, c, ldc, r, cl);
-            }
-        },
+        micro_body::<MR, NR>,
     );
 }
 
@@ -439,7 +387,6 @@ fn naive_slab(
     (i0, m): (usize, usize),
     (j0, n): (usize, usize),
     k: usize,
-    skip_zeros: bool,
 ) {
     match layout {
         // ikj: stream B rows against the output row.
@@ -448,9 +395,6 @@ fn naive_slab(
                 let arow = &a[(i0 + i) * lda..(i0 + i) * lda + k];
                 let orow = &mut out[i * ldc..i * ldc + n];
                 for (kk, &av) in arow.iter().enumerate() {
-                    if skip_zeros && av == 0.0 {
-                        continue;
-                    }
                     let brow = &b[kk * ldb + j0..kk * ldb + j0 + n];
                     for (o, &bv) in orow.iter_mut().zip(brow) {
                         *o += av * bv;
@@ -464,9 +408,6 @@ fn naive_slab(
                 let arow = &a[kk * lda + i0..kk * lda + i0 + m];
                 let brow = &b[kk * ldb + j0..kk * ldb + j0 + n];
                 for (i, &av) in arow.iter().enumerate() {
-                    if skip_zeros && av == 0.0 {
-                        continue;
-                    }
                     let orow = &mut out[i * ldc..i * ldc + n];
                     for (ov, &bv) in orow.iter_mut().zip(brow) {
                         *ov += av * bv;
@@ -483,9 +424,6 @@ fn naive_slab(
                     let brow = &b[(j0 + j) * ldb..(j0 + j) * ldb + k];
                     let mut acc = *ov;
                     for (&av, &bv) in arow.iter().zip(brow) {
-                        if skip_zeros && av == 0.0 {
-                            continue;
-                        }
                         acc += av * bv;
                     }
                     *ov = acc;
@@ -509,14 +447,11 @@ fn run_slab(
     rows: (usize, usize),
     cols: (usize, usize),
     k: usize,
-    skip_zeros: bool,
 ) {
     match kernel {
-        GemmKernel::Naive => {
-            naive_slab(layout, a, lda, b, ldb, out, ldc, rows, cols, k, skip_zeros)
-        }
+        GemmKernel::Naive => naive_slab(layout, a, lda, b, ldb, out, ldc, rows, cols, k),
         GemmKernel::Blocked => {
-            blocked_dispatch(layout, a, lda, b, ldb, out, ldc, rows, cols, k, skip_zeros);
+            blocked_dispatch(layout, a, lda, b, ldb, out, ldc, rows, cols, k);
         }
     }
 }
@@ -553,7 +488,6 @@ pub fn gemm(
     k: usize,
     n: usize,
     threads: usize,
-    skip_zeros: bool,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -568,20 +502,7 @@ pub fn gemm(
         // computed into a dense local slab and stitched back serially.
         let workers = threads.clamp(1, n);
         if workers < 2 {
-            run_slab(
-                kernel,
-                layout,
-                a,
-                lda,
-                b,
-                ldb,
-                out,
-                n,
-                (0, m),
-                (0, n),
-                k,
-                skip_zeros,
-            );
+            run_slab(kernel, layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
             return;
         }
         let bounds = split_bounds(n, workers);
@@ -604,7 +525,6 @@ pub fn gemm(
                             (0, m),
                             (j0, j1 - j0),
                             k,
-                            skip_zeros,
                         );
                         local
                     })
@@ -626,20 +546,7 @@ pub fn gemm(
         // Row partition: contiguous disjoint output slabs.
         let workers = threads.clamp(1, m);
         if workers < 2 {
-            run_slab(
-                kernel,
-                layout,
-                a,
-                lda,
-                b,
-                ldb,
-                out,
-                n,
-                (0, m),
-                (0, n),
-                k,
-                skip_zeros,
-            );
+            run_slab(kernel, layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
             return;
         }
         let bounds = split_bounds(m, workers);
@@ -666,7 +573,6 @@ pub fn gemm(
                         (i0, rows),
                         (0, n),
                         k,
-                        skip_zeros,
                     );
                 });
             }
@@ -757,9 +663,50 @@ mod tests {
                     k,
                     n,
                     threads,
-                    false,
                 );
                 assert_eq!(out, want, "Nn m={m} k={k} n={n} threads={threads}");
+            }
+        }
+    }
+
+    /// On an AVX2 host every public entry point takes the wide geometry,
+    /// so the portable `4×8` instantiation — its in-place `A` tiles and
+    /// aliased tail rows included — is held to the naive loops here,
+    /// slab by slab, at origins a parallel partition would produce.
+    #[test]
+    fn portable_geometry_is_bit_identical_to_naive() {
+        let (big_m, big_n) = (MC + 2 * MR + 3, 3 * NR + 5);
+        for k in [1usize, 7, KC + 9] {
+            for layout in [Layout::Nn, Layout::Tn, Layout::Nt] {
+                let a = fill(big_m * k, 5);
+                let b = fill(k * big_n, 6);
+                let (lda, ldb) = match layout {
+                    Layout::Nn => (k, big_n),
+                    Layout::Tn => (big_m, big_n),
+                    Layout::Nt => (k, k),
+                };
+                for rows in [(0, big_m), (3, 1), (5, MR - 1), (2, 2 * MR + 1)] {
+                    for cols in [(0, big_n), (NR + 1, 1), (4, NR + 3)] {
+                        let (ldc, len) = (cols.1, rows.1 * cols.1);
+                        let mut want = vec![0.0f32; len];
+                        naive_slab(layout, &a, lda, &b, ldb, &mut want, ldc, rows, cols, k);
+                        let mut out = vec![0.0f32; len];
+                        blocked_slab::<MR, NR>(
+                            layout,
+                            &a,
+                            lda,
+                            &b,
+                            ldb,
+                            &mut out,
+                            ldc,
+                            rows,
+                            cols,
+                            k,
+                            micro_body::<MR, NR>,
+                        );
+                        assert_eq!(out, want, "{layout:?} k={k} rows={rows:?} cols={cols:?}");
+                    }
+                }
             }
         }
     }
@@ -787,18 +734,7 @@ mod tests {
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             for threads in [1usize, 4] {
                 let mut out = vec![0.0f32; m * n];
-                gemm(
-                    kernel,
-                    Layout::Tn,
-                    &at,
-                    &b,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    threads,
-                    false,
-                );
+                gemm(kernel, Layout::Tn, &at, &b, &mut out, m, k, n, threads);
                 let max = out
                     .iter()
                     .zip(&want)
@@ -806,18 +742,7 @@ mod tests {
                     .fold(0.0f32, f32::max);
                 assert!(max < 1e-4, "Tn {kernel:?} t={threads}: {max}");
                 let mut out = vec![0.0f32; m * n];
-                gemm(
-                    kernel,
-                    Layout::Nt,
-                    &a,
-                    &bt,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    threads,
-                    false,
-                );
+                gemm(kernel, Layout::Nt, &a, &bt, &mut out, m, k, n, threads);
                 let max = out
                     .iter()
                     .zip(&want)
@@ -841,7 +766,6 @@ mod tests {
             0,
             0,
             4,
-            true,
         );
         // k = 0 with nonzero m, n leaves the zeroed output untouched.
         let mut out = vec![0.0f32; 6];
@@ -855,7 +779,6 @@ mod tests {
             0,
             3,
             1,
-            false,
         );
         assert_eq!(out, vec![0.0; 6]);
     }

@@ -13,31 +13,12 @@
 use crate::gemm::{gemm, pinned_threads, GemmKernel, Layout};
 use crate::{Result, Tensor, TensorError};
 
-/// Elements of the left operand the zero probe inspects before giving
-/// up. Post-ReLU activations hit a zero within the first few elements;
-/// a dense operand pays at most this bounded scan instead of a full
-/// `m·k` sweep (disabling the skip is always sound — it only forgoes an
-/// optimization that had nothing to skip).
-const ZERO_PROBE_CAP: usize = 4096;
-
-/// Decides the zero-skip fast path for a product `a · b`: skipping an
-/// `a`-coefficient equal to zero is only *useful* when `a` actually
-/// contains zeros (e.g. post-ReLU activations) and only *sound* when `b`
-/// is free of non-finite values, because IEEE 754 defines `0 · ±inf` and
-/// `0 · NaN` as `NaN` — skipping would silently mask a diverging operand
-/// instead of propagating it.
-///
-/// The zero probe early-exits on the first zero and is capped at
-/// [`ZERO_PROBE_CAP`] elements, so the dense common case pays neither
-/// the old unconditional full scan of `b` nor a full sweep of a
-/// vertex-count-sized `a`.
-fn skip_zero_rows(a: &[f32], b: &[f32]) -> bool {
-    a.iter().take(ZERO_PROBE_CAP).any(|&v| v == 0.0) && crate::rowops::first_nonfinite(b).is_none()
-}
-
 impl Tensor {
     /// Dense matrix product `self[m,k] × other[k,n] → [m,n]` on the
-    /// blocked engine.
+    /// blocked engine. Every term is accumulated, whatever the zero
+    /// density of `self` (this and the two transposed products alike): a
+    /// zero coefficient against a `NaN`/`±inf` entry yields `NaN`, as IEEE
+    /// 754 says, so a diverging operand always shows in the product.
     ///
     /// # Errors
     ///
@@ -83,7 +64,6 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        let skip = skip_zero_rows(self.as_slice(), other.as_slice());
         gemm(
             kernel,
             Layout::Nn,
@@ -94,7 +74,6 @@ impl Tensor {
             k,
             n,
             pinned_threads(m * k * n, threads),
-            skip,
         );
         Ok(out)
     }
@@ -147,9 +126,6 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        // Same soundness condition as `matmul`: skipping zero coefficients
-        // is only exact when the multiplied-in rows are finite.
-        let skip = skip_zero_rows(self.as_slice(), other.as_slice());
         gemm(
             kernel,
             Layout::Tn,
@@ -160,7 +136,6 @@ impl Tensor {
             k,
             n,
             pinned_threads(m * k * n, threads),
-            skip,
         );
         Ok(out)
     }
@@ -209,8 +184,6 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        // No zero-skip here: the historical `nt` loop never skipped, and
-        // the gradient-propagation path must stay exactly as it was.
         gemm(
             kernel,
             Layout::Nt,
@@ -221,7 +194,6 @@ impl Tensor {
             k,
             n,
             pinned_threads(m * k * n, threads),
-            false,
         );
         Ok(out)
     }
@@ -302,45 +274,35 @@ mod tests {
     #[test]
     fn zero_times_nan_propagates() {
         // A zero coefficient multiplied into a NaN/inf operand must yield
-        // NaN in the product (IEEE 754), not be skipped: a silently clean
-        // output would mask divergence during training. The skip decision
-        // is now gated on the left operand containing zeros at all, so
-        // this is the regression net for both halves of the predicate.
+        // NaN in the product (IEEE 754): a silently clean output would
+        // mask divergence during training. Every layout and both kernels
+        // accumulate every term, so this holds unconditionally.
+        let a = Tensor::from_rows(&[&[0.0, 1.0]]).unwrap();
+        let b = Tensor::from_rows(&[&[f32::NAN, f32::INFINITY], &[2.0, 3.0]]).unwrap();
+        let neg = Tensor::from_rows(&[&[f32::NEG_INFINITY, 1.0], &[2.0, f32::NAN]]).unwrap();
+        // A sparse left operand against a finite right one still yields
+        // the plain product.
+        let sparse = Tensor::from_rows(&[&[0.0, 2.0]]).unwrap();
+        let dense = Tensor::from_rows(&[&[5.0, -1.0], &[0.5, 4.0]]).unwrap();
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let a = Tensor::from_rows(&[&[0.0, 1.0]]).unwrap();
-            let b = Tensor::from_rows(&[&[f32::NAN, f32::INFINITY], &[2.0, 3.0]]).unwrap();
-            let c = a.matmul_with(&b, kernel).unwrap();
-            assert!(c.at(0, 0).is_nan(), "{kernel:?}: 0·NaN must propagate");
-            assert!(c.at(0, 1).is_nan(), "{kernel:?}: 0·inf + finite is NaN");
-
-            let via_tn = a.transpose().matmul_tn_with(&b, kernel).unwrap();
-            assert!(via_tn.at(0, 0).is_nan() && via_tn.at(0, 1).is_nan());
-
-            // With finite operands the skip stays enabled and exact: a
-            // sparse left operand still produces the plain dense product.
-            let sparse = Tensor::from_rows(&[&[0.0, 2.0]]).unwrap();
-            let dense = Tensor::from_rows(&[&[5.0, -1.0], &[0.5, 4.0]]).unwrap();
-            assert_eq!(
-                sparse.matmul_with(&dense, kernel).unwrap().as_slice(),
-                &[1.0, 8.0]
-            );
-        }
-    }
-
-    #[test]
-    fn zero_free_left_operand_skips_the_finiteness_scan_soundly() {
-        // A left operand with no zeros disables the skip path without
-        // reading `b` — and a non-finite `b` must still propagate through
-        // the plain dense accumulation.
-        let a = Tensor::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Tensor::from_rows(&[&[f32::NAN, 1.0], &[2.0, f32::INFINITY]]).unwrap();
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let c = a.matmul_with(&b, kernel).unwrap();
-            assert!(c.at(0, 0).is_nan(), "{kernel:?}: NaN operand propagates");
-            assert!(
-                c.at(0, 1).is_infinite(),
-                "{kernel:?}: inf operand propagates"
-            );
+            let products = |a: &Tensor, b: &Tensor| {
+                [
+                    ("Nn", a.matmul_with(b, kernel).unwrap()),
+                    ("Tn", a.transpose().matmul_tn_with(b, kernel).unwrap()),
+                    ("Nt", a.matmul_nt_with(&b.transpose(), kernel).unwrap()),
+                ]
+            };
+            for (layout, c) in products(&a, &b) {
+                assert!(c.at(0, 0).is_nan(), "{layout} {kernel:?}: 0·NaN + finite");
+                assert!(c.at(0, 1).is_nan(), "{layout} {kernel:?}: 0·inf + finite");
+            }
+            for (layout, c) in products(&a, &neg) {
+                assert!(c.at(0, 0).is_nan(), "{layout} {kernel:?}: 0·−inf + finite");
+                assert!(c.at(0, 1).is_nan(), "{layout} {kernel:?}: 0·1 + 1·NaN");
+            }
+            for (layout, c) in products(&sparse, &dense) {
+                assert_eq!(c.as_slice(), &[1.0, 8.0], "{layout} {kernel:?}");
+            }
         }
     }
 

@@ -200,8 +200,7 @@ pub mod scalar {
 
 /// Index of the first non-finite element of `x` (NaN or ±inf), or
 /// `None` when every element is finite — the numeric guard's one
-/// streaming pass over a kernel output, also backing the GEMM
-/// zero-skip soundness probe.
+/// streaming pass over a kernel output.
 ///
 /// Unlike the primitives above this returns a value, so it is not
 /// routed through the AVX2 dispatcher; instead it folds a branch-free

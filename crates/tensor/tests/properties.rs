@@ -96,15 +96,32 @@ proptest! {
     }
 }
 
-/// Deterministic pseudo-random operand with an optional sprinkling of
-/// exact zeros (so the zero-skip fast path genuinely fires when asked).
-fn gemm_operand(len: usize, seed: u64, with_zeros: bool) -> Vec<f32> {
+/// Share of exact zeros in a generated left operand: none, a sprinkling
+/// (one in five), or ReLU density (about half) — what a post-activation
+/// `h·W` / `hᵀ·G` product actually sees.
+#[derive(Debug, Clone, Copy)]
+enum Zeros {
+    None,
+    Some,
+    Relu,
+}
+
+const ZEROS: [Zeros; 3] = [Zeros::None, Zeros::Some, Zeros::Relu];
+
+/// Deterministic pseudo-random operand with the requested share of
+/// exact zeros.
+fn gemm_operand(len: usize, seed: u64, zeros: Zeros) -> Vec<f32> {
     (0..len)
         .map(|i| {
             let h = (i as u64)
                 .wrapping_mul(2654435761)
                 .wrapping_add(seed.wrapping_mul(97));
-            if with_zeros && h.is_multiple_of(5) {
+            let zero = match zeros {
+                Zeros::None => false,
+                Zeros::Some => h.is_multiple_of(5),
+                Zeros::Relu => (h >> 3).is_multiple_of(2),
+            };
+            if zero {
                 0.0
             } else {
                 ((h % 193) as f32 - 96.0) / 32.0
@@ -113,8 +130,11 @@ fn gemm_operand(len: usize, seed: u64, with_zeros: bool) -> Vec<f32> {
         .collect()
 }
 
-/// The naive Nn loop on plain indices: the oracle every kernel, layout,
-/// thread count and skip mode must reproduce **bitwise**.
+/// The naive Nn loop on plain indices: the oracle every kernel, layout
+/// and thread count must reproduce **bitwise**. With `skip` it leaves out
+/// every term whose left coefficient is zero — the engine no longer has
+/// such a path, and [`dense_chain_equals_zero_skipping_reference`] is the
+/// proof it never needed one for exactness.
 fn nn_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, skip: bool) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
@@ -141,50 +161,113 @@ fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     t
 }
 
+/// Checks every layout × kernel × thread count against `want` bitwise.
+fn check_all_layouts(
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    want: &[f32],
+) -> Result<(), TestCaseError> {
+    let at = transpose(a, m, k);
+    let bt = transpose(b, k, n);
+    for threads in [1usize, 4] {
+        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
+            for (layout, a, b) in [
+                (Layout::Nn, a, b),
+                (Layout::Tn, &at[..], b),
+                (Layout::Nt, a, &bt[..]),
+            ] {
+                let mut out = vec![0.0f32; m * n];
+                gemm(kernel, layout, a, b, &mut out, m, k, n, threads);
+                prop_assert_eq!(
+                    &out[..],
+                    want,
+                    "{:?} {:?} t={} m={} k={} n={}",
+                    layout,
+                    kernel,
+                    threads,
+                    m,
+                    k,
+                    n
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole determinism contract: the blocked register-tiled
     /// engine is bit-identical to the naive ikj reference on ragged
-    /// shapes (nothing aligned to the MR/NR/KC tile sizes, including
-    /// degenerate 1×n and m×1 extents), across every layout, thread
-    /// count and both zero-skip modes.
+    /// shapes, across every layout and thread count. The shape classes
+    /// are the places an in-place `A` tile (rows past a ragged tile alias
+    /// the last valid row) and the panel packers can go wrong: fewer rows
+    /// than one register tile, row counts off the 6- and 4-row tile
+    /// heights, widths off the 16- and 8-lane panels, 1×n, m×1, 1×1, and
+    /// — with threads = 4 — row-partitioned `Nn`/`Nt` workers starting at
+    /// `i0 ≠ 0` and `Tn` column slabs at `j0 ≠ 0`.
     #[test]
     fn blocked_gemm_is_bit_identical_to_naive(
         seed in 0u64..1000,
         m in 1usize..40, k in 1usize..40, n in 1usize..40,
-        degenerate in 0usize..4,
-        with_zeros in 0usize..2,
-        skip in 0usize..2,
+        class in 0usize..7,
+        zeros in 0usize..3,
     ) {
-        let (with_zeros, skip) = (with_zeros == 1, skip == 1);
-        // Force the degenerate extents the tile tails must survive.
-        let (m, n) = match degenerate {
+        let (m, n) = match class {
             1 => (1, n),
             2 => (m, 1),
             3 => (1, 1),
+            // Below one register tile of either geometry.
+            4 => (1 + m % 5, n),
+            // One past a multiple of both tile heights and panel widths.
+            5 => (12 * (1 + m % 3) + 1, 16 * (1 + n % 2) + 1),
+            // One short of them.
+            6 => (12 * (1 + m % 3) - 1, 16 * (1 + n % 2) - 1),
             _ => (m, n),
         };
-        let a = gemm_operand(m * k, seed, with_zeros);
-        let b = gemm_operand(k * n, seed + 1, false);
-        let want = nn_reference(&a, &b, m, k, n, skip);
-        let at = transpose(&a, m, k);
-        let bt = transpose(&b, k, n);
-        for threads in [1usize, 4] {
-            for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Nn, &a, &b, &mut out, m, k, n, threads, skip);
-                prop_assert_eq!(&out, &want, "Nn {:?} t={}", kernel, threads);
+        let a = gemm_operand(m * k, seed, ZEROS[zeros]);
+        let b = gemm_operand(k * n, seed + 1, Zeros::None);
+        let want = nn_reference(&a, &b, m, k, n, false);
+        check_all_layouts(&a, &b, (m, k, n), &want)?;
+    }
 
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Tn, &at, &b, &mut out, m, k, n, threads, skip);
-                prop_assert_eq!(&out, &want, "Tn {:?} t={}", kernel, threads);
+    /// The same contract past one `KC = 256` panel depth and one `MC = 96`
+    /// row block: in-place `A` tiles are then read at `kc0 > 0` and
+    /// `ic > 0`, and `C` carries partial sums between k-blocks.
+    #[test]
+    fn blocked_gemm_is_bit_identical_past_one_cache_block(
+        seed in 0u64..1000,
+        m in 1usize..120, k in 257usize..300, n in 1usize..24,
+        zeros in 0usize..3,
+    ) {
+        let a = gemm_operand(m * k, seed, ZEROS[zeros]);
+        let b = gemm_operand(k * n, seed + 1, Zeros::None);
+        let want = nn_reference(&a, &b, m, k, n, false);
+        check_all_layouts(&a, &b, (m, k, n), &want)?;
+    }
 
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Nt, &a, &bt, &mut out, m, k, n, threads, skip);
-                prop_assert_eq!(&out, &want, "Nt {:?} t={}", kernel, threads);
-            }
-        }
+    /// Why the engine has no zero-skip path: on finite operands the dense
+    /// chain *is* the zero-skipping one, bit for bit. A skipped term adds
+    /// `±0` to an accumulator that starts at `+0.0` and can never become
+    /// `−0.0` (`x + y` is `−0` only when both are), so leaving it out
+    /// changes nothing — at any zero density, negative values included.
+    #[test]
+    fn dense_chain_equals_zero_skipping_reference(
+        seed in 0u64..1000,
+        m in 1usize..24, k in 1usize..48, n in 1usize..24,
+        zeros in 1usize..3,
+    ) {
+        let a = gemm_operand(m * k, seed, ZEROS[zeros]);
+        let b = gemm_operand(k * n, seed + 1, Zeros::None);
+        let skipping = nn_reference(&a, &b, m, k, n, true);
+        let dense = nn_reference(&a, &b, m, k, n, false);
+        prop_assert_eq!(
+            skipping.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        check_all_layouts(&a, &b, (m, k, n), &skipping)?;
     }
 
     /// `matmul_tn` is parallelized over output column blocks; the
@@ -194,35 +277,32 @@ proptest! {
     fn matmul_tn_parallel_is_bit_identical_to_serial(
         seed in 0u64..1000,
         m in 1usize..24, k in 1usize..64, n in 1usize..24,
-        with_zeros in 0usize..2,
-        skip in 0usize..2,
+        zeros in 0usize..3,
     ) {
-        let (with_zeros, skip) = (with_zeros == 1, skip == 1);
-        let a = gemm_operand(k * m, seed, with_zeros);
-        let b = gemm_operand(k * n, seed + 3, false);
+        let a = gemm_operand(k * m, seed, ZEROS[zeros]);
+        let b = gemm_operand(k * n, seed + 3, Zeros::None);
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             let mut serial = vec![0.0f32; m * n];
-            gemm(kernel, Layout::Tn, &a, &b, &mut serial, m, k, n, 1, skip);
+            gemm(kernel, Layout::Tn, &a, &b, &mut serial, m, k, n, 1);
             for threads in [2usize, 4, 7] {
                 let mut par = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Tn, &a, &b, &mut par, m, k, n, threads, skip);
+                gemm(kernel, Layout::Tn, &a, &b, &mut par, m, k, n, threads);
                 prop_assert_eq!(&par, &serial, "{:?} threads={}", kernel, threads);
             }
         }
     }
 
     /// The `Tensor`-level products agree bitwise across kernels on data
-    /// with ReLU-style zero sparsity (the shape of input the zero-gated
-    /// skip decision actually sees in a GNN step).
+    /// with ReLU-style zero sparsity (the left operand of every
+    /// post-activation `Linear` in a GNN step).
     #[test]
     fn tensor_products_agree_across_kernels(
         seed in 0u64..1000,
         m in 1usize..20, k in 1usize..20, n in 1usize..20,
-        with_zeros in 0usize..2,
+        zeros in 0usize..3,
     ) {
-        let with_zeros = with_zeros == 1;
-        let a = Tensor::new(&[m, k], gemm_operand(m * k, seed, with_zeros)).unwrap();
-        let b = Tensor::new(&[k, n], gemm_operand(k * n, seed + 5, false)).unwrap();
+        let a = Tensor::new(&[m, k], gemm_operand(m * k, seed, ZEROS[zeros])).unwrap();
+        let b = Tensor::new(&[k, n], gemm_operand(k * n, seed + 5, Zeros::None)).unwrap();
         let nn_naive = a.matmul_with(&b, GemmKernel::Naive).unwrap();
         let nn_blocked = a.matmul_with(&b, GemmKernel::Blocked).unwrap();
         prop_assert_eq!(nn_naive.as_slice(), nn_blocked.as_slice());
