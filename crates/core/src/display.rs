@@ -139,106 +139,107 @@ fn view_label(v: View) -> &'static str {
 }
 
 /// Lowered cluster structure: one block per kernel program showing the
-/// kernel boundary (materialization class of every step), the streamed
-/// segment chains, and the per-edge view each step reads its inputs
-/// through.
+/// kernel boundary (materialization class of every step), its segments
+/// in the order they run — a streamed gather's chain under the gather's
+/// own segment, where it executes — and the per-edge view each step
+/// reads its inputs through.
 ///
-/// Sample line — step `%14` of segment 0, tiled, spilled to an interior
-/// tensor, reading input `%12` through the destination endpoint:
+/// Sample — segment 2 streams a `BySrc` gather: the chain step `%31`
+/// holds tile rows there, the gather `%32` is the kernel's output:
 ///
 /// ```text
-///   seg 0 (tiled stream):
-///     %14 gather_sum   V[1,4] interior  ← %12:reduce:by-dst
+///   seg 2 (streamed gather):
+///     %31  binary_Mul   E[64] scratch       ← %30:aligned %17:aligned
+///     %32  gather_Sum   V[64] materialized  ← %31:reduce:by-src
 /// ```
 pub fn dump_programs(plan: &ExecutionPlan) -> String {
     let ir = &plan.ir;
     let mut out = String::new();
     for (k, prog) in plan.kernels.iter().zip(&plan.programs) {
-        // Count populated segments: full steps claim a fresh segment id
-        // even when the preceding tiled segment ended up empty, so the
-        // last id can overshoot the number of segments that exist.
-        let segments = prog
-            .steps
-            .iter()
-            .map(|s| s.segment)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
+        // Prelude steps carry no segment of their own (id 0).
+        let segments: std::collections::BTreeSet<usize> =
+            prog.steps.iter().map(|s| s.segment).collect();
         let _ = writeln!(
             out,
             "k{:<3} {:?} {} steps, {} segment{}",
             k.id,
             k.mapping,
             prog.steps.len(),
-            segments,
-            if segments == 1 { "" } else { "s" }
+            segments.len(),
+            if segments.len() == 1 { "" } else { "s" }
         );
-        let mut seg = usize::MAX;
-        for s in &prog.steps {
-            if s.segment != seg {
-                seg = s.segment;
-                let flavor = match s.exec {
-                    StepExec::Tiled => "tiled stream",
-                    StepExec::Full => "full",
+        for seg in segments {
+            let steps = || prog.steps.iter().filter(|s| s.segment == seg);
+            let flavor = match steps().filter(|s| s.exec == StepExec::Full).count() {
+                0 => "tiled stream",
+                _ if steps().count() > 1 => "streamed gather",
+                _ => "full",
+            };
+            let _ = writeln!(out, "  seg {seg} ({flavor}):");
+            for s in steps() {
+                let node = ir.node(s.node);
+                let space = match s.space {
+                    Space::Vertex => "V",
+                    Space::Edge => "E",
+                    Space::Param => "P",
                 };
-                let _ = writeln!(out, "  seg {seg} ({flavor}):");
+                let storage = match s.storage {
+                    crate::lower::Storage::Materialized => "materialized",
+                    crate::lower::Storage::Interior => "interior",
+                    crate::lower::Storage::Scratch => "scratch",
+                    crate::lower::Storage::Prelude => "prelude",
+                };
+                let reads: Vec<String> = node
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(pos, _)| edge_view(ir, s.node, pos) != View::Unused)
+                    .map(|(pos, &i)| format!("%{i}:{}", view_label(edge_view(ir, s.node, pos))))
+                    .collect();
+                let _ = writeln!(
+                    out,
+                    "    %{:<3} {:<24} {space}[{}] {:<12}{}{}",
+                    s.node,
+                    node.name,
+                    s.cols,
+                    storage,
+                    if s.recompute { " recompute" } else { "" },
+                    if reads.is_empty() {
+                        String::new()
+                    } else {
+                        format!(" ← {}", reads.join(" "))
+                    }
+                );
             }
-            let node = ir.node(s.node);
-            let space = match s.space {
-                Space::Vertex => "V",
-                Space::Edge => "E",
-                Space::Param => "P",
-            };
-            let storage = match s.storage {
-                crate::lower::Storage::Materialized => "materialized",
-                crate::lower::Storage::Interior => "interior",
-                crate::lower::Storage::Scratch => "scratch",
-                crate::lower::Storage::Prelude => "prelude",
-            };
-            let reads: Vec<String> = node
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| edge_view(ir, s.node, pos) != View::Unused)
-                .map(|(pos, &i)| format!("%{i}:{}", view_label(edge_view(ir, s.node, pos))))
-                .collect();
-            let _ = writeln!(
-                out,
-                "    %{:<3} {:<24} {space}[{}] {:<12}{}{}",
-                s.node,
-                node.name,
-                s.cols,
-                storage,
-                if s.recompute { " recompute" } else { "" },
-                if reads.is_empty() {
-                    String::new()
-                } else {
-                    format!(" ← {}", reads.join(" "))
-                }
-            );
         }
     }
     out
 }
 
 /// Offset map of a [`MemoryPlan`](crate::memplan::MemoryPlan): one line
-/// per planned region — tensor, arena offset, granted/requested size,
-/// lifetime interval in kernel positions — plus the arena summary.
+/// per planned region — tensor, arena offset, size, lifetime interval in
+/// kernel positions — then the arena by size class (`class bytes ×
+/// buffers = total`; the `store` rows sum to the arena, the `aux` rows
+/// are the `u32` argmax tables beside it).
 ///
-/// Sample line — node `%14`, 2 KiB at offset 4096, live from position 3
-/// until position 5:
+/// Sample lines — node `%14`, 2 KiB at offset 4096, live from position 3
+/// until position 5; and its class, two buffers of which cover the step:
 ///
 /// ```text
 ///   %14  gather_sum              @4096     2048 B  [3, 5]
+///   store       2048 B × 2 =       4096 B
 /// ```
 pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> String {
     let mut out = String::new();
+    let classes = mem.classes();
+    let aux_bytes: u64 = mem.argmax_tables.iter().map(|&(_, b)| b).sum();
     let _ = writeln!(
         out,
         "memory plan: arena {} B across {} regions, {} positions, aux {} B",
         mem.arena_bytes,
-        mem.buffers().len(),
+        classes.iter().map(|&(_, n)| n).sum::<usize>(),
         mem.positions,
-        mem.aux_bytes
+        aux_bytes
     );
     for r in &mem.regions {
         let life = if r.death == crate::memplan::PERSISTENT {
@@ -246,18 +247,25 @@ pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> St
         } else {
             format!("[{}, {}]", r.birth, r.death)
         };
-        let granted = if r.bytes == r.request {
-            String::new()
-        } else {
-            format!(" (in {} B region)", r.bytes)
-        };
         let _ = writeln!(
             out,
-            "  %{:<3} {:<24} @{:<10} {:>10} B  {life}{granted}",
+            "  %{:<3} {:<24} @{:<10} {:>10} B  {life}",
             r.node,
             plan.ir.node(r.node).name,
             r.offset,
             r.request
+        );
+    }
+    let _ = writeln!(out, "size classes:");
+    for (bytes, n) in classes {
+        let total = bytes * n as u64;
+        let _ = writeln!(out, "  store {bytes:>12} B × {n:<3} = {total:>12} B");
+    }
+    for &(node, bytes) in &mem.argmax_tables {
+        let name = &plan.ir.node(node).name;
+        let _ = writeln!(
+            out,
+            "  aux   {bytes:>12} B × 1   = {bytes:>12} B  argmax of %{node} {name}"
         );
     }
     out

@@ -36,12 +36,13 @@ pub struct ExecPolicy {
     /// gather-style kernels) below which the kernel stays serial; thread
     /// spawning would otherwise dominate.
     pub parallel_threshold: usize,
-    /// Edge budget per tile of the program interpreter: destination
-    /// vertex ranges are cut so each tile covers at most this many edges
-    /// (a single vertex whose in-degree exceeds the budget still gets one
-    /// intact tile — reduction groups never split). Smaller tiles bound
-    /// scratch tighter; the value never affects results, which are
-    /// bit-identical to `refexec::evaluate` for any tiling.
+    /// Row budget per tile of the program interpreter: destination
+    /// vertex ranges are cut so each tile covers at most this many rows
+    /// in either space — edges, and vertices (a single vertex whose
+    /// in-degree exceeds the budget still gets one intact tile —
+    /// reduction groups never split). Smaller tiles bound scratch
+    /// tighter; the value never affects results, which are bit-identical
+    /// to `refexec::evaluate` for any tiling.
     pub tile_edges: usize,
     /// Inert: read only by the frozen `src/bin/gnnbench`; goes when a
     /// `benchmark` PR drops that read.
@@ -68,9 +69,9 @@ impl ExecPolicy {
     /// `std::thread::scope` spawn overhead (~tens of µs per worker).
     pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 17;
 
-    /// Default per-tile edge budget of the fused interpreter: at the
-    /// typical feature widths (≤ a few hundred floats per edge row) a
-    /// tile's scratch stays within L2-cache scale.
+    /// Default per-tile row budget of the fused interpreter: at the
+    /// typical feature widths (≤ a few hundred floats per row) a tile's
+    /// scratch stays within L2-cache scale.
     pub const DEFAULT_TILE_EDGES: usize = 4096;
 
     /// Fixed chunk length (in edges) for heavy-row reductions: rows whose

@@ -41,6 +41,30 @@
 //! its softmax-backward chain in scratch while its two vertex-gradient
 //! gathers (`ByDst` and `BySrc`) both still execute.
 //!
+//! # Streamed segments
+//!
+//! A whole-graph `BySrc` gather (a full step) forces its input to spill
+//! as an interior tensor: the tiled segment writes `O(|E|·d)` rows the
+//! full step immediately re-reads (for a 64-wide RMAT-16 layer that is
+//! ~270 MB each way, the dominant backward cost of GAT and GCN). When a
+//! `Gather(Sum|Mean, BySrc)` is that spill's only consumer and every
+//! step of the spill's producer chain is per-edge computable from full
+//! tensors — scatter broadcasts, elementwise ops, softmax recomputes from
+//! their stashed statistics ([`ProgramStep::recompute`]), all read by
+//! nothing outside the chain — the third lowering pass *streams* the
+//! gather: the chain leaves the tiled segment it was lowered into, joins
+//! the gather's segment as [`Storage::Scratch`] steps, and the
+//! interpreter compiles chain and gather into one unit of its tile loop
+//! (the gather accumulates `out[src(e)] += row(e)` in ascending edge
+//! order, the `BySrc` order of the reference kernel). The spill never
+//! exists — and because the decision is made here, the memory planner
+//! never reserves it either. A vertex-space chain step is always read at
+//! `dst(e)` — a source-endpoint read of a member ends the segment first
+//! — so it is an ordinary tile op over the tile's destinations. A segment
+//! holding tiled steps *and* a full gather is how a program says
+//! "streamed" ([`KernelProgram::streamed`]); nothing at launch re-derives
+//! it.
+//!
 //! # Totality
 //!
 //! Lowering is *total*: [`lower_kernel`] produces a [`KernelProgram`] for
@@ -70,7 +94,8 @@
 //!   scratch for no memory win), except `EdgeSoftmax`, which stays tiled
 //!   to record its fresh max/denominator auxiliaries.
 
-use crate::op::{EdgeGroup, NodeId, OpKind, Space};
+use crate::ir::IrGraph;
+use crate::op::{EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use crate::plan::{ExecutionPlan, Kernel};
 use std::collections::{HashMap, HashSet};
 
@@ -94,9 +119,10 @@ pub enum Storage {
 pub enum StepExec {
     /// Runs inside the destination-tile loop.
     Tiled,
-    /// Runs once over the whole graph via the reference kernel (its own
-    /// segment): source-grouped reductions that cannot tile by
-    /// destination.
+    /// Runs once over the whole graph via the reference kernel:
+    /// source-grouped reductions that cannot tile by destination. A
+    /// segment of its own — except a streamed gather's, which its
+    /// producer chain shares (module docs, "Streamed segments").
     Full,
 }
 
@@ -110,8 +136,10 @@ pub struct ProgramStep {
     /// Tiled vs whole-graph execution.
     pub exec: StepExec,
     /// Execution segment: tiled steps sharing a segment exchange scratch;
-    /// every full step is its own segment. Segments run in ascending
-    /// order.
+    /// a full step is alone in its segment unless it is a streamed
+    /// gather, whose chain runs there with it. Segments run in ascending
+    /// order (steps stay in node order, so a streamed chain's segment ids
+    /// are out of step order).
     pub segment: usize,
     /// Output index space (copied from the node for self-contained size
     /// arithmetic).
@@ -157,13 +185,10 @@ impl KernelProgram {
     /// The interpreter holds *less*: scratch-class pure copies
     /// (`Scatter(CopyU|CopyV)`, `SetHeads`) are aliased to reads of their
     /// source, materialized/interior steps are written into their
-    /// tensors in place, and neither gets a slot; a step whose single
+    /// tensors in place, and neither gets a slot; and a step whose single
     /// reader takes each row once holds a strip of a few rows instead of
-    /// the tile's; and the steps streamed into a later gather are counted
-    /// here, in the segment they were lowered into, though they run — in
-    /// slots no larger — in the gather's. What the interpreter actually
-    /// held is `RunStats::scratch_bytes`; it asserts that never exceeds
-    /// this.
+    /// the tile's. What the interpreter actually held is
+    /// `RunStats::scratch_bytes`; it asserts that never exceeds this.
     pub fn scratch_tile_bytes(
         &self,
         segment: usize,
@@ -195,8 +220,24 @@ impl KernelProgram {
             .filter(|s| s.storage != Storage::Prelude)
             .map(|s| s.segment)
             .collect();
+        segs.sort_unstable();
         segs.dedup();
         segs
+    }
+
+    /// The steps streamed into a `BySrc` gather (module docs, "Streamed
+    /// segments"), in step order: the tiled steps that share a segment
+    /// with a full one. They hold tile slots in the gather's unit and
+    /// never a full tensor.
+    pub fn streamed(&self) -> impl Iterator<Item = &ProgramStep> + '_ {
+        self.steps.iter().filter(|s| {
+            s.exec == StepExec::Tiled
+                && s.storage != Storage::Prelude
+                && self
+                    .steps
+                    .iter()
+                    .any(|g| g.exec == StepExec::Full && g.segment == s.segment)
+        })
     }
 
     /// Bytes a node-by-node evaluation would materialize for the
@@ -290,6 +331,75 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
         OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed => {
             unreachable!("leaves are never kernel members")
         }
+    }
+}
+
+/// The pass-1/2 classes of a kernel's members, as the streaming pass
+/// reads them (prelude steps have a storage class only).
+struct Classes<'a> {
+    ir: &'a IrGraph,
+    storage: &'a HashMap<NodeId, Storage>,
+    exec: &'a HashMap<NodeId, StepExec>,
+    segment: &'a HashMap<NodeId, usize>,
+    recompute: &'a HashSet<NodeId>,
+}
+
+impl Classes<'_> {
+    /// Walks the producer chain of a streamed-gather candidate: true when
+    /// member `id`, read at `dst(e)` iff `at_dst` (the only way to reach
+    /// a vertex-space step), and everything it reads from its own
+    /// segment can be evaluated per edge inside the gather's tile loop.
+    /// `chain` collects the walked steps, producers first.
+    fn streams(&self, id: NodeId, at_dst: bool, chain: &mut Vec<NodeId>) -> bool {
+        let node = self.ir.node(id);
+        // Source rows belong to no destination tile (and an edge-space
+        // step never reads a vertex-space one but through a scatter).
+        if (node.space == Space::Vertex) != at_dst {
+            return false;
+        }
+        if chain.contains(&id) {
+            return true;
+        }
+        // Only tiled scratch/interior members can leave their segment:
+        // materialized steps are kernel boundaries the session must
+        // still receive, and full steps have whole-graph semantics.
+        if self.exec.get(&id) != Some(&StepExec::Tiled)
+            || !matches!(self.storage[&id], Storage::Scratch | Storage::Interior)
+        {
+            return false;
+        }
+        // Full tensors (value store, prelude views, earlier segments)
+        // are readable at any row; a same-segment member is walked.
+        let mut rec = |i: NodeId, at_dst: bool| {
+            self.segment.get(&i) != self.segment.get(&id) || self.streams(i, at_dst, chain)
+        };
+        let (x, y) = (
+            node.inputs[0],
+            *node.inputs.last().expect("ops have inputs"),
+        );
+        let ok = match &node.kind {
+            OpKind::Scatter(f) if node.space == Space::Edge => match f {
+                ScatterFn::CopyU => rec(x, false),
+                ScatterFn::CopyV => rec(y, true),
+                ScatterFn::Bin(_) => rec(x, false) && rec(y, true),
+                ScatterFn::ConcatUV => false,
+            },
+            // Per-edge only from the forward max/denominator, which a
+            // recompute step finds stashed; a fresh softmax sweeps each
+            // destination group three times.
+            OpKind::EdgeSoftmax => self.recompute.contains(&id) && rec(x, false),
+            // Elementwise steps read their operands at their own row.
+            OpKind::Unary(_)
+            | OpKind::UnaryBwd(_)
+            | OpKind::Binary(_)
+            | OpKind::SetHeads { .. }
+            | OpKind::FeatSum => node.inputs.iter().all(|&i| rec(i, at_dst)),
+            _ => false,
+        };
+        if ok {
+            chain.push(id);
+        }
+        ok
     }
 }
 
@@ -406,6 +516,46 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         }
     }
 
+    // Pass 3: streamed gathers (module docs). A full `BySrc` sum/mean
+    // whose spilled input it alone consumes, behind a per-edge computable
+    // chain nothing else reads, takes the chain into its own segment.
+    for &gid in &member_ids {
+        let gather = ir.node(gid);
+        let root = match gather.kind {
+            OpKind::Gather {
+                reduce: ReduceFn::Sum | ReduceFn::Mean,
+                group: EdgeGroup::BySrc,
+            } if exec.get(&gid) == Some(&StepExec::Full) => gather.inputs[0],
+            _ => continue,
+        };
+        if storage.get(&root) != Some(&Storage::Interior) || ir.node(root).space != Space::Edge {
+            continue;
+        }
+        let classes = Classes {
+            ir,
+            storage: &storage,
+            exec: &exec,
+            segment: &segment,
+            recompute: &recompute,
+        };
+        let mut chain = Vec::new();
+        if !classes.streams(root, false, &mut chain) {
+            continue;
+        }
+        // Every chain step must be consumed inside the chain (the root,
+        // by this gather alone) — otherwise its tiled segment still has
+        // to produce it and nothing is saved.
+        let sole = member_ids.iter().all(|&t| {
+            t == gid || chain.contains(&t) || ir.node(t).inputs.iter().all(|i| !chain.contains(i))
+        });
+        if sole {
+            for c in chain {
+                segment.insert(c, segment[&gid]);
+                storage.insert(c, Storage::Scratch);
+            }
+        }
+    }
+
     let mut steps: Vec<ProgramStep> = member_ids
         .iter()
         .map(|&id| {
@@ -445,8 +595,7 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::IrGraph;
-    use crate::op::{BinaryFn, Dim, ReduceFn, ScatterFn, UnaryFn};
+    use crate::op::{BinaryFn, Dim, UnaryFn};
     use crate::pipeline::{compile, CompileOptions};
 
     /// The graph-related section of a GAT layer (same shape as the fusion
@@ -510,6 +659,106 @@ mod tests {
         g
     }
 
+    /// The step computing the (unique) node `pick` selects among the
+    /// programs whose kernel owns it (recompute copies excluded).
+    fn owned_step(
+        plan: &ExecutionPlan,
+        pick: impl Fn(&crate::ir::Node) -> bool,
+    ) -> (&KernelProgram, &ProgramStep) {
+        let mut found = plan.programs.iter().flat_map(|p| {
+            let own = p.steps.iter().filter(|s| !s.recompute);
+            own.filter(|s| pick(plan.ir.node(s.node)))
+                .map(move |s| (p, s))
+        });
+        let hit = found.next().expect("the plan has such a step");
+        assert!(found.next().is_none(), "the pick is unique");
+        hit
+    }
+
+    #[test]
+    fn gat_backward_streams_the_wide_by_src_gather() {
+        // The backward kernel of the feature gradient (k9 of the GAT
+        // zoo model): `∂out[dst(e)] · softmax(e)`, summed by source.
+        let plan = compile(&gat_training_ir(), true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let (prog, gather) = owned_step(&plan, |n| {
+            n.kind.reduction_group() == Some(EdgeGroup::BySrc) && n.dim.total() == 8
+        });
+        let root = plan.ir.node(gather.node).inputs[0];
+        let root = prog.steps.iter().find(|s| s.node == root).unwrap();
+        assert_eq!(plan.ir.node(root.node).kind, OpKind::Binary(BinaryFn::Mul));
+        assert_eq!(gather.exec, StepExec::Full);
+        // The O(|E|·d) root is tile rows in the gather's own segment, not
+        // an interior full tensor — with the whole chain behind it, the
+        // softmax recomputed from its stashed statistics included.
+        assert_eq!(
+            (root.storage, root.exec),
+            (Storage::Scratch, StepExec::Tiled)
+        );
+        assert_eq!(root.segment, gather.segment);
+        let streamed: Vec<NodeId> = prog.streamed().map(|s| s.node).collect();
+        assert!(streamed.contains(&root.node));
+        assert!(streamed
+            .iter()
+            .any(|&n| plan.ir.node(n).kind == OpKind::EdgeSoftmax));
+        for s in prog.streamed() {
+            assert_eq!((s.storage, s.segment), (Storage::Scratch, gather.segment));
+        }
+        assert_eq!(
+            prog.interior_full_bytes(100, 1000),
+            4 * 100 * 8,
+            "the gather's own output"
+        );
+        // Marking steps neither adds nor removes any.
+        for (k, p) in plan.kernels.iter().zip(&plan.programs) {
+            assert_eq!(p.steps.len(), k.nodes.len() + k.recompute.len());
+        }
+    }
+
+    #[test]
+    fn a_spill_with_two_consumers_does_not_stream() {
+        // The attention-score gradient (k5 of the GAT zoo model): the
+        // `E[heads]` `unary_bwd` feeds the `BySrc` full gather *and* the
+        // `ByDst` tiled one, so the tiled segment has to write it anyway.
+        let plan = compile(&gat_training_ir(), true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let (prog, spill) = owned_step(&plan, |n| matches!(n.kind, OpKind::UnaryBwd(_)));
+        assert_eq!(spill.storage, Storage::Interior);
+        assert_eq!(prog.streamed().count(), 0);
+        let readers: Vec<&ProgramStep> = prog
+            .steps
+            .iter()
+            .filter(|s| plan.ir.node(s.node).inputs.contains(&spill.node))
+            .collect();
+        assert_eq!(readers.len(), 2);
+        assert!(readers.iter().all(|r| r.segment > spill.segment));
+    }
+
+    #[test]
+    fn a_chain_holding_a_fresh_softmax_does_not_stream() {
+        // Forward, the softmax sweeps each destination group three times
+        // for its max and denominator: not a per-edge expression, so the
+        // `BySrc` gather behind it reads a spilled tensor.
+        let mut g = IrGraph::new();
+        let a = g.input_vertex("a", Dim::flat(1));
+        let h = g.input_vertex("h", Dim::flat(4));
+        let e = g.scatter(ScatterFn::Bin(BinaryFn::Add), a, a).unwrap();
+        let sm = g.edge_softmax(e).unwrap();
+        let hu = g.scatter(ScatterFn::CopyU, h, h).unwrap();
+        let me = g.binary(BinaryFn::Mul, hu, sm).unwrap();
+        let v = g.gather(ReduceFn::Sum, EdgeGroup::BySrc, me).unwrap();
+        g.mark_output(v);
+        let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;
+        assert_eq!(plan.kernels.len(), 1);
+        let prog = &plan.programs[0];
+        let step = |id: NodeId| prog.steps.iter().find(|s| s.node == id).unwrap();
+        assert!(!step(sm).recompute);
+        assert_eq!(step(me).storage, Storage::Interior);
+        assert_eq!(prog.streamed().count(), 0);
+    }
+
     #[test]
     fn compile_populates_programs_for_fused_kernels() {
         let compiled = compile(&gat_training_ir(), true, &CompileOptions::ours()).unwrap();
@@ -550,13 +799,13 @@ mod tests {
         // A BySrc gather cannot tile by destination ranges: it becomes a
         // whole-graph full step, and the edge intermediate it reads is
         // spilled to a kernel-transient tensor — while the rest of the
-        // chain stays in scratch.
+        // chain stays in scratch. (A max: only sums and means stream.)
         let mut g = IrGraph::new();
         let h = g.input_vertex("h", Dim::flat(4));
         let ew = g.input_edge("ew", Dim::flat(4));
         let hu = g.scatter(ScatterFn::CopyU, h, h).unwrap();
         let me = g.binary(BinaryFn::Mul, hu, ew).unwrap();
-        let v = g.gather(ReduceFn::Sum, EdgeGroup::BySrc, me).unwrap();
+        let v = g.gather(ReduceFn::Max, EdgeGroup::BySrc, me).unwrap();
         g.mark_output(v);
         let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;
         assert_eq!(plan.kernels.len(), 1);

@@ -5,44 +5,57 @@
 //! coordinated; this pass closes the memory leg. Fusion (§5) and
 //! recomputation (§6) decide *which* intermediates exist — the lowered
 //! programs (total since PR 7) enumerate every tensor a step will ever
-//! hold together with its storage class. This module walks those
-//! programs in execution order, derives each tensor's
-//! `[birth, death]` interval in *kernel positions* from the same
-//! external-reader analysis the executor evicts by, and lays the
-//! intervals out in one arena with a first-fit free-list allocator
-//! (exact-size match first, then smallest fitting region, then extend —
-//! a granted region is never split, so every region maps 1:1 onto a
-//! reusable runtime buffer in `gnnopt_tensor::pool`).
+//! hold together with its storage class, streamed chains included
+//! (`lower.rs`, "Streamed segments"). This module walks those programs
+//! in execution order, derives each tensor's `[birth, death]` interval
+//! in *kernel positions* from the same external-reader analysis the
+//! executor evicts by, and lays the intervals out in one arena.
 //!
-//! Storage classes partition the problem exactly as lowering defined
-//! them:
+//! # One fit rule: size classes
+//!
+//! A request is served only by a buffer of its own **size class** — its
+//! exact byte size — here and in the runtime pool
+//! (`gnnopt_tensor::pool`) alike. So the arena is
+//! `Σ_class (peak concurrently live) × class bytes` whatever order
+//! requests arrive in at run time: no small tensor can pin a large
+//! buffer, no large request can find its buffer taken by a small one,
+//! and every region's granted size *is* its request. Each class owns a
+//! contiguous run of equal slots; a region is `(class, slot)`, and maps
+//! 1:1 onto a reusable pool buffer.
+//!
+//! # What is planned
+//!
+//! Everything the session's step takes from the pool's store lists:
 //!
 //! * [`Storage::Materialized`] values cross kernel boundaries and live
-//!   in the session store — they get arena regions spanning birth to
-//!   last external reader (model outputs, stashes, leaves and parameter
-//!   gradients are *persistent*: their regions never free).
+//!   in the session store — regions spanning birth to last external
+//!   reader (model outputs, stashes, leaves and parameter gradients are
+//!   *persistent*: their regions never free).
 //! * [`Storage::Interior`] values exist only inside one fused launch —
-//!   single-position regions.
-//! * [`Storage::Scratch`] stays in the per-worker tile slots the
-//!   interpreter sizes at launch (at most
-//!   [`KernelProgram::scratch_tile_bytes`]; aliased copies hold none,
-//!   single-reader rows a strip) and [`Storage::Prelude`] tensors are
-//!   launch-transient statistics; neither enters the store, so neither
-//!   is offset-planned.
+//!   single-position regions — as do [`Storage::Prelude`] views
+//!   (`O(params)`) and recomputed values, at each backward kernel that
+//!   rebuilds them.
+//! * The max/denominator statistics of every fresh (non-recompute)
+//!   `EdgeSoftmax`: two `V[cols]` tensors that live to session reset.
+//! * The `u32` argmax table of every `Gather(Max)`: a different element
+//!   type, so listed in [`MemoryPlan::argmax_tables`] (the session seeds
+//!   the pool's `u32` list with them) instead of laid out in the arena.
 //!
-//! Recomputed values re-materialize at each backward kernel that
-//! rebuilds them — single-position regions at those kernels.
+//! Tiled [`Storage::Scratch`] steps stay in the per-worker tile slots
+//! the interpreter sizes at launch (at most
+//! [`KernelProgram::scratch_tile_bytes`]); with the GEMM panels and
+//! reduction partials they are the interpreter's *working buffers*,
+//! which the pool keeps on a list of their own and `arena_bytes` does
+//! not cover (a few MB on the benchmark's RMAT-16 workloads; README,
+//! "Static memory planner").
 //!
-//! Softmax max/denominator stashes and argmax tables are accounted in
-//! [`MemoryPlan::aux_bytes`] but not offset-planned: they are a
-//! different element type and orders of magnitude smaller than the
-//! feature tensors.
+//! [`KernelProgram::scratch_tile_bytes`]: crate::lower::KernelProgram::scratch_tile_bytes
 
 use crate::ir::Phase;
-use crate::lower::{StepExec, Storage};
-use crate::op::{NodeId, OpKind, Space};
+use crate::lower::Storage;
+use crate::op::{NodeId, OpKind, ReduceFn, Space};
 use crate::plan::ExecutionPlan;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Death marker for values that live until session reset.
 pub const PERSISTENT: usize = usize::MAX;
@@ -138,8 +151,9 @@ pub struct MemRegion {
     pub node: NodeId,
     /// Byte offset of the region in the arena.
     pub offset: u64,
-    /// Size of the granted region in bytes (≥ `request`; regions are
-    /// never split, so a reused region keeps its original size).
+    /// Size of the granted region in bytes: the region's size class,
+    /// which under the one fit rule equals `request` (checked by the
+    /// plan-invariant suite).
     pub bytes: u64,
     /// Bytes the tensor actually needs.
     pub request: u64,
@@ -165,29 +179,30 @@ pub struct MemoryPlan {
     /// Full per-region detail (lifetimes, granted sizes) for display
     /// and the invariant suites.
     pub regions: Vec<MemRegion>,
-    /// Auxiliary-table bytes (softmax max/denominator stashes, argmax
-    /// tables): accounted, not offset-planned.
-    pub aux_bytes: u64,
+    /// `(node, bytes)` of the `u32` argmax table every `Gather(Max)`
+    /// step fills: seeded into the pool's `u32` list, not part of the
+    /// arena.
+    pub argmax_tables: Vec<(NodeId, u64)>,
     /// Number of execution positions the intervals index into.
     pub positions: usize,
 }
 
 impl MemoryPlan {
-    /// The distinct physical buffers behind the regions, as element
-    /// counts (`f32`s), one per unique offset. Sessions seed the buffer
-    /// pool with exactly these so the first step already finds every
-    /// store buffer.
+    /// The arena by size class: `(class bytes, buffers)` ascending, one
+    /// buffer per distinct offset. `arena_bytes` is the sum of the
+    /// products; sessions seed the buffer pool with exactly these so the
+    /// first step already finds every store buffer.
     #[must_use]
-    pub fn buffers(&self) -> Vec<usize> {
-        let mut seen: HashMap<u64, u64> = HashMap::new();
-        for r in &self.regions {
-            seen.entry(r.offset).or_insert(r.bytes);
+    pub fn classes(&self) -> Vec<(u64, usize)> {
+        let slots: BTreeSet<(u64, u64)> =
+            self.regions.iter().map(|r| (r.bytes, r.offset)).collect();
+        let mut out: Vec<(u64, usize)> = Vec::new();
+        for (bytes, _) in slots {
+            match out.last_mut() {
+                Some((b, n)) if *b == bytes => *n += 1,
+                _ => out.push((bytes, 1)),
+            }
         }
-        let mut out: Vec<usize> = seen
-            .values()
-            .map(|&b| usize::try_from(b / 4).expect("region fits usize"))
-            .collect();
-        out.sort_unstable();
         out
     }
 
@@ -228,12 +243,11 @@ fn node_bytes(plan: &ExecutionPlan, nid: NodeId, nv: usize, ne: usize) -> u64 {
 /// plain allocation on any miss) but exact for capacity: the planned
 /// regions are precisely the buffers a steady-state step cycles
 /// through, so `arena_bytes` bounds the store's working set and
-/// [`MemoryPlan::buffers`] pre-seeds the pool.
+/// [`MemoryPlan::classes`] pre-seeds the pool.
 ///
 /// `_fused` is ignored: it survives only because the frozen
 /// `src/bin/gnnbench` passes it, and goes when a `benchmark` PR drops it.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> MemoryPlan {
     let lv = liveness(plan);
 
@@ -256,6 +270,7 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
 
     // The store-resident intervals: (node, request bytes, birth, death).
     let mut intervals: Vec<(NodeId, u64, usize, usize)> = Vec::new();
+    let mut argmax_tables: Vec<(NodeId, u64)> = Vec::new();
 
     // Leaves are bound before the first kernel; the gradient seed
     // arrives at the start of the backward phase.
@@ -295,124 +310,86 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
             continue;
         };
         for s in &program.steps {
-            match s.storage {
-                // Launch-transient statistics never enter the store;
-                // neither do tiled scratch steps (per-worker slabs).
-                // A *full-exec* scratch step does materialize for
-                // the duration of its launch: the interpreter runs
-                // it whole-graph and hands the result back to the
-                // store until the kernel's eviction pass.
-                Storage::Prelude => {}
-                Storage::Scratch if s.exec == StepExec::Tiled => {}
-                Storage::Scratch => {
-                    let d = death_pos(s.node, kid, p);
-                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
+            // The aux stores a fresh softmax's max/denominator and a
+            // max-gather's argmax table enter empty at session reset.
+            let aux = 4 * nv as u64 * s.cols as u64;
+            match plan.ir.node(s.node).kind {
+                OpKind::EdgeSoftmax if !s.recompute => {
+                    intervals.extend([(s.node, aux, p, PERSISTENT); 2]);
                 }
-                _ if s.recompute => {
-                    if !lv.persistent.contains(&s.node) {
-                        intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, p));
-                    }
-                }
-                Storage::Materialized => {
-                    let d = death_pos(s.node, kid, p);
-                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, d));
-                }
-                Storage::Interior => {
-                    intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, p));
-                }
+                OpKind::Gather {
+                    reduce: ReduceFn::Max,
+                    ..
+                } => argmax_tables.push((s.node, aux)),
+                _ => {}
             }
-        }
-    }
-
-    // Auxiliary tables: per stashed node, two f32 stats tensors for a
-    // softmax (per destination vertex × head), one u32 argmax entry per
-    // gathered element for a max-gather.
-    let mut aux_bytes = 0u64;
-    for &a in &plan.aux_stash {
-        let n = plan.ir.node(a);
-        aux_bytes += match n.kind {
-            OpKind::EdgeSoftmax => 2 * 4 * nv as u64 * n.dim.heads as u64,
-            OpKind::Gather { .. } => 4 * nv as u64 * n.dim.total() as u64,
-            _ => 0,
-        };
-    }
-
-    // First-fit with exact-size preference over a free list of whole
-    // regions, processed in execution order. Determinism: intervals are
-    // visited in the order built above, and the free list is scanned
-    // front to back.
-    #[derive(Clone, Copy)]
-    struct Free {
-        offset: u64,
-        bytes: u64,
-    }
-    let mut free: Vec<Free> = Vec::new();
-    let mut active: Vec<(usize, Free)> = Vec::new(); // (death, region)
-    let mut high = 0u64;
-    let mut regions = Vec::with_capacity(intervals.len());
-
-    // Group births by position (intervals are already birth-sorted per
-    // construction except leaves first — sort stably to be safe).
-    let mut idx: Vec<usize> = (0..intervals.len()).collect();
-    idx.sort_by_key(|&i| intervals[i].2);
-
-    let mut cursor = 0usize;
-    for p in 0..positions {
-        // Release regions whose last live position has passed.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].0 != PERSISTENT && active[i].0 < p {
-                free.push(active.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        while cursor < idx.len() && intervals[idx[cursor]].2 == p {
-            let (nid, request, birth, death) = intervals[idx[cursor]];
-            cursor += 1;
-            if request == 0 {
-                continue;
-            }
-            let grant = if let Some(i) = free.iter().position(|r| r.bytes == request) {
-                free.swap_remove(i)
-            } else {
-                let mut best: Option<usize> = None;
-                for (i, r) in free.iter().enumerate() {
-                    if r.bytes > request && best.is_none_or(|b: usize| free[b].bytes > r.bytes) {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    free.swap_remove(i)
-                } else {
-                    let g = Free {
-                        offset: high,
-                        bytes: request,
-                    };
-                    high += request;
-                    g
-                }
+            let death = match s.storage {
+                // Tiled rows in per-worker slots (every scratch-class
+                // step is tiled; streamed chains are among them).
+                Storage::Scratch => continue,
+                // Launch-transient: parameter views, recomputed values
+                // (a persistent one is still in the store and is read
+                // from there), interior spills.
+                Storage::Prelude => p,
+                _ if s.recompute && lv.persistent.contains(&s.node) => continue,
+                _ if s.recompute => p,
+                Storage::Interior => p,
+                Storage::Materialized => death_pos(s.node, kid, p),
             };
-            active.push((death, grant));
-            regions.push(MemRegion {
-                node: nid,
-                offset: grant.offset,
-                bytes: grant.bytes,
-                request,
-                birth,
-                death,
-            });
+            intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, death));
         }
+    }
+
+    // The one fit rule (module docs), in birth order: a request takes a
+    // free slot of its size class or opens a new one, so a class holds
+    // exactly as many slots as were ever live in it at once.
+    #[derive(Default)]
+    struct Class {
+        slots: u64,
+        free: Vec<u64>,
+        live: Vec<(usize, u64)>, // (death, slot)
+    }
+    let mut classes: BTreeMap<u64, Class> = BTreeMap::new();
+    let mut regions = Vec::with_capacity(intervals.len());
+    intervals.sort_by_key(|&(_, _, birth, _)| birth);
+    for &(node, request, birth, death) in intervals.iter().filter(|i| i.1 > 0) {
+        let Class { slots, free, live } = classes.entry(request).or_default();
+        live.retain(|&(d, slot)| {
+            let alive = d >= birth;
+            if !alive {
+                free.push(slot);
+            }
+            alive
+        });
+        let slot = free.pop().unwrap_or(*slots);
+        *slots = (*slots).max(slot + 1);
+        live.push((death, slot));
+        regions.push(MemRegion {
+            node,
+            offset: slot, // rebased onto the class's run below
+            bytes: request,
+            request,
+            birth,
+            death,
+        });
+    }
+    // Classes sit back to back in ascending size order.
+    let mut arena_bytes = 0u64;
+    for (&bytes, class) in &classes {
+        for r in regions.iter_mut().filter(|r| r.bytes == bytes) {
+            r.offset = arena_bytes + r.offset * bytes;
+        }
+        arena_bytes += class.slots * bytes;
     }
 
     MemoryPlan {
-        arena_bytes: high,
+        arena_bytes,
         offsets: regions
             .iter()
             .map(|r| (r.node, r.offset, r.request))
             .collect(),
         regions,
-        aux_bytes,
+        argmax_tables,
         positions,
     }
 }
@@ -495,11 +472,14 @@ mod tests {
     fn buffers_cover_every_offset() {
         let plan = toy_plan(true);
         let mp = plan_memory(&plan, 16, 48, true);
-        let bufs = mp.buffers();
+        let classes = mp.classes();
         let distinct: std::collections::HashSet<u64> =
             mp.regions.iter().map(|r| r.offset).collect();
-        assert_eq!(bufs.len(), distinct.len());
-        let total: usize = bufs.iter().sum();
-        assert_eq!(4 * total as u64, mp.arena_bytes);
+        assert_eq!(
+            classes.iter().map(|&(_, n)| n).sum::<usize>(),
+            distinct.len()
+        );
+        let total: u64 = classes.iter().map(|&(b, n)| b * n as u64).sum();
+        assert_eq!(total, mp.arena_bytes);
     }
 }

@@ -75,37 +75,42 @@
 //!
 //! # Streamed segments
 //!
-//! A whole-graph `BySrc` gather (a full step) normally forces its input
-//! to spill as an interior tensor: the tiled segment writes `O(|E|·d)`
-//! rows the full step immediately re-reads. When that gather is the
-//! spill's only consumer and the producer chain is per-edge computable
-//! ([`plan_streams`]), the chain is elided from the tiled segments and
-//! compiled together with the gather into one more unit for the same
-//! tile loop: the chain's ops get slots by the rule above (a linear
-//! edge-space chain is row-sized throughout, an elementwise
-//! vertex-space member — read at `dst(e)` — or a member with two
-//! readers is a tile op), and the gather, last, accumulates
-//! `out[src(e)] += row(e)` over the tile's edges in ascending order.
-//! Workers own source-vertex ranges there, each walks every tile and
-//! skips the edges it does not own — the partition (of about as many
-//! out-edges each) and the accumulation order of
-//! [`crate::kernels::gather`]'s `BySrc` scan. A pull covers the run of
-//! consecutive edges the worker owns (sources ascend within a
-//! destination group, so each group is one run per worker), which is
-//! what divides the row-sized members' work by the worker count;
-//! tile-sized members (a vertex-space one over the tile's destinations)
-//! are evaluated by every worker. The spill never exists; this is the
-//! dominant backward-phase cost of GAT/GCN on power-law graphs.
+//! A segment that holds tiled steps *and* a full `BySrc` gather is a
+//! streamed gather: lowering found the gather to be the only consumer of
+//! a per-edge computable producer chain and moved the chain into the
+//! gather's segment instead of spilling its root as an `O(|E|·d)`
+//! interior tensor (`gnnopt_core::lower`, "Streamed segments" — the
+//! decision is the program's, nothing here re-derives it). Chain and
+//! gather compile into one more unit for the same tile loop: the chain's
+//! ops get slots by the rule above (a linear edge-space chain is
+//! row-sized throughout, an elementwise vertex-space member — read at
+//! `dst(e)` — or a member with two readers is a tile op), and the
+//! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
+//! edges in ascending order. Workers own source-vertex ranges there,
+//! each walks every tile and skips the edges it does not own — the
+//! partition (of about as many out-edges each) and the accumulation
+//! order of [`crate::kernels::gather`]'s `BySrc` scan, so results stay
+//! bit-identical to the materializing path for any thread count. A pull
+//! covers the run of consecutive edges the worker owns (sources ascend
+//! within a destination group, so each group is one run per worker),
+//! which is what divides the row-sized members' work by the worker
+//! count; tile-sized members (a vertex-space one over the tile's
+//! destinations) are evaluated by every worker. The spill never exists;
+//! this is the dominant backward-phase cost of GAT/GCN on power-law
+//! graphs.
 //!
 //! # Tiling and determinism
 //!
 //! Destination tiles are cut greedily along `indptr` with at most
-//! [`gnnopt_core::ExecPolicy::tile_edges`] edges per tile (a single
-//! vertex whose in-degree exceeds the budget still gets one intact tile —
-//! reduction groups never split). Because the canonical edge numbering is
-//! destination-major, a tile `[v0, v1)` owns the contiguous edge rows
-//! `[indptr[v0], indptr[v1])`, every `ByDst` group is wholly inside one
-//! tile, and per-vertex edge order is preserved. Each op evaluates the
+//! [`gnnopt_core::ExecPolicy::tile_edges`] rows in either space per tile
+//! — edges, and vertices too, so a run of low-degree vertices cannot
+//! make a vertex-space tile slot outgrow the cache the edge budget was
+//! chosen for (a single vertex whose in-degree exceeds the budget still
+//! gets one intact tile — reduction groups never split). Because the
+//! canonical edge numbering is destination-major, a tile `[v0, v1)` owns
+//! the contiguous edge rows `[indptr[v0], indptr[v1])`, every `ByDst`
+//! group is wholly inside one tile, and per-vertex edge order is
+//! preserved. Each op evaluates the
 //! *same expressions in the same order* as the reference kernels in
 //! [`crate::kernels`] — both call the shared feature-axis loops of
 //! [`gnnopt_tensor::rowops`], and aliasing, tile-wide execution or a
@@ -120,8 +125,11 @@
 //! materialized outputs and auxiliaries — no atomics. Every worker
 //! carves its tile- and row-sized slots out of one pooled buffer, the
 //! tile-sized ones fitting its largest tile, and reuses them across its
-//! tiles; what is held (aliased copies, elided chains and sinks hold
-//! nothing) is reported as `RunStats::scratch_bytes`.
+//! tiles; what is held (aliased copies and sinks hold nothing) is
+//! reported as `RunStats::scratch_bytes`. The buffer is one of the
+//! launch's *working buffers*: a serial launch takes it from the
+//! session pool's working list (`gnnopt_tensor::pool::take_work_f32`),
+//! which the memory plan does not cover.
 
 use crate::kernels::{
     binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, plan_threads, reduce_row_mean,
@@ -134,7 +142,7 @@ use gnnopt_core::{
 };
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, rowops, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Everything a fused kernel launch produced for the session's stores.
@@ -163,7 +171,7 @@ enum Src {
     /// A live full tensor in the session's value store.
     Global(NodeId),
     /// A same-segment step (index into `KernelProgram::steps`): its
-    /// scratch slot, or whatever the step aliases.
+    /// slot, or whatever the step aliases.
     Slot(usize),
     /// An earlier segment's materialized/interior tensor (full rows,
     /// complete before this segment runs).
@@ -178,172 +186,12 @@ struct StepPlan {
     space: Space,
     cols: usize,
     storage: Storage,
+    /// Rebuilds a forward value inside a backward kernel: a softmax then
+    /// reads the statistics its forward run stashed.
+    recompute: bool,
     srcs: Vec<Src>,
     /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
     dins: Vec<Dim>,
-}
-
-/// Finds full-step `Gather(Sum|Mean, BySrc)` reductions whose whole
-/// producer chain can be evaluated inside the gather's own tile loop, and
-/// returns, per such gather step, the chain in dependency order (every
-/// `Src::Slot` operand of a step precedes the step; the last entry is the
-/// interior root the gather reads).
-///
-/// A source-grouped reduction cannot tile by destination, so lowering
-/// runs it as a whole-graph full step and spills its input — an
-/// `O(|E|·d)` interior tensor the tiled segment writes and the full step
-/// immediately re-reads (for a 64-wide RMAT-16 layer that is ~270 MB of
-/// traffic each way, the dominant backward cost of GAT and GCN). When
-/// that interior is consumed by nothing else and every step of its
-/// producer chain is per-edge computable from full tensors — scatter
-/// broadcasts, elementwise ops, stash-backed softmax recomputes — the
-/// chain is *elided from the tiled segment entirely* and compiled,
-/// together with the gather, into one streamed segment (module docs), so
-/// the edge-space intermediate never exists in memory.
-///
-/// A vertex-space chain step is always read at `dst(e)` — lowering ends
-/// the segment before a source-endpoint read of a member, so a `CopyU`
-/// only ever sees full tensors — which makes it an ordinary vertex-space
-/// tile op over the tile's destinations.
-///
-/// **Determinism**: the streamed segment evaluates the *same expressions*
-/// as the tiled steps (the same [`rowops`] calls on the same rows) and
-/// accumulates each output row in ascending canonical edge order —
-/// exactly the `BySrc` order of [`crate::kernels::gather`] — so results
-/// stay bit-identical to the materializing path for any thread count.
-fn plan_streams(
-    steps: &[StepPlan],
-    program: &KernelProgram,
-    ir: &IrGraph,
-    aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
-) -> HashMap<usize, Vec<usize>> {
-    // Recursive chain walk: `at_dst` says the operand is read at
-    // `dst(e)` (the only way to reach a vertex-space step). Returns false
-    // as soon as anything in the chain is not per-edge evaluable.
-    #[allow(clippy::too_many_arguments)]
-    fn visit(
-        si: usize,
-        at_dst: bool,
-        steps: &[StepPlan],
-        program: &KernelProgram,
-        ir: &IrGraph,
-        aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
-        order: &mut Vec<usize>,
-        visited: &mut HashSet<usize>,
-    ) -> bool {
-        let sp = &steps[si];
-        // Source rows belong to no destination tile (and an edge-space
-        // step never reads a vertex-space one but through a scatter).
-        if (sp.space == Space::Vertex) != at_dst {
-            return false;
-        }
-        if !visited.insert(si) {
-            return true;
-        }
-        // Only tiled scratch/interior members can be elided: materialized
-        // steps are kernel boundaries the session must still receive, and
-        // full steps have whole-graph semantics of their own.
-        if program.steps[si].exec != StepExec::Tiled
-            || !matches!(sp.storage, Storage::Scratch | Storage::Interior)
-        {
-            return false;
-        }
-        let mut rec = |src: Src, at_dst: bool| -> bool {
-            match src {
-                // Full tensors (value store, prelude views, earlier
-                // segments) are readable at any row.
-                Src::Global(_) | Src::Prelude(_) | Src::Mat(_) => true,
-                Src::Slot(step) => visit(
-                    step,
-                    at_dst,
-                    steps,
-                    program,
-                    ir,
-                    aux_softmax,
-                    order,
-                    visited,
-                ),
-            }
-        };
-        let ok = match &ir.node(sp.node).kind {
-            OpKind::Scatter(f) if sp.space == Space::Edge => {
-                let x = sp.srcs[0];
-                let y = *sp.srcs.last().expect("scatter has inputs");
-                match f {
-                    ScatterFn::CopyU => rec(x, false),
-                    ScatterFn::CopyV => rec(y, true),
-                    ScatterFn::Bin(_) => rec(x, false) && rec(y, true),
-                    ScatterFn::ConcatUV => false,
-                }
-            }
-            // Softmax is per-edge only when the forward max/denominator
-            // are stashed (the recomputation plan's O(|V|) auxiliaries).
-            OpKind::EdgeSoftmax => aux_softmax.contains_key(&sp.node) && rec(sp.srcs[0], false),
-            // Elementwise steps read their operands at their own row.
-            OpKind::Unary(_)
-            | OpKind::UnaryBwd(_)
-            | OpKind::Binary(_)
-            | OpKind::SetHeads { .. }
-            | OpKind::FeatSum => sp.srcs.iter().all(|&s| rec(s, at_dst)),
-            _ => false,
-        };
-        if ok {
-            order.push(si);
-        }
-        ok
-    }
-
-    let mut streams = HashMap::new();
-    for (si, sp) in steps.iter().enumerate() {
-        if program.steps[si].exec != StepExec::Full {
-            continue;
-        }
-        let OpKind::Gather {
-            reduce: ReduceFn::Sum | ReduceFn::Mean,
-            group: EdgeGroup::BySrc,
-        } = ir.node(sp.node).kind
-        else {
-            continue;
-        };
-        let Src::Mat(root) = sp.srcs[0] else { continue };
-        // Only an interior spill can be elided — and only when this
-        // gather is its sole consumer (checked below over all steps).
-        if steps[root].storage != Storage::Interior || steps[root].space != Space::Edge {
-            continue;
-        }
-        let mut order = Vec::new();
-        let mut visited = HashSet::new();
-        if !visit(
-            root,
-            false,
-            steps,
-            program,
-            ir,
-            aux_softmax,
-            &mut order,
-            &mut visited,
-        ) {
-            continue;
-        }
-        // Every chain step must be consumed inside the chain (or, for the
-        // root, by this gather alone) — otherwise the tiled segment still
-        // has to produce it and nothing is saved.
-        let chain: HashSet<usize> = order.iter().copied().collect();
-        let sole = steps.iter().enumerate().all(|(ti, tp)| {
-            ti == si
-                || chain.contains(&ti)
-                || tp.srcs.iter().all(|s| match *s {
-                    Src::Slot(step) => !chain.contains(&step),
-                    Src::Mat(mi) => !chain.contains(&mi),
-                    _ => true,
-                })
-        });
-        if !sole {
-            continue;
-        }
-        streams.insert(si, order);
-    }
-    streams
 }
 
 /// Which row of its data a resolved operand reads when the consuming op
@@ -527,42 +375,36 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Compiles the steps `order` — a tiled segment's live steps, or a
-/// streamed `gather`'s chain, in dependency order, the gather itself
-/// coming last — into tile ops, and gives each its slot size.
+/// Compiles one segment's steps `order` (in step order, which is
+/// dependency order) into tile ops and gives each its slot size: a tiled
+/// segment, or a streamed gather's chain with the gather itself last —
+/// the unit's one sink, every chain step being scratch-class.
 ///
-/// Pure copies compile to no op when they are scratch-class (inside a
-/// streamed chain nothing is materialized, so every copy is): readers get
+/// Pure copies compile to no op when they are scratch-class: readers get
 /// the copy's source with the endpoint pinned.
 ///
 /// # Errors
 ///
 /// [`ExecError::ValueNotLive`] when a `GatherMaxBwd`'s forward argmax
-/// table is not stashed — before any worker spawns.
-fn compile<'a>(env: &Env<'a>, order: &[usize], gather: Option<usize>) -> Result<Vec<TileOp<'a>>> {
-    let streamed = gather.is_some();
-    let mut ops: Vec<TileOp<'a>> = Vec::with_capacity(order.len() + 1);
+/// table or a recomputed `EdgeSoftmax`'s forward statistics are not
+/// stashed (a plan inconsistency; lowering streamed the softmax's chain
+/// on the strength of them, so there is no other way to run it) — before
+/// any worker spawns.
+fn compile<'a>(env: &Env<'a>, order: &[usize]) -> Result<Vec<TileOp<'a>>> {
+    let mut ops: Vec<TileOp<'a>> = Vec::with_capacity(order.len());
     // Per position of `order`, the operand its readers see: the op's
     // slot, or the source a copy was aliased to.
-    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len() + 1);
-    for (pos, si) in order.iter().copied().chain(gather).enumerate() {
+    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len());
+    for (pos, &si) in order.iter().enumerate() {
         let sp = &env.steps[si];
         let node = env.ir.node(sp.node);
-        let is_sink = if streamed {
-            pos == order.len()
-        } else {
-            sp.storage != Storage::Scratch
-        };
-        // (The streamed gather reads its chain's root — a `Mat` of the
-        // segment the chain was elided from — as a slot.)
-        let resolve = |s: Src, reads: &[Operand<'a>]| {
-            let in_unit = match s {
-                Src::Slot(step) | Src::Mat(step) => order[..pos.min(order.len())]
-                    .iter()
-                    .position(|&o| o == step),
-                _ => None,
-            };
-            in_unit.map_or_else(|| Operand::full(env.tensor(s)), |at| reads[at])
+        let is_sink = sp.storage != Storage::Scratch;
+        let resolve = |s: Src, reads: &[Operand<'a>]| match s {
+            Src::Slot(step) => {
+                let at = order[..pos].iter().position(|&o| o == step);
+                reads[at.expect("a same-segment operand precedes its reader")]
+            }
+            _ => Operand::full(env.tensor(s)),
         };
         // A scratch-class pure copy is an alias of the one row it reads.
         let copied = match node.kind {
@@ -590,11 +432,15 @@ fn compile<'a>(env: &Env<'a>, order: &[usize], gather: Option<usize>) -> Result<
                     ScatterFn::Bin(_) | ScatterFn::ConcatUV => srcs.extend([x, y]),
                 }
             }
-            OpKind::EdgeSoftmax => {
-                if let Some((mx, dn)) = env.aux_softmax.get(&sp.node) {
-                    srcs.push(Operand::full(mx).pinned(RowAt::DstV));
-                    srcs.push(Operand::full(dn).pinned(RowAt::DstV));
-                }
+            OpKind::EdgeSoftmax if sp.recompute => {
+                let (mx, dn) =
+                    env.aux_softmax
+                        .get(&sp.node)
+                        .ok_or_else(|| ExecError::ValueNotLive {
+                            node: format!("softmax statistics of node {}", sp.node),
+                        })?;
+                srcs.push(Operand::full(mx).pinned(RowAt::DstV));
+                srcs.push(Operand::full(dn).pinned(RowAt::DstV));
             }
             // The vertex gradient is read at `dst(e)`: pinned, so a
             // row-sized producer is pulled at the vertex, not the edge.
@@ -899,20 +745,23 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
 }
 
 /// Cuts destination-vertex tile boundaries so each tile covers at most
-/// `tile_edges` edges (always at least one vertex per tile).
+/// `tile_edges` rows in either space — edges and vertices (always at
+/// least one vertex per tile, however many edges it has).
 pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
     let n = indptr.len() - 1;
-    // Two consecutive tiles always hold more than `tile_edges` edges
-    // between them (else the cut would not have happened), which bounds
-    // the tile count: one allocation, whatever the graph's size.
-    let most = n.min(2 * indptr[n].div_ceil(tile_edges.max(1)) + 1);
+    let budget = tile_edges.max(1);
+    // A tile cut for its edges holds more than the budget together with
+    // its successor, a tile cut for its vertices holds the budget of
+    // them, which bounds the tile count: one allocation, whatever the
+    // graph's size.
+    let most = n.min(2 * indptr[n].div_ceil(budget) + n / budget + 1);
     let mut bounds = Vec::with_capacity(most + 1);
     bounds.push(0);
     let mut v = 0;
     while v < n {
-        let e0 = indptr[v];
+        let (v0, e0) = (v, indptr[v]);
         v += 1;
-        while v < n && indptr[v + 1] - e0 <= tile_edges {
+        while v < n && v - v0 < budget && indptr[v + 1] - e0 <= tile_edges {
             v += 1;
         }
         bounds.push(v);
@@ -1048,8 +897,9 @@ pub(crate) fn run_program(
             let src = if let Some(&pi) = prelude_idx.get(&i) {
                 Src::Prelude(pi)
             } else if let Some(&si) = step_index.get(&i) {
-                let inp = &program.steps[si];
-                if s.exec == StepExec::Tiled && inp.segment == s.segment {
+                // (A full step shares a segment only with the chain
+                // streamed into it.)
+                if program.steps[si].segment == s.segment {
                     Src::Slot(si)
                 } else {
                     Src::Mat(si)
@@ -1066,21 +916,15 @@ pub(crate) fn run_program(
             space: s.space,
             cols: s.cols,
             storage: s.storage,
+            recompute: s.recompute,
             srcs,
             dins: node.inputs.iter().map(|&i| ir.node(i).dim).collect(),
         });
     }
 
-    // Streamed full-step gathers: their interior producer chains are
-    // elided from the tiled segments below and compiled into the
-    // gather's own segment (see `plan_streams`).
-    let streams = plan_streams(&steps, program, ir, aux_softmax);
-    let elided: HashSet<usize> = streams.values().flatten().copied().collect();
-
     // Mid-launch eviction schedule: each dying global's
     // last reading stage — stage 0 is the prelude pass above, stage
-    // 1 + ordinal each segment. Elided chain members read their operands
-    // inside their gather's segment, so their reads attribute there.
+    // 1 + ordinal each segment.
     let mut evicted_bytes = 0u64;
     let mut last_stage: HashMap<NodeId, usize> = HashMap::new();
     if let Some(dying) = evict {
@@ -1093,26 +937,17 @@ pub(crate) fn run_program(
                 }
             }
         }
-        let mut track = |si: usize, stage: usize| {
-            for &src in &steps[si].srcs {
-                if let Src::Global(id) = src {
-                    if dying.contains(&id) {
-                        last_stage.insert(id, stage);
-                    }
-                }
-            }
-        };
         for (ord, seg) in program.segments().into_iter().enumerate() {
-            for si in 0..steps.len() {
-                if program.steps[si].segment != seg
-                    || program.steps[si].storage == Storage::Prelude
-                    || elided.contains(&si)
-                {
+            for (sp, s) in steps.iter().zip(&program.steps) {
+                if s.segment != seg || s.storage == Storage::Prelude {
                     continue;
                 }
-                track(si, ord + 1);
-                for &mi in streams.get(&si).into_iter().flatten() {
-                    track(mi, ord + 1);
+                for &src in &sp.srcs {
+                    if let Src::Global(id) = src {
+                        if dying.contains(&id) {
+                            last_stage.insert(id, ord + 1);
+                        }
+                    }
                 }
             }
         }
@@ -1133,13 +968,11 @@ pub(crate) fn run_program(
 
     // Full-tensor storage for materialized/interior steps. Tiled ones are
     // pre-allocated (workers fill disjoint chunks); full steps produce
-    // theirs when their segment runs. Elided chain members never
-    // materialize at all.
+    // theirs when their segment runs.
     let mut mat: Vec<Option<Tensor>> = vec![None; steps.len()];
     for (si, sp) in steps.iter().enumerate() {
         if matches!(sp.storage, Storage::Materialized | Storage::Interior)
             && program.steps[si].exec == StepExec::Tiled
-            && !elided.contains(&si)
         {
             let rows = match sp.space {
                 Space::Edge => m,
@@ -1152,12 +985,12 @@ pub(crate) fn run_program(
 
     // Auxiliaries: tiled softmax / gather-max fill global tables in
     // disjoint chunks; a full BySrc gather-max returns its table whole.
-    // (A softmax whose statistics are stashed reads them as operands.)
+    // (A recomputed softmax reads its stashed statistics as operands.)
     let mut fresh_softmax: Vec<(usize, Tensor, Tensor)> = Vec::new();
     let mut argmax_tables: Vec<(usize, Vec<u32>)> = Vec::new();
     for (si, sp) in steps.iter().enumerate() {
         match &ir.node(sp.node).kind {
-            OpKind::EdgeSoftmax if !aux_softmax.contains_key(&sp.node) => {
+            OpKind::EdgeSoftmax if !sp.recompute => {
                 fresh_softmax.push((
                     si,
                     Tensor::full(&[n, sp.cols], f32::NEG_INFINITY),
@@ -1216,9 +1049,7 @@ pub(crate) fn run_program(
     for (ord, seg) in program.segments().into_iter().enumerate() {
         let seg_steps: Vec<usize> = (0..steps.len())
             .filter(|&si| {
-                program.steps[si].segment == seg
-                    && program.steps[si].storage != Storage::Prelude
-                    && !elided.contains(&si)
+                program.steps[si].segment == seg && program.steps[si].storage != Storage::Prelude
             })
             .collect();
         // A tiled segment's full tensors come out of `mat` for chunked
@@ -1242,17 +1073,14 @@ pub(crate) fn run_program(
                 aux_softmax,
                 aux_argmax,
             };
-            // A full segment holds exactly one step; a streamed gather
-            // comes with the chain elided for it.
-            let full = match seg_steps[..] {
-                [si] if program.steps[si].exec == StepExec::Full => Some(si),
-                _ => None,
-            };
-            let chain = full.and_then(|si| streams.get(&si));
-            match (full, chain) {
-                // Every member streamed into a later gather.
-                _ if seg_steps.is_empty() => {}
-                (Some(si), None) => {
+            // A full step is its segment's last; alone there unless
+            // lowering streamed a chain into it.
+            let full = seg_steps
+                .last()
+                .copied()
+                .filter(|&si| program.steps[si].exec == StepExec::Full);
+            match (full, seg_steps.len()) {
+                (Some(si), 1) => {
                     let sp = &steps[si];
                     let t = match &ir.node(sp.node).kind {
                         OpKind::Gather { reduce, group } => {
@@ -1304,8 +1132,7 @@ pub(crate) fn run_program(
                 // unit's last op, every worker walking *all* tiles and
                 // accumulating the source rows it owns (the partition of
                 // `kernels::gather`'s `BySrc` scan).
-                (gather, chain) => {
-                    let order: &[usize] = chain.map_or(&seg_steps, |c| c);
+                (gather, _) => {
                     // A streamed gather's workers own source-vertex ranges
                     // of about as many out-edges each — the split of
                     // `kernels::gather`'s `BySrc` scan — and each walk
@@ -1327,7 +1154,7 @@ pub(crate) fn run_program(
                     } else {
                         &tile_parts
                     };
-                    let ops = compile(&env, order, gather)?;
+                    let ops = compile(&env, &seg_steps)?;
                     // Slot sizes are a pure function of the partition, so the
                     // scratch high-water mark (max over segments, sum over
                     // workers) is known before running — and never exceeds
@@ -1341,7 +1168,7 @@ pub(crate) fn run_program(
                             .iter()
                             .map(|p| {
                                 let (tv, te) = p.max_tile;
-                                program.scratch_tile_bytes(program.steps[order[0]].segment, tv, te)
+                                program.scratch_tile_bytes(seg, tv, te)
                             })
                             .sum::<u64>()
                     );
@@ -1368,7 +1195,7 @@ pub(crate) fn run_program(
                         }
                     }
                     for (si, mx, dn) in &mut fresh_softmax {
-                        if !order.contains(si) {
+                        if !seg_steps.contains(si) {
                             continue;
                         }
                         let cols = steps[*si].cols;
@@ -1379,7 +1206,7 @@ pub(crate) fn run_program(
                         }
                     }
                     for (si, table) in &mut argmax_tables {
-                        if !order.contains(si) {
+                        if !seg_steps.contains(si) {
                             continue;
                         }
                         let cols = steps[*si].cols;
@@ -1401,7 +1228,7 @@ pub(crate) fn run_program(
                         // units run on the session thread); workers see an
                         // inactive pool and allocate.
                         let lens: usize = ops.iter().map(|op| op.slot_len(part.max_tile)).sum();
-                        let mut arena = pool::take_f32(lens);
+                        let mut arena = pool::take_work_f32(lens);
                         arena.resize(lens, 0.0);
                         let mut rest = &mut arena[..];
                         let mut out = out.into_iter();
@@ -1429,7 +1256,7 @@ pub(crate) fn run_program(
                         // and softmax-backward group sums, shared across
                         // ops and tiles.
                         let mut scratch =
-                            pool::take_f32(ops.iter().map(|op| op.cols).max().unwrap_or(0));
+                            pool::take_work_f32(ops.iter().map(|op| op.cols).max().unwrap_or(0));
                         for t in part.tiles.clone() {
                             let (v0, v1) = (tiles[t], tiles[t + 1]);
                             let (e0, e1) = (indptr[v0], indptr[v1]);
@@ -1495,8 +1322,8 @@ pub(crate) fn run_program(
                         }
                         // Recycle the per-worker buffers (no-op off the pool thread).
                         drop(bufs);
-                        pool::put_f32(arena);
-                        pool::put_f32(scratch);
+                        pool::put_work_f32(arena);
+                        pool::put_work_f32(scratch);
                     };
 
                     if let [p] = &parts[..] {
@@ -1999,15 +1826,24 @@ mod tests {
                     edges <= budget || w[1] - w[0] == 1,
                     "budget {budget}: tile {w:?} has {edges} edges"
                 );
+                assert!(
+                    w[1] - w[0] <= budget.max(1),
+                    "budget {budget}: tile {w:?} has too many vertices"
+                );
             }
+            // The capacity bound the function allocates by.
+            let rows = budget.max(1);
+            assert!(b.len() - 1 <= 2 * 10usize.div_ceil(rows) + 6 / rows + 1);
         }
     }
 
     #[test]
     fn tile_bounds_handle_empty_and_edgeless_graphs() {
         assert_eq!(tile_bounds(&[0], 8), vec![0], "no vertices → no tiles");
-        // 3 vertices, 0 edges: one tile covering all of them.
+        // 3 vertices, 0 edges: one tile covering all of them — unless
+        // the budget caps its vertices first.
         assert_eq!(tile_bounds(&[0, 0, 0, 0], 8), vec![0, 3]);
+        assert_eq!(tile_bounds(&[0, 0, 0, 0], 2), vec![0, 2, 3]);
     }
 
     #[test]
@@ -2017,6 +1853,11 @@ mod tests {
         let indptr = [0usize, 1, 8, 9];
         let b = tile_bounds(&indptr, 4);
         assert_eq!(b, vec![0, 1, 2, 3]);
+        // A low-degree tail (one edge among nine vertices) is cut by its
+        // vertices: a vertex-space tile slot holds no more rows than an
+        // edge-space one.
+        let tail = [0usize, 7, 7, 7, 7, 8, 8, 8, 8, 8];
+        assert_eq!(tile_bounds(&tail, 4), vec![0, 1, 5, 9]);
     }
 
     // The streamed `BySrc` gathers' worker split (`kernels::gather`'s

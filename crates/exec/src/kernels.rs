@@ -259,7 +259,7 @@ where
     let cols = out.len();
     let nchunks = rows.div_ceil(PARAM_REDUCE_CHUNK_ROWS).max(1);
     let threads = plan_threads(policy, nchunks, work);
-    let mut partials = pool::take_f32(nchunks * cols);
+    let mut partials = pool::take_work_f32(nchunks * cols);
     partials.resize(nchunks * cols, 0.0);
     let chunk_range =
         |ci: usize| ci * PARAM_REDUCE_CHUNK_ROWS..((ci + 1) * PARAM_REDUCE_CHUNK_ROWS).min(rows);
@@ -289,7 +289,7 @@ where
     for partial in partials.chunks(cols.max(1)) {
         rowops::add_assign(out, partial);
     }
-    pool::put_f32(partials);
+    pool::put_work_f32(partials);
 }
 
 /// Splits a row-major buffer of `cols`-wide rows into the consecutive
@@ -525,7 +525,7 @@ pub fn gather(
         }
         // The heavy-row chunk scratch is pooled so the serial path's hub
         // reductions stay allocation-free in steady state.
-        let mut scratch = pool::take_f32(total);
+        let mut scratch = pool::take_work_f32(total);
         for (i, v) in vs.enumerate() {
             let deg = adj.degree(v);
             if deg == 0 || (split_heavy && deg > heavy) {
@@ -543,7 +543,7 @@ pub fn gather(
                 ReduceFn::Max => unreachable!("handled above"),
             }
         }
-        pool::put_f32(scratch);
+        pool::put_work_f32(scratch);
     };
     if threads < 2 || total == 0 {
         run(0..n, out.as_mut_slice());
@@ -875,7 +875,7 @@ pub fn edge_softmax_bwd(policy: &ExecPolicy, g: &Graph, grad: &Tensor, y: &Tenso
         // One group-sum buffer per worker range, zeroed per vertex — the
         // per-vertex allocation would otherwise dominate the backward's
         // steady-state heap traffic.
-        let mut s = pool::take_f32(total);
+        let mut s = pool::take_work_f32(total);
         s.resize(total, 0.0);
         for v in vs {
             let ids = g.in_adj().edge_ids(v);
@@ -888,7 +888,7 @@ pub fn edge_softmax_bwd(policy: &ExecPolicy, g: &Graph, grad: &Tensor, y: &Tenso
                 rowops::softmax_bwd_row(or, grad.row(e as usize), y.row(e as usize), &s);
             }
         }
-        pool::put_f32(s);
+        pool::put_work_f32(s);
     });
     out
 }

@@ -80,7 +80,7 @@ pub struct RunStats {
     pub threads: usize,
     /// High-water mark of the interpreter's per-worker scratch slots
     /// (total across workers, max over kernels): the slots actually
-    /// held — aliased copies and streamed chains hold none.
+    /// held — aliased copies hold none, single-reader rows a strip.
     pub scratch_bytes: u64,
     /// Kernel programs launched during the step — every kernel of the
     /// plan, since the interpreter is the only executor.
@@ -462,14 +462,21 @@ impl<'a> Session<'a> {
         // Pre-seed this session's own pool with the planned buffers so
         // the very first step already finds every store buffer recycled.
         let pool = pool::Pool::new();
-        for elems in memplan.buffers() {
-            pool.seed_f32(elems);
+        let elems = |bytes: u64| usize::try_from(bytes / 4).expect("a planned buffer fits usize");
+        for (bytes, buffers) in memplan.classes() {
+            for _ in 0..buffers {
+                pool.seed_f32(elems(bytes));
+            }
         }
-        // Shape vectors recycle too; seed enough that the shape bucket
-        // never misses (one per region upper-bounds the concurrent live
-        // tensors; aux stats tensors and in-flight transients get slack).
-        for _ in 0..memplan.regions.len() + 2 * plan.aux_stash.len() + 4 {
-            pool.seed_shape(4);
+        for &(_, bytes) in &memplan.argmax_tables {
+            pool.seed_u32(elems(bytes));
+        }
+        // Shape vectors recycle too, by rank — the store holds `[rows,
+        // cols]` tensors. Seed enough that the bucket never misses (one
+        // per region upper-bounds the concurrent live tensors; in-flight
+        // transients get slack).
+        for _ in 0..memplan.regions.len() + 4 {
+            pool.seed_shape(2);
         }
 
         Ok(Self {
@@ -528,6 +535,13 @@ impl<'a> Session<'a> {
     /// offsets, lifetimes and the arena's total size.
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.memplan
+    }
+
+    /// The plan this session runs — for a shard of a
+    /// [`crate::ShardedSession`], the plan the sharded builder derived
+    /// (kernels cut where an exchange falls inside one).
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
     }
 
     /// Runs the forward kernels, returning the model outputs in
@@ -927,8 +941,9 @@ impl<'a> Session<'a> {
             .ok_or_else(|| ExecError::ValueNotLive { node: name.clone() })
     }
 
-    /// The caller-facing graph (shard-local for per-shard sessions).
-    pub(crate) fn graph(&self) -> &Graph {
+    /// The graph this session runs over (shard-local for a shard of a
+    /// [`crate::ShardedSession`]).
+    pub fn graph(&self) -> &Graph {
         &self.graph
     }
 

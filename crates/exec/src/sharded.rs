@@ -1744,6 +1744,15 @@ impl<'a> ShardedSession<'a> {
         }
     }
 
+    /// The per-shard sessions (the one session of a single-shard build),
+    /// for inspection: each owns its shard's plan, arena and pool.
+    pub fn shards(&self) -> &[Session<'a>] {
+        match &self.inner {
+            Inner::Single(s) => std::slice::from_ref(s),
+            Inner::Multi(m) => &m.shards,
+        }
+    }
+
     /// Per-shard size figures (one entry per shard).
     pub fn shard_summaries(&self) -> Vec<ShardSummary> {
         match &self.inner {

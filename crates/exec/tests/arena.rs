@@ -3,12 +3,14 @@
 //! Outputs and gradients are **bit-identical** to the node-by-node
 //! oracle (`refexec::evaluate`), which allocates every tensor on the
 //! heap and frees none, across the model zoo and thread counts, on
-//! adversarial topologies (isolated vertices, extreme hubs), and the
+//! adversarial topologies (isolated vertices, extreme hubs), the
 //! measured live-set peak never exceeds what the planner promised at
-//! build.
+//! build, and the pool — plain and per shard — ends up holding exactly
+//! the planned buffers plus the interpreter's bounded working set.
 
-use gnnopt_core::{compile, CompileOptions, ExecPolicy};
-use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
+use gnnopt_core::lower::{StepExec, Storage};
+use gnnopt_core::{compile, CompileOptions, ExecPolicy, OpKind};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session, ShardedSession};
 use gnnopt_graph::{generators, EdgeList, Graph};
 use gnnopt_models::{
     edgeconv, gat, gcn, sage, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec, SageConfig,
@@ -48,7 +50,7 @@ fn zoo() -> Vec<(&'static str, ModelSpec)> {
 /// Random multigraphs with `iso` guaranteed-isolated trailing vertices
 /// (empty reduce groups) and an extreme hub: vertex 0 additionally
 /// sources and sinks up to `hub` edges, so one liveness interval's
-/// buffer dwarfs its neighbours and first-fit reuse is stressed.
+/// buffer dwarfs its neighbours and buffer reuse is stressed.
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..16, 0usize..4, 0usize..48).prop_flat_map(|(n, iso, hub)| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 1..48).prop_map(move |mut pairs| {
@@ -109,8 +111,101 @@ fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// The arena-truth check on one warmed session (a plain one, or a shard
+/// of a sharded one): the last step missed nothing, the store lists —
+/// tensors and argmax tables — took nothing from the heap beyond their
+/// seeding, so every store buffer the steps cycled through was a planned
+/// one of its own size class, and the working list holds no more than
+/// the sum computed here from the programs: per tiled or streamed
+/// segment one slab of tile slots at the largest tile the graph can cut
+/// plus one reduction row, per full step its row scratch or its
+/// chunk partials, per GEMM its panels.
+fn assert_pool_holds_the_plan(what: &str, sess: &Session) {
+    let acquired = sess.pool().acquired();
+    assert_eq!(
+        sess.stats().fallback_allocs,
+        0,
+        "{what}: a warmed step missed"
+    );
+    assert_eq!(
+        (&acquired.f32s, &acquired.u32s),
+        (&vec![], &vec![]),
+        "{what}: store buffers beyond the plan's {:?}",
+        sess.memory_plan().classes()
+    );
+
+    let (g, budget) = (sess.graph(), sess.policy().tile_edges.max(1));
+    let (nv, ne) = (g.num_vertices(), g.num_edges());
+    let hub = (0..nv).map(|v| g.in_adj().degree(v)).max().unwrap_or(0);
+    let (tile_v, tile_e) = (nv.min(budget), ne.min(budget.max(hub)));
+    // `gnnopt_tensor::gemm`: (NC + NW) × KC for `B`, (MC + MH) × KC for a
+    // transposed `A`; `kernels::PARAM_REDUCE_CHUNK_ROWS` rows a partial.
+    let panels = 4 * ((256 + 16) * 256 + (96 + 6) * 256) as u64;
+    let partials = (nv.max(ne) as u64).div_ceil(1 << 14).max(1);
+    let mut bound = 0u64;
+    for prog in &sess.plan().programs {
+        for seg in prog.segments() {
+            let steps = || {
+                let in_seg = prog.steps.iter().filter(move |s| s.segment == seg);
+                in_seg.filter(|s| s.storage != Storage::Prelude)
+            };
+            if steps().any(|s| s.exec == StepExec::Tiled) {
+                let row = steps().map(|s| s.cols).max().unwrap_or(0);
+                bound += prog.scratch_tile_bytes(seg, tile_v, tile_e) + 4 * row as u64;
+            }
+            for s in steps().filter(|s| s.exec == StepExec::Full) {
+                bound += 4 * s.cols as u64 * partials;
+                if matches!(
+                    sess.plan().ir.node(s.node).kind,
+                    OpKind::Linear | OpKind::LinearBwdInput | OpKind::LinearBwdWeight
+                ) {
+                    bound += panels;
+                }
+            }
+        }
+    }
+    let held: u64 = acquired.work.iter().map(|&(c, n)| 4 * (c * n) as u64).sum();
+    assert!(
+        held <= bound,
+        "{what}: working buffers {:?} hold {held} B, above the {bound} B the programs account for",
+        acquired.work
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The arena is true where it runs: after a cold and two warm steps
+    /// a session's pool holds what its plan seeded and nothing else of
+    /// the store's — on every zoo model, plain and over two shards (cut
+    /// kernels and the shards' unequal local graphs included), on
+    /// hub/isolated-vertex topologies.
+    #[test]
+    fn pool_holds_what_was_planned(
+        g in arb_graph(),
+        model in 0usize..5,
+        seed in 0u64..50,
+    ) {
+        let (name, spec) = zoo().swap_remove(model);
+        let b = bindings(&spec, &g, seed);
+        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+        let out = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+        let ones = Tensor::ones(&[g.num_vertices(), out.dim.total()]);
+        for shards in [1usize, 2] {
+            let mut sess = ShardedSession::builder(&compiled.plan, &g)
+                .shards(shards)
+                .policy(ExecPolicy::serial())
+                .env(EnvOverrides::Off)
+                .build()
+                .unwrap();
+            for _ in 0..3 {
+                sess.step(&b, &ones).unwrap();
+            }
+            for (i, shard) in sess.shards().iter().enumerate() {
+                assert_pool_holds_the_plan(&format!("{name}, shard {i} of {shards}"), shard);
+            }
+        }
+    }
 
     /// A session against the oracle: same bits out, for every model ×
     /// thread count, on hub/isolated-vertex topologies.

@@ -318,16 +318,19 @@ fn materialized_copy_is_still_written() {
 /// A copy read in its own segment (`ByDst` gather) *and* by a later one
 /// (the `BySrc` full step) spills to an interior tensor: written for the
 /// later reader, never streamed (it has two consumers), slot-read by the
-/// in-segment one.
+/// in-segment one. (The copy is a `SetHeads`: a shared `CopyU`/`CopyV`
+/// is duplicated per consumer before fusion, and a copy the `BySrc`
+/// gather alone reads streams into it.)
 #[test]
 fn copy_read_in_segment_and_by_a_later_segment_spills() {
     let g = small_graph();
     let mut ir = IrGraph::new();
     let h = ir.input_vertex("h", Dim::flat(3));
     let hv = ir.scatter(ScatterFn::CopyV, h, h).unwrap();
-    let lr = ir.unary(UnaryFn::LeakyRelu(0.1), hv).unwrap();
+    let sh = ir.set_heads(hv, 3).unwrap();
+    let lr = ir.unary(UnaryFn::LeakyRelu(0.1), sh).unwrap();
     let a = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, lr).unwrap();
-    let c = ir.gather(ReduceFn::Sum, EdgeGroup::BySrc, hv).unwrap();
+    let c = ir.gather(ReduceFn::Sum, EdgeGroup::BySrc, sh).unwrap();
     let out = ir.binary(BinaryFn::Add, a, c).unwrap();
     ir.mark_output(out);
     let plan = plan_of(&ir, false);
@@ -335,6 +338,11 @@ fn copy_read_in_segment_and_by_a_later_segment_spills() {
     assert!(
         copies.contains(&Storage::Interior) || copies.contains(&Storage::Materialized),
         "the doubly-read copy is a real tensor, got {copies:?}"
+    );
+    assert_eq!(
+        plan.programs.iter().flat_map(|p| p.streamed()).count(),
+        0,
+        "a chain with a reader outside it does not stream"
     );
     let b = Bindings::new().with("h", fill(g.num_vertices(), 3, 6));
     check_against_oracle(&plan, &g, &b);

@@ -269,7 +269,7 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     // no active pool scope and fall back to plain `Vec`s). The requests
     // are the largest block each panel loop will resize to.
     let (max_kc, max_mc, max_nc) = (KC.min(k), MC.min(m), NC.min(n));
-    let mut bpack = crate::pool::take_f32(max_nc.div_ceil(NW) * NW * max_kc);
+    let mut bpack = crate::pool::take_work_f32(max_nc.div_ceil(NW) * NW * max_kc);
     // Only a transposed `A` is packed (a zero-sized request bypasses the
     // pool): `Nn`/`Nt` slabs take the one buffer for `B` and no other.
     let a_packed = layout.a_transposed();
@@ -278,7 +278,7 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     } else {
         0
     };
-    let mut apack = crate::pool::take_f32(apack_len);
+    let mut apack = crate::pool::take_work_f32(apack_len);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for kc0 in (0..k).step_by(KC) {
@@ -315,8 +315,8 @@ fn blocked_slab<const MH: usize, const NW: usize>(
             }
         }
     }
-    crate::pool::put_f32(apack);
-    crate::pool::put_f32(bpack);
+    crate::pool::put_work_f32(apack);
+    crate::pool::put_work_f32(bpack);
 }
 
 /// Runs one blocked slab at the best geometry the host supports: the

@@ -3,40 +3,59 @@
 //!
 //! The planner (`gnnopt-core::memplan`) proves at session build which
 //! buffers a step needs and for how long; this module is the mechanism
-//! that actually recycles them. Buffers are plain `Vec`s keyed by
-//! **capacity** in a [`BTreeMap`] free list, granted best-fit (smallest
-//! capacity ≥ request) and returned whole — a region is never split, so
-//! a pooled buffer corresponds 1:1 to a planned arena region.
+//! that actually recycles them. Buffers are plain `Vec`s in free lists
+//! keyed by **size class** — a buffer's exact capacity — and the pool
+//! obeys the planner's one fit rule: a request is served only by a
+//! buffer of its own class, and returned whole to it. A pooled buffer
+//! therefore corresponds 1:1 to a planned arena region, no small request
+//! can pin a large buffer, and what the pool holds is
+//! `Σ_class (peak concurrently taken) × class size` whatever order
+//! requests arrive in. A request no free buffer of its class can serve is
+//! a *miss*: the heap serves it, the class counts it
+//! ([`Pool::acquired`]), and the buffer joins the class when it comes
+//! back — so a seeded pool that reports no acquisition in a planned
+//! class held exactly what the planner promised.
+//!
+//! # Store lists and the working list
+//!
+//! Tensor data (`f32`), argmax tables (`u32`) and shape vectors are the
+//! *store* lists the planner seeds. The interpreter's launch-transient
+//! working buffers — tile-slot slabs, GEMM panels, reduction partials —
+//! go through a list of their own ([`take_work_f32`]): their sizes depend
+//! on the tiling and the GEMM geometry, not on the plan, and on a shared
+//! list a panel that happened to be a planned tensor's size would take
+//! its buffer. The working list fills on the cold step and is reported
+//! under [`Acquired::work`].
 //!
 //! # Pools are instances, scopes are per thread
 //!
-//! Each [`Pool`] is an independent free list behind an `Arc`; a session
-//! owns one and seeds it with its own planner regions. The free
+//! Each [`Pool`] is an independent set of free lists behind an `Arc`; a
+//! session owns one and seeds it with its own planner regions. The free
 //! functions ([`take_f32`], [`put_f32`], …) intercept allocation only
 //! while the current thread is inside a [`ScopeGuard`] bracket, and
 //! they route to whichever pool that bracket installed — so two
 //! sessions stepping concurrently on different threads each recycle
-//! through their own free list, never contending on a process-wide
+//! through their own free lists, never contending on a process-wide
 //! mutex or bleeding planner-seeded buffers into each other (the
 //! failure mode of the old `static POOL`). Worker threads spawned by
 //! kernels never enter a scope, so their temporaries take the ordinary
-//! heap path — the zero-allocation steady-state guarantee is a property
-//! of the *serial* executor, which is exactly the configuration the
-//! counting allocator test pins. With no active scope every function
-//! here degenerates to the plain `Vec` behavior, byte for byte.
+//! heap path — the steady-state guarantee is a property of the *serial*
+//! executor, which is exactly the configuration the counting allocator
+//! test pins. With no active scope every function here degenerates to
+//! the plain `Vec` behavior, byte for byte.
 //!
 //! # Why steady state reaches a fixed point
 //!
 //! A session step performs a deterministic sequence of buffer requests
 //! and returns. After one warmup step the pool holds every buffer the
 //! sequence needs (the session additionally pre-seeds it with the
-//! planner's regions at build), the `BTreeMap` has a node for every
-//! capacity class that will ever exist (empty buckets are kept, never
-//! removed), and each bucket `Vec` was born with [`BUCKET_SLACK`]
-//! slots of headroom — enough that the return wave of a reset never
-//! forces the bucket itself to reallocate. From then on every request
-//! is served by `pop` and every return by `push` within existing
-//! capacity: zero calls into the global allocator.
+//! planner's regions at build), each list's `BTreeMap` has a node for
+//! every class that will ever exist (a miss creates its class's node,
+//! empty buckets are kept), and each bucket `Vec` was born with
+//! [`BUCKET_SLACK`] slots of headroom — enough that the return wave of a
+//! reset never forces the bucket itself to reallocate. From then on
+//! every request is served by `pop` and every return by `push` within
+//! existing capacity: zero calls into the global allocator.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -84,11 +103,24 @@ impl Drop for ScopeGuard {
     }
 }
 
+/// One size class of one list: the parked buffers, and how many the
+/// heap had to supply because none was parked.
+struct Bucket<T> {
+    free: Vec<Vec<T>>,
+    acquired: usize,
+}
+
+/// A free list: buckets by size class (element capacity).
+type List<T> = BTreeMap<usize, Bucket<T>>;
+
+#[derive(Default)]
 struct PoolInner {
-    f32s: BTreeMap<usize, Vec<Vec<f32>>>,
-    u32s: BTreeMap<usize, Vec<Vec<u32>>>,
-    shapes: BTreeMap<usize, Vec<Vec<usize>>>,
-    /// Cumulative scoped takes served by the heap instead of the free
+    f32s: List<f32>,
+    u32s: List<u32>,
+    shapes: List<usize>,
+    /// The interpreter's working buffers (module docs).
+    work: List<f32>,
+    /// Cumulative scoped takes served by the heap instead of a free
     /// list — real misses and injected exhaustion alike. Never reset
     /// (trim included): sessions difference snapshots around a step.
     misses: u64,
@@ -103,15 +135,32 @@ struct PoolInner {
 /// and then stays at the new fixed point.
 const BUCKET_SLACK: usize = 16;
 
-fn new_bucket<T>() -> Vec<Vec<T>> {
-    Vec::with_capacity(BUCKET_SLACK)
+impl<T> Default for Bucket<T> {
+    fn default() -> Self {
+        Bucket {
+            free: Vec::with_capacity(BUCKET_SLACK),
+            acquired: 0,
+        }
+    }
+}
+
+/// Buffers a pool took from the heap beyond its seeding, per list, as
+/// `(class capacity in elements, buffers)` in ascending class order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Acquired {
+    /// Tensor data.
+    pub f32s: Vec<(usize, usize)>,
+    /// Argmax tables.
+    pub u32s: Vec<(usize, usize)>,
+    /// The interpreter's working buffers (`f32`).
+    pub work: Vec<(usize, usize)>,
 }
 
 /// An independent buffer free list. Cloning is shallow (`Arc`): clones
 /// share the same free list, which is how a session hands its pool to a
 /// [`ScopeGuard`]. Dropping the last clone frees every parked buffer —
 /// no explicit trim is needed at session teardown.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Pool {
     inner: Arc<Mutex<PoolInner>>,
 }
@@ -124,23 +173,14 @@ impl std::fmt::Debug for Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Pool {
     /// Creates an empty pool.
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(PoolInner {
-                f32s: BTreeMap::new(),
-                u32s: BTreeMap::new(),
-                shapes: BTreeMap::new(),
-                misses: 0,
-            })),
-        }
+        Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolInner> {
+        self.inner.lock().expect("buffer pool poisoned")
     }
 
     /// Pre-seeds the pool with an `f32` buffer of exactly `elems`
@@ -150,48 +190,37 @@ impl Pool {
     /// the very first step already finds its store buffers (no scope is
     /// required: seeding is an explicit request, not an interception).
     pub fn seed_f32(&self, elems: usize) {
-        if elems == 0 {
-            return;
-        }
-        self.inner
-            .lock()
-            .expect("buffer pool poisoned")
-            .f32s
-            .entry(elems)
-            .or_insert_with(new_bucket)
-            .push(Vec::with_capacity(elems));
+        seed(&mut self.lock().f32s, elems);
+    }
+
+    /// Pre-seeds the pool with a `u32` buffer of exactly `elems`
+    /// capacity (a planned argmax table).
+    pub fn seed_u32(&self, elems: usize) {
+        seed(&mut self.lock().u32s, elems);
     }
 
     /// Pre-seeds the pool with a shape vector of `rank` capacity.
     ///
     /// Shape vectors are tiny, but a take miss is still a heap
     /// allocation; sessions seed one per planned region (plus slack for
-    /// the auxiliary stashes) so the shape bucket starts at its fixed
+    /// in-flight transients) so the shape bucket starts at its fixed
     /// point instead of reaching it lazily over the first steps.
     pub fn seed_shape(&self, rank: usize) {
-        if rank == 0 {
-            return;
-        }
-        self.inner
-            .lock()
-            .expect("buffer pool poisoned")
-            .shapes
-            .entry(rank)
-            .or_insert_with(new_bucket)
-            .push(Vec::with_capacity(rank));
+        seed(&mut self.lock().shapes, rank);
     }
 
-    /// Frees every pooled buffer (bucket nodes included). Rarely needed
-    /// — dropping the pool frees everything — but lets a long-lived
-    /// session shed its working set on demand.
+    /// Frees every pooled buffer (bucket nodes and acquisition counts
+    /// included). Rarely needed — dropping the pool frees everything —
+    /// but lets a long-lived session shed its working set on demand.
     pub fn trim(&self) {
-        let mut pool = self.inner.lock().expect("buffer pool poisoned");
-        pool.f32s = BTreeMap::new();
-        pool.u32s = BTreeMap::new();
-        pool.shapes = BTreeMap::new();
+        let mut pool = self.lock();
+        *pool = PoolInner {
+            misses: pool.misses,
+            ..PoolInner::default()
+        };
     }
 
-    /// Bucket occupancy of each free list as `(capacity, parked
+    /// Bucket occupancy of each store list as `(capacity, parked
     /// buffers)` pairs in ascending capacity order — `(f32s, u32s,
     /// shapes)`. Diagnostics only.
     #[allow(clippy::type_complexity)]
@@ -203,14 +232,27 @@ impl Pool {
         Vec<(usize, usize)>,
         Vec<(usize, usize)>,
     ) {
-        fn count<T>(m: &BTreeMap<usize, Vec<Vec<T>>>) -> Vec<(usize, usize)> {
-            m.iter()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(&c, b)| (c, b.len()))
-                .collect()
+        let pool = self.lock();
+        (
+            tally(&pool.f32s, |b| b.free.len()),
+            tally(&pool.u32s, |b| b.free.len()),
+            tally(&pool.shapes, |b| b.free.len()),
+        )
+    }
+
+    /// What the pool had to take from the heap beyond its seeding. After
+    /// a session's cold step this is its working buffers and whatever
+    /// the planner missed; a class the session seeded appearing under
+    /// [`Acquired::f32s`] or [`Acquired::u32s`] means the plan held too
+    /// few buffers of it.
+    #[must_use]
+    pub fn acquired(&self) -> Acquired {
+        let pool = self.lock();
+        Acquired {
+            f32s: tally(&pool.f32s, |b| b.acquired),
+            u32s: tally(&pool.u32s, |b| b.acquired),
+            work: tally(&pool.work, |b| b.acquired),
         }
-        let pool = self.inner.lock().expect("buffer pool poisoned");
-        (count(&pool.f32s), count(&pool.u32s), count(&pool.shapes))
     }
 
     /// Cumulative scoped take misses served by the heap instead of the
@@ -218,19 +260,33 @@ impl Pool {
     /// this constant; sessions difference snapshots taken around a step
     /// to report `RunStats::fallback_allocs`.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("buffer pool poisoned").misses
+        self.lock().misses
     }
 
     /// Total bytes currently parked in the pool (diagnostics only).
     pub fn resident_bytes(&self) -> usize {
-        fn bytes<T>(m: &BTreeMap<usize, Vec<Vec<T>>>) -> usize {
+        fn bytes<T>(m: &List<T>) -> usize {
             m.values()
-                .flatten()
+                .flat_map(|b| &b.free)
                 .map(|v| v.capacity() * std::mem::size_of::<T>())
                 .sum()
         }
-        let pool = self.inner.lock().expect("buffer pool poisoned");
-        bytes(&pool.f32s) + bytes(&pool.u32s) + bytes(&pool.shapes)
+        let pool = self.lock();
+        bytes(&pool.f32s) + bytes(&pool.u32s) + bytes(&pool.shapes) + bytes(&pool.work)
+    }
+}
+
+/// `(class, count(bucket))` of a list's buckets with a non-zero count,
+/// in ascending class order.
+fn tally<T>(list: &List<T>, count: impl Fn(&Bucket<T>) -> usize) -> Vec<(usize, usize)> {
+    let counts = list.iter().map(|(&class, b)| (class, count(b)));
+    counts.filter(|&(_, n)| n > 0).collect()
+}
+
+fn seed<T>(list: &mut List<T>, elems: usize) {
+    if elems > 0 {
+        let bucket = list.entry(elems).or_default();
+        bucket.free.push(Vec::with_capacity(elems));
     }
 }
 
@@ -238,40 +294,32 @@ macro_rules! pool_take {
     ($field:ident, $min:expr) => {{
         let min = $min;
         if min == 0 {
-            return Vec::with_capacity(min);
+            return Vec::new();
         }
         let pooled = with_current(|pool| {
+            // The class's bucket node exists from the first request on
+            // (empty buckets are kept), so the tree reaches a structural
+            // fixed point and a missed buffer's eventual return — often
+            // a whole step later, in the next reset's return wave —
+            // allocates no node inside a warmed step.
+            let bucket = pool.$field.entry(min).or_default();
             // An armed `pool.take` failpoint simulates arena
             // exhaustion: every action degrades to a forced miss,
             // because a take returns a buffer (not a `Result`) and the
             // only honest failure mode is the heap fallback the caller
             // already survives. One relaxed atomic load when unarmed.
             let exhausted = crate::fault::check("pool.take").is_some();
-            if !exhausted {
-                // Best fit: the smallest capacity class that satisfies
-                // the request. Empty buckets are skipped but
-                // deliberately kept in the map so the tree reaches a
-                // structural fixed point.
-                if let Some((_, bucket)) = pool.$field.range_mut(min..).find(|(_, b)| !b.is_empty())
-                {
-                    let mut v = bucket.pop().expect("bucket checked non-empty");
-                    v.clear();
-                    return Some(v);
-                }
+            // The one fit rule: only a buffer of the request's own
+            // class serves it.
+            if let Some(mut v) = bucket.free.pop_if(|_| !exhausted) {
+                v.clear();
+                return Some(v);
             }
-            // Miss: count it for the session's fallback accounting and
-            // materialize the class's bucket node *now*, so the
-            // buffer's eventual return (often a whole step later, at
-            // the next reset's return wave) finds the node in place
-            // instead of allocating one inside a warmed step.
+            bucket.acquired += 1;
             pool.misses += 1;
-            pool.$field.entry(min).or_insert_with(new_bucket);
             None
         });
-        match pooled {
-            Some(Some(v)) => v,
-            _ => Vec::with_capacity(min),
-        }
+        pooled.flatten().unwrap_or_else(|| Vec::with_capacity(min))
     }};
 }
 
@@ -281,20 +329,17 @@ macro_rules! pool_put {
         if v.capacity() == 0 {
             return;
         }
-        let cap = v.capacity();
         let mut v = Some(v);
         with_current(|pool| {
-            pool.$field
-                .entry(cap)
-                .or_insert_with(new_bucket)
-                .push(v.take().expect("put consumes the buffer once"));
+            let v = v.take().expect("put consumes the buffer once");
+            pool.$field.entry(v.capacity()).or_default().free.push(v);
         });
         // Outside a scope `v` is still here and drops normally.
     }};
 }
 
-/// Takes an empty `Vec<f32>` with capacity ≥ `min` from the current
-/// thread's pool (freshly allocated on a miss or outside a scope).
+/// Takes an empty `Vec<f32>` of capacity `min` from the current thread's
+/// pool (freshly allocated on a miss or outside a scope).
 pub fn take_f32(min: usize) -> Vec<f32> {
     pool_take!(f32s, min)
 }
@@ -305,8 +350,20 @@ pub fn put_f32(v: Vec<f32>) {
     pool_put!(f32s, v)
 }
 
-/// Takes an empty `Vec<u32>` with capacity ≥ `min` from the current
-/// thread's pool.
+/// Takes an empty `Vec<f32>` of capacity `min` from the current thread's
+/// *working* list: launch-transient scratch the memory plan does not
+/// cover (module docs).
+pub fn take_work_f32(min: usize) -> Vec<f32> {
+    pool_take!(work, min)
+}
+
+/// Returns a working buffer to the current thread's pool.
+pub fn put_work_f32(v: Vec<f32>) {
+    pool_put!(work, v)
+}
+
+/// Takes an empty `Vec<u32>` of capacity `min` from the current thread's
+/// pool.
 pub fn take_u32(min: usize) -> Vec<u32> {
     pool_take!(u32s, min)
 }
@@ -316,7 +373,7 @@ pub fn put_u32(v: Vec<u32>) {
     pool_put!(u32s, v)
 }
 
-/// Takes an empty shape vector (`Vec<usize>`) with capacity ≥ `min`.
+/// Takes an empty shape vector (`Vec<usize>`) of capacity `min`.
 pub fn take_shape(min: usize) -> Vec<usize> {
     pool_take!(shapes, min)
 }
@@ -343,12 +400,34 @@ mod tests {
         let pool = Pool::new();
         let _g = ScopeGuard::new(&pool);
         put_f32(Vec::with_capacity(16));
+        // The class rule: a larger free buffer does not serve a smaller
+        // request — the heap does, and the class counts it.
         let v = take_f32(10);
-        assert!(v.capacity() >= 16, "best fit grants the pooled buffer");
-        assert!(v.is_empty());
+        assert_eq!(v.capacity(), 10, "only a buffer of its own class");
+        assert_eq!((pool.misses(), pool.acquired().f32s), (1, vec![(10, 1)]));
+        let w = take_f32(16);
+        assert_eq!(w.capacity(), 16, "its own class serves it");
+        assert!(w.is_empty());
+        assert_eq!(pool.misses(), 1);
+        // A returned buffer joins its class and serves the next request.
         put_f32(v);
-        let w = take_f32(32);
-        assert_eq!(w.capacity(), 32, "no fit falls back to a fresh buffer");
+        assert_eq!(take_f32(10).capacity(), 10);
+        assert_eq!((pool.misses(), pool.acquired().f32s), (1, vec![(10, 1)]));
+    }
+
+    #[test]
+    fn working_buffers_keep_to_their_own_list() {
+        let pool = Pool::new();
+        pool.seed_f32(64);
+        let _g = ScopeGuard::new(&pool);
+        // Same size as a seeded store buffer, yet it leaves that one be.
+        let w = take_work_f32(64);
+        assert_eq!(pool.acquired().work, vec![(64, 1)]);
+        assert_eq!(pool.occupancy().0, vec![(64, 1)]);
+        put_work_f32(w);
+        assert_eq!(take_work_f32(64).capacity(), 64);
+        assert_eq!(pool.misses(), 1);
+        assert!(pool.acquired().f32s.is_empty());
     }
 
     #[test]

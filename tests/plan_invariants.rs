@@ -169,16 +169,58 @@ fn executor_live_set_tracks_plan_stash() {
 fn memory_plan_never_aliases_and_bounds_the_live_set() {
     // Static memory planner invariants, zoo-wide: two regions may share
     // arena bytes only if their [birth, death] intervals are disjoint,
-    // every region lies inside the arena and covers its request, and
-    // `arena_bytes` dominates the tightest-possible live-set peak.
-    use gnnopt::core::{plan_memory, MemRegion};
+    // every region lies inside the arena and is exactly its request (one
+    // size class serves it), `arena_bytes` dominates the
+    // tightest-possible live-set peak, a step streamed into a gather has
+    // no region, and a fresh softmax has two more, for its statistics.
+    use gnnopt::core::{kernel_phase, plan_memory, MemRegion, OpKind, Phase};
     let live = |r: &MemRegion, p: usize| r.birth <= p && (r.death == usize::MAX || p <= r.death);
+    let mut streamed_roots = Vec::new();
     for (name, spec) in all_specs() {
         for preset in [Preset::Dgl, Preset::Ours] {
             for training in [false, true] {
                 let compiled =
                     compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
                 let mp = plan_memory(&compiled.plan, 96, 960, true);
+                // Regions born at a kernel's position (forward kernels
+                // run first) are the ones its program's steps take.
+                let plan = &compiled.plan;
+                let phase = |k: usize| kernel_phase(plan, k) == Phase::Backward;
+                for (kid, prog) in plan.programs.iter().enumerate() {
+                    let before = |k: usize| (phase(k), k) < (phase(kid), kid);
+                    let pos = (0..plan.kernels.len()).filter(|&k| before(k)).count();
+                    let born = |r: &&MemRegion| r.birth == pos && r.death >= pos;
+                    let regions_of = |n| {
+                        mp.regions
+                            .iter()
+                            .filter(born)
+                            .filter(|r| r.node == n)
+                            .count()
+                    };
+                    for s in prog.streamed() {
+                        assert_eq!(
+                            regions_of(s.node),
+                            0,
+                            "{name}/{preset:?}: streamed step {} is planned a region",
+                            s.node
+                        );
+                        if preset == Preset::Ours {
+                            streamed_roots.push((name, compiled.plan.ir.node(s.node).name.clone()));
+                        }
+                    }
+                    for s in prog.steps.iter().filter(|s| !s.recompute) {
+                        let node = compiled.plan.ir.node(s.node);
+                        if node.kind == OpKind::EdgeSoftmax {
+                            let own = usize::from(s.storage != gnnopt::core::Storage::Scratch);
+                            assert_eq!(
+                                regions_of(s.node),
+                                own + 2,
+                                "{name}/{preset:?}: softmax {} statistics regions",
+                                s.node
+                            );
+                        }
+                    }
+                }
                 assert!(
                     mp.arena_bytes >= mp.peak_live_bytes(),
                     "{name}/{preset:?}: arena {} below live-set peak {}",
@@ -190,9 +232,9 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
                         r.offset + r.bytes <= mp.arena_bytes,
                         "{name}/{preset:?}: region {r:?} spills past the arena"
                     );
-                    assert!(
-                        r.bytes >= r.request,
-                        "{name}/{preset:?}: region {r:?} smaller than its request"
+                    assert_eq!(
+                        r.bytes, r.request,
+                        "{name}/{preset:?}: region {r:?} granted in another size class"
                     );
                 }
                 for (i, a) in mp.regions.iter().enumerate() {
@@ -210,6 +252,15 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
             }
         }
     }
+    // The O(|E|·d) spills the backward gathers used to be promised: the
+    // `binary_Mul` of GAT's feature-gradient kernel and of GCN's two.
+    let count = |model| {
+        let muls = streamed_roots
+            .iter()
+            .filter(|(m, n)| *m == model && n == "binary_Mul");
+        muls.count()
+    };
+    assert_eq!((count("gat"), count("gcn")), (1, 2), "{streamed_roots:?}");
 }
 
 #[test]
