@@ -115,44 +115,6 @@ fn bench_monet(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial-vs-parallel scaling of the graph kernels themselves: the same
-/// compiled GAT plan executed under `ExecPolicy` thread counts 1/2/4 on a
-/// ~130 k-edge RMAT graph. On multi-core hosts the parallel rows must
-/// drop below serial; results are bit-identical either way.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let graph = Graph::from_edge_list(&generators::rmat(13, 16, 0.57, 0.19, 0.19, 5));
-    let spec = gat(&GatConfig {
-        in_dim: 32,
-        layers: vec![(2, 16)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    let bindings = bindings_for(&spec, &graph, 7);
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).expect("compiles");
-
-    let mut group = c.benchmark_group("gat_thread_scaling");
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("threads={threads}")),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut sess = Session::builder(&compiled.plan, &graph)
-                        .policy(ExecPolicy::with_threads(threads))
-                        .env(EnvOverrides::Off)
-                        .build()
-                        .expect("session");
-                    let out = sess.forward(&bindings).expect("forward");
-                    sess.backward(Tensor::ones(out[0].shape()))
-                        .expect("backward")
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The same GAT model compiled with fusion off and with unified fusion,
 /// both run by the one executor: the wall-clock side of what fusion
 /// saves (the memory side is `RunStats::peak_value_bytes`, asserted in
@@ -257,7 +219,7 @@ fn bench_gemm_gnn_shapes(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_presets, bench_reorg, bench_monet, bench_thread_scaling, bench_fused_exec,
+    targets = bench_presets, bench_reorg, bench_monet, bench_fused_exec,
         bench_gemm_gnn_shapes
 }
 criterion_main!(benches);

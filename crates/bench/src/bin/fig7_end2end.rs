@@ -1,21 +1,16 @@
 //! Figure 7: end-to-end training performance of GAT / EdgeConv / MoNet on
 //! the four node-classification datasets (and the ModelNet40 sweep for
-//! EdgeConv), normalized to DGL, on the RTX 3090 model — plus a real CPU
-//! serial-vs-parallel scaling section on a million-edge graph
-//! (`ExecPolicy` thread sweep; override the auto pool with
-//! `GNNOPT_THREADS`).
+//! EdgeConv), normalized to DGL, on the RTX 3090 model.
 //!
 //! Run with `cargo run --release -p gnnopt-bench --bin fig7_end2end`.
 
 use gnnopt_bench::{
-    edgeconv_workload, figure7_systems, gat_figure7, monet_figure7, print_normalized, run_real,
-    run_variant, smoke, smoke_scale, with_real_run,
+    edgeconv_workload, figure7_systems, gat_figure7, monet_figure7, print_normalized, run_variant,
+    smoke, smoke_scale,
 };
-use gnnopt_core::CompileOptions;
-use gnnopt_graph::{datasets, generators, Graph};
-use gnnopt_models::{gat, EdgeConvConfig, GatConfig};
+use gnnopt_graph::datasets;
+use gnnopt_models::EdgeConvConfig;
 use gnnopt_sim::Device;
-use gnnopt_tensor::parallel::available_threads;
 
 fn main() {
     let device = Device::rtx3090();
@@ -74,70 +69,5 @@ fn main() {
             );
         }
         print_normalized(&wl.name, &rows);
-    }
-
-    real_scaling_section();
-}
-
-/// Real CPU execution of a GAT training step on a ≥1M-edge RMAT graph,
-/// swept over executor thread counts: the "fast as the hardware allows"
-/// axis the analytic model cannot show. The parallel backend is
-/// bit-identical to serial, so the sweep only measures time.
-fn real_scaling_section() {
-    // RMAT scale 16 × edge factor 16 ≈ 1.05 M edges (scale 8 in smoke).
-    let scale = smoke_scale(16u32, 8);
-    let graph = Graph::from_edge_list(&generators::rmat(scale, 16, 0.57, 0.19, 0.19, 7));
-    let spec = gat(&GatConfig {
-        in_dim: 32,
-        layers: vec![(2, 16)],
-        negative_slope: 0.2,
-        reorganized: true,
-    })
-    .expect("gat builds");
-    println!(
-        "\n# Real CPU execution — GAT training step, RMAT-{scale} ({} vertices, {} edges)",
-        graph.num_vertices(),
-        graph.num_edges()
-    );
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>10}",
-        "threads", "fwd (s)", "bwd (s)", "wall (s)", "speedup"
-    );
-    // The analytic record for the same workload; each measured run is
-    // folded in so the report row carries its input (cpu_threads)
-    // alongside the measurement (wall_seconds).
-    let analytic = run_variant(
-        "Ours",
-        &spec.ir,
-        &graph.stats(),
-        &CompileOptions::ours(),
-        true,
-        &Device::rtx3090(),
-    )
-    .expect("analytic record");
-    let auto = available_threads();
-    let mut sweep = smoke_scale(vec![1, 2, 4], vec![1, 2]);
-    if !smoke() && !sweep.contains(&auto) {
-        sweep.push(auto);
-    }
-    // Warmup: pay one-time allocation/page-in costs outside the sweep so
-    // the serial baseline is not inflated.
-    run_real(&spec, &graph, &CompileOptions::ours(), 1, true, 11).expect("warmup run");
-    let mut serial_total = 0.0f64;
-    for threads in sweep {
-        let run = run_real(&spec, &graph, &CompileOptions::ours(), threads, true, 11)
-            .expect("real run compiles");
-        let stats = with_real_run(analytic.stats, &run);
-        if threads == 1 {
-            serial_total = stats.wall_seconds;
-        }
-        println!(
-            "{:>8} {:>12.3} {:>12.3} {:>12.3} {:>9.2}x",
-            stats.cpu_threads,
-            run.forward_seconds,
-            run.backward_seconds,
-            stats.wall_seconds,
-            serial_total / stats.wall_seconds,
-        );
     }
 }

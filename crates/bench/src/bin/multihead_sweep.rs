@@ -1,45 +1,28 @@
 //! Multi-head sweep: the paper's §7.2 remark — *"The memory saving will
 //! be more significant if applying multi-head mechanism as in the
-//! original paper"* — measured. GAT training on Reddit with heads ∈
-//! {1, 2, 4, 8}, DGL baseline vs. Ours; the eliminated intermediates are
-//! `O(|E|·h)`, so the saving factor must grow with the head count.
+//! original paper"* — evaluated on the GPU model. GAT training on Reddit
+//! with heads ∈ {1, 2, 4, 8}, DGL baseline vs. Ours; the eliminated
+//! intermediates are `O(|E|·h)`, so the saving factor must grow with the
+//! head count.
 //!
 //! Run with `cargo run --release -p gnnopt-bench --bin multihead_sweep`.
 
-use gnnopt_bench::{gib, run_real, run_variant, smoke_scale, Workload};
+use gnnopt_bench::{gib, run_variant, smoke_scale, Workload};
 use gnnopt_core::CompileOptions;
-use gnnopt_graph::{datasets, generators, Graph};
+use gnnopt_graph::datasets;
 use gnnopt_models::{gat, GatConfig};
 use gnnopt_sim::Device;
-use gnnopt_tensor::parallel::available_threads;
 
 fn main() {
     let device = Device::rtx3090();
     let ds = datasets::reddit();
-    // Measured serial-vs-parallel scaling runs on a scaled synthetic graph
-    // (full-size Reddit edge tensors do not fit a CPU harness); the
-    // per-head model is identical, only |E| shrinks.
-    let exec_graph = Graph::from_edge_list(&generators::rmat(
-        smoke_scale(13, 9),
-        16,
-        0.57,
-        0.19,
-        0.19,
-        5,
-    ));
-    let par_threads = available_threads().max(2);
     println!(
         "# Multi-head sweep — GAT training on {} ({}), f=64 per head",
         ds.name, device.name
     );
     println!(
-        "# measured column: RMAT-13 ({} edges), {} threads vs serial",
-        exec_graph.num_edges(),
-        par_threads
-    );
-    println!(
-        "{:>6} {:>14} {:>14} {:>12} {:>12} {:>14}",
-        "heads", "DGL mem (GiB)", "Ours mem (GiB)", "mem saving", "speedup", "cpu scaling"
+        "{:>6} {:>14} {:>14} {:>12} {:>12}",
+        "heads", "DGL mem (GiB)", "Ours mem (GiB)", "mem saving", "speedup"
     );
 
     for heads in smoke_scale(vec![1usize, 2, 4, 8], vec![1, 2]) {
@@ -73,27 +56,13 @@ fn main() {
             &device,
         )
         .expect("ours variant");
-        let serial =
-            run_real(&spec, &exec_graph, &CompileOptions::ours(), 1, true, 3).expect("serial run");
-        let par = run_real(
-            &spec,
-            &exec_graph,
-            &CompileOptions::ours(),
-            par_threads,
-            true,
-            3,
-        )
-        .expect("parallel run");
-        let scaling = (serial.forward_seconds + serial.backward_seconds)
-            / (par.forward_seconds + par.backward_seconds);
         println!(
-            "{:>6} {:>14.2} {:>14.2} {:>11.2}x {:>11.2}x {:>13.2}x",
+            "{:>6} {:>14.2} {:>14.2} {:>11.2}x {:>11.2}x",
             heads,
             gib(dgl.stats.peak_memory),
             gib(ours.stats.peak_memory),
             dgl.stats.peak_memory as f64 / ours.stats.peak_memory as f64,
             dgl.stats.latency / ours.stats.latency,
-            scaling,
         );
     }
 }

@@ -1,15 +1,15 @@
 //! Experiment harness reproducing every figure of the paper's evaluation
 //! (§7): workload builders, the system-variant runner and the normalized
 //! report printer. One binary per figure regenerates the corresponding
-//! rows (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! recorded results).
+//! rows (README, "Reproducing the paper's figures", is the index). The
+//! figures are the paper's analytical GPU model; wall time on this host
+//! is `gnnbench`'s to measure, nothing here times a CPU step.
 
 use gnnopt_core::ir::Result as IrResult;
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, IrGraph};
-use gnnopt_exec::{Bindings, RunStats, Session};
+use gnnopt_core::{compile, CompileOptions, IrGraph};
 use gnnopt_graph::datasets::DatasetSpec;
-use gnnopt_graph::{EdgeList, Graph, GraphStats};
-use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, ModelSpec, MonetConfig};
+use gnnopt_graph::{EdgeList, GraphStats};
+use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
 use gnnopt_sim::{Device, ExecStats};
 use serde::Serialize;
 
@@ -98,62 +98,6 @@ pub fn run_variant(
         stats: s,
         fits,
     })
-}
-
-/// Compiles `spec` under `opts` pinned to an explicit executor thread
-/// count and runs one real CPU step on `graph` (forward + backward when
-/// `training`), returning the measured session statistics. This is the
-/// serial-vs-parallel scaling probe behind the headline figures. The
-/// session is a default one, so ambient `GNNOPT_*` overrides apply.
-///
-/// # Errors
-///
-/// Propagates IR/compile errors.
-///
-/// # Panics
-///
-/// Panics if the compiled plan fails to execute (a harness bug, not a
-/// measurement outcome).
-pub fn run_real(
-    spec: &ModelSpec,
-    graph: &Graph,
-    opts: &CompileOptions,
-    threads: usize,
-    training: bool,
-    seed: u64,
-) -> IrResult<RunStats> {
-    // The explicit thread count is compiled into the plan, so the session
-    // adopts it as-is (no auto-detection, no GNNOPT_THREADS interference);
-    // the policy's other knobs (tiling, heavy-row threshold) ride along.
-    let opts = CompileOptions {
-        exec: ExecPolicy {
-            threads,
-            ..opts.exec
-        },
-        ..*opts
-    };
-    let compiled = compile(&spec.ir, training, &opts)?;
-    let mut bindings = Bindings::new();
-    for (k, v) in spec.init_values(graph, seed) {
-        bindings.insert(&k, v);
-    }
-    let mut sess = Session::builder(&compiled.plan, graph)
-        .build()
-        .expect("session builds");
-    let out = sess.forward(&bindings).expect("forward runs");
-    if training {
-        sess.backward(gnnopt_tensor::Tensor::ones(out[0].shape()))
-            .expect("backward runs");
-    }
-    Ok(sess.stats())
-}
-
-/// Folds a real CPU run into the analytic record so scaling reports keep
-/// the measurement *and* its input (the thread count) together.
-pub fn with_real_run(mut stats: ExecStats, run: &RunStats) -> ExecStats {
-    stats.wall_seconds = run.forward_seconds + run.backward_seconds;
-    stats.cpu_threads = run.threads as u64;
-    stats
 }
 
 /// The three systems of Figure 7.

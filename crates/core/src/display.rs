@@ -2,7 +2,7 @@
 //! plans — the debugging surface for every pass.
 
 use crate::ir::{IrGraph, Phase};
-use crate::lower::StepExec;
+use crate::lower::{is_streamed_gather, StepExec};
 use crate::op::{EdgeGroup, OpKind, Space};
 use crate::plan::ExecutionPlan;
 use crate::view::{edge_view, View};
@@ -170,10 +170,10 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
         );
         for seg in segments {
             let steps = || prog.steps.iter().filter(|s| s.segment == seg);
-            let flavor = match steps().filter(|s| s.exec == StepExec::Full).count() {
-                0 => "tiled stream",
-                _ if steps().count() > 1 => "streamed gather",
-                _ => "full",
+            let flavor = match steps().find(|s| s.exec == StepExec::Full) {
+                None => "tiled stream",
+                Some(s) if is_streamed_gather(&ir.node(s.node).kind) => "streamed gather",
+                Some(_) => "full",
             };
             let _ = writeln!(out, "  seg {seg} ({flavor}):");
             for s in steps() {

@@ -47,13 +47,13 @@ pub struct ExecPolicy {
     /// Inert: read only by the frozen `src/bin/gnnbench`; goes when a
     /// `benchmark` PR drops that read.
     pub fused: bool,
-    /// In-degree above which a destination row's reduction is split into
-    /// fixed [`Self::HEAVY_ROW_CHUNK_EDGES`]-edge chunks whose partial
-    /// rows are combined in ascending chunk order — the heavy half of the
-    /// executor's degree-binned CSR dispatch. Chunk boundaries are a pure
-    /// function of the row's edge list (never of the thread count), so
-    /// results are identical for every `threads` value; hub rows merely
-    /// become schedulable across workers instead of serializing one.
+    /// In-degree above which a destination row's `Sum`/`Mean` reduction
+    /// is accumulated as fixed [`Self::HEAVY_ROW_CHUNK_EDGES`]-edge chunk
+    /// partials combined in ascending chunk order. An association rule —
+    /// part of what the reduction computes, a pure function of the row's
+    /// edge list, the same in the tile driver and the op library at every
+    /// thread count — not a scheduling one: nothing splits a hub row
+    /// across workers (a tile owns its destination groups whole).
     pub heavy_row_degree: usize,
     /// Scan every kernel output for non-finite values, localizing the
     /// first one to `(kernel, node, row, col)` as a typed error

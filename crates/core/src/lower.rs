@@ -33,13 +33,12 @@
 //! edge order. Rather than failing the whole kernel, lowering splits the
 //! program into *segments*: maximal runs of destination-tileable steps,
 //! separated by [`StepExec::Full`] steps that run once over the whole
-//! graph through the ordinary reference kernels (which are already
-//! deterministic and thread-parallel). A scratch value read across a
-//! segment boundary — in particular by a full step — is *spilled*: forced
-//! to [`Storage::Interior`], a real full tensor that lives only for the
-//! duration of the kernel. This is how a fused GAT backward kernel keeps
-//! its softmax-backward chain in scratch while its two vertex-gradient
-//! gathers (`ByDst` and `BySrc`) both still execute.
+//! graph. A scratch value read across a segment boundary — in particular
+//! by a full step — is *spilled*: forced to [`Storage::Interior`], a real
+//! full tensor that lives only for the duration of the kernel. This is
+//! how a fused GAT backward kernel keeps its softmax-backward chain in
+//! scratch while its two vertex-gradient gathers (`ByDst` and `BySrc`)
+//! both still execute.
 //!
 //! # Streamed segments
 //!
@@ -63,7 +62,9 @@
 //! — so it is an ordinary tile op over the tile's destinations. A segment
 //! holding tiled steps *and* a full gather is how a program says
 //! "streamed" ([`KernelProgram::streamed`]); nothing at launch re-derives
-//! it.
+//! it. A `BySrc` sum or mean with nothing to stream — its input a kernel
+//! input or a spill other steps read too — is the same unit with an empty
+//! chain ([`is_streamed_gather`]): the tile driver runs every one.
 //!
 //! # Totality
 //!
@@ -73,26 +74,27 @@
 //! views ([`crate::view`]):
 //!
 //! * per-edge / destination-endpoint members run [`StepExec::Tiled`]
-//!   inside the destination-tile loop — including the argmax-routed
-//!   `GatherMaxBwd` when its forward gather grouped `ByDst` (the argmax
-//!   rows of a tile's destinations select only that tile's edges);
-//! * source-grouped reductions, the `BySrc`-grouped `GatherMaxBwd`, dense
-//!   projections (`Linear`, `HeadDot`, and their backward duals) and the
-//!   cross-row parameter reductions (`GaussianBwdMu`/`GaussianBwdSigma`)
-//!   run as [`StepExec::Full`] whole-graph steps with edge-inverted or
-//!   dense schedules — their own segments inside the program;
+//!   inside the destination-tile loop, alone in their kernel or fused —
+//!   a boundary output is a sink written in place, so a one-step program
+//!   tiles like any other — including the argmax-routed `GatherMaxBwd`
+//!   when its forward gather grouped `ByDst` (the argmax rows of a
+//!   tile's destinations select only that tile's edges);
+//! * `BySrc` sums and means are [`StepExec::Full`] steps the tile loop
+//!   runs as streamed gathers, each the last step of its own segment;
+//! * what no destination tile can own runs as a [`StepExec::Full`] step
+//!   through the op library's dense dispatch, a segment of its own: dense
+//!   projections (`Linear`, `HeadDot`, and their backward duals), the
+//!   cross-row parameter reductions (`GaussianBwdMu`/`GaussianBwdSigma`),
+//!   row views, parameter-space compute, and the three `BySrc` ops that
+//!   read or write a *complete* vertex tensor at `src(e)` (`Gather(Max,
+//!   BySrc)`, its `GatherMaxBwd`, `GatherMeanBwd { BySrc }`) —
+//!   `op_exec` is the one place that says which;
 //! * parameter-space *views* (weight slices / reshapes of out-of-kernel
 //!   values) are [`Storage::Prelude`] steps evaluated once per launch;
 //! * a tiled step reading a same-segment member at the **source**
 //!   endpoint starts a fresh segment (a tile only owns its destinations),
 //!   which spills the producer to [`Storage::Interior`] via the ordinary
-//!   cross-segment rule;
-//! * singleton kernels lower to one-step programs, so fused execution is
-//!   uniform: every kernel runs through the same program interpreter. The
-//!   lone step executes [`StepExec::Full`] (direct reference dispatch —
-//!   tiling a single materialized output would round-trip rows through
-//!   scratch for no memory win), except `EdgeSoftmax`, which stays tiled
-//!   to record its fresh max/denominator auxiliaries.
+//!   cross-segment rule.
 
 use crate::ir::IrGraph;
 use crate::op::{EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
@@ -119,10 +121,11 @@ pub enum Storage {
 pub enum StepExec {
     /// Runs inside the destination-tile loop.
     Tiled,
-    /// Runs once over the whole graph via the reference kernel:
-    /// source-grouped reductions that cannot tile by destination. A
-    /// segment of its own — except a streamed gather's, which its
-    /// producer chain shares (module docs, "Streamed segments").
+    /// Runs once over the whole graph: a dense or parameter step handed
+    /// to the op library's dispatch, a segment of its own — or a `BySrc`
+    /// sum or mean ([`is_streamed_gather`]), which the tile loop runs as
+    /// the sink of its segment, behind the producer chain streamed into
+    /// it, if any (module docs, "Streamed segments").
     Full,
 }
 
@@ -296,8 +299,9 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
         | OpKind::HeadBroadcast { .. }
         | OpKind::FeatSum
         | OpKind::FeatBroadcast { .. } => StepExec::Tiled,
-        // Source-grouped reductions run as whole-graph full steps: their
-        // groups are not contiguous in the destination-major edge order.
+        // Source-grouped reductions are whole-graph full steps: their
+        // groups are not contiguous in the destination-major edge order
+        // (sums and means then stream, `is_streamed_gather`).
         OpKind::Gather { group, .. } | OpKind::GatherMeanBwd { group } => {
             if *group == EdgeGroup::ByDst {
                 StepExec::Tiled
@@ -317,7 +321,7 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
             }
         }
         // Dense projections and cross-row parameter reductions span all
-        // tiles: whole-graph full steps through the reference kernels.
+        // tiles: whole-graph full steps through the dense dispatch.
         OpKind::Linear
         | OpKind::LinearBwdInput
         | OpKind::LinearBwdWeight
@@ -332,6 +336,19 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
             unreachable!("leaves are never kernel members")
         }
     }
+}
+
+/// The one full step the tile driver runs itself: a `BySrc` sum or mean
+/// is `out[src(e)] += row(e)` in ascending edge order, which a walk over
+/// all destination tiles does. Every other full step is a dense call.
+pub fn is_streamed_gather(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::Gather {
+            reduce: ReduceFn::Sum | ReduceFn::Mean,
+            group: EdgeGroup::BySrc,
+        }
+    )
 }
 
 /// The pass-1/2 classes of a kernel's members, as the streaming pass
@@ -521,13 +538,10 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
     // chain nothing else reads, takes the chain into its own segment.
     for &gid in &member_ids {
         let gather = ir.node(gid);
-        let root = match gather.kind {
-            OpKind::Gather {
-                reduce: ReduceFn::Sum | ReduceFn::Mean,
-                group: EdgeGroup::BySrc,
-            } if exec.get(&gid) == Some(&StepExec::Full) => gather.inputs[0],
-            _ => continue,
-        };
+        if !is_streamed_gather(&gather.kind) {
+            continue;
+        }
+        let root = gather.inputs[0];
         if storage.get(&root) != Some(&Storage::Interior) || ir.node(root).space != Space::Edge {
             continue;
         }
@@ -556,7 +570,7 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         }
     }
 
-    let mut steps: Vec<ProgramStep> = member_ids
+    let steps: Vec<ProgramStep> = member_ids
         .iter()
         .map(|&id| {
             let node = ir.node(id);
@@ -571,20 +585,6 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
             }
         })
         .collect();
-
-    // A singleton program has nothing to keep on-chip: its only step's
-    // output is the kernel boundary, so tiling it would round-trip every
-    // row through scratch for zero memory win (measurably slower on
-    // GEMM-heavy models). Run it as one direct full step through the
-    // shared reference dispatch instead — except `EdgeSoftmax`, whose
-    // fresh max/denominator auxiliaries only the tiled path records.
-    if steps.len() == 1
-        && steps[0].exec == StepExec::Tiled
-        && steps[0].storage == Storage::Materialized
-        && !matches!(ir.node(steps[0].node).kind, OpKind::EdgeSoftmax)
-    {
-        steps[0].exec = StepExec::Full;
-    }
 
     KernelProgram {
         kernel: kernel.id,
@@ -832,6 +832,25 @@ mod tests {
         assert_eq!(plan.programs.len(), plan.kernels.len());
         let prog = &plan.programs[0];
         assert_eq!(prog.steps.len(), 1);
-        assert_eq!(prog.steps[0].storage, Storage::Materialized);
+        // A tile op like any other: its sink is the output tensor.
+        assert_eq!(
+            (prog.steps[0].storage, prog.steps[0].exec),
+            (Storage::Materialized, StepExec::Tiled)
+        );
+    }
+
+    #[test]
+    fn a_lone_by_src_sum_is_a_streamed_segment_with_an_empty_chain() {
+        let mut g = IrGraph::new();
+        let e = g.input_edge("e", Dim::flat(4));
+        let v = g.gather(ReduceFn::Sum, EdgeGroup::BySrc, e).unwrap();
+        g.mark_output(v);
+        let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;
+        let prog = &plan.programs[0];
+        assert_eq!(prog.steps.len(), 1);
+        assert!(is_streamed_gather(&plan.ir.node(prog.steps[0].node).kind));
+        assert_eq!(prog.streamed().count(), 0);
+        let dump = crate::display::dump_programs(&plan);
+        assert!(dump.contains("seg 1 (streamed gather):"), "{dump}");
     }
 }

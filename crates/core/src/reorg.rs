@@ -19,7 +19,7 @@
 //! 4. `Linear ∘ Scatter(∥)` → split weight rows, as (3).
 //! 5. `Gather(Σ) ∘ Linear(edge)` → `Linear ∘ Gather(Σ)` — the dual
 //!    postponement (sum commutes with linear maps); an extension beyond
-//!    the paper's examples, documented in DESIGN.md.
+//!    the paper's examples.
 //!
 //! A rewrite fires only when the propagated tensor has no other consumers,
 //! keeping the transformation locally IO-neutral-or-better.

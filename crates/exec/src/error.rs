@@ -24,9 +24,9 @@ pub enum ExecError {
     },
     /// The session is not in the right state for the call.
     Protocol(String),
-    /// One of the four environment overrides the builders read
-    /// (`GNNOPT_THREADS`, `GNNOPT_SHARDS`, `GNNOPT_GUARD`,
-    /// `GNNOPT_FAILPOINTS`) holds an invalid value.
+    /// One of the three environment overrides the builders read
+    /// (`GNNOPT_THREADS`, `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`) holds an
+    /// invalid value.
     Policy(String),
     /// Underlying tensor error.
     Tensor(TensorError),

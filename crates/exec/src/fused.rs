@@ -1,7 +1,12 @@
 //! Tiled execution of lowered [`KernelProgram`]s: fusion realized on the
 //! host, not just in the analytical model.
 //!
-//! This is the session's only way to run a kernel. Evaluating a fused
+//! This is the session's only way to run a kernel, and the tile driver
+//! below the only engine of every op a destination tile can run — alone
+//! in its kernel or fused; what a tile cannot own (a `StepExec::Full`
+//! step: dense projections, cross-row parameter reductions,
+//! parameter-space steps, three `BySrc` ops) is one call into the op
+//! library's dense dispatch between tiled segments. Evaluating a fused
 //! kernel node by node (as the test oracle, [`crate::refexec::evaluate`],
 //! does) materializes every member as a full tensor, so fusion would only
 //! change the *accounting*. This interpreter executes a program over CSR
@@ -75,22 +80,24 @@
 //!
 //! # Streamed segments
 //!
-//! A segment that holds tiled steps *and* a full `BySrc` gather is a
-//! streamed gather: lowering found the gather to be the only consumer of
-//! a per-edge computable producer chain and moved the chain into the
+//! A segment whose full step is a `BySrc` sum or mean is a streamed
+//! gather. Where lowering found the gather to be the only consumer of a
+//! per-edge computable producer chain, it moved the chain into the
 //! gather's segment instead of spilling its root as an `O(|E|·d)`
 //! interior tensor (`gnnopt_core::lower`, "Streamed segments" — the
-//! decision is the program's, nothing here re-derives it). Chain and
+//! decision is the program's, nothing here re-derives it); otherwise the
+//! chain is empty and the gather reads a complete tensor. Chain and
 //! gather compile into one more unit for the same tile loop: the chain's
 //! ops get slots by the rule above (a linear edge-space chain is
 //! row-sized throughout, an elementwise vertex-space member — read at
 //! `dst(e)` — or a member with two readers is a tile op), and the
 //! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
-//! edges in ascending order. Workers own source-vertex ranges there,
-//! each walks every tile and skips the edges it does not own — the
-//! partition (of about as many out-edges each) and the accumulation
-//! order of [`crate::kernels::gather`]'s `BySrc` scan, so results stay
-//! bit-identical to the materializing path for any thread count. A pull
+//! edges in ascending order. Workers own source-vertex ranges there (of
+//! about as many out-edges each), each walks every tile and skips the
+//! edges it does not own: every source row accumulates its edges in
+//! ascending id, the order of [`crate::kernels::gather`]'s serial `BySrc`
+//! scan, so results stay bit-identical to the materializing path for any
+//! thread count. A pull
 //! covers the run of consecutive edges the worker owns (sources ascend
 //! within a destination group, so each group is one run per worker),
 //! which is what divides the row-sized members' work by the worker
@@ -136,7 +143,7 @@ use crate::kernels::{
     reduce_row_sum, split_rows, RowSource, NO_ARGMAX,
 };
 use crate::{contain, ExecError, Result};
-use gnnopt_core::lower::{KernelProgram, StepExec, Storage};
+use gnnopt_core::lower::{is_streamed_gather, KernelProgram, StepExec, Storage};
 use gnnopt_core::{
     Dim, EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space,
 };
@@ -873,7 +880,7 @@ pub(crate) fn run_program(
             // Mirrors the op dispatch (`refexec::exec_op`) exactly: parameters store
             // heads as rows, so the per-head slice degenerates to heads=1.
             OpKind::SliceCols { start, end } => {
-                crate::kernels::slice_cols(&ExecPolicy::serial(), x, 1, din.feat, *start, *end)
+                crate::kernels::slice_cols(x, 1, din.feat, *start, *end)
             }
             OpKind::SliceRows { start, end } => {
                 let rows: Vec<usize> = (*start..*end).collect();
@@ -1041,9 +1048,9 @@ pub(crate) fn run_program(
     };
     let tile_parts: Vec<Part> = wt.windows(2).map(|w| part(w[0]..w[1])).collect();
 
-    // Execute segments in order: full steps once over the whole graph via
-    // the (deterministic, thread-parallel) reference kernels; tiled
-    // segments and streamed gathers tile by tile with per-worker slots.
+    // Execute segments in order: dense and parameter steps once over the
+    // whole graph, tiled segments and streamed gathers tile by tile with
+    // per-worker slots.
     let mut scratch_bytes = 0u64;
     let mut new_argmax_full: Vec<(usize, Vec<u32>)> = Vec::new();
     for (ord, seg) in program.segments().into_iter().enumerate() {
@@ -1073,70 +1080,49 @@ pub(crate) fn run_program(
                 aux_softmax,
                 aux_argmax,
             };
-            // A full step is its segment's last; alone there unless
-            // lowering streamed a chain into it.
+            // A full step is its segment's last. A `BySrc` sum or mean is
+            // the tile loop's own — the streamed gather, behind whatever
+            // chain lowering moved into its segment, possibly none; any
+            // other full step is alone there and runs whole.
             let full = seg_steps
                 .last()
                 .copied()
                 .filter(|&si| program.steps[si].exec == StepExec::Full);
-            match (full, seg_steps.len()) {
-                (Some(si), 1) => {
+            let gather = full.filter(|&si| is_streamed_gather(&ir.node(steps[si].node).kind));
+            match (full, gather) {
+                // A dense or parameter step: one call into the op
+                // library's dispatch. This is what makes lowering total:
+                // any op the IR expresses either tiles or lands here.
+                (Some(si), None) => {
                     let sp = &steps[si];
-                    let t = match &ir.node(sp.node).kind {
-                        OpKind::Gather { reduce, group } => {
-                            let x = env.tensor(sp.srcs[0]);
-                            let (t, am) = crate::kernels::gather(policy, g, *reduce, *group, x);
-                            if let Some(am) = am {
-                                new_argmax_full.push((si, am));
-                            }
-                            t
+                    let node = ir.node(sp.node);
+                    let inputs: Vec<&Tensor> = sp.srcs.iter().map(|&s| env.tensor(s)).collect();
+                    let aux_in = match &node.kind {
+                        OpKind::GatherMaxBwd { fwd } => {
+                            let table =
+                                aux_argmax.get(fwd).ok_or_else(|| ExecError::ValueNotLive {
+                                    node: format!("argmax aux of node {fwd}"),
+                                })?;
+                            crate::refexec::AuxIn::Argmax(table)
                         }
-                        // Every other full step — whole-graph backward
-                        // reductions, GEMMs, parameter reductions, row
-                        // views — runs through the shared reference
-                        // dispatch. This is what makes lowering total:
-                        // any op the IR expresses either tiles or lands
-                        // here.
-                        kind => {
-                            let inputs: Vec<&Tensor> =
-                                sp.srcs.iter().map(|&s| env.tensor(s)).collect();
-                            let aux_in = match kind {
-                                OpKind::GatherMaxBwd { fwd } => {
-                                    let table = aux_argmax.get(fwd).ok_or_else(|| {
-                                        ExecError::ValueNotLive {
-                                            node: format!("argmax aux of node {fwd}"),
-                                        }
-                                    })?;
-                                    crate::refexec::AuxIn::Argmax(table)
-                                }
-                                _ => crate::refexec::AuxIn::None,
-                            };
-                            let (t, aux_out) = crate::refexec::exec_op(
-                                policy,
-                                g,
-                                ir,
-                                ir.node(sp.node),
-                                &inputs,
-                                aux_in,
-                            )?;
-                            if let crate::refexec::AuxOut::Argmax(a) = aux_out {
-                                new_argmax_full.push((si, a));
-                            }
-                            t
-                        }
+                        _ => crate::refexec::AuxIn::None,
                     };
+                    let (t, aux_out) =
+                        crate::refexec::exec_op(policy, g, ir, node, &inputs, aux_in)?;
+                    if let crate::refexec::AuxOut::Argmax(a) = aux_out {
+                        new_argmax_full.push((si, a));
+                    }
                     seg_out.push((si, t));
                 }
                 // A tiled segment over the workers' own tile runs — or a
                 // streamed gather: its chain, then the gather as the
                 // unit's last op, every worker walking *all* tiles and
-                // accumulating the source rows it owns (the partition of
-                // `kernels::gather`'s `BySrc` scan).
-                (gather, _) => {
+                // accumulating the source rows it owns.
+                _ => {
                     // A streamed gather's workers own source-vertex ranges
-                    // of about as many out-edges each — the split of
-                    // `kernels::gather`'s `BySrc` scan — and each walk
-                    // every tile.
+                    // of about as many out-edges each (every worker pays
+                    // for the whole scan, so only owned rows divide) and
+                    // each walk every tile.
                     let (mut owned, mut every_tile) = (Vec::new(), Vec::new());
                     if let Some(si) = gather {
                         let total = steps[si].cols;
@@ -1401,8 +1387,8 @@ fn exec_op(
     let zeroed = op.size == SlotSize::Sink;
     match (op.kind, aux) {
         // The streamed accumulate: `out[src(e)] += row(e)` over the
-        // tile's edges in ascending order — `kernels::gather`'s `BySrc`
-        // scan, one tile of it.
+        // tile's edges in ascending order — `kernels::gather`'s serial
+        // `BySrc` scan, one tile of it.
         (
             OpKind::Gather {
                 reduce,
@@ -1860,8 +1846,7 @@ mod tests {
         assert_eq!(tile_bounds(&tail, 4), vec![0, 1, 5, 9]);
     }
 
-    // The streamed `BySrc` gathers' worker split (`kernels::gather`'s
-    // scan cuts its source ranges with the same function).
+    // The streamed `BySrc` gathers' worker split.
 
     #[test]
     fn edge_balanced_bounds_flatten_a_hub() {

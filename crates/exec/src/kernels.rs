@@ -1,55 +1,38 @@
-//! Reference CPU kernels for every IR operator.
+//! The op library: one whole-tensor CPU kernel per IR operator.
 //!
 //! Layout convention: a tensor with dim `{heads, feat}` is stored as
 //! `[rows, heads*feat]` row-major, head-major within a row (head `h`'s
 //! features occupy columns `h*feat .. (h+1)*feat`).
 //!
-//! # Inner loops
+//! # Who runs what
 //!
-//! The per-row feature-axis loops (accumulate, scale, max, softmax
-//! expressions) are the shared vectorized functions of
-//! [`gnnopt_tensor::rowops`]; the fused tiled interpreter
-//! ([`crate::fused`]) calls the *same* functions, so the two execution
-//! paths share one set of inner loops and stay bit-identical by
-//! construction rather than by parallel maintenance.
+//! A session runs every graph and per-row op in the tile driver
+//! ([`crate::fused`]), alone in its kernel or fused. What reaches this
+//! module from a session is the dense dispatch of a
+//! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`): the
+//! dense projections, the cross-row parameter reductions, the three
+//! `BySrc` ops a destination tile cannot own, and parameter-space steps
+//! of a few rows. Everything else here is the **serial reference** the
+//! oracle ([`crate::refexec::evaluate`]) is built from — a plain loop
+//! over the shared feature-axis functions of [`gnnopt_tensor::rowops`],
+//! the *same* functions the tile driver calls, so the two stay
+//! bit-identical by construction rather than by parallel maintenance,
+//! and an N-thread session is compared against one thread's arithmetic.
 //!
-//! # Thread parallelism and degree-binned dispatch
+//! # The kernels that split
 //!
-//! Every kernel takes an [`ExecPolicy`] and partitions its work over
-//! `std::thread::scope` workers (the same pattern as `Tensor::matmul`,
-//! sharing the pool size via `gnnopt_tensor::parallel`):
+//! Only what a full step can hand graph-sized rows splits its work over
+//! `std::thread::scope` workers, under the caller's [`ExecPolicy`]:
 //!
-//! * **row-partitioned** kernels (scatter, elementwise, head ops, MoNet
-//!   weights) split the output into contiguous row ranges;
-//! * **vertex-partitioned** kernels (gather, edge softmax and its
-//!   backward) split the CSR vertex range; because canonical edge ids are
-//!   destination-major, each vertex range also owns a *contiguous* block
-//!   of edge rows, so `ByDst` edge-space outputs split without atomics.
-//! * **`BySrc` gathers** stream: a source row's edges are scattered
-//!   through the destination-major edge tensor, but `out_adj` lists them
-//!   in ascending canonical id, so one ascending scan of *all* edges
-//!   visits every source's edges in exactly the per-row order. Each
-//!   worker owns a source-vertex range and scans the full edge array,
-//!   keeping the reads sequential (prefetch-friendly) while every output
-//!   element retains the serial accumulation order. The ranges are cut
-//!   edge-balanced (`edge_balanced_vertex_bounds` over `out_adj`), not
-//!   by vertex count: every worker pays for the whole scan, so only the
-//!   rows it owns divide, and a vertex-count split of a power-law graph
-//!   leaves one worker most of them. The program interpreter's streamed
-//!   gathers cut theirs the same way.
-//!
-//! # Determinism contract, per kernel
-//!
-//! * **Bit-identical at every thread count** (and identical to the fused
-//!   interpreter): all scatter/elementwise/head kernels, [`gather`] (all
-//!   reductions — see the heavy-row note below), [`gather_mean_bwd`],
-//!   [`gather_max_bwd`] (each output element is written by at most one
-//!   edge, so the inverted edge partition cannot race), [`edge_softmax`],
-//!   [`edge_softmax_from_aux`] and [`edge_softmax_bwd`]. Chunk
-//!   boundaries depend only on `(rows, threads)` (or `(indptr,
-//!   threads)` for the edge-balanced split) and no floating-point
-//!   reduction crosses a worker boundary.
-//! * **Fixed reassociation, thread-count invariant**: the cross-row
+//! * **row-partitioned** ([`head_dot`], [`head_dot_bwd_input`],
+//!   [`gather_max_bwd`], [`gather_mean_bwd`]): contiguous output row
+//!   ranges, each element written by one worker ([`gather_max_bwd`]: by
+//!   at most one edge, so the inverted edge partition cannot race);
+//! * **`BySrc` [`gather`] of `Max`**: each worker owns a source-vertex
+//!   range and scans the full edge array in ascending canonical id —
+//!   which is every source row's `out_adj` order — so first-wins argmax
+//!   is the serial one whatever the partition;
+//! * **fixed reassociation, thread-count invariant**: the cross-row
 //!   parameter reductions [`head_dot_bwd_param`], [`gaussian_bwd_mu`]
 //!   and [`gaussian_bwd_sigma`] accumulate fixed
 //!   [`PARAM_REDUCE_CHUNK_ROWS`]-row partials combined in ascending
@@ -58,14 +41,18 @@
 //!   same bits (proptested in `tests/backward_reduce.rs`); the
 //!   association differs from a single left-to-right sweep, which is the
 //!   documented cost of running them parallel at all.
-//! * **Heavy destination rows** (in-degree above
-//!   [`ExecPolicy::heavy_row_degree`]) in `Sum`/`Mean` [`gather`]s are
-//!   reduced as fixed [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk
-//!   partials combined in ascending chunk order, *at every thread
-//!   count* — this is part of the kernel definition, so hub rows can be
-//!   split across workers without serial/parallel divergence. `Max`
-//!   rows are never chunked (first-wins argmax keeps the plain scan
-//!   bit-identical regardless of scheduling).
+//!
+//! # Heavy destination rows
+//!
+//! A `ByDst` `Sum`/`Mean` row of in-degree above
+//! [`ExecPolicy::heavy_row_degree`] is reduced as fixed
+//! [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk partials combined in
+//! ascending chunk order ([`reduce_row_sum`], [`reduce_row_mean`] —
+//! shared with the tile driver). This is an association rule, part of
+//! the kernel definition; nothing splits a hub row across workers.
+//! `BySrc` sums accumulate in ascending edge order with no chunking (the
+//! tile driver's streamed gathers do the same), and `Max` rows are never
+//! chunked.
 //!
 //! # Empty-group (isolated-vertex) semantics
 //!
@@ -128,7 +115,10 @@ pub const PARAM_REDUCE_CHUNK_ROWS: usize = 1 << 14;
 /// `threads` parts owns roughly the same number of edges (`indptr` is the
 /// CSR row pointer of the grouping adjacency). A pure function of
 /// `(indptr, threads)`, and purely a scheduling choice since parts stay
-/// data-disjoint.
+/// data-disjoint. The tile driver cuts a streamed `BySrc` gather's source
+/// ranges with it: every worker pays for the whole edge scan, so only the
+/// rows it owns divide, and a vertex-count split of a power-law graph
+/// leaves one worker most of them.
 pub(crate) fn edge_balanced_vertex_bounds(indptr: &[usize], threads: usize) -> Vec<usize> {
     let n = indptr.len() - 1;
     let workers = threads.clamp(1, n.max(1));
@@ -332,125 +322,62 @@ where
     wg.rethrow();
 }
 
-/// Runs `body(vertex_range, edge_rows_chunk)` over disjoint destination
-/// vertex ranges. Canonical edge ids are destination-major, so the edges
-/// of vertices `[v0, v1)` occupy the contiguous rows
-/// `[indptr[v0], indptr[v1])` of the edge-space output — each worker's
-/// chunk starts at edge `indptr[vertex_range.start]`.
-fn par_dst_groups<F>(policy: &ExecPolicy, g: &Graph, cols: usize, out: &mut [f32], body: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    let n = g.num_vertices();
-    let threads = plan_threads(policy, n, g.num_edges() * cols);
-    if threads < 2 || cols == 0 {
-        body(0..n, out);
-        return;
-    }
-    let indptr = g.in_adj().indptr();
-    let bounds = chunk_bounds(n, threads);
-    let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
-    let chunks = split_rows(out, cols, &ebounds);
-    let wg = contain::WorkerGuard::new();
-    std::thread::scope(|s| {
-        for (w, chunk) in bounds.windows(2).zip(chunks) {
-            let body = &body;
-            let wg = &wg;
-            s.spawn(move || wg.run(|| body(w[0]..w[1], chunk)));
+/// A zeroed `[rows, cols]` tensor filled by `body(out_row, r)` for every
+/// row `r` in order: the shape of every per-row reference kernel below.
+fn map_rows(rows: usize, cols: usize, body: impl Fn(&mut [f32], usize)) -> Tensor {
+    let mut out = Tensor::zeros(&[rows, cols]);
+    if cols > 0 {
+        for (r, o) in out.as_mut_slice().chunks_mut(cols).enumerate() {
+            body(o, r);
         }
-    });
-    wg.rethrow();
+    }
+    out
 }
 
-/// `Scatter`: per-edge combination of endpoint features (row-partitioned).
+/// `Scatter`: per-edge combination of endpoint features. A serial
+/// reference (sessions scatter in the tile driver); `_policy` stays in
+/// the signature for the op-library callers that time it.
 pub fn scatter(
-    policy: &ExecPolicy,
+    _policy: &ExecPolicy,
     g: &Graph,
     f: ScatterFn,
     x: &Tensor,
     y: &Tensor,
     out_dim: Dim,
 ) -> Tensor {
-    let m = g.num_edges();
-    let total = out_dim.total();
-    let mut out = Tensor::zeros(&[m, total]);
-    let work = m * total;
+    let (m, total) = (g.num_edges(), out_dim.total());
     match f {
-        ScatterFn::CopyU => {
-            par_rows(
-                policy,
-                m,
-                total,
-                work,
-                out.as_mut_slice(),
-                |range, chunk| {
-                    for (i, e) in range.enumerate() {
-                        chunk[i * total..(i + 1) * total].copy_from_slice(x.row(g.src(e)));
-                    }
-                },
-            );
-        }
-        ScatterFn::CopyV => {
-            par_rows(
-                policy,
-                m,
-                total,
-                work,
-                out.as_mut_slice(),
-                |range, chunk| {
-                    for (i, e) in range.enumerate() {
-                        chunk[i * total..(i + 1) * total].copy_from_slice(y.row(g.dst(e)));
-                    }
-                },
-            );
-        }
-        ScatterFn::Bin(bf) => {
-            par_rows(
-                policy,
-                m,
-                total,
-                work,
-                out.as_mut_slice(),
-                |range, chunk| {
-                    for (i, e) in range.enumerate() {
-                        let (xu, yv) = (x.row(g.src(e)), y.row(g.dst(e)));
-                        let o = &mut chunk[i * total..(i + 1) * total];
-                        bf.zip_into(o, xu, yv);
-                    }
-                },
-            );
-        }
+        ScatterFn::CopyU => map_rows(m, total, |o, e| o.copy_from_slice(x.row(g.src(e)))),
+        ScatterFn::CopyV => map_rows(m, total, |o, e| o.copy_from_slice(y.row(g.dst(e)))),
+        ScatterFn::Bin(bf) => map_rows(m, total, |o, e| {
+            bf.zip_into(o, x.row(g.src(e)), y.row(g.dst(e)));
+        }),
         ScatterFn::ConcatUV => {
             // Per-head concatenation.
             let heads = out_dim.heads;
-            let fx = x.cols() / heads;
-            let fy = y.cols() / heads;
-            par_rows(
-                policy,
-                m,
-                total,
-                work,
-                out.as_mut_slice(),
-                |range, chunk| {
-                    for (i, e) in range.enumerate() {
-                        let (xu, yv) = (x.row(g.src(e)), y.row(g.dst(e)));
-                        let o = &mut chunk[i * total..(i + 1) * total];
-                        for h in 0..heads {
-                            let base = h * (fx + fy);
-                            o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
-                            o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
-                        }
-                    }
-                },
-            );
+            let (fx, fy) = (x.cols() / heads, y.cols() / heads);
+            map_rows(m, total, |o, e| {
+                let (xu, yv) = (x.row(g.src(e)), y.row(g.dst(e)));
+                for h in 0..heads {
+                    let base = h * (fx + fy);
+                    o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
+                    o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
+                }
+            })
         }
     }
-    out
 }
 
-/// `Gather`: grouped reduction of edge features into vertex features
-/// (vertex-partitioned). Returns the reduced tensor and, for `Max`, the
-/// per-element argmax edge ids (`NO_ARGMAX` for empty groups).
+/// `Gather`: grouped reduction of edge features into vertex features.
+/// Returns the reduced tensor and, for `Max`, the per-element argmax edge
+/// ids (`NO_ARGMAX` for empty groups).
+///
+/// `Sum`/`Mean` are serial references (sessions reduce in the tile
+/// driver): `ByDst` walks each row's contiguous edge block through the
+/// shared heavy-row helpers, `BySrc` accumulates one ascending scan of
+/// all edges — which is every source row's `out_adj` order. The policy
+/// supplies [`ExecPolicy::heavy_row_degree`] and the `BySrc` `Max`
+/// worker count.
 ///
 /// Empty groups (isolated vertices) keep the `0.0` identity row — see the
 /// module-level contract.
@@ -464,204 +391,66 @@ pub fn gather(
     let n = g.num_vertices();
     let total = x.cols();
     let mut out = Tensor::zeros(&[n, total]);
-    let adj = match group {
-        EdgeGroup::ByDst => g.in_adj(),
-        EdgeGroup::BySrc => g.out_adj(),
-    };
-    let work = g.num_edges() * total;
-    let threads = plan_threads(policy, n, work);
-    let heavy = policy.heavy_row_degree;
     if matches!(reduce, ReduceFn::Max) {
-        let argmax = gather_max(g, group, x, threads, out.as_mut_slice());
+        let argmax = gather_max(policy, g, group, x, out.as_mut_slice());
         return (out, Some(argmax));
     }
-    // Sum / Mean. `BySrc` streams the edge tensor in ascending canonical
-    // id (which is exactly every source row's `out_adj` order — see the
-    // module docs), `ByDst` walks each row's contiguous edge block;
-    // both reduce heavy rows through the shared chunked helpers.
-    let by_src_scan = matches!(group, EdgeGroup::BySrc);
-    let src = g.src_slice();
-    // Heavy destination rows are lifted out of the row partition and
-    // split *across* workers chunk-by-chunk (phase 2 below) — the hub
-    // half of the degree-binned dispatch. Only worth it when there are
-    // workers to split over; the serial path reduces them inline with
-    // the same chunk association.
-    let heavy_rows: Vec<usize> = if by_src_scan || threads < 2 {
-        Vec::new()
-    } else {
-        (0..n).filter(|&v| adj.degree(v) > heavy).collect()
-    };
-    let split_heavy = !heavy_rows.is_empty();
-    let run = |vs: Range<usize>, chunk: &mut [f32]| {
-        if by_src_scan {
-            // One ascending pass over all edges; accumulate the rows
-            // owned by this worker's source range. `BySrc` rows skip the
-            // heavy-chunk rule (the scan has no per-row chunk state and
-            // its accumulation order is already scheduling-independent).
-            let v0 = vs.start;
+    if group == EdgeGroup::BySrc {
+        let adj = g.out_adj();
+        for (e, &s) in g.src_slice().iter().enumerate() {
+            let v = s as usize;
             match reduce {
-                ReduceFn::Sum => {
-                    for (e, &s) in src.iter().enumerate() {
-                        let v = s as usize;
-                        if vs.contains(&v) {
-                            let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
-                            rowops::add_assign(o, x.row(e));
-                        }
-                    }
-                }
-                ReduceFn::Mean => {
-                    for (e, &s) in src.iter().enumerate() {
-                        let v = s as usize;
-                        if vs.contains(&v) {
-                            let inv = 1.0 / adj.degree(v) as f32;
-                            let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
-                            rowops::axpy(o, inv, x.row(e));
-                        }
-                    }
-                }
-                ReduceFn::Max => unreachable!("handled above"),
-            }
-            return;
-        }
-        // The heavy-row chunk scratch is pooled so the serial path's hub
-        // reductions stay allocation-free in steady state.
-        let mut scratch = pool::take_work_f32(total);
-        for (i, v) in vs.enumerate() {
-            let deg = adj.degree(v);
-            if deg == 0 || (split_heavy && deg > heavy) {
-                continue;
-            }
-            let o = &mut chunk[i * total..(i + 1) * total];
-            match reduce {
-                ReduceFn::Sum => {
-                    reduce_row_sum(o, adj.edge_ids(v), &mut &*x, heavy, &mut scratch);
-                }
-                ReduceFn::Mean => {
-                    let inv = 1.0 / deg as f32;
-                    reduce_row_mean(o, adj.edge_ids(v), inv, &mut &*x, heavy, &mut scratch);
-                }
-                ReduceFn::Max => unreachable!("handled above"),
+                ReduceFn::Sum => rowops::add_assign(out.row_mut(v), x.row(e)),
+                _ => rowops::axpy(out.row_mut(v), 1.0 / adj.degree(v) as f32, x.row(e)),
             }
         }
-        pool::put_work_f32(scratch);
-    };
-    if threads < 2 || total == 0 {
-        run(0..n, out.as_mut_slice());
-    } else {
-        let bounds = if by_src_scan {
-            edge_balanced_vertex_bounds(adj.indptr(), threads)
-        } else {
-            chunk_bounds(n, threads)
-        };
-        let chunks = split_rows(out.as_mut_slice(), total, &bounds);
-        let wg = contain::WorkerGuard::new();
-        std::thread::scope(|s| {
-            for (w, chunk) in bounds.windows(2).zip(chunks) {
-                let run = &run;
-                let wg = &wg;
-                s.spawn(move || wg.run(|| run(w[0]..w[1], chunk)));
-            }
-        });
-        wg.rethrow();
+        return (out, None);
     }
-    if split_heavy {
-        // Phase 2: every heavy row's fixed-length chunks, flattened into
-        // one task list and divided over the workers; partials are folded
-        // into the output in ascending (vertex, chunk) order — exactly
-        // the association of `reduce_row_sum`/`reduce_row_mean`'s serial
-        // chunked path, so the split changes scheduling only.
-        let chunk_edges = ExecPolicy::HEAVY_ROW_CHUNK_EDGES;
-        let tasks: Vec<(usize, usize)> = heavy_rows
-            .iter()
-            .flat_map(|&v| (0..adj.degree(v).div_ceil(chunk_edges)).map(move |ci| (v, ci)))
-            .collect();
-        let mut partials = vec![0.0f32; tasks.len() * total];
-        let bounds = chunk_bounds(tasks.len(), threads);
-        let parts = split_rows(&mut partials, total, &bounds);
-        let wg = contain::WorkerGuard::new();
-        std::thread::scope(|s| {
-            for (w, part) in bounds.windows(2).zip(parts) {
-                let tasks = &tasks;
-                let wg = &wg;
-                s.spawn(move || {
-                    wg.run(|| {
-                        for (i, &(v, ci)) in tasks[w[0]..w[1]].iter().enumerate() {
-                            let deg = adj.degree(v);
-                            let ids = &adj.edge_ids(v)
-                                [ci * chunk_edges..((ci + 1) * chunk_edges).min(deg)];
-                            let partial = &mut part[i * total..(i + 1) * total];
-                            match reduce {
-                                ReduceFn::Sum => {
-                                    for &e in ids {
-                                        rowops::add_assign(partial, x.row(e as usize));
-                                    }
-                                }
-                                ReduceFn::Mean => {
-                                    let inv = 1.0 / deg as f32;
-                                    for &e in ids {
-                                        rowops::axpy(partial, inv, x.row(e as usize));
-                                    }
-                                }
-                                ReduceFn::Max => unreachable!("handled above"),
-                            }
-                        }
-                    })
-                });
-            }
-        });
-        wg.rethrow();
-        for (i, &(v, _)) in tasks.iter().enumerate() {
-            rowops::add_assign(out.row_mut(v), &partials[i * total..(i + 1) * total]);
+    let (adj, heavy) = (g.in_adj(), policy.heavy_row_degree);
+    // Pooled, so a hub's chunk partial costs the oracle no allocation.
+    let mut scratch = pool::take_work_f32(total);
+    for v in 0..n {
+        let (ids, o) = (adj.edge_ids(v), out.row_mut(v));
+        match reduce {
+            ReduceFn::Sum => reduce_row_sum(o, ids, &mut &*x, heavy, &mut scratch),
+            _ if ids.is_empty() => {}
+            _ => reduce_row_mean(
+                o,
+                ids,
+                1.0 / ids.len() as f32,
+                &mut &*x,
+                heavy,
+                &mut scratch,
+            ),
         }
     }
+    pool::put_work_f32(scratch);
     (out, None)
 }
 
-/// `Gather(Max)` body: per-row first-wins scan (bit-identical under any
-/// partition — see the module contract). `BySrc` streams edges with the
-/// `NO_ARGMAX` sentinel standing in for the per-row "first edge" flag,
-/// which is equivalent because a row's first edge writes every element.
+/// `Gather(Max)` body: per-row first-wins scan. `ByDst` is a serial
+/// reference (a tile op in sessions). `BySrc` — a full step — streams
+/// edges over source-range workers with the `NO_ARGMAX` sentinel standing
+/// in for the per-row "first edge" flag, which is equivalent because a
+/// row's first edge writes every element; bit-identical under any
+/// partition.
 fn gather_max(
+    policy: &ExecPolicy,
     g: &Graph,
     group: EdgeGroup,
     x: &Tensor,
-    threads: usize,
     out: &mut [f32],
 ) -> Vec<u32> {
     let n = g.num_vertices();
     let total = x.cols();
     let mut argmax = pool::take_u32(n * total);
     argmax.resize(n * total, NO_ARGMAX);
-    let adj = match group {
-        EdgeGroup::ByDst => g.in_adj(),
-        EdgeGroup::BySrc => g.out_adj(),
-    };
-    let src = g.src_slice();
-    let run = |vs: Range<usize>, chunk: &mut [f32], am: &mut [u32]| {
-        if matches!(group, EdgeGroup::BySrc) {
-            let v0 = vs.start;
-            for (e, &s) in src.iter().enumerate() {
-                let v = s as usize;
-                if !vs.contains(&v) {
-                    continue;
-                }
-                let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
-                let ar = &mut am[(v - v0) * total..(v - v0 + 1) * total];
-                let xr = x.row(e);
-                for c in 0..total {
-                    if ar[c] == NO_ARGMAX || xr[c] > o[c] {
-                        o[c] = xr[c];
-                        ar[c] = e as u32;
-                    }
-                }
-            }
-            return;
-        }
-        for (i, v) in vs.enumerate() {
-            let o = &mut chunk[i * total..(i + 1) * total];
-            let ar = &mut am[i * total..(i + 1) * total];
+    if group == EdgeGroup::ByDst {
+        for v in 0..n {
+            let o = &mut out[v * total..(v + 1) * total];
+            let ar = &mut argmax[v * total..(v + 1) * total];
             let mut first = true;
-            for &e in adj.edge_ids(v) {
+            for &e in g.in_adj().edge_ids(v) {
                 let xr = x.row(e as usize);
                 for c in 0..total {
                     if first || xr[c] > o[c] {
@@ -672,7 +461,28 @@ fn gather_max(
                 first = false;
             }
         }
+        return argmax;
+    }
+    let src = g.src_slice();
+    let run = |vs: Range<usize>, chunk: &mut [f32], am: &mut [u32]| {
+        let v0 = vs.start;
+        for (e, &s) in src.iter().enumerate() {
+            let v = s as usize;
+            if !vs.contains(&v) {
+                continue;
+            }
+            let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
+            let ar = &mut am[(v - v0) * total..(v - v0 + 1) * total];
+            let xr = x.row(e);
+            for c in 0..total {
+                if ar[c] == NO_ARGMAX || xr[c] > o[c] {
+                    o[c] = xr[c];
+                    ar[c] = e as u32;
+                }
+            }
+        }
     };
+    let threads = plan_threads(policy, n, g.num_edges() * total);
     if threads < 2 || total == 0 {
         run(0..n, out, &mut argmax);
     } else {
@@ -697,7 +507,7 @@ fn gather_max(
 /// e` is only possible for the one vertex `e` groups under (`dst(e)` for
 /// `ByDst`, `src(e)` for `BySrc`), so each output element is written at
 /// most once — no scatter races, and results are bit-identical at every
-/// thread count.
+/// thread count (the `BySrc` form is a full step, so this one splits).
 ///
 /// `NO_ARGMAX` entries (empty groups) route no gradient.
 pub fn gather_max_bwd(
@@ -738,7 +548,8 @@ pub fn gather_max_bwd(
 
 /// Backward of `Gather(Mean)`: scatters `grad[v] / degree(v)`
 /// (row-partitioned over edges — each edge row depends only on its group
-/// vertex, and a vertex with an incident edge always has degree ≥ 1).
+/// vertex, and a vertex with an incident edge always has degree ≥ 1; the
+/// `BySrc` form is a full step, so this one splits).
 pub fn gather_mean_bwd(policy: &ExecPolicy, g: &Graph, group: EdgeGroup, grad: &Tensor) -> Tensor {
     let total = grad.cols();
     let m = g.num_edges();
@@ -768,210 +579,95 @@ pub fn gather_mean_bwd(policy: &ExecPolicy, g: &Graph, group: EdgeGroup, grad: &
     out
 }
 
-/// Edge softmax over destination groups, per column (vertex-partitioned).
-/// Returns `(y, max, denom)` where `max`/`denom` are the `O(|V|)`
-/// auxiliaries the recomputation pass stashes.
+/// Edge softmax over destination groups, per column. Returns
+/// `(y, max, denom)` where `max`/`denom` are the `O(|V|)` auxiliaries the
+/// recomputation pass stashes.
 ///
 /// Empty destination groups keep the reduction identities in the
 /// auxiliaries — `-inf` max, `0.0` denominator — and are never read back
 /// (see the module-level contract).
-pub fn edge_softmax(policy: &ExecPolicy, g: &Graph, x: &Tensor) -> (Tensor, Tensor, Tensor) {
+pub fn edge_softmax(g: &Graph, x: &Tensor) -> (Tensor, Tensor, Tensor) {
     let (n, total) = (g.num_vertices(), x.cols());
-    let m = g.num_edges();
     let mut maxes = Tensor::full(&[n, total], f32::NEG_INFINITY);
     let mut denom = Tensor::zeros(&[n, total]);
-    let mut y = Tensor::zeros(&[m, total]);
-    let indptr = g.in_adj().indptr();
-    let run = |vs: Range<usize>, mc: &mut [f32], dc: &mut [f32], yc: &mut [f32]| {
-        let e0 = indptr[vs.start];
-        for (i, v) in vs.enumerate() {
-            let ids = g.in_adj().edge_ids(v);
-            if ids.is_empty() {
-                continue;
-            }
-            let mr = &mut mc[i * total..(i + 1) * total];
-            for &e in ids {
-                rowops::max_assign(mr, x.row(e as usize));
-            }
-            let dr = &mut dc[i * total..(i + 1) * total];
-            // One `exp` per element: the denominator sweep leaves
-            // `exp(x − max)` in the output row, the last sweep divides it.
-            for &e in ids {
-                let yr = &mut yc[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                rowops::exp_sub_store_accum(dr, yr, x.row(e as usize), mr);
-            }
-            for &e in ids {
-                let yr = &mut yc[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                rowops::div_assign(yr, dr);
-            }
+    let mut y = Tensor::zeros(&[g.num_edges(), total]);
+    for v in 0..n {
+        let ids = g.in_adj().edge_ids(v);
+        let (mr, dr) = (maxes.row_mut(v), denom.row_mut(v));
+        for &e in ids {
+            rowops::max_assign(mr, x.row(e as usize));
         }
-    };
-    let threads = plan_threads(policy, n, m * total);
-    if threads < 2 || total == 0 {
-        run(
-            0..n,
-            maxes.as_mut_slice(),
-            denom.as_mut_slice(),
-            y.as_mut_slice(),
-        );
-    } else {
-        let bounds = chunk_bounds(n, threads);
-        let ebounds: Vec<usize> = bounds.iter().map(|&v| indptr[v]).collect();
-        let m_chunks = split_rows(maxes.as_mut_slice(), total, &bounds);
-        let d_chunks = split_rows(denom.as_mut_slice(), total, &bounds);
-        let y_chunks = split_rows(y.as_mut_slice(), total, &ebounds);
-        let wg = contain::WorkerGuard::new();
-        std::thread::scope(|s| {
-            for (((w, mc), dc), yc) in bounds.windows(2).zip(m_chunks).zip(d_chunks).zip(y_chunks) {
-                let run = &run;
-                let wg = &wg;
-                s.spawn(move || wg.run(|| run(w[0]..w[1], mc, dc, yc)));
-            }
-        });
-        wg.rethrow();
+        // One `exp` per element: the denominator sweep leaves
+        // `exp(x − max)` in the output row, the last sweep divides it.
+        for &e in ids {
+            rowops::exp_sub_store_accum(dr, y.row_mut(e as usize), x.row(e as usize), mr);
+        }
+        for &e in ids {
+            rowops::div_assign(y.row_mut(e as usize), dr);
+        }
     }
     (y, maxes, denom)
 }
 
 /// Rebuilds edge-softmax outputs from the stashed max/denominator in
-/// `O(1)` per element (the §6 recompute path; row-partitioned over
-/// edges). Only non-empty groups are read: every edge's destination has
-/// in-degree ≥ 1.
-pub fn edge_softmax_from_aux(
-    policy: &ExecPolicy,
-    g: &Graph,
-    x: &Tensor,
-    maxes: &Tensor,
-    denom: &Tensor,
-) -> Tensor {
-    let total = x.cols();
-    let m = g.num_edges();
-    let mut y = Tensor::zeros(&[m, total]);
-    par_rows(
-        policy,
-        m,
-        total,
-        m * total,
-        y.as_mut_slice(),
-        |range, chunk| {
-            for (i, e) in range.enumerate() {
-                let v = g.dst(e);
-                let yr = &mut chunk[i * total..(i + 1) * total];
-                rowops::softmax_from_stats(yr, x.row(e), maxes.row(v), denom.row(v));
-            }
-        },
-    );
-    y
+/// `O(1)` per element (the §6 recompute path). Only non-empty groups are
+/// read: every edge's destination has in-degree ≥ 1.
+pub fn edge_softmax_from_aux(g: &Graph, x: &Tensor, maxes: &Tensor, denom: &Tensor) -> Tensor {
+    map_rows(g.num_edges(), x.cols(), |yr, e| {
+        let v = g.dst(e);
+        rowops::softmax_from_stats(yr, x.row(e), maxes.row(v), denom.row(v));
+    })
 }
 
-/// Backward of edge softmax (vertex-partitioned):
+/// Backward of edge softmax:
 /// `∂x_e = y_e (g_e − Σ_{e'∈grp(e)} g_{e'} y_{e'})`.
-pub fn edge_softmax_bwd(policy: &ExecPolicy, g: &Graph, grad: &Tensor, y: &Tensor) -> Tensor {
+pub fn edge_softmax_bwd(g: &Graph, grad: &Tensor, y: &Tensor) -> Tensor {
     let total = grad.cols();
     let mut out = Tensor::zeros(&[g.num_edges(), total]);
-    let indptr = g.in_adj().indptr();
-    par_dst_groups(policy, g, total, out.as_mut_slice(), |vs, chunk| {
-        let e0 = indptr[vs.start];
-        // One group-sum buffer per worker range, zeroed per vertex — the
-        // per-vertex allocation would otherwise dominate the backward's
-        // steady-state heap traffic.
-        let mut s = pool::take_work_f32(total);
-        s.resize(total, 0.0);
-        for v in vs {
-            let ids = g.in_adj().edge_ids(v);
-            s.fill(0.0);
-            for &e in ids {
-                rowops::mul_add_accum(&mut s, grad.row(e as usize), y.row(e as usize));
-            }
-            for &e in ids {
-                let or = &mut chunk[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                rowops::softmax_bwd_row(or, grad.row(e as usize), y.row(e as usize), &s);
-            }
+    // One group-sum buffer, zeroed per vertex.
+    let mut s = pool::take_work_f32(total);
+    s.resize(total, 0.0);
+    for v in 0..g.num_vertices() {
+        let ids = g.in_adj().edge_ids(v);
+        s.fill(0.0);
+        for &e in ids {
+            rowops::mul_add_accum(&mut s, grad.row(e as usize), y.row(e as usize));
         }
-        pool::put_work_f32(s);
-    });
+        for &e in ids {
+            let e = e as usize;
+            rowops::softmax_bwd_row(out.row_mut(e), grad.row(e), y.row(e), &s);
+        }
+    }
+    pool::put_work_f32(s);
     out
 }
 
 /// Elementwise binary with per-head feature broadcast (`feat == 1` on one
-/// side broadcasts across the other side's features; row-partitioned).
-pub fn binary_broadcast(
-    policy: &ExecPolicy,
-    f: BinaryFn,
-    a: &Tensor,
-    da: Dim,
-    b: &Tensor,
-    db: Dim,
-) -> Tensor {
+/// side broadcasts across the other side's features).
+pub fn binary_broadcast(f: BinaryFn, a: &Tensor, da: Dim, b: &Tensor, db: Dim) -> Tensor {
     assert_eq!(da.heads, db.heads, "head counts must agree");
-    let rows = a.rows();
-    let heads = da.heads;
     if da.feat == db.feat {
-        let cols = a.cols();
         let mut out = a.clone();
-        par_rows(
-            policy,
-            rows,
-            cols,
-            rows * cols,
-            out.as_mut_slice(),
-            |range, chunk| {
-                for (i, r) in range.enumerate() {
-                    let o = &mut chunk[i * cols..(i + 1) * cols];
-                    f.assign(o, b.row(r));
-                }
-            },
-        );
+        f.assign(out.as_mut_slice(), b.as_slice());
         return out;
     }
-    let feat = da.feat.max(db.feat);
-    let cols = heads * feat;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                binary_broadcast_row(or, f, a.row(r), da, b.row(r), db);
-            }
-        },
-    );
-    out
+    let cols = da.heads * da.feat.max(db.feat);
+    map_rows(a.rows(), cols, |or, r| {
+        binary_broadcast_row(or, f, a.row(r), da, b.row(r), db);
+    })
 }
 
-/// `Unary`: elementwise `f(x)` (partitioned over the flat buffer).
-pub fn unary(policy: &ExecPolicy, f: UnaryFn, x: &Tensor) -> Tensor {
+/// `Unary`: elementwise `f(x)`.
+pub fn unary(f: UnaryFn, x: &Tensor) -> Tensor {
     let mut out = x.clone();
-    let numel = out.numel();
-    par_rows(
-        policy,
-        numel,
-        1,
-        numel,
-        out.as_mut_slice(),
-        |_range, chunk| f.map_assign(chunk),
-    );
+    f.map_assign(out.as_mut_slice());
     out
 }
 
-/// `UnaryBwd`: `grad · f'(x)` (partitioned over the flat buffer).
-pub fn unary_bwd(policy: &ExecPolicy, f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
+/// `UnaryBwd`: `grad · f'(x)`.
+pub fn unary_bwd(f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(grad.shape());
-    let numel = out.numel();
-    par_rows(
-        policy,
-        numel,
-        1,
-        numel,
-        out.as_mut_slice(),
-        |range, chunk| {
-            f.bwd_into(chunk, &grad.as_slice()[range.clone()], &x.as_slice()[range]);
-        },
-    );
+    f.bwd_into(out.as_mut_slice(), grad.as_slice(), x.as_slice());
     out
 }
 
@@ -1037,7 +733,6 @@ pub fn head_dot_bwd_input(
     );
     out
 }
-
 /// Backward of [`head_dot`] w.r.t. the parameter:
 /// `out[h, c] = Σ_r g[r,h]·x[r, h·f+c]`.
 ///
@@ -1072,40 +767,21 @@ pub fn head_dot_bwd_param(
     out
 }
 
-/// Gaussian mixture weights (MoNet; row-partitioned over edges):
+/// Gaussian mixture weights (MoNet):
 /// `w[e,k] = exp(-½ Σ_j σ⁻²[k,j](p[e,j]−μ[k,j])²)`.
-pub fn gaussian_weight(
-    policy: &ExecPolicy,
-    pseudo: &Tensor,
-    mu: &Tensor,
-    inv_sigma: &Tensor,
-) -> Tensor {
-    let (e, r) = (pseudo.rows(), pseudo.cols());
-    let k = mu.rows();
-    let mut out = Tensor::zeros(&[e, k]);
-    par_rows(
-        policy,
-        e,
-        k,
-        e * k * r,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, ei) in range.enumerate() {
-                let pr = pseudo.row(ei);
-                let or = &mut chunk[i * k..(i + 1) * k];
-                for (ki, ov) in or.iter_mut().enumerate().take(k) {
-                    let (mr, sr) = (mu.row(ki), inv_sigma.row(ki));
-                    let mut acc = 0.0;
-                    for j in 0..r {
-                        let d = (pr[j] - mr[j]) * sr[j];
-                        acc += d * d;
-                    }
-                    *ov = (-0.5 * acc).exp();
-                }
+pub fn gaussian_weight(pseudo: &Tensor, mu: &Tensor, inv_sigma: &Tensor) -> Tensor {
+    map_rows(pseudo.rows(), mu.rows(), |or, ei| {
+        let pr = pseudo.row(ei);
+        for (ki, ov) in or.iter_mut().enumerate() {
+            let (mr, sr) = (mu.row(ki), inv_sigma.row(ki));
+            let mut acc = 0.0;
+            for j in 0..pr.len() {
+                let d = (pr[j] - mr[j]) * sr[j];
+                acc += d * d;
             }
-        },
-    );
-    out
+            *ov = (-0.5 * acc).exp();
+        }
+    })
 }
 
 /// `∂L/∂μ[k,j] = Σ_e g[e,k]·w[e,k]·σ⁻²[k,j]·(p[e,j]−μ[k,j])`.
@@ -1189,175 +865,78 @@ pub fn gaussian_bwd_sigma(
     out
 }
 
-/// Per-head column slice `[start, end)` (feat units; row-partitioned).
-pub fn slice_cols(
-    policy: &ExecPolicy,
-    x: &Tensor,
-    heads: usize,
-    feat: usize,
-    start: usize,
-    end: usize,
-) -> Tensor {
-    let rows = x.rows();
+/// Per-head column slice `[start, end)` (feat units).
+pub fn slice_cols(x: &Tensor, heads: usize, feat: usize, start: usize, end: usize) -> Tensor {
     let w = end - start;
-    let cols = heads * w;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    or[h * w..(h + 1) * w].copy_from_slice(&xr[h * feat + start..h * feat + end]);
-                }
-            }
-        },
-    );
-    out
+    map_rows(x.rows(), heads * w, |or, r| {
+        let xr = x.row(r);
+        for h in 0..heads {
+            or[h * w..(h + 1) * w].copy_from_slice(&xr[h * feat + start..h * feat + end]);
+        }
+    })
 }
 
-/// Backward of [`slice_cols`]: embed into zero-padded columns
-/// (row-partitioned).
+/// Backward of [`slice_cols`]: embed into zero-padded columns.
 pub fn embed_cols(
-    policy: &ExecPolicy,
     grad: &Tensor,
     heads: usize,
     total_feat: usize,
     start: usize,
     end: usize,
 ) -> Tensor {
-    let rows = grad.rows();
     let w = end - start;
-    let cols = heads * total_feat;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let gr = grad.row(r);
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    or[h * total_feat + start..h * total_feat + end]
-                        .copy_from_slice(&gr[h * w..(h + 1) * w]);
-                }
-            }
-        },
-    );
-    out
+    map_rows(grad.rows(), heads * total_feat, |or, r| {
+        let gr = grad.row(r);
+        for h in 0..heads {
+            or[h * total_feat + start..h * total_feat + end]
+                .copy_from_slice(&gr[h * w..(h + 1) * w]);
+        }
+    })
 }
 
-/// Head reduction `[N, h·f] → [N, f]` (`Sum` or `Mean`; row-partitioned).
-pub fn head_reduce(
-    policy: &ExecPolicy,
-    x: &Tensor,
-    heads: usize,
-    feat: usize,
-    mean: bool,
-) -> Tensor {
-    let rows = x.rows();
-    let mut out = Tensor::zeros(&[rows, feat]);
+/// Head reduction `[N, h·f] → [N, f]` (`Sum` or `Mean`).
+pub fn head_reduce(x: &Tensor, heads: usize, feat: usize, mean: bool) -> Tensor {
     let scale = if mean { 1.0 / heads as f32 } else { 1.0 };
-    par_rows(
-        policy,
-        rows,
-        feat,
-        rows * heads * feat,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * feat..(i + 1) * feat];
-                for h in 0..heads {
-                    for c in 0..feat {
-                        or[c] += xr[h * feat + c] * scale;
-                    }
-                }
+    map_rows(x.rows(), feat, |or, r| {
+        let xr = x.row(r);
+        for h in 0..heads {
+            for c in 0..feat {
+                or[c] += xr[h * feat + c] * scale;
             }
-        },
-    );
-    out
+        }
+    })
 }
 
-/// Head broadcast `[N, f] → [N, h·f]` (row-partitioned).
-pub fn head_broadcast(policy: &ExecPolicy, x: &Tensor, heads: usize) -> Tensor {
-    let (rows, feat) = (x.rows(), x.cols());
-    let cols = heads * feat;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    or[h * feat..(h + 1) * feat].copy_from_slice(xr);
-                }
-            }
-        },
-    );
-    out
+/// Head broadcast `[N, f] → [N, h·f]`.
+pub fn head_broadcast(x: &Tensor, heads: usize) -> Tensor {
+    let feat = x.cols();
+    map_rows(x.rows(), heads * feat, |or, r| {
+        for h in 0..heads {
+            or[h * feat..(h + 1) * feat].copy_from_slice(x.row(r));
+        }
+    })
 }
 
-/// Per-head feature sum `[N, h·f] → [N, h]` (row-partitioned).
-pub fn feat_sum(policy: &ExecPolicy, x: &Tensor, heads: usize, feat: usize) -> Tensor {
-    let rows = x.rows();
-    let mut out = Tensor::zeros(&[rows, heads]);
-    par_rows(
-        policy,
-        rows,
-        heads,
-        rows * heads * feat,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * heads..(i + 1) * heads];
-                for h in 0..heads {
-                    or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
-                }
-            }
-        },
-    );
-    out
+/// Per-head feature sum `[N, h·f] → [N, h]`.
+pub fn feat_sum(x: &Tensor, heads: usize, feat: usize) -> Tensor {
+    map_rows(x.rows(), heads, |or, r| {
+        let xr = x.row(r);
+        for h in 0..heads {
+            or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
+        }
+    })
 }
 
-/// Per-head feature broadcast `[N, h] → [N, h·f]` (row-partitioned).
-pub fn feat_broadcast(policy: &ExecPolicy, x: &Tensor, heads: usize, feat: usize) -> Tensor {
-    let rows = x.rows();
-    let cols = heads * feat;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    for c in 0..feat {
-                        or[h * feat + c] = xr[h];
-                    }
-                }
+/// Per-head feature broadcast `[N, h] → [N, h·f]`.
+pub fn feat_broadcast(x: &Tensor, heads: usize, feat: usize) -> Tensor {
+    map_rows(x.rows(), heads * feat, |or, r| {
+        let xr = x.row(r);
+        for h in 0..heads {
+            for c in 0..feat {
+                or[h * feat + c] = xr[h];
             }
-        },
-    );
-    out
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1466,14 +1045,14 @@ mod tests {
         assert!((routed - expected).abs() < 1e-6);
 
         let x = Tensor::from_rows(&[&[0.3], &[1.5], &[-0.7]]).unwrap();
-        let (y, maxes, denom) = edge_softmax(&serial(), &g, &x);
+        let (y, maxes, denom) = edge_softmax(&g, &x);
         assert_eq!(maxes.row(3), &[f32::NEG_INFINITY], "max identity");
         assert_eq!(denom.row(3), &[0.0], "sum-of-exp identity");
         assert_eq!(maxes.row(0), &[f32::NEG_INFINITY], "in-degree-0 vertex");
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
-        let y2 = edge_softmax_from_aux(&serial(), &g, &x, &maxes, &denom);
+        let y2 = edge_softmax_from_aux(&g, &x, &maxes, &denom);
         assert!(y.allclose(&y2), "aux rebuild never reads empty groups");
-        let bwd = edge_softmax_bwd(&serial(), &g, &Tensor::ones(&[3, 1]), &y);
+        let bwd = edge_softmax_bwd(&g, &Tensor::ones(&[3, 1]), &y);
         assert!(bwd.as_slice().iter().all(|v| v.is_finite()));
     }
 
@@ -1481,12 +1060,12 @@ mod tests {
     fn softmax_groups_sum_to_one() {
         let g = tri();
         let e = Tensor::from_rows(&[&[0.3], &[1.5], &[-0.7]]).unwrap();
-        let (y, maxes, denom) = edge_softmax(&serial(), &g, &e);
+        let (y, maxes, denom) = edge_softmax(&g, &e);
         // dst=1 group: {edge 0} → 1.0; dst=2 group: {edges 1, 2} sums to 1.
         assert!((y.at(0, 0) - 1.0).abs() < 1e-6);
         assert!((y.at(1, 0) + y.at(2, 0) - 1.0).abs() < 1e-6);
         // Recompute path agrees.
-        let y2 = edge_softmax_from_aux(&serial(), &g, &e, &maxes, &denom);
+        let y2 = edge_softmax_from_aux(&g, &e, &maxes, &denom);
         assert!(y.allclose(&y2));
     }
 
@@ -1495,16 +1074,16 @@ mod tests {
         let g = tri();
         let x = Tensor::from_rows(&[&[0.2], &[0.9], &[-0.4]]).unwrap();
         let gout = Tensor::from_rows(&[&[1.0], &[-2.0], &[0.5]]).unwrap();
-        let (y, _, _) = edge_softmax(&serial(), &g, &x);
-        let ana = edge_softmax_bwd(&serial(), &g, &gout, &y);
+        let (y, _, _) = edge_softmax(&g, &x);
+        let ana = edge_softmax_bwd(&g, &gout, &y);
         let h = 1e-3f32;
         for e in 0..3 {
             let mut xp = x.clone();
             xp.row_mut(e)[0] += h;
             let mut xm = x.clone();
             xm.row_mut(e)[0] -= h;
-            let (yp, _, _) = edge_softmax(&serial(), &g, &xp);
-            let (ym, _, _) = edge_softmax(&serial(), &g, &xm);
+            let (yp, _, _) = edge_softmax(&g, &xp);
+            let (ym, _, _) = edge_softmax(&g, &xm);
             let mut num = 0.0;
             for i in 0..3 {
                 num += gout.at(i, 0) * (yp.at(i, 0) - ym.at(i, 0)) / (2.0 * h);
@@ -1521,14 +1100,7 @@ mod tests {
     fn binary_broadcast_per_head_scalar() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap(); // 2 heads × 2
         let b = Tensor::from_rows(&[&[10.0, 100.0]]).unwrap(); // 2 heads × 1
-        let out = binary_broadcast(
-            &serial(),
-            BinaryFn::Mul,
-            &a,
-            Dim::multi(2, 2),
-            &b,
-            Dim::multi(2, 1),
-        );
+        let out = binary_broadcast(BinaryFn::Mul, &a, Dim::multi(2, 2), &b, Dim::multi(2, 1));
         assert_eq!(out.as_slice(), &[10.0, 20.0, 300.0, 400.0]);
     }
 
@@ -1591,7 +1163,7 @@ mod tests {
         let p = Tensor::from_rows(&[&[1.0, 2.0], &[0.0, 0.0]]).unwrap();
         let mu = Tensor::from_rows(&[&[1.0, 2.0]]).unwrap();
         let sig = Tensor::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let w = gaussian_weight(&serial(), &p, &mu, &sig);
+        let w = gaussian_weight(&p, &mu, &sig);
         assert!((w.at(0, 0) - 1.0).abs() < 1e-6, "exact match → weight 1");
         assert!(w.at(1, 0) < 1.0);
     }
@@ -1602,12 +1174,12 @@ mod tests {
         let mu = Tensor::from_rows(&[&[0.1, 0.4], &[-0.2, 0.3]]).unwrap();
         let sig = Tensor::from_rows(&[&[1.2, 0.8], &[0.5, 1.5]]).unwrap();
         let grad = Tensor::from_rows(&[&[1.0, -0.5], &[0.3, 0.7], &[-0.2, 0.4]]).unwrap();
-        let w = gaussian_weight(&serial(), &p, &mu, &sig);
+        let w = gaussian_weight(&p, &mu, &sig);
         let gmu = gaussian_bwd_mu(&serial(), &p, &w, &grad, &mu, &sig);
         let gsig = gaussian_bwd_sigma(&serial(), &p, &w, &grad, &mu, &sig);
         let h = 1e-3f32;
         let loss = |mu: &Tensor, sig: &Tensor| -> f32 {
-            let w = gaussian_weight(&serial(), &p, mu, sig);
+            let w = gaussian_weight(&p, mu, sig);
             w.as_slice()
                 .iter()
                 .zip(grad.as_slice())
@@ -1643,28 +1215,22 @@ mod tests {
     #[test]
     fn slice_embed_roundtrip() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]).unwrap(); // 2 heads × 3
-        let s = slice_cols(&serial(), &x, 2, 3, 1, 3);
+        let s = slice_cols(&x, 2, 3, 1, 3);
         assert_eq!(s.as_slice(), &[2.0, 3.0, 5.0, 6.0]);
-        let e = embed_cols(&serial(), &s, 2, 3, 1, 3);
+        let e = embed_cols(&s, 2, 3, 1, 3);
         assert_eq!(e.as_slice(), &[0.0, 2.0, 3.0, 0.0, 5.0, 6.0]);
     }
 
     #[test]
     fn head_reduce_broadcast_featsum() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap(); // 2 heads × 2
-        assert_eq!(
-            head_reduce(&serial(), &x, 2, 2, false).as_slice(),
-            &[4.0, 6.0]
-        );
-        assert_eq!(
-            head_reduce(&serial(), &x, 2, 2, true).as_slice(),
-            &[2.0, 3.0]
-        );
-        let b = head_broadcast(&serial(), &Tensor::from_rows(&[&[7.0, 8.0]]).unwrap(), 2);
+        assert_eq!(head_reduce(&x, 2, 2, false).as_slice(), &[4.0, 6.0]);
+        assert_eq!(head_reduce(&x, 2, 2, true).as_slice(), &[2.0, 3.0]);
+        let b = head_broadcast(&Tensor::from_rows(&[&[7.0, 8.0]]).unwrap(), 2);
         assert_eq!(b.as_slice(), &[7.0, 8.0, 7.0, 8.0]);
-        assert_eq!(feat_sum(&serial(), &x, 2, 2).as_slice(), &[3.0, 7.0]);
+        assert_eq!(feat_sum(&x, 2, 2).as_slice(), &[3.0, 7.0]);
         assert_eq!(
-            feat_broadcast(&serial(), &Tensor::from_rows(&[&[3.0, 7.0]]).unwrap(), 2, 2).as_slice(),
+            feat_broadcast(&Tensor::from_rows(&[&[3.0, 7.0]]).unwrap(), 2, 2).as_slice(),
             &[3.0, 3.0, 7.0, 7.0]
         );
     }

@@ -23,13 +23,15 @@
 //!
 //! Kernels run under an [`gnnopt_core::ExecPolicy`] carried by the
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
-//! builder. Gather-style kernels partition the CSR vertex range (by
-//! vertex count; source-grouped scans edge-balanced, see `kernels`) and
-//! scatter/elementwise/head kernels partition output
-//! rows across `std::thread::scope` workers — the same pattern (and the
-//! same pool size, via `gnnopt_tensor::parallel`) as `Tensor::matmul`.
-//! Row-wise inner loops dispatch to AVX2-widened bodies at runtime when
-//! the host supports them (the scalar bodies produce the same bits — see
+//! builder, and each op has one engine. The tile driver (`fused.rs`) runs
+//! everything a destination tile can own, its `std::thread::scope`
+//! workers each walking a contiguous run of tiles (edge-balanced source
+//! ranges for a streamed `BySrc` gather); the dense calls a tile cannot
+//! own — GEMMs, `head_dot*`, the parameter reductions, the `BySrc` max
+//! and mean duals — split their own rows in [`kernels`], under the same
+//! pool size (`gnnopt_tensor::parallel`) as `Tensor::matmul`. Row-wise
+//! inner loops dispatch to AVX2-widened bodies at runtime when the host
+//! supports them (the scalar bodies produce the same bits — see
 //! `gnnopt_tensor::rowops`).
 //!
 //! **Determinism contract:** reductions either keep their serial
@@ -38,9 +40,8 @@
 //! size — never of the thread count — so every kernel's results are
 //! invariant in `GNNOPT_THREADS`. Set `GNNOPT_THREADS=<n>` to override
 //! the auto-detected pool size (`GNNOPT_THREADS=1` forces the serial
-//! path); see the [`kernels`] module docs for the per-kernel contract,
-//! the degree-binned heavy-row dispatch, and the tensor layout
-//! convention the chunks slice along.
+//! path); see the [`kernels`] module docs for which kernels split, the
+//! heavy-row chunk association, and the tensor layout convention.
 //!
 //! # One executor: the program interpreter
 //!
@@ -55,9 +56,11 @@
 //! compiled without fusion (`FusionLevel::None`, or the `dgl()` preset's
 //! built-in kernels) is the materializing baseline on the same executor.
 //! Lowering is **total** (see `gnnopt_core::lower`): every kernel of
-//! every plan has a program, ops that cannot tile run as whole-graph
-//! *full steps* through the op library's dispatch ([`refexec`]), and a
-//! kernel without a program is a typed [`ExecError::Protocol`].
+//! every plan has a program, the ops no tile can run — dense
+//! projections, parameter reductions, three `BySrc` duals — are
+//! whole-graph *full steps* through the op library's dispatch
+//! ([`refexec`]), and a kernel without a program is a typed
+//! [`ExecError::Protocol`].
 //!
 //! Results — outputs and every parameter gradient — are bit-identical,
 //! for any tile budget and thread count, to [`refexec::evaluate`]: the

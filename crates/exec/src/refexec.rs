@@ -2,16 +2,19 @@
 //! node-by-node test oracle built on it.
 //!
 //! `exec_op` is the single place that maps an [`OpKind`] onto the
-//! kernels in [`crate::kernels`]. The program interpreter
-//! (`fused.rs`) calls it for every **full step** of a lowered
-//! [`gnnopt_core::KernelProgram`] — whole-graph reductions, GEMMs,
-//! parameter reductions — so lowering totality never needs a per-kernel
-//! fallback: any op the IR expresses either tiles or lands here. It has
-//! exactly two callers: those full steps — whichever session, shard or
-//! sharded driver launched the program — and [`evaluate`].
+//! kernels in [`crate::kernels`]. It has exactly two callers. The program
+//! interpreter (`fused.rs`) calls it for every step a destination tile
+//! cannot run — the dense or parameter steps of a lowered
+//! [`gnnopt_core::KernelProgram`]: GEMMs, parameter reductions, the
+//! `BySrc` max and mean duals — so lowering totality never needs a
+//! per-kernel fallback: any op the IR expresses either tiles or lands
+//! here, whichever session, shard or sharded driver launched the program.
+//! Those are the arms that take the caller's thread count; every other
+//! arm is a plain loop no session reaches with graph-sized rows.
 //!
-//! [`evaluate`] is the reference the bit-identity suites compare a
-//! session against. No session code path calls it.
+//! [`evaluate`] walks a plan through all of them on one thread: the
+//! serial reference the bit-identity suites compare an N-thread session
+//! against. No session code path calls it.
 //!
 //! Gather-max argmax tables flow through `AuxIn`/`AuxOut` instead of
 //! session state, so the dispatch itself stays a pure function of its
@@ -218,7 +221,7 @@ fn exec_op_inner(
 
         // Always fresh: a softmax rebuilt from its stashed statistics
         // is a tiled step of the interpreter, never a full one.
-        OpKind::EdgeSoftmax => kernels::edge_softmax(pol, g, inputs[0]).0,
+        OpKind::EdgeSoftmax => kernels::edge_softmax(g, inputs[0]).0,
 
         // GEMMs run on the blocked engine under the caller's resolved
         // worker cap (a session pinned serial keeps its weight-gradient
@@ -233,12 +236,10 @@ fn exec_op_inner(
             inputs[0].matmul_tn_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
         }
 
-        OpKind::Unary(f) => kernels::unary(pol, *f, inputs[0]),
-        OpKind::UnaryBwd(f) => kernels::unary_bwd(pol, *f, inputs[0], inputs[1]),
+        OpKind::Unary(f) => kernels::unary(*f, inputs[0]),
+        OpKind::UnaryBwd(f) => kernels::unary_bwd(*f, inputs[0], inputs[1]),
 
-        OpKind::Binary(f) => {
-            kernels::binary_broadcast(pol, *f, inputs[0], din(0), inputs[1], din(1))
-        }
+        OpKind::Binary(f) => kernels::binary_broadcast(*f, inputs[0], din(0), inputs[1], din(1)),
 
         OpKind::HeadDot => kernels::head_dot(pol, inputs[0], inputs[1], din(0).heads, din(0).feat),
         OpKind::HeadDotBwdInput => {
@@ -248,7 +249,7 @@ fn exec_op_inner(
             kernels::head_dot_bwd_param(pol, inputs[0], inputs[1], node.dim.heads, node.dim.feat)
         }
 
-        OpKind::GaussianWeight => kernels::gaussian_weight(pol, inputs[0], inputs[1], inputs[2]),
+        OpKind::GaussianWeight => kernels::gaussian_weight(inputs[0], inputs[1], inputs[2]),
         OpKind::GaussianBwdMu => {
             kernels::gaussian_bwd_mu(pol, inputs[0], inputs[1], inputs[2], inputs[3], inputs[4])
         }
@@ -266,22 +267,22 @@ fn exec_op_inner(
             kernels::gather_max_bwd(pol, g, group, inputs[0], argmax)
         }
         OpKind::GatherMeanBwd { group } => kernels::gather_mean_bwd(pol, g, *group, inputs[0]),
-        OpKind::EdgeSoftmaxBwd => kernels::edge_softmax_bwd(pol, g, inputs[0], inputs[1]),
+        OpKind::EdgeSoftmaxBwd => kernels::edge_softmax_bwd(g, inputs[0], inputs[1]),
 
         OpKind::SliceCols { start, end } => {
             // Parameters store heads as rows ([heads, feat]), so the
             // per-head slice degenerates to a per-row column slice.
             if ir.node(node.inputs[0]).space == Space::Param {
-                kernels::slice_cols(pol, inputs[0], 1, din(0).feat, *start, *end)
+                kernels::slice_cols(inputs[0], 1, din(0).feat, *start, *end)
             } else {
-                kernels::slice_cols(pol, inputs[0], din(0).heads, din(0).feat, *start, *end)
+                kernels::slice_cols(inputs[0], din(0).heads, din(0).feat, *start, *end)
             }
         }
         OpKind::EmbedCols { start, end, total } => {
             if node.space == Space::Param {
-                kernels::embed_cols(pol, inputs[0], 1, *total, *start, *end)
+                kernels::embed_cols(inputs[0], 1, *total, *start, *end)
             } else {
-                kernels::embed_cols(pol, inputs[0], node.dim.heads, *total, *start, *end)
+                kernels::embed_cols(inputs[0], node.dim.heads, *total, *start, *end)
             }
         }
         OpKind::SliceRows { start, end } => {
@@ -298,18 +299,12 @@ fn exec_op_inner(
         }
 
         OpKind::SetHeads { .. } => inputs[0].clone(),
-        OpKind::HeadReduce(f) => kernels::head_reduce(
-            pol,
-            inputs[0],
-            din(0).heads,
-            din(0).feat,
-            *f == ReduceFn::Mean,
-        ),
-        OpKind::HeadBroadcast { heads } => kernels::head_broadcast(pol, inputs[0], *heads),
-        OpKind::FeatSum => kernels::feat_sum(pol, inputs[0], din(0).heads, din(0).feat),
-        OpKind::FeatBroadcast { feat } => {
-            kernels::feat_broadcast(pol, inputs[0], node.dim.heads, *feat)
+        OpKind::HeadReduce(f) => {
+            kernels::head_reduce(inputs[0], din(0).heads, din(0).feat, *f == ReduceFn::Mean)
         }
+        OpKind::HeadBroadcast { heads } => kernels::head_broadcast(inputs[0], *heads),
+        OpKind::FeatSum => kernels::feat_sum(inputs[0], din(0).heads, din(0).feat),
+        OpKind::FeatBroadcast { feat } => kernels::feat_broadcast(inputs[0], node.dim.heads, *feat),
     };
     Ok((out, AuxOut::None))
 }

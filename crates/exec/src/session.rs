@@ -290,8 +290,7 @@ pub struct Session<'a> {
 }
 
 /// How a [`SessionBuilder`] treats the `GNNOPT_*` environment overrides
-/// (`GNNOPT_THREADS`, `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`;
-/// `GNNOPT_SHARDS` for the sharded builder).
+/// (`GNNOPT_THREADS`, `GNNOPT_GUARD`, `GNNOPT_FAILPOINTS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnvOverrides {
     /// Apply the overrides; an invalid value is a build error
@@ -320,8 +319,7 @@ impl EnvOverrides {
     /// The one override resolution both builders share: checks
     /// `GNNOPT_THREADS`, folds `GNNOPT_GUARD` into `policy` and arms
     /// `GNNOPT_FAILPOINTS`. The builders are the only readers of the
-    /// environment (the sharded one adds `GNNOPT_SHARDS`): nothing on
-    /// the kernel-dispatch path is.
+    /// environment: nothing on the kernel-dispatch path is.
     pub(crate) fn resolve(self, policy: &mut ExecPolicy) -> Result<()> {
         if self == EnvOverrides::Loud && policy.is_auto() {
             // Surface a bad env override loudly instead of silently

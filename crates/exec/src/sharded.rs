@@ -77,11 +77,9 @@
 //!
 //! # Choosing the shard count
 //!
-//! [`ShardedSession::builder`] resolves the shard count by precedence:
-//! an explicit [`ShardedSessionBuilder::shards`] pin, then a valid
-//! `GNNOPT_SHARDS` environment override (per the builder's
-//! [`EnvOverrides`] mode), then `1`. A count of `1` builds a plain
-//! [`Session`] — no partitioning, no maps, no overhead.
+//! The shard count has one source: [`ShardedSessionBuilder::shards`],
+//! else `1`. A count of `1` builds a plain [`Session`] — no
+//! partitioning, no maps, no overhead.
 
 use crate::session::{
     check_shape, kernel_label, scan_nonfinite, Bindings, EnvOverrides, Held, RunStats, Session,
@@ -96,20 +94,6 @@ use gnnopt_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Parses the `GNNOPT_SHARDS` override: `Ok(None)` when unset,
-/// `Ok(Some(k))` on a positive integer, `Err` on anything else.
-pub(crate) fn shards_env() -> std::result::Result<Option<usize>, String> {
-    match std::env::var("GNNOPT_SHARDS") {
-        Err(_) => Ok(None),
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(k) if k >= 1 => Ok(Some(k)),
-            _ => Err(format!(
-                "GNNOPT_SHARDS must be a positive integer, got '{s}'"
-            )),
-        },
-    }
-}
 
 /// What a recorded inter-shard exchange moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1496,8 +1480,7 @@ impl<'a> Multi<'a> {
 
 /// Builds a [`ShardedSession`]: the shard count, partition strategy and
 /// per-shard session knobs made explicit, with the same `GNNOPT_*`
-/// override treatment as [`crate::SessionBuilder`] plus the
-/// `GNNOPT_SHARDS` override.
+/// override treatment as [`crate::SessionBuilder`].
 #[derive(Debug)]
 pub struct ShardedSessionBuilder<'a> {
     plan: &'a ExecutionPlan,
@@ -1509,8 +1492,8 @@ pub struct ShardedSessionBuilder<'a> {
 }
 
 impl<'a> ShardedSessionBuilder<'a> {
-    /// Pins the shard count. An explicit pin outranks `GNNOPT_SHARDS`.
-    /// Clamped to the vertex count; `1` builds a plain session.
+    /// Sets the shard count (default `1`). Clamped to the vertex count;
+    /// `1` builds a plain session.
     #[must_use]
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = Some(k);
@@ -1541,18 +1524,15 @@ impl<'a> ShardedSessionBuilder<'a> {
         self
     }
 
-    /// Resolves the shard count and builds the session: a plain
-    /// [`Session`] for one shard, the sharded driver otherwise.
+    /// Builds the session: a plain [`Session`] for one shard, the sharded
+    /// driver otherwise.
     ///
     /// # Errors
     ///
-    /// As [`crate::SessionBuilder::build`], plus — under
-    /// [`EnvOverrides::Loud`] — [`ExecError::Policy`] when
-    /// `GNNOPT_SHARDS` is not a positive integer.
+    /// As [`crate::SessionBuilder::build`].
     pub fn build(self) -> Result<ShardedSession<'a>> {
         let k = self
             .shards
-            .or(self.env.read(shards_env)?)
             .unwrap_or(1)
             .clamp(1, self.graph.num_vertices().max(1));
         if k == 1 {
@@ -1639,9 +1619,9 @@ pub struct ShardedSession<'a> {
 }
 
 impl<'a> ShardedSession<'a> {
-    /// Starts a [`ShardedSessionBuilder`]. Defaults: shard count from
-    /// `GNNOPT_SHARDS` (else `1`), BFS edge-cut partitioning, the
-    /// plan's own policy, [`EnvOverrides::Loud`].
+    /// Starts a [`ShardedSessionBuilder`]. Defaults: one shard, BFS
+    /// edge-cut partitioning, the plan's own policy,
+    /// [`EnvOverrides::Loud`].
     pub fn builder(plan: &'a ExecutionPlan, graph: &'a Graph) -> ShardedSessionBuilder<'a> {
         ShardedSessionBuilder {
             plan,
@@ -2051,19 +2031,5 @@ mod tests {
             .iter()
             .any(|r| r.kind == ExchangeKind::EdgeReplica
                 && names(r.kernel).contains(&r.value.as_str())));
-    }
-
-    #[test]
-    fn shards_env_parses_loudly() {
-        // Mirror the ambient environment rather than mutating it (other
-        // tests run concurrently in this process): unset parses to
-        // None, a positive integer to Some, anything else errors.
-        match std::env::var("GNNOPT_SHARDS") {
-            Err(_) => assert_eq!(shards_env().unwrap(), None),
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(k) if k >= 1 => assert_eq!(shards_env().unwrap(), Some(k)),
-                _ => assert!(shards_env().is_err()),
-            },
-        }
     }
 }

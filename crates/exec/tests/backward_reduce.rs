@@ -1,5 +1,5 @@
 //! Thread-count invariance of the parallelized backward reductions and
-//! the degree-binned heavy-row dispatch.
+//! the heavy-row chunk association.
 //!
 //! The engine's determinism contract (see `gnnopt_exec::kernels`) has
 //! two tiers: most kernels keep the serial accumulation order exactly,
@@ -9,9 +9,9 @@
 //! count*, which is what these tests pin — across threads {1, 2, 4},
 //! the op library and a full session (against the node-by-node oracle),
 //! graphs with isolated vertices, and an extreme-hub graph whose heavy
-//! destination row takes the chunked split path.
+//! destination row takes the chunked association.
 
-use gnnopt_core::{compile, CompileOptions, EdgeGroup, ExecPolicy, ReduceFn};
+use gnnopt_core::{compile, CompileOptions, Dim, EdgeGroup, ExecPolicy, IrGraph, ReduceFn};
 use gnnopt_exec::{kernels, refexec, Bindings, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{gat, GatConfig};
@@ -50,15 +50,14 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// An extreme hub: vertex 0 receives `hub_deg` edges (well past the
-/// pinned heavy threshold), the rest of the graph is sparse, and the
-/// last vertex is isolated.
+/// An extreme hub: vertex 0 receives an edge from each of `hub_deg`
+/// distinct vertices (edge lists deduplicate, so a hub needs that many
+/// neighbours), the rest of the graph is a sparse chain, and the last
+/// vertex is isolated.
 fn hub_graph(hub_deg: usize) -> Graph {
-    let n = 12u32;
-    let mut pairs: Vec<(u32, u32)> = (0..hub_deg)
-        .map(|i| ((i % (n as usize - 2)) as u32 + 1, 0))
-        .collect();
-    pairs.extend((1..n - 2).map(|v| (v, v + 1)));
+    let n = hub_deg as u32 + 1;
+    let mut pairs: Vec<(u32, u32)> = (1..n).map(|u| (u, 0)).collect();
+    pairs.extend((1..n - 1).map(|v| (v, v + 1)));
     Graph::from_edge_list(&EdgeList::from_pairs(n as usize + 1, &pairs))
 }
 
@@ -88,7 +87,7 @@ proptest! {
         let p = pseudo(rows, feat, seed + 2);
         let mu = pseudo(heads, feat, seed + 3);
         let sig = pseudo(heads, feat, seed + 4);
-        let w = kernels::gaussian_weight(&pol(1), &p, &mu, &sig);
+        let w = kernels::gaussian_weight(&p, &mu, &sig);
         let g2 = pseudo(rows, heads, seed + 5);
         let bmu = kernels::gaussian_bwd_mu(&pol(1), &p, &w, &g2, &mu, &sig);
         let bsig = kernels::gaussian_bwd_sigma(&pol(1), &p, &w, &g2, &mu, &sig);
@@ -134,25 +133,41 @@ proptest! {
     }
 }
 
-/// The heavy-row split: a destination row whose degree crosses the
-/// policy threshold reduces as fixed 1024-edge chunk partials at every
-/// thread count — serial (inline chunking), 2 and 4 workers (phase-2
-/// hub split) all produce the same bits, and they agree with the plain
-/// unchunked reduction up to reassociation.
+/// The heavy-row association: a destination row whose degree crosses the
+/// policy threshold reduces as fixed 1024-edge chunk partials folded in
+/// ascending order — in the serial op library and in the tile driver at
+/// 1, 2 and 4 workers alike (the same bits; a hub row is never split
+/// across workers), and they agree with the plain unchunked reduction up
+/// to reassociation.
 #[test]
 fn heavy_row_split_is_thread_count_invariant() {
-    // Degree 2500 > 1024: the hub row spans three chunks, so the
-    // phase-2 task list really distributes one row over several workers.
+    // Degree 2500 > 1024: the hub row spans three chunks.
     let g = hub_graph(2500);
-    let e = pseudo(g.num_edges(), 6, 3);
+    assert_eq!(g.in_adj().degree(0), 2500);
+    // Mixed magnitudes, so that a different association rounds differently.
+    let e = Tensor::from_fn(&[g.num_edges(), 6], |i| {
+        (i as f32 * 0.7311).sin() * [0.01, 1.0, 100.0][i % 3]
+    });
     for reduce in [ReduceFn::Sum, ReduceFn::Mean] {
-        let heavy = |threads: usize| {
-            let p = pol(threads).with_heavy_row_degree(16);
-            kernels::gather(&p, &g, reduce, EdgeGroup::ByDst, &e).0
-        };
-        let base = heavy(1);
-        for t in [2usize, 4] {
-            assert_bit_identical("heavy-row gather", &base, &heavy(t));
+        let chunked = pol(1).with_heavy_row_degree(16);
+        let base = kernels::gather(&chunked, &g, reduce, EdgeGroup::ByDst, &e).0;
+        // The same gather alone in a kernel, through a session.
+        let mut ir = IrGraph::new();
+        let x = ir.input_edge("e", Dim::flat(6));
+        let v = ir.gather(reduce, EdgeGroup::ByDst, x).expect("gather");
+        ir.mark_output(v);
+        let plan = compile(&ir, false, &CompileOptions::ours())
+            .expect("compiles")
+            .plan;
+        let b = Bindings::new().with("e", e.clone());
+        for t in [1usize, 2, 4] {
+            let mut sess = Session::builder(&plan, &g)
+                .policy(pol(t).with_heavy_row_degree(16))
+                .env(gnnopt_exec::EnvOverrides::Off)
+                .build()
+                .expect("session");
+            let out = sess.forward(&b).expect("forward");
+            assert_bit_identical(&format!("heavy-row gather (t={t})"), &base, &out[0]);
         }
         // Sanity: chunking only reassociates, it doesn't change the sum.
         let plain = kernels::gather(
@@ -164,6 +179,7 @@ fn heavy_row_split_is_thread_count_invariant() {
         )
         .0;
         assert!(base.allclose(&plain), "{reduce:?}: chunked vs plain");
+        assert_ne!(bits(&base), bits(&plain), "{reduce:?}: the hub row chunks");
     }
     // Max rows are never chunked: first-wins argmax is already
     // scheduling-independent, so the threshold must not change bits.

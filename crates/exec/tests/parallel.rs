@@ -1,15 +1,24 @@
-//! The determinism contract of the thread-parallel backend: for every
-//! kernel and every `ExecPolicy`, parallel results are **bit-identical**
-//! to the serial reference (not merely `allclose`) — chunk boundaries
-//! never change what arithmetic is performed, only who performs it.
+//! The determinism contract of the thread-parallel executor, where the
+//! threads are: results are **bit-identical** (not merely `allclose`) to
+//! one thread's — chunk and tile boundaries never change what arithmetic
+//! is performed, only who performs it.
+//!
+//! * The op-library kernels that still split (what a full step can hand
+//!   graph-sized rows) against themselves at one thread.
+//! * Every op the tile driver runs, alone in its kernel, through an
+//!   N-thread session against the serial oracle (`refexec::evaluate`):
+//!   the op library's kernels for these are plain loops, so this holds
+//!   the interpreter to a reference, not a threaded kernel to itself.
 //!
 //! Random graphs include isolated vertices on purpose, so the empty-group
 //! identity rows are covered by the bitwise comparison too.
 
+use gnnopt_core::lower::{is_streamed_gather, StepExec, Storage};
 use gnnopt_core::{
-    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ReduceFn, ScatterFn, UnaryFn,
+    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
+    IrGraph, Node, OpKind, ReduceFn, ScatterFn, UnaryFn,
 };
-use gnnopt_exec::{kernels, Bindings, EnvOverrides, Session};
+use gnnopt_exec::{kernels, refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{gat, GatConfig};
 use gnnopt_tensor::Tensor;
@@ -39,11 +48,18 @@ fn assert_bit_identical(name: &str, a: &Tensor, b: &Tensor) {
     assert_eq!(bits(a), bits(b), "{name}: bits differ");
 }
 
-/// Random multigraphs with guaranteed trailing isolated vertices.
+/// In-degree above which the sessions below chunk a destination row.
+const HEAVY: usize = 4;
+
+/// Random graphs with guaranteed trailing isolated vertices and a hub:
+/// every other vertex feeds vertex 0, whose in-degree so exceeds
+/// [`HEAVY`].
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..24, 0usize..4).prop_flat_map(|(n, iso)| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 1..96)
-            .prop_map(move |pairs| Graph::from_edge_list(&EdgeList::from_pairs(n + iso, &pairs)))
+    (HEAVY + 2..24, 0usize..4).prop_flat_map(|(n, iso)| {
+        proptest::collection::vec((0..n as u32, 0..n as u32), 1..96).prop_map(move |mut pairs| {
+            pairs.extend((1..n as u32).map(|u| (u, 0)));
+            Graph::from_edge_list(&EdgeList::from_pairs(n + iso, &pairs))
+        })
     })
 }
 
@@ -53,12 +69,162 @@ fn pseudo_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     })
 }
 
+/// Two training models that, with their autodiff duals, hold every op a
+/// destination tile can run; compiled without fusion each op is alone in
+/// its kernel. Inputs: `h: V[3]`, `p: E[2]`; parameters `w: [3, heads ·
+/// feat]`, `mu`, `sigma: [heads, 2]`.
+fn tile_op_models(heads: usize, feat: usize) -> Vec<IrGraph> {
+    let leaves = |g: &mut IrGraph| {
+        let h = g.input_vertex("h", Dim::flat(3));
+        let w = g.param("w", 3, heads * feat);
+        let hw = g.linear(h, w).unwrap();
+        g.set_heads(hw, heads).unwrap()
+    };
+    // Attention with a Gaussian edge weight: fresh softmax, head
+    // broadcast, per-head sums — and backward their duals plus the lone
+    // `BySrc` sums of the two scatters.
+    let mut a = IrGraph::new();
+    let x = leaves(&mut a);
+    let s = a.feat_sum(x).unwrap();
+    let e = a.scatter(ScatterFn::Bin(BinaryFn::Add), s, s).unwrap();
+    let lr = a.unary(UnaryFn::LeakyRelu(0.2), e).unwrap();
+    let sm = a.edge_softmax(lr).unwrap();
+    let p = a.input_edge("p", Dim::flat(2));
+    let (mu, sigma) = (a.param("mu", heads, 2), a.param("sigma", heads, 2));
+    let gw = a.gaussian_weight(p, mu, sigma).unwrap();
+    let att = a.binary(BinaryFn::Mul, sm, gw).unwrap();
+    let hu = a.scatter(ScatterFn::CopyU, x, x).unwrap();
+    let me = a.binary(BinaryFn::Mul, hu, att).unwrap();
+    let agg = a.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+    let out = a.head_reduce(ReduceFn::Mean, agg).unwrap();
+    a.mark_output(out);
+    // Pooling and column views: concat and slice, max and mean by
+    // destination, a lone mean by source, head reduce and broadcast.
+    let mut b = IrGraph::new();
+    let x = leaves(&mut b);
+    let cat = b.scatter(ScatterFn::ConcatUV, x, x).unwrap();
+    let left = b.slice_cols(cat, 0, feat).unwrap();
+    let diff = b.scatter(ScatterFn::Bin(BinaryFn::Sub), x, x).unwrap();
+    let both = b.binary(BinaryFn::Add, left, diff).unwrap();
+    let mx = b.gather(ReduceFn::Max, EdgeGroup::ByDst, both).unwrap();
+    let hv = b.scatter(ScatterFn::CopyV, x, x).unwrap();
+    let mean_dst = b.gather(ReduceFn::Mean, EdgeGroup::ByDst, hv).unwrap();
+    let mean_src = b.gather(ReduceFn::Mean, EdgeGroup::BySrc, diff).unwrap();
+    let t = b.binary(BinaryFn::Add, mx, mean_dst).unwrap();
+    let t = b.binary(BinaryFn::Add, t, mean_src).unwrap();
+    let flat = b.head_reduce(ReduceFn::Sum, t).unwrap();
+    let wide = b.head_broadcast(flat, heads).unwrap();
+    let out = b.binary(BinaryFn::Mul, wide, x).unwrap();
+    b.mark_output(out);
+    vec![a, b]
+}
+
+/// One kernel per op: nothing fused, reorganized or recomputed.
+fn unfused() -> CompileOptions {
+    CompileOptions {
+        fusion: FusionLevel::None,
+        ..CompileOptions::dgl()
+    }
+}
+
+type OpPick = fn(&IrGraph, &Node) -> bool;
+
+/// The ops the property below must have run in the tile driver.
+fn tile_ops() -> Vec<(&'static str, OpPick)> {
+    fn broadcasts(ir: &IrGraph, n: &Node) -> bool {
+        ir.node(n.inputs[0]).dim.feat != ir.node(n.inputs[1]).dim.feat
+    }
+    fn gather(n: &Node, r: ReduceFn, g: EdgeGroup) -> bool {
+        n.kind
+            == OpKind::Gather {
+                reduce: r,
+                group: g,
+            }
+    }
+    use EdgeGroup::{ByDst, BySrc};
+    use ReduceFn::{Max, Mean, Sum};
+    vec![
+        ("scatter CopyU", |_, n| {
+            n.kind == OpKind::Scatter(ScatterFn::CopyU)
+        }),
+        ("scatter CopyV", |_, n| {
+            n.kind == OpKind::Scatter(ScatterFn::CopyV)
+        }),
+        ("scatter Bin", |_, n| {
+            matches!(n.kind, OpKind::Scatter(ScatterFn::Bin(_)))
+        }),
+        ("scatter ConcatUV", |_, n| {
+            n.kind == OpKind::Scatter(ScatterFn::ConcatUV)
+        }),
+        ("gather Sum ByDst", |_, n| gather(n, Sum, ByDst)),
+        ("gather Mean ByDst", |_, n| gather(n, Mean, ByDst)),
+        ("gather Max ByDst", |_, n| gather(n, Max, ByDst)),
+        ("gather Sum BySrc", |_, n| gather(n, Sum, BySrc)),
+        ("gather Mean BySrc", |_, n| gather(n, Mean, BySrc)),
+        ("edge_softmax", |_, n| n.kind == OpKind::EdgeSoftmax),
+        ("edge_softmax_bwd", |_, n| n.kind == OpKind::EdgeSoftmaxBwd),
+        ("gather_mean_bwd ByDst", |_, n| {
+            n.kind == OpKind::GatherMeanBwd { group: ByDst }
+        }),
+        ("gather_max_bwd ByDst", |_, n| {
+            matches!(n.kind, OpKind::GatherMaxBwd { .. })
+        }),
+        ("unary", |_, n| matches!(n.kind, OpKind::Unary(_))),
+        ("unary_bwd", |_, n| matches!(n.kind, OpKind::UnaryBwd(_))),
+        ("binary", |ir, n| {
+            matches!(n.kind, OpKind::Binary(_)) && !broadcasts(ir, n)
+        }),
+        ("binary, head broadcast", |ir, n| {
+            matches!(n.kind, OpKind::Binary(_)) && broadcasts(ir, n)
+        }),
+        ("gaussian_weight", |_, n| n.kind == OpKind::GaussianWeight),
+        ("slice_cols", |_, n| {
+            matches!(n.kind, OpKind::SliceCols { .. })
+        }),
+        ("embed_cols", |_, n| {
+            matches!(n.kind, OpKind::EmbedCols { .. })
+        }),
+        ("set_heads", |_, n| {
+            matches!(n.kind, OpKind::SetHeads { .. })
+        }),
+        ("head_reduce", |_, n| {
+            matches!(n.kind, OpKind::HeadReduce(_))
+        }),
+        ("head_broadcast", |_, n| {
+            matches!(n.kind, OpKind::HeadBroadcast { .. })
+        }),
+        ("feat_sum", |_, n| n.kind == OpKind::FeatSum),
+        ("feat_broadcast", |_, n| {
+            matches!(n.kind, OpKind::FeatBroadcast { .. })
+        }),
+    ]
+}
+
+/// The graph-space ops of `plan` that run in the tile driver, each alone
+/// in its kernel (a parameter-view prelude beside it at most).
+fn lone_tile_ops(plan: &ExecutionPlan) -> Vec<&Node> {
+    let mut ops = Vec::new();
+    for prog in &plan.programs {
+        let mut steps = prog.steps.iter().filter(|s| s.storage != Storage::Prelude);
+        let (Some(s), None) = (steps.next(), steps.next()) else {
+            panic!("kernel {} holds more than one op", prog.kernel);
+        };
+        let node = plan.ir.node(s.node);
+        if s.exec == StepExec::Tiled || is_streamed_gather(&node.kind) {
+            ops.push(node);
+        }
+    }
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every parallelized kernel, bit-compared against the serial path
-    /// over random graphs, feature widths, head counts, and thread
-    /// counts (including more threads than rows).
+    /// The op-library kernels that split their rows over workers — what a
+    /// full step can reach — bit-compared against their own serial path
+    /// over random graphs, feature widths, head counts, and thread counts
+    /// (including more threads than rows). `gather_max_bwd` and the
+    /// fixed-grid parameter reductions have theirs in `backward_reduce.rs`.
     #[test]
     fn kernels_are_bit_identical_under_any_thread_count(
         g in arb_graph(),
@@ -74,67 +240,18 @@ proptest! {
         let x = pseudo_tensor(n, total, seed);
         let e = pseudo_tensor(m, total, seed + 1);
 
-        for f in [ScatterFn::CopyU, ScatterFn::CopyV, ScatterFn::Bin(BinaryFn::Sub), ScatterFn::ConcatUV] {
-            let dim = if matches!(f, ScatterFn::ConcatUV) {
-                Dim::multi(heads, 2 * feat)
-            } else {
-                Dim::multi(heads, feat)
-            };
-            let a = kernels::scatter(&s, &g, f, &x, &x, dim);
-            let b = kernels::scatter(&p, &g, f, &x, &x, dim);
-            assert_bit_identical("scatter", &a, &b);
-        }
-
         for group in [EdgeGroup::ByDst, EdgeGroup::BySrc] {
-            for reduce in [ReduceFn::Sum, ReduceFn::Mean, ReduceFn::Max] {
-                let (a, am_a) = kernels::gather(&s, &g, reduce, group, &e);
-                let (b, am_b) = kernels::gather(&p, &g, reduce, group, &e);
-                assert_bit_identical("gather", &a, &b);
-                prop_assert_eq!(am_a, am_b, "argmax tables differ");
-            }
+            let (a, am_a) = kernels::gather(&s, &g, ReduceFn::Max, group, &e);
+            let (b, am_b) = kernels::gather(&p, &g, ReduceFn::Max, group, &e);
+            assert_bit_identical("gather max", &a, &b);
+            prop_assert_eq!(am_a, am_b, "argmax tables differ");
             let vg = pseudo_tensor(n, total, seed + 2);
-            let a = kernels::gather_mean_bwd(&s, &g, group, &vg);
-            let b = kernels::gather_mean_bwd(&p, &g, group, &vg);
-            assert_bit_identical("gather_mean_bwd", &a, &b);
+            assert_bit_identical(
+                "gather_mean_bwd",
+                &kernels::gather_mean_bwd(&s, &g, group, &vg),
+                &kernels::gather_mean_bwd(&p, &g, group, &vg),
+            );
         }
-
-        let (ys, ms, ds) = kernels::edge_softmax(&s, &g, &e);
-        let (yp, mp, dp) = kernels::edge_softmax(&p, &g, &e);
-        assert_bit_identical("edge_softmax y", &ys, &yp);
-        assert_bit_identical("edge_softmax max", &ms, &mp);
-        assert_bit_identical("edge_softmax denom", &ds, &dp);
-        assert_bit_identical(
-            "edge_softmax_from_aux",
-            &kernels::edge_softmax_from_aux(&s, &g, &e, &ms, &ds),
-            &kernels::edge_softmax_from_aux(&p, &g, &e, &ms, &ds),
-        );
-        let eg = pseudo_tensor(m, total, seed + 3);
-        assert_bit_identical(
-            "edge_softmax_bwd",
-            &kernels::edge_softmax_bwd(&s, &g, &eg, &ys),
-            &kernels::edge_softmax_bwd(&p, &g, &eg, &ys),
-        );
-
-        let b2 = pseudo_tensor(n, heads, seed + 4);
-        assert_bit_identical(
-            "binary_broadcast (equal feat)",
-            &kernels::binary_broadcast(&s, BinaryFn::Add, &x, Dim::multi(heads, feat), &x, Dim::multi(heads, feat)),
-            &kernels::binary_broadcast(&p, BinaryFn::Add, &x, Dim::multi(heads, feat), &x, Dim::multi(heads, feat)),
-        );
-        assert_bit_identical(
-            "binary_broadcast (feat-1 broadcast)",
-            &kernels::binary_broadcast(&s, BinaryFn::Mul, &x, Dim::multi(heads, feat), &b2, Dim::multi(heads, 1)),
-            &kernels::binary_broadcast(&p, BinaryFn::Mul, &x, Dim::multi(heads, feat), &b2, Dim::multi(heads, 1)),
-        );
-
-        let f = UnaryFn::LeakyRelu(0.2);
-        assert_bit_identical("unary", &kernels::unary(&s, f, &x), &kernels::unary(&p, f, &x));
-        let gx = pseudo_tensor(n, total, seed + 5);
-        assert_bit_identical(
-            "unary_bwd",
-            &kernels::unary_bwd(&s, f, &gx, &x),
-            &kernels::unary_bwd(&p, f, &gx, &x),
-        );
 
         let a_param = pseudo_tensor(heads, feat, seed + 6);
         assert_bit_identical(
@@ -148,49 +265,59 @@ proptest! {
             &kernels::head_dot_bwd_input(&s, &gh, &a_param, heads, feat),
             &kernels::head_dot_bwd_input(&p, &gh, &a_param, heads, feat),
         );
+    }
 
-        assert_bit_identical(
-            "head_reduce",
-            &kernels::head_reduce(&s, &x, heads, feat, true),
-            &kernels::head_reduce(&p, &x, heads, feat, true),
-        );
-        let flat = pseudo_tensor(n, feat, seed + 8);
-        assert_bit_identical(
-            "head_broadcast",
-            &kernels::head_broadcast(&s, &flat, heads),
-            &kernels::head_broadcast(&p, &flat, heads),
-        );
-        assert_bit_identical(
-            "feat_sum",
-            &kernels::feat_sum(&s, &x, heads, feat),
-            &kernels::feat_sum(&p, &x, heads, feat),
-        );
-        assert_bit_identical(
-            "feat_broadcast",
-            &kernels::feat_broadcast(&s, &gh, heads, feat),
-            &kernels::feat_broadcast(&p, &gh, heads, feat),
-        );
-
-        assert_bit_identical(
-            "slice_cols",
-            &kernels::slice_cols(&s, &x, heads, feat, 0, feat.div_ceil(2)),
-            &kernels::slice_cols(&p, &x, heads, feat, 0, feat.div_ceil(2)),
-        );
-        let sliced = kernels::slice_cols(&s, &x, heads, feat, 0, feat.div_ceil(2));
-        assert_bit_identical(
-            "embed_cols",
-            &kernels::embed_cols(&s, &sliced, heads, feat, 0, feat.div_ceil(2)),
-            &kernels::embed_cols(&p, &sliced, heads, feat, 0, feat.div_ceil(2)),
-        );
-
-        let mu = pseudo_tensor(heads, feat, seed + 9);
-        let sig = pseudo_tensor(heads, feat, seed + 10);
-        let ps = pseudo_tensor(m, feat, seed + 11);
-        assert_bit_identical(
-            "gaussian_weight",
-            &kernels::gaussian_weight(&s, &ps, &mu, &sig),
-            &kernels::gaussian_weight(&p, &ps, &mu, &sig),
-        );
+    /// Every op a destination tile can run, alone in its kernel: an
+    /// N-thread session — any tile size, hub rows chunked — writes the
+    /// bits of the serial oracle's plain loops, outputs and parameter
+    /// gradients alike.
+    #[test]
+    fn lone_tile_ops_match_the_serial_oracle(
+        g in arb_graph(),
+        seed in 0u64..1000,
+        heads in 1usize..4,
+        // At least two: a head broadcast needs a width to broadcast over.
+        feat in 2usize..5,
+        threads in 2usize..7,
+    ) {
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let b = Bindings::new()
+            .with("h", pseudo_tensor(n, 3, seed))
+            .with("p", pseudo_tensor(m, 2, seed + 1))
+            .with("w", pseudo_tensor(3, heads * feat, seed + 2))
+            .with("mu", pseudo_tensor(heads, 2, seed + 3))
+            .with("sigma", pseudo_tensor(heads, 2, seed + 4));
+        let wanted = tile_ops();
+        let mut ran: Vec<&'static str> = Vec::new();
+        for ir in &tile_op_models(heads, feat) {
+            let plan = compile(ir, true, &unfused()).expect("compiles").plan;
+            for node in lone_tile_ops(&plan) {
+                let named = wanted.iter().filter(|(_, pick)| pick(&plan.ir, node));
+                ran.extend(named.map(|(name, _)| *name));
+            }
+            let out = plan.ir.node(plan.ir.outputs()[0]);
+            let ones = pseudo_tensor(n, out.dim.total(), seed + 5);
+            let want = refexec::evaluate(&plan, &g, &b, Some(&ones)).expect("oracle");
+            for tile_edges in [1usize, 7, 4096] {
+                let policy = ExecPolicy { tile_edges, ..par(threads) }.with_heavy_row_degree(HEAVY);
+                let mut sess = Session::builder(&plan, &g)
+                    .policy(policy)
+                    .env(EnvOverrides::Off)
+                    .build()
+                    .expect("session");
+                let got = sess.forward(&b).expect("forward");
+                let grads = sess.backward(ones.clone()).expect("backward");
+                let what = format!("{threads} threads, tiles of {tile_edges}");
+                assert_bit_identical(&what, &got[0], &want.outputs[0]);
+                prop_assert_eq!(grads.len(), want.grads.len());
+                for (name, gr) in &grads {
+                    assert_bit_identical(&format!("{what}: grad {name}"), gr, &want.grads[name]);
+                }
+            }
+        }
+        for (name, _) in &wanted {
+            prop_assert!(ran.contains(name), "no kernel ran a lone {name}");
+        }
     }
 }
 

@@ -83,7 +83,7 @@ proptest! {
     fn softmax_invariants(g in arb_graph(), seed in 0u64..100) {
         use gnnopt_exec::kernels::{edge_softmax, edge_softmax_from_aux};
         let x = edge_tensor(&g, seed, 1);
-        let (y, maxes, denom) = edge_softmax(&serial(), &g, &x);
+        let (y, maxes, denom) = edge_softmax(&g, &x);
         for v in 0..g.num_vertices() {
             let ids = g.in_adj().edge_ids(v);
             if ids.is_empty() {
@@ -92,7 +92,7 @@ proptest! {
             let s: f32 = ids.iter().map(|&e| y.at(e as usize, 0)).sum();
             prop_assert!((s - 1.0).abs() < 1e-4, "group {v} sums to {s}");
         }
-        let y2 = edge_softmax_from_aux(&serial(), &g, &x, &maxes, &denom);
+        let y2 = edge_softmax_from_aux(&g, &x, &maxes, &denom);
         prop_assert!(y.allclose(&y2));
     }
 

@@ -5,8 +5,8 @@
 //! width, class count) and can (a) synthesize an executable graph matched
 //! to those statistics — full-size for the citation graphs, scaled for
 //! Reddit — and (b) hand the *full-scale* degree distribution to the
-//! analytical simulator so IO/memory figures are computed at paper scale
-//! (see DESIGN.md §2 for the substitution argument).
+//! analytical simulator so IO/memory figures are computed at paper scale:
+//! the model's costs depend on a graph only through those statistics.
 
 use crate::generators;
 use crate::{Graph, GraphStats};

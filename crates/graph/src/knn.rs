@@ -3,7 +3,7 @@
 //! ModelNet40 is not redistributable here, so [`PointCloud::synthetic`]
 //! samples from 40 parametric shape families (spheres, boxes, tori, …) —
 //! EdgeConv consumes nothing but point coordinates and the kNN topology, so
-//! this exercises exactly the same code path (see DESIGN.md §2).
+//! this exercises exactly the same code path.
 
 use crate::{EdgeList, Graph};
 use gnnopt_tensor::Tensor;

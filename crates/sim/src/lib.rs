@@ -19,12 +19,13 @@
 //!   "runs-on-2080 vs needs-3090" experiment is reproduced.
 //!
 //! The model is deliberately simple (roofline + launch overhead + load
-//! imbalance + atomic penalty); DESIGN.md §2 argues why this preserves the
-//! paper's measured *shapes*. Two optional second-order effects refine it
-//! when callers can quantify them: [`KernelEffects`] models L2-cached
-//! gather reads (after `gnnopt-reorder` reordering) and shared-memory
-//! occupancy pressure of fused kernels; a [`Timeline`] records per-kernel
-//! launch traces with phase breakdowns and JSON export.
+//! imbalance + atomic penalty): it reproduces the *shape* of the paper's
+//! measurements — which system wins on which axis, and by roughly what
+//! factor — not their absolute values. Two optional second-order effects
+//! refine it when callers can quantify them: [`KernelEffects`] models
+//! L2-cached gather reads (after `gnnopt-reorder` reordering) and
+//! shared-memory occupancy pressure of fused kernels; a [`Timeline`]
+//! records per-kernel launch traces with phase breakdowns and JSON export.
 
 mod device;
 mod effects;

@@ -19,12 +19,6 @@ pub struct ExecStats {
     pub stashed_bytes: u64,
     /// Modeled latency in seconds on the target device.
     pub latency: f64,
-    /// Wall-clock seconds of the CPU reference execution (0 if not run).
-    pub wall_seconds: f64,
-    /// CPU worker threads the reference executor ran under when
-    /// `wall_seconds` was measured (0 if only evaluated analytically) —
-    /// recorded so serial-vs-parallel scaling reports carry their input.
-    pub cpu_threads: u64,
 }
 
 impl ExecStats {
@@ -43,8 +37,6 @@ impl ExecStats {
         self.peak_memory = self.peak_memory.max(other.peak_memory);
         self.stashed_bytes += other.stashed_bytes;
         self.latency += other.latency;
-        self.wall_seconds += other.wall_seconds;
-        self.cpu_threads = self.cpu_threads.max(other.cpu_threads);
     }
 }
 
@@ -62,8 +54,6 @@ mod tests {
             peak_memory: 500,
             stashed_bytes: 5,
             latency: 0.5,
-            wall_seconds: 0.1,
-            cpu_threads: 1,
         };
         let b = ExecStats {
             kernels: 1,
@@ -73,15 +63,12 @@ mod tests {
             peak_memory: 700,
             stashed_bytes: 2,
             latency: 0.25,
-            wall_seconds: 0.2,
-            cpu_threads: 4,
         };
         a.merge(&b);
         assert_eq!(a.kernels, 3);
         assert_eq!(a.total_io(), 180);
         assert_eq!(a.peak_memory, 700);
         assert!((a.latency - 0.75).abs() < 1e-12);
-        assert_eq!(a.cpu_threads, 4, "thread count merges by max");
     }
 
     #[test]

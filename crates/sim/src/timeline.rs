@@ -4,8 +4,7 @@
 //! The paper's figures report three scalars per run (latency, IO,
 //! memory); a timeline preserves the *composition* of those scalars —
 //! which kernels dominate, how the forward/backward split shifts under
-//! each optimization — which is what the ablation write-ups in
-//! EXPERIMENTS.md cite.
+//! each optimization (`gnnopt-inspect <model> <preset> timeline`).
 
 use crate::KernelProfile;
 use serde::{Deserialize, Serialize};

@@ -26,9 +26,9 @@ const USAGE: &str =
   model:  gat | gatv2 | edgeconv | monet | gcn | sage | gin | appnp
   preset: dgl | fusegnn | ours
   view:   ir | plan | programs | memory | dot | timeline | json | shards
-  shards: partitions an RMAT-14 graph into N edge-cut shards (default 4,
-          or GNNOPT_SHARDS) and prints per-shard sizes, arenas, halo rows
-          and the per-kernel exchange schedule of one training step";
+  shards: partitions an RMAT-14 graph into N edge-cut shards (default 4)
+          and prints per-shard sizes, arenas, halo rows and the per-kernel
+          exchange schedule of one training step";
 
 fn model_ir(name: &str) -> Option<ModelSpec> {
     let spec = match name {

@@ -8,7 +8,8 @@
 mod common;
 
 use common::{arb_steps, build_ir, oracle};
-use gnnopt::core::{compile, CompileOptions, ExecPolicy, Preset};
+use gnnopt::core::lower::{is_streamed_gather, StepExec};
+use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, Preset};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::*;
@@ -84,31 +85,78 @@ fn zoo() -> Vec<(&'static str, ModelSpec)> {
     ]
 }
 
-/// Every kernel of every zoo model × preset × phase has a lowered
-/// program — the invariant the CI fallback gate enforces.
-#[test]
-fn every_zoo_kernel_lowers() {
+/// Runs `check(tag, plan)` on every zoo model × preset × phase.
+fn for_each_zoo_plan(check: impl Fn(&str, &ExecutionPlan)) {
     for (name, spec) in zoo() {
         for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
             for training in [false, true] {
                 let compiled =
                     compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
-                let plan = &compiled.plan;
-                assert_eq!(
-                    plan.programs.len(),
-                    plan.kernels.len(),
-                    "{name}/{preset:?}/training={training}: lowering must be total"
-                );
-                for (k, prog) in plan.kernels.iter().zip(&plan.programs) {
-                    assert!(
-                        !prog.steps.is_empty(),
-                        "{name}/{preset:?}/training={training}: kernel {} lowered empty",
-                        k.id
-                    );
-                }
+                let tag = format!("{name}/{preset:?}/training={training}");
+                check(&tag, &compiled.plan);
             }
         }
     }
+}
+
+/// Every kernel of every zoo model × preset × phase has a lowered
+/// program — the invariant the CI fallback gate enforces.
+#[test]
+fn every_zoo_kernel_lowers() {
+    for_each_zoo_plan(|tag, plan| {
+        assert_eq!(
+            plan.programs.len(),
+            plan.kernels.len(),
+            "{tag}: lowering must be total"
+        );
+        for (k, prog) in plan.kernels.iter().zip(&plan.programs) {
+            assert!(
+                !prog.steps.is_empty(),
+                "{tag}: kernel {} lowered empty",
+                k.id
+            );
+        }
+    });
+}
+
+/// One engine per op: the tile driver runs every step a destination tile
+/// can run, alone in its kernel or fused. What is left to the dense
+/// dispatch (`StepExec::Full` outside a streamed segment) is dense
+/// projections, cross-row parameter reductions, parameter-space steps and
+/// the three `BySrc` ops that address a complete vertex tensor at
+/// `src(e)` — nothing else, on any zoo model × preset × phase.
+#[test]
+fn full_steps_cannot_tile() {
+    use gnnopt::core::view::gather_max_bwd_group;
+    use gnnopt::core::{EdgeGroup::BySrc, OpKind, ReduceFn::Max, Space};
+    for_each_zoo_plan(|tag, plan| {
+        let ir = &plan.ir;
+        for step in plan.programs.iter().flat_map(|p| &p.steps) {
+            let node = ir.node(step.node);
+            if step.exec != StepExec::Full || is_streamed_gather(&node.kind) {
+                continue;
+            }
+            let dense = match &node.kind {
+                OpKind::Linear
+                | OpKind::LinearBwdInput
+                | OpKind::LinearBwdWeight
+                | OpKind::HeadDot
+                | OpKind::HeadDotBwdInput
+                | OpKind::HeadDotBwdParam
+                | OpKind::GaussianBwdMu
+                | OpKind::GaussianBwdSigma => true,
+                OpKind::Gather { reduce, group } => (*reduce, *group) == (Max, BySrc),
+                OpKind::GatherMeanBwd { group } => *group == BySrc,
+                OpKind::GatherMaxBwd { fwd } => gather_max_bwd_group(ir, *fwd) == BySrc,
+                _ => node.space == Space::Param,
+            };
+            assert!(
+                dense,
+                "{tag}: `{}` runs whole but a tile could run it",
+                node.name
+            );
+        }
+    });
 }
 
 /// Every zoo model × preset × phase launches exactly

@@ -16,8 +16,7 @@ mod common;
 use common::{arb_steps, build_ir};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy};
 use gnnopt::exec::{
-    refexec, Bindings, EnvOverrides, ExchangeKind, ExecError, Session, ShardStrategy,
-    ShardedSession,
+    refexec, Bindings, EnvOverrides, ExchangeKind, ExecError, ShardStrategy, ShardedSession,
 };
 use gnnopt::graph::{generators, EdgeList, Graph, Partition};
 use gnnopt::models::*;
@@ -317,47 +316,6 @@ fn seed_shape_is_checked_at_every_shard_count() {
             assert!(!sess.poisoned());
             sess.step(&b, &good).expect("the session still steps");
         }
-    }
-}
-
-/// `GNNOPT_SHARDS` picks the shard count when the builder doesn't pin
-/// one — and whatever count it picks must stay bit-identical. Under the
-/// CI `GNNOPT_SHARDS=2` leg this test genuinely runs sharded; with the
-/// variable unset it pins the single-shard fast path.
-#[test]
-fn env_shard_count_is_honored() {
-    let g = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 29));
-    let expected = std::env::var("GNNOPT_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, g.num_vertices());
-    let spec = gcn(&GcnConfig::two_layer(5, 6, 3)).unwrap();
-    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
-    let vals = spec.init_values(&g, 37);
-    let b = bindings_from(&vals);
-
-    let mut plain = Session::builder(&compiled.plan, &g)
-        .policy(ExecPolicy::serial())
-        .build()
-        .unwrap();
-    let ref_out = plain.forward(&b).unwrap();
-    let seed = Tensor::ones(ref_out[0].shape());
-    let ref_grads = plain.backward(seed.clone()).unwrap();
-
-    // No .shards() pin: the count comes from the environment (Loud).
-    let mut sharded = ShardedSession::builder(&compiled.plan, &g)
-        .policy(ExecPolicy::serial())
-        .build()
-        .unwrap();
-    assert_eq!(sharded.num_shards(), expected, "GNNOPT_SHARDS not honored");
-    let out = sharded.forward(&b).unwrap();
-    let grads = sharded.backward(seed).unwrap();
-    for (a, s) in ref_out.iter().zip(&out) {
-        assert_eq!(a.as_slice(), s.as_slice());
-    }
-    for (key, grad) in &ref_grads {
-        assert_eq!(grad.as_slice(), grads[key].as_slice(), "grad '{key}'");
     }
 }
 
