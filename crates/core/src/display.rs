@@ -2,21 +2,16 @@
 //! plans — the debugging surface for every pass.
 
 use crate::ir::{IrGraph, Phase};
-use crate::lower::{is_streamed_gather, StepExec};
+use crate::lower::{Data, FullSource, Operand, RowAt, SlotSize, UnitKind};
 use crate::op::{EdgeGroup, OpKind, Space};
 use crate::plan::ExecutionPlan;
-use crate::view::{edge_view, View};
 use std::fmt::Write as _;
 
 /// One line per node: `id name space dim phase ← inputs`.
 pub fn dump_ir(ir: &IrGraph) -> String {
     let mut out = String::new();
     for n in ir.nodes() {
-        let space = match n.space {
-            Space::Vertex => "V",
-            Space::Edge => "E",
-            Space::Param => "P",
-        };
+        let space = space_label(n.space);
         let phase = match n.phase {
             Phase::Forward => "fwd",
             Phase::Backward => "bwd",
@@ -125,91 +120,131 @@ pub fn dump_plan(plan: &ExecutionPlan) -> String {
     out
 }
 
-fn view_label(v: View) -> &'static str {
-    match v {
-        View::Aligned => "aligned",
-        View::BySrc => "by-src",
-        View::ByDst => "by-dst",
-        View::Reduce(EdgeGroup::ByDst) => "reduce:by-dst",
-        View::Reduce(EdgeGroup::BySrc) => "reduce:by-src",
-        View::Broadcast => "bcast",
-        View::Stash => "stash",
-        View::Unused => "unused",
+fn space_label(space: Space) -> &'static str {
+    match space {
+        Space::Vertex => "V",
+        Space::Edge => "E",
+        Space::Param => "P",
     }
 }
 
-/// Lowered cluster structure: one block per kernel program showing the
-/// kernel boundary (materialization class of every step), its segments
-/// in the order they run — a streamed gather's chain under the gather's
-/// own segment, where it executes — and the per-edge view each step
-/// reads its inputs through.
+/// The compiled form of every kernel program — what a launch runs, so a
+/// slot-size or aliasing regression is a text diff. Per kernel: the
+/// inputs it releases mid-launch (its dying inputs, after their last
+/// reading stage) and its prelude views; then one block per [`Unit`] in
+/// stage order (tile unit, streamed unit — the chain under the gather's
+/// own segment, where it executes — or dense call) with one line per
+/// step: storage class, slot (`tile`, `row×strip`, `sink`, or `alias` for
+/// a pure copy compiled away) and resolved operands — a slot is named by
+/// the step that fills it, `@src`/`@dst` is the endpoint pin.
 ///
-/// Sample — segment 2 streams a `BySrc` gather: the chain step `%31`
-/// holds tile rows there, the gather `%32` is the kernel's output:
+/// Sample — stage 1 streams a `BySrc` gather: the copy `%18` is an alias
+/// of `%17[dst(e)]`, the chain step `%19` holds a 4-row strip, the
+/// gather `%24` accumulates into its tensor:
 ///
 /// ```text
-///   seg 2 (streamed gather):
-///     %31  binary_Mul   E[64] scratch       ← %30:aligned %17:aligned
-///     %32  gather_Sum   V[64] materialized  ← %31:reduce:by-src
+///   stage 1, seg 1 (streamed unit):
+///     %18  scatter_CopyV_dup  E[256] scratch  alias  = %17@dst
+///     %19  binary_Mul         E[256] scratch  row×4  ← %17@dst %11
+///     %24  gather_Sum         V[256] interior sink   ← %19 by-src
 /// ```
 pub fn dump_programs(plan: &ExecutionPlan) -> String {
     let ir = &plan.ir;
+    let deaths = crate::memplan::liveness(plan).kernel_deaths;
     let mut out = String::new();
     for (k, prog) in plan.kernels.iter().zip(&plan.programs) {
-        // Prelude steps carry no segment of their own (id 0).
-        let segments: std::collections::BTreeSet<usize> =
-            prog.steps.iter().map(|s| s.segment).collect();
+        let n = prog.units.len();
         let _ = writeln!(
             out,
-            "k{:<3} {:?} {} steps, {} segment{}",
+            "k{:<3} {:?} {} steps, {n} unit{}",
             k.id,
             k.mapping,
             prog.steps.len(),
-            segments.len(),
-            if segments.len() == 1 { "" } else { "s" }
+            if n == 1 { "" } else { "s" }
         );
-        for seg in segments {
-            let steps = || prog.steps.iter().filter(|s| s.segment == seg);
-            let flavor = match steps().find(|s| s.exec == StepExec::Full) {
-                None => "tiled stream",
-                Some(s) if is_streamed_gather(&ir.node(s.node).kind) => "streamed gather",
-                Some(_) => "full",
+        for stage in 0..=n {
+            let dying = |&&(i, at): &&(usize, usize)| at == stage && deaths[k.id].contains(&i);
+            let freed: Vec<String> = prog
+                .inputs
+                .iter()
+                .filter(dying)
+                .map(|(i, _)| format!("%{i}"))
+                .collect();
+            if !freed.is_empty() {
+                let _ = writeln!(out, "  releases {} after stage {stage}", freed.join(" "));
+            }
+        }
+        let line = |out: &mut String, si: usize, slot: &str, reads: String| {
+            let s = &prog.steps[si];
+            let _ = writeln!(
+                out,
+                "    %{:<3} {:<24} {:<7} {:<12} {slot:<7}{reads}{}",
+                s.node,
+                ir.node(s.node).name,
+                format!("{}[{}]", space_label(s.space), s.cols),
+                format!("{:?}", s.storage).to_lowercase(),
+                if s.recompute { " recompute" } else { "" },
+            );
+        };
+        let views = || prog.steps.iter().enumerate().filter(|(_, s)| s.stage == 0);
+        if views().next().is_some() {
+            let _ = writeln!(out, "  stage 0 (prelude):");
+        }
+        for (si, s) in views() {
+            line(
+                &mut out,
+                si,
+                "view",
+                format!(" ← %{}", ir.node(s.node).inputs[0]),
+            );
+        }
+        for unit in &prog.units {
+            let flavor = match unit.kind {
+                UnitKind::Tile => "tile unit",
+                UnitKind::Streamed => "streamed unit",
+                UnitKind::Dense => "dense call",
             };
-            let _ = writeln!(out, "  seg {seg} ({flavor}):");
-            for s in steps() {
-                let node = ir.node(s.node);
-                let space = match s.space {
-                    Space::Vertex => "V",
-                    Space::Edge => "E",
-                    Space::Param => "P",
+            let _ = writeln!(
+                out,
+                "  stage {}, seg {} ({flavor}):",
+                unit.stage, unit.segment
+            );
+            let operand = |o: &Operand| {
+                let what = match o.data {
+                    Data::Slot { idx, .. } => format!("%{}", prog.steps[unit.ops[idx].step].node),
+                    Data::Full(src) => match src {
+                        FullSource::Value(id) => format!("%{id}"),
+                        FullSource::Step(si) => format!("%{}", prog.steps[si].node),
+                        FullSource::SoftmaxMax(id) => format!("max(%{id})"),
+                        FullSource::SoftmaxDenom(id) => format!("denom(%{id})"),
+                    },
                 };
-                let storage = match s.storage {
-                    crate::lower::Storage::Materialized => "materialized",
-                    crate::lower::Storage::Interior => "interior",
-                    crate::lower::Storage::Scratch => "scratch",
-                    crate::lower::Storage::Prelude => "prelude",
+                let pin = match o.at {
+                    RowAt::Own => "",
+                    RowAt::SrcV => "@src",
+                    RowAt::DstV => "@dst",
                 };
-                let reads: Vec<String> = node
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(pos, _)| edge_view(ir, s.node, pos) != View::Unused)
-                    .map(|(pos, &i)| format!("%{i}:{}", view_label(edge_view(ir, s.node, pos))))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "    %{:<3} {:<24} {space}[{}] {:<12}{}{}",
-                    s.node,
-                    node.name,
-                    s.cols,
-                    storage,
-                    if s.recompute { " recompute" } else { "" },
-                    if reads.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" ← {}", reads.join(" "))
-                    }
-                );
+                format!("{what}{pin}")
+            };
+            for &(si, read) in &unit.reads {
+                let Some(op) = unit.ops.iter().find(|op| op.step == si) else {
+                    line(&mut out, si, "alias", format!(" = {}", operand(&read)));
+                    continue;
+                };
+                let slot = match (unit.kind, op.size) {
+                    (UnitKind::Dense, _) => "dense".to_owned(),
+                    (_, SlotSize::Row) => format!("row×{}", op.strip),
+                    (_, size) => format!("{size:?}").to_lowercase(),
+                };
+                let mut reads: Vec<String> = op.srcs.iter().map(operand).collect();
+                if let OpKind::GatherMaxBwd { fwd } = op.kind {
+                    reads.push(format!("argmax(%{fwd})"));
+                }
+                reads.extend(op.kind.reduction_group().map(|g| match g {
+                    EdgeGroup::ByDst => "by-dst".to_owned(),
+                    EdgeGroup::BySrc => "by-src".to_owned(),
+                }));
+                line(&mut out, si, &slot, format!(" ← {}", reads.join(" ")));
             }
         }
     }
@@ -218,15 +253,17 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
 
 /// Offset map of a [`MemoryPlan`](crate::memplan::MemoryPlan): one line
 /// per planned region — tensor, arena offset, size, lifetime interval in
-/// kernel positions — then the arena by size class (`class bytes ×
+/// `k<kernel>.<stage>` positions (stage 0 is the kernel's prelude pass,
+/// `1 + i` its `i`-th segment) — then the arena by size class (`class bytes ×
 /// buffers = total`; the `store` rows sum to the arena, the `aux` rows
 /// are the `u32` argmax tables beside it).
 ///
-/// Sample lines — node `%14`, 2 KiB at offset 4096, live from position 3
-/// until position 5; and its class, two buffers of which cover the step:
+/// Sample lines — node `%14`, 2 KiB at offset 4096, live from kernel 3's
+/// first segment until kernel 5's second; and its class, two buffers of
+/// which cover the step:
 ///
 /// ```text
-///   %14  gather_sum              @4096     2048 B  [3, 5]
+///   %14  gather_sum              @4096     2048 B  [k3.1, k5.2]
 ///   store       2048 B × 2 =       4096 B
 /// ```
 pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> String {
@@ -241,11 +278,16 @@ pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> St
         mem.positions,
         aux_bytes
     );
+    let at = |p: usize| {
+        let mut spans = (0..plan.kernels.len()).map(|k| (k, mem.kernel_positions(k)));
+        let (k, span) = spans.find(|(_, s)| s.contains(&p)).unwrap_or((0, 0..0));
+        format!("k{k}.{}", p - span.start)
+    };
     for r in &mem.regions {
         let life = if r.death == crate::memplan::PERSISTENT {
-            format!("[{}, ∞]", r.birth)
+            format!("[{}, ∞]", at(r.birth))
         } else {
-            format!("[{}, {}]", r.birth, r.death)
+            format!("[{}, {}]", at(r.birth), at(r.death))
         };
         let _ = writeln!(
             out,
@@ -344,12 +386,21 @@ mod tests {
         }
         assert!(s.contains("materialized"), "boundary class: {s}");
         assert!(s.contains("scratch"), "internal class: {s}");
-        // … and endpoint views annotate the cross-space reads (the
-        // scatter reads its vertex operand by-src, the gather reduces
-        // by-dst).
-        assert!(s.contains("by-src"), "endpoint views: {s}");
-        assert!(s.contains("reduce:by-dst"), "reduction views: {s}");
-        assert!(s.contains("tiled stream"), "streamed chains: {s}");
+        // … the units that run, with each op's slot and its resolved
+        // operands: the scatter reads its vertex operand at both
+        // endpoints, the gather reduces by destination into its sink,
+        // the backward kernel frees a dying input mid-launch.
+        assert!(s.contains("(tile unit):"), "unit kinds: {s}");
+        assert!(s.contains("(dense call):"), "unit kinds: {s}");
+        assert!(
+            s.contains("@src") && s.contains("@dst"),
+            "endpoint pins: {s}"
+        );
+        assert!(
+            s.contains("sink") && s.contains("by-dst"),
+            "reductions: {s}"
+        );
+        assert!(s.contains("releases %"), "release schedule: {s}");
     }
 
     #[test]

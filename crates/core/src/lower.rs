@@ -66,6 +66,28 @@
 //! input or a spill other steps read too — is the same unit with an empty
 //! chain ([`is_streamed_gather`]): the tile driver runs every one.
 //!
+//! # The stage table and compiled units
+//!
+//! A launch runs in *stages*: stage 0 evaluates the prelude views, stage
+//! `1 + i` runs the program's `i`-th segment. Everything about a stage
+//! that depends only on the IR is fixed here, once, and read by all three
+//! consumers — the memory planner (`memplan.rs`: a tensor is born at its
+//! step's stage, a dying input frees after its last reading stage,
+//! [`KernelProgram::inputs`]), the interpreter (which allocates a
+//! segment's sinks when the segment starts and releases by the same
+//! table) and [`crate::display::dump_programs`]. Each segment compiles
+//! into one [`Unit`]: a *tile unit* (a tiled segment), a *streamed unit*
+//! (a `BySrc` sum or mean behind its possibly empty chain) or a *dense
+//! call*. A unit's [`TileOp`]s carry resolved [`Operand`]s — the slot of
+//! an earlier op, or a complete tensor named by [`FullSource`], read at
+//! the consumer's own row or at an edge endpoint ([`RowAt`]); a
+//! scratch-class pure copy compiles to no op at all (its readers get the
+//! copy's source with the endpoint pinned) — and a [`SlotSize`]: how many
+//! rows the op's slot holds (`gnnopt-exec`'s `fused.rs`, "Slot sizes",
+//! says what each size means at run time). The graph-dependent half —
+//! tile bounds, worker ownership — is `gnnopt-exec`'s, computed once per
+//! session.
+//!
 //! # Totality
 //!
 //! Lowering is *total*: [`lower_kernel`] produces a [`KernelProgram`] for
@@ -97,9 +119,9 @@
 //!   cross-segment rule.
 
 use crate::ir::IrGraph;
-use crate::op::{EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
+use crate::op::{Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use crate::plan::{ExecutionPlan, Kernel};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Where a program step's output lives during tiled execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +166,9 @@ pub struct ProgramStep {
     /// order (steps stay in node order, so a streamed chain's segment ids
     /// are out of step order).
     pub segment: usize,
+    /// Launch stage the step runs in: 0 for a prelude view, `1 +` the
+    /// ordinal of its segment otherwise (module docs, "The stage table").
+    pub stage: usize,
     /// Output index space (copied from the node for self-contained size
     /// arithmetic).
     pub space: Space,
@@ -166,6 +191,211 @@ pub struct KernelProgram {
     pub kernel: usize,
     /// Member steps in execution order.
     pub steps: Vec<ProgramStep>,
+    /// The compiled segments in the order they run: `units[i]` is stage
+    /// `i + 1`.
+    pub units: Vec<Unit>,
+    /// Every value the program reads from outside the kernel with the
+    /// last stage that reads it, ascending by node. (Softmax statistics
+    /// and argmax tables live in the aux stores and are not listed.)
+    pub inputs: Vec<(NodeId, usize)>,
+}
+
+/// Which row of its data a resolved operand reads when the consuming op
+/// is at row `r` of its own space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowAt {
+    /// Row `r` itself.
+    Own,
+    /// Row `src(r)` / `dst(r)` of an edge-space consumer: the endpoint
+    /// read of a `Scatter`, which survives into whoever reads an aliased
+    /// `CopyU` / `CopyV`.
+    SrcV,
+    DstV,
+}
+
+/// A complete tensor a unit reads, bound to its rows at launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FullSource {
+    /// A value of the session's store, computed outside the kernel.
+    Value(NodeId),
+    /// What an earlier stage's step (index into [`KernelProgram::steps`])
+    /// produced: a prelude view, a spill, a boundary value.
+    Step(usize),
+    /// The maximum / denominator the forward run of this softmax stashed.
+    SoftmaxMax(NodeId),
+    SoftmaxDenom(NodeId),
+}
+
+/// Where a resolved operand's rows are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Data {
+    /// The slot of an earlier op of the unit (index into [`Unit::ops`]),
+    /// `cols` wide.
+    Slot { idx: usize, cols: usize },
+    /// A complete tensor.
+    Full(FullSource),
+}
+
+/// A resolved operand: where the rows are and which one to read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operand {
+    pub data: Data,
+    pub at: RowAt,
+}
+
+impl Operand {
+    /// Pins the operand of an endpoint read. Scatter inputs are
+    /// vertex-space values, which are only ever addressed at `Own`.
+    fn pinned(self, at: RowAt) -> Self {
+        debug_assert_eq!(self.at, RowAt::Own, "vertex operands are unpinned");
+        Operand { at, ..self }
+    }
+
+    /// The slot this operand reads, if it reads one.
+    pub fn slot(self) -> Option<usize> {
+        match self.data {
+            Data::Slot { idx, .. } => Some(idx),
+            Data::Full(_) => None,
+        }
+    }
+}
+
+/// How many rows an op's slot holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotSize {
+    /// The tile's rows of the op's space, evaluated before its readers run.
+    Tile,
+    /// A strip of at most [`TileOp::strip`] rows — one, for a row read
+    /// at an edge endpoint — evaluated over the run of rows its reader
+    /// takes next.
+    Row,
+    /// None: the op writes its rows of a full tensor in place — a
+    /// boundary value or spill of a tiled segment, a streamed segment's
+    /// gather, a dense call's result.
+    Sink,
+}
+
+/// One step compiled for the per-row path: operands resolved, slot sized.
+#[derive(Debug, Clone)]
+pub struct TileOp {
+    /// Index into [`KernelProgram::steps`].
+    pub step: usize,
+    pub kind: OpKind,
+    pub space: Space,
+    pub cols: usize,
+    /// Output head count (`node.dim.heads`).
+    pub heads: usize,
+    /// `Scatter`: `[x@SrcV, y@DstV]` (a copy keeps only the side it
+    /// reads). `EdgeSoftmax` with stashed statistics: `[x, max@DstV,
+    /// denom@DstV]`. `GatherMeanBwd` / `GatherMaxBwd`: `[grad@DstV]`.
+    /// Otherwise the node's inputs in order.
+    pub srcs: Vec<Operand>,
+    /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
+    pub dins: Vec<Dim>,
+    pub size: SlotSize,
+    /// Some operand is a row-sized slot: pull it before reading.
+    pub pulls: bool,
+    /// Row-sized: rows the slot holds. An op that pulls: rows it may run
+    /// between two pulls (every row-sized operand then holds them all).
+    pub strip: usize,
+}
+
+impl TileOp {
+    /// Elements this op's slot holds on a worker whose largest tile is
+    /// `(vertices, edges)`.
+    pub fn slot_len(&self, (tv, te): (usize, usize)) -> usize {
+        let tile = self.cols
+            * match self.space {
+                Space::Edge => te,
+                Space::Vertex => tv,
+                Space::Param => 0,
+            };
+        match self.size {
+            SlotSize::Tile => tile,
+            SlotSize::Row => tile.min(self.strip * self.cols),
+            SlotSize::Sink => 0,
+        }
+    }
+
+    /// Reduces over whole edge groups; every other op is a per-row
+    /// expression.
+    fn reduces_groups(&self) -> bool {
+        match self.kind {
+            OpKind::Gather { .. } | OpKind::EdgeSoftmaxBwd => true,
+            // Fresh: three sweeps per group. With stashed statistics
+            // (two more operands) it is a row expression.
+            OpKind::EdgeSoftmax => self.srcs.len() == 1,
+            _ => false,
+        }
+    }
+
+    /// An elementwise op whose operands all sit at its own row: one
+    /// `rowops` call covers all the rows it is run over.
+    fn flat(&self) -> bool {
+        let zips = match self.kind {
+            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV | ScatterFn::Bin(_))
+            | OpKind::SetHeads { .. }
+            | OpKind::Unary(_)
+            | OpKind::UnaryBwd(_) => true,
+            OpKind::EdgeSoftmax => !self.reduces_groups(),
+            OpKind::Binary(_) => self.dins[0].feat == self.dins[1].feat,
+            _ => false,
+        };
+        zips && self.srcs.iter().all(|s| s.at == RowAt::Own)
+    }
+
+    /// Reads each row of its operands once, in runs a strip can hold —
+    /// what a reader must do for its producer to be row-sized. (A flat op
+    /// with a tile-sized slot covers the tile in one call instead.)
+    fn takes_rows_once(&self) -> bool {
+        match self.kind {
+            OpKind::Gather { .. } => true,
+            _ => !self.reduces_groups() && (!self.flat() || self.size == SlotSize::Row),
+        }
+    }
+}
+
+/// Elements (4 KB) and rows a row-sized slot's strip holds at most.
+const STRIP_ELEMS: usize = 1024;
+const STRIP_ROWS: usize = 32;
+
+/// What runs a [`Unit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitKind {
+    /// A tiled segment: workers own runs of destination tiles.
+    Tile,
+    /// A `BySrc` sum or mean — the unit's last op and only sink — behind
+    /// the chain streamed into its segment, if any: workers own source
+    /// ranges and each walk every tile.
+    Streamed,
+    /// One call into the op library's dense dispatch.
+    Dense,
+}
+
+/// One segment compiled: what stage `stage` of a launch runs.
+#[derive(Debug, Clone)]
+pub struct Unit {
+    pub stage: usize,
+    pub segment: usize,
+    pub kind: UnitKind,
+    /// The ops in dependency order. A dense call is one op whose operands
+    /// are the node's inputs, all complete tensors.
+    pub ops: Vec<TileOp>,
+    /// Per step of the segment, in step order: the step's index and what
+    /// its readers see — its op's slot, or the source a scratch-class
+    /// pure copy was aliased to.
+    pub reads: Vec<(usize, Operand)>,
+}
+
+impl Unit {
+    /// Elements of tile- and row-sized slots a worker holds whose largest
+    /// tile is `tile` = `(vertices, edges)`, so kernel-internal values
+    /// never become full tensors: aliased copies and sinks hold nothing,
+    /// a step whose single reader takes each row once a strip of rows.
+    /// Summed over a launch's workers, `RunStats::scratch_bytes`.
+    pub fn slab_len(&self, tile: (usize, usize)) -> usize {
+        self.ops.iter().map(|op| op.slot_len(tile)).sum()
+    }
 }
 
 impl KernelProgram {
@@ -182,41 +412,9 @@ impl KernelProgram {
         self.steps.iter().filter(|s| s.storage == Storage::Scratch)
     }
 
-    /// Upper bound on the scratch bytes one tile of `tile_vertices` ×
-    /// `tile_edges` needs in segment `segment`: one slot of tile rows per
-    /// tiled step, so kernel-internal values never become full tensors.
-    /// The interpreter holds *less*: scratch-class pure copies
-    /// (`Scatter(CopyU|CopyV)`, `SetHeads`) are aliased to reads of their
-    /// source, materialized/interior steps are written into their
-    /// tensors in place, and neither gets a slot; and a step whose single
-    /// reader takes each row once holds a strip of a few rows instead of
-    /// the tile's. What the interpreter actually held is
-    /// `RunStats::scratch_bytes`; it asserts that never exceeds this.
-    pub fn scratch_tile_bytes(
-        &self,
-        segment: usize,
-        tile_vertices: usize,
-        tile_edges: usize,
-    ) -> u64 {
-        self.steps
-            .iter()
-            .filter(|s| {
-                s.exec == StepExec::Tiled && s.segment == segment && s.storage != Storage::Prelude
-            })
-            .map(|s| {
-                let rows = match s.space {
-                    Space::Edge => tile_edges,
-                    Space::Vertex => tile_vertices,
-                    Space::Param => 0,
-                };
-                4 * (rows as u64) * (s.cols as u64)
-            })
-            .sum()
-    }
-
     /// The segment ids of the program, ascending and deduplicated
     /// (prelude steps carry no segment and are excluded).
-    pub fn segments(&self) -> Vec<usize> {
+    fn segments(&self) -> Vec<usize> {
         let mut segs: Vec<usize> = self
             .steps
             .iter()
@@ -579,6 +777,7 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
                 storage: storage[&id],
                 exec: exec.get(&id).copied().unwrap_or(StepExec::Tiled),
                 segment: segment.get(&id).copied().unwrap_or(0),
+                stage: 0,
                 space: node.space,
                 cols: node.dim.total(),
                 recompute: recompute.contains(&id),
@@ -586,10 +785,193 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         })
         .collect();
 
-    KernelProgram {
+    // The stage table (module docs): one unit per segment in ascending
+    // segment order, then every outside value's last reading stage.
+    let mut program = KernelProgram {
         kernel: kernel.id,
         steps,
+        units: Vec::new(),
+        inputs: Vec::new(),
+    };
+    for (ord, seg) in program.segments().into_iter().enumerate() {
+        let in_seg = |s: &ProgramStep| s.segment == seg && s.storage != Storage::Prelude;
+        let order: Vec<usize> = (0..program.steps.len())
+            .filter(|&si| in_seg(&program.steps[si]))
+            .collect();
+        for &si in &order {
+            program.steps[si].stage = ord + 1;
+        }
+        let unit = compile_unit(ir, &program.steps, ord + 1, &order);
+        program.units.push(unit);
     }
+    let mut last_stage: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for s in &program.steps {
+        let outside = |i: &&NodeId| !members.contains(i);
+        for &i in ir.node(s.node).inputs.iter().filter(outside) {
+            let at = last_stage.entry(i).or_insert(s.stage);
+            *at = (*at).max(s.stage);
+        }
+    }
+    program.inputs = last_stage.into_iter().collect();
+    program
+}
+
+/// Compiles one segment's steps `order` (in step order, which is
+/// dependency order) into a [`Unit`] and gives each op its slot size: a
+/// tiled segment; a streamed gather's chain with the gather itself last —
+/// the unit's one sink, every chain step being scratch-class; or a dense
+/// step alone.
+///
+/// Pure copies compile to no op when they are scratch-class: readers get
+/// the copy's source with the endpoint pinned.
+fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usize]) -> Unit {
+    // A full step is its segment's last. A `BySrc` sum or mean is the
+    // tile loop's own; any other full step is alone there and runs whole.
+    let last = &steps[*order.last().expect("a segment has steps")];
+    let kind = match last.exec {
+        StepExec::Tiled => UnitKind::Tile,
+        StepExec::Full if is_streamed_gather(&ir.node(last.node).kind) => UnitKind::Streamed,
+        StepExec::Full => UnitKind::Dense,
+    };
+    let mut unit = Unit {
+        stage,
+        segment: last.segment,
+        kind,
+        ops: Vec::with_capacity(order.len()),
+        reads: Vec::with_capacity(order.len()),
+    };
+    for &si in order {
+        let sp = &steps[si];
+        let node = ir.node(sp.node);
+        let is_sink = sp.storage != Storage::Scratch;
+        // Same-segment members resolve through their producer's slot (or
+        // whatever it aliases), prelude views and earlier segments to
+        // their complete tensors, everything else to the value store.
+        // (A full step shares a segment only with the chain streamed
+        // into it.)
+        let full = |src| Operand {
+            data: Data::Full(src),
+            at: RowAt::Own,
+        };
+        let resolve = |i: NodeId, unit: &Unit| match steps.iter().position(|s| s.node == i) {
+            Some(pi) if steps[pi].stage == stage => {
+                let read = unit.reads.iter().find(|&&(step, _)| step == pi);
+                read.expect("a same-segment operand precedes its reader").1
+            }
+            Some(pi) => full(FullSource::Step(pi)),
+            None => full(FullSource::Value(i)),
+        };
+        // A scratch-class pure copy is an alias of the one row it reads.
+        let copied = match node.kind {
+            OpKind::Scatter(ScatterFn::CopyU) => Some((0, RowAt::SrcV)),
+            OpKind::Scatter(ScatterFn::CopyV) => Some((node.inputs.len() - 1, RowAt::DstV)),
+            OpKind::SetHeads { .. } => Some((0, RowAt::Own)),
+            _ => None,
+        };
+        if let (Some((i, at)), false) = (copied, is_sink) {
+            let x = resolve(node.inputs[i], &unit);
+            unit.reads
+                .push((si, if at == RowAt::Own { x } else { x.pinned(at) }));
+            continue;
+        }
+        let mut srcs: Vec<Operand> = node.inputs.iter().map(|&i| resolve(i, &unit)).collect();
+        let tiled = sp.exec == StepExec::Tiled;
+        match &node.kind {
+            OpKind::Scatter(f) => {
+                let x = srcs[0].pinned(RowAt::SrcV);
+                let y = srcs[srcs.len() - 1].pinned(RowAt::DstV);
+                srcs.clear();
+                match f {
+                    ScatterFn::CopyU => srcs.push(x),
+                    ScatterFn::CopyV => srcs.push(y),
+                    ScatterFn::Bin(_) | ScatterFn::ConcatUV => srcs.extend([x, y]),
+                }
+            }
+            // Rebuilt from the statistics its forward run stashed
+            // (lowering streamed the softmax's chain on the strength of
+            // them; a launch that does not find them is refused).
+            OpKind::EdgeSoftmax if sp.recompute => {
+                srcs.push(full(FullSource::SoftmaxMax(sp.node)).pinned(RowAt::DstV));
+                srcs.push(full(FullSource::SoftmaxDenom(sp.node)).pinned(RowAt::DstV));
+            }
+            // The vertex gradient is read at `dst(e)`: pinned, so a
+            // row-sized producer is pulled at the vertex, not the edge.
+            OpKind::GatherMeanBwd { .. } | OpKind::GatherMaxBwd { .. } if tiled => {
+                srcs[0] = srcs[0].pinned(RowAt::DstV);
+            }
+            _ => {}
+        }
+        let slot = Data::Slot {
+            idx: unit.ops.len(),
+            cols: sp.cols,
+        };
+        unit.reads.push((
+            si,
+            Operand {
+                data: slot,
+                at: RowAt::Own,
+            },
+        ));
+        unit.ops.push(TileOp {
+            step: si,
+            kind: node.kind.clone(),
+            space: sp.space,
+            cols: sp.cols,
+            heads: node.dim.heads,
+            srcs,
+            dins: node.inputs.iter().map(|&i| ir.node(i).dim).collect(),
+            size: if is_sink {
+                SlotSize::Sink
+            } else {
+                SlotSize::Tile
+            },
+            pulls: false,
+            strip: 1,
+        });
+    }
+
+    // Slot sizes, readers before producers: a scratch-class per-row op
+    // is row-sized when its one reader takes each row once.
+    let ops = &mut unit.ops;
+    for j in (0..ops.len()).rev() {
+        let reads_j = |op: &TileOp| op.srcs.iter().any(|s| s.slot() == Some(j));
+        let mut readers = (j + 1..ops.len()).filter(|&k| reads_j(&ops[k]));
+        let (Some(k), None) = (readers.next(), readers.next()) else {
+            continue;
+        };
+        let op = &ops[j];
+        // A read through an edge endpoint holds its reader to one row a
+        // pull: worth it only for an op that runs row by row anyway.
+        let own = |s: &Operand| s.slot() != Some(j) || s.at == RowAt::Own;
+        if op.size == SlotSize::Tile
+            && !op.reduces_groups()
+            && ops[k].takes_rows_once()
+            && (!op.flat() || ops[k].srcs.iter().all(own))
+        {
+            ops[j].size = SlotSize::Row;
+            ops[k].pulls = true;
+        }
+    }
+    // Strip lengths, producers before readers. A row-sized op holds
+    // consecutive rows — a few KB, so the strip stays in L1 while its
+    // reader walks it and the per-call cost of evaluating it is shared;
+    // a row read at an endpoint stands alone. An op never runs more rows
+    // at once than each row-sized operand can hold.
+    for k in 0..ops.len() {
+        let op = &ops[k];
+        let mut strip = match op.size {
+            SlotSize::Row => (STRIP_ELEMS / op.cols.max(1)).clamp(1, STRIP_ROWS),
+            _ => STRIP_ROWS,
+        };
+        for s in &op.srcs {
+            if let Some(j) = s.slot().filter(|&j| ops[j].size == SlotSize::Row) {
+                let held = if s.at == RowAt::Own { ops[j].strip } else { 1 };
+                strip = strip.min(held);
+            }
+        }
+        ops[k].strip = strip;
+    }
+    unit
 }
 
 #[cfg(test)]
@@ -633,7 +1015,7 @@ mod tests {
         assert_eq!(scratch_edges, 5);
         // Scratch arithmetic: per-tile bytes scale with the tile, the
         // reference-materialization equivalent with the whole graph.
-        let per_tile = prog.scratch_tile_bytes(0, 8, 32);
+        let per_tile = 4 * prog.units[0].slab_len((8, 32)) as u64;
         let full = prog.internal_full_bytes(1000, 100_000);
         assert!(per_tile > 0 && full > per_tile);
     }
@@ -851,6 +1233,13 @@ mod tests {
         assert!(is_streamed_gather(&plan.ir.node(prog.steps[0].node).kind));
         assert_eq!(prog.streamed().count(), 0);
         let dump = crate::display::dump_programs(&plan);
-        assert!(dump.contains("seg 1 (streamed gather):"), "{dump}");
+        assert!(dump.contains("stage 1, seg 1 (streamed unit):"), "{dump}");
+        let unit = &prog.units[0];
+        assert_eq!((unit.kind, unit.ops.len()), (UnitKind::Streamed, 1));
+        assert_eq!(
+            prog.inputs,
+            vec![(e, 1)],
+            "the edge input is last read at stage 1"
+        );
     }
 }

@@ -8,8 +8,22 @@
 //! hold together with its storage class, streamed chains included
 //! (`lower.rs`, "Streamed segments"). This module walks those programs
 //! in execution order, derives each tensor's `[birth, death]` interval
-//! in *kernel positions* from the same external-reader analysis the
-//! executor evicts by, and lays the intervals out in one arena.
+//! from the same external-reader analysis the executor evicts by, and
+//! lays the intervals out in one arena.
+//!
+//! # Positions are stages
+//!
+//! A position is one *stage* of one kernel launch, numbered in execution
+//! order: a kernel's prelude pass, then each of its segments
+//! (`lower.rs`, "The stage table"; [`MemoryPlan::kernel_positions`]). A
+//! tensor a step produces is born at the step's stage — the interpreter
+//! allocates a segment's sinks when the segment starts, not before — and
+//! a value whose last external reader is kernel `k` dies at the last
+//! stage of `k` that reads it ([`KernelProgram::inputs`]): the
+//! interpreter frees it there, so the buffer serves what later segments
+//! of the same launch produce. Prelude views, interior spills and
+//! recomputed values last until their kernel's final stage; a boundary
+//! value nothing reads, likewise.
 //!
 //! # One fit rule: size classes
 //!
@@ -42,14 +56,14 @@
 //!   the pool's `u32` list with them) instead of laid out in the arena.
 //!
 //! Tiled [`Storage::Scratch`] steps stay in the per-worker tile slots
-//! the interpreter sizes at launch (at most
-//! [`KernelProgram::scratch_tile_bytes`]); with the GEMM panels and
+//! ([`Unit::slab_len`]); with the GEMM panels and
 //! reduction partials they are the interpreter's *working buffers*,
 //! which the pool keeps on a list of their own and `arena_bytes` does
 //! not cover (a few MB on the benchmark's RMAT-16 workloads; README,
 //! "Static memory planner").
 //!
-//! [`KernelProgram::scratch_tile_bytes`]: crate::lower::KernelProgram::scratch_tile_bytes
+//! [`Unit::slab_len`]: crate::lower::Unit::slab_len
+//! [`KernelProgram::inputs`]: crate::lower::KernelProgram::inputs
 
 use crate::ir::Phase;
 use crate::lower::Storage;
@@ -157,8 +171,8 @@ pub struct MemRegion {
     pub bytes: u64,
     /// Bytes the tensor actually needs.
     pub request: u64,
-    /// First execution position (kernel index in forward-then-backward
-    /// order) at which the value exists. Leaves are born at position 0
+    /// First execution position (a stage of a kernel launch, module
+    /// docs) at which the value exists. Leaves are born at position 0
     /// (the gradient seed at the first backward position).
     pub birth: usize,
     /// Last position at which the value is read ([`PERSISTENT`] for
@@ -185,9 +199,18 @@ pub struct MemoryPlan {
     pub argmax_tables: Vec<(NodeId, u64)>,
     /// Number of execution positions the intervals index into.
     pub positions: usize,
+    /// Per kernel id, its positions.
+    kernel_span: Vec<std::ops::Range<usize>>,
 }
 
 impl MemoryPlan {
+    /// The positions of kernel `kid`'s launch: its prelude stage, then
+    /// one per segment.
+    #[must_use]
+    pub fn kernel_positions(&self, kid: usize) -> std::ops::Range<usize> {
+        self.kernel_span[kid].clone()
+    }
+
     /// The arena by size class: `(class bytes, buffers)` ascending, one
     /// buffer per distinct offset. `arena_bytes` is the sum of the
     /// products; sessions seed the buffer pool with exactly these so the
@@ -264,9 +287,19 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
             order.push(k.id);
         }
     }
-    let positions = order.len().max(1);
-    let pos_of: HashMap<usize, usize> = order.iter().enumerate().map(|(p, &k)| (k, p)).collect();
-    let last_fwd_pos = fwd_count.saturating_sub(1);
+    // Positions: each kernel's stages, in execution order.
+    let mut kernel_span = vec![0..0; plan.kernels.len()];
+    let mut positions = 0;
+    for &kid in &order {
+        let stages = plan.programs.get(kid).map_or(1, |p| 1 + p.units.len());
+        kernel_span[kid] = positions..positions + stages;
+        positions += stages;
+    }
+    let last_pos = |kid: usize| kernel_span[kid].end - 1;
+    let first_bwd_pos = order
+        .get(fwd_count)
+        .map_or(positions, |&k| kernel_span[k].start);
+    let positions = positions.max(1);
 
     // The store-resident intervals: (node, request bytes, birth, death).
     let mut intervals: Vec<(NodeId, u64, usize, usize)> = Vec::new();
@@ -280,36 +313,43 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
                 intervals.push((n.id, node_bytes(plan, n.id, nv, ne), 0, PERSISTENT));
             }
             OpKind::GradSeed if plan.training => {
-                let birth = fwd_count.min(positions - 1);
+                let birth = first_bwd_pos.min(positions - 1);
                 intervals.push((n.id, node_bytes(plan, n.id, nv, ne), birth, PERSISTENT));
             }
             _ => {}
         }
     }
 
-    // The death position of a kernel-owned node born at position `p`.
+    // The death position of a kernel-owned node born at position `p`:
+    // the last stage of its last external reader that reads it.
     let death_pos = |nid: NodeId, kid: usize, p: usize| -> usize {
         if lv.persistent.contains(&nid) {
             return PERSISTENT;
         }
-        let death_kid = lv.last_reader.get(&nid).copied().unwrap_or(kid).max(kid);
-        let mut d = pos_of.get(&death_kid).copied().unwrap_or(p).max(p);
+        let reader = lv.last_reader.get(&nid).copied().filter(|&k| k > kid);
+        let read_at = reader.and_then(|k| {
+            let inputs = &plan.programs.get(k)?.inputs;
+            let (_, stage) = inputs.iter().find(|&&(i, _)| i == nid)?;
+            Some(kernel_span[k].start + stage)
+        });
+        let mut d = read_at.unwrap_or_else(|| last_pos(kid)).max(p);
         // Training drops every non-persistent forward value at the
         // forward→backward boundary (recomputation rebuilds what the
         // backward phase needs), so no forward interval outlives it.
         if plan.training && plan.ir.node(nid).phase == Phase::Forward {
-            d = d.min(last_fwd_pos.max(p));
+            d = d.min(first_bwd_pos.saturating_sub(1).max(p));
         }
         d
     };
 
-    for (p, &kid) in order.iter().enumerate() {
+    for &kid in &order {
         // A plan without programs (hand-assembled before lowering) gets
         // no regions; the session refuses it at the first kernel.
         let Some(program) = plan.programs.get(kid) else {
             continue;
         };
         for s in &program.steps {
+            let p = kernel_span[kid].start + s.stage;
             // The aux stores a fresh softmax's max/denominator and a
             // max-gather's argmax table enter empty at session reset.
             let aux = 4 * nv as u64 * s.cols as u64;
@@ -327,13 +367,13 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
                 // Tiled rows in per-worker slots (every scratch-class
                 // step is tiled; streamed chains are among them).
                 Storage::Scratch => continue,
-                // Launch-transient: parameter views, recomputed values
-                // (a persistent one is still in the store and is read
-                // from there), interior spills.
-                Storage::Prelude => p,
+                // A recomputed persistent value is still in the store
+                // and is read from there.
                 _ if s.recompute && lv.persistent.contains(&s.node) => continue,
-                _ if s.recompute => p,
-                Storage::Interior => p,
+                // Launch-transient: parameter views, recomputed values,
+                // interior spills.
+                Storage::Prelude | Storage::Interior => last_pos(kid),
+                _ if s.recompute => last_pos(kid),
                 Storage::Materialized => death_pos(s.node, kid, p),
             };
             intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, death));
@@ -391,6 +431,7 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
         regions,
         argmax_tables,
         positions,
+        kernel_span,
     }
 }
 

@@ -17,38 +17,32 @@
 //! predicts for the fused plan (interior spills, see
 //! `gnnopt_core::lower`, are the remaining gap).
 //!
-//! # One compiler, one driver
+//! # Compiled once, launched many times
 //!
 //! Nothing on the per-row path looks at the IR, the step table or a hash
-//! map. Once per launch [`compile`] turns a run of steps — a tiled
-//! segment, or a streamed gather with its producer chain — into
-//! [`TileOp`]s whose operands are already resolved ([`Operand`]): the
-//! rows of a full tensor (value store, prelude view, earlier segment) or
-//! of an earlier op's slot, read at the consumer's own row or at an edge
-//! endpoint ([`RowAt`]). One loop in [`run_program`] then walks the
-//! tiles and runs the ops in order. What falls out of that
-//! representation:
-//!
-//! * **Pure copies hold no slot.** A scratch-class `Scatter(CopyU)`,
-//!   `Scatter(CopyV)` or `SetHeads` compiles to no op at all: its readers
-//!   get the copy's source operand with the endpoint pinned
-//!   (`h[src(e)]`, `h[dst(e)]`), so a `Binary`, a `Gather` reduction or
-//!   an `EdgeSoftmax` over the copy reads the vertex rows directly. A
-//!   copy that is a kernel boundary or an interior spill still runs (as
-//!   a plain row copy of the same pinned operand).
-//! * **Elementwise ops run many rows a call.** When every operand of a
-//!   `Unary`, `UnaryBwd` or equal-shape `Binary` is addressed at the op's
-//!   own row, the rows are contiguous in all of them and the op is *one*
-//!   [`rowops`] call over `rows × cols` ([`Rows::zip_rows`]) — the tile's
-//!   rows, or a row-sized op's strip; with a pinned operand the same
-//!   closure runs once per row.
-//! * **One set of row expressions.** [`exec_rows`] is the only place a
-//!   per-row op's arithmetic is spelled and [`exec_op`] the only place a
-//!   group reduction's is, whatever the slot sizes around them.
+//! map, and nothing on the launch path allocates. What depends only on
+//! the IR — each segment's [`TileOp`]s with their operands resolved
+//! ([`Operand`]: the rows of a complete tensor — value store, prelude
+//! view, earlier segment — or of an earlier op's slot, read at the
+//! consumer's own row or at an edge endpoint, [`RowAt`]), copy aliasing,
+//! slot sizes and strips, and the stage table a launch allocates and
+//! releases by — lowering compiled beside the program
+//! (`gnnopt_core::lower`, "The stage table and compiled units"). What
+//! depends on the graph and the policy — tile bounds, which worker owns
+//! which tiles or source rows, the scratch each holds — [`prepare`] fixes
+//! once per session ([`CompiledKernel`]). A [`CompiledKernel::launch`]
+//! only *binds*: it looks up the tensors each unit's operands name (a
+//! typed [`ExecError::ValueNotLive`] before any worker runs), allocates
+//! the sinks of a segment when the segment starts, cuts them and the
+//! workers' slabs into slots, walks the tiles, and frees each dying input
+//! after the last stage that reads it. The tables that hold those borrows
+//! for the length of a launch keep their allocations between launches
+//! ([`Frame`]). What falls out of the op representation:
 //!
 //! # Slot sizes
 //!
-//! Every op has a slot, of one of three sizes ([`SlotSize`]):
+//! Every op has a slot, of one of three sizes ([`SlotSize`], chosen by
+//! lowering):
 //!
 //! * **Tile-sized** — the tile's rows of the op's space, evaluated when
 //!   the tile loop reaches the op, before its readers run: the inputs of
@@ -61,7 +55,7 @@
 //!   the unit takes each row once: a `Gather`, the streamed accumulate,
 //!   a per-row op that runs row by row (a pinned or head-broadcast
 //!   operand, `FeatSum`) or is itself row-sized. It is not evaluated over
-//!   the tile at all: its reader *pulls* it ([`Unit::pull`]) over the run
+//!   the tile at all: its reader *pulls* it ([`Slots::pull`]) over the run
 //!   of rows it is about to read, the op runs through [`exec_rows`]
 //!   there, and `base[slot]` remembers where the run starts. The slot
 //!   holds a short *strip* of consecutive rows (at most `STRIP_ROWS`,
@@ -87,7 +81,7 @@
 //! interior tensor (`gnnopt_core::lower`, "Streamed segments" — the
 //! decision is the program's, nothing here re-derives it); otherwise the
 //! chain is empty and the gather reads a complete tensor. Chain and
-//! gather compile into one more unit for the same tile loop: the chain's
+//! gather are one more unit for the same tile loop: the chain's
 //! ops get slots by the rule above (a linear edge-space chain is
 //! row-sized throughout, an elementwise vertex-space member — read at
 //! `dst(e)` — or a member with two readers is a tile op), and the
@@ -129,407 +123,261 @@
 //!
 //! Tiles are distributed over `std::thread::scope` workers in contiguous
 //! runs, so each worker writes disjoint contiguous row ranges of the
-//! materialized outputs and auxiliaries — no atomics. Every worker
-//! carves its tile- and row-sized slots out of one pooled buffer, the
-//! tile-sized ones fitting its largest tile, and reuses them across its
-//! tiles; what is held (aliased copies and sinks hold nothing) is
-//! reported as `RunStats::scratch_bytes`. The buffer is one of the
-//! launch's *working buffers*: a serial launch takes it from the
+//! materialized outputs and auxiliaries — no atomics. Every worker's
+//! tile- and row-sized slots are carved out of one slab, the tile-sized
+//! ones fitting its largest tile, and reused across its tiles; what is
+//! held (aliased copies and sinks hold nothing) is known at [`prepare`]
+//! and reported as `RunStats::scratch_bytes`. The slabs are the launch's
+//! *working buffers*: the launching thread takes one per worker from the
 //! session pool's working list (`gnnopt_tensor::pool::take_work_f32`),
-//! which the memory plan does not cover.
+//! which the memory plan does not cover, and workers allocate nothing —
+//! at more than one thread a warmed step's only heap traffic is the
+//! spawning of the workers themselves.
 
 use crate::kernels::{
     binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, plan_threads, reduce_row_mean,
     reduce_row_sum, split_rows, RowSource, NO_ARGMAX,
 };
+use crate::refexec::{self, AuxIn, AuxOut};
 use crate::{contain, ExecError, Result};
-use gnnopt_core::lower::{is_streamed_gather, KernelProgram, StepExec, Storage};
-use gnnopt_core::{
-    Dim, EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space,
+use gnnopt_core::lower::{
+    self, Data, FullSource, KernelProgram, RowAt, SlotSize, Storage, TileOp, UnitKind,
 };
+use gnnopt_core::{EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, rowops, Tensor};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
-/// Everything a fused kernel launch produced for the session's stores.
-pub(crate) struct ProgramResult {
-    /// Every full tensor the program produced, in step order: boundary
-    /// values *and* interior spills. The session retires the spills as
-    /// soon as the kernel finishes (death lists for ordinary members, the
-    /// explicit recompute drop for spilled recompute values), so they
-    /// only count toward the peak while they are genuinely alive.
-    pub outputs: Vec<(NodeId, Tensor)>,
-    /// Freshly computed edge-softmax auxiliaries (max, denominator).
-    pub new_aux_softmax: Vec<(NodeId, (Tensor, Tensor))>,
-    /// Freshly computed gather-max argmax tables.
-    pub new_aux_argmax: Vec<(NodeId, Vec<u32>)>,
-    /// High-water mark of scratch-arena bytes across workers (max over
-    /// the program's tiled segments).
-    pub scratch_bytes: u64,
-    /// Bytes of dying inputs the launch freed mid-flight: already removed from the store the caller lent us, so the session
-    /// subtracts them from its live accounting.
-    pub evicted_bytes: u64,
+/// The stores a launch reads its operands from: a session's own, or the
+/// sharded driver's for its global kernels.
+#[derive(Debug, Default)]
+pub(crate) struct Store {
+    /// Every live full tensor, by the node that produced it.
+    pub values: HashMap<NodeId, Tensor>,
+    /// Edge-softmax statistics (max, denominator) of the forward run.
+    pub aux_softmax: HashMap<NodeId, (Tensor, Tensor)>,
+    /// Gather-max argmax tables of the forward run.
+    pub aux_argmax: HashMap<NodeId, Vec<u32>>,
 }
 
-/// Where a step operand's rows come from, before [`compile`] resolves it.
+/// A bound operand: lowering's [`Operand`] with the rows of the complete
+/// tensor it names in the name's place.
 #[derive(Debug, Clone, Copy)]
-enum Src {
-    /// A live full tensor in the session's value store.
-    Global(NodeId),
-    /// A same-segment step (index into `KernelProgram::steps`): its
-    /// slot, or whatever the step aliases.
-    Slot(usize),
-    /// An earlier segment's materialized/interior tensor (full rows,
-    /// complete before this segment runs).
-    Mat(usize),
-    /// A prelude tensor (parameter-space view, full rows).
-    Prelude(usize),
-}
-
-/// Per-step execution metadata, precomputed once per launch.
-struct StepPlan {
-    node: NodeId,
-    space: Space,
-    cols: usize,
-    storage: Storage,
-    /// Rebuilds a forward value inside a backward kernel: a softmax then
-    /// reads the statistics its forward run stashed.
-    recompute: bool,
-    srcs: Vec<Src>,
-    /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
-    dins: Vec<Dim>,
-}
-
-/// Which row of its data a resolved operand reads when the consuming op
-/// is at row `r` of its own space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RowAt {
-    /// Row `r` itself.
-    Own,
-    /// Row `src(r)` / `dst(r)` of an edge-space consumer: the endpoint
-    /// read of a `Scatter`, which survives into whoever reads an aliased
-    /// `CopyU` / `CopyV`.
-    SrcV,
-    DstV,
-}
-
-/// A resolved operand: where the rows are and which one to read.
-#[derive(Clone, Copy)]
-struct Operand<'a> {
-    data: Data<'a>,
+struct Src<'a> {
+    data: SrcRows<'a>,
     at: RowAt,
 }
 
-#[derive(Clone, Copy)]
-enum Data<'a> {
-    /// The slot of an earlier op of the same compile unit (its index in
-    /// the unit's op list).
+#[derive(Debug, Clone, Copy)]
+enum SrcRows<'a> {
+    /// The slot of an earlier op of the unit (its index in the op list).
     Slot { idx: usize, cols: usize },
     /// The rows of a complete full tensor.
     Full { data: &'a [f32], cols: usize },
 }
 
-impl<'a> Operand<'a> {
-    fn full(t: &'a Tensor) -> Self {
-        let data = Data::Full {
-            data: t.as_slice(),
-            cols: t.numel().checked_div(t.rows()).unwrap_or(0),
-        };
-        Operand {
-            data,
-            at: RowAt::Own,
-        }
-    }
+/// Operands a tile op has at most (`EdgeSoftmax` from its statistics,
+/// `GaussianWeight`); [`prepare`] checks it.
+const MAX_SRCS: usize = 3;
 
-    /// Pins the operand of an endpoint read. Scatter inputs are
-    /// vertex-space values, which are only ever addressed at `Own`.
-    fn pinned(self, at: RowAt) -> Self {
-        debug_assert_eq!(self.at, RowAt::Own, "vertex operands are unpinned");
-        Operand { at, ..self }
-    }
-
-    /// The slot this operand reads, if it reads one.
-    fn slot(self) -> Option<usize> {
-        match self.data {
-            Data::Slot { idx, .. } => Some(idx),
-            Data::Full { .. } => None,
-        }
-    }
-}
-
-/// How many rows an op's slot holds (module docs, "Slot sizes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotSize {
-    /// The tile's rows of the op's space, evaluated before its readers run.
-    Tile,
-    /// A strip of at most [`TileOp::strip`] rows — one, for a row read
-    /// at an edge endpoint — evaluated over the run of rows its reader
-    /// takes next ([`Unit::pull`]).
-    Row,
-    /// None: the op writes its rows of a full tensor in place — a
-    /// boundary value or spill of a tiled segment, or a streamed
-    /// segment's gather.
-    Sink,
-}
-
-/// One step compiled for the per-row path: op kind borrowed from the IR,
-/// operands resolved — the driver touches neither a hash map, the step
-/// table nor the IR while it runs.
-struct TileOp<'a> {
-    /// Index into the launch's step table (sinks are keyed by it).
-    si: usize,
-    kind: &'a OpKind,
-    space: Space,
-    cols: usize,
-    /// Output head count (`node.dim.heads`).
-    heads: usize,
-    /// `Scatter`: `[x@SrcV, y@DstV]` (a copy keeps only the side it
-    /// reads). `EdgeSoftmax` with stashed statistics: `[x, max@DstV,
-    /// denom@DstV]`. `GatherMeanBwd` / `GatherMaxBwd`: `[grad@DstV]`.
-    /// Otherwise the node's inputs in order.
-    srcs: Vec<Operand<'a>>,
-    dins: &'a [Dim],
-    size: SlotSize,
-    /// Some operand is a row-sized slot: [`Unit::pull`] before reading.
-    pulls: bool,
-    /// Row-sized: rows the slot holds. An op that pulls: rows it may run
-    /// between two pulls (every row-sized operand then holds them all).
-    strip: usize,
-    /// `GatherMaxBwd`: the forward gather's complete argmax table.
+/// What a launch binds of one op: its operands (padded with empty
+/// tensors) and, for a `GatherMaxBwd`, the forward gather's complete
+/// argmax table.
+#[derive(Debug, Clone, Copy)]
+struct OpBound<'a> {
+    srcs: [Src<'a>; MAX_SRCS],
     argmax: &'a [u32],
 }
 
-impl TileOp<'_> {
-    /// Elements this op's slot holds on a worker whose largest tile is
-    /// `(vertices, edges)`.
-    fn slot_len(&self, (tv, te): (usize, usize)) -> usize {
-        let tile = self.cols
-            * match self.space {
-                Space::Edge => te,
-                Space::Vertex => tv,
-                Space::Param => 0,
-            };
-        match self.size {
-            SlotSize::Tile => tile,
-            SlotSize::Row => tile.min(self.strip * self.cols),
-            SlotSize::Sink => 0,
-        }
-    }
-
-    /// Reduces over whole edge groups ([`exec_op`]'s own arms); every
-    /// other op is a per-row expression ([`exec_rows`]).
-    fn reduces_groups(&self) -> bool {
-        match self.kind {
-            OpKind::Gather { .. } | OpKind::EdgeSoftmaxBwd => true,
-            // Fresh: three sweeps per group. With stashed statistics
-            // (two more operands) it is a row expression.
-            OpKind::EdgeSoftmax => self.srcs.len() == 1,
-            _ => false,
-        }
-    }
-
-    /// An elementwise op whose operands all sit at its own row: one
-    /// [`rowops`] call covers all the rows it is run over
-    /// ([`Rows::zip_rows`]).
-    fn flat(&self) -> bool {
-        let zips = match self.kind {
-            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV | ScatterFn::Bin(_))
-            | OpKind::SetHeads { .. }
-            | OpKind::Unary(_)
-            | OpKind::UnaryBwd(_) => true,
-            OpKind::EdgeSoftmax => !self.reduces_groups(),
-            OpKind::Binary(_) => self.dins[0].feat == self.dins[1].feat,
-            _ => false,
-        };
-        zips && self.srcs.iter().all(|s| s.at == RowAt::Own)
-    }
-
-    /// Reads each row of its operands once, in runs a strip can hold —
-    /// what a reader must do for its producer to be row-sized. (A flat op
-    /// with a tile-sized slot covers the tile in one call instead.)
-    fn takes_rows_once(&self) -> bool {
-        match self.kind {
-            OpKind::Gather { .. } => true,
-            _ => !self.reduces_groups() && (!self.flat() || self.size == SlotSize::Row),
-        }
-    }
+/// An empty vector with `v`'s allocation, whatever lifetime `v`'s
+/// elements borrowed for: how the tables a launch fills with borrows of
+/// its tensors outlive the launch in [`Frame`]. (`A` and `B` differ in
+/// lifetime only, so the standard library collects in place; were it ever
+/// not to, a launch would allocate — which `tests/steady_state_alloc.rs`
+/// holds at zero — and nothing else would change.)
+fn recycle<A, B>(mut v: Vec<A>) -> Vec<B> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
 }
 
-/// Elements (4 KB) and rows a row-sized slot's strip holds at most.
-const STRIP_ELEMS: usize = 1024;
-const STRIP_ROWS: usize = 32;
-
-/// The full tensors the operands of one launch stage resolve against.
-struct Env<'a> {
-    ir: &'a IrGraph,
-    steps: &'a [StepPlan],
-    mat: &'a [Option<Tensor>],
-    values: &'a HashMap<NodeId, Tensor>,
-    preludes: &'a [Tensor],
-    aux_softmax: &'a HashMap<NodeId, (Tensor, Tensor)>,
-    aux_argmax: &'a HashMap<NodeId, Vec<u32>>,
+/// What a launch produced, and the tables it binds tensors through —
+/// owned by whoever launches (a session, the sharded driver) so that the
+/// allocations are made once, by the cold step.
+#[derive(Debug, Default)]
+pub(crate) struct Frame {
+    /// Per step of the program launched last, the full tensor it
+    /// produced: boundary values *and* interior spills. The caller takes
+    /// them; a session retires the spills as soon as the kernel finishes
+    /// (death lists for ordinary members, the explicit recompute drop for
+    /// spilled recompute values), so they only count toward the peak
+    /// while they are genuinely alive.
+    pub mat: Vec<Option<Tensor>>,
+    /// Freshly computed edge-softmax statistics `(step, max, denominator)`
+    /// and gather-max argmax tables, on their way to the aux stores.
+    stats: Vec<(usize, Tensor, Tensor)>,
+    argmax: Vec<(usize, Vec<u32>)>,
+    /// The running unit's sinks `(op, tensor)`, out of `mat` while the
+    /// workers write their chunks.
+    outs: Vec<(usize, Tensor)>,
+    /// One slab of slots per worker, and per worker and op the first row
+    /// its slot holds.
+    slabs: Vec<Vec<f32>>,
+    base: Vec<usize>,
+    // Launch-lifetime borrows ([`recycle`]): what the unit's ops bind,
+    // per worker its slots and argmax sinks, a dense call's inputs.
+    bound: Vec<OpBound<'static>>,
+    slots: Vec<&'static mut [f32]>,
+    argmax_sinks: Vec<&'static mut [u32]>,
+    inputs: Vec<&'static Tensor>,
 }
 
-impl<'a> Env<'a> {
-    fn tensor(&self, s: Src) -> &'a Tensor {
-        match s {
-            Src::Global(id) => &self.values[&id],
-            Src::Prelude(i) => &self.preludes[i],
-            Src::Mat(mi) => self.mat[mi].as_ref().expect("earlier segment is complete"),
-            Src::Slot(_) => unreachable!("same-segment operands resolve to slots"),
-        }
-    }
+/// The tiles one worker walks and the largest of them, `(vertices,
+/// edges)`.
+#[derive(Debug)]
+struct Part {
+    tiles: Range<usize>,
+    max_tile: (usize, usize),
 }
 
-/// Compiles one segment's steps `order` (in step order, which is
-/// dependency order) into tile ops and gives each its slot size: a tiled
-/// segment, or a streamed gather's chain with the gather itself last —
-/// the unit's one sink, every chain step being scratch-class.
-///
-/// Pure copies compile to no op when they are scratch-class: readers get
-/// the copy's source with the endpoint pinned.
-///
-/// # Errors
-///
-/// [`ExecError::ValueNotLive`] when a `GatherMaxBwd`'s forward argmax
-/// table or a recomputed `EdgeSoftmax`'s forward statistics are not
-/// stashed (a plan inconsistency; lowering streamed the softmax's chain
-/// on the strength of them, so there is no other way to run it) — before
-/// any worker spawns.
-fn compile<'a>(env: &Env<'a>, order: &[usize]) -> Result<Vec<TileOp<'a>>> {
-    let mut ops: Vec<TileOp<'a>> = Vec::with_capacity(order.len());
-    // Per position of `order`, the operand its readers see: the op's
-    // slot, or the source a copy was aliased to.
-    let mut reads: Vec<Operand<'a>> = Vec::with_capacity(order.len());
-    for (pos, &si) in order.iter().enumerate() {
-        let sp = &env.steps[si];
-        let node = env.ir.node(sp.node);
-        let is_sink = sp.storage != Storage::Scratch;
-        let resolve = |s: Src, reads: &[Operand<'a>]| match s {
-            Src::Slot(step) => {
-                let at = order[..pos].iter().position(|&o| o == step);
-                reads[at.expect("a same-segment operand precedes its reader")]
-            }
-            _ => Operand::full(env.tensor(s)),
-        };
-        // A scratch-class pure copy is an alias of the one row it reads.
-        let copied = match node.kind {
-            OpKind::Scatter(ScatterFn::CopyU) => Some((0, RowAt::SrcV)),
-            OpKind::Scatter(ScatterFn::CopyV) => Some((sp.srcs.len() - 1, RowAt::DstV)),
-            OpKind::SetHeads { .. } => Some((0, RowAt::Own)),
-            _ => None,
-        };
-        if let (Some((i, at)), false) = (copied, is_sink) {
-            let x = resolve(sp.srcs[i], &reads);
-            reads.push(if at == RowAt::Own { x } else { x.pinned(at) });
-            continue;
+/// The graph-dependent half of one [`lower::Unit`]: who runs what.
+#[derive(Debug, Default)]
+struct UnitPlan {
+    /// One per worker; empty for a dense call.
+    parts: Vec<Part>,
+    /// Row bounds of the workers' chunks of a vertex-space sink — of a
+    /// streamed gather's output, the source ranges they own — and of an
+    /// edge-space one.
+    vertex: Vec<usize>,
+    edge: Vec<usize>,
+}
+
+/// A kernel ready to launch: its program's units (`gnnopt_core::lower`)
+/// with the graph- and policy-dependent half fixed — owned and
+/// index-addressed, no tensor borrowed. Built once per session by
+/// [`prepare`].
+#[derive(Debug)]
+pub(crate) struct CompiledKernel {
+    policy: ExecPolicy,
+    tiles: Arc<[usize]>,
+    units: Vec<UnitPlan>,
+    /// `(stage, value)`: the dying inputs, each freed after the last
+    /// stage that reads it.
+    releases: Vec<(usize, NodeId)>,
+    /// High-water mark of slot bytes across workers (max over units).
+    pub scratch_bytes: u64,
+}
+
+/// A fresh (non-recompute) softmax computes its group statistics; one
+/// rebuilt from them reads them as two more operands.
+fn is_fresh_softmax(op: &TileOp) -> bool {
+    op.kind == OpKind::EdgeSoftmax && op.srcs.len() == 1
+}
+
+fn is_gather_max(op: &TileOp) -> bool {
+    matches!(
+        op.kind,
+        OpKind::Gather {
+            reduce: ReduceFn::Max,
+            ..
         }
-        let mut srcs: Vec<Operand<'a>> = Vec::with_capacity(sp.srcs.len() + 2);
-        srcs.extend(sp.srcs.iter().map(|&s| resolve(s, &reads)));
-        let mut argmax: &[u32] = &[];
-        match &node.kind {
-            OpKind::Scatter(f) => {
-                let x = srcs[0].pinned(RowAt::SrcV);
-                let y = srcs[srcs.len() - 1].pinned(RowAt::DstV);
-                srcs.clear();
-                match f {
-                    ScatterFn::CopyU => srcs.push(x),
-                    ScatterFn::CopyV => srcs.push(y),
-                    ScatterFn::Bin(_) | ScatterFn::ConcatUV => srcs.extend([x, y]),
-                }
-            }
-            OpKind::EdgeSoftmax if sp.recompute => {
-                let (mx, dn) =
-                    env.aux_softmax
-                        .get(&sp.node)
-                        .ok_or_else(|| ExecError::ValueNotLive {
-                            node: format!("softmax statistics of node {}", sp.node),
-                        })?;
-                srcs.push(Operand::full(mx).pinned(RowAt::DstV));
-                srcs.push(Operand::full(dn).pinned(RowAt::DstV));
-            }
-            // The vertex gradient is read at `dst(e)`: pinned, so a
-            // row-sized producer is pulled at the vertex, not the edge.
-            OpKind::GatherMeanBwd { .. } => srcs[0] = srcs[0].pinned(RowAt::DstV),
-            OpKind::GatherMaxBwd { fwd } => {
-                srcs[0] = srcs[0].pinned(RowAt::DstV);
-                argmax = env
-                    .aux_argmax
-                    .get(fwd)
-                    .ok_or_else(|| ExecError::ValueNotLive {
-                        node: format!("argmax aux of node {fwd}"),
-                    })?;
-            }
-            _ => {}
-        }
-        reads.push(Operand {
-            data: Data::Slot {
-                idx: ops.len(),
-                cols: sp.cols,
-            },
-            at: RowAt::Own,
-        });
-        ops.push(TileOp {
-            si,
-            kind: &node.kind,
-            space: sp.space,
-            cols: sp.cols,
-            heads: node.dim.heads,
-            srcs,
-            dins: &sp.dins,
-            size: if is_sink {
-                SlotSize::Sink
+    )
+}
+
+/// Fixes everything about launching `program` on `g` under `policy` that
+/// no tensor decides: the worker partition of every unit (over `tiles`,
+/// [`tile_bounds`] of the graph — shared by the session's kernels), the
+/// scratch it holds, and when each of `dying` — the values whose last
+/// external reader is this kernel — is freed: as soon as its last reading
+/// stage completes, so the pool can recycle its buffer into the launch's
+/// own later materializations. (The sharded driver's global kernels pass
+/// none: their operands are staged copies it drops itself.)
+pub(crate) fn prepare(
+    program: &KernelProgram,
+    g: &Graph,
+    policy: &ExecPolicy,
+    tiles: &Arc<[usize]>,
+    dying: &[NodeId],
+) -> CompiledKernel {
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let indptr = g.in_adj().indptr();
+    let num_tiles = tiles.len() - 1;
+    // Tile-sized slots fit the largest tile a worker walks.
+    let part = |ts: Range<usize>| Part {
+        max_tile: ts.clone().fold((0, 0), |(tv, te), t| {
+            let (v0, v1) = (tiles[t], tiles[t + 1]);
+            (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
+        }),
+        tiles: ts,
+    };
+    let rows = |space| match space {
+        Space::Edge => m,
+        Space::Vertex => n,
+        Space::Param => 0,
+    };
+    // Tile units share one worker → tile split: by tile count (tiles are
+    // already edge-budgeted, so it is edge-balanced to within a tile).
+    let work: usize = program.steps.iter().map(|s| rows(s.space) * s.cols).sum();
+    let threads = if work < policy.parallel_threshold {
+        1
+    } else {
+        policy.threads.clamp(1, num_tiles.max(1))
+    };
+    let wt = chunk_bounds(num_tiles, threads);
+    let (mut units, mut scratch_bytes) = (Vec::with_capacity(program.units.len()), 0);
+    for unit in &program.units {
+        let mut up = UnitPlan::default();
+        let tiled = unit.kind != UnitKind::Dense;
+        assert!(
+            !tiled || unit.ops.iter().all(|op| op.srcs.len() <= MAX_SRCS),
+            "a tile op with more than {MAX_SRCS} operands"
+        );
+        if unit.kind == UnitKind::Tile {
+            up.parts = wt.windows(2).map(|w| part(w[0]..w[1])).collect();
+            up.vertex = wt.iter().map(|&t| tiles[t]).collect();
+            up.edge = up.vertex.iter().map(|&v| indptr[v]).collect();
+        } else if tiled {
+            // A streamed gather's workers own source-vertex ranges of
+            // about as many out-edges each (every worker pays for the
+            // whole scan, so only owned rows divide) and each walk every
+            // tile.
+            let total = unit.ops.last().map_or(0, |gather| gather.cols);
+            let workers = plan_threads(policy, n, m * total);
+            up.vertex = if workers < 2 || total == 0 {
+                vec![0, n]
             } else {
-                SlotSize::Tile
-            },
-            pulls: false,
-            strip: 1,
-            argmax,
-        });
+                edge_balanced_vertex_bounds(g.out_adj().indptr(), workers)
+            };
+            up.parts = up.vertex.windows(2).map(|_| part(0..num_tiles)).collect();
+        }
+        // Slot sizes are a pure function of the partition, so the scratch
+        // high-water mark (max over units, sum over workers) is known now.
+        let slabs = up.parts.iter().map(|p| unit.slab_len(p.max_tile) as u64);
+        scratch_bytes = scratch_bytes.max(4 * slabs.sum::<u64>());
+        units.push(up);
     }
+    let dies = |&&(id, _): &&(NodeId, usize)| dying.contains(&id);
+    let releases = program.inputs.iter().filter(dies);
+    CompiledKernel {
+        policy: *policy,
+        tiles: Arc::clone(tiles),
+        scratch_bytes,
+        releases: releases.map(|&(id, at)| (at, id)).collect(),
+        units,
+    }
+}
 
-    // Slot sizes, readers before producers: a scratch-class per-row op
-    // is row-sized when its one reader takes each row once.
-    for j in (0..ops.len()).rev() {
-        let reads_j = |op: &TileOp<'_>| op.srcs.iter().any(|s| s.slot() == Some(j));
-        let mut readers = (j + 1..ops.len()).filter(|&k| reads_j(&ops[k]));
-        let (Some(k), None) = (readers.next(), readers.next()) else {
-            continue;
-        };
-        let op = &ops[j];
-        // A read through an edge endpoint holds its reader to one row a
-        // pull: worth it only for an op that runs row by row anyway.
-        let own = |s: &Operand<'_>| s.slot() != Some(j) || s.at == RowAt::Own;
-        if op.size == SlotSize::Tile
-            && !op.reduces_groups()
-            && ops[k].takes_rows_once()
-            && (!op.flat() || ops[k].srcs.iter().all(own))
-        {
-            ops[j].size = SlotSize::Row;
-            ops[k].pulls = true;
-        }
-    }
-    // Strip lengths, producers before readers. A row-sized op holds
-    // consecutive rows — a few KB, so the strip stays in L1 while its
-    // reader walks it and the per-call cost of evaluating it is shared;
-    // a row read at an endpoint stands alone. An op never runs more rows
-    // at once than each row-sized operand can hold.
-    for k in 0..ops.len() {
-        let op = &ops[k];
-        let mut strip = match op.size {
-            SlotSize::Row => (STRIP_ELEMS / op.cols.max(1)).clamp(1, STRIP_ROWS),
-            _ => STRIP_ROWS,
-        };
-        for s in &op.srcs {
-            if let Some(j) = s.slot().filter(|&j| ops[j].size == SlotSize::Row) {
-                let held = if s.at == RowAt::Own { ops[j].strip } else { 1 };
-                strip = strip.min(held);
-            }
-        }
-        ops[k].strip = strip;
-    }
-    Ok(ops)
+/// What every op execution of one unit launch shares: the unit's ops,
+/// what each of them binds, and the graph with its endpoint arrays.
+struct Bound<'a> {
+    ops: &'a [TileOp],
+    bound: &'a [OpBound<'a>],
+    g: &'a Graph,
+    src: &'a [u32],
+    dst: &'a [u32],
+    /// [`ExecPolicy::heavy_row_degree`].
+    heavy: usize,
 }
 
 /// Read access to the rows one op execution sees: the graph's endpoint
@@ -545,11 +393,11 @@ struct Rows<'r> {
 }
 
 impl<'r> Rows<'r> {
-    fn new(g: &'r Graph, bufs: &'r [&'r mut [f32]], base: &'r [usize]) -> Self {
+    fn new(cx: &'r Bound<'r>, bufs: &'r [&'r mut [f32]], base: &'r [usize]) -> Self {
         Rows {
-            g,
-            src: g.src_slice(),
-            dst: g.dst_slice(),
+            g: cx.g,
+            src: cx.src,
+            dst: cx.dst,
             bufs,
             base,
         }
@@ -567,21 +415,21 @@ impl<'r> Rows<'r> {
 
     /// The operand's row for a consumer at row `r`.
     #[inline(always)]
-    fn row(&self, o: Operand<'r>, r: usize) -> &'r [f32] {
+    fn row(&self, o: Src<'r>, r: usize) -> &'r [f32] {
         self.rows(o, r, 1)
     }
 
     /// The operand's `n` rows for a consumer at rows `r..r + n` (more
     /// than one only when the operand is read at the consumer's own row).
     #[inline(always)]
-    fn rows(&self, o: Operand<'r>, r: usize, n: usize) -> &'r [f32] {
+    fn rows(&self, o: Src<'r>, r: usize, n: usize) -> &'r [f32] {
         let r = self.at(o.at, r);
         match o.data {
-            Data::Slot { idx, cols } => {
+            SrcRows::Slot { idx, cols } => {
                 let off = (r - self.base[idx]) * cols;
                 &self.bufs[idx][off..off + n * cols]
             }
-            Data::Full { data, cols } => &data[r * cols..(r + n) * cols],
+            SrcRows::Full { data, cols } => &data[r * cols..(r + n) * cols],
         }
     }
 
@@ -590,7 +438,7 @@ impl<'r> Rows<'r> {
     #[inline(always)]
     fn map_rows(
         &self,
-        x: Operand<'r>,
+        x: Src<'r>,
         rows: Range<usize>,
         width: usize,
         out: &mut [f32],
@@ -608,7 +456,7 @@ impl<'r> Rows<'r> {
     #[inline(always)]
     fn zip_rows<const N: usize>(
         &self,
-        srcs: [Operand<'r>; N],
+        srcs: [Src<'r>; N],
         rows: Range<usize>,
         cols: usize,
         out: &mut [f32],
@@ -623,8 +471,8 @@ impl<'r> Rows<'r> {
         // that indexes it (2-wide attention rows pay for every branch).
         let res = srcs.map(|s| {
             let (data, cols, first): (&[f32], _, _) = match s.data {
-                Data::Slot { idx, cols } => (&*self.bufs[idx], cols, self.base[idx]),
-                Data::Full { data, cols } => (data, cols, 0),
+                SrcRows::Slot { idx, cols } => (&*self.bufs[idx], cols, self.base[idx]),
+                SrcRows::Full { data, cols } => (data, cols, 0),
             };
             let via = match s.at {
                 RowAt::Own => None,
@@ -643,23 +491,20 @@ impl<'r> Rows<'r> {
     }
 }
 
-/// A worker's slots while one op runs: read through [`Unit::rows`],
-/// written only by [`Unit::pull`], which brings row-sized slots to the
+/// A worker's slots while one op runs: read through [`Slots::rows`],
+/// written only by [`Slots::pull`], which brings row-sized slots to the
 /// row a reader is about to read.
-struct Unit<'r, 'w, 'a> {
-    ops: &'r [TileOp<'a>],
-    g: &'a Graph,
+struct Slots<'r, 'w, 'a> {
+    cx: &'a Bound<'a>,
     /// The slots of the ops before the one running (an op reads only
     /// earlier ops: the unit is in dependency order).
     bufs: &'r mut [&'w mut [f32]],
     base: &'r mut [usize],
-    /// [`ExecPolicy::heavy_row_degree`].
-    heavy: usize,
 }
 
-impl Unit<'_, '_, '_> {
+impl Slots<'_, '_, '_> {
     fn rows(&self) -> Rows<'_> {
-        Rows::new(self.g, self.bufs, self.base)
+        Rows::new(self.cx, self.bufs, self.base)
     }
 
     /// Makes every row-sized operand of `ops[k]` hold the rows a consumer
@@ -669,14 +514,14 @@ impl Unit<'_, '_, '_> {
     /// edges of one destination group share `dst(e)`, and two operands of
     /// one reader share the rows).
     fn pull(&mut self, k: usize, rows: Range<usize>) {
-        let ops = self.ops;
+        let ops = self.cx.ops;
         for s in &ops[k].srcs {
             let Some(j) = s.slot() else { continue };
             let op = &ops[j];
             if op.size != SlotSize::Row {
                 continue;
             }
-            // Only own-row reads come in runs ([`compile`]'s strips).
+            // Only own-row reads come in runs (lowering's strips).
             debug_assert!(s.at == RowAt::Own || rows.len() == 1);
             debug_assert!(rows.len() <= op.strip);
             let first = self.rows().at(s.at, rows.start);
@@ -688,8 +533,9 @@ impl Unit<'_, '_, '_> {
                 self.pull(j, need.clone());
             }
             let (earlier, rest) = self.bufs.split_at_mut(j);
-            let cx = Rows::new(self.g, earlier, self.base);
-            exec_rows(op, &cx, need.clone(), &mut rest[0][..need.len() * op.cols]);
+            let cx = Rows::new(self.cx, earlier, self.base);
+            let out = &mut rest[0][..need.len() * op.cols];
+            exec_rows(op, &self.cx.bound[j], &cx, need.clone(), out);
             self.base[j] = first;
         }
     }
@@ -698,8 +544,10 @@ impl Unit<'_, '_, '_> {
 /// The rows of `ops[k]`'s first operand, pulled on demand: what a
 /// reduction ([`RowSource`]) reads edge by edge, in ascending order.
 struct Pulled<'u, 'r, 'w, 'a> {
-    unit: &'u mut Unit<'r, 'w, 'a>,
+    unit: &'u mut Slots<'r, 'w, 'a>,
     k: usize,
+    /// The operand read: the op's first.
+    x: Src<'a>,
     /// One past the tile's last edge.
     end: usize,
     /// The source vertices whose edges the reduction reads — a streamed
@@ -711,12 +559,13 @@ struct Pulled<'u, 'r, 'w, 'a> {
 
 impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
     fn new(
-        unit: &'u mut Unit<'r, 'w, 'a>,
+        unit: &'u mut Slots<'r, 'w, 'a>,
         k: usize,
         end: usize,
         owned: Option<Range<usize>>,
     ) -> Self {
         Pulled {
+            x: unit.cx.bound[k].srcs[0],
             unit,
             k,
             end,
@@ -729,7 +578,7 @@ impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
 impl RowSource for Pulled<'_, '_, '_, '_> {
     #[inline(always)]
     fn row(&mut self, e: usize) -> &[f32] {
-        let ops = self.unit.ops;
+        let ops = self.unit.cx.ops;
         let op = &ops[self.k];
         if op.pulls && !self.held.contains(&e) {
             // The edges after `e` the reduction reads next without a gap:
@@ -738,7 +587,7 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
             let run = match &self.owned {
                 None => most,
                 Some(owned) => {
-                    let src = self.unit.g.src_slice();
+                    let src = self.unit.cx.src;
                     (e + 1..most)
                         .find(|&r| !owned.contains(&(src[r] as usize)))
                         .unwrap_or(most)
@@ -747,7 +596,7 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
             self.held = e..run;
             self.unit.pull(self.k, e..run);
         }
-        self.unit.rows().row(op.srcs[0], e)
+        self.unit.rows().row(self.x, e)
     }
 }
 
@@ -776,588 +625,422 @@ pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
     bounds
 }
 
-/// Mutable auxiliary sinks for one op in one tile (rows are relative to
-/// the worker's first vertex).
-enum StepAux<'a> {
-    None,
-    /// Fresh softmax: worker-chunk rows of the global max/denominator.
-    SoftmaxFresh {
-        maxes: &'a mut [f32],
-        denom: &'a mut [f32],
-        chunk_v0: usize,
-    },
-    /// Gather(Max): worker-chunk rows of the global argmax table.
-    ArgMax {
-        table: &'a mut [u32],
-        chunk_v0: usize,
-    },
+/// One worker's auxiliary sinks (rows relative to its first vertex,
+/// `chunk_v0`): per fresh softmax of the unit its chunks of the global
+/// max and denominator, per gather-max its chunk of the argmax table —
+/// an op's sit at its ordinal among the unit's ops of its kind.
+struct WorkerAux<'r, 'w> {
+    stats: &'r mut [&'w mut [f32]],
+    argmax: &'r mut [&'w mut [u32]],
+    chunk_v0: usize,
 }
 
-/// The tiles one worker walks and the largest of them, `(vertices,
-/// edges)`.
-struct Part {
-    tiles: Range<usize>,
-    max_tile: (usize, usize),
-}
-
-/// One worker's rows of the tensors a unit writes, each keyed by the slot
-/// (op index) that writes it.
-#[derive(Default)]
-struct WorkerSinks<'w> {
-    /// `(slot, first row, rows)` of each boundary output, in op order.
-    out: Vec<(usize, usize, &'w mut [f32])>,
-    sm: Vec<(usize, &'w mut [f32], &'w mut [f32])>,
-    am: Vec<(usize, &'w mut [u32])>,
-}
-
-/// Executes one lowered kernel over the graph, tile by tile.
-///
-/// `evict` (every session launch; `None` for the sharded driver's
-/// global kernels, whose operands are staged copies it drops itself)
-/// names the values whose last external reader is this kernel: the
-/// interpreter removes each from `values` as soon as
-/// its last reading segment completes, so the pool can recycle its
-/// buffer into the launch's own materializations. Results are
-/// unaffected — only already-dead inputs are freed, and the session's
-/// post-kernel eviction no-ops on whatever was freed here.
-///
-/// # Errors
-///
-/// Returns [`ExecError::ValueNotLive`] when an out-of-kernel operand is
-/// not in the value store (a plan inconsistency).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn run_program(
-    policy: &ExecPolicy,
-    g: &Graph,
+/// The tensor a complete operand names, wherever it lives.
+fn full_tensor<'a>(
     ir: &IrGraph,
     program: &KernelProgram,
-    values: &mut HashMap<NodeId, Tensor>,
-    aux_softmax: &HashMap<NodeId, (Tensor, Tensor)>,
-    aux_argmax: &HashMap<NodeId, Vec<u32>>,
-    evict: Option<&[NodeId]>,
-) -> Result<ProgramResult> {
-    if let Some(action) = gnnopt_tensor::fault::check("fused.launch") {
-        use gnnopt_tensor::fault::FaultAction;
-        match action {
-            FaultAction::Panic => {
-                std::panic::panic_any(gnnopt_tensor::fault::injected_panic_message("fused.launch"))
-            }
-            _ => {
-                return Err(ExecError::Injected {
-                    site: "fused.launch".into(),
-                })
-            }
-        }
-    }
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let indptr = g.in_adj().indptr();
-
-    // Step lookup and prelude evaluation (parameter-space views are
-    // O(params): computed once, shared read-only by all workers).
-    let mut step_index: HashMap<NodeId, usize> = HashMap::new();
-    for (si, s) in program.steps.iter().enumerate() {
-        step_index.insert(s.node, si);
-    }
-    let mut preludes: Vec<Tensor> = Vec::new();
-    let mut prelude_idx: HashMap<NodeId, usize> = HashMap::new();
-    let not_live = |id: NodeId| ExecError::ValueNotLive {
-        node: ir.node(id).name.clone(),
+    store: &'a Store,
+    mat: &'a [Option<Tensor>],
+    src: FullSource,
+) -> Result<&'a Tensor> {
+    let found = match src {
+        FullSource::Value(id) => store.values.get(&id),
+        FullSource::Step(si) => mat[si].as_ref(),
+        FullSource::SoftmaxMax(id) => store.aux_softmax.get(&id).map(|(mx, _)| mx),
+        FullSource::SoftmaxDenom(id) => store.aux_softmax.get(&id).map(|(_, dn)| dn),
     };
-    for s in &program.steps {
-        if s.storage != Storage::Prelude {
-            continue;
-        }
-        let node = ir.node(s.node);
-        let input = node.inputs[0];
-        let x: &Tensor = prelude_idx
-            .get(&input)
-            .map(|&i| &preludes[i])
-            .or_else(|| values.get(&input))
-            .ok_or_else(|| not_live(input))?;
-        let din = ir.node(input).dim;
-        let t = match &node.kind {
-            // Mirrors the op dispatch (`refexec::exec_op`) exactly: parameters store
-            // heads as rows, so the per-head slice degenerates to heads=1.
-            OpKind::SliceCols { start, end } => {
-                crate::kernels::slice_cols(x, 1, din.feat, *start, *end)
-            }
-            OpKind::SliceRows { start, end } => {
-                let rows: Vec<usize> = (*start..*end).collect();
-                x.select_rows(&rows)?
-            }
-            OpKind::SetHeads { .. } => x.clone(),
-            other => unreachable!("non-view prelude op {other:?} survived lowering"),
-        };
-        prelude_idx.insert(s.node, preludes.len());
-        preludes.push(t);
-    }
+    found.ok_or_else(|| ExecError::ValueNotLive {
+        node: match src {
+            FullSource::Value(id) => ir.node(id).name.clone(),
+            FullSource::Step(si) => ir.node(program.steps[si].node).name.clone(),
+            _ => format!("softmax statistics of kernel {} ({src:?})", program.kernel),
+        },
+    })
+}
 
-    // Operand sources per step: same-segment members resolve through
-    // their producer's slot, earlier-segment members to their (complete)
-    // full tensors.
-    let mut steps: Vec<StepPlan> = Vec::with_capacity(program.steps.len());
-    for s in &program.steps {
-        let node = ir.node(s.node);
-        let mut srcs = Vec::with_capacity(node.inputs.len());
-        for &i in &node.inputs {
-            let src = if let Some(&pi) = prelude_idx.get(&i) {
-                Src::Prelude(pi)
-            } else if let Some(&si) = step_index.get(&i) {
-                // (A full step shares a segment only with the chain
-                // streamed into it.)
-                if program.steps[si].segment == s.segment {
-                    Src::Slot(si)
-                } else {
-                    Src::Mat(si)
-                }
-            } else if values.contains_key(&i) {
-                Src::Global(i)
-            } else {
-                return Err(not_live(i));
-            };
-            srcs.push(src);
-        }
-        steps.push(StepPlan {
-            node: s.node,
-            space: s.space,
-            cols: s.cols,
-            storage: s.storage,
-            recompute: s.recompute,
-            srcs,
-            dins: node.inputs.iter().map(|&i| ir.node(i).dim).collect(),
-        });
-    }
+fn argmax_table(store: &Store, fwd: NodeId) -> Result<&[u32]> {
+    let table = store.aux_argmax.get(&fwd);
+    table
+        .map(Vec::as_slice)
+        .ok_or_else(|| ExecError::ValueNotLive {
+            node: format!("argmax aux of node {fwd}"),
+        })
+}
 
-    // Mid-launch eviction schedule: each dying global's
-    // last reading stage — stage 0 is the prelude pass above, stage
-    // 1 + ordinal each segment.
-    let mut evicted_bytes = 0u64;
-    let mut last_stage: HashMap<NodeId, usize> = HashMap::new();
-    if let Some(dying) = evict {
-        for s in &program.steps {
-            if s.storage == Storage::Prelude {
-                for &i in &ir.node(s.node).inputs {
-                    if dying.contains(&i) && values.contains_key(&i) {
-                        last_stage.insert(i, 0);
+impl CompiledKernel {
+    /// Executes the kernel over the graph it was prepared for, stage by
+    /// stage: the prelude views, then each unit of `program` — tile and
+    /// streamed units tile by tile with per-worker slots, dense and
+    /// parameter steps in one call into the op library's dispatch (what
+    /// makes lowering total: any op the IR expresses either tiles or
+    /// lands there). Fresh softmax statistics and argmax tables go to
+    /// `store`'s aux stores; the tensors the steps produced are left in
+    /// [`Frame::mat`] for the caller to take. Returns the bytes of dying
+    /// inputs freed mid-flight — already removed from `store.values`, so
+    /// a session subtracts them from its live accounting; its post-kernel
+    /// eviction no-ops on them.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::ValueNotLive`] when an out-of-kernel operand, a
+    /// `GatherMaxBwd`'s forward argmax table or a recomputed
+    /// `EdgeSoftmax`'s forward statistics are not in `store` (a plan
+    /// inconsistency) — before any worker runs; [`ExecError::Injected`]
+    /// from the `fused.launch` failpoint.
+    pub(crate) fn launch(
+        &self,
+        g: &Graph,
+        ir: &IrGraph,
+        program: &KernelProgram,
+        store: &mut Store,
+        frame: &mut Frame,
+    ) -> Result<u64> {
+        use gnnopt_tensor::fault::{self, FaultAction};
+        match fault::check("fused.launch") {
+            None => {}
+            Some(FaultAction::Panic) => {
+                std::panic::panic_any(fault::injected_panic_message("fused.launch"))
+            }
+            Some(_) => {
+                let site = "fused.launch".into();
+                return Err(ExecError::Injected { site });
+            }
+        }
+        // (A failed launch may have left tensors behind.)
+        frame.mat.clear();
+        frame.mat.resize_with(program.steps.len(), || None);
+        frame.stats.clear();
+        frame.argmax.clear();
+        frame.outs.clear();
+        for op in program.units.iter().flat_map(|unit| &unit.ops) {
+            for s in &op.srcs {
+                if let Data::Full(src) = s.data {
+                    if !matches!(src, FullSource::Step(_)) {
+                        full_tensor(ir, program, store, &frame.mat, src)?;
                     }
                 }
             }
+            if let OpKind::GatherMaxBwd { fwd } = op.kind {
+                argmax_table(store, fwd)?;
+            }
         }
-        for (ord, seg) in program.segments().into_iter().enumerate() {
-            for (sp, s) in steps.iter().zip(&program.steps) {
-                if s.segment != seg || s.storage == Storage::Prelude {
+
+        // Stage 0: parameter-space views are O(params) — computed once,
+        // shared read-only by all workers — through the op dispatch, so
+        // a view is the same tensor wherever it runs.
+        for (si, s) in program.steps.iter().enumerate() {
+            if s.storage != Storage::Prelude {
+                continue;
+            }
+            let node = ir.node(s.node);
+            let input = node.inputs[0];
+            let earlier = program.steps[..si].iter().position(|p| p.node == input);
+            let src = earlier.map_or(FullSource::Value(input), FullSource::Step);
+            let x = full_tensor(ir, program, store, &frame.mat, src)?;
+            let (t, _) = refexec::exec_op_inner(&self.policy, g, ir, node, &[x], AuxIn::None)?;
+            frame.mat[si] = Some(t);
+        }
+        // Inputs the prelude pass exhausted free before the launch
+        // materializes anything.
+        let mut evicted = self.release(0, store);
+        for (unit, up) in program.units.iter().zip(&self.units) {
+            match unit.kind {
+                UnitKind::Dense => {
+                    Self::call_dense(&self.policy, g, ir, program, unit, store, frame)?
+                }
+                _ => self.run_unit(g, ir, program, (unit, up), store, frame)?,
+            }
+            evicted += self.release(unit.stage, store);
+        }
+        for (si, mx, dn) in frame.stats.drain(..) {
+            let stats = (mx, dn);
+            store.aux_softmax.insert(program.steps[si].node, stats);
+        }
+        for (si, a) in frame.argmax.drain(..) {
+            store.aux_argmax.insert(program.steps[si].node, a);
+        }
+        // The views end with the launch; everything else is the caller's.
+        for (slot, s) in frame.mat.iter_mut().zip(&program.steps) {
+            if s.storage == Storage::Prelude {
+                *slot = None;
+            }
+        }
+        Ok(evicted)
+    }
+
+    /// Frees the dying inputs whose last reading stage was `stage`.
+    fn release(&self, stage: usize, store: &mut Store) -> u64 {
+        let due = self.releases.iter().filter(|&&(at, _)| at == stage);
+        due.filter_map(|(_, id)| store.values.remove(id))
+            .map(|t| t.byte_size() as u64)
+            .sum()
+    }
+
+    /// A dense or parameter step: one call into the op library's dispatch.
+    fn call_dense(
+        policy: &ExecPolicy,
+        g: &Graph,
+        ir: &IrGraph,
+        program: &KernelProgram,
+        unit: &lower::Unit,
+        store: &Store,
+        frame: &mut Frame,
+    ) -> Result<()> {
+        let op = &unit.ops[0];
+        let mut inputs: Vec<&Tensor> = std::mem::take(&mut frame.inputs);
+        for s in &op.srcs {
+            let Data::Full(src) = s.data else {
+                unreachable!("a dense call reads complete tensors")
+            };
+            inputs.push(full_tensor(ir, program, store, &frame.mat, src)?);
+        }
+        let aux_in = match op.kind {
+            OpKind::GatherMaxBwd { fwd } => AuxIn::Argmax(argmax_table(store, fwd)?),
+            _ => AuxIn::None,
+        };
+        let node = ir.node(program.steps[op.step].node);
+        let (t, aux_out) = refexec::exec_op(policy, g, ir, node, &inputs, aux_in)?;
+        frame.inputs = recycle(inputs);
+        if let AuxOut::Argmax(a) = aux_out {
+            frame.argmax.push((op.step, a));
+        }
+        frame.mat[op.step] = Some(t);
+        Ok(())
+    }
+
+    /// A tiled segment over the workers' own tile runs — or a streamed
+    /// gather: its chain, then the gather as the unit's last op, every
+    /// worker walking *all* tiles and accumulating the source rows it
+    /// owns. Allocates the unit's sinks, binds its operands, cuts sinks
+    /// and slabs into the workers' slots, and runs the workers.
+    fn run_unit(
+        &self,
+        g: &Graph,
+        ir: &IrGraph,
+        program: &KernelProgram,
+        (unit, up): (&lower::Unit, &UnitPlan),
+        store: &Store,
+        frame: &mut Frame,
+    ) -> Result<()> {
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let ops = &unit.ops[..];
+        let streamed = unit.kind == UnitKind::Streamed;
+        let Frame {
+            mat,
+            stats,
+            argmax,
+            outs,
+            slabs,
+            base,
+            ..
+        } = frame;
+
+        // The segment's full tensors, born with it: workers fill disjoint
+        // chunks. Auxiliaries likewise: a tiled softmax / gather-max
+        // fills global tables in disjoint chunks (a recomputed softmax
+        // reads its stashed statistics as operands).
+        let (stats0, argmax0) = (stats.len(), argmax.len());
+        for (k, op) in ops.iter().enumerate() {
+            if op.size == SlotSize::Sink {
+                let rows = if op.space == Space::Edge { m } else { n };
+                outs.push((k, Tensor::zeros(&[rows, op.cols])));
+            }
+            if is_fresh_softmax(op) {
+                let maxes = Tensor::full(&[n, op.cols], f32::NEG_INFINITY);
+                stats.push((op.step, maxes, Tensor::zeros(&[n, op.cols])));
+            } else if is_gather_max(op) {
+                // Pool-recycled like the session's aux store drains them.
+                let mut table = pool::take_u32(n * op.cols);
+                table.resize(n * op.cols, NO_ARGMAX);
+                argmax.push((op.step, table));
+            }
+        }
+
+        let mut bound: Vec<OpBound<'_>> = std::mem::take(&mut frame.bound);
+        for op in ops {
+            let empty = SrcRows::Full { data: &[], cols: 0 };
+            let mut srcs = [Src {
+                data: empty,
+                at: RowAt::Own,
+            }; MAX_SRCS];
+            for (src, s) in srcs.iter_mut().zip(&op.srcs) {
+                src.at = s.at;
+                src.data = match s.data {
+                    Data::Slot { idx, cols } => SrcRows::Slot { idx, cols },
+                    Data::Full(named) => {
+                        let t = full_tensor(ir, program, store, mat, named)?;
+                        let cols = t.numel().checked_div(t.rows()).unwrap_or(0);
+                        let data = t.as_slice();
+                        SrcRows::Full { data, cols }
+                    }
+                };
+            }
+            let argmax = match op.kind {
+                OpKind::GatherMaxBwd { fwd } => argmax_table(store, fwd)?,
+                _ => &[],
+            };
+            bound.push(OpBound { srcs, argmax });
+        }
+
+        // Per worker: a slot per op — its chunk of the sink's tensor (the
+        // chunk is the slot: nothing is staged and copied), or a piece of
+        // the worker's slab — then one row of the widest op (heavy-row
+        // chunk partials and softmax-backward group sums, shared across
+        // ops and tiles), then the chunks of each fresh softmax's
+        // statistics. The slabs come off the pool's working list.
+        let row = ops.iter().map(|op| op.cols).max().unwrap_or(0);
+        let per = ops.len() + 1 + 2 * (stats.len() - stats0);
+        let per_am = (argmax.len() - argmax0).max(1);
+        let workers = up.parts.len();
+        let mut slots: Vec<&mut [f32]> = std::mem::take(&mut frame.slots);
+        slots.resize_with(workers * per, Default::default);
+        let mut sinks: Vec<&mut [u32]> = std::mem::take(&mut frame.argmax_sinks);
+        sinks.resize_with(workers * per_am, Default::default);
+        base.clear();
+        base.resize(workers * ops.len(), usize::MAX);
+        for part in &up.parts {
+            let len = unit.slab_len(part.max_tile) + row;
+            let mut slab = pool::take_work_f32(len);
+            slab.resize(len, 0.0);
+            slabs.push(slab);
+        }
+        for (w, (part, slab)) in up.parts.iter().zip(slabs.iter_mut()).enumerate() {
+            let mut rest = &mut slab[..];
+            for (k, op) in ops.iter().enumerate() {
+                let (slot, tail) = rest.split_at_mut(op.slot_len(part.max_tile));
+                slots[w * per + k] = slot;
+                rest = tail;
+            }
+            slots[w * per + ops.len()] = rest;
+        }
+        for (k, tensor) in outs.iter_mut() {
+            let bounds = match ops[*k].space {
+                Space::Edge => &up.edge,
+                _ => &up.vertex,
+            };
+            let chunks = split_rows(tensor.as_mut_slice(), ops[*k].cols, bounds);
+            for (w, chunk) in chunks.enumerate() {
+                slots[w * per + *k] = chunk;
+                base[w * ops.len() + *k] = bounds[w];
+            }
+        }
+        for (j, (_, mx, dn)) in stats[stats0..].iter_mut().enumerate() {
+            let cols = mx.cols();
+            let mx = split_rows(mx.as_mut_slice(), cols, &up.vertex);
+            let dn = split_rows(dn.as_mut_slice(), cols, &up.vertex);
+            for (w, (mc, dc)) in mx.zip(dn).enumerate() {
+                let at = w * per + ops.len() + 1 + 2 * j;
+                slots[at] = mc;
+                slots[at + 1] = dc;
+            }
+        }
+        for (j, (si, table)) in argmax[argmax0..].iter_mut().enumerate() {
+            let cols = program.steps[*si].cols;
+            for (w, chunk) in split_rows(table, cols, &up.vertex).enumerate() {
+                sinks[w * per_am + j] = chunk;
+            }
+        }
+
+        // Run the unit. Each worker walks its tiles in order, reusing
+        // one slot per op.
+        let cx = Bound {
+            ops,
+            bound: &bound,
+            g,
+            src: g.src_slice(),
+            dst: g.dst_slice(),
+            heavy: self.policy.heavy_row_degree,
+        };
+        let slots_of = slots.chunks_mut(per).zip(base.chunks_mut(ops.len().max(1)));
+        let mut team = slots_of.zip(sinks.chunks_mut(per_am)).enumerate();
+        if workers == 1 {
+            let (w, ((slots, base), sinks)) = team.next().expect("one worker");
+            run_worker(&cx, &self.tiles, &up.parts[w], streamed, slots, base, sinks);
+        } else {
+            let wg = contain::WorkerGuard::new();
+            std::thread::scope(|scope| {
+                for (w, ((slots, base), sinks)) in team {
+                    let (cx, wg, tiles, part) = (&cx, &wg, &self.tiles, &up.parts[w]);
+                    scope.spawn(move || {
+                        wg.run(|| run_worker(cx, tiles, part, streamed, slots, base, sinks));
+                    });
+                }
+            });
+            wg.rethrow();
+        }
+
+        frame.bound = recycle(bound);
+        frame.slots = recycle(slots);
+        frame.argmax_sinks = recycle(sinks);
+        for slab in slabs.drain(..) {
+            pool::put_work_f32(slab);
+        }
+        // The segment's tensors, for later segments to read.
+        for (k, t) in outs.drain(..) {
+            mat[ops[k].step] = Some(t);
+        }
+        Ok(())
+    }
+}
+
+/// One worker's walk over its tiles: `slots` are its op slots, its
+/// reduction row and its chunks of the fresh softmaxes' statistics,
+/// `base` the first row each op's slot holds, `sinks` its chunks of the
+/// argmax tables.
+fn run_worker<'w>(
+    cx: &Bound<'_>,
+    tiles: &[usize],
+    part: &Part,
+    streamed: bool,
+    slots: &mut [&'w mut [f32]],
+    base: &mut [usize],
+    sinks: &mut [&'w mut [u32]],
+) {
+    let indptr = cx.g.in_adj().indptr();
+    let (bufs, rest) = slots.split_at_mut(cx.ops.len());
+    let (scratch, stats) = rest.split_first_mut().expect("a reduction row per worker");
+    let mut aux = WorkerAux {
+        stats,
+        argmax: sinks,
+        chunk_v0: tiles[part.tiles.start],
+    };
+    for t in part.tiles.clone() {
+        let (v0, v1) = (tiles[t], tiles[t + 1]);
+        let (e0, e1) = (indptr[v0], indptr[v1]);
+        for (k, op) in cx.ops.iter().enumerate() {
+            let (rows, r0) = match op.space {
+                Space::Edge => (e1 - e0, e0),
+                _ => (v1 - v0, v0),
+            };
+            let (earlier, own) = bufs.split_at_mut(k);
+            let own = &mut *own[0];
+            let buf = match op.size {
+                // Evaluated when a reader pulls it; a row held over from
+                // the last tile must not look current.
+                SlotSize::Row => {
+                    base[k] = usize::MAX;
                     continue;
                 }
-                for &src in &sp.srcs {
-                    if let Src::Global(id) = src {
-                        if dying.contains(&id) {
-                            last_stage.insert(id, ord + 1);
-                        }
-                    }
+                SlotSize::Tile => {
+                    base[k] = r0;
+                    &mut own[..rows * op.cols]
                 }
-            }
-        }
-    }
-    let release = |stage: usize, values: &mut HashMap<NodeId, Tensor>, evicted: &mut u64| {
-        let Some(dying) = evict else { return };
-        for &id in dying {
-            if last_stage.get(&id) == Some(&stage) {
-                if let Some(t) = values.remove(&id) {
-                    *evicted += t.byte_size() as u64;
+                // A streamed gather accumulates into any source row the
+                // worker owns.
+                SlotSize::Sink if streamed => own,
+                SlotSize::Sink => {
+                    let at = (r0 - base[k]) * op.cols;
+                    &mut own[at..at + rows * op.cols]
                 }
-            }
-        }
-    };
-    // The prelude pass already ran: inputs it exhausted free before the
-    // launch materializes anything.
-    release(0, values, &mut evicted_bytes);
-
-    // Full-tensor storage for materialized/interior steps. Tiled ones are
-    // pre-allocated (workers fill disjoint chunks); full steps produce
-    // theirs when their segment runs.
-    let mut mat: Vec<Option<Tensor>> = vec![None; steps.len()];
-    for (si, sp) in steps.iter().enumerate() {
-        if matches!(sp.storage, Storage::Materialized | Storage::Interior)
-            && program.steps[si].exec == StepExec::Tiled
-        {
-            let rows = match sp.space {
-                Space::Edge => m,
-                Space::Vertex => n,
-                Space::Param => unreachable!("param steps are never tiled"),
             };
-            mat[si] = Some(Tensor::zeros(&[rows, sp.cols]));
-        }
-    }
-
-    // Auxiliaries: tiled softmax / gather-max fill global tables in
-    // disjoint chunks; a full BySrc gather-max returns its table whole.
-    // (A recomputed softmax reads its stashed statistics as operands.)
-    let mut fresh_softmax: Vec<(usize, Tensor, Tensor)> = Vec::new();
-    let mut argmax_tables: Vec<(usize, Vec<u32>)> = Vec::new();
-    for (si, sp) in steps.iter().enumerate() {
-        match &ir.node(sp.node).kind {
-            OpKind::EdgeSoftmax if !sp.recompute => {
-                fresh_softmax.push((
-                    si,
-                    Tensor::full(&[n, sp.cols], f32::NEG_INFINITY),
-                    Tensor::zeros(&[n, sp.cols]),
-                ));
-            }
-            OpKind::Gather {
-                reduce: ReduceFn::Max,
-                ..
-            } if program.steps[si].exec == StepExec::Tiled => {
-                // Pool-recycled like the session's aux store drains them.
-                let mut table = pool::take_u32(n * sp.cols);
-                table.resize(n * sp.cols, NO_ARGMAX);
-                argmax_tables.push((si, table));
-            }
-            _ => {}
-        }
-    }
-
-    // Tiles and worker partition (shared by every tiled segment).
-    let tiles = tile_bounds(indptr, policy.tile_edges);
-    let num_tiles = tiles.len() - 1;
-    let work: usize = steps
-        .iter()
-        .map(|s| match s.space {
-            Space::Edge => m * s.cols,
-            Space::Vertex => n * s.cols,
-            Space::Param => 0,
-        })
-        .sum();
-    let threads = if work < policy.parallel_threshold {
-        1
-    } else {
-        policy.threads.clamp(1, num_tiles.max(1))
-    };
-    // Worker → tile boundaries: split by tile count (tiles are already
-    // edge-budgeted, so the split is edge-balanced to within a tile).
-    let wt = chunk_bounds(num_tiles, threads);
-    let wv: Vec<usize> = wt.iter().map(|&t| tiles[t]).collect();
-    let we: Vec<usize> = wv.iter().map(|&v| indptr[v]).collect();
-    // Tile-sized slots fit the largest tile a worker walks.
-    let part = |ts: Range<usize>| Part {
-        max_tile: ts.clone().fold((0, 0), |(tv, te), t| {
-            let (v0, v1) = (tiles[t], tiles[t + 1]);
-            (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
-        }),
-        tiles: ts,
-    };
-    let tile_parts: Vec<Part> = wt.windows(2).map(|w| part(w[0]..w[1])).collect();
-
-    // Execute segments in order: dense and parameter steps once over the
-    // whole graph, tiled segments and streamed gathers tile by tile with
-    // per-worker slots.
-    let mut scratch_bytes = 0u64;
-    let mut new_argmax_full: Vec<(usize, Vec<u32>)> = Vec::new();
-    for (ord, seg) in program.segments().into_iter().enumerate() {
-        let seg_steps: Vec<usize> = (0..steps.len())
-            .filter(|&si| {
-                program.steps[si].segment == seg && program.steps[si].storage != Storage::Prelude
-            })
-            .collect();
-        // A tiled segment's full tensors come out of `mat` for chunked
-        // writing (same-segment reads go through slots, never `mat`);
-        // a full step's tensor does not exist yet.
-        let mut seg_out: Vec<(usize, Tensor)> = Vec::new();
-        for &si in &seg_steps {
-            if let Some(t) = mat[si].take() {
-                seg_out.push((si, t));
-            }
-        }
-        // (The block scopes the shared reborrow of `values` so the stage
-        // release below can take it mutably.)
-        {
-            let env = Env {
-                ir,
-                steps: &steps,
-                mat: &mat,
-                values: &*values,
-                preludes: &preludes,
-                aux_softmax,
-                aux_argmax,
+            let mut unit = Slots {
+                cx,
+                bufs: earlier,
+                base: &mut *base,
             };
-            // A full step is its segment's last. A `BySrc` sum or mean is
-            // the tile loop's own — the streamed gather, behind whatever
-            // chain lowering moved into its segment, possibly none; any
-            // other full step is alone there and runs whole.
-            let full = seg_steps
-                .last()
-                .copied()
-                .filter(|&si| program.steps[si].exec == StepExec::Full);
-            let gather = full.filter(|&si| is_streamed_gather(&ir.node(steps[si].node).kind));
-            match (full, gather) {
-                // A dense or parameter step: one call into the op
-                // library's dispatch. This is what makes lowering total:
-                // any op the IR expresses either tiles or lands here.
-                (Some(si), None) => {
-                    let sp = &steps[si];
-                    let node = ir.node(sp.node);
-                    let inputs: Vec<&Tensor> = sp.srcs.iter().map(|&s| env.tensor(s)).collect();
-                    let aux_in = match &node.kind {
-                        OpKind::GatherMaxBwd { fwd } => {
-                            let table =
-                                aux_argmax.get(fwd).ok_or_else(|| ExecError::ValueNotLive {
-                                    node: format!("argmax aux of node {fwd}"),
-                                })?;
-                            crate::refexec::AuxIn::Argmax(table)
-                        }
-                        _ => crate::refexec::AuxIn::None,
-                    };
-                    let (t, aux_out) =
-                        crate::refexec::exec_op(policy, g, ir, node, &inputs, aux_in)?;
-                    if let crate::refexec::AuxOut::Argmax(a) = aux_out {
-                        new_argmax_full.push((si, a));
-                    }
-                    seg_out.push((si, t));
-                }
-                // A tiled segment over the workers' own tile runs — or a
-                // streamed gather: its chain, then the gather as the
-                // unit's last op, every worker walking *all* tiles and
-                // accumulating the source rows it owns.
-                _ => {
-                    // A streamed gather's workers own source-vertex ranges
-                    // of about as many out-edges each (every worker pays
-                    // for the whole scan, so only owned rows divide) and
-                    // each walk every tile.
-                    let (mut owned, mut every_tile) = (Vec::new(), Vec::new());
-                    if let Some(si) = gather {
-                        let total = steps[si].cols;
-                        seg_out.push((si, Tensor::zeros(&[n, total])));
-                        let workers = plan_threads(policy, n, m * total);
-                        owned = if workers < 2 || total == 0 {
-                            vec![0, n]
-                        } else {
-                            edge_balanced_vertex_bounds(g.out_adj().indptr(), workers)
-                        };
-                        every_tile.extend(owned.windows(2).map(|_| part(0..num_tiles)));
-                    }
-                    let parts = if gather.is_some() {
-                        &every_tile
-                    } else {
-                        &tile_parts
-                    };
-                    let ops = compile(&env, &seg_steps)?;
-                    // Slot sizes are a pure function of the partition, so the
-                    // scratch high-water mark (max over segments, sum over
-                    // workers) is known before running — and never exceeds
-                    // what lowering budgets for the unit's segment.
-                    let held: u64 = parts
-                        .iter()
-                        .flat_map(|p| ops.iter().map(|op| 4 * op.slot_len(p.max_tile) as u64))
-                        .sum();
-                    debug_assert!(
-                        held <= parts
-                            .iter()
-                            .map(|p| {
-                                let (tv, te) = p.max_tile;
-                                program.scratch_tile_bytes(seg, tv, te)
-                            })
-                            .sum::<u64>()
-                    );
-                    scratch_bytes = scratch_bytes.max(held);
-
-                    let slot_of = |si: usize| {
-                        ops.iter()
-                            .position(|op| op.si == si)
-                            .expect("a step with a sink compiles to an op")
-                    };
-                    let mut sinks: Vec<WorkerSinks<'_>> =
-                        parts.iter().map(|_| WorkerSinks::default()).collect();
-                    for (si, tensor) in &mut seg_out {
-                        let sp = &steps[*si];
-                        let bounds = match sp.space {
-                            _ if gather.is_some() => &owned,
-                            Space::Edge => &we,
-                            _ => &wv,
-                        };
-                        for (w, chunk) in
-                            split_rows(tensor.as_mut_slice(), sp.cols, bounds).enumerate()
-                        {
-                            sinks[w].out.push((slot_of(*si), bounds[w], chunk));
-                        }
-                    }
-                    for (si, mx, dn) in &mut fresh_softmax {
-                        if !seg_steps.contains(si) {
-                            continue;
-                        }
-                        let cols = steps[*si].cols;
-                        let mx_chunks = split_rows(mx.as_mut_slice(), cols, &wv);
-                        let dn_chunks = split_rows(dn.as_mut_slice(), cols, &wv);
-                        for (w, (mc, dc)) in mx_chunks.zip(dn_chunks).enumerate() {
-                            sinks[w].sm.push((slot_of(*si), mc, dc));
-                        }
-                    }
-                    for (si, table) in &mut argmax_tables {
-                        if !seg_steps.contains(si) {
-                            continue;
-                        }
-                        let cols = steps[*si].cols;
-                        for (w, chunk) in split_rows(table, cols, &wv).enumerate() {
-                            sinks[w].am.push((slot_of(*si), chunk));
-                        }
-                    }
-
-                    // Run the unit. Each worker walks its tiles in order,
-                    // reusing one slot per op.
-                    let run_worker = |part: &Part, sinks: WorkerSinks<'_>| {
-                        let WorkerSinks {
-                            out,
-                            mut sm,
-                            mut am,
-                        } = sinks;
-                        // All slots are carved out of one buffer, off the
-                        // pool when it is active on this thread (serial
-                        // units run on the session thread); workers see an
-                        // inactive pool and allocate.
-                        let lens: usize = ops.iter().map(|op| op.slot_len(part.max_tile)).sum();
-                        let mut arena = pool::take_work_f32(lens);
-                        arena.resize(lens, 0.0);
-                        let mut rest = &mut arena[..];
-                        let mut out = out.into_iter();
-                        let mut bufs: Vec<&mut [f32]> = Vec::with_capacity(ops.len());
-                        // First row each slot holds.
-                        let mut base = vec![usize::MAX; ops.len()];
-                        for (k, op) in ops.iter().enumerate() {
-                            if op.size == SlotSize::Sink {
-                                // The worker's chunk of the full tensor is
-                                // the slot: nothing is staged and copied.
-                                let (slot, first, chunk) =
-                                    out.next().expect("a sink per boundary op, in op order");
-                                debug_assert_eq!(slot, k);
-                                base[k] = first;
-                                bufs.push(chunk);
-                            } else {
-                                let (slot, tail) = std::mem::take(&mut rest)
-                                    .split_at_mut(op.slot_len(part.max_tile));
-                                bufs.push(slot);
-                                rest = tail;
-                            }
-                        }
-                        let chunk_v0 = tiles[part.tiles.start];
-                        // One row of the widest op: heavy-row chunk partials
-                        // and softmax-backward group sums, shared across
-                        // ops and tiles.
-                        let mut scratch =
-                            pool::take_work_f32(ops.iter().map(|op| op.cols).max().unwrap_or(0));
-                        for t in part.tiles.clone() {
-                            let (v0, v1) = (tiles[t], tiles[t + 1]);
-                            let (e0, e1) = (indptr[v0], indptr[v1]);
-                            for (k, op) in ops.iter().enumerate() {
-                                let (rows, r0) = match op.space {
-                                    Space::Edge => (e1 - e0, e0),
-                                    _ => (v1 - v0, v0),
-                                };
-                                let (earlier, own) = bufs.split_at_mut(k);
-                                let own = &mut *own[0];
-                                let buf = match op.size {
-                                    // Evaluated when a reader pulls it; a
-                                    // row held over from the last tile
-                                    // must not look current.
-                                    SlotSize::Row => {
-                                        base[k] = usize::MAX;
-                                        continue;
-                                    }
-                                    SlotSize::Tile => {
-                                        base[k] = r0;
-                                        &mut own[..rows * op.cols]
-                                    }
-                                    // A streamed gather accumulates into
-                                    // any source row the worker owns.
-                                    SlotSize::Sink if gather.is_some() => own,
-                                    SlotSize::Sink => {
-                                        let at = (r0 - base[k]) * op.cols;
-                                        &mut own[at..at + rows * op.cols]
-                                    }
-                                };
-                                let aux = match op.kind {
-                                    OpKind::EdgeSoftmax => {
-                                        sm.iter_mut().find(|(i, _, _)| *i == k).map_or(
-                                            StepAux::None,
-                                            |(_, mc, dc)| StepAux::SoftmaxFresh {
-                                                maxes: mc,
-                                                denom: dc,
-                                                chunk_v0,
-                                            },
-                                        )
-                                    }
-                                    OpKind::Gather {
-                                        reduce: ReduceFn::Max,
-                                        ..
-                                    } => {
-                                        let (_, table) = am
-                                            .iter_mut()
-                                            .find(|(i, _)| *i == k)
-                                            .expect("gather-max has an argmax sink");
-                                        StepAux::ArgMax { table, chunk_v0 }
-                                    }
-                                    _ => StepAux::None,
-                                };
-                                let mut unit = Unit {
-                                    ops: &ops,
-                                    g,
-                                    bufs: earlier,
-                                    base: &mut base,
-                                    heavy: policy.heavy_row_degree,
-                                };
-                                exec_op(&mut unit, k, (v0, v1, e0, e1), buf, aux, &mut scratch);
-                            }
-                        }
-                        // Recycle the per-worker buffers (no-op off the pool thread).
-                        drop(bufs);
-                        pool::put_work_f32(arena);
-                        pool::put_work_f32(scratch);
-                    };
-
-                    if let [p] = &parts[..] {
-                        run_worker(p, sinks.pop().expect("one sink set per worker"));
-                    } else {
-                        let wg = contain::WorkerGuard::new();
-                        std::thread::scope(|scope| {
-                            for (p, s) in parts.iter().zip(sinks) {
-                                let run_worker = &run_worker;
-                                let wg = &wg;
-                                scope.spawn(move || wg.run(|| run_worker(p, s)));
-                            }
-                        });
-                        wg.rethrow();
-                    }
-                }
-            }
+            exec_op(&mut unit, k, (v0, v1, e0, e1), buf, &mut aux, scratch);
         }
-        // Restore the segment's tensors for later segments to read.
-        for (si, t) in seg_out {
-            mat[si] = Some(t);
-        }
-        release(ord + 1, values, &mut evicted_bytes);
     }
-
-    let mut new_aux_argmax: Vec<(NodeId, Vec<u32>)> = argmax_tables
-        .into_iter()
-        .map(|(si, a)| (steps[si].node, a))
-        .collect();
-    new_aux_argmax.extend(
-        new_argmax_full
-            .into_iter()
-            .map(|(si, a)| (steps[si].node, a)),
-    );
-    Ok(ProgramResult {
-        outputs: mat
-            .into_iter()
-            .enumerate()
-            .filter_map(|(si, t)| t.map(|t| (steps[si].node, t)))
-            .collect(),
-        new_aux_softmax: fresh_softmax
-            .into_iter()
-            .map(|(si, mx, dn)| (steps[si].node, (mx, dn)))
-            .collect(),
-        scratch_bytes,
-        new_aux_argmax,
-        evicted_bytes,
-    })
 }
 
 /// Executes `unit.ops[k]` over one tile into `buf`: its rows of the tile,
@@ -1370,35 +1053,34 @@ pub(crate) fn run_program(
 /// expression-for-expression and in the same iteration order, which is
 /// what makes fused execution bit-identical to the node-by-node oracle.
 fn exec_op(
-    unit: &mut Unit<'_, '_, '_>,
+    unit: &mut Slots<'_, '_, '_>,
     k: usize,
     (v0, v1, e0, e1): (usize, usize, usize, usize),
     buf: &mut [f32],
-    aux: StepAux<'_>,
-    scratch: &mut Vec<f32>,
+    aux: &mut WorkerAux<'_, '_>,
+    scratch: &mut [f32],
 ) {
-    let ops = unit.ops;
-    let op = &ops[k];
+    let cx = unit.cx;
+    let (op, srcs) = (&cx.ops[k], &cx.bound[k].srcs);
+    let nth = |is: fn(&TileOp) -> bool| cx.ops[..k].iter().filter(|o| is(o)).count();
+    let chunk_v0 = aux.chunk_v0;
     let total = op.cols;
-    let adj = unit.g.in_adj();
-    let heavy = unit.heavy;
+    let adj = cx.g.in_adj();
+    let heavy = cx.heavy;
     // A reduction starts from zero rows: a sink's tensor was allocated
     // zeroed and nothing else writes it, a tile slot holds the last tile.
     let zeroed = op.size == SlotSize::Sink;
-    match (op.kind, aux) {
+    match &op.kind {
         // The streamed accumulate: `out[src(e)] += row(e)` over the
         // tile's edges in ascending order — `kernels::gather`'s serial
         // `BySrc` scan, one tile of it.
-        (
-            OpKind::Gather {
-                reduce,
-                group: EdgeGroup::BySrc,
-            },
-            _,
-        ) => {
+        OpKind::Gather {
+            reduce,
+            group: EdgeGroup::BySrc,
+        } => {
             let own0 = unit.base[k];
             let owned = own0..own0 + buf.len().checked_div(total).unwrap_or(0);
-            let (src, out_adj) = (unit.g.src_slice(), unit.g.out_adj());
+            let (src, out_adj) = (cx.src, cx.g.out_adj());
             let mut x = Pulled::new(unit, k, e1, Some(owned.clone()));
             for (e, &u) in (e0..).zip(&src[e0..e1]) {
                 let u = u as usize;
@@ -1415,13 +1097,10 @@ fn exec_op(
         }
         // Shared with the reference kernels so the heavy-row chunk
         // association is identical on both paths.
-        (
-            OpKind::Gather {
-                reduce: ReduceFn::Sum,
-                ..
-            },
-            _,
-        ) => {
+        OpKind::Gather {
+            reduce: ReduceFn::Sum,
+            ..
+        } => {
             let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
@@ -1431,13 +1110,10 @@ fn exec_op(
                 reduce_row_sum(o, adj.edge_ids(v), &mut x, heavy, scratch);
             }
         }
-        (
-            OpKind::Gather {
-                reduce: ReduceFn::Mean,
-                ..
-            },
-            _,
-        ) => {
+        OpKind::Gather {
+            reduce: ReduceFn::Mean,
+            ..
+        } => {
             let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
@@ -1452,7 +1128,8 @@ fn exec_op(
                 reduce_row_mean(o, adj.edge_ids(v), inv, &mut x, heavy, scratch);
             }
         }
-        (OpKind::Gather { .. }, StepAux::ArgMax { table, chunk_v0 }) => {
+        OpKind::Gather { .. } => {
+            let table = &mut *aux.argmax[nth(is_gather_max)];
             let mut x = Pulled::new(unit, k, e1, None);
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
@@ -1476,18 +1153,14 @@ fn exec_op(
         }
 
         // The two ops that sweep a group more than once read tile-sized
-        // operands only ([`compile`]): nothing to pull.
-        (
-            OpKind::EdgeSoftmax,
-            StepAux::SoftmaxFresh {
-                maxes,
-                denom,
-                chunk_v0,
-            },
-        ) => {
+        // operands only (lowering's slot sizes): nothing to pull.
+        OpKind::EdgeSoftmax if is_fresh_softmax(op) => {
             debug_assert!(!op.pulls);
-            let cx = unit.rows();
-            let row = |e| cx.row(op.srcs[0], e);
+            let at = 2 * nth(is_fresh_softmax);
+            let (maxes, denom) = aux.stats[at..at + 2].split_at_mut(1);
+            let (maxes, denom) = (&mut *maxes[0], &mut *denom[0]);
+            let read = unit.rows();
+            let row = |e| read.row(srcs[0], e);
             for v in v0..v1 {
                 let ids = adj.edge_ids(v);
                 if ids.is_empty() {
@@ -1512,21 +1185,25 @@ fn exec_op(
             }
         }
 
-        (OpKind::EdgeSoftmaxBwd, _) => {
+        OpKind::EdgeSoftmaxBwd => {
             debug_assert!(!op.pulls);
-            let cx = unit.rows();
-            let (x, y) = (op.srcs[0], op.srcs[1]);
-            scratch.resize(total, 0.0);
+            let read = unit.rows();
+            let (x, y) = (srcs[0], srcs[1]);
+            let scratch = &mut scratch[..total];
             for v in v0..v1 {
                 let ids = adj.edge_ids(v);
                 scratch.fill(0.0);
                 for &e in ids {
-                    rowops::mul_add_accum(scratch, cx.row(x, e as usize), cx.row(y, e as usize));
+                    rowops::mul_add_accum(
+                        scratch,
+                        read.row(x, e as usize),
+                        read.row(y, e as usize),
+                    );
                 }
                 for &e in ids {
                     let e = e as usize;
                     let or = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                    rowops::softmax_bwd_row(or, cx.row(x, e), cx.row(y, e), scratch);
+                    rowops::softmax_bwd_row(or, read.row(x, e), read.row(y, e), scratch);
                 }
             }
         }
@@ -1543,11 +1220,11 @@ fn exec_op(
                     let run = r..(r + op.strip).min(rows.end);
                     unit.pull(k, run.clone());
                     let out = (r - rows.start) * total..(run.end - rows.start) * total;
-                    exec_rows(op, &unit.rows(), run.clone(), &mut buf[out]);
+                    exec_rows(op, &cx.bound[k], &unit.rows(), run.clone(), &mut buf[out]);
                     r = run.end;
                 }
             } else {
-                exec_rows(op, &unit.rows(), rows, buf);
+                exec_rows(op, &cx.bound[k], &unit.rows(), rows, buf);
             }
         }
     }
@@ -1556,17 +1233,23 @@ fn exec_op(
 /// Executes a per-row op over `rows` of its own space into `buf` — the
 /// single definition of these ops' row expressions: [`exec_op`] calls it
 /// with a tile's rows (one at a time when an operand has to be pulled
-/// first), [`Unit::pull`] with the one row a reader asks for.
+/// first), [`Slots::pull`] with the run of rows a reader asks for.
 ///
 /// Inlined into its callers: called per op *per edge* for row-sized
 /// ops, the out-of-line call (frame set-up for every arm's locals) cost
 /// ~10 ns a call — 40 ms of a `gat_train` step's streamed gather.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
-fn exec_rows<'r>(op: &TileOp<'r>, cx: &Rows<'r>, rows: Range<usize>, buf: &mut [f32]) {
+fn exec_rows<'r>(
+    op: &TileOp,
+    bound: &OpBound<'r>,
+    cx: &Rows<'r>,
+    rows: Range<usize>,
+    buf: &mut [f32],
+) {
     let total = op.cols;
-    let s = |i: usize| op.srcs[i];
-    match op.kind {
+    let s = |i: usize| bound.srcs[i];
+    match &op.kind {
         // A copy that could not be aliased away (a kernel boundary or an
         // interior spill): its operand already carries the endpoint.
         OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. } => {
@@ -1592,7 +1275,7 @@ fn exec_rows<'r>(op: &TileOp<'r>, cx: &Rows<'r>, rows: Range<usize>, buf: &mut [
         }
 
         // Recompute from the session's stashed max/denominator, which
-        // `compile` appended as `dst(e)`-pinned operands.
+        // lowering appended as `dst(e)`-pinned operands.
         OpKind::EdgeSoftmax => {
             cx.zip_rows([s(0), s(1), s(2)], rows, total, buf, |y, [x, m, d]| {
                 rowops::softmax_from_stats(y, x, m, d);
@@ -1614,7 +1297,7 @@ fn exec_rows<'r>(op: &TileOp<'r>, cx: &Rows<'r>, rows: Range<usize>, buf: &mut [
         OpKind::GatherMaxBwd { .. } => {
             for (i, e) in rows.enumerate() {
                 let v = cx.dst[e] as usize;
-                let ar = &op.argmax[v * total..(v + 1) * total];
+                let ar = &bound.argmax[v * total..(v + 1) * total];
                 let grv = cx.row(s(0), e);
                 let o = &mut buf[i * total..(i + 1) * total];
                 for c in 0..total {
@@ -1733,7 +1416,7 @@ fn exec_rows<'r>(op: &TileOp<'r>, cx: &Rows<'r>, rows: Range<usize>, buf: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnopt_core::{BinaryFn, UnaryFn};
+    use gnnopt_core::{BinaryFn, Dim, UnaryFn};
     use gnnopt_graph::EdgeList;
 
     /// A tile-wide elementwise step (every operand at `Own`, so one
@@ -1762,35 +1445,53 @@ mod tests {
             let mut held = b.as_slice()[r0 * cols..r1 * cols].to_vec();
             let bufs = [&mut held[..]];
             let base = [r0];
-            let cx = Rows::new(&g, &bufs, &base);
-            let slot = Operand {
-                data: Data::Slot { idx: 0, cols },
+            let bound = Bound {
+                ops: &[],
+                bound: &[],
+                g: &g,
+                src: g.src_slice(),
+                dst: g.dst_slice(),
+                heavy: 0,
+            };
+            let cx = Rows::new(&bound, &bufs, &base);
+            fn full(t: &Tensor, at: RowAt) -> Src<'_> {
+                let cols = t.cols();
+                let data = t.as_slice();
+                Src {
+                    data: SrcRows::Full { data, cols },
+                    at,
+                }
+            }
+            let slot = Src {
+                data: SrcRows::Slot { idx: 0, cols },
                 at: RowAt::Own,
             };
-            let dins = [Dim::flat(cols); 2];
             for kind in &kinds {
-                let run = |srcs: Vec<Operand<'_>>| {
+                let run = |x: Src<'_>, y: Src<'_>| {
                     let op = TileOp {
-                        si: 0,
-                        kind,
+                        step: 0,
+                        kind: kind.clone(),
                         space: Space::Edge,
                         cols,
                         heads: 1,
-                        srcs,
-                        dins: &dins,
+                        srcs: Vec::new(),
+                        dins: vec![Dim::flat(cols); 2],
                         size: SlotSize::Tile,
                         pulls: false,
                         strip: 1,
+                    };
+                    let bound = OpBound {
+                        srcs: [x, y, y],
                         argmax: &[],
                     };
                     let mut out = vec![f32::NAN; (r1 - r0) * cols];
-                    exec_rows(&op, &cx, r0..r1, &mut out);
+                    exec_rows(&op, &bound, &cx, r0..r1, &mut out);
                     out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
                 };
-                let (fa, fb) = (Operand::full(&a), Operand::full(&b));
-                let by_row = run(vec![fa.pinned(RowAt::DstV), fb.pinned(RowAt::DstV)]);
-                assert_eq!(run(vec![fa, fb]), by_row, "{kind:?} cols {cols}: full");
-                assert_eq!(run(vec![fa, slot]), by_row, "{kind:?} cols {cols}: slot");
+                let (fa, fb) = (full(&a, RowAt::Own), full(&b, RowAt::Own));
+                let by_row = run(full(&a, RowAt::DstV), full(&b, RowAt::DstV));
+                assert_eq!(run(fa, fb), by_row, "{kind:?} cols {cols}: full");
+                assert_eq!(run(fa, slot), by_row, "{kind:?} cols {cols}: slot");
             }
         }
     }

@@ -77,6 +77,7 @@
 use crate::contain;
 use gnnopt_core::{BinaryFn, Dim, EdgeGroup, ExecPolicy, ReduceFn, ScatterFn, UnaryFn};
 use gnnopt_graph::Graph;
+use gnnopt_tensor::parallel::chunk_rows;
 use gnnopt_tensor::{pool, rowops, Tensor};
 use std::ops::Range;
 
@@ -160,14 +161,15 @@ impl RowSource for &Tensor {
 /// semantics: `o[c] += Σ_e row(e)[c]`, accumulated in list order. Rows
 /// longer than `heavy` edges are reduced as fixed
 /// [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk partials (built in
-/// `scratch`) combined in ascending chunk order — the same association
-/// at every thread count, shared verbatim with the fused interpreter.
+/// `scratch`, at least a row long) combined in ascending chunk order —
+/// the same association at every thread count, shared verbatim with the
+/// fused interpreter.
 pub(crate) fn reduce_row_sum(
     o: &mut [f32],
     ids: &[u32],
     row: &mut impl RowSource,
     heavy: usize,
-    scratch: &mut Vec<f32>,
+    scratch: &mut [f32],
 ) {
     if ids.len() <= heavy {
         for &e in ids {
@@ -175,7 +177,7 @@ pub(crate) fn reduce_row_sum(
         }
         return;
     }
-    scratch.resize(o.len(), 0.0);
+    let scratch = &mut scratch[..o.len()];
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
@@ -193,7 +195,7 @@ pub(crate) fn reduce_row_mean(
     inv: f32,
     row: &mut impl RowSource,
     heavy: usize,
-    scratch: &mut Vec<f32>,
+    scratch: &mut [f32],
 ) {
     if ids.len() <= heavy {
         for &e in ids {
@@ -201,7 +203,7 @@ pub(crate) fn reduce_row_mean(
         }
         return;
     }
-    scratch.resize(o.len(), 0.0);
+    let scratch = &mut scratch[..o.len()];
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
@@ -258,17 +260,16 @@ where
             body(chunk_range(ci), partial);
         }
     } else {
-        let bounds = chunk_bounds(nchunks, threads);
-        let worker_parts = split_rows(&mut partials, cols, &bounds);
+        let per = chunk_rows(nchunks, threads);
         let wg = contain::WorkerGuard::new();
         std::thread::scope(|s| {
-            for (w, part) in bounds.windows(2).zip(worker_parts) {
+            for (w, part) in partials.chunks_mut(per * cols).enumerate() {
                 let body = &body;
                 let wg = &wg;
                 s.spawn(move || {
                     wg.run(|| {
                         for (i, partial) in part.chunks_mut(cols).enumerate() {
-                            body(chunk_range(w[0] + i), partial);
+                            body(chunk_range(w * per + i), partial);
                         }
                     })
                 });
@@ -309,14 +310,13 @@ where
         body(0..rows, out);
         return;
     }
-    let bounds = chunk_bounds(rows, threads);
-    let chunks = split_rows(out, cols, &bounds);
+    let per = chunk_rows(rows, threads);
     let wg = contain::WorkerGuard::new();
     std::thread::scope(|s| {
-        for (w, chunk) in bounds.windows(2).zip(chunks) {
+        for (w, chunk) in out.chunks_mut(per * cols).enumerate() {
             let body = &body;
             let wg = &wg;
-            s.spawn(move || wg.run(|| body(w[0]..w[1], chunk)));
+            s.spawn(move || wg.run(|| body(w * per..w * per + chunk.len() / cols, chunk)));
         }
     });
     wg.rethrow();
@@ -409,6 +409,7 @@ pub fn gather(
     let (adj, heavy) = (g.in_adj(), policy.heavy_row_degree);
     // Pooled, so a hub's chunk partial costs the oracle no allocation.
     let mut scratch = pool::take_work_f32(total);
+    scratch.resize(total, 0.0);
     for v in 0..n {
         let (ids, o) = (adj.edge_ids(v), out.row_mut(v));
         match reduce {
@@ -486,15 +487,14 @@ fn gather_max(
     if threads < 2 || total == 0 {
         run(0..n, out, &mut argmax);
     } else {
-        let bounds = chunk_bounds(n, threads);
-        let out_chunks = split_rows(out, total, &bounds);
-        let am_chunks = split_rows(&mut argmax, total, &bounds);
+        let per = chunk_rows(n, threads);
+        let chunks = out.chunks_mut(per * total);
         let wg = contain::WorkerGuard::new();
         std::thread::scope(|s| {
-            for ((w, oc), ac) in bounds.windows(2).zip(out_chunks).zip(am_chunks) {
+            for (w, (oc, ac)) in chunks.zip(argmax.chunks_mut(per * total)).enumerate() {
                 let run = &run;
                 let wg = &wg;
-                s.spawn(move || wg.run(|| run(w[0]..w[1], oc, ac)));
+                s.spawn(move || wg.run(|| run(w * per..w * per + oc.len() / total, oc, ac)));
             }
         });
         wg.rethrow();

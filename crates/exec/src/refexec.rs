@@ -190,8 +190,10 @@ pub(crate) fn exec_op(
     }
 }
 
+/// [`exec_op`] without the failpoint: also how a launch evaluates its
+/// prelude views, which are no kernel dispatch of their own.
 #[allow(clippy::too_many_lines)]
-fn exec_op_inner(
+pub(crate) fn exec_op_inner(
     pol: &ExecPolicy,
     g: &Graph,
     ir: &IrGraph,
@@ -285,9 +287,20 @@ fn exec_op_inner(
                 kernels::embed_cols(inputs[0], node.dim.heads, *total, *start, *end)
             }
         }
+        // (Rows `start..end` are one contiguous run: no index list.)
         OpKind::SliceRows { start, end } => {
-            let rows: Vec<usize> = (*start..*end).collect();
-            inputs[0].select_rows(&rows)?
+            let (x, cols) = (inputs[0], inputs[0].cols());
+            if *end > x.rows() {
+                return Err(gnnopt_tensor::TensorError::IndexOutOfBounds {
+                    index: x.rows().max(*start),
+                    len: x.rows(),
+                }
+                .into());
+            }
+            let mut out = Tensor::zeros(&[end - start, cols]);
+            out.as_mut_slice()
+                .copy_from_slice(&x.as_slice()[start * cols..end * cols]);
+            out
         }
         OpKind::EmbedRows { start, end, total } => {
             let gr = inputs[0];

@@ -237,9 +237,13 @@ pub struct Session<'a> {
     plan: Held<'a, ExecutionPlan>,
     graph: Held<'a, Graph>,
     policy: ExecPolicy,
-    values: HashMap<NodeId, Tensor>,
-    aux_softmax: HashMap<NodeId, (Tensor, Tensor)>,
-    aux_argmax: HashMap<NodeId, Vec<u32>>,
+    /// Every kernel of the plan compiled for this graph and policy
+    /// (`fused.rs`): a step launches them, it plans nothing.
+    kernels: Vec<fused::CompiledKernel>,
+    /// What the last launch produced, and the tables a launch binds
+    /// tensors through.
+    frame: fused::Frame,
+    store: fused::Store,
     /// Last kernel that reads each node externally. After construction it
     /// only backs the debug-build assertion that the precomputed death
     /// lists reproduce the liveness sweep, hence unread in release.
@@ -456,6 +460,15 @@ impl<'a> Session<'a> {
             }
         }
 
+        // Launch planning happens here, once: tile bounds, worker
+        // ownership, scratch sizes, the mid-launch release schedule.
+        let tiles: Arc<[usize]> =
+            fused::tile_bounds(graph.in_adj().indptr(), policy.tile_edges).into();
+        let kernels = plan.programs.iter().zip(&lv.kernel_deaths);
+        let kernels = kernels
+            .map(|(prog, dying)| fused::prepare(prog, &graph, &policy, &tiles, dying))
+            .collect();
+
         let memplan = memplan::plan_memory(&plan, graph.num_vertices(), graph.num_edges(), true);
         // Pre-seed this session's own pool with the planned buffers so
         // the very first step already finds every store buffer recycled.
@@ -481,9 +494,9 @@ impl<'a> Session<'a> {
             plan,
             graph,
             policy,
-            values: HashMap::new(),
-            aux_softmax: HashMap::new(),
-            aux_argmax: HashMap::new(),
+            kernels,
+            frame: fused::Frame::default(),
+            store: fused::Store::default(),
             last_reader: lv.last_reader,
             persistent: lv.persistent,
             kernel_deaths: lv.kernel_deaths,
@@ -612,16 +625,21 @@ impl<'a> Session<'a> {
                 self.drop_value(n);
             }
             debug_assert!(
-                self.values.keys().all(|n| self.persistent.contains(n)),
+                self.store
+                    .values
+                    .keys()
+                    .all(|n| self.persistent.contains(n)),
                 "boundary-dead list diverges from the liveness sweep"
             );
             self.stats.boundary_bytes = self.live_bytes
                 + self
+                    .store
                     .aux_softmax
                     .values()
                     .map(|(m, d)| (m.byte_size() + d.byte_size()) as u64)
                     .sum::<u64>()
                 + self
+                    .store
                     .aux_argmax
                     .values()
                     .map(|a| 4 * a.len() as u64)
@@ -647,13 +665,14 @@ impl<'a> Session<'a> {
         let mut grads = HashMap::new();
         for &(p, g) in &self.plan.param_grads {
             let name = self.plan.ir.node(p).name.clone();
-            let val = self
-                .values
-                .get(&g)
-                .cloned()
-                .ok_or_else(|| ExecError::ValueNotLive {
-                    node: format!("grad of {name}"),
-                })?;
+            let val =
+                self.store
+                    .values
+                    .get(&g)
+                    .cloned()
+                    .ok_or_else(|| ExecError::ValueNotLive {
+                        node: format!("grad of {name}"),
+                    })?;
             grads.insert(name, val);
         }
         Ok(grads)
@@ -722,11 +741,10 @@ impl<'a> Session<'a> {
     ///
     /// This is the steady-state entry point of the static memory
     /// planner: every tensor a warmed step creates comes out of the
-    /// planner-seeded pool ([`RunStats::fallback_allocs`] reads 0). The
-    /// interpreter's per-launch planning still allocates — a few hundred
-    /// small allocations per step on the test models, the same number
-    /// every step (`tests/steady_state_alloc.rs`; gnnbench reports it as
-    /// `exec.allocs_per_step`).
+    /// planner-seeded pool ([`RunStats::fallback_allocs`] reads 0), and
+    /// launch planning happened at build, so at one thread a warmed step
+    /// makes no heap allocation at all (`tests/steady_state_alloc.rs`;
+    /// gnnbench reports the count as `exec.allocs_per_step`).
     ///
     /// # Errors
     ///
@@ -775,11 +793,11 @@ impl<'a> Session<'a> {
     }
 
     fn reset(&mut self) {
-        self.values.clear();
-        self.aux_softmax.clear();
+        self.store.values.clear();
+        self.store.aux_softmax.clear();
         // Argmax tables recycle through the pool like tensors do (they
         // are plain `Vec<u32>`s, invisible to `Tensor`'s pooled drop).
-        for (_, a) in self.aux_argmax.drain() {
+        for (_, a) in self.store.aux_argmax.drain() {
             pool::put_u32(a);
         }
         self.live_bytes = 0;
@@ -808,14 +826,14 @@ impl<'a> Session<'a> {
         // tensors are live, so the old accounting (add, peak, subtract)
         // transiently inflated the reported peak.
         self.live_bytes += t.byte_size() as u64;
-        if let Some(old) = self.values.insert(id, t) {
+        if let Some(old) = self.store.values.insert(id, t) {
             self.live_bytes -= old.byte_size() as u64;
         }
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
     }
 
     pub(crate) fn drop_value(&mut self, id: NodeId) {
-        if let Some(old) = self.values.remove(&id) {
+        if let Some(old) = self.store.values.remove(&id) {
             self.live_bytes -= old.byte_size() as u64;
         }
     }
@@ -852,42 +870,30 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Runs kernel `kid` the one way a session can: by interpreting its
-    /// lowered program. Kernel-internal values stay in per-worker scratch
+    /// Runs kernel `kid` the one way a session can: by launching its
+    /// compiled program. Kernel-internal values stay in per-worker scratch
     /// and never enter the value store (incl. recomputed values, which
     /// rebuild per tile instead of per kernel).
     fn exec_kernel_inner(&mut self, kid: usize, backward: bool) -> Result<()> {
         let plan = self.plan.clone();
-        let Some(program) = plan.programs.get(kid) else {
+        let (Some(program), Some(kernel)) = (plan.programs.get(kid), self.kernels.get(kid)) else {
             return Err(ExecError::Protocol(format!(
                 "kernel '{}' has no lowered program (the plan was assembled \
                  without `lower_plan`)",
                 kernel_label(&plan, kid, backward)
             )));
         };
-        // The interpreter frees each dying input as soon as its last
-        // reading segment completes, so its buffer recycles into the
-        // launch's own materializations.
-        let res = fused::run_program(
-            &self.policy,
-            &self.graph,
-            &plan.ir,
-            program,
-            &mut self.values,
-            &self.aux_softmax,
-            &self.aux_argmax,
-            Some(&self.kernel_deaths[kid]),
-        )?;
-        self.live_bytes -= res.evicted_bytes;
-        for (n, aux) in res.new_aux_softmax {
-            self.aux_softmax.insert(n, aux);
-        }
-        for (n, a) in res.new_aux_argmax {
-            self.aux_argmax.insert(n, a);
-        }
-        for (n, t) in res.outputs {
-            self.guard_output(kid, backward, n, &t)?;
-            self.insert_value(n, t);
+        // The launch frees each dying input as soon as its last reading
+        // stage completes, so its buffer recycles into the launch's own
+        // later materializations.
+        let (store, frame) = (&mut self.store, &mut self.frame);
+        self.live_bytes -= kernel.launch(&self.graph, &plan.ir, program, store, frame)?;
+        self.stats.scratch_bytes = self.stats.scratch_bytes.max(kernel.scratch_bytes);
+        for (si, s) in program.steps.iter().enumerate() {
+            if let Some(t) = self.frame.mat[si].take() {
+                self.guard_output(kid, backward, s.node, &t)?;
+                self.insert_value(s.node, t);
+            }
         }
         // A recomputed value spilled to an interior tensor must drop
         // here: its death list belongs to its *forward* kernel, which
@@ -897,7 +903,6 @@ impl<'a> Session<'a> {
                 self.drop_value(r);
             }
         }
-        self.stats.scratch_bytes = self.stats.scratch_bytes.max(res.scratch_bytes);
         self.stats.fused_kernels += 1;
         self.evict_after(kid);
         Ok(())
@@ -917,7 +922,7 @@ impl<'a> Session<'a> {
         // external reader. (Written allocation-free, so debug builds
         // count the same allocations per step as release builds.)
         debug_assert!(
-            self.values.keys().all(|n| {
+            self.store.values.keys().all(|n| {
                 self.persistent.contains(n) || self.last_reader.get(n).is_some_and(|&k| k > kid)
             }),
             "death lists diverge from the liveness sweep after kernel {kid}"
@@ -925,16 +930,20 @@ impl<'a> Session<'a> {
     }
 
     pub(crate) fn value(&self, id: NodeId) -> Result<&Tensor> {
-        self.values.get(&id).ok_or_else(|| ExecError::ValueNotLive {
-            node: self.plan.ir.node(id).name.clone(),
-        })
+        self.store
+            .values
+            .get(&id)
+            .ok_or_else(|| ExecError::ValueNotLive {
+                node: self.plan.ir.node(id).name.clone(),
+            })
     }
 
     /// Mutable access to a live value — the sharded driver patches halo
     /// and replica rows in place between kernels.
     pub(crate) fn value_mut(&mut self, id: NodeId) -> Result<&mut Tensor> {
         let name = &self.plan.ir.node(id).name;
-        self.values
+        self.store
+            .values
             .get_mut(&id)
             .ok_or_else(|| ExecError::ValueNotLive { node: name.clone() })
     }

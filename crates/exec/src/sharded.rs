@@ -987,12 +987,14 @@ struct Multi<'a> {
     output_sources: Vec<(NodeId, Source)>,
     fwd_kernels: Vec<usize>,
     bwd_kernels: Vec<usize>,
-    /// Driver-held full tensors during a global kernel.
-    gvalues: HashMap<NodeId, Tensor>,
-    /// Global softmax stashes of globally-executed `EdgeSoftmax` nodes.
-    gaux_softmax: HashMap<NodeId, (Tensor, Tensor)>,
-    /// Global argmax tables of globally-executed `Gather(Max)` nodes.
-    gaux_argmax: HashMap<NodeId, Vec<u32>>,
+    /// The global kernels compiled for the full graph (`None` for a
+    /// sharded kernel: each shard holds its own).
+    gkernels: Vec<Option<fused::CompiledKernel>>,
+    /// The driver's stores: full tensors held during a global kernel,
+    /// and the softmax statistics / argmax tables of globally-executed
+    /// `EdgeSoftmax` / `Gather(Max)` nodes.
+    gstore: fused::Store,
+    gframe: fused::Frame,
     records: Vec<ExchangeRecord>,
     stats: RunStats,
     /// Set when a panic unwound out of a driver-side execution path
@@ -1097,9 +1099,9 @@ impl<'a> Multi<'a> {
     fn begin(&mut self, bindings: &Bindings) -> Result<()> {
         self.check_poisoned()?;
         self.records.clear();
-        self.gvalues.clear();
-        self.gaux_softmax.clear();
-        self.gaux_argmax.clear();
+        self.gstore.values.clear();
+        self.gstore.aux_softmax.clear();
+        self.gstore.aux_argmax.clear();
         self.stats = RunStats::default();
         let locals = self.local_bindings(bindings)?;
         for (s, lb) in locals.iter().enumerate() {
@@ -1404,26 +1406,27 @@ impl<'a> Multi<'a> {
             let rows = t.rows() as u64;
             let bytes = t.byte_size() as u64;
             self.record(kid, backward, nid, rows, bytes, ExchangeKind::GlobalGather);
-            self.gvalues.insert(nid, t);
+            self.gstore.values.insert(nid, t);
         }
-        let res = fused::run_program(
-            &self.policy,
-            self.graph,
-            &plan.ir,
-            program,
-            &mut self.gvalues,
-            &self.gaux_softmax,
-            &self.gaux_argmax,
-            None,
-        )?;
-        self.gvalues.clear();
-        self.gaux_softmax.extend(res.new_aux_softmax);
-        self.gaux_argmax.extend(res.new_aux_argmax);
-        for (id, t) in res.outputs {
+        let kernel = self.gkernels[kid].as_ref();
+        let kernel = kernel.ok_or_else(|| {
+            ExecError::Protocol(format!(
+                "kernel '{}' was not compiled as a global kernel",
+                kernel_label(&plan, kid, backward)
+            ))
+        })?;
+        let (store, frame) = (&mut self.gstore, &mut self.gframe);
+        kernel.launch(self.graph, &plan.ir, program, store, frame)?;
+        self.gstore.values.clear();
+        for (si, step) in program.steps.iter().enumerate() {
+            let Some(t) = self.gframe.mat[si].take() else {
+                continue;
+            };
             // The program's interior tensors end with the launch.
-            if !program.materialized().any(|m| m == id) {
+            if step.storage != gnnopt_core::Storage::Materialized {
                 continue;
             }
+            let id = step.node;
             let node = plan.ir.node(id);
             if self.policy.guard {
                 scan_nonfinite(&t, &node.name, || kernel_label(&plan, kid, backward))?;
@@ -1441,6 +1444,9 @@ impl<'a> Multi<'a> {
             }
             self.record(kid, backward, id, rows, bytes, ExchangeKind::GlobalScatter);
         }
+        // (A shard holds the kernel's dying inputs until here, past the
+        // stage its planner frees them at; the global kernels — lone
+        // parameter reductions — read and write in one stage anyway.)
         for sess in &mut self.shards {
             let _scope = sess.scope();
             sess.evict_after(kid);
@@ -1580,6 +1586,16 @@ impl<'a> ShardedSessionBuilder<'a> {
             .collect::<Result<_>>()?;
         let fwd_kernels = shards[0].fwd_kernel_ids().to_vec();
         let bwd_kernels = shards[0].bwd_kernel_ids().to_vec();
+        // The driver launches the global kernels itself, on the caller's
+        // graph; it drops their staged operands whole, so none is dying.
+        let tiles: Arc<[usize]> =
+            fused::tile_bounds(self.graph.in_adj().indptr(), policy.tile_edges).into();
+        let global = |(program, class): (_, &KernelClass)| {
+            matches!(class, KernelClass::Global { .. })
+                .then(|| fused::prepare(program, self.graph, &policy, &tiles, &[]))
+        };
+        let gkernels = plan.programs.iter().zip(&classified.classes);
+        let gkernels = gkernels.map(global).collect();
         Ok(ShardedSession {
             inner: Inner::Multi(Box::new(Multi {
                 plan,
@@ -1592,9 +1608,9 @@ impl<'a> ShardedSessionBuilder<'a> {
                 output_sources: classified.output_sources,
                 fwd_kernels,
                 bwd_kernels,
-                gvalues: HashMap::new(),
-                gaux_softmax: HashMap::new(),
-                gaux_argmax: HashMap::new(),
+                gkernels,
+                gstore: fused::Store::default(),
+                gframe: fused::Frame::default(),
                 records: Vec::new(),
                 stats: RunStats::default(),
                 poisoned: None,

@@ -8,7 +8,7 @@
 //! build, and the pool — plain and per shard — ends up holding exactly
 //! the planned buffers plus the interpreter's bounded working set.
 
-use gnnopt_core::lower::{StepExec, Storage};
+use gnnopt_core::lower::{StepExec, UnitKind};
 use gnnopt_core::{compile, CompileOptions, ExecPolicy, OpKind};
 use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session, ShardedSession};
 use gnnopt_graph::{generators, EdgeList, Graph};
@@ -144,16 +144,18 @@ fn assert_pool_holds_the_plan(what: &str, sess: &Session) {
     let partials = (nv.max(ne) as u64).div_ceil(1 << 14).max(1);
     let mut bound = 0u64;
     for prog in &sess.plan().programs {
-        for seg in prog.segments() {
-            let steps = || {
-                let in_seg = prog.steps.iter().filter(move |s| s.segment == seg);
-                in_seg.filter(|s| s.storage != Storage::Prelude)
-            };
-            if steps().any(|s| s.exec == StepExec::Tiled) {
-                let row = steps().map(|s| s.cols).max().unwrap_or(0);
-                bound += prog.scratch_tile_bytes(seg, tile_v, tile_e) + 4 * row as u64;
+        for unit in &prog.units {
+            let step = |op: &gnnopt_core::lower::TileOp| &prog.steps[op.step];
+            if unit.kind != UnitKind::Dense {
+                let row = unit.ops.iter().map(|op| op.cols).max().unwrap_or(0);
+                bound += 4 * (unit.slab_len((tile_v, tile_e)) + row) as u64;
             }
-            for s in steps().filter(|s| s.exec == StepExec::Full) {
+            for s in unit
+                .ops
+                .iter()
+                .map(step)
+                .filter(|s| s.exec == StepExec::Full)
+            {
                 bound += 4 * s.cols as u64 * partials;
                 if matches!(
                     sess.plan().ir.node(s.node).kind,
@@ -304,6 +306,120 @@ fn warmed_forward_backward_loop_never_misses_the_pool() {
             assert_eq!(sess.stats().fallback_allocs, 0, "{name}: step {step}");
             assert_eq!(sess.pool().misses(), warmed, "{name}: step {step}");
             drop((out, grads));
+        }
+    }
+}
+
+/// Segment-granular liveness on the paper's headline model: GAT's
+/// feature-gradient kernel streams its wide `BySrc` gather (stage 1, the
+/// last reader of the incoming gradient copy) and then sums the three
+/// gradient contributions into its output (stage 2). The input dies
+/// where it was last read and the output is born where it is produced,
+/// so the output takes the input's slot — same offset, disjoint stages —
+/// and the `V[heads·feat]` size class holds one slot fewer than
+/// kernel-granular positions would charge it.
+#[test]
+fn gat_backward_output_reuses_the_slot_its_dying_input_released() {
+    use gnnopt_core::lower::UnitKind;
+    use gnnopt_core::{plan_memory, MemRegion};
+    let (_, spec) = zoo().swap_remove(0);
+    let plan = compile(&spec.ir, true, &CompileOptions::ours())
+        .unwrap()
+        .plan;
+    let mp = plan_memory(&plan, 96, 960, true);
+    let kinds = |p: &gnnopt_core::KernelProgram| p.units.iter().map(|u| u.kind).collect::<Vec<_>>();
+    let streams =
+        |p: &&gnnopt_core::KernelProgram| kinds(p) == [UnitKind::Streamed, UnitKind::Tile];
+    let prog = plan.programs.iter().find(streams).expect("the k9 shape");
+    let span = mp.kernel_positions(prog.kernel);
+    let region = |n| mp.regions.iter().find(|r| r.node == n).unwrap();
+    // The input released after stage 1, the output born at stage 2.
+    let dying = |&&(n, at): &&(usize, usize)| at == 1 && region(n).death == span.start + 1;
+    let &(input, _) = prog.inputs.iter().find(dying).expect("a stage-1 release");
+    let output = prog.materialized().next().expect("one boundary value");
+    let (r_in, r_out) = (region(input), region(output));
+    assert_eq!(r_out.birth, span.start + 2, "born with its segment");
+    assert_eq!(
+        (r_out.offset, r_out.bytes),
+        (r_in.offset, r_in.bytes),
+        "{r_out:?} takes the slot {r_in:?} released"
+    );
+
+    // What kernel-granular positions would hold in that class: lifetimes
+    // widened to whole launches.
+    let kernel_of = |p: usize| {
+        let owns = |&k: &usize| mp.kernel_positions(k).contains(&p);
+        (0..plan.kernels.len()).find(owns).unwrap()
+    };
+    let widened = |r: &MemRegion| {
+        let end = |p| mp.kernel_positions(kernel_of(p)).end - 1;
+        let death = (r.death != usize::MAX).then(|| end(r.death));
+        (
+            mp.kernel_positions(kernel_of(r.birth)).start,
+            death.unwrap_or(usize::MAX),
+        )
+    };
+    let class: Vec<(usize, usize)> = mp
+        .regions
+        .iter()
+        .filter(|r| r.bytes == r_in.bytes)
+        .map(widened)
+        .collect();
+    let live_at = |p: usize| class.iter().filter(|&&(b, d)| b <= p && p <= d).count();
+    let kernel_granular = (0..mp.positions).map(live_at).max().unwrap();
+    let slots = mp
+        .classes()
+        .iter()
+        .find(|&&(bytes, _)| bytes == r_in.bytes)
+        .unwrap()
+        .1;
+    assert_eq!(
+        slots + 1,
+        kernel_granular,
+        "one 16.8 MB buffer of RMAT-16's nine"
+    );
+}
+
+/// The planner reads the stage table the interpreter runs by, zoo-wide:
+/// a region is born at its step's stage — never before its segment
+/// starts — is alive at every stage that reads it, and ends with the
+/// last of them (a launch-transient or unread value, with its kernel).
+#[test]
+fn regions_follow_the_stage_table() {
+    use gnnopt_core::{plan_memory, Preset};
+    for (name, spec) in zoo() {
+        for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
+            for training in [false, true] {
+                let what = format!("{name}/{preset:?}/training={training}");
+                let plan = compile(&spec.ir, training, &CompileOptions::preset(preset))
+                    .unwrap()
+                    .plan;
+                let mp = plan_memory(&plan, 96, 960, true);
+                for (kid, prog) in plan.programs.iter().enumerate() {
+                    let span = mp.kernel_positions(kid);
+                    let born_here = |r: &&gnnopt_core::MemRegion| span.contains(&r.birth);
+                    for r in mp.regions.iter().filter(born_here) {
+                        let Some(step) = prog.steps.iter().find(|s| s.node == r.node) else {
+                            continue; // a leaf, bound before kernel 0's prelude
+                        };
+                        assert_eq!(r.birth, span.start + step.stage, "{what}: {r:?}");
+                        if r.death == usize::MAX {
+                            continue;
+                        }
+                        // Every stage of every later launch that reads it.
+                        let reads = plan.programs.iter().enumerate().flat_map(|(k, p)| {
+                            let at = p.inputs.iter().find(|&&(n, _)| n == r.node);
+                            at.map(|&(_, stage)| mp.kernel_positions(k).start + stage)
+                        });
+                        let last = reads.filter(|&p| p > r.birth).max();
+                        assert_eq!(
+                            r.death,
+                            last.unwrap_or(span.end - 1),
+                            "{what}: {r:?} does not end with its last reading stage"
+                        );
+                    }
+                }
+            }
         }
     }
 }

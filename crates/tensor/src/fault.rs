@@ -159,6 +159,18 @@ fn check_armed(site: &str) -> Option<FaultAction> {
     fired
 }
 
+/// How often `site` has been evaluated under the installed plan (the
+/// most any of its rules counted): with a rule that never fires, a
+/// census of a site — the allocation gate counts worker bodies by it.
+pub fn hits(site: &str) -> u64 {
+    let plan = PLAN.read().expect("failpoint plan lock poisoned");
+    let rules = plan.iter().filter(|r| r.site == site);
+    rules
+        .map(|r| r.hits.load(Ordering::Relaxed))
+        .max()
+        .unwrap_or(0)
+}
+
 /// The canonical payload of an injected panic, so tests can recognize
 /// it in `ExecError::KernelPanic { payload, .. }`.
 pub fn injected_panic_message(site: &str) -> String {

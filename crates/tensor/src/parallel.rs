@@ -73,12 +73,19 @@ pub fn available_threads() -> usize {
 /// determinism contract can never diverge between crates. Returns
 /// strictly increasing bounds from `0` to `rows`.
 pub fn chunk_bounds(rows: usize, parts: usize) -> Vec<usize> {
-    let per = rows.div_ceil(parts.max(1)).max(1);
+    let per = chunk_rows(rows, parts);
     let mut bounds = vec![0];
     while *bounds.last().expect("bounds is non-empty") < rows {
         bounds.push((bounds.last().expect("non-empty") + per).min(rows));
     }
     bounds
+}
+
+/// Rows in every chunk of [`chunk_bounds`]`(rows, parts)` but the last:
+/// a worker that cuts its output with `chunks_mut(chunk_rows × cols)`
+/// gets that partition without building the bounds.
+pub fn chunk_rows(rows: usize, parts: usize) -> usize {
+    rows.div_ceil(parts.max(1)).max(1)
 }
 
 #[cfg(test)]

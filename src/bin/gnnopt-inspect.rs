@@ -2,9 +2,11 @@
 //!
 //! Builds a named model, compiles it under a named preset, and dumps any
 //! of: the (rewritten) IR, the kernel plan with stash/recompute decisions,
-//! the lowered cluster programs (segments, tiled/full steps, storage
-//! classes, per-operand views), the static memory plan (per-region
-//! offsets and lifetimes at Reddit scale), a Graphviz rendering, the
+//! the compiled kernel programs (per stage the tile unit, streamed unit
+//! or dense call a launch runs: each op's slot size, strip, aliases and
+//! resolved operands, and which inputs are released after which stage),
+//! the static memory plan (per-region offsets and `k<kernel>.<stage>`
+//! lifetimes at Reddit scale), a Graphviz rendering, the
 //! analytical per-kernel timeline on a device, or a JSON trace. The
 //! tool a downstream user reaches for first when a plan does something
 //! unexpected.

@@ -173,7 +173,7 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
     // size class serves it), `arena_bytes` dominates the
     // tightest-possible live-set peak, a step streamed into a gather has
     // no region, and a fresh softmax has two more, for its statistics.
-    use gnnopt::core::{kernel_phase, plan_memory, MemRegion, OpKind, Phase};
+    use gnnopt::core::{plan_memory, MemRegion, OpKind};
     let live = |r: &MemRegion, p: usize| r.birth <= p && (r.death == usize::MAX || p <= r.death);
     let mut streamed_roots = Vec::new();
     for (name, spec) in all_specs() {
@@ -182,14 +182,13 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
                 let compiled =
                     compile(&spec.ir, training, &CompileOptions::preset(preset)).unwrap();
                 let mp = plan_memory(&compiled.plan, 96, 960, true);
-                // Regions born at a kernel's position (forward kernels
-                // run first) are the ones its program's steps take.
+                // Regions born at one of a kernel's positions (its
+                // stages) are the ones its program's steps take.
                 let plan = &compiled.plan;
-                let phase = |k: usize| kernel_phase(plan, k) == Phase::Backward;
                 for (kid, prog) in plan.programs.iter().enumerate() {
-                    let before = |k: usize| (phase(k), k) < (phase(kid), kid);
-                    let pos = (0..plan.kernels.len()).filter(|&k| before(k)).count();
-                    let born = |r: &&MemRegion| r.birth == pos && r.death >= pos;
+                    let stages = mp.kernel_positions(kid);
+                    assert_eq!(stages.len(), 1 + prog.units.len(), "{name}: kernel {kid}");
+                    let born = |r: &&MemRegion| stages.contains(&r.birth) && r.death >= r.birth;
                     let regions_of = |n| {
                         mp.regions
                             .iter()
@@ -272,4 +271,24 @@ fn memory_replay_detects_oom_consistently() {
     // Just below peak must OOM; at peak must fit.
     assert!(compiled.plan.memory_replay(&stats, peak - 1).is_err());
     assert!(compiled.plan.memory_replay(&stats, peak).is_ok());
+}
+
+/// The inspector's `programs` view is the executable form of a plan —
+/// units, slot sizes, aliases, strips, the release schedule — so a
+/// change to any of them shows as a text diff against this golden file.
+/// Regenerate (after reading the diff) with
+/// `cargo run --release --bin gnnopt-inspect -- gat ours programs > tests/golden/gat_ours_programs.txt`.
+#[test]
+fn inspector_programs_view_of_gat_matches_its_golden_text() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gnnopt-inspect"))
+        .args(["gat", "ours", "programs"])
+        .output()
+        .expect("the inspector runs");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let golden = include_str!("golden/gat_ours_programs.txt");
+    for (i, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of `gat ours programs`", i + 1);
+    }
+    assert_eq!(text.lines().count(), golden.lines().count());
 }
