@@ -4,7 +4,10 @@
 //! performed) mirrors the operator-count reductions of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gnnopt_core::{compile, CompileOptions, ExecPolicy, FusionLevel, Preset};
+use gnnopt_core::{
+    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
+    IrGraph, Preset, ReduceFn, ScatterFn,
+};
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
@@ -175,6 +178,94 @@ fn bench_fused_exec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The attention-score ops of a GAT step — edge rows of `heads` floats,
+/// narrower than `rowops::NARROW`, which the interpreter runs a staged
+/// strip or a destination group to a call — each as the only graph work
+/// of a session phase, on one thread over RMAT-14: the per-edge
+/// `scatter_Bin(Add)` of two endpoint reads, the fresh edge softmax, and
+/// the backward phase of `scatter → softmax → weighted sum`, i.e. the
+/// softmax rebuilt from its statistics, the softmax backward and the
+/// narrow products and sums around them, at the head counts models use
+/// and an odd one. Divide a median by the edge count in the group's name
+/// for ns per edge (ROADMAP item 4's table is the same ops inside
+/// `gat_train`).
+fn bench_narrow_rows(c: &mut Criterion) {
+    let graph = Graph::from_edge_list(&generators::rmat(14, 16, 0.57, 0.19, 0.19, 7));
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
+    let values = |rows: usize, cols: usize, seed: u64| {
+        Tensor::from_fn(&[rows, cols], |i| {
+            (((i as u64 + seed) * 2654435761 % 211) as f32 - 105.0) / 64.0
+        })
+    };
+    let plan = |ir: &IrGraph, training: bool| {
+        compile(ir, training, &CompileOptions::ours())
+            .expect("compiles")
+            .plan
+    };
+    fn session<'a>(plan: &'a ExecutionPlan, graph: &'a Graph) -> Session<'a> {
+        Session::builder(plan, graph)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .expect("session")
+    }
+    let mut group = c.benchmark_group(format!("narrow_rows/{m}_edges"));
+    for heads in [1usize, 2, 4, 3] {
+        let dim = Dim::multi(heads, 1);
+        let id = |op: &str| BenchmarkId::new(op, format!("E[{heads}]"));
+
+        let mut ir = IrGraph::new();
+        let s = ir.input_vertex("s", dim);
+        let e = ir
+            .scatter(ScatterFn::Bin(BinaryFn::Add), s, s)
+            .expect("scatter");
+        ir.mark_output(e);
+        let b = Bindings::new().with("s", values(n, heads, 1));
+        let compiled = plan(&ir, false);
+        let mut sess = session(&compiled, &graph);
+        group.bench_function(id("scatter_add"), |bench| {
+            bench.iter(|| sess.forward(&b).expect("forward"));
+        });
+
+        let mut ir = IrGraph::new();
+        let x = ir.input_edge("x", dim);
+        let y = ir.edge_softmax(x).expect("softmax");
+        ir.mark_output(y);
+        let b = Bindings::new().with("x", values(m, heads, 2));
+        let compiled = plan(&ir, false);
+        let mut sess = session(&compiled, &graph);
+        group.bench_function(id("softmax_fresh"), |bench| {
+            bench.iter(|| sess.forward(&b).expect("forward"));
+        });
+
+        let mut ir = IrGraph::new();
+        let h = ir.input_vertex("h", Dim::flat(4));
+        let w = ir.param("w", 4, heads);
+        let hw = ir.linear(h, w).expect("linear");
+        let s = ir.set_heads(hw, heads).expect("heads");
+        let e = ir
+            .scatter(ScatterFn::Bin(BinaryFn::Add), s, s)
+            .expect("scatter");
+        let y = ir.edge_softmax(e).expect("softmax");
+        let ew = ir.input_edge("ew", dim);
+        let me = ir.binary(BinaryFn::Mul, y, ew).expect("weights");
+        let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).expect("sum");
+        ir.mark_output(out);
+        let b = Bindings::new()
+            .with("h", values(n, 4, 3))
+            .with("w", values(4, heads, 4))
+            .with("ew", values(m, heads, 5));
+        let compiled = plan(&ir, true);
+        let mut sess = session(&compiled, &graph);
+        let seed = values(n, heads, 6);
+        group.bench_function(id("scores_backward"), |bench| {
+            sess.forward(&b).expect("forward");
+            bench.iter(|| sess.backward(seed.clone()).expect("backward"));
+        });
+    }
+    group.finish();
+}
+
 /// The three `Linear`-family products at the shapes a GNN layer gives
 /// them — tall and skinny, `|V| × k` against `k × n` — on one thread,
 /// with the left operand dense and at ReLU density (half exact zeros).
@@ -220,6 +311,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_presets, bench_reorg, bench_monet, bench_fused_exec,
-        bench_gemm_gnn_shapes
+        bench_narrow_rows, bench_gemm_gnn_shapes
 }
 criterion_main!(benches);

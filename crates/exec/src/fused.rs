@@ -114,10 +114,12 @@
 //! preserved. Each op evaluates the
 //! *same expressions in the same order* as the reference kernels in
 //! [`crate::kernels`] — both call the shared feature-axis loops of
-//! [`gnnopt_tensor::rowops`], and aliasing, tile-wide execution or a
-//! row-sized slot only change *where* an expression reads and writes and
-//! how many rows one call covers — so results are **bit-identical** to
-//! the node-by-node oracle for any tile budget and any thread count.
+//! [`gnnopt_tensor::rowops`], and aliasing, tile-wide execution, a
+//! row-sized slot or a staged strip ([`Rows::zip_rows`]: narrow rows
+//! read through an edge endpoint, copied to lie consecutively) only
+//! change *where* an expression reads and writes and how many rows one
+//! call covers — so results are **bit-identical** to the node-by-node
+//! oracle for any tile budget and any thread count.
 //!
 //! # Parallelism and scratch
 //!
@@ -146,6 +148,7 @@ use gnnopt_core::lower::{
 use gnnopt_core::{EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, rowops, Tensor};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -380,6 +383,14 @@ struct Bound<'a> {
     heavy: usize,
 }
 
+/// Rows of a narrow op one call covers when an operand is read through an
+/// edge endpoint ([`Rows::zip_rows`]), and where such operands' rows are
+/// copied to lie consecutively: a stage per operand, on each worker's
+/// stack, written before read — no launch plans, allocates or clears it.
+const STAGE_ROWS: usize = 32;
+const STAGE_LEN: usize = STAGE_ROWS * (rowops::NARROW - 1);
+type Stage = RefCell<[[f32; STAGE_LEN]; MAX_SRCS]>;
+
 /// Read access to the rows one op execution sees: the graph's endpoint
 /// arrays plus the slots of the unit's earlier ops.
 struct Rows<'r> {
@@ -390,16 +401,23 @@ struct Rows<'r> {
     /// First row each slot currently holds: the tile's first row, the
     /// one row of a row-sized slot, the first row of a sink's chunk.
     base: &'r [usize],
+    stage: &'r Stage,
 }
 
 impl<'r> Rows<'r> {
-    fn new(cx: &'r Bound<'r>, bufs: &'r [&'r mut [f32]], base: &'r [usize]) -> Self {
+    fn new(
+        cx: &'r Bound<'r>,
+        bufs: &'r [&'r mut [f32]],
+        base: &'r [usize],
+        stage: &'r Stage,
+    ) -> Self {
         Rows {
             g: cx.g,
             src: cx.src,
             dst: cx.dst,
             bufs,
             base,
+            stage,
         }
     }
 
@@ -449,10 +467,23 @@ impl<'r> Rows<'r> {
         }
     }
 
-    /// Runs an elementwise `body(out, operands)` over `rows`: **once**
-    /// over all `rows × cols` elements when every operand is read at the
-    /// op's own row (the rows are then contiguous in every operand),
-    /// else once per row. Elementwise, so both forms write the same bits.
+    /// Runs `body(out, operands)` over consecutive pieces of `rows`, each
+    /// with its rows of `out` and of every operand contiguous:
+    ///
+    /// * every operand read at the op's own row: **one** piece, all
+    ///   `rows × cols` elements, read in place;
+    /// * an operand read at an edge endpoint, rows narrower than
+    ///   [`rowops::NARROW`]: strips of [`STAGE_ROWS`] rows, such operands'
+    ///   rows copied into consecutive rows of their stages
+    ///   ([`rowops::gather_rows`]) — reached row by row, through operand
+    ///   resolution, function-table dispatch and a dynamic-length loop,
+    ///   `gat_train`'s 2-float `scatter_Bin` took 12 ns an edge; a strip
+    ///   pays those once, 4 ns (ROADMAP item 4);
+    /// * wide rows: a row a piece, read in place — a 64-float row
+    ///   amortizes its own call.
+    ///
+    /// An elementwise body writes the same bits in every form; a group
+    /// sweep ([`exec_op`]) takes the pieces in ascending order.
     #[inline(always)]
     fn zip_rows<const N: usize>(
         &self,
@@ -460,33 +491,49 @@ impl<'r> Rows<'r> {
         rows: Range<usize>,
         cols: usize,
         out: &mut [f32],
-        body: impl Fn(&mut [f32], [&[f32]; N]),
+        mut body: impl FnMut(&mut [f32], [&[f32]; N]),
     ) {
         if srcs.iter().all(|s| s.at == RowAt::Own) {
             let xs = srcs.map(|s| self.rows(s, rows.start, rows.len()));
             return body(&mut out[..rows.len() * cols], xs);
         }
-        // Row by row, each operand resolved once before the loop: its
-        // rows, their width, the first row held and the endpoint array
-        // that indexes it (2-wide attention rows pay for every branch).
+        // Each operand's rows, first row held and indexing endpoint array.
         let res = srcs.map(|s| {
-            let (data, cols, first): (&[f32], _, _) = match s.data {
-                SrcRows::Slot { idx, cols } => (&*self.bufs[idx], cols, self.base[idx]),
-                SrcRows::Full { data, cols } => (data, cols, 0),
+            let (data, first): (&[f32], _) = match s.data {
+                SrcRows::Slot { idx, .. } => (&*self.bufs[idx], self.base[idx]),
+                SrcRows::Full { data, .. } => (data, 0),
             };
             let via = match s.at {
                 RowAt::Own => None,
                 RowAt::SrcV => Some(self.src),
                 RowAt::DstV => Some(self.dst),
             };
-            (data, cols, first, via)
+            (data, first, via)
         });
-        for (i, r) in rows.enumerate() {
-            let xs = res.map(|(data, cols, first, via)| {
-                let r = via.map_or(r, |v| v[r] as usize) - first;
-                &data[r * cols..(r + 1) * cols]
+        let per = if cols < rowops::NARROW { STAGE_ROWS } else { 1 };
+        let mut stage = self.stage.borrow_mut();
+        let mut r = rows.start;
+        while r < rows.end {
+            let n = per.min(rows.end - r);
+            let mut stages = stage.iter_mut();
+            let xs = res.map(|(data, first, via)| {
+                let staged = stages.next().expect("a stage per operand");
+                match via {
+                    Some(via) if n > 1 => {
+                        let staged = &mut staged[..n * cols];
+                        rowops::gather_rows(staged, data, cols, &via[r..r + n], first);
+                        &*staged
+                    }
+                    // Consecutive as they lie: own rows, or just one.
+                    _ => {
+                        let at = via.map_or(r, |v| v[r] as usize) - first;
+                        &data[at * cols..(at + n) * cols]
+                    }
+                }
             });
-            body(&mut out[i * cols..(i + 1) * cols], xs);
+            let at = (r - rows.start) * cols;
+            body(&mut out[at..at + n * cols], xs);
+            r += n;
         }
     }
 }
@@ -500,11 +547,12 @@ struct Slots<'r, 'w, 'a> {
     /// earlier ops: the unit is in dependency order).
     bufs: &'r mut [&'w mut [f32]],
     base: &'r mut [usize],
+    stage: &'r Stage,
 }
 
 impl Slots<'_, '_, '_> {
     fn rows(&self) -> Rows<'_> {
-        Rows::new(self.cx, self.bufs, self.base)
+        Rows::new(self.cx, self.bufs, self.base, self.stage)
     }
 
     /// Makes every row-sized operand of `ops[k]` hold the rows a consumer
@@ -533,7 +581,7 @@ impl Slots<'_, '_, '_> {
                 self.pull(j, need.clone());
             }
             let (earlier, rest) = self.bufs.split_at_mut(j);
-            let cx = Rows::new(self.cx, earlier, self.base);
+            let cx = Rows::new(self.cx, earlier, self.base, self.stage);
             let out = &mut rest[0][..need.len() * op.cols];
             exec_rows(op, &self.cx.bound[j], &cx, need.clone(), out);
             self.base[j] = first;
@@ -1004,6 +1052,7 @@ fn run_worker<'w>(
         argmax: sinks,
         chunk_v0: tiles[part.tiles.start],
     };
+    let stage = Stage::new([[0.0; STAGE_LEN]; MAX_SRCS]);
     for t in part.tiles.clone() {
         let (v0, v1) = (tiles[t], tiles[t + 1]);
         let (e0, e1) = (indptr[v0], indptr[v1]);
@@ -1037,6 +1086,7 @@ fn run_worker<'w>(
                 cx,
                 bufs: earlier,
                 base: &mut *base,
+                stage: &stage,
             };
             exec_op(&mut unit, k, (v0, v1, e0, e1), buf, &mut aux, scratch);
         }
@@ -1066,6 +1116,7 @@ fn exec_op(
     let chunk_v0 = aux.chunk_v0;
     let total = op.cols;
     let adj = cx.g.in_adj();
+    let indptr = adj.indptr();
     let heavy = cx.heavy;
     // A reduction starts from zero rows: a sink's tensor was allocated
     // zeroed and nothing else writes it, a tile slot holds the last tile.
@@ -1153,58 +1204,51 @@ fn exec_op(
         }
 
         // The two ops that sweep a group more than once read tile-sized
-        // operands only (lowering's slot sizes): nothing to pull.
+        // operands only (lowering's slot sizes): nothing to pull. A group
+        // is the contiguous rows `indptr[v]..indptr[v + 1]` (`in_adj.eid[i]
+        // == i`, `Graph::validate`), which a sweep hands to `rowops` as one
+        // block — or, an operand being an aliased copy, in staged strips.
         OpKind::EdgeSoftmax if is_fresh_softmax(op) => {
             debug_assert!(!op.pulls);
             let at = 2 * nth(is_fresh_softmax);
             let (maxes, denom) = aux.stats[at..at + 2].split_at_mut(1);
             let (maxes, denom) = (&mut *maxes[0], &mut *denom[0]);
-            let read = unit.rows();
-            let row = |e| read.row(srcs[0], e);
+            let (read, x) = (unit.rows(), [srcs[0]]);
             for v in v0..v1 {
-                let ids = adj.edge_ids(v);
-                if ids.is_empty() {
+                let grp = indptr[v]..indptr[v + 1];
+                if grp.is_empty() {
                     continue;
                 }
-                let mr = &mut maxes[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                for &e in ids {
-                    rowops::max_assign(mr, row(e as usize));
-                }
+                let stats = (v - chunk_v0) * total..(v - chunk_v0 + 1) * total;
+                let (mr, dr) = (&mut maxes[stats.clone()], &mut denom[stats]);
+                let y = &mut buf[(grp.start - e0) * total..(grp.end - e0) * total];
+                read.zip_rows(x, grp.clone(), total, y, |_, [x]| {
+                    rowops::max_assign_rows(mr, x);
+                });
                 // One `exp` per element: the denominator sweep leaves
-                // `exp(x − max)` in the output row, the last sweep
-                // divides it.
-                let dr = &mut denom[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                for &e in ids {
-                    let yr = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                    rowops::exp_sub_store_accum(dr, yr, row(e as usize), mr);
-                }
-                for &e in ids {
-                    let yr = &mut buf[(e as usize - e0) * total..(e as usize - e0 + 1) * total];
-                    rowops::div_assign(yr, dr);
-                }
+                // `exp(x − max)` in the output rows, the last sweep
+                // divides them.
+                read.zip_rows(x, grp, total, y, |t, [x]| {
+                    rowops::exp_sub_store_accum_rows(dr, t, x, mr);
+                });
+                rowops::div_assign_rows(y, dr);
             }
         }
 
         OpKind::EdgeSoftmaxBwd => {
             debug_assert!(!op.pulls);
-            let read = unit.rows();
-            let (x, y) = (srcs[0], srcs[1]);
-            let scratch = &mut scratch[..total];
+            let (read, gy) = (unit.rows(), [srcs[0], srcs[1]]);
+            let s = &mut scratch[..total];
             for v in v0..v1 {
-                let ids = adj.edge_ids(v);
-                scratch.fill(0.0);
-                for &e in ids {
-                    rowops::mul_add_accum(
-                        scratch,
-                        read.row(x, e as usize),
-                        read.row(y, e as usize),
-                    );
-                }
-                for &e in ids {
-                    let e = e as usize;
-                    let or = &mut buf[(e - e0) * total..(e - e0 + 1) * total];
-                    rowops::softmax_bwd_row(or, read.row(x, e), read.row(y, e), scratch);
-                }
+                let grp = indptr[v]..indptr[v + 1];
+                let o = &mut buf[(grp.start - e0) * total..(grp.end - e0) * total];
+                s.fill(0.0);
+                read.zip_rows(gy, grp.clone(), total, o, |_, [g, y]| {
+                    rowops::mul_add_accum_rows(s, g, y);
+                });
+                read.zip_rows(gy, grp, total, o, |o, [g, y]| {
+                    rowops::softmax_bwd_rows(o, g, y, s);
+                });
             }
         }
 
@@ -1235,9 +1279,10 @@ fn exec_op(
 /// with a tile's rows (one at a time when an operand has to be pulled
 /// first), [`Slots::pull`] with the run of rows a reader asks for.
 ///
-/// Inlined into its callers: called per op *per edge* for row-sized
-/// ops, the out-of-line call (frame set-up for every arm's locals) cost
-/// ~10 ns a call — 40 ms of a `gat_train` step's streamed gather.
+/// Inlined into its callers: a row-sized op is called once per pulled
+/// run — 16 rows at a time in a `gat_train` step's streamed chain, ~60 ns
+/// an edge all told — and the out-of-line call (frame set-up for every
+/// arm's locals) cost ~10 ns a call when PR 13 measured it.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
 fn exec_rows<'r>(
@@ -1419,79 +1464,120 @@ mod tests {
     use gnnopt_core::{BinaryFn, Dim, UnaryFn};
     use gnnopt_graph::EdgeList;
 
-    /// A tile-wide elementwise step (every operand at `Own`, so one
-    /// `rowops` call over `rows × cols`) writes the bits of its row-by-row
-    /// form. The row-by-row form is the same op with its operands pinned
-    /// at `dst(e)` on a path graph whose edge `e` is `e + 1 → e` — so
-    /// `dst(e) == e` and the per-row path reads the same rows. Slot
-    /// operands are covered too.
+    /// An elementwise step writes the same bits however its operands are
+    /// addressed. The form under test reads each at the op's own row or
+    /// through `src(e)` / `dst(e)` — in place, row by row (8 columns) or a
+    /// staged strip at a time (fewer); the reference is the one-call form
+    /// (every operand at `Own`) over explicit copies of the rows the
+    /// pattern names. Row counts straddle the stage — a strip short by
+    /// one, exact, over by one, several strips and a remainder — the run
+    /// starts past row 0, and slot operands (an edge-space one read at
+    /// `Own`, a vertex-space one at `dst(e)`) hold their rows from a
+    /// non-zero `base`.
     #[test]
     fn tile_wide_elementwise_steps_equal_their_row_by_row_form() {
-        let n = 37usize;
-        let path: Vec<(u32, u32)> = (0..n as u32).map(|v| (v + 1, v)).collect();
-        let g = Graph::from_edge_list(&EdgeList::from_pairs(n + 1, &path));
-        assert!((0..n).all(|e| g.dst(e) == e));
+        let (nv, r0) = (41usize, 5usize);
+        let pairs: Vec<(u32, u32)> = (0..3 * STAGE_ROWS + 20)
+            .map(|e| (((e * 7 + 3) % nv) as u32, (e / 3) as u32))
+            .collect();
+        // (Self-loops are dropped.)
+        let g = Graph::from_edge_list(&EdgeList::from_pairs(nv, &pairs));
+        let m = g.num_edges();
+        assert!(m >= r0 + 3 * STAGE_ROWS + 2);
+        let cx = Bound {
+            ops: &[],
+            bound: &[],
+            g: &g,
+            src: g.src_slice(),
+            dst: g.dst_slice(),
+            heavy: 0,
+        };
         let kinds = [
             OpKind::Unary(UnaryFn::LeakyRelu(0.2)),
             OpKind::UnaryBwd(UnaryFn::Tanh),
             OpKind::Binary(BinaryFn::Mul),
+            OpKind::EdgeSoftmax,
         ];
-        for cols in [1usize, 2, 64] {
-            let fill = |k: f32| Tensor::from_fn(&[n, cols], |i| (i as f32 * k - 3.0).sin() * 4.0);
-            let (a, b) = (fill(0.37), fill(1.13));
-            let (r0, r1) = (5usize, n - 4);
-            // Slot 0 holds `b`'s rows of the tile, as a same-segment
-            // producer would have left them.
-            let mut held = b.as_slice()[r0 * cols..r1 * cols].to_vec();
-            let bufs = [&mut held[..]];
-            let base = [r0];
-            let bound = Bound {
-                ops: &[],
-                bound: &[],
-                g: &g,
-                src: g.src_slice(),
-                dst: g.dst_slice(),
-                heavy: 0,
-            };
-            let cx = Rows::new(&bound, &bufs, &base);
-            fn full(t: &Tensor, at: RowAt) -> Src<'_> {
-                let cols = t.cols();
-                let data = t.as_slice();
-                Src {
-                    data: SrcRows::Full { data, cols },
-                    at,
-                }
+        let ats = [RowAt::Own, RowAt::SrcV, RowAt::DstV];
+        let stage = Stage::new([[0.0; STAGE_LEN]; MAX_SRCS]);
+        fn full(data: &[f32], cols: usize, at: RowAt) -> Src<'_> {
+            Src {
+                data: SrcRows::Full { data, cols },
+                at,
             }
-            let slot = Src {
-                data: SrcRows::Slot { idx: 0, cols },
-                at: RowAt::Own,
+        }
+        fn run<'a>(
+            (cx, stage): (&'a Bound<'a>, &'a Stage),
+            (kind, cols): (&OpKind, usize),
+            (slots, base): (&'a [&'a mut [f32]], &'a [usize]),
+            srcs: [Src<'a>; MAX_SRCS],
+            rows: Range<usize>,
+        ) -> Vec<u32> {
+            let op = TileOp {
+                step: 0,
+                kind: kind.clone(),
+                space: Space::Edge,
+                cols,
+                heads: 1,
+                srcs: Vec::new(),
+                dins: vec![Dim::flat(cols); 2],
+                size: SlotSize::Tile,
+                pulls: false,
+                strip: 1,
             };
-            for kind in &kinds {
-                let run = |x: Src<'_>, y: Src<'_>| {
-                    let op = TileOp {
-                        step: 0,
-                        kind: kind.clone(),
-                        space: Space::Edge,
-                        cols,
-                        heads: 1,
-                        srcs: Vec::new(),
-                        dins: vec![Dim::flat(cols); 2],
-                        size: SlotSize::Tile,
-                        pulls: false,
-                        strip: 1,
-                    };
-                    let bound = OpBound {
-                        srcs: [x, y, y],
-                        argmax: &[],
-                    };
-                    let mut out = vec![f32::NAN; (r1 - r0) * cols];
-                    exec_rows(&op, &bound, &cx, r0..r1, &mut out);
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            let bound = OpBound { srcs, argmax: &[] };
+            let mut out = vec![f32::NAN; rows.len() * cols];
+            let read = Rows::new(cx, slots, base, stage);
+            exec_rows(&op, &bound, &read, rows, &mut out);
+            out.iter().map(|v| v.to_bits()).collect()
+        }
+        for cols in [1usize, 2, 3, 4, 5, 8] {
+            let fill = |k: f32| Tensor::from_fn(&[m, cols], |i| (i as f32 * k - 3.0).sin() * 4.0);
+            let tensors = [fill(0.37), fill(1.13), fill(0.71)];
+            for count in [
+                STAGE_ROWS - 1,
+                STAGE_ROWS,
+                STAGE_ROWS + 1,
+                3 * STAGE_ROWS + 2,
+            ] {
+                let rows = r0..r0 + count;
+                // The rows of `t` a consumer at `rows` reads at `at`.
+                let named = |t: &Tensor, at| -> Vec<f32> {
+                    let rows = rows
+                        .clone()
+                        .map(|r| Rows::new(&cx, &[], &[], &stage).at(at, r));
+                    rows.flat_map(|r| t.row(r).to_vec()).collect()
                 };
-                let (fa, fb) = (full(&a, RowAt::Own), full(&b, RowAt::Own));
-                let by_row = run(full(&a, RowAt::DstV), full(&b, RowAt::DstV));
-                assert_eq!(run(fa, fb), by_row, "{kind:?} cols {cols}: full");
-                assert_eq!(run(fa, slot), by_row, "{kind:?} cols {cols}: slot");
+                for (kind, pattern) in kinds.iter().flat_map(|k| (0..27).map(move |p| (k, p))) {
+                    let at = [ats[pattern % 3], ats[pattern / 3 % 3], ats[pattern / 9]];
+                    let copies = [0, 1, 2].map(|i| named(&tensors[i], at[i]));
+                    let own = [0, 1, 2].map(|i| full(&copies[i], cols, RowAt::Own));
+                    let want = run((&cx, &stage), (kind, cols), (&[], &[]), own, 0..count);
+                    let srcs = [0, 1, 2].map(|i| full(tensors[i].as_slice(), cols, at[i]));
+                    let what = format!("{kind:?} cols {cols} rows {count} {at:?}");
+                    let got = run((&cx, &stage), (kind, cols), (&[], &[]), srcs, rows.clone());
+                    assert_eq!(got, want, "{what}");
+                    // The second operand from a slot: the run's own rows,
+                    // or the destination rows the run reads.
+                    let (lo, hi) = (g.dst(rows.start), g.dst(rows.end - 1) + 1);
+                    let first = match at[1] {
+                        RowAt::Own => rows.start,
+                        RowAt::DstV => lo,
+                        RowAt::SrcV => continue,
+                    };
+                    let held = if at[1] == RowAt::Own {
+                        rows.clone()
+                    } else {
+                        lo..hi
+                    };
+                    let mut held =
+                        tensors[1].as_slice()[held.start * cols..held.end * cols].to_vec();
+                    let mut srcs = srcs;
+                    srcs[1].data = SrcRows::Slot { idx: 0, cols };
+                    let slots = (&[&mut held[..]][..], &[first][..]);
+                    let got = run((&cx, &stage), (kind, cols), slots, srcs, rows.clone());
+                    assert_eq!(got, want, "{what}, slot");
+                }
             }
         }
     }

@@ -5,6 +5,7 @@
 //! what arithmetic is performed — while the measured peak of the value
 //! store stays below what the oracle materializes.
 
+use gnnopt_core::lower::RowAt;
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, OpKind,
     ReduceFn, ScatterFn, Storage, UnaryFn,
@@ -394,6 +395,44 @@ fn fresh_softmax_and_feat_sum_read_aliased_operands() {
         .with("s", fill(g.num_vertices(), 2, 9))
         .with("h", fill(g.num_vertices(), 6, 10));
     check_against_oracle(&plan, &g, &b);
+}
+
+/// A softmax feeding a `ByDst` sum directly (the shape `tests/grad_props.rs`
+/// draws at random): backward, `EdgeSoftmaxBwd` reads the incoming
+/// gradient as an aliased `CopyV` — `grad[dst(e)]` for every row of a
+/// group — so both of its group sweeps take that operand through the
+/// staged strips; on the hub, whose group is longer than a stage, across
+/// strip boundaries inside one group. Two heads are staged, eight read in
+/// place row by row.
+#[test]
+fn softmax_backward_sweeps_read_an_aliased_gradient() {
+    for g in [small_graph(), hub_graph()] {
+        for heads in [2usize, 8] {
+            let mut ir = IrGraph::new();
+            let h = ir.input_vertex("h", Dim::flat(3));
+            let w = ir.param("w", 3, heads);
+            let hw = ir.linear(h, w).unwrap();
+            let s = ir.set_heads(hw, heads).unwrap();
+            let e = ir.scatter(ScatterFn::Bin(BinaryFn::Add), s, s).unwrap();
+            let sm = ir.edge_softmax(e).unwrap();
+            let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, sm).unwrap();
+            ir.mark_output(out);
+            let plan = plan_of(&ir, true);
+            let units = plan.programs.iter().flat_map(|p| &p.units);
+            let mut ops = units.flat_map(|u| &u.ops);
+            let bwd = ops.find(|op| op.kind == OpKind::EdgeSoftmaxBwd);
+            let grad = bwd.expect("a tiled softmax backward").srcs[0];
+            assert_eq!(
+                grad.at,
+                RowAt::DstV,
+                "the gradient is read through the alias"
+            );
+            let b = Bindings::new()
+                .with("h", fill(g.num_vertices(), 3, 13))
+                .with("w", fill(3, heads, 14));
+            check_against_oracle(&plan, &g, &b);
+        }
+    }
 }
 
 /// Training a weight-free aggregation over a projected feature: the

@@ -270,53 +270,90 @@ proptest! {
     /// Every op a destination tile can run, alone in its kernel: an
     /// N-thread session — any tile size, hub rows chunked — writes the
     /// bits of the serial oracle's plain loops, outputs and parameter
-    /// gradients alike.
+    /// gradients alike. Head counts cover the score widths `rowops`
+    /// monomorphizes (1, 2, 4), one between and the first wide one.
     #[test]
     fn lone_tile_ops_match_the_serial_oracle(
         g in arb_graph(),
         seed in 0u64..1000,
-        heads in 1usize..4,
+        heads in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
         // At least two: a head broadcast needs a width to broadcast over.
         feat in 2usize..5,
         threads in 2usize..7,
     ) {
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        let b = Bindings::new()
-            .with("h", pseudo_tensor(n, 3, seed))
-            .with("p", pseudo_tensor(m, 2, seed + 1))
-            .with("w", pseudo_tensor(3, heads * feat, seed + 2))
-            .with("mu", pseudo_tensor(heads, 2, seed + 3))
-            .with("sigma", pseudo_tensor(heads, 2, seed + 4));
-        let wanted = tile_ops();
-        let mut ran: Vec<&'static str> = Vec::new();
-        for ir in &tile_op_models(heads, feat) {
-            let plan = compile(ir, true, &unfused()).expect("compiles").plan;
-            for node in lone_tile_ops(&plan) {
-                let named = wanted.iter().filter(|(_, pick)| pick(&plan.ir, node));
-                ran.extend(named.map(|(name, _)| *name));
+        lone_tile_ops_match_oracle(&g, seed, (heads, feat), threads, &[1, 7, 4096]);
+    }
+}
+
+/// The body of the property above: both models of [`tile_op_models`]
+/// compiled without fusion, every lone tile op accounted for, a session
+/// per tile budget against the oracle.
+fn lone_tile_ops_match_oracle(
+    g: &Graph,
+    seed: u64,
+    (heads, feat): (usize, usize),
+    threads: usize,
+    tile_budgets: &[usize],
+) {
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let b = Bindings::new()
+        .with("h", pseudo_tensor(n, 3, seed))
+        .with("p", pseudo_tensor(m, 2, seed + 1))
+        .with("w", pseudo_tensor(3, heads * feat, seed + 2))
+        .with("mu", pseudo_tensor(heads, 2, seed + 3))
+        .with("sigma", pseudo_tensor(heads, 2, seed + 4));
+    let wanted = tile_ops();
+    let mut ran: Vec<&'static str> = Vec::new();
+    for ir in &tile_op_models(heads, feat) {
+        let plan = compile(ir, true, &unfused()).expect("compiles").plan;
+        for node in lone_tile_ops(&plan) {
+            let named = wanted.iter().filter(|(_, pick)| pick(&plan.ir, node));
+            ran.extend(named.map(|(name, _)| *name));
+        }
+        let out = plan.ir.node(plan.ir.outputs()[0]);
+        let ones = pseudo_tensor(n, out.dim.total(), seed + 5);
+        let want = refexec::evaluate(&plan, g, &b, Some(&ones)).expect("oracle");
+        for &tile_edges in tile_budgets {
+            let policy = ExecPolicy {
+                tile_edges,
+                ..par(threads)
             }
-            let out = plan.ir.node(plan.ir.outputs()[0]);
-            let ones = pseudo_tensor(n, out.dim.total(), seed + 5);
-            let want = refexec::evaluate(&plan, &g, &b, Some(&ones)).expect("oracle");
-            for tile_edges in [1usize, 7, 4096] {
-                let policy = ExecPolicy { tile_edges, ..par(threads) }.with_heavy_row_degree(HEAVY);
-                let mut sess = Session::builder(&plan, &g)
-                    .policy(policy)
-                    .env(EnvOverrides::Off)
-                    .build()
-                    .expect("session");
-                let got = sess.forward(&b).expect("forward");
-                let grads = sess.backward(ones.clone()).expect("backward");
-                let what = format!("{threads} threads, tiles of {tile_edges}");
-                assert_bit_identical(&what, &got[0], &want.outputs[0]);
-                prop_assert_eq!(grads.len(), want.grads.len());
-                for (name, gr) in &grads {
-                    assert_bit_identical(&format!("{what}: grad {name}"), gr, &want.grads[name]);
-                }
+            .with_heavy_row_degree(HEAVY);
+            let mut sess = Session::builder(&plan, g)
+                .policy(policy)
+                .env(EnvOverrides::Off)
+                .build()
+                .expect("session");
+            let got = sess.forward(&b).expect("forward");
+            let grads = sess.backward(ones.clone()).expect("backward");
+            let what = format!("{heads} heads, {threads} threads, tiles of {tile_edges}");
+            assert_bit_identical(&what, &got[0], &want.outputs[0]);
+            assert_eq!(grads.len(), want.grads.len());
+            for (name, gr) in &grads {
+                assert_bit_identical(&format!("{what}: grad {name}"), gr, &want.grads[name]);
             }
         }
-        for (name, _) in &wanted {
-            prop_assert!(ran.contains(name), "no kernel ran a lone {name}");
+    }
+    for (name, _) in &wanted {
+        assert!(ran.contains(name), "no kernel ran a lone {name}");
+    }
+}
+
+/// The same on a hub the property's graphs are too small to hold: vertex
+/// 0's destination group is longer than the strip a narrow op's
+/// endpoint-read operands are staged in (32 rows, `fused::STAGE_ROWS` —
+/// here three strips and a remainder) and than the tile budget, so its
+/// tile is over budget and every per-row and per-group op crosses strip
+/// boundaries inside one call; the chain behind it keeps ordinary tiles.
+#[test]
+fn lone_tile_ops_match_the_serial_oracle_across_staged_strips() {
+    let hub = 3 * 32 + 5u32;
+    let mut pairs: Vec<(u32, u32)> = (1..=hub).map(|u| (u, 0)).collect();
+    pairs.extend((1..hub).map(|v| (v, v + 1)));
+    let g = Graph::from_edge_list(&EdgeList::from_pairs(hub as usize + 2, &pairs));
+    for heads in [1usize, 2, 4, 8] {
+        for threads in [1usize, 4] {
+            lone_tile_ops_match_oracle(&g, 11, (heads, 3), threads, &[16, 4096]);
         }
     }
 }

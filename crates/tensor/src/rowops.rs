@@ -29,8 +29,8 @@
 //! each output element keeps the exact rounding chain of the scalar
 //! loop. The `exp`-based softmax rows call `libm` per element and do not
 //! vectorize on either path; they are dispatched anyway so the module
-//! has one uniform rule. Rows shorter than one AVX2 vector
-//! (`AVX2_MIN_LEN`) run the portable body inline on both paths.
+//! has one uniform rule. Rows shorter than one AVX2 vector ([`NARROW`])
+//! run the portable body inline on both paths, many to a call (`*_rows`).
 
 /// True when the AVX2 monomorphizations should be used: AVX2 detected at
 /// runtime (the standard library caches the CPUID probe, so this is one
@@ -44,11 +44,12 @@ fn use_avx2() -> bool {
 /// Rows shorter than one AVX2 vector take the portable body inline: the
 /// wide build cannot use its lanes on them, and the out-of-line call into
 /// it (the `target_feature` boundary is never inlined) costs more than
-/// the two- or four-element loop itself — the attention-score rows
-/// (`E[heads]`) of a GAT step make millions of such calls. Same body, so
-/// the same bits.
-#[cfg(target_arch = "x86_64")]
-const AVX2_MIN_LEN: usize = 8;
+/// the two- or four-element loop itself. Same body, so the same bits.
+/// Even inline, a call per row is most of what such a row costs — a GAT
+/// step has millions of attention-score rows (`E[heads]`) — so the
+/// program interpreter, by this same threshold, runs them a strip or a
+/// group to a call ([`gather_rows`], the `*_rows` sweeps).
+pub const NARROW: usize = 8;
 
 /// The portable loop bodies — the *definition* of every primitive, and
 /// the only path on hosts without AVX2. The AVX2 path re-monomorphizes
@@ -224,32 +225,26 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
 /// Generates, for one primitive, the AVX2 monomorphization of its
 /// [`scalar`] body plus the public runtime-dispatched entry point. The
 /// macro forwards arguments verbatim, so the two paths can never diverge
-/// in semantics — only in codegen width.
-/// The output row of a primitive's argument list (always the first).
-macro_rules! first_arg {
-    ($out:ident $(, $rest:ident)*) => {
-        $out
-    };
-}
-
+/// in semantics — only in codegen width (chosen by the length of the
+/// output row, always the first argument).
 macro_rules! avx2_dispatched {
     ($(#[$doc:meta])* $name:ident, $avx2:ident,
-     ($($arg:ident: $ty:ty),*)) => {
+     ($out:ident: $out_ty:ty $(, $arg:ident: $ty:ty)*)) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
-            scalar::$name($($arg),*)
+        unsafe fn $avx2($out: $out_ty $(, $arg: $ty)*) {
+            scalar::$name($out $(, $arg)*)
         }
 
         $(#[$doc])*
         #[inline]
-        pub fn $name($($arg: $ty),*) {
+        pub fn $name($out: $out_ty $(, $arg: $ty)*) {
             #[cfg(target_arch = "x86_64")]
-            if first_arg!($($arg),*).len() >= AVX2_MIN_LEN && use_avx2() {
+            if $out.len() >= NARROW && use_avx2() {
                 // SAFETY: `use_avx2()` verified AVX2 support at runtime.
-                return unsafe { $avx2($($arg),*) };
+                return unsafe { $avx2($out $(, $arg)*) };
             }
-            scalar::$name($($arg),*)
+            scalar::$name($out $(, $arg)*)
         }
     };
 }
@@ -313,7 +308,7 @@ unsafe fn binary_assign_avx2<F: Fn(f32, f32) -> f32>(o: &mut [f32], b: &[f32], f
 #[inline]
 pub fn binary_assign(o: &mut [f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+    if o.len() >= NARROW && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { binary_assign_avx2(o, b, f) };
     }
@@ -330,7 +325,7 @@ unsafe fn zip2_into_avx2<F: Fn(f32, f32) -> f32>(o: &mut [f32], a: &[f32], b: &[
 #[inline]
 pub fn zip2_into(o: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+    if o.len() >= NARROW && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { zip2_into_avx2(o, a, b, f) };
     }
@@ -347,7 +342,7 @@ unsafe fn map_assign_avx2<F: Fn(f32) -> f32>(o: &mut [f32], f: F) {
 #[inline]
 pub fn map_assign(o: &mut [f32], f: impl Fn(f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+    if o.len() >= NARROW && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { map_assign_avx2(o, f) };
     }
@@ -365,7 +360,7 @@ unsafe fn map_into_avx2<F: Fn(f32) -> f32>(o: &mut [f32], x: &[f32], f: F) {
 #[inline]
 pub fn map_into(o: &mut [f32], x: &[f32], f: impl Fn(f32) -> f32) {
     #[cfg(target_arch = "x86_64")]
-    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+    if o.len() >= NARROW && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { map_into_avx2(o, x, f) };
     }
@@ -396,11 +391,91 @@ pub fn map_heads_into(
     f: impl Fn(f32, f32) -> f32,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if o.len() >= AVX2_MIN_LEN && use_avx2() {
+    if o.len() >= NARROW && use_avx2() {
         // SAFETY: `use_avx2()` verified AVX2 support at runtime.
         return unsafe { map_heads_into_avx2(o, x, s, feat, f) };
     }
     scalar::map_heads_into(o, x, s, feat, f)
+}
+
+// Narrow rows, many to a call. A block is consecutive `w`-wide rows; a
+// `*_rows` function applies the per-row primitive it is named after to
+// every row of its blocks, in ascending order, against the one row their
+// reduction group shares — the per-row sweep's bits by construction (the
+// oracle in `gnnopt-exec`'s kernels stays per-row).
+
+/// Runs `$body` with `$w` bound to a row width: a literal for each narrow
+/// width, so the row loops unroll and the dispatched primitives fold to
+/// their inline bodies; a wider row (it amortizes its own calls) runs the
+/// same text on a variable, width 0 nothing.
+macro_rules! with_width {
+    ($width:expr, $w:ident => $body:expr) => {
+        with_width!($width, $w => $body, 1 2 3 4 5 6 7)
+    };
+    ($width:expr, $w:ident => $body:expr, $($n:literal)+) => {
+        match $width {
+            0 => {}
+            $($n => {
+                let $w = $n;
+                $body
+            })+
+            $w => $body,
+        }
+    };
+}
+
+/// `o[i·w..][..w] = data[(idx[i] − first)·w..][..w]`: the rows an endpoint
+/// array names, staged consecutively (`first`: the first row `data` holds).
+#[inline]
+pub fn gather_rows(o: &mut [f32], data: &[f32], width: usize, idx: &[u32], first: usize) {
+    with_width!(width, w => for (or, &r) in o.chunks_exact_mut(w).zip(idx) {
+        let at = (r as usize - first) * w;
+        or.copy_from_slice(&data[at..at + w]);
+    });
+}
+
+/// [`max_assign`] of every row of `x` into the group's max row.
+#[inline]
+pub fn max_assign_rows(m: &mut [f32], x: &[f32]) {
+    with_width!(m.len(), w => for xr in x.chunks_exact(w) {
+        max_assign(&mut m[..w], xr);
+    });
+}
+
+/// [`exp_sub_store_accum`] of every row of `x` (exponentials to `t`'s
+/// rows) against the group's max row into its denominator row.
+#[inline]
+pub fn exp_sub_store_accum_rows(d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f32]) {
+    with_width!(d.len(), w => for (tr, xr) in t.chunks_exact_mut(w).zip(x.chunks_exact(w)) {
+        exp_sub_store_accum(&mut d[..w], tr, xr, &m[..w]);
+    });
+}
+
+/// [`div_assign`] of every row of `y` by the group's denominator row.
+#[inline]
+pub fn div_assign_rows(y: &mut [f32], d: &[f32]) {
+    with_width!(d.len(), w => for yr in y.chunks_exact_mut(w) {
+        div_assign(yr, &d[..w]);
+    });
+}
+
+/// [`mul_add_accum`] of every row pair of `a`, `b` into the group's sum row.
+#[inline]
+pub fn mul_add_accum_rows(s: &mut [f32], a: &[f32], b: &[f32]) {
+    with_width!(s.len(), w => for (ar, br) in a.chunks_exact(w).zip(b.chunks_exact(w)) {
+        mul_add_accum(&mut s[..w], ar, br);
+    });
+}
+
+/// [`softmax_bwd_row`] of every row of `g`, `y` against the group's sum row.
+#[inline]
+pub fn softmax_bwd_rows(o: &mut [f32], g: &[f32], y: &[f32], s: &[f32]) {
+    with_width!(s.len(), w => {
+        let rows = o.chunks_exact_mut(w).zip(g.chunks_exact(w));
+        for ((or, gr), yr) in rows.zip(y.chunks_exact(w)) {
+            softmax_bwd_row(or, gr, yr, &s[..w]);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -589,5 +664,82 @@ mod tests {
                 });
             }
         }
+    }
+    /// The block forms against the per-row `scalar::` sweeps written out —
+    /// the fresh edge softmax of one group and its backward, as the
+    /// reference kernels spell them — for width 0, every narrow width (a
+    /// literal inside) and two wide ones, and group lengths from empty
+    /// through one row to lengths that are a multiple of nothing.
+    #[test]
+    fn block_sweeps_are_bit_identical_to_the_row_sweeps() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for w in 0..=9usize {
+            for len in 0..=70usize {
+                let val = |i: usize, k: f32| (i as f32 * k + w as f32).sin() * 5.0;
+                let x: Vec<f32> = (0..len * w).map(|i| val(i, 0.37)).collect();
+                let g: Vec<f32> = (0..len * w).map(|i| val(i, 1.91)).collect();
+
+                let (mut m1, mut d1) = (vec![f32::NEG_INFINITY; w], vec![0.0f32; w]);
+                let mut y1 = vec![f32::NAN; len * w];
+                for e in 0..len {
+                    scalar::max_assign(&mut m1, &x[e * w..(e + 1) * w]);
+                }
+                for e in 0..len {
+                    let at = e * w..(e + 1) * w;
+                    scalar::exp_sub_store_accum(&mut d1, &mut y1[at.clone()], &x[at], &m1);
+                }
+                for e in 0..len {
+                    scalar::div_assign(&mut y1[e * w..(e + 1) * w], &d1);
+                }
+                let (mut m2, mut d2) = (vec![f32::NEG_INFINITY; w], vec![0.0f32; w]);
+                let mut y2 = vec![f32::NAN; len * w];
+                max_assign_rows(&mut m2, &x);
+                exp_sub_store_accum_rows(&mut d2, &mut y2, &x, &m2);
+                div_assign_rows(&mut y2, &d2);
+                assert_eq!(bits(&m2), bits(&m1), "max, width {w} × {len} rows");
+                assert_eq!(bits(&d2), bits(&d1), "denominator, width {w} × {len} rows");
+                assert_eq!(bits(&y2), bits(&y1), "softmax, width {w} × {len} rows");
+
+                let (mut s1, mut o1) = (vec![0.0f32; w], vec![f32::NAN; len * w]);
+                for e in 0..len {
+                    let at = e * w..(e + 1) * w;
+                    scalar::mul_add_accum(&mut s1, &g[at.clone()], &y1[at]);
+                }
+                for e in 0..len {
+                    let at = e * w..(e + 1) * w;
+                    scalar::softmax_bwd_row(&mut o1[at.clone()], &g[at.clone()], &y1[at], &s1);
+                }
+                let (mut s2, mut o2) = (vec![0.0f32; w], vec![f32::NAN; len * w]);
+                mul_add_accum_rows(&mut s2, &g, &y1);
+                softmax_bwd_rows(&mut o2, &g, &y1, &s2);
+                assert_eq!(bits(&s2), bits(&s1), "group sum, width {w} × {len} rows");
+                assert_eq!(bits(&o2), bits(&o1), "backward, width {w} × {len} rows");
+            }
+        }
+    }
+
+    /// The staged gather copies exactly the rows the index names, counted
+    /// from the first row the data holds.
+    #[test]
+    fn gather_rows_stages_the_indexed_rows() {
+        let first = 5usize;
+        for w in 1..=9usize {
+            let data: Vec<f32> = (0..23 * w).map(|i| i as f32 * 0.5 - 7.0).collect();
+            let idx: Vec<u32> = (0..41u32)
+                .map(|i| first as u32 + (i * 7 + 3) % 23)
+                .collect();
+            let mut staged = vec![f32::NAN; idx.len() * w];
+            gather_rows(&mut staged, &data, w, &idx, first);
+            for (r, &i) in idx.iter().enumerate() {
+                let at = (i as usize - first) * w;
+                assert_eq!(
+                    staged[r * w..(r + 1) * w],
+                    data[at..at + w],
+                    "width {w} row {r}"
+                );
+            }
+        }
+        // Width 0: no row holds anything.
+        gather_rows(&mut [], &[], 0, &[3, 4], 3);
     }
 }
