@@ -87,11 +87,13 @@
 //! `dst(e)` — or a member with two readers is a tile op), and the
 //! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
 //! edges in ascending order. Workers own source-vertex ranges there (of
-//! about as many out-edges each), each walks every tile and skips the
-//! edges it does not own: every source row accumulates its edges in
-//! ascending id, the order of [`crate::kernels::gather`]'s serial `BySrc`
-//! scan, so results stay bit-identical to the materializing path for any
-//! thread count. A pull
+//! about as many out-edges each) — in a shard session, the range ∩ the
+//! vertices the shard owns ([`Owns`], the one predicate by-destination
+//! gathers skip their non-owned groups by too) — each walks every tile
+//! and skips the edges it does not own: every source row accumulates its
+//! edges in ascending id, the order of [`crate::kernels::gather`]'s
+//! serial `BySrc` scan, so results stay bit-identical to the
+//! materializing path for any thread count. A pull
 //! covers the run of consecutive edges the worker owns (sources ascend
 //! within a destination group, so each group is one run per worker),
 //! which is what divides the row-sized members' work by the worker
@@ -268,6 +270,9 @@ pub(crate) struct CompiledKernel {
     /// `(stage, value)`: the dying inputs, each freed after the last
     /// stage that reads it.
     releases: Vec<(usize, NodeId)>,
+    /// A shard session's owned vertices (shared by its kernels, like
+    /// `tiles`): the groups its vertex reductions reduce ([`Owns`]).
+    shard: Option<Arc<[bool]>>,
     /// High-water mark of slot bytes across workers (max over units).
     pub scratch_bytes: u64,
 }
@@ -295,12 +300,14 @@ fn is_gather_max(op: &TileOp) -> bool {
 /// external reader is this kernel — is freed: as soon as its last reading
 /// stage completes, so the pool can recycle its buffer into the launch's
 /// own later materializations. (The sharded driver's global kernels pass
-/// none: their operands are staged copies it drops itself.)
+/// none: their operands are staged copies it drops itself.) `shard` is a
+/// shard session's owned-vertex set, `None` everywhere else.
 pub(crate) fn prepare(
     program: &KernelProgram,
     g: &Graph,
     policy: &ExecPolicy,
     tiles: &Arc<[usize]>,
+    shard: Option<&Arc<[bool]>>,
     dying: &[NodeId],
 ) -> CompiledKernel {
     let (n, m) = (g.num_vertices(), g.num_edges());
@@ -365,6 +372,7 @@ pub(crate) fn prepare(
     CompiledKernel {
         policy: *policy,
         tiles: Arc::clone(tiles),
+        shard: shard.cloned(),
         scratch_bytes,
         releases: releases.map(|&(id, at)| (at, id)).collect(),
         units,
@@ -381,6 +389,34 @@ struct Bound<'a> {
     dst: &'a [u32],
     /// [`ExecPolicy::heavy_row_degree`].
     heavy: usize,
+    /// [`CompiledKernel::shard`].
+    shard: Option<&'a [bool]>,
+}
+
+/// The one ownership predicate of a vertex reduction: it reduces the
+/// groups of the vertices in `range` (a streamed gather's worker: its
+/// source range) that the shard session owns (`shard`, when it is one),
+/// reading an edge's group through `key` — `src` by source, `dst` by
+/// destination. The groups it skips are the rows the sharding classifier
+/// already holds never valid on that shard (`View::Reduce` clears the
+/// halo): a later exchange overwrites them or nothing reads them.
+#[derive(Clone)]
+struct Owns<'a> {
+    key: &'a [u32],
+    range: Range<usize>,
+    shard: Option<&'a [bool]>,
+}
+
+impl Owns<'_> {
+    #[inline(always)]
+    fn group(&self, v: usize) -> bool {
+        self.range.contains(&v) && self.shard.is_none_or(|s| s[v])
+    }
+
+    #[inline(always)]
+    fn edge(&self, e: usize) -> bool {
+        self.group(self.key[e] as usize)
+    }
 }
 
 /// Rows of a narrow op one call covers when an operand is read through an
@@ -598,20 +634,15 @@ struct Pulled<'u, 'r, 'w, 'a> {
     x: Src<'a>,
     /// One past the tile's last edge.
     end: usize,
-    /// The source vertices whose edges the reduction reads — a streamed
-    /// gather's worker skips the others; `None`: every edge of the tile.
-    owned: Option<Range<usize>>,
+    /// The groups whose edges the reduction reads — it skips the others;
+    /// `None`: every edge of the tile.
+    owned: Option<Owns<'a>>,
     /// The run of edges pulled last.
     held: Range<usize>,
 }
 
 impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
-    fn new(
-        unit: &'u mut Slots<'r, 'w, 'a>,
-        k: usize,
-        end: usize,
-        owned: Option<Range<usize>>,
-    ) -> Self {
+    fn new(unit: &'u mut Slots<'r, 'w, 'a>, k: usize, end: usize, owned: Option<Owns<'a>>) -> Self {
         Pulled {
             x: unit.cx.bound[k].srcs[0],
             unit,
@@ -630,16 +661,12 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
         let op = &ops[self.k];
         if op.pulls && !self.held.contains(&e) {
             // The edges after `e` the reduction reads next without a gap:
-            // one pull evaluates the producer for all of them.
+            // one pull evaluates the producer for all of them, and none of
+            // a group it skips.
             let most = (e + op.strip).min(self.end);
             let run = match &self.owned {
                 None => most,
-                Some(owned) => {
-                    let src = self.unit.cx.src;
-                    (e + 1..most)
-                        .find(|&r| !owned.contains(&(src[r] as usize)))
-                        .unwrap_or(most)
-                }
+                Some(owns) => (e + 1..most).find(|&r| !owns.edge(r)).unwrap_or(most),
             };
             self.held = e..run;
             self.unit.pull(self.k, e..run);
@@ -998,6 +1025,7 @@ impl CompiledKernel {
             src: g.src_slice(),
             dst: g.dst_slice(),
             heavy: self.policy.heavy_row_degree,
+            shard: self.shard.as_deref(),
         };
         let slots_of = slots.chunks_mut(per).zip(base.chunks_mut(ops.len().max(1)));
         let mut team = slots_of.zip(sinks.chunks_mut(per_am)).enumerate();
@@ -1130,12 +1158,16 @@ fn exec_op(
             group: EdgeGroup::BySrc,
         } => {
             let own0 = unit.base[k];
-            let owned = own0..own0 + buf.len().checked_div(total).unwrap_or(0);
+            let owns = Owns {
+                key: cx.src,
+                range: own0..own0 + buf.len().checked_div(total).unwrap_or(0),
+                shard: cx.shard,
+            };
             let (src, out_adj) = (cx.src, cx.g.out_adj());
-            let mut x = Pulled::new(unit, k, e1, Some(owned.clone()));
+            let mut x = Pulled::new(unit, k, e1, Some(owns.clone()));
             for (e, &u) in (e0..).zip(&src[e0..e1]) {
                 let u = u as usize;
-                if !owned.contains(&u) {
+                if !owns.group(u) {
                     continue;
                 }
                 let o = &mut buf[(u - own0) * total..(u - own0 + 1) * total];
@@ -1147,36 +1179,31 @@ fn exec_op(
             }
         }
         // Shared with the reference kernels so the heavy-row chunk
-        // association is identical on both paths.
+        // association is identical on both paths. A shard session skips
+        // the destinations it does not own: their rows stay zero.
         OpKind::Gather {
-            reduce: ReduceFn::Sum,
+            reduce: reduce @ (ReduceFn::Sum | ReduceFn::Mean),
             ..
         } => {
-            let mut x = Pulled::new(unit, k, e1, None);
+            let owns = cx.shard.map(|shard| Owns {
+                key: cx.dst,
+                range: 0..shard.len(),
+                shard: Some(shard),
+            });
+            let mut x = Pulled::new(unit, k, e1, owns.clone());
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
                 if !zeroed {
                     o.fill(0.0);
                 }
-                reduce_row_sum(o, adj.edge_ids(v), &mut x, heavy, scratch);
-            }
-        }
-        OpKind::Gather {
-            reduce: ReduceFn::Mean,
-            ..
-        } => {
-            let mut x = Pulled::new(unit, k, e1, None);
-            for v in v0..v1 {
-                let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
-                if !zeroed {
-                    o.fill(0.0);
-                }
-                let deg = adj.degree(v);
-                if deg == 0 {
+                let (ids, deg) = (adj.edge_ids(v), adj.degree(v));
+                if deg == 0 || owns.as_ref().is_some_and(|w| !w.group(v)) {
                     continue;
                 }
-                let inv = 1.0 / deg as f32;
-                reduce_row_mean(o, adj.edge_ids(v), inv, &mut x, heavy, scratch);
+                match reduce {
+                    ReduceFn::Sum => reduce_row_sum(o, ids, &mut x, heavy, scratch),
+                    _ => reduce_row_mean(o, ids, 1.0 / deg as f32, &mut x, heavy, scratch),
+                }
             }
         }
         OpKind::Gather { .. } => {
@@ -1491,6 +1518,7 @@ mod tests {
             src: g.src_slice(),
             dst: g.dst_slice(),
             heavy: 0,
+            shard: None,
         };
         let kinds = [
             OpKind::Unary(UnaryFn::LeakyRelu(0.2)),
@@ -1577,6 +1605,106 @@ mod tests {
                     let slots = (&[&mut held[..]][..], &[first][..]);
                     let got = run((&cx, &stage), (kind, cols), slots, srcs, rows.clone());
                     assert_eq!(got, want, "{what}, slot");
+                }
+            }
+        }
+    }
+
+    /// A shard session's vertex reductions reduce only the groups it owns
+    /// ([`Owns`]): by-destination `Sum` and `Mean` into a sink and into a
+    /// tile slot a consumer reads, and a streamed by-source gather — each
+    /// behind a pulled `binary_Mul`, whose runs stop at the first edge of
+    /// a skipped group. Owned rows carry the unmasked run's bits, every
+    /// other row exactly `+0.0`. Tiles of 16 rows, owned runs that end
+    /// mid-strip and mid-tile, two hubs past `HEAVY_ROW_CHUNK_EDGES` each
+    /// way (one owned, one not), one and two workers (a streamed gather's
+    /// source range ∩ the shard set).
+    #[test]
+    fn masked_reductions_keep_owned_bits_and_zero_the_rest() {
+        use crate::session::{Bindings, Held, Session};
+        use gnnopt_core::{compile, CompileOptions};
+        // Hubs 0 (owned) and 1 (not) trade an edge each way with every
+        // leaf; the body 2..80 has in-degrees 0..6.
+        let (body, cols) = (80usize, 3usize);
+        let nv = body + ExecPolicy::HEAVY_ROW_CHUNK_EDGES + 76;
+        let mut pairs = Vec::new();
+        for leaf in body as u32..nv as u32 {
+            pairs.extend([(leaf, 0), (0, leaf), (leaf, 1), (1, leaf)]);
+        }
+        for v in 2..body {
+            pairs.extend((0..v % 7).map(|j| (((v * 13 + j * 29) % body) as u32, v as u32)));
+        }
+        let g = Graph::from_edge_list(&EdgeList::from_pairs(nv, &pairs));
+        assert!(g.in_adj().degree(1) > ExecPolicy::HEAVY_ROW_CHUNK_EDGES);
+        // Runs of four owned vertices, then three not.
+        let shard: Arc<[bool]> = (0..nv).map(|v| v == 0 || (v > 1 && v % 7 < 4)).collect();
+        let mut b = Bindings::new();
+        b.insert(
+            "h",
+            Tensor::from_fn(&[nv, cols], |i| (i as f32 * 0.37).sin() + 1.5),
+        );
+        let ew = Tensor::from_fn(&[g.num_edges(), cols], |i| (i as f32 * 0.71).cos() + 1.5);
+        b.insert("ew", ew);
+        for reduce in [ReduceFn::Sum, ReduceFn::Mean] {
+            for (group, tail) in [
+                (EdgeGroup::ByDst, false),
+                (EdgeGroup::ByDst, true),
+                (EdgeGroup::BySrc, false),
+            ] {
+                let mut ir = IrGraph::new();
+                let h = ir.input_vertex("h", Dim::flat(cols));
+                let ew = ir.input_edge("ew", Dim::flat(cols));
+                let copy = match group {
+                    EdgeGroup::ByDst => ScatterFn::CopyU,
+                    EdgeGroup::BySrc => ScatterFn::CopyV,
+                };
+                let x = ir.scatter(copy, h, h).unwrap();
+                let m = ir.binary(BinaryFn::Mul, x, ew).unwrap();
+                let mut y = ir.gather(reduce, group, m).unwrap();
+                if tail {
+                    y = ir.unary(UnaryFn::LeakyRelu(0.5), y).unwrap();
+                }
+                ir.mark_output(y);
+                let plan = compile(&ir, false, &CompileOptions::ours()).unwrap().plan;
+                // The fixture is what it says: one program, the gather a
+                // sink, or a tile slot its consumer reads, that pulls.
+                let [program] = &plan.programs[..] else {
+                    panic!("one kernel")
+                };
+                let mut ops = program.units.iter().flat_map(|u| &u.ops);
+                let gather = ops.find(|op| matches!(op.kind, OpKind::Gather { .. }));
+                let gather = gather.expect("a gather");
+                let slot = if tail { SlotSize::Tile } else { SlotSize::Sink };
+                assert_eq!(
+                    (gather.size, gather.pulls),
+                    (slot, true),
+                    "{reduce:?} {group:?}"
+                );
+                let what = format!("{reduce:?} {group:?} tail {tail}");
+                for threads in [1, 2] {
+                    let policy = ExecPolicy {
+                        threads,
+                        parallel_threshold: 0,
+                        tile_edges: 16,
+                        heavy_row_degree: 4,
+                        ..ExecPolicy::serial()
+                    };
+                    let run = |shard: Option<Arc<[bool]>>| {
+                        let (plan, g) = (Held::Borrowed(&plan), Held::Borrowed(&g));
+                        let mut sess = Session::assemble(plan, g, policy, shard).unwrap();
+                        sess.forward(&b).unwrap().remove(0)
+                    };
+                    let (full, masked) = (run(None), run(Some(Arc::clone(&shard))));
+                    let hub = full.row(1).iter().all(|&x| x != 0.0);
+                    assert!(
+                        !shard[1] && hub,
+                        "{what}: the hub not owned has a row to skip"
+                    );
+                    for v in 0..nv {
+                        let bits = |t: &Tensor| t.row(v).iter().map(|x| x.to_bits()).collect();
+                        let want: Vec<u32> = if shard[v] { bits(&full) } else { vec![0; cols] };
+                        assert_eq!(bits(&masked), want, "{what} threads {threads} row {v}");
+                    }
                 }
             }
         }

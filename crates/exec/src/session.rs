@@ -382,6 +382,7 @@ impl<'a> SessionBuilder<'a> {
             Held::Borrowed(self.plan),
             Held::Borrowed(self.graph),
             policy,
+            None,
         )
     }
 }
@@ -404,11 +405,14 @@ impl<'a> Session<'a> {
     /// planning and pool pre-seeding. `policy` arrives with the env
     /// overrides already folded in by the builder. The sharded builder
     /// calls this once per shard with the local subgraph it made (owned:
-    /// there is no caller to borrow it from) and the plan it classified.
+    /// there is no caller to borrow it from), the plan it classified and
+    /// the shard's owned vertices (`shard`, per local vertex), the only
+    /// groups its vertex reductions reduce.
     pub(crate) fn assemble(
         plan: Held<'a, ExecutionPlan>,
         graph: Held<'a, Graph>,
         policy: ExecPolicy,
+        shard: Option<Arc<[bool]>>,
     ) -> Result<Self> {
         let policy = policy.resolved(gnnopt_tensor::parallel::available_threads);
         let mut leaf_names = HashMap::new();
@@ -466,7 +470,9 @@ impl<'a> Session<'a> {
             fused::tile_bounds(graph.in_adj().indptr(), policy.tile_edges).into();
         let kernels = plan.programs.iter().zip(&lv.kernel_deaths);
         let kernels = kernels
-            .map(|(prog, dying)| fused::prepare(prog, &graph, &policy, &tiles, dying))
+            .map(|(prog, dying)| {
+                fused::prepare(prog, &graph, &policy, &tiles, shard.as_ref(), dying)
+            })
             .collect();
 
         let memplan = memplan::plan_memory(&plan, graph.num_vertices(), graph.num_edges(), true);

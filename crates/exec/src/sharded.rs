@@ -22,6 +22,18 @@
 //! runs in exactly the unsharded accumulation order — that is where
 //! bit-identity comes from.
 //!
+//! A replica exists for the *other* endpoint's reductions: a cut edge
+//! kept for its source completes that source's by-source groups, and
+//! nothing else. So a shard reduces only the groups it owns — each shard
+//! session holds its owned-vertex set, and the tile driver's `Sum` /
+//! `Mean` gathers skip every other destination (by-destination) or
+//! source (streamed by-source), leaving those rows zero. They are
+//! exactly the rows the classifier below holds never valid (a
+//! reduction clears the halo), so no exchange, plan or owned bit
+//! changes; every edge is reduced once each way
+//! ([`ShardSummary::dst_reduced_edges`] / `src_reduced_edges` sum to
+//! `|E|`).
+//!
 //! A shard's copy of a value is only *authoritative* on some rows: a
 //! vertex value on its owned rows (always), a `ByDst`-anchored edge
 //! value (an edge softmax, say) on rows whose destination it owns. The
@@ -90,7 +102,7 @@ use gnnopt_core::memplan::{self, Liveness};
 use gnnopt_core::view::{self, View};
 use gnnopt_core::{EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, NodeId, OpKind, Phase, Space};
 use gnnopt_graph::{EdgeList, Graph, Partition};
-use gnnopt_tensor::Tensor;
+use gnnopt_tensor::{rowops, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,6 +147,12 @@ pub struct ShardSummary {
     pub num_vertices: usize,
     /// Edges of the local subgraph (dst-owned + replicated).
     pub num_edges: usize,
+    /// Edges the shard's by-destination reductions run over: those whose
+    /// destination it owns.
+    pub dst_reduced_edges: usize,
+    /// Edges its by-source reductions run over: those whose source it
+    /// owns (every such edge is local when the plan has one).
+    pub src_reduced_edges: usize,
     /// Vertices this shard owns.
     pub owned_vertices: usize,
     /// Halo rows: local vertices owned elsewhere that exchanges fill.
@@ -772,6 +790,9 @@ struct ShardMaps {
     part: Partition,
     /// Per shard: global vertex id of each local row, ascending.
     l2g_vertex: Vec<Vec<u32>>,
+    /// Per shard: whether it owns each local row — the only groups its
+    /// vertex reductions reduce (shared with its session's kernels).
+    owns: Vec<Arc<[bool]>>,
     /// Per shard: global edge id of each local edge row, ascending.
     l2g_edge: Vec<Vec<u32>>,
     /// Per global vertex: its row in its owner shard.
@@ -924,10 +945,18 @@ impl ShardMaps {
             }
         }
 
+        let owned_by = |s: usize| -> Arc<[bool]> {
+            l2g_vertex[s]
+                .iter()
+                .map(|&v| owner[v as usize] as usize == s)
+                .collect()
+        };
+        let owns = (0..k).map(owned_by).collect();
         let cut_edges = part.cut_edges(graph);
         let maps = Self {
             part,
             l2g_vertex,
+            owns,
             l2g_edge: kept,
             owner_vertex_row,
             owner_edge_row_dst,
@@ -958,9 +987,8 @@ fn select_rows_u32(t: &Tensor, idx: &[u32]) -> Tensor {
     let mut shape = t.shape().to_vec();
     shape[0] = idx.len();
     let mut out = Tensor::zeros(&shape);
-    for (i, &g) in idx.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(t.row(g as usize));
-    }
+    let width = t.numel().checked_div(t.rows()).unwrap_or(0);
+    rowops::gather_rows(out.as_mut_slice(), t.as_slice(), width, idx, 0);
     out
 }
 
@@ -1473,12 +1501,19 @@ impl<'a> Multi<'a> {
     fn summaries(&self) -> Vec<ShardSummary> {
         let sizes = self.maps.part.shard_sizes();
         (0..self.num_shards())
-            .map(|s| ShardSummary {
-                num_vertices: self.maps.l2g_vertex[s].len(),
-                num_edges: self.maps.l2g_edge[s].len(),
-                owned_vertices: sizes[s],
-                halo_rows: self.maps.halo_rows[s].len(),
-                arena_bytes: self.shards[s].memory_plan().arena_bytes,
+            .map(|s| {
+                let (g, owns) = (self.shards[s].graph(), &self.maps.owns[s]);
+                // Local edges whose `ends` endpoint the shard owns.
+                let owned = |ends: &[u32]| ends.iter().filter(|&&l| owns[l as usize]).count();
+                ShardSummary {
+                    num_vertices: self.maps.l2g_vertex[s].len(),
+                    num_edges: self.maps.l2g_edge[s].len(),
+                    dst_reduced_edges: owned(g.dst_slice()),
+                    src_reduced_edges: owned(g.src_slice()),
+                    owned_vertices: sizes[s],
+                    halo_rows: self.maps.halo_rows[s].len(),
+                    arena_bytes: self.shards[s].memory_plan().arena_bytes,
+                }
             })
             .collect()
     }
@@ -1582,7 +1617,11 @@ impl<'a> ShardedSessionBuilder<'a> {
         let (maps, graphs) = ShardMaps::build(&plan.ir, self.graph, part);
         let shards: Vec<Session<'a>> = graphs
             .into_iter()
-            .map(|g| Session::assemble(plan.clone(), Held::Owned(Arc::new(g)), policy))
+            .zip(&maps.owns)
+            .map(|(g, owns)| {
+                let shard = Some(Arc::clone(owns));
+                Session::assemble(plan.clone(), Held::Owned(Arc::new(g)), policy, shard)
+            })
             .collect::<Result<_>>()?;
         let fwd_kernels = shards[0].fwd_kernel_ids().to_vec();
         let bwd_kernels = shards[0].bwd_kernel_ids().to_vec();
@@ -1592,7 +1631,7 @@ impl<'a> ShardedSessionBuilder<'a> {
             fused::tile_bounds(self.graph.in_adj().indptr(), policy.tile_edges).into();
         let global = |(program, class): (_, &KernelClass)| {
             matches!(class, KernelClass::Global { .. })
-                .then(|| fused::prepare(program, self.graph, &policy, &tiles, &[]))
+                .then(|| fused::prepare(program, self.graph, &policy, &tiles, None, &[]))
         };
         let gkernels = plan.programs.iter().zip(&classified.classes);
         let gkernels = gkernels.map(global).collect();
@@ -1755,6 +1794,8 @@ impl<'a> ShardedSession<'a> {
             Inner::Single(s) => vec![ShardSummary {
                 num_vertices: s.graph().num_vertices(),
                 num_edges: s.graph().num_edges(),
+                dst_reduced_edges: s.graph().num_edges(),
+                src_reduced_edges: s.graph().num_edges(),
                 owned_vertices: s.graph().num_vertices(),
                 halo_rows: 0,
                 arena_bytes: s.memory_plan().arena_bytes,

@@ -101,11 +101,19 @@ fn inspect_shards(spec: &ModelSpec, plan: &gnnopt::core::ExecutionPlan, k: usize
         "cut edges: {}  halo vertices: {}  comm: {} bytes in {} exchanges/step",
         stats.cut_edges, stats.halo_vertices, stats.comm_bytes, stats.halo_exchanges
     );
-    println!("\nshard  owned_v  local_v  local_e  halo_rows  arena_bytes");
+    // `dst_red` / `src_red`: the edges the shard's by-destination and
+    // by-source reductions run over (those whose endpoint it owns).
+    println!("\nshard  owned_v  local_v  local_e  dst_red  src_red  halo_rows  arena_bytes");
     for (s, sum) in sess.shard_summaries().iter().enumerate() {
         println!(
-            "{s:>5}  {:>7}  {:>7}  {:>7}  {:>9}  {:>11}",
-            sum.owned_vertices, sum.num_vertices, sum.num_edges, sum.halo_rows, sum.arena_bytes
+            "{s:>5}  {:>7}  {:>7}  {:>7}  {:>7}  {:>7}  {:>9}  {:>11}",
+            sum.owned_vertices,
+            sum.num_vertices,
+            sum.num_edges,
+            sum.dst_reduced_edges,
+            sum.src_reduced_edges,
+            sum.halo_rows,
+            sum.arena_bytes
         );
     }
     if !sess.exchanges().is_empty() {

@@ -44,12 +44,27 @@ fn assert_bit_identical(
     threads: usize,
     strategy: ShardStrategy,
 ) {
-    let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
-    let b = bindings_from(vals);
     let policy = ExecPolicy {
         threads,
         ..ExecPolicy::serial()
     };
+    assert_bit_identical_under(name, ir, vals, g, k, policy, strategy);
+}
+
+/// [`assert_bit_identical`] under an explicit policy (tile budget,
+/// heavy-row degree, threads).
+fn assert_bit_identical_under(
+    name: &str,
+    ir: &gnnopt::core::IrGraph,
+    vals: &HashMap<String, Tensor>,
+    g: &Graph,
+    k: usize,
+    policy: ExecPolicy,
+    strategy: ShardStrategy,
+) {
+    let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
+    let b = bindings_from(vals);
+    let threads = policy.threads;
 
     let out_node = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
     let seed = Tensor::ones(&[g.num_vertices(), out_node.dim.total()]);
@@ -174,6 +189,54 @@ fn extreme_hub_and_isolated_vertices_bit_identical() {
         let vals = spec.init_values(&g, 41);
         for k in [2, 4] {
             assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
+        }
+    }
+}
+
+/// A shard reduces only the groups it owns, so the seams of that mask —
+/// an owned run ending inside a tile or a strip, a hub whose edges are
+/// cut across shards — must keep every bit: the Mean aggregator
+/// (SAGE-mean) beside GCN and GAT, 16-row tiles, on RMAT-10 with heavy
+/// rows from degree 8 and on a hub with 2 100 in- and out-edges. (The
+/// oracle chunks rows past the default heavy-row degree only, so the hub
+/// keeps that default; a hub split into chunks under the mask is
+/// `fused.rs`' unit test, against the unmasked run.)
+#[test]
+fn owned_group_seams_bit_identical() {
+    let rmat = Graph::from_edge_list(&generators::rmat(10, 8, 0.55, 0.2, 0.2, 29));
+    let leaves = 2100u32;
+    let mut pairs: Vec<(u32, u32)> = (1..=leaves).flat_map(|v| [(v, 0), (0, v)]).collect();
+    pairs.extend((1..leaves).map(|v| (v, v + 1)));
+    let hub = Graph::from_edge_list(&EdgeList::from_pairs(leaves as usize + 1, &pairs));
+    let models = [
+        ("gcn", gcn(&GcnConfig::two_layer(5, 6, 3)).unwrap()),
+        (
+            "gat",
+            gat(&GatConfig {
+                in_dim: 4,
+                layers: vec![(2, 3)],
+                negative_slope: 0.2,
+                reorganized: false,
+            })
+            .unwrap(),
+        ),
+        ("sage-mean", sage(&SageConfig::mean(5, vec![6, 3])).unwrap()),
+    ];
+    for (g, heavy_row_degree) in [(&rmat, 8), (&hub, ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE)] {
+        for (name, spec) in &models {
+            let vals = spec.init_values(g, 37);
+            for strategy in [ShardStrategy::Bfs, ShardStrategy::Contiguous] {
+                for (k, threads) in [(2, 1), (2, 4), (3, 1), (3, 4)] {
+                    let policy = ExecPolicy {
+                        threads,
+                        parallel_threshold: 0,
+                        tile_edges: 16,
+                        heavy_row_degree,
+                        ..ExecPolicy::serial()
+                    };
+                    assert_bit_identical_under(name, &spec.ir, &vals, g, k, policy, strategy);
+                }
+            }
         }
     }
 }
@@ -365,8 +428,9 @@ proptest! {
     }
 
     /// Shard summaries are consistent with the partition: owned counts
-    /// tile |V|, local edges cover every edge at least once, and halo
-    /// rows only ever name non-owned local vertices.
+    /// tile |V|, local edges cover every edge at least once, reductions
+    /// run over every edge exactly once, and halo rows only ever name
+    /// non-owned local vertices.
     #[test]
     fn shard_summaries_consistent(g in arb_graph(), k in 2usize..5) {
         let spec = gcn(&GcnConfig::two_layer(3, 4, 2)).unwrap();
@@ -391,6 +455,11 @@ proptest! {
         }
         // Every edge lives in at least the shard owning its destination.
         prop_assert!(sums.iter().map(|s| s.num_edges).sum::<usize>() >= g.num_edges());
+        // And is reduced once each way: by the shard owning its
+        // destination, and (GCN's backward groups by source) by the one
+        // owning its source — never by a replica.
+        prop_assert_eq!(sums.iter().map(|s| s.dst_reduced_edges).sum::<usize>(), g.num_edges());
+        prop_assert_eq!(sums.iter().map(|s| s.src_reduced_edges).sum::<usize>(), g.num_edges());
     }
 
     /// The strongest form: property-generated model IRs (scatter /
