@@ -8,8 +8,10 @@
 //! backward, which costs roughly one extra forward pass (≈ 30 % of a
 //! training step). This module implements the DNN scheme faithfully —
 //! the √n heuristic and the optimal dynamic program under a memory
-//! budget — so the `dnn_checkpoint_compare` bench can reproduce the
-//! 30 %-vs-10 % claim quantitatively on the same workloads.
+//! budget — so the `dnn_checkpoint_compare` figure can reproduce the
+//! 30 %-vs-10 % claim quantitatively on the same workloads. It is a
+//! cost model over a stage chain, figure-side analysis only: the
+//! compiler's own recomputation is `gnnopt_core::recompute`.
 //!
 //! Model: a chain of `n` stages (for a GNN plan: the kernels in schedule
 //! order). A plan partitions the chain into contiguous segments; the

@@ -7,6 +7,11 @@
 //! and binds thread groups to *groups*: the per-worker upper bound drops
 //! from `max_degree` to `group_size`, at the price of one extra partial
 //! reduction merge per additional group.
+//!
+//! Figure-side analysis only: the grouping is a degree-statistics model
+//! the `reorder_ablation` figure feeds to the simulator's imbalance
+//! term. The CPU executor does not use it: its workers own runs of
+//! destination tiles.
 
 use gnnopt_graph::GraphStats;
 
@@ -14,8 +19,8 @@ use gnnopt_graph::GraphStats;
 /// work items each vertex's in-edge set splits into.
 ///
 /// ```
+/// use gnnopt_bench::NeighborGrouping;
 /// use gnnopt_graph::GraphStats;
-/// use gnnopt_reorder::NeighborGrouping;
 ///
 /// let skewed = GraphStats::synthesize_power_law(4096, 16.0, 1.4);
 /// let grouping = NeighborGrouping::build(&skewed, 32);

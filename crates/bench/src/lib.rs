@@ -1,55 +1,30 @@
 //! Experiment harness reproducing every figure of the paper's evaluation
-//! (§7): workload builders, the system-variant runner and the normalized
-//! report printer. One binary per figure regenerates the corresponding
-//! rows (README, "Reproducing the paper's figures", is the index). The
-//! figures are the paper's analytical GPU model; wall time on this host
-//! is `gnnbench`'s to measure, nothing here times a CPU step.
+//! (§7): workload builders, the system-variant runner, the normalized
+//! report printer, and the figures themselves ([`figures`]), which the
+//! one `figures` binary runs by name (README, "Reproducing the paper's
+//! figures", is the index). The figures are the paper's analytical GPU
+//! model at paper scale; wall time on this host is `gnnbench`'s to
+//! measure, nothing here times a CPU step.
+//!
+//! The analysis only figures read lives here too, not in the compiler or
+//! the runtime crates: the mapping autotuner ([`tune`]), DNN segment
+//! checkpointing ([`checkpoint`]) and neighbor grouping ([`grouping`]).
+
+pub mod checkpoint;
+pub mod figures;
+pub mod grouping;
+pub mod tune;
+
+pub use grouping::NeighborGrouping;
+pub use tune::{autotune_mappings, TuneReport};
 
 use gnnopt_core::ir::Result as IrResult;
 use gnnopt_core::{compile, CompileOptions, IrGraph};
 use gnnopt_graph::datasets::DatasetSpec;
-use gnnopt_graph::{EdgeList, GraphStats};
+use gnnopt_graph::GraphStats;
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
 use gnnopt_sim::{Device, ExecStats};
 use serde::Serialize;
-
-/// True when `GNNOPT_SMOKE=1`: every figure/ablation binary shrinks its
-/// workloads (smaller graphs, shorter sweeps) to a few seconds so CI can
-/// execute all of them end-to-end — figure code cannot silently rot.
-/// Any other value (or unset) keeps the paper-scale settings.
-pub fn smoke() -> bool {
-    std::env::var("GNNOPT_SMOKE").map(|v| v.trim() == "1") == Ok(true)
-}
-
-/// `full` normally, `small` under `GNNOPT_SMOKE=1` — the one-liner the
-/// figure binaries use to shrink scales, sweep lists and seeds.
-pub fn smoke_scale<T>(full: T, small: T) -> T {
-    if smoke() {
-        small
-    } else {
-        full
-    }
-}
-
-/// Deterministic Fisher–Yates vertex relabeling (LCG-driven): the
-/// "ingestion order" baseline reordering experiments measure against —
-/// real graph loaders assign ids in arrival order, which carries no
-/// locality, while synthetic generators often leak theirs.
-pub fn scramble_ids(el: &EdgeList, seed: u64) -> EdgeList {
-    let n = el.num_vertices();
-    let mut ids: Vec<u32> = (0..n as u32).collect();
-    let mut state = seed | 1;
-    for i in (1..n).rev() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        ids.swap(i, j);
-    }
-    gnnopt_reorder::Permutation::from_order(&ids)
-        .expect("shuffled ids are a bijection")
-        .apply_to_edges(el)
-}
 
 /// A named model + graph-statistics pair, ready to compile.
 #[derive(Debug, Clone)]
@@ -74,39 +49,31 @@ pub struct VariantResult {
     pub fits: std::result::Result<u64, String>,
 }
 
-/// Compiles `ir` under `opts` and evaluates it analytically on `device`.
+/// Compiles `wl` under each `(label, options)` variant and evaluates it
+/// analytically on `device`: one result per variant, in order.
 ///
 /// # Errors
 ///
 /// Propagates IR/compile errors.
-pub fn run_variant(
-    label: &str,
-    ir: &IrGraph,
-    stats: &GraphStats,
-    opts: &CompileOptions,
+pub fn run_variants(
+    wl: &Workload,
+    variants: &[(&str, CompileOptions)],
     training: bool,
     device: &Device,
-) -> IrResult<VariantResult> {
-    let compiled = compile(ir, training, opts)?;
-    let s = compiled.plan.exec_stats(device, stats);
-    let fits = compiled
-        .plan
-        .check_fits(device, stats)
-        .map_err(|e| e.to_string());
-    Ok(VariantResult {
-        system: label.to_owned(),
-        stats: s,
-        fits,
-    })
-}
-
-/// The three systems of Figure 7.
-pub fn figure7_systems() -> Vec<(&'static str, CompileOptions)> {
-    vec![
-        ("DGL", CompileOptions::dgl()),
-        ("fuseGNN", CompileOptions::fusegnn()),
-        ("Ours", CompileOptions::ours()),
-    ]
+) -> IrResult<Vec<VariantResult>> {
+    variants
+        .iter()
+        .map(|(label, opts)| {
+            let plan = compile(&wl.ir, training, opts)?.plan;
+            Ok(VariantResult {
+                system: (*label).to_owned(),
+                stats: plan.exec_stats(device, &wl.stats),
+                fits: plan
+                    .check_fits(device, &wl.stats)
+                    .map_err(|e| e.to_string()),
+            })
+        })
+        .collect()
 }
 
 /// GAT in the Figure 7 setting (2 layers × 128 hidden, single head, as
@@ -231,27 +198,21 @@ mod tests {
     #[test]
     fn figure7_gat_ours_beats_dgl_on_reddit() {
         let ds = datasets::reddit();
-        let dgl_wl = gat_figure7(&ds, true).unwrap();
-        let ours_wl = gat_figure7(&ds, false).unwrap();
         let device = Device::rtx3090();
-        let dgl = run_variant(
-            "DGL",
-            &dgl_wl.ir,
-            &dgl_wl.stats,
-            &CompileOptions::dgl(),
+        let dgl = &run_variants(
+            &gat_figure7(&ds, true).unwrap(),
+            &[("DGL", CompileOptions::dgl())],
             true,
             &device,
         )
-        .unwrap();
-        let ours = run_variant(
-            "Ours",
-            &ours_wl.ir,
-            &ours_wl.stats,
-            &CompileOptions::ours(),
+        .unwrap()[0];
+        let ours = &run_variants(
+            &gat_figure7(&ds, false).unwrap(),
+            &[("Ours", CompileOptions::ours())],
             true,
             &device,
         )
-        .unwrap();
+        .unwrap()[0];
         assert!(
             ours.stats.latency < dgl.stats.latency,
             "ours {} vs dgl {}",
@@ -265,26 +226,17 @@ mod tests {
     #[test]
     fn edgeconv_memory_savings_are_large() {
         let wl = edgeconv_workload(40, 64, &EdgeConvConfig::paper()).unwrap();
-        let device = Device::rtx3090();
-        let dgl = run_variant(
-            "DGL",
-            &wl.ir,
-            &wl.stats,
-            &CompileOptions::dgl(),
+        let rows = run_variants(
+            &wl,
+            &[
+                ("DGL", CompileOptions::dgl()),
+                ("Ours", CompileOptions::ours()),
+            ],
             true,
-            &device,
+            &Device::rtx3090(),
         )
         .unwrap();
-        let ours = run_variant(
-            "Ours",
-            &wl.ir,
-            &wl.stats,
-            &CompileOptions::ours(),
-            true,
-            &device,
-        )
-        .unwrap();
-        let saving = dgl.stats.peak_memory as f64 / ours.stats.peak_memory as f64;
+        let saving = rows[0].stats.peak_memory as f64 / rows[1].stats.peak_memory as f64;
         assert!(saving > 2.0, "EdgeConv memory saving only {saving:.2}x");
     }
 }

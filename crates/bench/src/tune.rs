@@ -2,11 +2,17 @@
 //!
 //! §5 of the paper: *"In general, we can select between vertex-balanced or
 //! edge-balanced mapping based on performance profiling."* The fusion
-//! pass's [`MappingPolicy::Auto`](crate::fusion::MappingPolicy) applies
+//! pass's [`MappingPolicy::Auto`](gnnopt_core::fusion::MappingPolicy) applies
 //! the paper's static default (vertex-balanced when a reduction is
 //! present); this module implements the profiling alternative — evaluate
 //! both mappings of every fused graph kernel under the device model and
 //! keep the faster one.
+//!
+//! It is figure-side analysis, not part of the compiler: `compile` never
+//! calls it, and it rewrites only a kernel's mapping and atomic flag,
+//! which lowering and the CPU executor never read — so it moves the
+//! analytical model's latency and nothing a session runs. Its reader is
+//! the `tune_ablation` figure.
 //!
 //! The trade modeled is exactly the paper's Figure 5 discussion:
 //! vertex-balanced mappings suffer degree-skew imbalance, edge-balanced
@@ -20,8 +26,8 @@
 //! shared memory, which only exists under a destination-grouped mapping
 //! (§5 "A special case is when ReduceScatter is involved").
 
-use crate::fusion::{atomic_flag, kernel_has_softmax};
-use crate::plan::ExecutionPlan;
+use gnnopt_core::fusion::{atomic_flag, kernel_has_softmax};
+use gnnopt_core::ExecutionPlan;
 use gnnopt_graph::GraphStats;
 use gnnopt_sim::{Device, KernelProfile, ThreadMapping};
 
@@ -57,7 +63,8 @@ impl TuneReport {
 /// and the modeled end-to-end latency on either side.
 ///
 /// ```
-/// use gnnopt_core::{autotune_mappings, compile, CompileOptions};
+/// use gnnopt_bench::autotune_mappings;
+/// use gnnopt_core::{compile, CompileOptions};
 /// use gnnopt_core::ir::IrGraph;
 /// use gnnopt_core::op::{BinaryFn, Dim, EdgeGroup, ReduceFn, ScatterFn};
 /// use gnnopt_graph::GraphStats;
@@ -143,10 +150,10 @@ fn plan_latency(plan: &ExecutionPlan, device: &Device, stats: &GraphStats) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::MappingPolicy;
-    use crate::ir::IrGraph;
-    use crate::op::{BinaryFn, Dim, EdgeGroup, OpKind, ReduceFn, ScatterFn, UnaryFn};
-    use crate::pipeline::{compile, CompileOptions};
+    use gnnopt_core::fusion::MappingPolicy;
+    use gnnopt_core::ir::IrGraph;
+    use gnnopt_core::op::{BinaryFn, Dim, EdgeGroup, OpKind, ReduceFn, ScatterFn, UnaryFn};
+    use gnnopt_core::{compile, CompileOptions};
 
     /// A fused scatter→gather chain with *no* softmax: the kernel the
     /// tuner is free to re-map. With `project`, a trailing linear adds a

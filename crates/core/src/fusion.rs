@@ -741,7 +741,7 @@ fn try_build_kernels(
 /// such kernels buffer per-destination reductions in shared memory and
 /// must stay vertex-balanced (§5 "A special case is when ReduceScatter is
 /// involved").
-pub(crate) fn kernel_has_softmax(ir: &IrGraph, nodes: &[NodeId]) -> bool {
+pub fn kernel_has_softmax(ir: &IrGraph, nodes: &[NodeId]) -> bool {
     nodes.iter().any(|&n| {
         matches!(
             ir.node(n).kind,
@@ -755,7 +755,7 @@ pub(crate) fn kernel_has_softmax(ir: &IrGraph, nodes: &[NodeId]) -> bool {
 /// vertex-balanced kernels only when a second reduction diverges from the
 /// kernel's primary grouping direction. Parameter-space reductions are
 /// atomic under every mapping.
-pub(crate) fn atomic_flag(ir: &IrGraph, nodes: &[NodeId], mapping: ThreadMapping) -> bool {
+pub fn atomic_flag(ir: &IrGraph, nodes: &[NodeId], mapping: ThreadMapping) -> bool {
     let has_param_reduction = nodes.iter().any(|&n| ir.node(n).kind.is_param_reduction());
     let groups: Vec<EdgeGroup> = nodes
         .iter()

@@ -35,7 +35,6 @@
 //! ```
 
 pub mod autodiff;
-pub mod checkpoint;
 pub mod cost;
 pub mod display;
 pub mod exec_policy;
@@ -48,7 +47,6 @@ pub mod pipeline;
 pub mod plan;
 pub mod recompute;
 pub mod reorg;
-pub mod tune;
 pub mod view;
 
 /// Deterministic fault injection (failpoints): named sites across the
@@ -67,5 +65,4 @@ pub use op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Spac
 pub use pipeline::{compile, CompileOptions, FusionLevel, Preset};
 pub use plan::{ExecutionPlan, Kernel};
 pub use recompute::RecomputeScope;
-pub use tune::{autotune_mappings, TuneReport};
 pub use view::View;

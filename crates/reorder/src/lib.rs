@@ -1,31 +1,24 @@
-//! Runtime optimizations for GNN kernels: vertex reordering and
-//! neighbor grouping.
+//! Runtime optimization for GNN kernels: vertex reordering.
 //!
 //! The paper's §8 separates *computational-graph* optimization (its own
 //! contribution, `gnnopt-core`) from *runtime* optimization — scheduling
 //! workload assignment and memory layout with a preprocessing pass, as
-//! GNNAdvisor (Wang et al., OSDI'21) does with neighbor grouping and
-//! Rabbit Reordering (Arai et al., IPDPS'16). The two levels compose: a
-//! fused vertex-balanced kernel (§5) still suffers load imbalance and poor
-//! gather locality on skewed graphs, which is precisely what this crate's
-//! two techniques address:
+//! Rabbit Reordering (Arai et al., IPDPS'16) does. The two levels
+//! compose: a fused vertex-balanced kernel (§5) still suffers poor gather
+//! locality on skewed graphs, which is what reordering addresses.
+//! [`strategies`] builds a [`Permutation`] that relabels vertices so
+//! neighbors get nearby ids, improving the cache behaviour of
+//! `Gather`/`Scatter` reads: degree sort, BFS, reverse Cuthill–McKee, and
+//! a Rabbit-inspired clustered order. [`locality`] quantifies the effect
+//! (LRU hit rate, index span).
 //!
-//! * **Vertex reordering** ([`strategies`]): a [`Permutation`] relabels
-//!   vertices so neighbors get nearby ids, improving the cache behaviour
-//!   of `Gather`/`Scatter` reads. Provided strategies: degree sort, BFS,
-//!   reverse Cuthill–McKee, and a Rabbit-inspired clustered order.
-//!   [`locality`] quantifies the effect (LRU hit rate, index span).
-//! * **Neighbor grouping** ([`grouping`]): splits high-degree vertices
-//!   into bounded-size edge groups so a vertex-balanced mapping binds
-//!   thread groups to *groups* instead of vertices, flattening the
-//!   degree skew at the cost of a small cross-group merge.
-//!
-//! Both are preprocessing passes whose costs are surfaced explicitly
+//! Reordering is a preprocessing pass whose cost is surfaced explicitly
 //! (amortized over training epochs in the paper's setting); the
-//! `reorder_ablation` bench binary reports the trade-off on the paper's
-//! datasets.
+//! `figures reorder_ablation` subcommand reports the trade-off on the
+//! paper's datasets, beside GNNAdvisor-style neighbor grouping, which
+//! lives with it in `gnnopt-bench` as figure-side analysis.
 //!
-//! The executor knows neither technique. A caller who wants gather
+//! The executor does not know about reordering. A caller who wants gather
 //! locality on real hardware relabels **once**, before building a
 //! session: [`Permutation::apply_to_graph`] — a *stable* permutation
 //! that keeps per-destination reduction order, so outputs match the
@@ -47,11 +40,9 @@
 //! assert!(after >= before * 0.9); // typically strictly better
 //! ```
 
-pub mod grouping;
 pub mod locality;
 mod permutation;
 pub mod strategies;
 
-pub use grouping::NeighborGrouping;
 pub use locality::LocalityReport;
 pub use permutation::{Permutation, PermutationError};

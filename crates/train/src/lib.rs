@@ -7,15 +7,11 @@
 //! `forward → loss → backward → optimizer` epochs over any compiled plan.
 
 mod loss;
-mod metrics;
 mod optim;
-mod schedule;
 mod trainer;
 
 pub use loss::{accuracy, accuracy_masked, softmax_cross_entropy, softmax_cross_entropy_masked};
-pub use metrics::ConfusionMatrix;
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
-pub use schedule::{ConstantLr, CosineAnnealing, EarlyStopping, LrSchedule, StepDecay, Warmup};
 pub use trainer::{StepReport, Trainer};
 
 /// Crate-wide result alias (training reuses the executor's error type).

@@ -8,9 +8,6 @@ pub trait Optimizer {
     /// Applies one update step: `params[k] ← update(params[k], grads[k])`
     /// for every key present in `grads`.
     fn step(&mut self, params: &mut HashMap<String, Tensor>, grads: &HashMap<String, Tensor>);
-
-    /// Overrides the learning rate (used by LR schedules).
-    fn set_lr(&mut self, lr: f32);
 }
 
 /// Rescales all gradients in place so their global L2 norm is at most
@@ -112,10 +109,6 @@ impl Optimizer for Sgd {
             }
         }
     }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2015), with optional *decoupled* weight decay
@@ -192,10 +185,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -262,18 +251,6 @@ mod tests {
         let mut adamw = Adam::adamw(0.1, 0.5);
         adamw.step(&mut params, &grads);
         assert!((params["w"].as_slice()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn set_lr_takes_effect() {
-        let mut params = HashMap::new();
-        params.insert("w".to_owned(), Tensor::from_vec(vec![1.0]));
-        let mut grads = HashMap::new();
-        grads.insert("w".to_owned(), Tensor::from_vec(vec![1.0]));
-        let mut sgd = Sgd::new(0.1);
-        sgd.set_lr(0.0);
-        sgd.step(&mut params, &grads);
-        assert_eq!(params["w"].as_slice(), &[1.0]);
     }
 
     #[test]

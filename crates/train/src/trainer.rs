@@ -1,7 +1,6 @@
 //! The epoch driver: forward → loss → backward → update.
 
 use crate::optim::clip_grad_norm;
-use crate::schedule::{EarlyStopping, LrSchedule};
 use crate::{accuracy_masked, softmax_cross_entropy_masked, Optimizer, Result};
 use gnnopt_core::ExecutionPlan;
 use gnnopt_exec::{Bindings, ExecError, RunStats, Session};
@@ -183,34 +182,6 @@ impl<'a, O: Optimizer> Trainer<'a, O> {
     pub fn fit(&mut self, labels: &[usize], epochs: usize) -> Result<Vec<StepReport>> {
         (0..epochs).map(|_| self.step(labels)).collect()
     }
-
-    /// Runs up to `epochs` steps with a learning-rate schedule, stopping
-    /// early when `stopper` (if any) fires on the training loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates executor errors.
-    pub fn fit_scheduled(
-        &mut self,
-        labels: &[usize],
-        epochs: usize,
-        schedule: &dyn LrSchedule,
-        mut stopper: Option<&mut EarlyStopping>,
-    ) -> Result<Vec<StepReport>> {
-        let mut reports = Vec::with_capacity(epochs);
-        for epoch in 0..epochs {
-            self.optimizer.set_lr(schedule.lr_at(epoch));
-            let report = self.step(labels)?;
-            let loss = report.loss;
-            reports.push(report);
-            if let Some(es) = stopper.as_deref_mut() {
-                if es.should_stop(loss) {
-                    break;
-                }
-            }
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -315,33 +286,5 @@ mod tests {
         // Random labels on a random graph: val loss moves, but must stay
         // finite and be *different* from the untrained state.
         assert!(after1.0.is_finite() && after1.0 != before.0);
-    }
-
-    /// The cosine schedule reaches its floor and early stopping truncates
-    /// the epoch budget.
-    #[test]
-    fn scheduled_fit_stops_early() {
-        let (g, spec, values, labels) = gcn_fixture();
-        let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
-        let params: Vec<String> = spec.params.iter().map(|(n, _, _)| n.clone()).collect();
-        let mut trainer = Trainer::new(&compiled.plan, &g, values, params, Sgd::new(1.0))
-            .unwrap()
-            .with_clip_norm(5.0);
-        let schedule = crate::CosineAnnealing {
-            base: 1.0,
-            min: 0.01,
-            total: 200,
-        };
-        // Zero patience + a huge min_delta: stops after epoch 2 at the
-        // latest (first epoch sets best, second cannot beat it by 1e3).
-        let mut stopper = crate::EarlyStopping::new(0, 1e3);
-        let reports = trainer
-            .fit_scheduled(&labels, 200, &schedule, Some(&mut stopper))
-            .unwrap();
-        assert!(
-            reports.len() <= 2,
-            "stopper must truncate: {}",
-            reports.len()
-        );
     }
 }

@@ -12,10 +12,11 @@
 //!
 //! Run with `cargo run --release --example runtime_optimizations`.
 
-use gnnopt::core::{autotune_mappings, compile, CompileOptions};
+use gnnopt::bench::{autotune_mappings, NeighborGrouping};
+use gnnopt::core::{compile, CompileOptions};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::{gat, GatConfig};
-use gnnopt::reorder::{locality, strategies, NeighborGrouping};
+use gnnopt::reorder::{locality, strategies};
 use gnnopt::sim::{Device, KernelEffects, Timeline, TracePhase};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -14,10 +14,12 @@
 //! * [`exec`] — the CPU reference executor,
 //! * [`models`] — GCN / GAT / GATv2 / EdgeConv / MoNet / GraphSAGE / GIN /
 //!   APPNP,
-//! * [`train`] — losses, optimizers, schedules and the epoch driver,
-//! * [`reorder`] — vertex reordering and neighbor grouping (runtime
-//!   optimizations, §8 related work),
-//! * [`mod@bench`] — the experiment harness behind every figure binary.
+//! * [`train`] — losses, optimizers and the epoch driver,
+//! * [`reorder`] — vertex reordering (runtime optimization, §8 related
+//!   work),
+//! * [`mod@bench`] — the experiment harness behind the `figures` binary,
+//!   with the analysis only figures read (mapping autotuner, DNN
+//!   checkpointing, neighbor grouping).
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 //!
@@ -30,9 +32,9 @@
 //! so a plain checkout builds fully offline.
 //!
 //! ```text
-//! cargo build --release      # everything, including the 13 figure binaries
+//! cargo build --release      # everything, including the `figures` binary
 //! cargo test -q              # unit + integration + property + doc tests
-//! cargo bench --no-run       # compile-check the criterion benches
+//! cargo bench --no-run       # compile-check the criterion bench
 //! cargo run --example quickstart
 //! ```
 //!

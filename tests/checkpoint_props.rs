@@ -1,9 +1,9 @@
 //! Property tests for the DNN segment-checkpointing planner
-//! (`core::checkpoint`): the dynamic program is cross-validated against
+//! (`bench::checkpoint`): the dynamic program is cross-validated against
 //! brute-force enumeration of *all* segmentations on small chains, and
 //! its structural invariants hold on arbitrary ones.
 
-use gnnopt::core::checkpoint::{optimal_plan, CheckpointPlan, StageCost};
+use gnnopt::bench::checkpoint::{optimal_plan, CheckpointPlan, StageCost};
 use proptest::prelude::*;
 
 fn arb_stages() -> impl Strategy<Value = Vec<StageCost>> {

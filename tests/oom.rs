@@ -2,41 +2,28 @@
 //! ablation workloads does not fit an RTX 2080, while the fully-optimized
 //! plan does — at a latency comparable to DGL on the RTX 3090.
 
-use gnnopt::bench::{gat_ablation, monet_ablation, run_variant};
+use gnnopt::bench::{gat_ablation, monet_ablation, run_variants};
 use gnnopt::core::CompileOptions;
 use gnnopt::graph::datasets;
 use gnnopt::sim::Device;
 
+fn dgl_and_ours() -> [(&'static str, CompileOptions); 2] {
+    [
+        ("DGL", CompileOptions::dgl()),
+        ("Ours", CompileOptions::ours()),
+    ]
+}
+
 #[test]
 fn dgl_gat_reddit_needs_3090_ours_fits_2080() {
     let wl = gat_ablation(&datasets::reddit(), false).expect("gat workload");
-    let rtx2080 = Device::rtx2080();
-    let rtx3090 = Device::rtx3090();
-
-    let dgl_2080 = run_variant(
-        "DGL",
-        &wl.ir,
-        &wl.stats,
-        &CompileOptions::dgl(),
-        true,
-        &rtx2080,
-    )
-    .expect("dgl compiles");
+    let on_2080 = run_variants(&wl, &dgl_and_ours(), true, &Device::rtx2080()).expect("compiles");
+    let (dgl_2080, ours_2080) = (&on_2080[0], &on_2080[1]);
     assert!(
         dgl_2080.fits.is_err(),
         "DGL's stash-everything plan must OOM on 8 GB: got {:?}",
         dgl_2080.fits
     );
-
-    let ours_2080 = run_variant(
-        "Ours",
-        &wl.ir,
-        &wl.stats,
-        &CompileOptions::ours(),
-        true,
-        &rtx2080,
-    )
-    .expect("ours compiles");
     assert!(
         ours_2080.fits.is_ok(),
         "the optimized plan must fit 8 GB: got {:?}",
@@ -45,15 +32,8 @@ fn dgl_gat_reddit_needs_3090_ours_fits_2080() {
 
     // Comparable latency: ours-on-2080 within 2× of DGL-on-3090 (the
     // paper reports parity or better).
-    let dgl_3090 = run_variant(
-        "DGL",
-        &wl.ir,
-        &wl.stats,
-        &CompileOptions::dgl(),
-        true,
-        &rtx3090,
-    )
-    .expect("dgl compiles");
+    let dgl_3090 = &run_variants(&wl, &dgl_and_ours()[..1], true, &Device::rtx3090())
+        .expect("dgl compiles")[0];
     assert!(
         ours_2080.stats.latency < dgl_3090.stats.latency * 2.0,
         "ours on 2080 ({:.1} ms) should be comparable to DGL on 3090 ({:.1} ms)",
@@ -66,24 +46,8 @@ fn dgl_gat_reddit_needs_3090_ours_fits_2080() {
 fn monet_reddit_memory_ordering_holds_on_both_devices() {
     let wl = monet_ablation(&datasets::reddit()).expect("monet workload");
     for device in [Device::rtx3090(), Device::rtx2080()] {
-        let dgl = run_variant(
-            "DGL",
-            &wl.ir,
-            &wl.stats,
-            &CompileOptions::dgl(),
-            true,
-            &device,
-        )
-        .expect("dgl compiles");
-        let ours = run_variant(
-            "Ours",
-            &wl.ir,
-            &wl.stats,
-            &CompileOptions::ours(),
-            true,
-            &device,
-        )
-        .expect("ours compiles");
+        let rows = run_variants(&wl, &dgl_and_ours(), true, &device).expect("compiles");
+        let (dgl, ours) = (&rows[0], &rows[1]);
         assert!(
             ours.stats.peak_memory < dgl.stats.peak_memory,
             "{}: ours must use less memory",
@@ -100,16 +64,9 @@ fn monet_reddit_memory_ordering_holds_on_both_devices() {
 #[test]
 fn oom_reports_name_the_offending_allocation() {
     let wl = gat_ablation(&datasets::reddit(), false).expect("gat workload");
-    let dgl = run_variant(
-        "DGL",
-        &wl.ir,
-        &wl.stats,
-        &CompileOptions::dgl(),
-        true,
-        &Device::rtx2080(),
-    )
-    .expect("dgl compiles");
-    let msg = dgl.fits.expect_err("must OOM");
+    let dgl = &run_variants(&wl, &dgl_and_ours()[..1], true, &Device::rtx2080())
+        .expect("dgl compiles")[0];
+    let msg = dgl.fits.as_ref().expect_err("must OOM");
     // The error must carry actionable details: a byte amount at minimum.
     assert!(
         msg.contains("byte") || msg.contains("GiB") || msg.contains("capacity"),

@@ -2,7 +2,8 @@
 //! numerical results of the plan must be bit-identical before and after,
 //! and the tuned plan must still execute end-to-end.
 
-use gnnopt::core::{autotune_mappings, compile, CompileOptions};
+use gnnopt::bench::autotune_mappings;
+use gnnopt::core::{compile, CompileOptions};
 use gnnopt::exec::{Bindings, Session};
 use gnnopt::graph::{generators, Graph};
 use gnnopt::models::{edgeconv, gat, EdgeConvConfig, GatConfig};
