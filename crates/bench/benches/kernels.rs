@@ -266,6 +266,70 @@ fn bench_narrow_rows(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three folded products of a `gat_train` step, each the only graph
+/// work of a forward phase, on one thread over RMAT-16 — whose 64-float
+/// vertex rows (16.8 MB) outgrow L2, so every `src(e)` row is a miss the
+/// look-ahead hint has to cover: the by-destination sum over `h@src ×
+/// a E[2]` (GAT's aggregation), the feature sum over `g@dst × h@src`
+/// (its attention-score gradient) and the streamed by-source sum over
+/// `g@dst × a E[2]` (its feature gradient). Divide a median by the edge
+/// count in the group's name for ns per edge.
+fn bench_wide_rows(c: &mut Criterion) {
+    let graph = Graph::from_edge_list(&generators::rmat(16, 16, 0.57, 0.19, 0.19, 7));
+    let (n, m) = (graph.num_vertices(), graph.num_edges());
+    let values = |rows: usize, cols: usize, seed: u64| {
+        Tensor::from_fn(&[rows, cols], |i| {
+            (((i as u64 + seed) * 2654435761 % 211) as f32 - 105.0) / 64.0
+        })
+    };
+    let (wide, heads) = (Dim::multi(2, 32), Dim::multi(2, 1));
+    let mut group = c.benchmark_group(format!("wide_rows/{m}_edges"));
+    for op in ["sum_by_dst", "feat_sum", "sum_by_src"] {
+        let mut ir = IrGraph::new();
+        let mut b = Bindings::new();
+        // `h@src`, `g@dst`, `a`: each operand the op's product names.
+        let mut operand = |name: &str| match name {
+            "a" => {
+                b.insert("a", values(m, 2, 3));
+                ir.input_edge("a", heads)
+            }
+            _ => {
+                b.insert(name, values(n, 64, u64::from(name.as_bytes()[0])));
+                let x = ir.input_vertex(name, wide);
+                let copy = if name == "h" {
+                    ScatterFn::CopyU
+                } else {
+                    ScatterFn::CopyV
+                };
+                ir.scatter(copy, x, x).expect("scatter")
+            }
+        };
+        let (x, y, reduce) = match op {
+            "sum_by_dst" => (operand("h"), operand("a"), Some(EdgeGroup::ByDst)),
+            "feat_sum" => (operand("g"), operand("h"), None),
+            _ => (operand("g"), operand("a"), Some(EdgeGroup::BySrc)),
+        };
+        let p = ir.binary(BinaryFn::Mul, x, y).expect("product");
+        let out = match reduce {
+            Some(group) => ir.gather(ReduceFn::Sum, group, p),
+            None => ir.feat_sum(p),
+        };
+        ir.mark_output(out.expect("reduction"));
+        let compiled = compile(&ir, false, &CompileOptions::ours())
+            .expect("compiles")
+            .plan;
+        let mut sess = Session::builder(&compiled, &graph)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .expect("session");
+        group.bench_function(op, |bench| {
+            bench.iter(|| sess.forward(&b).expect("forward"));
+        });
+    }
+    group.finish();
+}
+
 /// The three `Linear`-family products at the shapes a GNN layer gives
 /// them — tall and skinny, `|V| × k` against `k × n` — on one thread,
 /// with the left operand dense and at ReLU density (half exact zeros).
@@ -311,6 +375,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_presets, bench_reorg, bench_monet, bench_fused_exec,
-        bench_narrow_rows, bench_gemm_gnn_shapes
+        bench_narrow_rows, bench_wide_rows, bench_gemm_gnn_shapes
 }
 criterion_main!(benches);

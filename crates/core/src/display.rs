@@ -134,18 +134,18 @@ fn space_label(space: Space) -> &'static str {
 /// reading stage) and its prelude views; then one block per [`Unit`] in
 /// stage order (tile unit, streamed unit — the chain under the gather's
 /// own segment, where it executes — or dense call) with one line per
-/// step: storage class, slot (`tile`, `row×strip`, `sink`, or `alias` for
-/// a pure copy compiled away) and resolved operands — a slot is named by
-/// the step that fills it, `@src`/`@dst` is the endpoint pin.
+/// step: storage class, slot (`tile`, `row×strip`, `fold`, `sink`, or
+/// `alias` for a pure copy compiled away) and resolved operands — a slot
+/// is named by the step that fills it, `@src`/`@dst` is the endpoint pin.
 ///
 /// Sample — stage 1 streams a `BySrc` gather: the copy `%18` is an alias
-/// of `%17[dst(e)]`, the chain step `%19` holds a 4-row strip, the
-/// gather `%24` accumulates into its tensor:
+/// of `%17[dst(e)]`, the chain step `%19` is folded into the gather
+/// `%24`, which accumulates `%17[dst(e)]·%11(e)` into its tensor:
 ///
 /// ```text
 ///   stage 1, seg 1 (streamed unit):
 ///     %18  scatter_CopyV_dup  E[256] scratch  alias  = %17@dst
-///     %19  binary_Mul         E[256] scratch  row×4  ← %17@dst %11
+///     %19  binary_Mul         E[256] scratch  fold   ← %17@dst %11
 ///     %24  gather_Sum         V[256] interior sink   ← %19 by-src
 /// ```
 pub fn dump_programs(plan: &ExecutionPlan) -> String {

@@ -83,10 +83,10 @@
 //! the consumer's own row or at an edge endpoint ([`RowAt`]); a
 //! scratch-class pure copy compiles to no op at all (its readers get the
 //! copy's source with the endpoint pinned) — and a [`SlotSize`]: how many
-//! rows the op's slot holds (`gnnopt-exec`'s `fused.rs`, "Slot sizes",
-//! says what each size means at run time). The graph-dependent half —
-//! tile bounds, worker ownership — is `gnnopt-exec`'s, computed once per
-//! session.
+//! rows the op's slot holds, if any (`gnnopt-exec`'s `fused.rs`, "Slot
+//! sizes", says what each size means at run time). The graph-dependent
+//! half — tile bounds, worker ownership — is `gnnopt-exec`'s, computed
+//! once per session.
 //!
 //! # Totality
 //!
@@ -119,7 +119,7 @@
 //!   cross-segment rule.
 
 use crate::ir::IrGraph;
-use crate::op::{Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
+use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use crate::plan::{ExecutionPlan, Kernel};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -269,6 +269,9 @@ pub enum SlotSize {
     /// at an edge endpoint — evaluated over the run of rows its reader
     /// takes next.
     Row,
+    /// None: the op never runs — its one reader evaluates the product per
+    /// row from the product's operands, inside its reduction ([`folds`]).
+    Fold,
     /// None: the op writes its rows of a full tensor in place — a
     /// boundary value or spill of a tiled segment, a streamed segment's
     /// gather, a dense call's result.
@@ -293,7 +296,8 @@ pub struct TileOp {
     /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
     pub dins: Vec<Dim>,
     pub size: SlotSize,
-    /// Some operand is a row-sized slot: pull it before reading.
+    /// Some operand is a row-sized slot, or a folded product that reads
+    /// one: pull it before reading.
     pub pulls: bool,
     /// Row-sized: rows the slot holds. An op that pulls: rows it may run
     /// between two pulls (every row-sized operand then holds them all).
@@ -313,7 +317,7 @@ impl TileOp {
         match self.size {
             SlotSize::Tile => tile,
             SlotSize::Row => tile.min(self.strip * self.cols),
-            SlotSize::Sink => 0,
+            SlotSize::Fold | SlotSize::Sink => 0,
         }
     }
 
@@ -348,11 +352,23 @@ impl TileOp {
     /// what a reader must do for its producer to be row-sized. (A flat op
     /// with a tile-sized slot covers the tile in one call instead.)
     fn takes_rows_once(&self) -> bool {
+        let runs = matches!(self.size, SlotSize::Row | SlotSize::Fold);
         match self.kind {
             OpKind::Gather { .. } => true,
-            _ => !self.reduces_groups() && (!self.flat() || self.size == SlotSize::Row),
+            _ => !self.reduces_groups() && (!self.flat() || runs),
         }
     }
+}
+
+/// A row-sized `Binary(Mul)` (equal-shape or head-broadcast) its one reader
+/// folds ([`SlotSize::Fold`]): a `Gather` `Sum`/`Mean`, tiled or streamed,
+/// or a `FeatSum` — not a `Max`, whose argmax compares whole rows.
+fn folds(op: &TileOp, reader: &TileOp) -> bool {
+    let sums = match reader.kind {
+        OpKind::Gather { reduce, .. } => reduce != ReduceFn::Max,
+        _ => reader.kind == OpKind::FeatSum,
+    };
+    sums && op.kind == OpKind::Binary(BinaryFn::Mul)
 }
 
 /// Elements (4 KB) and rows a row-sized slot's strip holds at most.
@@ -931,7 +947,7 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
     }
 
     // Slot sizes, readers before producers: a scratch-class per-row op
-    // is row-sized when its one reader takes each row once.
+    // is row-sized when its one reader takes each row once (or folded).
     let ops = &mut unit.ops;
     for j in (0..ops.len()).rev() {
         let reads_j = |op: &TileOp| op.srcs.iter().any(|s| s.slot() == Some(j));
@@ -948,28 +964,33 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
             && ops[k].takes_rows_once()
             && (!op.flat() || ops[k].srcs.iter().all(own))
         {
-            ops[j].size = SlotSize::Row;
-            ops[k].pulls = true;
+            let fold = folds(op, &ops[k]);
+            ops[j].size = if fold { SlotSize::Fold } else { SlotSize::Row };
         }
     }
-    // Strip lengths, producers before readers. A row-sized op holds
+    // Strips and pulls, producers before readers. A row-sized op holds
     // consecutive rows — a few KB, so the strip stays in L1 while its
     // reader walks it and the per-call cost of evaluating it is shared;
     // a row read at an endpoint stands alone. An op never runs more rows
-    // at once than each row-sized operand can hold.
+    // at once than each row-sized operand — a fold's, too — can hold.
     for k in 0..ops.len() {
         let op = &ops[k];
         let mut strip = match op.size {
             SlotSize::Row => (STRIP_ELEMS / op.cols.max(1)).clamp(1, STRIP_ROWS),
             _ => STRIP_ROWS,
         };
+        let mut pulls = false;
         for s in &op.srcs {
-            if let Some(j) = s.slot().filter(|&j| ops[j].size == SlotSize::Row) {
-                let held = if s.at == RowAt::Own { ops[j].strip } else { 1 };
-                strip = strip.min(held);
-            }
+            let Some(j) = s.slot() else { continue };
+            let held = match ops[j].size {
+                SlotSize::Row if s.at == RowAt::Own => ops[j].strip,
+                SlotSize::Row => 1,
+                SlotSize::Fold if ops[j].pulls => ops[j].strip,
+                _ => continue,
+            };
+            (strip, pulls) = (strip.min(held), true);
         }
-        ops[k].strip = strip;
+        (ops[k].strip, ops[k].pulls) = (strip, pulls);
     }
     unit
 }

@@ -41,8 +41,8 @@
 //!
 //! # Slot sizes
 //!
-//! Every op has a slot, of one of three sizes ([`SlotSize`], chosen by
-//! lowering):
+//! Every op has a slot, of one of three sizes — or is folded and has none
+//! ([`SlotSize`], chosen by lowering):
 //!
 //! * **Tile-sized** — the tile's rows of the op's space, evaluated when
 //!   the tile loop reaches the op, before its readers run: the inputs of
@@ -60,13 +60,15 @@
 //!   there, and `base[slot]` remembers where the run starts. The slot
 //!   holds a short *strip* of consecutive rows (at most `STRIP_ROWS`,
 //!   4 KB) — one row where the read goes through an edge endpoint — so
-//!   the `E_tile × d` rows of `binary_Mul → gather_Sum` (GAT and GCN
-//!   forward) or `binary_Mul → feat_sum` (GAT backward) are never
-//!   written to a ~1 MB slot and read back: the wide row stays in L1
-//!   between its producer and its consumer, the paper's "edge-centric
-//!   producer runs inside the vertex-centric reduction". This
-//!   generalizes "pure copies hold no slot" to "single-reader rows hold
-//!   no tile slot".
+//!   the `E_tile × d` rows of an edge chain are never written to a ~1 MB
+//!   slot and read back. This generalizes "pure copies hold no slot" to
+//!   "single-reader rows hold no tile slot".
+//! * **Folded (no slot)** — a row-sized `binary_Mul` under a `Gather`
+//!   `Sum`/`Mean` or a `FeatSum`: the reader adds `x·s` per edge from the
+//!   product's operands ([`RowSource::add_into`]), so the row is never
+//!   written — the paper's "edge-centric producer runs inside the
+//!   vertex-centric reduction", down to the register. Its random `src(e)`
+//!   operand row is hinted toward L1 `AHEAD` edges early.
 //! * **No slot (sink)** — a `Materialized`/`Interior` op computes into
 //!   its rows of the full tensor: the worker's chunk of the tensor is its
 //!   slot, read back by same-segment readers, so nothing is staged and
@@ -86,7 +88,8 @@
 //! row-sized throughout, an elementwise vertex-space member — read at
 //! `dst(e)` — or a member with two readers is a tile op), and the
 //! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
-//! edges in ascending order. Workers own source-vertex ranges there (of
+//! edges in ascending order, folding a last product and hinting an owned
+//! target row early. Workers own source-vertex ranges there (of
 //! about as many out-edges each) — in a shard session, the range ∩ the
 //! vertices the shard owns ([`Owns`], the one predicate by-destination
 //! gathers skip their non-owned groups by too) — each walks every tile
@@ -419,6 +422,36 @@ impl Owns<'_> {
     }
 }
 
+/// Edges ahead of the one reduced whose random rows — a fold's operand at
+/// `src(e)`, the streamed accumulate's `out[src(e)]` — are hinted toward
+/// L1 ([`rowops::prefetch`]): 32 64-float rows is 8 KB in flight.
+const AHEAD: usize = 32;
+
+/// A folded product ([`SlotSize::Fold`]) as its reader evaluates it: `x`
+/// the wider operand (IEEE products commute), `feat` features a head.
+#[derive(Debug, Clone, Copy)]
+struct Fold<'a> {
+    x: Src<'a>,
+    s: Src<'a>,
+    feat: usize,
+}
+
+impl<'a> Bound<'a> {
+    /// The folded product `x` reads, if it reads one.
+    fn fold(&self, x: Src<'a>) -> Option<Fold<'a>> {
+        let SrcRows::Slot { idx, .. } = x.data else {
+            return None;
+        };
+        let op = &self.ops[idx];
+        if op.size != SlotSize::Fold {
+            return None;
+        }
+        let ([a, b, _], [fa, fb]) = (self.bound[idx].srcs, [0, 1].map(|i| op.dins[i].feat));
+        let (x, s, feat) = if fb > fa { (b, a, fb) } else { (a, b, fa) };
+        Some(Fold { x, s, feat })
+    }
+}
+
 /// Rows of a narrow op one call covers when an operand is read through an
 /// edge endpoint ([`Rows::zip_rows`]), and where such operands' rows are
 /// copied to lie consecutively: a stage per operand, on each worker's
@@ -428,11 +461,12 @@ const STAGE_LEN: usize = STAGE_ROWS * (rowops::NARROW - 1);
 type Stage = RefCell<[[f32; STAGE_LEN]; MAX_SRCS]>;
 
 /// Read access to the rows one op execution sees: the graph's endpoint
-/// arrays plus the slots of the unit's earlier ops.
+/// arrays plus the unit's ops (a fold's operands) and earlier slots.
 struct Rows<'r> {
     g: &'r Graph,
     src: &'r [u32],
     dst: &'r [u32],
+    unit: &'r Bound<'r>,
     bufs: &'r [&'r mut [f32]],
     /// First row each slot currently holds: the tile's first row, the
     /// one row of a row-sized slot, the first row of a sink's chunk.
@@ -451,6 +485,7 @@ impl<'r> Rows<'r> {
             g: cx.g,
             src: cx.src,
             dst: cx.dst,
+            unit: cx,
             bufs,
             base,
             stage,
@@ -471,6 +506,20 @@ impl<'r> Rows<'r> {
     #[inline(always)]
     fn row(&self, o: Src<'r>, r: usize) -> &'r [f32] {
         self.rows(o, r, 1)
+    }
+
+    /// A folded product's operand rows for a consumer at row `r`, a
+    /// complete tensor's at `src(e)` — a random one — hinted [`AHEAD`] on.
+    #[inline(always)]
+    fn fold_rows(&self, f: Fold<'r>, r: usize) -> (&'r [f32], &'r [f32]) {
+        for o in [f.x, f.s] {
+            if let (RowAt::SrcV, SrcRows::Full { data, cols }) = (o.at, o.data) {
+                if let Some(&u) = self.src.get(r + AHEAD) {
+                    rowops::prefetch(&data[u as usize * cols..(u as usize + 1) * cols]);
+                }
+            }
+        }
+        (self.row(f.x, r), self.row(f.s, r))
     }
 
     /// The operand's `n` rows for a consumer at rows `r..r + n` (more
@@ -596,12 +645,16 @@ impl Slots<'_, '_, '_> {
     /// `ops[k].strip` long: evaluates the producer over exactly those rows
     /// ([`exec_rows`]) unless the slot already starts there (consecutive
     /// edges of one destination group share `dst(e)`, and two operands of
-    /// one reader share the rows).
+    /// one reader share the rows). A folded product is evaluated by its
+    /// reader: the pull brings the product's own row-sized operands there.
     fn pull(&mut self, k: usize, rows: Range<usize>) {
         let ops = self.cx.ops;
         for s in &ops[k].srcs {
             let Some(j) = s.slot() else { continue };
             let op = &ops[j];
+            if op.size == SlotSize::Fold && op.pulls {
+                self.pull(j, rows.clone());
+            }
             if op.size != SlotSize::Row {
                 continue;
             }
@@ -632,6 +685,8 @@ struct Pulled<'u, 'r, 'w, 'a> {
     k: usize,
     /// The operand read: the op's first.
     x: Src<'a>,
+    /// `x` names a folded product: how to evaluate it.
+    fold: Option<Fold<'a>>,
     /// One past the tile's last edge.
     end: usize,
     /// The groups whose edges the reduction reads — it skips the others;
@@ -645,6 +700,7 @@ impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
     fn new(unit: &'u mut Slots<'r, 'w, 'a>, k: usize, end: usize, owned: Option<Owns<'a>>) -> Self {
         Pulled {
             x: unit.cx.bound[k].srcs[0],
+            fold: unit.cx.fold(unit.cx.bound[k].srcs[0]),
             unit,
             k,
             end,
@@ -652,13 +708,11 @@ impl<'u, 'r, 'w, 'a> Pulled<'u, 'r, 'w, 'a> {
             held: 0..0,
         }
     }
-}
 
-impl RowSource for Pulled<'_, '_, '_, '_> {
+    /// Makes every row-sized operand — a fold's included — hold edge `e`.
     #[inline(always)]
-    fn row(&mut self, e: usize) -> &[f32] {
-        let ops = self.unit.cx.ops;
-        let op = &ops[self.k];
+    fn hold(&mut self, e: usize) {
+        let op = &self.unit.cx.ops[self.k];
         if op.pulls && !self.held.contains(&e) {
             // The edges after `e` the reduction reads next without a gap:
             // one pull evaluates the producer for all of them, and none of
@@ -671,7 +725,34 @@ impl RowSource for Pulled<'_, '_, '_, '_> {
             self.held = e..run;
             self.unit.pull(self.k, e..run);
         }
+    }
+}
+
+impl RowSource for Pulled<'_, '_, '_, '_> {
+    #[inline(always)]
+    fn row(&mut self, e: usize) -> &[f32] {
+        self.hold(e);
         self.unit.rows().row(self.x, e)
+    }
+
+    #[inline(always)]
+    fn add_into(&mut self, o: &mut [f32], e: usize) {
+        let Some(fold) = self.fold else {
+            return rowops::add_assign(o, self.row(e));
+        };
+        self.hold(e);
+        let (x, s) = self.unit.rows().fold_rows(fold, e);
+        rowops::mul_accum(o, None, x, s, fold.feat);
+    }
+
+    #[inline(always)]
+    fn axpy_into(&mut self, o: &mut [f32], alpha: f32, e: usize) {
+        let Some(fold) = self.fold else {
+            return rowops::axpy(o, alpha, self.row(e));
+        };
+        self.hold(e);
+        let (x, s) = self.unit.rows().fold_rows(fold, e);
+        rowops::mul_accum(o, Some(alpha), x, s, fold.feat);
     }
 }
 
@@ -1092,9 +1173,9 @@ fn run_worker<'w>(
             let (earlier, own) = bufs.split_at_mut(k);
             let own = &mut *own[0];
             let buf = match op.size {
-                // Evaluated when a reader pulls it; a row held over from
-                // the last tile must not look current.
-                SlotSize::Row => {
+                // Evaluated when a reader pulls it (or folds it); a row
+                // held over from the last tile must not look current.
+                SlotSize::Row | SlotSize::Fold => {
                     base[k] = usize::MAX;
                     continue;
                 }
@@ -1152,7 +1233,7 @@ fn exec_op(
     match &op.kind {
         // The streamed accumulate: `out[src(e)] += row(e)` over the
         // tile's edges in ascending order — `kernels::gather`'s serial
-        // `BySrc` scan, one tile of it.
+        // `BySrc` scan, one tile of it, owned target rows hinted `AHEAD`.
         OpKind::Gather {
             reduce,
             group: EdgeGroup::BySrc,
@@ -1166,14 +1247,18 @@ fn exec_op(
             let (src, out_adj) = (cx.src, cx.g.out_adj());
             let mut x = Pulled::new(unit, k, e1, Some(owns.clone()));
             for (e, &u) in (e0..).zip(&src[e0..e1]) {
+                let next = src.get(e + AHEAD).map(|&v| v as usize);
+                if let Some(v) = next.filter(|&v| owns.group(v)) {
+                    rowops::prefetch(&buf[(v - own0) * total..(v - own0 + 1) * total]);
+                }
                 let u = u as usize;
                 if !owns.group(u) {
                     continue;
                 }
                 let o = &mut buf[(u - own0) * total..(u - own0 + 1) * total];
                 match reduce {
-                    ReduceFn::Sum => rowops::add_assign(o, x.row(e)),
-                    ReduceFn::Mean => rowops::axpy(o, 1.0 / out_adj.degree(u) as f32, x.row(e)),
+                    ReduceFn::Sum => x.add_into(o, e),
+                    ReduceFn::Mean => x.axpy_into(o, 1.0 / out_adj.degree(u) as f32, e),
                     ReduceFn::Max => unreachable!("streamed gathers are Sum/Mean"),
                 }
             }
@@ -1307,9 +1392,9 @@ fn exec_op(
 /// first), [`Slots::pull`] with the run of rows a reader asks for.
 ///
 /// Inlined into its callers: a row-sized op is called once per pulled
-/// run — 16 rows at a time in a `gat_train` step's streamed chain, ~60 ns
-/// an edge all told — and the out-of-line call (frame set-up for every
-/// arm's locals) cost ~10 ns a call when PR 13 measured it.
+/// run — 32 rows at a time in a `gat_train` step's streamed score chain,
+/// the run its folded product's reader takes — and an out-of-line call
+/// would set up a frame for every arm's locals on each.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
 fn exec_rows<'r>(
@@ -1465,6 +1550,13 @@ fn exec_rows<'r>(
         }
         OpKind::FeatSum => {
             let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
+            if let Some(fold) = cx.unit.fold(s(0)) {
+                for (i, r) in rows.enumerate() {
+                    let (x, s) = cx.fold_rows(fold, r);
+                    rowops::mul_feat_sum(&mut buf[i * heads..(i + 1) * heads], x, s, feat);
+                }
+                return;
+            }
             cx.map_rows(s(0), rows, heads, buf, |or, xr| {
                 for h in 0..heads {
                     or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
@@ -1613,12 +1705,13 @@ mod tests {
     /// A shard session's vertex reductions reduce only the groups it owns
     /// ([`Owns`]): by-destination `Sum` and `Mean` into a sink and into a
     /// tile slot a consumer reads, and a streamed by-source gather — each
-    /// behind a pulled `binary_Mul`, whose runs stop at the first edge of
-    /// a skipped group. Owned rows carry the unmasked run's bits, every
-    /// other row exactly `+0.0`. Tiles of 16 rows, owned runs that end
-    /// mid-strip and mid-tile, two hubs past `HEAVY_ROW_CHUNK_EDGES` each
-    /// way (one owned, one not), one and two workers (a streamed gather's
-    /// source range ∩ the shard set).
+    /// over a folded `binary_Mul` whose row-sized operand is pulled in
+    /// runs that stop at the first edge of a skipped group. Owned rows
+    /// carry the unmasked run's bits, every other row exactly `+0.0`.
+    /// Tiles of 16 rows, owned runs that end mid-strip and mid-tile, two
+    /// hubs past `HEAVY_ROW_CHUNK_EDGES` each way (one owned, one not),
+    /// one and two workers (a streamed gather's source range ∩ the shard
+    /// set).
     #[test]
     fn masked_reductions_keep_owned_bits_and_zero_the_rest() {
         use crate::session::{Bindings, Held, Session};
@@ -1659,7 +1752,8 @@ mod tests {
                     EdgeGroup::BySrc => ScatterFn::CopyV,
                 };
                 let x = ir.scatter(copy, h, h).unwrap();
-                let m = ir.binary(BinaryFn::Mul, x, ew).unwrap();
+                let w = ir.unary(UnaryFn::LeakyRelu(0.3), ew).unwrap();
+                let m = ir.binary(BinaryFn::Mul, x, w).unwrap();
                 let mut y = ir.gather(reduce, group, m).unwrap();
                 if tail {
                     y = ir.unary(UnaryFn::LeakyRelu(0.5), y).unwrap();
@@ -1667,19 +1761,22 @@ mod tests {
                 ir.mark_output(y);
                 let plan = compile(&ir, false, &CompileOptions::ours()).unwrap().plan;
                 // The fixture is what it says: one program, the gather a
-                // sink, or a tile slot its consumer reads, that pulls.
+                // sink, or a tile slot its consumer reads, that pulls
+                // through the fold.
                 let [program] = &plan.programs[..] else {
                     panic!("one kernel")
                 };
-                let mut ops = program.units.iter().flat_map(|u| &u.ops);
-                let gather = ops.find(|op| matches!(op.kind, OpKind::Gather { .. }));
-                let gather = gather.expect("a gather");
+                let ops: Vec<_> = program.units.iter().flat_map(|u| &u.ops).collect();
+                let kind = |k: &OpKind| ops.iter().find(|op| op.kind == *k).expect("an op");
+                let gather = kind(&OpKind::Gather { reduce, group });
                 let slot = if tail { SlotSize::Tile } else { SlotSize::Sink };
                 assert_eq!(
                     (gather.size, gather.pulls),
                     (slot, true),
                     "{reduce:?} {group:?}"
                 );
+                let product = kind(&OpKind::Binary(BinaryFn::Mul));
+                assert_eq!((product.size, product.pulls), (SlotSize::Fold, true));
                 let what = format!("{reduce:?} {group:?} tail {tail}");
                 for threads in [1, 2] {
                     let policy = ExecPolicy {

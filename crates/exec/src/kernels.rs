@@ -145,9 +145,21 @@ pub(crate) fn edge_balanced_vertex_bounds(indptr: &[usize], threads: usize) -> V
 /// Where a reduction reads edge `e`'s row: a full tensor here, the
 /// interpreter's slots in [`crate::fused`] — which may compute the row
 /// on demand into a buffer the next call overwrites, hence the
-/// `&mut self` borrow on the returned row.
+/// `&mut self` borrow on the returned row — and how it adds one, `o +=
+/// row(e)` / `o += alpha · row(e)`. Only `fused::Pulled` overrides those,
+/// for a folded product: `x · s` from its operands, no row, the same bits.
 pub(crate) trait RowSource {
     fn row(&mut self, e: usize) -> &[f32];
+
+    #[inline(always)]
+    fn add_into(&mut self, o: &mut [f32], e: usize) {
+        rowops::add_assign(o, self.row(e));
+    }
+
+    #[inline(always)]
+    fn axpy_into(&mut self, o: &mut [f32], alpha: f32, e: usize) {
+        rowops::axpy(o, alpha, self.row(e));
+    }
 }
 
 impl RowSource for &Tensor {
@@ -173,7 +185,7 @@ pub(crate) fn reduce_row_sum(
 ) {
     if ids.len() <= heavy {
         for &e in ids {
-            rowops::add_assign(o, row.row(e as usize));
+            row.add_into(o, e as usize);
         }
         return;
     }
@@ -181,7 +193,7 @@ pub(crate) fn reduce_row_sum(
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
-            rowops::add_assign(scratch, row.row(e as usize));
+            row.add_into(scratch, e as usize);
         }
         rowops::add_assign(o, scratch);
     }
@@ -199,7 +211,7 @@ pub(crate) fn reduce_row_mean(
 ) {
     if ids.len() <= heavy {
         for &e in ids {
-            rowops::axpy(o, inv, row.row(e as usize));
+            row.axpy_into(o, inv, e as usize);
         }
         return;
     }
@@ -207,7 +219,7 @@ pub(crate) fn reduce_row_mean(
     for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
         scratch.fill(0.0);
         for &e in chunk {
-            rowops::axpy(scratch, inv, row.row(e as usize));
+            row.axpy_into(scratch, inv, e as usize);
         }
         rowops::add_assign(o, scratch);
     }

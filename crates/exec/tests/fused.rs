@@ -5,7 +5,7 @@
 //! what arithmetic is performed — while the measured peak of the value
 //! store stays below what the oracle materializes.
 
-use gnnopt_core::lower::RowAt;
+use gnnopt_core::lower::{RowAt, SlotSize};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, OpKind,
     ReduceFn, ScatterFn, Storage, UnaryFn,
@@ -260,10 +260,9 @@ fn chained_alias_feeds_a_broadcast_binary() {
         .with("ew", fill(g.num_edges(), 2, 2));
     let stats = check_against_oracle(&plan, &g, &b);
     assert_eq!(
-        stats.scratch_bytes,
-        4 * 6 * STRIP_ROWS as u64,
-        "one strip of the product: neither copy holds a slot, and the \
-         gather writes the output's rows in place"
+        stats.scratch_bytes, 0,
+        "neither copy holds a slot, the gather folds the product and \
+         writes the output's rows in place"
     );
 }
 
@@ -483,11 +482,16 @@ fn scratch_on_both_graphs(plan: &ExecutionPlan, bind: impl Fn(&Graph) -> Binding
     check_against_oracle(plan, &g, &bind(&g)).scratch_bytes
 }
 
-/// A producer that runs row by row into a single `Gather` holds a strip,
-/// not the tile's edge rows, for every reduce function.
+/// A product that runs row by row into a single `Gather` holds no tile's
+/// edge rows: a `Sum` or `Mean` folds it and it holds nothing, a `Max`
+/// (whose argmax compares whole rows) gives it a strip.
 #[test]
 fn row_sized_producer_feeds_each_reduction() {
-    for reduce in [ReduceFn::Sum, ReduceFn::Mean, ReduceFn::Max] {
+    for (reduce, held) in [
+        (ReduceFn::Sum, 0),
+        (ReduceFn::Mean, 0),
+        (ReduceFn::Max, 4 * 6 * STRIP_ROWS as u64),
+    ] {
         let mut ir = IrGraph::new();
         let me = edge_product(&mut ir);
         let out = ir.gather(reduce, EdgeGroup::ByDst, me).unwrap();
@@ -496,14 +500,14 @@ fn row_sized_producer_feeds_each_reduction() {
         assert_eq!(plan.programs.len(), 1, "one fused kernel");
         assert_eq!(
             scratch_on_both_graphs(&plan, edge_product_bindings),
-            4 * 6 * STRIP_ROWS as u64,
-            "{reduce:?}: the product holds one strip"
+            held,
+            "{reduce:?}"
         );
     }
 }
 
 /// … and into a `FeatSum`, itself row-sized under the gather that reads
-/// it: two strips, no edge-tile slot.
+/// it: the feat-sum folds the product and holds the one strip.
 #[test]
 fn row_sized_producer_feeds_feat_sum() {
     let mut ir = IrGraph::new();
@@ -515,8 +519,8 @@ fn row_sized_producer_feeds_feat_sum() {
     assert_eq!(plan.programs.len(), 1, "one fused kernel");
     assert_eq!(
         scratch_on_both_graphs(&plan, edge_product_bindings),
-        4 * (6 + 2) * STRIP_ROWS as u64,
-        "the product's strip and the feat-sum's"
+        4 * 2 * STRIP_ROWS as u64,
+        "the feat-sum's strip"
     );
 }
 
@@ -586,13 +590,12 @@ fn materialized_producer_is_written_in_place() {
 
 /// GAT training, one layer of two heads: the backward kernel's
 /// `FeatSum` runs row by row but feeds `EdgeSoftmaxBwd`, which sweeps each
-/// group twice — it keeps a tile-sized slot, while the `E[2×4]` product in
-/// front of it is row-sized. The backward `BySrc` gather streams a chain
+/// group twice — it keeps a tile-sized slot, and folds the `E[2×4]`
+/// product in front of it. The backward `BySrc` gather streams a chain
 /// through the stash-backed softmax. One tile, so the high-water mark is
 /// that backward segment's: four `E[2]` tile slots (score, softmax,
-/// feat-sum, softmax-backward), one strip of the leaky-relu — its only
-/// reader, the stash-backed softmax, runs row by row — and one of the
-/// product.
+/// feat-sum, softmax-backward) and one strip of the leaky-relu — its only
+/// reader, the stash-backed softmax, runs row by row.
 #[test]
 fn producer_read_by_softmax_backward_stays_tile_sized() {
     let spec = gat(&GatConfig {
@@ -613,7 +616,7 @@ fn producer_read_by_softmax_backward_stays_tile_sized() {
     let edges = small_graph().num_edges();
     assert_eq!(
         scratch_on_both_graphs(&plan, bind),
-        4 * (4 * 2 * edges + (2 + 8) * STRIP_ROWS) as u64,
+        4 * (4 * 2 * edges + 2 * STRIP_ROWS) as u64,
     );
 }
 
@@ -641,6 +644,138 @@ fn row_sized_vertex_producer_is_read_at_dst_by_a_gather_backward() {
                 .with("w", fill(3, 6, 42))
         };
         scratch_on_both_graphs(&plan, bind);
+    }
+}
+
+// ---- Folded products ---------------------------------------------------
+//
+// A row-sized `Binary(Mul)` whose one reader is a `Gather` `Sum`/`Mean`
+// or a `FeatSum` is folded (`SlotSize::Fold`): the reader adds `x·s` per
+// edge from the product's operands, hinting the random `src(e)` rows 32
+// edges ahead (the streamed accumulate its target row too). The sweeps
+// below hold that seam to the oracle's bits.
+
+/// Fewer edges than the look-ahead: every hint runs off the edge array.
+fn tiny_graph() -> Graph {
+    let pairs = [(1, 0), (2, 0), (3, 1), (0, 2), (4, 2), (2, 3), (1, 3)];
+    Graph::from_edge_list(&EdgeList::from_pairs(7, &pairs))
+}
+
+/// A product of `Dim::multi(heads, feat)` rows: head-broadcast, `h@src ×
+/// w E[heads]`, or equal-shape, `g@dst × h@src`; with its bindings.
+fn folded_product(ir: &mut IrGraph, g: &Graph, dim: Dim, per_head: bool) -> (usize, Bindings) {
+    let h = ir.input_vertex("h", dim);
+    let hu = ir.scatter(ScatterFn::CopyU, h, h).unwrap();
+    let b = Bindings::new().with("h", fill(g.num_vertices(), dim.total(), 51));
+    if per_head {
+        let w = ir.input_edge("w", Dim::multi(dim.heads, 1));
+        let b = b.with("w", fill(g.num_edges(), dim.heads, 52));
+        (ir.binary(BinaryFn::Mul, hu, w).unwrap(), b)
+    } else {
+        let gv = ir.input_vertex("g", dim);
+        let gv = ir.scatter(ScatterFn::CopyV, gv, gv).unwrap();
+        let b = b.with("g", fill(g.num_vertices(), dim.total(), 53));
+        (ir.binary(BinaryFn::Mul, gv, hu).unwrap(), b)
+    }
+}
+
+/// Asserts `plan` folds every `binary_Mul` it runs; returns how many of
+/// them pull a row-sized operand.
+fn folds_every_product(plan: &ExecutionPlan) -> usize {
+    let units = plan.programs.iter().flat_map(|p| &p.units);
+    let products = units
+        .flat_map(|u| &u.ops)
+        .filter(|op| op.kind == OpKind::Binary(BinaryFn::Mul));
+    let mut pulled = 0;
+    for op in products {
+        assert_eq!(op.size, SlotSize::Fold, "{:?}", op.kind);
+        pulled += usize::from(op.pulls);
+    }
+    pulled
+}
+
+/// Both product shapes at heads {1, 2, 4} × feat {1, 3, 8, 32} under each
+/// reader — by-destination `Sum`/`Mean` (on the hub, whose row past the
+/// heavy-row degree folds chunk by chunk), the streamed by-source
+/// `Sum`/`Mean`, a `FeatSum` written out and one read row by row by a
+/// gather — on the hub graph and on one with fewer edges than the
+/// look-ahead. The sweep's 7-edge tiles put the last tile within the
+/// look-ahead of |E|, and its four workers give streamed workers
+/// look-ahead sources they do not own.
+#[test]
+fn folded_products_keep_the_oracle_bits() {
+    type Reader = fn(&mut IrGraph, usize) -> usize;
+    let readers: [Reader; 6] = [
+        |ir, p| ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, p).unwrap(),
+        |ir, p| ir.gather(ReduceFn::Mean, EdgeGroup::ByDst, p).unwrap(),
+        |ir, p| ir.gather(ReduceFn::Sum, EdgeGroup::BySrc, p).unwrap(),
+        |ir, p| ir.gather(ReduceFn::Mean, EdgeGroup::BySrc, p).unwrap(),
+        |ir, p| ir.feat_sum(p).unwrap(),
+        |ir, p| {
+            let fs = ir.feat_sum(p).unwrap();
+            ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, fs).unwrap()
+        },
+    ];
+    for g in [tiny_graph(), hub_graph()] {
+        for (heads, feat) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|h| [1, 3, 8, 32].map(|f| (h, f)))
+        {
+            for per_head in [true, false] {
+                for read in readers {
+                    let mut ir = IrGraph::new();
+                    let (p, b) = folded_product(&mut ir, &g, Dim::multi(heads, feat), per_head);
+                    let out = read(&mut ir, p);
+                    ir.mark_output(out);
+                    let plan = plan_of(&ir, false);
+                    folds_every_product(&plan);
+                    check_against_oracle(&plan, &g, &b);
+                }
+            }
+        }
+    }
+}
+
+/// A fold that pulls: the streamed by-source `Sum`/`Mean` over `g@dst ×
+/// leaky_relu(s)`, whose narrow `E[heads]` operand is row-sized — GAT's
+/// backward feature gradient in shape — and a GAT training plan, where
+/// that chain is the softmax rebuilt from its statistics.
+#[test]
+fn a_fold_pulls_its_row_sized_operand_in_runs() {
+    for g in [tiny_graph(), hub_graph()] {
+        for reduce in [ReduceFn::Sum, ReduceFn::Mean] {
+            let mut ir = IrGraph::new();
+            let gv = ir.input_vertex("g", Dim::multi(2, 8));
+            let gv = ir.scatter(ScatterFn::CopyV, gv, gv).unwrap();
+            let s = ir.input_edge("s", Dim::multi(2, 1));
+            let s = ir.unary(UnaryFn::LeakyRelu(0.2), s).unwrap();
+            let p = ir.binary(BinaryFn::Mul, gv, s).unwrap();
+            let out = ir.gather(reduce, EdgeGroup::BySrc, p).unwrap();
+            ir.mark_output(out);
+            let plan = plan_of(&ir, false);
+            assert_eq!(folds_every_product(&plan), 1, "{reduce:?}");
+            let b = Bindings::new()
+                .with("g", fill(g.num_vertices(), 16, 61))
+                .with("s", fill(g.num_edges(), 2, 62));
+            check_against_oracle(&plan, &g, &b);
+        }
+        let spec = gat(&GatConfig {
+            in_dim: 5,
+            layers: vec![(2, 8)],
+            negative_slope: 0.2,
+            reorganized: false,
+        })
+        .expect("gat builds");
+        let plan = plan_of(&spec.ir, true);
+        assert!(
+            folds_every_product(&plan) >= 1,
+            "the feature gradient pulls"
+        );
+        let mut b = Bindings::new();
+        for (k, v) in spec.init_values(&g, 67) {
+            b.insert(&k, v);
+        }
+        check_against_oracle(&plan, &g, &b);
     }
 }
 

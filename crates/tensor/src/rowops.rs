@@ -96,6 +96,21 @@ pub mod scalar {
         }
     }
 
+    /// `o[i] += x[i] · s[i]` — `alpha · (x[i] · s[i])` given `alpha`; `s[h]`
+    /// for head `h`'s `feat` features when `s` holds a scalar per head (a
+    /// folded product under `Gather(Sum | Mean)`).
+    #[inline(always)]
+    pub fn mul_accum(o: &mut [f32], alpha: Option<f32>, x: &[f32], s: &[f32], feat: usize) {
+        let feat = if s.len() == x.len() { 1 } else { feat };
+        let heads = o.chunks_exact_mut(feat).zip(x.chunks_exact(feat)).zip(s);
+        for ((oh, xh), &sv) in heads {
+            match alpha {
+                None => (oh.iter_mut().zip(xh)).for_each(|(ov, &xv)| *ov += xv * sv),
+                Some(a) => (oh.iter_mut().zip(xh)).for_each(|(ov, &xv)| *ov += a * (xv * sv)),
+            }
+        }
+    }
+
     /// `o[i] = f(o[i], b[i])` (the equal-width `Binary` kernel, whose
     /// output starts as a copy of the left operand).
     #[inline(always)]
@@ -270,6 +285,11 @@ avx2_dispatched!(
     mul_add_accum, mul_add_accum_avx2, (o: &mut [f32], a: &[f32], b: &[f32])
 );
 avx2_dispatched!(
+    /// [`scalar::mul_accum`]: a folded product under `Gather(Sum | Mean)`.
+    mul_accum, mul_accum_avx2,
+    (o: &mut [f32], alpha: Option<f32>, x: &[f32], s: &[f32], feat: usize)
+);
+avx2_dispatched!(
     /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` (the fresh edge softmax's
     /// denominator sweep, keeping the exponential for [`div_assign`]).
     exp_sub_store_accum, exp_sub_store_accum_avx2,
@@ -432,6 +452,40 @@ pub fn gather_rows(o: &mut [f32], data: &[f32], width: usize, idx: &[u32], first
         let at = (r as usize - first) * w;
         or.copy_from_slice(&data[at..at + w]);
     });
+}
+
+/// `o[h] = Σ_c x[h·feat + c] · s[h·feat + c]` — `· s[h]` when `s` holds
+/// one scalar per head: a folded product under `FeatSum`, each product
+/// rounded, then summed as the op library's `feat_sum` sums a row
+/// (`Iterator::sum`, in feature order).
+#[inline]
+pub fn mul_feat_sum(o: &mut [f32], x: &[f32], s: &[f32], feat: usize) {
+    for (h, (ov, xh)) in o.iter_mut().zip(x.chunks_exact(feat)).enumerate() {
+        *ov = if s.len() == x.len() {
+            let sh = &s[h * feat..(h + 1) * feat];
+            xh.iter().zip(sh).map(|(&xv, &sv)| xv * sv).sum()
+        } else {
+            xh.iter().map(|&xv| xv * s[h]).sum()
+        };
+    }
+}
+
+/// Hints the cache lines of `row` toward L1 ahead of its read, so a random
+/// row arrives while the rows before it are reduced. A no-op off x86-64.
+#[inline(always)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn prefetch(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // A line is 16 floats; an unaligned row's last may start one more.
+        for at in row.iter().step_by(16).chain(row.last()) {
+            // SAFETY: a prefetch is a hint — it reads nothing
+            // architecturally and cannot fault — and SSE, all it needs,
+            // is in the x86-64 baseline; `at` points into `row` anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(at).cast()) };
+        }
+    }
 }
 
 /// [`max_assign`] of every row of `x` into the group's max row.
@@ -662,6 +716,11 @@ mod tests {
                 run(&|o| map_heads_into(o, &x, s, feat, |a, b| a * b), &|o| {
                     scalar::map_heads_into(o, &x, s, feat, |a, b| a * b)
                 });
+                for (s, alpha) in [(s, None), (s, Some(-1.5)), (&y[..], Some(0.3))] {
+                    run(&|o| mul_accum(o, alpha, &x, s, feat), &|o| {
+                        scalar::mul_accum(o, alpha, &x, s, feat)
+                    });
+                }
             }
         }
     }
@@ -716,6 +775,48 @@ mod tests {
                 assert_eq!(bits(&o2), bits(&o1), "backward, width {w} × {len} rows");
             }
         }
+    }
+
+    /// A folded product reduces to the bits of the product row written
+    /// out and then reduced: `add_assign` / `axpy` into an accumulator
+    /// (two roundings, no fused multiply-add) and the per-head
+    /// `iter().sum()` of the op library's `feat_sum` — equal-shape and
+    /// head-broadcast, every split of the row into heads.
+    #[test]
+    fn folded_products_equal_the_product_row_then_its_reduction() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for len in 0..40usize {
+            let x: Vec<f32> = (0..len)
+                .map(|i| (i as f32 * 0.93 - 4.0).sin() * 7.0)
+                .collect();
+            let y: Vec<f32> = (0..len).map(|i| (i as f32 * 1.71).cos() * 3.0).collect();
+            let acc: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            for heads in (1..=len).filter(|h| len % h == 0) {
+                let feat = len / heads;
+                for s in [&y[..], &y[..heads]] {
+                    // (At one feature per head the two shapes coincide.)
+                    // The product row as the `Binary` kernel writes it.
+                    let p: Vec<f32> = (0..len)
+                        .map(|i| x[i] * if s.len() == len { s[i] } else { s[i / feat] })
+                        .collect();
+                    let (mut want, mut got) = (acc.clone(), acc.clone());
+                    add_assign(&mut want, &p);
+                    mul_accum(&mut got, None, &x, s, feat);
+                    assert_eq!(bits(&got), bits(&want), "sum, {heads}×{feat}");
+                    let (mut want, mut got) = (acc.clone(), acc.clone());
+                    axpy(&mut want, 0.3, &p);
+                    mul_accum(&mut got, Some(0.3), &x, s, feat);
+                    assert_eq!(bits(&got), bits(&want), "mean, {heads}×{feat}");
+                    let want: Vec<f32> = p.chunks(feat).map(|h| h.iter().sum()).collect();
+                    let mut got = vec![f32::NAN; heads];
+                    mul_feat_sum(&mut got, &x, s, feat);
+                    assert_eq!(bits(&got), bits(&want), "feat sum, {heads}×{feat}");
+                }
+            }
+        }
+        // A hint reads nothing: any row, the empty one included.
+        prefetch(&[]);
+        prefetch(&[1.0; 37]);
     }
 
     /// The staged gather copies exactly the rows the index names, counted

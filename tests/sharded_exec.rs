@@ -241,6 +241,53 @@ fn owned_group_seams_bit_identical() {
     }
 }
 
+/// Two shards over a graph whose destination groups are longer than a
+/// strip (32 edges) and mix both shards' sources: a folded product that
+/// pulls its narrow operand — GAT's backward feature gradient, the
+/// streamed by-source accumulate over `∂out[dst(e)] · softmax(e)` — takes
+/// runs that end at the first source its shard (or its worker) does not
+/// own, mid-strip, and the look-ahead hints rows on either side.
+#[test]
+fn folded_runs_end_mid_strip_on_two_shards() {
+    let n = 48u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|v| {
+            (0..n)
+                .filter(move |&u| u != v && (u * 7 + v * 3) % 5 != 0)
+                .map(move |u| (u, v))
+        })
+        .collect();
+    let g = Graph::from_edge_list(&EdgeList::from_pairs(n as usize, &pairs));
+    assert!((0..g.num_vertices()).all(|v| g.in_adj().degree(v) > 32));
+    let models = [
+        (
+            "gat",
+            gat(&GatConfig {
+                in_dim: 4,
+                layers: vec![(2, 8)],
+                negative_slope: 0.2,
+                reorganized: false,
+            })
+            .unwrap(),
+        ),
+        ("sage-mean", sage(&SageConfig::mean(5, vec![6, 3])).unwrap()),
+    ];
+    for (name, spec) in &models {
+        let vals = spec.init_values(&g, 43);
+        for strategy in [ShardStrategy::Bfs, ShardStrategy::Contiguous] {
+            for (threads, tile_edges) in [(1, 16), (1, 4096), (4, 16), (4, 4096)] {
+                let policy = ExecPolicy {
+                    threads,
+                    parallel_threshold: 0,
+                    tile_edges,
+                    ..ExecPolicy::serial()
+                };
+                assert_bit_identical_under(name, &spec.ir, &vals, &g, 2, policy, strategy);
+            }
+        }
+    }
+}
+
 /// A sharded session runs every kernel through the program interpreter
 /// of a plan its shards also planned their arenas from, so a warmed
 /// step's store never outgrows the planned arena and every tensor comes
