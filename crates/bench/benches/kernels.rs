@@ -187,8 +187,7 @@ fn bench_fused_exec(c: &mut Criterion) {
 /// softmax rebuilt from its statistics, the softmax backward and the
 /// narrow products and sums around them, at the head counts models use
 /// and an odd one. Divide a median by the edge count in the group's name
-/// for ns per edge (ROADMAP item 4's table is the same ops inside
-/// `gat_train`).
+/// for ns per edge (the same ops run inside `gat_train`).
 fn bench_narrow_rows(c: &mut Criterion) {
     let graph = Graph::from_edge_list(&generators::rmat(14, 16, 0.57, 0.19, 0.19, 7));
     let (n, m) = (graph.num_vertices(), graph.num_edges());

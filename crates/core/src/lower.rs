@@ -46,7 +46,7 @@
 //! as an interior tensor: the tiled segment writes `O(|E|·d)` rows the
 //! full step immediately re-reads (for a 64-wide RMAT-16 layer that is
 //! ~270 MB each way, the dominant backward cost of GAT and GCN). When a
-//! `Gather(Sum|Mean, BySrc)` is that spill's only consumer and every
+//! `Gather(_, BySrc)` is that spill's only consumer and every
 //! step of the spill's producer chain is per-edge computable from full
 //! tensors — scatter broadcasts, elementwise ops, softmax recomputes from
 //! their stashed statistics ([`ProgramStep::recompute`]), all read by
@@ -54,7 +54,7 @@
 //! gather: the chain leaves the tiled segment it was lowered into, joins
 //! the gather's segment as [`Storage::Scratch`] steps, and the
 //! interpreter compiles chain and gather into one unit of its tile loop
-//! (the gather accumulates `out[src(e)] += row(e)` in ascending edge
+//! (the gather folds `row(e)` into `out[src(e)]` in ascending edge
 //! order, the `BySrc` order of the reference kernel). The spill never
 //! exists — and because the decision is made here, the memory planner
 //! never reserves it either. A vertex-space chain step is always read at
@@ -62,7 +62,7 @@
 //! — so it is an ordinary tile op over the tile's destinations. A segment
 //! holding tiled steps *and* a full gather is how a program says
 //! "streamed" ([`KernelProgram::streamed`]); nothing at launch re-derives
-//! it. A `BySrc` sum or mean with nothing to stream — its input a kernel
+//! it. A `BySrc` gather with nothing to stream — its input a kernel
 //! input or a spill other steps read too — is the same unit with an empty
 //! chain ([`is_streamed_gather`]): the tile driver runs every one.
 //!
@@ -77,7 +77,7 @@
 //! segment's sinks when the segment starts and releases by the same
 //! table) and [`crate::display::dump_programs`]. Each segment compiles
 //! into one [`Unit`]: a *tile unit* (a tiled segment), a *streamed unit*
-//! (a `BySrc` sum or mean behind its possibly empty chain) or a *dense
+//! (a `BySrc` gather behind its possibly empty chain) or a *dense
 //! call*. A unit's [`TileOp`]s carry resolved [`Operand`]s — the slot of
 //! an earlier op, or a complete tensor named by [`FullSource`], read at
 //! the consumer's own row or at an edge endpoint ([`RowAt`]); a
@@ -98,19 +98,20 @@
 //! * per-edge / destination-endpoint members run [`StepExec::Tiled`]
 //!   inside the destination-tile loop, alone in their kernel or fused —
 //!   a boundary output is a sink written in place, so a one-step program
-//!   tiles like any other — including the argmax-routed `GatherMaxBwd`
-//!   when its forward gather grouped `ByDst` (the argmax rows of a
-//!   tile's destinations select only that tile's edges);
-//! * `BySrc` sums and means are [`StepExec::Full`] steps the tile loop
-//!   runs as streamed gathers, each the last step of its own segment;
-//! * what no destination tile can own runs as a [`StepExec::Full`] step
-//!   through the op library's dense dispatch, a segment of its own: dense
-//!   projections (`Linear`, `HeadDot`, and their backward duals), the
-//!   cross-row parameter reductions (`GaussianBwdMu`/`GaussianBwdSigma`),
-//!   row views, parameter-space compute, and the three `BySrc` ops that
-//!   read or write a *complete* vertex tensor at `src(e)` (`Gather(Max,
-//!   BySrc)`, its `GatherMaxBwd`, `GatherMeanBwd { BySrc }`) —
-//!   `op_exec` is the one place that says which;
+//!   tiles like any other — the two gather duals included: a
+//!   `GatherMeanBwd` / argmax-routed `GatherMaxBwd` edge row is its group
+//!   vertex's gradient row, read at `src(e)` or `dst(e)` as the forward
+//!   gather grouped (`view::endpoint_reads` pins it);
+//! * every `BySrc` gather — sum, mean or max — is a [`StepExec::Full`]
+//!   step the tile loop runs as a streamed gather, the last step of its
+//!   own segment;
+//! * what is left runs as a [`StepExec::Full`] step through the op
+//!   library's dense dispatch, a segment of its own, and is no graph op:
+//!   dense projections (`Linear`, `HeadDot`, and their backward duals),
+//!   the cross-row parameter reductions (`GaussianBwdMu` /
+//!   `GaussianBwdSigma`), row views and parameter-space compute — the
+//!   combination half of the aggregation/combination split; `op_exec` is
+//!   the one place that says which;
 //! * parameter-space *views* (weight slices / reshapes of out-of-kernel
 //!   values) are [`Storage::Prelude`] steps evaluated once per launch;
 //! * a tiled step reading a same-segment member at the **source**
@@ -145,7 +146,7 @@ pub enum StepExec {
     Tiled,
     /// Runs once over the whole graph: a dense or parameter step handed
     /// to the op library's dispatch, a segment of its own — or a `BySrc`
-    /// sum or mean ([`is_streamed_gather`]), which the tile loop runs as
+    /// gather ([`is_streamed_gather`]), which the tile loop runs as
     /// the sink of its segment, behind the producer chain streamed into
     /// it, if any (module docs, "Streamed segments").
     Full,
@@ -288,10 +289,11 @@ pub struct TileOp {
     pub cols: usize,
     /// Output head count (`node.dim.heads`).
     pub heads: usize,
-    /// `Scatter`: `[x@SrcV, y@DstV]` (a copy keeps only the side it
-    /// reads). `EdgeSoftmax` with stashed statistics: `[x, max@DstV,
-    /// denom@DstV]`. `GatherMeanBwd` / `GatherMaxBwd`: `[grad@DstV]`.
-    /// Otherwise the node's inputs in order.
+    /// The node's inputs in order, each endpoint read pinned
+    /// (`view::endpoint_reads`): `Scatter` `[x@SrcV, y@DstV]` (a copy
+    /// reads one side), `GatherMeanBwd` / `GatherMaxBwd` `[grad]` at the
+    /// forward group's endpoint. `EdgeSoftmax` with stashed statistics:
+    /// `[x, max@DstV, denom@DstV]`.
     pub srcs: Vec<Operand>,
     /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
     pub dins: Vec<Dim>,
@@ -380,7 +382,7 @@ const STRIP_ROWS: usize = 32;
 pub enum UnitKind {
     /// A tiled segment: workers own runs of destination tiles.
     Tile,
-    /// A `BySrc` sum or mean — the unit's last op and only sink — behind
+    /// A `BySrc` gather — the unit's last op and only sink — behind
     /// the chain streamed into its segment, if any: workers own source
     /// ranges and each walk every tile.
     Streamed,
@@ -497,9 +499,20 @@ pub fn lower_plan(plan: &ExecutionPlan) -> Vec<KernelProgram> {
 /// How a (non-prelude) member executes — total over every op the fusion
 /// pass can put in a kernel. Leaves are never kernel members (every region
 /// builder gates on `FusionClass::Leaf`), so they are unreachable here.
-fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
+fn op_exec(node: &crate::ir::Node) -> StepExec {
     match &node.kind {
-        OpKind::Scatter(_)
+        // Source-grouped reductions are whole-graph full steps — their
+        // groups are not contiguous in the destination-major edge order —
+        // that the tile loop streams.
+        kind if is_streamed_gather(kind) => StepExec::Full,
+        // Destination-grouped reductions and per-row ops, the two gather
+        // duals included: an edge row of either is its group vertex's
+        // gradient row, read at the endpoint the forward gather grouped by
+        // (`view::endpoint_reads`).
+        OpKind::Gather { .. }
+        | OpKind::GatherMeanBwd { .. }
+        | OpKind::GatherMaxBwd { .. }
+        | OpKind::Scatter(_)
         | OpKind::EdgeSoftmax
         | OpKind::EdgeSoftmaxBwd
         | OpKind::Unary(_)
@@ -513,27 +526,6 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
         | OpKind::HeadBroadcast { .. }
         | OpKind::FeatSum
         | OpKind::FeatBroadcast { .. } => StepExec::Tiled,
-        // Source-grouped reductions are whole-graph full steps: their
-        // groups are not contiguous in the destination-major edge order
-        // (sums and means then stream, `is_streamed_gather`).
-        OpKind::Gather { group, .. } | OpKind::GatherMeanBwd { group } => {
-            if *group == EdgeGroup::ByDst {
-                StepExec::Tiled
-            } else {
-                StepExec::Full
-            }
-        }
-        // The argmax-routed gather-max backward tiles iff its forward
-        // gather grouped by destination: the argmax rows of a tile's
-        // destinations name only that tile's edges. A BySrc forward
-        // scatters writes across tiles, so it runs full (edge-inverted).
-        OpKind::GatherMaxBwd { fwd } => {
-            if crate::view::gather_max_bwd_group(ir, *fwd) == EdgeGroup::ByDst {
-                StepExec::Tiled
-            } else {
-                StepExec::Full
-            }
-        }
         // Dense projections and cross-row parameter reductions span all
         // tiles: whole-graph full steps through the dense dispatch.
         OpKind::Linear
@@ -552,15 +544,16 @@ fn op_exec(ir: &crate::ir::IrGraph, node: &crate::ir::Node) -> StepExec {
     }
 }
 
-/// The one full step the tile driver runs itself: a `BySrc` sum or mean
-/// is `out[src(e)] += row(e)` in ascending edge order, which a walk over
-/// all destination tiles does. Every other full step is a dense call.
+/// The one full step the tile driver runs itself: a `BySrc` gather folds
+/// `row(e)` into `out[src(e)]` in ascending edge order — a sum, a mean, a
+/// first-wins max — which a walk over all destination tiles does. Every
+/// other full step is a dense call.
 pub fn is_streamed_gather(kind: &OpKind) -> bool {
     matches!(
         kind,
         OpKind::Gather {
-            reduce: ReduceFn::Sum | ReduceFn::Mean,
             group: EdgeGroup::BySrc,
+            ..
         }
     )
 }
@@ -688,7 +681,7 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         let e = if node.space == Space::Param {
             StepExec::Full
         } else {
-            op_exec(ir, node)
+            op_exec(node)
         };
         if e == StepExec::Full {
             seg += 1; // a full step is its own segment …
@@ -841,8 +834,8 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
 /// Pure copies compile to no op when they are scratch-class: readers get
 /// the copy's source with the endpoint pinned.
 fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usize]) -> Unit {
-    // A full step is its segment's last. A `BySrc` sum or mean is the
-    // tile loop's own; any other full step is alone there and runs whole.
+    // A full step is its segment's last. A `BySrc` gather is the tile
+    // loop's own; any other full step is alone there and runs whole.
     let last = &steps[*order.last().expect("a segment has steps")];
     let kind = match last.exec {
         StepExec::Tiled => UnitKind::Tile,
@@ -891,31 +884,21 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
             continue;
         }
         let mut srcs: Vec<Operand> = node.inputs.iter().map(|&i| resolve(i, &unit)).collect();
-        let tiled = sp.exec == StepExec::Tiled;
-        match &node.kind {
-            OpKind::Scatter(f) => {
-                let x = srcs[0].pinned(RowAt::SrcV);
-                let y = srcs[srcs.len() - 1].pinned(RowAt::DstV);
-                srcs.clear();
-                match f {
-                    ScatterFn::CopyU => srcs.push(x),
-                    ScatterFn::CopyV => srcs.push(y),
-                    ScatterFn::Bin(_) | ScatterFn::ConcatUV => srcs.extend([x, y]),
-                }
-            }
-            // Rebuilt from the statistics its forward run stashed
-            // (lowering streamed the softmax's chain on the strength of
-            // them; a launch that does not find them is refused).
-            OpKind::EdgeSoftmax if sp.recompute => {
-                srcs.push(full(FullSource::SoftmaxMax(sp.node)).pinned(RowAt::DstV));
-                srcs.push(full(FullSource::SoftmaxDenom(sp.node)).pinned(RowAt::DstV));
-            }
-            // The vertex gradient is read at `dst(e)`: pinned, so a
-            // row-sized producer is pulled at the vertex, not the edge.
-            OpKind::GatherMeanBwd { .. } | OpKind::GatherMaxBwd { .. } if tiled => {
-                srcs[0] = srcs[0].pinned(RowAt::DstV);
-            }
-            _ => {}
+        // Endpoint reads — a scatter's sides, a gather dual's gradient at
+        // its forward group — are pinned, so a row-sized producer is
+        // pulled at the vertex, not the edge.
+        for (pos, group) in crate::view::endpoint_reads(ir, sp.node) {
+            srcs[pos] = srcs[pos].pinned(match group {
+                EdgeGroup::BySrc => RowAt::SrcV,
+                EdgeGroup::ByDst => RowAt::DstV,
+            });
+        }
+        // Rebuilt from the statistics its forward run stashed (lowering
+        // streamed the softmax's chain on the strength of them; a launch
+        // that does not find them is refused).
+        if node.kind == OpKind::EdgeSoftmax && sp.recompute {
+            srcs.push(full(FullSource::SoftmaxMax(sp.node)).pinned(RowAt::DstV));
+            srcs.push(full(FullSource::SoftmaxDenom(sp.node)).pinned(RowAt::DstV));
         }
         let slot = Data::Slot {
             idx: unit.ops.len(),
@@ -1177,39 +1160,54 @@ mod tests {
 
     #[test]
     fn gather_max_backward_lowers_as_tiled_step() {
-        let mut g = IrGraph::new();
-        let h = g.input_vertex("h", Dim::flat(4));
-        let w = g.param("w", 4, 4);
-        let hw = g.linear(h, w).unwrap();
-        let e = g.scatter(ScatterFn::CopyU, hw, hw).unwrap();
-        let v = g.gather(ReduceFn::Max, EdgeGroup::ByDst, e).unwrap();
-        g.mark_output(v);
-        let compiled = compile(&g, true, &CompileOptions::ours()).unwrap();
-        let plan = &compiled.plan;
-        assert_eq!(plan.programs.len(), plan.kernels.len());
-        let step = plan
-            .programs
-            .iter()
-            .flat_map(|p| &p.steps)
-            .find(|s| matches!(plan.ir.node(s.node).kind, OpKind::GatherMaxBwd { .. }))
-            .expect("the backward plan contains a GatherMaxBwd step");
-        // ByDst forward ⇒ the argmax routing tiles by destination.
-        assert_eq!(step.exec, StepExec::Tiled);
+        // Either dual, after either grouping.
+        for group in [EdgeGroup::ByDst, EdgeGroup::BySrc] {
+            for reduce in [ReduceFn::Max, ReduceFn::Mean] {
+                let mut g = IrGraph::new();
+                let h = g.input_vertex("h", Dim::flat(4));
+                let w = g.param("w", 4, 4);
+                let hw = g.linear(h, w).unwrap();
+                let e = g.scatter(ScatterFn::CopyU, hw, hw).unwrap();
+                let v = g.gather(reduce, group, e).unwrap();
+                g.mark_output(v);
+                let plan = compile(&g, true, &CompileOptions::ours()).unwrap().plan;
+                let units = plan.programs.iter().flat_map(|p| &p.units);
+                let (unit, op) = units
+                    .flat_map(|u| u.ops.iter().map(move |op| (u, op)))
+                    .find(|(_, op)| {
+                        matches!(
+                            op.kind,
+                            OpKind::GatherMaxBwd { .. } | OpKind::GatherMeanBwd { .. }
+                        )
+                    })
+                    .expect("the backward plan holds the dual");
+                // An edge row is its group vertex's gradient row: the
+                // tile reads it at that endpoint, whichever it is.
+                let at = match group {
+                    EdgeGroup::ByDst => RowAt::DstV,
+                    EdgeGroup::BySrc => RowAt::SrcV,
+                };
+                let what = format!("{reduce:?} {group:?}");
+                assert_eq!((unit.kind, op.srcs[0].at), (UnitKind::Tile, at), "{what}");
+            }
+        }
     }
 
     #[test]
     fn by_src_reduction_becomes_full_step_and_spills_its_input() {
         // A BySrc gather cannot tile by destination ranges: it becomes a
-        // whole-graph full step, and the edge intermediate it reads is
-        // spilled to a kernel-transient tensor — while the rest of the
-        // chain stays in scratch. (A max: only sums and means stream.)
+        // whole-graph full step, and an edge intermediate it shares with
+        // a tiled reader is spilled to a kernel-transient tensor — while
+        // the rest of the chain stays in scratch.
         let mut g = IrGraph::new();
         let h = g.input_vertex("h", Dim::flat(4));
         let ew = g.input_edge("ew", Dim::flat(4));
         let hu = g.scatter(ScatterFn::CopyU, h, h).unwrap();
         let me = g.binary(BinaryFn::Mul, hu, ew).unwrap();
         let v = g.gather(ReduceFn::Max, EdgeGroup::BySrc, me).unwrap();
+        let d = g.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
         g.mark_output(v);
+        g.mark_output(d);
         let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;
         assert_eq!(plan.kernels.len(), 1);
         let prog = &plan.programs[0];
@@ -1223,6 +1221,33 @@ mod tests {
         );
         assert_eq!(step(hu).storage, Storage::Scratch, "rest stays on-chip");
         assert!(step(v).segment > step(me).segment);
+        assert_eq!(prog.streamed().count(), 0);
+    }
+
+    #[test]
+    fn a_by_src_max_streams_its_chain_unfolded() {
+        // A max is streamed like a sum: its one-consumer chain joins its
+        // segment as scratch, but the product is row-sized, not folded —
+        // the first-wins update compares whole rows.
+        let mut g = IrGraph::new();
+        let h = g.input_vertex("h", Dim::flat(4));
+        let ew = g.input_edge("ew", Dim::flat(4));
+        let hu = g.scatter(ScatterFn::CopyU, h, h).unwrap();
+        let me = g.binary(BinaryFn::Mul, hu, ew).unwrap();
+        let v = g.gather(ReduceFn::Max, EdgeGroup::BySrc, me).unwrap();
+        g.mark_output(v);
+        let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;
+        let prog = &plan.programs[0];
+        let step = |id: NodeId| prog.steps.iter().find(|s| s.node == id).unwrap();
+        assert_eq!(step(me).storage, Storage::Scratch);
+        assert_eq!(step(me).segment, step(v).segment);
+        let unit = &prog.units[0];
+        assert_eq!(unit.kind, UnitKind::Streamed);
+        let product = unit
+            .ops
+            .iter()
+            .find(|op| op.kind == OpKind::Binary(BinaryFn::Mul));
+        assert_eq!(product.map(|op| op.size), Some(SlotSize::Row));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Static memory planning: liveness-driven arena layout for an
-//! [`ExecutionPlan`] (ROADMAP item 2).
+//! [`ExecutionPlan`].
 //!
 //! The paper's thesis is that computation, IO and **memory** must be
 //! coordinated; this pass closes the memory leg. Fusion (§5) and

@@ -1,6 +1,6 @@
 //! Per-edge `View`s: how a consumer op reads each of its inputs.
 //!
-//! The generalized op-graph IR (ROADMAP item 5) annotates every dataflow
+//! The generalized op-graph IR annotates every dataflow
 //! edge with a `View` describing the index transformation between the
 //! producer's rows and the consumer's iteration space. All scheduling
 //! decisions downstream — kernel clustering ([`crate::fusion`]),

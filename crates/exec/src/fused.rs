@@ -2,10 +2,10 @@
 //! host, not just in the analytical model.
 //!
 //! This is the session's only way to run a kernel, and the tile driver
-//! below the only engine of every op a destination tile can run — alone
-//! in its kernel or fused; what a tile cannot own (a `StepExec::Full`
-//! step: dense projections, cross-row parameter reductions,
-//! parameter-space steps, three `BySrc` ops) is one call into the op
+//! below the only engine of every graph op — alone in its kernel or
+//! fused, a `BySrc` gather as a streamed unit; what a tile cannot own and
+//! is no graph op (a `StepExec::Full` step: dense projections, cross-row
+//! parameter reductions, parameter-space steps) is one call into the op
 //! library's dense dispatch between tiled segments. Evaluating a fused
 //! kernel node by node (as the test oracle, [`crate::refexec::evaluate`],
 //! does) materializes every member as a full tensor, so fusion would only
@@ -76,8 +76,8 @@
 //!
 //! # Streamed segments
 //!
-//! A segment whose full step is a `BySrc` sum or mean is a streamed
-//! gather. Where lowering found the gather to be the only consumer of a
+//! A segment whose full step is a `BySrc` gather is a streamed gather.
+//! Where lowering found the gather to be the only consumer of a
 //! per-edge computable producer chain, it moved the chain into the
 //! gather's segment instead of spilling its root as an `O(|E|·d)`
 //! interior tensor (`gnnopt_core::lower`, "Streamed segments" — the
@@ -89,7 +89,8 @@
 //! `dst(e)` — or a member with two readers is a tile op), and the
 //! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
 //! edges in ascending order, folding a last product and hinting an owned
-//! target row early. Workers own source-vertex ranges there (of
+//! target row early — or, a max, folds `row(e)` in first-wins beside the
+//! argmax table. Workers own source-vertex ranges there (of
 //! about as many out-edges each) — in a shard session, the range ∩ the
 //! vertices the shard owns ([`Owns`], the one predicate by-destination
 //! gathers skip their non-owned groups by too) — each walks every tile
@@ -145,7 +146,7 @@ use crate::kernels::{
     binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, plan_threads, reduce_row_mean,
     reduce_row_sum, split_rows, RowSource, NO_ARGMAX,
 };
-use crate::refexec::{self, AuxIn, AuxOut};
+use crate::refexec;
 use crate::{contain, ExecError, Result};
 use gnnopt_core::lower::{
     self, Data, FullSource, KernelProgram, RowAt, SlotSize, Storage, TileOp, UnitKind,
@@ -563,7 +564,7 @@ impl<'r> Rows<'r> {
     ///   ([`rowops::gather_rows`]) — reached row by row, through operand
     ///   resolution, function-table dispatch and a dynamic-length loop,
     ///   `gat_train`'s 2-float `scatter_Bin` took 12 ns an edge; a strip
-    ///   pays those once, 4 ns (ROADMAP item 4);
+    ///   pays those once, 4 ns;
     /// * wide rows: a row a piece, read in place — a 64-float row
     ///   amortizes its own call.
     ///
@@ -893,7 +894,7 @@ impl CompiledKernel {
             let earlier = program.steps[..si].iter().position(|p| p.node == input);
             let src = earlier.map_or(FullSource::Value(input), FullSource::Step);
             let x = full_tensor(ir, program, store, &frame.mat, src)?;
-            let (t, _) = refexec::exec_op_inner(&self.policy, g, ir, node, &[x], AuxIn::None)?;
+            let t = refexec::exec_op_inner(&self.policy, g, ir, node, &[x])?;
             frame.mat[si] = Some(t);
         }
         // Inputs the prelude pass exhausted free before the launch
@@ -950,16 +951,9 @@ impl CompiledKernel {
             };
             inputs.push(full_tensor(ir, program, store, &frame.mat, src)?);
         }
-        let aux_in = match op.kind {
-            OpKind::GatherMaxBwd { fwd } => AuxIn::Argmax(argmax_table(store, fwd)?),
-            _ => AuxIn::None,
-        };
         let node = ir.node(program.steps[op.step].node);
-        let (t, aux_out) = refexec::exec_op(policy, g, ir, node, &inputs, aux_in)?;
+        let t = refexec::exec_op(policy, g, ir, node, &inputs)?;
         frame.inputs = recycle(inputs);
-        if let AuxOut::Argmax(a) = aux_out {
-            frame.argmax.push((op.step, a));
-        }
         frame.mat[op.step] = Some(t);
         Ok(())
     }
@@ -1231,6 +1225,31 @@ fn exec_op(
     // zeroed and nothing else writes it, a tile slot holds the last tile.
     let zeroed = op.size == SlotSize::Sink;
     match &op.kind {
+        // The streamed max: `row(e)` folded first-wins into `out[src(e)]`
+        // and the worker's chunk of the argmax table, which starts at its
+        // first owned source, over the tile's edges in ascending order —
+        // `kernels::gather`'s serial scan, one tile of it.
+        OpKind::Gather {
+            reduce: ReduceFn::Max,
+            group: EdgeGroup::BySrc,
+        } => {
+            let own0 = unit.base[k];
+            let owns = Owns {
+                key: cx.src,
+                range: own0..own0 + buf.len().checked_div(total).unwrap_or(0),
+                shard: cx.shard,
+            };
+            let table = &mut *aux.argmax[nth(is_gather_max)];
+            let mut x = Pulled::new(unit, k, e1, Some(owns.clone()));
+            for (e, &u) in (e0..).zip(&cx.src[e0..e1]) {
+                let u = u as usize;
+                if owns.group(u) {
+                    let at = (u - own0) * total..(u - own0 + 1) * total;
+                    let (o, ar) = (&mut buf[at.clone()], &mut table[at]);
+                    rowops::max_first_wins(o, ar, x.row(e), e as u32);
+                }
+            }
+        }
         // The streamed accumulate: `out[src(e)] += row(e)` over the
         // tile's edges in ascending order — `kernels::gather`'s serial
         // `BySrc` scan, one tile of it, owned target rows hinted `AHEAD`.
@@ -1258,8 +1277,7 @@ fn exec_op(
                 let o = &mut buf[(u - own0) * total..(u - own0 + 1) * total];
                 match reduce {
                     ReduceFn::Sum => x.add_into(o, e),
-                    ReduceFn::Mean => x.axpy_into(o, 1.0 / out_adj.degree(u) as f32, e),
-                    ReduceFn::Max => unreachable!("streamed gathers are Sum/Mean"),
+                    _ => x.axpy_into(o, 1.0 / out_adj.degree(u) as f32, e),
                 }
             }
         }
@@ -1300,17 +1318,8 @@ fn exec_op(
                     o.fill(0.0);
                 }
                 let ar = &mut table[(v - chunk_v0) * total..(v - chunk_v0 + 1) * total];
-                ar.fill(NO_ARGMAX);
-                let mut first = true;
                 for &e in adj.edge_ids(v) {
-                    let xr = x.row(e as usize);
-                    for c in 0..total {
-                        if first || xr[c] > o[c] {
-                            o[c] = xr[c];
-                            ar[c] = e;
-                        }
-                    }
-                    first = false;
+                    rowops::max_first_wins(o, ar, x.row(e as usize), e);
                 }
             }
         }
@@ -1439,27 +1448,25 @@ fn exec_rows<'r>(
             });
         }
 
-        OpKind::GatherMeanBwd { .. } => {
-            let adj = cx.g.in_adj();
+        // The gather duals: an edge row is a function of its group
+        // vertex's gradient row, the one the operand is pinned at —
+        // `src(e)` or `dst(e)`, as the forward gather grouped.
+        OpKind::GatherMeanBwd { group } => {
+            let adj = match group {
+                EdgeGroup::ByDst => cx.g.in_adj(),
+                EdgeGroup::BySrc => cx.g.out_adj(),
+            };
             for (i, e) in rows.enumerate() {
-                let inv = 1.0 / adj.degree(cx.dst[e] as usize) as f32;
+                let inv = 1.0 / adj.degree(cx.at(s(0).at, e)) as f32;
                 rowops::scale_into(&mut buf[i * total..(i + 1) * total], inv, cx.row(s(0), e));
             }
         }
-
-        // Tiled only when the forward gather grouped ByDst (the tile owns
-        // its destination groups whole); same expressions as
-        // `kernels::gather_max_bwd`, with an explicit zero write because
-        // slots are reused across tiles, not pre-zeroed.
         OpKind::GatherMaxBwd { .. } => {
             for (i, e) in rows.enumerate() {
-                let v = cx.dst[e] as usize;
+                let v = cx.at(s(0).at, e);
                 let ar = &bound.argmax[v * total..(v + 1) * total];
-                let grv = cx.row(s(0), e);
                 let o = &mut buf[i * total..(i + 1) * total];
-                for c in 0..total {
-                    o[c] = if ar[c] == e as u32 { grv[c] } else { 0.0 };
-                }
+                rowops::route_argmax(o, ar, cx.row(s(0), e), e as u32);
             }
         }
 

@@ -9,29 +9,23 @@
 //! A session runs every graph and per-row op in the tile driver
 //! ([`crate::fused`]), alone in its kernel or fused. What reaches this
 //! module from a session is the dense dispatch of a
-//! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`): the
-//! dense projections, the cross-row parameter reductions, the three
-//! `BySrc` ops a destination tile cannot own, and parameter-space steps
-//! of a few rows. Everything else here is the **serial reference** the
-//! oracle ([`crate::refexec::evaluate`]) is built from — a plain loop
-//! over the shared feature-axis functions of [`gnnopt_tensor::rowops`],
-//! the *same* functions the tile driver calls, so the two stay
-//! bit-identical by construction rather than by parallel maintenance,
-//! and an N-thread session is compared against one thread's arithmetic.
+//! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`) — the
+//! dense projections, the cross-row parameter reductions and
+//! parameter-space steps of a few rows, none of them a graph op. Every
+//! graph kernel here is the **serial reference** the oracle
+//! ([`crate::refexec::evaluate`]) is built from — a plain loop over the
+//! shared feature-axis functions of [`gnnopt_tensor::rowops`], the *same*
+//! functions the tile driver calls, so the two stay bit-identical by
+//! construction rather than by parallel maintenance, and an N-thread
+//! session is compared against one thread's arithmetic.
 //!
 //! # The kernels that split
 //!
-//! Only what a full step can hand graph-sized rows splits its work over
-//! `std::thread::scope` workers, under the caller's [`ExecPolicy`]:
+//! Only the dense calls split their work over `std::thread::scope`
+//! workers, under the caller's [`ExecPolicy`]:
 //!
-//! * **row-partitioned** ([`head_dot`], [`head_dot_bwd_input`],
-//!   [`gather_max_bwd`], [`gather_mean_bwd`]): contiguous output row
-//!   ranges, each element written by one worker ([`gather_max_bwd`]: by
-//!   at most one edge, so the inverted edge partition cannot race);
-//! * **`BySrc` [`gather`] of `Max`**: each worker owns a source-vertex
-//!   range and scans the full edge array in ascending canonical id —
-//!   which is every source row's `out_adj` order — so first-wins argmax
-//!   is the serial one whatever the partition;
+//! * **row-partitioned** ([`head_dot`], [`head_dot_bwd_input`]):
+//!   contiguous output row ranges, each element written by one worker;
 //! * **fixed reassociation, thread-count invariant**: the cross-row
 //!   parameter reductions [`head_dot_bwd_param`], [`gaussian_bwd_mu`]
 //!   and [`gaussian_bwd_sigma`] accumulate fixed
@@ -50,9 +44,9 @@
 //! ascending chunk order ([`reduce_row_sum`], [`reduce_row_mean`] —
 //! shared with the tile driver). This is an association rule, part of
 //! the kernel definition; nothing splits a hub row across workers.
-//! `BySrc` sums accumulate in ascending edge order with no chunking (the
-//! tile driver's streamed gathers do the same), and `Max` rows are never
-//! chunked.
+//! `BySrc` gathers accumulate in ascending edge order with no chunking
+//! (the tile driver's streamed gathers do the same), and `Max` rows are
+//! never chunked.
 //!
 //! # Empty-group (isolated-vertex) semantics
 //!
@@ -82,7 +76,7 @@ use gnnopt_tensor::{pool, rowops, Tensor};
 use std::ops::Range;
 
 /// Sentinel argmax entry for empty reduction groups.
-pub const NO_ARGMAX: u32 = u32::MAX;
+pub use gnnopt_tensor::rowops::NO_ARGMAX;
 
 /// Effective worker count for a kernel of `rows` independent rows and
 /// `work` total touched elements: serial below the policy threshold, and
@@ -384,12 +378,11 @@ pub fn scatter(
 /// Returns the reduced tensor and, for `Max`, the per-element argmax edge
 /// ids (`NO_ARGMAX` for empty groups).
 ///
-/// `Sum`/`Mean` are serial references (sessions reduce in the tile
-/// driver): `ByDst` walks each row's contiguous edge block through the
-/// shared heavy-row helpers, `BySrc` accumulates one ascending scan of
-/// all edges — which is every source row's `out_adj` order. The policy
-/// supplies [`ExecPolicy::heavy_row_degree`] and the `BySrc` `Max`
-/// worker count.
+/// A serial reference (sessions reduce in the tile driver): `ByDst`
+/// `Sum`/`Mean` walk each row's contiguous edge block through the shared
+/// heavy-row helpers, everything else accumulates one ascending scan of
+/// all edges — which is every group's edge order. The policy supplies
+/// [`ExecPolicy::heavy_row_degree`].
 ///
 /// Empty groups (isolated vertices) keep the `0.0` identity row — see the
 /// module-level contract.
@@ -404,7 +397,7 @@ pub fn gather(
     let total = x.cols();
     let mut out = Tensor::zeros(&[n, total]);
     if matches!(reduce, ReduceFn::Max) {
-        let argmax = gather_max(policy, g, group, x, out.as_mut_slice());
+        let argmax = gather_max(g, group, x, out.as_mut_slice());
         return (out, Some(argmax));
     }
     if group == EdgeGroup::BySrc {
@@ -441,154 +434,54 @@ pub fn gather(
     (out, None)
 }
 
-/// `Gather(Max)` body: per-row first-wins scan. `ByDst` is a serial
-/// reference (a tile op in sessions). `BySrc` — a full step — streams
-/// edges over source-range workers with the `NO_ARGMAX` sentinel standing
-/// in for the per-row "first edge" flag, which is equivalent because a
-/// row's first edge writes every element; bit-identical under any
-/// partition.
-fn gather_max(
-    policy: &ExecPolicy,
-    g: &Graph,
-    group: EdgeGroup,
-    x: &Tensor,
-    out: &mut [f32],
-) -> Vec<u32> {
-    let n = g.num_vertices();
+/// `Gather(Max)` body: one ascending scan of all edges, each folded into
+/// its group's row first-wins ([`rowops::max_first_wins`]) — which is
+/// every group's `in_adj` / `out_adj` order, destination-major edge ids
+/// making a `ByDst` group one ascending run.
+fn gather_max(g: &Graph, group: EdgeGroup, x: &Tensor, out: &mut [f32]) -> Vec<u32> {
     let total = x.cols();
-    let mut argmax = pool::take_u32(n * total);
-    argmax.resize(n * total, NO_ARGMAX);
-    if group == EdgeGroup::ByDst {
-        for v in 0..n {
-            let o = &mut out[v * total..(v + 1) * total];
-            let ar = &mut argmax[v * total..(v + 1) * total];
-            let mut first = true;
-            for &e in g.in_adj().edge_ids(v) {
-                let xr = x.row(e as usize);
-                for c in 0..total {
-                    if first || xr[c] > o[c] {
-                        o[c] = xr[c];
-                        ar[c] = e;
-                    }
-                }
-                first = false;
-            }
-        }
-        return argmax;
-    }
-    let src = g.src_slice();
-    let run = |vs: Range<usize>, chunk: &mut [f32], am: &mut [u32]| {
-        let v0 = vs.start;
-        for (e, &s) in src.iter().enumerate() {
-            let v = s as usize;
-            if !vs.contains(&v) {
-                continue;
-            }
-            let o = &mut chunk[(v - v0) * total..(v - v0 + 1) * total];
-            let ar = &mut am[(v - v0) * total..(v - v0 + 1) * total];
-            let xr = x.row(e);
-            for c in 0..total {
-                if ar[c] == NO_ARGMAX || xr[c] > o[c] {
-                    o[c] = xr[c];
-                    ar[c] = e as u32;
-                }
-            }
-        }
-    };
-    let threads = plan_threads(policy, n, g.num_edges() * total);
-    if threads < 2 || total == 0 {
-        run(0..n, out, &mut argmax);
-    } else {
-        let per = chunk_rows(n, threads);
-        let chunks = out.chunks_mut(per * total);
-        let wg = contain::WorkerGuard::new();
-        std::thread::scope(|s| {
-            for (w, (oc, ac)) in chunks.zip(argmax.chunks_mut(per * total)).enumerate() {
-                let run = &run;
-                let wg = &wg;
-                s.spawn(move || wg.run(|| run(w * per..w * per + oc.len() / total, oc, ac)));
-            }
-        });
-        wg.rethrow();
+    let mut argmax = pool::take_u32(out.len());
+    argmax.resize(out.len(), NO_ARGMAX);
+    for (e, &v) in group_keys(g, group).iter().enumerate() {
+        let at = v as usize * total..(v as usize + 1) * total;
+        rowops::max_first_wins(&mut out[at.clone()], &mut argmax[at], x.row(e), e as u32);
     }
     argmax
 }
 
-/// Backward of `Gather(Max)`: routes the vertex gradient to the recorded
-/// argmax edges, inverted to an **edge-row partition**: `argmax[v][c] ==
-/// e` is only possible for the one vertex `e` groups under (`dst(e)` for
-/// `ByDst`, `src(e)` for `BySrc`), so each output element is written at
-/// most once — no scatter races, and results are bit-identical at every
-/// thread count (the `BySrc` form is a full step, so this one splits).
-///
-/// `NO_ARGMAX` entries (empty groups) route no gradient.
-pub fn gather_max_bwd(
-    policy: &ExecPolicy,
-    g: &Graph,
-    group: EdgeGroup,
-    grad: &Tensor,
-    argmax: &[u32],
-) -> Tensor {
-    let total = grad.cols();
-    let m = g.num_edges();
-    let mut out = Tensor::zeros(&[m, total]);
-    par_rows(
-        policy,
-        m,
-        total,
-        m * total,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, e) in range.enumerate() {
-                let v = match group {
-                    EdgeGroup::ByDst => g.dst(e),
-                    EdgeGroup::BySrc => g.src(e),
-                };
-                let ar = &argmax[v * total..(v + 1) * total];
-                let gr = grad.row(v);
-                let o = &mut chunk[i * total..(i + 1) * total];
-                for c in 0..total {
-                    if ar[c] == e as u32 {
-                        o[c] = gr[c];
-                    }
-                }
-            }
-        },
-    );
-    out
+/// Per edge, the vertex whose `group` it reduces into.
+fn group_keys(g: &Graph, group: EdgeGroup) -> &[u32] {
+    match group {
+        EdgeGroup::ByDst => g.dst_slice(),
+        EdgeGroup::BySrc => g.src_slice(),
+    }
 }
 
-/// Backward of `Gather(Mean)`: scatters `grad[v] / degree(v)`
-/// (row-partitioned over edges — each edge row depends only on its group
-/// vertex, and a vertex with an incident edge always has degree ≥ 1; the
-/// `BySrc` form is a full step, so this one splits).
-pub fn gather_mean_bwd(policy: &ExecPolicy, g: &Graph, group: EdgeGroup, grad: &Tensor) -> Tensor {
-    let total = grad.cols();
-    let m = g.num_edges();
-    let mut out = Tensor::zeros(&[m, total]);
+/// Backward of `Gather(Max)`: edge `e`'s row is its group vertex's
+/// gradient row where `e` won the max, zero elsewhere
+/// ([`rowops::route_argmax`]); `NO_ARGMAX` entries (empty groups) route
+/// no gradient.
+pub fn gather_max_bwd(g: &Graph, group: EdgeGroup, grad: &Tensor, argmax: &[u32]) -> Tensor {
+    let (keys, total) = (group_keys(g, group), grad.cols());
+    map_rows(g.num_edges(), total, |o, e| {
+        let v = keys[e] as usize;
+        let ar = &argmax[v * total..(v + 1) * total];
+        rowops::route_argmax(o, ar, grad.row(v), e as u32);
+    })
+}
+
+/// Backward of `Gather(Mean)`: edge `e`'s row is `grad[v] / degree(v)`
+/// for its group vertex `v`, whose degree is ≥ 1 (it has edge `e`).
+pub fn gather_mean_bwd(g: &Graph, group: EdgeGroup, grad: &Tensor) -> Tensor {
     let adj = match group {
         EdgeGroup::ByDst => g.in_adj(),
         EdgeGroup::BySrc => g.out_adj(),
     };
-    par_rows(
-        policy,
-        m,
-        total,
-        m * total,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, e) in range.enumerate() {
-                let v = match group {
-                    EdgeGroup::ByDst => g.dst(e),
-                    EdgeGroup::BySrc => g.src(e),
-                };
-                let inv = 1.0 / adj.degree(v) as f32;
-                let o = &mut chunk[i * total..(i + 1) * total];
-                rowops::scale_into(o, inv, grad.row(v));
-            }
-        },
-    );
-    out
+    let keys = group_keys(g, group);
+    map_rows(g.num_edges(), grad.cols(), |o, e| {
+        let v = keys[e] as usize;
+        rowops::scale_into(o, 1.0 / adj.degree(v) as f32, grad.row(v));
+    })
 }
 
 /// Edge softmax over destination groups, per column. Returns
@@ -1025,7 +918,7 @@ mod tests {
         assert_eq!(mx.as_slice(), &[0.0, 5.0, 7.0]);
         assert_eq!(am, vec![NO_ARGMAX, 0, 2]);
         let grad = Tensor::from_rows(&[&[1.0], &[3.0], &[9.0]]).unwrap();
-        let eg = gather_max_bwd(&serial(), &g, EdgeGroup::ByDst, &grad, &am);
+        let eg = gather_max_bwd(&g, EdgeGroup::ByDst, &grad, &am);
         assert_eq!(eg.as_slice(), &[3.0, 0.0, 9.0]);
     }
 
@@ -1050,7 +943,7 @@ mod tests {
         assert_eq!(&am[6..8], &[NO_ARGMAX, NO_ARGMAX], "isolated vertex");
         assert_eq!(&am[0..2], &[NO_ARGMAX, NO_ARGMAX], "in-degree-0 vertex 0");
         let grad = Tensor::from_fn(&[4, 2], |i| i as f32 + 1.0);
-        let eg = gather_max_bwd(&serial(), &g, EdgeGroup::ByDst, &grad, &am);
+        let eg = gather_max_bwd(&g, EdgeGroup::ByDst, &grad, &am);
         // Gradient mass routed = grads of vertices with non-empty groups.
         let routed: f32 = eg.as_slice().iter().sum();
         let expected: f32 = grad.row(1).iter().sum::<f32>() + grad.row(2).iter().sum::<f32>();
@@ -1254,7 +1147,7 @@ mod tests {
         let (m, _) = gather(&serial(), &g, ReduceFn::Mean, EdgeGroup::ByDst, &e);
         assert_eq!(m.as_slice(), &[0.0, 2.0, 5.0]);
         let grad = Tensor::from_rows(&[&[0.0], &[1.0], &[4.0]]).unwrap();
-        let back = gather_mean_bwd(&serial(), &g, EdgeGroup::ByDst, &grad);
+        let back = gather_mean_bwd(&g, EdgeGroup::ByDst, &grad);
         assert_eq!(back.as_slice(), &[1.0, 2.0, 2.0]);
     }
 

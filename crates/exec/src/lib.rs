@@ -24,11 +24,10 @@
 //! Kernels run under an [`gnnopt_core::ExecPolicy`] carried by the
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
 //! builder, and each op has one engine. The tile driver (`fused.rs`) runs
-//! everything a destination tile can own, its `std::thread::scope`
-//! workers each walking a contiguous run of tiles (edge-balanced source
-//! ranges for a streamed `BySrc` gather); the dense calls a tile cannot
-//! own — GEMMs, `head_dot*`, the parameter reductions, the `BySrc` max
-//! and mean duals — split their own rows in [`kernels`], under the same
+//! every graph op, its `std::thread::scope` workers each walking a
+//! contiguous run of tiles (edge-balanced source ranges for a streamed
+//! `BySrc` gather); the dense calls — GEMMs, `head_dot*`, the parameter
+//! reductions — split their own rows in [`kernels`], under the same
 //! pool size (`gnnopt_tensor::parallel`) as `Tensor::matmul`. Row-wise
 //! inner loops dispatch to AVX2-widened bodies at runtime when the host
 //! supports them (the scalar bodies produce the same bits — see
@@ -57,7 +56,7 @@
 //! built-in kernels) is the materializing baseline on the same executor.
 //! Lowering is **total** (see `gnnopt_core::lower`): every kernel of
 //! every plan has a program, the ops no tile can run — dense
-//! projections, parameter reductions, three `BySrc` duals — are
+//! projections and parameter reductions, no graph op among them — are
 //! whole-graph *full steps* through the op library's dispatch
 //! ([`refexec`]), and a kernel without a program is a typed
 //! [`ExecError::Protocol`].

@@ -5,21 +5,22 @@
 //! kernels in [`crate::kernels`]. It has exactly two callers. The program
 //! interpreter (`fused.rs`) calls it for every step a destination tile
 //! cannot run — the dense or parameter steps of a lowered
-//! [`gnnopt_core::KernelProgram`]: GEMMs, parameter reductions, the
-//! `BySrc` max and mean duals — so lowering totality never needs a
-//! per-kernel fallback: any op the IR expresses either tiles or lands
+//! [`gnnopt_core::KernelProgram`]: GEMMs, `head_dot*`, parameter
+//! reductions, none of them a graph op — so lowering totality never needs
+//! a per-kernel fallback: any op the IR expresses either tiles or lands
 //! here, whichever session, shard or sharded driver launched the program.
 //! Those are the arms that take the caller's thread count; every other
-//! arm is a plain loop no session reaches with graph-sized rows.
+//! arm is a plain loop no session reaches.
 //!
 //! [`evaluate`] walks a plan through all of them on one thread: the
 //! serial reference the bit-identity suites compare an N-thread session
 //! against. No session code path calls it.
 //!
-//! Gather-max argmax tables flow through `AuxIn`/`AuxOut` instead of
-//! session state, so the dispatch itself stays a pure function of its
-//! operands. (A softmax rebuilt from its stashed max/denominator is a
-//! tiled step of the interpreter and never passes through here.)
+//! The dispatch is a pure function of its operands: the one op that needs
+//! more, `GatherMaxBwd`, routes by its forward gather's argmax table,
+//! which [`evaluate`] keeps and hands to the kernel itself (a session
+//! routes it in the tile driver, as it rebuilds a softmax from its
+//! stashed max/denominator).
 
 use crate::kernels;
 use crate::session::Bindings;
@@ -100,16 +101,23 @@ pub fn evaluate(
             for &i in &node.inputs {
                 inputs.push(values.get(&i).ok_or_else(|| not_live(i))?);
             }
-            let aux = match &node.kind {
-                OpKind::GatherMaxBwd { fwd } => {
-                    argmax.get(fwd).map_or(AuxIn::None, |t| AuxIn::Argmax(t))
+            // A `Gather(Max)` records the argmax table its dual routes by.
+            let t = match node.kind {
+                OpKind::Gather {
+                    reduce: ReduceFn::Max,
+                    group,
+                } => {
+                    let (t, table) = kernels::gather(&pol, graph, ReduceFn::Max, group, inputs[0]);
+                    argmax.extend(table.map(|a| (id, a)));
+                    t
                 }
-                _ => AuxIn::None,
+                OpKind::GatherMaxBwd { fwd } => {
+                    let table = argmax.get(&fwd).ok_or_else(|| not_live(fwd))?;
+                    let group = gnnopt_core::view::gather_max_bwd_group(ir, fwd);
+                    kernels::gather_max_bwd(graph, group, inputs[0], table)
+                }
+                _ => exec_op(&pol, graph, ir, node, &inputs)?,
             };
-            let (t, aux_out) = exec_op(&pol, graph, ir, node, &inputs, aux)?;
-            if let AuxOut::Argmax(table) = aux_out {
-                argmax.insert(id, table);
-            }
             values.insert(id, t);
         }
     }
@@ -133,23 +141,6 @@ pub fn evaluate(
     })
 }
 
-/// Auxiliary state an op consumes (borrowed from the caller's stores).
-pub(crate) enum AuxIn<'a> {
-    /// No auxiliary input.
-    None,
-    /// The argmax table of the forward `Gather(Max)` a
-    /// [`OpKind::GatherMaxBwd`] inverts.
-    Argmax(&'a [u32]),
-}
-
-/// Auxiliary state an op produces (owned, for the caller's stores).
-pub(crate) enum AuxOut {
-    /// No auxiliary output.
-    None,
-    /// Fresh argmax table from a `Gather(Max)`.
-    Argmax(Vec<u32>),
-}
-
 /// Executes one op over full tensors with the reference kernels.
 ///
 /// `inputs` are the node's operands in IR input order.
@@ -162,8 +153,8 @@ pub(crate) enum AuxOut {
 /// # Errors
 ///
 /// Returns [`ExecError::ValueNotLive`] for leaves (they are bound, never
-/// executed) and for a [`OpKind::GatherMaxBwd`] called without its
-/// forward argmax table; tensor-shape violations surface as
+/// executed) and for a [`OpKind::GatherMaxBwd`], whose forward argmax
+/// table only [`evaluate`] holds; tensor-shape violations surface as
 /// [`ExecError::Tensor`].
 pub(crate) fn exec_op(
     pol: &ExecPolicy,
@@ -171,18 +162,17 @@ pub(crate) fn exec_op(
     ir: &IrGraph,
     node: &Node,
     inputs: &[&Tensor],
-    aux: AuxIn<'_>,
-) -> Result<(Tensor, AuxOut)> {
+) -> Result<Tensor> {
     use gnnopt_tensor::fault::{self, FaultAction};
     match fault::check("refexec") {
-        None => exec_op_inner(pol, g, ir, node, inputs, aux),
+        None => exec_op_inner(pol, g, ir, node, inputs),
         Some(FaultAction::Panic) => std::panic::panic_any(fault::injected_panic_message("refexec")),
         Some(FaultAction::Nan) => {
-            let (mut t, aux_out) = exec_op_inner(pol, g, ir, node, inputs, aux)?;
+            let mut t = exec_op_inner(pol, g, ir, node, inputs)?;
             if let Some(v) = t.as_mut_slice().first_mut() {
                 *v = f32::NAN;
             }
-            Ok((t, aux_out))
+            Ok(t)
         }
         Some(_) => Err(ExecError::Injected {
             site: "refexec".into(),
@@ -199,8 +189,7 @@ pub(crate) fn exec_op_inner(
     ir: &IrGraph,
     node: &Node,
     inputs: &[&Tensor],
-    aux: AuxIn<'_>,
-) -> Result<(Tensor, AuxOut)> {
+) -> Result<Tensor> {
     let din = |i: usize| ir.node(node.inputs[i]).dim;
     let out = match &node.kind {
         OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed => {
@@ -215,11 +204,7 @@ pub(crate) fn exec_op_inner(
             kernels::scatter(pol, g, *f, x, y, node.dim)
         }
 
-        OpKind::Gather { reduce, group } => {
-            let (t, argmax) = kernels::gather(pol, g, *reduce, *group, inputs[0]);
-            let aux = argmax.map_or(AuxOut::None, AuxOut::Argmax);
-            return Ok((t, aux));
-        }
+        OpKind::Gather { reduce, group } => kernels::gather(pol, g, *reduce, *group, inputs[0]).0,
 
         // Always fresh: a softmax rebuilt from its stashed statistics
         // is a tiled step of the interpreter, never a full one.
@@ -260,15 +245,11 @@ pub(crate) fn exec_op_inner(
         }
 
         OpKind::GatherMaxBwd { fwd } => {
-            let AuxIn::Argmax(argmax) = aux else {
-                return Err(ExecError::ValueNotLive {
-                    node: format!("argmax aux of node {fwd}"),
-                });
-            };
-            let group = gnnopt_core::view::gather_max_bwd_group(ir, *fwd);
-            kernels::gather_max_bwd(pol, g, group, inputs[0], argmax)
+            return Err(ExecError::ValueNotLive {
+                node: format!("argmax aux of node {fwd}"),
+            })
         }
-        OpKind::GatherMeanBwd { group } => kernels::gather_mean_bwd(pol, g, *group, inputs[0]),
+        OpKind::GatherMeanBwd { group } => kernels::gather_mean_bwd(g, *group, inputs[0]),
         OpKind::EdgeSoftmaxBwd => kernels::edge_softmax_bwd(g, inputs[0], inputs[1]),
 
         OpKind::SliceCols { start, end } => {
@@ -319,5 +300,5 @@ pub(crate) fn exec_op_inner(
         OpKind::FeatSum => kernels::feat_sum(inputs[0], din(0).heads, din(0).feat),
         OpKind::FeatBroadcast { feat } => kernels::feat_broadcast(inputs[0], node.dim.heads, *feat),
     };
-    Ok((out, AuxOut::None))
+    Ok(out)
 }

@@ -1263,7 +1263,7 @@ impl<'a> Multi<'a> {
     /// **validate** them, then scatter into each shard's copy in place.
     ///
     /// The staging buffers are exactly the seam a future transport (a
-    /// wire, a spilled file — ROADMAP item 4) replaces, so they are not
+    /// wire, a spilled file) replaces, so they are not
     /// trusted blindly: every buffer must hold exactly `rows × cols`
     /// floats for its route (always checked), and in debug builds — or
     /// whenever failpoints are armed — an order-sensitive checksum

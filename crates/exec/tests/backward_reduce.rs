@@ -42,14 +42,6 @@ fn pseudo(rows: usize, cols: usize, seed: u64) -> Tensor {
     })
 }
 
-/// Random multigraphs with guaranteed trailing isolated vertices.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..24, 1usize..4).prop_flat_map(|(n, iso)| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 1..96)
-            .prop_map(move |pairs| Graph::from_edge_list(&EdgeList::from_pairs(n + iso, &pairs)))
-    })
-}
-
 /// An extreme hub: vertex 0 receives an edge from each of `hub_deg`
 /// distinct vertices (edge lists deduplicate, so a hub needs that many
 /// neighbours), the rest of the graph is a sparse chain, and the last
@@ -102,33 +94,6 @@ proptest! {
                 &bsig,
                 &kernels::gaussian_bwd_sigma(&pol(t), &p, &w, &g2, &mu, &sig),
             );
-        }
-    }
-
-    /// The edge-inverted `gather_max_bwd`: each output element has at
-    /// most one writer, so any row partition produces the same bits —
-    /// over graphs with isolated vertices (`NO_ARGMAX` rows) and both
-    /// edge groupings.
-    #[test]
-    fn gather_max_bwd_is_bit_identical_across_threads(
-        g in arb_graph(),
-        seed in 0u64..1000,
-        d in 1usize..4,
-    ) {
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        for group in [EdgeGroup::ByDst, EdgeGroup::BySrc] {
-            let e = pseudo(m, d, seed);
-            let (_, am) = kernels::gather(&pol(1), &g, ReduceFn::Max, group, &e);
-            let am = am.unwrap();
-            let grad = pseudo(n, d, seed + 1);
-            let base = kernels::gather_max_bwd(&pol(1), &g, group, &grad, &am);
-            for t in [2usize, 4] {
-                assert_bit_identical(
-                    "gather_max_bwd",
-                    &base,
-                    &kernels::gather_max_bwd(&pol(t), &g, group, &grad, &am),
-                );
-            }
         }
     }
 }

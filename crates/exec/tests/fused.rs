@@ -120,9 +120,8 @@ proptest! {
         compare_session_vs_oracle(&spec, &g, threads, tile_edges);
     }
 
-    /// EdgeConv training (max-gather: the scattered-write
-    /// `gather_max_bwd` runs as a full step or an argmax-routed tiled
-    /// one) stays bit-identical under the mixed tiled/full schedule.
+    /// EdgeConv training (max-gather: the argmax-routed `gather_max_bwd`
+    /// tile op) stays bit-identical under the mixed tiled/full schedule.
     #[test]
     fn edgeconv_step_fused_is_bit_identical(
         g in arb_graph(),

@@ -3,17 +3,19 @@
 //! one thread's — chunk and tile boundaries never change what arithmetic
 //! is performed, only who performs it.
 //!
-//! * The op-library kernels that still split (what a full step can hand
-//!   graph-sized rows) against themselves at one thread.
-//! * Every op the tile driver runs, alone in its kernel, through an
-//!   N-thread session against the serial oracle (`refexec::evaluate`):
-//!   the op library's kernels for these are plain loops, so this holds
-//!   the interpreter to a reference, not a threaded kernel to itself.
+//! * The row-partitioned dense kernels (`head_dot*`) against themselves
+//!   at one thread.
+//! * Every graph op — everything the tile driver runs — alone in its
+//!   kernel, through an N-thread session against the serial oracle
+//!   (`refexec::evaluate`): the op library's kernels for these are plain
+//!   loops, so this holds the interpreter to a reference, not a threaded
+//!   kernel to itself.
 //!
 //! Random graphs include isolated vertices on purpose, so the empty-group
 //! identity rows are covered by the bitwise comparison too.
 
 use gnnopt_core::lower::{is_streamed_gather, StepExec, Storage};
+use gnnopt_core::view::gather_max_bwd_group;
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
     IrGraph, Node, OpKind, ReduceFn, ScatterFn, UnaryFn,
@@ -99,7 +101,9 @@ fn tile_op_models(heads: usize, feat: usize) -> Vec<IrGraph> {
     let out = a.head_reduce(ReduceFn::Mean, agg).unwrap();
     a.mark_output(out);
     // Pooling and column views: concat and slice, max and mean by
-    // destination, a lone mean by source, head reduce and broadcast.
+    // destination, a lone max and mean by source (backward, each dual's
+    // gradient read at the forward group's endpoint), head reduce and
+    // broadcast.
     let mut b = IrGraph::new();
     let x = leaves(&mut b);
     let cat = b.scatter(ScatterFn::ConcatUV, x, x).unwrap();
@@ -110,8 +114,10 @@ fn tile_op_models(heads: usize, feat: usize) -> Vec<IrGraph> {
     let hv = b.scatter(ScatterFn::CopyV, x, x).unwrap();
     let mean_dst = b.gather(ReduceFn::Mean, EdgeGroup::ByDst, hv).unwrap();
     let mean_src = b.gather(ReduceFn::Mean, EdgeGroup::BySrc, diff).unwrap();
+    let max_src = b.gather(ReduceFn::Max, EdgeGroup::BySrc, both).unwrap();
     let t = b.binary(BinaryFn::Add, mx, mean_dst).unwrap();
     let t = b.binary(BinaryFn::Add, t, mean_src).unwrap();
+    let t = b.binary(BinaryFn::Add, t, max_src).unwrap();
     let flat = b.head_reduce(ReduceFn::Sum, t).unwrap();
     let wide = b.head_broadcast(flat, heads).unwrap();
     let out = b.binary(BinaryFn::Mul, wide, x).unwrap();
@@ -141,6 +147,9 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
                 group: g,
             }
     }
+    fn max_bwd(ir: &IrGraph, n: &Node, g: EdgeGroup) -> bool {
+        matches!(n.kind, OpKind::GatherMaxBwd { fwd } if gather_max_bwd_group(ir, fwd) == g)
+    }
     use EdgeGroup::{ByDst, BySrc};
     use ReduceFn::{Max, Mean, Sum};
     vec![
@@ -161,14 +170,17 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
         ("gather Max ByDst", |_, n| gather(n, Max, ByDst)),
         ("gather Sum BySrc", |_, n| gather(n, Sum, BySrc)),
         ("gather Mean BySrc", |_, n| gather(n, Mean, BySrc)),
+        ("gather Max BySrc", |_, n| gather(n, Max, BySrc)),
         ("edge_softmax", |_, n| n.kind == OpKind::EdgeSoftmax),
         ("edge_softmax_bwd", |_, n| n.kind == OpKind::EdgeSoftmaxBwd),
         ("gather_mean_bwd ByDst", |_, n| {
             n.kind == OpKind::GatherMeanBwd { group: ByDst }
         }),
-        ("gather_max_bwd ByDst", |_, n| {
-            matches!(n.kind, OpKind::GatherMaxBwd { .. })
+        ("gather_mean_bwd BySrc", |_, n| {
+            n.kind == OpKind::GatherMeanBwd { group: BySrc }
         }),
+        ("gather_max_bwd ByDst", |ir, n| max_bwd(ir, n, ByDst)),
+        ("gather_max_bwd BySrc", |ir, n| max_bwd(ir, n, BySrc)),
         ("unary", |_, n| matches!(n.kind, OpKind::Unary(_))),
         ("unary_bwd", |_, n| matches!(n.kind, OpKind::UnaryBwd(_))),
         ("binary", |ir, n| {
@@ -221,10 +233,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The op-library kernels that split their rows over workers — what a
-    /// full step can reach — bit-compared against their own serial path
-    /// over random graphs, feature widths, head counts, and thread counts
-    /// (including more threads than rows). `gather_max_bwd` and the
-    /// fixed-grid parameter reductions have theirs in `backward_reduce.rs`.
+    /// dense call can reach — bit-compared against their own serial path
+    /// over random graphs' row counts, feature widths, head counts, and
+    /// thread counts (including more threads than rows). The fixed-grid
+    /// parameter reductions have theirs in `backward_reduce.rs`.
     #[test]
     fn kernels_are_bit_identical_under_any_thread_count(
         g in arb_graph(),
@@ -233,25 +245,10 @@ proptest! {
         feat in 1usize..5,
         threads in 2usize..7,
     ) {
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        let total = heads * feat;
+        let n = g.num_vertices();
         let s = serial();
         let p = par(threads);
-        let x = pseudo_tensor(n, total, seed);
-        let e = pseudo_tensor(m, total, seed + 1);
-
-        for group in [EdgeGroup::ByDst, EdgeGroup::BySrc] {
-            let (a, am_a) = kernels::gather(&s, &g, ReduceFn::Max, group, &e);
-            let (b, am_b) = kernels::gather(&p, &g, ReduceFn::Max, group, &e);
-            assert_bit_identical("gather max", &a, &b);
-            prop_assert_eq!(am_a, am_b, "argmax tables differ");
-            let vg = pseudo_tensor(n, total, seed + 2);
-            assert_bit_identical(
-                "gather_mean_bwd",
-                &kernels::gather_mean_bwd(&s, &g, group, &vg),
-                &kernels::gather_mean_bwd(&p, &g, group, &vg),
-            );
-        }
+        let x = pseudo_tensor(n, heads * feat, seed);
 
         let a_param = pseudo_tensor(heads, feat, seed + 6);
         assert_bit_identical(

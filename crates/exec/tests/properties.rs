@@ -104,7 +104,7 @@ proptest! {
         let (_, am) = gather(&serial(), &g, ReduceFn::Max, EdgeGroup::ByDst, &m);
         let am = am.unwrap();
         let grad = vertex_tensor(&g, seed + 3, d);
-        let eg = gather_max_bwd(&serial(), &g, EdgeGroup::ByDst, &grad, &am);
+        let eg = gather_max_bwd(&g, EdgeGroup::ByDst, &grad, &am);
         // Total mass routed = sum of grads over vertices with ≥1 in-edge.
         let expected: f32 = (0..g.num_vertices())
             .filter(|&v| g.in_degree(v) > 0)

@@ -115,7 +115,7 @@ impl Graph {
 
     /// Reassembles a graph from raw dual-CSR parts **without checking
     /// any invariant** — the deserialization seam for transports that
-    /// ship CSR arrays across processes (ROADMAP item 4), and the only
+    /// ship CSR arrays across processes, and the only
     /// way tests can build deliberately corrupt graphs for
     /// [`Graph::validate`]. Every consumer of an untrusted graph must
     /// call [`Graph::validate`] before executing on it; the session

@@ -470,6 +470,33 @@ pub fn mul_feat_sum(o: &mut [f32], x: &[f32], s: &[f32], feat: usize) {
     }
 }
 
+/// The argmax entry of an element no edge has won: every element of an
+/// empty group keeps it, so its gradient goes nowhere.
+pub const NO_ARGMAX: u32 = u32::MAX;
+
+/// `Gather(Max)`'s first-wins update of a group's row by edge `e`: where
+/// no edge has won yet (`ar[c] == NO_ARGMAX`) or `x[c]` is greater, `e`
+/// wins — `o[c] = x[c]`, `ar[c] = e`. Over a group's edges in ascending
+/// id, the first of equal values keeps its place.
+#[inline]
+pub fn max_first_wins(o: &mut [f32], ar: &mut [u32], x: &[f32], e: u32) {
+    for ((ov, av), &xv) in o.iter_mut().zip(ar.iter_mut()).zip(x) {
+        if *av == NO_ARGMAX || xv > *ov {
+            *ov = xv;
+            *av = e;
+        }
+    }
+}
+
+/// `GatherMaxBwd`'s row of edge `e`: the group vertex's gradient row `g`
+/// where `e` won the max (`ar`, the vertex's argmax row), zero elsewhere.
+#[inline]
+pub fn route_argmax(o: &mut [f32], ar: &[u32], g: &[f32], e: u32) {
+    for ((ov, &av), &gv) in o.iter_mut().zip(ar).zip(g) {
+        *ov = if av == e { gv } else { 0.0 };
+    }
+}
+
 /// Hints the cache lines of `row` toward L1 ahead of its read, so a random
 /// row arrives while the rows before it are reduced. A no-op off x86-64.
 #[inline(always)]

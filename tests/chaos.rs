@@ -36,7 +36,28 @@ fn zoo() -> Vec<(&'static str, ModelSpec)> {
     vec![
         ("gcn", gcn(&GcnConfig::two_layer(5, 6, 3)).unwrap()),
         ("sage-max", sage(&SageConfig::max_pool(5, vec![6])).unwrap()),
+        ("by-src", by_src_pooling()),
     ]
+}
+
+/// A `BySrc` max and mean over an edge difference: streamed gathers
+/// forward, both duals tile ops backward.
+fn by_src_pooling() -> ModelSpec {
+    use gnnopt::core::{BinaryFn, Dim, EdgeGroup, IrGraph, ReduceFn, ScatterFn, Space};
+    let mut ir = IrGraph::new();
+    let h = ir.input_vertex("h", Dim::flat(5));
+    let w = ir.param("w", 5, 4);
+    let x = ir.linear(h, w).unwrap();
+    let diff = ir.scatter(ScatterFn::Bin(BinaryFn::Sub), x, x).unwrap();
+    let mx = ir.gather(ReduceFn::Max, EdgeGroup::BySrc, diff).unwrap();
+    let mean = ir.gather(ReduceFn::Mean, EdgeGroup::BySrc, diff).unwrap();
+    let out = ir.binary(BinaryFn::Add, mx, mean).unwrap();
+    ir.mark_output(out);
+    ModelSpec {
+        ir,
+        inputs: vec![("h".into(), Space::Vertex, Dim::flat(5))],
+        params: vec![("w".into(), 5, 4)],
+    }
 }
 
 fn bindings(spec: &ModelSpec, g: &Graph) -> Bindings {
@@ -145,7 +166,7 @@ proptest! {
     #[test]
     fn injected_faults_never_produce_wrong_data(
         plan_spec in arb_plan(),
-        model in 0usize..2,
+        model in 0usize..3,
         threads in 1usize..3,
         shards in 1usize..3,
     ) {

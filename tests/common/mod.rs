@@ -42,6 +42,8 @@ pub enum Step {
     EdgeSoftmax,
     GatherSum,
     GatherMax,
+    GatherMaxBySrc,
+    GatherMeanBySrc,
     Linear,
 }
 
@@ -56,6 +58,8 @@ pub fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             Just(Step::EdgeSoftmax),
             Just(Step::GatherSum),
             Just(Step::GatherMax),
+            Just(Step::GatherMaxBySrc),
+            Just(Step::GatherMeanBySrc),
             Just(Step::Linear),
         ],
         1..14,
@@ -86,6 +90,12 @@ pub fn build_ir(steps: &[Step], feat: usize) -> IrGraph {
             }
             (Step::GatherMax, Space::Edge) => {
                 g.gather(ReduceFn::Max, EdgeGroup::ByDst, cur).unwrap()
+            }
+            (Step::GatherMaxBySrc, Space::Edge) => {
+                g.gather(ReduceFn::Max, EdgeGroup::BySrc, cur).unwrap()
+            }
+            (Step::GatherMeanBySrc, Space::Edge) => {
+                g.gather(ReduceFn::Mean, EdgeGroup::BySrc, cur).unwrap()
             }
             (Step::Linear, _) => {
                 let w = g.param(&format!("w{i}"), feat, feat);

@@ -8,7 +8,7 @@
 mod common;
 
 use common::{arb_steps, build_ir, oracle};
-use gnnopt::core::lower::{is_streamed_gather, StepExec};
+use gnnopt::core::lower::{is_streamed_gather, StepExec, UnitKind};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, Preset};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
@@ -119,17 +119,16 @@ fn every_zoo_kernel_lowers() {
     });
 }
 
-/// One engine per op: the tile driver runs every step a destination tile
-/// can run, alone in its kernel or fused. What is left to the dense
-/// dispatch (`StepExec::Full` outside a streamed segment) is dense
-/// projections, cross-row parameter reductions, parameter-space steps and
-/// the three `BySrc` ops that address a complete vertex tensor at
-/// `src(e)` — nothing else, on any zoo model × preset × phase.
+/// One engine per op: the tile driver runs every graph op, alone in its
+/// kernel or fused. What is left to the dense dispatch (`StepExec::Full`
+/// outside a streamed segment) is dense projections, cross-row parameter
+/// reductions and parameter-space steps — nothing else, on any zoo model
+/// × preset × phase.
 #[test]
 fn full_steps_cannot_tile() {
-    use gnnopt::core::view::gather_max_bwd_group;
-    use gnnopt::core::{EdgeGroup::BySrc, OpKind, ReduceFn::Max, Space};
+    use gnnopt::core::{OpKind, Space};
     for_each_zoo_plan(|tag, plan| {
+        assert_eq!(dense_graph_ops(plan), Vec::<String>::new(), "{tag}");
         let ir = &plan.ir;
         for step in plan.programs.iter().flat_map(|p| &p.steps) {
             let node = ir.node(step.node);
@@ -145,9 +144,6 @@ fn full_steps_cannot_tile() {
                 | OpKind::HeadDotBwdParam
                 | OpKind::GaussianBwdMu
                 | OpKind::GaussianBwdSigma => true,
-                OpKind::Gather { reduce, group } => (*reduce, *group) == (Max, BySrc),
-                OpKind::GatherMeanBwd { group } => *group == BySrc,
-                OpKind::GatherMaxBwd { fwd } => gather_max_bwd_group(ir, *fwd) == BySrc,
                 _ => node.space == Space::Param,
             };
             assert!(
@@ -157,6 +153,20 @@ fn full_steps_cannot_tile() {
             );
         }
     });
+}
+
+/// The graph ops whose program units are dense calls: none, on every
+/// preset — the dense set is closed on random IRs too.
+fn dense_graph_ops(plan: &ExecutionPlan) -> Vec<String> {
+    let units = plan.programs.iter().flat_map(|p| {
+        let dense = p.units.iter().filter(|u| u.kind == UnitKind::Dense);
+        dense.flat_map(move |u| u.ops.iter().map(move |op| p.steps[op.step].node))
+    });
+    let nodes = units.map(|id| plan.ir.node(id));
+    nodes
+        .filter(|n| n.kind.is_graph_op())
+        .map(|n| n.name.clone())
+        .collect()
 }
 
 /// Every zoo model × preset × phase launches exactly
@@ -358,6 +368,11 @@ proptest! {
         iso in 0usize..4,
     ) {
         let ir = build_ir(&steps, 3);
+        for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
+            let plan = compile(&ir, true, &CompileOptions::preset(preset)).unwrap().plan;
+            let dense = dense_graph_ops(&plan);
+            prop_assert!(dense.is_empty(), "{:?}: dense graph ops {:?}", preset, dense);
+        }
         let g = hub_graph(12, &extra, iso);
         let vals = leaf_values(&ir, &g, seed);
         let (ref_out, ref_grads) = oracle(&ir, &vals, &g);

@@ -288,6 +288,52 @@ fn folded_runs_end_mid_strip_on_two_shards() {
     }
 }
 
+/// Two shards reduce a `BySrc` max and mean over the source groups they
+/// own — a streamed gather each, the max's argmax table in the shard's
+/// own edge ids — and their duals read the gradient at `src(e)` in the
+/// tile driver: outputs and gradients keep the unsharded session's bits
+/// (`k = 1`) at one and four threads, on RMAT-6 and on a hub whose out-
+/// and in-edges are cut across the shards.
+#[test]
+fn by_src_max_and_mean_with_their_duals_bit_identical_on_two_shards() {
+    use gnnopt::core::{BinaryFn, Dim, EdgeGroup, IrGraph, ReduceFn, ScatterFn};
+    let mut ir = IrGraph::new();
+    let h = ir.input_vertex("h", Dim::flat(4));
+    let w = ir.param("w", 4, 3);
+    let x = ir.linear(h, w).unwrap();
+    let diff = ir.scatter(ScatterFn::Bin(BinaryFn::Sub), x, x).unwrap();
+    let mx = ir.gather(ReduceFn::Max, EdgeGroup::BySrc, diff).unwrap();
+    let mean = ir.gather(ReduceFn::Mean, EdgeGroup::BySrc, diff).unwrap();
+    let out = ir.binary(BinaryFn::Add, mx, mean).unwrap();
+    ir.mark_output(out);
+    let rmat = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 17));
+    let mut pairs: Vec<(u32, u32)> = (1..40u32).flat_map(|v| [(v, 0), (0, v)]).collect();
+    pairs.extend((1..39u32).map(|v| (v, v + 1)));
+    let hub = Graph::from_edge_list(&EdgeList::from_pairs(44, &pairs));
+    for g in [&rmat, &hub] {
+        let vals = HashMap::from([
+            (
+                "h".to_owned(),
+                Tensor::from_fn(&[g.num_vertices(), 4], |i| (i as f32 * 0.37).sin()),
+            ),
+            (
+                "w".to_owned(),
+                Tensor::from_fn(&[4, 3], |i| (i as f32 * 0.71).cos()),
+            ),
+        ]);
+        for (k, threads) in [(1, 1), (2, 1), (2, 4)] {
+            let policy = ExecPolicy {
+                threads,
+                parallel_threshold: 0,
+                tile_edges: 16,
+                ..ExecPolicy::serial()
+            };
+            let name = "by-src max and mean";
+            assert_bit_identical_under(name, &ir, &vals, g, k, policy, ShardStrategy::Bfs);
+        }
+    }
+}
+
 /// A sharded session runs every kernel through the program interpreter
 /// of a plan its shards also planned their arenas from, so a warmed
 /// step's store never outgrows the planned arena and every tensor comes
