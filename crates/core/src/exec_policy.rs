@@ -47,14 +47,6 @@ pub struct ExecPolicy {
     /// Inert: read only by the frozen `src/bin/gnnbench`; goes when a
     /// `benchmark` PR drops that read.
     pub fused: bool,
-    /// In-degree above which a destination row's `Sum`/`Mean` reduction
-    /// is accumulated as fixed [`Self::HEAVY_ROW_CHUNK_EDGES`]-edge chunk
-    /// partials combined in ascending chunk order. An association rule —
-    /// part of what the reduction computes, a pure function of the row's
-    /// edge list, the same in the tile driver and the op library at every
-    /// thread count — not a scheduling one: nothing splits a hub row
-    /// across workers (a tile owns its destination groups whole).
-    pub heavy_row_degree: usize,
     /// Scan every kernel output for non-finite values, localizing the
     /// first one to `(kernel, node, row, col)` as a typed error
     /// instead of letting a NaN surface as garbage loss epochs later.
@@ -74,18 +66,6 @@ impl ExecPolicy {
     /// scratch stays within L2-cache scale.
     pub const DEFAULT_TILE_EDGES: usize = 4096;
 
-    /// Fixed chunk length (in edges) for heavy-row reductions: rows whose
-    /// degree exceeds [`Self::heavy_row_degree`] are reduced as
-    /// per-chunk partials combined in ascending chunk order. One shared
-    /// constant so the reference kernels and the fused interpreter can
-    /// never disagree on the association pattern.
-    pub const HEAVY_ROW_CHUNK_EDGES: usize = 1024;
-
-    /// Default [`Self::heavy_row_degree`]: far above the mean degree of
-    /// every benchmark graph, so only genuine power-law hubs take the
-    /// chunked path.
-    pub const DEFAULT_HEAVY_ROW_DEGREE: usize = 1 << 12;
-
     /// Auto-detected thread count (the default for every preset).
     pub fn auto() -> Self {
         Self {
@@ -93,7 +73,6 @@ impl ExecPolicy {
             parallel_threshold: Self::DEFAULT_PARALLEL_THRESHOLD,
             tile_edges: Self::DEFAULT_TILE_EDGES,
             fused: false,
-            heavy_row_degree: Self::DEFAULT_HEAVY_ROW_DEGREE,
             guard: false,
         }
     }
@@ -111,16 +90,6 @@ impl ExecPolicy {
         Self {
             threads,
             ..Self::auto()
-        }
-    }
-
-    /// The same policy with an explicit heavy-row degree threshold
-    /// (tests lower it to exercise the chunked hub-row path on small
-    /// graphs).
-    pub fn with_heavy_row_degree(self, heavy_row_degree: usize) -> Self {
-        Self {
-            heavy_row_degree,
-            ..self
         }
     }
 
@@ -185,22 +154,12 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = ExecPolicy::with_threads(2)
-            .with_heavy_row_degree(64)
-            .with_guard(true);
+        let p = ExecPolicy::with_threads(2).with_guard(true);
         assert_eq!(p.threads, 2);
         assert!(p.guard);
         assert!(!ExecPolicy::auto().guard, "guard defaults off");
-        assert_eq!(p.heavy_row_degree, 64);
         // `resolved` touches nothing but the thread count.
         assert_eq!(p.resolved(|| 8), p);
-    }
-
-    #[test]
-    fn heavy_row_defaults_are_sane() {
-        let p = ExecPolicy::auto();
-        assert_eq!(p.heavy_row_degree, ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE);
-        assert!(ExecPolicy::HEAVY_ROW_CHUNK_EDGES.is_power_of_two());
     }
 
     /// gnnbench times `matmul_with_threads(.., GemmKernel::default(), ..)`

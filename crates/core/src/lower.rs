@@ -106,12 +106,12 @@
 //!   step the tile loop runs as a streamed gather, the last step of its
 //!   own segment;
 //! * what is left runs as a [`StepExec::Full`] step through the op
-//!   library's dense dispatch, a segment of its own, and is no graph op:
-//!   dense projections (`Linear`, `HeadDot`, and their backward duals),
-//!   the cross-row parameter reductions (`GaussianBwdMu` /
-//!   `GaussianBwdSigma`), row views and parameter-space compute — the
-//!   combination half of the aggregation/combination split; `op_exec` is
-//!   the one place that says which;
+//!   library's dense dispatch, a segment of its own, and is neither a
+//!   graph op nor row-local: the GEMMs (`Linear` and its backward duals),
+//!   the cross-row parameter reductions (`HeadDotBwdParam`,
+//!   `GaussianBwdMu` / `GaussianBwdSigma`), row views and parameter-space
+//!   compute — the combination half of the aggregation/combination split;
+//!   `op_exec` is the one place that says which;
 //! * parameter-space *views* (weight slices / reshapes of out-of-kernel
 //!   values) are [`Storage::Prelude`] steps evaluated once per launch;
 //! * a tiled step reading a same-segment member at the **source**
@@ -505,10 +505,12 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         // groups are not contiguous in the destination-major edge order —
         // that the tile loop streams.
         kind if is_streamed_gather(kind) => StepExec::Full,
-        // Destination-grouped reductions and per-row ops, the two gather
-        // duals included: an edge row of either is its group vertex's
-        // gradient row, read at the endpoint the forward gather grouped by
-        // (`view::endpoint_reads`).
+        // Destination-grouped reductions and row-local ops — the two
+        // gather duals included: an edge row of either is its group
+        // vertex's gradient row, read at the endpoint the forward gather
+        // grouped by (`view::endpoint_reads`); and the per-head
+        // projections, each row from one input row and a parameter read
+        // whole.
         OpKind::Gather { .. }
         | OpKind::GatherMeanBwd { .. }
         | OpKind::GatherMaxBwd { .. }
@@ -519,6 +521,8 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::UnaryBwd(_)
         | OpKind::Binary(_)
         | OpKind::GaussianWeight
+        | OpKind::HeadDot
+        | OpKind::HeadDotBwdInput
         | OpKind::SliceCols { .. }
         | OpKind::EmbedCols { .. }
         | OpKind::SetHeads { .. }
@@ -526,13 +530,11 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::HeadBroadcast { .. }
         | OpKind::FeatSum
         | OpKind::FeatBroadcast { .. } => StepExec::Tiled,
-        // Dense projections and cross-row parameter reductions span all
-        // tiles: whole-graph full steps through the dense dispatch.
+        // GEMMs and cross-row parameter reductions span all tiles:
+        // whole-graph full steps through the dense dispatch.
         OpKind::Linear
         | OpKind::LinearBwdInput
         | OpKind::LinearBwdWeight
-        | OpKind::HeadDot
-        | OpKind::HeadDotBwdInput
         | OpKind::HeadDotBwdParam
         | OpKind::GaussianBwdMu
         | OpKind::GaussianBwdSigma

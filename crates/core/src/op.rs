@@ -441,7 +441,7 @@ pub enum FusionClass {
     /// Not executed (inputs, parameters, gradient seeds).
     Leaf,
     /// Expensive Apply- (linear projections and parameter-gradient
-    /// reductions): dedicated dense kernels, never fused with graph ops.
+    /// reductions): kernels of their own, never fused with graph ops.
     Expensive,
     /// Graph-related or lightweight Apply-: fusible.
     Fusible,

@@ -45,12 +45,6 @@ pub enum View {
 }
 
 impl View {
-    /// True when the read crosses the vertex↔edge boundary through a CSR
-    /// endpoint (and therefore pins the thread mapping of a fused kernel).
-    pub fn is_endpoint(self) -> bool {
-        matches!(self, View::BySrc | View::ByDst)
-    }
-
     /// The endpoint group of an endpoint read, if any.
     pub fn endpoint_group(self) -> Option<EdgeGroup> {
         match self {

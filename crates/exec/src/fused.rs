@@ -2,9 +2,9 @@
 //! host, not just in the analytical model.
 //!
 //! This is the session's only way to run a kernel, and the tile driver
-//! below the only engine of every graph op — alone in its kernel or
-//! fused, a `BySrc` gather as a streamed unit; what a tile cannot own and
-//! is no graph op (a `StepExec::Full` step: dense projections, cross-row
+//! below the only engine of every graph and row-local op — alone in its
+//! kernel or fused, a `BySrc` gather as a streamed unit; what a tile
+//! cannot own and is neither (a `StepExec::Full` step: GEMMs, cross-row
 //! parameter reductions, parameter-space steps) is one call into the op
 //! library's dense dispatch between tiled segments. Evaluating a fused
 //! kernel node by node (as the test oracle, [`crate::refexec::evaluate`],
@@ -143,8 +143,8 @@
 //! spawning of the workers themselves.
 
 use crate::kernels::{
-    binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, plan_threads, reduce_row_mean,
-    reduce_row_sum, split_rows, RowSource, NO_ARGMAX,
+    binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, group_adj, plan_threads,
+    split_rows, RowSource, NO_ARGMAX,
 };
 use crate::refexec;
 use crate::{contain, ExecError, Result};
@@ -391,8 +391,6 @@ struct Bound<'a> {
     g: &'a Graph,
     src: &'a [u32],
     dst: &'a [u32],
-    /// [`ExecPolicy::heavy_row_degree`].
-    heavy: usize,
     /// [`CompiledKernel::shard`].
     shard: Option<&'a [bool]>,
 }
@@ -1034,10 +1032,10 @@ impl CompiledKernel {
 
         // Per worker: a slot per op — its chunk of the sink's tensor (the
         // chunk is the slot: nothing is staged and copied), or a piece of
-        // the worker's slab — then one row of the widest op (heavy-row
-        // chunk partials and softmax-backward group sums, shared across
-        // ops and tiles), then the chunks of each fresh softmax's
-        // statistics. The slabs come off the pool's working list.
+        // the worker's slab — then one row of the widest op (the
+        // softmax-backward group sums, shared across ops and tiles), then
+        // the chunks of each fresh softmax's statistics. The slabs come
+        // off the pool's working list.
         let row = ops.iter().map(|op| op.cols).max().unwrap_or(0);
         let per = ops.len() + 1 + 2 * (stats.len() - stats0);
         let per_am = (argmax.len() - argmax0).max(1);
@@ -1099,7 +1097,6 @@ impl CompiledKernel {
             g,
             src: g.src_slice(),
             dst: g.dst_slice(),
-            heavy: self.policy.heavy_row_degree,
             shard: self.shard.as_deref(),
         };
         let slots_of = slots.chunks_mut(per).zip(base.chunks_mut(ops.len().max(1)));
@@ -1220,7 +1217,6 @@ fn exec_op(
     let total = op.cols;
     let adj = cx.g.in_adj();
     let indptr = adj.indptr();
-    let heavy = cx.heavy;
     // A reduction starts from zero rows: a sink's tensor was allocated
     // zeroed and nothing else writes it, a tile slot holds the last tile.
     let zeroed = op.size == SlotSize::Sink;
@@ -1281,9 +1277,9 @@ fn exec_op(
                 }
             }
         }
-        // Shared with the reference kernels so the heavy-row chunk
-        // association is identical on both paths. A shard session skips
-        // the destinations it does not own: their rows stay zero.
+        // Each row accumulates its edges in ascending id, the oracle's
+        // order at any degree. A shard session skips the destinations it
+        // does not own: their rows stay zero.
         OpKind::Gather {
             reduce: reduce @ (ReduceFn::Sum | ReduceFn::Mean),
             ..
@@ -1304,8 +1300,11 @@ fn exec_op(
                     continue;
                 }
                 match reduce {
-                    ReduceFn::Sum => reduce_row_sum(o, ids, &mut x, heavy, scratch),
-                    _ => reduce_row_mean(o, ids, 1.0 / deg as f32, &mut x, heavy, scratch),
+                    ReduceFn::Sum => ids.iter().for_each(|&e| x.add_into(o, e as usize)),
+                    _ => {
+                        let inv = 1.0 / deg as f32;
+                        ids.iter().for_each(|&e| x.axpy_into(o, inv, e as usize));
+                    }
                 }
             }
         }
@@ -1452,10 +1451,7 @@ fn exec_rows<'r>(
         // vertex's gradient row, the one the operand is pinned at —
         // `src(e)` or `dst(e)`, as the forward gather grouped.
         OpKind::GatherMeanBwd { group } => {
-            let adj = match group {
-                EdgeGroup::ByDst => cx.g.in_adj(),
-                EdgeGroup::BySrc => cx.g.out_adj(),
-            };
+            let adj = group_adj(cx.g, *group);
             for (i, e) in rows.enumerate() {
                 let inv = 1.0 / adj.degree(cx.at(s(0).at, e)) as f32;
                 rowops::scale_into(&mut buf[i * total..(i + 1) * total], inv, cx.row(s(0), e));
@@ -1488,6 +1484,35 @@ fn exec_rows<'r>(
                 for (i, r) in rows.enumerate() {
                     let o = &mut buf[i * total..(i + 1) * total];
                     binary_broadcast_row(o, *f, cx.row(s(0), r), da, cx.row(s(1), r), db);
+                }
+            }
+        }
+
+        // The per-head projections: the parameter is a complete tensor,
+        // read one head's row at a time as `kernels::head_dot` does.
+        OpKind::HeadDot => {
+            let (x, a, feat) = (s(0), s(1), op.dins[0].feat);
+            for (i, r) in rows.enumerate() {
+                let xr = cx.row(x, r);
+                for (h, ov) in buf[i * total..(i + 1) * total].iter_mut().enumerate() {
+                    let ar = cx.row(a, h);
+                    let mut acc = 0.0;
+                    for c in 0..feat {
+                        acc += xr[h * feat + c] * ar[c];
+                    }
+                    *ov = acc;
+                }
+            }
+        }
+        OpKind::HeadDotBwdInput => {
+            let (gs, a, (heads, feat)) = (s(0), s(1), (op.heads, total / op.heads));
+            for (i, r) in rows.enumerate() {
+                let (gr, or) = (cx.row(gs, r), &mut buf[i * total..(i + 1) * total]);
+                for h in 0..heads {
+                    let ar = cx.row(a, h);
+                    for c in 0..feat {
+                        or[h * feat + c] = gr[h] * ar[c];
+                    }
                 }
             }
         }
@@ -1616,7 +1641,6 @@ mod tests {
             g: &g,
             src: g.src_slice(),
             dst: g.dst_slice(),
-            heavy: 0,
             shard: None,
         };
         let kinds = [
@@ -1716,8 +1740,8 @@ mod tests {
     /// runs that stop at the first edge of a skipped group. Owned rows
     /// carry the unmasked run's bits, every other row exactly `+0.0`.
     /// Tiles of 16 rows, owned runs that end mid-strip and mid-tile, two
-    /// hubs past `HEAVY_ROW_CHUNK_EDGES` each way (one owned, one not),
-    /// one and two workers (a streamed gather's source range ∩ the shard
+    /// hubs of 1 100 edges each way (one owned, one not), one and two
+    /// workers (a streamed gather's source range ∩ the shard
     /// set).
     #[test]
     fn masked_reductions_keep_owned_bits_and_zero_the_rest() {
@@ -1726,7 +1750,7 @@ mod tests {
         // Hubs 0 (owned) and 1 (not) trade an edge each way with every
         // leaf; the body 2..80 has in-degrees 0..6.
         let (body, cols) = (80usize, 3usize);
-        let nv = body + ExecPolicy::HEAVY_ROW_CHUNK_EDGES + 76;
+        let nv = body + 1100;
         let mut pairs = Vec::new();
         for leaf in body as u32..nv as u32 {
             pairs.extend([(leaf, 0), (0, leaf), (leaf, 1), (1, leaf)]);
@@ -1735,7 +1759,7 @@ mod tests {
             pairs.extend((0..v % 7).map(|j| (((v * 13 + j * 29) % body) as u32, v as u32)));
         }
         let g = Graph::from_edge_list(&EdgeList::from_pairs(nv, &pairs));
-        assert!(g.in_adj().degree(1) > ExecPolicy::HEAVY_ROW_CHUNK_EDGES);
+        assert_eq!(g.in_adj().degree(1), 1100);
         // Runs of four owned vertices, then three not.
         let shard: Arc<[bool]> = (0..nv).map(|v| v == 0 || (v > 1 && v % 7 < 4)).collect();
         let mut b = Bindings::new();
@@ -1790,7 +1814,6 @@ mod tests {
                         threads,
                         parallel_threshold: 0,
                         tile_edges: 16,
-                        heavy_row_degree: 4,
                         ..ExecPolicy::serial()
                     };
                     let run = |shard: Option<Arc<[bool]>>| {

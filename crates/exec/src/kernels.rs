@@ -6,47 +6,33 @@
 //!
 //! # Who runs what
 //!
-//! A session runs every graph and per-row op in the tile driver
+//! A session runs every graph and row-local op in the tile driver
 //! ([`crate::fused`]), alone in its kernel or fused. What reaches this
 //! module from a session is the dense dispatch of a
-//! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`) — the
-//! dense projections, the cross-row parameter reductions and
-//! parameter-space steps of a few rows, none of them a graph op. Every
-//! graph kernel here is the **serial reference** the oracle
-//! ([`crate::refexec::evaluate`]) is built from — a plain loop over the
-//! shared feature-axis functions of [`gnnopt_tensor::rowops`], the *same*
-//! functions the tile driver calls, so the two stay bit-identical by
-//! construction rather than by parallel maintenance, and an N-thread
-//! session is compared against one thread's arithmetic.
+//! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`, which
+//! runs the GEMMs itself) — the cross-row parameter reductions and
+//! parameter-space steps of a few rows, none of them a graph op or a
+//! row-local one. Every other kernel here is the **serial reference** the
+//! oracle ([`crate::refexec::evaluate`]) is built from — a plain loop over
+//! the shared feature-axis functions of [`gnnopt_tensor::rowops`], the
+//! *same* functions the tile driver calls, so the two stay bit-identical
+//! by construction rather than by parallel maintenance, and an N-thread
+//! session is compared against one thread's arithmetic. A `Sum`/`Mean`
+//! row accumulates its edges in ascending id, whatever its degree — the
+//! one association, in the oracle and the tile driver alike.
 //!
 //! # The kernels that split
 //!
-//! Only the dense calls split their work over `std::thread::scope`
-//! workers, under the caller's [`ExecPolicy`]:
-//!
-//! * **row-partitioned** ([`head_dot`], [`head_dot_bwd_input`]):
-//!   contiguous output row ranges, each element written by one worker;
-//! * **fixed reassociation, thread-count invariant**: the cross-row
-//!   parameter reductions [`head_dot_bwd_param`], [`gaussian_bwd_mu`]
-//!   and [`gaussian_bwd_sigma`] accumulate fixed
-//!   [`PARAM_REDUCE_CHUNK_ROWS`]-row partials combined in ascending
-//!   chunk order — the chunk grid is a pure function of the row count,
-//!   never of the thread count, so any worker assignment yields the
-//!   same bits (proptested in `tests/backward_reduce.rs`); the
-//!   association differs from a single left-to-right sweep, which is the
-//!   documented cost of running them parallel at all.
-//!
-//! # Heavy destination rows
-//!
-//! A `ByDst` `Sum`/`Mean` row of in-degree above
-//! [`ExecPolicy::heavy_row_degree`] is reduced as fixed
-//! [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk partials combined in
-//! ascending chunk order ([`reduce_row_sum`], [`reduce_row_mean`] —
-//! shared with the tile driver). This is an association rule, part of
-//! the kernel definition; nothing splits a hub row across workers.
-//! `BySrc` gathers accumulate in ascending edge order with no chunking
-//! (the tile driver's streamed gathers do the same), and `Max` rows are
-//! never chunked.
+//! Only the cross-row parameter reductions [`head_dot_bwd_param`],
+//! [`gaussian_bwd_mu`] and [`gaussian_bwd_sigma`] split their work over
+//! scoped worker threads, under the caller's [`ExecPolicy`]
+//! (`param_reduce`): they accumulate fixed
+//! [`PARAM_REDUCE_CHUNK_ROWS`]-row partials combined in ascending chunk
+//! order — the chunk grid is a pure function of the row count, never of
+//! the thread count, so any worker assignment yields the same bits
+//! (proptested in `tests/backward_reduce.rs`); the association differs
+//! from a single left-to-right sweep, which is the documented cost of
+//! running them parallel at all.
 //!
 //! # Empty-group (isolated-vertex) semantics
 //!
@@ -70,7 +56,7 @@
 
 use crate::contain;
 use gnnopt_core::{BinaryFn, Dim, EdgeGroup, ExecPolicy, ReduceFn, ScatterFn, UnaryFn};
-use gnnopt_graph::Graph;
+use gnnopt_graph::{Adjacency, Graph};
 use gnnopt_tensor::parallel::chunk_rows;
 use gnnopt_tensor::{pool, rowops, Tensor};
 use std::ops::Range;
@@ -163,62 +149,6 @@ impl RowSource for &Tensor {
     }
 }
 
-/// Reduces one destination row over its edge id list with `Sum`
-/// semantics: `o[c] += Σ_e row(e)[c]`, accumulated in list order. Rows
-/// longer than `heavy` edges are reduced as fixed
-/// [`ExecPolicy::HEAVY_ROW_CHUNK_EDGES`]-edge chunk partials (built in
-/// `scratch`, at least a row long) combined in ascending chunk order —
-/// the same association at every thread count, shared verbatim with the
-/// fused interpreter.
-pub(crate) fn reduce_row_sum(
-    o: &mut [f32],
-    ids: &[u32],
-    row: &mut impl RowSource,
-    heavy: usize,
-    scratch: &mut [f32],
-) {
-    if ids.len() <= heavy {
-        for &e in ids {
-            row.add_into(o, e as usize);
-        }
-        return;
-    }
-    let scratch = &mut scratch[..o.len()];
-    for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
-        scratch.fill(0.0);
-        for &e in chunk {
-            row.add_into(scratch, e as usize);
-        }
-        rowops::add_assign(o, scratch);
-    }
-}
-
-/// [`reduce_row_sum`]'s `Mean` sibling: `o[c] += Σ_e inv · row(e)[c]`
-/// with the same heavy-row chunking rule.
-pub(crate) fn reduce_row_mean(
-    o: &mut [f32],
-    ids: &[u32],
-    inv: f32,
-    row: &mut impl RowSource,
-    heavy: usize,
-    scratch: &mut [f32],
-) {
-    if ids.len() <= heavy {
-        for &e in ids {
-            row.axpy_into(o, inv, e as usize);
-        }
-        return;
-    }
-    let scratch = &mut scratch[..o.len()];
-    for chunk in ids.chunks(ExecPolicy::HEAVY_ROW_CHUNK_EDGES) {
-        scratch.fill(0.0);
-        for &e in chunk {
-            row.axpy_into(scratch, inv, e as usize);
-        }
-        rowops::add_assign(o, scratch);
-    }
-}
-
 /// One row of a head-broadcast `Binary`: the side whose `feat == 1`
 /// holds one scalar per head, combined with each of the other side's
 /// `feat` features of that head. The scalars are hoisted out of the
@@ -303,31 +233,6 @@ pub(crate) fn split_rows<'a, T>(
     })
 }
 
-/// Runs `body(row_range, chunk)` over disjoint contiguous row ranges of
-/// `out`, in parallel when the policy allows. `chunk` is the sub-slice
-/// holding exactly the rows of `row_range` (local row `i` of the chunk is
-/// global row `row_range.start + i`).
-fn par_rows<F>(policy: &ExecPolicy, rows: usize, cols: usize, work: usize, out: &mut [f32], body: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    let threads = plan_threads(policy, rows, work);
-    if threads < 2 || cols == 0 {
-        body(0..rows, out);
-        return;
-    }
-    let per = chunk_rows(rows, threads);
-    let wg = contain::WorkerGuard::new();
-    std::thread::scope(|s| {
-        for (w, chunk) in out.chunks_mut(per * cols).enumerate() {
-            let body = &body;
-            let wg = &wg;
-            s.spawn(move || wg.run(|| body(w * per..w * per + chunk.len() / cols, chunk)));
-        }
-    });
-    wg.rethrow();
-}
-
 /// A zeroed `[rows, cols]` tensor filled by `body(out_row, r)` for every
 /// row `r` in order: the shape of every per-row reference kernel below.
 fn map_rows(rows: usize, cols: usize, body: impl Fn(&mut [f32], usize)) -> Tensor {
@@ -378,59 +283,34 @@ pub fn scatter(
 /// Returns the reduced tensor and, for `Max`, the per-element argmax edge
 /// ids (`NO_ARGMAX` for empty groups).
 ///
-/// A serial reference (sessions reduce in the tile driver): `ByDst`
-/// `Sum`/`Mean` walk each row's contiguous edge block through the shared
-/// heavy-row helpers, everything else accumulates one ascending scan of
-/// all edges — which is every group's edge order. The policy supplies
-/// [`ExecPolicy::heavy_row_degree`].
+/// A serial reference (sessions reduce in the tile driver): one
+/// ascending scan of all edges, each folded into its group vertex's row
+/// — which is every group's edge order, destination-major edge ids
+/// making a `ByDst` group one ascending run. `_policy` stays in the
+/// signature for the op-library callers that time it.
 ///
 /// Empty groups (isolated vertices) keep the `0.0` identity row — see the
 /// module-level contract.
 pub fn gather(
-    policy: &ExecPolicy,
+    _policy: &ExecPolicy,
     g: &Graph,
     reduce: ReduceFn,
     group: EdgeGroup,
     x: &Tensor,
 ) -> (Tensor, Option<Vec<u32>>) {
-    let n = g.num_vertices();
-    let total = x.cols();
-    let mut out = Tensor::zeros(&[n, total]);
+    let mut out = Tensor::zeros(&[g.num_vertices(), x.cols()]);
     if matches!(reduce, ReduceFn::Max) {
         let argmax = gather_max(g, group, x, out.as_mut_slice());
         return (out, Some(argmax));
     }
-    if group == EdgeGroup::BySrc {
-        let adj = g.out_adj();
-        for (e, &s) in g.src_slice().iter().enumerate() {
-            let v = s as usize;
-            match reduce {
-                ReduceFn::Sum => rowops::add_assign(out.row_mut(v), x.row(e)),
-                _ => rowops::axpy(out.row_mut(v), 1.0 / adj.degree(v) as f32, x.row(e)),
-            }
-        }
-        return (out, None);
-    }
-    let (adj, heavy) = (g.in_adj(), policy.heavy_row_degree);
-    // Pooled, so a hub's chunk partial costs the oracle no allocation.
-    let mut scratch = pool::take_work_f32(total);
-    scratch.resize(total, 0.0);
-    for v in 0..n {
-        let (ids, o) = (adj.edge_ids(v), out.row_mut(v));
+    let adj = group_adj(g, group);
+    for (e, &v) in group_keys(g, group).iter().enumerate() {
+        let v = v as usize;
         match reduce {
-            ReduceFn::Sum => reduce_row_sum(o, ids, &mut &*x, heavy, &mut scratch),
-            _ if ids.is_empty() => {}
-            _ => reduce_row_mean(
-                o,
-                ids,
-                1.0 / ids.len() as f32,
-                &mut &*x,
-                heavy,
-                &mut scratch,
-            ),
+            ReduceFn::Sum => rowops::add_assign(out.row_mut(v), x.row(e)),
+            _ => rowops::axpy(out.row_mut(v), 1.0 / adj.degree(v) as f32, x.row(e)),
         }
     }
-    pool::put_work_f32(scratch);
     (out, None)
 }
 
@@ -457,6 +337,14 @@ fn group_keys(g: &Graph, group: EdgeGroup) -> &[u32] {
     }
 }
 
+/// The adjacency whose rows are `group`'s edge groups.
+pub(crate) fn group_adj(g: &Graph, group: EdgeGroup) -> &Adjacency {
+    match group {
+        EdgeGroup::ByDst => g.in_adj(),
+        EdgeGroup::BySrc => g.out_adj(),
+    }
+}
+
 /// Backward of `Gather(Max)`: edge `e`'s row is its group vertex's
 /// gradient row where `e` won the max, zero elsewhere
 /// ([`rowops::route_argmax`]); `NO_ARGMAX` entries (empty groups) route
@@ -473,11 +361,7 @@ pub fn gather_max_bwd(g: &Graph, group: EdgeGroup, grad: &Tensor, argmax: &[u32]
 /// Backward of `Gather(Mean)`: edge `e`'s row is `grad[v] / degree(v)`
 /// for its group vertex `v`, whose degree is ≥ 1 (it has edge `e`).
 pub fn gather_mean_bwd(g: &Graph, group: EdgeGroup, grad: &Tensor) -> Tensor {
-    let adj = match group {
-        EdgeGroup::ByDst => g.in_adj(),
-        EdgeGroup::BySrc => g.out_adj(),
-    };
-    let keys = group_keys(g, group);
+    let (adj, keys) = (group_adj(g, group), group_keys(g, group));
     map_rows(g.num_edges(), grad.cols(), |o, e| {
         let v = keys[e] as usize;
         rowops::scale_into(o, 1.0 / adj.degree(v) as f32, grad.row(v));
@@ -576,68 +460,34 @@ pub fn unary_bwd(f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
     out
 }
 
-/// Per-head dot product with a parameter: `[N, h·f] × [h, f] → [N, h]`
-/// (row-partitioned).
-pub fn head_dot(policy: &ExecPolicy, x: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
-    let rows = x.rows();
-    let mut out = Tensor::zeros(&[rows, heads]);
-    par_rows(
-        policy,
-        rows,
-        heads,
-        rows * heads * feat,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let xr = x.row(r);
-                let or = &mut chunk[i * heads..(i + 1) * heads];
-                for h in 0..heads {
-                    let ar = a.row(h);
-                    let mut acc = 0.0;
-                    for c in 0..feat {
-                        acc += xr[h * feat + c] * ar[c];
-                    }
-                    or[h] = acc;
-                }
+/// Per-head dot product with a parameter: `[N, h·f] × [h, f] → [N, h]`.
+pub fn head_dot(x: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
+    map_rows(x.rows(), heads, |or, r| {
+        let xr = x.row(r);
+        for (h, ov) in or.iter_mut().enumerate() {
+            let ar = a.row(h);
+            let mut acc = 0.0;
+            for c in 0..feat {
+                acc += xr[h * feat + c] * ar[c];
             }
-        },
-    );
-    out
+            *ov = acc;
+        }
+    })
 }
 
-/// Backward of [`head_dot`] w.r.t. the data: `out[r, h·f+c] = g[r,h]·a[h,c]`
-/// (row-partitioned).
-pub fn head_dot_bwd_input(
-    policy: &ExecPolicy,
-    grad: &Tensor,
-    a: &Tensor,
-    heads: usize,
-    feat: usize,
-) -> Tensor {
-    let rows = grad.rows();
-    let cols = heads * feat;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    par_rows(
-        policy,
-        rows,
-        cols,
-        rows * cols,
-        out.as_mut_slice(),
-        |range, chunk| {
-            for (i, r) in range.enumerate() {
-                let gr = grad.row(r);
-                let or = &mut chunk[i * cols..(i + 1) * cols];
-                for h in 0..heads {
-                    let ar = a.row(h);
-                    for c in 0..feat {
-                        or[h * feat + c] = gr[h] * ar[c];
-                    }
-                }
+/// Backward of [`head_dot`] w.r.t. the data: `out[r, h·f+c] = g[r,h]·a[h,c]`.
+pub fn head_dot_bwd_input(grad: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
+    map_rows(grad.rows(), heads * feat, |or, r| {
+        let gr = grad.row(r);
+        for h in 0..heads {
+            let ar = a.row(h);
+            for c in 0..feat {
+                or[h * feat + c] = gr[h] * ar[c];
             }
-        },
-    );
-    out
+        }
+    })
 }
+
 /// Backward of [`head_dot`] w.r.t. the parameter:
 /// `out[h, c] = Σ_r g[r,h]·x[r, h·f+c]`.
 ///
@@ -1055,9 +905,9 @@ mod tests {
     fn head_dot_roundtrip_gradients() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]).unwrap();
         let a = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]).unwrap();
-        let y = head_dot(&serial(), &x, &a, 2, 2);
+        let y = head_dot(&x, &a, 2, 2);
         assert_eq!(y.row(0), &[1.0 * 0.5 - 2.0, 3.0 * 2.0]);
-        let gi = head_dot_bwd_input(&serial(), &y, &a, 2, 2);
+        let gi = head_dot_bwd_input(&y, &a, 2, 2);
         assert_eq!(gi.shape(), &[2, 4]);
         let gp = head_dot_bwd_param(&serial(), &x, &y, 2, 2);
         assert_eq!(gp.shape(), &[2, 2]);

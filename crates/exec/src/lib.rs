@@ -24,11 +24,12 @@
 //! Kernels run under an [`gnnopt_core::ExecPolicy`] carried by the
 //! compiled plan (`CompileOptions::exec`) or pinned per session via the
 //! builder, and each op has one engine. The tile driver (`fused.rs`) runs
-//! every graph op, its `std::thread::scope` workers each walking a
-//! contiguous run of tiles (edge-balanced source ranges for a streamed
-//! `BySrc` gather); the dense calls — GEMMs, `head_dot*`, the parameter
-//! reductions — split their own rows in [`kernels`], under the same
-//! pool size (`gnnopt_tensor::parallel`) as `Tensor::matmul`. Row-wise
+//! every graph and row-local op, its `std::thread::scope` workers each
+//! walking a contiguous run of tiles (edge-balanced source ranges for a
+//! streamed `BySrc` gather); the dense calls — GEMMs and the parameter
+//! reductions — split their own work (the reductions in [`kernels`]),
+//! under the same pool size (`gnnopt_tensor::parallel`) as
+//! `Tensor::matmul`. Row-wise
 //! inner loops dispatch to AVX2-widened bodies at runtime when the host
 //! supports them (the scalar bodies produce the same bits — see
 //! `gnnopt_tensor::rowops`).
@@ -40,7 +41,8 @@
 //! invariant in `GNNOPT_THREADS`. Set `GNNOPT_THREADS=<n>` to override
 //! the auto-detected pool size (`GNNOPT_THREADS=1` forces the serial
 //! path); see the [`kernels`] module docs for which kernels split, the
-//! heavy-row chunk association, and the tensor layout convention.
+//! one association of a vertex reduction (ascending edge order), and the
+//! tensor layout convention.
 //!
 //! # One executor: the program interpreter
 //!

@@ -5,10 +5,11 @@
 //! kernels in [`crate::kernels`]. It has exactly two callers. The program
 //! interpreter (`fused.rs`) calls it for every step a destination tile
 //! cannot run — the dense or parameter steps of a lowered
-//! [`gnnopt_core::KernelProgram`]: GEMMs, `head_dot*`, parameter
-//! reductions, none of them a graph op — so lowering totality never needs
-//! a per-kernel fallback: any op the IR expresses either tiles or lands
-//! here, whichever session, shard or sharded driver launched the program.
+//! [`gnnopt_core::KernelProgram`]: GEMMs, parameter reductions and
+//! parameter-space steps, none of them a graph op or a row-local one — so
+//! lowering totality never needs a per-kernel fallback: any op the IR
+//! expresses either tiles or lands here, whichever session, shard or
+//! sharded driver launched the program.
 //! Those are the arms that take the caller's thread count; every other
 //! arm is a plain loop no session reaches.
 //!
@@ -228,9 +229,9 @@ pub(crate) fn exec_op_inner(
 
         OpKind::Binary(f) => kernels::binary_broadcast(*f, inputs[0], din(0), inputs[1], din(1)),
 
-        OpKind::HeadDot => kernels::head_dot(pol, inputs[0], inputs[1], din(0).heads, din(0).feat),
+        OpKind::HeadDot => kernels::head_dot(inputs[0], inputs[1], din(0).heads, din(0).feat),
         OpKind::HeadDotBwdInput => {
-            kernels::head_dot_bwd_input(pol, inputs[0], inputs[1], node.dim.heads, node.dim.feat)
+            kernels::head_dot_bwd_input(inputs[0], inputs[1], node.dim.heads, node.dim.feat)
         }
         OpKind::HeadDotBwdParam => {
             kernels::head_dot_bwd_param(pol, inputs[0], inputs[1], node.dim.heads, node.dim.feat)

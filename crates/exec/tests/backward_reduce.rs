@@ -1,15 +1,15 @@
 //! Thread-count invariance of the parallelized backward reductions and
-//! the heavy-row chunk association.
+//! the one association of a vertex reduction.
 //!
 //! The engine's determinism contract (see `gnnopt_exec::kernels`) has
-//! two tiers: most kernels keep the serial accumulation order exactly,
+//! two tiers: every other kernel keeps the serial accumulation order
+//! exactly — a `Sum`/`Mean` row in ascending edge id, hubs included —
 //! while the cross-row parameter reductions (`head_dot_bwd_param`,
 //! `gaussian_bwd_mu`, `gaussian_bwd_sigma`) re-associate on a fixed
 //! chunk grid. Both tiers promise the *same bits at every thread
 //! count*, which is what these tests pin — across threads {1, 2, 4},
 //! the op library and a full session (against the node-by-node oracle),
-//! graphs with isolated vertices, and an extreme-hub graph whose heavy
-//! destination row takes the chunked association.
+//! graphs with isolated vertices, and extreme-hub graphs.
 
 use gnnopt_core::{compile, CompileOptions, Dim, EdgeGroup, ExecPolicy, IrGraph, ReduceFn};
 use gnnopt_exec::{kernels, refexec, Bindings, Session};
@@ -98,27 +98,46 @@ proptest! {
     }
 }
 
-/// The heavy-row association: a destination row whose degree crosses the
-/// policy threshold reduces as fixed 1024-edge chunk partials folded in
-/// ascending order — in the serial op library and in the tile driver at
-/// 1, 2 and 4 workers alike (the same bits; a hub row is never split
-/// across workers), and they agree with the plain unchunked reduction up
-/// to reassociation.
+/// One association on hubs: a destination row of any in-degree reduces
+/// its edges in ascending id, the order of a hand-written loop over
+/// `in_adj().edge_ids(v)` — in the serial op library and in the tile
+/// driver at 1, 2 and 4 workers alike (a hub row is never split across
+/// workers). Hubs of 2 500 and 5 000 in-edges; the inputs mix
+/// magnitudes, so any other association would round differently.
 #[test]
-fn heavy_row_split_is_thread_count_invariant() {
-    // Degree 2500 > 1024: the hub row spans three chunks.
-    let g = hub_graph(2500);
-    assert_eq!(g.in_adj().degree(0), 2500);
-    // Mixed magnitudes, so that a different association rounds differently.
-    let e = Tensor::from_fn(&[g.num_edges(), 6], |i| {
+fn hub_rows_reduce_in_edge_order() {
+    // Vertex 0 hears from 1..=2500, vertex 1 from 2..=5001; a chain
+    // links the rest and the last vertex is isolated.
+    let n = 5002u32;
+    let mut pairs: Vec<(u32, u32)> = (1..=2500).map(|u| (u, 0)).collect();
+    pairs.extend((2..n).map(|u| (u, 1)));
+    pairs.extend((2..n - 1).map(|v| (v, v + 1)));
+    let g = Graph::from_edge_list(&EdgeList::from_pairs(n as usize + 1, &pairs));
+    let adj = g.in_adj();
+    assert_eq!((adj.degree(0), adj.degree(1)), (2500, 5000));
+    let cols = 6;
+    let e = Tensor::from_fn(&[g.num_edges(), cols], |i| {
         (i as f32 * 0.7311).sin() * [0.01, 1.0, 100.0][i % 3]
     });
     for reduce in [ReduceFn::Sum, ReduceFn::Mean] {
-        let chunked = pol(1).with_heavy_row_degree(16);
-        let base = kernels::gather(&chunked, &g, reduce, EdgeGroup::ByDst, &e).0;
+        let mut want = Tensor::zeros(&[g.num_vertices(), cols]);
+        for v in 0..g.num_vertices() {
+            let inv = 1.0 / adj.degree(v) as f32;
+            let o = want.row_mut(v);
+            for &id in adj.edge_ids(v) {
+                for (ov, &xv) in o.iter_mut().zip(e.row(id as usize)) {
+                    match reduce {
+                        ReduceFn::Sum => *ov += xv,
+                        _ => *ov += inv * xv,
+                    }
+                }
+            }
+        }
+        let lib = kernels::gather(&pol(1), &g, reduce, EdgeGroup::ByDst, &e).0;
+        assert_bit_identical(&format!("{reduce:?}: op library"), &want, &lib);
         // The same gather alone in a kernel, through a session.
         let mut ir = IrGraph::new();
-        let x = ir.input_edge("e", Dim::flat(6));
+        let x = ir.input_edge("e", Dim::flat(cols));
         let v = ir.gather(reduce, EdgeGroup::ByDst, x).expect("gather");
         ir.mark_output(v);
         let plan = compile(&ir, false, &CompileOptions::ours())
@@ -127,44 +146,18 @@ fn heavy_row_split_is_thread_count_invariant() {
         let b = Bindings::new().with("e", e.clone());
         for t in [1usize, 2, 4] {
             let mut sess = Session::builder(&plan, &g)
-                .policy(pol(t).with_heavy_row_degree(16))
+                .policy(pol(t))
                 .env(gnnopt_exec::EnvOverrides::Off)
                 .build()
                 .expect("session");
             let out = sess.forward(&b).expect("forward");
-            assert_bit_identical(&format!("heavy-row gather (t={t})"), &base, &out[0]);
+            assert_bit_identical(&format!("{reduce:?}: session (t={t})"), &want, &out[0]);
         }
-        // Sanity: chunking only reassociates, it doesn't change the sum.
-        let plain = kernels::gather(
-            &pol(1).with_heavy_row_degree(usize::MAX),
-            &g,
-            reduce,
-            EdgeGroup::ByDst,
-            &e,
-        )
-        .0;
-        assert!(base.allclose(&plain), "{reduce:?}: chunked vs plain");
-        assert_ne!(bits(&base), bits(&plain), "{reduce:?}: the hub row chunks");
     }
-    // Max rows are never chunked: first-wins argmax is already
-    // scheduling-independent, so the threshold must not change bits.
-    let (mx_small, am_small) = kernels::gather(
-        &pol(4).with_heavy_row_degree(16),
-        &g,
-        ReduceFn::Max,
-        EdgeGroup::ByDst,
-        &e,
-    );
-    let (mx_plain, am_plain) = kernels::gather(&pol(1), &g, ReduceFn::Max, EdgeGroup::ByDst, &e);
-    assert_bit_identical("heavy-row gather max", &mx_small, &mx_plain);
-    assert_eq!(am_small, am_plain, "argmax tables differ");
 }
 
 /// End-to-end on the extreme-hub graph: a full GAT training step is
-/// bit-identical to the oracle across threads {1, 2, 4} with the
-/// heavy-row dispatch engaged (tiny pinned threshold; the 600-edge hub
-/// row is one chunk, so it associates exactly as the oracle's plain
-/// reduction does).
+/// bit-identical to the oracle across threads {1, 2, 4}.
 #[test]
 fn session_invariant_across_threads_and_fused_on_hub_graph() {
     let g = hub_graph(600);
@@ -186,7 +179,7 @@ fn session_invariant_across_threads_and_fused_on_hub_graph() {
 
     for threads in [1usize, 2, 4] {
         let mut sess = Session::builder(&compiled.plan, &g)
-            .policy(pol(threads).with_heavy_row_degree(8))
+            .policy(pol(threads))
             .env(gnnopt_exec::EnvOverrides::Off)
             .build()
             .expect("session");

@@ -171,22 +171,20 @@ fn small_graph() -> Graph {
     Graph::from_edge_list(&EdgeList::from_pairs(15, &pairs))
 }
 
-/// A star: every leaf points at vertex 0, whose in-degree exceeds
-/// `heavy_row_degree` (chunked hub reduction, several chunks).
+/// A star: every leaf points at vertex 0, an in-degree of 4 996.
 fn star_graph() -> Graph {
-    let leaves = ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE as u32 + 900;
+    let leaves = 4996u32;
     let pairs: Vec<(u32, u32)> = (1..=leaves).map(|u| (u, 0)).collect();
     Graph::from_edge_list(&EdgeList::from_pairs(leaves as usize + 2, &pairs))
 }
 
-/// The star's hub inside an ordinary graph: vertex 3 takes
-/// `DEFAULT_HEAVY_ROW_DEGREE + 900` in-edges (several heavy-row chunks,
-/// one tile of its own at every budget), the other vertices of
+/// The star's hub inside an ordinary graph: vertex 3 takes 4 996
+/// in-edges (one tile of its own at every budget), the other vertices of
 /// [`small_graph`]'s pattern keep theirs, sources repeat out of
 /// destination order, and six trailing vertices are isolated.
 fn hub_graph() -> Graph {
     let n = 40u32;
-    let hub_edges = ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE as u32 + 900;
+    let hub_edges = 4996u32;
     let mut pairs: Vec<(u32, u32)> = (0..hub_edges).map(|i| ((i * 11 + 5) % n, 3)).collect();
     pairs.extend((0..160u32).map(|i| ((i * 7 + 3) % n, (i * 5 + i / 12) % n)));
     Graph::from_edge_list(&EdgeList::from_pairs(n as usize + 6, &pairs))
@@ -267,7 +265,7 @@ fn chained_alias_feeds_a_broadcast_binary() {
 
 /// Weight-free GCN: the copy's only reader is the reduction itself, for
 /// every reduce function (argmax tables included) — on the small graph
-/// and on a star whose hub takes the chunked heavy-row path. The aliased
+/// and on a star whose hub takes 4 996 edges. The aliased
 /// copy holds no slot and the gather reduces straight into the output
 /// tensor: the launch holds no scratch at all.
 #[test]
@@ -472,7 +470,7 @@ fn edge_product_bindings(g: &Graph) -> Bindings {
 }
 
 /// Checks `plan` on the one-tile graph and on the hub graph (isolated
-/// vertices, a hub over the heavy-row threshold); returns the one-tile
+/// vertices, a hub of 4 996 in-edges); returns the one-tile
 /// serial run's scratch bytes.
 fn scratch_on_both_graphs(plan: &ExecutionPlan, bind: impl Fn(&Graph) -> Bindings) -> u64 {
     let hub = hub_graph();
@@ -694,8 +692,7 @@ fn folds_every_product(plan: &ExecutionPlan) -> usize {
 }
 
 /// Both product shapes at heads {1, 2, 4} × feat {1, 3, 8, 32} under each
-/// reader — by-destination `Sum`/`Mean` (on the hub, whose row past the
-/// heavy-row degree folds chunk by chunk), the streamed by-source
+/// reader — by-destination `Sum`/`Mean`, the streamed by-source
 /// `Sum`/`Mean`, a `FeatSum` written out and one read row by row by a
 /// gather — on the hub graph and on one with fewer edges than the
 /// look-ahead. The sweep's 7-edge tiles put the last tile within the

@@ -3,13 +3,12 @@
 //! one thread's — chunk and tile boundaries never change what arithmetic
 //! is performed, only who performs it.
 //!
-//! * The row-partitioned dense kernels (`head_dot*`) against themselves
-//!   at one thread.
-//! * Every graph op — everything the tile driver runs — alone in its
-//!   kernel, through an N-thread session against the serial oracle
-//!   (`refexec::evaluate`): the op library's kernels for these are plain
-//!   loops, so this holds the interpreter to a reference, not a threaded
-//!   kernel to itself.
+//! * Every graph and row-local op — everything the tile driver runs —
+//!   alone in its kernel, through an N-thread session against the serial
+//!   oracle (`refexec::evaluate`): the op library's kernels for these are
+//!   plain loops, so this holds the interpreter to a reference, not a
+//!   threaded kernel to itself.
+//! * A whole GAT step, parallel against serial, peak memory included.
 //!
 //! Random graphs include isolated vertices on purpose, so the empty-group
 //! identity rows are covered by the bitwise comparison too.
@@ -20,7 +19,7 @@ use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
     IrGraph, Node, OpKind, ReduceFn, ScatterFn, UnaryFn,
 };
-use gnnopt_exec::{kernels, refexec, Bindings, EnvOverrides, Session};
+use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
 use gnnopt_models::{gat, GatConfig};
 use gnnopt_tensor::Tensor;
@@ -35,10 +34,6 @@ fn par(threads: usize) -> ExecPolicy {
     }
 }
 
-fn serial() -> ExecPolicy {
-    ExecPolicy::serial()
-}
-
 /// Bitwise equality — `==` would already distinguish `0.0`/`-0.0` less
 /// strictly and conflate NaNs; the backend promises the exact same bits.
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -50,14 +45,10 @@ fn assert_bit_identical(name: &str, a: &Tensor, b: &Tensor) {
     assert_eq!(bits(a), bits(b), "{name}: bits differ");
 }
 
-/// In-degree above which the sessions below chunk a destination row.
-const HEAVY: usize = 4;
-
 /// Random graphs with guaranteed trailing isolated vertices and a hub:
-/// every other vertex feeds vertex 0, whose in-degree so exceeds
-/// [`HEAVY`].
+/// every other vertex feeds vertex 0.
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (HEAVY + 2..24, 0usize..4).prop_flat_map(|(n, iso)| {
+    (6usize..24, 0usize..4).prop_flat_map(|(n, iso)| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 1..96).prop_map(move |mut pairs| {
             pairs.extend((1..n as u32).map(|u| (u, 0)));
             Graph::from_edge_list(&EdgeList::from_pairs(n + iso, &pairs))
@@ -74,7 +65,7 @@ fn pseudo_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
 /// Two training models that, with their autodiff duals, hold every op a
 /// destination tile can run; compiled without fusion each op is alone in
 /// its kernel. Inputs: `h: V[3]`, `p: E[2]`; parameters `w: [3, heads ·
-/// feat]`, `mu`, `sigma: [heads, 2]`.
+/// feat]`, `attn: [heads, feat]`, `mu`, `sigma: [heads, 2]`.
 fn tile_op_models(heads: usize, feat: usize) -> Vec<IrGraph> {
     let leaves = |g: &mut IrGraph| {
         let h = g.input_vertex("h", Dim::flat(3));
@@ -82,13 +73,15 @@ fn tile_op_models(heads: usize, feat: usize) -> Vec<IrGraph> {
         let hw = g.linear(h, w).unwrap();
         g.set_heads(hw, heads).unwrap()
     };
-    // Attention with a Gaussian edge weight: fresh softmax, head
-    // broadcast, per-head sums — and backward their duals plus the lone
-    // `BySrc` sums of the two scatters.
+    // Attention with a Gaussian edge weight: a head-dot and a per-head
+    // sum score the edges, fresh softmax, head broadcast — and backward
+    // their duals plus the lone `BySrc` sums of the two scatters.
     let mut a = IrGraph::new();
     let x = leaves(&mut a);
     let s = a.feat_sum(x).unwrap();
-    let e = a.scatter(ScatterFn::Bin(BinaryFn::Add), s, s).unwrap();
+    let attn = a.param("attn", heads, feat);
+    let d = a.head_dot(x, attn).unwrap();
+    let e = a.scatter(ScatterFn::Bin(BinaryFn::Add), s, d).unwrap();
     let lr = a.unary(UnaryFn::LeakyRelu(0.2), e).unwrap();
     let sm = a.edge_softmax(lr).unwrap();
     let p = a.input_edge("p", Dim::flat(2));
@@ -190,6 +183,10 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
             matches!(n.kind, OpKind::Binary(_)) && broadcasts(ir, n)
         }),
         ("gaussian_weight", |_, n| n.kind == OpKind::GaussianWeight),
+        ("head_dot", |_, n| n.kind == OpKind::HeadDot),
+        ("head_dot_bwd_input", |_, n| {
+            n.kind == OpKind::HeadDotBwdInput
+        }),
         ("slice_cols", |_, n| {
             matches!(n.kind, OpKind::SliceCols { .. })
         }),
@@ -232,40 +229,8 @@ fn lone_tile_ops(plan: &ExecutionPlan) -> Vec<&Node> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The op-library kernels that split their rows over workers — what a
-    /// dense call can reach — bit-compared against their own serial path
-    /// over random graphs' row counts, feature widths, head counts, and
-    /// thread counts (including more threads than rows). The fixed-grid
-    /// parameter reductions have theirs in `backward_reduce.rs`.
-    #[test]
-    fn kernels_are_bit_identical_under_any_thread_count(
-        g in arb_graph(),
-        seed in 0u64..1000,
-        heads in 1usize..4,
-        feat in 1usize..5,
-        threads in 2usize..7,
-    ) {
-        let n = g.num_vertices();
-        let s = serial();
-        let p = par(threads);
-        let x = pseudo_tensor(n, heads * feat, seed);
-
-        let a_param = pseudo_tensor(heads, feat, seed + 6);
-        assert_bit_identical(
-            "head_dot",
-            &kernels::head_dot(&s, &x, &a_param, heads, feat),
-            &kernels::head_dot(&p, &x, &a_param, heads, feat),
-        );
-        let gh = pseudo_tensor(n, heads, seed + 7);
-        assert_bit_identical(
-            "head_dot_bwd_input",
-            &kernels::head_dot_bwd_input(&s, &gh, &a_param, heads, feat),
-            &kernels::head_dot_bwd_input(&p, &gh, &a_param, heads, feat),
-        );
-    }
-
     /// Every op a destination tile can run, alone in its kernel: an
-    /// N-thread session — any tile size, hub rows chunked — writes the
+    /// N-thread session — any tile size — writes the
     /// bits of the serial oracle's plain loops, outputs and parameter
     /// gradients alike. Head counts cover the score widths `rowops`
     /// monomorphizes (1, 2, 4), one between and the first wide one.
@@ -297,6 +262,7 @@ fn lone_tile_ops_match_oracle(
         .with("h", pseudo_tensor(n, 3, seed))
         .with("p", pseudo_tensor(m, 2, seed + 1))
         .with("w", pseudo_tensor(3, heads * feat, seed + 2))
+        .with("attn", pseudo_tensor(heads, feat, seed + 6))
         .with("mu", pseudo_tensor(heads, 2, seed + 3))
         .with("sigma", pseudo_tensor(heads, 2, seed + 4));
     let wanted = tile_ops();
@@ -314,8 +280,7 @@ fn lone_tile_ops_match_oracle(
             let policy = ExecPolicy {
                 tile_edges,
                 ..par(threads)
-            }
-            .with_heavy_row_degree(HEAVY);
+            };
             let mut sess = Session::builder(&plan, g)
                 .policy(policy)
                 .env(EnvOverrides::Off)

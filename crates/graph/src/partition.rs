@@ -152,22 +152,6 @@ impl Partition {
         Self::from_order(g, &order, k)
     }
 
-    /// Wraps an explicit owner vector (mostly for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any owner id is `>= num_shards` or `num_shards == 0`.
-    pub fn from_owner(owner: Vec<u32>, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "a partition needs at least one shard");
-        for (v, &s) in owner.iter().enumerate() {
-            assert!(
-                (s as usize) < num_shards,
-                "vertex {v} assigned to shard {s} of {num_shards}"
-            );
-        }
-        Self { num_shards, owner }
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.num_shards

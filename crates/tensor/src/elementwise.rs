@@ -115,15 +115,6 @@ impl Tensor {
         self.broadcast_op(other, |a, b| a * b)
     }
 
-    /// Elementwise (broadcasting) division.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tensor::broadcast_op`].
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.broadcast_op(other, |a, b| a / b)
-    }
-
     /// Elementwise (broadcasting) maximum.
     ///
     /// # Errors

@@ -101,11 +101,6 @@ impl Tensor {
         }
         Ok(out)
     }
-
-    /// Squared L2 norm of all elements.
-    pub fn sq_norm(&self) -> f32 {
-        self.as_slice().iter().map(|x| x * x).sum()
-    }
 }
 
 #[cfg(test)]

@@ -182,11 +182,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// Returns a view of row `i` of a 2-D (or flattened n-d) tensor.
     ///
     /// # Panics

@@ -9,7 +9,7 @@ mod common;
 
 use common::{arb_steps, build_ir, oracle};
 use gnnopt::core::lower::{is_streamed_gather, StepExec, UnitKind};
-use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, Preset};
+use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, OpKind, Preset};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::*;
@@ -119,16 +119,16 @@ fn every_zoo_kernel_lowers() {
     });
 }
 
-/// One engine per op: the tile driver runs every graph op, alone in its
-/// kernel or fused. What is left to the dense dispatch (`StepExec::Full`
-/// outside a streamed segment) is dense projections, cross-row parameter
-/// reductions and parameter-space steps — nothing else, on any zoo model
-/// × preset × phase.
+/// One engine per op: the tile driver runs every graph op and every
+/// row-local one, alone in its kernel or fused. What is left to the dense
+/// dispatch (`StepExec::Full` outside a streamed segment) is the GEMMs,
+/// cross-row parameter reductions and parameter-space steps — nothing
+/// else, on any zoo model × preset × phase.
 #[test]
 fn full_steps_cannot_tile() {
-    use gnnopt::core::{OpKind, Space};
+    use gnnopt::core::Space;
     for_each_zoo_plan(|tag, plan| {
-        assert_eq!(dense_graph_ops(plan), Vec::<String>::new(), "{tag}");
+        assert_eq!(dense_tile_ops(plan), Vec::<String>::new(), "{tag}");
         let ir = &plan.ir;
         for step in plan.programs.iter().flat_map(|p| &p.steps) {
             let node = ir.node(step.node);
@@ -139,8 +139,6 @@ fn full_steps_cannot_tile() {
                 OpKind::Linear
                 | OpKind::LinearBwdInput
                 | OpKind::LinearBwdWeight
-                | OpKind::HeadDot
-                | OpKind::HeadDotBwdInput
                 | OpKind::HeadDotBwdParam
                 | OpKind::GaussianBwdMu
                 | OpKind::GaussianBwdSigma => true,
@@ -155,16 +153,19 @@ fn full_steps_cannot_tile() {
     });
 }
 
-/// The graph ops whose program units are dense calls: none, on every
-/// preset — the dense set is closed on random IRs too.
-fn dense_graph_ops(plan: &ExecutionPlan) -> Vec<String> {
+/// The graph ops and head-dot projections whose program units are dense
+/// calls: none, on every preset — the dense set is closed on random IRs
+/// too.
+fn dense_tile_ops(plan: &ExecutionPlan) -> Vec<String> {
     let units = plan.programs.iter().flat_map(|p| {
         let dense = p.units.iter().filter(|u| u.kind == UnitKind::Dense);
         dense.flat_map(move |u| u.ops.iter().map(move |op| p.steps[op.step].node))
     });
     let nodes = units.map(|id| plan.ir.node(id));
     nodes
-        .filter(|n| n.kind.is_graph_op())
+        .filter(|n| {
+            n.kind.is_graph_op() || matches!(n.kind, OpKind::HeadDot | OpKind::HeadDotBwdInput)
+        })
         .map(|n| n.name.clone())
         .collect()
 }
@@ -370,8 +371,8 @@ proptest! {
         let ir = build_ir(&steps, 3);
         for preset in [Preset::Dgl, Preset::FuseGnn, Preset::Ours] {
             let plan = compile(&ir, true, &CompileOptions::preset(preset)).unwrap().plan;
-            let dense = dense_graph_ops(&plan);
-            prop_assert!(dense.is_empty(), "{:?}: dense graph ops {:?}", preset, dense);
+            let dense = dense_tile_ops(&plan);
+            prop_assert!(dense.is_empty(), "{:?}: dense tile ops {:?}", preset, dense);
         }
         let g = hub_graph(12, &extra, iso);
         let vals = leaf_values(&ir, &g, seed);

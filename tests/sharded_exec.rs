@@ -52,7 +52,7 @@ fn assert_bit_identical(
 }
 
 /// [`assert_bit_identical`] under an explicit policy (tile budget,
-/// heavy-row degree, threads).
+/// threads).
 fn assert_bit_identical_under(
     name: &str,
     ir: &gnnopt::core::IrGraph,
@@ -196,11 +196,8 @@ fn extreme_hub_and_isolated_vertices_bit_identical() {
 /// A shard reduces only the groups it owns, so the seams of that mask —
 /// an owned run ending inside a tile or a strip, a hub whose edges are
 /// cut across shards — must keep every bit: the Mean aggregator
-/// (SAGE-mean) beside GCN and GAT, 16-row tiles, on RMAT-10 with heavy
-/// rows from degree 8 and on a hub with 2 100 in- and out-edges. (The
-/// oracle chunks rows past the default heavy-row degree only, so the hub
-/// keeps that default; a hub split into chunks under the mask is
-/// `fused.rs`' unit test, against the unmasked run.)
+/// (SAGE-mean) beside GCN and GAT, 16-row tiles, on RMAT-10 and on a hub
+/// with 2 100 in- and out-edges.
 #[test]
 fn owned_group_seams_bit_identical() {
     let rmat = Graph::from_edge_list(&generators::rmat(10, 8, 0.55, 0.2, 0.2, 29));
@@ -222,7 +219,7 @@ fn owned_group_seams_bit_identical() {
         ),
         ("sage-mean", sage(&SageConfig::mean(5, vec![6, 3])).unwrap()),
     ];
-    for (g, heavy_row_degree) in [(&rmat, 8), (&hub, ExecPolicy::DEFAULT_HEAVY_ROW_DEGREE)] {
+    for g in [&rmat, &hub] {
         for (name, spec) in &models {
             let vals = spec.init_values(g, 37);
             for strategy in [ShardStrategy::Bfs, ShardStrategy::Contiguous] {
@@ -231,7 +228,6 @@ fn owned_group_seams_bit_identical() {
                         threads,
                         parallel_threshold: 0,
                         tile_edges: 16,
-                        heavy_row_degree,
                         ..ExecPolicy::serial()
                     };
                     assert_bit_identical_under(name, &spec.ir, &vals, g, k, policy, strategy);
