@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{arb_steps, build_ir, oracle};
+use common::{arb_steps, build_ir, oracle, zoo};
 use gnnopt::core::lower::{is_streamed_gather, StepExec, UnitKind};
 use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, OpKind, Preset};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
@@ -16,74 +16,6 @@ use gnnopt::models::*;
 use gnnopt::tensor::{Tensor, XavierInit};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-fn zoo() -> Vec<(&'static str, ModelSpec)> {
-    vec![
-        (
-            "gat",
-            gat(&GatConfig {
-                in_dim: 8,
-                layers: vec![(2, 6)],
-                negative_slope: 0.2,
-                reorganized: false,
-            })
-            .unwrap(),
-        ),
-        (
-            "gat-reorg",
-            gat(&GatConfig {
-                in_dim: 8,
-                layers: vec![(2, 6)],
-                negative_slope: 0.2,
-                reorganized: true,
-            })
-            .unwrap(),
-        ),
-        (
-            "gatv2",
-            gatv2(&Gatv2Config {
-                in_dim: 5,
-                layers: vec![(2, 4)],
-                negative_slope: 0.2,
-            })
-            .unwrap(),
-        ),
-        (
-            "edgeconv",
-            edgeconv(&EdgeConvConfig {
-                in_dim: 4,
-                layer_dims: vec![8],
-            })
-            .unwrap(),
-        ),
-        (
-            "monet",
-            monet(&MonetConfig {
-                in_dim: 6,
-                layer_dims: vec![4],
-                kernels: 2,
-                pseudo_dim: 2,
-            })
-            .unwrap(),
-        ),
-        ("gcn", gcn(&GcnConfig::two_layer(4, 6, 3)).unwrap()),
-        ("sage", sage(&SageConfig::mean(4, vec![6])).unwrap()),
-        (
-            "sage-pool",
-            sage(&SageConfig::max_pool(4, vec![6])).unwrap(),
-        ),
-        (
-            "gin",
-            gin(&GinConfig {
-                in_dim: 4,
-                layer_dims: vec![6],
-                epsilon: 0.1,
-            })
-            .unwrap(),
-        ),
-        ("appnp", appnp(&AppnpConfig::standard(6, 4, 3)).unwrap()),
-    ]
-}
 
 /// Runs `check(tag, plan)` on every zoo model × preset × phase.
 fn for_each_zoo_plan(check: impl Fn(&str, &ExecutionPlan)) {

@@ -275,20 +275,27 @@ fn memory_replay_detects_oom_consistently() {
 
 /// The inspector's `programs` view is the executable form of a plan —
 /// units, slot sizes, aliases, strips, the release schedule — so a
-/// change to any of them shows as a text diff against this golden file.
-/// Regenerate (after reading the diff) with
-/// `cargo run --release --bin gnnopt-inspect -- gat ours programs > tests/golden/gat_ours_programs.txt`.
+/// change to any of them shows as a text diff against the golden file of
+/// each model with layout-changing ops (GAT, GATv2, MoNet). Regenerate
+/// (after reading the diff) with
+/// `cargo run --release --bin gnnopt-inspect -- <model> ours programs > tests/golden/<model>_ours_programs.txt`.
 #[test]
-fn inspector_programs_view_of_gat_matches_its_golden_text() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gnnopt-inspect"))
-        .args(["gat", "ours", "programs"])
-        .output()
-        .expect("the inspector runs");
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).expect("utf-8");
-    let golden = include_str!("golden/gat_ours_programs.txt");
-    for (i, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "line {} of `gat ours programs`", i + 1);
+fn inspector_programs_views_match_their_golden_text() {
+    let goldens = [
+        ("gat", include_str!("golden/gat_ours_programs.txt")),
+        ("gatv2", include_str!("golden/gatv2_ours_programs.txt")),
+        ("monet", include_str!("golden/monet_ours_programs.txt")),
+    ];
+    for (model, golden) in goldens {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gnnopt-inspect"))
+            .args([model, "ours", "programs"])
+            .output()
+            .expect("the inspector runs");
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).expect("utf-8");
+        for (i, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "line {} of `{model} ours programs`", i + 1);
+        }
+        assert_eq!(text.lines().count(), golden.lines().count(), "{model}");
     }
-    assert_eq!(text.lines().count(), golden.lines().count());
 }
