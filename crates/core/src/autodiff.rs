@@ -9,6 +9,7 @@
 
 use crate::ir::{IrError, IrGraph, Phase, Result};
 use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space, UnaryFn};
+use crate::view::{Layout, Window};
 use std::collections::HashMap;
 
 /// Output of [`append_backward`].
@@ -372,43 +373,17 @@ fn backprop_node(
             }
         }
 
-        OpKind::SliceCols { start, end } => {
-            let x = ins[0];
-            let (xd, xs) = (g.node(x).dim, g.node(x).space);
-            let gx = g.push_raw(
-                OpKind::EmbedCols {
-                    start,
-                    end,
-                    total: xd.feat,
-                },
-                vec![grad],
-                xs,
-                xd,
-                "embed_cols",
-            );
-            add_contrib(g, contrib, x, gx);
-        }
-
-        OpKind::SliceRows { start, end } => {
+        // Transposition: a window's dual is the padded window (and back),
+        // a relabel's the relabel back, a broadcast's the reduction.
+        OpKind::View(layout) => {
             let x = ins[0];
             let xd = g.node(x).dim;
-            let gx = g.push_raw(
-                OpKind::EmbedRows {
-                    start,
-                    end,
-                    total: xd.heads,
-                },
-                vec![grad],
-                Space::Param,
-                xd,
-                "embed_rows",
-            );
-            add_contrib(g, contrib, x, gx);
-        }
-
-        OpKind::SetHeads { .. } => {
-            let x = ins[0];
-            let gx = g.set_heads(grad, g.node(x).dim.heads)?;
+            let gx = match layout {
+                Layout::Heads(_) => g.set_heads(grad, xd.heads)?,
+                Layout::Window(w) => g.view(grad, Layout::Window(Window { wide: !w.wide, ..w }))?,
+                Layout::BroadcastHeads(_) => g.head_reduce(ReduceFn::Sum, grad)?,
+                Layout::BroadcastFeat(_) => g.feat_sum(grad)?,
+            };
             add_contrib(g, contrib, x, gx);
         }
 
@@ -423,28 +398,9 @@ fn backprop_node(
             add_contrib(g, contrib, x, gx);
         }
 
-        OpKind::HeadBroadcast { .. } => {
-            let x = ins[0];
-            let gx = g.head_reduce(ReduceFn::Sum, grad)?;
-            add_contrib(g, contrib, x, gx);
-        }
-
         OpKind::FeatSum => {
             let x = ins[0];
-            let (xd, xs) = (g.node(x).dim, g.node(x).space);
-            let gx = g.push_raw(
-                OpKind::FeatBroadcast { feat: xd.feat },
-                vec![grad],
-                xs,
-                xd,
-                "feat_broadcast",
-            );
-            add_contrib(g, contrib, x, gx);
-        }
-
-        OpKind::FeatBroadcast { .. } => {
-            let x = ins[0];
-            let gx = g.feat_sum(grad)?;
+            let gx = g.view(grad, Layout::BroadcastFeat(g.node(x).dim.feat))?;
             add_contrib(g, contrib, x, gx);
         }
 

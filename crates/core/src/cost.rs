@@ -58,13 +58,7 @@ impl<'a> CostModel<'a> {
             | OpKind::InputEdge
             | OpKind::Param
             | OpKind::GradSeed
-            | OpKind::SliceCols { .. }
-            | OpKind::SliceRows { .. }
-            | OpKind::SetHeads { .. }
-            | OpKind::HeadBroadcast { .. }
-            | OpKind::FeatBroadcast { .. }
-            | OpKind::EmbedCols { .. }
-            | OpKind::EmbedRows { .. } => 0,
+            | OpKind::View(_) => 0,
 
             OpKind::Scatter(f) => match f {
                 crate::op::ScatterFn::Bin(_) => e * total,

@@ -2,9 +2,10 @@
 //! plans — the debugging surface for every pass.
 
 use crate::ir::{IrGraph, Phase};
-use crate::lower::{Data, FullSource, Operand, RowAt, SlotSize, UnitKind};
+use crate::lower::{Data, FullSource, KernelProgram, Operand, RowAt, SlotSize, Unit, UnitKind};
 use crate::op::{EdgeGroup, OpKind, Space};
 use crate::plan::ExecutionPlan;
+use crate::view::Layout;
 use std::fmt::Write as _;
 
 /// One line per node: `id name space dim phase ← inputs`.
@@ -131,22 +132,22 @@ fn space_label(space: Space) -> &'static str {
 /// The compiled form of every kernel program — what a launch runs, so a
 /// slot-size or aliasing regression is a text diff. Per kernel: the
 /// inputs it releases mid-launch (its dying inputs, after their last
-/// reading stage) and its prelude views; then one block per [`Unit`] in
+/// reading stage); then one block per [`Unit`] in
 /// stage order (tile unit, streamed unit — the chain under the gather's
 /// own segment, where it executes — or dense call) with one line per
 /// step: storage class, slot (`tile`, `row×strip`, `fold`, `sink`, or
 /// `alias` for a pure copy compiled away) and resolved operands — a slot
 /// is named by the step that fills it, `@src`/`@dst` is the endpoint pin.
 ///
-/// Sample — stage 1 streams a `BySrc` gather: the copy `%18` is an alias
-/// of `%17[dst(e)]`, the chain step `%19` is folded into the gather
-/// `%24`, which accumulates `%17[dst(e)]·%11(e)` into its tensor:
+/// Sample — stage 0 streams a `BySrc` gather: the copy `%13` is an alias
+/// of `%12[dst(e)]`, the chain step `%14` is folded into the gather
+/// `%19`, which accumulates `%12[dst(e)]·%8(e)` into its tensor:
 ///
 /// ```text
-///   stage 1, seg 1 (streamed unit):
-///     %18  scatter_CopyV_dup  E[256] scratch  alias  = %17@dst
-///     %19  binary_Mul         E[256] scratch  fold   ← %17@dst %11
-///     %24  gather_Sum         V[256] interior sink   ← %19 by-src
+///   stage 0, seg 1 (streamed unit):
+///     %13  scatter_CopyV_dup  E[256] scratch  alias  = %12@dst
+///     %14  binary_Mul         E[256] scratch  fold   ← %12@dst %8
+///     %19  gather_Sum         V[256] interior sink   ← %14 by-src
 /// ```
 pub fn dump_programs(plan: &ExecutionPlan) -> String {
     let ir = &plan.ir;
@@ -162,7 +163,7 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
             prog.steps.len(),
             if n == 1 { "" } else { "s" }
         );
-        for stage in 0..=n {
+        for stage in 0..n {
             let dying = |&&(i, at): &&(usize, usize)| at == stage && deaths[k.id].contains(&i);
             let freed: Vec<String> = prog
                 .inputs
@@ -186,18 +187,6 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
                 if s.recompute { " recompute" } else { "" },
             );
         };
-        let views = || prog.steps.iter().enumerate().filter(|(_, s)| s.stage == 0);
-        if views().next().is_some() {
-            let _ = writeln!(out, "  stage 0 (prelude):");
-        }
-        for (si, s) in views() {
-            line(
-                &mut out,
-                si,
-                "view",
-                format!(" ← %{}", ir.node(s.node).inputs[0]),
-            );
-        }
         for unit in &prog.units {
             let flavor = match unit.kind {
                 UnitKind::Tile => "tile unit",
@@ -209,25 +198,10 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
                 "  stage {}, seg {} ({flavor}):",
                 unit.stage, unit.segment
             );
-            let operand = |o: &Operand| {
-                let what = match o.data {
-                    Data::Slot { idx, .. } => format!("%{}", prog.steps[unit.ops[idx].step].node),
-                    Data::Full(src) => match src {
-                        FullSource::Value(id) => format!("%{id}"),
-                        FullSource::Step(si) => format!("%{}", prog.steps[si].node),
-                        FullSource::SoftmaxMax(id) => format!("max(%{id})"),
-                        FullSource::SoftmaxDenom(id) => format!("denom(%{id})"),
-                    },
-                };
-                let pin = match o.at {
-                    RowAt::Own => "",
-                    RowAt::SrcV => "@src",
-                    RowAt::DstV => "@dst",
-                };
-                format!("{what}{pin}")
-            };
+            let operand = |o: &Operand| operand_label(prog, unit, o);
             for &(si, read) in &unit.reads {
-                let Some(op) = unit.ops.iter().find(|op| op.step == si) else {
+                // (Staging ops share their reader's step, and come first.)
+                let Some(op) = unit.ops.iter().rev().find(|op| op.step == si) else {
                     line(&mut out, si, "alias", format!(" = {}", operand(&read)));
                     continue;
                 };
@@ -251,10 +225,36 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
     out
 }
 
+/// How `unit` reads operand `o`: the tensor, its endpoint pin, and the
+/// layouts a staging op or a staged view lays it out through.
+fn operand_label(prog: &KernelProgram, unit: &Unit, o: &Operand) -> String {
+    let laid = |x: &Operand, ls: &[Layout]| {
+        let ls: String = ls.iter().map(|l| format!("[{l}]")).collect();
+        operand_label(prog, unit, x) + &ls
+    };
+    let what = match o.data {
+        Data::Slot { idx, .. } if !unit.ops[idx].map.is_empty() => {
+            laid(&unit.ops[idx].srcs[0], &unit.ops[idx].layouts)
+        }
+        Data::Slot { idx, .. } => format!("%{}", prog.steps[unit.ops[idx].step].node),
+        Data::Full(FullSource::View(i)) => laid(&unit.views[i].srcs[0], &unit.views[i].layouts),
+        Data::Full(FullSource::Value(id)) => format!("%{id}"),
+        Data::Full(FullSource::Step(si)) => format!("%{}", prog.steps[si].node),
+        Data::Full(FullSource::SoftmaxMax(id)) => format!("max(%{id})"),
+        Data::Full(FullSource::SoftmaxDenom(id)) => format!("denom(%{id})"),
+    };
+    let pin = match o.at {
+        RowAt::Own => "",
+        RowAt::SrcV => "@src",
+        RowAt::DstV => "@dst",
+    };
+    format!("{what}{pin}")
+}
+
 /// Offset map of a [`MemoryPlan`](crate::memplan::MemoryPlan): one line
 /// per planned region — tensor, arena offset, size, lifetime interval in
-/// `k<kernel>.<stage>` positions (stage 0 is the kernel's prelude pass,
-/// `1 + i` its `i`-th segment) — then the arena by size class (`class bytes ×
+/// `k<kernel>.<stage>` positions (stage `i` is the kernel's `i`-th
+/// segment) — then the arena by size class (`class bytes ×
 /// buffers = total`; the `store` rows sum to the arena, the `aux` rows
 /// are the `u32` argmax tables beside it).
 ///
@@ -263,7 +263,7 @@ pub fn dump_programs(plan: &ExecutionPlan) -> String {
 /// which cover the step:
 ///
 /// ```text
-///   %14  gather_sum              @4096     2048 B  [k3.1, k5.2]
+///   %14  gather_sum              @4096     2048 B  [k3.0, k5.1]
 ///   store       2048 B × 2 =       4096 B
 /// ```
 pub fn dump_memory(plan: &ExecutionPlan, mem: &crate::memplan::MemoryPlan) -> String {

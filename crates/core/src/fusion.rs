@@ -31,6 +31,7 @@
 use crate::ir::IrGraph;
 use crate::op::{BinaryFn, EdgeGroup, FusionClass, NodeId, OpKind, ScatterFn, Space};
 use crate::plan::Kernel;
+use crate::view::{self, Layout};
 use gnnopt_sim::ThreadMapping;
 use std::collections::{HashMap, HashSet};
 
@@ -85,39 +86,77 @@ pub fn partition(ir: &IrGraph, level: FusionLevel, policy: MappingPolicy) -> Vec
 }
 
 /// Gives every consumer of a shared `Scatter(CopyU/CopyV)` its own private
-/// copy of the scatter (a zero-FLOP node), and removes dead originals.
+/// copy of the scatter (a zero-FLOP node), folds every view node onto its
+/// readers' input edges, and removes dead originals.
 ///
 /// This normalization mirrors what every real GNN system does implicitly:
 /// copy-style scatters are access patterns, not tensors, so each consuming
 /// kernel re-reads the vertex tensor instead of sharing a materialized
 /// `O(|E|)` copy — in particular, DGL's gSpMM/gSDDMM *backward* built-ins
-/// read the stashed vertex features directly. Returns the rewritten graph
-/// and the old→new node-id map.
+/// read the stashed vertex features directly. Views are the same kind of
+/// thing: a reader of `View(l)` of `x` reads `x` through `l`
+/// ([`crate::ir::Node::layouts`]), chains composing, so no later pass
+/// sees a view node. A *terminal* view — a model output or a sink (a
+/// gradient) — that relabels its producer's buffer without changing
+/// its shape resolves to the producer; any other stays, a copy through
+/// its layouts ([`crate::view`], "Layouts"). Returns the rewritten
+/// graph and the old→new node-id map.
 pub fn duplicate_copy_scatters(ir: &IrGraph) -> (IrGraph, HashMap<NodeId, NodeId>) {
     let consumers = ir.consumers();
+    let terminal = |id: NodeId| consumers[id].is_empty() || ir.outputs().contains(&id);
+    // What each old node's readers read: the value and the layouts on
+    // the way (empty for a node that is not a view).
+    let mut reads: Vec<(NodeId, Vec<Layout>)> = Vec::with_capacity(ir.len());
+    // Readers of each value once the views are folded, counted by edge.
+    let mut readers = vec![0usize; ir.len()];
+    for n in ir.nodes() {
+        let folded = matches!(n.kind, OpKind::View(_)) && !terminal(n.id);
+        let read = match n.kind {
+            OpKind::View(l) => {
+                let (base, mut chain) = reads[n.inputs[0]].clone();
+                chain.push(l);
+                (base, chain)
+            }
+            _ => (n.id, Vec::new()),
+        };
+        if !folded {
+            for &i in &n.inputs {
+                readers[reads[i].0] += 1;
+            }
+        }
+        reads.push(read);
+    }
     let mut out = IrGraph::new();
     let mut map: HashMap<NodeId, NodeId> = HashMap::new();
     for node in ir.nodes() {
         out.set_phase(node.phase);
-        let mut inputs = Vec::with_capacity(node.inputs.len());
-        for &i in &node.inputs {
-            let inode = ir.node(i);
-            let shared_copy = matches!(
-                inode.kind,
-                OpKind::Scatter(ScatterFn::CopyU) | OpKind::Scatter(ScatterFn::CopyV)
-            ) && consumers[i].len() > 1;
-            if shared_copy {
-                let dup = out.push_raw(
-                    inode.kind.clone(),
-                    vec![map[&inode.inputs[0]]],
-                    inode.space,
-                    inode.dim,
-                    format!("{}_dup", inode.name),
-                );
-                inputs.push(dup);
-            } else {
-                inputs.push(map[&i]);
+        if matches!(node.kind, OpKind::View(_)) {
+            let (base, chain) = &reads[node.id];
+            let relabel = view::is_free(chain, ir.node(*base).dim, node.space)
+                && out.node(map[base]).kind.fusion_class() != FusionClass::Leaf;
+            if relabel && terminal(node.id) {
+                map.insert(node.id, map[base]);
             }
+            if relabel || !terminal(node.id) {
+                continue;
+            }
+        }
+        let mut inputs = Vec::with_capacity(node.inputs.len());
+        let mut layouts = Vec::new();
+        for (pos, &i) in node.inputs.iter().enumerate() {
+            let (base, chain) = &reads[i];
+            layouts.extend(chain.iter().map(|&l| (pos, l)));
+            let (mut src, copy) = (map[base], out.node(map[base]).clone());
+            let copies = matches!(
+                copy.kind,
+                OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV)
+            );
+            if copies && readers[*base] > 1 {
+                let name = format!("{}_dup", copy.name);
+                src = out.push_raw(copy.kind, copy.inputs, copy.space, copy.dim, name);
+                out.set_layouts(src, copy.layouts);
+            }
+            inputs.push(src);
         }
         let id = out.push_raw(
             remap_kind(&node.kind, &map),
@@ -126,6 +165,7 @@ pub fn duplicate_copy_scatters(ir: &IrGraph) -> (IrGraph, HashMap<NodeId, NodeId
             node.dim,
             node.name.clone(),
         );
+        out.set_layouts(id, layouts);
         map.insert(node.id, id);
     }
     for &o in ir.outputs() {
@@ -206,6 +246,7 @@ fn dce_with_map(
             node.dim,
             node.name.clone(),
         );
+        out.set_layouts(id, node.layouts.clone());
         map.insert(node.id, id);
     }
     for &o in ir.outputs() {
@@ -255,32 +296,6 @@ fn is_fusible(ir: &IrGraph, id: NodeId) -> bool {
     ir.node(id).kind.fusion_class() == FusionClass::Fusible
 }
 
-/// Zero-cost reinterpretations (aliases). They are placed into regions
-/// *after* real compute nodes so an alias shared between an expensive
-/// consumer and a fusible one never welds the two sides together.
-fn is_view(ir: &IrGraph, id: NodeId) -> bool {
-    match &ir.node(id).kind {
-        OpKind::SetHeads { .. } => true,
-        // A slice of a parameter is an alias into the weight matrix —
-        // real systems never launch a kernel for it; it rides inside
-        // whichever kernel consumes the slice (the reorganization pass
-        // introduces these when splitting a concat-projection, §4).
-        OpKind::SliceRows { .. } | OpKind::SliceCols { .. } => {
-            matches!(ir.node(ir.node(id).inputs[0]).kind, OpKind::Param)
-        }
-        _ => false,
-    }
-}
-
-/// Param-slice views may join *expensive* consumers' kernels too (a GEMM
-/// slices its weight in-kernel); reshaping views stick to fusible ones.
-fn view_joins_expensive(ir: &IrGraph, id: NodeId) -> bool {
-    matches!(
-        ir.node(id).kind,
-        OpKind::SliceRows { .. } | OpKind::SliceCols { .. }
-    )
-}
-
 /// Every compute node in its own region.
 fn regions_unfused(ir: &IrGraph) -> Vec<Option<usize>> {
     let mut region = vec![None; ir.len()];
@@ -302,9 +317,8 @@ fn regions_unfused(ir: &IrGraph) -> Vec<Option<usize>> {
 fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
     let mut region: Vec<Option<usize>> = vec![None; ir.len()];
     let mut next = 0usize;
-    // Pass 1: real compute nodes (views deferred).
     for n in ir.nodes() {
-        if !is_compute(ir, n.id) || is_view(ir, n.id) {
+        if !is_compute(ir, n.id) {
             continue;
         }
         if !is_fusible(ir, n.id) {
@@ -315,7 +329,7 @@ fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
         let mut cands: Vec<usize> = n
             .inputs
             .iter()
-            .filter(|&&i| is_fusible(ir, i) && !is_view(ir, i) && ir.node(i).phase == n.phase)
+            .filter(|&&i| is_fusible(ir, i) && ir.node(i).phase == n.phase)
             .filter_map(|&i| region[i])
             .collect();
         cands.sort_unstable();
@@ -343,61 +357,7 @@ fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
             next += 1;
         }
     }
-    // Pass 2: views join a consumer's region if that keeps the DAG
-    // acyclic, else a fusible producer's region, else stand alone.
-    let consumers = ir.consumers();
-    let last = ir.len().saturating_sub(1);
-    for n in ir.nodes() {
-        if !is_view(ir, n.id) {
-            continue;
-        }
-        let expensive_ok = view_joins_expensive(ir, n.id);
-        let mut cands: Vec<usize> = consumers[n.id]
-            .iter()
-            .filter(|&&c| {
-                (is_fusible(ir, c) || (expensive_ok && is_compute(ir, c)))
-                    && ir.node(c).phase == n.phase
-            })
-            .filter_map(|&c| region[c])
-            .chain(
-                n.inputs
-                    .iter()
-                    .filter(|&&i| is_fusible(ir, i) && ir.node(i).phase == n.phase)
-                    .filter_map(|&i| region[i]),
-            )
-            .collect();
-        cands.sort_unstable();
-        cands.dedup();
-        for r in cands {
-            let snapshot = region.clone();
-            region[n.id] = Some(r);
-            if assignment_is_acyclic(ir, &region, last) && assignment_is_legal(ir, &region) {
-                break;
-            }
-            region = snapshot;
-        }
-        if region[n.id].is_none() {
-            region[n.id] = Some(next);
-            next += 1;
-        }
-    }
     region
-}
-
-/// The per-edge vertex-row reads of scatter-like ops, as `(input index,
-/// endpoint)` pairs — derived from the per-edge view classification
-/// ([`crate::view::edge_view`]) rather than an op template table, so new
-/// ops are covered by construction.
-fn vertex_read_endpoints(ir: &IrGraph, n: &crate::ir::Node) -> Vec<(usize, EdgeGroup)> {
-    crate::view::endpoint_reads(ir, n.id)
-}
-
-/// Follows zero-cost view chains (`SetHeads`) to the value-producing node.
-fn resolve_view(ir: &IrGraph, mut id: NodeId) -> NodeId {
-    while matches!(ir.node(id).kind, OpKind::SetHeads { .. }) {
-        id = ir.node(id).inputs[0];
-    }
-    id
 }
 
 /// Collects the reduction groupings of every in-region producer a vertex
@@ -458,7 +418,8 @@ fn assignment_is_legal(ir: &IrGraph, region: &[Option<usize>]) -> bool {
         }
     }
     for n in ir.nodes() {
-        let reads = vertex_read_endpoints(ir, n);
+        // Endpoint reads, from the per-edge views (`view::edge_view`).
+        let reads = view::endpoint_reads(ir, n.id);
         if reads.is_empty() {
             continue;
         }
@@ -466,9 +427,8 @@ fn assignment_is_legal(ir: &IrGraph, region: &[Option<usize>]) -> bool {
         for (idx, endpoint) in reads {
             // Deduplicated copy-scatters carry a single input; clamp.
             let input = *n.inputs.get(idx).unwrap_or(&n.inputs[0]);
-            let base = resolve_view(ir, input);
             let mut groups = Vec::new();
-            in_region_groups(ir, region, r, base, &mut groups);
+            in_region_groups(ir, region, r, input, &mut groups);
             for g in groups {
                 let legal = g == Some(endpoint) && primary.get(&r).is_none_or(|&p| p == endpoint);
                 if !legal {

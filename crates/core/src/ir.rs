@@ -10,6 +10,7 @@
 //! no unlowerable nodes.
 
 use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space, UnaryFn};
+use crate::view::{Layout, Window};
 
 use std::error::Error;
 use std::fmt;
@@ -34,6 +35,11 @@ pub struct Node {
     pub kind: OpKind,
     /// Producer nodes, in operator-specific order.
     pub inputs: Vec<NodeId>,
+    /// The layouts this node reads its inputs through, `(input position,
+    /// layout)` in the order they apply — empty until
+    /// [`crate::fusion::duplicate_copy_scatters`] folds the view nodes
+    /// onto their readers ([`crate::view`], "Layouts").
+    pub layouts: Vec<(usize, Layout)>,
     /// Output index space.
     pub space: Space,
     /// Output feature dimensions ([`Space::Param`] uses `heads` as rows and
@@ -145,6 +151,30 @@ impl IrGraph {
         cons
     }
 
+    /// The layouts `id` reads its input `pos` through, in order — a
+    /// terminal [`OpKind::View`]'s own layout last.
+    pub fn read_layouts(&self, id: NodeId, pos: usize) -> impl Iterator<Item = Layout> + '_ {
+        let node = &self.nodes[id];
+        let edge = node.layouts.iter().filter(move |&&(p, _)| p == pos);
+        let own = match node.kind {
+            OpKind::View(l) => Some(l),
+            _ => None,
+        };
+        edge.map(|&(_, l)| l).chain(own)
+    }
+
+    /// The dim `id` sees of its input `pos` (its producer's, through
+    /// [`IrGraph::read_layouts`]).
+    pub fn input_dim(&self, id: NodeId, pos: usize) -> Dim {
+        let input = self.nodes[self.nodes[id].inputs[pos]].dim;
+        self.read_layouts(id, pos).fold(input, |d, l| l.dim(d))
+    }
+
+    /// Sets the layouts `id` reads its inputs through.
+    pub(crate) fn set_layouts(&mut self, id: NodeId, layouts: Vec<(usize, Layout)>) {
+        self.nodes[id].layouts = layouts;
+    }
+
     fn check(&self, id: NodeId) -> Result<&Node> {
         self.nodes.get(id).ok_or(IrError::UnknownNode(id))
     }
@@ -176,6 +206,7 @@ impl IrGraph {
             id,
             kind,
             inputs,
+            layouts: Vec::new(),
             space,
             dim,
             name: name.into(),
@@ -506,30 +537,42 @@ impl IrGraph {
 
     // ---- structural ----
 
+    /// `x` read through `layout` (the one check every view builder
+    /// shares: [`Layout::check`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::Incompatible`] for a layout `x` cannot take.
+    pub fn view(&mut self, x: NodeId, layout: Layout) -> Result<NodeId> {
+        let nx = self.check(x)?.clone();
+        layout.check(nx.dim, nx.space)?;
+        let (dim, name) = (layout.dim(nx.dim), format!("view {layout}"));
+        Ok(self.push_raw(OpKind::View(layout), vec![x], nx.space, dim, name))
+    }
+
+    fn slice(&mut self, x: NodeId, (start, end): (usize, usize), rows: bool) -> Result<NodeId> {
+        let d = self.check(x)?.dim;
+        let total = if rows { d.heads } else { d.feat };
+        let wide = false;
+        self.view(
+            x,
+            Layout::Window(Window {
+                start,
+                end,
+                total,
+                wide,
+                rows,
+            }),
+        )
+    }
+
     /// Per-head feature slice `[start, end)`.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::Incompatible`] on out-of-range slices.
     pub fn slice_cols(&mut self, x: NodeId, start: usize, end: usize) -> Result<NodeId> {
-        let nx = self.check(x)?.clone();
-        if start >= end || end > nx.dim.feat {
-            return Err(IrError::Incompatible {
-                op: "slice_cols".into(),
-                detail: format!("[{start}, {end}) out of 0..{}", nx.dim.feat),
-            });
-        }
-        Ok(self.push(
-            OpKind::SliceCols { start, end },
-            vec![x],
-            nx.space,
-            Dim {
-                heads: nx.dim.heads,
-                feat: end - start,
-            },
-            "slice_cols",
-            self.phase,
-        ))
+        self.slice(x, (start, end), false)
     }
 
     /// Row slice of a parameter.
@@ -539,24 +582,7 @@ impl IrGraph {
     /// Returns [`IrError::Incompatible`] unless `x` is a parameter and the
     /// range is valid.
     pub fn slice_rows(&mut self, x: NodeId, start: usize, end: usize) -> Result<NodeId> {
-        let nx = self.check(x)?.clone();
-        if nx.space != Space::Param || start >= end || end > nx.dim.heads {
-            return Err(IrError::Incompatible {
-                op: "slice_rows".into(),
-                detail: format!("[{start}, {end}) of param {:?}", nx.dim),
-            });
-        }
-        Ok(self.push(
-            OpKind::SliceRows { start, end },
-            vec![x],
-            Space::Param,
-            Dim {
-                heads: end - start,
-                feat: nx.dim.feat,
-            },
-            "slice_rows",
-            self.phase,
-        ))
+        self.slice(x, (start, end), true)
     }
 
     /// Reinterprets `[1, h·f]` as `[h, f]`.
@@ -566,25 +592,7 @@ impl IrGraph {
     /// Returns [`IrError::Incompatible`] if the total width is not
     /// divisible by `heads`.
     pub fn set_heads(&mut self, x: NodeId, heads: usize) -> Result<NodeId> {
-        let nx = self.check(x)?.clone();
-        let total = nx.dim.total();
-        if heads == 0 || total % heads != 0 {
-            return Err(IrError::Incompatible {
-                op: "set_heads".into(),
-                detail: format!("total {total} not divisible by {heads}"),
-            });
-        }
-        Ok(self.push(
-            OpKind::SetHeads { heads },
-            vec![x],
-            nx.space,
-            Dim {
-                heads,
-                feat: total / heads,
-            },
-            "set_heads",
-            self.phase,
-        ))
+        self.view(x, Layout::Heads(heads))
     }
 
     /// Reduces heads to 1 (`Sum` or `Mean`).
@@ -617,26 +625,10 @@ impl IrGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::Incompatible`] unless the input has one head.
+    /// Returns [`IrError::Incompatible`] unless the input has one head and
+    /// `heads > 0`.
     pub fn head_broadcast(&mut self, x: NodeId, heads: usize) -> Result<NodeId> {
-        let nx = self.check(x)?.clone();
-        if nx.dim.heads != 1 {
-            return Err(IrError::Incompatible {
-                op: "head_broadcast".into(),
-                detail: format!("input already has {} heads", nx.dim.heads),
-            });
-        }
-        Ok(self.push(
-            OpKind::HeadBroadcast { heads },
-            vec![x],
-            nx.space,
-            Dim {
-                heads,
-                feat: nx.dim.feat,
-            },
-            "head_broadcast",
-            self.phase,
-        ))
+        self.view(x, Layout::BroadcastHeads(heads))
     }
 
     /// Sums features within each head: `[h, f] → [h, 1]`.
@@ -723,13 +715,34 @@ mod tests {
         assert!(g.node(y).requires_grad);
     }
 
+    /// Every view builder goes through one check: zero heads, empty or
+    /// out-of-range windows and broadcasts of a multi-head or wide
+    /// operand are refused, whichever builder asks.
     #[test]
     fn set_heads_roundtrip() {
         let mut g = IrGraph::new();
         let h = g.input_vertex("h", Dim::flat(12));
         let m = g.set_heads(h, 4).unwrap();
         assert_eq!(g.node(m).dim, Dim::multi(4, 3));
+        assert_eq!(g.node(m).kind, OpKind::View(Layout::Heads(4)));
         assert!(g.set_heads(h, 5).is_err());
+    }
+
+    #[test]
+    fn view_builders_share_one_check() {
+        let mut g = IrGraph::new();
+        let h = g.input_vertex("h", Dim::flat(12));
+        let m = g.set_heads(h, 4).unwrap();
+        assert!(g.set_heads(h, 0).is_err());
+        assert!(g.head_broadcast(h, 0).is_err(), "zero heads");
+        assert!(g.head_broadcast(m, 2).is_err(), "already four heads");
+        assert!(g.slice_cols(h, 4, 4).is_err(), "empty window");
+        assert!(g.slice_cols(h, 3, 13).is_err(), "out of range");
+        assert!(g.slice_rows(h, 0, 1).is_err(), "rows of a vertex tensor");
+        let w = g.param("w", 6, 2);
+        let r = g.slice_rows(w, 2, 6).unwrap();
+        assert_eq!(g.node(r).dim, Dim::multi(4, 2));
+        assert!(g.view(h, Layout::BroadcastFeat(4)).is_err());
     }
 
     #[test]

@@ -12,10 +12,7 @@
 //!   per-tile scratch buffer during execution. For edge-space
 //!   intermediates this is the paper's headline saving: the `O(|E|·d)`
 //!   tensor between a `Scatter` and the `Gather` that consumes it never
-//!   exists in memory;
-//! * [`Storage::Prelude`] — a parameter-space view (weight slice /
-//!   reshape) computed once per kernel launch; it is `O(params)`, not
-//!   graph-sized, so tiling it would be pointless.
+//!   exists in memory.
 //!
 //! A [`KernelProgram`] is executed by `gnnopt-exec`'s fused interpreter
 //! over CSR **destination-vertex ranges** (tiles): the canonical edge
@@ -68,8 +65,8 @@
 //!
 //! # The stage table and compiled units
 //!
-//! A launch runs in *stages*: stage 0 evaluates the prelude views, stage
-//! `1 + i` runs the program's `i`-th segment. Everything about a stage
+//! A launch runs in *stages*: stage `i` runs the program's `i`-th
+//! segment. Everything about a stage
 //! that depends only on the IR is fixed here, once, and read by all three
 //! consumers — the memory planner (`memplan.rs`: a tensor is born at its
 //! step's stage, a dying input frees after its last reading stage,
@@ -82,7 +79,9 @@
 //! an earlier op, or a complete tensor named by [`FullSource`], read at
 //! the consumer's own row or at an edge endpoint ([`RowAt`]); a
 //! scratch-class pure copy compiles to no op at all (its readers get the
-//! copy's source with the endpoint pinned) — and a [`SlotSize`]: how many
+//! copy's source with the endpoint pinned), and an operand read through
+//! a layout that moves data ([`crate::view`], "Layouts") is staged by a
+//! `View` op — and a [`SlotSize`]: how many
 //! rows the op's slot holds, if any (`gnnopt-exec`'s `fused.rs`, "Slot
 //! sizes", says what each size means at run time). The graph-dependent
 //! half — tile bounds, worker ownership — is `gnnopt-exec`'s, computed
@@ -109,11 +108,9 @@
 //!   library's dense dispatch, a segment of its own, and is neither a
 //!   graph op nor row-local: the GEMMs (`Linear` and its backward duals),
 //!   the cross-row parameter reductions (`HeadDotBwdParam`,
-//!   `GaussianBwdMu` / `GaussianBwdSigma`), row views and parameter-space
-//!   compute — the combination half of the aggregation/combination split;
+//!   `GaussianBwdMu` / `GaussianBwdSigma`) and parameter-space compute —
+//!   the combination half of the aggregation/combination split;
 //!   `op_exec` is the one place that says which;
-//! * parameter-space *views* (weight slices / reshapes of out-of-kernel
-//!   values) are [`Storage::Prelude`] steps evaluated once per launch;
 //! * a tiled step reading a same-segment member at the **source**
 //!   endpoint starts a fresh segment (a tile only owns its destinations),
 //!   which spills the producer to [`Storage::Interior`] via the ordinary
@@ -122,6 +119,7 @@
 use crate::ir::IrGraph;
 use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use crate::plan::{ExecutionPlan, Kernel};
+use crate::view::{self, Layout};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Where a program step's output lives during tiled execution.
@@ -135,8 +133,6 @@ pub enum Storage {
     /// Per-tile rows in a worker-local scratch arena (never a full
     /// tensor).
     Scratch,
-    /// Parameter-space view evaluated once per kernel launch.
-    Prelude,
 }
 
 /// How a step executes within the program schedule.
@@ -167,8 +163,8 @@ pub struct ProgramStep {
     /// order (steps stay in node order, so a streamed chain's segment ids
     /// are out of step order).
     pub segment: usize,
-    /// Launch stage the step runs in: 0 for a prelude view, `1 +` the
-    /// ordinal of its segment otherwise (module docs, "The stage table").
+    /// Launch stage the step runs in: the ordinal of its segment (module
+    /// docs, "The stage table").
     pub stage: usize,
     /// Output index space (copied from the node for self-contained size
     /// arithmetic).
@@ -193,7 +189,7 @@ pub struct KernelProgram {
     /// Member steps in execution order.
     pub steps: Vec<ProgramStep>,
     /// The compiled segments in the order they run: `units[i]` is stage
-    /// `i + 1`.
+    /// `i`.
     pub units: Vec<Unit>,
     /// Every value the program reads from outside the kernel with the
     /// last stage that reads it, ascending by node. (Softmax statistics
@@ -220,8 +216,10 @@ pub enum FullSource {
     /// A value of the session's store, computed outside the kernel.
     Value(NodeId),
     /// What an earlier stage's step (index into [`KernelProgram::steps`])
-    /// produced: a prelude view, a spill, a boundary value.
+    /// produced: a spill, a boundary value.
     Step(usize),
+    /// A staged view of another source (index into [`Unit::views`]).
+    View(usize),
     /// The maximum / denominator the forward run of this softmax stashed.
     SoftmaxMax(NodeId),
     SoftmaxDenom(NodeId),
@@ -304,9 +302,33 @@ pub struct TileOp {
     /// Row-sized: rows the slot holds. An op that pulls: rows it may run
     /// between two pulls (every row-sized operand then holds them all).
     pub strip: usize,
+    /// A `View` op (a terminal view, or the stage of an operand a reader
+    /// reads through a layout): the layouts, and for each output column
+    /// the source column it copies ([`crate::view::gather_map`]).
+    pub layouts: Vec<Layout>,
+    pub map: Vec<u32>,
 }
 
 impl TileOp {
+    /// A tile-sized op computing step `step`'s `dim` rows of `space` from
+    /// `srcs`.
+    pub fn new(step: usize, kind: OpKind, (space, dim): (Space, Dim), srcs: Vec<Operand>) -> Self {
+        TileOp {
+            step,
+            kind,
+            space,
+            cols: dim.total(),
+            heads: dim.heads,
+            srcs,
+            dins: Vec::new(),
+            size: SlotSize::Tile,
+            pulls: false,
+            strip: 1,
+            layouts: Vec::new(),
+            map: Vec::new(),
+        }
+    }
+
     /// Elements this op's slot holds on a worker whose largest tile is
     /// `(vertices, edges)`.
     pub fn slot_len(&self, (tv, te): (usize, usize)) -> usize {
@@ -340,7 +362,6 @@ impl TileOp {
     fn flat(&self) -> bool {
         let zips = match self.kind {
             OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV | ScatterFn::Bin(_))
-            | OpKind::SetHeads { .. }
             | OpKind::Unary(_)
             | OpKind::UnaryBwd(_) => true,
             OpKind::EdgeSoftmax => !self.reduces_groups(),
@@ -403,6 +424,10 @@ pub struct Unit {
     /// its readers see — its op's slot, or the source a scratch-class
     /// pure copy was aliased to.
     pub reads: Vec<(usize, Operand)>,
+    /// The `View` ops the unit stages whole, each over one complete
+    /// tensor, when it launches: a parameter operand of a tile op, an
+    /// operand of a dense call.
+    pub views: Vec<TileOp>,
 }
 
 impl Unit {
@@ -430,15 +455,9 @@ impl KernelProgram {
         self.steps.iter().filter(|s| s.storage == Storage::Scratch)
     }
 
-    /// The segment ids of the program, ascending and deduplicated
-    /// (prelude steps carry no segment and are excluded).
+    /// The segment ids of the program, ascending and deduplicated.
     fn segments(&self) -> Vec<usize> {
-        let mut segs: Vec<usize> = self
-            .steps
-            .iter()
-            .filter(|s| s.storage != Storage::Prelude)
-            .map(|s| s.segment)
-            .collect();
+        let mut segs: Vec<usize> = self.steps.iter().map(|s| s.segment).collect();
         segs.sort_unstable();
         segs.dedup();
         segs
@@ -451,7 +470,6 @@ impl KernelProgram {
     pub fn streamed(&self) -> impl Iterator<Item = &ProgramStep> + '_ {
         self.steps.iter().filter(|s| {
             s.exec == StepExec::Tiled
-                && s.storage != Storage::Prelude
                 && self
                     .steps
                     .iter()
@@ -496,7 +514,7 @@ pub fn lower_plan(plan: &ExecutionPlan) -> Vec<KernelProgram> {
     plan.kernels.iter().map(|k| lower_kernel(plan, k)).collect()
 }
 
-/// How a (non-prelude) member executes — total over every op the fusion
+/// How a member executes — total over every op the fusion
 /// pass can put in a kernel. Leaves are never kernel members (every region
 /// builder gates on `FusionClass::Leaf`), so they are unreachable here.
 fn op_exec(node: &crate::ir::Node) -> StepExec {
@@ -523,13 +541,9 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::GaussianWeight
         | OpKind::HeadDot
         | OpKind::HeadDotBwdInput
-        | OpKind::SliceCols { .. }
-        | OpKind::EmbedCols { .. }
-        | OpKind::SetHeads { .. }
+        | OpKind::View(_)
         | OpKind::HeadReduce(_)
-        | OpKind::HeadBroadcast { .. }
-        | OpKind::FeatSum
-        | OpKind::FeatBroadcast { .. } => StepExec::Tiled,
+        | OpKind::FeatSum => StepExec::Tiled,
         // GEMMs and cross-row parameter reductions span all tiles:
         // whole-graph full steps through the dense dispatch.
         OpKind::Linear
@@ -537,9 +551,7 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::LinearBwdWeight
         | OpKind::HeadDotBwdParam
         | OpKind::GaussianBwdMu
-        | OpKind::GaussianBwdSigma
-        | OpKind::SliceRows { .. }
-        | OpKind::EmbedRows { .. } => StepExec::Full,
+        | OpKind::GaussianBwdSigma => StepExec::Full,
         OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed => {
             unreachable!("leaves are never kernel members")
         }
@@ -561,7 +573,7 @@ pub fn is_streamed_gather(kind: &OpKind) -> bool {
 }
 
 /// The pass-1/2 classes of a kernel's members, as the streaming pass
-/// reads them (prelude steps have a storage class only).
+/// reads them.
 struct Classes<'a> {
     ir: &'a IrGraph,
     storage: &'a HashMap<NodeId, Storage>,
@@ -594,7 +606,7 @@ impl Classes<'_> {
         {
             return false;
         }
-        // Full tensors (value store, prelude views, earlier segments)
+        // Full tensors (value store, earlier segments)
         // are readable at any row; a same-segment member is walked.
         let mut rec = |i: NodeId, at_dst: bool| {
             self.segment.get(&i) != self.segment.get(&id) || self.streams(i, at_dst, chain)
@@ -615,11 +627,9 @@ impl Classes<'_> {
             // destination group three times.
             OpKind::EdgeSoftmax => self.recompute.contains(&id) && rec(x, false),
             // Elementwise steps read their operands at their own row.
-            OpKind::Unary(_)
-            | OpKind::UnaryBwd(_)
-            | OpKind::Binary(_)
-            | OpKind::SetHeads { .. }
-            | OpKind::FeatSum => node.inputs.iter().all(|&i| rec(i, at_dst)),
+            OpKind::Unary(_) | OpKind::UnaryBwd(_) | OpKind::Binary(_) | OpKind::FeatSum => {
+                node.inputs.iter().all(|&i| rec(i, at_dst))
+            }
             _ => false,
         };
         if ok {
@@ -657,29 +667,9 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
     let mut prev_full = false;
     for &id in &member_ids {
         let node = ir.node(id);
-        if node.space == Space::Param {
-            // Parameter-space *views* of out-of-kernel values (weight
-            // slices / reshapes introduced by the reorganization pass)
-            // are prelude steps: evaluated once per launch, `O(params)`.
-            let viewish = matches!(
-                node.kind,
-                OpKind::SliceCols { .. } | OpKind::SliceRows { .. } | OpKind::SetHeads { .. }
-            );
-            let inputs_prelude = node
-                .inputs
-                .iter()
-                .all(|i| !members.contains(i) || storage.get(i) == Some(&Storage::Prelude));
-            if viewish && inputs_prelude && !materialized.contains(&id) {
-                storage.insert(id, Storage::Prelude);
-                continue;
-            }
-            // Parameter-space *compute* members (the Gaussian param
-            // reductions, fused weight gradients) reduce across all rows:
-            // whole-graph full steps, below.
-        }
-        // Non-prelude param members always run full — `O(params)` work
-        // with no tile structure (and the tiled interpreter has no
-        // parameter-space scratch rows).
+        // Param members always run full — `O(params)` work with no tile
+        // structure (and the tiled interpreter has no parameter-space
+        // scratch rows).
         let e = if node.space == Space::Param {
             StepExec::Full
         } else {
@@ -727,12 +717,8 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
     // Pass 2: spills. A scratch value read by a full step, or by a tiled
     // step in a *different* segment, must become a real tensor.
     for &id in &member_ids {
-        let node = ir.node(id);
-        if storage.get(&id) == Some(&Storage::Prelude) {
-            continue;
-        }
-        for i in &node.inputs {
-            if !members.contains(i) || storage.get(i) == Some(&Storage::Prelude) {
+        for i in &ir.node(id).inputs {
+            if !members.contains(i) {
                 continue;
             }
             let cross_segment = exec[&id] == StepExec::Full || segment[i] != segment[&id];
@@ -786,8 +772,8 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
             ProgramStep {
                 node: id,
                 storage: storage[&id],
-                exec: exec.get(&id).copied().unwrap_or(StepExec::Tiled),
-                segment: segment.get(&id).copied().unwrap_or(0),
+                exec: exec[&id],
+                segment: segment[&id],
                 stage: 0,
                 space: node.space,
                 cols: node.dim.total(),
@@ -805,14 +791,13 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         inputs: Vec::new(),
     };
     for (ord, seg) in program.segments().into_iter().enumerate() {
-        let in_seg = |s: &ProgramStep| s.segment == seg && s.storage != Storage::Prelude;
         let order: Vec<usize> = (0..program.steps.len())
-            .filter(|&si| in_seg(&program.steps[si]))
+            .filter(|&si| program.steps[si].segment == seg)
             .collect();
         for &si in &order {
-            program.steps[si].stage = ord + 1;
+            program.steps[si].stage = ord;
         }
-        let unit = compile_unit(ir, &program.steps, ord + 1, &order);
+        let unit = compile_unit(ir, &program.steps, ord, &order);
         program.units.push(unit);
     }
     let mut last_stage: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -834,7 +819,8 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
 /// step alone.
 ///
 /// Pure copies compile to no op when they are scratch-class: readers get
-/// the copy's source with the endpoint pinned.
+/// the copy's source with the endpoint pinned. Operands read through
+/// layouts that move data are staged ([`staged`]).
 fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usize]) -> Unit {
     // A full step is its segment's last. A `BySrc` gather is the tile
     // loop's own; any other full step is alone there and runs whole.
@@ -850,14 +836,15 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
         kind,
         ops: Vec::with_capacity(order.len()),
         reads: Vec::with_capacity(order.len()),
+        views: Vec::new(),
     };
     for &si in order {
         let sp = &steps[si];
         let node = ir.node(sp.node);
         let is_sink = sp.storage != Storage::Scratch;
         // Same-segment members resolve through their producer's slot (or
-        // whatever it aliases), prelude views and earlier segments to
-        // their complete tensors, everything else to the value store.
+        // whatever it aliases), earlier segments to their complete
+        // tensors, everything else to the value store.
         // (A full step shares a segment only with the chain streamed
         // into it.)
         let full = |src| Operand {
@@ -876,13 +863,12 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
         let copied = match node.kind {
             OpKind::Scatter(ScatterFn::CopyU) => Some((0, RowAt::SrcV)),
             OpKind::Scatter(ScatterFn::CopyV) => Some((node.inputs.len() - 1, RowAt::DstV)),
-            OpKind::SetHeads { .. } => Some((0, RowAt::Own)),
             _ => None,
         };
         if let (Some((i, at)), false) = (copied, is_sink) {
-            let x = resolve(node.inputs[i], &unit);
-            unit.reads
-                .push((si, if at == RowAt::Own { x } else { x.pinned(at) }));
+            let x = resolve(node.inputs[i], &unit).pinned(at);
+            let x = staged(ir, &mut unit, si, sp.node, i, x);
+            unit.reads.push((si, x));
             continue;
         }
         let mut srcs: Vec<Operand> = node.inputs.iter().map(|&i| resolve(i, &unit)).collect();
@@ -894,6 +880,9 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
                 EdgeGroup::BySrc => RowAt::SrcV,
                 EdgeGroup::ByDst => RowAt::DstV,
             });
+        }
+        for (pos, x) in srcs.iter_mut().enumerate() {
+            *x = staged(ir, &mut unit, si, sp.node, pos, *x);
         }
         // Rebuilt from the statistics its forward run stashed (lowering
         // streamed the softmax's chain on the strength of them; a launch
@@ -913,22 +902,13 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
                 at: RowAt::Own,
             },
         ));
-        unit.ops.push(TileOp {
-            step: si,
-            kind: node.kind.clone(),
-            space: sp.space,
-            cols: sp.cols,
-            heads: node.dim.heads,
-            srcs,
-            dins: node.inputs.iter().map(|&i| ir.node(i).dim).collect(),
-            size: if is_sink {
-                SlotSize::Sink
-            } else {
-                SlotSize::Tile
-            },
-            pulls: false,
-            strip: 1,
-        });
+        let dins = (0..node.inputs.len()).map(|i| ir.input_dim(sp.node, i));
+        let mut op = TileOp::new(si, node.kind.clone(), (sp.space, node.dim), srcs);
+        op.dins = dins.collect();
+        if is_sink {
+            op.size = SlotSize::Sink;
+        }
+        unit.ops.push(op);
     }
 
     // Slot sizes, readers before producers: a scratch-class per-row op
@@ -978,6 +958,48 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
         (ops[k].strip, ops[k].pulls) = (strip, pulls);
     }
     unit
+}
+
+/// `x`, the operand step `si` (node `id`) of unit `u` reads at input `pos`,
+/// through the node's layouts ([`IrGraph::read_layouts`]): `x` itself if they
+/// only relabel; else the output of a `View` op over `x`: staged whole
+/// ([`Unit::views`]), or the slot of an op placed before the reader that
+/// lays out `x`'s rows at the reader's row.
+fn staged(ir: &IrGraph, u: &mut Unit, si: usize, id: NodeId, pos: usize, x: Operand) -> Operand {
+    let reader = ir.node(id);
+    let input = ir.node(reader.inputs[pos]);
+    let layouts: Vec<_> = ir.read_layouts(id, pos).collect();
+    if view::is_free(&layouts, input.dim, input.space) {
+        return x;
+    }
+    let (dim, map) = view::gather_map(&layouts, input.dim);
+    // Staged whole, read at the pin — or, a gather dual, which finds its
+    // group vertex through the pin, staged a vertex at a time.
+    let whole = u.kind == UnitKind::Dense || input.space == Space::Param;
+    let dual = matches!(
+        reader.kind,
+        OpKind::GatherMeanBwd { .. } | OpKind::GatherMaxBwd { .. }
+    );
+    let (mut src, mut at) = (x, RowAt::Own);
+    if whole || dual {
+        (src.at, at) = (RowAt::Own, x.at);
+    }
+    let space = match src.at {
+        RowAt::Own => input.space,
+        _ => Space::Edge,
+    };
+    let kind = OpKind::View(*layouts.last().expect("a layout moves data"));
+    let mut op = TileOp::new(si, kind, (space, dim), vec![src]);
+    (op.dins, op.layouts, op.map) = (vec![input.dim], layouts, map);
+    let data = if whole {
+        u.views.push(op);
+        Data::Full(FullSource::View(u.views.len() - 1))
+    } else {
+        u.ops.push(op);
+        let (idx, cols) = (u.ops.len() - 1, dim.total());
+        Data::Slot { idx, cols }
+    };
+    Operand { data, at }
 }
 
 #[cfg(test)]
@@ -1281,13 +1303,13 @@ mod tests {
         assert!(is_streamed_gather(&plan.ir.node(prog.steps[0].node).kind));
         assert_eq!(prog.streamed().count(), 0);
         let dump = crate::display::dump_programs(&plan);
-        assert!(dump.contains("stage 1, seg 1 (streamed unit):"), "{dump}");
+        assert!(dump.contains("stage 0, seg 1 (streamed unit):"), "{dump}");
         let unit = &prog.units[0];
         assert_eq!((unit.kind, unit.ops.len()), (UnitKind::Streamed, 1));
         assert_eq!(
             prog.inputs,
-            vec![(e, 1)],
-            "the edge input is last read at stage 1"
+            vec![(e, 0)],
+            "the edge input is last read at stage 0"
         );
     }
 }

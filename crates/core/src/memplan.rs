@@ -13,17 +13,17 @@
 //!
 //! # Positions are stages
 //!
-//! A position is one *stage* of one kernel launch, numbered in execution
-//! order: a kernel's prelude pass, then each of its segments
+//! A position is one *stage* of one kernel launch — one of its
+//! segments — numbered in execution order
 //! (`lower.rs`, "The stage table"; [`MemoryPlan::kernel_positions`]). A
 //! tensor a step produces is born at the step's stage — the interpreter
 //! allocates a segment's sinks when the segment starts, not before — and
 //! a value whose last external reader is kernel `k` dies at the last
 //! stage of `k` that reads it ([`KernelProgram::inputs`]): the
 //! interpreter frees it there, so the buffer serves what later segments
-//! of the same launch produce. Prelude views, interior spills and
-//! recomputed values last until their kernel's final stage; a boundary
-//! value nothing reads, likewise.
+//! of the same launch produce. Interior spills and recomputed values last
+//! until their kernel's final stage; a boundary value nothing reads,
+//! likewise.
 //!
 //! # One fit rule: size classes
 //!
@@ -46,9 +46,9 @@
 //!   reader (model outputs, stashes, leaves and parameter gradients are
 //!   *persistent*: their regions never free).
 //! * [`Storage::Interior`] values exist only inside one fused launch —
-//!   single-position regions — as do [`Storage::Prelude`] views
-//!   (`O(params)`) and recomputed values, at each backward kernel that
-//!   rebuilds them.
+//!   single-position regions — as do recomputed values, at each backward
+//!   kernel that rebuilds them, and the views a unit stages whole
+//!   ([`crate::lower::Unit::views`]), at that unit's stage.
 //! * The max/denominator statistics of every fresh (non-recompute)
 //!   `EdgeSoftmax`: two `V[cols]` tensors that live to session reset.
 //! * The `u32` argmax table of every `Gather(Max)`: a different element
@@ -66,8 +66,8 @@
 //! [`KernelProgram::inputs`]: crate::lower::KernelProgram::inputs
 
 use crate::ir::Phase;
-use crate::lower::Storage;
-use crate::op::{NodeId, OpKind, ReduceFn, Space};
+use crate::lower::{Data, FullSource, Storage};
+use crate::op::{Dim, NodeId, OpKind, ReduceFn, Space};
 use crate::plan::ExecutionPlan;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -204,8 +204,7 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// The positions of kernel `kid`'s launch: its prelude stage, then
-    /// one per segment.
+    /// The positions of kernel `kid`'s launch: one per segment.
     #[must_use]
     pub fn kernel_positions(&self, kid: usize) -> std::ops::Range<usize> {
         self.kernel_span[kid].clone()
@@ -251,12 +250,17 @@ impl MemoryPlan {
 /// edges.
 fn node_bytes(plan: &ExecutionPlan, nid: NodeId, nv: usize, ne: usize) -> u64 {
     let n = plan.ir.node(nid);
-    let rows = match n.space {
+    bytes(n.space, n.dim, nv, ne)
+}
+
+/// Bytes of a `dim` tensor in `space`.
+fn bytes(space: Space, dim: Dim, nv: usize, ne: usize) -> u64 {
+    let rows = match space {
         Space::Vertex => nv,
         Space::Edge => ne,
         Space::Param => 1,
     };
-    4 * rows as u64 * n.dim.total() as u64
+    4 * rows as u64 * dim.total() as u64
 }
 
 /// Plans the arena for `plan` executed on a graph of `nv` vertices and
@@ -291,7 +295,7 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
     let mut kernel_span = vec![0..0; plan.kernels.len()];
     let mut positions = 0;
     for &kid in &order {
-        let stages = plan.programs.get(kid).map_or(1, |p| 1 + p.units.len());
+        let stages = plan.programs.get(kid).map_or(1, |p| p.units.len());
         kernel_span[kid] = positions..positions + stages;
         positions += stages;
     }
@@ -370,13 +374,25 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
                 // A recomputed persistent value is still in the store
                 // and is read from there.
                 _ if s.recompute && lv.persistent.contains(&s.node) => continue,
-                // Launch-transient: parameter views, recomputed values,
-                // interior spills.
-                Storage::Prelude | Storage::Interior => last_pos(kid),
+                // Launch-transient: recomputed values, interior spills.
+                Storage::Interior => last_pos(kid),
                 _ if s.recompute => last_pos(kid),
                 Storage::Materialized => death_pos(s.node, kid, p),
             };
             intervals.push((s.node, node_bytes(plan, s.node, nv, ne), p, death));
+        }
+        // A staged view lives for its unit's stage.
+        for unit in &program.units {
+            let p = kernel_span[kid].start + unit.stage;
+            for v in &unit.views {
+                let node = match v.srcs[0].data {
+                    Data::Full(FullSource::Step(si)) => program.steps[si].node,
+                    Data::Full(FullSource::Value(id)) => id,
+                    _ => unreachable!("a view stages a stored tensor"),
+                };
+                let bytes = bytes(v.space, Dim::flat(v.cols), nv, ne);
+                intervals.push((node, bytes, p, p));
+            }
         }
     }
 

@@ -11,6 +11,7 @@
 //! Backward-only operators (suffix `Bwd`) implement the Appendix B rules;
 //! the autodiff module emits them.
 
+use crate::view::Layout;
 use gnnopt_tensor::rowops;
 
 /// Which index space a node's output lives in.
@@ -348,40 +349,15 @@ pub enum OpKind {
     /// inputs `[pseudo, mu, inv_sigma]`, output heads = K, feat = 1.
     GaussianWeight,
 
-    // ---- structural (zero-cost or near-zero-cost) ----
-    /// Per-head column slice `[start, end)` in feat units.
-    SliceCols {
-        /// First feature column (per head).
-        start: usize,
-        /// One past the last feature column (per head).
-        end: usize,
-    },
-    /// Row slice of a parameter.
-    SliceRows {
-        /// First row.
-        start: usize,
-        /// One past the last row.
-        end: usize,
-    },
-    /// Reinterpret `[1, h·f]` as `[h, f]` (no data movement).
-    SetHeads {
-        /// New head count.
-        heads: usize,
-    },
+    // ---- structural ----
+    /// The operand read through a column layout ([`Layout`]): no
+    /// arithmetic. Folded onto its readers' input edges before fusion;
+    /// what survives is a terminal copy.
+    View(Layout),
     /// Reduce heads: `[h, f] → [1, f]`.
     HeadReduce(ReduceFn),
-    /// Broadcast heads: `[1, f] → [h, f]`.
-    HeadBroadcast {
-        /// Target head count.
-        heads: usize,
-    },
     /// Reduce features: `[h, f] → [h, 1]`.
     FeatSum,
-    /// Broadcast features: `[h, 1] → [h, f]`.
-    FeatBroadcast {
-        /// Target per-head feature count.
-        feat: usize,
-    },
 
     // ---- backward-only operators (Appendix B) ----
     /// `∂L/∂X = G · Wᵀ` (inputs `[g, w]`).
@@ -413,24 +389,6 @@ pub enum OpKind {
     GaussianBwdMu,
     /// `∂L/∂σ⁻¹` of [`OpKind::GaussianWeight`] (same inputs).
     GaussianBwdSigma,
-    /// Backward of [`OpKind::SliceCols`]: embed into zero-padded columns.
-    EmbedCols {
-        /// First feature column (per head).
-        start: usize,
-        /// One past the last feature column (per head).
-        end: usize,
-        /// Total per-head feature count of the embedding target.
-        total: usize,
-    },
-    /// Backward of [`OpKind::SliceRows`]: embed into zero-padded rows.
-    EmbedRows {
-        /// First row.
-        start: usize,
-        /// One past the last row.
-        end: usize,
-        /// Total row count of the embedding target.
-        total: usize,
-    },
 }
 
 /// How the optimizer classifies an operator for fusion (§5): expensive
@@ -453,14 +411,8 @@ impl OpKind {
         use OpKind::*;
         match self {
             InputVertex | InputEdge | Param | GradSeed => FusionClass::Leaf,
-            Linear
-            | LinearBwdInput
-            | LinearBwdWeight
-            | HeadDot
-            | HeadDotBwdInput
-            | HeadDotBwdParam
-            | SliceRows { .. }
-            | EmbedRows { .. } => FusionClass::Expensive,
+            Linear | LinearBwdInput | LinearBwdWeight | HeadDot | HeadDotBwdInput
+            | HeadDotBwdParam => FusionClass::Expensive,
             // Gaussian parameter gradients are per-edge computations with a
             // tiny `[K, r]` atomic reduction — they fuse into the backward
             // graph kernel exactly like the paper's MoNet backward pass.

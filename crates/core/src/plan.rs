@@ -201,8 +201,15 @@ impl ExecutionPlan {
 
         for &nid in kernel.nodes.iter().chain(&kernel.recompute) {
             let node = self.ir.node(nid);
-            let inputs: Vec<&crate::ir::Node> =
-                node.inputs.iter().map(|&i| self.ir.node(i)).collect();
+            // Each input as the node reads it: through its layouts.
+            let viewed: Vec<crate::ir::Node> = (0..node.inputs.len())
+                .map(|pos| {
+                    let mut input = self.ir.node(node.inputs[pos]).clone();
+                    input.dim = self.ir.input_dim(nid, pos);
+                    input
+                })
+                .collect();
+            let inputs: Vec<&crate::ir::Node> = viewed.iter().collect();
             // A softmax recomputed from its stashed max/denominator costs
             // half the forward flops (no reduction passes).
             let node_flops = if kernel.recompute.contains(&nid)
@@ -215,11 +222,11 @@ impl ExecutionPlan {
             };
             flops += node_flops;
 
-            for &i in &node.inputs {
+            for (&i, input) in node.inputs.iter().zip(&viewed) {
                 if members.contains(&i) {
                     continue;
                 }
-                let b = cm.read_bytes(node, self.ir.node(i));
+                let b = cm.read_bytes(node, input);
                 let e = reads.entry(i).or_insert(0);
                 *e = (*e).max(b);
             }
@@ -327,7 +334,7 @@ impl ExecutionPlan {
                         | OpKind::HeadDotBwdParam
                         | OpKind::GaussianBwdMu
                         | OpKind::GaussianBwdSigma
-                        | OpKind::EmbedRows { .. }
+                        | OpKind::View(_)
                 );
             if persistent {
                 death = num_kernels;

@@ -76,7 +76,6 @@ fn cost_per_element(ir: &IrGraph, node: &crate::ir::Node) -> f64 {
             let r = ir.node(node.inputs[0]).dim.feat as f64;
             3.0 * r + 2.0
         }
-        OpKind::SliceCols { .. } | OpKind::SetHeads { .. } | OpKind::FeatBroadcast { .. } => 0.0,
         _ => f64::INFINITY,
     }
 }

@@ -13,9 +13,23 @@
 //! space, producer space)` plus — for [`crate::op::OpKind::GatherMaxBwd`] —
 //! the grouping of the forward node it inverts, so it lives here as the
 //! single source of truth shared by the fusion and lowering passes.
+//!
+//! # Layouts: the column half of a read
+//!
+//! A `View` says which *row* an op reads; a [`Layout`] says how the
+//! columns of that row are laid out for the reader: a head relabel, a
+//! column or parameter-row window read narrow or zero-padded wide, a
+//! stride-0 broadcast. None does arithmetic. Each builder emits an
+//! [`OpKind::View`] node, which autodiff transposes (a window's dual is
+//! the padded window, a relabel's a relabel, a broadcast's `HeadReduce`
+//! / `FeatSum`); [`crate::fusion::duplicate_copy_scatters`] then folds
+//! every view onto its readers' edges ([`crate::ir::Node::layouts`]),
+//! chains composing. A relabel costs nothing; any other layout is a
+//! gather through [`gather_map`] — of the rows a tile op reads, or of a
+//! whole tensor (a parameter, a dense call's operand).
 
-use crate::ir::IrGraph;
-use crate::op::{EdgeGroup, NodeId, OpKind, ScatterFn, Space};
+use crate::ir::{IrError, IrGraph};
+use crate::op::{Dim, EdgeGroup, NodeId, OpKind, ScatterFn, Space};
 
 /// How one input of an op is read relative to the op's iteration space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,6 +216,139 @@ pub fn required_anchor(ir: &IrGraph, consumer: NodeId, pos: usize) -> Option<Edg
         View::Aligned => node.kind.reduction_group(),
         _ => None,
     }
+}
+
+/// A window `[start, end)` of `total` per-head features — or, `rows`,
+/// parameter rows — read narrow (the slice) or `wide` (the slice
+/// embedded in `total` zero-padded ones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Window {
+    pub start: usize,
+    pub end: usize,
+    pub total: usize,
+    pub wide: bool,
+    pub rows: bool,
+}
+
+/// How a reader lays out the columns of an operand's row (module docs).
+/// A parameter is one row: its `[rows, cols]` tensor, row-major.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Layout {
+    /// The row's columns relabelled as `heads` heads.
+    Heads(usize),
+    Window(Window),
+    /// One head read as `heads` (stride 0).
+    BroadcastHeads(usize),
+    /// One feature a head read as `feat` (stride 0).
+    BroadcastFeat(usize),
+}
+
+/// A [`gather_map`] entry that reads a padding zero.
+pub const PAD: u32 = u32::MAX;
+
+impl Layout {
+    /// What a reader sees of an operand of dim `d`.
+    pub fn dim(self, d: Dim) -> Dim {
+        match self {
+            Layout::Heads(h) => Dim::multi(h, d.total() / h),
+            Layout::Window(w) => {
+                let n = if w.wide { w.total } else { w.end - w.start };
+                if w.rows {
+                    Dim::multi(n, d.feat)
+                } else {
+                    Dim::multi(d.heads, n)
+                }
+            }
+            Layout::BroadcastHeads(h) => Dim::multi(h, d.feat),
+            Layout::BroadcastFeat(f) => Dim::multi(d.heads, f),
+        }
+    }
+
+    /// Rejects a layout an operand of dim `d` in `space` cannot take:
+    /// zero heads, a width a relabel does not divide, an empty or
+    /// out-of-range window, rows of a non-parameter, a broadcast of more
+    /// than one head or feature.
+    pub fn check(self, d: Dim, space: Space) -> Result<(), IrError> {
+        let ok = match self {
+            Layout::Heads(h) => h > 0 && d.total().is_multiple_of(h),
+            Layout::Window(w) => {
+                let have = if w.rows { d.heads } else { d.feat };
+                let fits = have == if w.wide { w.end - w.start } else { w.total };
+                (!w.rows || space == Space::Param) && w.start < w.end && w.end <= w.total && fits
+            }
+            Layout::BroadcastHeads(h) => h > 0 && d.heads == 1,
+            Layout::BroadcastFeat(f) => f > 0 && d.feat == 1,
+        };
+        let detail = format!("{self} of {space:?} {d:?}");
+        ok.then_some(()).ok_or(IrError::Incompatible {
+            op: "view".into(),
+            detail,
+        })
+    }
+
+    /// The source column that column `c` of the laid-out row of an
+    /// operand of dim `d` reads, or `None` for a padding zero.
+    fn source(self, d: Dim, c: usize) -> Option<usize> {
+        let out = self.dim(d);
+        let (h, j) = (c / out.feat, c % out.feat);
+        match self {
+            Layout::Heads(_) => Some(c),
+            // Feature `j` of head `h`; of a parameter, row `h`, column `j`.
+            Layout::Window(w) => {
+                let (at, unit, k) = if w.rows {
+                    (h, d.feat, j)
+                } else {
+                    (j, 1, h * d.feat)
+                };
+                let inside = (w.start..w.end).contains(&at);
+                let at = if !w.wide {
+                    Some(at + w.start)
+                } else {
+                    inside.then(|| at - w.start)
+                };
+                at.map(|a| a * unit + k)
+            }
+            Layout::BroadcastHeads(_) => Some(j),
+            Layout::BroadcastFeat(_) => Some(h),
+        }
+    }
+}
+
+impl std::fmt::Display for Layout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Layout::Heads(h) => write!(f, "heads {h}"),
+            Layout::Window(w) => {
+                let pad = if w.wide { "pad " } else { "" };
+                let what = if w.rows { "rows" } else { "cols" };
+                write!(f, "{pad}{what} {}..{}/{}", w.start, w.end, w.total)
+            }
+            Layout::BroadcastHeads(h) => write!(f, "heads ×{h}"),
+            Layout::BroadcastFeat(n) => write!(f, "feat ×{n}"),
+        }
+    }
+}
+
+/// True when `chain` moves no data for an operand of dim `d` in
+/// `space`: relabels only — of a parameter, only when its shape stays.
+pub fn is_free(chain: &[Layout], d: Dim, space: Space) -> bool {
+    chain.iter().all(|l| matches!(l, Layout::Heads(_)))
+        && (space != Space::Param || chain.iter().fold(d, |d, l| l.dim(d)) == d)
+}
+
+/// What a reader sees through `chain` of an operand of dim `d`, and for
+/// each column of its row the source column it copies ([`PAD`]: a
+/// zero). A parameter's row is the whole tensor.
+pub fn gather_map(chain: &[Layout], mut d: Dim) -> (Dim, Vec<u32>) {
+    let mut map: Vec<u32> = (0..d.total() as u32).collect();
+    for l in chain {
+        let laid = 0..l.dim(d).total();
+        map = laid
+            .map(|c| l.source(d, c).map_or(PAD, |s| map[s]))
+            .collect();
+        d = l.dim(d);
+    }
+    (d, map)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! Nothing on the per-row path looks at the IR, the step table or a hash
 //! map, and nothing on the launch path allocates. What depends only on
 //! the IR — each segment's [`TileOp`]s with their operands resolved
-//! ([`Operand`]: the rows of a complete tensor — value store, prelude
+//! ([`Operand`]: the rows of a complete tensor — value store, staged
 //! view, earlier segment — or of an earlier op's slot, read at the
 //! consumer's own row or at an edge endpoint, [`RowAt`]), copy aliasing,
 //! slot sizes and strips, and the stage table a launch allocates and
@@ -143,15 +143,17 @@
 //! spawning of the workers themselves.
 
 use crate::kernels::{
-    binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, group_adj, plan_threads,
-    split_rows, RowSource, NO_ARGMAX,
+    self, binary_broadcast_row, chunk_bounds, edge_balanced_vertex_bounds, gather_row, group_adj,
+    plan_threads, split_rows, RowSource, NO_ARGMAX,
 };
 use crate::refexec;
 use crate::{contain, ExecError, Result};
 use gnnopt_core::lower::{
-    self, Data, FullSource, KernelProgram, RowAt, SlotSize, Storage, TileOp, UnitKind,
+    self, Data, FullSource, KernelProgram, RowAt, SlotSize, TileOp, UnitKind,
 };
-use gnnopt_core::{EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space};
+use gnnopt_core::{
+    Dim, EdgeGroup, ExecPolicy, IrGraph, NodeId, OpKind, ReduceFn, ScatterFn, Space,
+};
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{pool, rowops, Tensor};
 use std::cell::RefCell;
@@ -230,6 +232,8 @@ pub(crate) struct Frame {
     /// The running unit's sinks `(op, tensor)`, out of `mat` while the
     /// workers write their chunks.
     outs: Vec<(usize, Tensor)>,
+    /// The views the running unit stages whole (`lower::Unit::views`).
+    views: Vec<Tensor>,
     /// One slab of slots per worker, and per worker and op the first row
     /// its slot holds.
     slabs: Vec<Vec<f32>>,
@@ -794,13 +798,13 @@ struct WorkerAux<'r, 'w> {
 fn full_tensor<'a>(
     ir: &IrGraph,
     program: &KernelProgram,
-    store: &'a Store,
-    mat: &'a [Option<Tensor>],
+    (store, mat, views): (&'a Store, &'a [Option<Tensor>], &'a [Tensor]),
     src: FullSource,
 ) -> Result<&'a Tensor> {
     let found = match src {
         FullSource::Value(id) => store.values.get(&id),
         FullSource::Step(si) => mat[si].as_ref(),
+        FullSource::View(i) => views.get(i),
         FullSource::SoftmaxMax(id) => store.aux_softmax.get(&id).map(|(mx, _)| mx),
         FullSource::SoftmaxDenom(id) => store.aux_softmax.get(&id).map(|(_, dn)| dn),
     };
@@ -808,7 +812,7 @@ fn full_tensor<'a>(
         node: match src {
             FullSource::Value(id) => ir.node(id).name.clone(),
             FullSource::Step(si) => ir.node(program.steps[si].node).name.clone(),
-            _ => format!("softmax statistics of kernel {} ({src:?})", program.kernel),
+            _ => format!("operand {src:?} of kernel {}", program.kernel),
         },
     })
 }
@@ -823,8 +827,8 @@ fn argmax_table(store: &Store, fwd: NodeId) -> Result<&[u32]> {
 }
 
 impl CompiledKernel {
-    /// Executes the kernel over the graph it was prepared for, stage by
-    /// stage: the prelude views, then each unit of `program` — tile and
+    /// Executes the kernel over the graph it was prepared for, unit by
+    /// unit — with the views each stages whole — tile and
     /// streamed units tile by tile with per-worker slots, dense and
     /// parameter steps in one call into the op library's dispatch (what
     /// makes lowering total: any op the IR expresses either tiles or
@@ -867,11 +871,15 @@ impl CompiledKernel {
         frame.stats.clear();
         frame.argmax.clear();
         frame.outs.clear();
-        for op in program.units.iter().flat_map(|unit| &unit.ops) {
+        let ops = program
+            .units
+            .iter()
+            .flat_map(|u| u.ops.iter().chain(&u.views));
+        for op in ops {
             for s in &op.srcs {
                 if let Data::Full(src) = s.data {
-                    if !matches!(src, FullSource::Step(_)) {
-                        full_tensor(ir, program, store, &frame.mat, src)?;
+                    if !matches!(src, FullSource::Step(_) | FullSource::View(_)) {
+                        full_tensor(ir, program, (store, &frame.mat, &[]), src)?;
                     }
                 }
             }
@@ -880,31 +888,24 @@ impl CompiledKernel {
             }
         }
 
-        // Stage 0: parameter-space views are O(params) — computed once,
-        // shared read-only by all workers — through the op dispatch, so
-        // a view is the same tensor wherever it runs.
-        for (si, s) in program.steps.iter().enumerate() {
-            if s.storage != Storage::Prelude {
-                continue;
-            }
-            let node = ir.node(s.node);
-            let input = node.inputs[0];
-            let earlier = program.steps[..si].iter().position(|p| p.node == input);
-            let src = earlier.map_or(FullSource::Value(input), FullSource::Step);
-            let x = full_tensor(ir, program, store, &frame.mat, src)?;
-            let t = refexec::exec_op_inner(&self.policy, g, ir, node, &[x])?;
-            frame.mat[si] = Some(t);
-        }
-        // Inputs the prelude pass exhausted free before the launch
-        // materializes anything.
-        let mut evicted = self.release(0, store);
+        let mut evicted = 0;
         for (unit, up) in program.units.iter().zip(&self.units) {
+            frame.views.clear();
+            for v in &unit.views {
+                let Data::Full(src) = v.srcs[0].data else {
+                    unreachable!("a view stages a complete tensor")
+                };
+                let x = full_tensor(ir, program, (store, &frame.mat, &[]), src)?;
+                let dim = Dim::multi(v.heads, v.cols / v.heads);
+                frame.views.push(kernels::view(x, v.space, dim, &v.map));
+            }
             match unit.kind {
                 UnitKind::Dense => {
                     Self::call_dense(&self.policy, g, ir, program, unit, store, frame)?
                 }
                 _ => self.run_unit(g, ir, program, (unit, up), store, frame)?,
             }
+            frame.views.clear();
             evicted += self.release(unit.stage, store);
         }
         for (si, mx, dn) in frame.stats.drain(..) {
@@ -913,12 +914,6 @@ impl CompiledKernel {
         }
         for (si, a) in frame.argmax.drain(..) {
             store.aux_argmax.insert(program.steps[si].node, a);
-        }
-        // The views end with the launch; everything else is the caller's.
-        for (slot, s) in frame.mat.iter_mut().zip(&program.steps) {
-            if s.storage == Storage::Prelude {
-                *slot = None;
-            }
         }
         Ok(evicted)
     }
@@ -947,7 +942,8 @@ impl CompiledKernel {
             let Data::Full(src) = s.data else {
                 unreachable!("a dense call reads complete tensors")
             };
-            inputs.push(full_tensor(ir, program, store, &frame.mat, src)?);
+            let views = &frame.views;
+            inputs.push(full_tensor(ir, program, (store, &frame.mat, views), src)?);
         }
         let node = ir.node(program.steps[op.step].node);
         let t = refexec::exec_op(policy, g, ir, node, &inputs)?;
@@ -978,6 +974,7 @@ impl CompiledKernel {
             stats,
             argmax,
             outs,
+            views,
             slabs,
             base,
             ..
@@ -1016,7 +1013,7 @@ impl CompiledKernel {
                 src.data = match s.data {
                     Data::Slot { idx, cols } => SrcRows::Slot { idx, cols },
                     Data::Full(named) => {
-                        let t = full_tensor(ir, program, store, mat, named)?;
+                        let t = full_tensor(ir, program, (store, mat, views), named)?;
                         let cols = t.numel().checked_div(t.rows()).unwrap_or(0);
                         let data = t.as_slice();
                         SrcRows::Full { data, cols }
@@ -1415,9 +1412,15 @@ fn exec_rows<'r>(
     let total = op.cols;
     let s = |i: usize| bound.srcs[i];
     match &op.kind {
+        // The stage of an operand read through layouts: each row gathers
+        // the columns its map names.
+        OpKind::View(_) if !op.map.is_empty() => {
+            cx.map_rows(s(0), rows, total, buf, |or, xr| gather_row(or, xr, &op.map));
+        }
         // A copy that could not be aliased away (a kernel boundary or an
-        // interior spill): its operand already carries the endpoint.
-        OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. } => {
+        // interior spill): its operand already carries the endpoint and
+        // — a terminal view — the layouts.
+        OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::View(_) => {
             cx.zip_rows([s(0)], rows, total, buf, |o, [x]| o.copy_from_slice(x));
         }
         OpKind::Scatter(ScatterFn::Bin(bf)) => {
@@ -1534,28 +1537,6 @@ fn exec_rows<'r>(
             }
         }
 
-        OpKind::SliceCols { start, end } => {
-            let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
-            let w = end - start;
-            cx.map_rows(s(0), rows, total, buf, |or, xr| {
-                for h in 0..heads {
-                    or[h * w..(h + 1) * w].copy_from_slice(&xr[h * feat + start..h * feat + end]);
-                }
-            });
-        }
-        OpKind::EmbedCols {
-            start,
-            end,
-            total: tf,
-        } => {
-            let w = end - start;
-            cx.map_rows(s(0), rows, total, buf, |or, gr| {
-                or.fill(0.0);
-                for h in 0..op.heads {
-                    or[h * tf + start..h * tf + end].copy_from_slice(&gr[h * w..(h + 1) * w]);
-                }
-            });
-        }
         OpKind::HeadReduce(f) => {
             let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
             let scale = if *f == ReduceFn::Mean {
@@ -1569,14 +1550,6 @@ fn exec_rows<'r>(
                     for c in 0..feat {
                         or[c] += xr[h * feat + c] * scale;
                     }
-                }
-            });
-        }
-        OpKind::HeadBroadcast { heads } => {
-            cx.map_rows(s(0), rows, total, buf, |or, xr| {
-                let feat = xr.len();
-                for h in 0..*heads {
-                    or[h * feat..(h + 1) * feat].copy_from_slice(xr);
                 }
             });
         }
@@ -1595,16 +1568,6 @@ fn exec_rows<'r>(
                 }
             });
         }
-        OpKind::FeatBroadcast { feat } => {
-            cx.map_rows(s(0), rows, total, buf, |or, xr| {
-                for h in 0..op.heads {
-                    for c in 0..*feat {
-                        or[h * feat + c] = xr[h];
-                    }
-                }
-            });
-        }
-
         other => unreachable!("op {other:?} survived lowering but cannot tile"),
     }
 }
@@ -1664,18 +1627,8 @@ mod tests {
             srcs: [Src<'a>; MAX_SRCS],
             rows: Range<usize>,
         ) -> Vec<u32> {
-            let op = TileOp {
-                step: 0,
-                kind: kind.clone(),
-                space: Space::Edge,
-                cols,
-                heads: 1,
-                srcs: Vec::new(),
-                dins: vec![Dim::flat(cols); 2],
-                size: SlotSize::Tile,
-                pulls: false,
-                strip: 1,
-            };
+            let mut op = TileOp::new(0, kind.clone(), (Space::Edge, Dim::flat(cols)), Vec::new());
+            op.dins = vec![Dim::flat(cols); 2];
             let bound = OpBound { srcs, argmax: &[] };
             let mut out = vec![f32::NAN; rows.len() * cols];
             let read = Rows::new(cx, slots, base, stage);

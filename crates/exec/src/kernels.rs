@@ -55,7 +55,8 @@
 //! generators emit isolated vertices on purpose.
 
 use crate::contain;
-use gnnopt_core::{BinaryFn, Dim, EdgeGroup, ExecPolicy, ReduceFn, ScatterFn, UnaryFn};
+use gnnopt_core::view::PAD;
+use gnnopt_core::{BinaryFn, Dim, EdgeGroup, ExecPolicy, ReduceFn, ScatterFn, Space, UnaryFn};
 use gnnopt_graph::{Adjacency, Graph};
 use gnnopt_tensor::parallel::chunk_rows;
 use gnnopt_tensor::{pool, rowops, Tensor};
@@ -620,33 +621,29 @@ pub fn gaussian_bwd_sigma(
     out
 }
 
-/// Per-head column slice `[start, end)` (feat units).
-pub fn slice_cols(x: &Tensor, heads: usize, feat: usize, start: usize, end: usize) -> Tensor {
-    let w = end - start;
-    map_rows(x.rows(), heads * w, |or, r| {
-        let xr = x.row(r);
-        for h in 0..heads {
-            or[h * w..(h + 1) * w].copy_from_slice(&xr[h * feat + start..h * feat + end]);
-        }
-    })
+/// `x`, an operand in `space`, laid out through `map`
+/// ([`gnnopt_core::view::gather_map`]) as its reader sees it (`dim`):
+/// each row — a parameter's being the whole tensor — copies the columns
+/// the map names and writes a zero for [`PAD`].
+pub fn view(x: &Tensor, space: Space, dim: Dim, map: &[u32]) -> Tensor {
+    let (shape, width) = match space {
+        Space::Param => ([dim.heads, dim.feat], x.numel()),
+        _ => ([x.rows(), dim.total()], x.cols()),
+    };
+    let mut out = Tensor::zeros(&shape);
+    let rows = out.as_mut_slice().chunks_exact_mut(map.len().max(1));
+    for (o, xr) in rows.zip(x.as_slice().chunks_exact(width.max(1))) {
+        gather_row(o, xr, map);
+    }
+    out
 }
 
-/// Backward of [`slice_cols`]: embed into zero-padded columns.
-pub fn embed_cols(
-    grad: &Tensor,
-    heads: usize,
-    total_feat: usize,
-    start: usize,
-    end: usize,
-) -> Tensor {
-    let w = end - start;
-    map_rows(grad.rows(), heads * total_feat, |or, r| {
-        let gr = grad.row(r);
-        for h in 0..heads {
-            or[h * total_feat + start..h * total_feat + end]
-                .copy_from_slice(&gr[h * w..(h + 1) * w]);
-        }
-    })
+/// One row of [`view`].
+#[inline]
+pub(crate) fn gather_row(o: &mut [f32], x: &[f32], map: &[u32]) {
+    for (ov, &j) in o.iter_mut().zip(map) {
+        *ov = if j == PAD { 0.0 } else { x[j as usize] };
+    }
 }
 
 /// Head reduction `[N, h·f] → [N, f]` (`Sum` or `Mean`).
@@ -662,16 +659,6 @@ pub fn head_reduce(x: &Tensor, heads: usize, feat: usize, mean: bool) -> Tensor 
     })
 }
 
-/// Head broadcast `[N, f] → [N, h·f]`.
-pub fn head_broadcast(x: &Tensor, heads: usize) -> Tensor {
-    let feat = x.cols();
-    map_rows(x.rows(), heads * feat, |or, r| {
-        for h in 0..heads {
-            or[h * feat..(h + 1) * feat].copy_from_slice(x.row(r));
-        }
-    })
-}
-
 /// Per-head feature sum `[N, h·f] → [N, h]`.
 pub fn feat_sum(x: &Tensor, heads: usize, feat: usize) -> Tensor {
     map_rows(x.rows(), heads, |or, r| {
@@ -682,21 +669,10 @@ pub fn feat_sum(x: &Tensor, heads: usize, feat: usize) -> Tensor {
     })
 }
 
-/// Per-head feature broadcast `[N, h] → [N, h·f]`.
-pub fn feat_broadcast(x: &Tensor, heads: usize, feat: usize) -> Tensor {
-    map_rows(x.rows(), heads * feat, |or, r| {
-        let xr = x.row(r);
-        for h in 0..heads {
-            for c in 0..feat {
-                or[h * feat + c] = xr[h];
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnopt_core::view::{gather_map, Layout, Window};
     use gnnopt_graph::EdgeList;
 
     fn serial() -> ExecPolicy {
@@ -967,13 +943,38 @@ mod tests {
         }
     }
 
+    /// `x` of dim `d` in `space` through `chain`.
+    fn laid_out(x: &[&[f32]], space: Space, d: Dim, chain: &[Layout]) -> Vec<f32> {
+        let (dim, map) = gather_map(chain, d);
+        let x = Tensor::from_rows(x).unwrap();
+        view(&x, space, dim, &map).as_slice().to_vec()
+    }
+
     #[test]
     fn slice_embed_roundtrip() {
-        let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]).unwrap(); // 2 heads × 3
-        let s = slice_cols(&x, 2, 3, 1, 3);
-        assert_eq!(s.as_slice(), &[2.0, 3.0, 5.0, 6.0]);
-        let e = embed_cols(&s, 2, 3, 1, 3);
-        assert_eq!(e.as_slice(), &[0.0, 2.0, 3.0, 0.0, 5.0, 6.0]);
+        let window = |wide, rows| {
+            let (start, end, total) = (1, 3, 3);
+            [Layout::Window(Window {
+                start,
+                end,
+                total,
+                wide,
+                rows,
+            })]
+        };
+        let x: &[f32] = &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let s = laid_out(&[x], Space::Vertex, Dim::multi(2, 3), &window(false, false));
+        assert_eq!(s, [2.0, 3.0, 5.0, 6.0]);
+        let e = laid_out(&[&s], Space::Vertex, Dim::multi(2, 2), &window(true, false));
+        assert_eq!(e, [0.0, 2.0, 3.0, 0.0, 5.0, 6.0]);
+        // A parameter is one row: its row window is a run of the tensor.
+        let r = laid_out(
+            &[&x[..2], &x[2..4], &x[4..]],
+            Space::Param,
+            Dim::multi(3, 2),
+            &window(false, true),
+        );
+        assert_eq!(r, x[2..]);
     }
 
     #[test]
@@ -981,12 +982,17 @@ mod tests {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap(); // 2 heads × 2
         assert_eq!(head_reduce(&x, 2, 2, false).as_slice(), &[4.0, 6.0]);
         assert_eq!(head_reduce(&x, 2, 2, true).as_slice(), &[2.0, 3.0]);
-        let b = head_broadcast(&Tensor::from_rows(&[&[7.0, 8.0]]).unwrap(), 2);
-        assert_eq!(b.as_slice(), &[7.0, 8.0, 7.0, 8.0]);
         assert_eq!(feat_sum(&x, 2, 2).as_slice(), &[3.0, 7.0]);
+        let (one, v): (&[f32], _) = (&[7.0, 8.0], Space::Vertex);
+        let heads = [Layout::BroadcastHeads(2)];
         assert_eq!(
-            feat_broadcast(&Tensor::from_rows(&[&[3.0, 7.0]]).unwrap(), 2, 2).as_slice(),
-            &[3.0, 3.0, 7.0, 7.0]
+            laid_out(&[one], v, Dim::flat(2), &heads),
+            [7.0, 8.0, 7.0, 8.0]
+        );
+        let feat = [Layout::BroadcastFeat(2)];
+        assert_eq!(
+            laid_out(&[one], v, Dim::multi(2, 1), &feat),
+            [7.0, 7.0, 8.0, 8.0]
         );
     }
 

@@ -28,10 +28,11 @@ use crate::session::Bindings;
 use crate::{ExecError, Result};
 use gnnopt_core::memplan::kernel_phase;
 use gnnopt_core::{
-    ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn, Space,
+    view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn,
 };
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{GemmKernel, Tensor};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// What [`evaluate`] computed.
@@ -98,10 +99,12 @@ pub fn evaluate(
     for k in order {
         for &id in &k.nodes {
             let node = ir.node(id);
-            let mut inputs = Vec::with_capacity(node.inputs.len());
-            for &i in &node.inputs {
-                inputs.push(values.get(&i).ok_or_else(|| not_live(i))?);
+            let mut viewed = Vec::with_capacity(node.inputs.len());
+            for (pos, &i) in node.inputs.iter().enumerate() {
+                let x = values.get(&i).ok_or_else(|| not_live(i))?;
+                viewed.push(laid_out(ir, id, pos, x));
             }
+            let inputs: Vec<&Tensor> = viewed.iter().map(|x| x.as_ref()).collect();
             // A `Gather(Max)` records the argmax table its dual routes by.
             let t = match node.kind {
                 OpKind::Gather {
@@ -142,9 +145,23 @@ pub fn evaluate(
     })
 }
 
+/// `x`, node `id`'s input `pos`, as the node reads it: through its
+/// layouts ([`IrGraph::read_layouts`]) — a copy unless they only relabel.
+fn laid_out<'t>(ir: &IrGraph, id: NodeId, pos: usize, x: &'t Tensor) -> Cow<'t, Tensor> {
+    let input = ir.node(ir.node(id).inputs[pos]);
+    let layouts: Vec<_> = ir.read_layouts(id, pos).collect();
+    if view::is_free(&layouts, input.dim, input.space) {
+        return Cow::Borrowed(x);
+    }
+    let (dim, map) = view::gather_map(&layouts, input.dim);
+    Cow::Owned(kernels::view(x, input.space, dim, &map))
+}
+
 /// Executes one op over full tensors with the reference kernels.
 ///
-/// `inputs` are the node's operands in IR input order.
+/// `inputs` are the node's operands in IR input order, each already read
+/// through the node's layouts (a terminal `View`'s own included, so its
+/// result is a copy of its operand).
 ///
 /// Hosts the `refexec` failpoint (`GNNOPT_FAILPOINTS`): `panic` unwinds
 /// with an injected payload (contained at kernel dispatch), `nan` runs
@@ -157,6 +174,7 @@ pub fn evaluate(
 /// executed) and for a [`OpKind::GatherMaxBwd`], whose forward argmax
 /// table only [`evaluate`] holds; tensor-shape violations surface as
 /// [`ExecError::Tensor`].
+#[allow(clippy::too_many_lines)]
 pub(crate) fn exec_op(
     pol: &ExecPolicy,
     g: &Graph,
@@ -165,34 +183,17 @@ pub(crate) fn exec_op(
     inputs: &[&Tensor],
 ) -> Result<Tensor> {
     use gnnopt_tensor::fault::{self, FaultAction};
-    match fault::check("refexec") {
-        None => exec_op_inner(pol, g, ir, node, inputs),
+    let nan = match fault::check("refexec") {
+        None => false,
         Some(FaultAction::Panic) => std::panic::panic_any(fault::injected_panic_message("refexec")),
-        Some(FaultAction::Nan) => {
-            let mut t = exec_op_inner(pol, g, ir, node, inputs)?;
-            if let Some(v) = t.as_mut_slice().first_mut() {
-                *v = f32::NAN;
-            }
-            Ok(t)
+        Some(FaultAction::Nan) => true,
+        Some(_) => {
+            let site = "refexec".into();
+            return Err(ExecError::Injected { site });
         }
-        Some(_) => Err(ExecError::Injected {
-            site: "refexec".into(),
-        }),
-    }
-}
-
-/// [`exec_op`] without the failpoint: also how a launch evaluates its
-/// prelude views, which are no kernel dispatch of their own.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn exec_op_inner(
-    pol: &ExecPolicy,
-    g: &Graph,
-    ir: &IrGraph,
-    node: &Node,
-    inputs: &[&Tensor],
-) -> Result<Tensor> {
-    let din = |i: usize| ir.node(node.inputs[i]).dim;
-    let out = match &node.kind {
+    };
+    let din = |i: usize| ir.input_dim(node.id, i);
+    let mut out = match &node.kind {
         OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed => {
             return Err(ExecError::ValueNotLive {
                 node: node.name.clone(),
@@ -253,53 +254,14 @@ pub(crate) fn exec_op_inner(
         OpKind::GatherMeanBwd { group } => kernels::gather_mean_bwd(g, *group, inputs[0]),
         OpKind::EdgeSoftmaxBwd => kernels::edge_softmax_bwd(g, inputs[0], inputs[1]),
 
-        OpKind::SliceCols { start, end } => {
-            // Parameters store heads as rows ([heads, feat]), so the
-            // per-head slice degenerates to a per-row column slice.
-            if ir.node(node.inputs[0]).space == Space::Param {
-                kernels::slice_cols(inputs[0], 1, din(0).feat, *start, *end)
-            } else {
-                kernels::slice_cols(inputs[0], din(0).heads, din(0).feat, *start, *end)
-            }
-        }
-        OpKind::EmbedCols { start, end, total } => {
-            if node.space == Space::Param {
-                kernels::embed_cols(inputs[0], 1, *total, *start, *end)
-            } else {
-                kernels::embed_cols(inputs[0], node.dim.heads, *total, *start, *end)
-            }
-        }
-        // (Rows `start..end` are one contiguous run: no index list.)
-        OpKind::SliceRows { start, end } => {
-            let (x, cols) = (inputs[0], inputs[0].cols());
-            if *end > x.rows() {
-                return Err(gnnopt_tensor::TensorError::IndexOutOfBounds {
-                    index: x.rows().max(*start),
-                    len: x.rows(),
-                }
-                .into());
-            }
-            let mut out = Tensor::zeros(&[end - start, cols]);
-            out.as_mut_slice()
-                .copy_from_slice(&x.as_slice()[start * cols..end * cols]);
-            out
-        }
-        OpKind::EmbedRows { start, end, total } => {
-            let gr = inputs[0];
-            let mut out = Tensor::zeros(&[*total, node.dim.feat]);
-            for (i, r) in (*start..*end).enumerate() {
-                out.row_mut(r).copy_from_slice(gr.row(i));
-            }
-            out
-        }
-
-        OpKind::SetHeads { .. } => inputs[0].clone(),
+        OpKind::View(_) => inputs[0].clone(),
         OpKind::HeadReduce(f) => {
             kernels::head_reduce(inputs[0], din(0).heads, din(0).feat, *f == ReduceFn::Mean)
         }
-        OpKind::HeadBroadcast { heads } => kernels::head_broadcast(inputs[0], *heads),
         OpKind::FeatSum => kernels::feat_sum(inputs[0], din(0).heads, din(0).feat),
-        OpKind::FeatBroadcast { feat } => kernels::feat_broadcast(inputs[0], node.dim.heads, *feat),
     };
+    if let Some(v) = out.as_mut_slice().first_mut().filter(|_| nan) {
+        *v = f32::NAN;
+    }
     Ok(out)
 }

@@ -310,19 +310,19 @@ fn warmed_forward_backward_loop_never_misses_the_pool() {
     }
 }
 
-/// Segment-granular liveness on the paper's headline model: GAT's
-/// feature-gradient kernel streams its wide `BySrc` gather (stage 1, the
-/// last reader of the incoming gradient copy) and then sums the three
-/// gradient contributions into its output (stage 2). The input dies
-/// where it was last read and the output is born where it is produced,
-/// so the output takes the input's slot — same offset, disjoint stages —
-/// and the `V[heads·feat]` size class holds one slot fewer than
-/// kernel-granular positions would charge it.
+/// Segment-granular liveness on APPNP's propagation backward: each
+/// hop's gradient kernel streams its wide `BySrc` gather (stage 0, the
+/// last reader of the incoming hop gradient) and then applies the
+/// activation's backward to it (stage 1). The input dies where it was
+/// last read and the output is born where it is produced, so the output
+/// takes the input's slot — same offset, disjoint stages — and the
+/// `V[feat]` size class holds one slot fewer than kernel-granular
+/// positions would charge it.
 #[test]
-fn gat_backward_output_reuses_the_slot_its_dying_input_released() {
+fn a_backward_output_reuses_the_slot_its_dying_input_released() {
     use gnnopt_core::lower::UnitKind;
     use gnnopt_core::{plan_memory, MemRegion};
-    let (_, spec) = zoo().swap_remove(0);
+    let spec = gnnopt_models::appnp(&gnnopt_models::AppnpConfig::standard(6, 4, 3)).unwrap();
     let plan = compile(&spec.ir, true, &CompileOptions::ours())
         .unwrap()
         .plan;
@@ -330,15 +330,25 @@ fn gat_backward_output_reuses_the_slot_its_dying_input_released() {
     let kinds = |p: &gnnopt_core::KernelProgram| p.units.iter().map(|u| u.kind).collect::<Vec<_>>();
     let streams =
         |p: &&gnnopt_core::KernelProgram| kinds(p) == [UnitKind::Streamed, UnitKind::Tile];
-    let prog = plan.programs.iter().find(streams).expect("the k9 shape");
-    let span = mp.kernel_positions(prog.kernel);
+    let dies = |n, p| mp.regions.iter().any(|r| r.node == n && r.death == p);
+    // The input released after stage 0, the output born at stage 1.
+    let dying = |p: &gnnopt_core::KernelProgram| {
+        let at_0 = mp.kernel_positions(p.kernel).start;
+        let mut ins = p.inputs.iter();
+        ins.find(|&&(n, at)| at == 0 && dies(n, at_0))
+            .map(|&(n, _)| n)
+    };
+    let prog = plan
+        .programs
+        .iter()
+        .filter(streams)
+        .find(|p| dying(p).is_some());
+    let prog = prog.expect("a hop's shape");
+    let (span, input) = (mp.kernel_positions(prog.kernel), dying(prog).unwrap());
     let region = |n| mp.regions.iter().find(|r| r.node == n).unwrap();
-    // The input released after stage 1, the output born at stage 2.
-    let dying = |&&(n, at): &&(usize, usize)| at == 1 && region(n).death == span.start + 1;
-    let &(input, _) = prog.inputs.iter().find(dying).expect("a stage-1 release");
     let output = prog.materialized().next().expect("one boundary value");
     let (r_in, r_out) = (region(input), region(output));
-    assert_eq!(r_out.birth, span.start + 2, "born with its segment");
+    assert_eq!(r_out.birth, span.start + 1, "born with its segment");
     assert_eq!(
         (r_out.offset, r_out.bytes),
         (r_in.offset, r_in.bytes),
@@ -373,11 +383,7 @@ fn gat_backward_output_reuses_the_slot_its_dying_input_released() {
         .find(|&&(bytes, _)| bytes == r_in.bytes)
         .unwrap()
         .1;
-    assert_eq!(
-        slots + 1,
-        kernel_granular,
-        "one 16.8 MB buffer of RMAT-16's nine"
-    );
+    assert_eq!(slots + 1, kernel_granular, "one buffer of the class fewer");
 }
 
 /// The planner reads the stage table the interpreter runs by, zoo-wide:

@@ -147,8 +147,8 @@ proptest! {
 
 // ---- Aliased copies, slot sizes and streamed segments -------------------
 //
-// The compiler aliases scratch-class pure copies (`Scatter(CopyU|CopyV)`,
-// `SetHeads`) to indexed reads of their source, runs contiguous
+// The compiler aliases scratch-class pure copies (`Scatter(CopyU|CopyV)`)
+// to indexed reads of their source, runs contiguous
 // elementwise steps as one call per tile, gives a step whose single
 // reader takes each row once a row-sized slot (a strip of at most
 // `STRIP_ROWS` rows) instead of a tile-sized one, writes boundary values
@@ -207,10 +207,7 @@ fn steps_of(plan: &ExecutionPlan, pick: impl Fn(&OpKind) -> bool) -> Vec<Storage
 }
 
 fn is_copy(k: &OpKind) -> bool {
-    matches!(
-        k,
-        OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) | OpKind::SetHeads { .. }
-    )
+    matches!(k, OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV))
 }
 
 /// Runs `plan` under threads {1, 4} × tile budgets {1, 7, 4096} against
@@ -230,10 +227,8 @@ fn check_against_oracle(plan: &ExecutionPlan, graph: &Graph, b: &Bindings) -> Ru
     one_tile.expect("the serial one-tile run is in the sweep")
 }
 
-/// `SetHeads → CopyV → Binary`: an alias of an alias — the head-broadcast
-/// `Binary` reads `h[dst(e)]` directly. (Fusion cuts a kernel after an
-/// edge-space `SetHeads`, so this is the order a chain takes in one
-/// kernel.)
+/// `set_heads → CopyV → Binary`: a copy read through a relabel — the
+/// head-broadcast `Binary` reads `h[dst(e)]` directly, two heads of it.
 #[test]
 fn chained_alias_feeds_a_broadcast_binary() {
     let g = small_graph();
@@ -249,8 +244,8 @@ fn chained_alias_feeds_a_broadcast_binary() {
     assert_eq!(plan.programs.len(), 1, "one fused kernel");
     assert_eq!(
         steps_of(&plan, is_copy),
-        vec![Storage::Scratch, Storage::Scratch],
-        "both copies are kernel-internal, so both alias away"
+        vec![Storage::Scratch],
+        "the relabel is the copy's read, not a step; the copy aliases away"
     );
     let b = Bindings::new()
         .with("h", fill(g.num_vertices(), 6, 1))
@@ -258,7 +253,7 @@ fn chained_alias_feeds_a_broadcast_binary() {
     let stats = check_against_oracle(&plan, &g, &b);
     assert_eq!(
         stats.scratch_bytes, 0,
-        "neither copy holds a slot, the gather folds the product and \
+        "the copy holds no slot, the gather folds the product and \
          writes the output's rows in place"
     );
 }
@@ -312,14 +307,13 @@ fn materialized_copy_is_still_written() {
     check_against_oracle(&plan, &g, &b);
 }
 
-/// A copy read in its own segment (`ByDst` gather) *and* by a later one
-/// (the `BySrc` full step) spills to an interior tensor: written for the
-/// later reader, never streamed (it has two consumers), slot-read by the
-/// in-segment one. (The copy is a `SetHeads`: a shared `CopyU`/`CopyV`
-/// is duplicated per consumer before fusion, and a copy the `BySrc`
-/// gather alone reads streams into it.)
+/// A relabelled copy read in its own segment (`ByDst` gather) *and* by a
+/// later one (the `BySrc` full step): the relabel sits on the readers'
+/// edges, so the copy has two readers and each gets a private duplicate —
+/// the by-destination one an alias, the by-source one streamed into its
+/// gather. No copy becomes a tensor.
 #[test]
-fn copy_read_in_segment_and_by_a_later_segment_spills() {
+fn a_relabelled_copy_read_by_two_segments_is_duplicated() {
     let g = small_graph();
     let mut ir = IrGraph::new();
     let h = ir.input_vertex("h", Dim::flat(3));
@@ -332,14 +326,15 @@ fn copy_read_in_segment_and_by_a_later_segment_spills() {
     ir.mark_output(out);
     let plan = plan_of(&ir, false);
     let copies = steps_of(&plan, is_copy);
-    assert!(
-        copies.contains(&Storage::Interior) || copies.contains(&Storage::Materialized),
-        "the doubly-read copy is a real tensor, got {copies:?}"
+    assert_eq!(
+        copies,
+        vec![Storage::Scratch; 2],
+        "one private copy a reader"
     );
     assert_eq!(
         plan.programs.iter().flat_map(|p| p.streamed()).count(),
-        0,
-        "a chain with a reader outside it does not stream"
+        1,
+        "the by-source gather's copy streams into it"
     );
     let b = Bindings::new().with("h", fill(g.num_vertices(), 3, 6));
     check_against_oracle(&plan, &g, &b);

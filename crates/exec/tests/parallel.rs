@@ -13,8 +13,8 @@
 //! Random graphs include isolated vertices on purpose, so the empty-group
 //! identity rows are covered by the bitwise comparison too.
 
-use gnnopt_core::lower::{is_streamed_gather, StepExec, Storage};
-use gnnopt_core::view::gather_max_bwd_group;
+use gnnopt_core::lower::{is_streamed_gather, StepExec};
+use gnnopt_core::view::{gather_max_bwd_group, Layout};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
     IrGraph, Node, OpKind, ReduceFn, ScatterFn, UnaryFn,
@@ -187,34 +187,40 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
         ("head_dot_bwd_input", |_, n| {
             n.kind == OpKind::HeadDotBwdInput
         }),
-        ("slice_cols", |_, n| {
-            matches!(n.kind, OpKind::SliceCols { .. })
-        }),
-        ("embed_cols", |_, n| {
-            matches!(n.kind, OpKind::EmbedCols { .. })
-        }),
-        ("set_heads", |_, n| {
-            matches!(n.kind, OpKind::SetHeads { .. })
-        }),
         ("head_reduce", |_, n| {
             matches!(n.kind, OpKind::HeadReduce(_))
         }),
-        ("head_broadcast", |_, n| {
-            matches!(n.kind, OpKind::HeadBroadcast { .. })
-        }),
         ("feat_sum", |_, n| n.kind == OpKind::FeatSum),
-        ("feat_broadcast", |_, n| {
-            matches!(n.kind, OpKind::FeatBroadcast { .. })
+        // The layouts a tile op reads its operands through.
+        ("read through a relabel", |_, n| {
+            reads(n, |l| matches!(l, Layout::Heads(_)))
+        }),
+        ("read through a window", |_, n| {
+            reads(n, |l| matches!(l, Layout::Window(w) if !w.wide))
+        }),
+        ("read through a padded window", |_, n| {
+            reads(n, |l| matches!(l, Layout::Window(w) if w.wide))
+        }),
+        ("read through a head broadcast", |_, n| {
+            reads(n, |l| matches!(l, Layout::BroadcastHeads(_)))
+        }),
+        ("read through a feature broadcast", |_, n| {
+            reads(n, |l| matches!(l, Layout::BroadcastFeat(_)))
         }),
     ]
 }
 
+/// `n` reads an operand through a layout `is` picks.
+fn reads(n: &Node, is: fn(&Layout) -> bool) -> bool {
+    n.layouts.iter().any(|(_, l)| is(l))
+}
+
 /// The graph-space ops of `plan` that run in the tile driver, each alone
-/// in its kernel (a parameter-view prelude beside it at most).
+/// in its kernel.
 fn lone_tile_ops(plan: &ExecutionPlan) -> Vec<&Node> {
     let mut ops = Vec::new();
     for prog in &plan.programs {
-        let mut steps = prog.steps.iter().filter(|s| s.storage != Storage::Prelude);
+        let mut steps = prog.steps.iter();
         let (Some(s), None) = (steps.next(), steps.next()) else {
             panic!("kernel {} holds more than one op", prog.kernel);
         };

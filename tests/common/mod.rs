@@ -94,7 +94,7 @@ pub fn build_ir(steps: &[Step], feat: usize) -> IrGraph {
     let mut cur = h;
     let mut linear_count = 0;
     let half = feat / 2;
-    let even = feat % 2 == 0;
+    let even = feat.is_multiple_of(2);
     for (i, s) in steps.iter().enumerate() {
         let space = g.node(cur).space;
         cur = match (s, space) {

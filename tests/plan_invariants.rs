@@ -187,7 +187,7 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
                 let plan = &compiled.plan;
                 for (kid, prog) in plan.programs.iter().enumerate() {
                     let stages = mp.kernel_positions(kid);
-                    assert_eq!(stages.len(), 1 + prog.units.len(), "{name}: kernel {kid}");
+                    assert_eq!(stages.len(), prog.units.len(), "{name}: kernel {kid}");
                     let born = |r: &&MemRegion| stages.contains(&r.birth) && r.death >= r.birth;
                     let regions_of = |n| {
                         mp.regions
