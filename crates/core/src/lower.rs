@@ -973,8 +973,11 @@ fn staged(ir: &IrGraph, u: &mut Unit, si: usize, id: NodeId, pos: usize, x: Oper
         return x;
     }
     let (dim, map) = view::gather_map(&layouts, input.dim);
-    // Staged whole, read at the pin — or, a gather dual, which finds its
-    // group vertex through the pin, staged a vertex at a time.
+    // A stage lays out rows at its reader's row — of edges, for an
+    // endpoint read — so the reader reads it at its own row. A tensor
+    // staged whole keeps the read's pin, and so does a gather dual, which
+    // finds its group vertex through the pin: its stage lays out one
+    // vertex row a pull.
     let whole = u.kind == UnitKind::Dense || input.space == Space::Param;
     let dual = matches!(
         reader.kind,
