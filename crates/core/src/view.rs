@@ -236,6 +236,7 @@ pub struct Window {
 pub enum Layout {
     /// The row's columns relabelled as `heads` heads.
     Heads(usize),
+    /// A [`Window`] of features or parameter rows.
     Window(Window),
     /// One head read as `heads` (stride 0).
     BroadcastHeads(usize),
