@@ -56,6 +56,10 @@ pub enum Step {
     SplitProjection,
     /// Two heads summed into one and broadcast back.
     HeadBroadcast,
+    /// A per-head score through an `[h, f]` parameter (two heads at an
+    /// even width, else one), feature-broadcast back and multiplied into
+    /// the running tensor.
+    HeadDot,
 }
 
 /// A strategy over random step sequences.
@@ -77,6 +81,7 @@ pub fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             Just(Step::ColWindow),
             Just(Step::SplitProjection),
             Just(Step::HeadBroadcast),
+            Just(Step::HeadDot),
         ],
         1..14,
     )
@@ -124,6 +129,14 @@ pub fn build_ir(steps: &[Step], feat: usize) -> IrGraph {
                 let one = g.head_reduce(ReduceFn::Sum, split).unwrap();
                 let both = g.head_broadcast(one, 2).unwrap();
                 g.set_heads(both, 1).unwrap()
+            }
+            (Step::HeadDot, _) => {
+                let heads = if even { 2 } else { 1 };
+                let split = g.set_heads(cur, heads).unwrap();
+                let a = g.param(&format!("a{i}"), heads, feat / heads);
+                let score = g.head_dot(split, a).unwrap();
+                let y = g.binary(BinaryFn::Mul, split, score).unwrap();
+                g.set_heads(y, 1).unwrap()
             }
             (Step::ScatterSub, Space::Vertex) => {
                 g.scatter(ScatterFn::Bin(BinaryFn::Sub), cur, cur).unwrap()

@@ -2,12 +2,13 @@
 //! locality permutes the graph and the bindings with `gnnopt-reorder`
 //! and runs an ordinary session on the result. On *randomly generated*
 //! model IRs that must be invisible — outputs moved back to the caller's
-//! order are bit-identical to the identity-order run.
+//! order are bit-identical to the identity-order run, unless a
+//! source-grouped sum reads its edges in the relabelled order.
 
 mod common;
 
 use common::{arb_steps, build_ir, oracle};
-use gnnopt::core::{compile, CompileOptions, ExecPolicy, IrGraph, OpKind};
+use gnnopt::core::{compile, CompileOptions, EdgeGroup, ExecPolicy, IrGraph, OpKind, ReduceFn};
 use gnnopt::exec::{Bindings, EnvOverrides, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::reorder::{strategies, Permutation};
@@ -54,6 +55,18 @@ proptest! {
         let vals = leaf_values(&ir, &g, seed);
         let (ref_out, ref_grads) = oracle(&ir, &vals, &g);
         let compiled = compile(&ir, true, &CompileOptions::ours()).expect("compiles");
+        // The relabelling keeps every destination group's edge order, but
+        // not a source group's: its out-edges follow the new destination
+        // ids, so a source-grouped sum adds in another order.
+        let sums_by_src = ir.nodes().iter().any(|n| {
+            matches!(
+                n.kind,
+                OpKind::Gather {
+                    reduce: ReduceFn::Sum | ReduceFn::Mean,
+                    group: EdgeGroup::BySrc
+                }
+            )
+        });
 
         let el = g.edge_list();
         for (name, perm) in [
@@ -88,16 +101,22 @@ proptest! {
                 let out = sess.forward(&b).expect("forward");
                 // A seed of ones is its own permutation.
                 let grads = sess.backward(Tensor::ones(out[0].shape())).expect("backward");
-                prop_assert_eq!(
-                    bits(&ref_out),
-                    bits(&perm.unpermute_tensor_rows(&out[0])),
-                    "{}/t{}: output must be bit-identical",
-                    name, threads
-                );
-                // The one tolerance in the repository's session suites:
-                // the stable relabeling keeps every per-destination
-                // reduction order (hence the bit-equal outputs), but a
-                // parameter gradient sums *across* rows, and that sum
+                let got = perm.unpermute_tensor_rows(&out[0]);
+                if sums_by_src {
+                    prop_assert!(
+                        ref_out.allclose_with(&got, 1e-5, 1e-4),
+                        "{}/t{}: output off by {}",
+                        name, threads, ref_out.max_abs_diff(&got)
+                    );
+                } else {
+                    prop_assert_eq!(
+                        bits(&ref_out),
+                        bits(&got),
+                        "{}/t{}: output must be bit-identical",
+                        name, threads
+                    );
+                }
+                // A parameter gradient sums *across* rows, and that sum
                 // now runs in the relabeled row order.
                 for (k, gr) in &ref_grads {
                     prop_assert!(
