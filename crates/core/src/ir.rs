@@ -468,15 +468,15 @@ impl IrGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::Incompatible`] unless `a` matches `x`'s `[heads,
-    /// feat]`.
+    /// Returns [`IrError::Incompatible`] unless `a` is a parameter
+    /// matching the `[heads, feat]` of `x`, which is not one.
     pub fn head_dot(&mut self, x: NodeId, a: NodeId) -> Result<NodeId> {
         let nx = self.check(x)?.clone();
         let na = self.check(a)?.clone();
-        if na.space != Space::Param || na.dim.heads != nx.dim.heads || na.dim.feat != nx.dim.feat {
+        if (na.space, nx.space == Space::Param, na.dim) != (Space::Param, false, nx.dim) {
             return Err(IrError::Incompatible {
                 op: "head_dot".into(),
-                detail: format!("param {:?} vs input {:?}", na.dim, nx.dim),
+                detail: format!("{:?} {:?} vs {:?} {:?}", na.space, na.dim, nx.space, nx.dim),
             });
         }
         Ok(self.push(
@@ -497,7 +497,8 @@ impl IrGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::Incompatible`] on mismatched kernel shapes.
+    /// Returns [`IrError::Incompatible`] on mismatched kernel shapes or
+    /// a `mu` / `inv_sigma` that is not a parameter.
     pub fn gaussian_weight(
         &mut self,
         pseudo: NodeId,
@@ -513,12 +514,15 @@ impl IrGraph {
                 detail: "pseudo-coordinates must be single-head edge features".into(),
             });
         }
-        if nm.dim != ns.dim || nm.dim.feat != np.dim.feat {
+        if (nm.space, ns.space) != (Space::Param, Space::Param)
+            || nm.dim != ns.dim
+            || nm.dim.feat != np.dim.feat
+        {
             return Err(IrError::Incompatible {
                 op: "gaussian_weight".into(),
                 detail: format!(
-                    "mu {:?} / sigma {:?} vs pseudo {:?}",
-                    nm.dim, ns.dim, np.dim
+                    "mu {:?} {:?} / sigma {:?} {:?} vs pseudo {:?}",
+                    nm.space, nm.dim, ns.space, ns.dim, np.dim
                 ),
             });
         }
@@ -702,6 +706,32 @@ mod tests {
         assert_eq!(g.node(y).dim, Dim::multi(4, 16));
         let bad = g.input_vertex("bad", Dim::multi(4, 8));
         assert!(g.binary(BinaryFn::Add, a, bad).is_err());
+    }
+
+    /// A head-dot projects data through a parameter: a parameter `x`
+    /// (whose rows a tile would read past) is refused.
+    #[test]
+    fn head_dot_refuses_a_parameter_input() {
+        let mut g = IrGraph::new();
+        let (a, b) = (g.param("a", 2, 3), g.param("b", 2, 3));
+        assert!(g.head_dot(a, b).is_err());
+        let h = g.input_vertex("h", Dim::multi(2, 3));
+        assert!(g.head_dot(h, h).is_err(), "a data `a`");
+        let s = g.head_dot(h, b).unwrap();
+        assert_eq!(g.node(s).dim, Dim::multi(2, 1));
+    }
+
+    /// The Gaussian kernels are parameters read whole at every edge: an
+    /// edge-space `mu` or `inv_sigma` is refused.
+    #[test]
+    fn gaussian_weight_refuses_edge_space_kernels() {
+        let mut g = IrGraph::new();
+        let p = g.input_edge("p", Dim::flat(2));
+        let (mu, sigma) = (g.param("mu", 3, 2), g.param("sigma", 3, 2));
+        let edge_mu = g.input_edge("edge_mu", Dim::multi(3, 2));
+        assert!(g.gaussian_weight(p, edge_mu, sigma).is_err());
+        assert!(g.gaussian_weight(p, mu, edge_mu).is_err());
+        assert!(g.gaussian_weight(p, mu, sigma).is_ok());
     }
 
     #[test]
