@@ -329,7 +329,7 @@ fn bench_wide_rows(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three `Linear`-family products at the shapes a GNN layer gives
+/// The two `Linear`-family products at the shapes a GNN layer gives
 /// them — tall and skinny, `|V| × k` against `k × n` — on one thread,
 /// with the left operand dense and at ReLU density (half exact zeros).
 /// Density is the axis gnnbench's `tensor.gemm_gflops_linear` probe
@@ -350,7 +350,6 @@ fn bench_gemm_gnn_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_gnn_shapes");
     for (k, n) in [(256usize, 128usize), (128, 64), (64, 32)] {
         let w = values([k, n], 1, false);
-        let wt = w.transpose();
         let g = values([V, n], 2, false);
         for (density, relu) in [("dense", false), ("relu50", true)] {
             let h = values([V, k], 3, relu);
@@ -361,9 +360,6 @@ fn bench_gemm_gnn_shapes(c: &mut Criterion) {
             });
             group.bench_function(id("matmul_tn"), |b| {
                 b.iter(|| h.matmul_tn_with_threads(&g, blocked, 1).expect("hᵀ·G"));
-            });
-            group.bench_function(id("matmul_nt"), |b| {
-                b.iter(|| h.matmul_nt_with_threads(&wt, blocked, 1).expect("h·(Wᵀ)ᵀ"));
             });
         }
     }

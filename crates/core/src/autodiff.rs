@@ -121,18 +121,13 @@ fn backprop_node(
     match node.kind.clone() {
         OpKind::InputVertex | OpKind::InputEdge | OpKind::GradSeed | OpKind::Param => {}
 
+        // `∂x = g · Wᵀ`: a `Linear` through the transposed weight.
         OpKind::Linear => {
             let (x, w) = (ins[0], ins[1]);
             if g.node(x).requires_grad {
-                let xd = g.node(x).dim;
-                let xs = g.node(x).space;
-                let gx = g.push_raw(
-                    OpKind::LinearBwdInput,
-                    vec![grad, w],
-                    xs,
-                    xd,
-                    "linear_bwd_input",
-                );
+                let (xd, xs) = (g.node(x).dim, g.node(x).space);
+                let wt = g.view(w, Layout::Transpose)?;
+                let gx = g.push_raw(OpKind::Linear, vec![grad, wt], xs, xd, "linear");
                 add_contrib(g, contrib, x, gx);
             }
             if g.node(w).requires_grad {
@@ -148,17 +143,14 @@ fn backprop_node(
             }
         }
 
+        // `∂x[.,h,j] = g[.,h] · a[h,j]`: the score feature-broadcast
+        // times the parameter, read whole at every row.
         OpKind::HeadDot => {
             let (x, a) = (ins[0], ins[1]);
             if g.node(x).requires_grad {
                 let (xd, xs) = (g.node(x).dim, g.node(x).space);
-                let gx = g.push_raw(
-                    OpKind::HeadDotBwdInput,
-                    vec![grad, a],
-                    xs,
-                    xd,
-                    "head_dot_bwd_input",
-                );
+                let mul = OpKind::Binary(BinaryFn::Mul);
+                let gx = g.push_raw(mul, vec![grad, a], xs, xd, "binary_Mul");
                 add_contrib(g, contrib, x, gx);
             }
             if g.node(a).requires_grad {
@@ -374,7 +366,8 @@ fn backprop_node(
         }
 
         // Transposition: a window's dual is the padded window (and back),
-        // a relabel's the relabel back, a broadcast's the reduction.
+        // a relabel's the relabel back, a transpose's the transpose, a
+        // broadcast's the reduction.
         OpKind::View(layout) => {
             let x = ins[0];
             let xd = g.node(x).dim;
@@ -383,6 +376,7 @@ fn backprop_node(
                 Layout::Window(w) => g.view(grad, Layout::Window(Window { wide: !w.wide, ..w }))?,
                 Layout::BroadcastHeads(_) => g.head_reduce(ReduceFn::Sum, grad)?,
                 Layout::BroadcastFeat(_) => g.feat_sum(grad)?,
+                Layout::Transpose => g.view(grad, Layout::Transpose)?,
             };
             add_contrib(g, contrib, x, gx);
         }

@@ -71,8 +71,6 @@ impl<'a> CostModel<'a> {
 
             // y = x·W: 2·rows·d_in·d_out multiply-adds.
             OpKind::Linear => 2 * self.rows(node) * inputs[0].dim.total() as u64 * total,
-            // ∂x = g·Wᵀ: same work as forward.
-            OpKind::LinearBwdInput => 2 * self.rows(node) * inputs[0].dim.total() as u64 * total,
             // ∂W = xᵀ·g: reduces over the data rows of x.
             OpKind::LinearBwdWeight => {
                 2 * self.rows(inputs[0]) * node.dim.heads as u64 * node.dim.feat as u64
@@ -86,7 +84,7 @@ impl<'a> CostModel<'a> {
 
             // Per-head dot products touch heads·feat elements per row of
             // the non-param operand.
-            OpKind::HeadDot | OpKind::HeadDotBwdInput | OpKind::HeadDotBwdParam => {
+            OpKind::HeadDot | OpKind::HeadDotBwdParam => {
                 let data = inputs
                     .iter()
                     .find(|i| i.space != Space::Param)

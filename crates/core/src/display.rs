@@ -244,7 +244,7 @@ fn operand_label(prog: &KernelProgram, unit: &Unit, o: &Operand) -> String {
         Data::Full(FullSource::SoftmaxDenom(id)) => format!("denom(%{id})"),
     };
     let pin = match o.at {
-        RowAt::Own => "",
+        RowAt::Own | RowAt::Whole => "",
         RowAt::SrcV => "@src",
         RowAt::DstV => "@dst",
     };

@@ -317,6 +317,7 @@ fn regions_unfused(ir: &IrGraph) -> Vec<Option<usize>> {
 fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
     let mut region: Vec<Option<usize>> = vec![None; ir.len()];
     let mut next = 0usize;
+    let consumers = ir.consumers();
     for n in ir.nodes() {
         if !is_compute(ir, n.id) {
             continue;
@@ -326,10 +327,17 @@ fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
             next += 1;
             continue;
         }
+        // A value an expensive op reads leaves its kernel anyway: a
+        // row-local vertex op does not join that kernel through it but
+        // runs with its own readers, so its output is not written (GAT's
+        // head-dot input duals join the feature gradient's sum).
+        let row_local = n.space == Space::Vertex && !n.kind.is_graph_op();
+        let dense_reads = |i: NodeId| consumers[i].iter().any(|&c| !is_fusible(ir, c));
         let mut cands: Vec<usize> = n
             .inputs
             .iter()
             .filter(|&&i| is_fusible(ir, i) && ir.node(i).phase == n.phase)
+            .filter(|&&i| !(row_local && dense_reads(i)))
             .filter_map(|&i| region[i])
             .collect();
         cands.sort_unstable();
@@ -647,8 +655,12 @@ fn try_build_kernels(
             }
         })
         .collect();
-    // Deterministic provisional order by first member id.
-    kernels.sort_by_key(|k| k.nodes[0]);
+    // Deterministic provisional order by last member id: a kernel runs
+    // where the last op it holds falls in program order. (By the first,
+    // a kernel holding an early op and a late one ran ahead of the
+    // kernels in between, so what they are the last to read stayed alive
+    // across it.)
+    kernels.sort_by_key(|k| k.nodes.last().copied());
 
     // Kahn toposort of the kernel DAG (ties broken by provisional order).
     let mut owner: HashMap<NodeId, usize> = HashMap::new();

@@ -106,7 +106,7 @@
 //!   own segment;
 //! * what is left runs as a [`StepExec::Full`] step through the op
 //!   library's dense dispatch, a segment of its own, and is neither a
-//!   graph op nor row-local: the GEMMs (`Linear` and its backward duals),
+//!   graph op nor row-local: the GEMMs (`Linear` and `LinearBwdWeight`),
 //!   the cross-row parameter reductions (`HeadDotBwdParam`,
 //!   `GaussianBwdMu` / `GaussianBwdSigma`) and parameter-space compute —
 //!   the combination half of the aggregation/combination split;
@@ -119,7 +119,7 @@
 use crate::ir::IrGraph;
 use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space};
 use crate::plan::{ExecutionPlan, Kernel};
-use crate::view::{self, Layout};
+use crate::view::{self, Layout, View};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Where a program step's output lives during tiled execution.
@@ -208,6 +208,9 @@ pub enum RowAt {
     /// `CopyU` / `CopyV`.
     SrcV,
     DstV,
+    /// The whole tensor at every row: a parameter, whose row is the
+    /// tensor ([`View::Broadcast`]).
+    Whole,
 }
 
 /// A complete tensor a unit reads, bound to its rows at launch.
@@ -540,14 +543,12 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::Binary(_)
         | OpKind::GaussianWeight
         | OpKind::HeadDot
-        | OpKind::HeadDotBwdInput
         | OpKind::View(_)
         | OpKind::HeadReduce(_)
         | OpKind::FeatSum => StepExec::Tiled,
         // GEMMs and cross-row parameter reductions span all tiles:
         // whole-graph full steps through the dense dispatch.
         OpKind::Linear
-        | OpKind::LinearBwdInput
         | OpKind::LinearBwdWeight
         | OpKind::HeadDotBwdParam
         | OpKind::GaussianBwdMu
@@ -881,7 +882,11 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
                 EdgeGroup::ByDst => RowAt::DstV,
             });
         }
+        // A parameter is read whole at every row.
         for (pos, x) in srcs.iter_mut().enumerate() {
+            if view::edge_view(ir, sp.node, pos) == View::Broadcast {
+                x.at = RowAt::Whole;
+            }
             *x = staged(ir, &mut unit, si, sp.node, pos, *x);
         }
         // Rebuilt from the statistics its forward run stashed (lowering

@@ -334,12 +334,15 @@ pub enum OpKind {
     EdgeSoftmax,
 
     // ---- Apply- operators (graph-irrelevant) ----
-    /// Expensive apply: `X · W` (inputs `[x, w]`).
+    /// Expensive apply: `X · W` (inputs `[x, w]`). Its input dual
+    /// `G · Wᵀ` is a `Linear` through [`Layout::Transpose`].
     Linear,
     /// Lightweight elementwise unary apply.
     Unary(UnaryFn),
     /// Lightweight elementwise binary apply (same space; feat-broadcast
-    /// allowed when one side has `feat == 1`).
+    /// allowed when one side has `feat == 1`). Autodiff also emits it
+    /// with a parameter operand, read whole at every row: `HeadDot`'s
+    /// input dual `G[.,h] · a[h,j]`.
     Binary(BinaryFn),
     /// Per-head dot product with a parameter: `[.., h, f] × [h, f] → [.., h, 1]`
     /// (GAT's `aᵀ h`). Classified expensive (it is a projection).
@@ -360,12 +363,8 @@ pub enum OpKind {
     FeatSum,
 
     // ---- backward-only operators (Appendix B) ----
-    /// `∂L/∂X = G · Wᵀ` (inputs `[g, w]`).
-    LinearBwdInput,
     /// `∂L/∂W = Xᵀ · G` (inputs `[x, g]`).
     LinearBwdWeight,
-    /// `∂L/∂X[.,h,j] = G[.,h] · a[h,j]` (inputs `[g, a]`).
-    HeadDotBwdInput,
     /// `∂L/∂a[h,j] = Σ_rows G[.,h] X[.,h,j]` (inputs `[x, g]`).
     HeadDotBwdParam,
     /// Backward of `Gather(Max)`: routes the vertex gradient to the argmax
@@ -411,8 +410,7 @@ impl OpKind {
         use OpKind::*;
         match self {
             InputVertex | InputEdge | Param | GradSeed => FusionClass::Leaf,
-            Linear | LinearBwdInput | LinearBwdWeight | HeadDot | HeadDotBwdInput
-            | HeadDotBwdParam => FusionClass::Expensive,
+            Linear | LinearBwdWeight | HeadDot | HeadDotBwdParam => FusionClass::Expensive,
             // Gaussian parameter gradients are per-edge computations with a
             // tiny `[K, r]` atomic reduction — they fuse into the backward
             // graph kernel exactly like the paper's MoNet backward pass.

@@ -19,10 +19,11 @@
 //! A `View` says which *row* an op reads; a [`Layout`] says how the
 //! columns of that row are laid out for the reader: a head relabel, a
 //! column or parameter-row window read narrow or zero-padded wide, a
-//! stride-0 broadcast. None does arithmetic. Each builder emits an
-//! [`OpKind::View`] node, which autodiff transposes (a window's dual is
-//! the padded window, a relabel's a relabel, a broadcast's `HeadReduce`
-//! / `FeatSum`); [`crate::fusion::duplicate_copy_scatters`] then folds
+//! stride-0 broadcast, a parameter's transpose. None does arithmetic.
+//! Each builder emits an [`OpKind::View`] node, which autodiff
+//! transposes (a window's dual is the padded window, a relabel's a
+//! relabel, a transpose's a transpose, a broadcast's `HeadReduce` /
+//! `FeatSum`); [`crate::fusion::duplicate_copy_scatters`] then folds
 //! every view onto its readers' edges ([`crate::ir::Node::layouts`]),
 //! chains composing. A relabel costs nothing; any other layout is a
 //! gather through [`gather_map`] — of the rows a tile op reads, or of a
@@ -242,6 +243,8 @@ pub enum Layout {
     BroadcastHeads(usize),
     /// One feature a head read as `feat` (stride 0).
     BroadcastFeat(usize),
+    /// A parameter's rows read as its columns.
+    Transpose,
 }
 
 /// A [`gather_map`] entry that reads a padding zero.
@@ -262,13 +265,14 @@ impl Layout {
             }
             Layout::BroadcastHeads(h) => Dim::multi(h, d.feat),
             Layout::BroadcastFeat(f) => Dim::multi(d.heads, f),
+            Layout::Transpose => Dim::multi(d.feat, d.heads),
         }
     }
 
     /// Rejects a layout an operand of dim `d` in `space` cannot take:
     /// zero heads, a width a relabel does not divide, an empty or
-    /// out-of-range window, rows of a non-parameter, a broadcast of more
-    /// than one head or feature.
+    /// out-of-range window, rows or a transpose of a non-parameter, a
+    /// broadcast of more than one head or feature.
     pub fn check(self, d: Dim, space: Space) -> Result<(), IrError> {
         let ok = match self {
             Layout::Heads(h) => h > 0 && d.total().is_multiple_of(h),
@@ -279,6 +283,7 @@ impl Layout {
             }
             Layout::BroadcastHeads(h) => h > 0 && d.heads == 1,
             Layout::BroadcastFeat(f) => f > 0 && d.feat == 1,
+            Layout::Transpose => space == Space::Param,
         };
         let detail = format!("{self} of {space:?} {d:?}");
         ok.then_some(()).ok_or(IrError::Incompatible {
@@ -311,6 +316,7 @@ impl Layout {
             }
             Layout::BroadcastHeads(_) => Some(j),
             Layout::BroadcastFeat(_) => Some(h),
+            Layout::Transpose => Some(j * d.feat + h),
         }
     }
 }
@@ -326,6 +332,7 @@ impl std::fmt::Display for Layout {
             }
             Layout::BroadcastHeads(h) => write!(f, "heads ×{h}"),
             Layout::BroadcastFeat(n) => write!(f, "feat ×{n}"),
+            Layout::Transpose => write!(f, "transpose"),
         }
     }
 }

@@ -502,6 +502,7 @@ impl<'r> Rows<'r> {
             RowAt::Own => r,
             RowAt::SrcV => self.src[r] as usize,
             RowAt::DstV => self.dst[r] as usize,
+            RowAt::Whole => 0,
         }
     }
 
@@ -595,6 +596,7 @@ impl<'r> Rows<'r> {
                 RowAt::Own => None,
                 RowAt::SrcV => Some(self.src),
                 RowAt::DstV => Some(self.dst),
+                RowAt::Whole => unreachable!("a whole operand is read row by row"),
             };
             (data, first, via)
         });
@@ -1014,7 +1016,10 @@ impl CompiledKernel {
                     Data::Slot { idx, cols } => SrcRows::Slot { idx, cols },
                     Data::Full(named) => {
                         let t = full_tensor(ir, program, (store, mat, views), named)?;
-                        let cols = t.numel().checked_div(t.rows()).unwrap_or(0);
+                        let cols = match s.at {
+                            RowAt::Whole => t.numel(),
+                            _ => t.numel().checked_div(t.rows()).unwrap_or(0),
+                        };
                         let data = t.as_slice();
                         SrcRows::Full { data, cols }
                     }
@@ -1479,7 +1484,8 @@ fn exec_rows<'r>(
         }
         OpKind::Binary(f) => {
             let (da, db) = (op.dins[0], op.dins[1]);
-            if da.feat == db.feat {
+            let whole = [s(0), s(1)].iter().any(|x| x.at == RowAt::Whole);
+            if da.feat == db.feat && !whole {
                 cx.zip_rows([s(0), s(1)], rows, total, buf, |o, [a, b]| {
                     f.zip_into(o, a, b)
                 });
@@ -1491,31 +1497,18 @@ fn exec_rows<'r>(
             }
         }
 
-        // The per-head projections: the parameter is a complete tensor,
-        // read one head's row at a time as `kernels::head_dot` does.
+        // The per-head projection: the parameter, read whole, one head's
+        // row at a time as `kernels::head_dot` does.
         OpKind::HeadDot => {
             let (x, a, feat) = (s(0), s(1), op.dins[0].feat);
             for (i, r) in rows.enumerate() {
-                let xr = cx.row(x, r);
+                let (xr, ar) = (cx.row(x, r), cx.row(a, r));
                 for (h, ov) in buf[i * total..(i + 1) * total].iter_mut().enumerate() {
-                    let ar = cx.row(a, h);
                     let mut acc = 0.0;
                     for c in 0..feat {
-                        acc += xr[h * feat + c] * ar[c];
+                        acc += xr[h * feat + c] * ar[h * feat + c];
                     }
                     *ov = acc;
-                }
-            }
-        }
-        OpKind::HeadDotBwdInput => {
-            let (gs, a, (heads, feat)) = (s(0), s(1), (op.heads, total / op.heads));
-            for (i, r) in rows.enumerate() {
-                let (gr, or) = (cx.row(gs, r), &mut buf[i * total..(i + 1) * total]);
-                for h in 0..heads {
-                    let ar = cx.row(a, h);
-                    for c in 0..feat {
-                        or[h * feat + c] = gr[h] * ar[c];
-                    }
                 }
             }
         }
@@ -1523,12 +1516,12 @@ fn exec_rows<'r>(
         OpKind::GaussianWeight => {
             let (p, mu, sg) = (s(0), s(1), s(2));
             for (i, e) in rows.enumerate() {
-                let pr = cx.row(p, e);
-                let or = &mut buf[i * total..(i + 1) * total];
+                let (pr, mu, sg) = (cx.row(p, e), cx.row(mu, e), cx.row(sg, e));
+                let (n, or) = (pr.len(), &mut buf[i * total..(i + 1) * total]);
                 for (ki, ov) in or.iter_mut().enumerate() {
-                    let (mr, sr) = (cx.row(mu, ki), cx.row(sg, ki));
+                    let (mr, sr) = (&mu[ki * n..], &sg[ki * n..]);
                     let mut acc = 0.0;
-                    for j in 0..pr.len() {
+                    for j in 0..n {
                         let d = (pr[j] - mr[j]) * sr[j];
                         acc += d * d;
                     }
@@ -1667,7 +1660,7 @@ mod tests {
                     let first = match at[1] {
                         RowAt::Own => rows.start,
                         RowAt::DstV => lo,
-                        RowAt::SrcV => continue,
+                        RowAt::SrcV | RowAt::Whole => continue,
                     };
                     let held = if at[1] == RowAt::Own {
                         rows.clone()

@@ -150,14 +150,14 @@ impl RowSource for &Tensor {
     }
 }
 
-/// One row of a head-broadcast `Binary`: the side whose `feat == 1`
-/// holds one scalar per head, combined with each of the other side's
-/// `feat` features of that head. The scalars are hoisted out of the
-/// element loop, which runs as one vectorized [`BinaryFn::map_heads`]
-/// call per row — every element still evaluates `f.apply(a, b)` on the
-/// same two values, so the bits equal the per-element form's. The one
-/// spelling of the broadcast: [`binary_broadcast`] and the program
-/// interpreter call it.
+/// One row of a `Binary`: elementwise at equal widths; else the side
+/// whose `feat == 1` holds one scalar per head, combined with each of
+/// the other side's `feat` features of that head. The scalars are
+/// hoisted out of the element loop, which runs as one vectorized
+/// [`BinaryFn::map_heads`] call per row — every element still evaluates
+/// `f.apply(a, b)` on the same two values, so the bits equal the
+/// per-element form's. The one spelling of the broadcast:
+/// [`binary_broadcast`] and the program interpreter call it.
 pub(crate) fn binary_broadcast_row(
     o: &mut [f32],
     f: BinaryFn,
@@ -167,7 +167,9 @@ pub(crate) fn binary_broadcast_row(
     db: Dim,
 ) {
     let feat = da.feat.max(db.feat);
-    if db.feat == 1 {
+    if da.feat == db.feat {
+        f.zip_into(o, ar, br);
+    } else if db.feat == 1 {
         f.map_heads(o, ar, &br[..da.heads], feat, false);
     } else {
         f.map_heads(o, br, &ar[..da.heads], feat, true);
@@ -432,18 +434,31 @@ pub fn edge_softmax_bwd(g: &Graph, grad: &Tensor, y: &Tensor) -> Tensor {
     out
 }
 
-/// Elementwise binary with per-head feature broadcast (`feat == 1` on one
-/// side broadcasts across the other side's features).
-pub fn binary_broadcast(f: BinaryFn, a: &Tensor, da: Dim, b: &Tensor, db: Dim) -> Tensor {
+/// Elementwise binary over `rows` rows with per-head feature broadcast
+/// (`feat == 1` on one side broadcasts across the other side's
+/// features). An operand of one row's `d.total()` elements — a
+/// parameter, whose row is the whole tensor — is read at every row.
+pub fn binary_broadcast(
+    f: BinaryFn,
+    rows: usize,
+    (a, da): (&Tensor, Dim),
+    (b, db): (&Tensor, Dim),
+) -> Tensor {
     assert_eq!(da.heads, db.heads, "head counts must agree");
-    if da.feat == db.feat {
+    if da == db && a.shape() == b.shape() {
         let mut out = a.clone();
         f.assign(out.as_mut_slice(), b.as_slice());
         return out;
     }
-    let cols = da.heads * da.feat.max(db.feat);
-    map_rows(a.rows(), cols, |or, r| {
-        binary_broadcast_row(or, f, a.row(r), da, b.row(r), db);
+    fn row(t: &Tensor, d: Dim, r: usize) -> &[f32] {
+        if t.numel() == d.total() {
+            t.as_slice()
+        } else {
+            t.row(r)
+        }
+    }
+    map_rows(rows, da.heads * da.feat.max(db.feat), |or, r| {
+        binary_broadcast_row(or, f, row(a, da, r), da, row(b, db, r), db);
     })
 }
 
@@ -472,19 +487,6 @@ pub fn head_dot(x: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
                 acc += xr[h * feat + c] * ar[c];
             }
             *ov = acc;
-        }
-    })
-}
-
-/// Backward of [`head_dot`] w.r.t. the data: `out[r, h·f+c] = g[r,h]·a[h,c]`.
-pub fn head_dot_bwd_input(grad: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
-    map_rows(grad.rows(), heads * feat, |or, r| {
-        let gr = grad.row(r);
-        for h in 0..heads {
-            let ar = a.row(h);
-            for c in 0..feat {
-                or[h * feat + c] = gr[h] * ar[c];
-            }
         }
     })
 }
@@ -831,7 +833,8 @@ mod tests {
     fn binary_broadcast_per_head_scalar() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap(); // 2 heads × 2
         let b = Tensor::from_rows(&[&[10.0, 100.0]]).unwrap(); // 2 heads × 1
-        let out = binary_broadcast(BinaryFn::Mul, &a, Dim::multi(2, 2), &b, Dim::multi(2, 1));
+        let (da, db) = (Dim::multi(2, 2), Dim::multi(2, 1));
+        let out = binary_broadcast(BinaryFn::Mul, 1, (&a, da), (&b, db));
         assert_eq!(out.as_slice(), &[10.0, 20.0, 300.0, 400.0]);
     }
 
@@ -877,14 +880,18 @@ mod tests {
         }
     }
 
+    /// The input dual is a feature-broadcast product with the parameter
+    /// read whole at every row: `g[r,h]·a[h,c]`.
     #[test]
     fn head_dot_roundtrip_gradients() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]).unwrap();
         let a = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]).unwrap();
         let y = head_dot(&x, &a, 2, 2);
         assert_eq!(y.row(0), &[1.0 * 0.5 - 2.0, 3.0 * 2.0]);
-        let gi = head_dot_bwd_input(&y, &a, 2, 2);
+        let (dy, da) = (Dim::multi(2, 1), Dim::multi(2, 2));
+        let gi = binary_broadcast(BinaryFn::Mul, 2, (&y, dy), (&a, da));
         assert_eq!(gi.shape(), &[2, 4]);
+        assert_eq!(gi.row(1), &[-1.75, 3.5, 28.0, 0.0]);
         let gp = head_dot_bwd_param(&serial(), &x, &y, 2, 2);
         assert_eq!(gp.shape(), &[2, 2]);
     }

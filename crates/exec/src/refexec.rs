@@ -28,7 +28,7 @@ use crate::session::Bindings;
 use crate::{ExecError, Result};
 use gnnopt_core::memplan::kernel_phase;
 use gnnopt_core::{
-    view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn,
+    view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn, Space,
 };
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{GemmKernel, Tensor};
@@ -218,9 +218,6 @@ pub(crate) fn exec_op(
         OpKind::Linear => {
             inputs[0].matmul_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
         }
-        OpKind::LinearBwdInput => {
-            inputs[0].matmul_nt_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
-        }
         OpKind::LinearBwdWeight => {
             inputs[0].matmul_tn_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
         }
@@ -228,12 +225,17 @@ pub(crate) fn exec_op(
         OpKind::Unary(f) => kernels::unary(*f, inputs[0]),
         OpKind::UnaryBwd(f) => kernels::unary_bwd(*f, inputs[0], inputs[1]),
 
-        OpKind::Binary(f) => kernels::binary_broadcast(*f, inputs[0], din(0), inputs[1], din(1)),
+        OpKind::Binary(f) => {
+            let rows = match node.space {
+                Space::Vertex => g.num_vertices(),
+                Space::Edge => g.num_edges(),
+                Space::Param => 1,
+            };
+            let (a, b) = ((inputs[0], din(0)), (inputs[1], din(1)));
+            kernels::binary_broadcast(*f, rows, a, b)
+        }
 
         OpKind::HeadDot => kernels::head_dot(inputs[0], inputs[1], din(0).heads, din(0).feat),
-        OpKind::HeadDotBwdInput => {
-            kernels::head_dot_bwd_input(inputs[0], inputs[1], node.dim.heads, node.dim.feat)
-        }
         OpKind::HeadDotBwdParam => {
             kernels::head_dot_bwd_param(pol, inputs[0], inputs[1], node.dim.heads, node.dim.feat)
         }

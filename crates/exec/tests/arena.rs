@@ -159,7 +159,7 @@ fn assert_pool_holds_the_plan(what: &str, sess: &Session) {
                 bound += 4 * s.cols as u64 * partials;
                 if matches!(
                     sess.plan().ir.node(s.node).kind,
-                    OpKind::Linear | OpKind::LinearBwdInput | OpKind::LinearBwdWeight
+                    OpKind::Linear | OpKind::LinearBwdWeight
                 ) {
                     bound += panels;
                 }

@@ -671,13 +671,14 @@ fn folded_product(ir: &mut IrGraph, g: &Graph, dim: Dim, per_head: bool) -> (usi
     }
 }
 
-/// Asserts `plan` folds every `binary_Mul` it runs; returns how many of
-/// them pull a row-sized operand.
+/// Asserts `plan` folds every `binary_Mul` of two graph rows it runs (a
+/// head-dot input dual reads a parameter whole and feeds no sum);
+/// returns how many of them pull a row-sized operand.
 fn folds_every_product(plan: &ExecutionPlan) -> usize {
     let units = plan.programs.iter().flat_map(|p| &p.units);
-    let products = units
-        .flat_map(|u| &u.ops)
-        .filter(|op| op.kind == OpKind::Binary(BinaryFn::Mul));
+    let products = units.flat_map(|u| &u.ops).filter(|op| {
+        op.kind == OpKind::Binary(BinaryFn::Mul) && op.srcs.iter().all(|s| s.at != RowAt::Whole)
+    });
     let mut pulled = 0;
     for op in products {
         assert_eq!(op.size, SlotSize::Fold, "{:?}", op.kind);

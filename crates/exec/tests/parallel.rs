@@ -17,7 +17,7 @@ use gnnopt_core::lower::{is_streamed_gather, StepExec};
 use gnnopt_core::view::{gather_max_bwd_group, Layout};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
-    IrGraph, Node, OpKind, ReduceFn, ScatterFn, UnaryFn,
+    IrGraph, Node, OpKind, ReduceFn, ScatterFn, Space, UnaryFn,
 };
 use gnnopt_exec::{refexec, Bindings, EnvOverrides, Session};
 use gnnopt_graph::{EdgeList, Graph};
@@ -184,8 +184,10 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
         }),
         ("gaussian_weight", |_, n| n.kind == OpKind::GaussianWeight),
         ("head_dot", |_, n| n.kind == OpKind::HeadDot),
-        ("head_dot_bwd_input", |_, n| {
-            n.kind == OpKind::HeadDotBwdInput
+        // The head-dot's input dual: the parameter read whole a row.
+        ("binary_Mul, a parameter operand", |ir, n| {
+            let param = |&i: &usize| ir.node(i).space == Space::Param;
+            n.kind == OpKind::Binary(BinaryFn::Mul) && n.inputs.iter().any(param)
         }),
         ("head_reduce", |_, n| {
             matches!(n.kind, OpKind::HeadReduce(_))

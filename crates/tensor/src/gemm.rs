@@ -79,7 +79,7 @@ const MC: usize = 96;
 /// widths).
 const NC: usize = 256;
 
-/// Which dense kernel executes `matmul` / `matmul_tn` / `matmul_nt`.
+/// Which dense kernel executes `matmul` / `matmul_tn`.
 ///
 /// Both kernels produce **bit-identical** results (see the module docs);
 /// the choice only trades speed. `Blocked` is what everything runs;
@@ -101,19 +101,6 @@ pub enum Layout {
     /// `A = [k,m]` row-major, used transposed (`Tensor::matmul_tn`,
     /// the `∂L/∂W = Xᵀ·G` hot path).
     Tn,
-    /// `B = [n,k]` row-major, used transposed (`Tensor::matmul_nt`,
-    /// the `∂L/∂X = G·Wᵀ` hot path).
-    Nt,
-}
-
-impl Layout {
-    fn a_transposed(self) -> bool {
-        self == Self::Tn
-    }
-
-    fn b_transposed(self) -> bool {
-        self == Self::Nt
-    }
 }
 
 /// The `MH × NW` register-tiled microkernel body: accumulates `kc`
@@ -196,16 +183,13 @@ unsafe fn micro_avx2(
 }
 
 /// Packs the `kc × cols` block starting at `(k0, c0)` of an operand
-/// indexed `X[kk, j]` into k-major `W`-wide panels (`buf[q][kk][c]`),
-/// zero-padding the tail panel; what a padded lane accumulates is never
-/// stored back to `C`. `transposed` says `x` holds `Xᵀ` row-major
-/// (`X[kk, j] = x[j*ld + kk]`: the right operand of `Nt`) rather than `X`
-/// itself (`x[kk*ld + j]`: `B` of `Nn`/`Tn` — and the left operand of
-/// `Tn`, whose `[k, m]` storage is exactly this for its `A` panels). See
-/// the module docs for which operands are packed at all.
-#[allow(clippy::too_many_arguments)]
+/// `X[kk, j] = x[kk*ld + j]` into k-major `W`-wide panels
+/// (`buf[q][kk][c]`), zero-padding the tail panel; what a padded lane
+/// accumulates is never stored back to `C`. `X` is `B` of either layout
+/// — and the left operand of `Tn`, whose `[k, m]` storage is exactly
+/// this for its `A` panels. See the module docs for which operands are
+/// packed at all.
 fn pack_panels<const W: usize>(
-    transposed: bool,
     x: &[f32],
     ld: usize,
     k0: usize,
@@ -220,25 +204,15 @@ fn pack_panels<const W: usize>(
     for q in 0..panels {
         let (dst, _) = buf[q * kc * W..(q + 1) * kc * W].as_chunks_mut::<W>();
         let valid = W.min(cols - q * W);
-        if transposed {
-            // Transpose column slivers into k-major.
-            for c in 0..valid {
-                let src = &x[(c0 + q * W + c) * ld + k0..][..kc];
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    d[c] = v;
-                }
-            }
-        } else {
-            // Each k-row is contiguous in j. A full panel moves as
-            // fixed-size chunks: inline vector moves, where a
-            // variable-length copy is one `memcpy` call per `W` floats.
-            for (kk, d) in dst.iter_mut().enumerate() {
-                let src = &x[(k0 + kk) * ld + c0 + q * W..];
-                if valid == W {
-                    *d = *src.first_chunk().expect("a full panel row");
-                } else {
-                    d[..valid].copy_from_slice(&src[..valid]);
-                }
+        // Each k-row is contiguous in j. A full panel moves as fixed-size
+        // chunks: inline vector moves, where a variable-length copy is
+        // one `memcpy` call per `W` floats.
+        for (kk, d) in dst.iter_mut().enumerate() {
+            let src = &x[(k0 + kk) * ld + c0 + q * W..];
+            if valid == W {
+                *d = *src.first_chunk().expect("a full panel row");
+            } else {
+                d[..valid].copy_from_slice(&src[..valid]);
             }
         }
     }
@@ -271,8 +245,8 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     let (max_kc, max_mc, max_nc) = (KC.min(k), MC.min(m), NC.min(n));
     let mut bpack = crate::pool::take_work_f32(max_nc.div_ceil(NW) * NW * max_kc);
     // Only a transposed `A` is packed (a zero-sized request bypasses the
-    // pool): `Nn`/`Nt` slabs take the one buffer for `B` and no other.
-    let a_packed = layout.a_transposed();
+    // pool): `Nn` slabs take the one buffer for `B` and no other.
+    let a_packed = layout == Layout::Tn;
     let apack_len = if a_packed {
         max_mc.div_ceil(MH) * MH * max_kc
     } else {
@@ -283,20 +257,11 @@ fn blocked_slab<const MH: usize, const NW: usize>(
         let nc = NC.min(n - jc);
         for kc0 in (0..k).step_by(KC) {
             let kc = KC.min(k - kc0);
-            pack_panels::<NW>(
-                layout.b_transposed(),
-                b,
-                ldb,
-                kc0,
-                kc,
-                j0 + jc,
-                nc,
-                &mut bpack,
-            );
+            pack_panels::<NW>(b, ldb, kc0, kc, j0 + jc, nc, &mut bpack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 if a_packed {
-                    pack_panels::<MH>(false, a, lda, kc0, kc, i0 + ic, mc, &mut apack);
+                    pack_panels::<MH>(a, lda, kc0, kc, i0 + ic, mc, &mut apack);
                 }
                 for (q, jr) in (0..nc).step_by(NW).enumerate() {
                     let bp = &bpack[q * kc * NW..(q + 1) * kc * NW];
@@ -415,21 +380,6 @@ fn naive_slab(
                 }
             }
         }
-        // ijk: per-element dot products against B rows.
-        Layout::Nt => {
-            for i in 0..m {
-                let arow = &a[(i0 + i) * lda..(i0 + i) * lda + k];
-                let orow = &mut out[i * ldc..i * ldc + n];
-                for (j, ov) in orow.iter_mut().enumerate() {
-                    let brow = &b[(j0 + j) * ldb..(j0 + j) * ldb + k];
-                    let mut acc = *ov;
-                    for (&av, &bv) in arow.iter().zip(brow) {
-                        acc += av * bv;
-                    }
-                    *ov = acc;
-                }
-            }
-        }
     }
 }
 
@@ -462,7 +412,7 @@ fn run_slab(
 /// starting contents give path-dependent results), under an explicit
 /// kernel and worker count.
 ///
-/// Parallelism partitions **output rows** for `Nn`/`Nt` and **output
+/// Parallelism partitions **output rows** for `Nn` and **output
 /// column blocks** for `Tn` (the `∂L/∂W` shape is a wide reduction: `m`
 /// and `n` are feature widths while `k` is the huge vertex count, so
 /// column blocks keep every worker streaming the full `k` extent of both
@@ -471,8 +421,7 @@ fn run_slab(
 /// `threads` value and either kernel.
 ///
 /// Operand shapes per `layout` (all row-major):
-/// `Nn`: `a = [m,k]`, `b = [k,n]` · `Tn`: `a = [k,m]`, `b = [k,n]` ·
-/// `Nt`: `a = [m,k]`, `b = [n,k]`.
+/// `Nn`: `a = [m,k]`, `b = [k,n]` · `Tn`: `a = [k,m]`, `b = [k,n]`.
 ///
 /// # Panics
 ///
@@ -495,7 +444,6 @@ pub fn gemm(
     let (lda, ldb) = match layout {
         Layout::Nn => (k, n),
         Layout::Tn => (m, n),
-        Layout::Nt => (k, k),
     };
     if layout == Layout::Tn {
         // Column-block partition: each worker owns out[.., j0..j1),
@@ -677,13 +625,12 @@ mod tests {
     fn portable_geometry_is_bit_identical_to_naive() {
         let (big_m, big_n) = (MC + 2 * MR + 3, 3 * NR + 5);
         for k in [1usize, 7, KC + 9] {
-            for layout in [Layout::Nn, Layout::Tn, Layout::Nt] {
+            for layout in [Layout::Nn, Layout::Tn] {
                 let a = fill(big_m * k, 5);
                 let b = fill(k * big_n, 6);
                 let (lda, ldb) = match layout {
                     Layout::Nn => (k, big_n),
                     Layout::Tn => (big_m, big_n),
-                    Layout::Nt => (k, k),
                 };
                 for rows in [(0, big_m), (3, 1), (5, MR - 1), (2, 2 * MR + 1)] {
                     for cols in [(0, big_n), (NR + 1, 1), (4, NR + 3)] {
@@ -724,13 +671,6 @@ mod tests {
                 at[kk * m + i] = a[i * k + kk];
             }
         }
-        // Nt: store B as [n, k].
-        let mut bt = vec![0.0f32; k * n];
-        for kk in 0..k {
-            for j in 0..n {
-                bt[j * k + kk] = b[kk * n + j];
-            }
-        }
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
             for threads in [1usize, 4] {
                 let mut out = vec![0.0f32; m * n];
@@ -741,14 +681,6 @@ mod tests {
                     .map(|(x, y)| (x - y).abs())
                     .fold(0.0f32, f32::max);
                 assert!(max < 1e-4, "Tn {kernel:?} t={threads}: {max}");
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Nt, &a, &bt, &mut out, m, k, n, threads);
-                let max = out
-                    .iter()
-                    .zip(&want)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(max < 1e-4, "Nt {kernel:?} t={threads}: {max}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Matrix multiplication and transposition.
 //!
-//! All three dense products (`matmul`, `matmul_tn`, `matmul_nt`) route
+//! Both dense products (`matmul`, `matmul_tn`) route
 //! through the shared engine in [`crate::gemm`]: the register-tiled
 //! blocked kernel, or — through the `*_with` entry points only — the
 //! naive reference loops the tests compare it against, with the work
@@ -16,7 +16,7 @@ use crate::{Result, Tensor, TensorError};
 impl Tensor {
     /// Dense matrix product `self[m,k] × other[k,n] → [m,n]` on the
     /// blocked engine. Every term is accumulated, whatever the zero
-    /// density of `self` (this and the two transposed products alike): a
+    /// density of `self` (this and the transposed product alike): a
     /// zero coefficient against a `NaN`/`±inf` entry yields `NaN`, as IEEE
     /// 754 says, so a diverging operand always shows in the product.
     ///
@@ -140,64 +140,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Matrix product with the right operand transposed:
-    /// `self[m,k] × otherᵀ[k,n] → [m,n]` for `other = [n,k]`.
-    ///
-    /// Used for input gradients (`∂L/∂X = ∂L/∂Y · Wᵀ`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
-    pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_nt_with(other, GemmKernel::Blocked)
-    }
-
-    /// [`Tensor::matmul_nt`] under an explicit [`GemmKernel`], auto
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
-    pub fn matmul_nt_with(&self, other: &Tensor, kernel: GemmKernel) -> Result<Tensor> {
-        self.matmul_nt_with_threads(other, kernel, 0)
-    }
-
-    /// [`Tensor::matmul_nt`] under an explicit [`GemmKernel`] and worker
-    /// cap (`0` = auto; see [`Tensor::matmul_with_threads`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless inner dims match.
-    pub fn matmul_nt_with_threads(
-        &self,
-        other: &Tensor,
-        kernel: GemmKernel,
-        threads: usize,
-    ) -> Result<Tensor> {
-        let (m, k) = (self.rows(), self.cols());
-        let (n, k2) = (other.rows(), other.cols());
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_nt",
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        gemm(
-            kernel,
-            Layout::Nt,
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k,
-            n,
-            pinned_threads(m * k * n, threads),
-        );
-        Ok(out)
-    }
-
     /// Transposes a 2-D tensor.
     pub fn transpose(&self) -> Tensor {
         let (m, n) = (self.rows(), self.cols());
@@ -248,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn nt_equals_explicit_transpose() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Tensor::from_rows(&[&[1.0, -1.0], &[2.0, 0.5], &[0.0, 3.0]]).unwrap();
-        let via_nt = a.matmul_nt(&b).unwrap();
-        let explicit = a.matmul(&b.transpose()).unwrap();
-        assert!(via_nt.allclose(&explicit));
-    }
-
-    #[test]
     fn kernels_agree_bitwise_above_the_parallel_threshold() {
         // Big enough to cross the auto-parallel threshold: the blocked
         // engine, the naive reference and every partition must agree to
@@ -289,7 +222,6 @@ mod tests {
                 [
                     ("Nn", a.matmul_with(b, kernel).unwrap()),
                     ("Tn", a.transpose().matmul_tn_with(b, kernel).unwrap()),
-                    ("Nt", a.matmul_nt_with(&b.transpose(), kernel).unwrap()),
                 ]
             };
             for (layout, c) in products(&a, &b) {

@@ -169,14 +169,9 @@ fn check_all_layouts(
     want: &[f32],
 ) -> Result<(), TestCaseError> {
     let at = transpose(a, m, k);
-    let bt = transpose(b, k, n);
     for threads in [1usize, 4] {
         for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            for (layout, a, b) in [
-                (Layout::Nn, a, b),
-                (Layout::Tn, &at[..], b),
-                (Layout::Nt, a, &bt[..]),
-            ] {
+            for (layout, a) in [(Layout::Nn, a), (Layout::Tn, &at[..])] {
                 let mut out = vec![0.0f32; m * n];
                 gemm(kernel, layout, a, b, &mut out, m, k, n, threads);
                 prop_assert_eq!(
@@ -206,7 +201,7 @@ proptest! {
     /// the last valid row) and the panel packers can go wrong: fewer rows
     /// than one register tile, row counts off the 6- and 4-row tile
     /// heights, widths off the 16- and 8-lane panels, 1×n, m×1, 1×1, and
-    /// — with threads = 4 — row-partitioned `Nn`/`Nt` workers starting at
+    /// — with threads = 4 — row-partitioned `Nn` workers starting at
     /// `i0 ≠ 0` and `Tn` column slabs at `j0 ≠ 0`.
     #[test]
     fn blocked_gemm_is_bit_identical_to_naive(
@@ -312,10 +307,5 @@ proptest! {
         let tn_blocked = at.matmul_tn_with(&b, GemmKernel::Blocked).unwrap();
         prop_assert_eq!(tn_naive.as_slice(), tn_blocked.as_slice());
         prop_assert_eq!(tn_naive.as_slice(), nn_naive.as_slice());
-
-        let bt = b.transpose();
-        let nt_naive = a.matmul_nt_with(&bt, GemmKernel::Naive).unwrap();
-        let nt_blocked = a.matmul_nt_with(&bt, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(nt_naive.as_slice(), nt_blocked.as_slice());
     }
 }

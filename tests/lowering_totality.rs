@@ -69,7 +69,6 @@ fn full_steps_cannot_tile() {
             }
             let dense = match &node.kind {
                 OpKind::Linear
-                | OpKind::LinearBwdInput
                 | OpKind::LinearBwdWeight
                 | OpKind::HeadDotBwdParam
                 | OpKind::GaussianBwdMu
@@ -95,9 +94,7 @@ fn dense_tile_ops(plan: &ExecutionPlan) -> Vec<String> {
     });
     let nodes = units.map(|id| plan.ir.node(id));
     nodes
-        .filter(|n| {
-            n.kind.is_graph_op() || matches!(n.kind, OpKind::HeadDot | OpKind::HeadDotBwdInput)
-        })
+        .filter(|n| n.kind.is_graph_op() || n.kind == OpKind::HeadDot)
         .map(|n| n.name.clone())
         .collect()
 }
