@@ -656,10 +656,9 @@ fn try_build_kernels(
         })
         .collect();
     // Deterministic provisional order by last member id: a kernel runs
-    // where the last op it holds falls in program order. (By the first,
-    // a kernel holding an early op and a late one ran ahead of the
-    // kernels in between, so what they are the last to read stayed alive
-    // across it.)
+    // where the last op it holds falls in program order, so one holding
+    // an early op and a late one does not run ahead of the kernels in
+    // between and keep alive what they are the last to read.
     kernels.sort_by_key(|k| k.nodes.last().copied());
 
     // Kahn toposort of the kernel DAG (ties broken by provisional order).

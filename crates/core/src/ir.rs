@@ -773,6 +773,9 @@ mod tests {
         let r = g.slice_rows(w, 2, 6).unwrap();
         assert_eq!(g.node(r).dim, Dim::multi(4, 2));
         assert!(g.view(h, Layout::BroadcastFeat(4)).is_err());
+        assert!(g.view(h, Layout::Transpose).is_err(), "a vertex transpose");
+        let t = g.view(w, Layout::Transpose).unwrap();
+        assert_eq!(g.node(t).dim, Dim::multi(2, 6));
     }
 
     #[test]

@@ -414,6 +414,16 @@ mod tests {
         assert_eq!(edge_view(&ir, bwd, 0), View::ByDst);
     }
 
+    /// Column `c` of row `r` of a transposed `[2, 3]` parameter reads its
+    /// row `c`, column `r`; a transpose of the transpose reads in place.
+    #[test]
+    fn transpose_maps_rows_to_columns() {
+        let (dim, map) = gather_map(&[Layout::Transpose], Dim::multi(2, 3));
+        assert_eq!((dim, map), (Dim::multi(3, 2), vec![0, 3, 1, 4, 2, 5]));
+        let twice = gather_map(&[Layout::Transpose; 2], Dim::multi(2, 3));
+        assert_eq!(twice, (Dim::multi(2, 3), (0..6).collect()));
+    }
+
     #[test]
     fn params_broadcast_into_nonparam_spaces() {
         let mut ir = IrGraph::new();
