@@ -530,8 +530,8 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         // gather duals included: an edge row of either is its group
         // vertex's gradient row, read at the endpoint the forward gather
         // grouped by (`view::endpoint_reads`); and the per-head
-        // projections, each row from one input row and a parameter read
-        // whole.
+        // projection and its input dual, each row from one input row and
+        // a parameter read whole.
         OpKind::Gather { .. }
         | OpKind::GatherMeanBwd { .. }
         | OpKind::GatherMaxBwd { .. }
