@@ -434,31 +434,33 @@ pub fn edge_softmax_bwd(g: &Graph, grad: &Tensor, y: &Tensor) -> Tensor {
     out
 }
 
-/// Elementwise binary over `rows` rows with per-head feature broadcast
-/// (`feat == 1` on one side broadcasts across the other side's
-/// features). An operand of one row's `d.total()` elements — a
-/// parameter, whose row is the whole tensor — is read at every row.
+/// Elementwise binary with per-head feature broadcast (`feat == 1` on one
+/// side broadcasts across the other side's features). A `whole` operand
+/// — a parameter, whose row is the whole tensor
+/// ([`gnnopt_core::view::View::Broadcast`]) — is read at every row of
+/// the other.
 pub fn binary_broadcast(
     f: BinaryFn,
-    rows: usize,
     (a, da): (&Tensor, Dim),
     (b, db): (&Tensor, Dim),
+    whole: [bool; 2],
 ) -> Tensor {
     assert_eq!(da.heads, db.heads, "head counts must agree");
-    if da == db && a.shape() == b.shape() {
+    if da == db && whole == [false; 2] {
         let mut out = a.clone();
         f.assign(out.as_mut_slice(), b.as_slice());
         return out;
     }
-    fn row(t: &Tensor, d: Dim, r: usize) -> &[f32] {
-        if t.numel() == d.total() {
+    fn row(t: &Tensor, whole: bool, r: usize) -> &[f32] {
+        if whole {
             t.as_slice()
         } else {
             t.row(r)
         }
     }
+    let rows = if whole[0] { b.rows() } else { a.rows() };
     map_rows(rows, da.heads * da.feat.max(db.feat), |or, r| {
-        binary_broadcast_row(or, f, row(a, da, r), da, row(b, db, r), db);
+        binary_broadcast_row(or, f, row(a, whole[0], r), da, row(b, whole[1], r), db);
     })
 }
 
@@ -834,7 +836,7 @@ mod tests {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap(); // 2 heads × 2
         let b = Tensor::from_rows(&[&[10.0, 100.0]]).unwrap(); // 2 heads × 1
         let (da, db) = (Dim::multi(2, 2), Dim::multi(2, 1));
-        let out = binary_broadcast(BinaryFn::Mul, 1, (&a, da), (&b, db));
+        let out = binary_broadcast(BinaryFn::Mul, (&a, da), (&b, db), [false; 2]);
         assert_eq!(out.as_slice(), &[10.0, 20.0, 300.0, 400.0]);
     }
 
@@ -889,7 +891,7 @@ mod tests {
         let y = head_dot(&x, &a, 2, 2);
         assert_eq!(y.row(0), &[1.0 * 0.5 - 2.0, 3.0 * 2.0]);
         let (dy, da) = (Dim::multi(2, 1), Dim::multi(2, 2));
-        let gi = binary_broadcast(BinaryFn::Mul, 2, (&y, dy), (&a, da));
+        let gi = binary_broadcast(BinaryFn::Mul, (&y, dy), (&a, da), [false, true]);
         assert_eq!(gi.shape(), &[2, 4]);
         assert_eq!(gi.row(1), &[-1.75, 3.5, 28.0, 0.0]);
         let gp = head_dot_bwd_param(&serial(), &x, &y, 2, 2);

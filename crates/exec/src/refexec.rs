@@ -28,7 +28,7 @@ use crate::session::Bindings;
 use crate::{ExecError, Result};
 use gnnopt_core::memplan::kernel_phase;
 use gnnopt_core::{
-    view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn, Space,
+    view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn,
 };
 use gnnopt_graph::Graph;
 use gnnopt_tensor::{GemmKernel, Tensor};
@@ -225,14 +225,10 @@ pub(crate) fn exec_op(
         OpKind::Unary(f) => kernels::unary(*f, inputs[0]),
         OpKind::UnaryBwd(f) => kernels::unary_bwd(*f, inputs[0], inputs[1]),
 
+        // A parameter is read whole at every row, as lowering pins it.
         OpKind::Binary(f) => {
-            let rows = match node.space {
-                Space::Vertex => g.num_vertices(),
-                Space::Edge => g.num_edges(),
-                Space::Param => 1,
-            };
-            let (a, b) = ((inputs[0], din(0)), (inputs[1], din(1)));
-            kernels::binary_broadcast(*f, rows, a, b)
+            let whole = [0, 1].map(|i| view::edge_view(ir, node.id, i) == view::View::Broadcast);
+            kernels::binary_broadcast(*f, (inputs[0], din(0)), (inputs[1], din(1)), whole)
         }
 
         OpKind::HeadDot => kernels::head_dot(inputs[0], inputs[1], din(0).heads, din(0).feat),

@@ -22,7 +22,10 @@
 //! locality on real hardware relabels **once**, before building a
 //! session: [`Permutation::apply_to_graph`] — a *stable* permutation
 //! that keeps per-destination reduction order, so outputs match the
-//! identity ordering bit for bit — returns the relabeled graph and the
+//! identity ordering bit for bit unless the model sums or averages by
+//! source (a source's out-edges add in ascending edge id, which follows
+//! the new destination ids, so those outputs agree to rounding) —
+//! returns the relabeled graph and the
 //! canonical-edge map it induces, [`Permutation::permute_tensor_rows`]
 //! moves the vertex (and, through the edge map, edge) bindings, and
 //! [`Permutation::unpermute_tensor_rows`] brings outputs back

@@ -192,7 +192,8 @@ impl Permutation {
     /// (`new_eid_of_old`). Delegates to [`Graph::permute_vertices`], which
     /// keeps per-destination in-neighbor *sequences* stable so `ByDst`
     /// reductions on the relabeled graph are bit-identical to the
-    /// original.
+    /// original. A `BySrc` sum adds in ascending edge id, which follows
+    /// the new destination ids, so it agrees only to rounding.
     ///
     /// # Panics
     ///
