@@ -21,12 +21,14 @@
 //! and on the kernel's compute/IO balance — a per-(kernel, graph, device)
 //! question the static rule cannot answer.
 //!
-//! Kernels containing an edge-softmax are pinned to vertex-balanced: the
-//! fused implementation buffers the per-destination max/denominator in
-//! shared memory, which only exists under a destination-grouped mapping
-//! (§5 "A special case is when ReduceScatter is involved").
+//! Kernels that scatter one of their own reductions back to their edges
+//! (an edge softmax, or a by-destination sum read back through a
+//! `CopyV`: [`kernel_reduce_scatter`]) are pinned to vertex-balanced: the
+//! fused implementation buffers the per-group reduction in shared memory,
+//! which only exists under a group-owning mapping (§5 "A special case is
+//! when ReduceScatter is involved").
 
-use gnnopt_core::fusion::{atomic_flag, kernel_has_softmax};
+use gnnopt_core::fusion::{atomic_flag, kernel_reduce_scatter};
 use gnnopt_core::ExecutionPlan;
 use gnnopt_graph::GraphStats;
 use gnnopt_sim::{Device, KernelProfile, ThreadMapping};
@@ -108,7 +110,7 @@ pub fn autotune_mappings(
         if !plan.kernels[ki].mapping.is_graph() {
             continue;
         }
-        if kernel_has_softmax(&plan.ir, &members) {
+        if kernel_reduce_scatter(&plan.ir, &members).is_some() {
             continue; // pinned vertex-balanced
         }
         report.considered += 1;
@@ -253,7 +255,7 @@ mod tests {
         let _ = autotune_mappings(&mut plan, &Device::rtx3090(), &skewed_stats());
         for k in &plan.kernels {
             let members: Vec<_> = k.nodes.clone();
-            if kernel_has_softmax(&plan.ir, &members) {
+            if kernel_reduce_scatter(&plan.ir, &members).is_some() {
                 assert_eq!(k.mapping, ThreadMapping::VertexBalanced);
             }
         }

@@ -10,12 +10,13 @@
 //! The unified clustering is *view-driven*, not template-driven: every
 //! dataflow edge is classified by [`crate::view::edge_view`] (aligned /
 //! endpoint / reduction / broadcast), and regions grow greedily along
-//! fusible edges with each merge admitted only if the induced kernel DAG
-//! stays acyclic ([`assignment_is_acyclic`]) and every endpoint read of an
-//! in-kernel value matches its producer's reduction grouping
+//! fusible edges. Every fusion level merges under one rule ([`merge`]): a
+//! merge is admitted only if the induced kernel DAG stays acyclic
+//! ([`assignment_is_acyclic`]) and every endpoint read of an in-kernel
+//! value matches its producer's reduction grouping
 //! ([`assignment_is_legal`]). Because each merge is individually guarded,
-//! the unified partition always yields a schedulable kernel DAG — there is
-//! no fallback path. Kernel boundaries, materialization classes and
+//! every partition — the baselines' included — yields a schedulable
+//! kernel DAG, and there is no fallback path. Kernel boundaries, materialization classes and
 //! streaming eligibility all follow from the same views (see
 //! [`crate::lower`]), which is what makes lowering total over the operator
 //! algebra.
@@ -25,8 +26,9 @@
 //! * [`FusionLevel::DglBuiltin`] — DGL: fused edge-softmax plus the gSpMM
 //!   pattern (`Gather ∘ Binary ∘ Scatter(Copy*)`), everything else
 //!   unfused;
-//! * [`FusionLevel::EdgeOnly`] — fuseGNN: additionally fuses chains of
-//!   edge-centric operators, but never across the edge→vertex boundary.
+//! * [`FusionLevel::EdgeOnly`] — fuseGNN: DGL's kernels, and additionally
+//!   chains of edge-centric operators, but never across the edge→vertex
+//!   boundary.
 
 use crate::ir::IrGraph;
 use crate::op::{BinaryFn, EdgeGroup, FusionClass, NodeId, OpKind, ScatterFn, Space};
@@ -70,19 +72,7 @@ pub fn partition(ir: &IrGraph, level: FusionLevel, policy: MappingPolicy) -> Vec
         FusionLevel::EdgeOnly => regions_edge_only(ir),
         FusionLevel::Unified => regions_unified(ir),
     };
-    if let Some(kernels) = try_build_kernels(ir, &region, policy) {
-        return kernels;
-    }
-    // Unified regions are acyclic by construction (every merge is guarded
-    // by `assignment_is_acyclic`), and unfused regions trivially so; only
-    // the baseline templates (DGL / fuseGNN) can produce a non-convex
-    // pattern claim on exotic graphs. Degrade those to one-kernel-per-op.
-    assert!(
-        matches!(level, FusionLevel::DglBuiltin | FusionLevel::EdgeOnly),
-        "merge-guarded {level:?} regions always form an acyclic kernel DAG"
-    );
-    try_build_kernels(ir, &regions_unfused(ir), policy)
-        .expect("one kernel per op is trivially acyclic")
+    build_kernels(ir, &region, policy)
 }
 
 /// Gives every consumer of a shared `Scatter(CopyU/CopyV)` its own private
@@ -260,34 +250,6 @@ fn dce_with_map(
     (out, combined)
 }
 
-/// Union-find over node ids.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[rb] = ra;
-        }
-    }
-}
-
 fn is_compute(ir: &IrGraph, id: NodeId) -> bool {
     ir.node(id).kind.fusion_class() != FusionClass::Leaf
 }
@@ -296,35 +258,51 @@ fn is_fusible(ir: &IrGraph, id: NodeId) -> bool {
     ir.node(id).kind.fusion_class() == FusionClass::Fusible
 }
 
-/// Every compute node in its own region.
+/// Every compute node in its own region, numbered by its id: a merged
+/// region keeps the smaller number, its first member's ([`merge`]).
 fn regions_unfused(ir: &IrGraph) -> Vec<Option<usize>> {
-    let mut region = vec![None; ir.len()];
-    let mut next = 0;
-    for n in ir.nodes() {
-        if is_compute(ir, n.id) {
-            region[n.id] = Some(next);
-            next += 1;
-        }
+    let compute = |n: &crate::ir::Node| is_compute(ir, n.id).then_some(n.id);
+    ir.nodes().iter().map(compute).collect()
+}
+
+/// The one merge rule of every fusion level: joins the regions of `a`
+/// and `b` unless the kernel DAG would close a cycle
+/// ([`assignment_is_acyclic`]) or an endpoint read would see another
+/// group's reduction ([`assignment_is_legal`]). Returns whether they
+/// share a region afterwards.
+fn merge(ir: &IrGraph, region: &mut [Option<usize>], a: NodeId, b: NodeId) -> bool {
+    let (Some(ra), Some(rb)) = (region[a], region[b]) else {
+        return false;
+    };
+    let (keep, gone) = (ra.min(rb), ra.max(rb));
+    if keep == gone {
+        return true;
     }
-    region
+    let moved: Vec<usize> = (0..region.len())
+        .filter(|&i| region[i] == Some(gone))
+        .collect();
+    for &i in &moved {
+        region[i] = Some(keep);
+    }
+    if assignment_is_acyclic(ir, region) && assignment_is_legal(ir, region) {
+        return true;
+    }
+    for &i in &moved {
+        region[i] = Some(gone);
+    }
+    false
 }
 
 /// The paper's unified fusion: grow regions greedily along fusible
-/// same-phase dataflow edges, admitting each merge only if the kernel DAG
-/// stays acyclic (i.e. the region stays convex). This recovers the paper's
-/// single-kernel GAT forward/backward while correctly splitting around
-/// gradient-accumulation points that read expensive kernels' outputs.
+/// same-phase dataflow edges under the merge rule ([`merge`]), which keeps
+/// every region convex. This recovers the paper's single-kernel GAT
+/// forward/backward while correctly splitting around gradient-accumulation
+/// points that read expensive kernels' outputs.
 fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
-    let mut region: Vec<Option<usize>> = vec![None; ir.len()];
-    let mut next = 0usize;
+    let mut region = regions_unfused(ir);
     let consumers = ir.consumers();
     for n in ir.nodes() {
-        if !is_compute(ir, n.id) {
-            continue;
-        }
         if !is_fusible(ir, n.id) {
-            region[n.id] = Some(next);
-            next += 1;
             continue;
         }
         // A value an expensive op reads leaves its kernel anyway: a
@@ -333,36 +311,17 @@ fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
         // head-dot input duals join the feature gradient's sum).
         let row_local = n.space == Space::Vertex && !n.kind.is_graph_op();
         let dense_reads = |i: NodeId| consumers[i].iter().any(|&c| !is_fusible(ir, c));
-        let mut cands: Vec<usize> = n
+        let mut cands: Vec<NodeId> = n
             .inputs
             .iter()
-            .filter(|&&i| is_fusible(ir, i) && ir.node(i).phase == n.phase)
-            .filter(|&&i| !(row_local && dense_reads(i)))
-            .filter_map(|&i| region[i])
+            .copied()
+            .filter(|&i| is_fusible(ir, i) && ir.node(i).phase == n.phase)
+            .filter(|&i| !(row_local && dense_reads(i)))
             .collect();
-        cands.sort_unstable();
-        cands.dedup();
-        for r in cands {
-            let snapshot = region.clone();
-            match region[n.id] {
-                None => region[n.id] = Some(r),
-                Some(t) if t != r => {
-                    // Merging two producer regions: relabel r → t.
-                    for slot in region.iter_mut() {
-                        if *slot == Some(r) {
-                            *slot = Some(t);
-                        }
-                    }
-                }
-                _ => continue,
-            }
-            if !assignment_is_acyclic(ir, &region, n.id) || !assignment_is_legal(ir, &region) {
-                region = snapshot;
-            }
-        }
-        if region[n.id].is_none() {
-            region[n.id] = Some(next);
-            next += 1;
+        // Producer regions in the order they were founded.
+        cands.sort_unstable_by_key(|&i| region[i]);
+        for i in cands {
+            merge(ir, &mut region, i, n.id);
         }
     }
     region
@@ -373,16 +332,16 @@ fn regions_unified(ir: &IrGraph) -> Vec<Option<usize>> {
 /// elementwise ops (which inherit their input's grouping: the worker that
 /// owns a row also applies the elementwise function to it). An in-region
 /// non-reduction graph producer is recorded as `None` (ungrouped —
-/// unreadable from any endpoint).
+/// unreadable from any endpoint). `inside` says which nodes the region
+/// holds.
 fn in_region_groups(
     ir: &IrGraph,
-    region: &[Option<usize>],
-    r: usize,
+    inside: &dyn Fn(NodeId) -> bool,
     id: NodeId,
     out: &mut Vec<Option<EdgeGroup>>,
 ) {
     let node = ir.node(id);
-    if region[id] != Some(r) {
+    if !inside(id) {
         return; // global memory (leaf or another kernel): safe anywhere
     }
     if let Some(g) = node.kind.reduction_group() {
@@ -393,7 +352,7 @@ fn in_region_groups(
     let mut recursed = false;
     for &i in &node.inputs {
         if ir.node(i).space == Space::Vertex {
-            in_region_groups(ir, region, r, i, out);
+            in_region_groups(ir, inside, i, out);
             recursed = true;
         }
     }
@@ -436,7 +395,7 @@ fn assignment_is_legal(ir: &IrGraph, region: &[Option<usize>]) -> bool {
             // Deduplicated copy-scatters carry a single input; clamp.
             let input = *n.inputs.get(idx).unwrap_or(&n.inputs[0]);
             let mut groups = Vec::new();
-            in_region_groups(ir, region, r, input, &mut groups);
+            in_region_groups(ir, &|i| region[i] == Some(r), input, &mut groups);
             for g in groups {
                 let legal = g == Some(endpoint) && primary.get(&r).is_none_or(|&p| p == endpoint);
                 if !legal {
@@ -448,22 +407,14 @@ fn assignment_is_legal(ir: &IrGraph, region: &[Option<usize>]) -> bool {
     true
 }
 
-/// Checks that the kernel DAG induced by the (partial) region assignment
-/// is acyclic. Unassigned compute nodes count as singleton kernels.
-fn assignment_is_acyclic(ir: &IrGraph, region: &[Option<usize>], upto: NodeId) -> bool {
-    // Map every compute node to a contraction id.
-    let offset = ir.len();
-    let contract = |id: NodeId| -> Option<usize> {
-        if !is_compute(ir, id) {
-            return None;
-        }
-        Some(region[id].map_or(offset + id, |r| r))
-    };
+/// Checks that the kernel DAG induced by the region assignment is
+/// acyclic.
+fn assignment_is_acyclic(ir: &IrGraph, region: &[Option<usize>]) -> bool {
     let mut edges: Vec<(usize, usize)> = Vec::new();
-    for n in ir.nodes().iter().take(upto + 1) {
-        let Some(cn) = contract(n.id) else { continue };
+    for n in ir.nodes() {
+        let Some(cn) = region[n.id] else { continue };
         for &i in &n.inputs {
-            if let Some(ci) = contract(i) {
+            if let Some(ci) = region[i] {
                 if ci != cn {
                     edges.push((ci, cn));
                 }
@@ -522,119 +473,67 @@ fn is_private_copy_scatter(
 fn regions_dgl(ir: &IrGraph) -> Vec<Option<usize>> {
     let consumers = ir.consumers();
     let mut region = regions_unfused(ir);
-    let mut uf = UnionFind::new(ir.len());
     for n in ir.nodes() {
-        // gSpMM: gather ∘ [binary ∘] scatter_copy.
-        if matches!(n.kind, OpKind::Gather { .. }) {
-            let src = n.inputs[0];
-            match &ir.node(src).kind {
-                OpKind::Binary(_) if consumers[src] == [n.id] => {
-                    uf.union(n.id, src);
-                    for &bi in &ir.node(src).inputs {
-                        if is_private_copy_scatter(ir, &consumers, bi, src) {
-                            uf.union(n.id, bi);
-                        }
-                    }
-                }
-                OpKind::Scatter(ScatterFn::CopyU) | OpKind::Scatter(ScatterFn::CopyV)
-                    if consumers[src] == [n.id] =>
-                {
-                    uf.union(n.id, src);
-                }
-                _ => {}
-            }
-        }
-        // gSDDMM dot: feat_sum ∘ binary(mul) ∘ scatter_copies — e.g.
-        // `u_dot_v`, which is exactly the backward of `u_mul_e` SpMM.
-        if n.kind == OpKind::FeatSum {
-            let src = n.inputs[0];
-            if matches!(ir.node(src).kind, OpKind::Binary(BinaryFn::Mul))
-                && consumers[src] == [n.id]
-            {
-                uf.union(n.id, src);
-                for &bi in &ir.node(src).inputs {
-                    if is_private_copy_scatter(ir, &consumers, bi, src) {
-                        uf.union(n.id, bi);
-                    }
-                }
-            }
-        }
-    }
-    merge_regions(ir, &mut region, &mut uf);
-    region
-}
-
-/// fuseGNN: DGL built-ins plus maximal chains of edge-centric fusible
-/// operators (never across the edge→vertex boundary).
-fn regions_edge_only(ir: &IrGraph) -> Vec<Option<usize>> {
-    let consumers = ir.consumers();
-    let mut region = regions_unfused(ir);
-    let mut uf = UnionFind::new(ir.len());
-    // DGL aggregation built-ins first (they claim their member nodes).
-    let mut claimed = vec![false; ir.len()];
-    for n in ir.nodes() {
-        if !matches!(n.kind, OpKind::Gather { .. }) {
+        let gather = matches!(n.kind, OpKind::Gather { .. });
+        if !(gather || n.kind == OpKind::FeatSum) {
             continue;
         }
         let src = n.inputs[0];
-        if let OpKind::Binary(_) = &ir.node(src).kind {
-            if consumers[src] == [n.id] {
-                uf.union(n.id, src);
-                claimed[src] = true;
+        if consumers[src] != [n.id] {
+            continue;
+        }
+        match &ir.node(src).kind {
+            // gSpMM: gather ∘ [binary ∘] scatter_copy; gSDDMM dot:
+            // feat_sum ∘ binary(mul) ∘ scatter_copies — e.g. `u_dot_v`,
+            // which is exactly the backward of `u_mul_e` SpMM.
+            OpKind::Binary(f) if gather || *f == BinaryFn::Mul => {
+                merge(ir, &mut region, src, n.id);
                 for &bi in &ir.node(src).inputs {
                     if is_private_copy_scatter(ir, &consumers, bi, src) {
-                        uf.union(n.id, bi);
-                        claimed[bi] = true;
+                        merge(ir, &mut region, bi, n.id);
                     }
                 }
             }
-        }
-    }
-    // Edge-centric chains over the remaining nodes.
-    for n in ir.nodes() {
-        if claimed[n.id] || !is_fusible(ir, n.id) || n.space != Space::Edge {
-            continue;
-        }
-        for &i in &n.inputs {
-            if !claimed[i]
-                && is_fusible(ir, i)
-                && ir.node(i).space == Space::Edge
-                && ir.node(i).phase == n.phase
-            {
-                uf.union(i, n.id);
+            OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV) if gather => {
+                merge(ir, &mut region, src, n.id);
             }
+            _ => {}
         }
     }
-    merge_regions(ir, &mut region, &mut uf);
     region
 }
 
-/// Rewrites `region` so nodes sharing a union-find root share a region id.
-fn merge_regions(ir: &IrGraph, region: &mut [Option<usize>], uf: &mut UnionFind) {
-    let mut ids: HashMap<usize, usize> = HashMap::new();
-    let mut next = 0;
+/// fuseGNN: the DGL built-ins plus maximal chains of edge-centric fusible
+/// operators, never across the edge→vertex boundary: a chain joins no
+/// region that holds a vertex-space op (a gSpMM's gather).
+fn regions_edge_only(ir: &IrGraph) -> Vec<Option<usize>> {
+    let mut region = regions_dgl(ir);
+    let edge_centric = |id: NodeId| is_fusible(ir, id) && ir.node(id).space == Space::Edge;
+    let edges_only = |region: &[Option<usize>], id: NodeId| {
+        let mut members = ir.nodes().iter().filter(|m| region[m.id] == region[id]);
+        members.all(|m| m.space == Space::Edge)
+    };
     for n in ir.nodes() {
-        if region[n.id].is_none() {
+        if !edge_centric(n.id) {
             continue;
         }
-        let root = uf.find(n.id);
-        let r = *ids.entry(root).or_insert_with(|| {
-            let r = next;
-            next += 1;
-            r
-        });
-        region[n.id] = Some(r);
+        for &i in &n.inputs {
+            if edge_centric(i)
+                && ir.node(i).phase == n.phase
+                && edges_only(&region, i)
+                && edges_only(&region, n.id)
+            {
+                merge(ir, &mut region, i, n.id);
+            }
+        }
     }
+    region
 }
 
 /// Groups regions into [`Kernel`]s, assigns mappings, and topologically
-/// sorts the kernel DAG. Returns `None` when the region assignment is not
-/// convex (the kernel DAG has a cycle).
-fn try_build_kernels(
-    ir: &IrGraph,
-    region: &[Option<usize>],
-    policy: MappingPolicy,
-) -> Option<Vec<Kernel>> {
+/// sorts the kernel DAG, which every region builder keeps acyclic
+/// ([`merge`]).
+fn build_kernels(ir: &IrGraph, region: &[Option<usize>], policy: MappingPolicy) -> Vec<Kernel> {
     let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
     for n in ir.nodes() {
         if let Some(r) = region[n.id] {
@@ -696,28 +595,35 @@ fn try_build_kernels(
             }
         }
     }
-    if order.len() != kernels.len() {
-        return None; // cyclic kernel DAG: regions were not convex
-    }
+    assert_eq!(order.len(), kernels.len(), "merged regions stay convex");
 
     let mut out: Vec<Kernel> = order.into_iter().map(|ki| kernels[ki].clone()).collect();
     for (i, k) in out.iter_mut().enumerate() {
         k.id = i;
         k.nodes.sort_unstable();
     }
-    Some(out)
+    out
 }
 
-/// True when any member op is an edge-softmax (forward or backward) —
-/// such kernels buffer per-destination reductions in shared memory and
+/// The group through which a kernel scatters one of its own reductions
+/// back to its edges — an edge softmax's `ByDst`, or the endpoint at which
+/// a member reads an in-kernel reduction (a `Sum` read back through a
+/// `CopyV`). Such kernels buffer per-group reductions in shared memory and
 /// must stay vertex-balanced (§5 "A special case is when ReduceScatter is
 /// involved").
-pub fn kernel_has_softmax(ir: &IrGraph, nodes: &[NodeId]) -> bool {
-    nodes.iter().any(|&n| {
-        matches!(
-            ir.node(n).kind,
-            OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd
-        )
+pub fn kernel_reduce_scatter(ir: &IrGraph, nodes: &[NodeId]) -> Option<EdgeGroup> {
+    let inside = |i: NodeId| nodes.contains(&i);
+    nodes.iter().find_map(|&n| {
+        let node = ir.node(n);
+        if matches!(node.kind, OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd) {
+            return Some(EdgeGroup::ByDst);
+        }
+        let mut reads = view::endpoint_reads(ir, n).into_iter();
+        reads.find_map(|(pos, g)| {
+            let mut groups = Vec::new();
+            in_region_groups(ir, &inside, node.inputs[pos], &mut groups);
+            groups.iter().any(Option::is_some).then_some(g)
+        })
     })
 }
 
@@ -735,11 +641,9 @@ pub fn atomic_flag(ir: &IrGraph, nodes: &[NodeId], mapping: ThreadMapping) -> bo
     match mapping {
         ThreadMapping::EdgeBalanced => !groups.is_empty() || has_param_reduction,
         ThreadMapping::VertexBalanced => {
-            let primary = if kernel_has_softmax(ir, nodes) {
-                EdgeGroup::ByDst
-            } else {
-                groups.first().copied().unwrap_or(EdgeGroup::ByDst)
-            };
+            let first = groups.first().copied();
+            let primary = kernel_reduce_scatter(ir, nodes).or(first);
+            let primary = primary.unwrap_or(EdgeGroup::ByDst);
             groups.iter().any(|&g| g != primary) || has_param_reduction
         }
         ThreadMapping::Dense => has_param_reduction,
@@ -757,10 +661,10 @@ fn choose_mapping(ir: &IrGraph, nodes: &[NodeId], policy: MappingPolicy) -> (Thr
         .iter()
         .filter_map(|&n| ir.node(n).kind.reduction_group())
         .collect();
-    let has_softmax = kernel_has_softmax(ir, nodes);
+    let reduce_scatters = kernel_reduce_scatter(ir, nodes).is_some();
     let mapping = match policy {
         MappingPolicy::ForceVertex => ThreadMapping::VertexBalanced,
-        MappingPolicy::ForceEdge if !has_softmax => ThreadMapping::EdgeBalanced,
+        MappingPolicy::ForceEdge if !reduce_scatters => ThreadMapping::EdgeBalanced,
         MappingPolicy::ForceEdge => ThreadMapping::VertexBalanced,
         MappingPolicy::Auto => {
             if groups.is_empty() {

@@ -7,10 +7,11 @@
 
 mod common;
 
-use common::{arb_steps, build_ir};
+use common::{arb_steps, build_ir, zoo};
 use gnnopt::core::fusion::{partition, MappingPolicy};
 use gnnopt::core::{compile, CompileOptions};
-use gnnopt::core::{EdgeGroup, FusionLevel, IrGraph, NodeId, OpKind, ScatterFn, Space};
+use gnnopt::core::{BinaryFn, Dim, ReduceFn, UnaryFn};
+use gnnopt::core::{EdgeGroup, FusionLevel, IrGraph, Kernel, NodeId, OpKind, ScatterFn, Space};
 use gnnopt::sim::ThreadMapping;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -178,4 +179,87 @@ proptest! {
             );
         }
     }
+}
+
+/// fuseGNN is DGL plus edge chains: every multi-op DGL kernel of every zoo
+/// model, forward and training, lies inside one fuseGNN kernel of the
+/// same IR.
+#[test]
+fn dgl_kernels_lie_inside_fusegnn_kernels() {
+    for (name, spec) in zoo() {
+        for training in [false, true] {
+            let ir = compile(&spec.ir, training, &CompileOptions::dgl())
+                .unwrap()
+                .plan
+                .ir;
+            let fusegnn = partition(&ir, FusionLevel::EdgeOnly, MappingPolicy::Auto);
+            let dgl = partition(&ir, FusionLevel::DglBuiltin, MappingPolicy::Auto);
+            for k in dgl.iter().filter(|k| k.nodes.len() > 1) {
+                let holds = |f: &Kernel| k.nodes.iter().all(|n| f.nodes.contains(n));
+                assert!(
+                    fusegnn.iter().any(holds),
+                    "{name}/training={training}: DGL kernel {:?} is split under fuseGNN",
+                    k.nodes
+                );
+            }
+            assert!(fusegnn.len() <= dgl.len(), "{name}/training={training}");
+        }
+    }
+}
+
+/// The softmax backward as forward ops, `y·(g − Σ_dst g·y)`: the by-dst sum
+/// reads the chain's own `g` and feeds it back through a `CopyV`, so an
+/// edge chain through `g` and `CopyV` would close a cycle. The merge rule
+/// refuses that one merge and fuseGNN keeps its other fused kernels.
+#[test]
+fn edge_only_keeps_fused_kernels_around_a_reduce_scatter() {
+    let mut ir = IrGraph::new();
+    let x = ir.input_edge("x", Dim::multi(2, 1));
+    let gin = ir.input_edge("g", Dim::multi(2, 1));
+    let y = ir.edge_softmax(x).unwrap();
+    let g = ir.unary(UnaryFn::Relu, gin).unwrap();
+    let m = ir.binary(BinaryFn::Mul, g, y).unwrap();
+    let s = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, m).unwrap();
+    let sv = ir.scatter(ScatterFn::CopyV, s, s).unwrap();
+    let d = ir.binary(BinaryFn::Sub, g, sv).unwrap();
+    let dx = ir.binary(BinaryFn::Mul, y, d).unwrap();
+    ir.mark_output(dx);
+    let kernels = partition(&ir, FusionLevel::EdgeOnly, MappingPolicy::Auto);
+    let together = |a, b| {
+        kernels
+            .iter()
+            .any(|k| k.nodes.contains(&a) && k.nodes.contains(&b))
+    };
+    assert!(together(m, s), "the gSpMM of the sum: {kernels:?}");
+    assert!(together(d, dx), "the edge chain after the sum: {kernels:?}");
+    assert!(kernels.len() < 7, "{} kernels for 7 ops", kernels.len());
+}
+
+/// §5's ReduceScatter rule is structural: GAT's attention backward reduces
+/// `g·y` per destination and scatters the sum back to the group's edges,
+/// so under `ForceEdge` its kernel — the one holding the leaky ReLU's
+/// backward — stays vertex-balanced.
+#[test]
+fn force_edge_keeps_gat_attention_backward_vertex_balanced() {
+    use gnnopt::models::{gat, GatConfig};
+    let spec = gat(&GatConfig {
+        in_dim: 8,
+        layers: vec![(2, 6)],
+        negative_slope: 0.2,
+        reorganized: true,
+    })
+    .unwrap();
+    let opts = CompileOptions {
+        mapping: MappingPolicy::ForceEdge,
+        ..CompileOptions::ours()
+    };
+    let plan = compile(&spec.ir, true, &opts).unwrap().plan;
+    let unary_bwd = |n: &NodeId| matches!(plan.ir.node(*n).kind, OpKind::UnaryBwd(_));
+    let attention: Vec<_> = plan
+        .kernels
+        .iter()
+        .filter(|k| k.nodes.iter().any(unary_bwd))
+        .collect();
+    assert_eq!(attention.len(), 1, "one attention-backward kernel");
+    assert_eq!(attention[0].mapping, ThreadMapping::VertexBalanced);
 }
