@@ -321,17 +321,16 @@ fn backprop_node(
             add_contrib(g, contrib, x, gx);
         }
 
+        // ∂x = y·(g − Σ_grp g·y): the group sum of `g·y` read back at
+        // each edge's destination.
         OpKind::EdgeSoftmax => {
-            let x = ins[0];
-            let xd = g.node(x).dim;
-            let gx = g.push_raw(
-                OpKind::EdgeSoftmaxBwd,
-                vec![grad, node.id],
-                Space::Edge,
-                xd,
-                "edge_softmax_bwd",
-            );
-            add_contrib(g, contrib, x, gx);
+            let y = node.id;
+            let gy = g.binary(BinaryFn::Mul, grad, y)?;
+            let s = g.gather(ReduceFn::Sum, EdgeGroup::ByDst, gy)?;
+            let sv = g.scatter(ScatterFn::CopyV, s, s)?;
+            let d = g.binary(BinaryFn::Sub, grad, sv)?;
+            let gx = g.binary(BinaryFn::Mul, y, d)?;
+            add_contrib(g, contrib, ins[0], gx);
         }
 
         OpKind::GaussianWeight => {
@@ -477,11 +476,25 @@ mod tests {
         // The grad *of* the softmax output comes from the gather backward…
         let gsm = bw.grads[&sm];
         assert_eq!(g.node(gsm).kind, OpKind::Scatter(ScatterFn::CopyV));
-        // …and the grad of the softmax *input* is EdgeSoftmaxBwd, which
-        // reads the forward output.
-        let ge = bw.grads[&e];
-        assert_eq!(g.node(ge).kind, OpKind::EdgeSoftmaxBwd);
-        assert!(g.node(ge).inputs.contains(&sm));
+        // …and the grad of the softmax *input* is `y·(g − Σ_dst g·y)` in
+        // forward ops, reading the forward output `y`.
+        let ge = g.node(bw.grads[&e]);
+        assert_eq!(ge.kind, OpKind::Binary(BinaryFn::Mul));
+        assert_eq!(ge.inputs[0], sm);
+        let d = g.node(ge.inputs[1]);
+        assert_eq!(d.kind, OpKind::Binary(BinaryFn::Sub));
+        assert_eq!(d.inputs[0], gsm);
+        let sv = g.node(d.inputs[1]);
+        assert_eq!(sv.kind, OpKind::Scatter(ScatterFn::CopyV));
+        let s = g.node(sv.inputs[0]);
+        let by_dst = OpKind::Gather {
+            reduce: ReduceFn::Sum,
+            group: EdgeGroup::ByDst,
+        };
+        assert_eq!(s.kind, by_dst);
+        let gy = g.node(s.inputs[0]);
+        assert_eq!(gy.kind, OpKind::Binary(BinaryFn::Mul));
+        assert_eq!(gy.inputs, [gsm, sm]);
     }
 
     #[test]

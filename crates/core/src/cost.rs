@@ -67,7 +67,7 @@ impl<'a> CostModel<'a> {
             OpKind::Gather { .. } | OpKind::GatherMaxBwd { .. } | OpKind::GatherMeanBwd { .. } => {
                 e * total
             }
-            OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd => 4 * e * total,
+            OpKind::EdgeSoftmax => 4 * e * total,
 
             // y = x·W: 2·rows·d_in·d_out multiply-adds.
             OpKind::Linear => 2 * self.rows(node) * inputs[0].dim.total() as u64 * total,

@@ -375,7 +375,7 @@ fn assignment_is_legal(ir: &IrGraph, region: &[Option<usize>]) -> bool {
     let mut softmaxed: HashSet<usize> = HashSet::new();
     for n in ir.nodes() {
         let Some(r) = region[n.id] else { continue };
-        if matches!(n.kind, OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd) {
+        if n.kind == OpKind::EdgeSoftmax {
             primary.insert(r, EdgeGroup::ByDst);
             softmaxed.insert(r);
         } else if let Some(g) = n.kind.reduction_group() {
@@ -615,7 +615,7 @@ pub fn kernel_reduce_scatter(ir: &IrGraph, nodes: &[NodeId]) -> Option<EdgeGroup
     let inside = |i: NodeId| nodes.contains(&i);
     nodes.iter().find_map(|&n| {
         let node = ir.node(n);
-        if matches!(node.kind, OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd) {
+        if node.kind == OpKind::EdgeSoftmax {
             return Some(EdgeGroup::ByDst);
         }
         let mut reads = view::endpoint_reads(ir, n).into_iter();

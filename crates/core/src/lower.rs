@@ -352,7 +352,7 @@ impl TileOp {
     /// expression.
     fn reduces_groups(&self) -> bool {
         match self.kind {
-            OpKind::Gather { .. } | OpKind::EdgeSoftmaxBwd => true,
+            OpKind::Gather { .. } => true,
             // Fresh: three sweeps per group. With stashed statistics
             // (two more operands) it is a row expression.
             OpKind::EdgeSoftmax => self.srcs.len() == 1,
@@ -537,7 +537,6 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::GatherMaxBwd { .. }
         | OpKind::Scatter(_)
         | OpKind::EdgeSoftmax
-        | OpKind::EdgeSoftmaxBwd
         | OpKind::Unary(_)
         | OpKind::UnaryBwd(_)
         | OpKind::Binary(_)

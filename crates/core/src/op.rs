@@ -378,9 +378,6 @@ pub enum OpKind {
         /// Grouping endpoint of the forward gather.
         group: EdgeGroup,
     },
-    /// Backward of `EdgeSoftmax` (inputs `[g, y]` where `y` is the forward
-    /// output): `∂x_e = y_e (g_e − Σ_{e'∈grp(e)} g_{e'} y_{e'})`.
-    EdgeSoftmaxBwd,
     /// `g · f'(x)` (inputs `[g, x]`).
     UnaryBwd(UnaryFn),
     /// `∂L/∂μ` of [`OpKind::GaussianWeight`]
@@ -423,7 +420,7 @@ impl OpKind {
     pub fn reduction_group(&self) -> Option<EdgeGroup> {
         match self {
             OpKind::Gather { group, .. } | OpKind::GatherMeanBwd { group } => Some(*group),
-            OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd => Some(EdgeGroup::ByDst),
+            OpKind::EdgeSoftmax => Some(EdgeGroup::ByDst),
             _ => None,
         }
     }
@@ -442,7 +439,6 @@ impl OpKind {
             OpKind::Scatter(_)
                 | OpKind::Gather { .. }
                 | OpKind::EdgeSoftmax
-                | OpKind::EdgeSoftmaxBwd
                 | OpKind::GatherMaxBwd { .. }
                 | OpKind::GatherMeanBwd { .. }
         )

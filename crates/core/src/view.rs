@@ -94,7 +94,7 @@ pub fn edge_view(ir: &IrGraph, consumer: NodeId, pos: usize) -> View {
         },
         // Reductions consume edge rows grouped by an endpoint.
         OpKind::Gather { group, .. } => View::Reduce(*group),
-        OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd => {
+        OpKind::EdgeSoftmax => {
             if in_space == Space::Edge {
                 View::Aligned
             } else {

@@ -45,9 +45,9 @@
 //! ([`SlotSize`], chosen by lowering):
 //!
 //! * **Tile-sized** — the tile's rows of the op's space, evaluated when
-//!   the tile loop reaches the op, before its readers run: the inputs of
-//!   a reduction that sweeps each group more than once (`EdgeSoftmax`,
-//!   `EdgeSoftmaxBwd`), the input of an elementwise op that covers the
+//!   the tile loop reaches the op, before its readers run: the input of
+//!   a reduction that sweeps each group more than once (the fresh
+//!   `EdgeSoftmax`), the input of an elementwise op that covers the
 //!   tile in one call, an elementwise op read through an edge endpoint
 //!   (its reader would be held to one row a pull), every value with two
 //!   readers.
@@ -68,7 +68,10 @@
 //!   product's operands ([`RowSource::add_into`]), so the row is never
 //!   written — the paper's "edge-centric producer runs inside the
 //!   vertex-centric reduction", down to the register. Its random `src(e)`
-//!   operand row is hinted toward L1 `AHEAD` edges early.
+//!   operand row is hinted toward L1 `AHEAD` edges early. A by-destination
+//!   `Sum` whose equal-width product reads both operands at its own rows,
+//!   pulling nothing (the softmax backward's `Σ g·y`), sweeps each group
+//!   as one block of rows instead of edge by edge.
 //! * **No slot (sink)** — a `Materialized`/`Interior` op computes into
 //!   its rows of the full tensor: the worker's chunk of the tensor is its
 //!   slot, read back by same-segment readers, so nothing is staged and
@@ -187,6 +190,15 @@ enum SrcRows<'a> {
     Slot { idx: usize, cols: usize },
     /// The rows of a complete full tensor.
     Full { data: &'a [f32], cols: usize },
+}
+
+impl Src<'_> {
+    /// Elements of one row the operand reads.
+    fn cols(&self) -> usize {
+        match self.data {
+            SrcRows::Slot { cols, .. } | SrcRows::Full { cols, .. } => cols,
+        }
+    }
 }
 
 /// Operands a tile op has at most (`EdgeSoftmax` from its statistics,
@@ -1034,12 +1046,9 @@ impl CompiledKernel {
 
         // Per worker: a slot per op — its chunk of the sink's tensor (the
         // chunk is the slot: nothing is staged and copied), or a piece of
-        // the worker's slab — then one row of the widest op (the
-        // softmax-backward group sums, shared across ops and tiles), then
-        // the chunks of each fresh softmax's statistics. The slabs come
-        // off the pool's working list.
-        let row = ops.iter().map(|op| op.cols).max().unwrap_or(0);
-        let per = ops.len() + 1 + 2 * (stats.len() - stats0);
+        // the worker's slab — then the chunks of each fresh softmax's
+        // statistics. The slabs come off the pool's working list.
+        let per = ops.len() + 2 * (stats.len() - stats0);
         let per_am = (argmax.len() - argmax0).max(1);
         let workers = up.parts.len();
         let mut slots: Vec<&mut [f32]> = std::mem::take(&mut frame.slots);
@@ -1049,7 +1058,7 @@ impl CompiledKernel {
         base.clear();
         base.resize(workers * ops.len(), usize::MAX);
         for part in &up.parts {
-            let len = unit.slab_len(part.max_tile) + row;
+            let len = unit.slab_len(part.max_tile);
             let mut slab = pool::take_work_f32(len);
             slab.resize(len, 0.0);
             slabs.push(slab);
@@ -1061,7 +1070,6 @@ impl CompiledKernel {
                 slots[w * per + k] = slot;
                 rest = tail;
             }
-            slots[w * per + ops.len()] = rest;
         }
         for (k, tensor) in outs.iter_mut() {
             let bounds = match ops[*k].space {
@@ -1079,7 +1087,7 @@ impl CompiledKernel {
             let mx = split_rows(mx.as_mut_slice(), cols, &up.vertex);
             let dn = split_rows(dn.as_mut_slice(), cols, &up.vertex);
             for (w, (mc, dc)) in mx.zip(dn).enumerate() {
-                let at = w * per + ops.len() + 1 + 2 * j;
+                let at = w * per + ops.len() + 2 * j;
                 slots[at] = mc;
                 slots[at + 1] = dc;
             }
@@ -1133,8 +1141,8 @@ impl CompiledKernel {
     }
 }
 
-/// One worker's walk over its tiles: `slots` are its op slots, its
-/// reduction row and its chunks of the fresh softmaxes' statistics,
+/// One worker's walk over its tiles: `slots` are its op slots and its
+/// chunks of the fresh softmaxes' statistics,
 /// `base` the first row each op's slot holds, `sinks` its chunks of the
 /// argmax tables.
 fn run_worker<'w>(
@@ -1147,8 +1155,7 @@ fn run_worker<'w>(
     sinks: &mut [&'w mut [u32]],
 ) {
     let indptr = cx.g.in_adj().indptr();
-    let (bufs, rest) = slots.split_at_mut(cx.ops.len());
-    let (scratch, stats) = rest.split_first_mut().expect("a reduction row per worker");
+    let (bufs, stats) = slots.split_at_mut(cx.ops.len());
     let mut aux = WorkerAux {
         stats,
         argmax: sinks,
@@ -1190,16 +1197,16 @@ fn run_worker<'w>(
                 base: &mut *base,
                 stage: &stage,
             };
-            exec_op(&mut unit, k, (v0, v1, e0, e1), buf, &mut aux, scratch);
+            exec_op(&mut unit, k, (v0, v1, e0, e1), buf, &mut aux);
         }
     }
 }
 
 /// Executes `unit.ops[k]` over one tile into `buf`: its rows of the tile,
 /// or — for a streamed gather — the source rows the worker owns. The ops
-/// that reduce over whole edge groups (`Gather`, the fresh `EdgeSoftmax`,
-/// `EdgeSoftmaxBwd`) live here, because only a tile owns whole
-/// destination groups; everything else is per-row ([`exec_rows`]).
+/// that reduce over whole edge groups (`Gather`, the fresh `EdgeSoftmax`)
+/// live here, because only a tile owns whole destination groups;
+/// everything else is per-row ([`exec_rows`]).
 ///
 /// Every arm reproduces the corresponding kernel in [`crate::kernels`]
 /// expression-for-expression and in the same iteration order, which is
@@ -1210,7 +1217,6 @@ fn exec_op(
     (v0, v1, e0, e1): (usize, usize, usize, usize),
     buf: &mut [f32],
     aux: &mut WorkerAux<'_, '_>,
-    scratch: &mut [f32],
 ) {
     let cx = unit.cx;
     let (op, srcs) = (&cx.ops[k], &cx.bound[k].srcs);
@@ -1291,6 +1297,15 @@ fn exec_op(
                 range: 0..shard.len(),
                 shard: Some(shard),
             });
+            // A folded equal-width product whose operands sit at the
+            // gather's own rows, pulling nothing (the softmax backward's
+            // `Σ g·y`): a group's rows of each are one block (the softmax
+            // arm's rule), summed in ascending edge order by one call — the
+            // bits of the fold's per-edge `mul_accum`.
+            let block = cx.fold(srcs[0]).filter(|f| {
+                let own = [f.x, f.s].iter().all(|o| o.at == RowAt::Own);
+                *reduce == ReduceFn::Sum && !op.pulls && own && f.s.cols() == total
+            });
             let mut x = Pulled::new(unit, k, e1, owns.clone());
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
@@ -1301,8 +1316,13 @@ fn exec_op(
                 if deg == 0 || owns.as_ref().is_some_and(|w| !w.group(v)) {
                     continue;
                 }
-                match reduce {
-                    ReduceFn::Sum => ids.iter().for_each(|&e| x.add_into(o, e as usize)),
+                match (block, reduce) {
+                    (Some(f), _) => {
+                        let (read, e) = (x.unit.rows(), indptr[v]);
+                        let (a, b) = (read.rows(f.x, e, deg), read.rows(f.s, e, deg));
+                        rowops::mul_add_accum_rows(o, a, b);
+                    }
+                    (None, ReduceFn::Sum) => ids.iter().for_each(|&e| x.add_into(o, e as usize)),
                     _ => {
                         let inv = 1.0 / deg as f32;
                         ids.iter().for_each(|&e| x.axpy_into(o, inv, e as usize));
@@ -1325,7 +1345,7 @@ fn exec_op(
             }
         }
 
-        // The two ops that sweep a group more than once read tile-sized
+        // The op that sweeps a group more than once reads tile-sized
         // operands only (lowering's slot sizes): nothing to pull. A group
         // is the contiguous rows `indptr[v]..indptr[v + 1]` (`in_adj.eid[i]
         // == i`, `Graph::validate`), which a sweep hands to `rowops` as one
@@ -1354,23 +1374,6 @@ fn exec_op(
                     rowops::exp_sub_store_accum_rows(dr, t, x, mr);
                 });
                 rowops::div_assign_rows(y, dr);
-            }
-        }
-
-        OpKind::EdgeSoftmaxBwd => {
-            debug_assert!(!op.pulls);
-            let (read, gy) = (unit.rows(), [srcs[0], srcs[1]]);
-            let s = &mut scratch[..total];
-            for v in v0..v1 {
-                let grp = indptr[v]..indptr[v + 1];
-                let o = &mut buf[(grp.start - e0) * total..(grp.end - e0) * total];
-                s.fill(0.0);
-                read.zip_rows(gy, grp.clone(), total, o, |_, [g, y]| {
-                    rowops::mul_add_accum_rows(s, g, y);
-                });
-                read.zip_rows(gy, grp, total, o, |o, [g, y]| {
-                    rowops::softmax_bwd_rows(o, g, y, s);
-                });
             }
         }
 

@@ -47,8 +47,8 @@
 //! * [`edge_softmax`] stashes `-inf` max and `0.0` denominator for empty
 //!   destination groups (the true identities of max / sum-of-exp). Those
 //!   rows are never read back: every edge belongs to a non-empty group,
-//!   so [`edge_softmax_from_aux`] and [`edge_softmax_bwd`] only touch
-//!   auxiliaries of vertices with in-degree ≥ 1.
+//!   so [`edge_softmax_from_aux`] only touches auxiliaries of vertices
+//!   with in-degree ≥ 1.
 //!
 //! The contract is asserted on graphs with isolated vertices in this
 //! module's tests and exercised by the property suites, whose graph
@@ -411,29 +411,6 @@ pub fn edge_softmax_from_aux(g: &Graph, x: &Tensor, maxes: &Tensor, denom: &Tens
     })
 }
 
-/// Backward of edge softmax:
-/// `∂x_e = y_e (g_e − Σ_{e'∈grp(e)} g_{e'} y_{e'})`.
-pub fn edge_softmax_bwd(g: &Graph, grad: &Tensor, y: &Tensor) -> Tensor {
-    let total = grad.cols();
-    let mut out = Tensor::zeros(&[g.num_edges(), total]);
-    // One group-sum buffer, zeroed per vertex.
-    let mut s = pool::take_work_f32(total);
-    s.resize(total, 0.0);
-    for v in 0..g.num_vertices() {
-        let ids = g.in_adj().edge_ids(v);
-        s.fill(0.0);
-        for &e in ids {
-            rowops::mul_add_accum(&mut s, grad.row(e as usize), y.row(e as usize));
-        }
-        for &e in ids {
-            let e = e as usize;
-            rowops::softmax_bwd_row(out.row_mut(e), grad.row(e), y.row(e), &s);
-        }
-    }
-    pool::put_work_f32(s);
-    out
-}
-
 /// Elementwise binary with per-head feature broadcast (`feat == 1` on one
 /// side broadcasts across the other side's features). A `whole` operand
 /// — a parameter, whose row is the whole tensor
@@ -787,8 +764,6 @@ mod tests {
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
         let y2 = edge_softmax_from_aux(&g, &x, &maxes, &denom);
         assert!(y.allclose(&y2), "aux rebuild never reads empty groups");
-        let bwd = edge_softmax_bwd(&g, &Tensor::ones(&[3, 1]), &y);
-        assert!(bwd.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -804,31 +779,41 @@ mod tests {
         assert!(y.allclose(&y2));
     }
 
+    /// The softmax backward is forward ops (`y·(g − Σ_dst g·y)`, autodiff's
+    /// `EdgeSoftmax` rule), run by the oracle: `∂L/∂w` of
+    /// `L = Σ_e g_e · softmax(h·w)_e` against central differences in `w`.
     #[test]
     fn softmax_bwd_matches_finite_difference() {
+        use crate::{refexec, Bindings};
+        use gnnopt_core::{compile, CompileOptions, IrGraph};
         let g = tri();
-        let x = Tensor::from_rows(&[&[0.2], &[0.9], &[-0.4]]).unwrap();
+        let mut ir = IrGraph::new();
+        let h = ir.input_edge("h", Dim::flat(1));
+        let w = ir.param("w", 1, 1);
+        let x = ir.linear(h, w).unwrap();
+        let y = ir.edge_softmax(x).unwrap();
+        ir.mark_output(y);
+        let plan = compile(&ir, true, &CompileOptions::ours()).unwrap().plan;
+        let hx = Tensor::from_rows(&[&[0.2], &[0.9], &[-0.4]]).unwrap();
         let gout = Tensor::from_rows(&[&[1.0], &[-2.0], &[0.5]]).unwrap();
-        let (y, _, _) = edge_softmax(&g, &x);
-        let ana = edge_softmax_bwd(&g, &gout, &y);
-        let h = 1e-3f32;
-        for e in 0..3 {
-            let mut xp = x.clone();
-            xp.row_mut(e)[0] += h;
-            let mut xm = x.clone();
-            xm.row_mut(e)[0] -= h;
-            let (yp, _, _) = edge_softmax(&g, &xp);
-            let (ym, _, _) = edge_softmax(&g, &xm);
-            let mut num = 0.0;
-            for i in 0..3 {
-                num += gout.at(i, 0) * (yp.at(i, 0) - ym.at(i, 0)) / (2.0 * h);
-            }
-            assert!(
-                (num - ana.at(e, 0)).abs() < 1e-2,
-                "edge {e}: numeric {num} vs analytic {}",
-                ana.at(e, 0)
-            );
-        }
+        let bind = |wv: f32| {
+            Bindings::new()
+                .with("h", hx.clone())
+                .with("w", Tensor::from_rows(&[&[wv]]).unwrap())
+        };
+        let ana = refexec::evaluate(&plan, &g, &bind(1.0), Some(&gout)).unwrap();
+        let ana = ana.grads["w"].at(0, 0);
+        let loss = |wv: f32| {
+            let xw = Tensor::from_fn(&[3, 1], |e| hx.at(e, 0) * wv);
+            let (yv, _, _) = edge_softmax(&g, &xw);
+            (0..3).map(|e| gout.at(e, 0) * yv.at(e, 0)).sum::<f32>()
+        };
+        let step = 1e-3f32;
+        let num = (loss(1.0 + step) - loss(1.0 - step)) / (2.0 * step);
+        assert!(
+            ana.abs() > 0.1 && (num - ana).abs() < 1e-2,
+            "numeric {num} vs analytic {ana}"
+        );
     }
 
     #[test]

@@ -250,7 +250,6 @@ pub(crate) fn exec_op(
             })
         }
         OpKind::GatherMeanBwd { group } => kernels::gather_mean_bwd(g, *group, inputs[0]),
-        OpKind::EdgeSoftmaxBwd => kernels::edge_softmax_bwd(g, inputs[0], inputs[1]),
 
         OpKind::View(_) => inputs[0].clone(),
         OpKind::HeadReduce(f) => {

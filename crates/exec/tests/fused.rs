@@ -5,7 +5,7 @@
 //! what arithmetic is performed — while the measured peak of the value
 //! store stays below what the oracle materializes.
 
-use gnnopt_core::lower::{RowAt, SlotSize};
+use gnnopt_core::lower::{RowAt, SlotSize, TileOp};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, OpKind,
     ReduceFn, ScatterFn, Storage, UnaryFn,
@@ -389,12 +389,13 @@ fn fresh_softmax_and_feat_sum_read_aliased_operands() {
 }
 
 /// A softmax feeding a `ByDst` sum directly (the shape `tests/grad_props.rs`
-/// draws at random): backward, `EdgeSoftmaxBwd` reads the incoming
+/// draws at random): backward, `y·(g − Σ_dst g·y)` reads the incoming
 /// gradient as an aliased `CopyV` — `grad[dst(e)]` for every row of a
-/// group — so both of its group sweeps take that operand through the
-/// staged strips; on the hub, whose group is longer than a stage, across
-/// strip boundaries inside one group. Two heads are staged, eight read in
-/// place row by row.
+/// group — so the group sum folds `g·y` edge by edge (not in blocks: an
+/// operand sits at the destination) and the difference takes that
+/// operand through the staged strips; on the hub, whose group is longer
+/// than a stage, across strip boundaries inside one group. Two heads are
+/// staged, eight read in place row by row.
 #[test]
 fn softmax_backward_sweeps_read_an_aliased_gradient() {
     for g in [small_graph(), hub_graph()] {
@@ -410,13 +411,20 @@ fn softmax_backward_sweeps_read_an_aliased_gradient() {
             ir.mark_output(out);
             let plan = plan_of(&ir, true);
             let units = plan.programs.iter().flat_map(|p| &p.units);
-            let mut ops = units.flat_map(|u| &u.ops);
-            let bwd = ops.find(|op| op.kind == OpKind::EdgeSoftmaxBwd);
-            let grad = bwd.expect("a tiled softmax backward").srcs[0];
+            let ops: Vec<_> = units.flat_map(|u| &u.ops).collect();
+            let sub = ops
+                .iter()
+                .find(|op| op.kind == OpKind::Binary(BinaryFn::Sub));
+            let grad = sub.expect("a tiled difference").srcs[0];
             assert_eq!(
                 grad.at,
                 RowAt::DstV,
                 "the gradient is read through the alias"
+            );
+            let at_dst = |op: &&&TileOp| op.size == SlotSize::Fold && op.srcs[0].at == RowAt::DstV;
+            assert!(
+                ops.iter().any(|op| at_dst(&op)),
+                "the group sum folds g@dst · y"
             );
             let b = Bindings::new()
                 .with("h", fill(g.num_vertices(), 3, 13))
@@ -581,13 +589,15 @@ fn materialized_producer_is_written_in_place() {
 }
 
 /// GAT training, one layer of two heads: the backward kernel's
-/// `FeatSum` runs row by row but feeds `EdgeSoftmaxBwd`, which sweeps each
-/// group twice — it keeps a tile-sized slot, and folds the `E[2×4]`
-/// product in front of it. The backward `BySrc` gather streams a chain
-/// through the stash-backed softmax. One tile, so the high-water mark is
-/// that backward segment's: four `E[2]` tile slots (score, softmax,
-/// feat-sum, softmax-backward) and one strip of the leaky-relu — its only
-/// reader, the stash-backed softmax, runs row by row.
+/// `FeatSum` runs row by row but feeds the softmax backward twice — the
+/// folded `g·y` of its group sum and the difference `g − s` — so it keeps
+/// a tile-sized slot, and folds the `E[2×4]` product in front of it. The
+/// backward `BySrc` gather streams a chain through the stash-backed
+/// softmax. One tile, so the high-water mark is that backward segment's:
+/// five `E[2]` tile slots (score, softmax, feat-sum, the difference and
+/// its product with the softmax), the `V[2]` group sum and one strip of
+/// the leaky-relu — its only reader, the stash-backed softmax, runs row
+/// by row.
 #[test]
 fn producer_read_by_softmax_backward_stays_tile_sized() {
     let spec = gat(&GatConfig {
@@ -605,10 +615,10 @@ fn producer_read_by_softmax_backward_stays_tile_sized() {
         }
         b
     };
-    let edges = small_graph().num_edges();
+    let (vertices, edges) = (small_graph().num_vertices(), small_graph().num_edges());
     assert_eq!(
         scratch_on_both_graphs(&plan, bind),
-        4 * (4 * 2 * edges + 2 * STRIP_ROWS) as u64,
+        4 * (5 * 2 * edges + 2 * vertices + 2 * STRIP_ROWS) as u64,
     );
 }
 
@@ -671,20 +681,62 @@ fn folded_product(ir: &mut IrGraph, g: &Graph, dim: Dim, per_head: bool) -> (usi
     }
 }
 
-/// Asserts `plan` folds every `binary_Mul` of two graph rows it runs (a
-/// head-dot input dual reads a parameter whole and feeds no sum);
-/// returns how many of them pull a row-sized operand.
+/// Asserts `plan` folds every `binary_Mul` a sum reads (a `Gather`
+/// `Sum`/`Mean` or a `FeatSum`, in its unit; the softmax backward's last
+/// product and a head-dot input dual feed no sum); returns how many of
+/// them pull a row-sized operand.
 fn folds_every_product(plan: &ExecutionPlan) -> usize {
-    let units = plan.programs.iter().flat_map(|p| &p.units);
-    let products = units.flat_map(|u| &u.ops).filter(|op| {
-        op.kind == OpKind::Binary(BinaryFn::Mul) && op.srcs.iter().all(|s| s.at != RowAt::Whole)
-    });
+    let sums = |op: &TileOp| match op.kind {
+        OpKind::Gather { reduce, .. } => reduce != ReduceFn::Max,
+        _ => op.kind == OpKind::FeatSum,
+    };
     let mut pulled = 0;
-    for op in products {
-        assert_eq!(op.size, SlotSize::Fold, "{:?}", op.kind);
-        pulled += usize::from(op.pulls);
+    for u in plan.programs.iter().flat_map(|p| &p.units) {
+        for (j, op) in u.ops.iter().enumerate() {
+            let summed = u.ops.iter().any(|r| sums(r) && r.srcs[0].slot() == Some(j));
+            if op.kind == OpKind::Binary(BinaryFn::Mul) && summed {
+                assert_eq!(op.size, SlotSize::Fold, "{:?}", op.kind);
+                pulled += usize::from(op.pulls);
+            }
+        }
     }
     pulled
+}
+
+/// The block sweep: a by-destination `Sum` of `a·b`, both edge rows at the
+/// gather's own rows and nothing pulled, sums each group as one block;
+/// read through an exact `Scale(1)`, `a` is pulled and the same product
+/// folds edge by edge. Narrow and wide rows, tile budgets that cut between
+/// groups and the hub's one-group tile, isolated vertices: both run the
+/// oracle's bits, and the two oracles agree.
+#[test]
+fn block_sweep_equals_the_per_edge_fold() {
+    for g in [small_graph(), hub_graph()] {
+        for width in [1usize, 3, 8, 64] {
+            let b = Bindings::new()
+                .with("a", fill(g.num_edges(), width, 81))
+                .with("b", fill(g.num_edges(), width, 82));
+            let mut want = Vec::new();
+            for pulled in [false, true] {
+                let mut ir = IrGraph::new();
+                let a = ir.input_edge("a", Dim::flat(width));
+                let y = ir.input_edge("b", Dim::flat(width));
+                let a = match pulled {
+                    true => ir.unary(UnaryFn::Scale(1.0), a).unwrap(),
+                    false => a,
+                };
+                let p = ir.binary(BinaryFn::Mul, a, y).unwrap();
+                let out = ir.gather(ReduceFn::Sum, EdgeGroup::ByDst, p).unwrap();
+                ir.mark_output(out);
+                let plan = plan_of(&ir, false);
+                assert_eq!(folds_every_product(&plan), usize::from(pulled));
+                check_against_oracle(&plan, &g, &b);
+                let oracle = refexec::evaluate(&plan, &g, &b, None).expect("oracle");
+                want.push(bits(&oracle.outputs[0]));
+            }
+            assert_eq!(want[0], want[1], "width {width}");
+        }
+    }
 }
 
 /// Both product shapes at heads {1, 2, 4} × feat {1, 3, 8, 32} under each

@@ -4,16 +4,17 @@
 //! is performed, only who performs it.
 //!
 //! * Every graph and row-local op — everything the tile driver runs —
-//!   alone in its kernel, through an N-thread session against the serial
-//!   oracle (`refexec::evaluate`): the op library's kernels for these are
-//!   plain loops, so this holds the interpreter to a reference, not a
-//!   threaded kernel to itself.
+//!   alone in its kernel (and the one sweep only fusion reaches: a
+//!   by-destination sum of a folded product, in blocks), through an
+//!   N-thread session against the serial oracle (`refexec::evaluate`):
+//!   the op library's kernels for these are plain loops, so this holds
+//!   the interpreter to a reference, not a threaded kernel to itself.
 //! * A whole GAT step, parallel against serial, peak memory included.
 //!
 //! Random graphs include isolated vertices on purpose, so the empty-group
 //! identity rows are covered by the bitwise comparison too.
 
-use gnnopt_core::lower::{is_streamed_gather, StepExec};
+use gnnopt_core::lower::{is_streamed_gather, RowAt, SlotSize, StepExec};
 use gnnopt_core::view::{gather_max_bwd_group, Layout};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, FusionLevel,
@@ -126,7 +127,7 @@ fn unfused() -> CompileOptions {
     }
 }
 
-type OpPick = fn(&IrGraph, &Node) -> bool;
+type OpPick = fn(&ExecutionPlan, &Node) -> bool;
 
 /// The ops the property below must have run in the tile driver.
 fn tile_ops() -> Vec<(&'static str, OpPick)> {
@@ -165,28 +166,37 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
         ("gather Mean BySrc", |_, n| gather(n, Mean, BySrc)),
         ("gather Max BySrc", |_, n| gather(n, Max, BySrc)),
         ("edge_softmax", |_, n| n.kind == OpKind::EdgeSoftmax),
-        ("edge_softmax_bwd", |_, n| n.kind == OpKind::EdgeSoftmaxBwd),
+        // DGL's gSpMM fuses the softmax backward's `Σ_dst g·y` with its
+        // product: the tile driver sweeps each group as one block.
+        (
+            "gather Sum ByDst over a folded own-row product",
+            |plan, n| gather(n, Sum, ByDst) && sweeps_blocks(plan, n),
+        ),
         ("gather_mean_bwd ByDst", |_, n| {
             n.kind == OpKind::GatherMeanBwd { group: ByDst }
         }),
         ("gather_mean_bwd BySrc", |_, n| {
             n.kind == OpKind::GatherMeanBwd { group: BySrc }
         }),
-        ("gather_max_bwd ByDst", |ir, n| max_bwd(ir, n, ByDst)),
-        ("gather_max_bwd BySrc", |ir, n| max_bwd(ir, n, BySrc)),
+        ("gather_max_bwd ByDst", |plan, n| {
+            max_bwd(&plan.ir, n, ByDst)
+        }),
+        ("gather_max_bwd BySrc", |plan, n| {
+            max_bwd(&plan.ir, n, BySrc)
+        }),
         ("unary", |_, n| matches!(n.kind, OpKind::Unary(_))),
         ("unary_bwd", |_, n| matches!(n.kind, OpKind::UnaryBwd(_))),
-        ("binary", |ir, n| {
-            matches!(n.kind, OpKind::Binary(_)) && !broadcasts(ir, n)
+        ("binary", |plan, n| {
+            matches!(n.kind, OpKind::Binary(_)) && !broadcasts(&plan.ir, n)
         }),
-        ("binary, head broadcast", |ir, n| {
-            matches!(n.kind, OpKind::Binary(_)) && broadcasts(ir, n)
+        ("binary, head broadcast", |plan, n| {
+            matches!(n.kind, OpKind::Binary(_)) && broadcasts(&plan.ir, n)
         }),
         ("gaussian_weight", |_, n| n.kind == OpKind::GaussianWeight),
         ("head_dot", |_, n| n.kind == OpKind::HeadDot),
         // The head-dot's input dual: the parameter read whole a row.
-        ("binary_Mul, a parameter operand", |ir, n| {
-            let param = |&i: &usize| ir.node(i).space == Space::Param;
+        ("binary_Mul, a parameter operand", |plan, n| {
+            let param = |&i: &usize| plan.ir.node(i).space == Space::Param;
             n.kind == OpKind::Binary(BinaryFn::Mul) && n.inputs.iter().any(param)
         }),
         ("head_reduce", |_, n| {
@@ -217,27 +227,41 @@ fn reads(n: &Node, is: fn(&Layout) -> bool) -> bool {
     n.layouts.iter().any(|(_, l)| is(l))
 }
 
-/// The graph-space ops of `plan` that run in the tile driver, each alone
-/// in its kernel.
-fn lone_tile_ops(plan: &ExecutionPlan) -> Vec<&Node> {
-    let mut ops = Vec::new();
-    for prog in &plan.programs {
-        let mut steps = prog.steps.iter();
-        let (Some(s), None) = (steps.next(), steps.next()) else {
-            panic!("kernel {} holds more than one op", prog.kernel);
-        };
+/// `n`, a by-destination sum, folds a product whose operands are equal in
+/// width and sit at its own rows, pulling nothing: the tile driver sweeps
+/// each group of it as one block.
+fn sweeps_blocks(plan: &ExecutionPlan, n: &Node) -> bool {
+    plan.programs.iter().any(|p| {
+        let ops = p
+            .units
+            .iter()
+            .flat_map(|u| u.ops.iter().map(move |op| (u, op)));
+        ops.into_iter().any(|(u, op)| {
+            let product = op.srcs[0].slot().map(|j| &u.ops[j]);
+            p.steps[op.step].node == n.id
+                && product.is_some_and(|f| {
+                    let own = f.srcs.iter().all(|s| s.at == RowAt::Own);
+                    f.size == SlotSize::Fold && !f.pulls && own && f.dins[0] == f.dins[1]
+                })
+        })
+    })
+}
+
+/// The graph-space ops of `plan` that run in the tile driver.
+fn tile_nodes(plan: &ExecutionPlan) -> Vec<&Node> {
+    let steps = plan.programs.iter().flat_map(|p| &p.steps);
+    let nodes = steps.filter_map(|s| {
         let node = plan.ir.node(s.node);
-        if s.exec == StepExec::Tiled || is_streamed_gather(&node.kind) {
-            ops.push(node);
-        }
-    }
-    ops
+        (s.exec == StepExec::Tiled || is_streamed_gather(&node.kind)).then_some(node)
+    });
+    nodes.collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every op a destination tile can run, alone in its kernel: an
+    /// Every op a destination tile can run, alone in its kernel, and the
+    /// block sweep of a folded product under DGL's fusion: an
     /// N-thread session — any tile size — writes the
     /// bits of the serial oracle's plain loops, outputs and parameter
     /// gradients alike. Head counts cover the score widths `rowops`
@@ -256,8 +280,10 @@ proptest! {
 }
 
 /// The body of the property above: both models of [`tile_op_models`]
-/// compiled without fusion, every lone tile op accounted for, a session
-/// per tile budget against the oracle.
+/// compiled without fusion and the attention model under DGL (whose
+/// gSpMM fuses the softmax backward's by-destination sum with its
+/// product), every tile op accounted for, a session per tile budget
+/// against the oracle.
 fn lone_tile_ops_match_oracle(
     g: &Graph,
     seed: u64,
@@ -275,10 +301,12 @@ fn lone_tile_ops_match_oracle(
         .with("sigma", pseudo_tensor(heads, 2, seed + 4));
     let wanted = tile_ops();
     let mut ran: Vec<&'static str> = Vec::new();
-    for ir in &tile_op_models(heads, feat) {
-        let plan = compile(ir, true, &unfused()).expect("compiles").plan;
-        for node in lone_tile_ops(&plan) {
-            let named = wanted.iter().filter(|(_, pick)| pick(&plan.ir, node));
+    let models = tile_op_models(heads, feat);
+    let runs = models.iter().map(|ir| (ir, unfused()));
+    for (ir, opts) in runs.chain([(&models[0], CompileOptions::dgl())]) {
+        let plan = compile(ir, true, &opts).expect("compiles").plan;
+        for node in tile_nodes(&plan) {
+            let named = wanted.iter().filter(|(_, pick)| pick(&plan, node));
             ran.extend(named.map(|(name, _)| *name));
         }
         let out = plan.ir.node(plan.ir.outputs()[0]);
@@ -305,7 +333,7 @@ fn lone_tile_ops_match_oracle(
         }
     }
     for (name, _) in &wanted {
-        assert!(ran.contains(name), "no kernel ran a lone {name}");
+        assert!(ran.contains(name), "no kernel ran a {name}");
     }
 }
 

@@ -88,7 +88,8 @@ pub mod scalar {
         }
     }
 
-    /// `o[i] += a[i] · b[i]` (the edge-softmax backward `Σ g·y` sweep).
+    /// `o[i] += a[i] · b[i]` (a folded equal-width product's group sum,
+    /// as the softmax backward's `Σ g·y`).
     #[inline(always)]
     pub fn mul_add_accum(o: &mut [f32], a: &[f32], b: &[f32]) {
         for ((ov, &av), &bv) in o.iter_mut().zip(a).zip(b) {
@@ -203,15 +204,6 @@ pub mod scalar {
             *yv = (xv - mv).exp() / dv;
         }
     }
-
-    /// `o[i] = y[i] · (g[i] − s[i])` (the edge-softmax backward output
-    /// row).
-    #[inline(always)]
-    pub fn softmax_bwd_row(o: &mut [f32], g: &[f32], y: &[f32], s: &[f32]) {
-        for (((ov, &gv), &yv), &sv) in o.iter_mut().zip(g).zip(y).zip(s) {
-            *ov = yv * (gv - sv);
-        }
-    }
 }
 
 /// Index of the first non-finite element of `x` (NaN or ±inf), or
@@ -281,7 +273,8 @@ avx2_dispatched!(
     max_assign, max_assign_avx2, (o: &mut [f32], x: &[f32])
 );
 avx2_dispatched!(
-    /// `o[i] += a[i] · b[i]` (the edge-softmax backward `Σ g·y` sweep).
+    /// `o[i] += a[i] · b[i]` (a folded equal-width product's group sum,
+    /// as the softmax backward's `Σ g·y`).
     mul_add_accum, mul_add_accum_avx2, (o: &mut [f32], a: &[f32], b: &[f32])
 );
 avx2_dispatched!(
@@ -304,12 +297,6 @@ avx2_dispatched!(
     /// rebuilt from stashed statistics).
     softmax_from_stats, softmax_from_stats_avx2,
     (y: &mut [f32], x: &[f32], m: &[f32], d: &[f32])
-);
-avx2_dispatched!(
-    /// `o[i] = y[i] · (g[i] − s[i])` (the edge-softmax backward output
-    /// row).
-    softmax_bwd_row, softmax_bwd_row_avx2,
-    (o: &mut [f32], g: &[f32], y: &[f32], s: &[f32])
 );
 
 // The closure-parameterized primitives are dispatched by hand: each AVX2
@@ -548,17 +535,6 @@ pub fn mul_add_accum_rows(s: &mut [f32], a: &[f32], b: &[f32]) {
     });
 }
 
-/// [`softmax_bwd_row`] of every row of `g`, `y` against the group's sum row.
-#[inline]
-pub fn softmax_bwd_rows(o: &mut [f32], g: &[f32], y: &[f32], s: &[f32]) {
-    with_width!(s.len(), w => {
-        let rows = o.chunks_exact_mut(w).zip(g.chunks_exact(w));
-        for ((or, gr), yr) in rows.zip(y.chunks_exact(w)) {
-            softmax_bwd_row(or, gr, yr, &s[..w]);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,9 +585,6 @@ mod tests {
         let mut y = [0.0f32; 2];
         softmax_from_stats(&mut y, &x, &m, &d);
         assert_eq!(y, [1.0, 1.0]);
-        let mut o = [0.0f32; 2];
-        softmax_bwd_row(&mut o, &[2.0, 3.0], &y, &[0.5, 0.5]);
-        assert_eq!(o, [1.5, 2.5]);
     }
 
     /// One `exp` per element or two, the fresh softmax writes the same
@@ -722,9 +695,6 @@ mod tests {
             run(&|o| softmax_from_stats(o, &x, &y, &base), &|o| {
                 scalar::softmax_from_stats(o, &x, &y, &base)
             });
-            run(&|o| softmax_bwd_row(o, &x, &y, &base), &|o| {
-                scalar::softmax_bwd_row(o, &x, &y, &base)
-            });
             run(&|o| binary_assign(o, &x, |a, b| a * b + 0.5), &|o| {
                 scalar::binary_assign(o, &x, |a, b| a * b + 0.5)
             });
@@ -752,10 +722,11 @@ mod tests {
         }
     }
     /// The block forms against the per-row `scalar::` sweeps written out —
-    /// the fresh edge softmax of one group and its backward, as the
-    /// reference kernels spell them — for width 0, every narrow width (a
-    /// literal inside) and two wide ones, and group lengths from empty
-    /// through one row to lengths that are a multiple of nothing.
+    /// the fresh edge softmax of one group as the reference kernels spell
+    /// it, and the group sum of a folded product as its reader folds it
+    /// edge by edge — for width 0, every narrow width (a literal inside)
+    /// and two wide ones, and group lengths from empty through one row to
+    /// lengths that are a multiple of nothing.
     #[test]
     fn block_sweeps_are_bit_identical_to_the_row_sweeps() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -786,20 +757,14 @@ mod tests {
                 assert_eq!(bits(&d2), bits(&d1), "denominator, width {w} × {len} rows");
                 assert_eq!(bits(&y2), bits(&y1), "softmax, width {w} × {len} rows");
 
-                let (mut s1, mut o1) = (vec![0.0f32; w], vec![f32::NAN; len * w]);
+                let mut s1 = vec![0.0f32; w];
                 for e in 0..len {
                     let at = e * w..(e + 1) * w;
-                    scalar::mul_add_accum(&mut s1, &g[at.clone()], &y1[at]);
+                    scalar::mul_accum(&mut s1, None, &g[at.clone()], &y1[at], w);
                 }
-                for e in 0..len {
-                    let at = e * w..(e + 1) * w;
-                    scalar::softmax_bwd_row(&mut o1[at.clone()], &g[at.clone()], &y1[at], &s1);
-                }
-                let (mut s2, mut o2) = (vec![0.0f32; w], vec![f32::NAN; len * w]);
+                let mut s2 = vec![0.0f32; w];
                 mul_add_accum_rows(&mut s2, &g, &y1);
-                softmax_bwd_rows(&mut o2, &g, &y1, &s2);
                 assert_eq!(bits(&s2), bits(&s1), "group sum, width {w} × {len} rows");
-                assert_eq!(bits(&o2), bits(&o1), "backward, width {w} × {len} rows");
             }
         }
     }

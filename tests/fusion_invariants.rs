@@ -29,7 +29,7 @@ fn kernel_is_legal(ir: &IrGraph, nodes: &[NodeId]) -> bool {
     let mut primary: Option<EdgeGroup> = None;
     for &n in nodes {
         match &ir.node(n).kind {
-            OpKind::EdgeSoftmax | OpKind::EdgeSoftmaxBwd => {
+            OpKind::EdgeSoftmax => {
                 primary = Some(EdgeGroup::ByDst);
                 break;
             }

@@ -276,7 +276,8 @@ fn memory_replay_detects_oom_consistently() {
 /// The inspector's `programs` view is the executable form of a plan —
 /// units, slot sizes, aliases, strips, the release schedule — so a
 /// change to any of them shows as a text diff against the golden file of
-/// each model with layout-changing ops (GAT, GATv2, MoNet). Regenerate
+/// each model with layout-changing ops (GAT, GATv2, MoNet) and of GCN,
+/// the model most benchmark workloads run. Regenerate
 /// (after reading the diff) with
 /// `cargo run --release --bin gnnopt-inspect -- <model> ours programs > tests/golden/<model>_ours_programs.txt`.
 #[test]
@@ -285,6 +286,7 @@ fn inspector_programs_views_match_their_golden_text() {
         ("gat", include_str!("golden/gat_ours_programs.txt")),
         ("gatv2", include_str!("golden/gatv2_ours_programs.txt")),
         ("monet", include_str!("golden/monet_ours_programs.txt")),
+        ("gcn", include_str!("golden/gcn_ours_programs.txt")),
     ];
     for (model, golden) in goldens {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_gnnopt-inspect"))
