@@ -16,8 +16,9 @@
 //! value matches its producer's reduction grouping
 //! ([`assignment_is_legal`]). Because each merge is individually guarded,
 //! every partition — the baselines' included — yields a schedulable
-//! kernel DAG, and there is no fallback path. Kernel boundaries, materialization classes and
-//! streaming eligibility all follow from the same views (see
+//! kernel DAG, and there is no fallback path. Kernel boundaries,
+//! materialization classes and streaming eligibility all follow from the
+//! same views (see
 //! [`crate::lower`]), which is what makes lowering total over the operator
 //! algebra.
 //!
@@ -268,29 +269,26 @@ fn regions_unfused(ir: &IrGraph) -> Vec<Option<usize>> {
 /// The one merge rule of every fusion level: joins the regions of `a`
 /// and `b` unless the kernel DAG would close a cycle
 /// ([`assignment_is_acyclic`]) or an endpoint read would see another
-/// group's reduction ([`assignment_is_legal`]). Returns whether they
-/// share a region afterwards.
-fn merge(ir: &IrGraph, region: &mut [Option<usize>], a: NodeId, b: NodeId) -> bool {
+/// group's reduction ([`assignment_is_legal`]).
+fn merge(ir: &IrGraph, region: &mut [Option<usize>], a: NodeId, b: NodeId) {
     let (Some(ra), Some(rb)) = (region[a], region[b]) else {
-        return false;
+        unreachable!("only compute nodes merge")
     };
-    let (keep, gone) = (ra.min(rb), ra.max(rb));
-    if keep == gone {
-        return true;
+    if ra == rb {
+        return;
     }
+    let (keep, gone) = (ra.min(rb), ra.max(rb));
     let moved: Vec<usize> = (0..region.len())
         .filter(|&i| region[i] == Some(gone))
         .collect();
     for &i in &moved {
         region[i] = Some(keep);
     }
-    if assignment_is_acyclic(ir, region) && assignment_is_legal(ir, region) {
-        return true;
+    if !assignment_is_acyclic(ir, region) || !assignment_is_legal(ir, region) {
+        for &i in &moved {
+            region[i] = Some(gone);
+        }
     }
-    for &i in &moved {
-        region[i] = Some(gone);
-    }
-    false
 }
 
 /// The paper's unified fusion: grow regions greedily along fusible
