@@ -182,11 +182,11 @@ fn bench_fused_exec(c: &mut Criterion) {
 /// narrower than `rowops::NARROW`, which the interpreter runs a staged
 /// strip or a destination group to a call — each as the only graph work
 /// of a session phase, on one thread over RMAT-14: the per-edge
-/// `scatter_Bin(Add)` of two endpoint reads, the fresh edge softmax, and
-/// the backward phase of `scatter → softmax → weighted sum`, i.e. the
-/// softmax rebuilt from its statistics, the softmax backward and the
-/// narrow products and sums around them, at the head counts models use
-/// and an odd one. Divide a median by the edge count in the group's name
+/// `scatter_Bin(Add)` of two endpoint reads, the forward edge softmax,
+/// and the backward phase of `scatter → softmax → weighted sum`, i.e. the
+/// recomputed softmax (its three sweeps of each destination group, run
+/// again), the softmax backward and the narrow products and sums around
+/// them, at the head counts models use and an odd one. Divide a median by the edge count in the group's name
 /// for ns per edge (the same ops run inside `gat_train`).
 fn bench_narrow_rows(c: &mut Criterion) {
     let graph = Graph::from_edge_list(&generators::rmat(14, 16, 0.57, 0.19, 0.19, 7));

@@ -133,7 +133,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// Auxiliary bytes a node must stash for its backward pass beyond its
-    /// regular output (argmax tables, softmax max/denominator).
+    /// regular output: a `Gather(Max)`'s argmax table.
     pub fn aux_bytes(&self, node: &Node) -> u64 {
         let v = self.stats.num_vertices() as u64;
         match &node.kind {
@@ -142,8 +142,6 @@ impl<'a> CostModel<'a> {
                 reduce: crate::op::ReduceFn::Max,
                 ..
             } => v * node.dim.total() as u64 * 4,
-            // per-vertex max + denominator per head
-            OpKind::EdgeSoftmax => 2 * v * node.dim.total() as u64 * ELEM_BYTES,
             _ => 0,
         }
     }
@@ -221,14 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn softmax_aux_is_order_v() {
+    fn only_a_max_gather_has_aux() {
         let s = stats(1000, 50.0);
         let mut g = IrGraph::new();
         let h = g.input_vertex("h", Dim::multi(4, 1));
         let e = g.scatter(ScatterFn::Bin(BinaryFn::Add), h, h).unwrap();
         let sm = g.edge_softmax(e).unwrap();
+        let mx = g.gather(ReduceFn::Max, EdgeGroup::ByDst, sm).unwrap();
         let cm = CostModel::new(&s);
-        assert_eq!(cm.aux_bytes(g.node(sm)), 2 * 1000 * 4 * 4);
+        // The argmax table is `O(V)`; a softmax stashes nothing.
+        assert_eq!(cm.aux_bytes(g.node(mx)), 1000 * 4 * 4);
+        assert_eq!(cm.aux_bytes(g.node(sm)), 0);
         assert_eq!(cm.aux_bytes(g.node(e)), 0);
     }
 

@@ -240,8 +240,6 @@ fn operand_label(prog: &KernelProgram, unit: &Unit, o: &Operand) -> String {
         Data::Full(FullSource::View(i)) => laid(&unit.views[i].srcs[0], &unit.views[i].layouts),
         Data::Full(FullSource::Value(id)) => format!("%{id}"),
         Data::Full(FullSource::Step(si)) => format!("%{}", prog.steps[si].node),
-        Data::Full(FullSource::SoftmaxMax(id)) => format!("max(%{id})"),
-        Data::Full(FullSource::SoftmaxDenom(id)) => format!("denom(%{id})"),
     };
     let pin = match o.at {
         RowAt::Own | RowAt::Whole => "",

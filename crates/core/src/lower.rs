@@ -44,10 +44,11 @@
 //! full step immediately re-reads (for a 64-wide RMAT-16 layer that is
 //! ~270 MB each way, the dominant backward cost of GAT and GCN). When a
 //! `Gather(_, BySrc)` is that spill's only consumer and every
-//! step of the spill's producer chain is per-edge computable from full
-//! tensors — scatter broadcasts, elementwise ops, softmax recomputes from
-//! their stashed statistics ([`ProgramStep::recompute`]), all read by
-//! nothing outside the chain — the third lowering pass *streams* the
+//! step of the spill's producer chain is computable inside a destination
+//! tile from full tensors — scatter broadcasts, elementwise ops, edge
+//! softmaxes (a tile owns whole destination groups, so it sweeps them as
+//! the forward one does), all read by nothing outside the chain — the
+//! third lowering pass *streams* the
 //! gather: the chain leaves the tiled segment it was lowered into, joins
 //! the gather's segment as [`Storage::Scratch`] steps, and the
 //! interpreter compiles chain and gather into one unit of its tile loop
@@ -192,8 +193,8 @@ pub struct KernelProgram {
     /// `i`.
     pub units: Vec<Unit>,
     /// Every value the program reads from outside the kernel with the
-    /// last stage that reads it, ascending by node. (Softmax statistics
-    /// and argmax tables live in the aux stores and are not listed.)
+    /// last stage that reads it, ascending by node. (Argmax tables live
+    /// in the aux store and are not listed.)
     pub inputs: Vec<(NodeId, usize)>,
 }
 
@@ -223,9 +224,6 @@ pub enum FullSource {
     Step(usize),
     /// A staged view of another source (index into [`Unit::views`]).
     View(usize),
-    /// The maximum / denominator the forward run of this softmax stashed.
-    SoftmaxMax(NodeId),
-    SoftmaxDenom(NodeId),
 }
 
 /// Where a resolved operand's rows are.
@@ -293,8 +291,7 @@ pub struct TileOp {
     /// The node's inputs in order, each endpoint read pinned
     /// (`view::endpoint_reads`): `Scatter` `[x@SrcV, y@DstV]` (a copy
     /// reads one side), `GatherMeanBwd` / `GatherMaxBwd` `[grad]` at the
-    /// forward group's endpoint. `EdgeSoftmax` with stashed statistics:
-    /// `[x, max@DstV, denom@DstV]`.
+    /// forward group's endpoint.
     pub srcs: Vec<Operand>,
     /// Input dims (`ir.node(inputs[i]).dim`), for broadcast/head layout.
     pub dins: Vec<Dim>,
@@ -348,16 +345,10 @@ impl TileOp {
         }
     }
 
-    /// Reduces over whole edge groups; every other op is a per-row
-    /// expression.
+    /// Reduces over whole edge groups (an `EdgeSoftmax` sweeps each
+    /// three times); every other op is a per-row expression.
     fn reduces_groups(&self) -> bool {
-        match self.kind {
-            OpKind::Gather { .. } => true,
-            // Fresh: three sweeps per group. With stashed statistics
-            // (two more operands) it is a row expression.
-            OpKind::EdgeSoftmax => self.srcs.len() == 1,
-            _ => false,
-        }
+        matches!(self.kind, OpKind::Gather { .. } | OpKind::EdgeSoftmax)
     }
 
     /// An elementwise op whose operands all sit at its own row: one
@@ -367,7 +358,6 @@ impl TileOp {
             OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV | ScatterFn::Bin(_))
             | OpKind::Unary(_)
             | OpKind::UnaryBwd(_) => true,
-            OpKind::EdgeSoftmax => !self.reduces_groups(),
             OpKind::Binary(_) => self.dins[0].feat == self.dins[1].feat,
             _ => false,
         };
@@ -437,10 +427,14 @@ impl Unit {
     /// Elements of tile- and row-sized slots a worker holds whose largest
     /// tile is `tile` = `(vertices, edges)`, so kernel-internal values
     /// never become full tensors: aliased copies and sinks hold nothing,
-    /// a step whose single reader takes each row once a strip of rows.
-    /// Summed over a launch's workers, `RunStats::scratch_bytes`.
+    /// a step whose single reader takes each row once a strip of rows —
+    /// and, past the slots, the max and denominator rows of the
+    /// destination group an `EdgeSoftmax` is sweeping, as wide as the
+    /// widest. Summed over a launch's workers, `RunStats::scratch_bytes`.
     pub fn slab_len(&self, tile: (usize, usize)) -> usize {
-        self.ops.iter().map(|op| op.slot_len(tile)).sum()
+        let softmax = self.ops.iter().filter(|op| op.kind == OpKind::EdgeSoftmax);
+        let group = softmax.map(|op| op.cols).max().unwrap_or(0);
+        self.ops.iter().map(|op| op.slot_len(tile)).sum::<usize>() + 2 * group
     }
 }
 
@@ -579,14 +573,13 @@ struct Classes<'a> {
     storage: &'a HashMap<NodeId, Storage>,
     exec: &'a HashMap<NodeId, StepExec>,
     segment: &'a HashMap<NodeId, usize>,
-    recompute: &'a HashSet<NodeId>,
 }
 
 impl Classes<'_> {
     /// Walks the producer chain of a streamed-gather candidate: true when
     /// member `id`, read at `dst(e)` iff `at_dst` (the only way to reach
     /// a vertex-space step), and everything it reads from its own
-    /// segment can be evaluated per edge inside the gather's tile loop.
+    /// segment can be evaluated inside the gather's tile loop.
     /// `chain` collects the walked steps, producers first.
     fn streams(&self, id: NodeId, at_dst: bool, chain: &mut Vec<NodeId>) -> bool {
         let node = self.ir.node(id);
@@ -622,10 +615,8 @@ impl Classes<'_> {
                 ScatterFn::Bin(_) => rec(x, false) && rec(y, true),
                 ScatterFn::ConcatUV => false,
             },
-            // Per-edge only from the forward max/denominator, which a
-            // recompute step finds stashed; a fresh softmax sweeps each
-            // destination group three times.
-            OpKind::EdgeSoftmax => self.recompute.contains(&id) && rec(x, false),
+            // Sweeps each destination group, which a tile owns whole.
+            OpKind::EdgeSoftmax => rec(x, false),
             // Elementwise steps read their operands at their own row.
             OpKind::Unary(_) | OpKind::UnaryBwd(_) | OpKind::Binary(_) | OpKind::FeatSum => {
                 node.inputs.iter().all(|&i| rec(i, at_dst))
@@ -729,8 +720,8 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
     }
 
     // Pass 3: streamed gathers (module docs). A full `BySrc` sum/mean
-    // whose spilled input it alone consumes, behind a per-edge computable
-    // chain nothing else reads, takes the chain into its own segment.
+    // whose spilled input it alone consumes, behind a chain a tile can
+    // compute and nothing else reads, takes the chain into its own segment.
     for &gid in &member_ids {
         let gather = ir.node(gid);
         if !is_streamed_gather(&gather.kind) {
@@ -745,7 +736,6 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
             storage: &storage,
             exec: &exec,
             segment: &segment,
-            recompute: &recompute,
         };
         let mut chain = Vec::new();
         if !classes.streams(root, false, &mut chain) {
@@ -887,13 +877,6 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
                 x.at = RowAt::Whole;
             }
             *x = staged(ir, &mut unit, si, sp.node, pos, *x);
-        }
-        // Rebuilt from the statistics its forward run stashed (lowering
-        // streamed the softmax's chain on the strength of them; a launch
-        // that does not find them is refused).
-        if node.kind == OpKind::EdgeSoftmax && sp.recompute {
-            srcs.push(full(FullSource::SoftmaxMax(sp.node)).pinned(RowAt::DstV));
-            srcs.push(full(FullSource::SoftmaxDenom(sp.node)).pinned(RowAt::DstV));
         }
         let slot = Data::Slot {
             idx: unit.ops.len(),
@@ -1108,7 +1091,7 @@ mod tests {
         assert_eq!(gather.exec, StepExec::Full);
         // The O(|E|·d) root is tile rows in the gather's own segment, not
         // an interior full tensor — with the whole chain behind it, the
-        // softmax recomputed from its stashed statistics included.
+        // recomputed softmax included.
         assert_eq!(
             (root.storage, root.exec),
             (Storage::Scratch, StepExec::Tiled)
@@ -1154,10 +1137,11 @@ mod tests {
     }
 
     #[test]
-    fn a_chain_holding_a_fresh_softmax_does_not_stream() {
-        // Forward, the softmax sweeps each destination group three times
-        // for its max and denominator: not a per-edge expression, so the
-        // `BySrc` gather behind it reads a spilled tensor.
+    fn a_chain_holding_a_softmax_streams() {
+        // The softmax sweeps each destination group three times for its
+        // max and denominator, and a tile owns whole groups: the `BySrc`
+        // gather behind it takes the chain, softmax and all, instead of
+        // reading a spilled tensor.
         let mut g = IrGraph::new();
         let a = g.input_vertex("a", Dim::flat(1));
         let h = g.input_vertex("h", Dim::flat(4));
@@ -1172,8 +1156,9 @@ mod tests {
         let prog = &plan.programs[0];
         let step = |id: NodeId| prog.steps.iter().find(|s| s.node == id).unwrap();
         assert!(!step(sm).recompute);
-        assert_eq!(step(me).storage, Storage::Interior);
-        assert_eq!(prog.streamed().count(), 0);
+        assert_eq!(step(me).storage, Storage::Scratch);
+        assert!(prog.streamed().any(|s| s.node == sm));
+        assert_eq!(prog.interior_full_bytes(10, 100), 0);
     }
 
     #[test]

@@ -49,8 +49,6 @@
 //!   single-position regions — as do recomputed values, at each backward
 //!   kernel that rebuilds them, and the views a unit stages whole
 //!   ([`crate::lower::Unit::views`]), at that unit's stage.
-//! * The max/denominator statistics of every fresh (non-recompute)
-//!   `EdgeSoftmax`: two `V[cols]` tensors that live to session reset.
 //! * The `u32` argmax table of every `Gather(Max)`: a different element
 //!   type, so listed in [`MemoryPlan::argmax_tables`] (the session seeds
 //!   the pool's `u32` list with them) instead of laid out in the arena.
@@ -354,18 +352,14 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
         };
         for s in &program.steps {
             let p = kernel_span[kid].start + s.stage;
-            // The aux stores a fresh softmax's max/denominator and a
-            // max-gather's argmax table enter empty at session reset.
-            let aux = 4 * nv as u64 * s.cols as u64;
-            match plan.ir.node(s.node).kind {
-                OpKind::EdgeSoftmax if !s.recompute => {
-                    intervals.extend([(s.node, aux, p, PERSISTENT); 2]);
-                }
-                OpKind::Gather {
-                    reduce: ReduceFn::Max,
-                    ..
-                } => argmax_tables.push((s.node, aux)),
-                _ => {}
+            // The aux store a max-gather's argmax table enters empty at
+            // session reset.
+            if let OpKind::Gather {
+                reduce: ReduceFn::Max,
+                ..
+            } = plan.ir.node(s.node).kind
+            {
+                argmax_tables.push((s.node, 4 * nv as u64 * s.cols as u64));
             }
             let death = match s.storage {
                 // Tiled rows in per-worker slots (every scratch-class

@@ -52,8 +52,8 @@ pub struct ExecutionPlan {
     pub kernels: Vec<Kernel>,
     /// Forward nodes whose outputs persist for the backward pass.
     pub stash: BTreeSet<NodeId>,
-    /// Forward nodes whose auxiliaries (softmax max/denominator, argmax
-    /// tables) are stashed, persisting from forward to backward.
+    /// `Gather(Max)` nodes whose argmax tables are stashed, persisting
+    /// from forward to backward.
     pub aux_stash: BTreeSet<NodeId>,
     /// `(param, grad)` node pairs (empty for inference plans).
     pub param_grads: Vec<(NodeId, NodeId)>,
@@ -210,17 +210,7 @@ impl ExecutionPlan {
                 })
                 .collect();
             let inputs: Vec<&crate::ir::Node> = viewed.iter().collect();
-            // A softmax recomputed from its stashed max/denominator costs
-            // half the forward flops (no reduction passes).
-            let node_flops = if kernel.recompute.contains(&nid)
-                && node.kind == OpKind::EdgeSoftmax
-                && self.aux_stash.contains(&nid)
-            {
-                cm.flops(node, &inputs) / 2
-            } else {
-                cm.flops(node, &inputs)
-            };
-            flops += node_flops;
+            flops += cm.flops(node, &inputs);
 
             for (&i, input) in node.inputs.iter().zip(&viewed) {
                 if members.contains(&i) {
@@ -230,12 +220,9 @@ impl ExecutionPlan {
                 let e = reads.entry(i).or_insert(0);
                 *e = (*e).max(b);
             }
-            // Auxiliary reads: argmax tables and softmax statistics.
+            // Auxiliary reads: argmax tables.
             if let OpKind::GatherMaxBwd { fwd } = node.kind {
                 extra_read += cm.aux_bytes(self.ir.node(fwd));
-            }
-            if kernel.recompute.contains(&nid) && self.aux_stash.contains(&nid) {
-                extra_read += cm.aux_bytes(node);
             }
         }
 

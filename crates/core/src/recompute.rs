@@ -4,9 +4,15 @@
 //! paper's criterion: if an intermediate's `ComputationCost / MemoryCost`
 //! is `O(1)`, recompute it inside the backward kernel instead of stashing
 //! it — eliminating the `O(|E|)` edge intermediates entirely when combined
-//! with fusion ("fusion-recomputation combo"). Edge-softmax gets the
-//! special treatment from the paper's example: stash only the per-vertex
-//! max and denominator (`O(|V|)`) and rebuild edge values in `O(1)` each.
+//! with fusion ("fusion-recomputation combo"). The paper's example goes
+//! one step further for the edge softmax — stash its per-vertex max and
+//! denominator (`O(|V|)`) and rebuild each edge value in `O(1)` — which
+//! is not followed here: a recomputed softmax sweeps its destination
+//! groups again, as the forward one does. A tile owns whole groups and
+//! already holds their rows, so the re-sweep moves no edge-sized bytes,
+//! stashes nothing, and writes the forward run's bits; the statistics
+//! would cost a second execution form and two `V[heads]` regions per
+//! softmax for no measured gain.
 //!
 //! Vertex features are always stashed (`O(|V|)` is cheap, and the paper
 //! explicitly chooses to "recompute edge rather than vertex features").
@@ -56,8 +62,8 @@ impl Default for RecomputeOptions {
 pub struct MemoryPlan {
     /// Forward nodes whose full outputs are stashed.
     pub stash: BTreeSet<NodeId>,
-    /// Forward nodes whose *auxiliaries* are stashed (softmax max +
-    /// denominator, gather-max argmax tables).
+    /// Forward nodes whose *auxiliaries* are stashed: the `Gather(Max)`
+    /// nodes, whose backward routes by their argmax tables.
     pub aux_stash: BTreeSet<NodeId>,
     /// Forward nodes recomputed during the backward pass.
     pub recomputed: BTreeSet<NodeId>,
@@ -70,8 +76,8 @@ fn cost_per_element(ir: &IrGraph, node: &crate::ir::Node) -> f64 {
         OpKind::Scatter(crate::op::ScatterFn::Bin(_)) => 1.0,
         OpKind::Scatter(_) => 0.0,
         OpKind::Unary(_) | OpKind::Binary(_) => 1.0,
-        // With stashed max/denominator: one exp + one divide per edge.
-        OpKind::EdgeSoftmax => 2.0,
+        // The group's max, then one exp, sum and divide per edge.
+        OpKind::EdgeSoftmax => 4.0,
         OpKind::GaussianWeight => {
             let r = ir.node(node.inputs[0]).dim.feat as f64;
             3.0 * r + 2.0
@@ -152,9 +158,6 @@ pub fn plan_training_memory(
             && !expensive_reader
         {
             plan.recomputed.insert(s);
-            if node.kind == OpKind::EdgeSoftmax {
-                plan.aux_stash.insert(s);
-            }
         } else {
             plan.stash.insert(s);
         }
@@ -177,9 +180,6 @@ pub fn plan_training_memory(
             if inp.space == Space::Edge && inp.kind.fusion_class() == FusionClass::Fusible && cheap
             {
                 full_recompute.insert(i);
-                if inp.kind == OpKind::EdgeSoftmax {
-                    plan.aux_stash.insert(i);
-                }
                 stack.push(i);
             } else {
                 // O(|V|) (or expensive) ancestor: stash it instead.
@@ -267,9 +267,10 @@ mod tests {
         let (g, sm, hw) = gat_training_ir();
         let mut kernels = partition(&g, FusionLevel::Unified, MappingPolicy::Auto);
         let plan = plan_training_memory(&g, &mut kernels, &RecomputeOptions::default());
-        // Softmax output (edge) must be recomputed with aux stashed.
+        // Softmax output (edge) is recomputed, nothing of it stashed: the
+        // backward sweeps its groups again.
         assert!(plan.recomputed.contains(&sm), "softmax must be recomputed");
-        assert!(plan.aux_stash.contains(&sm), "softmax needs aux stash");
+        assert!(plan.aux_stash.is_empty(), "no gather-max, no aux stash");
         // Projected vertex features are stashed, not recomputed.
         assert!(plan.stash.contains(&hw));
         // No O(|E|) tensor may appear in the stash.

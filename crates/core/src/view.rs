@@ -50,10 +50,6 @@ pub enum View {
     /// Whole-tensor read independent of the iteration row (parameters and
     /// other `Space::Param` operands broadcast into every row).
     Broadcast,
-    /// Stash-backed auxiliary: the value is not a live dataflow input but
-    /// an auxiliary table recorded by another node (argmax tables, softmax
-    /// max/denominator stashes) and replayed at the consumer's rows.
-    Stash,
     /// The operand is never read (the dummy second operand of a
     /// `Scatter(CopyU/CopyV)` kept for arity uniformity).
     Unused,
@@ -94,13 +90,7 @@ pub fn edge_view(ir: &IrGraph, consumer: NodeId, pos: usize) -> View {
         },
         // Reductions consume edge rows grouped by an endpoint.
         OpKind::Gather { group, .. } => View::Reduce(*group),
-        OpKind::EdgeSoftmax => {
-            if in_space == Space::Edge {
-                View::Aligned
-            } else {
-                View::Broadcast
-            }
-        }
+        OpKind::EdgeSoftmax => View::Aligned,
         // Mean backward broadcasts the vertex gradient to each edge of the
         // forward group — an endpoint read through the forward grouping.
         OpKind::GatherMeanBwd { group } => match group {

@@ -46,7 +46,7 @@
 //!
 //! * **Tile-sized** — the tile's rows of the op's space, evaluated when
 //!   the tile loop reaches the op, before its readers run: the input of
-//!   a reduction that sweeps each group more than once (the fresh
+//!   a reduction that sweeps each group more than once (an
 //!   `EdgeSoftmax`), the input of an elementwise op that covers the
 //!   tile in one call, an elementwise op read through an edge endpoint
 //!   (its reader would be held to one row a pull), every value with two
@@ -88,8 +88,9 @@
 //! chain is empty and the gather reads a complete tensor. Chain and
 //! gather are one more unit for the same tile loop: the chain's
 //! ops get slots by the rule above (a linear edge-space chain is
-//! row-sized throughout, an elementwise vertex-space member — read at
-//! `dst(e)` — or a member with two readers is a tile op), and the
+//! row-sized throughout; an elementwise vertex-space member — read at
+//! `dst(e)` — a member with two readers, or a softmax and what it reads
+//! is a tile op), and the
 //! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
 //! edges in ascending order, folding a last product and hinting an owned
 //! target row early — or, a max, folds `row(e)` in first-wins beside the
@@ -105,7 +106,8 @@
 //! within a destination group, so each group is one run per worker),
 //! which is what divides the row-sized members' work by the worker
 //! count; tile-sized members (a vertex-space one over the tile's
-//! destinations) are evaluated by every worker. The spill never exists;
+//! destinations, a softmax over the tile's groups) are evaluated by
+//! every worker. The spill never exists;
 //! this is the dominant backward-phase cost of GAT/GCN on power-law
 //! graphs.
 //!
@@ -170,8 +172,6 @@ use std::sync::Arc;
 pub(crate) struct Store {
     /// Every live full tensor, by the node that produced it.
     pub values: HashMap<NodeId, Tensor>,
-    /// Edge-softmax statistics (max, denominator) of the forward run.
-    pub aux_softmax: HashMap<NodeId, (Tensor, Tensor)>,
     /// Gather-max argmax tables of the forward run.
     pub aux_argmax: HashMap<NodeId, Vec<u32>>,
 }
@@ -201,8 +201,8 @@ impl Src<'_> {
     }
 }
 
-/// Operands a tile op has at most (`EdgeSoftmax` from its statistics,
-/// `GaussianWeight`); [`prepare`] checks it.
+/// Operands a tile op has at most (`GaussianWeight`); [`prepare`]
+/// checks it.
 const MAX_SRCS: usize = 3;
 
 /// What a launch binds of one op: its operands (padded with empty
@@ -237,9 +237,8 @@ pub(crate) struct Frame {
     /// spilled recompute values), so they only count toward the peak
     /// while they are genuinely alive.
     pub mat: Vec<Option<Tensor>>,
-    /// Freshly computed edge-softmax statistics `(step, max, denominator)`
-    /// and gather-max argmax tables, on their way to the aux stores.
-    stats: Vec<(usize, Tensor, Tensor)>,
+    /// Freshly computed gather-max argmax tables `(step, table)`, on their
+    /// way to the aux store.
     argmax: Vec<(usize, Vec<u32>)>,
     /// The running unit's sinks `(op, tensor)`, out of `mat` while the
     /// workers write their chunks.
@@ -295,12 +294,6 @@ pub(crate) struct CompiledKernel {
     shard: Option<Arc<[bool]>>,
     /// High-water mark of slot bytes across workers (max over units).
     pub scratch_bytes: u64,
-}
-
-/// A fresh (non-recompute) softmax computes its group statistics; one
-/// rebuilt from them reads them as two more operands.
-fn is_fresh_softmax(op: &TileOp) -> bool {
-    op.kind == OpKind::EdgeSoftmax && op.srcs.len() == 1
 }
 
 fn is_gather_max(op: &TileOp) -> bool {
@@ -798,12 +791,13 @@ pub(crate) fn tile_bounds(indptr: &[usize], tile_edges: usize) -> Vec<usize> {
     bounds
 }
 
-/// One worker's auxiliary sinks (rows relative to its first vertex,
-/// `chunk_v0`): per fresh softmax of the unit its chunks of the global
-/// max and denominator, per gather-max its chunk of the argmax table —
-/// an op's sit at its ordinal among the unit's ops of its kind.
+/// One worker's auxiliary rows: per gather-max of the unit its chunk of
+/// the argmax table (rows relative to its first vertex, `chunk_v0`), at
+/// the op's ordinal among the unit's gather-maxes; and the tail of its
+/// slab, where a softmax keeps the max and denominator rows of the
+/// destination group it is sweeping.
 struct WorkerAux<'r, 'w> {
-    stats: &'r mut [&'w mut [f32]],
+    group: &'r mut [f32],
     argmax: &'r mut [&'w mut [u32]],
     chunk_v0: usize,
 }
@@ -819,8 +813,6 @@ fn full_tensor<'a>(
         FullSource::Value(id) => store.values.get(&id),
         FullSource::Step(si) => mat[si].as_ref(),
         FullSource::View(i) => views.get(i),
-        FullSource::SoftmaxMax(id) => store.aux_softmax.get(&id).map(|(mx, _)| mx),
-        FullSource::SoftmaxDenom(id) => store.aux_softmax.get(&id).map(|(_, dn)| dn),
     };
     found.ok_or_else(|| ExecError::ValueNotLive {
         node: match src {
@@ -846,18 +838,17 @@ impl CompiledKernel {
     /// streamed units tile by tile with per-worker slots, dense and
     /// parameter steps in one call into the op library's dispatch (what
     /// makes lowering total: any op the IR expresses either tiles or
-    /// lands there). Fresh softmax statistics and argmax tables go to
-    /// `store`'s aux stores; the tensors the steps produced are left in
-    /// [`Frame::mat`] for the caller to take. Returns the bytes of dying
+    /// lands there). Argmax tables go to `store`'s aux store; the tensors
+    /// the steps produced are left in [`Frame::mat`] for the caller to
+    /// take. Returns the bytes of dying
     /// inputs freed mid-flight — already removed from `store.values`, so
     /// a session subtracts them from its live accounting; its post-kernel
     /// eviction no-ops on them.
     ///
     /// # Errors
     ///
-    /// [`ExecError::ValueNotLive`] when an out-of-kernel operand, a
-    /// `GatherMaxBwd`'s forward argmax table or a recomputed
-    /// `EdgeSoftmax`'s forward statistics are not in `store` (a plan
+    /// [`ExecError::ValueNotLive`] when an out-of-kernel operand or a
+    /// `GatherMaxBwd`'s forward argmax table is not in `store` (a plan
     /// inconsistency) — before any worker runs; [`ExecError::Injected`]
     /// from the `fused.launch` failpoint.
     pub(crate) fn launch(
@@ -882,7 +873,6 @@ impl CompiledKernel {
         // (A failed launch may have left tensors behind.)
         frame.mat.clear();
         frame.mat.resize_with(program.steps.len(), || None);
-        frame.stats.clear();
         frame.argmax.clear();
         frame.outs.clear();
         let ops = program
@@ -891,10 +881,8 @@ impl CompiledKernel {
             .flat_map(|u| u.ops.iter().chain(&u.views));
         for op in ops {
             for s in &op.srcs {
-                if let Data::Full(src) = s.data {
-                    if !matches!(src, FullSource::Step(_) | FullSource::View(_)) {
-                        full_tensor(ir, program, (store, &frame.mat, &[]), src)?;
-                    }
+                if let Data::Full(src @ FullSource::Value(_)) = s.data {
+                    full_tensor(ir, program, (store, &frame.mat, &[]), src)?;
                 }
             }
             if let OpKind::GatherMaxBwd { fwd } = op.kind {
@@ -921,10 +909,6 @@ impl CompiledKernel {
             }
             frame.views.clear();
             evicted += self.release(unit.stage, store);
-        }
-        for (si, mx, dn) in frame.stats.drain(..) {
-            let stats = (mx, dn);
-            store.aux_softmax.insert(program.steps[si].node, stats);
         }
         for (si, a) in frame.argmax.drain(..) {
             store.aux_argmax.insert(program.steps[si].node, a);
@@ -985,7 +969,6 @@ impl CompiledKernel {
         let streamed = unit.kind == UnitKind::Streamed;
         let Frame {
             mat,
-            stats,
             argmax,
             outs,
             views,
@@ -995,19 +978,15 @@ impl CompiledKernel {
         } = frame;
 
         // The segment's full tensors, born with it: workers fill disjoint
-        // chunks. Auxiliaries likewise: a tiled softmax / gather-max
-        // fills global tables in disjoint chunks (a recomputed softmax
-        // reads its stashed statistics as operands).
-        let (stats0, argmax0) = (stats.len(), argmax.len());
+        // chunks. Argmax tables likewise: a gather-max fills a global
+        // table in disjoint chunks.
+        let argmax0 = argmax.len();
         for (k, op) in ops.iter().enumerate() {
             if op.size == SlotSize::Sink {
                 let rows = if op.space == Space::Edge { m } else { n };
                 outs.push((k, Tensor::zeros(&[rows, op.cols])));
             }
-            if is_fresh_softmax(op) {
-                let maxes = Tensor::full(&[n, op.cols], f32::NEG_INFINITY);
-                stats.push((op.step, maxes, Tensor::zeros(&[n, op.cols])));
-            } else if is_gather_max(op) {
+            if is_gather_max(op) {
                 // Pool-recycled like the session's aux store drains them.
                 let mut table = pool::take_u32(n * op.cols);
                 table.resize(n * op.cols, NO_ARGMAX);
@@ -1046,9 +1025,9 @@ impl CompiledKernel {
 
         // Per worker: a slot per op — its chunk of the sink's tensor (the
         // chunk is the slot: nothing is staged and copied), or a piece of
-        // the worker's slab — then the chunks of each fresh softmax's
-        // statistics. The slabs come off the pool's working list.
-        let per = ops.len() + 2 * (stats.len() - stats0);
+        // the worker's slab — then the slab's tail, a softmax's group
+        // rows. The slabs come off the pool's working list.
+        let per = ops.len() + 1;
         let per_am = (argmax.len() - argmax0).max(1);
         let workers = up.parts.len();
         let mut slots: Vec<&mut [f32]> = std::mem::take(&mut frame.slots);
@@ -1070,6 +1049,7 @@ impl CompiledKernel {
                 slots[w * per + k] = slot;
                 rest = tail;
             }
+            slots[w * per + ops.len()] = rest;
         }
         for (k, tensor) in outs.iter_mut() {
             let bounds = match ops[*k].space {
@@ -1080,16 +1060,6 @@ impl CompiledKernel {
             for (w, chunk) in chunks.enumerate() {
                 slots[w * per + *k] = chunk;
                 base[w * ops.len() + *k] = bounds[w];
-            }
-        }
-        for (j, (_, mx, dn)) in stats[stats0..].iter_mut().enumerate() {
-            let cols = mx.cols();
-            let mx = split_rows(mx.as_mut_slice(), cols, &up.vertex);
-            let dn = split_rows(dn.as_mut_slice(), cols, &up.vertex);
-            for (w, (mc, dc)) in mx.zip(dn).enumerate() {
-                let at = w * per + ops.len() + 2 * j;
-                slots[at] = mc;
-                slots[at + 1] = dc;
             }
         }
         for (j, (si, table)) in argmax[argmax0..].iter_mut().enumerate() {
@@ -1142,9 +1112,8 @@ impl CompiledKernel {
 }
 
 /// One worker's walk over its tiles: `slots` are its op slots and its
-/// chunks of the fresh softmaxes' statistics,
-/// `base` the first row each op's slot holds, `sinks` its chunks of the
-/// argmax tables.
+/// slab's tail ([`WorkerAux::group`]), `base` the first row each op's
+/// slot holds, `sinks` its chunks of the argmax tables.
 fn run_worker<'w>(
     cx: &Bound<'_>,
     tiles: &[usize],
@@ -1155,9 +1124,9 @@ fn run_worker<'w>(
     sinks: &mut [&'w mut [u32]],
 ) {
     let indptr = cx.g.in_adj().indptr();
-    let (bufs, stats) = slots.split_at_mut(cx.ops.len());
+    let (bufs, group) = slots.split_at_mut(cx.ops.len());
     let mut aux = WorkerAux {
-        stats,
+        group: &mut *group[0],
         argmax: sinks,
         chunk_v0: tiles[part.tiles.start],
     };
@@ -1204,8 +1173,8 @@ fn run_worker<'w>(
 
 /// Executes `unit.ops[k]` over one tile into `buf`: its rows of the tile,
 /// or — for a streamed gather — the source rows the worker owns. The ops
-/// that reduce over whole edge groups (`Gather`, the fresh `EdgeSoftmax`)
-/// live here, because only a tile owns whole destination groups;
+/// that reduce over whole edge groups (`Gather`, `EdgeSoftmax`) live
+/// here, because only a tile owns whole destination groups;
 /// everything else is per-row ([`exec_rows`]).
 ///
 /// Every arm reproduces the corresponding kernel in [`crate::kernels`]
@@ -1350,19 +1319,19 @@ fn exec_op(
         // is the contiguous rows `indptr[v]..indptr[v + 1]` (`in_adj.eid[i]
         // == i`, `Graph::validate`), which a sweep hands to `rowops` as one
         // block — or, an operand being an aliased copy, in staged strips.
-        OpKind::EdgeSoftmax if is_fresh_softmax(op) => {
+        // Its max and denominator live while it is swept, in the group
+        // rows at the tail of the worker's slab.
+        OpKind::EdgeSoftmax => {
             debug_assert!(!op.pulls);
-            let at = 2 * nth(is_fresh_softmax);
-            let (maxes, denom) = aux.stats[at..at + 2].split_at_mut(1);
-            let (maxes, denom) = (&mut *maxes[0], &mut *denom[0]);
+            let (mr, dr) = aux.group[..2 * total].split_at_mut(total);
             let (read, x) = (unit.rows(), [srcs[0]]);
             for v in v0..v1 {
                 let grp = indptr[v]..indptr[v + 1];
                 if grp.is_empty() {
                     continue;
                 }
-                let stats = (v - chunk_v0) * total..(v - chunk_v0 + 1) * total;
-                let (mr, dr) = (&mut maxes[stats.clone()], &mut denom[stats]);
+                mr.fill(f32::NEG_INFINITY);
+                dr.fill(0.0);
                 let y = &mut buf[(grp.start - e0) * total..(grp.end - e0) * total];
                 read.zip_rows(x, grp.clone(), total, y, |_, [x]| {
                     rowops::max_assign_rows(mr, x);
@@ -1448,14 +1417,6 @@ fn exec_rows<'r>(
                     o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
                 }
             }
-        }
-
-        // Recompute from the session's stashed max/denominator, which
-        // lowering appended as `dst(e)`-pinned operands.
-        OpKind::EdgeSoftmax => {
-            cx.zip_rows([s(0), s(1), s(2)], rows, total, buf, |y, [x, m, d]| {
-                rowops::softmax_from_stats(y, x, m, d);
-            });
         }
 
         // The gather duals: an edge row is a function of its group
@@ -1606,7 +1567,6 @@ mod tests {
             OpKind::Unary(UnaryFn::LeakyRelu(0.2)),
             OpKind::UnaryBwd(UnaryFn::Tanh),
             OpKind::Binary(BinaryFn::Mul),
-            OpKind::EdgeSoftmax,
         ];
         let ats = [RowAt::Own, RowAt::SrcV, RowAt::DstV];
         let stage = Stage::new([[0.0; STAGE_LEN]; MAX_SRCS]);

@@ -44,11 +44,10 @@
 //! * [`gather`] with `Max` leaves empty rows at `0.0` — **not** `-inf` —
 //!   and marks every element with the [`NO_ARGMAX`] sentinel, which
 //!   [`gather_max_bwd`] uses to route *no* gradient to any edge;
-//! * [`edge_softmax`] stashes `-inf` max and `0.0` denominator for empty
-//!   destination groups (the true identities of max / sum-of-exp). Those
-//!   rows are never read back: every edge belongs to a non-empty group,
-//!   so [`edge_softmax_from_aux`] only touches auxiliaries of vertices
-//!   with in-degree ≥ 1.
+//! * [`edge_softmax`] writes no row for an empty destination group: it
+//!   has no edges, and its max and denominator live only while a group
+//!   is swept (from the identities `-inf` and `0.0`), so nothing of an
+//!   empty group exists to read back.
 //!
 //! The contract is asserted on graphs with isolated vertices in this
 //! module's tests and exercised by the property suites, whose graph
@@ -371,44 +370,30 @@ pub fn gather_mean_bwd(g: &Graph, group: EdgeGroup, grad: &Tensor) -> Tensor {
     })
 }
 
-/// Edge softmax over destination groups, per column. Returns
-/// `(y, max, denom)` where `max`/`denom` are the `O(|V|)` auxiliaries the
-/// recomputation pass stashes.
-///
-/// Empty destination groups keep the reduction identities in the
-/// auxiliaries — `-inf` max, `0.0` denominator — and are never read back
-/// (see the module-level contract).
-pub fn edge_softmax(g: &Graph, x: &Tensor) -> (Tensor, Tensor, Tensor) {
-    let (n, total) = (g.num_vertices(), x.cols());
-    let mut maxes = Tensor::full(&[n, total], f32::NEG_INFINITY);
-    let mut denom = Tensor::zeros(&[n, total]);
+/// Edge softmax over destination groups, per column: three sweeps of each
+/// group, its max and denominator held in two rows reset per group (an
+/// empty group writes nothing; see the module-level contract).
+pub fn edge_softmax(g: &Graph, x: &Tensor) -> Tensor {
+    let total = x.cols();
+    let (mut mr, mut dr) = (vec![0.0; total], vec![0.0; total]);
     let mut y = Tensor::zeros(&[g.num_edges(), total]);
-    for v in 0..n {
+    for v in 0..g.num_vertices() {
         let ids = g.in_adj().edge_ids(v);
-        let (mr, dr) = (maxes.row_mut(v), denom.row_mut(v));
+        mr.fill(f32::NEG_INFINITY);
+        dr.fill(0.0);
         for &e in ids {
-            rowops::max_assign(mr, x.row(e as usize));
+            rowops::max_assign(&mut mr, x.row(e as usize));
         }
         // One `exp` per element: the denominator sweep leaves
         // `exp(x − max)` in the output row, the last sweep divides it.
         for &e in ids {
-            rowops::exp_sub_store_accum(dr, y.row_mut(e as usize), x.row(e as usize), mr);
+            rowops::exp_sub_store_accum(&mut dr, y.row_mut(e as usize), x.row(e as usize), &mr);
         }
         for &e in ids {
-            rowops::div_assign(y.row_mut(e as usize), dr);
+            rowops::div_assign(y.row_mut(e as usize), &dr);
         }
     }
-    (y, maxes, denom)
-}
-
-/// Rebuilds edge-softmax outputs from the stashed max/denominator in
-/// `O(1)` per element (the §6 recompute path). Only non-empty groups are
-/// read: every edge's destination has in-degree ≥ 1.
-pub fn edge_softmax_from_aux(g: &Graph, x: &Tensor, maxes: &Tensor, denom: &Tensor) -> Tensor {
-    map_rows(g.num_edges(), x.cols(), |yr, e| {
-        let v = g.dst(e);
-        rowops::softmax_from_stats(yr, x.row(e), maxes.row(v), denom.row(v));
-    })
+    y
 }
 
 /// Elementwise binary with per-head feature broadcast (`feat == 1` on one
@@ -733,8 +718,8 @@ mod tests {
     fn empty_groups_keep_identity_elements() {
         // The module-level empty-group contract, asserted on an isolated
         // vertex (id 3): Sum/Mean/Max rows stay 0.0, Max marks NO_ARGMAX,
-        // the backward routes no gradient, and edge_softmax stashes the
-        // -inf / 0.0 reduction identities without reading them back.
+        // the backward routes no gradient, and edge_softmax's groups are
+        // untouched by the empty ones around them.
         let g = tri_iso();
         let e = Tensor::from_rows(&[&[5.0, -1.0], &[2.0, 4.0], &[7.0, 0.5]]).unwrap();
 
@@ -756,27 +741,26 @@ mod tests {
         let expected: f32 = grad.row(1).iter().sum::<f32>() + grad.row(2).iter().sum::<f32>();
         assert!((routed - expected).abs() < 1e-6);
 
+        // Vertex 0 (no in-edges) precedes the groups and vertex 3 follows
+        // them: the rows are the isolated-free graph's, bit for bit.
         let x = Tensor::from_rows(&[&[0.3], &[1.5], &[-0.7]]).unwrap();
-        let (y, maxes, denom) = edge_softmax(&g, &x);
-        assert_eq!(maxes.row(3), &[f32::NEG_INFINITY], "max identity");
-        assert_eq!(denom.row(3), &[0.0], "sum-of-exp identity");
-        assert_eq!(maxes.row(0), &[f32::NEG_INFINITY], "in-degree-0 vertex");
+        let y = edge_softmax(&g, &x);
         assert!(y.as_slice().iter().all(|v| v.is_finite()));
-        let y2 = edge_softmax_from_aux(&g, &x, &maxes, &denom);
-        assert!(y.allclose(&y2), "aux rebuild never reads empty groups");
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&edge_softmax(&tri(), &x)));
     }
 
     #[test]
     fn softmax_groups_sum_to_one() {
         let g = tri();
         let e = Tensor::from_rows(&[&[0.3], &[1.5], &[-0.7]]).unwrap();
-        let (y, maxes, denom) = edge_softmax(&g, &e);
+        let y = edge_softmax(&g, &e);
         // dst=1 group: {edge 0} → 1.0; dst=2 group: {edges 1, 2} sums to 1.
         assert!((y.at(0, 0) - 1.0).abs() < 1e-6);
         assert!((y.at(1, 0) + y.at(2, 0) - 1.0).abs() < 1e-6);
-        // Recompute path agrees.
-        let y2 = edge_softmax_from_aux(&g, &e, &maxes, &denom);
-        assert!(y.allclose(&y2));
+        // In ratio to each other as their exponentials.
+        let ratio = (e.at(1, 0) - e.at(2, 0)).exp();
+        assert!((y.at(1, 0) / y.at(2, 0) - ratio).abs() < 1e-5);
     }
 
     /// The softmax backward is forward ops (`y·(g − Σ_dst g·y)`, autodiff's
@@ -805,7 +789,7 @@ mod tests {
         let ana = ana.grads["w"].at(0, 0);
         let loss = |wv: f32| {
             let xw = Tensor::from_fn(&[3, 1], |e| hx.at(e, 0) * wv);
-            let (yv, _, _) = edge_softmax(&g, &xw);
+            let yv = edge_softmax(&g, &xw);
             (0..3).map(|e| gout.at(e, 0) * yv.at(e, 0)).sum::<f32>()
         };
         let step = 1e-3f32;

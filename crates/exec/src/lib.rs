@@ -9,9 +9,9 @@
 //! The executor honours the plan's memory discipline: values drop as soon
 //! as their last consumer kernel has run, stashed values survive the
 //! forward→backward boundary, and recomputed values are *actually* dropped
-//! and rebuilt inside the backward kernels (including the edge-softmax
-//! rebuild from its stashed max/denominator) — so the recomputation pass
-//! is exercised end-to-end, not just accounted for.
+//! and rebuilt inside the backward kernels (an edge softmax sweeping its
+//! destination groups again, as the forward one does) — so the
+//! recomputation pass is exercised end-to-end, not just accounted for.
 //!
 //! # Constructing sessions
 //!

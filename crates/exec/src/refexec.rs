@@ -20,8 +20,7 @@
 //! The dispatch is a pure function of its operands: the one op that needs
 //! more, `GatherMaxBwd`, routes by its forward gather's argmax table,
 //! which [`evaluate`] keeps and hands to the kernel itself (a session
-//! routes it in the tile driver, as it rebuilds a softmax from its
-//! stashed max/denominator).
+//! routes it in the tile driver).
 
 use crate::kernels;
 use crate::session::Bindings;
@@ -208,9 +207,7 @@ pub(crate) fn exec_op(
 
         OpKind::Gather { reduce, group } => kernels::gather(pol, g, *reduce, *group, inputs[0]).0,
 
-        // Always fresh: a softmax rebuilt from its stashed statistics
-        // is a tiled step of the interpreter, never a full one.
-        OpKind::EdgeSoftmax => kernels::edge_softmax(g, inputs[0]).0,
+        OpKind::EdgeSoftmax => kernels::edge_softmax(g, inputs[0]),
 
         // GEMMs run on the blocked engine under the caller's resolved
         // worker cap (a session pinned serial keeps its weight-gradient

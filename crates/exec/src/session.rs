@@ -74,7 +74,8 @@ pub struct RunStats {
     pub backward_seconds: f64,
     /// High-water mark of live tensor bytes in the value store.
     pub peak_value_bytes: u64,
-    /// Bytes held across the forward→backward boundary (stash + aux).
+    /// Bytes held across the forward→backward boundary (stash + argmax
+    /// tables).
     pub boundary_bytes: u64,
     /// Worker threads the kernels ran under (resolved [`ExecPolicy`]).
     pub threads: usize,
@@ -640,12 +641,6 @@ impl<'a> Session<'a> {
             self.stats.boundary_bytes = self.live_bytes
                 + self
                     .store
-                    .aux_softmax
-                    .values()
-                    .map(|(m, d)| (m.byte_size() + d.byte_size()) as u64)
-                    .sum::<u64>()
-                + self
-                    .store
                     .aux_argmax
                     .values()
                     .map(|a| 4 * a.len() as u64)
@@ -800,7 +795,6 @@ impl<'a> Session<'a> {
 
     fn reset(&mut self) {
         self.store.values.clear();
-        self.store.aux_softmax.clear();
         // Argmax tables recycle through the pool like tensors do (they
         // are plain `Vec<u32>`s, invisible to `Tensor`'s pooled drop).
         for (_, a) in self.store.aux_argmax.drain() {

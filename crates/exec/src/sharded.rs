@@ -1019,8 +1019,7 @@ struct Multi<'a> {
     /// sharded kernel: each shard holds its own).
     gkernels: Vec<Option<fused::CompiledKernel>>,
     /// The driver's stores: full tensors held during a global kernel,
-    /// and the softmax statistics / argmax tables of globally-executed
-    /// `EdgeSoftmax` / `Gather(Max)` nodes.
+    /// and the argmax tables of globally-executed `Gather(Max)` nodes.
     gstore: fused::Store,
     gframe: fused::Frame,
     records: Vec<ExchangeRecord>,
@@ -1128,7 +1127,6 @@ impl<'a> Multi<'a> {
         self.check_poisoned()?;
         self.records.clear();
         self.gstore.values.clear();
-        self.gstore.aux_softmax.clear();
         self.gstore.aux_argmax.clear();
         self.stats = RunStats::default();
         let locals = self.local_bindings(bindings)?;

@@ -5,10 +5,10 @@
 //! what arithmetic is performed — while the measured peak of the value
 //! store stays below what the oracle materializes.
 
-use gnnopt_core::lower::{RowAt, SlotSize, TileOp};
+use gnnopt_core::lower::{KernelProgram, ProgramStep, RowAt, SlotSize, TileOp, Unit, UnitKind};
 use gnnopt_core::{
     compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecPolicy, ExecutionPlan, IrGraph, OpKind,
-    ReduceFn, ScatterFn, Storage, UnaryFn,
+    ReduceFn, ScatterFn, Space, Storage, UnaryFn,
 };
 use gnnopt_exec::{refexec, Bindings, EnvOverrides, RunStats, Session};
 use gnnopt_graph::{EdgeList, Graph};
@@ -592,12 +592,12 @@ fn materialized_producer_is_written_in_place() {
 /// `FeatSum` runs row by row but feeds the softmax backward twice — the
 /// folded `g·y` of its group sum and the difference `g − s` — so it keeps
 /// a tile-sized slot, and folds the `E[2×4]` product in front of it. The
-/// backward `BySrc` gather streams a chain through the stash-backed
+/// backward `BySrc` gather streams a chain through the recomputed
 /// softmax. One tile, so the high-water mark is that backward segment's:
-/// five `E[2]` tile slots (score, softmax, feat-sum, the difference and
-/// its product with the softmax), the `V[2]` group sum and one strip of
-/// the leaky-relu — its only reader, the stash-backed softmax, runs row
-/// by row.
+/// six `E[2]` tile slots (score, leaky-relu — read by the softmax, which
+/// sweeps each group three times — softmax, feat-sum, the difference and
+/// its product with the softmax), the `V[2]` group sum, and the softmax's
+/// pair of `2`-wide group rows (max and denominator).
 #[test]
 fn producer_read_by_softmax_backward_stays_tile_sized() {
     let spec = gat(&GatConfig {
@@ -618,7 +618,7 @@ fn producer_read_by_softmax_backward_stays_tile_sized() {
     let (vertices, edges) = (small_graph().num_vertices(), small_graph().num_edges());
     assert_eq!(
         scratch_on_both_graphs(&plan, bind),
-        4 * (5 * 2 * edges + 2 * vertices + 2 * STRIP_ROWS) as u64,
+        4 * (6 * 2 * edges + 2 * vertices + 2 * 2) as u64,
     );
 }
 
@@ -782,8 +782,9 @@ fn folded_products_keep_the_oracle_bits() {
 
 /// A fold that pulls: the streamed by-source `Sum`/`Mean` over `g@dst ×
 /// leaky_relu(s)`, whose narrow `E[heads]` operand is row-sized — GAT's
-/// backward feature gradient in shape — and a GAT training plan, where
-/// that chain is the softmax rebuilt from its statistics.
+/// backward feature gradient in shape. In a GAT training plan that
+/// operand is the recomputed softmax, which sweeps its groups and so is
+/// tile-sized: the feature gradient folds it without a pull.
 #[test]
 fn a_fold_pulls_its_row_sized_operand_in_runs() {
     for g in [tiny_graph(), hub_graph()] {
@@ -811,9 +812,20 @@ fn a_fold_pulls_its_row_sized_operand_in_runs() {
         })
         .expect("gat builds");
         let plan = plan_of(&spec.ir, true);
+        folds_every_product(&plan);
+        let streamed = plan.programs.iter().flat_map(|p| &p.units);
+        let folds_softmax = streamed.filter(|u| u.kind == UnitKind::Streamed).any(|u| {
+            let softmax = |j: usize| {
+                let op = &u.ops[j];
+                op.kind == OpKind::EdgeSoftmax && op.size == SlotSize::Tile
+            };
+            u.ops.iter().any(|op| {
+                op.size == SlotSize::Fold && op.srcs.iter().any(|s| s.slot().is_some_and(softmax))
+            })
+        });
         assert!(
-            folds_every_product(&plan) >= 1,
-            "the feature gradient pulls"
+            folds_softmax,
+            "the feature gradient folds a tile-sized softmax"
         );
         let mut b = Bindings::new();
         for (k, v) in spec.init_values(&g, 67) {
@@ -915,5 +927,60 @@ fn streamed_segments_sum_and_mean_over_either_endpoint() {
                 check_against_oracle(&plan, &g, &b);
             }
         }
+    }
+}
+
+/// A softmax streams into a by-source gather: a tile owns whole
+/// destination groups, so the streamed unit sweeps them itself and the
+/// edge rows behind the gather never spill. Forward, `gather(Sum, BySrc,
+/// mul(copy_u(h), edge_softmax(x)))`; and a GAT training plan, whose
+/// feature gradient streams the recomputed softmax. Threads {1, 4} ×
+/// tile budgets {1, 7, 4096} on the small and hub graphs, against the
+/// oracle. At four threads the streamed unit's workers own source ranges
+/// yet each sweeps every tile's groups, so a softmax whose max and
+/// denominator rows were chunked by vertex among the workers would miss
+/// the destinations outside a worker's chunk; each keeps one group's
+/// rows in its own slab instead.
+#[test]
+fn a_softmax_streams_into_a_by_source_gather() {
+    let forward = {
+        let mut ir = IrGraph::new();
+        let h = ir.input_vertex("h", Dim::multi(2, 3));
+        let x = ir.input_edge("x", Dim::multi(2, 1));
+        let hu = ir.scatter(ScatterFn::CopyU, h, h).unwrap();
+        let sm = ir.edge_softmax(x).unwrap();
+        let me = ir.binary(BinaryFn::Mul, hu, sm).unwrap();
+        let out = ir.gather(ReduceFn::Sum, EdgeGroup::BySrc, me).unwrap();
+        ir.mark_output(out);
+        plan_of(&ir, false)
+    };
+    let spec = gat(&GatConfig {
+        in_dim: 5,
+        layers: vec![(2, 8)],
+        negative_slope: 0.2,
+        reorganized: false,
+    })
+    .expect("gat builds");
+    let training = plan_of(&spec.ir, true);
+    for plan in [&forward, &training] {
+        let holds_softmax = |u: &Unit| {
+            u.kind == UnitKind::Streamed && u.ops.iter().any(|op| op.kind == OpKind::EdgeSoftmax)
+        };
+        let streams = |p: &&KernelProgram| p.units.iter().any(holds_softmax);
+        let prog = plan.programs.iter().find(streams);
+        let prog = prog.expect("a streamed unit holds the softmax");
+        let spill = |s: &&ProgramStep| s.storage == Storage::Interior && s.space == Space::Edge;
+        assert_eq!(prog.steps.iter().find(spill).map(|s| s.node), None);
+    }
+    for g in [small_graph(), hub_graph()] {
+        let b = Bindings::new()
+            .with("h", fill(g.num_vertices(), 6, 91))
+            .with("x", fill(g.num_edges(), 2, 92));
+        check_against_oracle(&forward, &g, &b);
+        let mut b = Bindings::new();
+        for (k, v) in spec.init_values(&g, 93) {
+            b.insert(&k, v);
+        }
+        check_against_oracle(&training, &g, &b);
     }
 }

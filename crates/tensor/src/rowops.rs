@@ -165,19 +165,9 @@ pub mod scalar {
         }
     }
 
-    /// `d[i] += exp(x[i] − m[i])`: the denominator sweep before
-    /// [`exp_sub_store_accum`] replaced it, kept as the reference the
-    /// tests hold the pair to.
-    #[cfg(test)]
-    pub fn exp_sub_accum(d: &mut [f32], x: &[f32], m: &[f32]) {
-        for ((dv, &xv), &mv) in d.iter_mut().zip(x).zip(m) {
-            *dv += (xv - mv).exp();
-        }
-    }
-
     /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` — the edge-softmax
-    /// denominator sweep, which also keeps the exponential, so the fresh
-    /// edge softmax calls `exp` once per element: its last sweep is
+    /// denominator sweep, which also keeps the exponential, so the edge
+    /// softmax calls `exp` once per element: its last sweep is
     /// [`div_assign`] over `t`.
     #[inline(always)]
     pub fn exp_sub_store_accum(d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f32]) {
@@ -187,21 +177,12 @@ pub mod scalar {
         }
     }
 
-    /// `y[i] = y[i] / d[i]`: over a row [`exp_sub_store_accum`] left, the
-    /// value [`softmax_from_stats`] computes.
+    /// `y[i] = y[i] / d[i]`: over a row [`exp_sub_store_accum`] left,
+    /// the edge-softmax output row `exp(x − m) / d`.
     #[inline(always)]
     pub fn div_assign(y: &mut [f32], d: &[f32]) {
         for (yv, &dv) in y.iter_mut().zip(d) {
             *yv /= dv;
-        }
-    }
-
-    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row
-    /// rebuilt from stashed statistics).
-    #[inline(always)]
-    pub fn softmax_from_stats(y: &mut [f32], x: &[f32], m: &[f32], d: &[f32]) {
-        for (((yv, &xv), &mv), &dv) in y.iter_mut().zip(x).zip(m).zip(d) {
-            *yv = (xv - mv).exp() / dv;
         }
     }
 }
@@ -283,20 +264,14 @@ avx2_dispatched!(
     (o: &mut [f32], alpha: Option<f32>, x: &[f32], s: &[f32], feat: usize)
 );
 avx2_dispatched!(
-    /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` (the fresh edge softmax's
+    /// `t[i] = exp(x[i] − m[i]); d[i] += t[i]` (the edge softmax's
     /// denominator sweep, keeping the exponential for [`div_assign`]).
     exp_sub_store_accum, exp_sub_store_accum_avx2,
     (d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f32])
 );
 avx2_dispatched!(
-    /// `y[i] = y[i] / d[i]` (the fresh edge softmax's last sweep).
+    /// `y[i] = y[i] / d[i]` (the edge softmax's last sweep).
     div_assign, div_assign_avx2, (y: &mut [f32], d: &[f32])
-);
-avx2_dispatched!(
-    /// `y[i] = exp(x[i] − m[i]) / d[i]` (the edge-softmax output row
-    /// rebuilt from stashed statistics).
-    softmax_from_stats, softmax_from_stats_avx2,
-    (y: &mut [f32], x: &[f32], m: &[f32], d: &[f32])
 );
 
 // The closure-parameterized primitives are dispatched by hand: each AVX2
@@ -582,43 +557,8 @@ mod tests {
         exp_sub_store_accum(&mut d, &mut t, &x, &m);
         assert_eq!(d, [(-1.0f32).exp(), 1.0]);
         assert_eq!(t, d);
-        let mut y = [0.0f32; 2];
-        softmax_from_stats(&mut y, &x, &m, &d);
-        assert_eq!(y, [1.0, 1.0]);
-    }
-
-    /// One `exp` per element or two, the fresh softmax writes the same
-    /// bits: storing `t = exp(x − m)` and dividing it equals accumulating
-    /// the denominator and recomputing the row from the statistics.
-    #[test]
-    fn stored_exponentials_equal_the_recomputed_softmax_row() {
-        for len in 0..40usize {
-            let m: Vec<f32> = (0..len)
-                .map(|i| (i as f32 * 0.7).cos() * 3.0 + 3.0)
-                .collect();
-            let rows: Vec<Vec<f32>> = (0..5)
-                .map(|r| {
-                    (0..len)
-                        .map(|i| m[i] - ((i * 7 + r * 13) % 11) as f32 * 0.37)
-                        .collect()
-                })
-                .collect();
-            let mut d2 = vec![0.0f32; len];
-            let mut d1 = vec![0.0f32; len];
-            let mut t: Vec<Vec<f32>> = vec![vec![f32::NAN; len]; rows.len()];
-            for (x, t) in rows.iter().zip(&mut t) {
-                scalar::exp_sub_accum(&mut d2, x, &m);
-                exp_sub_store_accum(&mut d1, t, x, &m);
-            }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            assert_eq!(bits(&d1), bits(&d2), "denominator, len {len}");
-            for (x, t) in rows.iter().zip(&mut t) {
-                let mut y = vec![f32::NAN; len];
-                softmax_from_stats(&mut y, x, &m, &d2);
-                div_assign(t, &d1);
-                assert_eq!(bits(t), bits(&y), "row, len {len}");
-            }
-        }
+        div_assign(&mut t, &d);
+        assert_eq!(t, [1.0, 1.0]);
     }
 
     #[test]
@@ -692,9 +632,6 @@ mod tests {
                 );
             }
             run(&|o| div_assign(o, &y), &|o| scalar::div_assign(o, &y));
-            run(&|o| softmax_from_stats(o, &x, &y, &base), &|o| {
-                scalar::softmax_from_stats(o, &x, &y, &base)
-            });
             run(&|o| binary_assign(o, &x, |a, b| a * b + 0.5), &|o| {
                 scalar::binary_assign(o, &x, |a, b| a * b + 0.5)
             });
