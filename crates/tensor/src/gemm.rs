@@ -576,10 +576,14 @@ mod tests {
         out
     }
 
+    /// Full-mantissa values in `[-3, 3)`: products and partial sums
+    /// round, so a kernel off the reference's rounding chain shows.
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         (0..len)
             .map(|i| {
-                (((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 97) as f32 - 48.0) / 16.0
+                let h = (i as u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                ((h ^ (h >> 31)) >> 40) as f32 / (1u64 << 24) as f32 * 6.0 - 3.0
             })
             .collect()
     }

@@ -108,14 +108,18 @@ enum Zeros {
 
 const ZEROS: [Zeros; 3] = [Zeros::None, Zeros::Some, Zeros::Relu];
 
-/// Deterministic pseudo-random operand with the requested share of
-/// exact zeros.
+/// Deterministic pseudo-random operand in `[-3, 3)` with the requested
+/// share of exact zeros. The non-zero values carry full 24-bit
+/// mantissas, so products and partial sums round: a kernel whose
+/// rounding chain differs from the reference's (a fused multiply-add
+/// for a `mul` then an `add`, or another k order) shows as a bit
+/// mismatch, where short dyadic operands would keep every step exact.
 fn gemm_operand(len: usize, seed: u64, zeros: Zeros) -> Vec<f32> {
     (0..len)
         .map(|i| {
-            let h = (i as u64)
-                .wrapping_mul(2654435761)
-                .wrapping_add(seed.wrapping_mul(97));
+            let h = (i as u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let h = h ^ (h >> 31);
             let zero = match zeros {
                 Zeros::None => false,
                 Zeros::Some => h.is_multiple_of(5),
@@ -124,7 +128,7 @@ fn gemm_operand(len: usize, seed: u64, zeros: Zeros) -> Vec<f32> {
             if zero {
                 0.0
             } else {
-                ((h % 193) as f32 - 96.0) / 32.0
+                (h >> 40) as f32 / (1u64 << 24) as f32 * 6.0 - 3.0
             }
         })
         .collect()
