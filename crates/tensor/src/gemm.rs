@@ -140,9 +140,16 @@ fn micro_body<const MH: usize, const NW: usize>(
             acc[i] += a * b[i];
         }
     }
+    // A full-width tile row moves as one fixed-size chunk: inline vector
+    // moves, where a variable-length copy is a `memcpy` call per row.
     let mut acc = [[0.0f32; NW]; MH];
     for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-        accr[..cols].copy_from_slice(&c[r * ldc..r * ldc + cols]);
+        let crow = &c[r * ldc..];
+        if cols == NW {
+            *accr = *crow.first_chunk().expect("a full tile row");
+        } else {
+            accr[..cols].copy_from_slice(&crow[..cols]);
+        }
     }
     let arow: [&[f32]; MH] =
         std::array::from_fn(|r| &a[r.min(rows - 1) * rs..][..(kc - 1) * ks + 1]);
@@ -153,7 +160,12 @@ fn micro_body<const MH: usize, const NW: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate().take(rows) {
-        c[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
+        let crow = &mut c[r * ldc..];
+        if cols == NW {
+            *crow.first_chunk_mut().expect("a full tile row") = *accr;
+        } else {
+            crow[..cols].copy_from_slice(&accr[..cols]);
+        }
     }
 }
 
