@@ -11,7 +11,7 @@ use gnnopt_core::{
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
-use gnnopt_tensor::gemm::GemmKernel;
+use gnnopt_tensor::gemm::{gemm, GemmKernel, Layout};
 use gnnopt_tensor::Tensor;
 
 fn bindings_for(spec: &gnnopt_models::ModelSpec, graph: &Graph, seed: u64) -> Bindings {
@@ -329,39 +329,46 @@ fn bench_wide_rows(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two `Linear`-family products at the shapes a GNN layer gives
-/// them — tall and skinny, `|V| × k` against `k × n` — on one thread,
-/// with the left operand dense and at ReLU density (half exact zeros).
-/// Density is the axis gnnbench's `tensor.gemm_gflops_linear` probe
-/// cannot see (it multiplies the workload's dense input features), and
-/// a GEMM whose speed depends on it must show here.
+/// `gcn_wide_train`'s five products (GCN 256→128→64 on RMAT-16, so
+/// `|V| = 65 536`): the forward `X·W₁` and `H·W₂`, the input dual
+/// `G₂·W₂ᵀ`, and the weight gradients `Hᵀ·G₂` and `Xᵀ·G₁`. `H` is the
+/// post-ReLU activation, so half its entries are exact zeros. Each runs
+/// on one thread through `gemm::gemm` into a preallocated output,
+/// re-zeroed outside the timed call, the way a session runs it into its
+/// planned slot. `Tensor::matmul*` would also time allocating and
+/// first-touching a fresh output, which a session never pays.
 fn bench_gemm_gnn_shapes(c: &mut Criterion) {
-    const V: usize = 16_384;
-    let values = |shape: [usize; 2], seed: u64, relu: bool| {
-        Tensor::from_fn(&shape, |i| {
-            let h = (i as u64 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            if relu && h.is_multiple_of(2) {
-                0.0
-            } else {
-                (h % 193) as f32 / 32.0 - 3.0
-            }
-        })
+    const V: usize = 65_536;
+    let values = |len: usize, seed: u64, relu: bool| -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let h = (i as u64 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if relu && h.is_multiple_of(2) {
+                    0.0
+                } else {
+                    (h % 193) as f32 / 32.0 - 3.0
+                }
+            })
+            .collect()
     };
     let mut group = c.benchmark_group("gemm_gnn_shapes");
-    for (k, n) in [(256usize, 128usize), (128, 64), (64, 32)] {
-        let w = values([k, n], 1, false);
-        let g = values([V, n], 2, false);
-        for (density, relu) in [("dense", false), ("relu50", true)] {
-            let h = values([V, k], 3, relu);
-            let id = |op: &str| BenchmarkId::new(op, format!("{k}x{n}/{density}"));
-            let blocked = GemmKernel::Blocked;
-            group.bench_function(id("matmul"), |b| {
-                b.iter(|| h.matmul_with_threads(&w, blocked, 1).expect("h·W"));
+    for (name, layout, (m, k, n), relu) in [
+        ("x_w1", Layout::Nn, (V, 256, 128), false),
+        ("h_w2", Layout::Nn, (V, 128, 64), true),
+        ("g2_w2t", Layout::Nn, (V, 64, 128), false),
+        ("ht_g2", Layout::Tn, (128, V, 64), true),
+        ("xt_g1", Layout::Tn, (256, V, 128), false),
+    ] {
+        let a = values(m * k, 1, relu);
+        let b = values(k * n, 2, false);
+        let mut out = vec![0.0f32; m * n];
+        let id = BenchmarkId::new(name, format!("{layout:?}/{m}x{k}x{n}"));
+        group.bench_function(id, |bench| {
+            out.fill(0.0);
+            bench.iter(|| {
+                gemm(GemmKernel::Blocked, layout, &a, &b, &mut out, m, k, n, 1);
             });
-            group.bench_function(id("matmul_tn"), |b| {
-                b.iter(|| h.matmul_tn_with_threads(&g, blocked, 1).expect("hᵀ·G"));
-            });
-        }
+        });
     }
     group.finish();
 }
