@@ -24,24 +24,31 @@
 //! (`m = |V|`, `n = 32…128`), so a packed `A` element would feed only
 //! `2·n` flops and its copy cost 10–35 % of the product.
 //!
-//! # Determinism: bit-identical to the naive loop
+//! # Determinism: one fused multiply-add per k-step
 //!
 //! Blocking never changes *what* is accumulated, only *where operands
 //! live*. Every output element `C[i,j]` is produced by the same chain of
-//! `f32` operations as the naive kernel:
+//! `f32` operations in every kernel:
 //!
 //! ```text
-//! c = 0.0;  for k in 0..K { c += A[i,k] * B[k,j]; }   // increasing k
+//! c = 0.0;  for k in 0..K { c = A[i,k].mul_add(B[k,j], c); }   // ascending k
 //! ```
 //!
-//! The cache loops (`jc`, `kc`, `ic`) tile space, and the `kc` loop runs
-//! in increasing order with the partial sum stored back to `C` between
-//! blocks — so each element sees one rounding chain, in the same order,
-//! with the same `mul`-then-`add` rounding (no FMA contraction). Every
-//! term is accumulated, zero coefficients included, so `0·NaN` and
-//! `0·inf` propagate as IEEE 754 says. Results are therefore
-//! **bit-identical** across kernels, thread counts and tile boundaries
-//! (property-tested in `tests/properties.rs`).
+//! Each k-step is one fused multiply-add, rounded once. `f32::mul_add` is
+//! correctly rounded on every target: the AVX2 kernel runs it as a
+//! `vfmadd`, and the portable kernel and the naive loop get a hardware
+//! FMA where the target has one and a correctly rounded library routine
+//! where it has not (slower, same bits). The cache loops (`jc`, `kc`,
+//! `ic`) tile space, and the `kc` loop runs in ascending order with the
+//! partial sum stored back to `C` between blocks, so each element sees
+//! one rounding chain in one order. Every term is accumulated, zero
+//! coefficients included, so `0·NaN` and `0·inf` propagate as IEEE 754
+//! says. Results are therefore **bit-identical across kernels,
+//! geometries, threads and hosts** (property-tested in
+//! `tests/properties.rs`).
+//!
+//! Only this k-chain is fused. The graph and row kernels (`rowops` and
+//! the sparse engine of `gnnopt-exec`) round `mul` and `add` separately.
 //!
 //! # Selection
 //!
@@ -115,13 +122,13 @@ pub enum Layout {
 /// and an in-place tile never reads outside its operand. `kc`, `rows`
 /// and `cols` are at least 1 — the tile loops produce no empty tile.
 ///
-/// Branch-free: the accumulation per element is `acc += a * b` in
-/// increasing `k` — the exact rounding chain of the naive loop (separate
-/// `mul` and `add` roundings; never contracted to FMA).
+/// Branch-free: each k-step is one fused multiply-add per element,
+/// `acc = a.mul_add(b, acc)`, in ascending `k` — the rounding chain of
+/// the naive loop, bit for bit (see the module docs).
 ///
 /// `#[inline(always)]` so each instantiation site compiles the body under
 /// its own target features (the AVX2 wrapper widens the same code to
-/// 256-bit lanes without a second implementation).
+/// 256-bit `vfmadd` lanes without a second implementation).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_body<const MH: usize, const NW: usize>(
@@ -137,7 +144,7 @@ fn micro_body<const MH: usize, const NW: usize>(
     #[inline(always)]
     fn fmadd<const NW: usize>(acc: &mut [f32; NW], a: f32, b: &[f32; NW]) {
         for i in 0..NW {
-            acc[i] += a * b[i];
+            acc[i] = a.mul_add(b[i], acc[i]);
         }
     }
     // A full-width tile row moves as one fixed-size chunk: inline vector
@@ -170,16 +177,16 @@ fn micro_body<const MH: usize, const NW: usize>(
 }
 
 /// The AVX2 instantiation of [`micro_body`] at the wide `6×16` geometry.
-/// Same Rust, compiled to 256-bit lanes; no FMA contraction (Rust keeps
-/// `mul`+`add` roundings separate), so results stay bit-identical to the
-/// portable kernel.
+/// Same Rust, compiled to 256-bit lanes: each `mul_add` is one `vfmadd`,
+/// rounded once like the portable kernel's, so the two give the same
+/// bits.
 ///
 /// # Safety
 ///
-/// The caller must have verified `avx2` support
+/// The caller must have verified `avx2` and `fma` support
 /// (`is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_avx2(
     kc: usize,
@@ -297,11 +304,11 @@ fn blocked_slab<const MH: usize, const NW: usize>(
 }
 
 /// Runs one blocked slab at the best geometry the host supports: the
-/// wide `6×16` AVX2 microkernel when the CPU has AVX2, else the portable
-/// `4×8` kernel. Geometry never affects results — every output element
-/// keeps the same k-ordered accumulation chain — so the choice is purely
-/// a throughput one (checked by the cross-kernel bit-identity suites on
-/// whatever host runs them).
+/// wide `6×16` AVX2 microkernel when the CPU has both AVX2 and FMA, else
+/// the portable `4×8` kernel. Geometry never affects results — every
+/// output element keeps the same k-ordered chain of fused multiply-adds —
+/// so the choice is purely a throughput one (checked by the cross-kernel
+/// bit-identity suites on whatever host runs them).
 #[allow(clippy::too_many_arguments)]
 fn blocked_dispatch(
     layout: Layout,
@@ -316,7 +323,7 @@ fn blocked_dispatch(
     k: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         blocked_slab::<MR_WIDE, NR_WIDE>(
             layout,
             a,
@@ -329,7 +336,7 @@ fn blocked_dispatch(
             cols,
             k,
             |kc, a, strides, bp, c, ldc, r, cl| {
-                // SAFETY: avx2 support was just detected.
+                // SAFETY: avx2 and fma support were just detected.
                 unsafe { micro_avx2(kc, a, strides, bp, c, ldc, r, cl) }
             },
         );
@@ -374,7 +381,7 @@ fn naive_slab(
                 for (kk, &av) in arow.iter().enumerate() {
                     let brow = &b[kk * ldb + j0..kk * ldb + j0 + n];
                     for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
+                        *o = av.mul_add(bv, *o);
                     }
                 }
             }
@@ -387,7 +394,7 @@ fn naive_slab(
                 for (i, &av) in arow.iter().enumerate() {
                     let orow = &mut out[i * ldc..i * ldc + n];
                     for (ov, &bv) in orow.iter_mut().zip(brow) {
-                        *ov += av * bv;
+                        *ov = av.mul_add(bv, *ov);
                     }
                 }
             }
@@ -574,14 +581,15 @@ pub fn pinned_threads(work: usize, threads: usize) -> usize {
 mod tests {
     use super::*;
 
-    /// Dense f64-free reference: the naive Nn loop on plain indices.
+    /// Dense f64-free reference: the naive Nn loop on plain indices, one
+    /// fused multiply-add per k-step in ascending k.
     fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for kk in 0..k {
                 let av = a[i * k + kk];
                 for j in 0..n {
-                    out[i * n + j] += av * b[kk * n + j];
+                    out[i * n + j] = av.mul_add(b[kk * n + j], out[i * n + j]);
                 }
             }
         }

@@ -135,10 +135,12 @@ fn gemm_operand(len: usize, seed: u64, zeros: Zeros) -> Vec<f32> {
 }
 
 /// The naive Nn loop on plain indices: the oracle every kernel, layout
-/// and thread count must reproduce **bitwise**. With `skip` it leaves out
-/// every term whose left coefficient is zero — the engine no longer has
-/// such a path, and [`dense_chain_equals_zero_skipping_reference`] is the
-/// proof it never needed one for exactness.
+/// and thread count must reproduce **bitwise**. It states the GEMM's
+/// rounding contract: one fused multiply-add per k-step, in ascending k.
+/// With `skip` it leaves out every term whose left coefficient is zero —
+/// the engine has no such path, and
+/// [`dense_chain_equals_zero_skipping_reference`] is the proof it never
+/// needed one for exactness.
 fn nn_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, skip: bool) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
@@ -148,7 +150,7 @@ fn nn_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, skip: bool) 
                 continue;
             }
             for j in 0..n {
-                out[i * n + j] += av * b[kk * n + j];
+                out[i * n + j] = av.mul_add(b[kk * n + j], out[i * n + j]);
             }
         }
     }
@@ -247,11 +249,14 @@ proptest! {
         check_all_layouts(&a, &b, (m, k, n), &want)?;
     }
 
-    /// Why the engine has no zero-skip path: on finite operands the dense
-    /// chain *is* the zero-skipping one, bit for bit. A skipped term adds
-    /// `±0` to an accumulator that starts at `+0.0` and can never become
-    /// `−0.0` (`x + y` is `−0` only when both are), so leaving it out
-    /// changes nothing — at any zero density, negative values included.
+    /// Why the engine has no zero-skip path: the dense chain *is* the
+    /// zero-skipping one, bit for bit. A skipped term is `fma(±0, b, acc)`,
+    /// which returns `acc` unchanged when `acc` is non-zero or `+0.0`
+    /// (`±0 + +0` is `+0`). The accumulator starts at `+0.0`, and a fused
+    /// step returns `−0.0` only when both of its addends are `−0` or a
+    /// negative exact result underflows, which no product of these
+    /// operands is small enough to do. So leaving a zero term out changes
+    /// nothing, at any zero density, negative values included.
     #[test]
     fn dense_chain_equals_zero_skipping_reference(
         seed in 0u64..1000,
