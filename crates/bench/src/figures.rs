@@ -380,7 +380,8 @@ fn cost_model_table() -> IrResult<()> {
     .ir;
     // Count only the attention-score portion: everything except the
     // input projection (first Linear) and the aggregation — the kernels
-    // that contain edge-space score math or vertex dots.
+    // that contain edge-space score math or a head-dot's `Mul` (by the
+    // parameter it reads) and `FeatSum`.
     let attention_flops = |reorg: bool| -> IrResult<u64> {
         let opts = ablation(reorg, FusionLevel::None, RecomputeScope::None);
         let plan = compile(&ir, false, &opts)?.plan;
@@ -392,12 +393,12 @@ fn cost_model_table() -> IrResult<()> {
             .filter(|(k, _)| {
                 k.nodes.iter().any(|&n| {
                     let node = plan.ir.node(n);
-                    node.phase == Phase::Forward
-                        && matches!(
+                    let score = plan.ir.head_dot_operands(n).is_some()
+                        || matches!(
                             node.kind,
-                            OpKind::HeadDot | OpKind::Scatter(_) | OpKind::Unary(_)
-                        )
-                        && node.dim.feat <= 2 * f as usize
+                            OpKind::FeatSum | OpKind::Scatter(_) | OpKind::Unary(_)
+                        );
+                    node.phase == Phase::Forward && score && node.dim.feat <= 2 * f as usize
                 })
             })
             .map(|(_, p)| p.flops)

@@ -143,29 +143,6 @@ fn backprop_node(
             }
         }
 
-        // `∂x[.,h,j] = g[.,h] · a[h,j]`: the score feature-broadcast
-        // times the parameter, read whole at every row.
-        OpKind::HeadDot => {
-            let (x, a) = (ins[0], ins[1]);
-            if g.node(x).requires_grad {
-                let (xd, xs) = (g.node(x).dim, g.node(x).space);
-                let mul = OpKind::Binary(BinaryFn::Mul);
-                let gx = g.push_raw(mul, vec![grad, a], xs, xd, "binary_Mul");
-                add_contrib(g, contrib, x, gx);
-            }
-            if g.node(a).requires_grad {
-                let ad = g.node(a).dim;
-                let ga = g.push_raw(
-                    OpKind::HeadDotBwdParam,
-                    vec![x, grad],
-                    Space::Param,
-                    ad,
-                    "head_dot_bwd_param",
-                );
-                add_contrib(g, contrib, a, ga);
-            }
-        }
-
         OpKind::Unary(f) => {
             let x = ins[0];
             let (xd, xs) = (g.node(x).dim, g.node(x).space);
@@ -391,10 +368,33 @@ fn backprop_node(
             add_contrib(g, contrib, x, gx);
         }
 
+        // A head-dot `FeatSum(x · a)`, `a` read whole: `∂x[.,h,j] =
+        // g[.,h] · a[h,j]`, the score feature-broadcast times the
+        // parameter, and `∂a` the cross-row reduction. The product gets
+        // no gradient of its own.
         OpKind::FeatSum => {
-            let x = ins[0];
-            let gx = g.view(grad, Layout::BroadcastFeat(g.node(x).dim.feat))?;
-            add_contrib(g, contrib, x, gx);
+            let Some((x, a)) = g.head_dot_operands(ins[0]) else {
+                let gx = g.view(grad, Layout::BroadcastFeat(g.node(ins[0]).dim.feat))?;
+                add_contrib(g, contrib, ins[0], gx);
+                return Ok(());
+            };
+            if g.node(x).requires_grad {
+                let (xd, xs) = (g.node(x).dim, g.node(x).space);
+                let mul = OpKind::Binary(BinaryFn::Mul);
+                let gx = g.push_raw(mul, vec![grad, a], xs, xd, "binary_Mul");
+                add_contrib(g, contrib, x, gx);
+            }
+            if g.node(a).requires_grad {
+                let ad = g.node(a).dim;
+                let ga = g.push_raw(
+                    OpKind::HeadDotBwdParam,
+                    vec![x, grad],
+                    Space::Param,
+                    ad,
+                    "head_dot_bwd_param",
+                );
+                add_contrib(g, contrib, a, ga);
+            }
         }
 
         // Backward-only kinds are never differentiated.

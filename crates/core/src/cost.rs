@@ -76,27 +76,15 @@ impl<'a> CostModel<'a> {
                 2 * self.rows(inputs[0]) * node.dim.heads as u64 * node.dim.feat as u64
             }
 
+            // A head-dot's `Mul` and `FeatSum` charge `2·rows·width`
+            // together: one multiply and one add per element.
             OpKind::Unary(_) | OpKind::Binary(_) => self.rows(node) * total,
             OpKind::FeatSum | OpKind::HeadReduce(_) => {
                 self.rows(node) * inputs[0].dim.total() as u64
             }
             OpKind::UnaryBwd(_) => 2 * self.rows(node) * total,
-
-            // Per-head dot products touch heads·feat elements per row of
-            // the non-param operand.
-            OpKind::HeadDot | OpKind::HeadDotBwdParam => {
-                let data = inputs
-                    .iter()
-                    .find(|i| i.space != Space::Param)
-                    .unwrap_or(&inputs[0]);
-                let width = inputs
-                    .iter()
-                    .map(|i| i.dim.total())
-                    .max()
-                    .unwrap_or(node.dim.total())
-                    .max(node.dim.total()) as u64;
-                2 * self.rows(data) * width
-            }
+            // ∂a = Σ_rows g·x: a multiply-add per element of x.
+            OpKind::HeadDotBwdParam => 2 * self.rows(inputs[0]) * total,
 
             // K kernels × r pseudo-dims: 3 ops per (k, j) plus exp+scale.
             OpKind::GaussianWeight | OpKind::GaussianBwdMu | OpKind::GaussianBwdSigma => {
@@ -151,15 +139,25 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use crate::ir::IrGraph;
-    use crate::op::{BinaryFn, Dim, EdgeGroup, ReduceFn, ScatterFn};
+    use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, ReduceFn, ScatterFn};
 
     fn stats(v: usize, avg: f64) -> GraphStats {
         GraphStats::synthesize_power_law(v, avg, 0.0)
     }
 
+    /// A head-dot's FLOPs: its `Mul` and its `FeatSum` together.
+    fn dot_flops(cm: &CostModel, g: &IrGraph, dot: NodeId) -> u64 {
+        let xa = g.node(dot).inputs[0];
+        let node_flops = |id: NodeId| {
+            let ins: Vec<&Node> = g.node(id).inputs.iter().map(|&i| g.node(i)).collect();
+            cm.flops(g.node(id), &ins)
+        };
+        node_flops(xa) + node_flops(dot)
+    }
+
     /// §4 example: naive GAT attention costs ≈ 6|E|f FLOPs for the
     /// concat+projection (2|E|f copy is free here, 4|E|f for the
-    /// projection since HeadDot reads 2f per edge) plus |E| LeakyReLU.
+    /// projection since the head-dot reads 2f per edge) plus |E| LeakyReLU.
     #[test]
     fn gat_attention_flops_naive_vs_reorganized() {
         let s = stats(1000, 10.0);
@@ -175,7 +173,7 @@ mod tests {
         let cat = g.scatter(ScatterFn::ConcatUV, h, h).unwrap();
         let att = g.head_dot(cat, a).unwrap();
         let cm = CostModel::new(&s);
-        let proj_flops = cm.flops(g.node(att), &[g.node(cat), g.node(a)]);
+        let proj_flops = dot_flops(&cm, &g, att);
         assert_eq!(proj_flops, 2 * e * 2 * f as u64); // = 4|E|f
 
         // Reorganized: two vertex-side projections.
@@ -184,8 +182,7 @@ mod tests {
         let al = g2.param("al", 1, f);
         let al = g2.set_heads(al, 1).unwrap();
         let dv = g2.head_dot(h2, al).unwrap();
-        let cm2 = CostModel::new(&s);
-        let vert_flops = cm2.flops(g2.node(dv), &[g2.node(h2), g2.node(al)]);
+        let vert_flops = dot_flops(&cm, &g2, dv);
         assert_eq!(vert_flops, 2 * v * f as u64); // = 2|V|f, ×2 projections = 4|V|f
         assert!(2 * vert_flops < proj_flops, "reorg must reduce FLOPs");
     }

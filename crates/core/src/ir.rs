@@ -464,7 +464,9 @@ impl IrGraph {
         ))
     }
 
-    /// Per-head dot product with parameter `a` of shape `[heads, feat]`.
+    /// Per-head dot product with parameter `a` of shape `[heads, feat]`:
+    /// `FeatSum(x · a)`, the `Mul` reading `a` whole at every row of `x`
+    /// (GAT's `aᵀh`).
     ///
     /// # Errors
     ///
@@ -479,17 +481,20 @@ impl IrGraph {
                 detail: format!("{:?} {:?} vs {:?} {:?}", na.space, na.dim, nx.space, nx.dim),
             });
         }
-        Ok(self.push(
-            OpKind::HeadDot,
-            vec![x, a],
-            nx.space,
-            Dim {
-                heads: nx.dim.heads,
-                feat: 1,
-            },
-            "head_dot",
-            self.phase,
-        ))
+        let mul = OpKind::Binary(BinaryFn::Mul);
+        let xa = self.push_raw(mul, vec![x, a], nx.space, nx.dim, "binary_Mul");
+        self.feat_sum(xa)
+    }
+
+    /// The `(x, a)` of `id` if it is a `Mul` reading a parameter `a`
+    /// whole at every row of `x`: a head-dot's product (under its
+    /// `FeatSum`, [`IrGraph::head_dot`]) or its input dual.
+    pub fn head_dot_operands(&self, id: NodeId) -> Option<(NodeId, NodeId)> {
+        let n = &self.nodes[id];
+        let dot = n.kind == OpKind::Binary(BinaryFn::Mul)
+            && n.space != Space::Param
+            && self.nodes[n.inputs[1]].space == Space::Param;
+        dot.then(|| (n.inputs[0], n.inputs[1]))
     }
 
     /// Gaussian mixture weights (MoNet). `pseudo` is `[|E|, r]`; `mu` and
@@ -719,6 +724,14 @@ mod tests {
         assert!(g.head_dot(h, h).is_err(), "a data `a`");
         let s = g.head_dot(h, b).unwrap();
         assert_eq!(g.node(s).dim, Dim::multi(2, 1));
+        // A feature sum of the product, the parameter its second operand.
+        assert_eq!(g.node(s).kind, OpKind::FeatSum);
+        let xa = g.node(g.node(s).inputs[0]);
+        assert_eq!(xa.kind, OpKind::Binary(BinaryFn::Mul));
+        assert_eq!(
+            (xa.inputs[0], xa.inputs[1], xa.dim),
+            (h, b, Dim::multi(2, 3))
+        );
     }
 
     /// The Gaussian kernels are parameters read whole at every edge: an

@@ -523,9 +523,9 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         // Destination-grouped reductions and row-local ops — the two
         // gather duals included: an edge row of either is its group
         // vertex's gradient row, read at the endpoint the forward gather
-        // grouped by (`view::endpoint_reads`); and the per-head
-        // projection and its input dual, each row from one input row and
-        // a parameter read whole.
+        // grouped by (`view::endpoint_reads`); and a `Mul` reading a
+        // parameter whole at every row — a head-dot's product, folded
+        // into its `FeatSum`, and the head-dot's input dual.
         OpKind::Gather { .. }
         | OpKind::GatherMeanBwd { .. }
         | OpKind::GatherMaxBwd { .. }
@@ -535,7 +535,6 @@ fn op_exec(node: &crate::ir::Node) -> StepExec {
         | OpKind::UnaryBwd(_)
         | OpKind::Binary(_)
         | OpKind::GaussianWeight
-        | OpKind::HeadDot
         | OpKind::View(_)
         | OpKind::HeadReduce(_)
         | OpKind::FeatSum => StepExec::Tiled,

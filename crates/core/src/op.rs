@@ -340,13 +340,11 @@ pub enum OpKind {
     /// Lightweight elementwise unary apply.
     Unary(UnaryFn),
     /// Lightweight elementwise binary apply (same space; feat-broadcast
-    /// allowed when one side has `feat == 1`). Autodiff also emits it
-    /// with a parameter operand, read whole at every row: `HeadDot`'s
-    /// input dual `G[.,h] · a[h,j]`.
+    /// allowed when one side has `feat == 1`). A `Mul` may also read a
+    /// parameter operand whole at every row: a head-dot
+    /// ([`crate::IrGraph::head_dot`], GAT's `aᵀh`) is `FeatSum(x · a)`,
+    /// and its input dual is `G[.,h] · a[h,j]`.
     Binary(BinaryFn),
-    /// Per-head dot product with a parameter: `[.., h, f] × [h, f] → [.., h, 1]`
-    /// (GAT's `aᵀ h`). Classified expensive (it is a projection).
-    HeadDot,
     /// Gaussian mixture weights (MoNet):
     /// `w[e,k] = exp(-½ Σ_j σ⁻²[k,j] (pseudo[e,j] − μ[k,j])²)`,
     /// inputs `[pseudo, mu, inv_sigma]`, output heads = K, feat = 1.
@@ -365,7 +363,8 @@ pub enum OpKind {
     // ---- backward-only operators (Appendix B) ----
     /// `∂L/∂W = Xᵀ · G` (inputs `[x, g]`).
     LinearBwdWeight,
-    /// `∂L/∂a[h,j] = Σ_rows G[.,h] X[.,h,j]` (inputs `[x, g]`).
+    /// `∂L/∂a[h,j] = Σ_rows G[.,h] X[.,h,j]` (inputs `[x, g]`): a
+    /// head-dot's parameter gradient.
     HeadDotBwdParam,
     /// Backward of `Gather(Max)`: routes the vertex gradient to the argmax
     /// edge recorded by forward node `fwd` (input `[g]`).
@@ -394,8 +393,10 @@ pub enum OpKind {
 pub enum FusionClass {
     /// Not executed (inputs, parameters, gradient seeds).
     Leaf,
-    /// Expensive Apply- (linear projections and parameter-gradient
-    /// reductions): kernels of their own, never fused with graph ops.
+    /// Expensive Apply- (the GEMMs and the head-dot's cross-row
+    /// parameter reduction): kernels of their own, never fused with
+    /// graph ops. Every row-local op is fusible, a head-dot's `Mul` and
+    /// `FeatSum` included.
     Expensive,
     /// Graph-related or lightweight Apply-: fusible.
     Fusible,
@@ -407,7 +408,7 @@ impl OpKind {
         use OpKind::*;
         match self {
             InputVertex | InputEdge | Param | GradSeed => FusionClass::Leaf,
-            Linear | LinearBwdWeight | HeadDot | HeadDotBwdParam => FusionClass::Expensive,
+            Linear | LinearBwdWeight | HeadDotBwdParam => FusionClass::Expensive,
             // Gaussian parameter gradients are per-edge computations with a
             // tiny `[K, r]` atomic reduction — they fuse into the backward
             // graph kernel exactly like the paper's MoNet backward pass.

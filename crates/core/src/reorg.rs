@@ -12,10 +12,14 @@
 //!
 //! 1. `Linear ∘ Scatter(±)` → `Scatter(±) ∘ Linear` — linear maps
 //!    distribute over `+`/`−`.
-//! 2. `Linear/HeadDot ∘ Scatter(Copy*)` → `Scatter(Copy*) ∘ Linear/HeadDot`
-//!    — trivially sound (per-edge function of a single vertex value).
-//! 3. `HeadDot ∘ Scatter(∥)` → `Scatter(+) ∘ (HeadDot_l, HeadDot_r)` — the
-//!    GAT attention trick: `aᵀ[hu ∥ hv] = aₗᵀhu + aᵣᵀhv` (§4 Example).
+//! 2. `P ∘ Scatter(Copy*)` → `Scatter(Copy*) ∘ P` for a projection `P`,
+//!    a `Linear` or a head-dot `FeatSum ∘ Mul(·, a)` with the parameter
+//!    `a` read whole — trivially sound (per-edge function of a single
+//!    vertex value).
+//! 3. `FeatSum ∘ Mul(Scatter(∥), a)` →
+//!    `Scatter(+)(FeatSum ∘ Mul(·, aₗ), FeatSum ∘ Mul(·, aᵣ))` — the GAT
+//!    attention trick: `aᵀ[hu ∥ hv] = aₗᵀhu + aᵣᵀhv` (§4 Example), `aₗ`
+//!    and `aᵣ` the two column windows of `a`.
 //! 4. `Linear ∘ Scatter(∥)` → split weight rows, as (3).
 //! 5. `Gather(Σ) ∘ Linear(edge)` → `Linear ∘ Gather(Σ)` — the dual
 //!    postponement (sum commutes with linear maps); an extension beyond
@@ -74,40 +78,29 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
     for node in ir.nodes() {
         let m = |id: NodeId, map: &HashMap<NodeId, NodeId>| map[&id];
 
-        // Pattern heads are expensive ops whose input is a single-consumer
+        // Pattern heads are projections whose input is a single-consumer
         // scatter (1–4) or gathers over single-consumer edge linears (5).
-        let new_id: NodeId = match &node.kind {
-            OpKind::Linear | OpKind::HeadDot => {
-                let src = node.inputs[0];
-                let w = node.inputs[1];
+        let new_id: NodeId = match (&node.kind, projection(ir, &consumers, node)) {
+            (_, Some((src, w, dot))) => {
                 let src_node = ir.node(src);
                 let private = consumers[src].len() == 1;
+                let w = m(w, &map);
                 match (&src_node.kind, private) {
-                    (OpKind::Scatter(ScatterFn::CopyU), true) => {
+                    (OpKind::Scatter(f @ (ScatterFn::CopyU | ScatterFn::CopyV)), true) => {
                         applied += 1;
                         let x = m(src_node.inputs[0], &map);
-                        let proj = apply_projection(&mut out, &node.kind, x, m(w, &map))?;
-                        out.scatter(ScatterFn::CopyU, proj, proj)?
-                    }
-                    (OpKind::Scatter(ScatterFn::CopyV), true) => {
-                        applied += 1;
-                        let y = m(src_node.inputs[0], &map);
-                        let proj = apply_projection(&mut out, &node.kind, y, m(w, &map))?;
-                        out.scatter(ScatterFn::CopyV, proj, proj)?
+                        let proj = project(&mut out, dot, x, w)?;
+                        out.scatter(*f, proj, proj)?
                     }
                     (
                         OpKind::Scatter(ScatterFn::Bin(bf @ (BinaryFn::Add | BinaryFn::Sub))),
                         true,
-                    ) if node.kind == OpKind::Linear => {
+                    ) if !dot => {
                         applied += 1;
                         let x = m(src_node.inputs[0], &map);
                         let y = m(src_node.inputs[1], &map);
-                        let px = out.linear(x, m(w, &map))?;
-                        let py = if x == y {
-                            px
-                        } else {
-                            out.linear(y, m(w, &map))?
-                        };
+                        let px = out.linear(x, w)?;
+                        let py = if x == y { px } else { out.linear(y, w)? };
                         out.scatter(ScatterFn::Bin(*bf), px, py)?
                     }
                     (OpKind::Scatter(ScatterFn::ConcatUV), true) => {
@@ -116,26 +109,26 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                         let y = m(src_node.inputs[1], &map);
                         let fx = ir.node(src_node.inputs[0]).dim.feat;
                         let fy = ir.node(src_node.inputs[1]).dim.feat;
-                        let wid = m(w, &map);
-                        let (px, py) = if node.kind == OpKind::HeadDot {
-                            let al = out.slice_cols(wid, 0, fx)?;
-                            let ar = out.slice_cols(wid, fx, fx + fy)?;
-                            (out.head_dot(x, al)?, out.head_dot(y, ar)?)
+                        let (wl, wr) = if dot {
+                            (out.slice_cols(w, 0, fx)?, out.slice_cols(w, fx, fx + fy)?)
                         } else {
-                            let wl = out.slice_rows(wid, 0, fx)?;
-                            let wr = out.slice_rows(wid, fx, fx + fy)?;
-                            (out.linear(x, wl)?, out.linear(y, wr)?)
+                            (out.slice_rows(w, 0, fx)?, out.slice_rows(w, fx, fx + fy)?)
                         };
+                        let px = project(&mut out, dot, x, wl)?;
+                        let py = project(&mut out, dot, y, wr)?;
                         out.scatter(ScatterFn::Bin(BinaryFn::Add), px, py)?
                     }
-                    _ => copy_node(&mut out, ir, node, &map),
+                    _ => copy_node(&mut out, node, &map),
                 }
             }
             // Pattern 5: hoist an edge-space linear above a sum/mean gather.
-            OpKind::Gather {
-                reduce: reduce @ (ReduceFn::Sum | ReduceFn::Mean),
-                group,
-            } => {
+            (
+                OpKind::Gather {
+                    reduce: reduce @ (ReduceFn::Sum | ReduceFn::Mean),
+                    group,
+                },
+                None,
+            ) => {
                 let src = node.inputs[0];
                 let src_node = ir.node(src);
                 if src_node.kind == OpKind::Linear
@@ -148,10 +141,10 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                     let gathered = out.gather(*reduce, *group, e)?;
                     out.linear(gathered, w)?
                 } else {
-                    copy_node(&mut out, ir, node, &map)
+                    copy_node(&mut out, node, &map)
                 }
             }
-            _ => copy_node(&mut out, ir, node, &map),
+            _ => copy_node(&mut out, node, &map),
         };
         map.insert(node.id, new_id);
     }
@@ -162,13 +155,7 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
 }
 
 /// Re-emits `node` unchanged (with remapped inputs) into `out`.
-fn copy_node(
-    out: &mut IrGraph,
-    ir: &IrGraph,
-    node: &crate::ir::Node,
-    map: &HashMap<NodeId, NodeId>,
-) -> NodeId {
-    let _ = ir;
+fn copy_node(out: &mut IrGraph, node: &crate::ir::Node, map: &HashMap<NodeId, NodeId>) -> NodeId {
     let inputs = node.inputs.iter().map(|i| map[i]).collect();
     out.push_raw(
         node.kind.clone(),
@@ -179,12 +166,31 @@ fn copy_node(
     )
 }
 
-/// Emits the expensive projection `kind` on a vertex tensor.
-fn apply_projection(out: &mut IrGraph, kind: &OpKind, x: NodeId, w: NodeId) -> Result<NodeId> {
-    match kind {
-        OpKind::Linear => out.linear(x, w),
-        OpKind::HeadDot => out.head_dot(x, w),
-        other => unreachable!("not a projection: {other:?}"),
+/// The projection `node` applies, as `(input, parameter, head-dot)`: a
+/// `Linear`, or the `FeatSum` of a head-dot whose product
+/// ([`IrGraph::head_dot`]) only it reads.
+fn projection(
+    ir: &IrGraph,
+    consumers: &[Vec<NodeId>],
+    node: &crate::ir::Node,
+) -> Option<(NodeId, NodeId, bool)> {
+    match node.kind {
+        OpKind::Linear => Some((node.inputs[0], node.inputs[1], false)),
+        OpKind::FeatSum if consumers[node.inputs[0]].len() == 1 => {
+            let (x, a) = ir.head_dot_operands(node.inputs[0])?;
+            Some((x, a, true))
+        }
+        _ => None,
+    }
+}
+
+/// Emits the projection on a vertex tensor: `x · w`, or the head-dot of
+/// `x` with `w`.
+fn project(out: &mut IrGraph, dot: bool, x: NodeId, w: NodeId) -> Result<NodeId> {
+    if dot {
+        out.head_dot(x, w)
+    } else {
+        out.linear(x, w)
     }
 }
 
@@ -201,7 +207,7 @@ fn dce(ir: &IrGraph) -> IrGraph {
     let mut map: HashMap<NodeId, NodeId> = HashMap::new();
     for node in ir.nodes() {
         if live.contains(&node.id) {
-            let id = copy_node(&mut out, ir, node, &map);
+            let id = copy_node(&mut out, node, &map);
             map.insert(node.id, id);
         }
     }
@@ -215,6 +221,7 @@ fn dce(ir: &IrGraph) -> IrGraph {
 mod tests {
     use super::*;
     use crate::op::Dim;
+    use crate::view::Layout;
 
     /// EdgeConv head: Linear(u_sub_v(h, h)) must become
     /// u_sub_v(Linear(h), Linear(h)) with a single Linear.
@@ -243,8 +250,8 @@ mod tests {
         assert_eq!(out.dim, Dim::flat(16));
     }
 
-    /// GAT attention: HeadDot(concat(hu, hv), a) must become
-    /// scatter_add(HeadDot(h, a_l), HeadDot(h, a_r)).
+    /// GAT attention: FeatSum(Mul(concat(hu, hv), a)) must become
+    /// scatter_add(FeatSum(Mul(h, a_l)), FeatSum(Mul(h, a_r))).
     #[test]
     fn gat_concat_projection_splits() {
         let mut g = IrGraph::new();
@@ -259,10 +266,20 @@ mod tests {
         let dots: Vec<_> = r
             .nodes()
             .iter()
-            .filter(|n| n.kind == OpKind::HeadDot)
+            .filter(|n| n.kind == OpKind::FeatSum)
             .collect();
         assert_eq!(dots.len(), 2, "two vertex-side projections");
-        assert!(dots.iter().all(|n| n.space == Space::Vertex));
+        // Each the sum of `h` times a column window of `a`, read whole.
+        for (n, window) in dots.iter().zip([(0, 16), (16, 32)]) {
+            assert_eq!(n.space, Space::Vertex);
+            let xa = r.node(n.inputs[0]);
+            assert_eq!(xa.kind, OpKind::Binary(BinaryFn::Mul));
+            assert_eq!(r.node(xa.inputs[0]).kind, OpKind::InputVertex);
+            let Layout::Window(w) = r.read_layouts(xa.inputs[1], 0).next().unwrap() else {
+                panic!("a column window of `a`");
+            };
+            assert_eq!((w.start, w.end, w.rows), (window.0, window.1, false));
+        }
         let out = r.node(r.outputs()[0]);
         assert_eq!(out.kind, OpKind::Scatter(ScatterFn::Bin(BinaryFn::Add)));
         assert_eq!(out.dim, Dim::multi(4, 1));

@@ -1461,22 +1461,6 @@ fn exec_rows<'r>(
             }
         }
 
-        // The per-head projection: the parameter, read whole, one head's
-        // row at a time as `kernels::head_dot` does.
-        OpKind::HeadDot => {
-            let (x, a, feat) = (s(0), s(1), op.dins[0].feat);
-            for (i, r) in rows.enumerate() {
-                let (xr, ar) = (cx.row(x, r), cx.row(a, r));
-                for (h, ov) in buf[i * total..(i + 1) * total].iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for c in 0..feat {
-                        acc += xr[h * feat + c] * ar[h * feat + c];
-                    }
-                    *ov = acc;
-                }
-            }
-        }
-
         OpKind::GaussianWeight => {
             let (p, mu, sg) = (s(0), s(1), s(2));
             for (i, e) in rows.enumerate() {

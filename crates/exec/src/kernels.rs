@@ -440,22 +440,7 @@ pub fn unary_bwd(f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
     out
 }
 
-/// Per-head dot product with a parameter: `[N, h·f] × [h, f] → [N, h]`.
-pub fn head_dot(x: &Tensor, a: &Tensor, heads: usize, feat: usize) -> Tensor {
-    map_rows(x.rows(), heads, |or, r| {
-        let xr = x.row(r);
-        for (h, ov) in or.iter_mut().enumerate() {
-            let ar = a.row(h);
-            let mut acc = 0.0;
-            for c in 0..feat {
-                acc += xr[h * feat + c] * ar[c];
-            }
-            *ov = acc;
-        }
-    })
-}
-
-/// Backward of [`head_dot`] w.r.t. the parameter:
+/// Backward of a head-dot `FeatSum(x · a)` w.r.t. the parameter:
 /// `out[h, c] = Σ_r g[r,h]·x[r, h·f+c]`.
 ///
 /// Parallelized through [`param_reduce`]: the row axis is cut on the
@@ -851,15 +836,17 @@ mod tests {
         }
     }
 
-    /// The input dual is a feature-broadcast product with the parameter
-    /// read whole at every row: `g[r,h]·a[h,c]`.
+    /// A head-dot is the feature sum of `x` times the parameter read
+    /// whole at every row; its input dual is a feature-broadcast product
+    /// with the parameter: `g[r,h]·a[h,c]`.
     #[test]
     fn head_dot_roundtrip_gradients() {
         let x = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]).unwrap();
         let a = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]).unwrap();
-        let y = head_dot(&x, &a, 2, 2);
-        assert_eq!(y.row(0), &[1.0 * 0.5 - 2.0, 3.0 * 2.0]);
         let (dy, da) = (Dim::multi(2, 1), Dim::multi(2, 2));
+        let xa = binary_broadcast(BinaryFn::Mul, (&x, da), (&a, da), [false, true]);
+        let y = feat_sum(&xa, 2, 2);
+        assert_eq!(y.row(0), &[1.0 * 0.5 - 2.0, 3.0 * 2.0]);
         let gi = binary_broadcast(BinaryFn::Mul, (&y, dy), (&a, da), [false, true]);
         assert_eq!(gi.shape(), &[2, 4]);
         assert_eq!(gi.row(1), &[-1.75, 3.5, 28.0, 0.0]);

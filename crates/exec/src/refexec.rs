@@ -228,7 +228,6 @@ pub(crate) fn exec_op(
             kernels::binary_broadcast(*f, (inputs[0], din(0)), (inputs[1], din(1)), whole)
         }
 
-        OpKind::HeadDot => kernels::head_dot(inputs[0], inputs[1], din(0).heads, din(0).feat),
         OpKind::HeadDotBwdParam => {
             kernels::head_dot_bwd_param(pol, inputs[0], inputs[1], node.dim.heads, node.dim.feat)
         }

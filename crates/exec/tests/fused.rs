@@ -780,6 +780,30 @@ fn folded_products_keep_the_oracle_bits() {
     }
 }
 
+/// Every feature sum, a head-dot's included, runs in ascending feature
+/// order from `−0.0`: a head whose products are all `−0.0` — a zero row
+/// of `x` times a negative parameter — scores `−0.0`, in the oracle's
+/// sum of the written product and in the session's fold of it alike, at
+/// one and four threads.
+#[test]
+fn a_head_dot_of_zero_features_scores_negative_zero() {
+    let g = small_graph();
+    let mut ir = IrGraph::new();
+    let x = ir.input_vertex("x", Dim::flat(5));
+    let a = ir.param("a", 1, 5);
+    let score = ir.head_dot(x, a).unwrap();
+    ir.mark_output(score);
+    let plan = plan_of(&ir, false);
+    folds_every_product(&plan);
+    let b = Bindings::new()
+        .with("x", Tensor::zeros(&[g.num_vertices(), 5]))
+        .with("a", Tensor::from_fn(&[1, 5], |i| -0.5 - i as f32));
+    check_against_oracle(&plan, &g, &b);
+    let oracle = refexec::evaluate(&plan, &g, &b, None).expect("oracle");
+    let want = vec![(-0.0f32).to_bits(); g.num_vertices()];
+    assert_eq!(bits(&oracle.outputs[0]), want);
+}
+
 /// A fold that pulls: the streamed by-source `Sum`/`Mean` over `g@dst ×
 /// leaky_relu(s)`, whose narrow `E[heads]` operand is row-sized — GAT's
 /// backward feature gradient in shape. In a GAT training plan that

@@ -193,8 +193,13 @@ fn tile_ops() -> Vec<(&'static str, OpPick)> {
             matches!(n.kind, OpKind::Binary(_)) && broadcasts(&plan.ir, n)
         }),
         ("gaussian_weight", |_, n| n.kind == OpKind::GaussianWeight),
-        ("head_dot", |_, n| n.kind == OpKind::HeadDot),
-        // The head-dot's input dual: the parameter read whole a row.
+        // A head-dot under DGL's gSDDMM fusion: the feature sum folds a
+        // product that reads the parameter whole at every row.
+        ("feat_sum folding a parameter product", |plan, n| {
+            n.kind == OpKind::FeatSum && folds_a_parameter(plan, n)
+        }),
+        // A head-dot's product, unfused, and its input dual: the
+        // parameter read whole a row.
         ("binary_Mul, a parameter operand", |plan, n| {
             let param = |&i: &usize| plan.ir.node(i).space == Space::Param;
             n.kind == OpKind::Binary(BinaryFn::Mul) && n.inputs.iter().any(param)
@@ -242,6 +247,24 @@ fn sweeps_blocks(plan: &ExecutionPlan, n: &Node) -> bool {
                 && product.is_some_and(|f| {
                     let own = f.srcs.iter().all(|s| s.at == RowAt::Own);
                     f.size == SlotSize::Fold && !f.pulls && own && f.dins[0] == f.dins[1]
+                })
+        })
+    })
+}
+
+/// `n`, a feature sum, folds a product that reads one operand whole at
+/// every row — a parameter: it is a head-dot.
+fn folds_a_parameter(plan: &ExecutionPlan, n: &Node) -> bool {
+    plan.programs.iter().any(|p| {
+        let mut ops = p
+            .units
+            .iter()
+            .flat_map(|u| u.ops.iter().map(move |op| (u, op)));
+        ops.any(|(u, op)| {
+            let product = op.srcs[0].slot().map(|j| &u.ops[j]);
+            p.steps[op.step].node == n.id
+                && product.is_some_and(|f| {
+                    f.size == SlotSize::Fold && f.srcs.iter().any(|s| s.at == RowAt::Whole)
                 })
         })
     })

@@ -107,12 +107,12 @@ mod tests {
         assert!(kinds
             .iter()
             .any(|k| matches!(k, OpKind::Scatter(ScatterFn::ConcatUV))));
-        // the per-edge projection is the HeadDot on an edge tensor
+        // the per-edge projection is a head-dot on an edge tensor
         assert!(spec
             .ir
             .nodes()
             .iter()
-            .any(|n| n.kind == OpKind::HeadDot && n.space == Space::Edge));
+            .any(|n| n.kind == OpKind::FeatSum && n.space == Space::Edge));
     }
 
     #[test]
@@ -129,7 +129,7 @@ mod tests {
             .ir
             .nodes()
             .iter()
-            .filter(|n| n.kind == OpKind::HeadDot)
+            .filter(|n| n.kind == OpKind::FeatSum)
             .all(|n| n.space == Space::Vertex));
     }
 

@@ -137,6 +137,6 @@ mod tests {
         assert!(r
             .nodes()
             .iter()
-            .any(|n| n.kind == OpKind::HeadDot && n.space == Space::Edge));
+            .any(|n| n.kind == OpKind::FeatSum && n.space == Space::Edge));
     }
 }

@@ -3,7 +3,8 @@
 //! node-by-node oracle step the executor suites compare sessions against.
 
 use gnnopt::core::{
-    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, IrGraph, ReduceFn, ScatterFn, Space, UnaryFn,
+    compile, BinaryFn, CompileOptions, Dim, EdgeGroup, ExecutionPlan, IrGraph, ReduceFn, ScatterFn,
+    Space, UnaryFn,
 };
 use gnnopt::exec::{refexec, Bindings};
 use gnnopt::graph::Graph;
@@ -22,13 +23,23 @@ pub fn oracle(
     g: &Graph,
 ) -> (Tensor, HashMap<String, Tensor>) {
     let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
+    plan_oracle(&compiled.plan, vals, g)
+}
+
+/// [`oracle`] of a compiled training plan.
+#[allow(dead_code)]
+pub fn plan_oracle(
+    plan: &ExecutionPlan,
+    vals: &HashMap<String, Tensor>,
+    g: &Graph,
+) -> (Tensor, HashMap<String, Tensor>) {
     let mut b = Bindings::new();
     for (k, v) in vals {
         b.insert(k, v.clone());
     }
-    let out = compiled.plan.ir.node(compiled.plan.ir.outputs()[0]);
+    let out = plan.ir.node(plan.ir.outputs()[0]);
     let seed = Tensor::ones(&[g.num_vertices(), out.dim.total()]);
-    let mut e = refexec::evaluate(&compiled.plan, g, &b, Some(&seed)).expect("oracle");
+    let mut e = refexec::evaluate(plan, g, &b, Some(&seed)).expect("oracle");
     (e.outputs.swap_remove(0), e.grads)
 }
 
@@ -60,6 +71,11 @@ pub enum Step {
     /// even width, else one), feature-broadcast back and multiplied into
     /// the running tensor.
     HeadDot,
+    /// GAT's naive attention on a vertex tensor: a per-head score of each
+    /// edge's concatenated endpoints through an `[h, 2f/h]` parameter
+    /// (the pattern the reorganization splits into two vertex scores),
+    /// multiplied into the source rows and summed by destination.
+    ConcatDot,
 }
 
 /// A strategy over random step sequences.
@@ -82,6 +98,7 @@ pub fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
             Just(Step::SplitProjection),
             Just(Step::HeadBroadcast),
             Just(Step::HeadDot),
+            Just(Step::ConcatDot),
         ],
         1..14,
     )
@@ -137,6 +154,17 @@ pub fn build_ir(steps: &[Step], feat: usize) -> IrGraph {
                 let score = g.head_dot(split, a).unwrap();
                 let y = g.binary(BinaryFn::Mul, split, score).unwrap();
                 g.set_heads(y, 1).unwrap()
+            }
+            (Step::ConcatDot, Space::Vertex) => {
+                let heads = if even { 2 } else { 1 };
+                let split = g.set_heads(cur, heads).unwrap();
+                let cat = g.scatter(ScatterFn::ConcatUV, split, split).unwrap();
+                let a = g.param(&format!("a{i}"), heads, 2 * feat / heads);
+                let score = g.head_dot(cat, a).unwrap();
+                let hu = g.scatter(ScatterFn::CopyU, split, split).unwrap();
+                let y = g.binary(BinaryFn::Mul, hu, score).unwrap();
+                let y = g.set_heads(y, 1).unwrap();
+                g.gather(ReduceFn::Sum, EdgeGroup::ByDst, y).unwrap()
             }
             (Step::ScatterSub, Space::Vertex) => {
                 g.scatter(ScatterFn::Bin(BinaryFn::Sub), cur, cur).unwrap()

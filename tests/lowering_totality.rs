@@ -7,9 +7,10 @@
 
 mod common;
 
-use common::{arb_steps, build_ir, oracle, zoo};
+use common::{arb_steps, build_ir, plan_oracle, zoo};
 use gnnopt::core::lower::{is_streamed_gather, StepExec, UnitKind};
-use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, OpKind, Preset};
+use gnnopt::core::op::FusionClass;
+use gnnopt::core::{compile, CompileOptions, ExecPolicy, ExecutionPlan, OpKind, Preset, Space};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExecError, Session};
 use gnnopt::graph::{generators, EdgeList, Graph};
 use gnnopt::models::*;
@@ -58,7 +59,6 @@ fn every_zoo_kernel_lowers() {
 /// else, on any zoo model × preset × phase.
 #[test]
 fn full_steps_cannot_tile() {
-    use gnnopt::core::Space;
     for_each_zoo_plan(|tag, plan| {
         assert_eq!(dense_tile_ops(plan), Vec::<String>::new(), "{tag}");
         let ir = &plan.ir;
@@ -84,9 +84,9 @@ fn full_steps_cannot_tile() {
     });
 }
 
-/// The graph ops and head-dot projections whose program units are dense
-/// calls: none, on every preset — the dense set is closed on random IRs
-/// too.
+/// The row-local and graph ops — every fusible op outside parameter
+/// space — whose program units are dense calls: none, on every preset,
+/// whatever the op's name — the dense set is closed on random IRs too.
 fn dense_tile_ops(plan: &ExecutionPlan) -> Vec<String> {
     let units = plan.programs.iter().flat_map(|p| {
         let dense = p.units.iter().filter(|u| u.kind == UnitKind::Dense);
@@ -94,7 +94,7 @@ fn dense_tile_ops(plan: &ExecutionPlan) -> Vec<String> {
     });
     let nodes = units.map(|id| plan.ir.node(id));
     nodes
-        .filter(|n| n.kind.is_graph_op() || n.kind == OpKind::HeadDot)
+        .filter(|n| n.kind.fusion_class() == FusionClass::Fusible && n.space != Space::Param)
         .map(|n| n.name.clone())
         .collect()
 }
@@ -244,17 +244,16 @@ fn leaf_values(ir: &gnnopt::core::IrGraph, g: &Graph, seed: u64) -> HashMap<Stri
 }
 
 fn run(
-    ir: &gnnopt::core::IrGraph,
+    plan: &ExecutionPlan,
     vals: &HashMap<String, Tensor>,
     g: &Graph,
     threads: usize,
 ) -> (Tensor, HashMap<String, Tensor>) {
-    let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
     let mut b = Bindings::new();
     for (k, v) in vals {
         b.insert(k, v.clone());
     }
-    let mut sess = Session::builder(&compiled.plan, g)
+    let mut sess = Session::builder(plan, g)
         .policy(ExecPolicy {
             threads,
             parallel_threshold: 0,
@@ -289,7 +288,10 @@ proptest! {
 
     /// Cluster-scheduled execution of *random* model IRs is bit-identical
     /// to the node-by-node oracle — outputs and every gradient — on
-    /// hub-heavy graphs with isolated vertices, at one and four threads.
+    /// hub-heavy graphs with isolated vertices, at one and four threads,
+    /// for the reorganized plan (`Ours`) and the unreorganized one
+    /// (`Dgl`) alike: a concat-dot step runs as two vertex scores in one
+    /// and whole on the edges in the other.
     #[test]
     fn cluster_programs_match_reference_bit_for_bit(
         steps in arb_steps(),
@@ -305,22 +307,25 @@ proptest! {
         }
         let g = hub_graph(12, &extra, iso);
         let vals = leaf_values(&ir, &g, seed);
-        let (ref_out, ref_grads) = oracle(&ir, &vals, &g);
-        for threads in [1usize, 4] {
-            let (out, grads) = run(&ir, &vals, &g, threads);
-            prop_assert_eq!(
-                bits(&ref_out),
-                bits(&out),
-                "t{}: output must be bit-identical",
-                threads
-            );
-            for (k, gr) in &ref_grads {
+        for preset in [Preset::Dgl, Preset::Ours] {
+            let plan = compile(&ir, true, &CompileOptions::preset(preset)).unwrap().plan;
+            let (ref_out, ref_grads) = plan_oracle(&plan, &vals, &g);
+            for threads in [1usize, 4] {
+                let (out, grads) = run(&plan, &vals, &g, threads);
                 prop_assert_eq!(
-                    bits(gr),
-                    bits(&grads[k]),
-                    "t{}: grad '{}' must be bit-identical",
-                    threads, k
+                    bits(&ref_out),
+                    bits(&out),
+                    "{:?} t{}: output must be bit-identical",
+                    preset, threads
                 );
+                for (k, gr) in &ref_grads {
+                    prop_assert_eq!(
+                        bits(gr),
+                        bits(&grads[k]),
+                        "{:?} t{}: grad '{}' must be bit-identical",
+                        preset, threads, k
+                    );
+                }
             }
         }
     }
