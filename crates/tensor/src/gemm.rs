@@ -10,8 +10,9 @@
 //! and updates an `MR × NR` register tile of `C` per inner iteration, so
 //! the hot loop performs [`NR`] independent multiply-adds per `A`
 //! element with no loads or stores of `C` at all — the classic
-//! GotoBLAS/BLIS GEBP structure, written so the fixed-width inner loop
-//! autovectorizes, with one branch-free microkernel per geometry.
+//! GotoBLAS/BLIS GEBP structure, with one branch-free microkernel per
+//! geometry: a fixed-width Rust body that autovectorizes for the `4×8`
+//! and `6×16` tiles, and explicit AVX-512 intrinsics for the `12×32` one.
 //!
 //! # What is packed and why
 //!
@@ -35,16 +36,16 @@
 //! ```
 //!
 //! Each k-step is one fused multiply-add, rounded once. `f32::mul_add` is
-//! correctly rounded on every target: the AVX2 kernel runs it as a
-//! `vfmadd`, and the portable kernel and the naive loop get a hardware
-//! FMA where the target has one and a correctly rounded library routine
-//! where it has not (slower, same bits). The cache loops (`jc`, `kc`,
-//! `ic`) tile space, and the `kc` loop runs in ascending order with the
-//! partial sum stored back to `C` between blocks, so each element sees
-//! one rounding chain in one order. Every term is accumulated, zero
-//! coefficients included, so `0·NaN` and `0·inf` propagate as IEEE 754
-//! says. Results are therefore **bit-identical across kernels,
-//! geometries, threads and hosts** (property-tested in
+//! correctly rounded on every target: the AVX2 and AVX-512 kernels run it
+//! as a `vfmadd` per lane, and the portable kernel and the naive loop get
+//! a hardware FMA where the target has one and a correctly rounded
+//! library routine where it has not (slower, same bits). The cache loops
+//! (`jc`, `kc`, `ic`) tile space, and the `kc` loop runs in ascending
+//! order with the partial sum stored back to `C` between blocks, so each
+//! element sees one rounding chain in one order. Every term is
+//! accumulated, zero coefficients included, so `0·NaN` and `0·inf`
+//! propagate as IEEE 754 says. Results are therefore **bit-identical
+//! across kernels, geometries, threads and hosts** (property-tested in
 //! `tests/properties.rs`).
 //!
 //! Only this k-chain is fused. The graph and row kernels (`rowops` and
@@ -52,10 +53,16 @@
 //!
 //! # Selection
 //!
-//! There is none at run time: `Tensor::matmul` and every `Linear`-family
-//! kernel of `gnnopt-exec` call the blocked engine. The naive loop is
-//! the reference the property suite holds it to, reachable only through
-//! the explicit `matmul*_with(.., GemmKernel)` entry points.
+//! `Tensor::matmul` and every `Linear`-family kernel of `gnnopt-exec`
+//! call the blocked engine. It takes the widest geometry the CPU runs
+//! (`is_x86_feature_detected!`; there is no option): `12×32` with
+//! `avx512f` and `fma`, else `6×16` with `avx2` and `fma`, else the
+//! portable `4×8`, the only path off x86-64. The `12×32` kernel is in
+//! intrinsics because the generic body, compiled at `12×32` under
+//! `avx512f,fma`, measured 19–26 GFLOP/s at 512³ on a 2-vCPU Xeon, below
+//! the AVX2 kernel's 41–59; the intrinsics kernel measured 83–102 (one
+//! thread). The naive loop, the tests' reference for every geometry, is
+//! reachable only through the `matmul*_with(.., GemmKernel)` entry points.
 
 use crate::parallel::{available_threads, chunk_bounds as split_bounds};
 
@@ -74,16 +81,23 @@ const MR_WIDE: usize = 6;
 /// Register-tile width of the AVX2 microkernel.
 const NR_WIDE: usize = 16;
 
+/// Register-tile height of the AVX-512 microkernel (24 `zmm` accumulators,
+/// 2 `B` lanes and 1 broadcast: 27 of the 32 registers).
+const MR_512: usize = 12;
+
+/// Register-tile width of the AVX-512 microkernel: two 16-lane `zmm`s.
+const NR_512: usize = 32;
+
 /// k-depth of one microkernel call (`A` tile: `KC×MR`, packed `B` panel:
 /// `KC×NR` — both L1-resident alongside the register tile).
 const KC: usize = 256;
 
-/// Row count of one `A` block (a multiple of both register-tile
-/// heights, so interior blocks carry no ragged tiles).
+/// Row count of one `A` block (a multiple of every register-tile
+/// height, so interior blocks carry no ragged tiles).
 const MC: usize = 96;
 
-/// Column count of one packed `B` block (a multiple of both register-tile
-/// widths).
+/// Column count of one packed `B` block (a multiple of every register-tile
+/// width).
 const NC: usize = 256;
 
 /// Which dense kernel executes `matmul` / `matmul_tn`.
@@ -201,6 +215,74 @@ unsafe fn micro_avx2(
     micro_body::<MR_WIDE, NR_WIDE>(kc, a, strides, bp, c, ldc, rows, cols);
 }
 
+/// The AVX-512 `12×32` microkernel, in explicit intrinsics: the contract
+/// of [`micro_body`] (same arguments, same aliased tail rows, one
+/// `vfmadd` per element per k-step in ascending `k`, so the same bits).
+/// `C` moves through `__mmask16` lane masks, so a ragged column tail
+/// needs no scalar path. See the module docs for why this geometry is
+/// not an instantiation of the generic body.
+///
+/// # Safety
+///
+/// The caller must have verified `avx512f` and `fma` support
+/// (`is_x86_feature_detected!`). The operand extents are asserted.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_avx512(
+    kc: usize,
+    a: &[f32],
+    (rs, ks): (usize, usize),
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+) {
+    use std::arch::x86_64::*;
+    // Every raw access below stays inside these three extents.
+    assert!(
+        rows.min(kc) > 0 && a.len() > (rows - 1) * rs + (kc - 1) * ks,
+        "A overruns"
+    );
+    assert!(bp.len() >= kc * NR_512, "B panel overruns");
+    assert!(c.len() >= (rows - 1) * ldc + cols, "C tile overruns");
+    // Lanes `< cols` of the two 16-lane halves of a tile row.
+    let lanes = |n: usize| ((1u32 << n.min(16)) - 1) as __mmask16;
+    let (m0, m1) = (lanes(cols), lanes(cols.saturating_sub(16)));
+    let cp = c.as_mut_ptr();
+    let crow = |r: usize| cp.wrapping_add(r.min(rows - 1) * ldc);
+    let arow: [*const f32; MR_512] =
+        std::array::from_fn(|r| a.as_ptr().wrapping_add(r.min(rows - 1) * rs));
+    let mut acc = [[_mm512_setzero_ps(); 2]; MR_512];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        let (p0, p1) = (crow(r), crow(r).wrapping_add(16));
+        // SAFETY: row `min(r, rows − 1)`, lanes `< cols`: inside `c`.
+        *accr = unsafe { [_mm512_maskz_loadu_ps(m0, p0), _mm512_maskz_loadu_ps(m1, p1)] };
+    }
+    for kk in 0..kc {
+        // SAFETY: `kk < kc`, so `bp[kk·32..][..32]` is inside `bp` and
+        // `arow[r] + kk·ks` inside the asserted extent of `a`.
+        unsafe {
+            let bk = bp.as_ptr().add(kk * NR_512);
+            let (b0, b1) = (_mm512_loadu_ps(bk), _mm512_loadu_ps(bk.add(16)));
+            for (ar, accr) in arow.iter().zip(&mut acc) {
+                let av = _mm512_set1_ps(*ar.add(kk * ks));
+                accr[0] = _mm512_fmadd_ps(av, b0, accr[0]);
+                accr[1] = _mm512_fmadd_ps(av, b1, accr[1]);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate().filter(|&(r, _)| r < rows) {
+        let p = crow(r);
+        // SAFETY: row `r < rows`, lanes `< cols`: inside `c`.
+        unsafe {
+            _mm512_mask_storeu_ps(p, m0, accr[0]);
+            _mm512_mask_storeu_ps(p.wrapping_add(16), m1, accr[1]);
+        }
+    }
+}
+
 /// Packs the `kc × cols` block starting at `(k0, c0)` of an operand
 /// `X[kk, j] = x[kk*ld + j]` into k-major `W`-wide panels
 /// (`buf[q][kk][c]`), zero-padding the tail panel; what a padded lane
@@ -303,12 +385,10 @@ fn blocked_slab<const MH: usize, const NW: usize>(
     crate::pool::put_work_f32(bpack);
 }
 
-/// Runs one blocked slab at the best geometry the host supports: the
-/// wide `6×16` AVX2 microkernel when the CPU has both AVX2 and FMA, else
-/// the portable `4×8` kernel. Geometry never affects results — every
+/// Runs one blocked slab at the widest geometry the CPU runs (see the
+/// module docs' *Selection*). Geometry never affects results — every
 /// output element keeps the same k-ordered chain of fused multiply-adds —
-/// so the choice is purely a throughput one (checked by the cross-kernel
-/// bit-identity suites on whatever host runs them).
+/// so the choice is purely a throughput one.
 #[allow(clippy::too_many_arguments)]
 fn blocked_dispatch(
     layout: Layout,
@@ -323,7 +403,27 @@ fn blocked_dispatch(
     k: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+    if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+        blocked_slab::<MR_512, NR_512>(
+            layout,
+            a,
+            lda,
+            b,
+            ldb,
+            out,
+            ldc,
+            rows,
+            cols,
+            k,
+            |kc, a, strides, bp, c, ldc, r, cl| {
+                // SAFETY: avx512f and fma support were just detected.
+                unsafe { micro_avx512(kc, a, strides, bp, c, ldc, r, cl) }
+            },
+        );
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
         blocked_slab::<MR_WIDE, NR_WIDE>(
             layout,
             a,
@@ -641,13 +741,23 @@ mod tests {
         }
     }
 
-    /// On an AVX2 host every public entry point takes the wide geometry,
-    /// so the portable `4×8` instantiation — its in-place `A` tiles and
-    /// aliased tail rows included — is held to the naive loops here,
-    /// slab by slab, at origins a parallel partition would produce.
-    #[test]
-    fn portable_geometry_is_bit_identical_to_naive() {
-        let (big_m, big_n) = (MC + 2 * MR + 3, 3 * NR + 5);
+    /// Holds one register-tile geometry — in-place `A` tiles, aliased
+    /// tail rows and masked column tails included — to the naive loops,
+    /// slab by slab, at origins a parallel partition would produce: both
+    /// layouts, `k` ∈ {1, 7, `KC` + 9}, every row count 1..=13, every
+    /// column count 1..=33 (each lane mask of the 32-lane tile), and
+    /// extents past one `MC` row block. `C` starts non-zero, and each of
+    /// its rows is followed by a 3-float gap of `−0.0`. A padded lane
+    /// accumulates `a·(+0)`, so a stray store leaves most values as they
+    /// were, but it turns `−0.0` into `+0.0` for any positive `a`:
+    /// compared bit for bit, a lane stored outside its mask shows.
+    fn check_geometry<const MH: usize, const NW: usize>(
+        micro: impl Fn(usize, &[f32], (usize, usize), &[f32], &mut [f32], usize, usize, usize),
+    ) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (big_m, big_n) = (MC + MR_512 + 5, 2 * NR_512 + 5);
+        let row_sets: Vec<_> = (1..=13).map(|m| (3, m)).chain([(0, big_m)]).collect();
+        let col_sets: Vec<_> = (1..=33).map(|n| (5, n)).chain([(0, big_n)]).collect();
         for k in [1usize, 7, KC + 9] {
             for layout in [Layout::Nn, Layout::Tn] {
                 let a = fill(big_m * k, 5);
@@ -656,30 +766,84 @@ mod tests {
                     Layout::Nn => (k, big_n),
                     Layout::Tn => (big_m, big_n),
                 };
-                for rows in [(0, big_m), (3, 1), (5, MR - 1), (2, 2 * MR + 1)] {
-                    for cols in [(0, big_n), (NR + 1, 1), (4, NR + 3)] {
-                        let (ldc, len) = (cols.1, rows.1 * cols.1);
-                        let mut want = vec![0.0f32; len];
+                for &rows in &row_sets {
+                    for &cols in &col_sets {
+                        let ldc = cols.1 + 3;
+                        let mut want: Vec<f32> = fill(rows.1 * ldc, 7)
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, x)| if i % ldc < cols.1 { x } else { -0.0 })
+                            .collect();
+                        let mut out = want.clone();
                         naive_slab(layout, &a, lda, &b, ldb, &mut want, ldc, rows, cols, k);
-                        let mut out = vec![0.0f32; len];
-                        blocked_slab::<MR, NR>(
-                            layout,
-                            &a,
-                            lda,
-                            &b,
-                            ldb,
-                            &mut out,
-                            ldc,
-                            rows,
-                            cols,
-                            k,
-                            micro_body::<MR, NR>,
+                        blocked_slab::<MH, NW>(
+                            layout, &a, lda, &b, ldb, &mut out, ldc, rows, cols, k, &micro,
                         );
-                        assert_eq!(out, want, "{layout:?} k={k} rows={rows:?} cols={cols:?}");
+                        assert_eq!(
+                            bits(&out),
+                            bits(&want),
+                            "{MH}x{NW} {layout:?} k={k} rows={rows:?} cols={cols:?}"
+                        );
                     }
                 }
             }
         }
+    }
+
+    /// Every public entry point takes the widest geometry the host runs,
+    /// so each geometry is held to the naive loops here directly; one
+    /// the CPU lacks is skipped, and the test prints which ran.
+    #[test]
+    fn every_geometry_is_bit_identical_to_naive() {
+        check_geometry::<MR, NR>(micro_body::<MR, NR>);
+        println!("gemm geometry 4x8 portable: checked");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                check_geometry::<MR_WIDE, NR_WIDE>(|kc, a, s, bp, c, ldc, r, cl| {
+                    // SAFETY: avx2 and fma support were just detected.
+                    unsafe { micro_avx2(kc, a, s, bp, c, ldc, r, cl) }
+                });
+                println!("gemm geometry 6x16 avx2: checked");
+            } else {
+                println!("gemm geometry 6x16 avx2: skipped, this CPU lacks avx2 or fma");
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+                check_geometry::<MR_512, NR_512>(|kc, a, s, bp, c, ldc, r, cl| {
+                    // SAFETY: avx512f and fma support were just detected.
+                    unsafe { micro_avx512(kc, a, s, bp, c, ldc, r, cl) }
+                });
+                println!("gemm geometry 12x32 avx512f: checked");
+            } else {
+                println!("gemm geometry 12x32 avx512f: skipped, this CPU lacks avx512f or fma");
+            }
+        }
+    }
+
+    /// A tile whose operands are shorter than its extents panics at the
+    /// AVX-512 kernel's entry asserts instead of reading past them.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_kernel_asserts_its_operand_extents() {
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma")) {
+            println!("gemm geometry 12x32 avx512f: skipped, this CPU lacks avx512f or fma");
+            return;
+        }
+        let (kc, rows, cols, ldc) = (5, 3, 20, 24);
+        let (a, bp) = (vec![1.0f32; rows * kc], vec![1.0f32; kc * NR_512]);
+        let c_len = (rows - 1) * ldc + cols;
+        let panics = |a: &[f32], bp: &[f32], c_len: usize| {
+            let mut c = vec![0.0f32; c_len];
+            std::panic::catch_unwind(move || {
+                // SAFETY: avx512f and fma support were just detected.
+                unsafe { micro_avx512(kc, a, (kc, 1), bp, &mut c, ldc, rows, cols) }
+            })
+            .is_err()
+        };
+        assert!(!panics(&a, &bp, c_len));
+        assert!(panics(&a[..a.len() - 1], &bp, c_len));
+        assert!(panics(&a, &bp[..bp.len() - 1], c_len));
+        assert!(panics(&a, &bp, c_len - 1));
     }
 
     #[test]

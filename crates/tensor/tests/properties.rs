@@ -205,10 +205,11 @@ proptest! {
     /// shapes, across every layout and thread count. The shape classes
     /// are the places an in-place `A` tile (rows past a ragged tile alias
     /// the last valid row) and the panel packers can go wrong: fewer rows
-    /// than one register tile, row counts off the 6- and 4-row tile
-    /// heights, widths off the 16- and 8-lane panels, 1×n, m×1, 1×1, and
-    /// — with threads = 4 — row-partitioned `Nn` workers starting at
-    /// `i0 ≠ 0` and `Tn` column slabs at `j0 ≠ 0`.
+    /// than one register tile, row counts one past and one short of a
+    /// multiple of the 12-row tile height, widths one past and one short
+    /// of a multiple of the 32-lane panel (a masked column tail), 1×n,
+    /// m×1, 1×1, and — with threads = 4 — row-partitioned `Nn` workers
+    /// starting at `i0 ≠ 0` and `Tn` column slabs at `j0 ≠ 0`.
     #[test]
     fn blocked_gemm_is_bit_identical_to_naive(
         seed in 0u64..1000,
@@ -220,12 +221,12 @@ proptest! {
             1 => (1, n),
             2 => (m, 1),
             3 => (1, 1),
-            // Below one register tile of either geometry.
+            // Below one register tile of either SIMD geometry.
             4 => (1 + m % 5, n),
-            // One past a multiple of both tile heights and panel widths.
-            5 => (12 * (1 + m % 3) + 1, 16 * (1 + n % 2) + 1),
+            // One past a multiple of the widest tile's height and width.
+            5 => (12 * (1 + m % 3) + 1, 32 * (1 + n % 2) + 1),
             // One short of them.
-            6 => (12 * (1 + m % 3) - 1, 16 * (1 + n % 2) - 1),
+            6 => (12 * (1 + m % 3) - 1, 32 * (1 + n % 2) - 1),
             _ => (m, n),
         };
         let a = gemm_operand(m * k, seed, ZEROS[zeros]);
