@@ -11,7 +11,7 @@ use gnnopt_core::{
 use gnnopt_exec::{Bindings, EnvOverrides, Session};
 use gnnopt_graph::{generators, Graph};
 use gnnopt_models::{edgeconv, gat, monet, EdgeConvConfig, GatConfig, MonetConfig};
-use gnnopt_tensor::gemm::{gemm, GemmKernel, Layout};
+use gnnopt_tensor::gemm::{gemm, Layout};
 use gnnopt_tensor::Tensor;
 
 fn bindings_for(spec: &gnnopt_models::ModelSpec, graph: &Graph, seed: u64) -> Bindings {
@@ -335,7 +335,7 @@ fn bench_wide_rows(c: &mut Criterion) {
 /// post-ReLU activation, so half its entries are exact zeros. Each runs
 /// on one thread through `gemm::gemm` into a preallocated output,
 /// re-zeroed outside the timed call, the way a session runs it into its
-/// planned slot. `Tensor::matmul*` would also time allocating and
+/// planned slot. `Tensor::matmul_with_threads` would also time allocating and
 /// first-touching a fresh output, which a session never pays.
 fn bench_gemm_gnn_shapes(c: &mut Criterion) {
     const V: usize = 65_536;
@@ -366,7 +366,7 @@ fn bench_gemm_gnn_shapes(c: &mut Criterion) {
         group.bench_function(id, |bench| {
             out.fill(0.0);
             bench.iter(|| {
-                gemm(GemmKernel::Blocked, layout, &a, &b, &mut out, m, k, n, 1);
+                gemm(layout, &a, &b, &mut out, m, k, n, 1);
             });
         });
     }

@@ -15,10 +15,11 @@
 //! locality (§8) relabels the graph once with `gnnopt-reorder` before
 //! building a session.
 
-/// The dense engine enum of `gnnopt_tensor::gemm`, re-exported for
-/// callers that time the engines against each other; sessions always run
-/// the blocked one.
-pub use gnnopt_tensor::gemm::GemmKernel;
+/// Which product `Tensor::matmul_with_threads` runs, re-exported for the
+/// frozen `src/bin/gnnbench` GEMM probe only, which names it here; no
+/// policy field holds it, and sessions always run the blocked engine.
+/// Goes when a `benchmark` PR moves the probe onto `gemm::gemm`.
+pub use gnnopt_tensor::GemmKernel;
 
 /// Thread-parallelism policy for the CPU reference executor.
 ///

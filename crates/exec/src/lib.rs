@@ -29,7 +29,7 @@
 //! streamed `BySrc` gather); the dense calls — GEMMs and the parameter
 //! reductions — split their own work (the reductions in [`kernels`]),
 //! under the same pool size (`gnnopt_tensor::parallel`) as
-//! `Tensor::matmul`. Row-wise
+//! `gnnopt_tensor::gemm`. Row-wise
 //! inner loops dispatch to AVX2-widened bodies at runtime when the host
 //! supports them (the scalar bodies produce the same bits — see
 //! `gnnopt_tensor::rowops`).

@@ -30,7 +30,8 @@ use gnnopt_core::{
     view, ExecPolicy, ExecutionPlan, IrGraph, Kernel, Node, NodeId, OpKind, Phase, ReduceFn,
 };
 use gnnopt_graph::Graph;
-use gnnopt_tensor::{GemmKernel, Tensor};
+use gnnopt_tensor::gemm::{self, pinned_threads, Layout};
+use gnnopt_tensor::{Tensor, TensorError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -156,6 +157,36 @@ fn laid_out<'t>(ir: &IrGraph, id: NodeId, pos: usize, x: &'t Tensor) -> Cow<'t, 
     Cow::Owned(kernels::view(x, input.space, dim, &map))
 }
 
+/// `A'·B'` of a `Linear` (`Nn`: `x[m,k]·w[k,n]`) or a `LinearBwdWeight`
+/// (`Tn`: `x[k,m]ᵀ·g[k,n]`) on the blocked engine, into a new tensor,
+/// under the caller's resolved worker cap (a session pinned serial keeps
+/// its weight-gradient GEMMs serial, whatever `GNNOPT_THREADS` or the
+/// hardware says).
+///
+/// # Errors
+///
+/// Returns [`ExecError::Tensor`] with a [`TensorError::ShapeMismatch`]
+/// when the operands disagree on `k`.
+fn product(layout: Layout, a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
+    let (m, k) = match layout {
+        Layout::Nn => (a.rows(), a.cols()),
+        Layout::Tn => (a.cols(), a.rows()),
+    };
+    let n = b.cols();
+    if b.rows() != k {
+        return Err(TensorError::ShapeMismatch {
+            op: "linear",
+            lhs: a.shape().to_vec(),
+            rhs: b.shape().to_vec(),
+        }
+        .into());
+    }
+    let mut out = Tensor::zeros(&[m, n]);
+    let (a, b, c) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    gemm::gemm(layout, a, b, c, m, k, n, pinned_threads(m * k * n, threads));
+    Ok(out)
+}
+
 /// Executes one op over full tensors with the reference kernels.
 ///
 /// `inputs` are the node's operands in IR input order, each already read
@@ -209,15 +240,8 @@ pub(crate) fn exec_op(
 
         OpKind::EdgeSoftmax => kernels::edge_softmax(g, inputs[0]),
 
-        // GEMMs run on the blocked engine under the caller's resolved
-        // worker cap (a session pinned serial keeps its weight-gradient
-        // GEMMs serial, whatever GNNOPT_THREADS or the hardware says).
-        OpKind::Linear => {
-            inputs[0].matmul_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
-        }
-        OpKind::LinearBwdWeight => {
-            inputs[0].matmul_tn_with_threads(inputs[1], GemmKernel::Blocked, pol.threads)?
-        }
+        OpKind::Linear => product(Layout::Nn, inputs[0], inputs[1], pol.threads)?,
+        OpKind::LinearBwdWeight => product(Layout::Tn, inputs[0], inputs[1], pol.threads)?,
 
         OpKind::Unary(f) => kernels::unary(*f, inputs[0]),
         OpKind::UnaryBwd(f) => kernels::unary_bwd(*f, inputs[0], inputs[1]),
@@ -257,4 +281,37 @@ pub(crate) fn exec_op(
         *v = f32::NAN;
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gnnopt_core::Dim;
+    use gnnopt_graph::EdgeList;
+
+    /// A `k` mismatch in either GEMM layout is a typed error, not a slice
+    /// panic inside the engine: `Linear` reads `x[m,k]·w[k,n]`,
+    /// `LinearBwdWeight` reads `x[k,m]ᵀ·g[k,n]`.
+    #[test]
+    fn gemm_k_mismatch_is_a_shape_error() {
+        let g = Graph::from_edge_list(&EdgeList::from_pairs(2, &[(0, 1)]));
+        let mut ir = IrGraph::new();
+        let x = ir.input_vertex("x", Dim::flat(3));
+        let w = ir.param("w", 3, 2);
+        let y = ir.linear(x, w).unwrap();
+        let a = Tensor::zeros(&[2, 3]);
+        for (kind, b) in [(OpKind::Linear, [2, 2]), (OpKind::LinearBwdWeight, [3, 2])] {
+            let node = Node {
+                kind,
+                ..ir.node(y).clone()
+            };
+            let b = Tensor::zeros(&b);
+            let err = exec_op(&ExecPolicy::serial(), &g, &ir, &node, &[&a, &b]).unwrap_err();
+            assert!(
+                matches!(err, ExecError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{:?}: {err}",
+                node.kind
+            );
+        }
+    }
 }

@@ -115,7 +115,7 @@ proptest! {
             .filter(|&v| g.in_degree(v) > 0)
             .map(|v| grad.row(v).iter().sum::<f32>())
             .sum();
-        let got = eg.sum_all();
+        let got: f32 = eg.as_slice().iter().sum();
         prop_assert!((expected - got).abs() < 1e-2 * (1.0 + expected.abs()));
     }
 }

@@ -23,20 +23,6 @@ pub enum TensorError {
         /// Length of the provided buffer.
         len: usize,
     },
-    /// An axis argument was out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// Requested axis.
-        axis: usize,
-        /// Rank of the tensor.
-        rank: usize,
-    },
-    /// An index was out of bounds.
-    IndexOutOfBounds {
-        /// Requested index.
-        index: usize,
-        /// Axis length.
-        len: usize,
-    },
     /// The operation requires a non-empty tensor.
     Empty {
         /// The operation that was attempted.
@@ -52,12 +38,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::LengthMismatch { shape, len } => {
                 write!(f, "buffer of length {len} does not fit shape {shape:?}")
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
-            }
-            TensorError::IndexOutOfBounds { index, len } => {
-                write!(f, "index {index} out of bounds for axis of length {len}")
             }
             TensorError::Empty { op } => write!(f, "{op} requires a non-empty tensor"),
         }

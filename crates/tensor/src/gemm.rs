@@ -3,13 +3,13 @@
 //!
 //! # Why a blocked kernel
 //!
-//! The reference `ikj` loop ([`GemmKernel::Naive`]) re-streams a full
-//! output row and a full `B` row from cache for every `(i, k)` pair —
-//! three memory operations per two flops. The blocked engine
-//! ([`GemmKernel::Blocked`]) walks cache-resident blocks of the operands
-//! and updates an `MR × NR` register tile of `C` per inner iteration, so
-//! the hot loop performs [`NR`] independent multiply-adds per `A`
-//! element with no loads or stores of `C` at all — the classic
+//! The reference `ikj` loop ([`naive`]) re-streams a full output row
+//! and a full `B` row from cache for every `(i, k)` pair — three memory
+//! operations per two flops. The blocked engine ([`gemm`]) walks
+//! cache-resident blocks of the operands and updates an `MR × NR`
+//! register tile of `C` per inner iteration, so the hot loop performs
+//! [`NR`] independent multiply-adds per `A` element with no loads or
+//! stores of `C` at all — the classic
 //! GotoBLAS/BLIS GEBP structure, with one branch-free microkernel per
 //! geometry: a fixed-width Rust body that autovectorizes for the `4×8`
 //! and `6×16` tiles, and explicit AVX-512 intrinsics for the `12×32` one.
@@ -53,16 +53,16 @@
 //!
 //! # Selection
 //!
-//! `Tensor::matmul` and every `Linear`-family kernel of `gnnopt-exec`
-//! call the blocked engine. It takes the widest geometry the CPU runs
-//! (`is_x86_feature_detected!`; there is no option): `12×32` with
-//! `avx512f` and `fma`, else `6×16` with `avx2` and `fma`, else the
-//! portable `4×8`, the only path off x86-64. The `12×32` kernel is in
+//! [`gemm`] is the one product: every `Linear`-family kernel of
+//! `gnnopt-exec` calls it into a caller-owned output. It takes the widest
+//! geometry the CPU runs (`is_x86_feature_detected!`; there is no
+//! option): `12×32` with `avx512f` and `fma`, else `6×16` with `avx2`
+//! and `fma`, else the portable `4×8`, the only path off x86-64. The `12×32` kernel is in
 //! intrinsics because the generic body, compiled at `12×32` under
 //! `avx512f,fma`, measured 19–26 GFLOP/s at 512³ on a 2-vCPU Xeon, below
 //! the AVX2 kernel's 41–59; the intrinsics kernel measured 83–102 (one
-//! thread). The naive loop, the tests' reference for every geometry, is
-//! reachable only through the `matmul*_with(.., GemmKernel)` entry points.
+//! thread). The naive loop, [`naive`], is the reference the tests hold
+//! every geometry, layout and thread count to, bit for bit.
 
 use crate::parallel::{available_threads, chunk_bounds as split_bounds};
 
@@ -100,27 +100,13 @@ const MC: usize = 96;
 /// width).
 const NC: usize = 256;
 
-/// Which dense kernel executes `matmul` / `matmul_tn`.
-///
-/// Both kernels produce **bit-identical** results (see the module docs);
-/// the choice only trades speed. `Blocked` is what everything runs;
-/// `Naive` remains as the reference the equivalence suites pin against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GemmKernel {
-    /// The reference `ikj` loop (scalar row updates, no packing).
-    Naive,
-    /// Cache blocks + `MR × NR` register-tiled microkernel.
-    #[default]
-    Blocked,
-}
-
 /// Operand layout of a product `C[m,n] = A' · B'`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// `A = [m,k]`, `B = [k,n]`, both row-major (`Tensor::matmul`).
+    /// `A = [m,k]`, `B = [k,n]`, both row-major (`Linear`'s `X·W`).
     Nn,
-    /// `A = [k,m]` row-major, used transposed (`Tensor::matmul_tn`,
-    /// the `∂L/∂W = Xᵀ·G` hot path).
+    /// `A = [k,m]` row-major, used transposed (`LinearBwdWeight`'s
+    /// `∂L/∂W = Xᵀ·G`).
     Tn,
 }
 
@@ -502,34 +488,33 @@ fn naive_slab(
     }
 }
 
-/// Dispatches one serial slab to the selected kernel.
-#[allow(clippy::too_many_arguments)]
-fn run_slab(
-    kernel: GemmKernel,
-    layout: Layout,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldc: usize,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    k: usize,
-) {
-    match kernel {
-        GemmKernel::Naive => naive_slab(layout, a, lda, b, ldb, out, ldc, rows, cols, k),
-        GemmKernel::Blocked => {
-            blocked_dispatch(layout, a, lda, b, ldb, out, ldc, rows, cols, k);
-        }
+/// Row-major leading dimensions `(lda, ldb)` of the operands of an
+/// `m × k × n` product in `layout`.
+fn leading_dims(layout: Layout, m: usize, k: usize, n: usize) -> (usize, usize) {
+    match layout {
+        Layout::Nn => (k, n),
+        Layout::Tn => (m, n),
     }
 }
 
-/// Full-product entry point: computes `A'·B'` into `out[m,n]`, which the
-/// caller **must pass zero-filled** (the serial paths accumulate into it
-/// while the parallel `Tn` path assembles worker slabs, so any other
-/// starting contents give path-dependent results), under an explicit
-/// kernel and worker count.
+/// The reference product: `A'·B'` accumulated into `out[m,n]` by the
+/// naive loops, on the calling thread. Every term in ascending `k`, one
+/// fused multiply-add each — the chain [`gemm`] reproduces bit for bit
+/// (see the module docs). Operand shapes as for [`gemm`].
+///
+/// # Panics
+///
+/// Panics on operand slices shorter than the shapes imply.
+pub fn naive(layout: Layout, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let (lda, ldb) = leading_dims(layout, m, k, n);
+    naive_slab(layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
+}
+
+/// The product every dense kernel runs: computes `A'·B'` on the blocked
+/// engine into `out[m,n]`, which the caller **must pass zero-filled**
+/// (the serial paths accumulate into it while the parallel `Tn` path
+/// assembles worker slabs, so any other starting contents give
+/// path-dependent results), on `threads` workers.
 ///
 /// Parallelism partitions **output rows** for `Nn` and **output
 /// column blocks** for `Tn` (the `∂L/∂W` shape is a wide reduction: `m`
@@ -537,7 +522,7 @@ fn run_slab(
 /// column blocks keep every worker streaming the full `k` extent of both
 /// operands sequentially). No floating-point accumulation crosses a
 /// partition boundary, so the result is **bit-identical** for any
-/// `threads` value and either kernel.
+/// `threads` value, and to [`naive`].
 ///
 /// Operand shapes per `layout` (all row-major):
 /// `Nn`: `a = [m,k]`, `b = [k,n]` · `Tn`: `a = [k,m]`, `b = [k,n]`.
@@ -547,7 +532,6 @@ fn run_slab(
 /// Panics on operand slices shorter than the shapes imply.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
-    kernel: GemmKernel,
     layout: Layout,
     a: &[f32],
     b: &[f32],
@@ -560,16 +544,13 @@ pub fn gemm(
     if m == 0 || n == 0 {
         return;
     }
-    let (lda, ldb) = match layout {
-        Layout::Nn => (k, n),
-        Layout::Tn => (m, n),
-    };
+    let (lda, ldb) = leading_dims(layout, m, k, n);
     if layout == Layout::Tn {
         // Column-block partition: each worker owns out[.., j0..j1),
         // computed into a dense local slab and stitched back serially.
         let workers = threads.clamp(1, n);
         if workers < 2 {
-            run_slab(kernel, layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
+            blocked_dispatch(layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
             return;
         }
         let bounds = split_bounds(n, workers);
@@ -580,8 +561,7 @@ pub fn gemm(
                     let (j0, j1) = (w[0], w[1]);
                     s.spawn(move || {
                         let mut local = vec![0.0f32; m * (j1 - j0)];
-                        run_slab(
-                            kernel,
+                        blocked_dispatch(
                             layout,
                             a,
                             lda,
@@ -613,7 +593,7 @@ pub fn gemm(
         // Row partition: contiguous disjoint output slabs.
         let workers = threads.clamp(1, m);
         if workers < 2 {
-            run_slab(kernel, layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
+            blocked_dispatch(layout, a, lda, b, ldb, out, n, (0, m), (0, n), k);
             return;
         }
         let bounds = split_bounds(m, workers);
@@ -628,19 +608,7 @@ pub fn gemm(
             for (i0, chunk) in chunks {
                 let rows = chunk.len() / n;
                 s.spawn(move || {
-                    run_slab(
-                        kernel,
-                        layout,
-                        a,
-                        lda,
-                        b,
-                        ldb,
-                        chunk,
-                        n,
-                        (i0, rows),
-                        (0, n),
-                        k,
-                    );
+                    blocked_dispatch(layout, a, lda, b, ldb, chunk, n, (i0, rows), (0, n), k);
                 });
             }
         });
@@ -651,9 +619,9 @@ pub fn gemm(
 /// (thread spawning would dominate).
 const PARALLEL_THRESHOLD: usize = 1 << 20;
 
-/// The worker count `Tensor::matmul`-style entry points use for a
-/// product of `work = m·k·n` multiply-adds: serial below the spawn
-/// amortization threshold, else the shared pool size.
+/// The worker count for a product of `work = m·k·n` multiply-adds
+/// with no cap of its own: serial below the spawn amortization
+/// threshold, else the shared pool size.
 pub fn auto_threads(work: usize) -> usize {
     if work < PARALLEL_THRESHOLD {
         1
@@ -681,17 +649,19 @@ pub fn pinned_threads(work: usize, threads: usize) -> usize {
 mod tests {
     use super::*;
 
-    /// Dense f64-free reference: the naive Nn loop on plain indices, one
-    /// fused multiply-add per k-step in ascending k.
-    fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// `A'·B'` into a zeroed output: by [`naive`] for `threads = None`,
+    /// else by [`gemm`] on that many workers.
+    fn product(
+        layout: Layout,
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        threads: Option<usize>,
+    ) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a[i * k + kk];
-                for j in 0..n {
-                    out[i * n + j] = av.mul_add(b[kk * n + j], out[i * n + j]);
-                }
-            }
+        match threads {
+            None => naive(layout, a, b, &mut out, m, k, n),
+            Some(t) => gemm(layout, a, b, &mut out, m, k, n, t),
         }
         out
     }
@@ -722,20 +692,9 @@ mod tests {
         ] {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
-            let want = reference(&a, &b, m, k, n);
+            let want = product(Layout::Nn, &a, &b, (m, k, n), None);
             for threads in [1usize, 3] {
-                let mut out = vec![0.0f32; m * n];
-                gemm(
-                    GemmKernel::Blocked,
-                    Layout::Nn,
-                    &a,
-                    &b,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    threads,
-                );
+                let out = product(Layout::Nn, &a, &b, (m, k, n), Some(threads));
                 assert_eq!(out, want, "Nn m={m} k={k} n={n} threads={threads}");
             }
         }
@@ -790,7 +749,7 @@ mod tests {
         }
     }
 
-    /// Every public entry point takes the widest geometry the host runs,
+    /// [`gemm`] takes the widest geometry the host runs,
     /// so each geometry is held to the naive loops here directly; one
     /// the CPU lacks is skipped, and the test prints which ran.
     #[test]
@@ -851,7 +810,7 @@ mod tests {
         let (m, k, n) = (9usize, 13, 11);
         let a = fill(m * k, 3);
         let b = fill(k * n, 4);
-        let want = reference(&a, &b, m, k, n);
+        let want = product(Layout::Nn, &a, &b, (m, k, n), None);
         // Tn: store A as [k, m].
         let mut at = vec![0.0f32; m * k];
         for i in 0..m {
@@ -859,47 +818,58 @@ mod tests {
                 at[kk * m + i] = a[i * k + kk];
             }
         }
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            for threads in [1usize, 4] {
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Tn, &at, &b, &mut out, m, k, n, threads);
-                let max = out
-                    .iter()
-                    .zip(&want)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f32, f32::max);
-                assert!(max < 1e-4, "Tn {kernel:?} t={threads}: {max}");
-            }
+        for threads in [None, Some(1), Some(4)] {
+            let out = product(Layout::Tn, &at, &b, (m, k, n), threads);
+            let max = out
+                .iter()
+                .zip(&want)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0f32, f32::max);
+            assert!(max < 1e-4, "Tn threads={threads:?}: {max}");
+        }
+    }
+
+    /// A zero coefficient multiplied into a NaN/inf operand must yield
+    /// NaN in the product (IEEE 754): a silently clean output would mask
+    /// divergence during training. Both layouts, the reference and the
+    /// engine at every worker count accumulate every term, so this holds
+    /// unconditionally.
+    #[test]
+    fn zero_times_nan_propagates() {
+        let products = |a: [f32; 2], b: [f32; 4]| {
+            // `a` is a `[1, 2]` row: as a `Tn` left operand it is `[2, 1]`
+            // storage, the same two floats.
+            [Layout::Nn, Layout::Tn]
+                .into_iter()
+                .flat_map(move |layout| {
+                    [None, Some(1), Some(4)].map(|threads| {
+                        (layout, threads, product(layout, &a, &b, (1, 2, 2), threads))
+                    })
+                })
+        };
+        for (layout, threads, c) in products([0.0, 1.0], [f32::NAN, f32::INFINITY, 2.0, 3.0]) {
+            assert!(c[0].is_nan(), "{layout:?} {threads:?}: 0·NaN + finite");
+            assert!(c[1].is_nan(), "{layout:?} {threads:?}: 0·inf + finite");
+        }
+        let neg = [f32::NEG_INFINITY, 1.0, 2.0, f32::NAN];
+        for (layout, threads, c) in products([0.0, 1.0], neg) {
+            assert!(c[0].is_nan(), "{layout:?} {threads:?}: 0·−inf + finite");
+            assert!(c[1].is_nan(), "{layout:?} {threads:?}: 0·1 + 1·NaN");
+        }
+        // A sparse left operand against a finite right one still yields
+        // the plain product.
+        for (layout, threads, c) in products([0.0, 2.0], [5.0, -1.0, 0.5, 4.0]) {
+            assert_eq!(c, [1.0, 8.0], "{layout:?} {threads:?}");
         }
     }
 
     #[test]
     fn empty_extents_are_noops() {
         let mut out = vec![0.0f32; 0];
-        gemm(
-            GemmKernel::Blocked,
-            Layout::Nn,
-            &[],
-            &[],
-            &mut out,
-            0,
-            0,
-            0,
-            4,
-        );
+        gemm(Layout::Nn, &[], &[], &mut out, 0, 0, 0, 4);
         // k = 0 with nonzero m, n leaves the zeroed output untouched.
-        let mut out = vec![0.0f32; 6];
-        gemm(
-            GemmKernel::Blocked,
-            Layout::Nn,
-            &[],
-            &[],
-            &mut out,
-            2,
-            0,
-            3,
-            1,
-        );
-        assert_eq!(out, vec![0.0; 6]);
+        for threads in [None, Some(1)] {
+            assert_eq!(product(Layout::Nn, &[], &[], (2, 0, 3), threads), [0.0; 6]);
+        }
     }
 }

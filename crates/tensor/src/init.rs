@@ -33,13 +33,6 @@ impl XavierInit {
         Tensor::from_fn(&[rows, cols], |_| rng.gen_range(-bound..bound))
     }
 
-    /// Samples a `[len]` vector with the same bound as a `[len, 1]` matrix.
-    pub fn vector(&mut self, len: usize) -> Tensor {
-        let bound = (6.0 / (len + 1) as f32).sqrt();
-        let rng = &mut self.rng;
-        Tensor::from_fn(&[len], |_| rng.gen_range(-bound..bound))
-    }
-
     /// Samples a tensor of arbitrary shape from `U(lo, hi)`.
     pub fn uniform(&mut self, shape: &[usize], lo: f32, hi: f32) -> Tensor {
         let rng = &mut self.rng;

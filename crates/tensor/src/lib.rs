@@ -11,18 +11,21 @@
 //! # Example
 //!
 //! ```
+//! use gnnopt_tensor::gemm::{gemm, Layout};
 //! use gnnopt_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), gnnopt_tensor::TensorError> {
 //! let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
+//! let id = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])?;
+//! // Every dense product writes into an output its caller owns; here
+//! // `[2,2]·[2,2]` on one worker.
+//! let mut c = Tensor::zeros(&[2, 2]);
+//! gemm(Layout::Nn, a.as_slice(), id.as_slice(), c.as_mut_slice(), 2, 2, 2, 1);
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! # Ok(())
 //! # }
 //! ```
 
-mod elementwise;
 mod error;
 pub mod fault;
 pub mod gemm;
@@ -35,8 +38,8 @@ pub mod rowops;
 mod tensor;
 
 pub use error::TensorError;
-pub use gemm::GemmKernel;
 pub use init::XavierInit;
+pub use linalg::GemmKernel;
 pub use tensor::Tensor;
 
 /// Crate-wide result alias.

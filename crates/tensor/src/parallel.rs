@@ -1,7 +1,7 @@
 //! Shared CPU thread-pool sizing for every parallel kernel in the
 //! workspace.
 //!
-//! Both the tensor GEMMs ([`crate::Tensor::matmul`]) and the graph kernels
+//! Both the tensor GEMMs ([`crate::gemm::gemm`]) and the graph kernels
 //! in `gnnopt-exec` partition their output over `std::thread::scope`
 //! worker threads. They must agree on the pool size — otherwise a fused
 //! plan would oversubscribe the machine when a GEMM kernel and a graph

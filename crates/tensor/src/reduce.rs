@@ -3,43 +3,6 @@
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
-    /// Sum of every element.
-    pub fn sum_all(&self) -> f32 {
-        self.as_slice().iter().sum()
-    }
-
-    /// Mean of every element; `0.0` for an empty tensor.
-    pub fn mean_all(&self) -> f32 {
-        if self.numel() == 0 {
-            0.0
-        } else {
-            self.sum_all() / self.numel() as f32
-        }
-    }
-
-    /// Sums over rows, producing a `[cols]` vector
-    /// (`axis = 0` reduction of a 2-D tensor).
-    pub fn sum_rows(&self) -> Tensor {
-        let (r, c) = (self.rows(), self.cols());
-        let mut out = vec![0.0; c];
-        for i in 0..r {
-            for (o, &x) in out.iter_mut().zip(self.row(i)) {
-                *o += x;
-            }
-        }
-        Tensor::from_vec(out)
-    }
-
-    /// Sums each row, producing a `[rows, 1]` column.
-    pub fn sum_cols(&self) -> Tensor {
-        let r = self.rows();
-        let mut out = Vec::with_capacity(r);
-        for i in 0..r {
-            out.push(self.row(i).iter().sum());
-        }
-        Tensor::new(&[r, 1], out).expect("shape is consistent")
-    }
-
     /// Row-wise maximum: values `[rows, 1]` and argmax column indices.
     ///
     /// # Errors
@@ -112,13 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn sums() {
-        assert_eq!(t().sum_all(), 21.0);
-        assert_eq!(t().sum_rows().as_slice(), &[5.0, 8.0, 8.0]);
-        assert_eq!(t().sum_cols().as_slice(), &[6.0, 15.0]);
-    }
-
-    #[test]
     fn max_and_argmax() {
         let (vals, idx) = t().max_cols().unwrap();
         assert_eq!(vals.as_slice(), &[3.0, 6.0]);
@@ -137,7 +93,7 @@ mod tests {
     #[test]
     fn softmax_is_shift_invariant() {
         let a = t();
-        let shifted = a.map(|x| x + 100.0);
+        let shifted = Tensor::from_fn(a.shape(), |i| a.as_slice()[i] + 100.0);
         assert!(a
             .softmax_rows()
             .unwrap()
@@ -149,10 +105,5 @@ mod tests {
         let e = Tensor::zeros(&[3, 0]);
         assert!(e.max_cols().is_err());
         assert!(e.softmax_rows().is_err());
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(Tensor::zeros(&[0]).mean_all(), 0.0);
     }
 }

@@ -91,15 +91,6 @@ impl Tensor {
         Self::full(shape, 1.0)
     }
 
-    /// Creates the `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a 2-D tensor from row slices.
     ///
     /// # Errors
@@ -231,95 +222,6 @@ impl Tensor {
         self.data[r * cols + c] = v;
     }
 
-    /// Reinterprets the tensor with a new shape of identical element count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Result<Self> {
-        let numel: usize = shape.iter().product();
-        if numel != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                shape: shape.to_vec(),
-                len: self.data.len(),
-            });
-        }
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-        Ok(self)
-    }
-
-    /// Selects rows by index, producing a new tensor (a "gather rows").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for any out-of-range index.
-    pub fn select_rows(&self, indices: &[usize]) -> Result<Self> {
-        let c = self.cols_for_rows();
-        let mut data = pool::take_f32(indices.len() * c);
-        for &i in indices {
-            if i >= self.rows() {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: i,
-                    len: self.rows(),
-                });
-            }
-            data.extend_from_slice(self.row(i));
-        }
-        let mut shape = shape_vec(&self.shape);
-        shape[0] = indices.len();
-        Self::new(&shape, data)
-    }
-
-    /// Concatenates two 2-D tensors along the column axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if row counts differ.
-    pub fn concat_cols(&self, other: &Tensor) -> Result<Self> {
-        if self.rows() != other.rows() {
-            return Err(TensorError::ShapeMismatch {
-                op: "concat_cols",
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-            });
-        }
-        let (ca, cb) = (self.cols_for_rows(), other.cols_for_rows());
-        let mut data = pool::take_f32(self.rows() * (ca + cb));
-        for i in 0..self.rows() {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Self::new(&[self.rows(), ca + cb], data)
-    }
-
-    /// Splits a 2-D tensor into two column blocks `[.., 0..split)` and
-    /// `[.., split..)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `split > cols`.
-    pub fn split_cols(&self, split: usize) -> Result<(Self, Self)> {
-        let c = self.cols_for_rows();
-        if split > c {
-            return Err(TensorError::AxisOutOfRange {
-                axis: split,
-                rank: c,
-            });
-        }
-        let mut left = pool::take_f32(self.rows() * split);
-        let mut right = pool::take_f32(self.rows() * (c - split));
-        for i in 0..self.rows() {
-            let r = self.row(i);
-            left.extend_from_slice(&r[..split]);
-            right.extend_from_slice(&r[split..]);
-        }
-        Ok((
-            Self::new(&[self.rows(), split], left)?,
-            Self::new(&[self.rows(), c - split], right)?,
-        ))
-    }
-
     /// True if every element of `self` and `other` is within
     /// `atol + rtol * |other|`.
     pub fn allclose_with(&self, other: &Tensor, atol: f32, rtol: f32) -> bool {
@@ -388,46 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn eye_diagonal() {
-        let t = Tensor::eye(3);
-        assert_eq!(t.at(0, 0), 1.0);
-        assert_eq!(t.at(1, 2), 0.0);
-        assert_eq!(t.numel(), 9);
-    }
-
-    #[test]
     fn rows_and_cols() {
         let t = Tensor::zeros(&[4, 2, 3]);
         assert_eq!(t.rows(), 4);
         assert_eq!(t.cols(), 6);
         assert_eq!(t.row(1).len(), 6);
-    }
-
-    #[test]
-    fn select_rows_gathers() {
-        let t = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let s = t.select_rows(&[2, 0]).unwrap();
-        assert_eq!(s.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
-        assert!(t.select_rows(&[3]).is_err());
-    }
-
-    #[test]
-    fn concat_and_split_roundtrip() {
-        let a = Tensor::from_rows(&[&[1.0], &[2.0]]).unwrap();
-        let b = Tensor::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let c = a.concat_cols(&b).unwrap();
-        assert_eq!(c.shape(), &[2, 3]);
-        let (l, r) = c.split_cols(1).unwrap();
-        assert_eq!(l.as_slice(), a.as_slice());
-        assert_eq!(r.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
-        let t = t.reshape(&[2, 2]).unwrap();
-        assert_eq!(t.at(1, 0), 3.0);
-        assert!(t.clone().reshape(&[3, 2]).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor substrate.
 
-use gnnopt_tensor::gemm::{gemm, GemmKernel, Layout};
+use gnnopt_tensor::gemm::{gemm, naive, Layout};
 use gnnopt_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -15,43 +15,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matmul_distributes_over_addition(
-        seed in 0u64..1000,
-        m in 1usize..6, k in 1usize..6, n in 1usize..6,
-    ) {
-        let gen = |s: u64, rows: usize, cols: usize| {
-            Tensor::from_fn(&[rows, cols], |i| (((i as u64 + s) * 2654435761 % 97) as f32 - 48.0) / 16.0)
-        };
-        let a = gen(seed, m, k);
-        let b = gen(seed + 1, k, n);
-        let c = gen(seed + 2, k, n);
-        let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
-        let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
-        prop_assert!(lhs.allclose_with(&rhs, 1e-3, 1e-3), "diff {}", lhs.max_abs_diff(&rhs));
-    }
-
-    #[test]
-    fn transpose_is_involution(t in small_matrix(8)) {
-        let round_trip = t.transpose().transpose();
-        prop_assert_eq!(round_trip.as_slice(), t.as_slice());
-    }
-
-    #[test]
-    fn matmul_transpose_identity(
-        seed in 0u64..1000, m in 1usize..6, k in 1usize..6, n in 1usize..6,
-    ) {
-        // (A·B)ᵀ = Bᵀ·Aᵀ
-        let gen = |s: u64, rows: usize, cols: usize| {
-            Tensor::from_fn(&[rows, cols], |i| (((i as u64 + s) * 40503 % 89) as f32 - 44.0) / 8.0)
-        };
-        let a = gen(seed, m, k);
-        let b = gen(seed + 7, k, n);
-        let lhs = a.matmul(&b).unwrap().transpose();
-        let rhs = b.transpose().matmul(&a.transpose()).unwrap();
-        prop_assert!(lhs.allclose_with(&rhs, 1e-2, 1e-3));
-    }
-
-    #[test]
     fn softmax_rows_are_distributions(t in small_matrix(8)) {
         let s = t.softmax_rows().unwrap();
         for i in 0..s.rows() {
@@ -59,29 +22,6 @@ proptest! {
             prop_assert!((sum - 1.0).abs() < 1e-4);
             prop_assert!(s.row(i).iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
-    }
-
-    #[test]
-    fn add_sub_roundtrip(t in small_matrix(8)) {
-        let z = t.add(&t).unwrap().sub(&t).unwrap();
-        prop_assert!(z.allclose_with(&t, 1e-4, 1e-4));
-    }
-
-    #[test]
-    fn select_rows_matches_manual(t in small_matrix(6), idx in proptest::collection::vec(0usize..6, 1..8)) {
-        let valid: Vec<usize> = idx.into_iter().filter(|&i| i < t.rows()).collect();
-        prop_assume!(!valid.is_empty());
-        let sel = t.select_rows(&valid).unwrap();
-        for (out_row, &src) in valid.iter().enumerate() {
-            prop_assert_eq!(sel.row(out_row), t.row(src));
-        }
-    }
-
-    #[test]
-    fn scalar_broadcast_equals_map(t in small_matrix(8), s in -4.0f32..4.0) {
-        let via_broadcast = t.mul(&Tensor::from_vec(vec![s])).unwrap();
-        let via_map = t.scale(s);
-        prop_assert!(via_broadcast.allclose(&via_map));
     }
 
     #[test]
@@ -167,7 +107,25 @@ fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     t
 }
 
-/// Checks every layout × kernel × thread count against `want` bitwise.
+/// `A'·B'` into a zeroed output: by the naive reference for
+/// `threads = None`, else by the blocked engine on that many workers.
+fn product(
+    layout: Layout,
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    threads: Option<usize>,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    match threads {
+        None => naive(layout, a, b, &mut out, m, k, n),
+        Some(t) => gemm(layout, a, b, &mut out, m, k, n, t),
+    }
+    out
+}
+
+/// Checks both layouts of the naive reference and of the blocked engine
+/// (serial and on four workers) against `want` bitwise.
 fn check_all_layouts(
     a: &[f32],
     b: &[f32],
@@ -175,23 +133,19 @@ fn check_all_layouts(
     want: &[f32],
 ) -> Result<(), TestCaseError> {
     let at = transpose(a, m, k);
-    for threads in [1usize, 4] {
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            for (layout, a) in [(Layout::Nn, a), (Layout::Tn, &at[..])] {
-                let mut out = vec![0.0f32; m * n];
-                gemm(kernel, layout, a, b, &mut out, m, k, n, threads);
-                prop_assert_eq!(
-                    &out[..],
-                    want,
-                    "{:?} {:?} t={} m={} k={} n={}",
-                    layout,
-                    kernel,
-                    threads,
-                    m,
-                    k,
-                    n
-                );
-            }
+    for threads in [None, Some(1), Some(4)] {
+        for (layout, a) in [(Layout::Nn, a), (Layout::Tn, &at[..])] {
+            let out = product(layout, a, b, (m, k, n), threads);
+            prop_assert_eq!(
+                &out[..],
+                want,
+                "{:?} threads={:?} m={} k={} n={}",
+                layout,
+                threads,
+                m,
+                k,
+                n
+            );
         }
     }
     Ok(())
@@ -275,9 +229,10 @@ proptest! {
         check_all_layouts(&a, &b, (m, k, n), &skipping)?;
     }
 
-    /// `matmul_tn` is parallelized over output column blocks; the
-    /// partition must never change a bit relative to one worker (each
-    /// output element keeps its serial k-ordered accumulation chain).
+    /// A `Tn` product (`LinearBwdWeight`'s `Xᵀ·G`) is parallelized over
+    /// output column blocks; no partition may change a bit relative to
+    /// the serial reference (each output element keeps its serial
+    /// k-ordered accumulation chain).
     #[test]
     fn matmul_tn_parallel_is_bit_identical_to_serial(
         seed in 0u64..1000,
@@ -286,36 +241,10 @@ proptest! {
     ) {
         let a = gemm_operand(k * m, seed, ZEROS[zeros]);
         let b = gemm_operand(k * n, seed + 3, Zeros::None);
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked] {
-            let mut serial = vec![0.0f32; m * n];
-            gemm(kernel, Layout::Tn, &a, &b, &mut serial, m, k, n, 1);
-            for threads in [2usize, 4, 7] {
-                let mut par = vec![0.0f32; m * n];
-                gemm(kernel, Layout::Tn, &a, &b, &mut par, m, k, n, threads);
-                prop_assert_eq!(&par, &serial, "{:?} threads={}", kernel, threads);
-            }
+        let serial = product(Layout::Tn, &a, &b, (m, k, n), None);
+        for threads in [1usize, 2, 4, 7] {
+            let par = product(Layout::Tn, &a, &b, (m, k, n), Some(threads));
+            prop_assert_eq!(&par, &serial, "threads={}", threads);
         }
-    }
-
-    /// The `Tensor`-level products agree bitwise across kernels on data
-    /// with ReLU-style zero sparsity (the left operand of every
-    /// post-activation `Linear` in a GNN step).
-    #[test]
-    fn tensor_products_agree_across_kernels(
-        seed in 0u64..1000,
-        m in 1usize..20, k in 1usize..20, n in 1usize..20,
-        zeros in 0usize..3,
-    ) {
-        let a = Tensor::new(&[m, k], gemm_operand(m * k, seed, ZEROS[zeros])).unwrap();
-        let b = Tensor::new(&[k, n], gemm_operand(k * n, seed + 5, Zeros::None)).unwrap();
-        let nn_naive = a.matmul_with(&b, GemmKernel::Naive).unwrap();
-        let nn_blocked = a.matmul_with(&b, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(nn_naive.as_slice(), nn_blocked.as_slice());
-
-        let at = a.transpose();
-        let tn_naive = at.matmul_tn_with(&b, GemmKernel::Naive).unwrap();
-        let tn_blocked = at.matmul_tn_with(&b, GemmKernel::Blocked).unwrap();
-        prop_assert_eq!(tn_naive.as_slice(), tn_blocked.as_slice());
-        prop_assert_eq!(tn_naive.as_slice(), nn_naive.as_slice());
     }
 }
