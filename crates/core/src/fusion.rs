@@ -10,11 +10,11 @@
 //! The unified clustering is *view-driven*, not template-driven: every
 //! dataflow edge is classified by [`crate::view::edge_view`] (aligned /
 //! endpoint / reduction / broadcast), and regions grow greedily along
-//! fusible edges. Every fusion level merges under one rule ([`merge`]): a
+//! fusible edges. Every fusion level merges under one rule (`merge`): a
 //! merge is admitted only if the induced kernel DAG stays acyclic
-//! ([`assignment_is_acyclic`]) and every endpoint read of an in-kernel
+//! (`assignment_is_acyclic`) and every endpoint read of an in-kernel
 //! value matches its producer's reduction grouping
-//! ([`assignment_is_legal`]). Because each merge is individually guarded,
+//! (`assignment_is_legal`). Because each merge is individually guarded,
 //! every partition — the baselines' included — yields a schedulable
 //! kernel DAG, and there is no fallback path. Kernel boundaries,
 //! materialization classes and streaming eligibility all follow from the
@@ -149,106 +149,25 @@ pub fn duplicate_copy_scatters(ir: &IrGraph) -> (IrGraph, HashMap<NodeId, NodeId
             }
             inputs.push(src);
         }
-        let id = out.push_raw(
-            remap_kind(&node.kind, &map),
-            inputs,
-            node.space,
-            node.dim,
-            node.name.clone(),
-        );
-        out.set_layouts(id, layouts);
+        let id = out.push_copy(node, inputs, layouts, &map);
         map.insert(node.id, id);
     }
     for &o in ir.outputs() {
         out.mark_output(map[&o]);
     }
-    out.set_phase(crate::ir::Phase::Forward);
-    dce_with_map(&out, map)
-}
-
-/// Clones an op kind for a rewritten graph, remapping any node ids
-/// *embedded in the kind itself* (the `fwd` pointer of
-/// [`OpKind::GatherMaxBwd`]) through the old→new map. The forward gather
-/// always precedes its backward node, so its new id is already in `map`.
-fn remap_kind(kind: &OpKind, map: &HashMap<NodeId, NodeId>) -> OpKind {
-    match kind {
-        OpKind::GatherMaxBwd { fwd } => OpKind::GatherMaxBwd { fwd: map[fwd] },
-        other => other.clone(),
-    }
-}
-
-/// Dead-code elimination that threads an existing old→new map through.
-fn dce_with_map(
-    ir: &IrGraph,
-    prior: HashMap<NodeId, NodeId>,
-) -> (IrGraph, HashMap<NodeId, NodeId>) {
-    let mut live: HashSet<NodeId> = HashSet::new();
-    let mut stack: Vec<NodeId> = ir.outputs().to_vec();
-    // Keep everything reachable from outputs or from any still-consumed
-    // node; simplest liveness: reachable from outputs and from nodes with
-    // consumers — i.e. drop only nodes with no consumers that are not
-    // outputs (and their now-dead ancestors, iteratively).
-    let consumers = ir.consumers();
-    for n in ir.nodes() {
-        if !consumers[n.id].is_empty() {
-            continue;
-        }
-        if ir.outputs().contains(&n.id) {
-            stack.push(n.id);
-        }
-    }
-    // Standard reverse reachability from outputs *and* all sinks that are
-    // outputs; then anything consumed transitively by them survives.
-    while let Some(n) = stack.pop() {
-        if live.insert(n) {
-            stack.extend(ir.node(n).inputs.iter().copied());
-        }
-    }
-    // Preserve non-output sinks that are *not* dead duplicates (e.g.
-    // parameter gradients): they have no consumers but must survive.
-    for n in ir.nodes() {
-        if consumers[n.id].is_empty()
-            && !ir.outputs().contains(&n.id)
-            && !matches!(
-                n.kind,
-                OpKind::Scatter(ScatterFn::CopyU) | OpKind::Scatter(ScatterFn::CopyV)
-            )
-        {
-            let mut stack = vec![n.id];
-            while let Some(m) = stack.pop() {
-                if live.insert(m) {
-                    stack.extend(ir.node(m).inputs.iter().copied());
-                }
-            }
-        }
-    }
-    let mut out = IrGraph::new();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    for node in ir.nodes() {
-        if !live.contains(&node.id) {
-            continue;
-        }
-        out.set_phase(node.phase);
-        let inputs = node.inputs.iter().map(|i| map[i]).collect();
-        let id = out.push_raw(
-            remap_kind(&node.kind, &map),
-            inputs,
-            node.space,
-            node.dim,
-            node.name.clone(),
-        );
-        out.set_layouts(id, node.layouts.clone());
-        map.insert(node.id, id);
-    }
-    for &o in ir.outputs() {
-        out.mark_output(map[&o]);
-    }
-    out.set_phase(crate::ir::Phase::Forward);
-    let combined = prior
+    // Keep what the outputs and the sinks that are not copy-scatters (the
+    // parameter gradients) reach: the originals every reader now has a
+    // private copy of go.
+    let consumers = out.consumers();
+    let sinks = out.nodes().iter().filter(|n| {
+        consumers[n.id].is_empty()
+            && !matches!(n.kind, OpKind::Scatter(ScatterFn::CopyU | ScatterFn::CopyV))
+    });
+    let (live, kept) = out.reachable(out.outputs().iter().copied().chain(sinks.map(|n| n.id)));
+    let map = map
         .into_iter()
-        .filter_map(|(old, mid)| map.get(&mid).map(|&new| (old, new)))
-        .collect();
-    (out, combined)
+        .filter_map(|(old, mid)| Some((old, *kept.get(&mid)?)));
+    (live, map.collect())
 }
 
 fn is_compute(ir: &IrGraph, id: NodeId) -> bool {

@@ -12,6 +12,7 @@
 use crate::op::{BinaryFn, Dim, EdgeGroup, NodeId, OpKind, ReduceFn, ScatterFn, Space, UnaryFn};
 use crate::view::{Layout, Window};
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -229,6 +230,53 @@ impl IrGraph {
         name: impl Into<String>,
     ) -> NodeId {
         self.push(kind, inputs, space, dim, name, self.phase)
+    }
+
+    /// Appends a copy of `node` — kind, space, dim, name and phase —
+    /// reading `inputs` through `layouts`. The forward gather an
+    /// [`OpKind::GatherMaxBwd`] names is mapped through `map`, which
+    /// already holds it: the gather precedes its backward node.
+    pub(crate) fn push_copy(
+        &mut self,
+        node: &Node,
+        inputs: Vec<NodeId>,
+        layouts: Vec<(usize, Layout)>,
+        map: &HashMap<NodeId, NodeId>,
+    ) -> NodeId {
+        let kind = match node.kind {
+            OpKind::GatherMaxBwd { fwd } => OpKind::GatherMaxBwd { fwd: map[&fwd] },
+            ref kind => kind.clone(),
+        };
+        let id = self.push(kind, inputs, node.space, node.dim, &*node.name, node.phase);
+        self.nodes[id].layouts = layouts;
+        id
+    }
+
+    /// The graph of what `roots` reach, copied in order with its layouts
+    /// ([`IrGraph::push_copy`]), and the old→new id map. `roots` must
+    /// include the outputs, which stay marked.
+    pub(crate) fn reachable(
+        &self,
+        roots: impl IntoIterator<Item = NodeId>,
+    ) -> (IrGraph, HashMap<NodeId, NodeId>) {
+        let mut live = vec![false; self.len()];
+        let mut stack: Vec<NodeId> = roots.into_iter().collect();
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut live[n], true) {
+                stack.extend(&self.nodes[n].inputs);
+            }
+        }
+        let mut out = IrGraph::new();
+        let mut map = HashMap::new();
+        for node in self.nodes.iter().filter(|n| live[n.id]) {
+            let inputs = node.inputs.iter().map(|i| map[i]).collect();
+            let id = out.push_copy(node, inputs, node.layouts.clone(), &map);
+            map.insert(node.id, id);
+        }
+        for &o in &self.outputs {
+            out.mark_output(map[&o]);
+        }
+        (out, map)
     }
 
     // ---- leaves ----

@@ -270,7 +270,7 @@ pub enum SlotSize {
     /// takes next.
     Row,
     /// None: the op never runs — its one reader evaluates the product per
-    /// row from the product's operands, inside its reduction ([`folds`]).
+    /// row from the product's operands, inside its reduction (`folds`).
     Fold,
     /// None: the op writes its rows of a full tensor in place — a
     /// boundary value or spill of a tiled segment, a streamed segment's

@@ -30,7 +30,7 @@
 
 use crate::ir::{IrGraph, Phase, Result};
 use crate::op::{BinaryFn, NodeId, OpKind, ReduceFn, ScatterFn, Space};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Statistics of one reorganization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,7 +65,7 @@ pub fn reorganize(ir: &IrGraph) -> Result<(IrGraph, ReorgReport)> {
         }
         report.rewrites += applied;
     }
-    Ok((dce(&graph), report))
+    Ok((graph.reachable(graph.outputs().iter().copied()).0, report))
 }
 
 /// One rebuild pass applying every non-overlapping rewrite opportunity.
@@ -80,7 +80,7 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
 
         // Pattern heads are projections whose input is a single-consumer
         // scatter (1–4) or gathers over single-consumer edge linears (5).
-        let new_id: NodeId = match (&node.kind, projection(ir, &consumers, node)) {
+        let rewritten = match (&node.kind, projection(ir, &consumers, node)) {
             (_, Some((src, w, dot))) => {
                 let src_node = ir.node(src);
                 let private = consumers[src].len() == 1;
@@ -90,7 +90,7 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                         applied += 1;
                         let x = m(src_node.inputs[0], &map);
                         let proj = project(&mut out, dot, x, w)?;
-                        out.scatter(*f, proj, proj)?
+                        Some(out.scatter(*f, proj, proj)?)
                     }
                     (
                         OpKind::Scatter(ScatterFn::Bin(bf @ (BinaryFn::Add | BinaryFn::Sub))),
@@ -101,7 +101,7 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                         let y = m(src_node.inputs[1], &map);
                         let px = out.linear(x, w)?;
                         let py = if x == y { px } else { out.linear(y, w)? };
-                        out.scatter(ScatterFn::Bin(*bf), px, py)?
+                        Some(out.scatter(ScatterFn::Bin(*bf), px, py)?)
                     }
                     (OpKind::Scatter(ScatterFn::ConcatUV), true) => {
                         applied += 1;
@@ -116,9 +116,9 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                         };
                         let px = project(&mut out, dot, x, wl)?;
                         let py = project(&mut out, dot, y, wr)?;
-                        out.scatter(ScatterFn::Bin(BinaryFn::Add), px, py)?
+                        Some(out.scatter(ScatterFn::Bin(BinaryFn::Add), px, py)?)
                     }
-                    _ => copy_node(&mut out, node, &map),
+                    _ => None,
                 }
             }
             // Pattern 5: hoist an edge-space linear above a sum/mean gather.
@@ -139,31 +139,23 @@ fn rewrite_once(ir: &IrGraph) -> Result<(IrGraph, usize)> {
                     let e = m(src_node.inputs[0], &map);
                     let w = m(src_node.inputs[1], &map);
                     let gathered = out.gather(*reduce, *group, e)?;
-                    out.linear(gathered, w)?
+                    Some(out.linear(gathered, w)?)
                 } else {
-                    copy_node(&mut out, node, &map)
+                    None
                 }
             }
-            _ => copy_node(&mut out, node, &map),
+            _ => None,
         };
+        let new_id = rewritten.unwrap_or_else(|| {
+            let inputs = node.inputs.iter().map(|i| map[i]).collect();
+            out.push_copy(node, inputs, Vec::new(), &map)
+        });
         map.insert(node.id, new_id);
     }
     for &o in ir.outputs() {
         out.mark_output(map[&o]);
     }
     Ok((out, applied))
-}
-
-/// Re-emits `node` unchanged (with remapped inputs) into `out`.
-fn copy_node(out: &mut IrGraph, node: &crate::ir::Node, map: &HashMap<NodeId, NodeId>) -> NodeId {
-    let inputs = node.inputs.iter().map(|i| map[i]).collect();
-    out.push_raw(
-        node.kind.clone(),
-        inputs,
-        node.space,
-        node.dim,
-        node.name.clone(),
-    )
 }
 
 /// The projection `node` applies, as `(input, parameter, head-dot)`: a
@@ -192,29 +184,6 @@ fn project(out: &mut IrGraph, dot: bool, x: NodeId, w: NodeId) -> Result<NodeId>
     } else {
         out.linear(x, w)
     }
-}
-
-/// Dead-code elimination: keeps only nodes reachable from the outputs.
-fn dce(ir: &IrGraph) -> IrGraph {
-    let mut live: HashSet<NodeId> = HashSet::new();
-    let mut stack: Vec<NodeId> = ir.outputs().to_vec();
-    while let Some(n) = stack.pop() {
-        if live.insert(n) {
-            stack.extend(ir.node(n).inputs.iter().copied());
-        }
-    }
-    let mut out = IrGraph::new();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    for node in ir.nodes() {
-        if live.contains(&node.id) {
-            let id = copy_node(&mut out, node, &map);
-            map.insert(node.id, id);
-        }
-    }
-    for &o in ir.outputs() {
-        out.mark_output(map[&o]);
-    }
-    out
 }
 
 #[cfg(test)]

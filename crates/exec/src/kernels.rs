@@ -7,7 +7,7 @@
 //! # Who runs what
 //!
 //! A session runs every graph and row-local op in the tile driver
-//! ([`crate::fused`]), alone in its kernel or fused. What reaches this
+//! (`fused.rs`), alone in its kernel or fused. What reaches this
 //! module from a session is the dense dispatch of a
 //! `gnnopt_core::lower::StepExec::Full` step (`refexec::exec_op`, which
 //! runs the GEMMs itself) — the cross-row parameter reductions and
@@ -443,7 +443,7 @@ pub fn unary_bwd(f: UnaryFn, grad: &Tensor, x: &Tensor) -> Tensor {
 /// Backward of a head-dot `FeatSum(x · a)` w.r.t. the parameter:
 /// `out[h, c] = Σ_r g[r,h]·x[r, h·f+c]`.
 ///
-/// Parallelized through [`param_reduce`]: the row axis is cut on the
+/// Parallelized through `param_reduce`: the row axis is cut on the
 /// fixed [`PARAM_REDUCE_CHUNK_ROWS`] grid and chunk partials fold in
 /// ascending order, so results are invariant in the thread count.
 pub fn head_dot_bwd_param(
@@ -493,7 +493,7 @@ pub fn gaussian_weight(pseudo: &Tensor, mu: &Tensor, inv_sigma: &Tensor) -> Tens
 
 /// `∂L/∂μ[k,j] = Σ_e g[e,k]·w[e,k]·σ⁻²[k,j]·(p[e,j]−μ[k,j])`.
 ///
-/// Parallelized through [`param_reduce`] (edge-axis chunks on the fixed
+/// Parallelized through `param_reduce` (edge-axis chunks on the fixed
 /// grid, ascending fold — thread-count-invariant results).
 pub fn gaussian_bwd_mu(
     policy: &ExecPolicy,
@@ -533,7 +533,7 @@ pub fn gaussian_bwd_mu(
 
 /// `∂L/∂σ⁻¹[k,j] = −Σ_e g[e,k]·w[e,k]·σ⁻¹[k,j]·(p[e,j]−μ[k,j])²`.
 ///
-/// Parallelized through [`param_reduce`] (edge-axis chunks on the fixed
+/// Parallelized through `param_reduce` (edge-axis chunks on the fixed
 /// grid, ascending fold — thread-count-invariant results).
 pub fn gaussian_bwd_sigma(
     policy: &ExecPolicy,

@@ -111,7 +111,7 @@ pub struct RunStats {
     /// steady-state steps report `0` — the CI allocation gate depends
     /// on it.
     pub fallback_allocs: u64,
-    /// Training steps the [`gnnopt_train`] trainer discarded and
+    /// Training steps the `gnnopt_train` trainer discarded and
     /// retried after the numeric guard reported a non-finite gradient
     /// (`0` unless the trainer's retry policy is enabled).
     pub nonfinite_retries: u64,
@@ -488,13 +488,6 @@ impl<'a> Session<'a> {
         }
         for &(_, bytes) in &memplan.argmax_tables {
             pool.seed_u32(elems(bytes));
-        }
-        // Shape vectors recycle too, by rank — the store holds `[rows,
-        // cols]` tensors. Seed enough that the bucket never misses (one
-        // per region upper-bounds the concurrent live tensors; in-flight
-        // transients get slack).
-        for _ in 0..memplan.regions.len() + 4 {
-            pool.seed_shape(2);
         }
 
         Ok(Self {

@@ -982,13 +982,10 @@ impl ShardMaps {
     }
 }
 
-/// Row-select `t` by `idx` (u32 global rows), preserving trailing shape.
+/// Row-select `t` by `idx` (u32 global rows), keeping its columns.
 fn select_rows_u32(t: &Tensor, idx: &[u32]) -> Tensor {
-    let mut shape = t.shape().to_vec();
-    shape[0] = idx.len();
-    let mut out = Tensor::zeros(&shape);
-    let width = t.numel().checked_div(t.rows()).unwrap_or(0);
-    rowops::gather_rows(out.as_mut_slice(), t.as_slice(), width, idx, 0);
+    let mut out = Tensor::zeros(&[idx.len(), t.cols()]);
+    rowops::gather_rows(out.as_mut_slice(), t.as_slice(), t.cols(), idx, 0);
     out
 }
 
@@ -1376,9 +1373,7 @@ impl<'a> Multi<'a> {
                     .iter()
                     .map(|s| s.value(id))
                     .collect::<Result<Vec<_>>>()?;
-                let mut shape = refs[0].shape().to_vec();
-                shape[0] = self.graph.num_vertices();
-                let mut out = Tensor::zeros(&shape);
+                let mut out = Tensor::zeros(&[self.graph.num_vertices(), refs[0].cols()]);
                 for v in 0..self.graph.num_vertices() {
                     let s = self.maps.part.owner_of(v);
                     out.row_mut(v)
@@ -1392,9 +1387,7 @@ impl<'a> Multi<'a> {
                     .iter()
                     .map(|s| s.value(id))
                     .collect::<Result<Vec<_>>>()?;
-                let mut shape = refs[0].shape().to_vec();
-                shape[0] = self.graph.num_edges();
-                let mut out = Tensor::zeros(&shape);
+                let mut out = Tensor::zeros(&[self.graph.num_edges(), refs[0].cols()]);
                 for e in 0..self.graph.num_edges() {
                     let (s, row) = match src {
                         Source::EdgeDstOwner => (
@@ -1664,8 +1657,8 @@ enum Inner<'a> {
 
 /// Edge-cut sharded execution of a compiled plan: one planned
 /// [`Session`] per vertex shard, halo exchanges in between,
-/// bit-identical results to the unsharded session. See the [module
-/// docs](self) for the execution model.
+/// bit-identical results to the unsharded session. See `sharded.rs`'s
+/// module docs for the execution model.
 #[derive(Debug)]
 pub struct ShardedSession<'a> {
     inner: Inner<'a>,

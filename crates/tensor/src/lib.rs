@@ -2,9 +2,8 @@
 //! optimizer.
 //!
 //! The paper's operators move per-vertex and per-edge *feature matrices*
-//! around, so everything in this crate is oriented around row-major 2-D
-//! matrices (`[rows, cols]`), with a general n-d shape kept for forward
-//! compatibility. The crate deliberately has no external array dependency:
+//! around, so a [`Tensor`] is a row-major 2-D matrix `[rows, cols]`. The
+//! crate deliberately has no external array dependency:
 //! the executor (`gnnopt-exec`) needs full control over allocation so the
 //! simulated memory counters stay truthful.
 //!

@@ -18,14 +18,15 @@
 //!
 //! # Store lists and the working list
 //!
-//! Tensor data (`f32`), argmax tables (`u32`) and shape vectors are the
-//! *store* lists the planner seeds. The interpreter's launch-transient
-//! working buffers — tile-slot slabs, GEMM panels, reduction partials —
-//! go through a list of their own ([`take_work_f32`]): their sizes depend
-//! on the tiling and the GEMM geometry, not on the plan, and on a shared
-//! list a panel that happened to be a planned tensor's size would take
-//! its buffer. The working list fills on the cold step and is reported
-//! under [`Acquired::work`].
+//! Tensor data (`f32`) and argmax tables (`u32`) are the *store* lists
+//! the planner seeds; a tensor holds its `[rows, cols]` shape inline, so
+//! its data buffer is the only one it takes. The interpreter's
+//! launch-transient working buffers — tile-slot slabs, GEMM panels,
+//! reduction partials — go through a list of their own
+//! ([`take_work_f32`]): their sizes depend on the tiling and the GEMM
+//! geometry, not on the plan, and on a shared list a panel that happened
+//! to be a planned tensor's size would take its buffer. The working list
+//! fills on the cold step and is reported under [`Acquired::work`].
 //!
 //! # Pools are instances, scopes are per thread
 //!
@@ -52,7 +53,7 @@
 //! planner's regions at build), each list's `BTreeMap` has a node for
 //! every class that will ever exist (a miss creates its class's node,
 //! empty buckets are kept), and each bucket `Vec` was born with
-//! [`BUCKET_SLACK`] slots of headroom — enough that the return wave of a
+//! `BUCKET_SLACK` (16) slots of headroom — enough that the return wave of a
 //! reset never forces the bucket itself to reallocate. From then on
 //! every request is served by `pop` and every return by `push` within
 //! existing capacity: zero calls into the global allocator.
@@ -117,7 +118,6 @@ type List<T> = BTreeMap<usize, Bucket<T>>;
 struct PoolInner {
     f32s: List<f32>,
     u32s: List<u32>,
-    shapes: List<usize>,
     /// The interpreter's working buffers (module docs).
     work: List<f32>,
     /// Cumulative scoped takes served by the heap instead of a free
@@ -199,16 +199,6 @@ impl Pool {
         seed(&mut self.lock().u32s, elems);
     }
 
-    /// Pre-seeds the pool with a shape vector of `rank` capacity.
-    ///
-    /// Shape vectors are tiny, but a take miss is still a heap
-    /// allocation; sessions seed one per planned region (plus slack for
-    /// in-flight transients) so the shape bucket starts at its fixed
-    /// point instead of reaching it lazily over the first steps.
-    pub fn seed_shape(&self, rank: usize) {
-        seed(&mut self.lock().shapes, rank);
-    }
-
     /// Frees every pooled buffer (bucket nodes and acquisition counts
     /// included). Rarely needed — dropping the pool frees everything —
     /// but lets a long-lived session shed its working set on demand.
@@ -221,22 +211,15 @@ impl Pool {
     }
 
     /// Bucket occupancy of each store list as `(capacity, parked
-    /// buffers)` pairs in ascending capacity order — `(f32s, u32s,
-    /// shapes)`. Diagnostics only.
+    /// buffers)` pairs in ascending capacity order — `(f32s, u32s)`.
+    /// Diagnostics only.
     #[allow(clippy::type_complexity)]
     #[must_use]
-    pub fn occupancy(
-        &self,
-    ) -> (
-        Vec<(usize, usize)>,
-        Vec<(usize, usize)>,
-        Vec<(usize, usize)>,
-    ) {
+    pub fn occupancy(&self) -> (Vec<(usize, usize)>, Vec<(usize, usize)>) {
         let pool = self.lock();
         (
             tally(&pool.f32s, |b| b.free.len()),
             tally(&pool.u32s, |b| b.free.len()),
-            tally(&pool.shapes, |b| b.free.len()),
         )
     }
 
@@ -272,7 +255,7 @@ impl Pool {
                 .sum()
         }
         let pool = self.lock();
-        bytes(&pool.f32s) + bytes(&pool.u32s) + bytes(&pool.shapes) + bytes(&pool.work)
+        bytes(&pool.f32s) + bytes(&pool.u32s) + bytes(&pool.work)
     }
 }
 
@@ -373,16 +356,6 @@ pub fn put_u32(v: Vec<u32>) {
     pool_put!(u32s, v)
 }
 
-/// Takes an empty shape vector (`Vec<usize>`) of capacity `min`.
-pub fn take_shape(min: usize) -> Vec<usize> {
-    pool_take!(shapes, min)
-}
-
-/// Returns a shape vector to the current thread's pool.
-pub fn put_shape(v: Vec<usize>) {
-    pool_put!(shapes, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,7 +438,7 @@ mod tests {
             assert_eq!(v.capacity(), 64);
         }
         assert!(a.resident_bytes() >= 64 * 4);
-        let (f, _, _) = a.occupancy();
+        let (f, _) = a.occupancy();
         assert_eq!(f, vec![(64, 1)]);
         a.trim();
         assert_eq!(a.resident_bytes(), 0);

@@ -1,31 +1,37 @@
+//! [`Tensor`]: a dense, row-major `f32` matrix `[rows, cols]` whose shape
+//! is held inline beside its one heap buffer.
+
 use crate::{pool, Result, TensorError, DEFAULT_ATOL, DEFAULT_RTOL};
 use std::fmt;
 
-/// Builds a shape vector through the buffer pool (a plain allocation
-/// whenever no pool scope is active on this thread).
-fn shape_vec(shape: &[usize]) -> Vec<usize> {
-    let mut s = pool::take_shape(shape.len());
-    s.extend_from_slice(shape);
-    s
+/// Folds a shape to `[first axis, product of the rest]`; a single axis
+/// `[n]` is one row `[1, n]`, and no axis one element `[1, 1]`.
+fn fold(shape: &[usize]) -> [usize; 2] {
+    match shape {
+        [] => [1, 1],
+        [n] => [1, *n],
+        [rows, rest @ ..] => [*rows, rest.iter().product()],
+    }
 }
 
-/// A dense, row-major `f32` tensor.
+/// A dense, row-major `f32` matrix `[rows, cols]`.
 ///
-/// Most tensors in a GNN workload are 2-D feature matrices `[rows, cols]`
-/// (rows = vertices or edges, cols = feature width); the type stores a
-/// general shape so multi-head layouts `[n, heads, f]` can be represented,
-/// but the 2-D accessors are the primary interface.
+/// Every tensor in a GNN workload is a 2-D feature matrix (rows =
+/// vertices, edges or parameter rows, cols = feature width; attention
+/// heads live in the IR's `Dim`, not in a tensor's rank). Constructors
+/// take any shape and fold it ([`Tensor::shape`]), and the shape is held
+/// inline, so a tensor owns exactly one heap buffer: its data.
 ///
 /// # Allocation
 ///
-/// Construction and `Drop` route the backing buffers through the
-/// session buffer pool ([`crate::pool`]) when the current thread is
-/// inside an arena scope; otherwise they are ordinary `Vec`s. A pooled
-/// buffer may have `capacity() > numel()` — all accessors go through
-/// `len`, so the over-allocation is unobservable.
+/// Construction and `Drop` route the data buffer through the session
+/// buffer pool ([`crate::pool`]) when the current thread is inside an
+/// arena scope; otherwise it is an ordinary `Vec`. A pooled buffer may
+/// have `capacity() > numel()` — all accessors go through `len`, so the
+/// over-allocation is unobservable.
 #[derive(PartialEq)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    shape: [usize; 2],
     data: Vec<f32>,
 }
 
@@ -34,7 +40,7 @@ impl Clone for Tensor {
         let mut data = pool::take_f32(self.data.len());
         data.extend_from_slice(&self.data);
         Self {
-            shape: shape_vec(&self.shape),
+            shape: self.shape,
             data,
         }
     }
@@ -42,10 +48,9 @@ impl Clone for Tensor {
 
 impl Drop for Tensor {
     fn drop(&mut self) {
-        // Outside a pool scope `put_*` drops its argument, so this is
-        // free; inside one, the buffers are recycled for the next step.
+        // Outside a pool scope `put_f32` drops its argument, so this is
+        // free; inside one, the buffer is recycled for the next step.
         pool::put_f32(std::mem::take(&mut self.data));
-        pool::put_shape(std::mem::take(&mut self.shape));
     }
 }
 
@@ -65,7 +70,7 @@ impl Tensor {
             });
         }
         Ok(Self {
-            shape: shape_vec(shape),
+            shape: fold(shape),
             data,
         })
     }
@@ -81,7 +86,7 @@ impl Tensor {
         let mut data = pool::take_f32(numel);
         data.resize(numel, value);
         Self {
-            shape: shape_vec(shape),
+            shape: fold(shape),
             data,
         }
     }
@@ -113,10 +118,10 @@ impl Tensor {
         Self::new(&[rows.len(), cols], data)
     }
 
-    /// Creates a 1-D tensor from a slice.
+    /// Creates a one-row tensor `[1, data.len()]`.
     pub fn from_vec(data: Vec<f32>) -> Self {
         Self {
-            shape: shape_vec(&[data.len()]),
+            shape: [1, data.len()],
             data,
         }
     }
@@ -127,30 +132,26 @@ impl Tensor {
         let mut data = pool::take_f32(numel);
         data.extend((0..numel).map(&mut f));
         Self {
-            shape: shape_vec(shape),
+            shape: fold(shape),
             data,
         }
     }
 
-    /// The tensor's shape.
+    /// The tensor's shape, always `[rows, cols]`: a shape given with more
+    /// than two axes folds to `[first axis, product of the rest]`, one
+    /// axis `[n]` to one row `[1, n]`.
     pub fn shape(&self) -> &[usize] {
         &self.shape
     }
 
-    /// Number of rows (first axis). Zero for rank-0 tensors.
+    /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.shape.first().copied().unwrap_or(0)
+        self.shape[0]
     }
 
-    /// Number of columns: the product of all axes after the first.
-    ///
-    /// A rank-1 tensor is treated as a single row, so `cols` is its length.
+    /// Number of columns.
     pub fn cols(&self) -> usize {
-        if self.shape.len() <= 1 {
-            self.shape.first().copied().unwrap_or(0)
-        } else {
-            self.shape[1..].iter().product()
-        }
+        self.shape[1]
     }
 
     /// Total number of elements.
@@ -173,13 +174,13 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Returns a view of row `i` of a 2-D (or flattened n-d) tensor.
+    /// Returns a view of row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.rows()`.
     pub fn row(&self, i: usize) -> &[f32] {
-        let c = self.cols_for_rows();
+        let c = self.cols();
         &self.data[i * c..(i + 1) * c]
     }
 
@@ -189,36 +190,26 @@ impl Tensor {
     ///
     /// Panics if `i >= self.rows()`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        let c = self.cols_for_rows();
+        let c = self.cols();
         &mut self.data[i * c..(i + 1) * c]
     }
 
-    fn cols_for_rows(&self) -> usize {
-        if self.shape.len() <= 1 {
-            // rank-1: each "row" is a single element
-            1
-        } else {
-            self.shape[1..].iter().product()
-        }
-    }
-
-    /// Element accessor for 2-D tensors.
+    /// Element accessor.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn at(&self, r: usize, c: usize) -> f32 {
-        let cols = self.cols_for_rows();
-        self.data[r * cols + c]
+        self.data[r * self.cols() + c]
     }
 
-    /// Element setter for 2-D tensors.
+    /// Element setter.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        let cols = self.cols_for_rows();
+        let cols = self.cols();
         self.data[r * cols + c] = v;
     }
 
@@ -292,9 +283,36 @@ mod tests {
     #[test]
     fn rows_and_cols() {
         let t = Tensor::zeros(&[4, 2, 3]);
-        assert_eq!(t.rows(), 4);
-        assert_eq!(t.cols(), 6);
+        assert_eq!(t.shape(), &[4, 6], "trailing axes fold into the columns");
+        assert_eq!((t.rows(), t.cols()), (4, 6));
         assert_eq!(t.row(1).len(), 6);
+    }
+
+    /// Every constructor yields the 2-D contract: a `[rows, cols]` shape
+    /// whose rows tile the data exactly.
+    #[test]
+    fn every_constructor_is_rows_by_cols() {
+        let made = [
+            Tensor::new(&[2, 3], vec![0.0; 6]).unwrap(),
+            Tensor::new(&[4], vec![0.0; 4]).unwrap(),
+            Tensor::zeros(&[3, 2, 2]),
+            Tensor::zeros(&[]),
+            Tensor::full(&[5], 2.0),
+            Tensor::ones(&[0, 7]),
+            Tensor::from_fn(&[3, 4], |i| i as f32),
+            Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap(),
+            Tensor::from_vec(vec![1.0, 2.0, 3.0]),
+            Tensor::from_vec(vec![1.0, 2.0, 3.0]).clone(),
+            Tensor::default(),
+        ];
+        for t in &made {
+            assert_eq!(t.shape().len(), 2, "{t:?}");
+            assert_eq!(t.rows() * t.cols(), t.numel(), "{t:?}");
+            for i in 0..t.rows() {
+                assert_eq!(t.row(i).len(), t.cols(), "{t:?} row {i}");
+            }
+        }
+        assert_eq!(made[8].shape(), &[1, 3], "one axis is one row");
     }
 
     #[test]

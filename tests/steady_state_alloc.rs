@@ -230,15 +230,15 @@ fn sharded_steps_allocate_a_fixed_count(g: &Graph) {
     eprintln!("gat, 2 shards: steady-state allocations/step: {counts:?}");
     // None from `fused` or a shard's `Session`. By site, all in
     // `sharded.rs`' driver: 49 staging buffers in `exchange` (13 of them
-    // the halo of the softmax backward's by-destination sum), 32 for
-    // tensors made outside any shard's pool scope (the global kernels'
-    // results, `assemble_value`'s and `local_rows`' copies — a shape and
-    // a data buffer each), 12 in `assemble_value` (row tables, shapes),
-    // 12 value names in exchange records, 8 binding-name strings and 1
-    // vector in `local_bindings`, 4 row-index lists in `local_rows`, 4
-    // working buffers the global kernels' dense calls take with no pool
-    // installed.
-    assert_eq!(counts, [122; 3], "the sharded driver's own allocations");
+    // the halo of the softmax backward's by-destination sum), 16 data
+    // buffers of tensors made outside any shard's pool scope (6
+    // `assemble_value` copies, 4 parameter copies and 2 row selections in
+    // `local_rows`, 3 global-kernel results, the seed copy in `step`), 12
+    // value names in exchange records, 8 in `Bindings::insert` (names and
+    // tables) and 1 vector in `local_bindings`, 6 row tables in
+    // `assemble_value`, 4 working buffers the global kernels' dense calls
+    // take with no pool installed.
+    assert_eq!(counts, [96; 3], "the sharded driver's own allocations");
     assert_eq!(
         sess.stats().fallback_allocs,
         0,
@@ -267,14 +267,15 @@ fn trainer_steps_allocate_a_fixed_count(g: &Graph) {
         })
     });
     eprintln!("gcn, trainer: steady-state allocations/step: {counts:?}");
-    // By site: 19 for the tensors `Session::forward`/`backward` clone out
-    // to the caller (a shape and a data buffer each, off the heap: the
-    // pool scope has ended) and the loss gradient seed, 6 binding-name
-    // strings, 4 in `Adam::step`, 4 for the output and gradient
-    // containers `forward`/`backward` return, 3 in the step itself (loss
-    // and clipping temporaries), 2 in `accuracy_masked`, 1 for the
-    // all-true mask.
-    assert_eq!(counts, [39; 3], "the train layer's own allocations");
+    // By site: 9 data buffers of tensors made off the heap (the pool
+    // scope has ended) — 4 binding copies, the output `forward` clones
+    // out, the 2 gradients `backward` clones out, the loss's softmax copy
+    // and its gradient seed — 6 in `Bindings::insert` (4 names, 2 for
+    // the table), 4 in `Adam::step`, 4 for the output and gradient
+    // containers `forward`/`backward` return, 3 in the step itself (the
+    // parameter map's table and 2 names), 2 in `accuracy_masked`, 1 for
+    // the all-true mask.
+    assert_eq!(counts, [29; 3], "the train layer's own allocations");
 }
 
 /// Buffer pools are per-session (owned by the [`Session`]), not a
