@@ -1405,17 +1405,12 @@ fn exec_rows<'r>(
                 bf.zip_into(o, xu, yv)
             });
         }
+        // Not `zip_rows`: its strips would join rows into one, and these
+        // bodies work a row at a time.
         OpKind::Scatter(ScatterFn::ConcatUV) => {
-            let heads = op.heads;
             for (i, e) in rows.enumerate() {
-                let (xu, yv) = (cx.row(s(0), e), cx.row(s(1), e));
-                let (fx, fy) = (xu.len() / heads, yv.len() / heads);
                 let o = &mut buf[i * total..(i + 1) * total];
-                for h in 0..heads {
-                    let base = h * (fx + fy);
-                    o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
-                    o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
-                }
+                rowops::concat_heads(o, cx.row(s(0), e), cx.row(s(1), e), op.heads);
             }
         }
 
@@ -1464,17 +1459,8 @@ fn exec_rows<'r>(
         OpKind::GaussianWeight => {
             let (p, mu, sg) = (s(0), s(1), s(2));
             for (i, e) in rows.enumerate() {
-                let (pr, mu, sg) = (cx.row(p, e), cx.row(mu, e), cx.row(sg, e));
-                let (n, or) = (pr.len(), &mut buf[i * total..(i + 1) * total]);
-                for (ki, ov) in or.iter_mut().enumerate() {
-                    let (mr, sr) = (&mu[ki * n..], &sg[ki * n..]);
-                    let mut acc = 0.0;
-                    for j in 0..n {
-                        let d = (pr[j] - mr[j]) * sr[j];
-                        acc += d * d;
-                    }
-                    *ov = (-0.5 * acc).exp();
-                }
+                let o = &mut buf[i * total..(i + 1) * total];
+                rowops::gaussian_weight(o, cx.row(p, e), cx.row(mu, e), cx.row(sg, e));
             }
         }
 
@@ -1486,12 +1472,7 @@ fn exec_rows<'r>(
                 1.0
             };
             cx.map_rows(s(0), rows, feat, buf, |or, xr| {
-                or.fill(0.0);
-                for h in 0..heads {
-                    for c in 0..feat {
-                        or[c] += xr[h * feat + c] * scale;
-                    }
-                }
+                rowops::head_reduce(or, xr, heads, scale)
             });
         }
         OpKind::FeatSum => {
@@ -1504,9 +1485,7 @@ fn exec_rows<'r>(
                 return;
             }
             cx.map_rows(s(0), rows, heads, buf, |or, xr| {
-                for h in 0..heads {
-                    or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
-                }
+                rowops::feat_sum(or, xr, feat)
             });
         }
         other => unreachable!("op {other:?} survived lowering but cannot tile"),

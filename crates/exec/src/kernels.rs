@@ -13,9 +13,11 @@
 //! runs the GEMMs itself) — the cross-row parameter reductions and
 //! parameter-space steps of a few rows, none of them a graph op or a
 //! row-local one. Every other kernel here is the **serial reference** the
-//! oracle ([`crate::refexec::evaluate`]) is built from — a plain loop over
-//! the shared feature-axis functions of [`gnnopt_tensor::rowops`], the
-//! *same* functions the tile driver calls, so the two stay bit-identical
+//! oracle ([`crate::refexec::evaluate`]) is built from: a plain loop over
+//! rows whose one row body the tile driver calls too — a function of
+//! [`gnnopt_tensor::rowops`], a row method of the op's own function
+//! (`BinaryFn::zip_into`, `UnaryFn::bwd_into`, …), or this module's
+//! `binary_broadcast_row` and `gather_row`. So the two stay bit-identical
 //! by construction rather than by parallel maintenance, and an N-thread
 //! session is compared against one thread's arithmetic. A `Sum`/`Mean`
 //! row accumulates its edges in ascending id, whatever its degree — the
@@ -265,19 +267,9 @@ pub fn scatter(
         ScatterFn::Bin(bf) => map_rows(m, total, |o, e| {
             bf.zip_into(o, x.row(g.src(e)), y.row(g.dst(e)));
         }),
-        ScatterFn::ConcatUV => {
-            // Per-head concatenation.
-            let heads = out_dim.heads;
-            let (fx, fy) = (x.cols() / heads, y.cols() / heads);
-            map_rows(m, total, |o, e| {
-                let (xu, yv) = (x.row(g.src(e)), y.row(g.dst(e)));
-                for h in 0..heads {
-                    let base = h * (fx + fy);
-                    o[base..base + fx].copy_from_slice(&xu[h * fx..(h + 1) * fx]);
-                    o[base + fx..base + fx + fy].copy_from_slice(&yv[h * fy..(h + 1) * fy]);
-                }
-            })
-        }
+        ScatterFn::ConcatUV => map_rows(m, total, |o, e| {
+            rowops::concat_heads(o, x.row(g.src(e)), y.row(g.dst(e)), out_dim.heads);
+        }),
     }
 }
 
@@ -477,17 +469,8 @@ pub fn head_dot_bwd_param(
 /// Gaussian mixture weights (MoNet):
 /// `w[e,k] = exp(-½ Σ_j σ⁻²[k,j](p[e,j]−μ[k,j])²)`.
 pub fn gaussian_weight(pseudo: &Tensor, mu: &Tensor, inv_sigma: &Tensor) -> Tensor {
-    map_rows(pseudo.rows(), mu.rows(), |or, ei| {
-        let pr = pseudo.row(ei);
-        for (ki, ov) in or.iter_mut().enumerate() {
-            let (mr, sr) = (mu.row(ki), inv_sigma.row(ki));
-            let mut acc = 0.0;
-            for j in 0..pr.len() {
-                let d = (pr[j] - mr[j]) * sr[j];
-                acc += d * d;
-            }
-            *ov = (-0.5 * acc).exp();
-        }
+    map_rows(pseudo.rows(), mu.rows(), |or, e| {
+        rowops::gaussian_weight(or, pseudo.row(e), mu.as_slice(), inv_sigma.as_slice());
     })
 }
 
@@ -601,22 +584,14 @@ pub(crate) fn gather_row(o: &mut [f32], x: &[f32], map: &[u32]) {
 pub fn head_reduce(x: &Tensor, heads: usize, feat: usize, mean: bool) -> Tensor {
     let scale = if mean { 1.0 / heads as f32 } else { 1.0 };
     map_rows(x.rows(), feat, |or, r| {
-        let xr = x.row(r);
-        for h in 0..heads {
-            for c in 0..feat {
-                or[c] += xr[h * feat + c] * scale;
-            }
-        }
+        rowops::head_reduce(or, x.row(r), heads, scale)
     })
 }
 
 /// Per-head feature sum `[N, h·f] → [N, h]`.
 pub fn feat_sum(x: &Tensor, heads: usize, feat: usize) -> Tensor {
     map_rows(x.rows(), heads, |or, r| {
-        let xr = x.row(r);
-        for h in 0..heads {
-            or[h] = xr[h * feat..(h + 1) * feat].iter().sum();
-        }
+        rowops::feat_sum(or, x.row(r), feat)
     })
 }
 

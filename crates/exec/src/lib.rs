@@ -95,8 +95,7 @@ mod sharded;
 pub use error::ExecError;
 pub use session::{Bindings, EnvOverrides, RunStats, Session, SessionBuilder};
 pub use sharded::{
-    ExchangeKind, ExchangeRecord, ShardStrategy, ShardSummary, ShardedSession,
-    ShardedSessionBuilder,
+    ExchangeKind, ExchangeRecord, ShardSummary, ShardedSession, ShardedSessionBuilder,
 };
 
 /// Crate-wide result alias.

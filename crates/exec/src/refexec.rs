@@ -74,9 +74,7 @@ pub fn evaluate(
     for n in ir.nodes() {
         match n.kind {
             OpKind::InputVertex | OpKind::InputEdge | OpKind::Param => {
-                let t = bindings.get(&n.name);
-                let t = t.ok_or_else(|| ExecError::MissingBinding(n.name.clone()))?;
-                values.insert(n.id, t.clone());
+                values.insert(n.id, bindings.leaf(n)?.clone());
             }
             OpKind::GradSeed => values.extend(seed.map(|t| (n.id, t.clone()))),
             _ => {}

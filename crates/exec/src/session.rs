@@ -62,6 +62,12 @@ impl Bindings {
     pub fn get(&self, name: &str) -> Option<&Tensor> {
         self.values.get(name)
     }
+
+    /// The tensor bound to leaf `node`, or [`ExecError::MissingBinding`].
+    pub(crate) fn leaf(&self, node: &Node) -> Result<&Tensor> {
+        self.get(&node.name)
+            .ok_or_else(|| ExecError::MissingBinding(node.name.clone()))
+    }
 }
 
 /// Measured statistics of one session run (real CPU execution, as opposed
@@ -582,7 +588,13 @@ impl<'a> Session<'a> {
     /// [`Session::step`]: executes the kernels and leaves the outputs in
     /// the store (the callers add their own tails).
     fn run_forward(&mut self, bindings: &Bindings) -> Result<()> {
-        self.begin_forward(bindings)?;
+        self.begin_forward()?;
+        let graph = self.graph.clone();
+        self.bind_leaves(|node| {
+            let t = bindings.leaf(node)?;
+            check_shape(&graph, node, t)?;
+            Ok(t.clone())
+        })?;
         let t0 = Instant::now();
         for i in 0..self.fwd_kernels.len() {
             let kid = self.fwd_kernels[i];
@@ -593,15 +605,15 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// Forward-pass prologue: reset, bind, stamp the per-run stats
-    /// header. Split out so the sharded driver can run the kernel loop
-    /// itself (interleaving exchanges) between this and
+    /// Forward-pass prologue: reset and stamp the per-run stats header;
+    /// [`Session::bind_leaves`] follows. Split out so the sharded driver
+    /// can bind each shard's rows and run the kernel loop itself
+    /// (interleaving exchanges) between this and
     /// [`Session::finish_forward`].
-    pub(crate) fn begin_forward(&mut self, bindings: &Bindings) -> Result<()> {
+    pub(crate) fn begin_forward(&mut self) -> Result<()> {
         self.check_poisoned()?;
         self.reset();
         self.fallback_base = self.pool.misses();
-        self.bind_leaves(bindings)?;
         self.stats.threads = self.policy.threads;
         self.stats.shards = 1;
         self.stats.planned_peak_bytes = self.memplan.arena_bytes;
@@ -799,18 +811,25 @@ impl<'a> Session<'a> {
         self.state = State::Fresh;
     }
 
-    fn bind_leaves(&mut self, bindings: &Bindings) -> Result<()> {
+    /// Stores the tensor `value` makes for each leaf (every input and
+    /// parameter). Called inside the session's pool scope, so a copy
+    /// `value` makes comes out of the leaf's planned buffer.
+    pub(crate) fn bind_leaves(
+        &mut self,
+        mut value: impl FnMut(&Node) -> Result<Tensor>,
+    ) -> Result<()> {
         let plan = self.plan.clone();
         for i in 0..self.leaf_ids.len() {
             let id = self.leaf_ids[i];
-            let node = plan.ir.node(id);
-            let t = bindings
-                .get(&node.name)
-                .ok_or_else(|| ExecError::MissingBinding(node.name.clone()))?;
-            check_shape(&self.graph, node, t)?;
-            self.insert_value(id, t.clone());
+            let t = value(plan.ir.node(id))?;
+            self.insert_value(id, t);
         }
         Ok(())
+    }
+
+    /// The leaves [`Session::bind_leaves`] binds, in binding order.
+    pub(crate) fn leaf_ids(&self) -> &[NodeId] {
+        &self.leaf_ids
     }
 
     pub(crate) fn insert_value(&mut self, id: NodeId, t: Tensor) {

@@ -1,9 +1,10 @@
 //! Single-process edge-cut sharded execution with halo exchange.
 //!
 //! A [`ShardedSession`] splits the CSR graph into `k` vertex shards (a
-//! [`gnnopt_graph::Partition`]), builds one fully planned [`Session`]
-//! per shard over that shard's *local subgraph* — its own memory plan,
-//! its own arena, its own buffer pool — and drives the plan's kernels
+//! [`Partition`] grown by [`Partition::edge_cut_bfs`], the one
+//! partitioner), builds one fully planned [`Session`] per shard over
+//! that shard's *local subgraph* — its own memory plan, its own arena,
+//! its own buffer pool — and drives the plan's kernels
 //! across the shards with explicit **halo exchanges** in between, the
 //! execution structure of distributed GNN systems reproduced inside one
 //! process. Results are **bit-identical** to the unsharded session for
@@ -159,36 +160,6 @@ pub struct ShardSummary {
     pub halo_rows: usize,
     /// Arena bytes the shard's own memory plan laid out.
     pub arena_bytes: u64,
-}
-
-/// How the builder partitions the graph into vertex shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Greedy BFS edge-cut grower ([`Partition::edge_cut_bfs`]) — the
-    /// default: frontier growth keeps neighborhoods together.
-    #[default]
-    Bfs,
-    /// Contiguous id-order slices ([`Partition::contiguous`]).
-    Contiguous,
-    /// Load-balanced slices of an RCM locality ordering — the seam to
-    /// the `gnnopt-reorder` machinery ([`Partition::from_order`]).
-    Locality,
-}
-
-impl ShardStrategy {
-    fn partition(self, g: &Graph, k: usize) -> Partition {
-        match self {
-            ShardStrategy::Bfs => Partition::edge_cut_bfs(g, k),
-            ShardStrategy::Contiguous => Partition::contiguous(g, k),
-            ShardStrategy::Locality => {
-                let el = g.edge_list();
-                let perm = gnnopt_reorder::strategies::rcm(&el);
-                // `order[i]` = the vertex RCM places at position `i`.
-                let order = perm.inverse().as_new_of_old().to_vec();
-                Partition::from_order(g, &order, k)
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -972,7 +943,8 @@ impl ShardMaps {
 
 impl ShardMaps {
     /// Shard `s`'s copy of a global-row tensor: its local vertex or edge
-    /// rows, or the whole of a (replicated) parameter-space value.
+    /// rows, or the whole of a (replicated) parameter-space value. Made
+    /// inside the shard's pool scope, it is served by the shard's pool.
     fn local_rows(&self, s: usize, space: Space, t: &Tensor) -> Tensor {
         match space {
             Space::Vertex => select_rows_u32(t, &self.l2g_vertex[s]),
@@ -1089,29 +1061,6 @@ impl<'a> Multi<'a> {
         });
     }
 
-    /// Distributes the caller's global bindings into per-shard local
-    /// bindings (row selection, not communication — not recorded).
-    fn local_bindings(&self, bindings: &Bindings) -> Result<Vec<Bindings>> {
-        let k = self.num_shards();
-        let mut out = vec![Bindings::new(); k];
-        for n in self.plan.ir.nodes() {
-            if !matches!(
-                n.kind,
-                OpKind::InputVertex | OpKind::InputEdge | OpKind::Param
-            ) {
-                continue;
-            }
-            let t = bindings
-                .get(&n.name)
-                .ok_or_else(|| ExecError::MissingBinding(n.name.clone()))?;
-            check_shape(self.graph, n, t)?;
-            for (s, shard_bindings) in out.iter_mut().enumerate() {
-                shard_bindings.insert(&n.name, self.maps.local_rows(s, n.space, t));
-            }
-        }
-        Ok(out)
-    }
-
     /// Refuses to start work after a driver-side contained panic.
     fn check_poisoned(&self) -> Result<()> {
         match &self.poisoned {
@@ -1126,11 +1075,20 @@ impl<'a> Multi<'a> {
         self.gstore.values.clear();
         self.gstore.aux_argmax.clear();
         self.stats = RunStats::default();
-        let locals = self.local_bindings(bindings)?;
-        for (s, lb) in locals.iter().enumerate() {
-            let sess = &mut self.shards[s];
+        // Every leaf against the caller's graph, once: row selection
+        // would drop surplus rows.
+        for &id in self.shards[0].leaf_ids() {
+            let node = self.plan.ir.node(id);
+            check_shape(self.graph, node, bindings.leaf(node)?)?;
+        }
+        // Each shard's rows (row selection, not communication — not
+        // recorded) go straight into its store, copied inside its pool
+        // scope so they come out of the leaves' planned buffers.
+        let maps = &self.maps;
+        for (s, sess) in self.shards.iter_mut().enumerate() {
             let _scope = sess.scope();
-            sess.begin_forward(lb)?;
+            sess.begin_forward()?;
+            sess.bind_leaves(|node| Ok(maps.local_rows(s, node.space, bindings.leaf(node)?)))?;
         }
         self.stats.shards = self.num_shards();
         self.stats.threads = self.policy.threads;
@@ -1510,15 +1468,14 @@ impl<'a> Multi<'a> {
     }
 }
 
-/// Builds a [`ShardedSession`]: the shard count, partition strategy and
-/// per-shard session knobs made explicit, with the same `GNNOPT_*`
-/// override treatment as [`crate::SessionBuilder`].
+/// Builds a [`ShardedSession`]: the shard count and per-shard session
+/// knobs made explicit, with the same `GNNOPT_*` override treatment as
+/// [`crate::SessionBuilder`].
 #[derive(Debug)]
 pub struct ShardedSessionBuilder<'a> {
     plan: &'a ExecutionPlan,
     graph: &'a Graph,
     shards: Option<usize>,
-    strategy: ShardStrategy,
     policy: Option<ExecPolicy>,
     env: EnvOverrides,
 }
@@ -1529,14 +1486,6 @@ impl<'a> ShardedSessionBuilder<'a> {
     #[must_use]
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = Some(k);
-        self
-    }
-
-    /// Chooses the partitioning strategy (default
-    /// [`ShardStrategy::Bfs`]).
-    #[must_use]
-    pub fn strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -1604,7 +1553,7 @@ impl<'a> ShardedSessionBuilder<'a> {
                 }
             }
         };
-        let part = self.strategy.partition(self.graph, k);
+        let part = Partition::edge_cut_bfs(self.graph, k);
         let (maps, graphs) = ShardMaps::build(&plan.ir, self.graph, part);
         let shards: Vec<Session<'a>> = graphs
             .into_iter()
@@ -1673,7 +1622,6 @@ impl<'a> ShardedSession<'a> {
             plan,
             graph,
             shards: None,
-            strategy: ShardStrategy::default(),
             policy: None,
             env: EnvOverrides::default(),
         }
@@ -1792,14 +1740,6 @@ impl<'a> ShardedSession<'a> {
                 arena_bytes: s.memory_plan().arena_bytes,
             }],
             Inner::Multi(m) => m.summaries(),
-        }
-    }
-
-    /// The vertex partition (`None` for a single-shard session).
-    pub fn partition(&self) -> Option<&Partition> {
-        match &self.inner {
-            Inner::Single(_) => None,
-            Inner::Multi(m) => Some(&m.maps.part),
         }
     }
 }
@@ -1961,7 +1901,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.num_shards(), 1);
-        assert!(s.partition().is_none());
         let s = ShardedSession::builder(&plan, &g)
             .shards(99)
             .policy(ExecPolicy::serial())

@@ -7,24 +7,17 @@
 //! metric a partitioner optimizes here is the communication volume of
 //! that replication: fewer cut edges, balanced per-shard edge load.
 //!
-//! Two strategies are provided, both deterministic:
-//!
-//! * [`Partition::edge_cut_bfs`] — a greedy BFS grower: seed a shard at
-//!   the smallest unassigned vertex id, grow it along undirected
-//!   adjacency until the shard's share of the total edge load is
-//!   reached, repeat. Frontier growth keeps neighborhoods together, so
-//!   most edges close inside a shard.
-//! * [`Partition::from_order`] — contiguous load-balanced slices of an
-//!   externally supplied vertex ordering. This is the seam to the
-//!   `gnnopt-reorder` locality machinery: a BFS/RCM/cluster order
-//!   already places connected vertices consecutively, so slicing it is
-//!   an edge-cut heuristic in its own right. [`Partition::contiguous`]
-//!   is the identity-order special case.
+//! [`Partition::edge_cut_bfs`] is the one partitioner, and it is
+//! deterministic: a greedy BFS grower seeds a shard at the smallest
+//! unassigned vertex id and grows it along undirected adjacency until the
+//! shard's share of the total edge load is reached, then repeats.
+//! Frontier growth keeps neighborhoods together, so most edges close
+//! inside a shard.
 //!
 //! Balancing uses per-vertex edge load (`1 + in_degree + out_degree`,
 //! the `1` keeps isolated vertices from collapsing into one shard), and
-//! every constructor guarantees all `k` shards are non-empty whenever
-//! the graph has at least `k` vertices (`k` is clamped otherwise).
+//! all `k` shards are non-empty whenever the graph has at least `k`
+//! vertices (`k` is clamped otherwise).
 
 use crate::Graph;
 use std::collections::VecDeque;
@@ -98,58 +91,6 @@ impl Partition {
             num_shards: k,
             owner,
         }
-    }
-
-    /// Contiguous load-balanced slices of the vertex ordering `order`
-    /// (`order[i]` = the vertex at position `i`; must be a permutation
-    /// of `0..num_vertices`). Slicing a locality ordering (BFS, RCM,
-    /// cluster — the `gnnopt-reorder` strategies) keeps neighborhoods
-    /// in one shard, which is what makes this an edge-cut heuristic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of the vertex ids.
-    pub fn from_order(g: &Graph, order: &[u32], k: usize) -> Self {
-        let n = g.num_vertices();
-        assert_eq!(
-            order.len(),
-            n,
-            "order must enumerate every vertex exactly once"
-        );
-        let k = k.clamp(1, n.max(1));
-        let mut owner = vec![u32::MAX; n];
-        let total: usize = (0..n).map(|v| Self::load(g, v)).sum();
-        let mut remaining_load = total;
-        let mut pos = 0usize;
-        for s in 0..k {
-            let target = remaining_load / (k - s);
-            let mut shard_load = 0usize;
-            while pos < n && (s == k - 1 || shard_load < target || shard_load == 0) {
-                if s < k - 1 && n - pos < k - s && shard_load > 0 {
-                    break;
-                }
-                let v = order[pos] as usize;
-                assert!(
-                    v < n && owner[v] == u32::MAX,
-                    "order repeats or exceeds the vertex ids at position {pos}"
-                );
-                owner[v] = s as u32;
-                shard_load += Self::load(g, v);
-                pos += 1;
-            }
-            remaining_load -= shard_load;
-        }
-        Self {
-            num_shards: k,
-            owner,
-        }
-    }
-
-    /// Contiguous id-order slices: [`Partition::from_order`] with the
-    /// identity ordering.
-    pub fn contiguous(g: &Graph, k: usize) -> Self {
-        let order: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        Self::from_order(g, &order, k)
     }
 
     /// Number of shards.
@@ -252,27 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn from_order_slices_follow_the_order() {
-        let g = Graph::from_edge_list(&generators::ring(12));
-        let order: Vec<u32> = (0..12).rev().collect();
-        let p = Partition::from_order(&g, &order, 3);
-        covers_everything(&p, 12);
-        // Positions 0..3 of the order (vertices 11,10,9,8) share shard 0.
-        assert_eq!(p.owner_of(11), 0);
-        assert_eq!(p.owner_of(10), 0);
-        // Slices are contiguous in order positions: owners along the
-        // order are non-decreasing.
-        let owners: Vec<usize> = order.iter().map(|&v| p.owner_of(v as usize)).collect();
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
-    }
-
-    #[test]
     fn clamps_shard_count_to_vertex_count() {
         let g = Graph::from_edge_list(&EdgeList::from_pairs(3, &[(0, 1), (1, 2)]));
         let p = Partition::edge_cut_bfs(&g, 9);
         assert_eq!(p.num_shards(), 3);
         covers_everything(&p, 3);
-        let p = Partition::contiguous(&g, 0);
+        let p = Partition::edge_cut_bfs(&g, 0);
         assert_eq!(p.num_shards(), 1);
     }
 
@@ -301,6 +227,5 @@ mod tests {
             Partition::edge_cut_bfs(&g, 4),
             Partition::edge_cut_bfs(&g, 4)
         );
-        assert_eq!(Partition::contiguous(&g, 3), Partition::contiguous(&g, 3));
     }
 }

@@ -210,19 +210,6 @@ impl Pool {
         };
     }
 
-    /// Bucket occupancy of each store list as `(capacity, parked
-    /// buffers)` pairs in ascending capacity order — `(f32s, u32s)`.
-    /// Diagnostics only.
-    #[allow(clippy::type_complexity)]
-    #[must_use]
-    pub fn occupancy(&self) -> (Vec<(usize, usize)>, Vec<(usize, usize)>) {
-        let pool = self.lock();
-        (
-            tally(&pool.f32s, |b| b.free.len()),
-            tally(&pool.u32s, |b| b.free.len()),
-        )
-    }
-
     /// What the pool had to take from the heap beyond its seeding. After
     /// a session's cold step this is its working buffers and whatever
     /// the planner missed; a class the session seeded appearing under
@@ -232,9 +219,9 @@ impl Pool {
     pub fn acquired(&self) -> Acquired {
         let pool = self.lock();
         Acquired {
-            f32s: tally(&pool.f32s, |b| b.acquired),
-            u32s: tally(&pool.u32s, |b| b.acquired),
-            work: tally(&pool.work, |b| b.acquired),
+            f32s: tally(&pool.f32s),
+            u32s: tally(&pool.u32s),
+            work: tally(&pool.work),
         }
     }
 
@@ -259,10 +246,10 @@ impl Pool {
     }
 }
 
-/// `(class, count(bucket))` of a list's buckets with a non-zero count,
-/// in ascending class order.
-fn tally<T>(list: &List<T>, count: impl Fn(&Bucket<T>) -> usize) -> Vec<(usize, usize)> {
-    let counts = list.iter().map(|(&class, b)| (class, count(b)));
+/// `(class, acquired)` of a list's buckets that took any buffer from the
+/// heap, in ascending class order.
+fn tally<T>(list: &List<T>) -> Vec<(usize, usize)> {
+    let counts = list.iter().map(|(&class, b)| (class, b.acquired));
     counts.filter(|&(_, n)| n > 0).collect()
 }
 
@@ -396,9 +383,11 @@ mod tests {
         // Same size as a seeded store buffer, yet it leaves that one be.
         let w = take_work_f32(64);
         assert_eq!(pool.acquired().work, vec![(64, 1)]);
-        assert_eq!(pool.occupancy().0, vec![(64, 1)]);
         put_work_f32(w);
         assert_eq!(take_work_f32(64).capacity(), 64);
+        assert_eq!(pool.misses(), 1);
+        // The seeded store buffer is still parked: its take adds no miss.
+        assert_eq!(take_f32(64).capacity(), 64);
         assert_eq!(pool.misses(), 1);
         assert!(pool.acquired().f32s.is_empty());
     }
@@ -437,9 +426,7 @@ mod tests {
             let v = take_f32(64);
             assert_eq!(v.capacity(), 64);
         }
-        assert!(a.resident_bytes() >= 64 * 4);
-        let (f, _) = a.occupancy();
-        assert_eq!(f, vec![(64, 1)]);
+        assert_eq!(a.resident_bytes(), 64 * 4);
         a.trim();
         assert_eq!(a.resident_bytes(), 0);
     }

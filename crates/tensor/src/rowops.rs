@@ -418,8 +418,8 @@ pub fn gather_rows(o: &mut [f32], data: &[f32], width: usize, idx: &[u32], first
 
 /// `o[h] = Σ_c x[h·feat + c] · s[h·feat + c]` — `· s[h]` when `s` holds
 /// one scalar per head: a folded product under `FeatSum`, each product
-/// rounded, then summed as the op library's `feat_sum` sums a row
-/// (`Iterator::sum`, in feature order).
+/// rounded, then summed as [`feat_sum`] sums a row (`Iterator::sum`, in
+/// feature order).
 #[inline]
 pub fn mul_feat_sum(o: &mut [f32], x: &[f32], s: &[f32], feat: usize) {
     for (h, (ov, xh)) in o.iter_mut().zip(x.chunks_exact(feat)).enumerate() {
@@ -429,6 +429,57 @@ pub fn mul_feat_sum(o: &mut [f32], x: &[f32], s: &[f32], feat: usize) {
         } else {
             xh.iter().map(|&xv| xv * s[h]).sum()
         };
+    }
+}
+
+/// `FeatSum`'s row: `o[h] = Σ_c x[h·feat + c]` (`Iterator::sum`, in
+/// feature order).
+#[inline]
+pub fn feat_sum(o: &mut [f32], x: &[f32], feat: usize) {
+    for (h, ov) in o.iter_mut().enumerate() {
+        *ov = x[h * feat..(h + 1) * feat].iter().sum();
+    }
+}
+
+/// `HeadReduce`'s row: `o[c] = Σ_h x[h·f + c] · scale` over `heads`
+/// heads in order (`f` = `o.len()`; `scale` is `1/heads` for a mean).
+#[inline]
+pub fn head_reduce(o: &mut [f32], x: &[f32], heads: usize, scale: f32) {
+    let feat = o.len();
+    o.fill(0.0);
+    for h in 0..heads {
+        for c in 0..feat {
+            o[c] += x[h * feat + c] * scale;
+        }
+    }
+}
+
+/// `ScatterFn::ConcatUV`'s row: per head, that head's features of `x`
+/// then of `y` (`o.len()` = `x.len() + y.len()`).
+#[inline]
+pub fn concat_heads(o: &mut [f32], x: &[f32], y: &[f32], heads: usize) {
+    let (fx, fy) = (x.len() / heads, y.len() / heads);
+    for h in 0..heads {
+        let base = h * (fx + fy);
+        o[base..base + fx].copy_from_slice(&x[h * fx..(h + 1) * fx]);
+        o[base + fx..base + fx + fy].copy_from_slice(&y[h * fy..(h + 1) * fy]);
+    }
+}
+
+/// MoNet's Gaussian mixture weights of one edge:
+/// `o[k] = exp(-½ Σ_j (σ⁻¹[k,j]·(p[j] − μ[k,j]))²)`, with `mu` and
+/// `inv_sigma` row-major `[o.len(), p.len()]`.
+#[inline]
+pub fn gaussian_weight(o: &mut [f32], p: &[f32], mu: &[f32], inv_sigma: &[f32]) {
+    let n = p.len();
+    for (k, ov) in o.iter_mut().enumerate() {
+        let (mr, sr) = (&mu[k * n..], &inv_sigma[k * n..]);
+        let mut acc = 0.0;
+        for j in 0..n {
+            let d = (p[j] - mr[j]) * sr[j];
+            acc += d * d;
+        }
+        *ov = (-0.5 * acc).exp();
     }
 }
 
@@ -709,7 +760,7 @@ mod tests {
     /// A folded product reduces to the bits of the product row written
     /// out and then reduced: `add_assign` / `axpy` into an accumulator
     /// (two roundings, no fused multiply-add) and the per-head
-    /// `iter().sum()` of the op library's `feat_sum` — equal-shape and
+    /// [`feat_sum`] — equal-shape and
     /// head-broadcast, every split of the row into heads.
     #[test]
     fn folded_products_equal_the_product_row_then_its_reduction() {
@@ -736,7 +787,8 @@ mod tests {
                     axpy(&mut want, 0.3, &p);
                     mul_accum(&mut got, Some(0.3), &x, s, feat);
                     assert_eq!(bits(&got), bits(&want), "mean, {heads}×{feat}");
-                    let want: Vec<f32> = p.chunks(feat).map(|h| h.iter().sum()).collect();
+                    let mut want = vec![f32::NAN; heads];
+                    feat_sum(&mut want, &p, feat);
                     let mut got = vec![f32::NAN; heads];
                     mul_feat_sum(&mut got, &x, s, feat);
                     assert_eq!(bits(&got), bits(&want), "feat sum, {heads}×{feat}");

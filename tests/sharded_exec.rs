@@ -1,7 +1,7 @@
 //! Sharded-execution equivalence and partitioner invariants.
 //!
-//! The sharding contract is **bit-identity**: for any shard count, any
-//! partition strategy and any thread count, a [`ShardedSession`] must
+//! The sharding contract is **bit-identity**: for any shard count and
+//! any thread count, a [`ShardedSession`] must
 //! produce exactly the same output bits and exactly the same
 //! parameter-gradient bits as the plain unsharded [`Session`] and as the
 //! node-by-node oracle (`refexec::evaluate`) — not merely close,
@@ -14,10 +14,8 @@
 mod common;
 
 use common::{arb_steps, build_ir};
-use gnnopt::core::{compile, CompileOptions, ExecPolicy};
-use gnnopt::exec::{
-    refexec, Bindings, EnvOverrides, ExchangeKind, ExecError, ShardStrategy, ShardedSession,
-};
+use gnnopt::core::{compile, CompileOptions, ExecPolicy, OpKind};
+use gnnopt::exec::{refexec, Bindings, EnvOverrides, ExchangeKind, ExecError, ShardedSession};
 use gnnopt::graph::{generators, EdgeList, Graph, Partition};
 use gnnopt::models::*;
 use gnnopt::tensor::Tensor;
@@ -42,13 +40,12 @@ fn assert_bit_identical(
     g: &Graph,
     k: usize,
     threads: usize,
-    strategy: ShardStrategy,
 ) {
     let policy = ExecPolicy {
         threads,
         ..ExecPolicy::serial()
     };
-    assert_bit_identical_under(name, ir, vals, g, k, policy, strategy);
+    assert_bit_identical_under(name, ir, vals, g, k, policy);
 }
 
 /// [`assert_bit_identical`] under an explicit policy (tile budget,
@@ -60,7 +57,6 @@ fn assert_bit_identical_under(
     g: &Graph,
     k: usize,
     policy: ExecPolicy,
-    strategy: ShardStrategy,
 ) {
     let compiled = compile(ir, true, &CompileOptions::ours()).expect("compiles");
     let b = bindings_from(vals);
@@ -73,7 +69,6 @@ fn assert_bit_identical_under(
 
     let mut sharded = ShardedSession::builder(&compiled.plan, g)
         .shards(k)
-        .strategy(strategy)
         .policy(policy)
         .env(EnvOverrides::Off)
         .build()
@@ -142,25 +137,21 @@ fn zoo_bit_identical_across_shard_counts() {
     for (name, spec) in zoo() {
         let vals = spec.init_values(&g, 23);
         for k in [1, 2, 4] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
+            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1);
         }
         // One multi-threaded leg per model at k=2.
-        assert_bit_identical(name, &spec.ir, &vals, &g, 2, 4, ShardStrategy::Bfs);
+        assert_bit_identical(name, &spec.ir, &vals, &g, 2, 4);
     }
 }
 
+/// Three shards over four planted communities: BFS growth cuts inside
+/// a community as well as between them.
 #[test]
-fn zoo_bit_identical_across_strategies() {
+fn zoo_bit_identical_on_a_planted_partition() {
     let g = Graph::from_edge_list(&generators::planted_partition(48, 4, 7.0, 0.8, 5));
     for (name, spec) in zoo() {
         let vals = spec.init_values(&g, 31);
-        for strategy in [
-            ShardStrategy::Bfs,
-            ShardStrategy::Contiguous,
-            ShardStrategy::Locality,
-        ] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, 3, 1, strategy);
-        }
+        assert_bit_identical(name, &spec.ir, &vals, &g, 3, 1);
     }
 }
 
@@ -188,7 +179,7 @@ fn extreme_hub_and_isolated_vertices_bit_identical() {
     ] {
         let vals = spec.init_values(&g, 41);
         for k in [2, 4] {
-            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1, ShardStrategy::Bfs);
+            assert_bit_identical(name, &spec.ir, &vals, &g, k, 1);
         }
     }
 }
@@ -222,16 +213,14 @@ fn owned_group_seams_bit_identical() {
     for g in [&rmat, &hub] {
         for (name, spec) in &models {
             let vals = spec.init_values(g, 37);
-            for strategy in [ShardStrategy::Bfs, ShardStrategy::Contiguous] {
-                for (k, threads) in [(2, 1), (2, 4), (3, 1), (3, 4)] {
-                    let policy = ExecPolicy {
-                        threads,
-                        parallel_threshold: 0,
-                        tile_edges: 16,
-                        ..ExecPolicy::serial()
-                    };
-                    assert_bit_identical_under(name, &spec.ir, &vals, g, k, policy, strategy);
-                }
+            for (k, threads) in [(2, 1), (2, 4), (3, 1), (3, 4)] {
+                let policy = ExecPolicy {
+                    threads,
+                    parallel_threshold: 0,
+                    tile_edges: 16,
+                    ..ExecPolicy::serial()
+                };
+                assert_bit_identical_under(name, &spec.ir, &vals, g, k, policy);
             }
         }
     }
@@ -270,16 +259,14 @@ fn folded_runs_end_mid_strip_on_two_shards() {
     ];
     for (name, spec) in &models {
         let vals = spec.init_values(&g, 43);
-        for strategy in [ShardStrategy::Bfs, ShardStrategy::Contiguous] {
-            for (threads, tile_edges) in [(1, 16), (1, 4096), (4, 16), (4, 4096)] {
-                let policy = ExecPolicy {
-                    threads,
-                    parallel_threshold: 0,
-                    tile_edges,
-                    ..ExecPolicy::serial()
-                };
-                assert_bit_identical_under(name, &spec.ir, &vals, &g, 2, policy, strategy);
-            }
+        for (threads, tile_edges) in [(1, 16), (1, 4096), (4, 16), (4, 4096)] {
+            let policy = ExecPolicy {
+                threads,
+                parallel_threshold: 0,
+                tile_edges,
+                ..ExecPolicy::serial()
+            };
+            assert_bit_identical_under(name, &spec.ir, &vals, &g, 2, policy);
         }
     }
 }
@@ -325,7 +312,7 @@ fn by_src_max_and_mean_with_their_duals_bit_identical_on_two_shards() {
                 ..ExecPolicy::serial()
             };
             let name = "by-src max and mean";
-            assert_bit_identical_under(name, &ir, &vals, g, k, policy, ShardStrategy::Bfs);
+            assert_bit_identical_under(name, &ir, &vals, g, k, policy);
         }
     }
 }
@@ -471,6 +458,64 @@ fn seed_shape_is_checked_at_every_shard_count() {
     }
 }
 
+/// Every leaf binding is checked against the caller's graph before any
+/// shard binds its rows, at every shard count: an unbound leaf is
+/// `MissingBinding`; a vertex input with surplus or missing rows and a
+/// wrongly shaped parameter are `BindingShape`. None of them poisons the
+/// session, and the next good step runs.
+#[test]
+fn leaf_bindings_are_checked_at_every_shard_count() {
+    let g = Graph::from_edge_list(&generators::rmat(6, 6, 0.55, 0.2, 0.2, 17));
+    let spec = gcn(&GcnConfig::two_layer(6, 8, 3)).unwrap();
+    let compiled = compile(&spec.ir, true, &CompileOptions::ours()).unwrap();
+    let vals = spec.init_values(&g, 23);
+    let good = bindings_from(&vals);
+    let leaf = |kind: OpKind| {
+        let mut nodes = compiled.plan.ir.nodes().iter();
+        nodes.find(|n| n.kind == kind).unwrap().name.clone()
+    };
+    let (h, w) = (leaf(OpKind::InputVertex), leaf(OpKind::Param));
+    let rebound = |name: &str, t: Option<Tensor>| {
+        let mut v = vals.clone();
+        match t {
+            Some(t) => v.insert(name.to_owned(), t),
+            None => v.remove(name),
+        };
+        bindings_from(&v)
+    };
+    let n = g.num_vertices();
+    let (hc, wr, wc) = (vals[&h].cols(), vals[&w].rows(), vals[&w].cols());
+    assert_ne!(wr, wc, "fixture: a transposed parameter is misshapen");
+    let ones = |rows: usize, cols: usize| Some(Tensor::ones(&[rows, cols]));
+    let cases = [
+        ("no vertex input", rebound(&h, None), true),
+        ("no parameter", rebound(&w, None), true),
+        ("n+5 input rows", rebound(&h, ones(n + 5, hc)), false),
+        ("n-5 input rows", rebound(&h, ones(n - 5, hc)), false),
+        ("a transposed parameter", rebound(&w, ones(wc, wr)), false),
+    ];
+    let seed = Tensor::ones(&[n, 3]);
+    for k in [1, 2] {
+        let mut sess = ShardedSession::builder(&compiled.plan, &g)
+            .shards(k)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        for (what, b, unbound) in &cases {
+            let r = sess.step(b, &seed);
+            let expected = match r {
+                Err(ExecError::MissingBinding(_)) => *unbound,
+                Err(ExecError::BindingShape { .. }) => !unbound,
+                _ => false,
+            };
+            assert!(expected, "k={k}: step with {what}: {r:?}");
+            assert!(!sess.poisoned(), "k={k}: {what} poisoned the session");
+            sess.step(&good, &seed).expect("the session still steps");
+        }
+    }
+}
+
 /// Arbitrary multigraphs with isolated trailing vertices, as in the
 /// cross-preset property suite.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -489,31 +534,27 @@ proptest! {
     #[test]
     fn partition_invariants(g in arb_graph(), k in 1usize..6) {
         let n = g.num_vertices();
-        for part in [
-            Partition::edge_cut_bfs(&g, k),
-            Partition::contiguous(&g, k),
-        ] {
-            let ks = part.num_shards();
-            prop_assert!(ks >= 1 && ks <= n.max(1));
-            // Exactly-one-shard membership: owner() is total and the
-            // per-shard sizes recount it.
-            let mut sizes = vec![0usize; ks];
-            for v in 0..n {
-                let s = part.owner_of(v);
-                prop_assert!(s < ks, "owner out of range");
-                sizes[s] += 1;
-            }
-            prop_assert_eq!(&sizes, &part.shard_sizes());
-            prop_assert_eq!(sizes.iter().sum::<usize>(), n);
-            if n >= ks {
-                prop_assert!(sizes.iter().all(|&c| c > 0), "empty shard with n >= k");
-            }
-            // Cut edges: direct recount over the edge list.
-            let recount = (0..g.num_edges())
-                .filter(|&e| part.owner_of(g.src(e)) != part.owner_of(g.dst(e)))
-                .count() as u64;
-            prop_assert_eq!(part.cut_edges(&g), recount);
+        let part = Partition::edge_cut_bfs(&g, k);
+        let ks = part.num_shards();
+        prop_assert!(ks >= 1 && ks <= n.max(1));
+        // Exactly-one-shard membership: owner() is total and the
+        // per-shard sizes recount it.
+        let mut sizes = vec![0usize; ks];
+        for v in 0..n {
+            let s = part.owner_of(v);
+            prop_assert!(s < ks, "owner out of range");
+            sizes[s] += 1;
         }
+        prop_assert_eq!(&sizes, &part.shard_sizes());
+        prop_assert_eq!(sizes.iter().sum::<usize>(), n);
+        if n >= ks {
+            prop_assert!(sizes.iter().all(|&c| c > 0), "empty shard with n >= k");
+        }
+        // Cut edges: direct recount over the edge list.
+        let recount = (0..g.num_edges())
+            .filter(|&e| part.owner_of(g.src(e)) != part.owner_of(g.dst(e)))
+            .count() as u64;
+        prop_assert_eq!(part.cut_edges(&g), recount);
     }
 
     /// Shard summaries are consistent with the partition: owned counts

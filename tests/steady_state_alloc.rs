@@ -11,8 +11,8 @@
 //! workers: exactly what `std::thread::scope` itself allocates for the
 //! scope entries and workers the step makes. What still allocates sits
 //! above the session and is pinned by exact count, with its sites listed
-//! where the count is asserted: the sharded driver (bindings, staging,
-//! exchange records, the global kernels' heap tensors) and the trainer
+//! where the count is asserted: the sharded driver (staging, exchange
+//! records, the global kernels' heap tensors) and the trainer
 //! (loss and optimizer temporaries). A `#[global_allocator]` shim counts
 //! every `alloc`/`realloc`/`alloc_zeroed` so the properties are enforced,
 //! not eyeballed; gnnbench reports the count as `exec.allocs_per_step`.
@@ -228,17 +228,16 @@ fn sharded_steps_allocate_a_fixed_count(g: &Graph) {
     sess.step(&b, &seed).unwrap(); // first warmed step: pools settle
     let counts = [0, 1, 2].map(|_| allocs_of(|| sess.step(&b, &seed).unwrap()));
     eprintln!("gat, 2 shards: steady-state allocations/step: {counts:?}");
-    // None from `fused` or a shard's `Session`. By site, all in
-    // `sharded.rs`' driver: 49 staging buffers in `exchange` (13 of them
-    // the halo of the softmax backward's by-destination sum), 16 data
-    // buffers of tensors made outside any shard's pool scope (6
-    // `assemble_value` copies, 4 parameter copies and 2 row selections in
-    // `local_rows`, 3 global-kernel results, the seed copy in `step`), 12
-    // value names in exchange records, 8 in `Bindings::insert` (names and
-    // tables) and 1 vector in `local_bindings`, 6 row tables in
-    // `assemble_value`, 4 working buffers the global kernels' dense calls
-    // take with no pool installed.
-    assert_eq!(counts, [96; 3], "the sharded driver's own allocations");
+    // None from `fused` or a shard's `Session`: each shard's leaf rows
+    // are copied inside its pool scope. By site, all in `sharded.rs`'
+    // driver: 49 staging buffers in `exchange` (13 of them the halo of
+    // the softmax backward's by-destination sum), 10 data buffers of
+    // tensors made outside any shard's pool scope (6 `assemble_value`
+    // copies, 3 global-kernel results, the seed copy in `step`), 12 value
+    // names in exchange records, 6 row tables in `assemble_value`, 4
+    // working buffers the global kernels' dense calls take with no pool
+    // installed.
+    assert_eq!(counts, [81; 3], "the sharded driver's own allocations");
     assert_eq!(
         sess.stats().fallback_allocs,
         0,
