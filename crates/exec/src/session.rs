@@ -298,6 +298,8 @@ pub struct Session<'a> {
     live_bytes: u64,
     peak_bytes: u64,
     stats: RunStats,
+    /// [`Session::kernel_ns`], one slot per kernel, sized at build.
+    kernel_ns: Vec<u64>,
 }
 
 /// How a [`SessionBuilder`] treats the `GNNOPT_*` environment overrides
@@ -497,6 +499,7 @@ impl<'a> Session<'a> {
         }
 
         Ok(Self {
+            kernel_ns: vec![0; plan.kernels.len()],
             plan,
             graph,
             policy,
@@ -525,6 +528,15 @@ impl<'a> Session<'a> {
     /// Measured statistics of the most recent run.
     pub fn stats(&self) -> RunStats {
         self.stats
+    }
+
+    /// Wall-clock nanoseconds each kernel took in the most recent step, by
+    /// kernel id (0 if it did not run, and in the shards of a
+    /// [`crate::ShardedSession`]). The clock is read once between launches,
+    /// so the slots add up to [`RunStats::forward_seconds`] and
+    /// [`RunStats::backward_seconds`], to the nanosecond.
+    pub fn kernel_ns(&self) -> &[u64] {
+        &self.kernel_ns
     }
 
     /// The resolved execution policy this session runs kernels under.
@@ -595,12 +607,7 @@ impl<'a> Session<'a> {
             check_shape(&graph, node, t)?;
             Ok(t.clone())
         })?;
-        let t0 = Instant::now();
-        for i in 0..self.fwd_kernels.len() {
-            let kid = self.fwd_kernels[i];
-            self.exec_kernel(kid, false)?;
-        }
-        self.stats.forward_seconds = t0.elapsed().as_secs_f64();
+        self.stats.forward_seconds = self.run_kernels(false)?;
         self.finish_forward();
         Ok(())
     }
@@ -688,14 +695,25 @@ impl<'a> Session<'a> {
     /// [`Session::step`]: gradients stay in the store.
     fn run_backward(&mut self, seed: Tensor) -> Result<()> {
         self.begin_backward(seed)?;
-        let t0 = Instant::now();
-        for i in 0..self.bwd_kernels.len() {
-            let kid = self.bwd_kernels[i];
-            self.exec_kernel(kid, true)?;
-        }
-        self.stats.backward_seconds = t0.elapsed().as_secs_f64();
+        self.stats.backward_seconds = self.run_kernels(true)?;
         self.finish_backward();
         Ok(())
+    }
+
+    /// Launches one phase's kernels and returns its seconds: the clock is
+    /// read before the first launch and after each, each kernel's slot of
+    /// [`Session::kernel_ns`] getting the span its own reading ends.
+    fn run_kernels(&mut self, backward: bool) -> Result<f64> {
+        let (t0, phase) = (Instant::now(), usize::from(backward));
+        let mut last = t0;
+        for i in 0..[&self.fwd_kernels, &self.bwd_kernels][phase].len() {
+            let kid = [&self.fwd_kernels, &self.bwd_kernels][phase][i];
+            self.exec_kernel(kid, backward)?;
+            let now = Instant::now();
+            self.kernel_ns[kid] = (now - last).as_nanos() as u64;
+            last = now;
+        }
+        Ok((last - t0).as_secs_f64())
     }
 
     /// Backward-pass prologue: protocol checks and seed binding. The
@@ -808,6 +826,7 @@ impl<'a> Session<'a> {
         self.live_bytes = 0;
         self.peak_bytes = 0;
         self.stats = RunStats::default();
+        self.kernel_ns.fill(0);
         self.state = State::Fresh;
     }
 
@@ -1019,6 +1038,44 @@ mod tests {
         sess.insert_value(1, Tensor::zeros(&[4, 4]));
         assert_eq!(sess.live_bytes, 64);
         assert_eq!(sess.peak_bytes, 128);
+    }
+
+    /// One clock slot per kernel, and the forward and backward slots add
+    /// up to the phase times the stats report.
+    #[test]
+    fn kernel_clock_slots_add_up_to_the_phases() {
+        use gnnopt_models::{gat, GatConfig};
+        let spec = gat(&GatConfig {
+            in_dim: 4,
+            layers: vec![(2, 3)],
+            negative_slope: 0.2,
+            reorganized: false,
+        })
+        .unwrap();
+        let plan = compile(&spec.ir, true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let pairs = [(0, 1), (1, 2), (2, 0), (3, 1), (1, 3)];
+        let graph = Graph::from_edge_list(&EdgeList::from_pairs(4, &pairs));
+        let mut b = Bindings::new();
+        for (k, v) in spec.init_values(&graph, 5) {
+            b.insert(&k, v);
+        }
+        let mut sess = Session::builder(&plan, &graph)
+            .policy(ExecPolicy::serial())
+            .env(EnvOverrides::Off)
+            .build()
+            .unwrap();
+        assert!(sess.kernel_ns().iter().all(|&ns| ns == 0));
+        let out_cols = plan.ir.node(plan.ir.outputs()[0]).dim.total();
+        sess.step(&b, &Tensor::ones(&[4, out_cols])).unwrap();
+        assert_eq!(sess.kernel_ns().len(), plan.kernels.len());
+        let stats = sess.stats();
+        let phase = |ids: &[usize]| ids.iter().map(|&k| sess.kernel_ns()[k]).sum::<u64>();
+        let secs = |ns: u64| std::time::Duration::from_nanos(ns).as_secs_f64();
+        assert_eq!(secs(phase(&sess.fwd_kernels)), stats.forward_seconds);
+        assert_eq!(secs(phase(&sess.bwd_kernels)), stats.backward_seconds);
+        assert!(sess.kernel_ns().iter().all(|&ns| ns > 0));
     }
 
     /// The precomputed death lists must cover every kernel-owned node

@@ -1242,7 +1242,7 @@ impl<'a> Multi<'a> {
                 ExOp::EdgePatch(_, PatchSide::Dst) => &self.maps.patch_dst[s],
                 ExOp::EdgePatch(_, PatchSide::Src) => &self.maps.patch_src[s],
             };
-            let mut buf = Vec::new();
+            let mut buf = Vec::with_capacity(map.len() * cols);
             for &(_, os, or) in map {
                 buf.extend_from_slice(self.shards[os as usize].value(nid)?.row(or as usize));
             }
