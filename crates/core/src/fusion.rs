@@ -447,6 +447,93 @@ fn regions_edge_only(ir: &IrGraph) -> Vec<Option<usize>> {
     region
 }
 
+/// Merges the backward graph kernels that recompute the same forward
+/// region (§5 and §6 together): two kernels under one mapping, one's
+/// recompute closure ([`Kernel::recompute`]) holding the other's, that
+/// read a vertex tensor from outside both at the same endpoint walk the
+/// same edges the same way, so one walk rebuilds the region for both
+/// (GAT's attention backward and feature gradient, which both recompute
+/// the softmax and read `∂out[dst]`). The merge keeps the kernel DAG
+/// acyclic (`assignment_is_acyclic`), and neither kernel may read the
+/// other's members through an endpoint, so no in-kernel endpoint read
+/// appears that fusion did not judge (`assignment_is_legal`). The row-local
+/// vertex tail, which runs after the walk anyway, stays a kernel of its
+/// own, scheduled after the kernels that read the walk's sums.
+pub fn merge_shared_recompute(ir: &IrGraph, mut kernels: Vec<Kernel>) -> Vec<Kernel> {
+    // The endpoint reads of `k`'s members: `(input, group)`.
+    let reads = |k: &Kernel| -> Vec<(NodeId, EdgeGroup)> {
+        let reads = k.nodes.iter().flat_map(|&n| {
+            let inputs = &ir.node(n).inputs;
+            let read = view::endpoint_reads(ir, n).into_iter();
+            read.map(move |(pos, g)| (*inputs.get(pos).unwrap_or(&inputs[0]), g))
+        });
+        reads.collect()
+    };
+    let holds = |k: &Kernel, l: &Kernel| {
+        !l.recompute.is_empty() && l.recompute.iter().all(|r| k.recompute.contains(r))
+    };
+    let mut region = vec![None; ir.len()];
+    for (ki, k) in kernels.iter().enumerate() {
+        k.nodes.iter().for_each(|&n| region[n] = Some(ki));
+    }
+    for a in 0..kernels.len() {
+        for b in a + 1..kernels.len() {
+            let (ka, kb) = (&kernels[a], &kernels[b]);
+            let (ra, rb) = (reads(ka), reads(kb));
+            let outside = |i: NodeId| region[i] != Some(a) && region[i] != Some(b);
+            let shared = ra.iter().any(|r| outside(r.0) && rb.contains(r));
+            let crosses = ra.iter().any(|r| region[r.0] == Some(b))
+                || rb.iter().any(|r| region[r.0] == Some(a));
+            if !(holds(ka, kb) || holds(kb, ka)) || ka.mapping != kb.mapping || !shared || crosses {
+                continue;
+            }
+            let mut merged = region.clone();
+            kb.nodes.iter().for_each(|&n| merged[n] = Some(a));
+            if !assignment_is_acyclic(ir, &merged) {
+                continue;
+            }
+            let recompute = [kb, ka][usize::from(holds(ka, kb))].recompute.clone();
+            let mut nodes: Vec<NodeId> = ka.nodes.iter().chain(&kb.nodes).copied().collect();
+            nodes.sort_unstable();
+            let tail = row_local_tail(ir, &nodes);
+            nodes.retain(|n| !tail.contains(n));
+            tail.iter().for_each(|&n| region[n] = Some(b));
+            nodes.iter().for_each(|&n| region[n] = Some(a));
+            let (mapping, atomic_reduction) = choose_mapping(ir, &tail, MappingPolicy::Auto);
+            kernels[b] = Kernel {
+                id: b,
+                nodes: tail,
+                mapping,
+                atomic_reduction,
+                recompute: Vec::new(),
+            };
+            let ka = &mut kernels[a];
+            ka.atomic_reduction = atomic_flag(ir, &nodes, ka.mapping);
+            (ka.nodes, ka.recompute) = (nodes, recompute);
+        }
+    }
+    kernels.retain(|k| !k.nodes.is_empty());
+    schedule(ir, kernels)
+}
+
+/// The largest set of row-local vertex members of `nodes` (ascending)
+/// whose readers among `nodes` are all in the set.
+fn row_local_tail(ir: &IrGraph, nodes: &[NodeId]) -> Vec<NodeId> {
+    let consumers = ir.consumers();
+    let mut tail: Vec<NodeId> = Vec::new();
+    for &n in nodes.iter().rev() {
+        let node = ir.node(n);
+        let mut readers = consumers[n].iter().filter(|c| nodes.contains(c));
+        if node.space == Space::Vertex
+            && !node.kind.is_graph_op()
+            && readers.all(|c| tail.contains(c))
+        {
+            tail.insert(0, n);
+        }
+    }
+    tail
+}
+
 /// Groups regions into [`Kernel`]s, assigns mappings, and topologically
 /// sorts the kernel DAG, which every region builder keeps acyclic
 /// ([`merge`]).
@@ -458,7 +545,7 @@ fn build_kernels(ir: &IrGraph, region: &[Option<usize>], policy: MappingPolicy) 
         }
     }
     // Provisional kernels.
-    let mut kernels: Vec<Kernel> = groups
+    let kernels: Vec<Kernel> = groups
         .into_values()
         .map(|nodes| {
             let (mapping, atomic) = choose_mapping(ir, &nodes, policy);
@@ -471,6 +558,11 @@ fn build_kernels(ir: &IrGraph, region: &[Option<usize>], policy: MappingPolicy) 
             }
         })
         .collect();
+    schedule(ir, kernels)
+}
+
+/// Orders kernels topologically and numbers them in that order.
+fn schedule(ir: &IrGraph, mut kernels: Vec<Kernel>) -> Vec<Kernel> {
     // Deterministic provisional order by last member id: a kernel runs
     // where the last op it holds falls in program order, so one holding
     // an early op and a late one does not run ahead of the kernels in
@@ -791,6 +883,42 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// GAT's attention backward and feature gradient both rebuild the
+    /// softmax and read `∂out[dst]`: one kernel, so a training step
+    /// evaluates the softmax twice, forward and once recomputed. When
+    /// the feature gradient adds what a dense kernel makes from the
+    /// attention backward's sums, merging would close a cycle, and the
+    /// two stay apart.
+    #[test]
+    fn kernels_rebuilding_one_softmax_merge_unless_a_cycle_forbids() {
+        use crate::pipeline::{compile, CompileOptions};
+        for scores_from_features in [false, true] {
+            let mut g = IrGraph::new();
+            let h = g.input_vertex("h", Dim::flat(8));
+            let w = g.param("w", 8, 8);
+            let hw = g.linear(h, w).unwrap();
+            let a = g.param("a", 8, 1);
+            let scored = if scores_from_features { hw } else { h };
+            let score = g.linear(scored, a).unwrap();
+            let e = g
+                .scatter(ScatterFn::Bin(BinaryFn::Add), score, score)
+                .unwrap();
+            let lr = g.unary(UnaryFn::LeakyRelu(0.2), e).unwrap();
+            let sm = g.edge_softmax(lr).unwrap();
+            let hu = g.scatter(ScatterFn::CopyU, hw, hw).unwrap();
+            let me = g.binary(BinaryFn::Mul, hu, sm).unwrap();
+            let out = g.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+            g.mark_output(out);
+            let plan = compile(&g, true, &CompileOptions::ours()).unwrap().plan;
+            let softmax = |k: &&Kernel| {
+                let mut nodes = k.nodes.iter().chain(&k.recompute);
+                nodes.any(|&n| plan.ir.node(n).kind == OpKind::EdgeSoftmax)
+            };
+            let evaluated = plan.kernels.iter().filter(softmax).count();
+            assert_eq!(evaluated, if scores_from_features { 3 } else { 2 });
+        }
     }
 
     #[test]

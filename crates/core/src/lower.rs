@@ -32,37 +32,49 @@
 //! separated by [`StepExec::Full`] steps that run once over the whole
 //! graph. A scratch value read across a segment boundary — in particular
 //! by a full step — is *spilled*: forced to [`Storage::Interior`], a real
-//! full tensor that lives only for the duration of the kernel. This is
-//! how a fused GAT backward kernel keeps its softmax-backward chain in
-//! scratch while its two vertex-gradient gathers (`ByDst` and `BySrc`)
-//! both still execute.
+//! full tensor that lives only for the duration of the kernel. Segments
+//! are assigned in step order, except that edge work (an edge-space step
+//! or a graph op) joins the tiled segment of its latest operand when
+//! every operand exists there — no later full step made one and no
+//! tiled producer is read at the source endpoint — so a full step
+//! between two pieces of one edge walk does not cut it in two. Row-local
+//! vertex work stays in step order, with its readers.
 //!
 //! # Streamed segments
 //!
 //! A whole-graph `BySrc` gather (a full step) forces its input to spill
 //! as an interior tensor: the tiled segment writes `O(|E|·d)` rows the
 //! full step immediately re-reads (for a 64-wide RMAT-16 layer that is
-//! ~270 MB each way, the dominant backward cost of GAT and GCN). When a
-//! `Gather(_, BySrc)` is that spill's only consumer and every
-//! step of the spill's producer chain is computable inside a destination
-//! tile from full tensors — scatter broadcasts, elementwise ops, edge
-//! softmaxes (a tile owns whole destination groups, so it sweeps them as
-//! the forward one does), all read by nothing outside the chain — the
-//! third lowering pass *streams* the
-//! gather: the chain leaves the tiled segment it was lowered into, joins
-//! the gather's segment as [`Storage::Scratch`] steps, and the
-//! interpreter compiles chain and gather into one unit of its tile loop
-//! (the gather folds `row(e)` into `out[src(e)]` in ascending edge
-//! order, the `BySrc` order of the reference kernel). The spill never
-//! exists — and because the decision is made here, the memory planner
-//! never reserves it either. A vertex-space chain step is always read at
-//! `dst(e)` — a source-endpoint read of a member ends the segment first
-//! — so it is an ordinary tile op over the tile's destinations. A segment
-//! holding tiled steps *and* a full gather is how a program says
-//! "streamed" ([`KernelProgram::streamed`]); nothing at launch re-derives
-//! it. A `BySrc` gather with nothing to stream — its input a kernel
-//! input or a spill other steps read too — is the same unit with an empty
-//! chain ([`is_streamed_gather`]): the tile driver runs every one.
+//! ~270 MB each way, the dominant backward cost of GAT and GCN). The
+//! third lowering pass *streams* the segment instead: a tiled segment
+//! joins the `BySrc` gathers that read its edge rows, moving into the
+//! first gather's segment with the others, and every step nothing
+//! outside that walk reads becomes [`Storage::Scratch`]. The interpreter
+//! compiles the segment and the gathers into one unit of its tile loop
+//! (each gather folds `row(e)` into `out[src(e)]` in ascending edge
+//! order, the `BySrc` order of the reference kernel): every step is
+//! computable inside a destination tile from full tensors — scatter
+//! broadcasts, elementwise ops, edge softmaxes (a tile owns whole
+//! destination groups, so it sweeps them as the forward one does), a
+//! vertex-space step read at `dst(e)` (a source-endpoint read of a
+//! member ends the segment first). GAT's attention backward and feature
+//! gradient, one kernel since they rebuild one softmax
+//! (`fusion::merge_shared_recompute`), so become one walk that recomputes
+//! the softmax once, feeds both by-source sums and writes the
+//! by-destination sum of the score gradient, which is never a tensor.
+//! The spill never exists — and because the decision is made here, the
+//! memory planner never reserves it either. The join is declined when a
+//! reader outside the walk would run before it, when the walk would
+//! still write an edge-sized spill (its readers need it whole either
+//! way), or when the segment holds a gather-max (whose argmax table a
+//! tile unit chunks by tile). A segment holding tiled steps *and* a full
+//! gather is how a program says "streamed" ([`KernelProgram::streamed`]);
+//! nothing at launch re-derives it. A `BySrc` gather with nothing to
+//! stream — its input a kernel input or a spill other steps read too —
+//! is the same unit alone ([`is_streamed_gather`]): the tile driver runs
+//! every one. A streamed unit may hold several `BySrc` gathers and sinks
+//! of the destination tiling; a boundary value the walk itself reads
+//! back is [`SlotSize::Both`].
 //!
 //! # The stage table and compiled units
 //!
@@ -75,8 +87,8 @@
 //! segment's sinks when the segment starts and releases by the same
 //! table) and [`crate::display::dump_programs`]. Each segment compiles
 //! into one [`Unit`]: a *tile unit* (a tiled segment), a *streamed unit*
-//! (a `BySrc` gather behind its possibly empty chain) or a *dense
-//! call*. A unit's [`TileOp`]s carry resolved [`Operand`]s — the slot of
+//! (`BySrc` gathers behind the steps streamed into them, if any) or a
+//! *dense call*. A unit's [`TileOp`]s carry resolved [`Operand`]s — the slot of
 //! an earlier op, or a complete tensor named by [`FullSource`], read at
 //! the consumer's own row or at an edge endpoint ([`RowAt`]); a
 //! scratch-class pure copy compiles to no op at all (its readers get the
@@ -144,8 +156,8 @@ pub enum StepExec {
     /// Runs once over the whole graph: a dense or parameter step handed
     /// to the op library's dispatch, a segment of its own — or a `BySrc`
     /// gather ([`is_streamed_gather`]), which the tile loop runs as
-    /// the sink of its segment, behind the producer chain streamed into
-    /// it, if any (module docs, "Streamed segments").
+    /// a sink of its segment, behind the steps streamed into it, if any
+    /// (module docs, "Streamed segments").
     Full,
 }
 
@@ -160,9 +172,9 @@ pub struct ProgramStep {
     pub exec: StepExec,
     /// Execution segment: tiled steps sharing a segment exchange scratch;
     /// a full step is alone in its segment unless it is a streamed
-    /// gather, whose chain runs there with it. Segments run in ascending
-    /// order (steps stay in node order, so a streamed chain's segment ids
-    /// are out of step order).
+    /// gather, whose streamed steps run there with it. Segments run in
+    /// ascending order (steps stay in node order, so a streamed unit's
+    /// segment ids are out of step order).
     pub segment: usize,
     /// Launch stage the step runs in: the ordinal of its segment (module
     /// docs, "The stage table").
@@ -276,6 +288,10 @@ pub enum SlotSize {
     /// boundary value or spill of a tiled segment, a streamed segment's
     /// gather, a dense call's result.
     Sink,
+    /// A boundary value a streamed unit's own ops read: the tile's rows,
+    /// which every worker evaluates for its readers, written into the
+    /// full tensor's rows instead on the tiles the worker owns.
+    Both,
 }
 
 /// One step compiled for the per-row path: operands resolved, slot sized.
@@ -339,7 +355,7 @@ impl TileOp {
                 Space::Param => 0,
             };
         match self.size {
-            SlotSize::Tile => tile,
+            SlotSize::Tile | SlotSize::Both => tile,
             SlotSize::Row => tile.min(self.strip * self.cols),
             SlotSize::Fold | SlotSize::Sink => 0,
         }
@@ -396,9 +412,10 @@ const STRIP_ROWS: usize = 32;
 pub enum UnitKind {
     /// A tiled segment: workers own runs of destination tiles.
     Tile,
-    /// A `BySrc` gather — the unit's last op and only sink — behind
-    /// the chain streamed into its segment, if any: workers own source
-    /// ranges and each walk every tile.
+    /// One or more `BySrc` gathers behind the steps streamed into their
+    /// segment, if any: workers own source ranges and each walk every
+    /// tile, writing the rows of the unit's other sinks on the tiles
+    /// they own.
     Streamed,
     /// One call into the op library's dense dispatch.
     Dense,
@@ -461,12 +478,12 @@ impl KernelProgram {
     }
 
     /// The steps streamed into a `BySrc` gather (module docs, "Streamed
-    /// segments"), in step order: the tiled steps that share a segment
-    /// with a full one. They hold tile slots in the gather's unit and
-    /// never a full tensor.
+    /// segments"), in step order: the scratch-class tiled steps that
+    /// share a segment with a full one. They hold tile slots in the
+    /// gather's unit and never a full tensor.
     pub fn streamed(&self) -> impl Iterator<Item = &ProgramStep> + '_ {
         self.steps.iter().filter(|s| {
-            s.exec == StepExec::Tiled
+            (s.exec, s.storage) == (StepExec::Tiled, Storage::Scratch)
                 && self
                     .steps
                     .iter()
@@ -565,70 +582,6 @@ pub fn is_streamed_gather(kind: &OpKind) -> bool {
     )
 }
 
-/// The pass-1/2 classes of a kernel's members, as the streaming pass
-/// reads them.
-struct Classes<'a> {
-    ir: &'a IrGraph,
-    storage: &'a HashMap<NodeId, Storage>,
-    exec: &'a HashMap<NodeId, StepExec>,
-    segment: &'a HashMap<NodeId, usize>,
-}
-
-impl Classes<'_> {
-    /// Walks the producer chain of a streamed-gather candidate: true when
-    /// member `id`, read at `dst(e)` iff `at_dst` (the only way to reach
-    /// a vertex-space step), and everything it reads from its own
-    /// segment can be evaluated inside the gather's tile loop.
-    /// `chain` collects the walked steps, producers first.
-    fn streams(&self, id: NodeId, at_dst: bool, chain: &mut Vec<NodeId>) -> bool {
-        let node = self.ir.node(id);
-        // Source rows belong to no destination tile (and an edge-space
-        // step never reads a vertex-space one but through a scatter).
-        if (node.space == Space::Vertex) != at_dst {
-            return false;
-        }
-        if chain.contains(&id) {
-            return true;
-        }
-        // Only tiled scratch/interior members can leave their segment:
-        // materialized steps are kernel boundaries the session must
-        // still receive, and full steps have whole-graph semantics.
-        if self.exec.get(&id) != Some(&StepExec::Tiled)
-            || !matches!(self.storage[&id], Storage::Scratch | Storage::Interior)
-        {
-            return false;
-        }
-        // Full tensors (value store, earlier segments)
-        // are readable at any row; a same-segment member is walked.
-        let mut rec = |i: NodeId, at_dst: bool| {
-            self.segment.get(&i) != self.segment.get(&id) || self.streams(i, at_dst, chain)
-        };
-        let (x, y) = (
-            node.inputs[0],
-            *node.inputs.last().expect("ops have inputs"),
-        );
-        let ok = match &node.kind {
-            OpKind::Scatter(f) if node.space == Space::Edge => match f {
-                ScatterFn::CopyU => rec(x, false),
-                ScatterFn::CopyV => rec(y, true),
-                ScatterFn::Bin(_) => rec(x, false) && rec(y, true),
-                ScatterFn::ConcatUV => false,
-            },
-            // Sweeps each destination group, which a tile owns whole.
-            OpKind::EdgeSoftmax => rec(x, false),
-            // Elementwise steps read their operands at their own row.
-            OpKind::Unary(_) | OpKind::UnaryBwd(_) | OpKind::Binary(_) | OpKind::FeatSum => {
-                node.inputs.iter().all(|&i| rec(i, at_dst))
-            }
-            _ => false,
-        };
-        if ok {
-            chain.push(id);
-        }
-        ok
-    }
-}
-
 /// Lowers one kernel. Total: every kernel yields a program (module docs
 /// describe the schedule classes).
 pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
@@ -665,29 +618,48 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         } else {
             op_exec(node)
         };
-        if e == StepExec::Full {
-            seg += 1; // a full step is its own segment …
-            prev_full = true;
-        } else {
-            if prev_full {
-                seg += 1; // … and the next tiled run starts a fresh one.
-                prev_full = false;
-            }
-            // A tile owns destination rows only: a source-endpoint read
-            // of a member still being produced in the current segment
-            // forces a segment break (the producer spills in pass 2).
-            let src_break = crate::view::src_side_reads(ir, id).into_iter().any(|pos| {
-                let i = node.inputs[pos];
-                members.contains(&i)
-                    && segment.get(&i) == Some(&seg)
-                    && exec.get(&i) == Some(&StepExec::Tiled)
-            });
-            if src_break {
-                seg += 1;
-            }
+        let src_reads = crate::view::src_side_reads(ir, id);
+        // Edge work joins the tiled segment of its latest operand when
+        // every operand exists there: none comes from a later full step
+        // or is read at the source endpoint of a tiled producer (a tile
+        // owns destination rows only). Row-local vertex work stays in
+        // program order with its readers.
+        let (mut bound, mut there) = (0, None);
+        for (pos, i) in node.inputs.iter().enumerate() {
+            let Some(&s) = segment.get(i) else { continue };
+            let after = exec[i] == StepExec::Full || src_reads.contains(&pos);
+            (bound, there) = (
+                bound.max(s + usize::from(after)),
+                there.max((!after).then_some(s)),
+            );
         }
+        let edge_work = node.space == Space::Edge || node.kind.is_graph_op();
+        let join = there.filter(|&s| edge_work && s == bound);
+        let at = match (e, join) {
+            (StepExec::Tiled, Some(s)) => s,
+            (StepExec::Full, _) => {
+                seg += 1; // a full step is its own segment …
+                prev_full = true;
+                seg
+            }
+            (StepExec::Tiled, None) => {
+                // … the next tiled run starts a fresh one, and so does a
+                // source-endpoint read of a member the current one holds.
+                let src_break = src_reads.iter().any(|&pos| {
+                    let i = node.inputs[pos];
+                    members.contains(&i)
+                        && segment.get(&i) == Some(&seg)
+                        && exec.get(&i) == Some(&StepExec::Tiled)
+                });
+                if prev_full || src_break {
+                    seg += 1;
+                    prev_full = false;
+                }
+                seg
+            }
+        };
         exec.insert(id, e);
-        segment.insert(id, seg);
+        segment.insert(id, at);
         let st = if e == StepExec::Full {
             // Full steps always produce a real tensor; whether it is a
             // boundary value or a kernel-transient decides its lifetime.
@@ -718,42 +690,65 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
         }
     }
 
-    // Pass 3: streamed gathers (module docs). A full `BySrc` sum/mean
-    // whose spilled input it alone consumes, behind a chain a tile can
-    // compute and nothing else reads, takes the chain into its own segment.
-    for &gid in &member_ids {
-        let gather = ir.node(gid);
-        if !is_streamed_gather(&gather.kind) {
+    // Pass 3: streamed segments (module docs). A tiled segment joins the
+    // `BySrc` gathers that read its edge rows, in the first one's
+    // segment, when every reader outside the walk runs later; what
+    // nothing outside the walk reads becomes scratch.
+    let readers = |t: NodeId| {
+        let reads = move |r: &NodeId| ir.node(*r).inputs.contains(&t);
+        member_ids.iter().copied().filter(reads)
+    };
+    let mut tiled: Vec<usize> = member_ids.iter().map(|i| segment[i]).collect();
+    tiled.retain(|s| {
+        member_ids
+            .iter()
+            .any(|i| segment[i] == *s && exec[i] == StepExec::Tiled)
+    });
+    tiled.dedup();
+    for s in tiled {
+        let in_seg: Vec<NodeId> = member_ids
+            .iter()
+            .copied()
+            .filter(|i| segment[i] == s && exec[i] == StepExec::Tiled)
+            .collect();
+        let joins: Vec<NodeId> = member_ids
+            .iter()
+            .copied()
+            .filter(|&g| {
+                let root = ir.node(g).inputs[0];
+                let rows = in_seg.contains(&root) && ir.node(root).space == Space::Edge;
+                is_streamed_gather(&ir.node(g).kind) && rows
+            })
+            .collect();
+        let Some(target) = joins.iter().map(|g| segment[g]).min() else {
             continue;
-        }
-        let root = gather.inputs[0];
-        if storage.get(&root) != Some(&Storage::Interior) || ir.node(root).space != Space::Edge {
-            continue;
-        }
-        let classes = Classes {
-            ir,
-            storage: &storage,
-            exec: &exec,
-            segment: &segment,
         };
-        let mut chain = Vec::new();
-        if !classes.streams(root, false, &mut chain) {
-            continue;
-        }
-        // Every chain step must be consumed inside the chain (the root,
-        // by this gather alone) — otherwise its tiled segment still has
-        // to produce it and nothing is saved.
-        let sole = member_ids.iter().all(|&t| {
-            t == gid || chain.contains(&t) || ir.node(t).inputs.iter().all(|i| !chain.contains(i))
+        let walk = |t: &NodeId| in_seg.contains(t) || joins.contains(t);
+        let mut sinks = Vec::new();
+        let joinable = in_seg.iter().all(|&t| {
+            let later = readers(t).all(|r| walk(&r) || segment[&r] > target);
+            let spill = !readers(t).all(|r| walk(&r));
+            if storage[&t] == Storage::Materialized || spill {
+                sinks.push(t);
+            }
+            // An edge-sized spill the walk would still write stays with its
+            // tile unit: its readers need it whole whatever the walk does.
+            let spill =
+                spill && storage[&t] != Storage::Materialized && ir.node(t).space == Space::Edge;
+            // (A gather-max chunks its argmax table by tile.)
+            let max =
+                matches!(ir.node(t).kind, OpKind::Gather { reduce, .. } if reduce == ReduceFn::Max);
+            later && !max && !spill
         });
-        if sole {
-            for c in chain {
-                segment.insert(c, segment[&gid]);
-                storage.insert(c, Storage::Scratch);
+        if joinable {
+            for t in in_seg.into_iter().chain(joins) {
+                segment.insert(t, target);
+                if exec[&t] == StepExec::Tiled && !sinks.contains(&t) {
+                    storage.insert(t, Storage::Scratch);
+                }
             }
         }
     }
-
     let steps: Vec<ProgramStep> = member_ids
         .iter()
         .map(|&id| {
@@ -803,25 +798,27 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
 
 /// Compiles one segment's steps `order` (in step order, which is
 /// dependency order) into a [`Unit`] and gives each op its slot size: a
-/// tiled segment; a streamed gather's chain with the gather itself last —
-/// the unit's one sink, every chain step being scratch-class; or a dense
-/// step alone.
+/// tiled segment; a streamed segment — its `BySrc` gathers among the
+/// steps streamed into them; or a dense step alone.
 ///
 /// Pure copies compile to no op when they are scratch-class: readers get
 /// the copy's source with the endpoint pinned. Operands read through
 /// layouts that move data are staged ([`staged`]).
 fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usize]) -> Unit {
-    // A full step is its segment's last. A `BySrc` gather is the tile
-    // loop's own; any other full step is alone there and runs whole.
-    let last = &steps[*order.last().expect("a segment has steps")];
-    let kind = match last.exec {
-        StepExec::Tiled => UnitKind::Tile,
-        StepExec::Full if is_streamed_gather(&ir.node(last.node).kind) => UnitKind::Streamed,
-        StepExec::Full => UnitKind::Dense,
+    // A `BySrc` gather is the tile loop's own; any other full step is
+    // alone in its segment and runs whole.
+    let full = order
+        .iter()
+        .map(|&si| &steps[si])
+        .find(|s| s.exec == StepExec::Full);
+    let kind = match full {
+        None => UnitKind::Tile,
+        Some(s) if is_streamed_gather(&ir.node(s.node).kind) => UnitKind::Streamed,
+        Some(_) => UnitKind::Dense,
     };
     let mut unit = Unit {
         stage,
-        segment: last.segment,
+        segment: steps[order[0]].segment,
         kind,
         ops: Vec::with_capacity(order.len()),
         reads: Vec::with_capacity(order.len()),
@@ -834,7 +831,7 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
         // Same-segment members resolve through their producer's slot (or
         // whatever it aliases), earlier segments to their complete
         // tensors, everything else to the value store.
-        // (A full step shares a segment only with the chain streamed
+        // (A full step shares a segment only with the steps streamed
         // into it.)
         let full = |src| Operand {
             data: Data::Full(src),
@@ -899,7 +896,16 @@ fn compile_unit(ir: &IrGraph, steps: &[ProgramStep], stage: usize, order: &[usiz
 
     // Slot sizes, readers before producers: a scratch-class per-row op
     // is row-sized when its one reader takes each row once (or folded).
+    // A streamed unit's sink its own ops read holds the tile's rows too.
     let ops = &mut unit.ops;
+    for j in 0..ops.len() {
+        let read = ops[j + 1..]
+            .iter()
+            .any(|op| op.srcs.iter().any(|s| s.slot() == Some(j)));
+        if unit.kind == UnitKind::Streamed && ops[j].size == SlotSize::Sink && read {
+            ops[j].size = SlotSize::Both;
+        }
+    }
     for j in (0..ops.len()).rev() {
         let reads_j = |op: &TileOp| op.srcs.iter().any(|s| s.slot() == Some(j));
         let mut readers = (j + 1..ops.len()).filter(|&k| reads_j(&ops[k]));
@@ -1116,23 +1122,37 @@ mod tests {
     }
 
     #[test]
-    fn a_spill_with_two_consumers_does_not_stream() {
-        // The attention-score gradient (k5 of the GAT zoo model): the
-        // `E[heads]` `unary_bwd` feeds the `BySrc` full gather *and* the
-        // `ByDst` tiled one, so the tiled segment has to write it anyway.
+    fn the_score_gradient_streams_into_both_vertex_sums() {
+        // The attention-score gradient: the `E[heads]` `unary_bwd` feeds a
+        // `BySrc` gather and a `ByDst` one. The `ByDst` sum joins its
+        // segment and the segment joins the `BySrc` gather, so the
+        // gradient is a tile slot and no edge row spills. (The feature
+        // gradient stays a kernel of its own here: it adds the score
+        // path's projected gradient, which a dense kernel makes from this
+        // one's sums, so merging the two would close a cycle.)
         let plan = compile(&gat_training_ir(), true, &CompileOptions::ours())
             .unwrap()
             .plan;
-        let (prog, spill) = owned_step(&plan, |n| matches!(n.kind, OpKind::UnaryBwd(_)));
-        assert_eq!(spill.storage, Storage::Interior);
-        assert_eq!(prog.streamed().count(), 0);
+        let (prog, grad) = owned_step(&plan, |n| matches!(n.kind, OpKind::UnaryBwd(_)));
+        assert_eq!(grad.storage, Storage::Scratch);
         let readers: Vec<&ProgramStep> = prog
             .steps
             .iter()
-            .filter(|s| plan.ir.node(s.node).inputs.contains(&spill.node))
+            .filter(|s| plan.ir.node(s.node).inputs.contains(&grad.node))
             .collect();
         assert_eq!(readers.len(), 2);
-        assert!(readers.iter().all(|r| r.segment > spill.segment));
+        for r in readers {
+            assert_eq!(r.segment, grad.segment);
+            assert_ne!(
+                r.storage,
+                Storage::Scratch,
+                "each sum is a sink of the unit"
+            );
+        }
+        let unit = &prog.units[grad.stage];
+        assert_eq!(unit.kind, UnitKind::Streamed);
+        let spill = |s: &&ProgramStep| (s.storage, s.space) == (Storage::Interior, Space::Edge);
+        assert_eq!(prog.steps.iter().filter(spill).count(), 0);
     }
 
     #[test]
@@ -1197,13 +1217,16 @@ mod tests {
                     })
                     .expect("the backward plan holds the dual");
                 // An edge row is its group vertex's gradient row: the
-                // tile reads it at that endpoint, whichever it is.
+                // tile loop — a tile unit, or the walk the by-source sum
+                // of the rows streams — reads it at that endpoint,
+                // whichever it is.
                 let at = match group {
                     EdgeGroup::ByDst => RowAt::DstV,
                     EdgeGroup::BySrc => RowAt::SrcV,
                 };
                 let what = format!("{reduce:?} {group:?}");
-                assert_eq!((unit.kind, op.srcs[0].at), (UnitKind::Tile, at), "{what}");
+                assert_ne!(unit.kind, UnitKind::Dense, "{what}");
+                assert_eq!(op.srcs[0].at, at, "{what}");
             }
         }
     }
@@ -1212,15 +1235,17 @@ mod tests {
     fn by_src_reduction_becomes_full_step_and_spills_its_input() {
         // A BySrc gather cannot tile by destination ranges: it becomes a
         // whole-graph full step, and an edge intermediate it shares with
-        // a tiled reader is spilled to a kernel-transient tensor — while
-        // the rest of the chain stays in scratch.
+        // a tiled reader the walk cannot take — a by-destination max,
+        // whose argmax table a tile unit chunks by tile — is spilled to a
+        // kernel-transient tensor, while the rest of the chain stays in
+        // scratch.
         let mut g = IrGraph::new();
         let h = g.input_vertex("h", Dim::flat(4));
         let ew = g.input_edge("ew", Dim::flat(4));
         let hu = g.scatter(ScatterFn::CopyU, h, h).unwrap();
         let me = g.binary(BinaryFn::Mul, hu, ew).unwrap();
         let v = g.gather(ReduceFn::Max, EdgeGroup::BySrc, me).unwrap();
-        let d = g.gather(ReduceFn::Sum, EdgeGroup::ByDst, me).unwrap();
+        let d = g.gather(ReduceFn::Max, EdgeGroup::ByDst, me).unwrap();
         g.mark_output(v);
         g.mark_output(d);
         let plan = compile(&g, false, &CompileOptions::ours()).unwrap().plan;

@@ -5,7 +5,7 @@
 //! coordinated; this pass closes the memory leg. Fusion (§5) and
 //! recomputation (§6) decide *which* intermediates exist — the lowered
 //! programs (total since PR 7) enumerate every tensor a step will ever
-//! hold together with its storage class, streamed chains included
+//! hold together with its storage class, streamed steps included
 //! (`lower.rs`, "Streamed segments"). This module walks those programs
 //! in execution order, derives each tensor's `[birth, death]` interval
 //! from the same external-reader analysis the executor evicts by, and
@@ -363,7 +363,7 @@ pub fn plan_memory(plan: &ExecutionPlan, nv: usize, ne: usize, _fused: bool) -> 
             }
             let death = match s.storage {
                 // Tiled rows in per-worker slots (every scratch-class
-                // step is tiled; streamed chains are among them).
+                // step is tiled; streamed steps are among them).
                 Storage::Scratch => continue,
                 // A recomputed persistent value is still in the store
                 // and is read from there.

@@ -13,7 +13,7 @@
 
 use crate::autodiff::{append_backward, BackwardResult};
 use crate::exec_policy::ExecPolicy;
-use crate::fusion::{duplicate_copy_scatters, partition, MappingPolicy};
+use crate::fusion::{duplicate_copy_scatters, merge_shared_recompute, partition, MappingPolicy};
 use crate::ir::{IrError, IrGraph, Result};
 use crate::plan::ExecutionPlan;
 use crate::recompute::{plan_training_memory, RecomputeOptions, RecomputeScope};
@@ -176,6 +176,9 @@ pub fn compile(ir: &IrGraph, training: bool, opts: &CompileOptions) -> Result<Co
             flops_per_element_threshold: opts.recompute_threshold,
         };
         let mp = plan_training_memory(&graph, &mut kernels, &ropts);
+        if opts.fusion == FusionLevel::Unified {
+            kernels = merge_shared_recompute(&graph, kernels);
+        }
         (mp.stash, mp.aux_stash)
     } else {
         Default::default()

@@ -71,7 +71,8 @@
 //!   operand row is hinted toward L1 `AHEAD` edges early. A by-destination
 //!   `Sum` whose equal-width product reads both operands at its own rows,
 //!   pulling nothing (the softmax backward's `Σ g·y`), sweeps each group
-//!   as one block of rows instead of edge by edge.
+//!   as one block of rows instead of edge by edge, and so does a `Sum` of
+//!   rows neither folded nor pulled (a `BySrc` one reads them in place).
 //! * **No slot (sink)** — a `Materialized`/`Interior` op computes into
 //!   its rows of the full tensor: the worker's chunk of the tensor is its
 //!   slot, read back by same-segment readers, so nothing is staged and
@@ -79,37 +80,31 @@
 //!
 //! # Streamed segments
 //!
-//! A segment whose full step is a `BySrc` gather is a streamed gather.
-//! Where lowering found the gather to be the only consumer of a
-//! per-edge computable producer chain, it moved the chain into the
-//! gather's segment instead of spilling its root as an `O(|E|·d)`
-//! interior tensor (`gnnopt_core::lower`, "Streamed segments" — the
-//! decision is the program's, nothing here re-derives it); otherwise the
-//! chain is empty and the gather reads a complete tensor. Chain and
-//! gather are one more unit for the same tile loop: the chain's
-//! ops get slots by the rule above (a linear edge-space chain is
-//! row-sized throughout; an elementwise vertex-space member — read at
-//! `dst(e)` — a member with two readers, or a softmax and what it reads
-//! is a tile op), and the
-//! gather, last, accumulates `out[src(e)] += row(e)` over the tile's
-//! edges in ascending order, folding a last product and hinting an owned
-//! target row early — or, a max, folds `row(e)` in first-wins beside the
-//! argmax table. Workers own source-vertex ranges there (of
-//! about as many out-edges each) — in a shard session, the range ∩ the
-//! vertices the shard owns ([`Owns`], the one predicate by-destination
-//! gathers skip their non-owned groups by too) — each walks every tile
-//! and skips the edges it does not own: every source row accumulates its
-//! edges in ascending id, the order of [`crate::kernels::gather`]'s
-//! serial `BySrc` scan, so results stay bit-identical to the
-//! materializing path for any thread count. A pull
+//! A segment holding `BySrc` gathers is a streamed unit: lowering moved
+//! the tiled segment that feeds them into their segment instead of
+//! spilling an `O(|E|·d)` interior tensor (`gnnopt_core::lower`,
+//! "Streamed segments" — the decision is the program's, nothing here
+//! re-derives it); a gather with nothing streamed into it reads a
+//! complete tensor. Its steps get slots by the rule above, and each
+//! gather accumulates `out[src(e)] += row(e)` over the tile's edges in
+//! ascending order, folding a last product — or, a max, folds `row(e)`
+//! in first-wins beside the argmax table. Workers own source-vertex
+//! ranges there (of about as many out-edges each) — in a shard session,
+//! the range ∩ the vertices the shard owns ([`Owns`], the one predicate
+//! by-destination gathers skip their non-owned groups by too) — each
+//! walks every tile and skips the edges it does not own: every source
+//! row accumulates its edges in ascending id, the order of
+//! [`crate::kernels::gather`]'s serial `BySrc` scan, so results stay
+//! bit-identical to the materializing path for any thread count. A pull
 //! covers the run of consecutive edges the worker owns (sources ascend
-//! within a destination group, so each group is one run per worker),
-//! which is what divides the row-sized members' work by the worker
-//! count; tile-sized members (a vertex-space one over the tile's
-//! destinations, a softmax over the tile's groups) are evaluated by
-//! every worker. The spill never exists;
-//! this is the dominant backward-phase cost of GAT/GCN on power-law
-//! graphs.
+//! within a destination group), which divides the row-sized members'
+//! work by the worker count; tile-sized members (a vertex-space one, a
+//! softmax, GAT's head-dot and softmax backward) are evaluated by every
+//! worker. The unit's other sinks — a by-destination sum, a boundary
+//! value — are written by runs of tiles, each tile's rows by the worker
+//! that owns the tile ([`Part::owned`]); a sink the unit's own ops read
+//! (`SlotSize::Both`) is evaluated by every worker into its tile slot,
+//! by the owner into the sink's rows instead.
 //!
 //! # Tiling and determinism
 //!
@@ -254,15 +249,19 @@ pub(crate) struct Frame {
     bound: Vec<OpBound<'static>>,
     slots: Vec<&'static mut [f32]>,
     argmax_sinks: Vec<&'static mut [u32]>,
+    /// Per worker and op, the chunk of a [`SlotSize::Both`] op's sink.
+    chunks: Vec<&'static mut [f32]>,
     inputs: Vec<&'static Tensor>,
 }
 
-/// The tiles one worker walks and the largest of them, `(vertices,
-/// edges)`.
+/// The tiles one worker walks, the largest of them, `(vertices,
+/// edges)`, and those whose rows of the unit's sinks it writes (but a
+/// streamed unit's `BySrc` gathers').
 #[derive(Debug)]
 struct Part {
     tiles: Range<usize>,
     max_tile: (usize, usize),
+    owned: Range<usize>,
 }
 
 /// The graph-dependent half of one [`lower::Unit`]: who runs what.
@@ -270,11 +269,23 @@ struct Part {
 struct UnitPlan {
     /// One per worker; empty for a dense call.
     parts: Vec<Part>,
-    /// Row bounds of the workers' chunks of a vertex-space sink — of a
-    /// streamed gather's output, the source ranges they own — and of an
-    /// edge-space one.
+    /// Row bounds of the workers' chunks of a vertex-space sink, of an
+    /// edge-space one, and of a streamed unit's `BySrc` gathers: the
+    /// source ranges the workers own.
     vertex: Vec<usize>,
     edge: Vec<usize>,
+    sources: Vec<usize>,
+}
+
+impl UnitPlan {
+    /// The row bounds of the workers' chunks of `op`'s sink and argmax.
+    fn bounds(&self, op: &TileOp) -> &[usize] {
+        match op.space {
+            _ if lower::is_streamed_gather(&op.kind) => &self.sources,
+            Space::Edge => &self.edge,
+            _ => &self.vertex,
+        }
+    }
 }
 
 /// A kernel ready to launch: its program's units (`gnnopt_core::lower`)
@@ -327,12 +338,13 @@ pub(crate) fn prepare(
     let indptr = g.in_adj().indptr();
     let num_tiles = tiles.len() - 1;
     // Tile-sized slots fit the largest tile a worker walks.
-    let part = |ts: Range<usize>| Part {
+    let part = |ts: Range<usize>, owned| Part {
         max_tile: ts.clone().fold((0, 0), |(tv, te), t| {
             let (v0, v1) = (tiles[t], tiles[t + 1]);
             (tv.max(v1 - v0), te.max(indptr[v1] - indptr[v0]))
         }),
         tiles: ts,
+        owned,
     };
     let rows = |space| match space {
         Space::Edge => m,
@@ -357,22 +369,34 @@ pub(crate) fn prepare(
             "a tile op with more than {MAX_SRCS} operands"
         );
         if unit.kind == UnitKind::Tile {
-            up.parts = wt.windows(2).map(|w| part(w[0]..w[1])).collect();
+            up.parts = wt
+                .windows(2)
+                .map(|w| part(w[0]..w[1], w[0]..w[1]))
+                .collect();
             up.vertex = wt.iter().map(|&t| tiles[t]).collect();
             up.edge = up.vertex.iter().map(|&v| indptr[v]).collect();
         } else if tiled {
-            // A streamed gather's workers own source-vertex ranges of
-            // about as many out-edges each (every worker pays for the
-            // whole scan, so only owned rows divide) and each walk every
-            // tile.
-            let total = unit.ops.last().map_or(0, |gather| gather.cols);
+            // A streamed unit's workers own source-vertex ranges of about
+            // as many out-edges each (every worker pays for the whole
+            // scan, so only owned rows divide) and each walk every tile;
+            // its other sinks' rows they write by runs of tiles.
+            let by_src = unit
+                .ops
+                .iter()
+                .filter(|op| lower::is_streamed_gather(&op.kind));
+            let total: usize = by_src.map(|gather| gather.cols).sum();
             let workers = plan_threads(policy, n, m * total);
-            up.vertex = if workers < 2 || total == 0 {
+            up.sources = if workers < 2 || total == 0 {
                 vec![0, n]
             } else {
                 edge_balanced_vertex_bounds(g.out_adj().indptr(), workers)
             };
-            up.parts = up.vertex.windows(2).map(|_| part(0..num_tiles)).collect();
+            let mut owned = chunk_bounds(num_tiles, up.sources.len() - 1);
+            owned.resize(up.sources.len(), num_tiles);
+            let parts = owned.windows(2).map(|w| part(0..num_tiles, w[0]..w[1]));
+            up.parts = parts.collect();
+            up.vertex = owned.iter().map(|&t| tiles[t]).collect();
+            up.edge = up.vertex.iter().map(|&v| indptr[v]).collect();
         }
         // Slot sizes are a pure function of the partition, so the scratch
         // high-water mark (max over units, sum over workers) is known now.
@@ -966,7 +990,6 @@ impl CompiledKernel {
     ) -> Result<()> {
         let (n, m) = (g.num_vertices(), g.num_edges());
         let ops = &unit.ops[..];
-        let streamed = unit.kind == UnitKind::Streamed;
         let Frame {
             mat,
             argmax,
@@ -982,7 +1005,7 @@ impl CompiledKernel {
         // table in disjoint chunks.
         let argmax0 = argmax.len();
         for (k, op) in ops.iter().enumerate() {
-            if op.size == SlotSize::Sink {
+            if matches!(op.size, SlotSize::Sink | SlotSize::Both) {
                 let rows = if op.space == Space::Edge { m } else { n };
                 outs.push((k, Tensor::zeros(&[rows, op.cols])));
             }
@@ -1034,6 +1057,8 @@ impl CompiledKernel {
         slots.resize_with(workers * per, Default::default);
         let mut sinks: Vec<&mut [u32]> = std::mem::take(&mut frame.argmax_sinks);
         sinks.resize_with(workers * per_am, Default::default);
+        let mut chunks: Vec<&mut [f32]> = std::mem::take(&mut frame.chunks);
+        chunks.resize_with(workers * ops.len(), Default::default);
         base.clear();
         base.resize(workers * ops.len(), usize::MAX);
         for part in &up.parts {
@@ -1052,19 +1077,21 @@ impl CompiledKernel {
             slots[w * per + ops.len()] = rest;
         }
         for (k, tensor) in outs.iter_mut() {
-            let bounds = match ops[*k].space {
-                Space::Edge => &up.edge,
-                _ => &up.vertex,
-            };
-            let chunks = split_rows(tensor.as_mut_slice(), ops[*k].cols, bounds);
-            for (w, chunk) in chunks.enumerate() {
+            let bounds = up.bounds(&ops[*k]);
+            let chunks_of = split_rows(tensor.as_mut_slice(), ops[*k].cols, bounds);
+            for (w, chunk) in chunks_of.enumerate() {
+                if ops[*k].size == SlotSize::Both {
+                    chunks[w * ops.len() + *k] = chunk;
+                    continue;
+                }
                 slots[w * per + *k] = chunk;
                 base[w * ops.len() + *k] = bounds[w];
             }
         }
-        for (j, (si, table)) in argmax[argmax0..].iter_mut().enumerate() {
+        let maxes = ops.iter().filter(|op| is_gather_max(op));
+        for (j, ((si, table), op)) in argmax[argmax0..].iter_mut().zip(maxes).enumerate() {
             let cols = program.steps[*si].cols;
-            for (w, chunk) in split_rows(table, cols, &up.vertex).enumerate() {
+            for (w, chunk) in split_rows(table, cols, up.bounds(op)).enumerate() {
                 sinks[w * per_am + j] = chunk;
             }
         }
@@ -1079,18 +1106,20 @@ impl CompiledKernel {
             dst: g.dst_slice(),
             shard: self.shard.as_deref(),
         };
-        let slots_of = slots.chunks_mut(per).zip(base.chunks_mut(ops.len().max(1)));
-        let mut team = slots_of.zip(sinks.chunks_mut(per_am)).enumerate();
+        let per_op = ops.len().max(1);
+        let slots_of = slots.chunks_mut(per).zip(base.chunks_mut(per_op));
+        let sinks_of = sinks.chunks_mut(per_am).zip(chunks.chunks_mut(per_op));
+        let mut team = slots_of.zip(sinks_of).enumerate();
         if workers == 1 {
-            let (w, ((slots, base), sinks)) = team.next().expect("one worker");
-            run_worker(&cx, &self.tiles, &up.parts[w], streamed, slots, base, sinks);
+            let (w, (slots, sinks)) = team.next().expect("one worker");
+            run_worker(&cx, &self.tiles, &up.parts[w], slots, sinks);
         } else {
             let wg = contain::WorkerGuard::new();
             std::thread::scope(|scope| {
-                for (w, ((slots, base), sinks)) in team {
+                for (w, (slots, sinks)) in team {
                     let (cx, wg, tiles, part) = (&cx, &wg, &self.tiles, &up.parts[w]);
                     scope.spawn(move || {
-                        wg.run(|| run_worker(cx, tiles, part, streamed, slots, base, sinks));
+                        wg.run(|| run_worker(cx, tiles, part, slots, sinks));
                     });
                 }
             });
@@ -1100,6 +1129,7 @@ impl CompiledKernel {
         frame.bound = recycle(bound);
         frame.slots = recycle(slots);
         frame.argmax_sinks = recycle(sinks);
+        frame.chunks = recycle(chunks);
         for slab in slabs.drain(..) {
             pool::put_work_f32(slab);
         }
@@ -1112,33 +1142,41 @@ impl CompiledKernel {
 }
 
 /// One worker's walk over its tiles: `slots` are its op slots and its
-/// slab's tail ([`WorkerAux::group`]), `base` the first row each op's
-/// slot holds, `sinks` its chunks of the argmax tables.
+/// slab's tail ([`WorkerAux::group`]) with the first row each op's slot
+/// holds; `sinks` its chunks of the argmax tables and of the sinks of
+/// [`SlotSize::Both`] ops, swapped in for the tiles it owns.
 fn run_worker<'w>(
     cx: &Bound<'_>,
     tiles: &[usize],
     part: &Part,
-    streamed: bool,
-    slots: &mut [&'w mut [f32]],
-    base: &mut [usize],
-    sinks: &mut [&'w mut [u32]],
+    (slots, base): (&mut [&'w mut [f32]], &mut [usize]),
+    (sinks, chunks): (&mut [&'w mut [u32]], &mut [&'w mut [f32]]),
 ) {
     let indptr = cx.g.in_adj().indptr();
     let (bufs, group) = slots.split_at_mut(cx.ops.len());
     let mut aux = WorkerAux {
         group: &mut *group[0],
         argmax: sinks,
-        chunk_v0: tiles[part.tiles.start],
+        chunk_v0: tiles[part.owned.start],
     };
+    // The first rows of the worker's chunks of a sink, by space.
+    let v_own = tiles[part.owned.start];
+    let own0 = |space| [v_own, indptr[v_own]][usize::from(space == Space::Edge)];
     let stage = Stage::new([[0.0; STAGE_LEN]; MAX_SRCS]);
     for t in part.tiles.clone() {
         let (v0, v1) = (tiles[t], tiles[t + 1]);
         let (e0, e1) = (indptr[v0], indptr[v1]);
+        // A `Both` op's sink chunk replaces its slot over the owned tiles.
+        let owned = part.owned.contains(&t);
+        let turn = !part.owned.is_empty() && (t == part.owned.start || t == part.owned.end);
         for (k, op) in cx.ops.iter().enumerate() {
             let (rows, r0) = match op.space {
                 Space::Edge => (e1 - e0, e0),
                 _ => (v1 - v0, v0),
             };
+            if op.size == SlotSize::Both && turn {
+                std::mem::swap(&mut bufs[k], &mut chunks[k]);
+            }
             let (earlier, own) = bufs.split_at_mut(k);
             let own = &mut *own[0];
             let buf = match op.size {
@@ -1153,9 +1191,18 @@ fn run_worker<'w>(
                     &mut own[..rows * op.cols]
                 }
                 // A streamed gather accumulates into any source row the
-                // worker owns.
-                SlotSize::Sink if streamed => own,
+                // worker owns; every other sink is written by the worker
+                // that owns the tile.
+                SlotSize::Sink if lower::is_streamed_gather(&op.kind) => own,
+                SlotSize::Sink if !owned => continue,
                 SlotSize::Sink => {
+                    let at = (r0 - base[k]) * op.cols;
+                    &mut own[at..at + rows * op.cols]
+                }
+                // Its chunk of the sink on the tiles the worker owns (the
+                // chunk is in the slot's place), its tile slot elsewhere.
+                SlotSize::Both => {
+                    base[k] = if owned { own0(op.space) } else { r0 };
                     let at = (r0 - base[k]) * op.cols;
                     &mut own[at..at + rows * op.cols]
                 }
@@ -1237,22 +1284,24 @@ fn exec_op(
                 shard: cx.shard,
             };
             let (src, out_adj) = (cx.src, cx.g.out_adj());
-            let mut x = Pulled::new(unit, k, e1, Some(owns.clone()));
-            for (e, &u) in (e0..).zip(&src[e0..e1]) {
-                let next = src.get(e + AHEAD).map(|&v| v as usize);
-                if let Some(v) = next.filter(|&v| owns.group(v)) {
-                    rowops::prefetch(&buf[(v - own0) * total..(v - own0 + 1) * total]);
-                }
-                let u = u as usize;
-                if !owns.group(u) {
-                    continue;
-                }
-                let o = &mut buf[(u - own0) * total..(u - own0 + 1) * total];
-                match reduce {
-                    ReduceFn::Sum => x.add_into(o, e),
-                    _ => x.axpy_into(o, 1.0 / out_adj.degree(u) as f32, e),
-                }
+            let inv = |u: usize| 1.0 / out_adj.degree(u) as f32;
+            let x0 = srcs[0];
+            // Rows neither folded nor pulled are the tile's block of the
+            // operand, read in place.
+            if cx.fold(x0).is_none() && !op.pulls && x0.at == RowAt::Own {
+                let rows = unit.rows().rows(x0, e0, e1 - e0);
+                let row = |e: usize| &rows[(e - e0) * total..(e - e0 + 1) * total];
+                by_src(src, e0..e1, &owns, buf, total, |o, e, u| match reduce {
+                    ReduceFn::Sum => rowops::add_assign(o, row(e)),
+                    _ => rowops::axpy(o, inv(u), row(e)),
+                });
+                return;
             }
+            let mut x = Pulled::new(unit, k, e1, Some(owns.clone()));
+            by_src(src, e0..e1, &owns, buf, total, |o, e, u| match reduce {
+                ReduceFn::Sum => x.add_into(o, e),
+                _ => x.axpy_into(o, inv(u), e),
+            });
         }
         // Each row accumulates its edges in ascending id, the oracle's
         // order at any degree. A shard session skips the destinations it
@@ -1275,6 +1324,8 @@ fn exec_op(
                 let own = [f.x, f.s].iter().all(|o| o.at == RowAt::Own);
                 *reduce == ReduceFn::Sum && !op.pulls && own && f.s.cols() == total
             });
+            // So are the rows of an operand neither folded nor pulled.
+            let plain = cx.fold(srcs[0]).is_none() && !op.pulls && srcs[0].at == RowAt::Own;
             let mut x = Pulled::new(unit, k, e1, owns.clone());
             for v in v0..v1 {
                 let o = &mut buf[(v - v0) * total..(v - v0 + 1) * total];
@@ -1290,6 +1341,10 @@ fn exec_op(
                         let (read, e) = (x.unit.rows(), indptr[v]);
                         let (a, b) = (read.rows(f.x, e, deg), read.rows(f.s, e, deg));
                         rowops::mul_add_accum_rows(o, a, b);
+                    }
+                    (None, ReduceFn::Sum) if plain => {
+                        let rows = x.unit.rows().rows(srcs[0], indptr[v], deg);
+                        rowops::add_assign_rows(o, rows);
                     }
                     (None, ReduceFn::Sum) => ids.iter().for_each(|&e| x.add_into(o, e as usize)),
                     _ => {
@@ -1364,6 +1419,34 @@ fn exec_op(
             } else {
                 exec_rows(op, &cx.bound[k], &unit.rows(), rows, buf);
             }
+        }
+    }
+}
+
+/// `add(out[src(e)], e, src(e))` for the tile's edges `edges` whose source
+/// row the worker owns, in ascending order — `kernels::gather`'s serial
+/// `BySrc` scan, one tile of it — the target rows (`cols` wide) hinted
+/// [`AHEAD`] when a vector wide or wider: on `gat_train`'s 2-wide score
+/// sums the hint cost more than the misses it hid (12 against 9–10 ms).
+#[inline(always)]
+fn by_src(
+    src: &[u32],
+    edges: Range<usize>,
+    owns: &Owns<'_>,
+    buf: &mut [f32],
+    cols: usize,
+    mut add: impl FnMut(&mut [f32], usize, usize),
+) {
+    let own0 = owns.range.start;
+    let hint = cols >= rowops::NARROW;
+    for (e, &u) in (edges.start..).zip(&src[edges]) {
+        let next = src.get(e + AHEAD).map(|&v| v as usize).filter(|_| hint);
+        if let Some(v) = next.filter(|&v| owns.group(v)) {
+            rowops::prefetch(&buf[(v - own0) * cols..(v - own0 + 1) * cols]);
+        }
+        let u = u as usize;
+        if owns.group(u) {
+            add(&mut buf[(u - own0) * cols..(u - own0 + 1) * cols], e, u);
         }
     }
 }
@@ -1478,11 +1561,8 @@ fn exec_rows<'r>(
         OpKind::FeatSum => {
             let (heads, feat) = (op.dins[0].heads, op.dins[0].feat);
             if let Some(fold) = cx.unit.fold(s(0)) {
-                for (i, r) in rows.enumerate() {
-                    let (x, s) = cx.fold_rows(fold, r);
-                    rowops::mul_feat_sum(&mut buf[i * heads..(i + 1) * heads], x, s, feat);
-                }
-                return;
+                let (o, r0) = (&mut buf[..rows.len() * heads], rows.start);
+                return rowops::mul_feat_sum_rows(o, heads, feat, |i| cx.fold_rows(fold, r0 + i));
             }
             cx.map_rows(s(0), rows, heads, buf, |or, xr| {
                 rowops::feat_sum(or, xr, feat)

@@ -12,7 +12,9 @@ use gnnopt_core::{
 };
 use gnnopt_exec::{refexec, Bindings, EnvOverrides, RunStats, Session};
 use gnnopt_graph::{EdgeList, Graph};
-use gnnopt_models::{edgeconv, gat, gcn, EdgeConvConfig, GatConfig, GcnConfig, ModelSpec};
+use gnnopt_models::{
+    edgeconv, gat, gatv2, gcn, EdgeConvConfig, GatConfig, Gatv2Config, GcnConfig, ModelSpec,
+};
 use gnnopt_tensor::Tensor;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -309,9 +311,10 @@ fn materialized_copy_is_still_written() {
 
 /// A relabelled copy read in its own segment (`ByDst` gather) *and* by a
 /// later one (the `BySrc` full step): the relabel sits on the readers'
-/// edges, so the copy has two readers and each gets a private duplicate —
-/// the by-destination one an alias, the by-source one streamed into its
-/// gather. No copy becomes a tensor.
+/// edges, so the copy has two readers and each gets a private duplicate,
+/// both aliases: the by-source gather joins the by-destination segment,
+/// which streams into it whole, the by-destination gather a sink of the
+/// unit. No copy becomes a tensor.
 #[test]
 fn a_relabelled_copy_read_by_two_segments_is_duplicated() {
     let g = small_graph();
@@ -333,8 +336,8 @@ fn a_relabelled_copy_read_by_two_segments_is_duplicated() {
     );
     assert_eq!(
         plan.programs.iter().flat_map(|p| p.streamed()).count(),
-        1,
-        "the by-source gather's copy streams into it"
+        3,
+        "both copies and the activation stream"
     );
     let b = Bindings::new().with("h", fill(g.num_vertices(), 3, 6));
     check_against_oracle(&plan, &g, &b);
@@ -592,12 +595,14 @@ fn materialized_producer_is_written_in_place() {
 /// `FeatSum` runs row by row but feeds the softmax backward twice — the
 /// folded `g·y` of its group sum and the difference `g − s` — so it keeps
 /// a tile-sized slot, and folds the `E[2×4]` product in front of it. The
-/// backward `BySrc` gather streams a chain through the recomputed
-/// softmax. One tile, so the high-water mark is that backward segment's:
-/// six `E[2]` tile slots (score, leaky-relu — read by the softmax, which
-/// sweeps each group three times — softmax, feat-sum, the difference and
-/// its product with the softmax), the `V[2]` group sum, and the softmax's
-/// pair of `2`-wide group rows (max and denominator).
+/// attention backward and the feature gradient are one streamed unit
+/// behind the recomputed softmax. One tile, so the high-water mark is
+/// that unit's: seven `E[2]` tile slots (score, leaky-relu — read by the
+/// softmax, which sweeps each group three times — softmax, feat-sum, the
+/// difference, its product with the softmax, and the score gradient,
+/// which the by-source and the by-destination sum both read), the `V[2]`
+/// group sum, and the softmax's pair of `2`-wide group rows (max and
+/// denominator).
 #[test]
 fn producer_read_by_softmax_backward_stays_tile_sized() {
     let spec = gat(&GatConfig {
@@ -618,7 +623,7 @@ fn producer_read_by_softmax_backward_stays_tile_sized() {
     let (vertices, edges) = (small_graph().num_vertices(), small_graph().num_edges());
     assert_eq!(
         scratch_on_both_graphs(&plan, bind),
-        4 * (6 * 2 * edges + 2 * vertices + 2 * 2) as u64,
+        4 * (7 * 2 * edges + 2 * vertices + 2 * 2) as u64,
     );
 }
 
@@ -957,14 +962,18 @@ fn streamed_segments_sum_and_mean_over_either_endpoint() {
 /// A softmax streams into a by-source gather: a tile owns whole
 /// destination groups, so the streamed unit sweeps them itself and the
 /// edge rows behind the gather never spill. Forward, `gather(Sum, BySrc,
-/// mul(copy_u(h), edge_softmax(x)))`; and a GAT training plan, whose
-/// feature gradient streams the recomputed softmax. Threads {1, 4} ×
-/// tile budgets {1, 7, 4096} on the small and hub graphs, against the
-/// oracle. At four threads the streamed unit's workers own source ranges
-/// yet each sweeps every tile's groups, so a softmax whose max and
-/// denominator rows were chunked by vertex among the workers would miss
-/// the destinations outside a worker's chunk; each keeps one group's
-/// rows in its own slab instead.
+/// mul(copy_u(h), edge_softmax(x)))`; and GAT and GATv2 training plans,
+/// whose attention backward and feature gradient are one walk behind the
+/// recomputed softmax: two by-source gathers and a by-destination sum
+/// the walk writes — GATv2's also a boundary value the walk reads back
+/// (`SlotSize::Both`). Threads {1, 4} × tile budgets {1, 7, 4096} on the
+/// small and hub graphs, against the oracle. At four threads the
+/// streamed unit's workers own source ranges yet each sweeps every
+/// tile's groups, so a softmax whose max and denominator rows were
+/// chunked by vertex among the workers would miss the destinations
+/// outside a worker's chunk; each keeps one group's rows in its own slab
+/// instead. A by-destination row is written by the one worker that owns
+/// its tile, and every other worker evaluates it into its tile slot.
 #[test]
 fn a_softmax_streams_into_a_by_source_gather() {
     let forward = {
@@ -986,7 +995,36 @@ fn a_softmax_streams_into_a_by_source_gather() {
     })
     .expect("gat builds");
     let training = plan_of(&spec.ir, true);
-    for plan in [&forward, &training] {
+    let v2 = gatv2(&Gatv2Config {
+        in_dim: 5,
+        layers: vec![(2, 4)],
+        negative_slope: 0.2,
+    })
+    .expect("gatv2 builds");
+    let v2_training = plan_of(&v2.ir, true);
+    for (plan, both) in [(&training, false), (&v2_training, true)] {
+        let by_dst = OpKind::Gather {
+            reduce: ReduceFn::Sum,
+            group: EdgeGroup::ByDst,
+        };
+        let by_src = |op: &&TileOp| {
+            let group = op.kind.reduction_group();
+            matches!(op.kind, OpKind::Gather { .. }) && group == Some(EdgeGroup::BySrc)
+        };
+        let walk =
+            |u: &&Unit| u.kind == UnitKind::Streamed && u.ops.iter().filter(by_src).count() == 2;
+        let mut units = plan.programs.iter().flat_map(|p| &p.units);
+        let unit = units
+            .find(walk)
+            .expect("one walk feeds both by-source gathers");
+        let sink = |op: &TileOp| op.kind == by_dst && op.size == SlotSize::Sink;
+        assert!(
+            unit.ops.iter().any(sink),
+            "the walk writes a by-destination sum"
+        );
+        assert_eq!(unit.ops.iter().any(|op| op.size == SlotSize::Both), both);
+    }
+    for plan in [&forward, &training, &v2_training] {
         let holds_softmax = |u: &Unit| {
             u.kind == UnitKind::Streamed && u.ops.iter().any(|op| op.kind == OpKind::EdgeSoftmax)
         };
@@ -1001,10 +1039,12 @@ fn a_softmax_streams_into_a_by_source_gather() {
             .with("h", fill(g.num_vertices(), 6, 91))
             .with("x", fill(g.num_edges(), 2, 92));
         check_against_oracle(&forward, &g, &b);
-        let mut b = Bindings::new();
-        for (k, v) in spec.init_values(&g, 93) {
-            b.insert(&k, v);
+        for (spec, plan) in [(&spec, &training), (&v2, &v2_training)] {
+            let mut b = Bindings::new();
+            for (k, v) in spec.init_values(&g, 93) {
+                b.insert(&k, v);
+            }
+            check_against_oracle(plan, &g, &b);
         }
-        check_against_oracle(&training, &g, &b);
     }
 }

@@ -432,6 +432,95 @@ pub fn mul_feat_sum(o: &mut [f32], x: &[f32], s: &[f32], feat: usize) {
     }
 }
 
+/// Rows [`mul_feat_sum_rows`] sums at once, one AVX2 lane each.
+pub const LANES: usize = 8;
+
+/// [`mul_feat_sum`] of `o.len() / heads` rows, `row(i)` giving row `i`'s
+/// `(x, s)`: with AVX2 and eight features a head or more, [`LANES`] rows
+/// at once, a lane each — products rounded eight features of a row at a
+/// time, turned so each lane holds its row's and added in feature order
+/// from `−0.0`: the one-row form's association, eight add chains a step.
+#[inline]
+pub fn mul_feat_sum_rows<'a>(
+    o: &mut [f32],
+    heads: usize,
+    feat: usize,
+    row: impl Fn(usize) -> (&'a [f32], &'a [f32]),
+) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if feat >= LANES && use_avx2() {
+        for (b, ob) in o.chunks_exact_mut(LANES * heads).enumerate() {
+            let rows: [_; LANES] = std::array::from_fn(|l| row(b * LANES + l));
+            // SAFETY: `use_avx2()` verified AVX2 support at runtime.
+            unsafe { mul_feat_sum_lanes_avx2(ob, rows, feat) };
+            done += LANES;
+        }
+    }
+    for (i, or) in o.chunks_exact_mut(heads).enumerate().skip(done) {
+        let (x, s) = row(i);
+        mul_feat_sum(or, x, s, feat);
+    }
+}
+
+/// [`mul_feat_sum`] of `rows` into `o[l·heads + h]`, lane `l` row `l`'s.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (every load reads a checked 8-float slice).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_feat_sum_lanes_avx2(o: &mut [f32], rows: [(&[f32], &[f32]); LANES], feat: usize) {
+    use std::arch::x86_64::*;
+    let heads = o.len() / LANES;
+    for h in 0..heads {
+        let at = h * feat;
+        let mut acc = _mm256_set1_ps(-0.0);
+        let mut c = 0;
+        while c + LANES <= feat {
+            // Row `l`'s products of features `c..c + 8`, one vector a row.
+            let p: [__m256; LANES] = std::array::from_fn(|l| {
+                let ((x, s), span) = (rows[l], at + c..at + c + LANES);
+                let sv = match s.len() == x.len() {
+                    true => _mm256_loadu_ps(s[span.clone()].as_ptr()),
+                    false => _mm256_set1_ps(s[h]),
+                };
+                _mm256_mul_ps(_mm256_loadu_ps(x[span].as_ptr()), sv)
+            });
+            // Transposed: vector `j` holds every row's feature `c + j`.
+            let t: [__m256; LANES] = std::array::from_fn(|i| {
+                let (a, b) = (p[i & !1], p[i | 1]);
+                [_mm256_unpacklo_ps(a, b), _mm256_unpackhi_ps(a, b)][i % 2]
+            });
+            let u: [__m256; LANES] = std::array::from_fn(|i| {
+                let (a, b) = (t[i / 4 * 4 + i / 2 % 2], t[i / 4 * 4 + i / 2 % 2 + 2]);
+                [
+                    _mm256_shuffle_ps::<0x44>(a, b),
+                    _mm256_shuffle_ps::<0xEE>(a, b),
+                ][i % 2]
+            });
+            for j in 0..LANES {
+                let (a, b) = (u[j % 4], u[j % 4 + 4]);
+                let v = [
+                    _mm256_permute2f128_ps::<0x20>(a, b),
+                    _mm256_permute2f128_ps::<0x31>(a, b),
+                ];
+                acc = _mm256_add_ps(acc, v[j / 4]);
+            }
+            c += LANES;
+        }
+        let mut sums = [0.0f32; LANES];
+        _mm256_storeu_ps(sums.as_mut_ptr(), acc);
+        for (l, (sum, &(x, s))) in sums.iter_mut().zip(&rows).enumerate() {
+            let sv = |k: usize| if s.len() == x.len() { s[at + k] } else { s[h] };
+            for k in c..feat {
+                *sum += x[at + k] * sv(k);
+            }
+            o[l * heads + h] = *sum;
+        }
+    }
+}
+
 /// `FeatSum`'s row: `o[h] = Σ_c x[h·feat + c]` (`Iterator::sum`, in
 /// feature order).
 #[inline]
@@ -550,6 +639,14 @@ pub fn exp_sub_store_accum_rows(d: &mut [f32], t: &mut [f32], x: &[f32], m: &[f3
 pub fn div_assign_rows(y: &mut [f32], d: &[f32]) {
     with_width!(d.len(), w => for yr in y.chunks_exact_mut(w) {
         div_assign(yr, &d[..w]);
+    });
+}
+
+/// [`add_assign`] of every row of `x` into the group's sum row.
+#[inline]
+pub fn add_assign_rows(s: &mut [f32], x: &[f32]) {
+    with_width!(s.len(), w => for xr in x.chunks_exact(w) {
+        add_assign(&mut s[..w], xr);
     });
 }
 
@@ -709,6 +806,63 @@ mod tests {
             }
         }
     }
+    /// The head-dot eight rows a pass equals its one-row form row by row:
+    /// row counts 0..=17 (no pass, one, two, and every tail), 1, 3, 8,
+    /// 16, 32 and 64 features a head (under a vector, a feature tail, whole
+    /// vectors), equal-width and one-scalar-a-head `s`, over operands
+    /// holding `±0.0`, NaN and `±inf`. Every sum that is not a NaN has the
+    /// one-row form's bits (a NaN's payload is not pinned: neither form
+    /// promises which operand's it carries), and a head whose products
+    /// are all `−0.0` sums to `−0.0`.
+    #[test]
+    fn head_dot_lanes_equal_the_one_row_form() {
+        let special = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let heads = 2;
+        for feat in [1usize, 3, 8, 16, 32, 64] {
+            let width = heads * feat;
+            // Twenty rows of each operand: mostly ordinary values, with the
+            // special ones scattered through, and row 7 all `−0.0` times
+            // `+0.0` in its first head.
+            let val = |i: usize, k: f32| {
+                let v = (i as f32 * k + 0.3).sin() * 4.0;
+                if i % 11 == 5 {
+                    special[i / 11 % special.len()]
+                } else {
+                    v
+                }
+            };
+            let mut x: Vec<f32> = (0..20 * width).map(|i| val(i, 0.71)).collect();
+            let mut s: Vec<f32> = (0..20 * width).map(|i| val(i, 1.37)).collect();
+            x[7 * width..7 * width + feat].fill(-0.0);
+            s[7 * width..7 * width + feat].fill(0.0);
+            for equal in [true, false] {
+                let sw = if equal { width } else { heads };
+                let row = |i: usize| (&x[i * width..(i + 1) * width], &s[i * sw..(i + 1) * sw]);
+                for rows in 0..=17usize {
+                    let mut got = vec![f32::NAN; rows * heads];
+                    mul_feat_sum_rows(&mut got, heads, feat, row);
+                    for i in 0..rows {
+                        let mut want = [0.0f32; 2];
+                        let (xr, sr) = row(i);
+                        mul_feat_sum(&mut want, xr, sr, feat);
+                        for h in 0..heads {
+                            let (g, w) = (got[i * heads + h], want[h]);
+                            let what =
+                                format!("feat {feat} equal {equal} rows {rows}: row {i} head {h}");
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "{what}: {g} vs {w}"
+                            );
+                        }
+                    }
+                    if rows > 7 && equal {
+                        assert_eq!(got[7 * heads].to_bits(), (-0.0f32).to_bits(), "feat {feat}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The block forms against the per-row `scalar::` sweeps written out —
     /// the fresh edge softmax of one group as the reference kernels spell
     /// it, and the group sum of a folded product as its reader folds it
@@ -753,6 +907,14 @@ mod tests {
                 let mut s2 = vec![0.0f32; w];
                 mul_add_accum_rows(&mut s2, &g, &y1);
                 assert_eq!(bits(&s2), bits(&s1), "group sum, width {w} × {len} rows");
+
+                let mut a1 = vec![0.0f32; w];
+                for e in 0..len {
+                    scalar::add_assign(&mut a1, &x[e * w..(e + 1) * w]);
+                }
+                let mut a2 = vec![0.0f32; w];
+                add_assign_rows(&mut a2, &x);
+                assert_eq!(bits(&a2), bits(&a1), "row sum, width {w} × {len} rows");
             }
         }
     }

@@ -131,8 +131,10 @@ fn gat_training_fused_realizes_the_predicted_memory_savings() {
     // internals out of DRAM entirely; the measured fused peak must land
     // between that ideal and ideal + the interior spills the tiled
     // interpreter genuinely has to pay (cross-segment reads), with
-    // headroom for accounting differences (aux lifetimes, stash timing).
-    let (replay_peak, _) = plan
+    // headroom for accounting differences (aux lifetimes, stash timing:
+    // the replay frees a stashed value after its last backward reader,
+    // a session keeps every stash to the end of the step).
+    let (replay_peak, stash) = plan
         .memory_replay(&graph.stats(), u64::MAX)
         .expect("unbounded replay");
     let interior_max: u64 = plan
@@ -148,8 +150,8 @@ fn gat_training_fused_realizes_the_predicted_memory_savings() {
         replay_peak
     );
     assert!(
-        fused.peak_value_bytes <= replay_peak + 2 * interior_max,
-        "measured fused peak {} exceeds predicted ideal {} + spills {}",
+        fused.peak_value_bytes <= replay_peak + 2 * interior_max + stash,
+        "measured fused peak {} exceeds predicted ideal {} + spills {} + stash {stash}",
         fused.peak_value_bytes,
         replay_peak,
         interior_max

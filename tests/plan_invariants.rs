@@ -3,7 +3,7 @@
 //! the executor's measured live set, stash contents obey the §6 policy,
 //! and optimized plans strictly reduce simulated cost.
 
-use gnnopt::core::{compile, CompileOptions, Preset, Space};
+use gnnopt::core::{compile, CompileOptions, OpKind, Preset, ProgramStep, Space, Storage};
 use gnnopt::exec::{Bindings, Session};
 use gnnopt::graph::{generators, Graph};
 use gnnopt::models::*;
@@ -253,14 +253,23 @@ fn memory_plan_never_aliases_and_bounds_the_live_set() {
         }
     }
     // The O(|E|·d) spills the backward gathers used to be promised: the
-    // `binary_Mul` of GAT's feature-gradient kernel and of GCN's two.
-    let count = |model| {
+    // `binary_Mul` of GCN's two kernels, and GAT's attention backward
+    // and feature gradient, one walk: the feature gradient's product,
+    // the head-dot's, the softmax backward's two, and the `E[heads]`
+    // score gradient both vertex sums read.
+    let count = |model, kind| {
         let muls = streamed_roots
             .iter()
-            .filter(|(m, n)| *m == model && n == "binary_Mul");
+            .filter(|(m, n)| *m == model && n == kind);
         muls.count()
     };
-    assert_eq!((count("gat"), count("gcn")), (1, 2), "{streamed_roots:?}");
+    let found = [
+        ("gat", "binary_Mul"),
+        ("gat", "unary_bwd"),
+        ("gcn", "binary_Mul"),
+    ];
+    let found = found.map(|(m, k)| count(m, k));
+    assert_eq!(found, [4, 1, 2], "{streamed_roots:?}");
 }
 
 #[test]
@@ -272,6 +281,54 @@ fn memory_replay_detects_oom_consistently() {
     // Just below peak must OOM; at peak must fit.
     assert!(compiled.plan.memory_replay(&stats, peak - 1).is_err());
     assert!(compiled.plan.memory_replay(&stats, peak).is_ok());
+}
+
+/// GAT's and GATv2's `ours` training steps evaluate each edge softmax at
+/// most twice — the forward's and one recompute, the attention backward
+/// and the feature gradient being one walk (`fusion::merge_shared_recompute`)
+/// — and GAT's programs write no edge-sized interior tensor: the score
+/// gradient both vertex sums read is a tile slot of that walk. Two and
+/// four heads, the reorganized GAT too, each deeper than one layer.
+#[test]
+fn gat_training_evaluates_each_softmax_at_most_twice() {
+    let gats = [(2, 6, false), (4, 8, true)].map(|(heads, feat, reorganized)| {
+        let config = GatConfig {
+            in_dim: 8,
+            layers: vec![(heads, feat), (1, 3)],
+            negative_slope: 0.2,
+            reorganized,
+        };
+        ("gat", gat(&config).unwrap())
+    });
+    let gatv2s = [(2, 6), (4, 8)].map(|layer| {
+        let config = Gatv2Config {
+            in_dim: 8,
+            layers: vec![layer],
+            negative_slope: 0.2,
+        };
+        ("gatv2", gatv2(&config).unwrap())
+    });
+    for (name, spec) in gats.into_iter().chain(gatv2s) {
+        let plan = compile(&spec.ir, true, &CompileOptions::ours())
+            .unwrap()
+            .plan;
+        let steps = || plan.programs.iter().flat_map(|p| &p.steps);
+        let softmax = |s: &&ProgramStep| plan.ir.node(s.node).kind == OpKind::EdgeSoftmax;
+        let layers = plan
+            .ir
+            .nodes()
+            .iter()
+            .filter(|n| n.kind == OpKind::EdgeSoftmax);
+        assert!(
+            steps().filter(softmax).count() <= 2 * layers.count(),
+            "{name}: a softmax evaluated more than twice a step"
+        );
+        if name == "gat" {
+            let spill = |s: &&ProgramStep| (s.storage, s.space) == (Storage::Interior, Space::Edge);
+            let spills: Vec<_> = steps().filter(spill).map(|s| s.node).collect();
+            assert_eq!(spills, vec![], "{name}: edge-sized interior tensors");
+        }
+    }
 }
 
 /// The inspector's `programs` view is the executable form of a plan —
