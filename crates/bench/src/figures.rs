@@ -10,7 +10,10 @@ use crate::{
 };
 use gnnopt_core::fusion::MappingPolicy;
 use gnnopt_core::ir::Result as IrResult;
-use gnnopt_core::{compile, CompileOptions, FusionLevel, OpKind, Phase, RecomputeScope, Space};
+use gnnopt_core::memplan::PERSISTENT;
+use gnnopt_core::{
+    compile, plan_memory, CompileOptions, FusionLevel, MemRegion, OpKind, Phase, RecomputeScope,
+};
 use gnnopt_graph::knn::PointCloud;
 use gnnopt_graph::{datasets, EdgeList, Graph, GraphStats};
 use gnnopt_models::{edgeconv, gat, EdgeConvConfig, GatConfig};
@@ -318,34 +321,18 @@ fn headline_stats() -> IrResult<()> {
     // (2) GAT intermediate-data share of training memory under DGL.
     let wl = gat_ablation(&datasets::reddit(), true)?;
     let plan = compile(&wl.ir, true, &CompileOptions::dgl())?.plan;
-    let stats = plan.exec_stats(&device, &wl.stats);
-    // Inputs + parameters are the non-intermediate residents.
-    let persistent: u64 = plan
-        .ir
-        .nodes()
-        .iter()
-        .filter(|n| {
-            matches!(
-                n.kind,
-                OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed
-            )
-        })
-        .map(|n| {
-            let (rows, cols) = match n.space {
-                Space::Vertex => (wl.stats.num_vertices(), n.dim.total()),
-                Space::Edge => (wl.stats.num_edges(), n.dim.total()),
-                Space::Param => (n.dim.heads, n.dim.feat),
-            };
-            rows as u64 * cols as u64 * 4
-        })
-        .sum();
-    let intermediate = stats.peak_memory.saturating_sub(persistent);
+    let mem = plan_memory(&plan, wl.stats.num_vertices(), wl.stats.num_edges(), true);
+    // The leaves (inputs, parameters, the gradient seed) are the
+    // non-intermediate residents: the planner holds them to reset.
+    let leaf = |r: &&MemRegion| r.death == PERSISTENT && plan.ir.node(r.node).inputs.is_empty();
+    let persistent: u64 = mem.regions.iter().filter(leaf).map(|r| r.bytes).sum();
+    let intermediate = mem.arena_bytes.saturating_sub(persistent);
     println!("\nGAT (h=4, f=64, Reddit) under DGL training:");
-    println!("  peak memory:        {:.3} GiB", gib(stats.peak_memory));
+    println!("  peak memory:        {:.3} GiB", gib(mem.arena_bytes));
     println!("  inputs+parameters:  {:.3} GiB", gib(persistent));
     println!(
         "  intermediate share: {:.1}%   (paper: 91.9%)",
-        intermediate as f64 / stats.peak_memory as f64 * 100.0
+        intermediate as f64 / mem.arena_bytes as f64 * 100.0
     );
     Ok(())
 }

@@ -64,17 +64,19 @@
 //! by-destination sum of the score gradient, which is never a tensor.
 //! The spill never exists — and because the decision is made here, the
 //! memory planner never reserves it either. The join is declined when a
-//! reader outside the walk would run before it, when the walk would
-//! still write an edge-sized spill (its readers need it whole either
-//! way), or when the segment holds a gather-max (whose argmax table a
-//! tile unit chunks by tile). A segment holding tiled steps *and* a full
-//! gather is how a program says "streamed" ([`KernelProgram::streamed`]);
-//! nothing at launch re-derives it. A `BySrc` gather with nothing to
-//! stream — its input a kernel input or a spill other steps read too —
-//! is the same unit alone ([`is_streamed_gather`]): the tile driver runs
-//! every one. A streamed unit may hold several `BySrc` gathers and sinks
-//! of the destination tiling; a boundary value the walk itself reads
-//! back is [`SlotSize::Both`].
+//! reader outside the walk would run before it, or when the segment
+//! holds a gather-max (whose argmax table a tile unit chunks by tile). A
+//! step the walk shares with a reader outside it stays a tensor — a sink
+//! of the walk — but the walk still streams the rest: declining would
+//! write that tensor anyway and spill the gather's own input besides. A
+//! segment holding tiled steps *and* a full gather is how a program says
+//! "streamed" ([`KernelProgram::streamed`]); nothing at launch
+//! re-derives it. A `BySrc` gather with nothing to stream — its input a
+//! kernel input or a spill other steps read too — is the same unit alone
+//! ([`is_streamed_gather`]): the tile driver runs every one. A streamed
+//! unit may hold several `BySrc` gathers and sinks of the destination
+//! tiling; a boundary value the walk itself reads back is
+//! [`SlotSize::Both`].
 //!
 //! # The stage table and compiled units
 //!
@@ -493,21 +495,10 @@ impl KernelProgram {
 
     /// Bytes a node-by-node evaluation would materialize for the
     /// kernel-internal (scratch-class) values — the memory the fused path
-    /// saves, and exactly the intermediate bytes `gnnopt-sim`'s
-    /// [`ExecutionPlan::memory_replay`] never charges for fused plans.
+    /// saves: the planned arena ([`crate::memplan::plan_memory`]) holds
+    /// none of them.
     pub fn internal_full_bytes(&self, num_vertices: usize, num_edges: usize) -> u64 {
         self.scratch()
-            .map(|s| Self::full_bytes(s, num_vertices, num_edges))
-            .sum()
-    }
-
-    /// Bytes of the interior spills (scratch values forced to real
-    /// tensors by cross-segment reads): the part of a kernel's internals
-    /// the tiled interpreter must still pay for, transiently.
-    pub fn interior_full_bytes(&self, num_vertices: usize, num_edges: usize) -> u64 {
-        self.steps
-            .iter()
-            .filter(|s| s.storage == Storage::Interior)
             .map(|s| Self::full_bytes(s, num_vertices, num_edges))
             .sum()
     }
@@ -731,14 +722,10 @@ pub fn lower_kernel(plan: &ExecutionPlan, kernel: &Kernel) -> KernelProgram {
             if storage[&t] == Storage::Materialized || spill {
                 sinks.push(t);
             }
-            // An edge-sized spill the walk would still write stays with its
-            // tile unit: its readers need it whole whatever the walk does.
-            let spill =
-                spill && storage[&t] != Storage::Materialized && ir.node(t).space == Space::Edge;
             // (A gather-max chunks its argmax table by tile.)
             let max =
                 matches!(ir.node(t).kind, OpKind::Gather { reduce, .. } if reduce == ReduceFn::Max);
-            later && !max && !spill
+            later && !max
         });
         if joinable {
             for t in in_seg.into_iter().chain(joins) {
@@ -1110,11 +1097,9 @@ mod tests {
         for s in prog.streamed() {
             assert_eq!((s.storage, s.segment), (Storage::Scratch, gather.segment));
         }
-        assert_eq!(
-            prog.interior_full_bytes(100, 1000),
-            4 * 100 * 8,
-            "the gather's own output"
-        );
+        let interior = prog.steps.iter().filter(|s| s.storage == Storage::Interior);
+        let interior: Vec<NodeId> = interior.map(|s| s.node).collect();
+        assert_eq!(interior, vec![gather.node], "the gather's own output");
         // Marking steps neither adds nor removes any.
         for (k, p) in plan.kernels.iter().zip(&plan.programs) {
             assert_eq!(p.steps.len(), k.nodes.len() + k.recompute.len());
@@ -1177,7 +1162,7 @@ mod tests {
         assert!(!step(sm).recompute);
         assert_eq!(step(me).storage, Storage::Scratch);
         assert!(prog.streamed().any(|s| s.node == sm));
-        assert_eq!(prog.interior_full_bytes(10, 100), 0);
+        assert!(prog.steps.iter().all(|s| s.storage != Storage::Interior));
     }
 
     #[test]

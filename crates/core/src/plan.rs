@@ -11,9 +11,10 @@ use crate::cost::CostModel;
 use crate::exec_policy::ExecPolicy;
 use crate::ir::{IrGraph, Phase};
 use crate::lower::KernelProgram;
+use crate::memplan::plan_memory;
 use crate::op::{NodeId, OpKind};
 use gnnopt_graph::GraphStats;
-use gnnopt_sim::{Device, ExecStats, KernelProfile, MemoryError, MemoryTracker, ThreadMapping};
+use gnnopt_sim::{Device, ExecStats, KernelProfile, MemoryError, ThreadMapping};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One launched kernel: a set of IR nodes executed together.
@@ -250,138 +251,30 @@ impl ExecutionPlan {
         }
     }
 
-    /// Replays the schedule against a capacity-limited allocator.
-    ///
-    /// Returns `(peak_bytes, stash_bytes)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError`] when the live set exceeds `capacity`.
-    pub fn memory_replay(
-        &self,
-        stats: &GraphStats,
-        capacity: u64,
-    ) -> Result<(u64, u64), MemoryError> {
-        let cm = CostModel::new(stats);
-        let consumers = self.ir.consumers();
-        let node_kernel = self.node_kernel();
-        let num_kernels = self.kernels.len();
-
-        // Which kernels read node n (primary consumption + recompute
-        // closures re-reading checkpoints).
-        let mut readers: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for k in &self.kernels {
-            let members: HashSet<NodeId> = k.nodes.iter().chain(&k.recompute).copied().collect();
-            for &nid in k.nodes.iter().chain(&k.recompute) {
-                for &i in &self.ir.node(nid).inputs {
-                    if !members.contains(&i) {
-                        readers.entry(i).or_default().push(k.id);
-                    }
-                }
-                if let OpKind::GatherMaxBwd { fwd } = self.ir.node(nid).kind {
-                    readers.entry(fwd).or_default().push(k.id);
-                }
-            }
-        }
-
-        // Lifetime per materialized tensor: birth kernel → death kernel.
-        let mut births: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); num_kernels + 1];
-        let mut deaths: Vec<Vec<NodeId>> = vec![Vec::new(); num_kernels + 1];
-        let mut stash_bytes = 0u64;
-
-        for node in self.ir.nodes() {
-            let bytes = cm.out_bytes(node);
-            let (birth, leaf) = match node.kind {
-                OpKind::InputVertex | OpKind::InputEdge | OpKind::Param | OpKind::GradSeed => {
-                    (0usize, true)
-                }
-                _ => match node_kernel.get(&node.id) {
-                    Some(&k) => (k + 1, false),
-                    // Node fused away (never materialized): skip.
-                    None => continue,
-                },
-            };
-            if !leaf {
-                // Only materialized outputs occupy DRAM.
-                let kernel = &self.kernels[birth - 1];
-                if !self.materialized_nodes(kernel).contains(&node.id) {
-                    continue;
-                }
-            }
-            let mut death = readers
-                .get(&node.id)
-                .and_then(|r| r.iter().max())
-                .map_or(birth, |&k| k + 1);
-            let is_output = self.ir.outputs().contains(&node.id);
-            let persistent = leaf
-                || is_output
-                || matches!(
-                    node.kind,
-                    OpKind::LinearBwdWeight
-                        | OpKind::HeadDotBwdParam
-                        | OpKind::GaussianBwdMu
-                        | OpKind::GaussianBwdSigma
-                        | OpKind::View(_)
-                );
-            if persistent {
-                death = num_kernels;
-            }
-            if self.stash.contains(&node.id) && node.phase == Phase::Forward {
-                stash_bytes += bytes;
-                // Stashed values persist at least until their last
-                // backward reader.
-                death = death.max(
-                    readers
-                        .get(&node.id)
-                        .and_then(|r| r.iter().max())
-                        .map_or(num_kernels, |&k| k + 1),
-                );
-            }
-            births[birth].push((node.id, bytes));
-            deaths[death.min(num_kernels)].push(node.id);
-        }
-
-        // Aux stashes live from their producing kernel to schedule end.
-        for &nid in &self.aux_stash {
-            if let Some(&k) = node_kernel.get(&nid) {
-                let bytes = cm.aux_bytes(self.ir.node(nid));
-                births[k + 1].push((usize::MAX - nid, bytes));
-                stash_bytes += bytes;
-            }
-        }
-
-        let mut tracker = MemoryTracker::with_capacity(capacity);
-        let mut handles: HashMap<NodeId, u64> = HashMap::new();
-        let _ = consumers;
-        for step in 0..=num_kernels {
-            for &(nid, bytes) in &births[step] {
-                let label = if nid > usize::MAX / 2 {
-                    format!("aux:{}", usize::MAX - nid)
-                } else {
-                    self.ir.node(nid).name.clone()
-                };
-                let h = tracker.alloc(bytes, &label)?;
-                handles.insert(nid, h);
-            }
-            for &nid in &deaths[step] {
-                if let Some(h) = handles.remove(&nid) {
-                    tracker.free(h);
-                }
-            }
-        }
-        Ok((tracker.peak_bytes(), stash_bytes))
+    /// Bytes held across the forward→backward boundary: the forward
+    /// values in [`ExecutionPlan::stash`] plus the argmax tables of
+    /// [`ExecutionPlan::aux_stash`].
+    fn stashed_bytes(&self, cm: &CostModel<'_>) -> u64 {
+        let values = self.stash.iter().map(|&n| self.ir.node(n));
+        let values = values.filter(|n| n.phase == Phase::Forward);
+        let tables = self
+            .aux_stash
+            .iter()
+            .map(|&n| cm.aux_bytes(self.ir.node(n)));
+        values.map(|n| cm.out_bytes(n)).chain(tables).sum()
     }
 
-    /// Full analytical statistics of the plan on a device.
+    /// Full analytical statistics of the plan on a device. The peak is
+    /// the arena a session reserves for the plan
+    /// ([`crate::memplan::plan_memory`]), the one memory accounting.
     pub fn exec_stats(&self, device: &Device, stats: &GraphStats) -> ExecStats {
+        let cm = CostModel::new(stats);
         let profiles = self.profiles(stats);
-        let (peak, stash) = self
-            .memory_replay(stats, u64::MAX)
-            .expect("unbounded replay cannot OOM");
+        let mem = plan_memory(self, stats.num_vertices(), stats.num_edges(), true);
         let mut s = ExecStats {
             kernels: profiles.len() as u64,
-            peak_memory: peak,
-            stashed_bytes: stash,
+            peak_memory: mem.arena_bytes,
+            stashed_bytes: self.stashed_bytes(&cm),
             ..ExecStats::default()
         };
         for p in &profiles {
@@ -393,14 +286,27 @@ impl ExecutionPlan {
         s
     }
 
-    /// Checks whether the plan fits in the device's DRAM.
+    /// Checks whether the plan's arena fits in the device's DRAM, and
+    /// returns its bytes.
     ///
     /// # Errors
     ///
-    /// Returns the OOM description when it does not fit.
+    /// Returns the OOM description, naming the arena's largest region,
+    /// when the arena exceeds [`Device::usable_memory`].
     pub fn check_fits(&self, device: &Device, stats: &GraphStats) -> Result<u64, MemoryError> {
-        self.memory_replay(stats, device.usable_memory())
-            .map(|p| p.0)
+        let mem = plan_memory(self, stats.num_vertices(), stats.num_edges(), true);
+        let capacity = device.usable_memory();
+        if mem.arena_bytes <= capacity {
+            return Ok(mem.arena_bytes);
+        }
+        let largest = mem.regions.iter().max_by_key(|r| r.bytes);
+        let largest = largest.expect("an arena past capacity has a region");
+        Err(MemoryError {
+            requested: largest.bytes,
+            live: mem.arena_bytes - largest.bytes,
+            capacity,
+            label: format!("%{} {}", largest.node, self.ir.node(largest.node).name),
+        })
     }
 }
 

@@ -13,9 +13,9 @@
 //! **destination-vertex ranges** (tiles): scratch-class members live
 //! only as per-tile rows in worker-local slots, so the `O(|E|·d)`
 //! intermediates of a gather→edge-op→scatter chain never exist in memory
-//! — the measured `peak_value_bytes` drops toward what `gnnopt-sim`
-//! predicts for the fused plan (interior spills, see
-//! `gnnopt_core::lower`, are the remaining gap).
+//! — the measured `peak_value_bytes` stays within the arena the memory
+//! planner (`gnnopt_core::memplan`) lays out for the fused plan, which
+//! holds the interior spills (`gnnopt_core::lower`) and no scratch row.
 //!
 //! # Compiled once, launched many times
 //!

@@ -3,8 +3,8 @@
 //! Executes every IR operator with real numbers so that each compiler
 //! rewrite (reorganization, fusion, recomputation) can be validated for
 //! *numerical equivalence* against the unoptimized plan, while the
-//! analytical counters (latency / IO / memory) come from the plan itself
-//! via `gnnopt-sim`.
+//! analytical counters come from the plan itself: latency and IO via
+//! `gnnopt-sim`, memory from the arena `gnnopt_core::memplan` lays out.
 //!
 //! The executor honours the plan's memory discipline: values drop as soon
 //! as their last consumer kernel has run, stashed values survive the

@@ -14,9 +14,10 @@
 //!   imbalance from [`gnnopt_graph::GraphStats`] (a vertex-balanced kernel
 //!   on a skewed graph is slowed by its most loaded thread group, §5 of the
 //!   paper);
-//! * a [`MemoryTracker`] replays a plan's allocation schedule to obtain
-//!   peak residency and detect OOM — which is how the Figure 11
-//!   "runs-on-2080 vs needs-3090" experiment is reproduced.
+//! * a [`MemoryError`] reports a plan whose planned arena (the static
+//!   memory planner's, in `gnnopt-core`) exceeds a device's capacity —
+//!   which is how the Figure 11 "runs-on-2080 vs needs-3090" experiment
+//!   is reproduced.
 //!
 //! The model is deliberately simple (roofline + launch overhead + load
 //! imbalance + atomic penalty): it reproduces the *shape* of the paper's
@@ -37,6 +38,6 @@ mod timeline;
 pub use device::Device;
 pub use effects::KernelEffects;
 pub use kernel::{KernelProfile, ThreadMapping};
-pub use memory::{MemoryError, MemoryTracker};
+pub use memory::MemoryError;
 pub use stats::ExecStats;
 pub use timeline::{KernelEvent, PhaseBreakdown, Timeline, TracePhase};

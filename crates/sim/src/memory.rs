@@ -1,25 +1,22 @@
-//! Live-set memory tracking with OOM detection.
+//! Out-of-memory reports.
 //!
-//! The planner replays its schedule against a [`MemoryTracker`]: allocate
-//! each tensor at its producing step, release it after its last consumer
-//! (stashed tensors release only after their final backward use). Peak
-//! residency is the paper's "memory consumption" metric, and exceeding the
-//! device capacity reproduces the Figure 11 OOM behaviour.
+//! A plan's memory is the arena its static memory planner lays out
+//! (`gnnopt_core::memplan`); an arena past a device's capacity is the
+//! Figure 11 OOM, reported as a [`MemoryError`].
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-/// Error returned when an allocation exceeds the configured capacity.
+/// Error returned when a plan's memory exceeds a device's capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryError {
-    /// Bytes requested by the failing allocation.
+    /// Bytes of the named allocation (a plan's largest region).
     pub requested: u64,
-    /// Bytes already live.
+    /// Bytes live beside it.
     pub live: u64,
     /// Device capacity.
     pub capacity: u64,
-    /// Label of the failing allocation.
+    /// Label of the named allocation.
     pub label: String,
 }
 
@@ -27,125 +24,13 @@ impl fmt::Display for MemoryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "out of memory allocating {} ({} B) with {} B live of {} B capacity",
-            self.label, self.requested, self.live, self.capacity
+            "out of memory: {} B planned of {} B capacity; largest region {} ({} B)",
+            self.requested + self.live,
+            self.capacity,
+            self.label,
+            self.requested
         )
     }
 }
 
 impl Error for MemoryError {}
-
-/// A simulated allocator that tracks live bytes and their peak.
-///
-/// `capacity = u64::MAX` (from [`MemoryTracker::unbounded`]) never OOMs and
-/// is used when only the peak is of interest.
-#[derive(Debug, Clone)]
-pub struct MemoryTracker {
-    capacity: u64,
-    live: u64,
-    peak: u64,
-    allocations: HashMap<u64, (u64, String)>,
-    next_id: u64,
-}
-
-impl MemoryTracker {
-    /// Creates a tracker with the given capacity in bytes.
-    pub fn with_capacity(capacity: u64) -> Self {
-        Self {
-            capacity,
-            live: 0,
-            peak: 0,
-            allocations: HashMap::new(),
-            next_id: 0,
-        }
-    }
-
-    /// Creates a tracker that never reports OOM.
-    pub fn unbounded() -> Self {
-        Self::with_capacity(u64::MAX)
-    }
-
-    /// Records an allocation, returning its handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError`] if the allocation would exceed capacity; the
-    /// tracker is left unchanged in that case.
-    pub fn alloc(&mut self, bytes: u64, label: &str) -> Result<u64, MemoryError> {
-        if self.live.saturating_add(bytes) > self.capacity {
-            return Err(MemoryError {
-                requested: bytes,
-                live: self.live,
-                capacity: self.capacity,
-                label: label.to_owned(),
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live += bytes;
-        self.peak = self.peak.max(self.live);
-        self.allocations.insert(id, (bytes, label.to_owned()));
-        Ok(id)
-    }
-
-    /// Releases a previous allocation. Unknown handles are ignored (frees
-    /// are idempotent so liveness replay code stays simple).
-    pub fn free(&mut self, id: u64) {
-        if let Some((bytes, _)) = self.allocations.remove(&id) {
-            self.live -= bytes;
-        }
-    }
-
-    /// Bytes currently live.
-    pub fn live_bytes(&self) -> u64 {
-        self.live
-    }
-
-    /// Maximum bytes ever live.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut t = MemoryTracker::unbounded();
-        let a = t.alloc(100, "a").unwrap();
-        let b = t.alloc(50, "b").unwrap();
-        t.free(a);
-        let _c = t.alloc(20, "c").unwrap();
-        assert_eq!(t.peak_bytes(), 150);
-        assert_eq!(t.live_bytes(), 70);
-        t.free(b);
-        assert_eq!(t.live_bytes(), 20);
-    }
-
-    #[test]
-    fn oom_is_reported_and_state_preserved() {
-        let mut t = MemoryTracker::with_capacity(100);
-        let _a = t.alloc(80, "big").unwrap();
-        let err = t.alloc(40, "overflow").unwrap_err();
-        assert_eq!(err.requested, 40);
-        assert_eq!(err.live, 80);
-        assert_eq!(t.live_bytes(), 80);
-        assert!(err.to_string().contains("overflow"));
-    }
-
-    #[test]
-    fn double_free_is_ignored() {
-        let mut t = MemoryTracker::unbounded();
-        let a = t.alloc(10, "a").unwrap();
-        t.free(a);
-        t.free(a);
-        assert_eq!(t.live_bytes(), 0);
-    }
-}

@@ -1,5 +1,5 @@
-//! Memory-budget planning: ask the analytical device model whether a
-//! training workload fits a GPU *before* running it — the paper's
+//! Memory-budget planning: ask whether the arena a session would reserve
+//! for a training workload fits a GPU *before* running it — the paper's
 //! Figure 11 scenario ("runs on an 8 GB RTX 2080 instead of a 24 GB
 //! RTX 3090") as a library call.
 //!

@@ -2,10 +2,11 @@
 //! turn the *predicted* fusion savings (which `gnnopt-sim` has always
 //! reported) into *measured* `peak_value_bytes` drops on the CPU
 //! executor — cross-checked against what the node-by-node oracle
-//! materializes, the plan's own memory replay and the lowered programs'
+//! materializes, the plan's planned arena and the lowered programs'
 //! byte arithmetic.
 
-use gnnopt::core::{compile, CompileOptions, ExecPolicy, Storage};
+use gnnopt::core::memplan::PERSISTENT;
+use gnnopt::core::{compile, plan_memory, CompileOptions, ExecPolicy, Storage};
 use gnnopt::exec::{refexec, Bindings, EnvOverrides, RunStats, Session};
 use gnnopt::graph::{generators, Graph};
 use gnnopt::models::{gat, GatConfig, ModelSpec};
@@ -126,39 +127,26 @@ fn gat_training_fused_realizes_the_predicted_memory_savings() {
         internal_total
     );
 
-    // Cross-check against the analytical model. `memory_replay` is the
-    // simulator's prediction for this plan assuming fusion keeps
-    // internals out of DRAM entirely; the measured fused peak must land
-    // between that ideal and ideal + the interior spills the tiled
-    // interpreter genuinely has to pay (cross-segment reads), with
-    // headroom for accounting differences (aux lifetimes, stash timing:
-    // the replay frees a stashed value after its last backward reader,
-    // a session keeps every stash to the end of the step).
-    let (replay_peak, stash) = plan
-        .memory_replay(&graph.stats(), u64::MAX)
-        .expect("unbounded replay");
-    let interior_max: u64 = plan
-        .programs
+    // Against the planner, the one memory accounting: the store never
+    // holds more than the arena the plan reserves, and never less than
+    // the regions the plan keeps to reset — leaves, stashes, outputs and
+    // parameter gradients are all live at once when the step ends.
+    let mem = plan_memory(plan, n, m, true);
+    let kept: u64 = mem
+        .regions
         .iter()
-        .map(|p| p.interior_full_bytes(n, m))
-        .max()
-        .unwrap_or(0);
+        .filter(|r| r.death == PERSISTENT)
+        .map(|r| r.bytes)
+        .sum();
     assert!(
-        fused.peak_value_bytes >= replay_peak / 2,
-        "measured fused peak {} implausibly beats the analytical ideal {}",
+        kept <= fused.peak_value_bytes && fused.peak_value_bytes <= mem.arena_bytes,
+        "measured fused peak {} outside [kept {kept}, arena {}]",
         fused.peak_value_bytes,
-        replay_peak
-    );
-    assert!(
-        fused.peak_value_bytes <= replay_peak + 2 * interior_max + stash,
-        "measured fused peak {} exceeds predicted ideal {} + spills {} + stash {stash}",
-        fused.peak_value_bytes,
-        replay_peak,
-        interior_max
+        mem.arena_bytes
     );
     // The oracle, which materializes every kernel-internal node, must
-    // sit above the simulator's fused prediction by at least the
-    // internals of the largest program.
+    // sit above the planned arena by at least the internals of the
+    // largest program.
     let internal_max: u64 = plan
         .programs
         .iter()
@@ -166,8 +154,9 @@ fn gat_training_fused_realizes_the_predicted_memory_savings() {
         .max()
         .unwrap_or(0);
     assert!(
-        materialized >= replay_peak + internal_max / 2,
-        "oracle bytes {materialized} vs replay {replay_peak} + internals {internal_max}",
+        materialized >= mem.arena_bytes + internal_max / 2,
+        "oracle bytes {materialized} vs arena {} + internals {internal_max}",
+        mem.arena_bytes
     );
 }
 
